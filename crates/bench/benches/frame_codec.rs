@@ -36,6 +36,7 @@ fn representative_report() -> Message {
     Message::ResultReport {
         replica: 7,
         workunit: 3,
+        campaign: 0,
         output: DockingOutput {
             rows,
             evaluations: 99_000,

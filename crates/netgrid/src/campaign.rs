@@ -20,7 +20,7 @@ use maxdo::{
     DockingEngine, DockingOutput, EnergyParams, LibraryConfig, MinimizeParams, ProteinLibrary,
 };
 use timemodel::CostMatrix;
-use validation::ResultFile;
+use validation::{FileHeader, ResultFile};
 use workunit::{CampaignPackage, LaunchSchedule, WorkunitSpec};
 
 /// κ of the cost model used for catalog cost estimates. The estimates
@@ -135,17 +135,30 @@ impl NetCampaign {
         self.specs.iter().map(|&s| self.compute(s)).collect()
     }
 
-    /// Wraps a reported output as a §5.2 result file so the standard
+    /// The §5.2 result-file header of workunit `wu`: what the standard
     /// validation checks (line count, value ranges, canonical indices)
-    /// can judge it.
-    pub fn result_file(&self, wu: u32, output: &DockingOutput) -> ResultFile {
+    /// hold a reported output's rows against.
+    pub fn file_header(&self, wu: u32) -> FileHeader {
         let spec = self.specs[wu as usize];
-        ResultFile {
+        FileHeader {
             receptor: spec.receptor,
             ligand: spec.ligand,
             isep_start: spec.isep_start,
             isep_end: spec.isep_end(),
             nrot: maxdo::NROT_COUPLES as u32,
+        }
+    }
+
+    /// Wraps a reported output as an owned §5.2 result file (copies the
+    /// rows; the server's report path checks them in place instead).
+    pub fn result_file(&self, wu: u32, output: &DockingOutput) -> ResultFile {
+        let header = self.file_header(wu);
+        ResultFile {
+            receptor: header.receptor,
+            ligand: header.ligand,
+            isep_start: header.isep_start,
+            isep_end: header.isep_end,
+            nrot: header.nrot,
             rows: output.rows.clone(),
         }
     }

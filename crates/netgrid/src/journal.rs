@@ -14,12 +14,30 @@
 //! A journal directory holds two files:
 //!
 //! * `wal.bin` — a header frame ([`JournalRecord::Header`]: campaign
-//!   recipe, server config, fault knobs, epoch) followed by one frame
-//!   per transition, in the exact order the state lock applied them.
+//!   recipe, server config, fault knobs, epoch, format) followed by one
+//!   frame per transition, in the exact order the state lock applied
+//!   them.
 //! * `snapshot.bin` — a header frame plus one [`JournalRecord::Snapshot`]
 //!   frame holding a complete [`GridSnapshot`]. Written atomically
 //!   (tmp + fsync + rename), so it is always either absent, the old
 //!   snapshot, or the new one — never torn.
+//!
+//! Each record kind has exactly one payload encoding, named by the
+//! version byte of its frame header:
+//!
+//! * the five transition records (`Fetch`, `Report`, `Sweep`,
+//!   `LeaseOut`, `LeaseIn`) are version-2 frames: a tag byte and
+//!   fixed-width little-endian fields written with the wire codec's own
+//!   primitives ([`crate::protocol::binary`]) — a `Report`'s payload is
+//!   the same 72-byte rows the agent sent. They are the hot path: one
+//!   per request, encoded into a buffer the [`Journal`] reuses, written
+//!   with one `write_all`;
+//! * `Header` and `Snapshot` are version-1 frames holding JSON (the
+//!   derived serde form). They are written once per file and once per
+//!   `snapshot_every` appends, and stay legible to `strings`.
+//!
+//! `hcmd-journal dump DIR` prints every record of both files as one JSON
+//! line, through the same [`RecordReader`] recovery uses.
 //!
 //! # Recovery
 //!
@@ -30,7 +48,8 @@
 //! that the state makes the *same decision it made live* (same replica
 //! issued, same verdict, same expiry count). A divergence means the
 //! journal and the code disagree and recovery fails loudly instead of
-//! silently forking the campaign.
+//! silently forking the campaign. Records are deframed, decoded and
+//! applied one at a time; the decoded wal is never held as a whole.
 //!
 //! Replayed reports need their payloads only when the payload became
 //! server state: accepted artifacts and quorum candidates are journaled
@@ -44,17 +63,35 @@
 //! # Consistency model
 //!
 //! A `kill -9` loses at most the un-fsynced suffix of the wal (none
-//! under [`FsyncPolicy::Always`]). Replay stops at the first torn or
-//! checksum-failing frame and truncates the wal there, so the recovered
-//! state is always a *prefix* of the crashed run — a consistent earlier
-//! state. Prefix loss is safe by construction: a lost `Fetch` replica
+//! under [`FsyncPolicy::Always`]). Replay stops at the first torn frame
+//! and truncates the wal there, so the recovered state is always a
+//! *prefix* of the crashed run — a consistent earlier state. Two kinds
+//! of damage are told apart:
+//!
+//! * **torn tail** — the file ends inside a frame, a payload fails its
+//!   header checksum, or the bytes where a frame should start are not
+//!   the magic (a filesystem can leave zeros past the last completed
+//!   write). This is what a crash between `write` and `fsync` leaves; the
+//!   scan stops there and the rest is dropped. A wal torn inside its
+//!   very first frame is an empty wal: nothing was journaled yet (or
+//!   the crash hit the post-snapshot reset and everything is in the
+//!   snapshot).
+//! * **bad record** — a frame whose checksum passes but whose payload
+//!   does not decode strictly (unknown tag or verdict, trailing or
+//!   missing bytes, a JSON-encoded transition), or whose header names
+//!   an impossible version or length. No crash writes that; the file
+//!   was written by different code or damaged in place, and recovery
+//!   refuses with `InvalidData` rather than guess.
+//!
+//! Prefix loss is safe by construction: a lost `Fetch` replica
 //! ages out of nothing (it was never outstanding in the recovered
 //! state), a lost `Report` is re-requested because its replica is still
 //! outstanding and will expire, and the §5 validation rules (quorum /
 //! bounds) judge the re-computed results exactly as they would have the
 //! originals. The merged artifact is therefore byte-identical to an
 //! uninterrupted run's no matter where the crash landed — the property
-//! `tests/netgrid_restart.rs` and the CI restart-smoke job pin.
+//! `tests/netgrid_restart.rs` (every byte offset of a scripted wal) and
+//! the CI restart-smoke job pin.
 //!
 //! # Snapshot / epoch handshake
 //!
@@ -66,7 +103,8 @@
 
 use crate::campaign::NetCampaign;
 use crate::faults::ServerFaults;
-use crate::protocol::{self, CampaignParams, DecodeError};
+use crate::protocol::binary::{Reader, Writer};
+use crate::protocol::{self, CampaignParams, DecodeError, HEADER_BYTES};
 use crate::shard::ShardSpec;
 use crate::state::{GridSnapshot, GridState, Verdict, WorkReply};
 use gridsim::server::{ReplicaId, ServerConfig};
@@ -83,6 +121,21 @@ pub const WAL_FILE: &str = "wal.bin";
 pub const SNAPSHOT_FILE: &str = "snapshot.bin";
 /// Scratch name the snapshot is staged under before the atomic rename.
 const SNAPSHOT_TMP: &str = "snapshot.tmp";
+
+/// Frame-header version byte of the JSON-encoded records (`Header`,
+/// `Snapshot`).
+const FRAME_JSON: u8 = protocol::PROTOCOL_V1;
+/// Frame-header version byte of the binary-encoded transition records.
+const FRAME_BINARY: u8 = protocol::PROTOCOL_V2;
+
+/// The journal format this build writes, pinned in every `Header`.
+/// Format 1 (headers written before the field existed) encoded
+/// transitions as JSON; format 2 encodes them in binary.
+const JOURNAL_FORMAT: u32 = 2;
+
+fn format_1() -> u32 {
+    1
+}
 
 /// When appended frames are flushed to disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,6 +222,12 @@ pub enum JournalRecord {
         /// the campaign.
         #[serde(default = "ShardSpec::solo")]
         shard: ShardSpec,
+        /// How the file's transition records are encoded: 2 = binary
+        /// (what this build reads and writes), 1 = JSON (headers from
+        /// before the field existed). A wal of another format is
+        /// refused before any transition is read.
+        #[serde(default = "format_1")]
+        format: u32,
     },
     /// One `GridState::fetch` call and its decision.
     Fetch {
@@ -276,16 +335,183 @@ pub struct Journal {
     snapshot_every: u64,
     appends_since_sync: u64,
     appends_since_snapshot: u64,
+    /// The frame being appended, reused so steady-state appends never
+    /// allocate.
+    scratch: Writer,
     tele: Tele,
 }
 
-fn frame(rec: &JournalRecord) -> Vec<u8> {
+/// Frames a `Header` or `Snapshot` record as JSON.
+fn frame_json(rec: &JournalRecord) -> Vec<u8> {
+    debug_assert!(matches!(
+        rec,
+        JournalRecord::Header { .. } | JournalRecord::Snapshot { .. }
+    ));
     let json = serde_json::to_string(rec).expect("JournalRecord serializes");
-    protocol::frame_payload(json.as_bytes()).to_vec()
+    protocol::frame_payload_versioned(FRAME_JSON, json.as_bytes()).to_vec()
 }
 
 fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
+}
+
+const TAG_FETCH: u8 = 0;
+const TAG_REPORT: u8 = 1;
+const TAG_SWEEP: u8 = 2;
+const TAG_LEASE_OUT: u8 = 3;
+const TAG_LEASE_IN: u8 = 4;
+
+/// Verdicts in the order of their byte on disk (the byte is the index).
+const VERDICTS: [Verdict; 9] = [
+    Verdict::Accepted,
+    Verdict::QuorumPending,
+    Verdict::QuorumRejected,
+    Verdict::BoundsRejected,
+    Verdict::Duplicate,
+    Verdict::Late,
+    Verdict::SpotConfirmed,
+    Verdict::SpotMismatch,
+    Verdict::SpotVoid,
+];
+
+/// Encodes one transition record as a binary payload (no frame header).
+fn encode_transition(rec: &JournalRecord, w: &mut Writer) {
+    match rec {
+        JournalRecord::Fetch {
+            now_s,
+            agent,
+            assigned,
+        } => {
+            w.u8(TAG_FETCH);
+            w.f64(*now_s);
+            w.u64(*agent);
+            w.flag(assigned.is_some());
+            if let Some((replica, workunit)) = assigned {
+                w.u64(*replica);
+                w.u32(*workunit);
+            }
+        }
+        JournalRecord::Report {
+            now_s,
+            replica,
+            workunit,
+            verdict,
+            output,
+        } => {
+            w.u8(TAG_REPORT);
+            w.f64(*now_s);
+            w.u64(*replica);
+            w.u32(*workunit);
+            let byte = VERDICTS.iter().position(|v| v == verdict);
+            w.u8(byte.expect("every verdict is in VERDICTS") as u8);
+            w.flag(output.is_some());
+            if let Some(output) = output {
+                w.output(output);
+            }
+        }
+        JournalRecord::Sweep { now_s, expired } => {
+            w.u8(TAG_SWEEP);
+            w.f64(*now_s);
+            w.u64(*expired);
+        }
+        JournalRecord::LeaseOut {
+            now_s,
+            lease,
+            to_shard,
+            wus,
+        } => {
+            w.u8(TAG_LEASE_OUT);
+            w.f64(*now_s);
+            w.u64(*lease);
+            w.u16(*to_shard);
+            w.u32s(wus);
+        }
+        JournalRecord::LeaseIn { now_s, lease, wus } => {
+            w.u8(TAG_LEASE_IN);
+            w.f64(*now_s);
+            w.u64(*lease);
+            w.u32s(wus);
+        }
+        JournalRecord::Header { .. } | JournalRecord::Snapshot { .. } => {
+            unreachable!("Header/Snapshot records are JSON frames, never appended")
+        }
+    }
+}
+
+/// Overwrites `w` with the complete frame of one transition record:
+/// the payload is encoded after reserved header space, then the header
+/// is patched in place.
+fn frame_transition(rec: &JournalRecord, w: &mut Writer) {
+    w.0.clear();
+    w.0.resize(HEADER_BYTES, 0);
+    encode_transition(rec, w);
+    protocol::seal_frame(FRAME_BINARY, &mut w.0);
+}
+
+/// Decodes one binary transition payload, as strictly as the wire
+/// decoder: unknown tags and verdicts, non-0/1 flags, counts that
+/// disagree with the bytes present, truncation and trailing bytes are
+/// all errors.
+fn decode_transition(payload: &[u8]) -> Result<JournalRecord, String> {
+    let mut r = Reader::new(payload);
+    let rec = match r.u8()? {
+        TAG_FETCH => JournalRecord::Fetch {
+            now_s: r.f64()?,
+            agent: r.u64()?,
+            assigned: match r.flag()? {
+                true => Some((r.u64()?, r.u32()?)),
+                false => None,
+            },
+        },
+        TAG_REPORT => JournalRecord::Report {
+            now_s: r.f64()?,
+            replica: r.u64()?,
+            workunit: r.u32()?,
+            verdict: {
+                let byte = r.u8()?;
+                *VERDICTS
+                    .get(usize::from(byte))
+                    .ok_or_else(|| format!("unknown verdict byte {byte:#04x}"))?
+            },
+            output: match r.flag()? {
+                true => Some(r.output()?),
+                false => None,
+            },
+        },
+        TAG_SWEEP => JournalRecord::Sweep {
+            now_s: r.f64()?,
+            expired: r.u64()?,
+        },
+        TAG_LEASE_OUT => JournalRecord::LeaseOut {
+            now_s: r.f64()?,
+            lease: r.u64()?,
+            to_shard: r.u16()?,
+            wus: r.counted(4, |r| r.u32())?,
+        },
+        TAG_LEASE_IN => JournalRecord::LeaseIn {
+            now_s: r.f64()?,
+            lease: r.u64()?,
+            wus: r.counted(4, |r| r.u32())?,
+        },
+        other => return Err(format!("unknown transition tag {other:#04x}")),
+    };
+    r.finish()?;
+    Ok(rec)
+}
+
+/// Decodes one checksum-verified frame payload by its header version.
+fn decode_record(version: u8, payload: &[u8]) -> Result<JournalRecord, String> {
+    match version {
+        FRAME_BINARY => decode_transition(payload),
+        FRAME_JSON => {
+            let text = std::str::from_utf8(payload).map_err(|e| format!("not UTF-8: {e}"))?;
+            match serde_json::from_str(text).map_err(|e| format!("unparsable: {e:?}"))? {
+                rec @ (JournalRecord::Header { .. } | JournalRecord::Snapshot { .. }) => Ok(rec),
+                _ => Err("JSON-encoded transition record (a format-1 journal)".into()),
+            }
+        }
+        other => Err(format!("frame version {other} is not a journal record")),
+    }
 }
 
 impl Journal {
@@ -296,15 +522,21 @@ impl Journal {
             config: self.config,
             faults: self.faults,
             shard: self.shard,
+            format: JOURNAL_FORMAT,
         }
     }
 
     /// Appends one transition frame, honouring the fsync policy.
+    ///
+    /// # Panics
+    ///
+    /// If `rec` is a `Header` or `Snapshot`: those are written by the
+    /// journal itself, never appended.
     pub fn append(&mut self, rec: &JournalRecord) -> io::Result<()> {
-        let bytes = frame(rec);
-        self.wal.write_all(&bytes)?;
+        frame_transition(rec, &mut self.scratch);
+        self.wal.write_all(&self.scratch.0)?;
         self.tele.appends.inc();
-        self.tele.bytes.add(bytes.len() as u64);
+        self.tele.bytes.add(self.scratch.0.len() as u64);
         self.appends_since_sync += 1;
         self.appends_since_snapshot += 1;
         let due = match self.fsync {
@@ -368,8 +600,8 @@ impl Journal {
         let tmp = self.dir.join(SNAPSHOT_TMP);
         {
             let mut f = File::create(&tmp)?;
-            f.write_all(&frame(&self.header()))?;
-            f.write_all(&frame(&JournalRecord::Snapshot { now_s, grid }))?;
+            f.write_all(&frame_json(&self.header()))?;
+            f.write_all(&frame_json(&JournalRecord::Snapshot { now_s, grid }))?;
             f.sync_all()?;
         }
         fs::rename(&tmp, self.dir.join(SNAPSHOT_FILE))?;
@@ -378,7 +610,7 @@ impl Journal {
         // wal epoch is dead weight and can be reset.
         self.wal.set_len(0)?;
         self.wal.seek(SeekFrom::Start(0))?;
-        self.wal.write_all(&frame(&self.header()))?;
+        self.wal.write_all(&frame_json(&self.header()))?;
         self.wal.sync_data()?;
         self.appends_since_snapshot = 0;
         self.appends_since_sync = 0;
@@ -393,56 +625,85 @@ fn sync_dir(dir: &Path) -> io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
-/// Reads every well-formed frame of `path`, returning the decoded
-/// records and the byte offset just past the last good frame. A torn or
-/// checksum-failing tail stops the scan (that is the crash-consistency
-/// contract); a frame whose checksum passes but whose JSON does not
-/// parse is a hard error (the file was written by different code).
-fn read_frames(path: &Path) -> io::Result<(Vec<JournalRecord>, u64)> {
-    let buf = fs::read(path)?;
-    let mut records = Vec::new();
-    let mut off = 0usize;
-    while off < buf.len() {
-        match protocol::deframe(&buf[off..]) {
-            Ok((_version, payload, consumed)) => {
-                let text = std::str::from_utf8(payload).map_err(|e| {
-                    bad(format!("{}: frame at {off} not UTF-8: {e}", path.display()))
-                })?;
-                let rec: JournalRecord = serde_json::from_str(text).map_err(|e| {
-                    bad(format!(
-                        "{}: frame at {off} unparsable: {e:?}",
-                        path.display()
-                    ))
-                })?;
-                records.push(rec);
-                off += consumed;
-            }
-            Err(DecodeError::Incomplete { .. })
-            | Err(DecodeError::Checksum { .. })
-            | Err(DecodeError::BadMagic(_)) => break, // torn tail
-            Err(e) => return Err(bad(format!("{}: {e:?}", path.display()))),
-        }
+/// Walks the records of one journal file in order — the reader both
+/// recovery and `hcmd-journal dump` use. Yields one decoded record per
+/// well-formed frame and ends at the end of the file or at a torn tail;
+/// a bad record yields one `InvalidData` error and ends the walk too
+/// (module docs, "Consistency model", tell the two apart).
+pub struct RecordReader {
+    what: String,
+    buf: Vec<u8>,
+    off: usize,
+    done: bool,
+}
+
+impl RecordReader {
+    /// Reads `path` for scanning.
+    pub fn open(path: &Path) -> io::Result<Self> {
+        Ok(Self {
+            what: path.display().to_string(),
+            buf: fs::read(path)?,
+            off: 0,
+            done: false,
+        })
     }
-    Ok((records, off as u64))
+
+    /// Byte offset just past the last record yielded.
+    pub fn offset(&self) -> u64 {
+        self.off as u64
+    }
+
+    /// Size of the file as read, torn tail included.
+    pub fn file_len(&self) -> u64 {
+        self.buf.len() as u64
+    }
+}
+
+impl Iterator for RecordReader {
+    type Item = io::Result<JournalRecord>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.done {
+            return None;
+        }
+        let off = self.off;
+        let step = match protocol::deframe(&self.buf[off..]) {
+            Ok((version, payload, consumed)) => {
+                decode_record(version, payload).inspect(|_| self.off += consumed)
+            }
+            Err(
+                DecodeError::Incomplete { .. }
+                | DecodeError::Checksum { .. }
+                | DecodeError::BadMagic(_),
+            ) => {
+                self.done = true; // end of file, or a torn tail
+                return None;
+            }
+            Err(e) => Err(e.to_string()),
+        };
+        self.done = step.is_err();
+        Some(step.map_err(|e| bad(format!("{}: frame at {off}: {e}", self.what))))
+    }
 }
 
 /// Checks a recovered header against the server's own campaign identity,
-/// returning its epoch.
+/// returning its epoch and journal format.
 fn check_header(
-    rec: Option<&JournalRecord>,
+    rec: Option<JournalRecord>,
     what: &str,
     params: CampaignParams,
     config: ServerConfig,
     faults: ServerFaults,
     shard: ShardSpec,
-) -> io::Result<u64> {
+) -> io::Result<(u64, u32)> {
     match rec {
-        Some(&JournalRecord::Header {
+        Some(JournalRecord::Header {
             epoch,
             params: p,
             config: c,
             faults: f,
             shard: s,
+            format,
         }) => {
             if p != params || c != config || f != faults {
                 return Err(bad(format!(
@@ -456,7 +717,7 @@ fn check_header(
                     s.shard_id, s.shards, shard.shard_id, shard.shards
                 )));
             }
-            Ok(epoch)
+            Ok((epoch, format))
         }
         _ => Err(bad(format!("{what} does not start with a Header frame"))),
     }
@@ -464,19 +725,19 @@ fn check_header(
 
 /// Replays one wal transition through the live entry points, asserting
 /// the state reproduces the recorded decision.
-fn apply(state: &mut GridState, campaign: &NetCampaign, rec: &JournalRecord) -> io::Result<()> {
+fn apply(state: &mut GridState, campaign: &NetCampaign, rec: JournalRecord) -> io::Result<()> {
     match rec {
         JournalRecord::Fetch {
             now_s,
             agent,
             assigned,
         } => {
-            let reply = state.fetch(SimTime::new(*now_s), *agent);
+            let reply = state.fetch(SimTime::new(now_s), agent);
             let got = match &reply {
                 WorkReply::Assigned(a) => Some((a.replica.0, a.workunit)),
                 WorkReply::Backoff { .. } => None,
             };
-            if got != *assigned {
+            if got != assigned {
                 return Err(bad(format!(
                     "replay diverged: fetch(agent={agent}) issued {got:?}, journal says {assigned:?}"
                 )));
@@ -490,7 +751,7 @@ fn apply(state: &mut GridState, campaign: &NetCampaign, rec: &JournalRecord) -> 
             output,
         } => {
             let payload = match (output, verdict) {
-                (Some(out), _) => out.clone(),
+                (Some(out), _) => out,
                 // The server discarded these payloads on arrival; an
                 // empty result file fails the §5.2 line-count check, so
                 // it reproduces the bounds rejection, and a duplicate is
@@ -516,13 +777,13 @@ fn apply(state: &mut GridState, campaign: &NetCampaign, rec: &JournalRecord) -> 
                 }
             };
             let d = state.report(
-                SimTime::new(*now_s),
+                SimTime::new(now_s),
                 campaign,
-                ReplicaId(*replica),
-                *workunit,
+                ReplicaId(replica),
+                workunit,
                 payload,
             );
-            if d.verdict != *verdict {
+            if d.verdict != verdict {
                 return Err(bad(format!(
                     "replay diverged: report(replica={replica}, wu={workunit}) judged {:?}, \
                      journal says {verdict:?}",
@@ -531,8 +792,8 @@ fn apply(state: &mut GridState, campaign: &NetCampaign, rec: &JournalRecord) -> 
             }
         }
         JournalRecord::Sweep { now_s, expired } => {
-            let got = state.sweep(SimTime::new(*now_s)) as u64;
-            if got != *expired {
+            let got = state.sweep(SimTime::new(now_s)) as u64;
+            if got != expired {
                 return Err(bad(format!(
                     "replay diverged: sweep expired {got}, journal says {expired}"
                 )));
@@ -546,7 +807,7 @@ fn apply(state: &mut GridState, campaign: &NetCampaign, rec: &JournalRecord) -> 
         } => {
             // The live grant only journals workunits it actually moved,
             // so replay must move every one of them again.
-            let moved = state.apply_lease_out(SimTime::new(*now_s), *lease, *to_shard, wus);
+            let moved = state.apply_lease_out(SimTime::new(now_s), lease, to_shard, &wus);
             if moved != wus.len() {
                 return Err(bad(format!(
                     "replay diverged: lease {lease:#x} out moved {moved} of {} workunits",
@@ -555,7 +816,7 @@ fn apply(state: &mut GridState, campaign: &NetCampaign, rec: &JournalRecord) -> 
             }
         }
         JournalRecord::LeaseIn { now_s, lease, wus } => {
-            let moved = state.adopt_lease(SimTime::new(*now_s), *lease, wus);
+            let moved = state.adopt_lease(SimTime::new(now_s), lease, &wus);
             if moved != wus.len() {
                 return Err(bad(format!(
                     "replay diverged: lease {lease:#x} in moved {moved} of {} workunits",
@@ -592,15 +853,18 @@ pub fn open_journaled(
     // A crash can leave a staged snapshot behind; it is dead either way.
     let _ = fs::remove_file(cfg.dir.join(SNAPSHOT_TMP));
 
-    // 1. Restore the snapshot, if one exists.
+    // 1. Restore the snapshot, if one exists. Its format is not checked:
+    //    a snapshot is a JSON frame in every format, and `restore`
+    //    re-derives what depends on the writing build (fingerprints).
     let mut epoch = 0u64;
     let mut state = match snap_path.exists() {
         true => {
-            let (records, _) = read_frames(&snap_path)?;
-            epoch = check_header(records.first(), "snapshot", params, config, faults, shard)?;
-            match records.get(1) {
+            let mut records = RecordReader::open(&snap_path)?;
+            let header = records.next().transpose()?;
+            (epoch, _) = check_header(header, "snapshot", params, config, faults, shard)?;
+            match records.next().transpose()? {
                 Some(JournalRecord::Snapshot { grid, .. }) => {
-                    GridState::restore(campaign, config, faults, grid.clone()).map_err(bad)?
+                    GridState::restore(campaign, config, faults, grid).map_err(bad)?
                 }
                 _ => return Err(bad("snapshot file has no Snapshot frame")),
             }
@@ -608,27 +872,39 @@ pub fn open_journaled(
         false => GridState::new_sharded(campaign, config, faults, shard),
     };
 
-    // 2. Replay the wal tail through the live entry points.
+    // 2. Replay the wal tail through the live entry points, one record
+    //    at a time. A wal torn inside its header frame is as good as
+    //    absent: nothing was journaled after it.
     let mut wal_valid = 0u64;
     let mut tail_len = 0u64;
     if wal_path.exists() {
-        let (records, valid) = read_frames(&wal_path)?;
-        let wal_epoch = check_header(records.first(), "wal", params, config, faults, shard)?;
-        if wal_epoch == epoch {
-            for rec in &records[1..] {
-                apply(&mut state, campaign, rec)?;
-                tele.replayed.inc();
-                tail_len += 1;
+        let mut records = RecordReader::open(&wal_path)?;
+        if let Some(header) = records.next().transpose()? {
+            let (wal_epoch, format) =
+                check_header(Some(header), "wal", params, config, faults, shard)?;
+            if format != JOURNAL_FORMAT {
+                return Err(bad(format!(
+                    "{}: wal is journal format {format}, this build reads and writes format \
+                     {JOURNAL_FORMAT} only; finish or discard that campaign with the build \
+                     that wrote it",
+                    cfg.dir.display()
+                )));
             }
-            wal_valid = valid;
-        } else if wal_epoch + 1 == epoch {
-            // Crash between snapshot rename and wal reset: every wal
-            // record is already folded into the snapshot. Discard.
-            wal_valid = 0;
-        } else {
-            return Err(bad(format!(
-                "wal epoch {wal_epoch} does not match snapshot epoch {epoch}"
-            )));
+            if wal_epoch == epoch {
+                for rec in records.by_ref() {
+                    apply(&mut state, campaign, rec?)?;
+                    tele.replayed.inc();
+                    tail_len += 1;
+                }
+                wal_valid = records.offset();
+            } else if wal_epoch + 1 != epoch {
+                return Err(bad(format!(
+                    "wal epoch {wal_epoch} does not match snapshot epoch {epoch}"
+                )));
+            }
+            // Otherwise the crash fell between snapshot rename and wal
+            // reset: every wal record is already folded into the
+            // snapshot, and `wal_valid` stays 0 to discard them.
         }
     }
 
@@ -660,12 +936,13 @@ pub fn open_journaled(
             FsyncPolicy::Always | FsyncPolicy::Never => 0,
         },
         appends_since_snapshot: tail_len,
+        scratch: Writer(Vec::new()),
         tele,
     };
     if wal_valid == 0 {
         journal.wal.set_len(0)?;
         journal.wal.seek(SeekFrom::Start(0))?;
-        let hdr = frame(&journal.header());
+        let hdr = frame_json(&journal.header());
         journal.wal.write_all(&hdr)?;
         journal.wal.sync_data()?;
     } else {
@@ -681,6 +958,8 @@ pub fn open_journaled(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use maxdo::{DockingRow, EulerZyz, Vec3};
+    use proptest::prelude::*;
 
     #[test]
     fn fsync_policy_parses() {
@@ -691,26 +970,146 @@ mod tests {
         assert!(FsyncPolicy::parse("sometimes").is_err());
     }
 
-    #[test]
-    fn records_round_trip_through_the_wire_framing() {
-        let rec = JournalRecord::Fetch {
-            now_s: 1.5,
-            agent: 42,
-            assigned: Some((7, 3)),
+    /// A transition record as [`Journal::append`] frames it.
+    fn frame(rec: &JournalRecord) -> Vec<u8> {
+        let mut w = Writer(Vec::new());
+        frame_transition(rec, &mut w);
+        w.0
+    }
+
+    fn payload_of(rec: &JournalRecord) -> Vec<u8> {
+        frame(rec).split_off(HEADER_BYTES)
+    }
+
+    fn scratch_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("hcmd-journal-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// One record of each transition kind from sampled primitives;
+    /// floats come from raw bits, so NaNs, infinities and `-0.0` all
+    /// occur.
+    fn build_record(kind: usize, a: u64, b: u32, bits: u64, rows: &[(u32, u64)]) -> JournalRecord {
+        let now_s = f64::from_bits(bits);
+        let output = DockingOutput {
+            rows: rows
+                .iter()
+                .map(|&(i, bits)| DockingRow {
+                    isep: i,
+                    irot: i.rotate_left(7),
+                    position: Vec3::new(f64::from_bits(bits), f64::from_bits(!bits), 0.0),
+                    orientation: EulerZyz {
+                        alpha: f64::from_bits(bits.rotate_left(17)),
+                        beta: -0.0,
+                        gamma: f64::NAN,
+                    },
+                    elj: f64::from_bits(bits ^ a),
+                    eelec: f64::from_bits(bits.wrapping_mul(31)),
+                })
+                .collect(),
+            evaluations: a,
         };
-        let bytes = frame(&rec);
-        let (_version, payload, consumed) = protocol::deframe(&bytes).expect("well-formed frame");
-        assert_eq!(consumed, bytes.len());
-        let back: JournalRecord =
-            serde_json::from_str(std::str::from_utf8(payload).unwrap()).unwrap();
-        assert_eq!(back, rec);
+        let wus: Vec<u32> = rows.iter().map(|&(i, _)| i).collect();
+        match kind {
+            0 => JournalRecord::Fetch {
+                now_s,
+                agent: a,
+                assigned: b.is_multiple_of(2).then_some((a ^ 1, b)),
+            },
+            1 => JournalRecord::Report {
+                now_s,
+                replica: a,
+                workunit: b,
+                verdict: VERDICTS[b as usize % VERDICTS.len()],
+                output: (!a.is_multiple_of(3)).then_some(output),
+            },
+            2 => JournalRecord::Sweep { now_s, expired: a },
+            3 => JournalRecord::LeaseOut {
+                now_s,
+                lease: a,
+                to_shard: b as u16,
+                wus,
+            },
+            _ => JournalRecord::LeaseIn {
+                now_s,
+                lease: a,
+                wus,
+            },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every transition variant round-trips bit-exactly through the
+        /// binary record codec (compared by re-encoding, so NaN fields
+        /// count), and the decoder is as strict as the wire's: every
+        /// truncation and any trailing byte is an error.
+        #[test]
+        fn transitions_round_trip_and_reject_damaged_payloads(
+            kind in 0usize..5,
+            a in 0u64..u64::MAX,
+            b in 0u32..u32::MAX,
+            bits in 0u64..u64::MAX,
+            rows in collection::vec((0u32..u32::MAX, 0u64..u64::MAX), 0..4),
+        ) {
+            let rec = build_record(kind, a, b, bits, &rows);
+            let bytes = frame(&rec);
+            let (version, payload, consumed) = protocol::deframe(&bytes).expect("well-formed frame");
+            prop_assert_eq!(consumed, bytes.len());
+            let back = decode_record(version, payload).expect("decodes");
+            prop_assert_eq!(payload_of(&back), payload.to_vec());
+            prop_assert_eq!(format!("{back:?}"), format!("{rec:?}"));
+            for cut in 0..payload.len() {
+                prop_assert!(decode_transition(&payload[..cut]).is_err(), "truncated at {}", cut);
+            }
+            let mut long = payload.to_vec();
+            long.push(0);
+            prop_assert!(decode_transition(&long).is_err(), "trailing byte accepted");
+        }
+    }
+
+    #[test]
+    fn unknown_tags_verdicts_and_flags_are_rejected() {
+        let rec = JournalRecord::Report {
+            now_s: 1.0,
+            replica: 2,
+            workunit: 3,
+            verdict: Verdict::Duplicate,
+            output: None,
+        };
+        let good = payload_of(&rec);
+        assert_eq!(decode_transition(&good), Ok(rec));
+        // tag, verdict byte, has-payload flag
+        for (at, byte) in [(0, 5), (21, VERDICTS.len() as u8), (22, 2)] {
+            let mut bad = good.clone();
+            bad[at] = byte;
+            assert!(decode_transition(&bad).is_err(), "byte {at} = {byte}");
+        }
+    }
+
+    #[test]
+    fn each_record_kind_has_exactly_one_encoding() {
+        let sweep = JournalRecord::Sweep {
+            now_s: 1.0,
+            expired: 2,
+        };
+        // A transition in a JSON frame is a format-1 record, not a fallback.
+        let json = serde_json::to_string(&sweep).unwrap();
+        let err = decode_record(FRAME_JSON, json.as_bytes()).unwrap_err();
+        assert!(err.contains("format-1"), "{err}");
+        // A binary frame never holds a Header, and the wire's other
+        // frame versions are not journal records at all.
+        assert!(decode_record(FRAME_BINARY, json.as_bytes()).is_err());
+        assert!(decode_record(protocol::PROTOCOL_V4, &payload_of(&sweep)).is_err());
     }
 
     #[test]
     fn torn_tail_stops_the_scan_at_the_last_good_frame() {
-        let dir = std::env::temp_dir().join(format!("hcmd-journal-torn-{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("wal.bin");
+        let dir = scratch_dir("torn");
+        let path = dir.join(WAL_FILE);
         let a = frame(&JournalRecord::Sweep {
             now_s: 1.0,
             expired: 2,
@@ -722,9 +1121,67 @@ mod tests {
         let mut bytes = a.clone();
         bytes.extend_from_slice(&b[..b.len() / 2]); // torn mid-frame
         fs::write(&path, &bytes).unwrap();
-        let (records, valid) = read_frames(&path).unwrap();
-        assert_eq!(records.len(), 1);
-        assert_eq!(valid, a.len() as u64);
+        let mut reader = RecordReader::open(&path).unwrap();
+        assert_eq!(reader.by_ref().count(), 1);
+        assert_eq!(reader.offset(), a.len() as u64);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A header written before the `format` and `shard` fields existed
+    /// reads as format 1, solo — and a wal under it is refused by
+    /// name, before any of its JSON transitions is looked at.
+    #[test]
+    fn a_format_1_wal_is_refused_naming_the_directory_and_the_format() {
+        let campaign = NetCampaign::build(CampaignParams::tiny());
+        let (config, faults) = (ServerConfig::default(), ServerFaults::default());
+        let dir = scratch_dir("format1");
+        let header = serde_json::to_string(&JournalRecord::Header {
+            epoch: 0,
+            params: campaign.params(),
+            config,
+            faults,
+            shard: ShardSpec::solo(),
+            format: JOURNAL_FORMAT,
+        })
+        .unwrap();
+        let old_header = header
+            .replace(&format!(",\"format\":{JOURNAL_FORMAT}"), "")
+            .replace(",\"shard\":{\"shard_id\":0,\"shards\":1}", "");
+        assert!(!old_header.contains("format") && !old_header.contains("shard\""));
+        match decode_record(FRAME_JSON, old_header.as_bytes()).expect("old header parses") {
+            JournalRecord::Header { format, shard, .. } => {
+                assert_eq!((format, shard), (1, ShardSpec::solo()));
+            }
+            other => panic!("{other:?}"),
+        }
+        let fetch = serde_json::to_string(&JournalRecord::Fetch {
+            now_s: 0.0,
+            agent: 1,
+            assigned: Some((0, 0)),
+        })
+        .unwrap();
+        let mut wal = protocol::frame_payload(old_header.as_bytes()).to_vec();
+        wal.extend_from_slice(&protocol::frame_payload(fetch.as_bytes()));
+        fs::write(dir.join(WAL_FILE), &wal).unwrap();
+
+        let err = open_journaled(
+            &JournalConfig::new(&dir),
+            &campaign,
+            config,
+            faults,
+            ShardSpec::solo(),
+        )
+        .err()
+        .expect("a format-1 wal must be refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(msg.contains(&dir.display().to_string()), "{msg}");
+        assert!(msg.contains("format 1"), "{msg}");
+        assert_eq!(
+            fs::read(dir.join(WAL_FILE)).unwrap(),
+            wal,
+            "refused wal left untouched"
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -66,7 +66,9 @@ pub mod trust;
 pub use agent::{run_agent, AgentConfig, AgentReport};
 pub use campaign::NetCampaign;
 pub use faults::{FaultAction, FaultDice, FaultProfile, ServerFaults};
-pub use journal::{open_journaled, FsyncPolicy, Journal, JournalConfig, JournalRecord};
+pub use journal::{
+    open_journaled, FsyncPolicy, Journal, JournalConfig, JournalRecord, RecordReader,
+};
 pub use mux::{run_mux_fleet, MuxFleetConfig, MuxFleetReport};
 pub use ops::{http_get, OpsServer};
 pub use protocol::{CampaignParams, Codec, DecodeError, Message};
@@ -74,7 +76,7 @@ pub use registry::{CampaignDef, MultiGrid, Slot};
 pub use server::{CampaignRunReport, NetRunReport, NetServer, NetServerConfig, ShardTopology};
 pub use shard::{merge_artifact_json, merge_artifacts, shard_of, ShardSpec};
 pub use state::{
-    AgentLedger, CampaignOps, GridSnapshot, GridState, JournalOps, NetStats, OpsSnapshot,
-    ResultDisposition, ShardOps, TrustSummary, Verdict, WorkReply,
+    fingerprint, AgentLedger, CampaignOps, GridSnapshot, GridState, JournalOps, NetStats,
+    OpsSnapshot, ResultDisposition, ShardOps, TrustSummary, Verdict, WorkReply,
 };
 pub use trust::{AgentTrust, TrustBand, TrustConfig};

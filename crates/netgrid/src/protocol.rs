@@ -41,9 +41,11 @@ use std::io::{self, Read, Write};
 
 /// Frame magic: `b"HCMD"`.
 pub const MAGIC: [u8; 4] = *b"HCMD";
-/// Frame version of the JSON codec (and of on-disk journal records).
+/// Frame version of the JSON codec (and of the journal's `Header` and
+/// `Snapshot` frames).
 pub const PROTOCOL_V1: u8 = 1;
-/// Frame version of the binary hot-path codec.
+/// Frame version of the binary hot-path codec (and of the journal's
+/// transition frames).
 pub const PROTOCOL_V2: u8 = 2;
 /// Frame version of the shard-aware binary codec: the same payload
 /// encoding as v2 plus the shard message family (`ShardMap`,
@@ -408,10 +410,20 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
+/// The FNV-1a 64-bit offset basis: the hash of the empty input, and the
+/// seed a streamed hash starts [`fnv1a64_extend`] from.
+pub const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// FNV-1a 64-bit — tiny, dependency-free, good enough to catch wire
 /// corruption and to fingerprint result payloads for quorum comparison.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a64_extend(FNV_OFFSET_BASIS, bytes)
+}
+
+/// Continues an FNV-1a 64 hash over more input, so a value can be hashed
+/// piecewise without first being assembled into one buffer:
+/// `fnv1a64_extend(fnv1a64(a), b) == fnv1a64(a ‖ b)`.
+pub fn fnv1a64_extend(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
@@ -422,7 +434,8 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// Frames an arbitrary payload with the standard header (magic, version
 /// 1, length, FNV-1a checksum). [`encode`] uses this for JSON wire
 /// messages; the journal reuses the exact same framing for its on-disk
-/// records, so one reader/checksum implementation covers both.
+/// records ([`frame_payload_versioned`] / [`seal_frame`]), so one
+/// reader/checksum implementation covers both.
 pub fn frame_payload(payload: &[u8]) -> Bytes {
     frame_payload_versioned(PROTOCOL_V1, payload)
 }
@@ -435,12 +448,33 @@ pub fn frame_payload_versioned(version: u8, payload: &[u8]) -> Bytes {
         payload.len()
     );
     let mut buf = BytesMut::with_capacity(HEADER_BYTES + payload.len());
-    buf.put_slice(&MAGIC);
-    buf.put_u8(version);
-    buf.put_u32_le(payload.len() as u32);
-    buf.put_u64_le(fnv1a64(payload));
+    buf.put_slice(&frame_header(version, payload));
     buf.put_slice(payload);
     buf.freeze()
+}
+
+/// The fixed-size header that frames `payload` (layout in the module docs).
+fn frame_header(version: u8, payload: &[u8]) -> [u8; HEADER_BYTES] {
+    let mut header = [0u8; HEADER_BYTES];
+    header[..4].copy_from_slice(&MAGIC);
+    header[4] = version;
+    header[5..9].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[9..].copy_from_slice(&fnv1a64(payload).to_le_bytes());
+    header
+}
+
+/// Turns `buf` — [`HEADER_BYTES`] of reserved space followed by an
+/// already-encoded payload — into a complete frame by patching the header
+/// in place. The journal encodes each record straight into a reused
+/// buffer this way, with no intermediate payload copy.
+pub fn seal_frame(version: u8, buf: &mut [u8]) {
+    let (header, payload) = buf.split_at_mut(HEADER_BYTES);
+    assert!(
+        payload.len() <= MAX_FRAME_BYTES,
+        "outgoing frame of {} bytes exceeds the cap",
+        payload.len()
+    );
+    header.copy_from_slice(&frame_header(version, payload));
 }
 
 /// Splits one checksum-verified payload off the front of `buf`. On
@@ -617,8 +651,14 @@ pub fn read_message(r: &mut impl Read) -> io::Result<Option<Message>> {
 /// fields. `DockingOutput` rows are 72-byte records (`isep`, `irot`,
 /// position, orientation, `elj`, `eelec`) — f64 bit patterns travel
 /// verbatim, so a binary round trip is exact by construction, and the
-/// byte-level quorum fingerprint (computed over the *canonical JSON* of
-/// the output, not over wire bytes) is codec-independent.
+/// byte-level quorum fingerprint ([`crate::state::fingerprint`], a hash
+/// of the decoded output's fields in this same row layout) is
+/// codec-independent: a JSON v1 agent and a binary v4 agent reporting
+/// the same numbers land in the same quorum class.
+///
+/// The journal encodes its transition records with this module's
+/// [`Writer`]/[`Reader`] too, so the wire and the wal share one set of
+/// field primitives and one strictness rule.
 ///
 /// The decoder is strict: unknown tags, non-0/1 booleans, row counts
 /// that disagree with the payload length, and trailing bytes are all
@@ -648,32 +688,56 @@ pub mod binary {
     /// Bytes of one fixed-width docking row record.
     pub const ROW_BYTES: usize = 4 + 4 + 24 + 24 + 8 + 8;
 
-    struct Writer(Vec<u8>);
+    /// The 72-byte record of one docking row: the one definition of the
+    /// row layout, shared by the wire, the journal and the quorum
+    /// fingerprint.
+    pub fn row_bytes(row: &DockingRow) -> [u8; ROW_BYTES] {
+        let mut out = [0u8; ROW_BYTES];
+        out[..4].copy_from_slice(&row.isep.to_le_bytes());
+        out[4..8].copy_from_slice(&row.irot.to_le_bytes());
+        let floats = [
+            row.position.x,
+            row.position.y,
+            row.position.z,
+            row.orientation.alpha,
+            row.orientation.beta,
+            row.orientation.gamma,
+            row.elj,
+            row.eelec,
+        ];
+        for (slot, v) in out[8..].chunks_exact_mut(8).zip(floats) {
+            slot.copy_from_slice(&v.to_le_bytes());
+        }
+        out
+    }
+
+    /// Appends fixed-width little-endian fields to the buffer it wraps.
+    pub(crate) struct Writer(pub(crate) Vec<u8>);
 
     impl Writer {
-        fn u8(&mut self, v: u8) {
+        pub(crate) fn u8(&mut self, v: u8) {
             self.0.push(v);
         }
-        fn u32(&mut self, v: u32) {
+        pub(crate) fn u32(&mut self, v: u32) {
             self.0.extend_from_slice(&v.to_le_bytes());
         }
-        fn u64(&mut self, v: u64) {
+        pub(crate) fn u64(&mut self, v: u64) {
             self.0.extend_from_slice(&v.to_le_bytes());
         }
-        fn f64(&mut self, v: f64) {
+        pub(crate) fn f64(&mut self, v: f64) {
             self.0.extend_from_slice(&v.to_le_bytes());
         }
-        fn flag(&mut self, v: bool) {
+        pub(crate) fn flag(&mut self, v: bool) {
             self.0.push(u8::from(v));
         }
-        fn u16(&mut self, v: u16) {
+        pub(crate) fn u16(&mut self, v: u16) {
             self.0.extend_from_slice(&v.to_le_bytes());
         }
         fn str(&mut self, s: &str) {
             self.u32(s.len() as u32);
             self.0.extend_from_slice(s.as_bytes());
         }
-        fn u32s(&mut self, v: &[u32]) {
+        pub(crate) fn u32s(&mut self, v: &[u32]) {
             self.u32(v.len() as u32);
             for &x in v {
                 self.u32(x);
@@ -692,17 +756,15 @@ pub mod binary {
             self.f64(p.separation_spacing);
             self.u32(p.max_iterations);
         }
-        fn row(&mut self, row: &DockingRow) {
-            self.u32(row.isep);
-            self.u32(row.irot);
-            self.f64(row.position.x);
-            self.f64(row.position.y);
-            self.f64(row.position.z);
-            self.f64(row.orientation.alpha);
-            self.f64(row.orientation.beta);
-            self.f64(row.orientation.gamma);
-            self.f64(row.elj);
-            self.f64(row.eelec);
+        /// A docking output: `evaluations`, row count, then the rows.
+        /// Always a payload's last field (see [`Reader::output`]).
+        pub(crate) fn output(&mut self, output: &DockingOutput) {
+            self.0.reserve(12 + output.rows.len() * ROW_BYTES);
+            self.u64(output.evaluations);
+            self.u32(output.rows.len() as u32);
+            for row in &output.rows {
+                self.0.extend_from_slice(&row_bytes(row));
+            }
         }
     }
 
@@ -723,12 +785,16 @@ pub mod binary {
         count.min(remaining / std::mem::size_of::<T>().max(1))
     }
 
-    struct Reader<'a> {
+    /// Reads the fields [`Writer`] wrote, strictly (see the module docs).
+    pub(crate) struct Reader<'a> {
         buf: &'a [u8],
         off: usize,
     }
 
     impl<'a> Reader<'a> {
+        pub(crate) fn new(buf: &'a [u8]) -> Self {
+            Self { buf, off: 0 }
+        }
         fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
             let end = self
                 .off
@@ -739,26 +805,26 @@ pub mod binary {
             self.off = end;
             Ok(slice)
         }
-        fn u8(&mut self) -> Result<u8, String> {
+        pub(crate) fn u8(&mut self) -> Result<u8, String> {
             Ok(self.take(1)?[0])
         }
-        fn u32(&mut self) -> Result<u32, String> {
+        pub(crate) fn u32(&mut self) -> Result<u32, String> {
             Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
         }
-        fn u64(&mut self) -> Result<u64, String> {
+        pub(crate) fn u64(&mut self) -> Result<u64, String> {
             Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
         }
-        fn f64(&mut self) -> Result<f64, String> {
+        pub(crate) fn f64(&mut self) -> Result<f64, String> {
             Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
         }
-        fn flag(&mut self) -> Result<bool, String> {
+        pub(crate) fn flag(&mut self) -> Result<bool, String> {
             match self.u8()? {
                 0 => Ok(false),
                 1 => Ok(true),
                 other => Err(format!("bad boolean byte {other:#04x}")),
             }
         }
-        fn u16(&mut self) -> Result<u16, String> {
+        pub(crate) fn u16(&mut self) -> Result<u16, String> {
             Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
         }
         fn str(&mut self) -> Result<String, String> {
@@ -768,7 +834,7 @@ pub mod binary {
         }
         /// Reads a counted vector, checking the count against the bytes
         /// actually present before allocating.
-        fn counted<T>(
+        pub(crate) fn counted<T>(
             &mut self,
             elem_bytes: usize,
             read: impl Fn(&mut Self) -> Result<T, String>,
@@ -813,7 +879,25 @@ pub mod binary {
                 eelec: self.f64()?,
             })
         }
-        fn finish(self) -> Result<(), String> {
+        /// A docking output as the payload's last field. The row count
+        /// must agree with the bytes actually present before anything
+        /// is allocated for the rows.
+        pub(crate) fn output(&mut self) -> Result<DockingOutput, String> {
+            let evaluations = self.u64()?;
+            let count = self.u32()? as usize;
+            let remaining = self.buf.len() - self.off;
+            if count != remaining / ROW_BYTES || !remaining.is_multiple_of(ROW_BYTES) {
+                return Err(format!(
+                    "row count {count} disagrees with {remaining} payload bytes"
+                ));
+            }
+            let mut rows = Vec::with_capacity(count);
+            for _ in 0..count {
+                rows.push(self.row()?);
+            }
+            Ok(DockingOutput { rows, evaluations })
+        }
+        pub(crate) fn finish(self) -> Result<(), String> {
             if self.off == self.buf.len() {
                 Ok(())
             } else {
@@ -915,18 +999,13 @@ pub mod binary {
                 campaign,
                 output,
             } => {
-                w.0.reserve(26 + output.rows.len() * ROW_BYTES);
                 w.u8(TAG_RESULT_REPORT);
                 w.u64(*replica);
                 w.u32(*workunit);
                 if campaign_aware {
                     w.u16(*campaign);
                 }
-                w.u64(output.evaluations);
-                w.u32(output.rows.len() as u32);
-                for row in &output.rows {
-                    w.row(row);
-                }
+                w.output(output);
             }
             Message::ResultAck {
                 accepted,
@@ -1016,10 +1095,7 @@ pub mod binary {
     }
 
     fn decode_versioned(payload: &[u8], campaign_aware: bool) -> Result<Message, String> {
-        let mut r = Reader {
-            buf: payload,
-            off: 0,
-        };
+        let mut r = Reader::new(payload);
         let msg = match r.u8()? {
             TAG_HELLO => Message::Hello {
                 agent: r.u64()?,
@@ -1064,25 +1140,11 @@ pub mod binary {
                 let replica = r.u64()?;
                 let workunit = r.u32()?;
                 let campaign = if campaign_aware { r.u16()? } else { 0 };
-                let evaluations = r.u64()?;
-                let count = r.u32()? as usize;
-                // The row count must agree with the bytes actually
-                // present before anything is allocated for the rows.
-                let remaining = payload.len() - r.off;
-                if count != remaining / ROW_BYTES || !remaining.is_multiple_of(ROW_BYTES) {
-                    return Err(format!(
-                        "row count {count} disagrees with {remaining} payload bytes"
-                    ));
-                }
-                let mut rows = Vec::with_capacity(count);
-                for _ in 0..count {
-                    rows.push(r.row()?);
-                }
                 Message::ResultReport {
                     replica,
                     workunit,
                     campaign,
-                    output: DockingOutput { rows, evaluations },
+                    output: r.output()?,
                 }
             }
             TAG_RESULT_ACK => Message::ResultAck {

@@ -8,9 +8,10 @@
 //! away:
 //!
 //! * **real payloads**: results are actual [`DockingOutput`]s, so
-//!   quorum comparison is a byte-level fingerprint match and bounds
-//!   checking runs the real §5.2 value checks, instead of the
-//!   simulator's boolean `error` flag;
+//!   quorum comparison is a bit-level [`fingerprint`] match (a hash
+//!   streamed over the payload's fields, nothing serialised) and bounds
+//!   checking runs the real §5.2 value checks on the rows in place,
+//!   instead of the simulator's boolean `error` flag;
 //! * **real deadlines**: replica expiry is tracked against wall-clock
 //!   seconds and swept periodically, instead of a scheduled sim event;
 //! * **double-report protection**: the core asserts each replica reports
@@ -27,7 +28,7 @@
 use crate::campaign::NetCampaign;
 use crate::faults::ServerFaults;
 use crate::journal::{Journal, JournalRecord};
-use crate::protocol::fnv1a64;
+use crate::protocol::{binary, fnv1a64_extend, FNV_OFFSET_BASIS};
 use crate::shard::{self, ShardSpec};
 use crate::trust::{spot_selected, AgentTrust, TrustBand};
 use gridsim::server::{
@@ -40,7 +41,29 @@ use maxdo::DockingOutput;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use telemetry::{self, Event};
-use validation::{checks::check_file, ValueRanges};
+use validation::{checks::check_rows, ValueRanges};
+
+/// The quorum fingerprint of a result payload: FNV-1a 64 streamed over
+/// `evaluations`, the row count and every row's 72-byte little-endian
+/// record — exactly the bytes [`binary`] puts on the wire and in the
+/// journal for this output, hashed without assembling them.
+///
+/// Two payloads share a fingerprint exactly when every field is
+/// bit-identical (up to 64-bit hash collisions). That is the equality
+/// the canonical-JSON fingerprint it replaces gave for finite values,
+/// and stricter at the edges JSON blurred: `0.0` and `-0.0` are different
+/// payloads, and so are two NaNs with different payload bits. The
+/// energies and position of an accepted result are finite (§5.2 bounds
+/// checks run first); a NaN can only sit in an orientation angle, where
+/// honest replicas — same code, same inputs — produce the same bits.
+pub fn fingerprint(output: &DockingOutput) -> u64 {
+    let mut hash = fnv1a64_extend(FNV_OFFSET_BASIS, &output.evaluations.to_le_bytes());
+    hash = fnv1a64_extend(hash, &(output.rows.len() as u32).to_le_bytes());
+    for row in &output.rows {
+        hash = fnv1a64_extend(hash, &binary::row_bytes(row));
+    }
+    hash
+}
 
 /// Reply to a work request.
 #[derive(Debug)]
@@ -558,7 +581,21 @@ impl GridState {
             leases_held: snap.leases_held.into_iter().collect(),
             outstanding: snap.outstanding.into_iter().collect(),
             reported: snap.reported.into_iter().collect(),
-            candidates: snap.candidates.into_iter().collect(),
+            // The stored fingerprints are whatever the writing build
+            // computed; re-derive them, so quorum partners reported on
+            // either side of a restart are always compared under one
+            // definition.
+            candidates: snap
+                .candidates
+                .into_iter()
+                .map(|(wu, rows)| {
+                    let rows = rows
+                        .into_iter()
+                        .map(|(_, payload, agent)| (fingerprint(&payload), payload, agent))
+                        .collect();
+                    (wu, rows)
+                })
+                .collect(),
             accepted: snap.accepted,
             misses: snap.misses.into_iter().collect(),
             replica_agent: snap.replica_agent.into_iter().collect(),
@@ -992,31 +1029,27 @@ impl GridState {
         output: DockingOutput,
     ) -> ResultDisposition {
         self.last_now = self.last_now.max(now.seconds());
-        if self.journal.is_none() {
-            let d = self.report_inner(now, campaign, replica, workunit, output);
-            self.note_report(replica, d.verdict, now);
-            return d;
-        }
-        // The journal keeps the payload exactly when it became server
-        // state (a quorum candidate or the accepted artifact); replay
-        // synthesizes rejected/duplicate payloads, whose bytes the live
-        // server discarded on arrival anyway.
-        let d = self.report_inner(now, campaign, replica, workunit, output.clone());
+        let d = self.report_inner(now, campaign, replica, workunit, &output);
         self.note_report(replica, d.verdict, now);
-        let payload = match d.verdict {
-            Verdict::BoundsRejected
-            | Verdict::Duplicate
-            | Verdict::SpotMismatch
-            | Verdict::SpotVoid => None,
-            _ => Some(output),
-        };
-        self.journal_append(&JournalRecord::Report {
-            now_s: now.seconds(),
-            replica: replica.0,
-            workunit,
-            verdict: d.verdict,
-            output: payload,
-        });
+        if self.journal.is_some() {
+            // The journal keeps the payload exactly when replay needs it
+            // to reproduce the verdict; replay synthesizes the rest,
+            // whose bytes the live server discarded on arrival anyway.
+            let payload = match d.verdict {
+                Verdict::BoundsRejected
+                | Verdict::Duplicate
+                | Verdict::SpotMismatch
+                | Verdict::SpotVoid => None,
+                _ => Some(output),
+            };
+            self.journal_append(&JournalRecord::Report {
+                now_s: now.seconds(),
+                replica: replica.0,
+                workunit,
+                verdict: d.verdict,
+                output: payload,
+            });
+        }
         d
     }
 
@@ -1163,7 +1196,7 @@ impl GridState {
         campaign: &NetCampaign,
         replica: ReplicaId,
         workunit: u32,
-        output: DockingOutput,
+        output: &DockingOutput,
     ) -> ResultDisposition {
         // Wire-level sanity: a retransmitted or forged report must not
         // reach the core (it panics on double reports by design — the
@@ -1198,17 +1231,7 @@ impl GridState {
                     campaign_complete: self.is_campaign_complete(),
                 };
             };
-            let fp_accepted = fnv1a64(
-                serde_json::to_string(accepted)
-                    .expect("DockingOutput serializes")
-                    .as_bytes(),
-            );
-            let fp = fnv1a64(
-                serde_json::to_string(&output)
-                    .expect("DockingOutput serializes")
-                    .as_bytes(),
-            );
-            if fp == fp_accepted {
+            if fingerprint(output) == fingerprint(accepted) {
                 self.net_stats.spot_checks_passed += 1;
                 // The audited single is now independently confirmed; a
                 // later crater of the suspect no longer retracts it.
@@ -1238,8 +1261,8 @@ impl GridState {
 
         // Layer 1: the §5.2 bounds checks (the simulator's `error` flag
         // made concrete).
-        let file = campaign.result_file(workunit, &output);
-        let bounds_ok = check_file(&file, &self.ranges).is_empty();
+        let bounds_ok =
+            check_rows(&campaign.file_header(workunit), &output.rows, &self.ranges).is_empty();
         if !bounds_ok {
             self.net_stats.bounds_rejected += 1;
             self.tele.bounds_rejected.inc();
@@ -1261,11 +1284,7 @@ impl GridState {
         // policy or by a trust override fixed at issue time.
         let needed = self.core.replication_needed(now, workunit);
         if needed >= 2 && !was_complete {
-            let fp = fnv1a64(
-                serde_json::to_string(&output)
-                    .expect("DockingOutput serializes")
-                    .as_bytes(),
-            );
+            let fp = fingerprint(output);
             let agent = self
                 .replica_agent
                 .get(&replica.0)
@@ -1279,7 +1298,7 @@ impl GridState {
                 // validate; with majority-free pairwise matching the
                 // corrupted minority loses because corruption is random
                 // (two corrupted payloads never match byte-for-byte).
-                cands.push((fp, output, agent));
+                cands.push((fp, output.clone(), agent));
                 self.net_stats.quorum_rejected += 1;
                 self.tele.quorum_rejected.inc();
                 telemetry::emit(Some(now.seconds()), || Event::QuorumRejected {
@@ -1294,24 +1313,18 @@ impl GridState {
                 };
             }
             let matched = !cands.is_empty();
-            cands.push((fp, output.clone(), agent));
             let outcome = self.core.report_result(now, replica, false);
             if outcome.completed_workunit {
                 debug_assert!(matched, "core quorum met before a byte-level match");
+                self.accepted[workunit as usize] = Some(output.clone());
+                self.tele.accepted.inc();
                 // The pending partners whose bytes won the quorum earn
                 // trust credit too — without this, agents whose results
                 // mostly land first would never accumulate accepts in
-                // the quorum era. (The completing reporter is the last
-                // candidate; its credit flows through the verdict.)
-                let partners: Vec<u64> = cands[..cands.len() - 1]
-                    .iter()
-                    .filter(|(h, _, _)| *h == fp)
-                    .map(|(_, _, a)| *a)
-                    .collect();
-                self.accepted[workunit as usize] = Some(output);
-                self.candidates.remove(&workunit);
-                self.tele.accepted.inc();
-                for partner in partners {
+                // the quorum era. (The completing reporter's own credit
+                // flows through the verdict.)
+                let cands = self.candidates.remove(&workunit).unwrap_or_default();
+                for (_, _, partner) in cands.into_iter().filter(|(h, _, _)| *h == fp) {
                     self.trust_accept(partner);
                 }
                 return ResultDisposition {
@@ -1323,6 +1336,7 @@ impl GridState {
             // Not yet completed: either the first candidate of the pair,
             // or a match whose quorum the core has not closed (only
             // possible with >2 live replicas of one workunit).
+            cands.push((fp, output.clone(), agent));
             return ResultDisposition {
                 verdict: Verdict::QuorumPending,
                 completed_workunit: false,
@@ -1334,7 +1348,7 @@ impl GridState {
         // agent's single, or a surplus copy of a validated workunit).
         let outcome = self.core.report_result(now, replica, false);
         if outcome.completed_workunit {
-            self.accepted[workunit as usize] = Some(output);
+            self.accepted[workunit as usize] = Some(output.clone());
             self.candidates.remove(&workunit);
             self.tele.accepted.inc();
             // A single accepted under trust is provisional until
@@ -1811,5 +1825,222 @@ mod tests {
             twin.report(t(now_s + 3.0), &campaign, y.replica, y.workunit, honest)
                 .verdict,
         );
+    }
+    /// A snapshot's stored fingerprints are whatever the build that
+    /// wrote it computed. Restore re-derives them, so the partner that
+    /// reports after the restart still meets its pending candidate.
+    #[test]
+    fn restore_rederives_candidate_fingerprints() {
+        let (campaign, mut state) = setup();
+        let a = assigned(&mut state, t(0.0), 1);
+        let b = assigned(&mut state, t(0.0), 2);
+        assert_eq!(a.workunit, b.workunit);
+        let out = campaign.compute(campaign.spec(a.workunit));
+        let d = state.report(t(1.0), &campaign, a.replica, a.workunit, out.clone());
+        assert_eq!(d.verdict, Verdict::QuorumPending);
+
+        let mut snap = state.snapshot();
+        let stored = &mut snap.candidates[0].1[0].0;
+        assert_eq!(*stored, fingerprint(&out));
+        *stored ^= 0xdead_beef; // e.g. written under the canonical-JSON fingerprint
+        let config = ServerConfig {
+            deadline_seconds: 5.0,
+            ..ServerConfig::default()
+        };
+        let mut restored =
+            GridState::restore(&campaign, config, ServerFaults::default(), snap).expect("restore");
+        let d = restored.report(t(2.0), &campaign, b.replica, b.workunit, out);
+        assert_eq!(d.verdict, Verdict::Accepted, "the honest pair must meet");
+    }
+
+    /// The fingerprint this one replaced, kept here only to pin that
+    /// the replacement draws the same lines between payloads.
+    fn canonical_json_fingerprint(output: &DockingOutput) -> u64 {
+        crate::protocol::fnv1a64(serde_json::to_string(output).unwrap().as_bytes())
+    }
+
+    #[test]
+    fn fingerprint_partitions_payloads_exactly_as_canonical_json_did() {
+        let campaign = NetCampaign::build(CampaignParams::tiny());
+        let honest = campaign.compute(campaign.spec(0));
+        assert!(honest.rows.len() >= 2);
+        let mut payloads = vec![honest.clone(), honest.clone()];
+        // Saboteur corruptions: several draws from several agents.
+        for agent in 1..=3 {
+            let mut dice =
+                crate::faults::FaultDice::new(7, agent, crate::faults::FaultProfile::saboteur());
+            for _ in 0..2 {
+                let mut corrupt = honest.clone();
+                dice.corrupt(&mut corrupt);
+                payloads.push(corrupt.clone());
+                payloads.push(corrupt);
+            }
+        }
+        let mut dropped = honest.clone();
+        dropped.rows.pop();
+        let mut swapped = honest.clone();
+        swapped.rows.swap(0, 1);
+        let mut evals = honest.clone();
+        evals.evaluations += 1;
+        let mut nudged = honest.clone();
+        nudged.rows[0].eelec += 1e-9;
+        let empty = DockingOutput {
+            rows: Vec::new(),
+            evaluations: 0,
+        };
+        payloads.extend([dropped, swapped, evals, nudged, empty]);
+        payloads.push(campaign.compute(campaign.spec(1)));
+
+        let classes = |fp: fn(&DockingOutput) -> u64| -> Vec<usize> {
+            let fps: Vec<u64> = payloads.iter().map(fp).collect();
+            fps.iter()
+                .map(|f| fps.iter().position(|g| g == f).unwrap())
+                .collect()
+        };
+        let new = classes(fingerprint);
+        assert_eq!(new, classes(canonical_json_fingerprint));
+        let distinct = new.iter().enumerate().filter(|&(i, &c)| i == c).count();
+        assert_eq!(distinct, 13, "1 honest + 6 corruptions + 6 edits: {new:?}");
+    }
+
+    /// The fingerprint is the FNV-1a of exactly the bytes the binary
+    /// codec writes for the output — streamed, not assembled.
+    #[test]
+    fn fingerprint_is_the_hash_of_the_binary_encoding() {
+        let campaign = NetCampaign::build(CampaignParams::tiny());
+        let out = campaign.compute(campaign.spec(0));
+        let mut w = binary::Writer(Vec::new());
+        w.output(&out);
+        assert_eq!(fingerprint(&out), crate::protocol::fnv1a64(&w.0));
+    }
+
+    mod props {
+        use super::*;
+        use maxdo::{DockingRow, EulerZyz, Vec3};
+        use proptest::prelude::*;
+
+        /// A bit pattern chosen to hit the edges: both zeros, a quiet
+        /// and a payload-carrying NaN, infinity, and ordinary values.
+        fn edge(pick: u64, bits: u64) -> f64 {
+            match pick % 8 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f64::NAN,
+                3 => f64::from_bits(f64::NAN.to_bits() | 1),
+                4 => f64::INFINITY,
+                _ => f64::from_bits(bits),
+            }
+        }
+
+        fn build(rows: &[(u32, u64, u64)], evaluations: u64) -> DockingOutput {
+            DockingOutput {
+                rows: rows
+                    .iter()
+                    .map(|&(i, pick, bits)| DockingRow {
+                        isep: i,
+                        irot: i % 21 + 1,
+                        position: Vec3::new(edge(pick, bits), 1.0, edge(pick >> 3, !bits)),
+                        orientation: EulerZyz {
+                            alpha: edge(pick >> 6, bits),
+                            beta: edge(pick >> 9, bits.rotate_left(9)),
+                            gamma: edge(pick >> 12, bits),
+                        },
+                        elj: edge(pick >> 15, bits ^ 0xff),
+                        eelec: edge(pick >> 18, bits),
+                    })
+                    .collect(),
+                evaluations,
+            }
+        }
+
+        /// Every field's bit pattern, in order: the equality the
+        /// fingerprint must reproduce. (`PartialEq` is the wrong oracle
+        /// twice over: it says `0.0 == -0.0` and `NaN != NaN`.)
+        fn bit_image(o: &DockingOutput) -> Vec<u64> {
+            let mut v = vec![o.evaluations, o.rows.len() as u64];
+            for r in &o.rows {
+                v.extend([u64::from(r.isep), u64::from(r.irot)]);
+                v.extend(
+                    [
+                        r.position.x,
+                        r.position.y,
+                        r.position.z,
+                        r.orientation.alpha,
+                        r.orientation.beta,
+                        r.orientation.gamma,
+                        r.elj,
+                        r.eelec,
+                    ]
+                    .map(f64::to_bits),
+                );
+            }
+            v
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// `fingerprint(a) == fingerprint(b)` iff rows and
+            /// evaluations are bit-equal. `b` is `a` with up to one
+            /// field of one row (or the row list, or `evaluations`)
+            /// edited, so near-misses dominate the sample.
+            #[test]
+            fn fingerprints_agree_exactly_on_bit_equal_payloads(
+                rows in collection::vec((1u32..500, 0u64..u64::MAX, 0u64..u64::MAX), 1..5),
+                evaluations in 0u64..u64::MAX,
+                edit in 0usize..12,
+                at in 0usize..4,
+            ) {
+                let a = build(&rows, evaluations);
+                let mut b = build(&rows, evaluations);
+                let row = at % b.rows.len();
+                let flip_sign = |v: &mut f64| *v = f64::from_bits(v.to_bits() ^ (1 << 63));
+                match edit {
+                    0 => flip_sign(&mut b.rows[row].position.x),
+                    1 => flip_sign(&mut b.rows[row].orientation.gamma),
+                    2 => b.rows[row].eelec = f64::from_bits(b.rows[row].eelec.to_bits() ^ 1),
+                    3 => b.rows[row].isep += 1,
+                    4 => b.evaluations ^= 1,
+                    5 => { b.rows.pop(); }
+                    6 => b.rows.rotate_left(1),
+                    7 => b.rows[row].orientation.alpha = f64::NAN,
+                    _ => {} // untouched: the two must agree
+                }
+                prop_assert_eq!(
+                    fingerprint(&a) == fingerprint(&b),
+                    bit_image(&a) == bit_image(&b)
+                );
+            }
+        }
+
+        /// The documented edges, spelled out: a sign flip on zero and a
+        /// NaN payload bit are different payloads; the same NaN is the
+        /// same payload even though it is not `==` to itself.
+        #[test]
+        fn signed_zero_and_nan_payloads_are_distinguished() {
+            let with_alpha = |alpha: f64| {
+                let mut o = build(&[(1, 5, 42)], 9);
+                o.rows[0].orientation.alpha = alpha;
+                o
+            };
+            assert_ne!(
+                fingerprint(&with_alpha(0.0)),
+                fingerprint(&with_alpha(-0.0))
+            );
+            let loud_nan = f64::from_bits(f64::NAN.to_bits() | 1);
+            assert_ne!(
+                fingerprint(&with_alpha(f64::NAN)),
+                fingerprint(&with_alpha(loud_nan))
+            );
+            assert_ne!(
+                with_alpha(f64::NAN),
+                with_alpha(f64::NAN),
+                "PartialEq says unequal"
+            );
+            assert_eq!(
+                fingerprint(&with_alpha(f64::NAN)),
+                fingerprint(&with_alpha(f64::NAN))
+            );
+        }
     }
 }

@@ -38,6 +38,7 @@ fn build_message(
         0 => Message::Hello {
             agent: a,
             threads: b,
+            campaigns: Vec::new(),
         },
         1 => Message::HelloAck {
             protocol: PROTOCOL_VERSION,
@@ -49,6 +50,7 @@ fn build_message(
                 max_iterations: b % 500 + 1,
             },
             deadline_seconds: x.abs(),
+            campaigns: Vec::new(),
         },
         2 => Message::RequestWork,
         3 => Message::Assignment {
@@ -59,6 +61,7 @@ fn build_message(
             isep_start: b % 100 + 1,
             positions: b % 50 + 1,
             deadline_seconds: x.abs(),
+            campaign: 0,
         },
         4 => Message::NoWork {
             campaign_complete: flags.0,
@@ -70,6 +73,7 @@ fn build_message(
         6 => Message::ResultReport {
             replica: a,
             workunit: b,
+            campaign: 0,
             output: DockingOutput {
                 rows: rows
                     .iter()
@@ -328,6 +332,7 @@ fn v1_only_agent_against_v2_server_stays_on_v1() {
         &Message::Hello {
             agent: 902,
             threads: 1,
+            campaigns: Vec::new(),
         },
     )
     .expect("hello");
@@ -369,6 +374,7 @@ fn v1_only_agent_against_v2_server_stays_on_v1() {
                                 &Message::ResultReport {
                                     replica,
                                     workunit,
+                                    campaign: 0,
                                     output,
                                 },
                             )

@@ -270,6 +270,7 @@ fn duplicate_gossip_resends_the_same_lease_never_a_new_one() {
                 complete,
                 hungry: !complete,
                 leases_held: held,
+                campaign: 0,
             },
             Codec::BinaryV3,
         )

@@ -10,8 +10,8 @@
 //! conditions on each value") — the same ranges drive the simulator's
 //! bounds-check validator.
 
-use crate::format::ResultFile;
-use maxdo::ProteinId;
+use crate::format::{FileHeader, ResultFile};
+use maxdo::{DockingRow, ProteinId};
 use serde::{Deserialize, Serialize};
 
 /// Physical bounds every result value must respect.
@@ -73,20 +73,30 @@ pub enum CheckFailure {
 
 /// Check 2 + 3 (+ index sanity) for one file.
 pub fn check_file(file: &ResultFile, ranges: &ValueRanges) -> Vec<CheckFailure> {
+    check_rows(&file.header(), &file.rows, ranges)
+}
+
+/// [`check_file`] for rows held elsewhere: `file` says what the rows
+/// must cover, `rows` are judged in place.
+pub fn check_rows(
+    file: &FileHeader,
+    rows: &[DockingRow],
+    ranges: &ValueRanges,
+) -> Vec<CheckFailure> {
     let mut failures = Vec::new();
     let expected = file.expected_rows();
-    if file.rows.len() != expected {
+    if rows.len() != expected {
         failures.push(CheckFailure::LineCount {
             receptor: file.receptor,
             ligand: file.ligand,
             isep_start: file.isep_start,
             expected,
-            got: file.rows.len(),
+            got: rows.len(),
         });
     }
     let mut want_isep = file.isep_start;
     let mut want_irot = 1u32;
-    for (i, row) in file.rows.iter().enumerate() {
+    for (i, row) in rows.iter().enumerate() {
         // Value ranges (check 3).
         let d = row.position.norm();
         if !d.is_finite() || d > ranges.max_center_distance {
@@ -157,7 +167,7 @@ pub fn check_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use maxdo::{DockingRow, EulerZyz, Vec3};
+    use maxdo::{EulerZyz, Vec3};
 
     fn good_file() -> ResultFile {
         ResultFile {

@@ -36,6 +36,42 @@ pub struct ResultFile {
 impl ResultFile {
     /// The number of rows a well-formed file must contain.
     pub fn expected_rows(&self) -> usize {
+        self.header().expected_rows()
+    }
+
+    /// The file's header line, without its rows.
+    pub fn header(&self) -> FileHeader {
+        FileHeader {
+            receptor: self.receptor,
+            ligand: self.ligand,
+            isep_start: self.isep_start,
+            isep_end: self.isep_end,
+            nrot: self.nrot,
+        }
+    }
+}
+
+/// What a result file's header line says about it: the couple and the
+/// cell range its rows must cover. Lets the checks judge rows that live
+/// somewhere else (a decoded wire payload) without copying them into a
+/// [`ResultFile`] first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FileHeader {
+    /// Receptor protein.
+    pub receptor: ProteinId,
+    /// Ligand protein.
+    pub ligand: ProteinId,
+    /// First starting position covered (inclusive, 1-based).
+    pub isep_start: u32,
+    /// Last starting position covered (inclusive).
+    pub isep_end: u32,
+    /// Orientation couples per position (21 for HCMD).
+    pub nrot: u32,
+}
+
+impl FileHeader {
+    /// The number of rows a well-formed file must contain.
+    pub fn expected_rows(&self) -> usize {
         ((self.isep_end - self.isep_start + 1) * self.nrot) as usize
     }
 }

@@ -24,7 +24,7 @@ pub mod pipeline;
 pub mod report;
 
 pub use checks::{check_batch, CheckFailure, ValueRanges};
-pub use format::{parse_result_file, write_result_file, ResultFile};
+pub use format::{parse_result_file, write_result_file, FileHeader, ResultFile};
 pub use merge::{merge_couple_files, MergeError};
 pub use parallel::check_files_parallel;
 pub use pipeline::{BatchOutcome, ReceptionPipeline};
