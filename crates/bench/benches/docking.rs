@@ -1,14 +1,13 @@
 //! Benchmarks of the docking driver: one minimisation, one docking cell
-//! (10 γ twists), one starting position (21 couples), the parallel map
-//! speedup (rayon over starting positions — the dedicated-grid
-//! execution style), and a thread sweep that records measured speedups
-//! to `BENCH_parallel.json`.
+//! (10 γ twists), one starting position (21 couples) and one docking map,
+//! serial and over the rayon pool (the dedicated-grid execution style).
+//! That the parallel map is bit-identical to the serial one at every
+//! thread count is `tests/parallel_determinism.rs`'s job, not a bench's.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use maxdo::minimize::minimize_from_distance;
 use maxdo::{DockingEngine, EnergyParams, LibraryConfig, MinimizeParams, ProteinLibrary};
 use std::hint::black_box;
-use std::time::Instant;
 
 fn bench_docking(c: &mut Criterion) {
     let library = ProteinLibrary::generate(LibraryConfig::tiny(2), 77);
@@ -75,118 +74,5 @@ fn bench_docking(c: &mut Criterion) {
     map_group.finish();
 }
 
-/// Times `f` as the best (minimum) wall clock over `reps` runs.
-fn best_of<T>(reps: u32, mut f: impl FnMut() -> T) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        black_box(f());
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
-}
-
-/// One row of the thread sweep in `BENCH_parallel.json`.
-#[derive(serde::Serialize)]
-struct SweepPoint {
-    threads: usize,
-    seconds: f64,
-    speedup_vs_serial: f64,
-}
-
-/// The `BENCH_parallel.json` document.
-#[derive(serde::Serialize)]
-struct SweepReport {
-    bench: String,
-    host_parallelism: usize,
-    /// False when the host cannot actually run threads concurrently
-    /// (`host_parallelism == 1`): the sweep still runs for the
-    /// bit-identity check, but its ~1.0x "speedups" are time-slicing
-    /// artifacts, not measurements.
-    speedup_valid: bool,
-    nsep: u32,
-    reps_best_of: u32,
-    smoke: bool,
-    serial_seconds: f64,
-    sweep: Vec<SweepPoint>,
-    bit_identical_to_serial: bool,
-}
-
-/// Sweeps `dock_map_parallel` over 1/2/4/N threads against the serial
-/// `dock_range` baseline, asserts the parallel output is bit-identical,
-/// and writes the measured speedups to `BENCH_parallel.json`.
-fn bench_thread_sweep(_c: &mut Criterion) {
-    let library = ProteinLibrary::generate(LibraryConfig::tiny(2), 77);
-    let ep = EnergyParams::default();
-    let mp = MinimizeParams {
-        max_iterations: 30,
-        ..Default::default()
-    };
-    let engine = DockingEngine::new(&library.proteins()[0], &library.proteins()[1], 24, ep, mp);
-    let host = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let speedup_valid = host > 1;
-    if !speedup_valid {
-        eprintln!(
-            "bench: host has a single hardware thread; thread-sweep \
-             speedups are time-slicing artifacts and will be marked \
-             \"speedup_valid\": false"
-        );
-    }
-    let mut counts = vec![1usize, 2, 4, host];
-    counts.sort_unstable();
-    counts.dedup();
-
-    let reps = if criterion::smoke_mode() { 1 } else { 5 };
-    let serial_out = engine.dock_range(1, engine.nsep());
-    let serial_seconds = best_of(reps, || engine.dock_range(1, engine.nsep()));
-
-    let mut sweep = Vec::new();
-    let mut bit_identical = true;
-    for &threads in &counts {
-        let out = rayon::with_threads(threads, || engine.dock_map_parallel());
-        bit_identical &= out == serial_out;
-        let seconds = best_of(reps, || {
-            rayon::with_threads(threads, || engine.dock_map_parallel())
-        });
-        let speedup = serial_seconds / seconds;
-        println!(
-            "bench dock_map_parallel/threads={threads:<2} \
-             {:>10.3} ms/map  speedup {speedup:>5.2}x",
-            seconds * 1e3
-        );
-        sweep.push(SweepPoint {
-            threads,
-            seconds,
-            speedup_vs_serial: speedup,
-        });
-    }
-    assert!(
-        bit_identical,
-        "parallel docking output diverged from serial"
-    );
-
-    let report = SweepReport {
-        bench: "dock_map_parallel_thread_sweep".to_string(),
-        host_parallelism: host,
-        speedup_valid,
-        nsep: engine.nsep(),
-        reps_best_of: reps,
-        smoke: criterion::smoke_mode(),
-        serial_seconds,
-        sweep,
-        bit_identical_to_serial: bit_identical,
-    };
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    // Cargo runs benches with cwd = the package dir; anchor the report
-    // at the workspace root where the docs reference it.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_parallel.json");
-    match std::fs::write(path, json + "\n") {
-        Ok(()) => println!("bench thread sweep -> {path}"),
-        Err(e) => eprintln!("bench: cannot write {path}: {e}"),
-    }
-}
-
-criterion_group!(benches, bench_docking, bench_thread_sweep);
+criterion_group!(benches, bench_docking);
 criterion_main!(benches);

@@ -1,9 +1,11 @@
 //! Micro-benchmarks of the energy kernel — the inner loop of the 80
-//! CPU-centuries — including the cell-list ablation called out in
-//! DESIGN.md (cell-list evaluation vs brute-force all-pairs).
+//! CPU-centuries: what the receptor's neighbour-voxel index costs to
+//! build, and what one evaluation through it costs on a benchmark-sized
+//! and a paper-sized couple, each beside the brute-force all-pairs loop
+//! the index exists to beat (DESIGN.md §7).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use maxdo::energy::{energy_and_gradient, interaction_energy, CellList};
+use criterion::{criterion_group, criterion_main, Criterion};
+use maxdo::energy::{interaction_energy, CellList};
 use maxdo::{EnergyParams, EulerZyz, LibraryConfig, Pose, Protein, ProteinLibrary, Vec3};
 use std::hint::black_box;
 
@@ -34,7 +36,8 @@ fn contact_pose(receptor: &Protein, ligand: &Protein) -> Pose {
     )
 }
 
-/// Brute-force all-pairs energy (the ablation baseline).
+/// Brute-force all-pairs energy: what `interaction_energy` computes,
+/// without an index.
 fn brute_force(receptor: &Protein, ligand: &Protein, pose: &Pose, params: &EnergyParams) -> f64 {
     let cutoff_sq = params.cutoff * params.cutoff;
     let delta_sq = params.softening * params.softening;
@@ -63,55 +66,39 @@ fn brute_force(receptor: &Protein, ligand: &Protein, pose: &Pose, params: &Energ
 
 fn bench_energy(c: &mut Criterion) {
     let params = EnergyParams::default();
-    let mut group = c.benchmark_group("energy_evaluation");
-    for residues in [50.0, 150.0, 400.0] {
+    // Receptor residues: the gridbench libraries' proteins, and the
+    // median of the phase-I set.
+    const TINY: f64 = 24.0;
+    const PAPER_SCALE: f64 = 170.0;
+
+    // Paid once per receptor per campaign.
+    let receptor = protein_of_size(PAPER_SCALE, 1);
+    c.bench_function("index_build_paper_scale", |b| {
+        b.iter(|| black_box(CellList::build(black_box(&receptor), params.cutoff)))
+    });
+
+    for (name, residues) in [("tiny", TINY), ("paper_scale", PAPER_SCALE)] {
         let receptor = protein_of_size(residues, 1);
         let ligand = protein_of_size(residues * 0.6, 2);
         let pose = contact_pose(&receptor, &ligand);
         let cells = CellList::build(&receptor, params.cutoff);
-        group.bench_with_input(
-            BenchmarkId::new("cell_list", residues as u64),
-            &residues,
-            |b, _| {
-                b.iter(|| {
-                    black_box(interaction_energy(
-                        &receptor,
-                        &cells,
-                        &ligand,
-                        black_box(&pose),
-                        &params,
-                    ))
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("brute_force", residues as u64),
-            &residues,
-            |b, _| b.iter(|| black_box(brute_force(&receptor, &ligand, black_box(&pose), &params))),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("with_gradient", residues as u64),
-            &residues,
-            |b, _| {
-                b.iter(|| {
-                    black_box(energy_and_gradient(
-                        &receptor,
-                        &cells,
-                        &ligand,
-                        black_box(&pose),
-                        &params,
-                    ))
-                })
-            },
-        );
+        let mut group = c.benchmark_group(&format!("evaluate_{name}"));
+        group.bench_function("voxel_index", |b| {
+            b.iter(|| {
+                black_box(interaction_energy(
+                    &receptor,
+                    &cells,
+                    &ligand,
+                    black_box(&pose),
+                    &params,
+                ))
+            })
+        });
+        group.bench_function("brute_force", |b| {
+            b.iter(|| black_box(brute_force(&receptor, &ligand, black_box(&pose), &params)))
+        });
+        group.finish();
     }
-    group.finish();
-
-    // Cell-list construction cost (amortised over a whole docking map).
-    let receptor = protein_of_size(400.0, 1);
-    c.bench_function("cell_list_build_400res", |b| {
-        b.iter(|| black_box(CellList::build(black_box(&receptor), params.cutoff)))
-    });
 }
 
 criterion_group!(benches, bench_energy);

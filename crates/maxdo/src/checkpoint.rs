@@ -94,17 +94,29 @@ impl DockingCheckpoint {
     /// Serialises to the simple line-oriented text format the agent writes
     /// to disk between positions.
     pub fn to_text(&self) -> String {
-        let mut s = format!(
+        // One buffer sized for the whole file: a row is two indices and
+        // eight `{:.6}` numbers, ~96 bytes for docking-sized values.
+        let mut s = String::with_capacity(64 + 96 * self.rows.len());
+        self.write_text(&mut s)
+            .expect("writing to a String cannot fail");
+        s
+    }
+
+    fn write_text(&self, out: &mut String) -> std::fmt::Result {
+        use std::fmt::Write;
+        write!(
+            out,
             "CHECKPOINT v1\nrange {} {}\nnext {}\nevals {}\nrows {}\n",
             self.isep_start,
             self.isep_end,
             self.next_isep,
             self.evaluations,
             self.rows.len()
-        );
+        )?;
         for r in &self.rows {
-            s.push_str(&format!(
-                "{} {} {:.6} {:.6} {:.6} {:.6} {:.6} {:.6} {:.6} {:.6}\n",
+            writeln!(
+                out,
+                "{} {} {:.6} {:.6} {:.6} {:.6} {:.6} {:.6} {:.6} {:.6}",
                 r.isep,
                 r.irot,
                 r.position.x,
@@ -115,9 +127,9 @@ impl DockingCheckpoint {
                 r.orientation.gamma,
                 r.elj,
                 r.eelec
-            ));
+            )?;
         }
-        s
+        Ok(())
     }
 
     /// Parses the text format written by [`Self::to_text`].
@@ -144,7 +156,11 @@ impl DockingCheckpoint {
         if next.len() != 1 || evals.len() != 1 || nrows.len() != 1 {
             return Err(BadHeader);
         }
-        let mut rows = Vec::with_capacity(nrows[0] as usize);
+        // The row count comes from a file on a volunteer's disk: reserve
+        // for no more rows than the text has bytes for (ten fields, nine
+        // separators and a newline each).
+        let declared = usize::try_from(nrows[0]).unwrap_or(usize::MAX);
+        let mut rows = Vec::with_capacity(declared.min(text.len() / 20));
         for _ in 0..nrows[0] {
             let line = lines.next().ok_or(Truncated)?;
             let toks: Vec<&str> = line.split_whitespace().collect();
@@ -165,10 +181,11 @@ impl DockingCheckpoint {
                 eelec: f(9)?,
             });
         }
+        let index = |n: u64| u32::try_from(n).map_err(|_| BadNumber);
         let cp = Self {
-            isep_start: range[0] as u32,
-            isep_end: range[1] as u32,
-            next_isep: next[0] as u32,
+            isep_start: index(range[0])?,
+            isep_end: index(range[1])?,
+            next_isep: index(next[0])?,
             rows,
             evaluations: evals[0],
         };
@@ -319,6 +336,26 @@ mod tests {
         assert_eq!(
             DockingCheckpoint::from_text("CHECKPOINT v1\nrange 5 2\nnext 5\nevals 0\nrows 0\n"),
             Err(Inconsistent)
+        );
+    }
+
+    /// Regression: the declared row count sized an allocation unchecked,
+    /// so a damaged `rows` line aborted the agent with a capacity
+    /// overflow (or an out-of-memory kill) instead of an error it can
+    /// recover from by restarting the workunit.
+    #[test]
+    fn parse_survives_an_absurd_row_count() {
+        use CheckpointParseError::*;
+        for rows in [u64::MAX, u64::MAX / 72, 1 << 40] {
+            let text = format!("CHECKPOINT v1\nrange 1 2\nnext 1\nevals 0\nrows {rows}\n");
+            assert_eq!(DockingCheckpoint::from_text(&text), Err(Truncated));
+        }
+        // Indices that do not fit the field are rejected, not wrapped.
+        assert_eq!(
+            DockingCheckpoint::from_text(
+                "CHECKPOINT v1\nrange 4294967297 4294967298\nnext 4294967297\nevals 0\nrows 0\n"
+            ),
+            Err(BadNumber)
         );
     }
 

@@ -8,9 +8,13 @@
 //! seconds* (Opteron 2 GHz, the paper's calibration hardware) for one
 //! starting position of a couple.
 //!
-//! The cost is dominated by energy/gradient evaluations, each of which
-//! visits `O(B₁·B₂)` bead pairs (before the cell-list cutoff), so the model
-//! is `ct(p1, p2) = κ · B₁ · B₂ · shape(p1, p2)` where `shape` captures the
+//! The cost is dominated by energy/gradient evaluations. The original
+//! MAXDo visits all `B₁·B₂` bead pairs in each one, and the paper's
+//! measured matrix — the thing this model is calibrated to — scales that
+//! way, so the model is `ct(p1, p2) = κ · B₁ · B₂ · shape(p1, p2)`. (This
+//! crate's own kernel does less work per evaluation: its neighbour-voxel
+//! index, [`crate::energy::CellList`], hands each ligand bead only the
+//! receptor beads near the cutoff sphere, `O(B₂ · local density)`.) `shape` captures the
 //! couple-specific landscape difficulty (how many minimiser iterations the
 //! pair needs) as a deterministic log-normal factor. κ is calibrated so the
 //! 168² matrix reproduces Table 1's mean of 671 s (and, through the size

@@ -8,14 +8,15 @@
 //! couple is all `Nsep(p1) × 21` cells; the map of phase I is all
 //! `168²` couples.
 
-use crate::energy::{CellList, EnergyParams};
+use crate::energy::{CellList, CullTally, EnergyParams};
 use crate::geom::{EulerZyz, Pose, Vec3};
 use crate::library::ProteinLibrary;
-use crate::minimize::{minimize, MinimizeParams};
+use crate::minimize::{minimize_tallied, MinimizeParams};
 use crate::model::{Protein, ProteinId};
 use crate::sampling::{starting_position, OrientationGrid, NGAMMA};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// One line of the MAXDo output: the optimum found from one
 /// `(isep, irot)` docking cell.
@@ -86,7 +87,9 @@ impl DockingOutput {
 pub struct DockingEngine<'a> {
     receptor: &'a Protein,
     ligand: &'a Protein,
-    cells: CellList,
+    /// The receptor's index: built by [`Self::new`], or borrowed from a
+    /// caller that docks many couples against one receptor.
+    cells: Cow<'a, CellList>,
     grid: OrientationGrid,
     nsep: u32,
     energy_params: EnergyParams,
@@ -100,6 +103,8 @@ pub struct DockingEngine<'a> {
 /// uncontended.
 struct DockTelemetry {
     evaluations: &'static telemetry::Counter,
+    candidates: &'static telemetry::Counter,
+    pairs: &'static telemetry::Counter,
     cells_docked: &'static telemetry::Counter,
     iterations: &'static telemetry::Counter,
     couple_wall: &'static telemetry::Histogram,
@@ -109,6 +114,8 @@ impl DockTelemetry {
     fn new() -> Self {
         Self {
             evaluations: telemetry::counter("maxdo.energy.evaluations"),
+            candidates: telemetry::counter("maxdo.energy.candidates"),
+            pairs: telemetry::counter("maxdo.energy.pairs"),
             cells_docked: telemetry::counter("maxdo.cells.docked"),
             iterations: telemetry::counter("maxdo.minimizer.iterations"),
             couple_wall: telemetry::histogram("maxdo.couple.wall_us"),
@@ -117,7 +124,8 @@ impl DockTelemetry {
 }
 
 impl<'a> DockingEngine<'a> {
-    /// Builds an engine for a couple with `nsep` starting positions.
+    /// Builds an engine for a couple with `nsep` starting positions,
+    /// indexing the receptor for it.
     pub fn new(
         receptor: &'a Protein,
         ligand: &'a Protein,
@@ -125,8 +133,30 @@ impl<'a> DockingEngine<'a> {
         energy_params: EnergyParams,
         minimize_params: MinimizeParams,
     ) -> Self {
-        assert!(nsep > 0, "nsep must be at least 1");
         let cells = CellList::build(receptor, energy_params.cutoff);
+        Self::with_cells(
+            receptor,
+            ligand,
+            nsep,
+            Cow::Owned(cells),
+            energy_params,
+            minimize_params,
+        )
+    }
+
+    /// [`Self::new`] over an index of `receptor` the caller already holds
+    /// (built for `energy_params.cutoff`): indexing costs as much as
+    /// docking a few cells, so whoever docks many workunits against one
+    /// receptor builds it once and lends it to each engine.
+    pub fn with_cells(
+        receptor: &'a Protein,
+        ligand: &'a Protein,
+        nsep: u32,
+        cells: Cow<'a, CellList>,
+        energy_params: EnergyParams,
+        minimize_params: MinimizeParams,
+    ) -> Self {
+        assert!(nsep > 0, "nsep must be at least 1");
         Self {
             receptor,
             ligand,
@@ -187,16 +217,18 @@ impl<'a> DockingEngine<'a> {
         );
         let mut best: Option<(f64, DockingRow)> = None;
         let mut evals = 0u64;
+        let mut cull = CullTally::default();
         for igamma in 0..NGAMMA as u32 {
             let angles = self.grid.orientation(irot, igamma);
             let start = Pose::from_euler(angles, start_pos);
-            let res = minimize(
+            let res = minimize_tallied(
                 self.receptor,
                 &self.cells,
                 self.ligand,
                 start,
                 &self.energy_params,
                 &self.minimize_params,
+                &mut cull,
             );
             evals += res.evaluations as u64;
             self.tele.iterations.add(res.iterations as u64);
@@ -216,6 +248,8 @@ impl<'a> DockingEngine<'a> {
             }
         }
         self.tele.evaluations.add(evals);
+        self.tele.candidates.add(cull.candidates.get());
+        self.tele.pairs.add(cull.pairs.get());
         self.tele.cells_docked.inc();
         (best.expect("NGAMMA > 0").1, evals)
     }

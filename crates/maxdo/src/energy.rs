@@ -12,14 +12,24 @@
 //! the mass centre + torque about it), which drives the minimiser.
 //!
 //! Implementation notes (hpc-parallel idioms):
-//! * receptor beads are indexed once into a [`CellList`] with cell edge
-//!   equal to the interaction cutoff, so each ligand bead probes at most 27
-//!   cells — evaluation is `O(B_ligand · local density)` instead of
-//!   `O(B_receptor · B_ligand)`;
+//! * the receptor is indexed once into a [`CellList`]: a grid of voxels
+//!   0.4 cutoffs wide, each holding the precomputed list of receptor
+//!   beads that can be within the cutoff of a point inside it. A posed
+//!   ligand bead costs one voxel lookup and one short candidate run —
+//!   evaluation is `O(B_ligand · local density)` instead of
+//!   `O(B_receptor · B_ligand)`, and one candidate in three survives the
+//!   exact distance test (one in fourteen did when a probe scanned the
+//!   27 cutoff-sized cells around it);
 //! * energies are *cutoff-shifted* so `E(r_cut) = 0` exactly and the
 //!   landscape stays continuous for the minimiser;
 //! * inter-bead distances are softened (`r_eff² = r² + δ²`) so overlapping
 //!   starting poses produce large-but-finite energies and gradients.
+//!
+//! Floating-point sums depend on their order, and every result file,
+//! quorum fingerprint and merged artifact in this repository is compared
+//! bit for bit. The order in which a ligand bead's pairs are accumulated
+//! is therefore part of this module's contract, not an accident of the
+//! index: see [`CellList`].
 
 use crate::geom::{Pose, Vec3};
 use crate::model::Protein;
@@ -79,40 +89,161 @@ pub struct EnergyGradient {
     pub torque: Vec3,
 }
 
-/// A uniform-grid spatial index over the receptor's beads, stored CSR
-/// (one offsets array + flat per-cell data) with the bead attributes the
-/// inner pair loop touches — positions and pair-table row indices — laid
-/// out struct-of-arrays in cell order.
+/// Voxels per cutoff length along each axis of the neighbour grid. Finer
+/// voxels hug the cutoff sphere more tightly — fewer rejected candidates
+/// per probe — and cost memory cubically. Measured on the benchmark's
+/// 6-protein libraries (20 to 75 beads, 60 in-cutoff pairs per
+/// evaluation) and a 300-bead receptor:
 ///
-/// Built once per receptor and reused across the tens of thousands of
-/// energy evaluations of a docking map. The CSR + SoA layout keeps the
-/// hot loop's memory traffic contiguous: probing a cell reads three
-/// dense `f64` runs and one `u8` run instead of chasing a `Vec<Vec<_>>`
-/// indirection into an array-of-structs bead table.
+/// | voxels/cutoff | candidates/eval | docking time | index, 6 proteins | 300 beads |
+/// |---|---|---|---|---|
+/// | 2   | 229 | 1.06 | 101 KB | 106 KB |
+/// | 2.5 | 183 | 1.01 | 168 KB | 176 KB |
+/// | 3   | 157 | 1.00 | 256 KB | 265 KB |
+/// | 4   | 124 | 1.00 | 521 KB | 536 KB |
+///
+/// (27-cell scan: 837 candidates, docking time 2.5.) Past 2.5 the pair
+/// arithmetic dominates and the extra resolution buys about a percent,
+/// while a campaign keeps one index per receptor resident.
+const VOXELS_PER_CUTOFF: f64 = 2.5;
+
+/// How far, in voxel edges, a bead's reach is inflated beyond the cutoff
+/// when it is rasterised into voxels. The voxel a probe maps to and the
+/// box that voxel was rasterised as are computed by different roundings
+/// (`⌊(p − o)·(1/e)⌋` against `o + i·e`), and the exact test
+/// `r² < cutoff²` rounds too, so a probe can sit a few ulps outside its
+/// voxel's box and still be within the cutoff of a bead. Those errors are
+/// ~1e-13 Å for coordinates below 1e3 Å; the slack (5e-6 Å at the default
+/// cutoff) swallows them with seven orders of magnitude to spare and adds
+/// no measurable candidates.
+const VOXEL_SLACK: f64 = 1e-6;
+
+/// The geometry of the neighbour grid: an axis-aligned box of cubic
+/// voxels. Build and query map a coordinate to a voxel through the one
+/// expression in [`VoxelGrid::axis_coord`].
 #[derive(Debug, Clone)]
-pub struct CellList {
+struct VoxelGrid {
     origin: Vec3,
     edge: f64,
+    /// `1 / edge`: a probe scales three coordinates per ligand bead, and
+    /// the pair loop is already bound by the divider.
+    inv_edge: f64,
     dims: [usize; 3],
-    /// CSR offsets: cell `c`'s beads occupy slots `offsets[c] ..
-    /// offsets[c + 1]` of the flat arrays below.
-    offsets: Vec<u32>,
-    /// Original receptor bead index of each slot (stable within a cell:
-    /// ascending bead order, so accumulation order matches the old
-    /// nested-`Vec` layout bit-for-bit).
-    order: Vec<u32>,
-    /// Bead x coordinates in slot order.
-    pos_x: Vec<f64>,
-    /// Bead y coordinates in slot order.
-    pos_y: Vec<f64>,
-    /// Bead z coordinates in slot order.
-    pos_z: Vec<f64>,
-    /// [`PairTable`] row index of each slot's bead kind.
-    kind_idx: Vec<u8>,
+}
+
+impl VoxelGrid {
+    /// Where `x` falls along an axis starting at `origin`, in voxel
+    /// edges; its integer part is the voxel coordinate. NaN for NaN,
+    /// negative or `>= dims` outside the grid.
+    #[inline]
+    fn axis_coord(&self, x: f64, origin: f64) -> f64 {
+        (x - origin) * self.inv_edge
+    }
+
+    /// The voxel holding `p`, or `None` when `p` is outside the grid or
+    /// not a number.
+    #[inline]
+    fn voxel_of(&self, p: Vec3) -> Option<usize> {
+        // NaN fails both comparisons; truncation is `floor` from 0 up.
+        let cell = |x: f64, origin: f64, n: usize| {
+            let t = self.axis_coord(x, origin);
+            (t >= 0.0 && t < n as f64).then_some(t as usize)
+        };
+        let [nx, ny, nz] = self.dims;
+        let ix = cell(p.x, self.origin.x, nx)?;
+        let iy = cell(p.y, self.origin.y, ny)?;
+        let iz = cell(p.z, self.origin.z, nz)?;
+        Some((ix * ny + iy) * nz + iz)
+    }
+
+    /// Calls `f` with every voxel whose box comes within `reach` of
+    /// `bead`.
+    fn for_each_voxel_within(&self, bead: Vec3, reach: f64, mut f: impl FnMut(usize)) {
+        // Per axis: the voxel coordinates the reach interval spans, with
+        // the squared distance from the bead to each one's slab.
+        let slabs = |x: f64, origin: f64, n: usize| -> (usize, Vec<f64>) {
+            // Saturating casts clamp to the grid from below.
+            let first = self.axis_coord(x - reach, origin) as usize;
+            let last = (self.axis_coord(x + reach, origin) as usize).min(n - 1);
+            let gaps = (first..=last)
+                .map(|i| {
+                    let lo = origin + i as f64 * self.edge;
+                    let hi = origin + (i + 1) as f64 * self.edge;
+                    let gap = (lo - x).max(x - hi).max(0.0);
+                    gap * gap
+                })
+                .collect();
+            (first, gaps)
+        };
+        let [nx, ny, nz] = self.dims;
+        let (x0, gx) = slabs(bead.x, self.origin.x, nx);
+        let (y0, gy) = slabs(bead.y, self.origin.y, ny);
+        let (z0, gz) = slabs(bead.z, self.origin.z, nz);
+        let reach_sq = reach * reach;
+        for (ix, dx) in gx.iter().enumerate() {
+            for (iy, dy) in gy.iter().enumerate() {
+                let row = ((x0 + ix) * ny + y0 + iy) * nz + z0;
+                for (iz, dz) in gz.iter().enumerate() {
+                    if dx + dy + dz < reach_sq {
+                        f(row + iz);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The receptor-side index of the energy kernel: for every voxel of a
+/// grid around the receptor, the receptor beads that can lie within the
+/// cutoff of a point in that voxel, precomputed — the exact,
+/// non-interpolated relative of a docking grid map. Built once per
+/// receptor and probed by the tens of thousands of energy evaluations of
+/// a docking map.
+///
+/// Receptor beads live in *slots*: position and pair-table row index,
+/// sorted by the bead's cell in a coarse grid (edge = cutoff, anchored at
+/// the receptor's bounding-box minimum, x-major) and by bead index
+/// within a cell. A probe returns one *candidate run* of
+/// slot indices, and the contract the kernel relies on is:
+///
+/// * **superset** — every slot within the cutoff of the probe point is in
+///   the run (callers still apply the exact `r² < cutoff²` test); a probe
+///   outside the grid, or NaN, gets the empty run, and nothing is within
+///   the cutoff of it;
+/// * **strictly ascending** — slots appear in increasing order, so pairs
+///   are accumulated in slot order whichever superset the index returns.
+///   That order is the one every recorded artifact was summed in (it is
+///   what scanning the 27 coarse cells around a bead used to produce);
+///   any other order changes low-order bits of `elj`/`eelec`/force/
+///   torque, which the minimiser then amplifies into different rows.
+///   `tests/kernel_identity.rs` pins it.
+#[derive(Debug, Clone)]
+pub struct CellList {
+    /// The cutoff the runs were rasterised for; a superset for any
+    /// smaller one too.
+    cutoff: f64,
+    grid: VoxelGrid,
+    /// CSR offsets: voxel `v`'s candidate run is
+    /// `candidates[run_starts[v] .. run_starts[v + 1]]`.
+    run_starts: Vec<u32>,
+    /// Candidate slot indices, ascending within each voxel's run.
+    candidates: Vec<u32>,
+    /// What the pair loop reads of each receptor bead, in slot order.
+    slots: Vec<Slot>,
+}
+
+/// One receptor bead as the pair loop sees it: a run is a gather by slot
+/// index, so position and kind sit together (half a cache line).
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    position: Vec3,
+    /// [`PairTable`] row index of the bead's kind.
+    kind: u8,
 }
 
 impl CellList {
-    /// Indexes `receptor`'s beads with cell edge = `cutoff`.
+    /// Indexes `receptor`'s beads for probes with interaction cutoff
+    /// `cutoff`.
     pub fn build(receptor: &Protein, cutoff: f64) -> Self {
         assert!(cutoff > 0.0, "cutoff must be positive");
         let beads = receptor.beads();
@@ -122,105 +253,88 @@ impl CellList {
             lo = lo.min(b.position);
             hi = hi.max(b.position);
         }
-        // Pad by one cell so boundary queries never need clamping logic.
-        let edge = cutoff;
-        let dims = [
-            (((hi.x - lo.x) / edge).floor() as usize) + 1,
-            (((hi.y - lo.y) / edge).floor() as usize) + 1,
-            (((hi.z - lo.z) / edge).floor() as usize) + 1,
-        ];
-        let n_cells = dims[0] * dims[1] * dims[2];
-        // Counting sort into CSR: count, prefix-sum, place. Placement in
-        // ascending bead order keeps each cell's slots in insertion
-        // order, like the nested-Vec layout this replaces.
-        let mut offsets = vec![0u32; n_cells + 1];
-        for b in beads {
-            offsets[Self::cell_of(lo, edge, dims, b.position) + 1] += 1;
-        }
-        for c in 1..=n_cells {
-            offsets[c] += offsets[c - 1];
-        }
-        let n = beads.len();
-        let mut cursor: Vec<u32> = offsets[..n_cells].to_vec();
-        let mut order = vec![0u32; n];
-        let mut pos_x = vec![0.0; n];
-        let mut pos_y = vec![0.0; n];
-        let mut pos_z = vec![0.0; n];
-        let mut kind_idx = vec![0u8; n];
-        for (i, b) in beads.iter().enumerate() {
-            let c = Self::cell_of(lo, edge, dims, b.position);
-            let slot = cursor[c] as usize;
-            cursor[c] += 1;
-            order[slot] = i as u32;
-            pos_x[slot] = b.position.x;
-            pos_y[slot] = b.position.y;
-            pos_z[slot] = b.position.z;
-            kind_idx[slot] = PairTable::index(b.kind) as u8;
-        }
-        Self {
-            origin: lo,
+        // Slot order: coarse cell (x-major), then bead index — the
+        // stable sort keeps equal keys in bead order.
+        let coarse = |p: Vec3| {
+            [
+                ((p.x - lo.x) / cutoff).floor() as i64,
+                ((p.y - lo.y) / cutoff).floor() as i64,
+                ((p.z - lo.z) / cutoff).floor() as i64,
+            ]
+        };
+        let mut order: Vec<usize> = (0..beads.len()).collect();
+        order.sort_by_key(|&i| coarse(beads[i].position));
+        let slot_pos = |slot: usize| beads[order[slot]].position;
+
+        // The grid covers everything within reach of a bead, so a probe
+        // that falls outside it has nothing within the cutoff.
+        let edge = cutoff / VOXELS_PER_CUTOFF;
+        let reach = cutoff + VOXEL_SLACK * edge;
+        let origin = lo - Vec3::new(reach, reach, reach);
+        let far = hi + Vec3::new(reach, reach, reach);
+        let mut grid = VoxelGrid {
+            origin,
             edge,
-            dims,
-            offsets,
-            order,
-            pos_x,
-            pos_y,
-            pos_z,
-            kind_idx,
+            inv_edge: 1.0 / edge,
+            dims: [0; 3],
+        };
+        grid.dims = [
+            grid.axis_coord(far.x, origin.x) as usize + 1,
+            grid.axis_coord(far.y, origin.y) as usize + 1,
+            grid.axis_coord(far.z, origin.z) as usize + 1,
+        ];
+
+        // Rasterise into CSR: count, prefix-sum, place. Placing slots in
+        // ascending order leaves every voxel's run ascending.
+        let n_voxels = grid.dims.iter().product::<usize>();
+        let mut run_starts = vec![0u32; n_voxels + 1];
+        for slot in 0..order.len() {
+            grid.for_each_voxel_within(slot_pos(slot), reach, |v| run_starts[v + 1] += 1);
+        }
+        for v in 1..=n_voxels {
+            run_starts[v] = run_starts[v]
+                .checked_add(run_starts[v - 1])
+                .expect("candidate runs of one receptor fit 32-bit offsets");
+        }
+        let mut cursor = run_starts[..n_voxels].to_vec();
+        let mut candidates = vec![0u32; run_starts[n_voxels] as usize];
+        for slot in 0..order.len() {
+            grid.for_each_voxel_within(slot_pos(slot), reach, |v| {
+                candidates[cursor[v] as usize] = slot as u32;
+                cursor[v] += 1;
+            });
+        }
+
+        Self {
+            cutoff,
+            grid,
+            run_starts,
+            candidates,
+            slots: order
+                .iter()
+                .map(|&i| Slot {
+                    position: beads[i].position,
+                    kind: PairTable::index(beads[i].kind) as u8,
+                })
+                .collect(),
         }
     }
 
-    fn cell_of(origin: Vec3, edge: f64, dims: [usize; 3], p: Vec3) -> usize {
-        let ix = (((p.x - origin.x) / edge).floor() as isize).clamp(0, dims[0] as isize - 1);
-        let iy = (((p.y - origin.y) / edge).floor() as isize).clamp(0, dims[1] as isize - 1);
-        let iz = (((p.z - origin.z) / edge).floor() as isize).clamp(0, dims[2] as isize - 1);
-        (ix as usize * dims[1] + iy as usize) * dims[2] + iz as usize
-    }
-
-    /// Calls `f` with the flat slot range of each cell in the 27-cell
-    /// neighbourhood of `p`, in fixed (x, y, z) scan order.
+    /// The candidate run of `p`: ascending slot indices, a superset of
+    /// the slots within the cutoff of `p`.
     #[inline]
-    fn for_neighbor_ranges(&self, p: Vec3, mut f: impl FnMut(std::ops::Range<usize>)) {
-        let cx = ((p.x - self.origin.x) / self.edge).floor() as isize;
-        let cy = ((p.y - self.origin.y) / self.edge).floor() as isize;
-        let cz = ((p.z - self.origin.z) / self.edge).floor() as isize;
-        for dx in -1..=1 {
-            for dy in -1..=1 {
-                for dz in -1..=1 {
-                    let (x, y, z) = (cx + dx, cy + dy, cz + dz);
-                    if x < 0
-                        || y < 0
-                        || z < 0
-                        || x >= self.dims[0] as isize
-                        || y >= self.dims[1] as isize
-                        || z >= self.dims[2] as isize
-                    {
-                        continue;
-                    }
-                    let c = (x as usize * self.dims[1] + y as usize) * self.dims[2] + z as usize;
-                    let range = self.offsets[c] as usize..self.offsets[c + 1] as usize;
-                    if !range.is_empty() {
-                        f(range);
-                    }
-                }
+    fn candidates(&self, p: Vec3) -> &[u32] {
+        match self.grid.voxel_of(p) {
+            Some(v) => {
+                &self.candidates[self.run_starts[v] as usize..self.run_starts[v + 1] as usize]
             }
+            None => &[],
         }
-    }
-
-    /// Calls `f` with every receptor bead index in the 27-cell neighbourhood
-    /// of `p`. Beads further than one cell edge are included (callers still
-    /// apply the exact distance cutoff).
-    pub fn for_neighbors(&self, p: Vec3, mut f: impl FnMut(u32)) {
-        self.for_neighbor_ranges(p, |range| {
-            for &i in &self.order[range] {
-                f(i);
-            }
-        });
     }
 
     /// Total number of indexed beads (for sanity checks).
     pub fn bead_count(&self) -> usize {
-        self.order.len()
+        self.slots.len()
     }
 }
 
@@ -296,7 +410,8 @@ pub fn interaction_energy(
     pose: &Pose,
     params: &EnergyParams,
 ) -> EnergyBreakdown {
-    evaluate(receptor, cells, ligand, pose, params, None).energy
+    let cull = &mut CullTally::default();
+    evaluate(receptor, cells, ligand, pose, params, None, cull)
 }
 
 /// Evaluates energy *and* its rigid-body gradient (force + torque).
@@ -307,17 +422,42 @@ pub fn energy_and_gradient(
     pose: &Pose,
     params: &EnergyParams,
 ) -> EnergyGradient {
+    energy_and_gradient_tallied(
+        receptor,
+        cells,
+        ligand,
+        pose,
+        params,
+        &mut CullTally::default(),
+    )
+}
+
+/// [`energy_and_gradient`] that also counts what the index handed the
+/// pair loop, for callers that publish the cull ratio.
+pub(crate) fn energy_and_gradient_tallied(
+    receptor: &Protein,
+    cells: &CellList,
+    ligand: &Protein,
+    pose: &Pose,
+    params: &EnergyParams,
+    cull: &mut CullTally,
+) -> EnergyGradient {
     let mut grad = (Vec3::ZERO, Vec3::ZERO);
-    let out = evaluate(receptor, cells, ligand, pose, params, Some(&mut grad));
+    let energy = evaluate(receptor, cells, ligand, pose, params, Some(&mut grad), cull);
     EnergyGradient {
-        energy: out.energy,
+        energy,
         force: grad.0,
         torque: grad.1,
     }
 }
 
-struct EvalOut {
-    energy: EnergyBreakdown,
+/// How well the index culls: of the `candidates` slots it returned, how
+/// many `pairs` passed the exact cutoff test. Zero-sized unless
+/// telemetry is compiled in.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct CullTally {
+    pub(crate) candidates: telemetry::Tally,
+    pub(crate) pairs: telemetry::Tally,
 }
 
 fn evaluate(
@@ -326,13 +466,38 @@ fn evaluate(
     ligand: &Protein,
     pose: &Pose,
     params: &EnergyParams,
-    mut grad: Option<&mut (Vec3, Vec3)>,
-) -> EvalOut {
+    grad: Option<&mut (Vec3, Vec3)>,
+    cull: &mut CullTally,
+) -> EnergyBreakdown {
     debug_assert_eq!(
         cells.bead_count(),
         receptor.bead_count(),
         "cell list built for a different receptor"
     );
+    debug_assert!(
+        params.cutoff <= cells.cutoff,
+        "cell list built for a shorter cutoff"
+    );
+    evaluate_probing(cells, ligand, pose, params, grad, cull, |p| {
+        cells.candidates(p).iter().map(|&slot| slot as usize)
+    })
+}
+
+/// The pair loop, over whatever slots `probe` yields for each posed
+/// ligand bead. The one production probe is [`CellList::candidates`];
+/// the parameter exists so the tests can run the identical arithmetic
+/// over a reference neighbour search, and is inlined away so that
+/// production gets the plain loop over a slice.
+#[inline(always)]
+fn evaluate_probing<I: Iterator<Item = usize>>(
+    cells: &CellList,
+    ligand: &Protein,
+    pose: &Pose,
+    params: &EnergyParams,
+    mut grad: Option<&mut (Vec3, Vec3)>,
+    cull: &mut CullTally,
+    probe: impl Fn(Vec3) -> I,
+) -> EnergyBreakdown {
     let cutoff_sq = params.cutoff * params.cutoff;
     let delta_sq = params.softening * params.softening;
     // Cutoff-shift reference at the softened cutoff distance.
@@ -348,55 +513,54 @@ fn evaluate(
         let eps_row = &pair_table.eps[row];
         let rmin_sq_row = &pair_table.rmin_sq[row];
         let qq_row = &pair_table.qq[row];
-        cells.for_neighbor_ranges(lp, |range| {
-            for slot in range {
-                let dx = lp.x - cells.pos_x[slot];
-                let dy = lp.y - cells.pos_y[slot];
-                let dz = lp.z - cells.pos_z[slot];
-                let r_sq = dx * dx + dy * dy + dz * dz;
-                if r_sq >= cutoff_sq {
-                    continue;
-                }
-                let kind = cells.kind_idx[slot] as usize;
-                let eps = eps_row[kind];
-                let rmin_sq = rmin_sq_row[kind];
-                let q1q2 = qq_row[kind];
-                // Softened distance.
-                let rr_sq = r_sq + delta_sq;
-                let rr = rr_sq.sqrt();
-
-                // Lennard-Jones 12-6 in rmin form:
-                //   E = ε [ (rmin/r)^12 − 2 (rmin/r)^6 ]
-                let s6 = (rmin_sq / rr_sq).powi(3);
-                let s12 = s6 * s6;
-                let c6 = (rmin_sq / rc_sq).powi(3);
-                let c12 = c6 * c6;
-                elj += eps * ((s12 - 2.0 * s6) - (c12 - 2.0 * c6));
-
-                // Screened Coulomb with distance-dependent dielectric
-                // ε(r) = ε₀ r ⇒ E = k q₁q₂ / (ε₀ r²), cutoff-shifted.
-                let ke = COULOMB_KCAL * q1q2 / params.dielectric;
-                eelec += ke * (1.0 / rr_sq - 1.0 / rc_sq);
-
-                if let Some(g) = grad.as_deref_mut() {
-                    // dE/d(rr): LJ term.
-                    let dlj = eps * (-12.0 * s12 / rr + 12.0 * s6 / rr);
-                    // Electrostatic term: d/d(rr) [k/rr²] = −2k/rr³.
-                    let dele = -2.0 * ke / (rr_sq * rr);
-                    // d(rr)/d(d_vec) = d_vec / rr (softening is additive
-                    // in r²).
-                    let de_dvec = Vec3::new(dx, dy, dz) * ((dlj + dele) / rr);
-                    // Force on the ligand bead is −∂E/∂(bead position).
-                    let f = -de_dvec;
-                    g.0 += f;
-                    g.1 += (lp - pose.translation).cross(f);
-                }
+        for slot in probe(lp) {
+            cull.candidates.add(1);
+            let rbead = &cells.slots[slot];
+            let dx = lp.x - rbead.position.x;
+            let dy = lp.y - rbead.position.y;
+            let dz = lp.z - rbead.position.z;
+            let r_sq = dx * dx + dy * dy + dz * dz;
+            if r_sq >= cutoff_sq {
+                continue;
             }
-        });
+            cull.pairs.add(1);
+            let kind = rbead.kind as usize;
+            let eps = eps_row[kind];
+            let rmin_sq = rmin_sq_row[kind];
+            let q1q2 = qq_row[kind];
+            // Softened distance.
+            let rr_sq = r_sq + delta_sq;
+            let rr = rr_sq.sqrt();
+
+            // Lennard-Jones 12-6 in rmin form:
+            //   E = ε [ (rmin/r)^12 − 2 (rmin/r)^6 ]
+            let s6 = (rmin_sq / rr_sq).powi(3);
+            let s12 = s6 * s6;
+            let c6 = (rmin_sq / rc_sq).powi(3);
+            let c12 = c6 * c6;
+            elj += eps * ((s12 - 2.0 * s6) - (c12 - 2.0 * c6));
+
+            // Screened Coulomb with distance-dependent dielectric
+            // ε(r) = ε₀ r ⇒ E = k q₁q₂ / (ε₀ r²), cutoff-shifted.
+            let ke = COULOMB_KCAL * q1q2 / params.dielectric;
+            eelec += ke * (1.0 / rr_sq - 1.0 / rc_sq);
+
+            if let Some(g) = grad.as_deref_mut() {
+                // dE/d(rr): LJ term.
+                let dlj = eps * (-12.0 * s12 / rr + 12.0 * s6 / rr);
+                // Electrostatic term: d/d(rr) [k/rr²] = −2k/rr³.
+                let dele = -2.0 * ke / (rr_sq * rr);
+                // d(rr)/d(d_vec) = d_vec / rr (softening is additive
+                // in r²).
+                let de_dvec = Vec3::new(dx, dy, dz) * ((dlj + dele) / rr);
+                // Force on the ligand bead is −∂E/∂(bead position).
+                let f = -de_dvec;
+                g.0 += f;
+                g.1 += (lp - pose.translation).cross(f);
+            }
+        }
     }
-    EvalOut {
-        energy: EnergyBreakdown { elj, eelec },
-    }
+    EnergyBreakdown { elj, eelec }
 }
 
 #[cfg(test)]
@@ -436,32 +600,366 @@ mod tests {
         assert_eq!(cells.bead_count(), p.bead_count());
     }
 
-    #[test]
-    fn cell_list_neighbor_query_finds_nearby_beads() {
-        let lib =
-            crate::library::ProteinLibrary::generate(crate::library::LibraryConfig::tiny(1), 13);
-        let p = &lib.proteins()[0];
-        let cutoff = 8.0;
-        let cells = CellList::build(p, cutoff);
-        // For several probe points, the cell list must return a superset of
-        // the beads within the cutoff.
-        for probe in [
-            Vec3::ZERO,
-            Vec3::new(5.0, -3.0, 2.0),
-            Vec3::new(-10.0, 0.0, 4.0),
-        ] {
-            let mut seen = std::collections::HashSet::new();
-            cells.for_neighbors(probe, |i| {
-                seen.insert(i);
-            });
-            for (i, b) in p.beads().iter().enumerate() {
-                if b.position.distance(probe) < cutoff {
-                    assert!(
-                        seen.contains(&(i as u32)),
-                        "bead {i} within cutoff missed by cell list"
-                    );
+    /// The neighbour search the voxel index replaced, kept as the
+    /// reference it is tested against: receptor beads counting-sorted
+    /// into cells of edge = cutoff, a probe scanning the 27 cells around
+    /// its own in (x, y, z) order. Every output recorded before the
+    /// voxel index was summed in the order this yields.
+    struct CoarseCells {
+        origin: Vec3,
+        edge: f64,
+        dims: [usize; 3],
+        offsets: Vec<u32>,
+        /// Receptor bead index of each slot.
+        order: Vec<u32>,
+    }
+
+    impl CoarseCells {
+        fn build(receptor: &Protein, cutoff: f64) -> Self {
+            let beads = receptor.beads();
+            let mut lo = beads[0].position;
+            let mut hi = beads[0].position;
+            for b in beads {
+                lo = lo.min(b.position);
+                hi = hi.max(b.position);
+            }
+            let edge = cutoff;
+            let dims = [
+                (((hi.x - lo.x) / edge).floor() as usize) + 1,
+                (((hi.y - lo.y) / edge).floor() as usize) + 1,
+                (((hi.z - lo.z) / edge).floor() as usize) + 1,
+            ];
+            let n_cells = dims[0] * dims[1] * dims[2];
+            let mut offsets = vec![0u32; n_cells + 1];
+            for b in beads {
+                offsets[Self::cell_of(lo, edge, dims, b.position) + 1] += 1;
+            }
+            for c in 1..=n_cells {
+                offsets[c] += offsets[c - 1];
+            }
+            let mut cursor: Vec<u32> = offsets[..n_cells].to_vec();
+            let mut order = vec![0u32; beads.len()];
+            for (i, b) in beads.iter().enumerate() {
+                let c = Self::cell_of(lo, edge, dims, b.position);
+                order[cursor[c] as usize] = i as u32;
+                cursor[c] += 1;
+            }
+            Self {
+                origin: lo,
+                edge,
+                dims,
+                offsets,
+                order,
+            }
+        }
+
+        fn cell_of(origin: Vec3, edge: f64, dims: [usize; 3], p: Vec3) -> usize {
+            let ix = (((p.x - origin.x) / edge).floor() as isize).clamp(0, dims[0] as isize - 1);
+            let iy = (((p.y - origin.y) / edge).floor() as isize).clamp(0, dims[1] as isize - 1);
+            let iz = (((p.z - origin.z) / edge).floor() as isize).clamp(0, dims[2] as isize - 1);
+            (ix as usize * dims[1] + iy as usize) * dims[2] + iz as usize
+        }
+
+        /// The slots of the 27-cell neighbourhood of `p`, in scan order.
+        fn for_neighbors(&self, p: Vec3) -> Vec<usize> {
+            let cx = ((p.x - self.origin.x) / self.edge).floor() as isize;
+            let cy = ((p.y - self.origin.y) / self.edge).floor() as isize;
+            let cz = ((p.z - self.origin.z) / self.edge).floor() as isize;
+            let mut slots = Vec::new();
+            for dx in -1..=1 {
+                for dy in -1..=1 {
+                    for dz in -1..=1 {
+                        let (x, y, z) = (cx + dx, cy + dy, cz + dz);
+                        if x < 0
+                            || y < 0
+                            || z < 0
+                            || x >= self.dims[0] as isize
+                            || y >= self.dims[1] as isize
+                            || z >= self.dims[2] as isize
+                        {
+                            continue;
+                        }
+                        let c =
+                            (x as usize * self.dims[1] + y as usize) * self.dims[2] + z as usize;
+                        slots.extend(self.offsets[c] as usize..self.offsets[c + 1] as usize);
+                    }
                 }
             }
+            slots
+        }
+    }
+
+    /// `energy_and_gradient` over the reference neighbour search.
+    fn reference_energy_and_gradient(
+        coarse: &CoarseCells,
+        cells: &CellList,
+        ligand: &Protein,
+        pose: &Pose,
+        params: &EnergyParams,
+    ) -> EnergyGradient {
+        let mut grad = (Vec3::ZERO, Vec3::ZERO);
+        let energy = evaluate_probing(
+            cells,
+            ligand,
+            pose,
+            params,
+            Some(&mut grad),
+            &mut CullTally::default(),
+            |p| coarse.for_neighbors(p).into_iter(),
+        );
+        EnergyGradient {
+            energy,
+            force: grad.0,
+            torque: grad.1,
+        }
+    }
+
+    /// Receptors the index is exercised on: one bead (a 1-voxel-thick
+    /// problem), a tiny library protein (one coarse cell or two per
+    /// axis), and one the size of the paper's (several).
+    fn receptors() -> Vec<Protein> {
+        use crate::library::{LibraryConfig, ProteinLibrary};
+        let paper_scale = LibraryConfig {
+            median_residues: 230.0,
+            sigma_log_residues: 0.3,
+            min_residues: 180,
+            max_residues: 400,
+            ..LibraryConfig::tiny(1)
+        };
+        vec![
+            one_bead(BeadKind::Positive),
+            ProteinLibrary::generate(LibraryConfig::tiny(1), 13).proteins()[0].clone(),
+            ProteinLibrary::generate(paper_scale, 2008).proteins()[0].clone(),
+        ]
+    }
+
+    fn uniform(rng: &mut impl rand::Rng, lo: Vec3, hi: Vec3) -> Vec3 {
+        Vec3::new(
+            rng.gen_range(lo.x..hi.x),
+            rng.gen_range(lo.y..hi.y),
+            rng.gen_range(lo.z..hi.z),
+        )
+    }
+
+    /// `x` moved by `ulps` representable values.
+    fn nudge(x: f64, ulps: i64) -> f64 {
+        assert!(x != 0.0 && x.is_finite());
+        let bits = x.to_bits() as i64;
+        f64::from_bits((if x > 0.0 { bits + ulps } else { bits - ulps }) as u64)
+    }
+
+    /// Checks the run contract at `p`: strictly ascending, and holding
+    /// every slot the kernel's own distance test accepts.
+    fn assert_run_contract(cells: &CellList, cutoff: f64, p: Vec3) -> usize {
+        let run = cells.candidates(p);
+        assert!(
+            run.windows(2).all(|w| w[0] < w[1]),
+            "run of {p:?} not strictly ascending: {run:?}"
+        );
+        for slot in 0..cells.bead_count() {
+            let b = cells.slots[slot].position;
+            let (dx, dy, dz) = (p.x - b.x, p.y - b.y, p.z - b.z);
+            if dx * dx + dy * dy + dz * dz < cutoff * cutoff {
+                assert!(
+                    run.binary_search(&(slot as u32)).is_ok(),
+                    "slot {slot} within the cutoff of {p:?} missing from its run {run:?}"
+                );
+            }
+        }
+        run.len()
+    }
+
+    #[test]
+    fn slots_are_ordered_by_coarse_cell_then_bead_index() {
+        for receptor in receptors() {
+            let cutoff = EnergyParams::default().cutoff;
+            let cells = CellList::build(&receptor, cutoff);
+            let coarse = CoarseCells::build(&receptor, cutoff);
+            assert_eq!(cells.bead_count(), coarse.order.len());
+            for (slot, &bead) in coarse.order.iter().enumerate() {
+                let b = receptor.beads()[bead as usize];
+                assert_eq!(cells.slots[slot].position, b.position, "slot {slot}");
+                assert_eq!(cells.slots[slot].kind as usize, PairTable::index(b.kind));
+            }
+        }
+    }
+
+    #[test]
+    fn candidate_runs_are_ascending_supersets_of_the_cutoff_ball() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x0c11_1157);
+        for receptor in receptors() {
+            for cutoff in [12.0, 8.0, 5.3] {
+                let cells = CellList::build(&receptor, cutoff);
+                let grid = &cells.grid;
+                let [nx, ny, nz] = grid.dims;
+                let far = grid.origin + Vec3::new(nx as f64, ny as f64, nz as f64) * grid.edge;
+                let n = cells.bead_count();
+                let bead = |slot: usize| cells.slots[slot].position;
+
+                // Anywhere in the grid, receptor interior included.
+                let mut longest = 0;
+                for _ in 0..400 {
+                    let p = uniform(&mut rng, grid.origin, far);
+                    longest = longest.max(assert_run_contract(&cells, cutoff, p));
+                }
+                assert!(longest > 0, "no probe found a candidate");
+
+                // On voxel faces, edges and corners: each coordinate is
+                // either an exact multiple of the edge from the origin or
+                // free, and the faces of the grid itself are included.
+                for _ in 0..400 {
+                    let free = uniform(&mut rng, grid.origin, far);
+                    let lattice = |o: f64, n: usize, rng: &mut rand_chacha::ChaCha8Rng| {
+                        o + rng.gen_range(0..=n) as f64 * grid.edge
+                    };
+                    let p = Vec3::new(
+                        if rng.gen_bool(0.7) {
+                            lattice(grid.origin.x, nx, &mut rng)
+                        } else {
+                            free.x
+                        },
+                        if rng.gen_bool(0.7) {
+                            lattice(grid.origin.y, ny, &mut rng)
+                        } else {
+                            free.y
+                        },
+                        if rng.gen_bool(0.7) {
+                            lattice(grid.origin.z, nz, &mut rng)
+                        } else {
+                            free.z
+                        },
+                    );
+                    assert_run_contract(&cells, cutoff, p);
+                }
+
+                // At the cutoff from a bead, to the ulp: along an axis
+                // (where the probe can also leave the grid by an ulp) and
+                // along random directions.
+                for _ in 0..400 {
+                    let b = bead(rng.gen_range(0..n));
+                    let dir = if rng.gen_bool(0.5) {
+                        let mut axis = [0.0; 3];
+                        axis[rng.gen_range(0..3usize)] = if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+                        Vec3::new(axis[0], axis[1], axis[2])
+                    } else {
+                        uniform(
+                            &mut rng,
+                            Vec3::new(-1.0, -1.0, -1.0),
+                            Vec3::new(1.0, 1.0, 1.0),
+                        )
+                        .normalized()
+                        .unwrap_or(Vec3::new(1.0, 0.0, 0.0))
+                    };
+                    let p = b + dir * cutoff;
+                    for ulps in -3..=3 {
+                        let q = Vec3::new(
+                            if p.x != 0.0 { nudge(p.x, ulps) } else { p.x },
+                            if p.y != 0.0 { nudge(p.y, -ulps) } else { p.y },
+                            if p.z != 0.0 { nudge(p.z, ulps) } else { p.z },
+                        );
+                        assert_run_contract(&cells, cutoff, q);
+                    }
+                }
+
+                // Outside the padded grid, and not a number: the empty
+                // run, and (checked by the contract) nothing in reach.
+                for _ in 0..100 {
+                    let mut p = uniform(&mut rng, grid.origin, far);
+                    let beyond = rng.gen_range(1e-9..50.0);
+                    match rng.gen_range(0..6) {
+                        0 => p.x = grid.origin.x - beyond,
+                        1 => p.y = grid.origin.y - beyond,
+                        2 => p.z = grid.origin.z - beyond,
+                        3 => p.x = far.x + beyond,
+                        4 => p.y = far.y + beyond,
+                        _ => p.z = far.z + beyond,
+                    }
+                    assert_eq!(assert_run_contract(&cells, cutoff, p), 0, "{p:?}");
+                }
+                for p in [
+                    Vec3::new(f64::NAN, 0.0, 0.0),
+                    Vec3::new(0.0, f64::NAN, 0.0),
+                    Vec3::new(0.0, 0.0, f64::NAN),
+                    Vec3::new(f64::INFINITY, 0.0, 0.0),
+                    Vec3::new(0.0, f64::NEG_INFINITY, 0.0),
+                ] {
+                    assert_eq!(assert_run_contract(&cells, cutoff, p), 0, "{p:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cull_tally_counts_candidates_and_pairs_or_costs_nothing() {
+        let receptors = receptors();
+        let (receptor, ligand) = (&receptors[2], &receptors[1]);
+        let params = EnergyParams::default();
+        let cells = CellList::build(receptor, params.cutoff);
+        let pose = pose_at(receptor.bounding_radius());
+        let mut cull = CullTally::default();
+        for _ in 0..2 {
+            energy_and_gradient_tallied(receptor, &cells, ligand, &pose, &params, &mut cull);
+        }
+        let (candidates, pairs) = (cull.candidates.get(), cull.pairs.get());
+        if telemetry::ENABLED {
+            assert!(pairs > 0 && pairs % 2 == 0, "pairs {pairs}");
+            assert!(
+                candidates >= pairs && candidates < 4 * pairs,
+                "{candidates} for {pairs}"
+            );
+        } else {
+            assert_eq!((candidates, pairs), (0, 0));
+            assert_eq!(std::mem::size_of::<CullTally>(), 0);
+        }
+    }
+
+    #[test]
+    fn voxel_index_matches_the_27_cell_reference_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x27ce_1150);
+        let params = EnergyParams::default();
+        let receptors = receptors();
+        let ligands = [&receptors[1], &receptors[2]];
+        for receptor in &receptors {
+            let cells = CellList::build(receptor, params.cutoff);
+            let coarse = CoarseCells::build(receptor, params.cutoff);
+            let mut interacting = 0;
+            for i in 0..300 {
+                let ligand = ligands[i % 2];
+                // From interpenetrating to just out of reach.
+                let far = receptor.bounding_radius() + ligand.bounding_radius() + params.cutoff;
+                let pose = Pose::from_euler(
+                    EulerZyz {
+                        alpha: rng.gen_range(0.0..std::f64::consts::TAU),
+                        beta: rng.gen_range(0.0..std::f64::consts::PI),
+                        gamma: rng.gen_range(0.0..std::f64::consts::TAU),
+                    },
+                    uniform(
+                        &mut rng,
+                        Vec3::new(-far, -far, -far) * 0.6,
+                        Vec3::new(far, far, far) * 0.6,
+                    ),
+                );
+                let fast = energy_and_gradient(receptor, &cells, ligand, &pose, &params);
+                let slow = reference_energy_and_gradient(&coarse, &cells, ligand, &pose, &params);
+                let bits = |g: &EnergyGradient| {
+                    [
+                        g.energy.elj,
+                        g.energy.eelec,
+                        g.force.x,
+                        g.force.y,
+                        g.force.z,
+                        g.torque.x,
+                        g.torque.y,
+                        g.torque.z,
+                    ]
+                    .map(f64::to_bits)
+                };
+                assert_eq!(bits(&fast), bits(&slow), "pose {pose:?}");
+                interacting += usize::from(fast.energy.total() != 0.0);
+            }
+            assert!(interacting > 100, "only {interacting} poses interacted");
         }
     }
 

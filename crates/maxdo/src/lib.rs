@@ -14,8 +14,9 @@
 //! * [`model`] — the reduced (Zacharias-style) protein representation;
 //! * [`library`] — the synthetic 168-protein phase-I catalog, calibrated
 //!   to the paper's published distributions;
-//! * [`energy`] — Lennard-Jones + screened electrostatic energy with
-//!   cell-list acceleration and analytic rigid-body gradients;
+//! * [`energy`] — Lennard-Jones + screened electrostatic energy over a
+//!   precomputed receptor neighbour grid, with analytic rigid-body
+//!   gradients;
 //! * [`minimize`] — deterministic rigid-body descent;
 //! * [`sampling`] — starting-position and orientation grids;
 //! * [`docking`] — the `Etot(isep, irot, p1, p2)` driver;

@@ -11,7 +11,9 @@
 //! cost model relies on (§4.1 property 1: "The MAXDo program has a
 //! reproducible computing time").
 
-use crate::energy::{energy_and_gradient, CellList, EnergyBreakdown, EnergyParams};
+use crate::energy::{
+    energy_and_gradient_tallied, CellList, CullTally, EnergyBreakdown, EnergyParams,
+};
 use crate::geom::{Pose, Vec3};
 use crate::model::Protein;
 use serde::{Deserialize, Serialize};
@@ -74,8 +76,30 @@ pub fn minimize(
     energy_params: &EnergyParams,
     params: &MinimizeParams,
 ) -> MinimizeResult {
+    minimize_tallied(
+        receptor,
+        cells,
+        ligand,
+        start,
+        energy_params,
+        params,
+        &mut CullTally::default(),
+    )
+}
+
+/// [`minimize`], adding what its evaluations asked of the index to
+/// `cull`.
+pub(crate) fn minimize_tallied(
+    receptor: &Protein,
+    cells: &CellList,
+    ligand: &Protein,
+    start: Pose,
+    energy_params: &EnergyParams,
+    params: &MinimizeParams,
+    cull: &mut CullTally,
+) -> MinimizeResult {
     let mut pose = start;
-    let mut g = energy_and_gradient(receptor, cells, ligand, &pose, energy_params);
+    let mut g = energy_and_gradient_tallied(receptor, cells, ligand, &pose, energy_params, cull);
     let mut evaluations = 1;
     let mut step = params.initial_step;
     let mut iterations = 0;
@@ -98,7 +122,8 @@ pub fn minimize(
             let dt = g.force * step;
             let dw = g.torque * (step / (lever * lever));
             let trial = pose.perturbed(dt, dw);
-            let tg = energy_and_gradient(receptor, cells, ligand, &trial, energy_params);
+            let tg =
+                energy_and_gradient_tallied(receptor, cells, ligand, &trial, energy_params, cull);
             evaluations += 1;
             if tg.energy.total() < g.energy.total() {
                 pose = trial;
@@ -162,6 +187,7 @@ pub fn minimize_from_distance(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::energy::energy_and_gradient;
     use crate::geom::EulerZyz;
     use crate::library::{LibraryConfig, ProteinLibrary};
 

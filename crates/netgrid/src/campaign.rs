@@ -17,8 +17,11 @@
 use crate::protocol::CampaignParams;
 use gridsim::server::WorkunitCatalogEntry;
 use maxdo::{
-    DockingEngine, DockingOutput, EnergyParams, LibraryConfig, MinimizeParams, ProteinLibrary,
+    CellList, DockingEngine, DockingOutput, EnergyParams, LibraryConfig, MinimizeParams,
+    ProteinLibrary,
 };
+use std::borrow::Cow;
+use std::sync::OnceLock;
 use timemodel::CostMatrix;
 use validation::{FileHeader, ResultFile};
 use workunit::{CampaignPackage, LaunchSchedule, WorkunitSpec};
@@ -38,6 +41,12 @@ pub struct NetCampaign {
     /// Scheduler catalog entries, parallel to `specs`.
     catalog: Vec<WorkunitCatalogEntry>,
     minimize: MinimizeParams,
+    /// Each protein's receptor-side index, built the first time a
+    /// workunit docks against it and lent to every engine after that.
+    cells: Vec<OnceLock<CellList>>,
+    /// How many indexes this campaign has built.
+    #[cfg(test)]
+    index_builds: std::sync::atomic::AtomicUsize,
 }
 
 impl NetCampaign {
@@ -71,6 +80,7 @@ impl NetCampaign {
         });
         Self {
             params,
+            cells: lib.proteins().iter().map(|_| OnceLock::new()).collect(),
             lib,
             specs,
             catalog,
@@ -78,6 +88,8 @@ impl NetCampaign {
                 max_iterations: params.max_iterations as usize,
                 ..MinimizeParams::default()
             },
+            #[cfg(test)]
+            index_builds: Default::default(),
         }
     }
 
@@ -111,14 +123,26 @@ impl NetCampaign {
         self.specs.is_empty()
     }
 
-    /// A docking engine for one workunit's couple. Engines borrow the
-    /// library, so they are built per workunit rather than cached.
+    /// A docking engine for one workunit's couple. Engines are cheap
+    /// views built per workunit: they borrow the library's proteins and
+    /// the receptor's index, which the campaign builds once per receptor
+    /// — a workunit is a few positions of one couple, and indexing its
+    /// receptor again for each one is a few percent of docking it.
     pub fn engine(&self, spec: WorkunitSpec) -> DockingEngine<'_> {
-        DockingEngine::for_couple(
-            &self.lib,
-            spec.receptor,
-            spec.ligand,
-            EnergyParams::default(),
+        let energy = EnergyParams::default();
+        let receptor = self.lib.protein(spec.receptor);
+        let cells = self.cells[spec.receptor.0 as usize].get_or_init(|| {
+            #[cfg(test)]
+            self.index_builds
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            CellList::build(receptor, energy.cutoff)
+        });
+        DockingEngine::with_cells(
+            receptor,
+            self.lib.protein(spec.ligand),
+            self.lib.nsep(spec.receptor),
+            Cow::Borrowed(cells),
+            energy,
             self.minimize,
         )
     }
@@ -198,6 +222,34 @@ mod tests {
         let mut expected = Vec::new();
         schedule.for_each_workunit_in_order(&pkg, |wu| expected.push(wu));
         assert_eq!(net.specs(), &expected[..]);
+    }
+
+    #[test]
+    fn each_receptor_is_indexed_once_per_campaign() {
+        use std::sync::atomic::Ordering::Relaxed;
+        let net = NetCampaign::build(CampaignParams::tiny());
+        assert_eq!(net.index_builds.load(Relaxed), 0, "indexes are lazy");
+        let receptors: std::collections::BTreeSet<_> =
+            net.specs().iter().map(|s| s.receptor).collect();
+        assert!(net.len() > receptors.len(), "receptors repeat");
+        // Engines on four threads at once, then the whole baseline.
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| net.specs().iter().for_each(|&s| drop(net.engine(s))));
+            }
+        });
+        let outputs = net.baseline_outputs();
+        assert_eq!(net.index_builds.load(Relaxed), receptors.len());
+        // A lent index docks what an engine that builds its own does.
+        let spec = net.spec(0);
+        let own = DockingEngine::for_couple(
+            &net.lib,
+            spec.receptor,
+            spec.ligand,
+            EnergyParams::default(),
+            net.minimize,
+        );
+        assert_eq!(outputs[0], own.dock_range(spec.isep_start, spec.isep_end()));
     }
 
     #[test]

@@ -981,6 +981,13 @@ mod tests {
         };
         config.faults.trust = TrustConfig::on();
         let trust_cfg = config.faults.trust;
+        // Quarantine takes `quarantine_after` straight rejects, and a
+        // corrupt result only counts as one if it arrives before its
+        // workunit's honest quorum. The 16-workunit default campaign
+        // gave the saboteur that many only while docking was slow
+        // enough for all 8 sessions to queue behind it (1 run in 3
+        // fell short once it was not); 200 workunits always do.
+        config.campaign.proteins = 6;
         let params = config.campaign;
         let server = NetServer::bind(config).expect("bind");
         let addr = server.local_addr().expect("addr").to_string();

@@ -1275,7 +1275,8 @@ mod tests {
                 campaign: 0,
             },
             Message::LeaseGrant {
-                lease: (0u64 << 48) | 1,
+                // Grantor shard 0, sequence 1.
+                lease: 1,
                 from_shard: 0,
                 wus: vec![11, 12, 13],
                 complete: false,

@@ -1033,7 +1033,7 @@ impl EventLoop {
                         campaign_complete,
                     } => {
                         drop(grid);
-                        if let Some(redirect) = self.try_redirect(codec, campaign_complete, &mask) {
+                        if let Some(redirect) = self.try_redirect(codec, &mask) {
                             redirect
                         } else {
                             Message::NoWork {
@@ -1116,14 +1116,17 @@ impl EventLoop {
     /// instead of a backoff. The agent follows at most one redirect per
     /// ask, and the target was advertising work moments ago, so a
     /// bounce chain cannot form.
-    fn try_redirect(
-        &mut self,
-        codec: Codec,
-        local_complete: bool,
-        attached: &[bool],
-    ) -> Option<Message> {
+    ///
+    /// A shard whose own slice is already complete redirects too: it
+    /// is the one state in which it can never again look hungry (a
+    /// complete slice is skipped by `fetch`, so it records no demand
+    /// and begs no lease), and volunteers parked on it would otherwise
+    /// poll `NoWork` for ever while a peer's backlog sat untouched. A
+    /// slice that validates within one steering interval gets there
+    /// before the first lease could have been cut.
+    fn try_redirect(&mut self, codec: Codec, attached: &[bool]) -> Option<Message> {
         let topo = self.shard.as_ref()?;
-        if !codec.shard_aware() || local_complete {
+        if !codec.shard_aware() {
             return None;
         }
         {

@@ -278,9 +278,11 @@ mod tests {
     #[test]
     fn quarantine_is_exponential_capped_and_resets_the_window() {
         let c = cfg();
-        let mut t = AgentTrust::default();
-        t.accepted = 3;
-        t.rejected = 9;
+        let mut t = AgentTrust {
+            accepted: 3,
+            rejected: 9,
+            ..AgentTrust::default()
+        };
         t.quarantine(100.0, &c);
         assert_eq!(t.quarantined_until_s, 100.0 + c.quarantine_base_s);
         assert_eq!((t.accepted, t.rejected, t.consecutive_rejects), (0, 0, 0));

@@ -351,6 +351,101 @@ fn duplicate_gossip_resends_the_same_lease_never_a_new_one() {
     assert_eq!(report.net_stats.shard_leases_in, 0);
 }
 
+/// Regression: a shard whose own slice was already complete never
+/// redirected (and, its slice being skipped by `fetch`, never recorded
+/// demand or begged a lease), so volunteers parked on it polled `NoWork`
+/// for ever while a peer's backlog sat untouched. It only showed once
+/// the kernel got fast enough for a slice to validate inside one
+/// steering interval, before the first lease could be cut. Played by
+/// hand: lease away shard 0's whole slice, advertise backlog as shard 1,
+/// then ask shard 0 for work as a v3 agent.
+#[test]
+fn a_complete_shard_still_redirects_to_a_peer_with_backlog() {
+    let addrs = free_addrs(2);
+    let mut config = NetServerConfig {
+        sweep_ms: 25,
+        ..NetServerConfig::loopback(5.0)
+    };
+    config.addr = addrs[0].clone();
+    config.shard = Some(ShardTopology {
+        spec: ShardSpec {
+            shard_id: 0,
+            shards: 2,
+        },
+        addrs: addrs.clone(),
+    });
+    let server = NetServer::bind(config).expect("bind shard 0");
+    let server = thread::spawn(move || server.run());
+
+    let connect = || {
+        let stream = TcpStream::connect(&addrs[0]).expect("connect to shard 0");
+        stream.set_nodelay(true).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream
+    };
+    let mut peer = connect();
+    // One gossip exchange as shard 1; returns the lease ids granted.
+    let mut gossip = |held: &[u64], fresh_backlog: u64, hungry: bool, complete: bool| {
+        let status = Message::ShardStatus {
+            shard: 1,
+            fresh_backlog,
+            outstanding: 0,
+            complete,
+            hungry,
+            leases_held: held.to_vec(),
+            campaign: 0,
+        };
+        write_message_with(&mut peer, &status, Codec::BinaryV3).expect("send status");
+        let mut leases = Vec::new();
+        loop {
+            match read_message(&mut peer).expect("read reply") {
+                Some(Message::LeaseGrant { lease, .. }) => leases.push(lease),
+                Some(Message::StatusAck { complete, .. }) => return (leases, complete),
+                other => panic!("unexpected steering reply: {other:?}"),
+            }
+        }
+    };
+    let mut held = Vec::new();
+    loop {
+        let (leases, _) = gossip(&held, 0, true, false);
+        if leases.is_empty() {
+            break;
+        }
+        held.extend(leases);
+    }
+    let (_, shard0_complete) = gossip(&held, 5, false, false);
+    assert!(shard0_complete, "shard 0 leased its whole slice away");
+
+    let mut agent = connect();
+    let hello = Message::Hello {
+        agent: 9,
+        threads: 1,
+        campaigns: Vec::new(),
+    };
+    write_message_with(&mut agent, &hello, Codec::BinaryV3).expect("hello");
+    assert!(matches!(
+        read_message(&mut agent).expect("hello ack"),
+        Some(Message::HelloAck { .. })
+    ));
+    write_message_with(&mut agent, &Message::RequestWork, Codec::BinaryV3).expect("ask");
+    match read_message(&mut agent).expect("reply to the ask") {
+        Some(Message::Redirect { shard, addr }) => {
+            assert_eq!((shard, &addr), (1, &addrs[1]));
+        }
+        other => panic!("a drained, complete shard must redirect, got {other:?}"),
+    }
+    write_message_with(&mut agent, &Message::Bye, Codec::BinaryV3).expect("bye");
+    drop(agent);
+
+    // Shard 1 finishes too; shard 0 can shut down.
+    gossip(&held, 0, false, true);
+    drop(peer);
+    let report = server.join().unwrap().expect("shard 0 ran");
+    assert_eq!(report.net_stats.shard_redirects, 1);
+}
+
 /// Shard identity is part of the journal header: a WAL written as one
 /// shard refuses to replay into a server configured as another shard,
 /// another topology width, or a solo server.

@@ -45,5 +45,5 @@ pub use exposition::{render_snapshot, MetricKind, TextRenderer};
 pub use manifest::{git_revision, RunManifest};
 pub use registry::{
     counter, gauge, histogram, reset, snapshot, summary, Counter, Gauge, Histogram,
-    HistogramSnapshot, MetricsSnapshot,
+    HistogramSnapshot, MetricsSnapshot, Tally,
 };

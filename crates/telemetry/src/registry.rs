@@ -71,6 +71,26 @@ mod imp {
     use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
     use std::sync::Mutex;
 
+    /// A plain local count for a hot loop: tally into a stack value, then
+    /// [`Counter::add`] the total once, instead of one atomic RMW per
+    /// event.
+    #[derive(Debug, Default, Clone, Copy)]
+    pub struct Tally(u64);
+
+    impl Tally {
+        /// Adds `n`.
+        #[inline(always)]
+        pub fn add(&mut self, n: u64) {
+            self.0 += n;
+        }
+
+        /// The count so far.
+        #[inline(always)]
+        pub fn get(self) -> u64 {
+            self.0
+        }
+    }
+
     /// A monotonically increasing event count.
     #[derive(Debug, Default)]
     pub struct Counter(AtomicU64);
@@ -317,6 +337,22 @@ mod imp {
 mod imp {
     use super::MetricsSnapshot;
 
+    /// No-op local count (telemetry disabled): zero-sized, so a hot
+    /// loop that tallies compiles to the loop without it.
+    #[derive(Debug, Default, Clone, Copy)]
+    pub struct Tally;
+
+    impl Tally {
+        /// No-op.
+        #[inline(always)]
+        pub fn add(&mut self, _n: u64) {}
+        /// Always zero.
+        #[inline(always)]
+        pub fn get(self) -> u64 {
+            0
+        }
+    }
+
     /// No-op counter (telemetry disabled).
     #[derive(Debug, Default)]
     pub struct Counter;
@@ -415,7 +451,7 @@ mod imp {
     pub fn reset() {}
 }
 
-pub use imp::{counter, gauge, histogram, reset, snapshot, Counter, Gauge, Histogram};
+pub use imp::{counter, gauge, histogram, reset, snapshot, Counter, Gauge, Histogram, Tally};
 
 /// Renders every registered metric as a human-readable table (used by the
 /// `full_report` binary's observability appendix).

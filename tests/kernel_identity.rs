@@ -1,0 +1,140 @@
+//! The docking kernel's output, pinned as literals.
+//!
+//! Every artifact, quorum fingerprint and `*_matches_baseline` check in
+//! the repository compares the kernel with itself, so a change to
+//! `maxdo::energy` that moves a low-order bit everywhere at once passes
+//! them all. The values below were recorded at the commit *before* the
+//! neighbour-voxel index replaced the 27-cell probe; a kernel change
+//! that claims "bit-identical" has to reproduce them unedited, and one
+//! that knowingly moves bits re-records them in the same PR and says so.
+//!
+//! On a mismatch each test prints the table it computed, in the
+//! literal's own format.
+
+use maxdo::{
+    minimize_fire, CellList, DockingEngine, EnergyParams, EulerZyz, FireParams, LibraryConfig,
+    MinimizeParams, Pose, ProteinId, ProteinLibrary, Vec3,
+};
+use netgrid::{fingerprint, CampaignParams, NetCampaign};
+
+/// `fingerprint evaluations` of every workunit of the tiny campaign, in
+/// catalog order.
+const TINY_CAMPAIGN: &str = "\
+40e2f86c8936b55a 410
+0dace96e9aa61064 250
+2b4b842a87018d56 280
+d83972b7fe68e2f3 480
+dba2ffbaa910d926 350
+ef91666da23c461a 240
+65037f3fee8b33e9 270
+8fe8540e63a67f70 340
+eac32e181a83e1c9 320
+6d55bf8f5306c475 620
+c915b0cb2af2e315 1140
+93f7b5462dcabe63 420
+940d69bd67c69342 250
+e35362754f4e098e 520
+e12fd34b63bbba80 1080
+acb437c8dc76a6e5 270
+";
+
+/// Two starting positions of one couple of proteins the size of the
+/// paper's (hundreds of beads, several cutoff lengths across): bead
+/// counts, then `fingerprint` and `evaluations`.
+const PAPER_SCALE: (usize, usize, u64, u64) = (296, 304, 0x4c9e31dcea328b1a, 1268);
+
+/// One FIRE relaxation of the same couple from deep contact, where every
+/// ligand bead has receptor beads inside the cutoff: `elj eelec x y z`
+/// bits, then evaluations.
+const FIRE: ([u64; 5], usize) = (
+    [
+        0xc0392ae7f6a30f60,
+        0xbfbea742ab2f47a1,
+        0x4038286c8ad8a73d,
+        0xbfecfd5071400b49,
+        0xbfc1fdd288569b39,
+    ],
+    81,
+);
+
+#[test]
+fn tiny_campaign_workunits_match_the_recorded_kernel() {
+    let campaign = NetCampaign::build(CampaignParams::tiny());
+    let table: String = campaign
+        .specs()
+        .iter()
+        .map(|&spec| {
+            let out = campaign.compute(spec);
+            format!("{:016x} {}\n", fingerprint(&out), out.evaluations)
+        })
+        .collect();
+    assert!(table == TINY_CAMPAIGN, "computed:\n{table}");
+}
+
+/// Proteins of 180 to 400 residues, as in the phase-I set.
+fn paper_scale_library() -> ProteinLibrary {
+    ProteinLibrary::generate(
+        LibraryConfig {
+            median_residues: 230.0,
+            sigma_log_residues: 0.3,
+            min_residues: 180,
+            max_residues: 400,
+            ..LibraryConfig::tiny(2)
+        },
+        2008,
+    )
+}
+
+#[test]
+fn paper_scale_couple_matches_the_recorded_kernel() {
+    let lib = paper_scale_library();
+    let engine = DockingEngine::for_couple(
+        &lib,
+        ProteinId(0),
+        ProteinId(1),
+        EnergyParams::default(),
+        MinimizeParams {
+            max_iterations: 8,
+            ..MinimizeParams::default()
+        },
+    );
+    let out = engine.dock_range(1, 2);
+    let computed = (
+        engine.receptor().bead_count(),
+        engine.ligand().bead_count(),
+        fingerprint(&out),
+        out.evaluations,
+    );
+    assert!(computed == PAPER_SCALE, "computed: {computed:#x?}");
+}
+
+#[test]
+fn fire_relaxation_matches_the_recorded_kernel() {
+    let lib = paper_scale_library();
+    let (receptor, ligand) = (&lib.proteins()[0], &lib.proteins()[1]);
+    let params = EnergyParams::default();
+    let cells = CellList::build(receptor, params.cutoff);
+    let start = Pose::from_euler(
+        EulerZyz {
+            alpha: 0.4,
+            beta: 1.0,
+            gamma: 0.2,
+        },
+        Vec3::new(
+            receptor.surface_radius() + ligand.bounding_radius() * 0.2,
+            1.0,
+            -2.0,
+        ),
+    );
+    let fire = FireParams {
+        max_steps: 80,
+        ..FireParams::default()
+    };
+    let res = minimize_fire(receptor, &cells, ligand, start, &params, &fire);
+    let t = res.pose.translation;
+    let computed = (
+        [res.energy.elj, res.energy.eelec, t.x, t.y, t.z].map(f64::to_bits),
+        res.evaluations,
+    );
+    assert!(computed == FIRE, "computed: {computed:#x?}");
+}

@@ -13,7 +13,6 @@
 
 use netgrid::{run_agent, AgentConfig, Message, NetServer, NetServerConfig};
 use std::thread;
-use std::time::Duration;
 use telemetry::{Event, Record};
 
 #[test]
@@ -22,8 +21,10 @@ fn busy_rejections_keep_open_close_pairing_exact() {
     let _ = std::fs::remove_file(&log);
     telemetry::install_jsonl(&log).expect("event log opens");
 
-    // One slot; a single honest volunteer holds it for the whole
-    // campaign and a raw probe draws `Busy` while it runs.
+    // One slot. A hand-held session occupies it while a raw probe draws
+    // `Busy` — not a docking agent, whose hold on the slot lasts as long
+    // as the kernel takes and no longer — then hands it to an honest
+    // volunteer that runs the campaign.
     let mut config = NetServerConfig {
         sweep_ms: 25,
         ..NetServerConfig::loopback(8.0)
@@ -32,19 +33,28 @@ fn busy_rejections_keep_open_close_pairing_exact() {
     let server = NetServer::bind(config).expect("bind loopback");
     let addr = server.local_addr().expect("local addr").to_string();
     let server = thread::spawn(move || server.run());
-    let agent = {
-        let addr = addr.clone();
-        thread::spawn(move || run_agent(AgentConfig::new(addr, 1)))
-    };
 
-    thread::sleep(Duration::from_millis(250));
+    let mut holder = std::net::TcpStream::connect(&addr).expect("holder connects");
+    let hello = Message::Hello {
+        agent: 2,
+        threads: 1,
+        campaigns: Vec::new(),
+    };
+    netgrid::protocol::write_message(&mut holder, &hello).expect("hello");
+    match netgrid::protocol::read_message(&mut holder) {
+        Ok(Some(Message::HelloAck { .. })) => {}
+        other => panic!("expected HelloAck, got {other:?}"),
+    }
     let mut probe = std::net::TcpStream::connect(&addr).expect("probe connects");
     match netgrid::protocol::read_message(&mut probe) {
         Ok(Some(Message::Busy { .. })) => {}
         other => panic!("expected Busy at the connection limit, got {other:?}"),
     }
     drop(probe);
+    netgrid::protocol::write_message(&mut holder, &Message::Bye).expect("bye");
+    drop(holder);
 
+    let agent = thread::spawn(move || run_agent(AgentConfig::new(addr, 1)));
     agent.join().unwrap().expect("honest agent ran");
     let report = server.join().unwrap().expect("server ran");
     assert_eq!(report.rejected_connections, 1, "{report:?}");

@@ -193,10 +193,8 @@ fn check(doc: &str) -> Vec<String> {
                 (Some("TYPE"), _, _) => {
                     errors.push(format!("line {n}: malformed # TYPE line"));
                 }
-                (Some("HELP"), Some(name), _) => {
-                    if !helps.insert(name.to_string()) {
-                        errors.push(format!("line {n}: duplicate # HELP for {name}"));
-                    }
+                (Some("HELP"), Some(name), _) if !helps.insert(name.to_string()) => {
+                    errors.push(format!("line {n}: duplicate # HELP for {name}"));
                 }
                 _ => {} // free-form comment
             }
