@@ -5,11 +5,18 @@
 //!
 //! Writes `BENCH_codec.json` at the workspace root with ns-per-frame
 //! for each codec/direction and the binary-over-JSON speedups;
-//! `tools/bench_guard` warns if binary ever fails to beat JSON.
+//! `tools/bench_guard` warns if binary ever fails to beat JSON. Two more
+//! fields time the frame checksum alone over the binary frame's payload
+//! — `protocol::checksum64`, which every encode and decode pays once,
+//! beside the byte-serial `fnv1a64` it replaced — so the share of a
+//! binary encode or decode that is integrity checking can be read off
+//! the report.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use maxdo::{DockingOutput, DockingRow, EulerZyz, Vec3};
-use netgrid::protocol::{decode_versioned, encode_with, Message};
+use netgrid::protocol::{
+    checksum64, decode_versioned, encode_with, fnv1a64, Message, HEADER_BYTES,
+};
 use netgrid::Codec;
 use std::hint::black_box;
 use std::time::Instant;
@@ -92,6 +99,12 @@ struct CodecReport {
     binary_decode_ns: f64,
     binary_encode_speedup: f64,
     binary_decode_speedup: f64,
+    /// `fnv1a64` over the binary frame's payload: what the frame
+    /// checksum cost before the word-parallel hash.
+    fnv1a64_payload_ns: f64,
+    /// `checksum64` over the same payload: what it costs now, once per
+    /// encode and once per decode.
+    checksum64_payload_ns: f64,
 }
 
 /// Measures both codecs with a best-of batch timer (steadier than the
@@ -130,6 +143,18 @@ fn bench_codec_report(_c: &mut Criterion) {
         }
     }));
 
+    let payload = &binary_frame[HEADER_BYTES..];
+    let fnv1a64_payload_ns = per_frame(best_of(reps, || {
+        for _ in 0..batch {
+            black_box(fnv1a64(black_box(payload)));
+        }
+    }));
+    let checksum64_payload_ns = per_frame(best_of(reps, || {
+        for _ in 0..batch {
+            black_box(checksum64(black_box(payload)));
+        }
+    }));
+
     let report = CodecReport {
         bench: "frame_codec".to_string(),
         smoke: criterion::smoke_mode(),
@@ -143,16 +168,21 @@ fn bench_codec_report(_c: &mut Criterion) {
         binary_decode_ns,
         binary_encode_speedup: json_encode_ns / binary_encode_ns,
         binary_decode_speedup: json_decode_ns / binary_decode_ns,
+        fnv1a64_payload_ns,
+        checksum64_payload_ns,
     };
     println!(
         "bench frame_codec: {} rows, {} B json vs {} B binary ({:.1}x smaller), \
-         encode {:.1}x faster, decode {:.1}x faster",
+         encode {:.1}x faster, decode {:.1}x faster; payload checksum {:.0} ns \
+         (fnv1a64 {:.0} ns)",
         rows,
         report.frame_bytes_json,
         report.frame_bytes_binary,
         report.frame_bytes_json as f64 / report.frame_bytes_binary as f64,
         report.binary_encode_speedup,
         report.binary_decode_speedup,
+        report.checksum64_payload_ns,
+        report.fnv1a64_payload_ns,
     );
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     // Cargo runs benches with cwd = the package dir; anchor the report

@@ -8,8 +8,9 @@
 //! unlike recovery it never truncates a torn tail.
 //!
 //! Exit status: 0 when both files scan cleanly (a torn tail is clean —
-//! it is what a crash leaves), 1 on a bad record or an I/O error, 2 on
-//! usage.
+//! it is what a crash leaves), 1 on a bad record — which includes a
+//! file sealed with an older journal format's checksum — or an I/O
+//! error, 2 on usage.
 
 use netgrid::journal::{SNAPSHOT_FILE, WAL_FILE};
 use netgrid::RecordReader;

@@ -5,8 +5,9 @@
 //! [`GridState`] durable the way BOINC's database does, but with the
 //! repo's own machinery: every scheduler transition — replica issue,
 //! result report (with verdict), deadline expiry — is appended to a
-//! per-campaign write-ahead log as a length-prefixed, FNV-checksummed
-//! frame (the exact wire framing from [`crate::protocol`]), and a
+//! per-campaign write-ahead log as a length-prefixed, checksummed frame
+//! (the exact wire framing from [`crate::protocol`], checksum included:
+//! [`protocol::checksum64`]), and a
 //! periodic compacting snapshot bounds replay cost.
 //!
 //! # File layout
@@ -82,6 +83,17 @@
 //!   an impossible version or length. No crash writes that; the file
 //!   was written by different code or damaged in place, and recovery
 //!   refuses with `InvalidData` rather than guess.
+//! * **legacy file** — the one case where a failed checksum is *not* a
+//!   torn tail: journal formats 1 and 2 sealed their frames with
+//!   FNV-1a 64, so to this build a whole format-2 file looks torn inside
+//!   its first frame — "an empty wal", which recovery would re-initialise,
+//!   silently restarting the campaign. So when the *first* frame of a
+//!   file fails its checksum, that one frame is re-checked with
+//!   [`protocol::fnv1a64`]; if it passes, the file is a bad record of
+//!   its own kind — refused with `InvalidData` naming the path and
+//!   "journal format 2 (FNV-1a checksums)", not a byte touched. Only
+//!   the first frame is probed: an FNV frame cannot follow a frame this
+//!   build accepted.
 //!
 //! Prefix loss is safe by construction: a lost `Fetch` replica
 //! ages out of nothing (it was never outstanding in the recovered
@@ -130,8 +142,12 @@ const FRAME_BINARY: u8 = protocol::PROTOCOL_V2;
 
 /// The journal format this build writes, pinned in every `Header`.
 /// Format 1 (headers written before the field existed) encoded
-/// transitions as JSON; format 2 encodes them in binary.
-const JOURNAL_FORMAT: u32 = 2;
+/// transitions as JSON; format 2 encodes them in binary; format 3 is
+/// format 2 with every frame sealed by [`protocol::checksum64`] instead
+/// of FNV-1a 64. Formats 1 and 2 never get as far as a parsed header —
+/// their first frame fails the checksum and is recognised by
+/// [`RecordReader`]'s legacy probe.
+const JOURNAL_FORMAT: u32 = 3;
 
 fn format_1() -> u32 {
     1
@@ -222,10 +238,10 @@ pub enum JournalRecord {
         /// the campaign.
         #[serde(default = "ShardSpec::solo")]
         shard: ShardSpec,
-        /// How the file's transition records are encoded: 2 = binary
-        /// (what this build reads and writes), 1 = JSON (headers from
-        /// before the field existed). A wal of another format is
-        /// refused before any transition is read.
+        /// The journal format of the file (see `JOURNAL_FORMAT`): 3 is
+        /// what this build reads and writes; a header without the
+        /// field reads as 1. A wal of another format is refused before
+        /// any transition is read.
         #[serde(default = "format_1")]
         format: u32,
     },
@@ -671,6 +687,15 @@ impl Iterator for RecordReader {
             Ok((version, payload, consumed)) => {
                 decode_record(version, payload).inspect(|_| self.off += consumed)
             }
+            Err(DecodeError::Checksum { expected, .. })
+                if off == 0 && sealed_with_fnv(&self.buf, expected) =>
+            {
+                Err(format!(
+                    "sealed by an older build: journal format 2 (FNV-1a checksums) or \
+                     earlier, this build reads and writes format {JOURNAL_FORMAT} only; finish \
+                     or discard that campaign with the build that wrote it"
+                ))
+            }
             Err(
                 DecodeError::Incomplete { .. }
                 | DecodeError::Checksum { .. }
@@ -684,6 +709,15 @@ impl Iterator for RecordReader {
         self.done = step.is_err();
         Some(step.map_err(|e| bad(format!("{}: frame at {off}: {e}", self.what))))
     }
+}
+
+/// Whether the frame at the front of `file` — already framed by
+/// [`protocol::deframe`], which found its payload does not hash to the
+/// header's `expected` — is sealed with the FNV-1a 64 of journal formats
+/// 1 and 2 (module docs, "legacy file").
+fn sealed_with_fnv(file: &[u8], expected: u64) -> bool {
+    let len = u32::from_le_bytes(file[5..9].try_into().expect("4 length bytes")) as usize;
+    protocol::fnv1a64(&file[HEADER_BYTES..HEADER_BYTES + len]) == expected
 }
 
 /// Checks a recovered header against the server's own campaign identity,
@@ -853,9 +887,12 @@ pub fn open_journaled(
     // A crash can leave a staged snapshot behind; it is dead either way.
     let _ = fs::remove_file(cfg.dir.join(SNAPSHOT_TMP));
 
-    // 1. Restore the snapshot, if one exists. Its format is not checked:
-    //    a snapshot is a JSON frame in every format, and `restore`
-    //    re-derives what depends on the writing build (fingerprints).
+    // 1. Restore the snapshot, if one exists. Its header's format is not
+    //    checked: a snapshot that deframes at all was sealed by this
+    //    format's checksum (an older one is refused by the reader's
+    //    legacy probe), its payload is a JSON frame in every format, and
+    //    `restore` re-derives what depends on the writing build
+    //    (fingerprints).
     let mut epoch = 0u64;
     let mut state = match snap_path.exists() {
         true => {
@@ -1182,6 +1219,88 @@ mod tests {
             wal,
             "refused wal left untouched"
         );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A frame as journal formats 1 and 2 sealed it: the same header
+    /// layout, FNV-1a 64 in the checksum field.
+    fn fnv_sealed_frame(version: u8, payload: &[u8]) -> Vec<u8> {
+        let mut frame = protocol::MAGIC.to_vec();
+        frame.push(version);
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&protocol::fnv1a64(payload).to_le_bytes());
+        frame.extend_from_slice(payload);
+        frame
+    }
+
+    /// To this build a format-2 file fails its very first checksum, which
+    /// is also what a wal torn inside its header looks like — and a torn
+    /// header is re-initialised. A format-2 directory must instead be
+    /// refused by name, wal or snapshot, with nothing on disk touched.
+    #[test]
+    fn a_format_2_journal_is_refused_not_reinitialised() {
+        let campaign = NetCampaign::build(CampaignParams::tiny());
+        let (config, faults) = (ServerConfig::default(), ServerFaults::default());
+        let header = serde_json::to_string(&JournalRecord::Header {
+            epoch: 0,
+            params: campaign.params(),
+            config,
+            faults,
+            shard: ShardSpec::solo(),
+            format: 2,
+        })
+        .unwrap();
+        let mut old = fnv_sealed_frame(FRAME_JSON, header.as_bytes());
+        let fetch = payload_of(&JournalRecord::Fetch {
+            now_s: 0.0,
+            agent: 1,
+            assigned: Some((0, 0)),
+        });
+        old.extend_from_slice(&fnv_sealed_frame(FRAME_BINARY, &fetch));
+
+        for file in [WAL_FILE, SNAPSHOT_FILE] {
+            let dir = scratch_dir(&format!("format2-{file}"));
+            fs::write(dir.join(file), &old).unwrap();
+            let err = open_journaled(
+                &JournalConfig::new(&dir),
+                &campaign,
+                config,
+                faults,
+                ShardSpec::solo(),
+            )
+            .err()
+            .expect("a format-2 journal must be refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let msg = err.to_string();
+            assert!(msg.contains(&dir.display().to_string()), "{msg}");
+            assert!(msg.contains("journal format 2 (FNV-1a checksums)"), "{msg}");
+            assert_eq!(
+                fs::read(dir.join(file)).unwrap(),
+                old,
+                "{file} left untouched"
+            );
+            let others = fs::read_dir(&dir).unwrap().count();
+            assert_eq!(others, 1, "nothing was created next to the refused {file}");
+            fs::remove_dir_all(&dir).unwrap();
+        }
+
+        // Damage that is not an FNV seal is still what it always was: a
+        // wal torn inside its first frame is an empty wal.
+        let dir = scratch_dir("format2-torn");
+        let mut torn = frame_json(&JournalRecord::Header {
+            epoch: 0,
+            params: campaign.params(),
+            config,
+            faults,
+            shard: ShardSpec::solo(),
+            format: JOURNAL_FORMAT,
+        });
+        let last = torn.len() - 1;
+        torn[last] ^= 0x01;
+        fs::write(dir.join(WAL_FILE), &torn).unwrap();
+        let mut reader = RecordReader::open(&dir.join(WAL_FILE)).unwrap();
+        assert!(reader.next().is_none());
+        assert_eq!(reader.offset(), 0);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

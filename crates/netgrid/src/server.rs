@@ -13,7 +13,7 @@
 //! Why an event loop: the previous design spawned one OS thread per
 //! agent, which topped out around the dozens-of-volunteers scale —
 //! 10 000 loopback agents would mean 10 000 stacks and a scheduler
-//! meltdown. Here every connection is a few hundred bytes of buffer
+//! meltdown. Here every connection is a few kilobytes of buffer
 //! state, the deadline sweeper and the journal fsync policy are timer
 //! events on the same loop, and the state mutex (still shared with the
 //! ops scrape thread) is only ever taken from this one thread for
@@ -200,9 +200,48 @@ pub struct NetServer {
 /// finding a dead socket and burning its whole reconnect budget.
 const SHUTDOWN_GRACE: Duration = Duration::from_secs(3);
 
-/// Per-read scratch size. Large enough that a typical request frame
-/// arrives in one `read`, small enough to sit on the stack.
+/// Stack scratch of one blocking steering exchange's reads.
 const READ_CHUNK: usize = 16 * 1024;
+
+/// The least free space a connection's [`ReadBuf`] offers a `read`:
+/// large enough that a typical request frame (a 21-row report is 1.5 KB)
+/// arrives in one, small enough to hold per connection ten thousand
+/// times over.
+const READ_SPACE: usize = 4 * 1024;
+
+/// Bytes received on a connection and not yet decoded into frames.
+///
+/// The socket is read straight into the buffer: `bytes` stays
+/// initialised past `filled` (zeroed once, when it grows — never per
+/// read), so there is no scratch chunk to clear and copy out of.
+#[derive(Default)]
+struct ReadBuf {
+    bytes: Vec<u8>,
+    filled: usize,
+}
+
+impl ReadBuf {
+    /// The free space to read into, grown first when under
+    /// [`READ_SPACE`] (doubling, so a large frame costs few reads).
+    fn space(&mut self) -> &mut [u8] {
+        if self.bytes.len() - self.filled < READ_SPACE {
+            let grown = self.bytes.len() + self.bytes.len().max(READ_SPACE);
+            self.bytes.resize(grown, 0);
+        }
+        &mut self.bytes[self.filled..]
+    }
+
+    /// The received bytes not yet consumed.
+    fn pending(&self) -> &[u8] {
+        &self.bytes[..self.filled]
+    }
+
+    /// Drops the first `n` pending bytes (one decoded frame).
+    fn consume(&mut self, n: usize) {
+        self.bytes.copy_within(n..self.filled, 0);
+        self.filled -= n;
+    }
+}
 
 /// One live connection's state: buffered bytes in each direction plus
 /// the bookkeeping the dispatch needs. The implicit state machine is
@@ -212,7 +251,7 @@ const READ_CHUNK: usize = 16 * 1024;
 struct Conn {
     stream: TcpStream,
     /// Bytes received but not yet decoded into frames.
-    read_buf: Vec<u8>,
+    read_buf: ReadBuf,
     /// Encoded replies not yet flushed to the socket.
     write_buf: Vec<u8>,
     /// How much of `write_buf` has been written so far.
@@ -244,7 +283,7 @@ impl Conn {
     fn new(stream: TcpStream, brushoff: bool) -> Self {
         Self {
             stream,
-            read_buf: Vec::new(),
+            read_buf: ReadBuf::default(),
             write_buf: Vec::new(),
             write_pos: 0,
             agent: 0,
@@ -879,7 +918,7 @@ impl EventLoop {
     }
 
     /// Advances one connection's state machine for a readiness event:
-    /// read everything available, decode and dispatch every complete
+    /// read what the socket holds, decode and dispatch every complete
     /// frame, flush queued replies, then update poller interest or
     /// retire the connection.
     fn advance_conn(&mut self, ev: IoEvent) {
@@ -915,21 +954,32 @@ impl EventLoop {
         self.conns.insert(ev.fd, conn);
     }
 
-    /// The read half of the state machine: drain the socket into the
-    /// connection's buffer, then decode and dispatch every complete
-    /// frame in it (an agent may pipeline several).
+    /// The read half of the state machine: read what the socket holds
+    /// into the connection's buffer, then decode and dispatch every
+    /// complete frame in it (an agent may pipeline several).
+    ///
+    /// A read that comes back short has drained the socket, so the loop
+    /// stops there instead of paying a second `read` for `WouldBlock`;
+    /// the poller is level-triggered (see [`crate::sys`]), so anything
+    /// that arrives later — an EOF included — raises a new event.
     fn read_and_dispatch(&mut self, conn: &mut Conn) {
         if conn.closing.is_some() || conn.brushoff {
             return;
         }
-        let mut chunk = [0u8; READ_CHUNK];
         loop {
-            match conn.stream.read(&mut chunk) {
+            let space = conn.read_buf.space();
+            let offered = space.len();
+            match conn.stream.read(space) {
                 Ok(0) => {
                     conn.closing = Some("eof");
                     break;
                 }
-                Ok(n) => conn.read_buf.extend_from_slice(&chunk[..n]),
+                Ok(n) => {
+                    conn.read_buf.filled += n;
+                    if n < offered {
+                        break;
+                    }
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => {
@@ -941,9 +991,9 @@ impl EventLoop {
         let orderly_close = conn.closing;
         conn.closing = None;
         while conn.closing.is_none() {
-            match decode_versioned(&conn.read_buf) {
+            match decode_versioned(conn.read_buf.pending()) {
                 Ok((msg, consumed, codec)) => {
-                    conn.read_buf.drain(..consumed);
+                    conn.read_buf.consume(consumed);
                     conn.frames += 1;
                     conn.codec = codec;
                     match self.dispatch(&mut conn.agent, &mut conn.attached, msg, codec) {
@@ -1254,5 +1304,142 @@ impl EventLoop {
             });
         }
         drop(conn);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// An event loop over a solo tiny campaign, with no listener: the
+    /// tests hand it connections directly.
+    fn event_loop() -> EventLoop {
+        let (grid, clock_offset) = MultiGrid::open(
+            vec![CampaignDef::default_solo(CampaignParams::tiny())],
+            ServerConfig::default(),
+            ServerFaults::default(),
+            ShardSpec::solo(),
+            None,
+        )
+        .unwrap();
+        EventLoop {
+            listener: None,
+            grid: Arc::new(Mutex::new(grid)),
+            done: Arc::new(AtomicBool::new(false)),
+            deadline_seconds: 5.0,
+            faults: ServerFaults::default(),
+            epoch: Instant::now(),
+            clock_offset,
+            poller: Poller::new().unwrap(),
+            conns: HashMap::new(),
+            connections: 0,
+            rejected: 0,
+            accepted_active: 0,
+            shard: None,
+            boards: Arc::new(Mutex::new(Vec::new())),
+        }
+    }
+
+    /// A connected loopback pair: the agent's blocking end and the
+    /// server's nonblocking connection.
+    fn socket_pair() -> (TcpStream, Conn) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let agent = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        agent.set_nodelay(true).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_nonblocking(true).unwrap();
+        (agent, Conn::new(stream, false))
+    }
+
+    /// Runs the read half until `until` holds. Loopback delivery is
+    /// prompt but not synchronous with the writer's `write`, hence the
+    /// polling; the deadline only bounds a failing test.
+    fn pump(ev: &mut EventLoop, conn: &mut Conn, until: impl Fn(&Conn) -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !until(conn) {
+            assert!(Instant::now() < deadline, "connection never got there");
+            ev.read_and_dispatch(conn);
+            std::thread::yield_now();
+        }
+    }
+
+    fn hello(campaigns: Vec<String>) -> Vec<u8> {
+        let msg = Message::Hello {
+            agent: 9,
+            threads: 1,
+            campaigns,
+        };
+        encode_with(&msg, Codec::BinaryV4).to_vec()
+    }
+
+    /// The replies queued on the connection, decoded.
+    fn replies(conn: &Conn) -> Vec<Message> {
+        let mut out = Vec::new();
+        let mut rest = &conn.write_buf[..];
+        while !rest.is_empty() {
+            let (msg, consumed, _) = decode_versioned(rest).expect("a whole reply");
+            out.push(msg);
+            rest = &rest[consumed..];
+        }
+        out
+    }
+
+    #[test]
+    fn a_frame_split_across_two_writes_dispatches_once() {
+        let (mut ev, (mut agent, mut conn)) = (event_loop(), socket_pair());
+        let frame = hello(Vec::new());
+        agent.write_all(&frame[..10]).unwrap();
+        pump(&mut ev, &mut conn, |c| c.read_buf.filled == 10);
+        assert_eq!(conn.frames, 0);
+        assert!(conn.write_buf.is_empty() && conn.closing.is_none());
+        agent.write_all(&frame[10..]).unwrap();
+        pump(&mut ev, &mut conn, |c| c.frames > 0);
+        assert_eq!((conn.frames, conn.read_buf.filled), (1, 0));
+        assert!(matches!(replies(&conn)[..], [Message::HelloAck { .. }]));
+    }
+
+    #[test]
+    fn two_frames_pipelined_in_one_write_each_dispatch_once() {
+        let (mut ev, (mut agent, mut conn)) = (event_loop(), socket_pair());
+        let mut wire = hello(Vec::new());
+        wire.extend_from_slice(&encode_with(&Message::RequestWork, Codec::BinaryV4));
+        agent.write_all(&wire).unwrap();
+        pump(&mut ev, &mut conn, |c| c.frames >= 2);
+        assert_eq!((conn.frames, conn.read_buf.filled), (2, 0));
+        assert!(matches!(
+            replies(&conn)[..],
+            [Message::HelloAck { .. }, Message::Assignment { .. }]
+        ));
+    }
+
+    #[test]
+    fn a_frame_larger_than_one_read_dispatches_once() {
+        let (mut ev, (mut agent, mut conn)) = (event_loop(), socket_pair());
+        // Unknown campaign names are ignored, so they only add bulk.
+        let frame = hello((0..3000).map(|i| format!("campaign-{i:05}")).collect());
+        assert!(frame.len() > 8 * READ_SPACE);
+        let writer = std::thread::spawn(move || {
+            agent.write_all(&frame).unwrap();
+            agent
+        });
+        pump(&mut ev, &mut conn, |c| c.frames > 0);
+        let _agent = writer.join().unwrap();
+        assert_eq!((conn.frames, conn.read_buf.filled), (1, 0));
+        assert!(matches!(replies(&conn)[..], [Message::HelloAck { .. }]));
+        ev.read_and_dispatch(&mut conn);
+        assert_eq!(conn.frames, 1, "nothing is dispatched twice");
+    }
+
+    /// The read loop stops on a short read without seeing the EOF behind
+    /// it; the next readiness event must still find it.
+    #[test]
+    fn eof_behind_a_fully_read_frame_is_still_noticed() {
+        let (mut ev, (mut agent, mut conn)) = (event_loop(), socket_pair());
+        agent.write_all(&hello(Vec::new())).unwrap();
+        drop(agent);
+        pump(&mut ev, &mut conn, |c| c.closing.is_some());
+        assert_eq!(conn.closing, Some("eof"));
+        assert_eq!(conn.frames, 1, "the frame before the EOF was served");
+        assert!(matches!(replies(&conn)[..], [Message::HelloAck { .. }]));
     }
 }

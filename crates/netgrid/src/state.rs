@@ -28,7 +28,7 @@
 use crate::campaign::NetCampaign;
 use crate::faults::ServerFaults;
 use crate::journal::{Journal, JournalRecord};
-use crate::protocol::{binary, fnv1a64_extend, FNV_OFFSET_BASIS};
+use crate::protocol::{binary, Checksum64};
 use crate::shard::{self, ShardSpec};
 use crate::trust::{spot_selected, AgentTrust, TrustBand};
 use gridsim::server::{
@@ -43,26 +43,38 @@ use std::collections::{HashMap, VecDeque};
 use telemetry::{self, Event};
 use validation::{checks::check_rows, ValueRanges};
 
-/// The quorum fingerprint of a result payload: FNV-1a 64 streamed over
+/// The quorum fingerprint of a result payload: [`checksum64`] of
 /// `evaluations`, the row count and every row's 72-byte little-endian
 /// record — exactly the bytes [`binary`] puts on the wire and in the
-/// journal for this output, hashed without assembling them.
+/// journal for this output, streamed through a [`Checksum64`] without
+/// assembling them (no allocation).
 ///
 /// Two payloads share a fingerprint exactly when every field is
-/// bit-identical (up to 64-bit hash collisions). That is the equality
-/// the canonical-JSON fingerprint it replaces gave for finite values,
-/// and stricter at the edges JSON blurred: `0.0` and `-0.0` are different
-/// payloads, and so are two NaNs with different payload bits. The
-/// energies and position of an accepted result are finite (§5.2 bounds
-/// checks run first); a NaN can only sit in an orientation angle, where
-/// honest replicas — same code, same inputs — produce the same bits.
+/// bit-identical (up to 64-bit hash collisions; payloads that differ in
+/// a single 8-byte word of that encoding never collide, see
+/// [`checksum64`]). That is the equality a canonical-JSON comparison
+/// gives for finite values, and stricter at the edges JSON blurs: `0.0`
+/// and `-0.0` are different payloads, and so are two NaNs with different
+/// payload bits. The energies and position of an accepted result are
+/// finite (§5.2 bounds checks run first); a NaN can only sit in an
+/// orientation angle, where honest replicas — same code, same inputs —
+/// produce the same bits.
+///
+/// [`checksum64`]: crate::protocol::checksum64
 pub fn fingerprint(output: &DockingOutput) -> u64 {
-    let mut hash = fnv1a64_extend(FNV_OFFSET_BASIS, &output.evaluations.to_le_bytes());
-    hash = fnv1a64_extend(hash, &(output.rows.len() as u32).to_le_bytes());
-    for row in &output.rows {
-        hash = fnv1a64_extend(hash, &binary::row_bytes(row));
+    let mut sum = Checksum64::new();
+    sum.update(&output.evaluations.to_le_bytes());
+    sum.update(&(output.rows.len() as u32).to_le_bytes());
+    // Rows are staged a few at a time so the hasher is fed whole stripes
+    // rather than 72-byte dribbles.
+    let mut staged = [0u8; 8 * binary::ROW_BYTES];
+    for rows in output.rows.chunks(8) {
+        for (slot, row) in staged.chunks_exact_mut(binary::ROW_BYTES).zip(rows) {
+            slot.copy_from_slice(&binary::row_bytes(row));
+        }
+        sum.update(&staged[..rows.len() * binary::ROW_BYTES]);
     }
-    hash
+    sum.finish()
 }
 
 /// Reply to a work request.
@@ -1856,7 +1868,7 @@ mod tests {
     /// The fingerprint this one replaced, kept here only to pin that
     /// the replacement draws the same lines between payloads.
     fn canonical_json_fingerprint(output: &DockingOutput) -> u64 {
-        crate::protocol::fnv1a64(serde_json::to_string(output).unwrap().as_bytes())
+        crate::protocol::checksum64(serde_json::to_string(output).unwrap().as_bytes())
     }
 
     #[test]
@@ -1903,15 +1915,15 @@ mod tests {
         assert_eq!(distinct, 13, "1 honest + 6 corruptions + 6 edits: {new:?}");
     }
 
-    /// The fingerprint is the FNV-1a of exactly the bytes the binary
-    /// codec writes for the output — streamed, not assembled.
+    /// The fingerprint is the bulk checksum of exactly the bytes the
+    /// binary codec writes for the output — streamed, not assembled.
     #[test]
     fn fingerprint_is_the_hash_of_the_binary_encoding() {
         let campaign = NetCampaign::build(CampaignParams::tiny());
         let out = campaign.compute(campaign.spec(0));
         let mut w = binary::Writer(Vec::new());
         w.output(&out);
-        assert_eq!(fingerprint(&out), crate::protocol::fnv1a64(&w.0));
+        assert_eq!(fingerprint(&out), crate::protocol::checksum64(&w.0));
     }
 
     mod props {

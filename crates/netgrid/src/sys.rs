@@ -13,8 +13,9 @@
 //! bench driver share: register/modify/remove a file descriptor's read
 //! and write interest, then [`Poller::wait`] for events or a timeout.
 //! Readiness is level-triggered on both backends, which keeps the
-//! consumers simple: always drain reads to `WouldBlock`, only register
-//! write interest while bytes are actually queued.
+//! consumers simple: read until `WouldBlock` or a short read (whatever
+//! arrives afterwards raises the fd again), only register write
+//! interest while bytes are actually queued.
 //!
 //! The `poll(2)` backend rebuilds its `pollfd` array on every wait —
 //! O(n) per call, fine as a portability fallback and for the small fd

@@ -8,16 +8,38 @@
 //! that claims "bit-identical" has to reproduce them unedited, and one
 //! that knowingly moves bits re-records them in the same PR and says so.
 //!
+//! The payload digests are this file's own FNV-1a 64 over the binary
+//! row records (`netgrid::protocol::binary::row_bytes`) — the definition
+//! the literals were recorded with. The test does not depend on
+//! `netgrid::fingerprint`, so the server's quorum hash can change
+//! without this file, whose one job is to prove the *kernel* did not
+//! move, being re-recorded.
+//!
 //! On a mismatch each test prints the table it computed, in the
 //! literal's own format.
 
 use maxdo::{
-    minimize_fire, CellList, DockingEngine, EnergyParams, EulerZyz, FireParams, LibraryConfig,
-    MinimizeParams, Pose, ProteinId, ProteinLibrary, Vec3,
+    minimize_fire, CellList, DockingEngine, DockingOutput, EnergyParams, EulerZyz, FireParams,
+    LibraryConfig, MinimizeParams, Pose, ProteinId, ProteinLibrary, Vec3,
 };
-use netgrid::{fingerprint, CampaignParams, NetCampaign};
+use netgrid::protocol::binary::row_bytes;
+use netgrid::{CampaignParams, NetCampaign};
 
-/// `fingerprint evaluations` of every workunit of the tiny campaign, in
+/// FNV-1a 64 of `evaluations ‖ row count ‖ row records`, all
+/// little-endian: the digest the literals below hold.
+fn payload_digest(out: &DockingOutput) -> u64 {
+    let header = [
+        &out.evaluations.to_le_bytes()[..],
+        &(out.rows.len() as u32).to_le_bytes(),
+    ];
+    let rows = out.rows.iter().map(row_bytes);
+    let bytes = header.concat().into_iter().chain(rows.flatten());
+    bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `payload_digest evaluations` of every workunit of the tiny campaign, in
 /// catalog order.
 const TINY_CAMPAIGN: &str = "\
 40e2f86c8936b55a 410
@@ -40,7 +62,7 @@ acb437c8dc76a6e5 270
 
 /// Two starting positions of one couple of proteins the size of the
 /// paper's (hundreds of beads, several cutoff lengths across): bead
-/// counts, then `fingerprint` and `evaluations`.
+/// counts, then `payload_digest` and `evaluations`.
 const PAPER_SCALE: (usize, usize, u64, u64) = (296, 304, 0x4c9e31dcea328b1a, 1268);
 
 /// One FIRE relaxation of the same couple from deep contact, where every
@@ -65,7 +87,7 @@ fn tiny_campaign_workunits_match_the_recorded_kernel() {
         .iter()
         .map(|&spec| {
             let out = campaign.compute(spec);
-            format!("{:016x} {}\n", fingerprint(&out), out.evaluations)
+            format!("{:016x} {}\n", payload_digest(&out), out.evaluations)
         })
         .collect();
     assert!(table == TINY_CAMPAIGN, "computed:\n{table}");
@@ -102,7 +124,7 @@ fn paper_scale_couple_matches_the_recorded_kernel() {
     let computed = (
         engine.receptor().bead_count(),
         engine.ligand().bead_count(),
-        fingerprint(&out),
+        payload_digest(&out),
         out.evaluations,
     );
     assert!(computed == PAPER_SCALE, "computed: {computed:#x?}");
