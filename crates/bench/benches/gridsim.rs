@@ -4,8 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gridsim::{
-    EventQueue, HeapQueue, Host, HostId, HostParams, Scheduler, ServerConfig, SimTime, TaskServer,
-    VolunteerGridConfig, VolunteerGridSim,
+    EventQueue, HeapQueue, Host, HostId, HostParams, Scheduler, SchedulerCore, ServerConfig,
+    SimTime, VolunteerGridConfig, VolunteerGridSim,
 };
 use std::hint::black_box;
 
@@ -54,7 +54,7 @@ fn bench_task_server(c: &mut Criterion) {
                     receptor: (i % 168) as u16,
                 })
                 .collect();
-            let mut server = TaskServer::new(
+            let mut server = SchedulerCore::new(
                 catalog,
                 ServerConfig {
                     validation_switch_day: Some(0),

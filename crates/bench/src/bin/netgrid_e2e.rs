@@ -57,11 +57,6 @@
 //! while both campaigns still had fresh work — bench_guard warns when
 //! that error exceeds 0.05 or an artifact diverges.
 //!
-//! `--codec` picks the wire codec for every agent frame: `binary`
-//! (protocol v2, the default) or `json` (protocol v1 — the old-agent
-//! interop path). The sharded campaigns always speak `v3` — steering
-//! needs the shard message family.
-//!
 //! `--merge p0.json,p1.json[,...]` skips the bench entirely and runs
 //! the artifact merge step instead: reads the per-shard partials the
 //! sharded servers wrote with `--out`, combines them with
@@ -78,9 +73,8 @@ use bench_support::RunSession;
 use metrics::quantile;
 use netgrid::{
     http_get, merge_artifact_json, merge_artifacts, run_agent, run_mux_fleet, AgentConfig,
-    CampaignDef, CampaignParams, Codec, FaultProfile, JournalConfig, MuxFleetConfig,
-    MuxFleetReport, NetCampaign, NetRunReport, NetServer, NetServerConfig, ShardSpec,
-    ShardTopology, TrustConfig,
+    CampaignDef, CampaignParams, FaultProfile, JournalConfig, MuxFleetConfig, MuxFleetReport,
+    NetCampaign, NetRunReport, NetServer, NetServerConfig, ShardSpec, ShardTopology, TrustConfig,
 };
 use std::net::TcpListener;
 use std::thread;
@@ -96,8 +90,6 @@ struct NetgridReport {
     bench: String,
     quick: bool,
     seed: u64,
-    /// Wire codec every agent frame used: "binary" (v2) or "json" (v1).
-    codec: String,
     /// Honest (flaky-profile) agents; the victim and the saboteur ride
     /// on top of these.
     agents: usize,
@@ -268,7 +260,6 @@ fn run_campaign(
     deadline_seconds: f64,
     honest_agents: usize,
     seed: u64,
-    codec: Codec,
     journal: Option<JournalConfig>,
     ops: bool,
 ) -> CampaignOutcome {
@@ -277,7 +268,6 @@ fn run_campaign(
         deadline_seconds,
         honest_agents,
         seed,
-        codec,
         journal,
         ops,
         FaultProfile::flaky(),
@@ -291,7 +281,6 @@ fn run_campaign_with(
     deadline_seconds: f64,
     honest_agents: usize,
     seed: u64,
-    codec: Codec,
     journal: Option<JournalConfig>,
     ops: bool,
     honest_profile: FaultProfile,
@@ -345,7 +334,6 @@ fn run_campaign_with(
             run_agent(AgentConfig {
                 die_after: Some(1),
                 seed,
-                codec,
                 ..AgentConfig::new(addr, 100)
             })
         })
@@ -357,7 +345,6 @@ fn run_campaign_with(
             run_agent(AgentConfig {
                 profile: FaultProfile::saboteur(),
                 seed,
-                codec,
                 ..AgentConfig::new(addr, 666)
             })
         })
@@ -370,7 +357,6 @@ fn run_campaign_with(
         let fleet = run_mux_fleet(MuxFleetConfig {
             seed,
             profile: honest_profile,
-            codec,
             timeout: Duration::from_secs(280),
             ..MuxFleetConfig::new(addr, honest_agents)
         })
@@ -402,7 +388,6 @@ fn run_campaign_with(
                         profile: honest_profile,
                         threads: if agent == 1 { 2 } else { 1 },
                         seed,
-                        codec,
                         ..AgentConfig::new(addr, agent)
                     })
                 })
@@ -458,7 +443,6 @@ fn run_multi_campaign(
                 run_agent(AgentConfig {
                     profile: FaultProfile::reliable(),
                     seed,
-                    codec: Codec::BinaryV4,
                     campaigns: vec!["*".into()],
                     ..AgentConfig::new(addr, agent)
                 })
@@ -529,7 +513,6 @@ fn run_sharded_campaign(
     let t0 = Instant::now();
     let fleet = run_mux_fleet(MuxFleetConfig {
         seed,
-        codec: Codec::BinaryV3,
         addrs: addrs.clone(),
         timeout: Duration::from_secs(280),
         ..MuxFleetConfig::new(addrs[0].clone(), agents)
@@ -555,7 +538,7 @@ fn run_sharded_campaign(
 }
 
 /// The like-for-like single-server run the sharded campaigns are scored
-/// against: same campaign, same fleet size, same driver and codec, one
+/// against: same campaign, same fleet size, same driver, one
 /// unsharded server. Returns the artifact JSON and the fleet-side
 /// workunits/sec.
 fn run_shard_reference(
@@ -575,7 +558,6 @@ fn run_shard_reference(
     let t0 = Instant::now();
     let fleet = run_mux_fleet(MuxFleetConfig {
         seed,
-        codec: Codec::BinaryV3,
         timeout: Duration::from_secs(280),
         ..MuxFleetConfig::new(addr, agents)
     })
@@ -594,7 +576,6 @@ fn main() {
     let mut scale_agents: Option<usize> = None;
     let mut shards: Option<u16> = None;
     let mut merge: Option<String> = None;
-    let mut codec = Codec::Binary;
     let mut out: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -628,20 +609,12 @@ fn main() {
                 )
             }
             "--merge" => merge = Some(args.next().expect("--merge <p0.json,p1.json,...>")),
-            "--codec" => {
-                codec = args
-                    .next()
-                    .as_deref()
-                    .map(Codec::parse)
-                    .expect("--codec <json|binary>")
-                    .unwrap_or_else(|e| panic!("--codec: {e}"))
-            }
             "--out" => out = Some(args.next().expect("--out <path>")),
             other => {
                 eprintln!("netgrid_e2e: unknown argument {other}");
                 eprintln!(
                     "usage: netgrid_e2e [--quick] [--seed <n>] [--agents <n>] \
-                     [--scale-agents <n>] [--shards <n>] [--codec json|binary] \
+                     [--scale-agents <n>] [--shards <n>] \
                      [--out <path>] | --merge <p0.json,p1.json,...> [--out <path>]"
                 );
                 std::process::exit(2);
@@ -705,7 +678,6 @@ fn main() {
         deadline_seconds,
         honest_agents,
         seed,
-        codec,
         None,
         false,
     );
@@ -724,7 +696,6 @@ fn main() {
             deadline_seconds,
             honest_agents,
             seed,
-            codec,
             Some(JournalConfig::new(&journal_dir)),
             false,
         );
@@ -734,7 +705,6 @@ fn main() {
             deadline_seconds,
             honest_agents,
             seed,
-            codec,
             None,
             true,
         );
@@ -749,7 +719,6 @@ fn main() {
             deadline_seconds,
             scale_agents,
             seed,
-            codec,
             None,
             false,
         )
@@ -768,7 +737,6 @@ fn main() {
             deadline_seconds,
             trust_fleet,
             seed,
-            codec,
             None,
             false,
             FaultProfile::reliable(),
@@ -935,7 +903,6 @@ fn main() {
         bench: "netgrid_e2e".to_string(),
         quick,
         seed,
-        codec: codec.to_string(),
         agents: honest_agents,
         mux,
         workunits: plain.run.workunits,
@@ -997,13 +964,12 @@ fn main() {
         campaign_rows,
     };
     println!(
-        "{} workunits in {:.2} s over loopback ({:.1} wu/s, {} agents [{}] + victim + saboteur, {} codec)",
+        "{} workunits in {:.2} s over loopback ({:.1} wu/s, {} agents [{}] + victim + saboteur)",
         report.workunits,
         report.wall_seconds,
         report.workunits_per_sec,
         report.agents,
         if mux { "mux" } else { "threaded" },
-        report.codec,
     );
     println!(
         "request latency p50 {:.2} ms, p99 {:.2} ms over {} requests",

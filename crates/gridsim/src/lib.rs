@@ -68,6 +68,6 @@ pub use host::{AccountingMode, Host, HostId, HostParams, WorkunitExecution};
 pub use membership::{MembershipModel, SeasonalityModel};
 pub use project::{ProjectPhases, SharePhase};
 pub use sched::{CampaignShare, FairShare, ReceptorProgress, SchedulerCore, WuStateCounts};
-pub use server::{FeederConfig, ServerConfig, ServerStats, TaskServer, ValidationPolicy};
+pub use server::{FeederConfig, ServerConfig, ServerStats, ValidationPolicy};
 pub use trace::CampaignTrace;
 pub use volunteer::{SimEvent, VolunteerGridConfig, VolunteerGridSim};

@@ -9,29 +9,24 @@
 //! validation switch — lives in the transport-free [`crate::sched`]
 //! module, because two frontends now drive it: the discrete-event
 //! simulator in this crate and the live wire-level grid in
-//! `hcmd-netgrid`. [`TaskServer`] is the simulator's name for that shared
-//! core; the alias (rather than a wrapper) guarantees the two frontends
-//! cannot drift apart, and the `scheduler_parity` integration test pins
-//! that guarantee.
+//! `hcmd-netgrid`. Both use [`SchedulerCore`] itself, so they cannot
+//! drift apart, and the `scheduler_parity` integration test pins that
+//! guarantee. This module is the path the frontends import it by.
 
 pub use crate::sched::{
     CoreSnapshot, FeederConfig, ReplicaAssignment, ReplicaId, ReplicationOverride, ReportOutcome,
     SchedulerCore, ServerConfig, ServerStats, ValidationPolicy, WorkunitCatalogEntry,
 };
 
-/// The task server driven by the discrete-event simulator — exactly the
-/// shared [`SchedulerCore`], fed simulated seconds.
-pub type TaskServer = SchedulerCore;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::SimTime;
 
-    /// The simulator-facing alias exposes the full policy API surface
+    /// The simulator-facing path exposes the full policy API surface
     /// (the deep behavioural tests live next to the core in `sched`).
     #[test]
-    fn task_server_alias_drives_the_shared_core() {
+    fn the_re_exported_core_drives_a_workunit_to_quorum() {
         let catalog = vec![
             WorkunitCatalogEntry {
                 ref_seconds: 1000.0,
@@ -40,7 +35,7 @@ mod tests {
             };
             2
         ];
-        let mut s = TaskServer::new(catalog, ServerConfig::default());
+        let mut s = SchedulerCore::new(catalog, ServerConfig::default());
         let t = |sec: f64| SimTime::new(sec);
         assert_eq!(s.policy_at(t(0.0)), ValidationPolicy::QuorumCompare);
         let a = s.fetch_work(t(0.0)).expect("work available");

@@ -13,7 +13,7 @@ use crate::event::{EventQueue, Scheduler, SimTime};
 use crate::host::{Host, HostId, HostParams};
 use crate::membership::{ChurnCounters, MembershipModel, HCMD_LAUNCH_DAY};
 use crate::project::ProjectPhases;
-use crate::server::{ReplicaId, ServerConfig, TaskServer, WorkunitCatalogEntry};
+use crate::server::{ReplicaId, SchedulerCore, ServerConfig, WorkunitCatalogEntry};
 use crate::trace::{CampaignTrace, WorkSnapshot};
 use metrics::DailySeries;
 use workunit::{CampaignPackage, LaunchSchedule};
@@ -146,7 +146,7 @@ struct HostSlot {
 /// seq)` pop order, so the choice cannot change a trace.
 pub struct VolunteerGridSim<S: Scheduler<SimEvent> = EventQueue<SimEvent>> {
     config: VolunteerGridConfig,
-    server: TaskServer,
+    server: SchedulerCore,
     queue: S,
     hosts: Vec<HostSlot>,
     idle: Vec<u32>,
@@ -202,7 +202,7 @@ impl<S: Scheduler<SimEvent>> VolunteerGridSim<S> {
             count: wu_count,
             h_seconds,
         });
-        let server = TaskServer::new(catalog, config.server);
+        let server = SchedulerCore::new(catalog, config.server);
         let mut queue = S::default();
         queue.schedule(SimTime::ZERO, SimEvent::DayTick);
         let n_receptors = schedule.len();

@@ -41,12 +41,11 @@ pub struct AgentConfig {
     pub die_after: Option<u32>,
     /// Give up after this many consecutive failed connection attempts.
     pub max_connect_attempts: u32,
-    /// Wire codec for outgoing frames. On a failed handshake the agent
-    /// steps down one protocol level per session (v4 → v3 → v2 → JSON,
-    /// which every server release understands), so the v4 default is
-    /// safe against older servers that close on an unknown version byte.
+    /// The one wire dialect. A vestige with a single value, kept because
+    /// `benchmarks/gridbench` reads it (see [`Codec`]); `run_agent`
+    /// never changes it, whatever a handshake does.
     pub codec: Codec,
-    /// Campaign attachments announced in the v4 handshake: names of the
+    /// Campaign attachments announced in the handshake: names of the
     /// hosted campaigns this volunteer works for. Empty means the
     /// default campaign; the single entry `"*"` attaches to all.
     pub campaigns: Vec<String>,
@@ -63,7 +62,7 @@ impl AgentConfig {
             seed: 0,
             die_after: None,
             max_connect_attempts: 50,
-            codec: Codec::BinaryV4,
+            codec: Codec,
             campaigns: Vec::new(),
         }
     }
@@ -88,7 +87,7 @@ pub struct AgentReport {
     pub request_latencies_ms: Vec<f64>,
     /// Whether the agent saw the campaign complete (vs. dying early).
     pub saw_completion: bool,
-    /// Cross-shard redirects followed (v3 sharded servers only).
+    /// Cross-shard redirects followed (sharded servers only).
     pub redirects_followed: u64,
 }
 
@@ -97,11 +96,11 @@ pub fn run_agent(config: AgentConfig) -> io::Result<AgentReport> {
     let mut report = AgentReport::default();
     let mut dice = FaultDice::new(config.seed, config.agent, config.profile);
     // Campaigns the agent is attached to, indexed by the wire campaign
-    // id from `Assignment::campaign`. A single-campaign (or pre-v4)
-    // server has exactly one entry, index 0.
+    // id from `Assignment::campaign`. A single-campaign server has
+    // exactly one entry, index 0.
     let mut roster: Vec<NetCampaign> = Vec::new();
     let mut connect_failures = 0u32;
-    let mut codec = config.codec;
+    let codec = config.codec;
     // Where the next session dials. A sharded server may answer a
     // RequestWork with a Redirect to a loaded peer; the agent follows
     // at most ONE redirect per ask (`bounced` below), so two drained
@@ -177,26 +176,16 @@ pub fn run_agent(config: AgentConfig) -> io::Result<AgentReport> {
                 continue 'session;
             }
             Ok(_) | Err(_) => {
-                // A redirect target that hangs up mid-handshake is not
-                // an older server — it is a peer that finished its
-                // drain and closed between gossip ticks. Fall home on
-                // the same codec; stepping down here would wrongly
-                // downgrade the whole session against the home shard.
+                // A handshake that dies says nothing about the peer's
+                // dialect — there is only one — so the next session
+                // says the same `Hello`, attachments and all. A
+                // redirect target that hangs up is a peer that finished
+                // its drain and closed between gossip ticks: fall home.
                 if addr != config.addr {
                     addr = config.addr.clone();
                     bounced = false;
                     continue 'session;
                 }
-                // An older server drops the connection on a version
-                // byte it does not know: step down one protocol level
-                // per failed session (v4 → v3 → v2 → JSON, which every
-                // server release understands).
-                codec = match codec {
-                    Codec::BinaryV4 => Codec::BinaryV3,
-                    Codec::BinaryV3 => Codec::Binary,
-                    Codec::Binary => Codec::Json,
-                    Codec::Json => Codec::Json,
-                };
                 std::thread::sleep(Duration::from_millis(50));
                 continue 'session;
             }
@@ -265,7 +254,7 @@ pub fn run_agent(config: AgentConfig) -> io::Result<AgentReport> {
                     ..
                 } => {
                     // The roster entry this assignment docks against —
-                    // index 0 unless a v4 multi-campaign server said
+                    // index 0 unless a multi-campaign server said
                     // otherwise. An index the handshake never announced
                     // is a server bug; drop the session.
                     let Some(campaign) = roster.get(usize::from(campaign_idx)) else {
@@ -374,7 +363,71 @@ fn compute_workunit(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{write_message, CampaignParams, PROTOCOL_VERSION};
+    use crate::protocol::{decode_versioned, CampaignParams, HEADER_BYTES, PROTOCOL_VERSION};
+    use std::io::Read;
+    use std::net::TcpListener;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    /// A scripted server's listener on an ephemeral port, and its address.
+    fn listen() -> (TcpListener, String) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        (listener, addr)
+    }
+
+    fn hello_ack() -> Message {
+        Message::HelloAck {
+            protocol: PROTOCOL_VERSION,
+            campaign: CampaignParams::tiny(),
+            deadline_seconds: 5.0,
+            campaigns: Vec::new(),
+        }
+    }
+
+    fn redirect(shard: u16, addr: &str) -> Message {
+        Message::Redirect {
+            shard,
+            addr: addr.to_string(),
+        }
+    }
+
+    fn campaign_done() -> Message {
+        Message::NoWork {
+            campaign_complete: true,
+            retry_after_ms: 0,
+        }
+    }
+
+    /// Plays a scripted session on `s`: `Hello` gets a tiny-campaign
+    /// `HelloAck`, every `RequestWork` gets `on_ask()`, until the agent
+    /// says `Bye` or drops the connection.
+    fn serve(s: &mut TcpStream, mut on_ask: impl FnMut() -> Message) {
+        loop {
+            let reply = match read_message(s) {
+                Ok(Some(Message::Hello { .. })) => hello_ack(),
+                Ok(Some(Message::RequestWork)) => on_ask(),
+                _ => return,
+            };
+            if write_message_with(s, &reply, Codec).is_err() {
+                return;
+            }
+        }
+    }
+
+    /// Reads one `Hello` frame raw off the socket, returning the version
+    /// byte it was framed with and the attachments it carries.
+    fn read_raw_hello(s: &mut TcpStream) -> (u8, Vec<String>) {
+        let mut frame = vec![0u8; HEADER_BYTES];
+        s.read_exact(&mut frame).unwrap();
+        let len = u32::from_le_bytes(frame[5..9].try_into().unwrap()) as usize;
+        frame.resize(HEADER_BYTES + len, 0);
+        s.read_exact(&mut frame[HEADER_BYTES..]).unwrap();
+        match decode_versioned(&frame) {
+            Ok((Message::Hello { campaigns, .. }, _, _)) => (frame[4], campaigns),
+            other => panic!("expected a Hello, got {other:?}"),
+        }
+    }
 
     /// Regression: an agent whose *every* assignment drew a disconnect
     /// fault has `reported == 0` when the server exits. That agent ran
@@ -383,41 +436,24 @@ mod tests {
     /// connect error instead.
     #[test]
     fn give_up_with_assignments_but_no_reports_is_ok() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
+        let (listener, addr) = listen();
         let server = std::thread::spawn(move || {
             let (mut s, _) = listener.accept().unwrap();
             // Close the listener immediately: once the faulty agent
             // drops this connection, every reconnect is refused.
             drop(listener);
             let campaign = NetCampaign::build(CampaignParams::tiny());
-            loop {
-                let reply = match read_message(&mut s) {
-                    Ok(Some(Message::Hello { .. })) => Message::HelloAck {
-                        protocol: PROTOCOL_VERSION,
-                        campaign: CampaignParams::tiny(),
-                        deadline_seconds: 5.0,
-                        campaigns: Vec::new(),
-                    },
-                    Ok(Some(Message::RequestWork)) => {
-                        let spec = campaign.spec(0);
-                        Message::Assignment {
-                            replica: 0,
-                            workunit: 0,
-                            receptor: spec.receptor.0,
-                            ligand: spec.ligand.0,
-                            isep_start: spec.isep_start,
-                            positions: spec.positions,
-                            deadline_seconds: 5.0,
-                            campaign: 0,
-                        }
-                    }
-                    _ => return, // agent dropped the connection
-                };
-                if write_message(&mut s, &reply).is_err() {
-                    return;
-                }
-            }
+            let spec = campaign.spec(0);
+            serve(&mut s, || Message::Assignment {
+                replica: 0,
+                workunit: 0,
+                receptor: spec.receptor.0,
+                ligand: spec.ligand.0,
+                isep_start: spec.isep_start,
+                positions: spec.positions,
+                deadline_seconds: 5.0,
+                campaign: 0,
+            });
         });
 
         let report = run_agent(AgentConfig {
@@ -427,7 +463,7 @@ mod tests {
                 corrupt: 0.0,
             },
             max_connect_attempts: 3,
-            ..AgentConfig::new(addr.to_string(), 9)
+            ..AgentConfig::new(addr, 9)
         })
         .expect("an agent that received assignments made progress");
         assert!(report.assignments >= 1, "{report:?}");
@@ -443,77 +479,32 @@ mod tests {
     /// therefore asks shard A exactly once.
     #[test]
     fn redirect_is_followed_at_most_once_per_ask() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Arc;
-
-        let a = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let b = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let a_addr = a.local_addr().unwrap().to_string();
-        let b_addr = b.local_addr().unwrap().to_string();
-
+        let ((a, a_addr), (b, b_addr)) = (listen(), listen());
         let a_asks = Arc::new(AtomicU64::new(0));
         let a_count = a_asks.clone();
-        let b_for_a = b_addr.clone();
+        let a_for_b = a_addr.clone();
         let shard_a = std::thread::spawn(move || {
             let (mut s, _) = a.accept().unwrap();
             drop(a);
-            loop {
-                let reply = match read_message(&mut s) {
-                    Ok(Some(Message::Hello { .. })) => Message::HelloAck {
-                        protocol: PROTOCOL_VERSION,
-                        campaign: CampaignParams::tiny(),
-                        deadline_seconds: 5.0,
-                        campaigns: Vec::new(),
-                    },
-                    Ok(Some(Message::RequestWork)) => {
-                        a_count.fetch_add(1, Ordering::SeqCst);
-                        Message::Redirect {
-                            shard: 1,
-                            addr: b_for_a.clone(),
-                        }
-                    }
-                    _ => return,
-                };
-                if write_message(&mut s, &reply).is_err() {
-                    return;
-                }
-            }
+            serve(&mut s, || {
+                a_count.fetch_add(1, Ordering::SeqCst);
+                redirect(1, &b_addr)
+            });
         });
-        let a_for_b = a_addr.clone();
         let shard_b = std::thread::spawn(move || {
             let (mut s, _) = b.accept().unwrap();
             drop(b);
             let mut asks = 0u32;
-            loop {
-                let reply = match read_message(&mut s) {
-                    Ok(Some(Message::Hello { .. })) => Message::HelloAck {
-                        protocol: PROTOCOL_VERSION,
-                        campaign: CampaignParams::tiny(),
-                        deadline_seconds: 5.0,
-                        campaigns: Vec::new(),
-                    },
-                    Ok(Some(Message::RequestWork)) => {
-                        asks += 1;
-                        if asks == 1 {
-                            // Point straight back at shard A: if the
-                            // agent chased it, A would see a second ask.
-                            Message::Redirect {
-                                shard: 0,
-                                addr: a_for_b.clone(),
-                            }
-                        } else {
-                            Message::NoWork {
-                                campaign_complete: true,
-                                retry_after_ms: 0,
-                            }
-                        }
-                    }
-                    _ => return,
-                };
-                if write_message(&mut s, &reply).is_err() {
-                    return;
+            serve(&mut s, || {
+                asks += 1;
+                if asks == 1 {
+                    // Point straight back at shard A: if the agent
+                    // chased it, A would see a second ask.
+                    redirect(0, &a_for_b)
+                } else {
+                    campaign_done()
                 }
-            }
+            });
         });
 
         let report = run_agent(AgentConfig::new(a_addr, 7)).unwrap();
@@ -528,20 +519,46 @@ mod tests {
         shard_b.join().unwrap();
     }
 
+    /// A server hiccup between `connect` and `HelloAck` costs one retry
+    /// and nothing else: the next session opens with the same `Hello` —
+    /// same version byte, same campaign attachments.
+    #[test]
+    fn a_dropped_handshake_retries_with_the_same_hello() {
+        let (home, home_addr) = listen();
+        let attachments = vec!["prod".to_string(), "pilot".to_string()];
+
+        let expected = attachments.clone();
+        let home_thread = std::thread::spawn(move || {
+            // Session 1: read the Hello, hang up without a reply.
+            let (mut s, _) = home.accept().unwrap();
+            assert_eq!(read_raw_hello(&mut s), (PROTOCOL_VERSION, expected.clone()));
+            drop(s);
+            // Session 2: the retry.
+            let (mut s, _) = home.accept().unwrap();
+            assert_eq!(
+                read_raw_hello(&mut s),
+                (PROTOCOL_VERSION, expected),
+                "a failed handshake must not change what the agent says"
+            );
+            write_message_with(&mut s, &hello_ack(), Codec).unwrap();
+            serve(&mut s, campaign_done);
+        });
+
+        let report = run_agent(AgentConfig {
+            campaigns: attachments,
+            ..AgentConfig::new(home_addr, 10)
+        })
+        .unwrap();
+        assert!(report.saw_completion, "{report:?}");
+        home_thread.join().unwrap();
+    }
+
     /// A redirect target that completed and shut down between gossip
     /// ticks hangs up on the agent's Hello. The agent must fall home
-    /// and terminate there — on its original codec, not stepped down —
-    /// rather than re-asking the dead peer.
+    /// and terminate there rather than re-asking the dead peer.
     #[test]
-    fn dead_redirect_target_falls_home_without_codec_downgrade() {
-        use crate::protocol::HEADER_BYTES;
-        use std::io::Read;
-
-        let home = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let peer = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let home_addr = home.local_addr().unwrap().to_string();
-        let peer_addr = peer.local_addr().unwrap().to_string();
-
+    fn dead_redirect_target_falls_home() {
+        let ((home, home_addr), (peer, peer_addr)) = (listen(), listen());
         let peer_thread = std::thread::spawn(move || {
             // The "completed and draining" peer: accept, read the
             // Hello, hang up without a reply.
@@ -549,66 +566,14 @@ mod tests {
             drop(peer);
             let _ = read_message(&mut s);
         });
-
         let home_thread = std::thread::spawn(move || {
             // Session 1: hand out a redirect to the doomed peer.
-            {
-                let (mut s, _) = home.accept().unwrap();
-                loop {
-                    let reply = match read_message(&mut s) {
-                        Ok(Some(Message::Hello { .. })) => Message::HelloAck {
-                            protocol: PROTOCOL_VERSION,
-                            campaign: CampaignParams::tiny(),
-                            deadline_seconds: 5.0,
-                            campaigns: Vec::new(),
-                        },
-                        Ok(Some(Message::RequestWork)) => Message::Redirect {
-                            shard: 1,
-                            addr: peer_addr.clone(),
-                        },
-                        _ => break, // Bye / disconnect
-                    };
-                    if write_message(&mut s, &reply).is_err() {
-                        break;
-                    }
-                }
-            }
-            // Session 2: the agent is back. Read its Hello frame raw so
-            // the version byte proves the codec was not stepped down by
-            // the peer's hang-up.
+            serve(&mut home.accept().unwrap().0, || redirect(1, &peer_addr));
+            // Session 2: the agent is back, saying what it always says.
             let (mut s, _) = home.accept().unwrap();
-            let mut hdr = [0u8; HEADER_BYTES];
-            s.read_exact(&mut hdr).unwrap();
-            let len = u32::from_le_bytes(hdr[5..9].try_into().unwrap()) as usize;
-            let mut payload = vec![0u8; len];
-            s.read_exact(&mut payload).unwrap();
-            assert_eq!(
-                hdr[4], PROTOCOL_VERSION,
-                "falling home from a dead peer must not downgrade the codec"
-            );
-            write_message(
-                &mut s,
-                &Message::HelloAck {
-                    protocol: PROTOCOL_VERSION,
-                    campaign: CampaignParams::tiny(),
-                    deadline_seconds: 5.0,
-                    campaigns: Vec::new(),
-                },
-            )
-            .unwrap();
-            assert!(matches!(
-                read_message(&mut s),
-                Ok(Some(Message::RequestWork))
-            ));
-            write_message(
-                &mut s,
-                &Message::NoWork {
-                    campaign_complete: true,
-                    retry_after_ms: 0,
-                },
-            )
-            .unwrap();
-            let _ = read_message(&mut s); // Bye
+            assert_eq!(read_raw_hello(&mut s), (PROTOCOL_VERSION, Vec::new()));
+            write_message_with(&mut s, &hello_ack(), Codec).unwrap();
+            serve(&mut s, campaign_done);
         });
 
         let report = run_agent(AgentConfig::new(home_addr, 11)).unwrap();
@@ -623,85 +588,26 @@ mod tests {
     /// peer sends the agent home, where it learns the campaign is done.
     #[test]
     fn drained_redirect_target_sends_the_agent_home() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Arc;
-
-        let home = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let peer = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let home_addr = home.local_addr().unwrap().to_string();
-        let peer_addr = peer.local_addr().unwrap().to_string();
-
+        let ((home, home_addr), (peer, peer_addr)) = (listen(), listen());
         let peer_asks = Arc::new(AtomicU64::new(0));
         let peer_count = peer_asks.clone();
         let peer_thread = std::thread::spawn(move || {
             let (mut s, _) = peer.accept().unwrap();
             drop(peer);
-            loop {
-                let reply = match read_message(&mut s) {
-                    Ok(Some(Message::Hello { .. })) => Message::HelloAck {
-                        protocol: PROTOCOL_VERSION,
-                        campaign: CampaignParams::tiny(),
-                        deadline_seconds: 5.0,
-                        campaigns: Vec::new(),
-                    },
-                    Ok(Some(Message::RequestWork)) => {
-                        peer_count.fetch_add(1, Ordering::SeqCst);
-                        Message::NoWork {
-                            campaign_complete: false,
-                            retry_after_ms: 5,
-                        }
-                    }
-                    _ => return, // Bye: the agent went home
-                };
-                if write_message(&mut s, &reply).is_err() {
-                    return;
+            // Returns on the agent's Bye: it went home.
+            serve(&mut s, || {
+                peer_count.fetch_add(1, Ordering::SeqCst);
+                Message::NoWork {
+                    campaign_complete: false,
+                    retry_after_ms: 5,
                 }
-            }
+            });
         });
-
         let home_thread = std::thread::spawn(move || {
             // Session 1: redirect to the drained peer.
-            {
-                let (mut s, _) = home.accept().unwrap();
-                loop {
-                    let reply = match read_message(&mut s) {
-                        Ok(Some(Message::Hello { .. })) => Message::HelloAck {
-                            protocol: PROTOCOL_VERSION,
-                            campaign: CampaignParams::tiny(),
-                            deadline_seconds: 5.0,
-                            campaigns: Vec::new(),
-                        },
-                        Ok(Some(Message::RequestWork)) => Message::Redirect {
-                            shard: 1,
-                            addr: peer_addr.clone(),
-                        },
-                        _ => break,
-                    };
-                    if write_message(&mut s, &reply).is_err() {
-                        break;
-                    }
-                }
-            }
+            serve(&mut home.accept().unwrap().0, || redirect(1, &peer_addr));
             // Session 2: home finishes the agent off.
-            let (mut s, _) = home.accept().unwrap();
-            loop {
-                let reply = match read_message(&mut s) {
-                    Ok(Some(Message::Hello { .. })) => Message::HelloAck {
-                        protocol: PROTOCOL_VERSION,
-                        campaign: CampaignParams::tiny(),
-                        deadline_seconds: 5.0,
-                        campaigns: Vec::new(),
-                    },
-                    Ok(Some(Message::RequestWork)) => Message::NoWork {
-                        campaign_complete: true,
-                        retry_after_ms: 0,
-                    },
-                    _ => return,
-                };
-                if write_message(&mut s, &reply).is_err() {
-                    return;
-                }
-            }
+            serve(&mut home.accept().unwrap().0, campaign_done);
         });
 
         let report = run_agent(AgentConfig::new(home_addr, 12)).unwrap();

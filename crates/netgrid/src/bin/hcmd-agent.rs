@@ -3,33 +3,28 @@
 //! ```text
 //! hcmd-agent [--addr 127.0.0.1:7070] [--agent 1] [--threads 4]
 //!            [--fault-profile none|flaky|reliable|saboteur] [--seed 0]
-//!            [--codec v4|v3|binary|json] [--campaigns NAME,...|*]
+//!            [--campaigns NAME,...|*]
 //! ```
 //!
 //! Connects to an `hcmd-server`, learns the campaign from `HelloAck`,
 //! and docks until the server reports the campaign complete. With
 //! `--fault-profile flaky` the agent misbehaves on purpose —
 //! disconnects mid-workunit, stalls past deadlines, flips result bits —
-//! to exercise the server's reissue and quorum machinery. `--codec`
-//! picks the wire codec: `v4` (protocol v4, the default: binary frames,
-//! shard steering and campaign attachment), `v3` (shard steering only),
-//! `binary` (protocol v2) or `json` (protocol v1). The agent steps down
-//! one protocol level per failed handshake on its own, so the default
-//! works against every server release.
+//! to exercise the server's reissue and quorum machinery. There is no
+//! wire format to pick: agent and server speak the one protocol.
 //!
 //! Against a multi-campaign server, `--campaigns a,b` volunteers only
 //! for the named campaigns and `--campaigns '*'` for all of them;
 //! without the flag the agent lands on the server's default (first)
-//! campaign. Attachment needs the v4 codec — the flag is ignored on
-//! the older wires.
+//! campaign.
 
-use netgrid::{run_agent, AgentConfig, Codec, FaultProfile};
+use netgrid::{run_agent, AgentConfig, FaultProfile};
 
 fn usage() -> ! {
     eprintln!(
         "usage: hcmd-agent [--addr HOST:PORT] [--agent N] [--threads N] \
          [--fault-profile none|flaky|reliable|saboteur] [--seed N] \
-         [--codec v4|v3|binary|json] [--campaigns NAME,...|*]"
+         [--campaigns NAME,...|*]"
     );
     std::process::exit(2);
 }
@@ -52,12 +47,6 @@ fn main() {
             "--seed" => config.seed = take(&args, &mut i).parse().unwrap_or_else(|_| usage()),
             "--fault-profile" => {
                 config.profile = FaultProfile::parse(&take(&args, &mut i)).unwrap_or_else(|e| {
-                    eprintln!("hcmd-agent: {e}");
-                    usage()
-                })
-            }
-            "--codec" => {
-                config.codec = Codec::parse(&take(&args, &mut i)).unwrap_or_else(|e| {
                     eprintln!("hcmd-agent: {e}");
                     usage()
                 })

@@ -24,16 +24,17 @@
 //!   snapshot, or the new one — never torn.
 //!
 //! Each record kind has exactly one payload encoding, named by the
-//! version byte of its frame header:
+//! frame-kind byte of its frame header (the byte a wire frame keeps its
+//! protocol version in; the two kinds below are this module's own):
 //!
 //! * the five transition records (`Fetch`, `Report`, `Sweep`,
-//!   `LeaseOut`, `LeaseIn`) are version-2 frames: a tag byte and
+//!   `LeaseOut`, `LeaseIn`) are kind-2 frames: a tag byte and
 //!   fixed-width little-endian fields written with the wire codec's own
 //!   primitives ([`crate::protocol::binary`]) — a `Report`'s payload is
 //!   the same 72-byte rows the agent sent. They are the hot path: one
 //!   per request, encoded into a buffer the [`Journal`] reuses, written
 //!   with one `write_all`;
-//! * `Header` and `Snapshot` are version-1 frames holding JSON (the
+//! * `Header` and `Snapshot` are kind-1 frames holding JSON (the
 //!   derived serde form). They are written once per file and once per
 //!   `snapshot_every` appends, and stay legible to `strings`.
 //!
@@ -79,10 +80,11 @@
 //!   snapshot).
 //! * **bad record** — a frame whose checksum passes but whose payload
 //!   does not decode strictly (unknown tag or verdict, trailing or
-//!   missing bytes, a JSON-encoded transition), or whose header names
-//!   an impossible version or length. No crash writes that; the file
-//!   was written by different code or damaged in place, and recovery
-//!   refuses with `InvalidData` rather than guess.
+//!   missing bytes, a JSON-encoded transition) or whose frame kind is
+//!   one the journal never writes, or a header that names an impossible
+//!   length. No crash writes that; the file was written by different
+//!   code or damaged in place, and recovery refuses with `InvalidData`
+//!   rather than guess.
 //! * **legacy file** — the one case where a failed checksum is *not* a
 //!   torn tail: journal formats 1 and 2 sealed their frames with
 //!   FNV-1a 64, so to this build a whole format-2 file looks torn inside
@@ -134,11 +136,12 @@ pub const SNAPSHOT_FILE: &str = "snapshot.bin";
 /// Scratch name the snapshot is staged under before the atomic rename.
 const SNAPSHOT_TMP: &str = "snapshot.tmp";
 
-/// Frame-header version byte of the JSON-encoded records (`Header`,
-/// `Snapshot`).
-const FRAME_JSON: u8 = protocol::PROTOCOL_V1;
-/// Frame-header version byte of the binary-encoded transition records.
-const FRAME_BINARY: u8 = protocol::PROTOCOL_V2;
+/// Frame kind of the JSON-encoded records (`Header`, `Snapshot`). The
+/// two kinds are a disk format pinned by [`JOURNAL_FORMAT`], not
+/// protocol versions.
+const FRAME_JSON: u8 = 1;
+/// Frame kind of the binary-encoded transition records.
+const FRAME_BINARY: u8 = 2;
 
 /// The journal format this build writes, pinned in every `Header`.
 /// Format 1 (headers written before the field existed) encoded
@@ -515,9 +518,9 @@ fn decode_transition(payload: &[u8]) -> Result<JournalRecord, String> {
     Ok(rec)
 }
 
-/// Decodes one checksum-verified frame payload by its header version.
-fn decode_record(version: u8, payload: &[u8]) -> Result<JournalRecord, String> {
-    match version {
+/// Decodes one checksum-verified frame payload by its frame kind.
+fn decode_record(kind: u8, payload: &[u8]) -> Result<JournalRecord, String> {
+    match kind {
         FRAME_BINARY => decode_transition(payload),
         FRAME_JSON => {
             let text = std::str::from_utf8(payload).map_err(|e| format!("not UTF-8: {e}"))?;
@@ -526,7 +529,7 @@ fn decode_record(version: u8, payload: &[u8]) -> Result<JournalRecord, String> {
                 _ => Err("JSON-encoded transition record (a format-1 journal)".into()),
             }
         }
-        other => Err(format!("frame version {other} is not a journal record")),
+        other => Err(format!("frame kind {other} is not a journal record")),
     }
 }
 
@@ -1137,10 +1140,10 @@ mod tests {
         let json = serde_json::to_string(&sweep).unwrap();
         let err = decode_record(FRAME_JSON, json.as_bytes()).unwrap_err();
         assert!(err.contains("format-1"), "{err}");
-        // A binary frame never holds a Header, and the wire's other
-        // frame versions are not journal records at all.
+        // A binary frame never holds a Header, and a wire frame's
+        // version byte is not a journal frame kind at all.
         assert!(decode_record(FRAME_BINARY, json.as_bytes()).is_err());
-        assert!(decode_record(protocol::PROTOCOL_V4, &payload_of(&sweep)).is_err());
+        assert!(decode_record(protocol::PROTOCOL_VERSION, &payload_of(&sweep)).is_err());
     }
 
     #[test]
@@ -1197,8 +1200,9 @@ mod tests {
             assigned: Some((0, 0)),
         })
         .unwrap();
-        let mut wal = protocol::frame_payload(old_header.as_bytes()).to_vec();
-        wal.extend_from_slice(&protocol::frame_payload(fetch.as_bytes()));
+        let frame = |json: &str| protocol::frame_payload_versioned(FRAME_JSON, json.as_bytes());
+        let mut wal = frame(&old_header).to_vec();
+        wal.extend_from_slice(&frame(&fetch));
         fs::write(dir.join(WAL_FILE), &wal).unwrap();
 
         let err = open_journaled(

@@ -11,9 +11,13 @@
 //! identical issue/validate decisions by construction.
 //!
 //! Module map:
-//! * [`protocol`] — length-prefixed, versioned, checksummed frames,
-//!   in two codecs: JSON (v1) and a compact fixed-width binary (v2),
-//!   negotiated per connection with v1 interop preserved;
+//! * [`protocol`] — length-prefixed, checksummed frames in the grid's
+//!   one dialect (version byte 4, compact fixed-width binary payload):
+//!   every peer runs the agent build the project ships, so nothing is
+//!   negotiated and any other version byte is refused on the header.
+//!   The journal borrows the framing and keeps its own frame-kind
+//!   bytes in that slot (layout table and rationale in the module
+//!   docs);
 //! * [`campaign`] — deterministic campaign expansion from a tiny recipe
 //!   (both ends derive the same library and launch-ordered catalog);
 //! * [`state`] — the transport-free server state: `SchedulerCore` plus

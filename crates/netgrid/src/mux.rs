@@ -72,10 +72,8 @@ pub struct MuxFleetConfig {
     /// trust policy is designed to starve. Low ids, so a saboteur fleet
     /// is deterministic regardless of fleet size.
     pub saboteurs: usize,
-    /// Wire codec for every frame the fleet sends.
-    pub codec: Codec,
-    /// Campaign attachments every fleet agent announces in its Hello
-    /// (v4 codec only). Empty = the default campaign; `["*"]` = all.
+    /// Campaign attachments every fleet agent announces in its Hello.
+    /// Empty = the default campaign; `["*"]` = all.
     pub campaigns: Vec<String>,
     /// Peak simultaneously-open connections; agents beyond it queue for
     /// a connect slot. Remember the loopback bench owns both socket
@@ -97,7 +95,7 @@ pub struct MuxFleetConfig {
 }
 
 impl MuxFleetConfig {
-    /// A clean (no-fault, binary-codec) fleet of `agents` volunteers.
+    /// A clean (no-fault) fleet of `agents` volunteers.
     pub fn new(addr: impl Into<String>, agents: usize) -> Self {
         Self {
             addr: addr.into(),
@@ -106,7 +104,6 @@ impl MuxFleetConfig {
             seed: 0,
             profile: FaultProfile::none(),
             saboteurs: 0,
-            codec: Codec::Binary,
             campaigns: Vec::new(),
             max_open: 8_000,
             connect_batch: 64,
@@ -592,7 +589,7 @@ impl Driver {
     /// Encodes `msg` onto the agent's connection and flushes what fits;
     /// leftover bytes raise write interest.
     fn queue_frame(&mut self, idx: usize, msg: &Message) {
-        let frame = encode_with(msg, self.config.codec);
+        let frame = encode_with(msg, Codec);
         let Some(conn) = self.agents[idx].conn.as_mut() else {
             return;
         };
@@ -716,7 +713,7 @@ impl Driver {
                     return;
                 };
                 match decode_versioned(&conn.read_buf) {
-                    Ok((msg, consumed, _codec)) => {
+                    Ok((msg, consumed, _)) => {
                         conn.read_buf.drain(..consumed);
                         self.on_message(idx, msg);
                     }
@@ -904,35 +901,32 @@ mod tests {
     /// the same bar the threaded fleet is held to.
     #[test]
     fn mux_fleet_completes_a_campaign_with_the_baseline_artifact() {
-        for codec in [Codec::Binary, Codec::Json] {
-            let config = NetServerConfig {
-                sweep_ms: 25,
-                ..NetServerConfig::loopback(5.0)
-            };
-            let params = config.campaign;
-            let server = NetServer::bind(config).expect("bind");
-            let addr = server.local_addr().expect("addr").to_string();
-            let server = thread::spawn(move || server.run());
+        let config = NetServerConfig {
+            sweep_ms: 25,
+            ..NetServerConfig::loopback(5.0)
+        };
+        let params = config.campaign;
+        let server = NetServer::bind(config).expect("bind");
+        let addr = server.local_addr().expect("addr").to_string();
+        let server = thread::spawn(move || server.run());
 
-            let fleet = run_mux_fleet(MuxFleetConfig {
-                seed: 7,
-                codec,
-                timeout: Duration::from_secs(60),
-                ..MuxFleetConfig::new(addr, 8)
-            })
-            .expect("fleet ran");
-            let run = server.join().unwrap().expect("server ran");
+        let fleet = run_mux_fleet(MuxFleetConfig {
+            seed: 7,
+            timeout: Duration::from_secs(60),
+            ..MuxFleetConfig::new(addr, 8)
+        })
+        .expect("fleet ran");
+        let run = server.join().unwrap().expect("server ran");
 
-            assert!(fleet.saw_completion, "fleet should see completion");
-            assert!(fleet.assignments > 0 && fleet.reported > 0);
-            assert!(!fleet.request_latencies_ms.is_empty());
-            let baseline = NetCampaign::build(params).baseline_outputs();
-            assert_eq!(
-                serde_json::to_string(&run.outputs).unwrap(),
-                serde_json::to_string(&baseline).unwrap(),
-                "merged artifact must match the baseline under {codec}"
-            );
-        }
+        assert!(fleet.saw_completion, "fleet should see completion");
+        assert!(fleet.assignments > 0 && fleet.reported > 0);
+        assert!(!fleet.request_latencies_ms.is_empty());
+        let baseline = NetCampaign::build(params).baseline_outputs();
+        assert_eq!(
+            serde_json::to_string(&run.outputs).unwrap(),
+            serde_json::to_string(&baseline).unwrap(),
+            "merged artifact must match the baseline"
+        );
     }
 
     /// Faulty mux agents must exercise the reissue and quorum paths

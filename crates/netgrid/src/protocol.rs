@@ -1,16 +1,17 @@
 //! The wire protocol: length-prefixed, versioned, checksummed frames.
 //!
-//! Every message between a volunteer agent and the task server travels as
-//! one frame:
+//! Every message between a volunteer agent and the task server (and
+//! between two shards) travels as one frame, in the one dialect this
+//! grid speaks:
 //!
 //! ```text
 //! offset  size  field
 //! 0       4     magic  b"HCMD"
-//! 4       1     protocol version (1 = JSON payload, 2–4 = binary payload)
+//! 4       1     protocol version: 4 ([`PROTOCOL_VERSION`])
 //! 5       4     payload length, u32 little-endian
 //! 9       8     `checksum64` of the payload, u64 little-endian
-//! 17      len   payload: v1 externally-tagged JSON of [`Message`],
-//!               v2–v4 tag byte + fixed-width little-endian fields
+//! 17      len   payload: tag byte + fixed-width little-endian fields
+//!               ([`binary`])
 //! ```
 //!
 //! The header is fixed-size so a reader can frame the stream without
@@ -21,34 +22,43 @@
 //! Frames larger than [`MAX_FRAME_BYTES`] are rejected before any
 //! allocation, so a malicious or broken peer cannot balloon server memory.
 //!
+//! There is one dialect because there is one agent build: the project
+//! ships the agent its volunteers run, so every peer understands every
+//! message — shard redirects, campaign attachments and all — and nothing
+//! is negotiated. A frame with any other version byte is refused as soon
+//! as its 17 header bytes have arrived ([`DecodeError::UnsupportedVersion`]);
+//! the payload is never looked at. The layout is a format:
+//! `tests/wire_golden.rs` pins one recorded frame per message.
+//!
+//! The version byte has one owner per consumer. [`deframe`] checks magic,
+//! length cap and checksum only and hands the byte back. The wire accepts
+//! exactly [`PROTOCOL_VERSION`] in one header check shared by
+//! [`decode_versioned`] and [`read_message`]. The journal reuses this
+//! framing for `wal.bin` and `snapshot.bin` and stamps the byte with its
+//! own two *frame kinds* (1 = JSON `Header`/`Snapshot`, 2 = binary
+//! transition; constants local to `journal.rs`): they predate this
+//! module's single version, are pinned on disk by `JOURNAL_FORMAT`, and
+//! never meet a socket, so they are not protocol versions.
+//!
 //! The checksum is one word-parallel 64-bit hash ([`checksum64`]: four
 //! multiply–xorshift lanes over little-endian 8-byte words, every step a
-//! bijection), the same function in all four codecs, in the journal's
-//! `wal.bin` and `snapshot.bin` — which reuse this framing — and in the
-//! quorum fingerprint. Damage confined to one aligned 8-byte word of a
-//! payload is *always* detected, anything else with probability
-//! 1 − 2⁻⁶⁴. A report's payload is hashed four times on its way from an
-//! agent's encoder to the journal, which is why the hash runs at memory
-//! speed rather than a byte per multiply. There is no negotiation and no
-//! fallback: a frame sealed by a build from before the switch (FNV-1a 64
-//! in the same 8 bytes) fails with [`DecodeError::Checksum`]. FNV-1a
-//! survives as [`fnv1a64`] for two small *keyed draws* only — the shard
-//! map and the spot-check dice, a dozen bytes each — because their
+//! bijection), the same function on the wire, in the journal's
+//! `wal.bin` and `snapshot.bin`, and in the quorum fingerprint. Damage
+//! confined to one aligned 8-byte word of a payload is *always*
+//! detected, anything else with probability 1 − 2⁻⁶⁴. A report's payload
+//! is hashed four times on its way from an agent's encoder to the
+//! journal, which is why the hash runs at memory speed rather than a
+//! byte per multiply. A frame sealed by a build from before the switch
+//! (FNV-1a 64 in the same 8 bytes) fails with [`DecodeError::Checksum`].
+//! FNV-1a survives as [`fnv1a64`] for two small *keyed draws* only — the
+//! shard map and the spot-check dice, a dozen bytes each — because their
 //! outputs are pinned by every sharded artifact and every journaled
 //! spot-check decision, and at that size its speed is irrelevant.
 //!
-//! Version 2 is the hot-path codec: the same header, but the payload is
-//! a compact tag + fixed-width little-endian record instead of JSON —
-//! `DockingOutput` rows go from ~200 JSON bytes to 72 binary bytes each
-//! and skip float printing/parsing entirely. A peer picks its codec by
-//! the version byte of the frames it *sends*; the other side replies in
-//! kind, so a v1-only agent and a v2 server interoperate frame by frame
-//! (see [`Codec`] and DESIGN.md §6 for the negotiation rules).
-//!
-//! [`encode`]/[`decode`] are pure buffer transforms (proptested for
-//! round-trip identity, cross-version equality, truncation and oversize
-//! rejection); [`write_message`]/[`read_message`] adapt them to blocking
-//! streams.
+//! [`encode_with`]/[`decode_versioned`] are pure buffer transforms
+//! (proptested for round-trip identity, truncation and oversize
+//! rejection); [`write_message_with`]/[`read_message`] adapt them to
+//! blocking streams. `{:?}` is the debug printer for a [`Message`].
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use maxdo::DockingOutput;
@@ -58,115 +68,25 @@ use std::io::{self, Read, Write};
 
 /// Frame magic: `b"HCMD"`.
 pub const MAGIC: [u8; 4] = *b"HCMD";
-/// Frame version of the JSON codec (and of the journal's `Header` and
-/// `Snapshot` frames).
-pub const PROTOCOL_V1: u8 = 1;
-/// Frame version of the binary hot-path codec (and of the journal's
-/// transition frames).
-pub const PROTOCOL_V2: u8 = 2;
-/// Frame version of the shard-aware binary codec: the same payload
-/// encoding as v2 plus the shard message family (`ShardMap`,
-/// `Redirect`, steering gossip). The version byte doubles as the
-/// capability signal — a server only ever sends shard messages on
-/// connections whose peer framed with v3, so v1/v2 single-shard agents
-/// keep working against a sharded server unchanged.
-pub const PROTOCOL_V3: u8 = 3;
-/// Frame version of the campaign-aware binary codec: the v3 payload
-/// encoding plus multi-campaign fields — `Hello` carries the agent's
-/// campaign attachments, `HelloAck` the roster of hosted campaigns, and
-/// `Assignment`/`ResultReport` a campaign index. As with v3, the
-/// version byte doubles as the capability signal: a peer framing with
-/// v1–v3 implicitly attaches to the default campaign and never sees a
-/// campaign field, so old agents interop with a multi-campaign server
-/// unchanged.
-pub const PROTOCOL_V4: u8 = 4;
-/// Highest protocol version this build speaks; announced to agents in
-/// `HelloAck::protocol`.
-pub const PROTOCOL_VERSION: u8 = PROTOCOL_V4;
+/// The version byte of every wire frame, announced to agents in
+/// `HelloAck::protocol`. (4 for historical reasons: versions 1–3 were
+/// dialects this grid no longer speaks.)
+pub const PROTOCOL_VERSION: u8 = 4;
 /// Fixed header size: magic + version + length + checksum.
 pub const HEADER_BYTES: usize = 4 + 1 + 4 + 8;
 /// Hard cap on the payload size; larger frames are rejected unread.
 pub const MAX_FRAME_BYTES: usize = 8 << 20;
 
-/// The payload encoding of a frame, selected by the header version byte.
+/// The wire dialect — a type with a single value, because there is a
+/// single dialect. Nothing can choose, parse or negotiate one.
 ///
-/// Negotiation is per direction and needs no extra round trip: each side
-/// encodes with the codec it wants and replies in the codec of the frame
-/// it is answering. An old v1-only agent therefore never sees a v2
-/// frame, while a v2 agent learns the server's ceiling from
-/// `HelloAck::protocol` (a v1-only server would instead reject its v2
-/// `Hello` outright, which the agent treats as "fall back to JSON").
+/// It survives only as the parameter of [`encode_with`] /
+/// [`write_message_with`], the third element of [`decode_versioned`]'s
+/// result and `AgentConfig::codec`: `benchmarks/gridbench` names those
+/// signatures, and a PR may not edit the benchmark it is measured by. A
+/// later `benchmark` PR drops the parameter and this type with it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Codec {
-    /// v1: externally-tagged JSON — the interop fallback.
-    Json,
-    /// v2: tag byte + fixed-width little-endian fields.
-    Binary,
-    /// v3: the v2 payload encoding plus shard awareness — a peer
-    /// framing with v3 declares it understands `ShardMap`/`Redirect`.
-    BinaryV3,
-    /// v4: the v3 encoding plus campaign awareness — a peer framing
-    /// with v4 declares (and reads) the multi-campaign fields.
-    BinaryV4,
-}
-
-impl Codec {
-    /// The header version byte this codec stamps on its frames.
-    pub fn version(self) -> u8 {
-        match self {
-            Codec::Json => PROTOCOL_V1,
-            Codec::Binary => PROTOCOL_V2,
-            Codec::BinaryV3 => PROTOCOL_V3,
-            Codec::BinaryV4 => PROTOCOL_V4,
-        }
-    }
-
-    /// The codec for a header version byte, if supported.
-    pub fn from_version(v: u8) -> Option<Self> {
-        match v {
-            PROTOCOL_V1 => Some(Codec::Json),
-            PROTOCOL_V2 => Some(Codec::Binary),
-            PROTOCOL_V3 => Some(Codec::BinaryV3),
-            PROTOCOL_V4 => Some(Codec::BinaryV4),
-            _ => None,
-        }
-    }
-
-    /// Whether a peer framing with this codec understands the shard
-    /// message family (`Redirect`, `ShardMap`).
-    pub fn shard_aware(self) -> bool {
-        matches!(self, Codec::BinaryV3 | Codec::BinaryV4)
-    }
-
-    /// Whether a peer framing with this codec understands the
-    /// multi-campaign fields (attachments, roster, campaign indices).
-    /// v1–v3 peers implicitly attach to the default campaign.
-    pub fn campaign_aware(self) -> bool {
-        matches!(self, Codec::BinaryV4)
-    }
-
-    /// Parses the `--codec` CLI flag value.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "json" | "v1" => Ok(Codec::Json),
-            "binary" | "v2" => Ok(Codec::Binary),
-            "v3" | "sharded" => Ok(Codec::BinaryV3),
-            "v4" | "campaigns" => Ok(Codec::BinaryV4),
-            other => Err(format!("bad codec '{other}' (json|binary|v3|v4)")),
-        }
-    }
-}
-
-impl std::fmt::Display for Codec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Codec::Json => "json",
-            Codec::Binary => "binary",
-            Codec::BinaryV3 => "binary-v3",
-            Codec::BinaryV4 => "binary-v4",
-        })
-    }
-}
+pub struct Codec;
 
 /// Campaign parameters both sides must agree on. The synthetic protein
 /// library is derived deterministically from `(proteins, lib_seed,
@@ -202,9 +122,8 @@ impl CampaignParams {
     }
 }
 
-/// One protocol message. Externally tagged in JSON, exactly like the
-/// telemetry event log: `{"RequestWork":null}` / `{"Hello":{...}}`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// One protocol message.
+#[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     /// Agent → server, first frame on every connection.
     Hello {
@@ -212,27 +131,25 @@ pub enum Message {
         agent: u64,
         /// Worker threads the agent will dock with.
         threads: u32,
-        /// Campaign attachments (v4): names of the hosted campaigns the
-        /// agent volunteers for. Empty (and on every v1–v3 frame) means
-        /// the default campaign only; the single entry `"*"` attaches
-        /// to every hosted campaign; unknown names are ignored.
-        #[serde(default)]
+        /// Campaign attachments: names of the hosted campaigns the
+        /// agent volunteers for. Empty means the default campaign only;
+        /// the single entry `"*"` attaches to every hosted campaign;
+        /// unknown names are ignored.
         campaigns: Vec<String>,
     },
     /// Server → agent, reply to `Hello`.
     HelloAck {
-        /// Server's protocol version (for future negotiation).
+        /// Server's protocol version ([`PROTOCOL_VERSION`]).
         protocol: u8,
         /// The campaign recipe the agent must build locally (the
         /// default campaign when several are hosted).
         campaign: CampaignParams,
         /// Replica deadline, wall seconds — reissue after this.
         deadline_seconds: f64,
-        /// Multi-campaign roster (v4): `(name, recipe)` of every hosted
+        /// Multi-campaign roster: `(name, recipe)` of every hosted
         /// campaign the agent is attached to, in campaign-index order.
         /// `Assignment::campaign` indexes into this roster. Empty on
-        /// v1–v3 frames and on single-campaign servers.
-        #[serde(default)]
+        /// single-campaign servers.
         campaigns: Vec<(String, CampaignParams)>,
     },
     /// Agent → server: "send me work" (BOINC's scheduler request).
@@ -253,10 +170,8 @@ pub enum Message {
         positions: u32,
         /// Deadline for this replica, wall seconds from issue.
         deadline_seconds: f64,
-        /// Which hosted campaign this assignment belongs to (v4): an
-        /// index into the `HelloAck` roster. Always 0 — the default
-        /// campaign — on v1–v3 frames.
-        #[serde(default)]
+        /// Which hosted campaign this assignment belongs to: an index
+        /// into the `HelloAck` roster (0 on a single-campaign server).
         campaign: u16,
     },
     /// Server → agent: nothing issuable right now (BOINC's "no work
@@ -280,9 +195,8 @@ pub enum Message {
         replica: u64,
         /// Its workunit index (redundant, cross-checked server-side).
         workunit: u32,
-        /// The campaign the replica was issued from (v4): echoed from
-        /// `Assignment::campaign`. Always 0 on v1–v3 frames.
-        #[serde(default)]
+        /// The campaign the replica was issued from: echoed from
+        /// `Assignment::campaign`.
         campaign: u16,
         /// The docking rows + work accounting — the §5.2 result file.
         output: DockingOutput,
@@ -298,9 +212,9 @@ pub enum Message {
     },
     /// Agent → server: clean shutdown of the connection.
     Bye,
-    /// Agent → server (v3): "which shards run this campaign?".
+    /// Agent → server: "which shards run this campaign?".
     ShardMapRequest,
-    /// Server → agent (v3), reply to `ShardMapRequest`: the campaign's
+    /// Server → agent, reply to `ShardMapRequest`: the campaign's
     /// static shard topology. Workunit homes derive deterministically
     /// from the catalog (`shard::shard_of`), so the addresses are all
     /// an agent needs to navigate.
@@ -312,7 +226,7 @@ pub enum Message {
         /// Listen address of every shard, indexed by shard id.
         addrs: Vec<String>,
     },
-    /// Server → agent (v3), reply to `RequestWork` when this shard is
+    /// Server → agent, reply to `RequestWork` when this shard is
     /// drained but a peer still has fresh backlog: ask there instead.
     /// An agent follows at most one redirect per work request.
     Redirect {
@@ -346,9 +260,7 @@ pub enum Message {
         leases_held: Vec<u64>,
         /// Which campaign (registry slot index) this load picture and
         /// its lease bookkeeping concern. A multi-campaign shard fleet
-        /// shares one `--campaign` roster, so indices agree fleet-wide;
-        /// v1–v3 peers gossip only about the default campaign (0).
-        #[serde(default)]
+        /// shares one `--campaign` roster, so indices agree fleet-wide.
         campaign: u16,
     },
     /// Shard → shard: a work-stealing lease. Ownership of `wus` moves
@@ -366,7 +278,6 @@ pub enum Message {
         /// The grantor's own completion state, piggybacked.
         complete: bool,
         /// The campaign (registry slot index) whose ownership moves.
-        #[serde(default)]
         campaign: u16,
     },
     /// Shard → shard, reply to `ShardStatus` when no lease moves.
@@ -614,16 +525,11 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Frames an arbitrary payload with the standard header (magic, version
-/// 1, length, [`checksum64`]). [`encode`] uses this for JSON wire
-/// messages; the journal reuses the exact same framing for its on-disk
-/// records ([`frame_payload_versioned`] / [`seal_frame`]), so one
-/// reader/checksum implementation covers both.
-pub fn frame_payload(payload: &[u8]) -> Bytes {
-    frame_payload_versioned(PROTOCOL_V1, payload)
-}
-
-/// [`frame_payload`] with an explicit header version byte.
+/// Frames an arbitrary payload with the standard header (magic,
+/// `version`, length, [`checksum64`]). The wire stamps
+/// [`PROTOCOL_VERSION`]; the journal reuses the exact same framing for
+/// its on-disk records with its own frame-kind bytes (here and in
+/// [`seal_frame`]), so one reader/checksum implementation covers both.
 pub fn frame_payload_versioned(version: u8, payload: &[u8]) -> Bytes {
     assert!(
         payload.len() <= MAX_FRAME_BYTES,
@@ -660,96 +566,108 @@ pub fn seal_frame(version: u8, buf: &mut [u8]) {
     header.copy_from_slice(&frame_header(version, payload));
 }
 
+/// A frame header whose magic and length cap have been checked.
+struct Header {
+    version: u8,
+    len: usize,
+    checksum: u64,
+}
+
+impl Header {
+    /// Parses the header at the front of `buf`: magic and length cap
+    /// only — what the version byte may be is its consumer's business.
+    fn parse(buf: &[u8]) -> Result<Self, DecodeError> {
+        if buf.len() < HEADER_BYTES {
+            return Err(DecodeError::Incomplete {
+                needed: HEADER_BYTES - buf.len(),
+            });
+        }
+        let mut r: &[u8] = buf;
+        let mut magic = [0u8; 4];
+        r.copy_to_slice(&mut magic);
+        if magic != MAGIC {
+            return Err(DecodeError::BadMagic(magic));
+        }
+        let version = r.get_u8();
+        let len = r.get_u32_le() as usize;
+        if len > MAX_FRAME_BYTES {
+            return Err(DecodeError::Oversized { len });
+        }
+        Ok(Self {
+            version,
+            len,
+            checksum: r.get_u64_le(),
+        })
+    }
+
+    /// [`Header::parse`] for a wire frame: additionally the version must
+    /// be [`PROTOCOL_VERSION`]. The one place the wire looks at that
+    /// byte, and it needs nothing past the header to refuse.
+    fn parse_wire(buf: &[u8]) -> Result<Self, DecodeError> {
+        let header = Self::parse(buf)?;
+        if header.version != PROTOCOL_VERSION {
+            return Err(DecodeError::UnsupportedVersion(header.version));
+        }
+        Ok(header)
+    }
+
+    /// The checksum-verified payload behind this header (parsed from the
+    /// front of the same `buf`) and the bytes the whole frame occupies.
+    fn payload<'a>(&self, buf: &'a [u8]) -> Result<(&'a [u8], usize), DecodeError> {
+        let end = HEADER_BYTES + self.len;
+        if buf.len() < end {
+            return Err(DecodeError::Incomplete {
+                needed: end - buf.len(),
+            });
+        }
+        let payload = &buf[HEADER_BYTES..end];
+        self.verify(payload)?;
+        Ok((payload, end))
+    }
+
+    /// Checks `payload` against the header's checksum.
+    fn verify(&self, payload: &[u8]) -> Result<(), DecodeError> {
+        let got = checksum64(payload);
+        if got != self.checksum {
+            return Err(DecodeError::Checksum {
+                expected: self.checksum,
+                got,
+            });
+        }
+        Ok(())
+    }
+}
+
 /// Splits one checksum-verified payload off the front of `buf`. On
-/// success returns the header version byte, the payload slice and the
-/// number of bytes consumed (header + payload).
+/// success returns the header version byte (unjudged — see the module
+/// docs), the payload slice and the number of bytes consumed (header +
+/// payload).
 pub fn deframe(buf: &[u8]) -> Result<(u8, &[u8], usize), DecodeError> {
-    if buf.len() < HEADER_BYTES {
-        return Err(DecodeError::Incomplete {
-            needed: HEADER_BYTES - buf.len(),
-        });
-    }
-    let mut r: &[u8] = buf;
-    let mut magic = [0u8; 4];
-    r.copy_to_slice(&mut magic);
-    if magic != MAGIC {
-        return Err(DecodeError::BadMagic(magic));
-    }
-    let version = r.get_u8();
-    if Codec::from_version(version).is_none() {
-        return Err(DecodeError::UnsupportedVersion(version));
-    }
-    let len = r.get_u32_le() as usize;
-    if len > MAX_FRAME_BYTES {
-        return Err(DecodeError::Oversized { len });
-    }
-    let expected = r.get_u64_le();
-    if r.remaining() < len {
-        return Err(DecodeError::Incomplete {
-            needed: len - r.remaining(),
-        });
-    }
-    let payload = &buf[HEADER_BYTES..HEADER_BYTES + len];
-    let got = checksum64(payload);
-    if got != expected {
-        return Err(DecodeError::Checksum { expected, got });
-    }
-    Ok((version, payload, HEADER_BYTES + len))
+    let header = Header::parse(buf)?;
+    let (payload, consumed) = header.payload(buf)?;
+    Ok((header.version, payload, consumed))
 }
 
-/// Encodes one message as a complete frame in the given codec.
-pub fn encode_with(msg: &Message, codec: Codec) -> Bytes {
-    match codec {
-        Codec::Json => {
-            let payload = serde_json::to_string(msg).expect("Message serialization cannot fail");
-            frame_payload_versioned(PROTOCOL_V1, payload.as_bytes())
-        }
-        Codec::Binary => frame_payload_versioned(PROTOCOL_V2, &binary::encode(msg)),
-        Codec::BinaryV3 => frame_payload_versioned(PROTOCOL_V3, &binary::encode(msg)),
-        Codec::BinaryV4 => frame_payload_versioned(PROTOCOL_V4, &binary::encode_v4(msg)),
-    }
-}
-
-/// Encodes one message as a complete JSON (v1) frame.
-pub fn encode(msg: &Message) -> Bytes {
-    encode_with(msg, Codec::Json)
-}
-
-/// Decodes one frame from the front of `buf`, in whichever codec its
-/// header declares. On success returns the message, the number of bytes
-/// consumed (header + payload), and the codec the peer used — the reply
-/// should be encoded with the same codec.
-pub fn decode_versioned(buf: &[u8]) -> Result<(Message, usize, Codec), DecodeError> {
-    let (version, payload, consumed) = deframe(buf)?;
-    let codec = Codec::from_version(version).expect("deframe only passes supported versions");
-    let msg = match codec {
-        Codec::Json => {
-            let text = std::str::from_utf8(payload)
-                .map_err(|e| DecodeError::Payload(format!("not UTF-8: {e}")))?;
-            serde_json::from_str(text).map_err(|e| DecodeError::Payload(format!("{e:?}")))?
-        }
-        Codec::Binary | Codec::BinaryV3 => binary::decode(payload).map_err(DecodeError::Payload)?,
-        Codec::BinaryV4 => binary::decode_v4(payload).map_err(DecodeError::Payload)?,
-    };
-    Ok((msg, consumed, codec))
+/// Encodes one message as a complete frame.
+pub fn encode_with(msg: &Message, _codec: Codec) -> Bytes {
+    frame_payload_versioned(PROTOCOL_VERSION, &binary::encode(msg))
 }
 
 /// Decodes one frame from the front of `buf`. On success returns the
-/// message and the number of bytes consumed (header + payload).
-pub fn decode(buf: &[u8]) -> Result<(Message, usize), DecodeError> {
-    decode_versioned(buf).map(|(msg, consumed, _)| (msg, consumed))
+/// message, the number of bytes consumed (header + payload), and the
+/// one [`Codec`] — pass it to [`encode_with`] for the reply.
+pub fn decode_versioned(buf: &[u8]) -> Result<(Message, usize, Codec), DecodeError> {
+    let header = Header::parse_wire(buf)?;
+    let (payload, consumed) = header.payload(buf)?;
+    let msg = binary::decode(payload).map_err(DecodeError::Payload)?;
+    Ok((msg, consumed, Codec))
 }
 
-/// Writes one framed message to a blocking stream in the given codec.
+/// Writes one framed message to a blocking stream.
 pub fn write_message_with(w: &mut impl Write, msg: &Message, codec: Codec) -> io::Result<()> {
     let frame = encode_with(msg, codec);
     w.write_all(&frame)?;
     w.flush()
-}
-
-/// Writes one framed message to a blocking stream as JSON (v1).
-pub fn write_message(w: &mut impl Write, msg: &Message) -> io::Result<()> {
-    write_message_with(w, msg, Codec::Json)
 }
 
 /// Reads exactly `buf.len()` bytes, treating EOF at offset 0 as a clean
@@ -785,59 +703,32 @@ fn read_full(r: &mut impl Read, buf: &mut [u8]) -> io::Result<bool> {
 /// Reads one framed message from a blocking stream. `Ok(None)` means the
 /// peer closed the connection cleanly between frames.
 pub fn read_message(r: &mut impl Read) -> io::Result<Option<Message>> {
+    let invalid = |e: DecodeError| io::Error::new(io::ErrorKind::InvalidData, e.to_string());
     let mut header = [0u8; HEADER_BYTES];
     if !read_full(r, &mut header)? {
         return Ok(None);
     }
     // Validate the header before allocating for the payload.
-    let mut h: &[u8] = &header;
-    let mut magic = [0u8; 4];
-    h.copy_to_slice(&mut magic);
-    let version = h.get_u8();
-    let len = h.get_u32_le() as usize;
-    if magic != MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            DecodeError::BadMagic(magic).to_string(),
-        ));
-    }
-    if Codec::from_version(version).is_none() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            DecodeError::UnsupportedVersion(version).to_string(),
-        ));
-    }
-    if len > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            DecodeError::Oversized { len }.to_string(),
-        ));
-    }
-    let mut frame = vec![0u8; HEADER_BYTES + len];
-    frame[..HEADER_BYTES].copy_from_slice(&header);
-    if !read_full(r, &mut frame[HEADER_BYTES..])? {
+    let header = Header::parse_wire(&header).map_err(invalid)?;
+    let mut payload = vec![0u8; header.len];
+    if !read_full(r, &mut payload)? {
         return Err(io::Error::new(
             io::ErrorKind::UnexpectedEof,
             "stream closed before frame payload",
         ));
     }
-    match decode(&frame) {
-        Ok((msg, consumed)) => {
-            debug_assert_eq!(consumed, frame.len());
-            Ok(Some(msg))
-        }
-        Err(e) => Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
-    }
+    header.verify(&payload).map_err(invalid)?;
+    binary::decode(&payload)
+        .map(Some)
+        .map_err(|e| invalid(DecodeError::Payload(e)))
 }
 
-/// The v2 payload codec: one tag byte, then fixed-width little-endian
+/// The payload codec: one tag byte, then fixed-width little-endian
 /// fields. `DockingOutput` rows are 72-byte records (`isep`, `irot`,
 /// position, orientation, `elj`, `eelec`) — f64 bit patterns travel
-/// verbatim, so a binary round trip is exact by construction, and the
-/// byte-level quorum fingerprint ([`crate::state::fingerprint`], a hash
-/// of the decoded output's fields in this same row layout) is
-/// codec-independent: a JSON v1 agent and a binary v4 agent reporting
-/// the same numbers land in the same quorum class.
+/// verbatim, so a round trip is exact by construction, and the
+/// byte-level quorum fingerprint ([`crate::state::fingerprint`]) is a
+/// hash of the decoded output's fields in this same row layout.
 ///
 /// The journal encodes its transition records with this module's
 /// [`Writer`]/[`Reader`] too, so the wire and the wal share one set of
@@ -1092,20 +983,8 @@ pub mod binary {
         }
     }
 
-    /// Encodes one message as a v2/v3 binary payload (no frame header).
-    /// Campaign fields are skipped — the bytes are identical to what
-    /// pre-campaign builds emitted, which is the v2/v3 interop promise.
+    /// Encodes one message as a payload (no frame header).
     pub fn encode(msg: &Message) -> Vec<u8> {
-        encode_versioned(msg, false)
-    }
-
-    /// Encodes one message as a v4 binary payload: the v2/v3 encoding
-    /// plus the campaign fields.
-    pub fn encode_v4(msg: &Message) -> Vec<u8> {
-        encode_versioned(msg, true)
-    }
-
-    fn encode_versioned(msg: &Message, campaign_aware: bool) -> Vec<u8> {
         let mut w = Writer(Vec::with_capacity(64));
         match msg {
             Message::Hello {
@@ -1116,11 +995,9 @@ pub mod binary {
                 w.u8(TAG_HELLO);
                 w.u64(*agent);
                 w.u32(*threads);
-                if campaign_aware {
-                    w.u32(campaigns.len() as u32);
-                    for name in campaigns {
-                        w.str(name);
-                    }
+                w.u32(campaigns.len() as u32);
+                for name in campaigns {
+                    w.str(name);
                 }
             }
             Message::HelloAck {
@@ -1133,12 +1010,10 @@ pub mod binary {
                 w.u8(*protocol);
                 w.params(campaign);
                 w.f64(*deadline_seconds);
-                if campaign_aware {
-                    w.u32(campaigns.len() as u32);
-                    for (name, params) in campaigns {
-                        w.str(name);
-                        w.params(params);
-                    }
+                w.u32(campaigns.len() as u32);
+                for (name, params) in campaigns {
+                    w.str(name);
+                    w.params(params);
                 }
             }
             Message::RequestWork => w.u8(TAG_REQUEST_WORK),
@@ -1160,9 +1035,7 @@ pub mod binary {
                 w.u32(*isep_start);
                 w.u32(*positions);
                 w.f64(*deadline_seconds);
-                if campaign_aware {
-                    w.u16(*campaign);
-                }
+                w.u16(*campaign);
             }
             Message::NoWork {
                 campaign_complete,
@@ -1185,9 +1058,7 @@ pub mod binary {
                 w.u8(TAG_RESULT_REPORT);
                 w.u64(*replica);
                 w.u32(*workunit);
-                if campaign_aware {
-                    w.u16(*campaign);
-                }
+                w.u16(*campaign);
                 w.output(output);
             }
             Message::ResultAck {
@@ -1236,9 +1107,7 @@ pub mod binary {
                 w.flag(*complete);
                 w.flag(*hungry);
                 w.u64s(leases_held);
-                if campaign_aware {
-                    w.u16(*campaign);
-                }
+                w.u16(*campaign);
             }
             Message::LeaseGrant {
                 lease,
@@ -1252,9 +1121,7 @@ pub mod binary {
                 w.u16(*from_shard);
                 w.u32s(wus);
                 w.flag(*complete);
-                if campaign_aware {
-                    w.u16(*campaign);
-                }
+                w.u16(*campaign);
             }
             Message::StatusAck { shard, complete } => {
                 w.u8(TAG_STATUS_ACK);
@@ -1265,41 +1132,22 @@ pub mod binary {
         w.0
     }
 
-    /// Decodes one v2/v3 binary payload (no frame header) strictly.
-    /// Campaign fields are absent on the wire and default (v1–v3 peers
-    /// implicitly ride the default campaign).
+    /// Decodes one payload (no frame header) strictly.
     pub fn decode(payload: &[u8]) -> Result<Message, String> {
-        decode_versioned(payload, false)
-    }
-
-    /// Decodes one v4 binary payload strictly, campaign fields included.
-    pub fn decode_v4(payload: &[u8]) -> Result<Message, String> {
-        decode_versioned(payload, true)
-    }
-
-    fn decode_versioned(payload: &[u8], campaign_aware: bool) -> Result<Message, String> {
         let mut r = Reader::new(payload);
         let msg = match r.u8()? {
             TAG_HELLO => Message::Hello {
                 agent: r.u64()?,
                 threads: r.u32()?,
-                campaigns: if campaign_aware {
-                    r.counted(1, |r| r.str())?
-                } else {
-                    Vec::new()
-                },
+                campaigns: r.counted(1, |r| r.str())?,
             },
             TAG_HELLO_ACK => Message::HelloAck {
                 protocol: r.u8()?,
                 campaign: r.params()?,
                 deadline_seconds: r.f64()?,
-                campaigns: if campaign_aware {
-                    // Each roster entry is a 4-byte-prefixed name plus a
-                    // 32-byte fixed params block.
-                    r.counted(36, |r| Ok((r.str()?, r.params()?)))?
-                } else {
-                    Vec::new()
-                },
+                // Each roster entry is a 4-byte-prefixed name plus a
+                // 32-byte fixed params block.
+                campaigns: r.counted(36, |r| Ok((r.str()?, r.params()?)))?,
             },
             TAG_REQUEST_WORK => Message::RequestWork,
             TAG_ASSIGNMENT => Message::Assignment {
@@ -1310,7 +1158,7 @@ pub mod binary {
                 isep_start: r.u32()?,
                 positions: r.u32()?,
                 deadline_seconds: r.f64()?,
-                campaign: if campaign_aware { r.u16()? } else { 0 },
+                campaign: r.u16()?,
             },
             TAG_NO_WORK => Message::NoWork {
                 campaign_complete: r.flag()?,
@@ -1322,7 +1170,7 @@ pub mod binary {
             TAG_RESULT_REPORT => {
                 let replica = r.u64()?;
                 let workunit = r.u32()?;
-                let campaign = if campaign_aware { r.u16()? } else { 0 };
+                let campaign = r.u16()?;
                 Message::ResultReport {
                     replica,
                     workunit,
@@ -1360,14 +1208,14 @@ pub mod binary {
                 complete: r.flag()?,
                 hungry: r.flag()?,
                 leases_held: r.counted(8, |r| r.u64())?,
-                campaign: if campaign_aware { r.u16()? } else { 0 },
+                campaign: r.u16()?,
             },
             TAG_LEASE_GRANT => Message::LeaseGrant {
                 lease: r.u64()?,
                 from_shard: r.u16()?,
                 wus: r.counted(4, |r| r.u32())?,
                 complete: r.flag()?,
-                campaign: if campaign_aware { r.u16()? } else { 0 },
+                campaign: r.u16()?,
             },
             TAG_STATUS_ACK => Message::StatusAck {
                 shard: r.u16()?,
@@ -1385,18 +1233,30 @@ mod tests {
     use super::*;
     use maxdo::{DockingRow, EulerZyz, Vec3};
 
+    fn encode(msg: &Message) -> Bytes {
+        encode_with(msg, Codec)
+    }
+
+    fn decode(buf: &[u8]) -> Result<(Message, usize), DecodeError> {
+        decode_versioned(buf).map(|(msg, consumed, Codec)| (msg, consumed))
+    }
+
+    /// One message of every kind, campaign fields off their defaults.
     fn sample_messages() -> Vec<Message> {
         vec![
             Message::Hello {
                 agent: 42,
                 threads: 4,
-                campaigns: Vec::new(),
+                campaigns: vec!["prod".into(), "pilot".into()],
             },
             Message::HelloAck {
                 protocol: PROTOCOL_VERSION,
                 campaign: CampaignParams::tiny(),
                 deadline_seconds: 3.0,
-                campaigns: Vec::new(),
+                campaigns: vec![
+                    ("prod".into(), CampaignParams::tiny()),
+                    ("pilot".into(), CampaignParams::tiny()),
+                ],
             },
             Message::RequestWork,
             Message::Assignment {
@@ -1407,7 +1267,7 @@ mod tests {
                 isep_start: 5,
                 positions: 2,
                 deadline_seconds: 3.0,
-                campaign: 0,
+                campaign: 1,
             },
             Message::NoWork {
                 campaign_complete: false,
@@ -1419,7 +1279,7 @@ mod tests {
             Message::ResultReport {
                 replica: 7,
                 workunit: 3,
-                campaign: 0,
+                campaign: 1,
                 output: DockingOutput {
                     rows: vec![DockingRow {
                         isep: 5,
@@ -1455,7 +1315,7 @@ mod tests {
                 complete: false,
                 hungry: true,
                 leases_held: vec![(1u64 << 48) | 2],
-                campaign: 0,
+                campaign: 1,
             },
             Message::LeaseGrant {
                 // Grantor shard 0, sequence 1.
@@ -1463,7 +1323,7 @@ mod tests {
                 from_shard: 0,
                 wus: vec![11, 12, 13],
                 complete: false,
-                campaign: 0,
+                campaign: 1,
             },
             Message::StatusAck {
                 shard: 0,
@@ -1476,38 +1336,11 @@ mod tests {
     fn every_message_round_trips() {
         for msg in sample_messages() {
             let frame = encode(&msg);
+            assert_eq!(frame[4], PROTOCOL_VERSION);
             let (back, consumed) = decode(&frame).expect("decode");
             assert_eq!(back, msg);
             assert_eq!(consumed, frame.len());
         }
-    }
-
-    #[test]
-    fn every_message_round_trips_in_binary() {
-        for msg in sample_messages() {
-            let frame = encode_with(&msg, Codec::Binary);
-            assert_eq!(frame[4], PROTOCOL_V2);
-            let (back, consumed, codec) = decode_versioned(&frame).expect("decode");
-            assert_eq!(back, msg);
-            assert_eq!(consumed, frame.len());
-            assert_eq!(codec, Codec::Binary);
-        }
-    }
-
-    #[test]
-    fn binary_report_frames_are_smaller_than_json() {
-        let report = sample_messages()
-            .into_iter()
-            .find(|m| matches!(m, Message::ResultReport { .. }))
-            .unwrap();
-        let json = encode_with(&report, Codec::Json);
-        let bin = encode_with(&report, Codec::Binary);
-        assert!(
-            bin.len() < json.len(),
-            "binary {} >= json {}",
-            bin.len(),
-            json.len()
-        );
     }
 
     #[test]
@@ -1521,7 +1354,7 @@ mod tests {
         // are payload errors, not Incomplete — framing already
         // guaranteed the byte count.
         for cut in 0..payload.len() {
-            let frame = frame_payload_versioned(PROTOCOL_V2, &payload[..cut]);
+            let frame = frame_payload_versioned(PROTOCOL_VERSION, &payload[..cut]);
             assert!(
                 matches!(decode(&frame), Err(DecodeError::Payload(_))),
                 "cut at {cut} must be a payload error"
@@ -1529,7 +1362,7 @@ mod tests {
         }
         let mut long = payload.clone();
         long.push(0);
-        let frame = frame_payload_versioned(PROTOCOL_V2, &long);
+        let frame = frame_payload_versioned(PROTOCOL_VERSION, &long);
         assert!(matches!(decode(&frame), Err(DecodeError::Payload(_))));
     }
 
@@ -1541,7 +1374,7 @@ mod tests {
             campaign_complete: false,
         });
         payload[1] = 2;
-        let frame = frame_payload_versioned(PROTOCOL_V2, &payload);
+        let frame = frame_payload_versioned(PROTOCOL_VERSION, &payload);
         assert!(matches!(decode(&frame), Err(DecodeError::Payload(_))));
     }
 
@@ -1573,127 +1406,31 @@ mod tests {
         assert!(matches!(decode(&frame), Err(DecodeError::BadMagic(_))));
     }
 
+    /// Every version byte but the one is refused, and from the header
+    /// alone: the payload need not have arrived (nor be well-formed).
     #[test]
-    fn future_version_rejected() {
+    fn every_other_version_is_rejected_on_the_header() {
         let mut frame = encode(&Message::Bye).to_vec();
-        frame[4] = PROTOCOL_V4 + 1;
-        assert!(matches!(
-            decode(&frame),
-            Err(DecodeError::UnsupportedVersion(_))
-        ));
-    }
-
-    #[test]
-    fn every_message_round_trips_in_v3() {
-        for msg in sample_messages() {
-            let frame = encode_with(&msg, Codec::BinaryV3);
-            assert_eq!(frame[4], PROTOCOL_V3);
-            let (back, consumed, codec) = decode_versioned(&frame).expect("decode");
-            assert_eq!(back, msg);
-            assert_eq!(consumed, frame.len());
-            assert_eq!(codec, Codec::BinaryV3);
-        }
-    }
-
-    /// The campaign-aware fields only exist on the v4 wire. Non-default
-    /// values must survive a v4 round trip, and the same messages
-    /// encoded as v3 must decode with the campaign fields dropped back
-    /// to their defaults — that degradation is what lets v1–v3 agents
-    /// keep talking to a multi-campaign server (they land on slot 0).
-    #[test]
-    fn campaign_fields_round_trip_in_v4_and_degrade_in_v3() {
-        let samples = vec![
-            Message::Hello {
-                agent: 9,
-                threads: 4,
-                campaigns: vec!["prod".into(), "pilot".into()],
-            },
-            Message::HelloAck {
-                protocol: PROTOCOL_VERSION,
-                campaign: CampaignParams::tiny(),
-                deadline_seconds: 3.0,
-                campaigns: vec![
-                    ("prod".into(), CampaignParams::tiny()),
-                    ("pilot".into(), CampaignParams::tiny()),
-                ],
-            },
-            Message::Assignment {
-                replica: 3,
-                workunit: 17,
-                receptor: 0,
-                ligand: 1,
-                isep_start: 5,
-                positions: 2,
-                deadline_seconds: 9.0,
-                campaign: 1,
-            },
-            Message::ResultReport {
-                replica: 3,
-                workunit: 17,
-                campaign: 1,
-                output: DockingOutput {
-                    rows: Vec::new(),
-                    evaluations: 64,
-                },
-            },
-            Message::ShardStatus {
-                shard: 1,
-                fresh_backlog: 5,
-                outstanding: 2,
-                complete: false,
-                hungry: true,
-                leases_held: vec![42],
-                campaign: 1,
-            },
-            Message::LeaseGrant {
-                lease: 7,
-                from_shard: 0,
-                wus: vec![11, 12],
-                complete: false,
-                campaign: 1,
-            },
-        ];
-        for msg in samples {
-            let frame = encode_with(&msg, Codec::BinaryV4);
-            assert_eq!(frame[4], PROTOCOL_V4);
-            let (back, consumed, codec) = decode_versioned(&frame).expect("v4 decode");
-            assert_eq!(back, msg, "v4 must preserve campaign fields");
-            assert_eq!(consumed, frame.len());
-            assert_eq!(codec, Codec::BinaryV4);
-
-            let frame = encode_with(&msg, Codec::BinaryV3);
-            let (back, _, codec) = decode_versioned(&frame).expect("v3 decode");
-            assert_eq!(codec, Codec::BinaryV3);
-            match back {
-                Message::Hello { campaigns, .. } => assert!(campaigns.is_empty()),
-                Message::HelloAck { campaigns, .. } => assert!(campaigns.is_empty()),
-                Message::Assignment { campaign, .. }
-                | Message::ResultReport { campaign, .. }
-                | Message::ShardStatus { campaign, .. }
-                | Message::LeaseGrant { campaign, .. } => assert_eq!(campaign, 0),
-                other => panic!("unexpected decode {other:?}"),
+        for version in (0..=u8::MAX).filter(|&v| v != PROTOCOL_VERSION) {
+            frame[4] = version;
+            for buf in [&frame[..], &frame[..HEADER_BYTES]] {
+                assert_eq!(decode(buf), Err(DecodeError::UnsupportedVersion(version)));
             }
+            let mut stream: &[u8] = &frame[..HEADER_BYTES];
+            let err = read_message(&mut stream).expect_err("refused before the payload");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         }
     }
 
-    /// A v3 frame of each campaign-touched message is byte-identical to
-    /// what a pre-campaign build produced: the appended fields must not
-    /// perturb the v1–v3 wire at all.
+    /// `deframe` leaves the version byte to its caller: the journal
+    /// frames its records with kinds of its own.
     #[test]
-    fn v3_frames_carry_no_campaign_bytes() {
-        let make = |campaign: u16| Message::Assignment {
-            replica: 3,
-            workunit: 17,
-            receptor: 0,
-            ligand: 1,
-            isep_start: 5,
-            positions: 2,
-            deadline_seconds: 9.0,
-            campaign,
-        };
-        let with = encode_with(&make(5), Codec::BinaryV3);
-        let without = encode_with(&make(0), Codec::BinaryV3);
-        assert_eq!(with, without, "campaign index leaked into the v3 wire");
+    fn deframe_does_not_judge_the_version_byte() {
+        for kind in 0..=u8::MAX {
+            let frame = frame_payload_versioned(kind, b"a journal record");
+            let expected = (kind, &b"a journal record"[..], frame.len());
+            assert_eq!(deframe(&frame), Ok(expected));
+        }
     }
 
     #[test]
@@ -1712,7 +1449,7 @@ mod tests {
         let mut bad = payload.clone();
         let count_off = 1 + 2 + 8 + 8 + 1 + 1;
         bad[count_off..count_off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let frame = frame_payload_versioned(PROTOCOL_V3, &bad);
+        let frame = frame_payload_versioned(PROTOCOL_VERSION, &bad);
         assert!(matches!(decode(&frame), Err(DecodeError::Payload(_))));
     }
 
@@ -1754,7 +1491,7 @@ mod tests {
         let count_off = 1 + 2 + 2; // tag + shards + self_shard
         let remaining = bad.len() - count_off - 4;
         bad[count_off..count_off + 4].copy_from_slice(&(remaining as u32).to_le_bytes());
-        let frame = frame_payload_versioned(PROTOCOL_V3, &bad);
+        let frame = frame_payload_versioned(PROTOCOL_VERSION, &bad);
         assert!(matches!(decode(&frame), Err(DecodeError::Payload(_))));
     }
 
@@ -1823,7 +1560,7 @@ mod tests {
         );
     }
 
-    /// A 21-row v4 `ResultReport`: the 1 556-byte frame the live grid's
+    /// A 21-row `ResultReport`: the 1 556-byte frame the live grid's
     /// benchmark sends once per replica.
     fn report_frame() -> Vec<u8> {
         let rows = (0..21u32)
@@ -1850,7 +1587,7 @@ mod tests {
                     evaluations: 420,
                 },
             },
-            Codec::BinaryV4,
+            Codec,
         );
         assert_eq!(frame.len(), 1556);
         frame.to_vec()
@@ -1949,14 +1686,8 @@ mod tests {
     }
 
     #[test]
-    fn valid_checksum_with_garbage_json_is_a_payload_error() {
-        let payload = b"{\"NotAMessage\":1}";
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&MAGIC);
-        frame.push(PROTOCOL_V1);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&checksum64(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
+    fn valid_checksum_with_garbage_payload_is_a_payload_error() {
+        let frame = frame_payload_versioned(PROTOCOL_VERSION, b"{\"NotAMessage\":1}");
         assert!(matches!(decode(&frame), Err(DecodeError::Payload(_))));
     }
 
@@ -1965,7 +1696,7 @@ mod tests {
         let msgs = sample_messages();
         let mut wire = Vec::new();
         for m in &msgs {
-            write_message(&mut wire, m).unwrap();
+            write_message_with(&mut wire, m, Codec).unwrap();
         }
         let mut r: &[u8] = &wire;
         for m in &msgs {

@@ -255,7 +255,7 @@ impl MultiGrid {
         &self.fair
     }
 
-    /// The roster announced in a v4 `HelloAck`: every campaign's name
+    /// The roster announced in a `HelloAck`: every campaign's name
     /// and recipe, in campaign-index order (assignments index it).
     pub fn roster(&self) -> Vec<(String, CampaignParams)> {
         self.slots
@@ -265,8 +265,8 @@ impl MultiGrid {
     }
 
     /// Resolves an agent's requested attachments to a slot mask. An
-    /// empty request (and every v1–v3 agent) attaches to the default
-    /// campaign — slot 0; `"*"` attaches to all; unknown names are
+    /// empty request attaches to the default campaign — slot 0; `"*"`
+    /// attaches to all; unknown names are
     /// ignored, and a request that matches nothing falls back to the
     /// default so a misconfigured agent still contributes.
     pub fn attach_mask(&self, requested: &[String]) -> Vec<bool> {

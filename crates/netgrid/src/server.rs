@@ -19,10 +19,9 @@
 //! ops scrape thread) is only ever taken from this one thread for
 //! scheduler calls.
 //!
-//! Codec negotiation is per-frame: the loop decodes whatever version
-//! the agent sent (JSON v1 or binary v2) and answers in that same
-//! codec, so a v1-only agent never sees a v2 frame. See
-//! [`crate::protocol::Codec`].
+//! Nothing is negotiated: every peer speaks the one wire dialect
+//! ([`crate::protocol`]), and a frame with any other version byte closes
+//! its connection with reason `"protocol"` before a reply is written.
 
 use crate::faults::ServerFaults;
 use crate::journal::JournalConfig;
@@ -72,7 +71,7 @@ pub struct NetServerConfig {
     /// single implicit campaign built from `campaign` (slot 0, name
     /// `"default"`) — the pre-registry behaviour, including the journal
     /// layout. Non-empty replaces `campaign` entirely; slot order is
-    /// the roster order v4 assignments index.
+    /// the roster order assignments index.
     pub campaigns: Vec<CampaignDef>,
 }
 
@@ -259,14 +258,10 @@ struct Conn {
     /// The agent id learned from `Hello` (0 until then).
     agent: u64,
     /// The campaign attach mask resolved from the `Hello` request —
-    /// empty until then (treated as "default campaign only", which is
-    /// also what every v1–v3 agent gets).
+    /// empty until then (treated as "default campaign only").
     attached: Vec<bool>,
     /// Frames decoded on this connection (for close telemetry).
     frames: u64,
-    /// The codec of the most recent frame from this peer; replies use
-    /// the same codec, which is the whole negotiation.
-    codec: Codec,
     /// Set when the connection should close once `write_buf` drains,
     /// carrying the close reason for telemetry.
     closing: Option<&'static str>,
@@ -289,7 +284,6 @@ impl Conn {
             agent: 0,
             attached: Vec::new(),
             frames: 0,
-            codec: Codec::Json,
             closing: None,
             brushoff,
             interest: (false, false),
@@ -514,7 +508,7 @@ impl NetServer {
 
 /// What the dispatch of one decoded frame asks the loop to do.
 enum Disposition {
-    /// Queue this reply (in the connection's codec) and keep reading.
+    /// Queue this reply and keep reading.
     Reply(Message),
     /// Queue several replies — steering gossip can answer one
     /// `ShardStatus` with re-sent grants, a fresh grant, *and* the ack.
@@ -588,14 +582,6 @@ fn steer_loop(
 ) {
     let me = topo.spec.shard_id;
     let campaign_count = grid.lock().unwrap().len();
-    // Multi-campaign gossip needs the v4 campaign field on the wire; a
-    // single-campaign fleet keeps the v3 byte stream so mixed-build
-    // shard sets stay interoperable.
-    let codec = if campaign_count > 1 {
-        Codec::BinaryV4
-    } else {
-        Codec::BinaryV3
-    };
     let mut backoffs_seen = vec![0u64; campaign_count];
     while !done.load(Relaxed) {
         std::thread::sleep(Duration::from_millis(STEER_INTERVAL_MS));
@@ -634,7 +620,7 @@ fn steer_loop(
                 if let Message::ShardStatus { leases_held, .. } = &mut status {
                     *leases_held = grid.lock().unwrap().slots()[c].state.leases_held_from(peer);
                 }
-                let replies = match steer_exchange(&topo.addrs[usize::from(peer)], &status, codec) {
+                let replies = match steer_exchange(&topo.addrs[usize::from(peer)], &status) {
                     Ok(replies) => replies,
                     Err(_) => continue, // down or slow; next tick retries
                 };
@@ -680,7 +666,7 @@ fn steer_loop(
 /// frames until the terminating `StatusAck` (or until the peer hangs
 /// up / the timeout fires). Every step is bounded by
 /// [`STEER_TIMEOUT_MS`].
-fn steer_exchange(addr: &str, status: &Message, codec: Codec) -> io::Result<Vec<Message>> {
+fn steer_exchange(addr: &str, status: &Message) -> io::Result<Vec<Message>> {
     let timeout = Duration::from_millis(STEER_TIMEOUT_MS);
     let sock = addr
         .to_socket_addrs()?
@@ -690,7 +676,7 @@ fn steer_exchange(addr: &str, status: &Message, codec: Codec) -> io::Result<Vec<
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
     let _ = stream.set_nodelay(true);
-    stream.write_all(&encode_with(status, codec))?;
+    stream.write_all(&encode_with(status, Codec))?;
     let mut replies = Vec::new();
     let mut buf = Vec::new();
     let mut chunk = [0u8; READ_CHUNK];
@@ -870,17 +856,13 @@ impl EventLoop {
             if limit > 0 && self.accepted_active >= limit {
                 // Turned away before any frame is read: counted (and
                 // telemetered) as a rejection, never as an accepted
-                // connection. The Busy frame goes out in JSON — the
-                // peer has not spoken yet, and v1 is what every agent
-                // version can read.
+                // connection.
                 self.rejected += 1;
                 let retry_after_ms = self.faults.backoff_base_ms.max(1) * 4;
                 telemetry::emit(None, || Event::ConnectionRejected { retry_after_ms });
                 let mut conn = Conn::new(stream, true);
-                conn.write_buf.extend_from_slice(&encode_with(
-                    &Message::Busy { retry_after_ms },
-                    Codec::Json,
-                ));
+                conn.write_buf
+                    .extend_from_slice(&encode_with(&Message::Busy { retry_after_ms }, Codec));
                 conn.closing = Some("busy");
                 self.install(fd, conn);
                 continue;
@@ -995,8 +977,7 @@ impl EventLoop {
                 Ok((msg, consumed, codec)) => {
                     conn.read_buf.consume(consumed);
                     conn.frames += 1;
-                    conn.codec = codec;
-                    match self.dispatch(&mut conn.agent, &mut conn.attached, msg, codec) {
+                    match self.dispatch(&mut conn.agent, &mut conn.attached, msg) {
                         Disposition::Reply(reply) => {
                             conn.write_buf
                                 .extend_from_slice(&encode_with(&reply, codec));
@@ -1022,15 +1003,12 @@ impl EventLoop {
     }
 
     /// Maps one decoded frame to a scheduler call and a reply — the
-    /// dispatch state of the per-connection machine. `codec` is the
-    /// codec the frame arrived in: only v3 peers may be sent shard
-    /// messages (a redirect would just confuse a v1/v2 agent).
+    /// dispatch state of the per-connection machine.
     fn dispatch(
         &mut self,
         agent_id: &mut u64,
         attached: &mut Vec<bool>,
         msg: Message,
-        codec: Codec,
     ) -> Disposition {
         let now = self.now();
         match msg {
@@ -1043,8 +1021,8 @@ impl EventLoop {
                 let grid = self.grid.lock().unwrap();
                 *attached = grid.attach_mask(&campaigns);
                 // The roster travels only when there is one worth
-                // announcing; a solo registry keeps the v1–v3 shape
-                // (recipe in `campaign`, no roster) byte for byte.
+                // announcing; a solo registry sends the recipe in
+                // `campaign` and an empty roster.
                 let roster = if grid.len() > 1 {
                     grid.roster()
                 } else {
@@ -1083,7 +1061,7 @@ impl EventLoop {
                         campaign_complete,
                     } => {
                         drop(grid);
-                        if let Some(redirect) = self.try_redirect(codec, &mask) {
+                        if let Some(redirect) = self.try_redirect(&mask) {
                             redirect
                         } else {
                             Message::NoWork {
@@ -1162,7 +1140,7 @@ impl EventLoop {
     }
 
     /// When this shard has nothing to issue but a peer advertises
-    /// fresh backlog, answer a v3 agent's ask with a `Redirect` there
+    /// fresh backlog, answer an agent's ask with a `Redirect` there
     /// instead of a backoff. The agent follows at most one redirect per
     /// ask, and the target was advertising work moments ago, so a
     /// bounce chain cannot form.
@@ -1174,11 +1152,8 @@ impl EventLoop {
     /// poll `NoWork` for ever while a peer's backlog sat untouched. A
     /// slice that validates within one steering interval gets there
     /// before the first lease could have been cut.
-    fn try_redirect(&mut self, codec: Codec, attached: &[bool]) -> Option<Message> {
+    fn try_redirect(&mut self, attached: &[bool]) -> Option<Message> {
         let topo = self.shard.as_ref()?;
-        if !codec.shard_aware() {
-            return None;
-        }
         {
             // A backoff with backlog still on hand was a trust denial
             // (quarantine), not a drained queue: the agent waits here.
@@ -1310,6 +1285,7 @@ impl EventLoop {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::HEADER_BYTES;
 
     /// An event loop over a solo tiny campaign, with no listener: the
     /// tests hand it connections directly.
@@ -1369,7 +1345,7 @@ mod tests {
             threads: 1,
             campaigns,
         };
-        encode_with(&msg, Codec::BinaryV4).to_vec()
+        encode_with(&msg, Codec).to_vec()
     }
 
     /// The replies queued on the connection, decoded.
@@ -1402,7 +1378,7 @@ mod tests {
     fn two_frames_pipelined_in_one_write_each_dispatch_once() {
         let (mut ev, (mut agent, mut conn)) = (event_loop(), socket_pair());
         let mut wire = hello(Vec::new());
-        wire.extend_from_slice(&encode_with(&Message::RequestWork, Codec::BinaryV4));
+        wire.extend_from_slice(&encode_with(&Message::RequestWork, Codec));
         agent.write_all(&wire).unwrap();
         pump(&mut ev, &mut conn, |c| c.frames >= 2);
         assert_eq!((conn.frames, conn.read_buf.filled), (2, 0));
@@ -1428,6 +1404,67 @@ mod tests {
         assert!(matches!(replies(&conn)[..], [Message::HelloAck { .. }]));
         ev.read_and_dispatch(&mut conn);
         assert_eq!(conn.frames, 1, "nothing is dispatched twice");
+    }
+
+    /// Well-formed `Hello { agent: 9, threads: 1 }` frames as the
+    /// dialects this server no longer speaks framed them, recorded from
+    /// the last build that did: JSON (v1) and the two narrower binary
+    /// layouts (v2, v3).
+    const OLD_HELLOS: [&[u8]; 3] = [
+        b"HCMD\x01\x30\0\0\0\x1a\x57\xd9\xd4\x54\x27\xbe\x62\
+          {\"Hello\":{\"agent\":9,\"threads\":1,\"campaigns\":[]}}",
+        b"HCMD\x02\x0d\0\0\0\x40\x59\xc1\xdd\x66\x25\x5c\x7e\0\x09\0\0\0\0\0\0\0\x01\0\0\0",
+        b"HCMD\x03\x0d\0\0\0\x40\x59\xc1\xdd\x66\x25\x5c\x7e\0\x09\0\0\0\0\0\0\0\x01\0\0\0",
+    ];
+
+    /// A frame in any other dialect closes its connection with reason
+    /// `"protocol"` the moment its header is in — no reply byte, no
+    /// dispatch, and nothing queued behind it is served either.
+    #[test]
+    fn an_old_dialect_hello_is_refused_on_header_arrival() {
+        for old in OLD_HELLOS {
+            assert_eq!(old.len(), HEADER_BYTES + usize::from(old[5]));
+            let (mut ev, (mut agent, mut conn)) = (event_loop(), socket_pair());
+            agent.write_all(&old[..HEADER_BYTES]).unwrap();
+            pump(&mut ev, &mut conn, |c| c.closing.is_some());
+            assert_eq!(conn.closing, Some("protocol"), "version {}", old[4]);
+            assert!(conn.write_buf.is_empty(), "zero reply bytes");
+
+            // The whole frame, with a session in today's dialect
+            // pipelined behind it: still nothing is dispatched.
+            let (mut agent, mut conn) = socket_pair();
+            let mut wire = old.to_vec();
+            wire.extend_from_slice(&hello(Vec::new()));
+            wire.extend_from_slice(&encode_with(&Message::RequestWork, Codec));
+            agent.write_all(&wire).unwrap();
+            pump(&mut ev, &mut conn, |c| c.closing.is_some());
+            assert_eq!((conn.closing, conn.frames), (Some("protocol"), 0));
+            assert!(conn.write_buf.is_empty(), "zero reply bytes");
+            let grid = ev.grid.lock().unwrap();
+            assert_eq!(grid.slots()[0].state.outstanding_len(), 0, "nothing issued");
+        }
+    }
+
+    /// The brush-off at the connection cap — sent before the peer has
+    /// said anything — is an ordinary frame of the one dialect.
+    #[test]
+    fn the_cap_brush_off_busy_decodes_with_the_one_decoder() {
+        let mut ev = event_loop();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let mut agent = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        ev.listener = Some(listener);
+        ev.faults.max_connections = 1;
+        ev.accepted_active = 1;
+        ev.accept_ready().unwrap();
+        assert_eq!((ev.rejected, ev.connections), (1, 0));
+
+        let mut wire = Vec::new();
+        agent.read_to_end(&mut wire).unwrap();
+        assert_eq!(wire[4], PROTOCOL_VERSION);
+        let (msg, consumed, _) = decode_versioned(&wire).expect("a whole Busy frame");
+        assert!(matches!(msg, Message::Busy { retry_after_ms } if retry_after_ms > 0));
+        assert_eq!(consumed, wire.len(), "one frame, then the close");
     }
 
     /// The read loop stops on a short read without seeing the EOF behind

@@ -175,7 +175,7 @@ fn two_shard_campaign_under_trust_merges_byte_identical() {
 
 /// Every agent parked on shard 0: the campaign can only finish if
 /// steering moves shard 1's work to where the demand is (leases) or
-/// moves the demand to the work (redirects, the agents speak v3).
+/// moves the demand to the work (redirects).
 #[test]
 fn agents_on_one_shard_finish_the_campaign_via_steering() {
     let (handles, addrs, params) = bind_shards(2, false);
@@ -272,7 +272,7 @@ fn duplicate_gossip_resends_the_same_lease_never_a_new_one() {
                 leases_held: held,
                 campaign: 0,
             },
-            Codec::BinaryV3,
+            Codec,
         )
         .expect("send status");
         let mut grants = Vec::new();
@@ -358,7 +358,7 @@ fn duplicate_gossip_resends_the_same_lease_never_a_new_one() {
 /// the kernel got fast enough for a slice to validate inside one
 /// steering interval, before the first lease could be cut. Played by
 /// hand: lease away shard 0's whole slice, advertise backlog as shard 1,
-/// then ask shard 0 for work as a v3 agent.
+/// then ask shard 0 for work as an agent.
 #[test]
 fn a_complete_shard_still_redirects_to_a_peer_with_backlog() {
     let addrs = free_addrs(2);
@@ -397,7 +397,7 @@ fn a_complete_shard_still_redirects_to_a_peer_with_backlog() {
             leases_held: held.to_vec(),
             campaign: 0,
         };
-        write_message_with(&mut peer, &status, Codec::BinaryV3).expect("send status");
+        write_message_with(&mut peer, &status, Codec).expect("send status");
         let mut leases = Vec::new();
         loop {
             match read_message(&mut peer).expect("read reply") {
@@ -424,19 +424,19 @@ fn a_complete_shard_still_redirects_to_a_peer_with_backlog() {
         threads: 1,
         campaigns: Vec::new(),
     };
-    write_message_with(&mut agent, &hello, Codec::BinaryV3).expect("hello");
+    write_message_with(&mut agent, &hello, Codec).expect("hello");
     assert!(matches!(
         read_message(&mut agent).expect("hello ack"),
         Some(Message::HelloAck { .. })
     ));
-    write_message_with(&mut agent, &Message::RequestWork, Codec::BinaryV3).expect("ask");
+    write_message_with(&mut agent, &Message::RequestWork, Codec).expect("ask");
     match read_message(&mut agent).expect("reply to the ask") {
         Some(Message::Redirect { shard, addr }) => {
             assert_eq!((shard, &addr), (1, &addrs[1]));
         }
         other => panic!("a drained, complete shard must redirect, got {other:?}"),
     }
-    write_message_with(&mut agent, &Message::Bye, Codec::BinaryV3).expect("bye");
+    write_message_with(&mut agent, &Message::Bye, Codec).expect("bye");
     drop(agent);
 
     // Shard 1 finishes too; shard 0 can shut down.

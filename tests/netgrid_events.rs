@@ -40,7 +40,7 @@ fn busy_rejections_keep_open_close_pairing_exact() {
         threads: 1,
         campaigns: Vec::new(),
     };
-    netgrid::protocol::write_message(&mut holder, &hello).expect("hello");
+    netgrid::protocol::write_message_with(&mut holder, &hello, netgrid::Codec).expect("hello");
     match netgrid::protocol::read_message(&mut holder) {
         Ok(Some(Message::HelloAck { .. })) => {}
         other => panic!("expected HelloAck, got {other:?}"),
@@ -51,7 +51,7 @@ fn busy_rejections_keep_open_close_pairing_exact() {
         other => panic!("expected Busy at the connection limit, got {other:?}"),
     }
     drop(probe);
-    netgrid::protocol::write_message(&mut holder, &Message::Bye).expect("bye");
+    netgrid::protocol::write_message_with(&mut holder, &Message::Bye, netgrid::Codec).expect("bye");
     drop(holder);
 
     let agent = thread::spawn(move || run_agent(AgentConfig::new(addr, 1)));

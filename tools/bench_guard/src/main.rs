@@ -43,9 +43,6 @@
 //!   ceiling on the contended fair-share error (the 70/30 split must
 //!   land within ±5%) and a warning if any hosted campaign's merged
 //!   artifact diverged from a solo run of the same recipe.
-//! * `frame_codec` (`BENCH_codec.json`) — per-frame encode/decode cost
-//!   of the two wire codecs; warns when the binary codec fails to beat
-//!   JSON or regresses past the tolerance against its baseline.
 
 use serde::Value;
 use std::process::ExitCode;
@@ -582,75 +579,6 @@ fn guard_netgrid(base: &NetgridSummary, fresh: &NetgridSummary, tolerance: f64) 
     warnings
 }
 
-/// The numbers the frame-codec guard compares: nanoseconds per frame
-/// for each codec/direction, from `BENCH_codec.json`.
-struct CodecSummary {
-    json_encode_ns: f64,
-    json_decode_ns: f64,
-    binary_encode_ns: f64,
-    binary_decode_ns: f64,
-}
-
-fn codec_summary(report: &Value, path: &str) -> Result<CodecSummary, String> {
-    let f = |key: &str| {
-        report
-            .get(key)
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("{path}: missing numeric \"{key}\""))
-    };
-    Ok(CodecSummary {
-        json_encode_ns: f("json_encode_ns")?,
-        json_decode_ns: f("json_decode_ns")?,
-        binary_encode_ns: f("binary_encode_ns")?,
-        binary_decode_ns: f("binary_decode_ns")?,
-    })
-}
-
-/// Warn-only comparison for a `frame_codec` run: the binary codec must
-/// actually beat JSON in both directions (that is its whole reason to
-/// exist), and neither codec should regress past the tolerance.
-fn guard_codec(base: &CodecSummary, fresh: &CodecSummary, tolerance: f64) -> u32 {
-    let mut warnings = 0;
-    for (dir, json_ns, binary_ns) in [
-        ("encode", fresh.json_encode_ns, fresh.binary_encode_ns),
-        ("decode", fresh.json_decode_ns, fresh.binary_decode_ns),
-    ] {
-        let speedup = json_ns / binary_ns;
-        if speedup < 1.0 {
-            warnings += 1;
-            eprintln!(
-                "bench_guard: WARNING: binary {dir} ({binary_ns:.0} ns) is slower than JSON ({json_ns:.0} ns)"
-            );
-        } else {
-            println!("bench_guard: binary {dir} ok: {speedup:.1}x faster than JSON ({binary_ns:.0} ns vs {json_ns:.0} ns)");
-        }
-    }
-    for (name, base_ns, fresh_ns) in [
-        ("json encode", base.json_encode_ns, fresh.json_encode_ns),
-        ("json decode", base.json_decode_ns, fresh.json_decode_ns),
-        (
-            "binary encode",
-            base.binary_encode_ns,
-            fresh.binary_encode_ns,
-        ),
-        (
-            "binary decode",
-            base.binary_decode_ns,
-            fresh.binary_decode_ns,
-        ),
-    ] {
-        let ceiling = base_ns * (1.0 + tolerance);
-        if fresh_ns > ceiling {
-            warnings += 1;
-            eprintln!(
-                "bench_guard: WARNING: {name} {fresh_ns:.0} ns/frame is above baseline {base_ns:.0} + {:.0}% tolerance",
-                tolerance * 100.0
-            );
-        }
-    }
-    warnings
-}
-
 /// The report kind, from the `"bench"` field (`sim_scale` reports from
 /// before the field existed default to `sim_scale`).
 fn report_kind(report: &Value) -> &str {
@@ -709,25 +637,6 @@ fn main() -> ExitCode {
             }
         };
         let warnings = guard_netgrid(&base, &fresh, tolerance);
-        if warnings > 0 {
-            eprintln!(
-                "bench_guard: {warnings} warning(s) — informational only, not failing the build"
-            );
-        }
-        return ExitCode::SUCCESS;
-    }
-    if kind == "frame_codec" {
-        let (base, fresh) = match (
-            codec_summary(&baseline, baseline_path),
-            codec_summary(&fresh, fresh_path),
-        ) {
-            (Ok(b), Ok(f)) => (b, f),
-            (Err(e), _) | (_, Err(e)) => {
-                eprintln!("bench_guard: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let warnings = guard_codec(&base, &fresh, tolerance);
         if warnings > 0 {
             eprintln!(
                 "bench_guard: {warnings} warning(s) — informational only, not failing the build"
