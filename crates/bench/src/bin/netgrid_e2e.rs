@@ -11,8 +11,8 @@
 //! report carries those counts.
 //!
 //! The campaign runs three times: once plain, once with
-//! `--journal`-style durability (write-ahead log + snapshots under a
-//! scratch directory), and once with the `--ops-addr` observability
+//! `--journal`-style durability (write-ahead log under a scratch
+//! directory), and once with the `--ops-addr` observability
 //! endpoint enabled while a scraper thread polls `/metrics` through the
 //! whole run. The report carries the journaled and ops-enabled
 //! throughputs, their overhead fractions, and the scrape latency

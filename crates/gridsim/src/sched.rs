@@ -133,7 +133,6 @@ struct WuState {
     /// 0 = follow the validation policy in force at report time (the
     /// paper's behaviour, bit-identical to every pre-trust trace);
     /// nonzero = exactly this many valid results complete the workunit.
-    #[serde(default)]
     needed_override: u16,
 }
 
@@ -172,7 +171,6 @@ pub struct ServerStats {
     pub late_results: u64,
     /// Replicas issued to independently recompute a trusted agent's
     /// single-replica result (trust-adaptive spot checks).
-    #[serde(default)]
     pub spot_check_issues: u64,
 }
 
@@ -284,17 +282,16 @@ pub enum ReplicationOverride {
     Quorum,
 }
 
-/// A serializable image of the scheduler's mutable state, taken with
-/// [`SchedulerCore::snapshot`] and rebuilt with [`SchedulerCore::restore`].
+/// A complete, comparable image of the scheduler's mutable state, taken
+/// with [`SchedulerCore::snapshot`]: what "the same scheduler state"
+/// means to tests that compare a journal-recovered server against the
+/// live one. It is never read back — a scheduler is only ever built by
+/// [`SchedulerCore::new`] / [`SchedulerCore::with_ownership`] and driven
+/// through its entry points.
 ///
 /// The catalog and configuration are *not* part of the image: both are
-/// derived deterministically from the campaign recipe, so a restart
-/// rebuilds them from the recipe and the snapshot only has to carry the
-/// progress state (which workunits validated, which replicas are out,
-/// what is queued for reissue). `catalog_len` is kept as a cheap sanity
-/// check that a snapshot is being restored against the campaign it was
-/// taken from.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// derived deterministically from the campaign recipe.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CoreSnapshot {
     states: Vec<WuState>,
     replicas: Vec<ReplicaState>,
@@ -307,10 +304,7 @@ pub struct CoreSnapshot {
     stats: ServerStats,
     feeder_cache: Vec<(u32, Option<ReissueCause>)>,
     feeder_misses: u64,
-    #[serde(default)]
     wasted_ref_seconds: f64,
-    catalog_len: usize,
-    #[serde(default)]
     shard: Option<ShardOwnership>,
 }
 
@@ -439,7 +433,7 @@ impl SchedulerCore {
         core
     }
 
-    /// Captures the scheduler's mutable state for durable storage.
+    /// Captures the scheduler's mutable state for comparison.
     pub fn snapshot(&self) -> CoreSnapshot {
         CoreSnapshot {
             states: self.states.clone(),
@@ -454,72 +448,8 @@ impl SchedulerCore {
             feeder_cache: self.feeder_cache.iter().copied().collect(),
             feeder_misses: self.feeder_misses,
             wasted_ref_seconds: self.wasted_ref_seconds,
-            catalog_len: self.catalog.len(),
             shard: self.shard.clone(),
         }
-    }
-
-    /// Rebuilds a scheduler from a [`CoreSnapshot`] plus the (recipe-
-    /// derived) catalog and configuration it was taken under. Fails when
-    /// the snapshot is internally inconsistent or belongs to a different
-    /// campaign, so a corrupt journal cannot resurrect a nonsense server.
-    pub fn restore(
-        catalog: Vec<WorkunitCatalogEntry>,
-        config: ServerConfig,
-        snap: CoreSnapshot,
-    ) -> Result<Self, String> {
-        let n = catalog.len();
-        if snap.catalog_len != n || snap.states.len() != n {
-            return Err(format!(
-                "snapshot belongs to a {}-workunit campaign, catalog has {n}",
-                snap.catalog_len
-            ));
-        }
-        if snap.reissue.len() != snap.reissue_causes.len() {
-            return Err("snapshot reissue queues out of sync".into());
-        }
-        if snap.next_new > n || snap.completed > n {
-            return Err("snapshot cursors out of range".into());
-        }
-        if let Some(r) = snap
-            .replicas
-            .iter()
-            .find(|r| r.workunit as usize >= n)
-            .map(|r| r.workunit)
-        {
-            return Err(format!("snapshot replica references workunit {r} >= {n}"));
-        }
-        if snap
-            .reissue
-            .iter()
-            .chain(snap.feeder_cache.iter().map(|(wu, _)| wu))
-            .any(|&wu| wu as usize >= n)
-        {
-            return Err("snapshot reissue/feeder entry out of range".into());
-        }
-        if let Some(sh) = &snap.shard {
-            if sh.owned.len() != n || sh.issued.len() != n {
-                return Err("snapshot shard ownership map length mismatch".into());
-            }
-            if sh.fresh.iter().any(|&wu| wu as usize >= n) {
-                return Err("snapshot shard fresh entry out of range".into());
-            }
-        }
-        let mut core = Self::new(catalog, config);
-        core.states = snap.states;
-        core.replicas = snap.replicas;
-        core.next_new = snap.next_new;
-        core.reissue = snap.reissue.into();
-        core.reissue_causes = snap.reissue_causes.into();
-        core.completed = snap.completed;
-        core.results_received = snap.results_received;
-        core.results_useful = snap.results_useful;
-        core.stats = snap.stats;
-        core.feeder_cache = snap.feeder_cache.into();
-        core.feeder_misses = snap.feeder_misses;
-        core.wasted_ref_seconds = snap.wasted_ref_seconds;
-        core.shard = snap.shard;
-        Ok(core)
     }
 
     /// Whether a workunit's lifecycle is logged to the event stream (the
@@ -1670,96 +1600,6 @@ mod tests {
 }
 
 #[cfg(test)]
-mod snapshot_tests {
-    use super::*;
-
-    fn catalog(n: usize) -> Vec<WorkunitCatalogEntry> {
-        (0..n)
-            .map(|i| WorkunitCatalogEntry {
-                ref_seconds: 1000.0 + i as f32,
-                position_ref_seconds: 100.0,
-                receptor: (i % 3) as u16,
-            })
-            .collect()
-    }
-
-    fn t(sec: f64) -> SimTime {
-        SimTime::new(sec)
-    }
-
-    /// Drives a core through a mixed history (issues, quorum pair, an
-    /// error, a timeout), snapshots it, restores, and asserts the two
-    /// cores make identical decisions from there to campaign end.
-    #[test]
-    fn restored_core_continues_exactly_where_the_original_stopped() {
-        let mut s = SchedulerCore::new(catalog(4), ServerConfig::default());
-        let a = s.fetch_work(t(0.0)).unwrap();
-        let b = s.fetch_work(t(0.0)).unwrap();
-        let c = s.fetch_work(t(1.0)).unwrap();
-        s.report_result(t(2.0), a.replica, false);
-        s.report_result(t(3.0), b.replica, true); // error reissue
-        s.handle_timeout(c.replica); // timeout reissue
-
-        let snap = s.snapshot();
-        let json = serde_json::to_string(&snap).unwrap();
-        let back: CoreSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, snap, "snapshot must survive a JSON round trip");
-        let mut r = SchedulerCore::restore(catalog(4), ServerConfig::default(), back).unwrap();
-
-        assert_eq!(r.stats, s.stats);
-        assert_eq!(r.completed_count(), s.completed_count());
-        assert_eq!(r.replica_count(), s.replica_count());
-        // Drain both to completion in lockstep; every decision must match.
-        let mut now = 10.0;
-        while !s.is_campaign_complete() || !r.is_campaign_complete() {
-            now += 1.0;
-            let (x, y) = (s.fetch_work(t(now)), r.fetch_work(t(now)));
-            match (x, y) {
-                (Some(x), Some(y)) => {
-                    assert_eq!((x.replica, x.workunit), (y.replica, y.workunit));
-                    let ox = s.report_result(t(now + 0.5), x.replica, false);
-                    let oy = r.report_result(t(now + 0.5), y.replica, false);
-                    assert_eq!(ox, oy);
-                }
-                (None, None) => break,
-                diverged => panic!("fetch decisions diverged: {diverged:?}"),
-            }
-        }
-        assert_eq!(s.is_campaign_complete(), r.is_campaign_complete());
-        assert_eq!(s.stats, r.stats);
-        assert_eq!(s.results_received, r.results_received);
-        assert_eq!(s.results_useful, r.results_useful);
-    }
-
-    #[test]
-    fn snapshot_of_wrong_campaign_is_rejected() {
-        let s = SchedulerCore::new(catalog(4), ServerConfig::default());
-        let snap = s.snapshot();
-        assert!(SchedulerCore::restore(catalog(5), ServerConfig::default(), snap).is_err());
-    }
-
-    #[test]
-    fn feeder_cache_survives_the_snapshot() {
-        let cfg = ServerConfig {
-            validation_switch_day: Some(0),
-            feeder: Some(FeederConfig {
-                cache_size: 4,
-                refill_batch: 4,
-            }),
-            ..Default::default()
-        };
-        let mut s = SchedulerCore::new(catalog(6), cfg);
-        assert!(s.fetch_work(t(0.0)).is_none(), "cold cache");
-        let snap = s.snapshot();
-        let mut r = SchedulerCore::restore(catalog(6), cfg, snap).unwrap();
-        let a = s.fetch_work(t(1.0)).unwrap();
-        let b = r.fetch_work(t(1.0)).unwrap();
-        assert_eq!((a.replica, a.workunit), (b.replica, b.workunit));
-        assert_eq!(s.feeder_misses, r.feeder_misses);
-    }
-}
-
-#[cfg(test)]
 mod feeder_tests {
     use super::*;
 
@@ -1967,25 +1807,6 @@ mod shard_tests {
         assert_eq!(a.workunit, 0);
         assert_eq!(s.lease_out(&[0]), 0, "an issued workunit cannot move");
         assert_eq!(s.lease_candidates(8), vec![1]);
-    }
-
-    #[test]
-    fn shard_state_survives_the_snapshot_round_trip() {
-        let mut s = SchedulerCore::with_ownership(catalog(4), bounds_cfg(), vec![true; 4]);
-        let a = s.fetch_work(t(0.0)).unwrap();
-        s.report_result(t(1.0), a.replica, false);
-        s.lease_out(&[3]);
-        let snap = s.snapshot();
-        let json = serde_json::to_string(&snap).unwrap();
-        let back: CoreSnapshot = serde_json::from_str(&json).unwrap();
-        let mut r = SchedulerCore::restore(catalog(4), bounds_cfg(), back).unwrap();
-        assert_eq!(r.owned_count(), s.owned_count());
-        assert_eq!(r.fresh_backlog(), s.fresh_backlog());
-        let (x, y) = (s.fetch_work(t(2.0)), r.fetch_work(t(2.0)));
-        assert_eq!(
-            x.map(|a| (a.replica, a.workunit)),
-            y.map(|a| (a.replica, a.workunit))
-        );
     }
 
     #[test]

@@ -1,25 +1,25 @@
 //! `hcmd-journal dump DIR` — print a journal directory as JSON lines.
 //!
-//! Walks `snapshot.bin` then `wal.bin` with the reader recovery itself
-//! uses ([`netgrid::RecordReader`]) and prints one JSON object per
-//! record on stdout, in file order. The wal's transition records are
-//! binary on disk; this is where they are legible. A per-file summary
-//! (records, valid bytes, torn tail if any) goes to stderr. Read-only:
-//! unlike recovery it never truncates a torn tail.
+//! Walks `DIR/wal.bin` with the reader recovery itself uses
+//! ([`netgrid::journal::open_wal`]) and prints one JSON object per
+//! record on stdout, in file order. The records are binary on disk;
+//! this is where they are legible. A summary (records, valid bytes,
+//! torn tail if any) goes to stderr. Read-only: unlike recovery it
+//! never truncates a torn tail.
 //!
-//! Exit status: 0 when both files scan cleanly (a torn tail is clean —
+//! Exit status: 0 when the wal scans cleanly (a torn tail is clean —
 //! it is what a crash leaves), 1 on a bad record — which includes a
-//! file sealed with an older journal format's checksum — or an I/O
-//! error, 2 on usage.
+//! directory an older journal format left behind — or an I/O error
+//! (no wal at all is one), 2 on usage.
 
-use netgrid::journal::{SNAPSHOT_FILE, WAL_FILE};
-use netgrid::RecordReader;
+use netgrid::journal::open_wal;
 use std::io::{self, Write};
 use std::path::Path;
 use std::process::ExitCode;
 
-fn dump_file(path: &Path, out: &mut impl Write) -> io::Result<()> {
-    let mut records = RecordReader::open(path)?;
+fn dump(dir: &Path) -> io::Result<()> {
+    let mut out = io::stdout().lock();
+    let mut records = open_wal(dir)?;
     let mut count = 0u64;
     for rec in records.by_ref() {
         let json = serde_json::to_string(&rec?).expect("JournalRecord serializes");
@@ -31,27 +31,8 @@ fn dump_file(path: &Path, out: &mut impl Write) -> io::Result<()> {
         0 => String::new(),
         torn => format!(", then a torn tail of {torn} B"),
     };
-    eprintln!("{}: {count} records in {valid} B{tail}", path.display());
-    Ok(())
-}
-
-fn dump(dir: &Path) -> io::Result<()> {
-    let mut out = io::stdout().lock();
-    let mut found = false;
-    for name in [SNAPSHOT_FILE, WAL_FILE] {
-        let path = dir.join(name);
-        if path.exists() {
-            found = true;
-            dump_file(&path, &mut out)?;
-        }
-    }
-    match found {
-        true => out.flush(),
-        false => Err(io::Error::new(
-            io::ErrorKind::NotFound,
-            format!("{}: no {SNAPSHOT_FILE} or {WAL_FILE}", dir.display()),
-        )),
-    }
+    eprintln!("{}: {count} records in {valid} B{tail}", dir.display());
+    out.flush()
 }
 
 fn main() -> ExitCode {

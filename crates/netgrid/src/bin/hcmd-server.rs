@@ -4,7 +4,7 @@
 //! hcmd-server [--addr 127.0.0.1:7070] [--proteins 2] [--seed 7]
 //!             [--h-seconds 40] [--deadline 30] [--max-connections 64]
 //!             [--events PATH] [--journal DIR] [--fsync always|never|every=N]
-//!             [--snapshot-every N] [--out PATH] [--ops-addr HOST:PORT]
+//!             [--out PATH] [--ops-addr HOST:PORT]
 //!             [--trust on|off] [--trust-spot-rate F] [--trust-spot-seed N]
 //!             [--trust-min-samples N] [--trust-state-out PATH]
 //!             [--shard-id N --shards N --peers ADDR,ADDR,...]
@@ -63,7 +63,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: hcmd-server [--addr HOST:PORT] [--proteins N] [--seed N] \
          [--h-seconds S] [--deadline S] [--max-connections N] [--events PATH] \
-         [--journal DIR] [--fsync always|never|every=N] [--snapshot-every N] \
+         [--journal DIR] [--fsync always|never|every=N] \
          [--out PATH] [--ops-addr HOST:PORT] [--trust on|off] \
          [--trust-spot-rate F] [--trust-spot-seed N] [--trust-min-samples N] \
          [--trust-state-out PATH] [--shard-id N --shards N --peers ADDR,...] \
@@ -95,7 +95,6 @@ fn main() {
     let mut out: Option<String> = None;
     let mut trust_state_out: Option<String> = None;
     let mut fsync = FsyncPolicy::default();
-    let mut snapshot_every = 4096u64;
     let mut shard_id: Option<u16> = None;
     let mut shards: Option<u16> = None;
     let mut peers: Vec<String> = Vec::new();
@@ -133,9 +132,6 @@ fn main() {
                     usage()
                 })
             }
-            "--snapshot-every" => {
-                snapshot_every = take(&args, &mut i).parse().unwrap_or_else(|_| usage())
-            }
             "--out" => out = Some(take(&args, &mut i)),
             "--ops-addr" => config.ops_addr = Some(take(&args, &mut i)),
             "--trust" => match take(&args, &mut i).as_str() {
@@ -169,7 +165,6 @@ fn main() {
     }
     if let Some(journal) = &mut config.journal {
         journal.fsync = fsync;
-        journal.snapshot_every = snapshot_every;
     }
     // Campaign specs resolve against the top-level recipe flags, so
     // they are parsed only after the whole command line is read.

@@ -1,63 +1,60 @@
-//! Write-ahead journal + snapshots: crash-safe server state.
+//! Write-ahead journal: crash-safe server state.
 //!
 //! The paper's campaign ran for 26 weeks; a server whose scheduling
 //! state lives only in RAM cannot survive such a run. This module makes
 //! [`GridState`] durable the way BOINC's database does, but with the
 //! repo's own machinery: every scheduler transition — replica issue,
-//! result report (with verdict), deadline expiry — is appended to a
-//! per-campaign write-ahead log as a length-prefixed, checksummed frame
-//! (the exact wire framing from [`crate::protocol`], checksum included:
-//! [`protocol::checksum64`]), and a
-//! periodic compacting snapshot bounds replay cost.
+//! result report (with verdict), deadline expiry, lease — is appended
+//! to a per-campaign write-ahead log as a length-prefixed, checksummed
+//! frame (the exact wire framing from [`crate::protocol`], checksum
+//! included: [`protocol::checksum64`]). The log *is* the state: nothing
+//! else is ever written, and nothing in it is ever rewritten.
 //!
 //! # File layout
 //!
-//! A journal directory holds two files:
+//! A journal directory holds one file, `wal.bin`: a
+//! [`JournalRecord::Header`] frame (campaign recipe, server config,
+//! fault knobs, shard, format) followed by one frame per transition, in
+//! the exact order the state lock applied them. It only grows; the one
+//! thing recovery ever cuts off is a torn tail.
 //!
-//! * `wal.bin` — a header frame ([`JournalRecord::Header`]: campaign
-//!   recipe, server config, fault knobs, epoch, format) followed by one
-//!   frame per transition, in the exact order the state lock applied
-//!   them.
-//! * `snapshot.bin` — a header frame plus one [`JournalRecord::Snapshot`]
-//!   frame holding a complete [`GridSnapshot`]. Written atomically
-//!   (tmp + fsync + rename), so it is always either absent, the old
-//!   snapshot, or the new one — never torn.
+//! Every frame is the same kind (the frame-kind byte of its header —
+//! the byte a wire frame keeps its protocol version in — is always 2)
+//! and every record has exactly one payload encoding: a tag byte and
+//! fixed-width little-endian fields written with the wire codec's own
+//! primitives ([`crate::protocol::binary`]), decoded strictly. A
+//! `Report`'s payload is the same 72-byte rows the agent sent.
+//! Transitions are the hot path: one per request, encoded into a buffer
+//! the [`Journal`] reuses, written with one `write_all`.
 //!
-//! Each record kind has exactly one payload encoding, named by the
-//! frame-kind byte of its frame header (the byte a wire frame keeps its
-//! protocol version in; the two kinds below are this module's own):
-//!
-//! * the five transition records (`Fetch`, `Report`, `Sweep`,
-//!   `LeaseOut`, `LeaseIn`) are kind-2 frames: a tag byte and
-//!   fixed-width little-endian fields written with the wire codec's own
-//!   primitives ([`crate::protocol::binary`]) — a `Report`'s payload is
-//!   the same 72-byte rows the agent sent. They are the hot path: one
-//!   per request, encoded into a buffer the [`Journal`] reuses, written
-//!   with one `write_all`;
-//! * `Header` and `Snapshot` are kind-1 frames holding JSON (the
-//!   derived serde form). They are written once per file and once per
-//!   `snapshot_every` appends, and stay legible to `strings`.
-//!
-//! `hcmd-journal dump DIR` prints every record of both files as one JSON
-//! line, through the same [`RecordReader`] recovery uses.
+//! `hcmd-journal dump DIR` prints every record as one JSON line,
+//! through the same [`open_wal`] recovery uses.
 //!
 //! # Recovery
 //!
-//! [`open_journaled`] restores the snapshot (if any) and then replays
-//! the wal tail **through the live transition entry points**
-//! ([`GridState::fetch`] / [`GridState::report`] / [`GridState::sweep`])
-//! rather than through any parallel restore path, asserting at each step
+//! [`open_journaled`] has one path: a fresh [`GridState::new`], then
+//! every wal record replayed **through the live transition entry
+//! points** ([`GridState::fetch`] / [`GridState::report`] /
+//! [`GridState::sweep`] and the lease pair), asserting at each step
 //! that the state makes the *same decision it made live* (same replica
 //! issued, same verdict, same expiry count). A divergence means the
 //! journal and the code disagree and recovery fails loudly instead of
 //! silently forking the campaign. Records are deframed, decoded and
 //! applied one at a time; the decoded wal is never held as a whole.
 //!
-//! Replayed reports need their payloads only when the payload became
-//! server state: accepted artifacts and quorum candidates are journaled
-//! in full, while `BoundsRejected`, `Duplicate`, `SpotMismatch` and
-//! `SpotVoid` reports — whose payloads the server discards on arrival —
-//! are replayed with a synthesized empty payload (an empty result file
+//! The price is a wal that is O(requests), not O(state): a request that
+//! left no state behind (a `NoWork` fetch is a 35-byte record) stays in
+//! the log for the life of the campaign. On every traffic mix the
+//! benchmark runs that is both smaller and faster to replay than a
+//! serialised copy of the state would be to write (DESIGN.md §6,
+//! "Durability").
+//!
+//! Replayed reports need their payloads only when the payload decided
+//! something: accepted artifacts and quorum candidates are journaled
+//! in full (replay recomputes their fingerprints through `report`),
+//! while `BoundsRejected`, `Duplicate`, `SpotMismatch` and `SpotVoid`
+//! reports — whose payloads the server discards on arrival — are
+//! replayed with a synthesized empty payload (an empty result file
 //! always fails the §5.2 line-count check, and an empty payload's
 //! fingerprint never matches an accepted artifact, reproducing each
 //! rejection exactly).
@@ -75,27 +72,30 @@
 //!   the magic (a filesystem can leave zeros past the last completed
 //!   write). This is what a crash between `write` and `fsync` leaves; the
 //!   scan stops there and the rest is dropped. A wal torn inside its
-//!   very first frame is an empty wal: nothing was journaled yet (or
-//!   the crash hit the post-snapshot reset and everything is in the
-//!   snapshot).
+//!   very first frame is an empty wal: nothing was journaled yet.
 //! * **bad record** — a frame whose checksum passes but whose payload
 //!   does not decode strictly (unknown tag or verdict, trailing or
-//!   missing bytes, a JSON-encoded transition) or whose frame kind is
+//!   missing bytes, a header of another format) or whose frame kind is
 //!   one the journal never writes, or a header that names an impossible
 //!   length. No crash writes that; the file was written by different
 //!   code or damaged in place, and recovery refuses with `InvalidData`
 //!   rather than guess.
-//! * **legacy file** — the one case where a failed checksum is *not* a
-//!   torn tail: journal formats 1 and 2 sealed their frames with
-//!   FNV-1a 64, so to this build a whole format-2 file looks torn inside
-//!   its first frame — "an empty wal", which recovery would re-initialise,
-//!   silently restarting the campaign. So when the *first* frame of a
-//!   file fails its checksum, that one frame is re-checked with
-//!   [`protocol::fnv1a64`]; if it passes, the file is a bad record of
-//!   its own kind — refused with `InvalidData` naming the path and
-//!   "journal format 2 (FNV-1a checksums)", not a byte touched. Only
-//!   the first frame is probed: an FNV frame cannot follow a frame this
-//!   build accepted.
+//! * **legacy file** — what a build from before this format left
+//!   behind, refused by name with `InvalidData`, not a byte touched and
+//!   no file created, because each would otherwise read as "an empty
+//!   wal" and be re-initialised, silently restarting the campaign:
+//!   - journal formats 1 and 2 sealed their frames with FNV-1a 64, so
+//!     a whole such file looks torn inside its first frame. When the
+//!     *first* frame of a file fails its checksum, that one frame is
+//!     re-checked with [`protocol::fnv1a64`]; if it passes, the refusal
+//!     names "journal format 2 (FNV-1a checksums)". Only the first
+//!     frame is probed: an FNV frame cannot follow a frame this build
+//!     accepted.
+//!   - journal format 3 opened its wal with a kind-1 (JSON) header
+//!     frame and kept a compacting `snapshot.bin` beside it that held
+//!     most of the campaign. A wal whose first frame is kind 1, or a
+//!     directory that contains a `snapshot.bin` at all, is refused
+//!     naming "journal format 3 or earlier".
 //!
 //! Prefix loss is safe by construction: a lost `Fetch` replica
 //! ages out of nothing (it was never outstanding in the recovered
@@ -104,57 +104,42 @@
 //! bounds) judge the re-computed results exactly as they would have the
 //! originals. The merged artifact is therefore byte-identical to an
 //! uninterrupted run's no matter where the crash landed — the property
-//! `tests/netgrid_restart.rs` (every byte offset of a scripted wal) and
-//! the CI restart-smoke job pin.
-//!
-//! # Snapshot / epoch handshake
-//!
-//! Compaction writes the snapshot first, then resets the wal. A crash
-//! between the two leaves a snapshot one epoch *ahead* of the wal
-//! header; recovery detects this (`snapshot epoch == wal epoch + 1`),
-//! discards the stale wal — every record in it is already folded into
-//! the snapshot — and resets it to the snapshot's epoch.
+//! `tests/journal_crash_points.rs` (every byte offset of a scripted
+//! wal) and the CI restart-smoke job pin.
 
 use crate::campaign::NetCampaign;
 use crate::faults::ServerFaults;
 use crate::protocol::binary::{Reader, Writer};
 use crate::protocol::{self, CampaignParams, DecodeError, HEADER_BYTES};
 use crate::shard::ShardSpec;
-use crate::state::{GridSnapshot, GridState, Verdict, WorkReply};
-use gridsim::server::{ReplicaId, ServerConfig};
+use crate::state::{GridState, Verdict, WorkReply};
+use crate::trust::TrustConfig;
+use gridsim::server::{FeederConfig, ReplicaId, ServerConfig};
 use gridsim::SimTime;
 use maxdo::DockingOutput;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Wal file name inside the journal directory.
 pub const WAL_FILE: &str = "wal.bin";
-/// Snapshot file name inside the journal directory.
-pub const SNAPSHOT_FILE: &str = "snapshot.bin";
-/// Scratch name the snapshot is staged under before the atomic rename.
-const SNAPSHOT_TMP: &str = "snapshot.tmp";
 
-/// Frame kind of the JSON-encoded records (`Header`, `Snapshot`). The
-/// two kinds are a disk format pinned by [`JOURNAL_FORMAT`], not
-/// protocol versions.
-const FRAME_JSON: u8 = 1;
-/// Frame kind of the binary-encoded transition records.
+/// The frame kind of every journal record: a disk format pinned by
+/// [`JOURNAL_FORMAT`], not a protocol version.
 const FRAME_BINARY: u8 = 2;
+/// The frame kind journal formats 1–3 gave their JSON header frame;
+/// seen at the front of a wal it names a legacy file (module docs).
+const LEGACY_FRAME_KIND: u8 = 1;
 
 /// The journal format this build writes, pinned in every `Header`.
-/// Format 1 (headers written before the field existed) encoded
-/// transitions as JSON; format 2 encodes them in binary; format 3 is
-/// format 2 with every frame sealed by [`protocol::checksum64`] instead
-/// of FNV-1a 64. Formats 1 and 2 never get as far as a parsed header —
-/// their first frame fails the checksum and is recognised by
-/// [`RecordReader`]'s legacy probe.
-const JOURNAL_FORMAT: u32 = 3;
-
-fn format_1() -> u32 {
-    1
-}
+/// Format 1 encoded transitions as JSON; format 2 encodes them in
+/// binary; format 3 is format 2 with every frame sealed by
+/// [`protocol::checksum64`] instead of FNV-1a 64; format 4 is format 3
+/// with a binary header and no `snapshot.bin`. Formats 1–3 never get as
+/// far as a parsed header — [`RecordReader`] recognises their first
+/// frame (module docs, "legacy file").
+const JOURNAL_FORMAT: u32 = 4;
 
 /// When appended frames are flushed to disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -193,59 +178,46 @@ impl Default for FsyncPolicy {
     }
 }
 
-/// Journal location and policy knobs.
+/// Journal location and flush policy.
 #[derive(Debug, Clone)]
 pub struct JournalConfig {
-    /// Directory holding `wal.bin` / `snapshot.bin` (created if absent).
+    /// Directory holding `wal.bin` (created if absent).
     pub dir: PathBuf,
     /// Flush policy for wal appends.
     pub fsync: FsyncPolicy,
-    /// Appends between compacting snapshots (0 = never snapshot).
-    pub snapshot_every: u64,
 }
 
 impl JournalConfig {
-    /// Default policies for a journal rooted at `dir`.
+    /// The default flush policy for a journal rooted at `dir`.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         Self {
             dir: dir.into(),
             fsync: FsyncPolicy::default(),
-            snapshot_every: 4096,
         }
     }
 }
 
-/// One journaled frame. `Header` opens both files; `Snapshot` appears
-/// only in `snapshot.bin`; the rest are the wal's transition stream.
-// The `Snapshot` variant dwarfs the per-transition records, but the
-// vendored serde has no `Box<T>` impls to shrink it with, and records
-// only ever live long enough to be framed.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// One journaled frame: the `Header` that opens the wal, then its
+/// transition stream.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum JournalRecord {
     /// Identity of the journaled campaign. Recovery refuses to replay a
     /// journal whose recipe/config/faults differ from the server's.
     Header {
-        /// Snapshot generation this file belongs to (see module docs).
-        epoch: u64,
         /// The campaign recipe (both ends re-derive the catalog from it).
         params: CampaignParams,
         /// Scheduler configuration.
         config: ServerConfig,
         /// Server-side fault/limit knobs.
         faults: ServerFaults,
-        /// Which shard of the campaign this journal belongs to. Old
-        /// (pre-sharding) journals read as solo. Shard 0's WAL refuses
-        /// to replay into a server configured as shard 1 — workunit
-        /// ownership differs, so replay would diverge or silently fork
-        /// the campaign.
-        #[serde(default = "ShardSpec::solo")]
+        /// Which shard of the campaign this journal belongs to. Shard
+        /// 0's WAL refuses to replay into a server configured as shard
+        /// 1 — workunit ownership differs, so replay would diverge or
+        /// silently fork the campaign.
         shard: ShardSpec,
-        /// The journal format of the file (see `JOURNAL_FORMAT`): 3 is
-        /// what this build reads and writes; a header without the
-        /// field reads as 1. A wal of another format is refused before
-        /// any transition is read.
-        #[serde(default = "format_1")]
+        /// The journal format of the file: always [`JOURNAL_FORMAT`] in
+        /// a header that decoded (it is the first field, and any other
+        /// value is refused before the rest is read).
         format: u32,
     },
     /// One `GridState::fetch` call and its decision.
@@ -259,7 +231,7 @@ pub enum JournalRecord {
         assigned: Option<(u64, u32)>,
     },
     /// One `GridState::report` call and its verdict. `output` is kept
-    /// exactly when the payload became server state (candidate or
+    /// exactly when the payload decided the verdict (candidate or
     /// accepted artifact); rejected/duplicate payloads are dropped on
     /// arrival live, so they are not persisted either.
     Report {
@@ -271,7 +243,7 @@ pub enum JournalRecord {
         workunit: u32,
         /// The live verdict (replay must reproduce it).
         verdict: Verdict,
-        /// The payload, for verdicts whose payload the server kept.
+        /// The payload, for verdicts replay needs it to reproduce.
         output: Option<DockingOutput>,
     },
     /// One `GridState::sweep` call that expired at least one replica
@@ -308,22 +280,12 @@ pub enum JournalRecord {
         /// The workunits whose ownership arrived.
         wus: Vec<u32>,
     },
-    /// A complete state snapshot (only in `snapshot.bin`). It dwarfs
-    /// every per-transition record, but lives only long enough to be
-    /// framed (the vendored serde has no `Box<T>` impls to shrink it).
-    Snapshot {
-        /// Server-clock seconds when the snapshot was cut.
-        now_s: f64,
-        /// The full wire-level state.
-        grid: GridSnapshot,
-    },
 }
 
 struct Tele {
     appends: &'static telemetry::Counter,
     bytes: &'static telemetry::Counter,
     fsyncs: &'static telemetry::Counter,
-    snapshots: &'static telemetry::Counter,
     replayed: &'static telemetry::Counter,
 }
 
@@ -333,7 +295,6 @@ impl Tele {
             appends: telemetry::counter("journal.appends"),
             bytes: telemetry::counter("journal.bytes"),
             fsyncs: telemetry::counter("journal.fsyncs"),
-            snapshots: telemetry::counter("journal.snapshots"),
             replayed: telemetry::counter("journal.replayed"),
         }
     }
@@ -343,35 +304,29 @@ impl Tele {
 /// lock that orders the transitions), so the wal order is exactly the
 /// apply order.
 pub struct Journal {
-    dir: PathBuf,
     wal: File,
-    epoch: u64,
-    params: CampaignParams,
-    config: ServerConfig,
-    faults: ServerFaults,
-    shard: ShardSpec,
     fsync: FsyncPolicy,
-    snapshot_every: u64,
     appends_since_sync: u64,
-    appends_since_snapshot: u64,
+    /// Transition records in the wal: what a restart would replay.
+    wal_records: u64,
+    /// Bytes in the wal, header frame included.
+    wal_bytes: u64,
     /// The frame being appended, reused so steady-state appends never
     /// allocate.
     scratch: Writer,
     tele: Tele,
 }
 
-/// Frames a `Header` or `Snapshot` record as JSON.
-fn frame_json(rec: &JournalRecord) -> Vec<u8> {
-    debug_assert!(matches!(
-        rec,
-        JournalRecord::Header { .. } | JournalRecord::Snapshot { .. }
-    ));
-    let json = serde_json::to_string(rec).expect("JournalRecord serializes");
-    protocol::frame_payload_versioned(FRAME_JSON, json.as_bytes()).to_vec()
-}
-
 fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
+}
+
+/// The refusal of a file of another journal format, `found`.
+fn other_format(found: &str) -> String {
+    format!(
+        "{found}, this build reads and writes format {JOURNAL_FORMAT} only; finish or discard \
+         that campaign with the build that wrote it"
+    )
 }
 
 const TAG_FETCH: u8 = 0;
@@ -379,6 +334,7 @@ const TAG_REPORT: u8 = 1;
 const TAG_SWEEP: u8 = 2;
 const TAG_LEASE_OUT: u8 = 3;
 const TAG_LEASE_IN: u8 = 4;
+const TAG_HEADER: u8 = 5;
 
 /// Verdicts in the order of their byte on disk (the byte is the index).
 const VERDICTS: [Verdict; 9] = [
@@ -393,9 +349,46 @@ const VERDICTS: [Verdict; 9] = [
     Verdict::SpotVoid,
 ];
 
-/// Encodes one transition record as a binary payload (no frame header).
-fn encode_transition(rec: &JournalRecord, w: &mut Writer) {
+/// Encodes one record as a binary payload (no frame header).
+fn encode_record(rec: &JournalRecord, w: &mut Writer) {
     match rec {
+        JournalRecord::Header {
+            params,
+            config,
+            faults,
+            shard,
+            format,
+        } => {
+            w.u8(TAG_HEADER);
+            w.u32(*format);
+            w.params(params);
+            w.flag(config.validation_switch_day.is_some());
+            if let Some(day) = config.validation_switch_day {
+                w.u64(day as u64);
+            }
+            w.f64(config.deadline_seconds);
+            w.flag(config.feeder.is_some());
+            if let Some(feeder) = config.feeder {
+                w.u64(feeder.cache_size as u64);
+                w.u64(feeder.refill_batch as u64);
+            }
+            w.u64(faults.max_connections as u64);
+            w.u64(faults.backoff_base_ms);
+            w.u64(faults.backoff_max_ms);
+            w.u64(faults.backoff_jitter_ms);
+            let trust = &faults.trust;
+            w.flag(trust.enabled);
+            w.f64(trust.trusted_threshold);
+            w.f64(trust.untrusted_threshold);
+            w.u32(trust.min_samples);
+            w.f64(trust.spot_check_rate);
+            w.u64(trust.spot_seed);
+            w.u32(trust.quarantine_after);
+            w.f64(trust.quarantine_base_s);
+            w.f64(trust.quarantine_max_s);
+            w.u16(shard.shard_id);
+            w.u16(shard.shards);
+        }
         JournalRecord::Fetch {
             now_s,
             agent,
@@ -451,29 +444,79 @@ fn encode_transition(rec: &JournalRecord, w: &mut Writer) {
             w.u64(*lease);
             w.u32s(wus);
         }
-        JournalRecord::Header { .. } | JournalRecord::Snapshot { .. } => {
-            unreachable!("Header/Snapshot records are JSON frames, never appended")
-        }
     }
 }
 
-/// Overwrites `w` with the complete frame of one transition record:
-/// the payload is encoded after reserved header space, then the header
-/// is patched in place.
-fn frame_transition(rec: &JournalRecord, w: &mut Writer) {
+/// Overwrites `w` with the complete frame of one record: the payload is
+/// encoded after reserved header space, then the header is patched in
+/// place.
+fn frame_record(rec: &JournalRecord, w: &mut Writer) {
     w.0.clear();
     w.0.resize(HEADER_BYTES, 0);
-    encode_transition(rec, w);
+    encode_record(rec, w);
     protocol::seal_frame(FRAME_BINARY, &mut w.0);
 }
 
-/// Decodes one binary transition payload, as strictly as the wire
-/// decoder: unknown tags and verdicts, non-0/1 flags, counts that
-/// disagree with the bytes present, truncation and trailing bytes are
-/// all errors.
-fn decode_transition(payload: &[u8]) -> Result<JournalRecord, String> {
+/// Decodes the fields behind a `TAG_HEADER` byte. The format comes
+/// first and is judged first: what follows it is only known to have
+/// this layout under [`JOURNAL_FORMAT`].
+fn decode_header(r: &mut Reader) -> Result<JournalRecord, String> {
+    let format = r.u32()?;
+    if format != JOURNAL_FORMAT {
+        return Err(other_format(&format!("journal format {format}")));
+    }
+    Ok(JournalRecord::Header {
+        params: r.params()?,
+        config: ServerConfig {
+            validation_switch_day: match r.flag()? {
+                true => Some(r.u64()? as usize),
+                false => None,
+            },
+            deadline_seconds: r.f64()?,
+            feeder: match r.flag()? {
+                true => Some(FeederConfig {
+                    cache_size: r.u64()? as usize,
+                    refill_batch: r.u64()? as usize,
+                }),
+                false => None,
+            },
+        },
+        faults: ServerFaults {
+            max_connections: r.u64()? as usize,
+            backoff_base_ms: r.u64()?,
+            backoff_max_ms: r.u64()?,
+            backoff_jitter_ms: r.u64()?,
+            trust: TrustConfig {
+                enabled: r.flag()?,
+                trusted_threshold: r.f64()?,
+                untrusted_threshold: r.f64()?,
+                min_samples: r.u32()?,
+                spot_check_rate: r.f64()?,
+                spot_seed: r.u64()?,
+                quarantine_after: r.u32()?,
+                quarantine_base_s: r.f64()?,
+                quarantine_max_s: r.f64()?,
+            },
+        },
+        shard: ShardSpec {
+            shard_id: r.u16()?,
+            shards: r.u16()?,
+        },
+        format,
+    })
+}
+
+/// Decodes one checksum-verified frame, as strictly as the wire
+/// decoder: a foreign frame kind, unknown tags and verdicts, non-0/1
+/// flags, counts that disagree with the bytes present, truncation and
+/// trailing bytes are all errors.
+fn decode_record(kind: u8, payload: &[u8]) -> Result<JournalRecord, String> {
+    if kind != FRAME_BINARY {
+        return Err(format!("frame kind {kind} is not a journal record"));
+    }
     let mut r = Reader::new(payload);
     let rec = match r.u8()? {
+        TAG_HEADER => decode_header(&mut r)?,
         TAG_FETCH => JournalRecord::Fetch {
             now_s: r.f64()?,
             agent: r.u64()?,
@@ -512,52 +555,23 @@ fn decode_transition(payload: &[u8]) -> Result<JournalRecord, String> {
             lease: r.u64()?,
             wus: r.counted(4, |r| r.u32())?,
         },
-        other => return Err(format!("unknown transition tag {other:#04x}")),
+        other => return Err(format!("unknown record tag {other:#04x}")),
     };
     r.finish()?;
     Ok(rec)
 }
 
-/// Decodes one checksum-verified frame payload by its frame kind.
-fn decode_record(kind: u8, payload: &[u8]) -> Result<JournalRecord, String> {
-    match kind {
-        FRAME_BINARY => decode_transition(payload),
-        FRAME_JSON => {
-            let text = std::str::from_utf8(payload).map_err(|e| format!("not UTF-8: {e}"))?;
-            match serde_json::from_str(text).map_err(|e| format!("unparsable: {e:?}"))? {
-                rec @ (JournalRecord::Header { .. } | JournalRecord::Snapshot { .. }) => Ok(rec),
-                _ => Err("JSON-encoded transition record (a format-1 journal)".into()),
-            }
-        }
-        other => Err(format!("frame kind {other} is not a journal record")),
-    }
-}
-
 impl Journal {
-    fn header(&self) -> JournalRecord {
-        JournalRecord::Header {
-            epoch: self.epoch,
-            params: self.params,
-            config: self.config,
-            faults: self.faults,
-            shard: self.shard,
-            format: JOURNAL_FORMAT,
-        }
-    }
-
     /// Appends one transition frame, honouring the fsync policy.
-    ///
-    /// # Panics
-    ///
-    /// If `rec` is a `Header` or `Snapshot`: those are written by the
-    /// journal itself, never appended.
     pub fn append(&mut self, rec: &JournalRecord) -> io::Result<()> {
-        frame_transition(rec, &mut self.scratch);
+        debug_assert!(!matches!(rec, JournalRecord::Header { .. }));
+        frame_record(rec, &mut self.scratch);
         self.wal.write_all(&self.scratch.0)?;
         self.tele.appends.inc();
         self.tele.bytes.add(self.scratch.0.len() as u64);
+        self.wal_records += 1;
+        self.wal_bytes += self.scratch.0.len() as u64;
         self.appends_since_sync += 1;
-        self.appends_since_snapshot += 1;
         let due = match self.fsync {
             FsyncPolicy::Always => true,
             FsyncPolicy::EveryN(n) => self.appends_since_sync >= n,
@@ -587,68 +601,30 @@ impl Journal {
         Ok(())
     }
 
-    /// True when enough appends accumulated that the owner should cut a
-    /// compacting snapshot.
-    pub fn snapshot_due(&self) -> bool {
-        self.snapshot_every > 0 && self.appends_since_snapshot >= self.snapshot_every
+    /// Transition records in the wal — what a restart would replay.
+    pub fn wal_records(&self) -> u64 {
+        self.wal_records
     }
 
-    /// Current snapshot epoch (bumped by each compacting snapshot).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Wal frames appended since the last compacting snapshot — the
-    /// "journal lag" an operator watches to confirm compaction keeps up.
-    pub fn appends_since_snapshot(&self) -> u64 {
-        self.appends_since_snapshot
+    /// Size of the wal in bytes, header frame included.
+    pub fn wal_bytes(&self) -> u64 {
+        self.wal_bytes
     }
 
     /// Appends since the last fsync: the phase of the `every=N` batch
-    /// counter. [`open_journaled`] restores it from the replayed wal
-    /// tail so restart does not silently reset the durability window.
+    /// counter. [`open_journaled`] restores it from the replayed wal so
+    /// restart does not silently reset the durability window.
     pub fn fsync_phase(&self) -> u64 {
         self.appends_since_sync
     }
-
-    /// Writes a compacting snapshot and resets the wal. Atomic against
-    /// crashes at every point: see the epoch handshake in the module
-    /// docs.
-    pub fn write_snapshot(&mut self, now_s: f64, grid: GridSnapshot) -> io::Result<()> {
-        self.epoch += 1;
-        let tmp = self.dir.join(SNAPSHOT_TMP);
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&frame_json(&self.header()))?;
-            f.write_all(&frame_json(&JournalRecord::Snapshot { now_s, grid }))?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, self.dir.join(SNAPSHOT_FILE))?;
-        sync_dir(&self.dir)?;
-        // From here the snapshot alone can recover the state; the old
-        // wal epoch is dead weight and can be reset.
-        self.wal.set_len(0)?;
-        self.wal.seek(SeekFrom::Start(0))?;
-        self.wal.write_all(&frame_json(&self.header()))?;
-        self.wal.sync_data()?;
-        self.appends_since_snapshot = 0;
-        self.appends_since_sync = 0;
-        self.tele.snapshots.inc();
-        self.tele.fsyncs.inc();
-        Ok(())
-    }
 }
 
-/// Fsyncs a directory so a just-renamed file survives a crash.
-fn sync_dir(dir: &Path) -> io::Result<()> {
-    File::open(dir)?.sync_all()
-}
-
-/// Walks the records of one journal file in order — the reader both
-/// recovery and `hcmd-journal dump` use. Yields one decoded record per
+/// Walks the records of one wal in order — the reader both recovery
+/// and `hcmd-journal dump` use. Yields one decoded record per
 /// well-formed frame and ends at the end of the file or at a torn tail;
-/// a bad record yields one `InvalidData` error and ends the walk too
-/// (module docs, "Consistency model", tell the two apart).
+/// a bad record or a legacy file yields one `InvalidData` error and
+/// ends the walk too (module docs, "Consistency model", tell them
+/// apart).
 pub struct RecordReader {
     what: String,
     buf: Vec<u8>,
@@ -656,12 +632,28 @@ pub struct RecordReader {
     done: bool,
 }
 
+/// Opens the wal of journal directory `dir` for scanning, after
+/// refusing a directory that holds a journal format 3 `snapshot.bin`
+/// (module docs, "legacy file"). `NotFound` when there is no wal.
+pub fn open_wal(dir: &Path) -> io::Result<RecordReader> {
+    let snapshot = dir.join("snapshot.bin");
+    if snapshot.exists() {
+        return Err(bad(format!(
+            "{}: {}",
+            snapshot.display(),
+            other_format("left by an older build: journal format 3 or earlier")
+        )));
+    }
+    RecordReader::open(&dir.join(WAL_FILE))
+}
+
 impl RecordReader {
     /// Reads `path` for scanning.
     pub fn open(path: &Path) -> io::Result<Self> {
+        let what = path.display().to_string();
         Ok(Self {
-            what: path.display().to_string(),
-            buf: fs::read(path)?,
+            buf: fs::read(path).map_err(|e| io::Error::new(e.kind(), format!("{what}: {e}")))?,
+            what,
             off: 0,
             done: false,
         })
@@ -687,16 +679,17 @@ impl Iterator for RecordReader {
         }
         let off = self.off;
         let step = match protocol::deframe(&self.buf[off..]) {
-            Ok((version, payload, consumed)) => {
-                decode_record(version, payload).inspect(|_| self.off += consumed)
+            Ok((LEGACY_FRAME_KIND, ..)) if off == 0 => Err(other_format(
+                "opens with a JSON header: journal format 3 or earlier",
+            )),
+            Ok((kind, payload, consumed)) => {
+                decode_record(kind, payload).inspect(|_| self.off += consumed)
             }
             Err(DecodeError::Checksum { expected, .. })
                 if off == 0 && sealed_with_fnv(&self.buf, expected) =>
             {
-                Err(format!(
-                    "sealed by an older build: journal format 2 (FNV-1a checksums) or \
-                     earlier, this build reads and writes format {JOURNAL_FORMAT} only; finish \
-                     or discard that campaign with the build that wrote it"
+                Err(other_format(
+                    "sealed by an older build: journal format 2 (FNV-1a checksums) or earlier",
                 ))
             }
             Err(
@@ -723,40 +716,42 @@ fn sealed_with_fnv(file: &[u8], expected: u64) -> bool {
     protocol::fnv1a64(&file[HEADER_BYTES..HEADER_BYTES + len]) == expected
 }
 
-/// Checks a recovered header against the server's own campaign identity,
-/// returning its epoch and journal format.
+/// Checks the wal's first record against the server's own campaign
+/// identity.
 fn check_header(
-    rec: Option<JournalRecord>,
-    what: &str,
+    rec: JournalRecord,
+    dir: &Path,
     params: CampaignParams,
     config: ServerConfig,
     faults: ServerFaults,
     shard: ShardSpec,
-) -> io::Result<(u64, u32)> {
+) -> io::Result<()> {
+    let what = dir.display();
     match rec {
-        Some(JournalRecord::Header {
-            epoch,
+        JournalRecord::Header {
             params: p,
             config: c,
             faults: f,
             shard: s,
-            format,
-        }) => {
+            ..
+        } => {
             if p != params || c != config || f != faults {
                 return Err(bad(format!(
-                    "{what} belongs to a different campaign/config; refusing to replay"
+                    "{what}: wal belongs to a different campaign/config; refusing to replay"
                 )));
             }
             if s != shard {
                 return Err(bad(format!(
-                    "{what} belongs to shard {}/{}, this server is shard {}/{}; \
+                    "{what}: wal belongs to shard {}/{}, this server is shard {}/{}; \
                      refusing to replay",
                     s.shard_id, s.shards, shard.shard_id, shard.shards
                 )));
             }
-            Ok((epoch, format))
+            Ok(())
         }
-        _ => Err(bad(format!("{what} does not start with a Header frame"))),
+        _ => Err(bad(format!(
+            "{what}: wal does not start with a Header frame"
+        ))),
     }
 }
 
@@ -861,20 +856,18 @@ fn apply(state: &mut GridState, campaign: &NetCampaign, rec: JournalRecord) -> i
                 )));
             }
         }
-        JournalRecord::Header { .. } | JournalRecord::Snapshot { .. } => {
-            return Err(bad(
-                "Header/Snapshot frame inside the wal transition stream",
-            ));
+        JournalRecord::Header { .. } => {
+            return Err(bad("Header frame inside the wal transition stream"));
         }
     }
     Ok(())
 }
 
 /// Opens (or creates) the journal under `cfg.dir` and returns the
-/// recovered [`GridState`] — snapshot restored, wal tail replayed, the
-/// journal attached and ready for new appends — plus the server-clock
-/// second recovery reached, which the caller must use as its clock
-/// offset so time stays monotone across restarts.
+/// recovered [`GridState`] — every wal record replayed into a fresh
+/// state, the journal attached and ready for new appends — plus the
+/// server-clock second recovery reached, which the caller must use as
+/// its clock offset so time stays monotone across restarts.
 pub fn open_journaled(
     cfg: &JournalConfig,
     campaign: &NetCampaign,
@@ -885,110 +878,69 @@ pub fn open_journaled(
     fs::create_dir_all(&cfg.dir)?;
     let params = campaign.params();
     let tele = Tele::new();
-    let snap_path = cfg.dir.join(SNAPSHOT_FILE);
-    let wal_path = cfg.dir.join(WAL_FILE);
-    // A crash can leave a staged snapshot behind; it is dead either way.
-    let _ = fs::remove_file(cfg.dir.join(SNAPSHOT_TMP));
+    let mut state = GridState::new(campaign, config, faults, shard);
 
-    // 1. Restore the snapshot, if one exists. Its header's format is not
-    //    checked: a snapshot that deframes at all was sealed by this
-    //    format's checksum (an older one is refused by the reader's
-    //    legacy probe), its payload is a JSON frame in every format, and
-    //    `restore` re-derives what depends on the writing build
-    //    (fingerprints).
-    let mut epoch = 0u64;
-    let mut state = match snap_path.exists() {
-        true => {
-            let mut records = RecordReader::open(&snap_path)?;
-            let header = records.next().transpose()?;
-            (epoch, _) = check_header(header, "snapshot", params, config, faults, shard)?;
-            match records.next().transpose()? {
-                Some(JournalRecord::Snapshot { grid, .. }) => {
-                    GridState::restore(campaign, config, faults, grid).map_err(bad)?
-                }
-                _ => return Err(bad("snapshot file has no Snapshot frame")),
-            }
-        }
-        false => GridState::new_sharded(campaign, config, faults, shard),
-    };
-
-    // 2. Replay the wal tail through the live entry points, one record
-    //    at a time. A wal torn inside its header frame is as good as
-    //    absent: nothing was journaled after it.
-    let mut wal_valid = 0u64;
-    let mut tail_len = 0u64;
-    if wal_path.exists() {
-        let mut records = RecordReader::open(&wal_path)?;
-        if let Some(header) = records.next().transpose()? {
-            let (wal_epoch, format) =
-                check_header(Some(header), "wal", params, config, faults, shard)?;
-            if format != JOURNAL_FORMAT {
-                return Err(bad(format!(
-                    "{}: wal is journal format {format}, this build reads and writes format \
-                     {JOURNAL_FORMAT} only; finish or discard that campaign with the build \
-                     that wrote it",
-                    cfg.dir.display()
-                )));
-            }
-            if wal_epoch == epoch {
+    // 1. Replay the wal through the live entry points, one record at a
+    //    time. A wal torn inside its header frame is as good as absent:
+    //    nothing was journaled after it.
+    let (mut wal_records, mut wal_bytes) = (0u64, 0u64);
+    match open_wal(&cfg.dir) {
+        Ok(mut records) => {
+            if let Some(first) = records.next().transpose()? {
+                check_header(first, &cfg.dir, params, config, faults, shard)?;
                 for rec in records.by_ref() {
                     apply(&mut state, campaign, rec?)?;
                     tele.replayed.inc();
-                    tail_len += 1;
+                    wal_records += 1;
                 }
-                wal_valid = records.offset();
-            } else if wal_epoch + 1 != epoch {
-                return Err(bad(format!(
-                    "wal epoch {wal_epoch} does not match snapshot epoch {epoch}"
-                )));
+                wal_bytes = records.offset();
             }
-            // Otherwise the crash fell between snapshot rename and wal
-            // reset: every wal record is already folded into the
-            // snapshot, and `wal_valid` stays 0 to discard them.
         }
+        Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+        Err(e) => return Err(e),
     }
 
-    // 3. Open the wal for appending, truncated to the last good frame
-    //    (drops any torn tail / stale epoch).
-    let wal = OpenOptions::new()
+    // 2. Open the wal for appending, cut back to the last good frame
+    //    (drops any torn tail).
+    let mut wal = OpenOptions::new()
         .read(true)
         .write(true)
         .create(true)
         .truncate(false) // the valid prefix is set_len() below, not dropped here
-        .open(&wal_path)?;
-    let mut journal = Journal {
-        dir: cfg.dir.clone(),
+        .open(cfg.dir.join(WAL_FILE))?;
+    let mut scratch = Writer(Vec::new());
+    wal.set_len(wal_bytes)?;
+    wal.seek(SeekFrom::Start(wal_bytes))?;
+    if wal_bytes == 0 {
+        let header = JournalRecord::Header {
+            params,
+            config,
+            faults,
+            shard,
+            format: JOURNAL_FORMAT,
+        };
+        frame_record(&header, &mut scratch);
+        wal.write_all(&scratch.0)?;
+        wal.sync_data()?;
+        wal_bytes = scratch.0.len() as u64;
+    }
+    let journal = Journal {
         wal,
-        epoch,
-        params,
-        config,
-        faults,
-        shard,
         fsync: cfg.fsync,
-        snapshot_every: cfg.snapshot_every,
-        // The fsync phase survives the restart: the replayed tail counts
-        // against the `every=N` batch exactly as it did live, so the
-        // next fsync lands on the same append boundary and a crash
+        // The fsync phase survives the restart: the replayed records
+        // count against the `every=N` batch exactly as they did live, so
+        // the next fsync lands on the same append boundary and a crash
         // shortly after recovery never widens the durability window to
         // up to 2N-1 unsynced appends.
         appends_since_sync: match cfg.fsync {
-            FsyncPolicy::EveryN(n) => tail_len % n,
+            FsyncPolicy::EveryN(n) => wal_records % n,
             FsyncPolicy::Always | FsyncPolicy::Never => 0,
         },
-        appends_since_snapshot: tail_len,
-        scratch: Writer(Vec::new()),
+        wal_records,
+        wal_bytes,
+        scratch,
         tele,
     };
-    if wal_valid == 0 {
-        journal.wal.set_len(0)?;
-        journal.wal.seek(SeekFrom::Start(0))?;
-        let hdr = frame_json(&journal.header());
-        journal.wal.write_all(&hdr)?;
-        journal.wal.sync_data()?;
-    } else {
-        journal.wal.set_len(wal_valid)?;
-        journal.wal.seek(SeekFrom::Start(wal_valid))?;
-    }
 
     let resume_s = state.last_now();
     state.attach_journal(journal);
@@ -1010,10 +962,10 @@ mod tests {
         assert!(FsyncPolicy::parse("sometimes").is_err());
     }
 
-    /// A transition record as [`Journal::append`] frames it.
+    /// A record as the [`Journal`] frames it.
     fn frame(rec: &JournalRecord) -> Vec<u8> {
         let mut w = Writer(Vec::new());
-        frame_transition(rec, &mut w);
+        frame_record(rec, &mut w);
         w.0
     }
 
@@ -1028,9 +980,8 @@ mod tests {
         dir
     }
 
-    /// One record of each transition kind from sampled primitives;
-    /// floats come from raw bits, so NaNs, infinities and `-0.0` all
-    /// occur.
+    /// One record of each kind from sampled primitives; floats come
+    /// from raw bits, so NaNs, infinities and `-0.0` all occur.
     fn build_record(kind: usize, a: u64, b: u32, bits: u64, rows: &[(u32, u64)]) -> JournalRecord {
         let now_s = f64::from_bits(bits);
         let output = DockingOutput {
@@ -1072,10 +1023,43 @@ mod tests {
                 to_shard: b as u16,
                 wus,
             },
-            _ => JournalRecord::LeaseIn {
+            4 => JournalRecord::LeaseIn {
                 now_s,
                 lease: a,
                 wus,
+            },
+            _ => JournalRecord::Header {
+                params: CampaignParams {
+                    proteins: b,
+                    lib_seed: a,
+                    h_seconds: now_s,
+                    ..CampaignParams::tiny()
+                },
+                config: ServerConfig {
+                    validation_switch_day: b.is_multiple_of(2).then_some(a as usize),
+                    deadline_seconds: f64::from_bits(!bits),
+                    feeder: (!a.is_multiple_of(3)).then_some(FeederConfig {
+                        cache_size: b as usize,
+                        refill_batch: rows.len(),
+                    }),
+                },
+                faults: ServerFaults {
+                    max_connections: a as usize,
+                    backoff_jitter_ms: bits,
+                    trust: TrustConfig {
+                        enabled: b.is_multiple_of(5),
+                        spot_check_rate: now_s,
+                        spot_seed: a ^ bits,
+                        quarantine_after: b,
+                        ..TrustConfig::on()
+                    },
+                    ..ServerFaults::default()
+                },
+                shard: ShardSpec {
+                    shard_id: b as u16,
+                    shards: (b >> 16) as u16,
+                },
+                format: JOURNAL_FORMAT,
             },
         }
     }
@@ -1083,13 +1067,13 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Every transition variant round-trips bit-exactly through the
+        /// Every record variant round-trips bit-exactly through the
         /// binary record codec (compared by re-encoding, so NaN fields
         /// count), and the decoder is as strict as the wire's: every
         /// truncation and any trailing byte is an error.
         #[test]
-        fn transitions_round_trip_and_reject_damaged_payloads(
-            kind in 0usize..5,
+        fn records_round_trip_and_reject_damaged_payloads(
+            kind in 0usize..6,
             a in 0u64..u64::MAX,
             b in 0u32..u32::MAX,
             bits in 0u64..u64::MAX,
@@ -1103,11 +1087,11 @@ mod tests {
             prop_assert_eq!(payload_of(&back), payload.to_vec());
             prop_assert_eq!(format!("{back:?}"), format!("{rec:?}"));
             for cut in 0..payload.len() {
-                prop_assert!(decode_transition(&payload[..cut]).is_err(), "truncated at {}", cut);
+                prop_assert!(decode_record(version, &payload[..cut]).is_err(), "truncated at {}", cut);
             }
             let mut long = payload.to_vec();
             long.push(0);
-            prop_assert!(decode_transition(&long).is_err(), "trailing byte accepted");
+            prop_assert!(decode_record(version, &long).is_err(), "trailing byte accepted");
         }
     }
 
@@ -1121,29 +1105,37 @@ mod tests {
             output: None,
         };
         let good = payload_of(&rec);
-        assert_eq!(decode_transition(&good), Ok(rec));
+        assert_eq!(decode_record(FRAME_BINARY, &good), Ok(rec));
         // tag, verdict byte, has-payload flag
-        for (at, byte) in [(0, 5), (21, VERDICTS.len() as u8), (22, 2)] {
+        for (at, byte) in [(0, 6), (21, VERDICTS.len() as u8), (22, 2)] {
             let mut bad = good.clone();
             bad[at] = byte;
-            assert!(decode_transition(&bad).is_err(), "byte {at} = {byte}");
+            assert!(
+                decode_record(FRAME_BINARY, &bad).is_err(),
+                "byte {at} = {byte}"
+            );
         }
     }
 
+    /// One frame kind, and a header of one format: a frame stamped with
+    /// the legacy JSON kind or with a wire frame's version byte is not a
+    /// journal record whatever it holds, and a header naming another
+    /// format is refused at its first field.
     #[test]
     fn each_record_kind_has_exactly_one_encoding() {
-        let sweep = JournalRecord::Sweep {
+        let sweep = payload_of(&JournalRecord::Sweep {
             now_s: 1.0,
             expired: 2,
-        };
-        // A transition in a JSON frame is a format-1 record, not a fallback.
-        let json = serde_json::to_string(&sweep).unwrap();
-        let err = decode_record(FRAME_JSON, json.as_bytes()).unwrap_err();
-        assert!(err.contains("format-1"), "{err}");
-        // A binary frame never holds a Header, and a wire frame's
-        // version byte is not a journal frame kind at all.
-        assert!(decode_record(FRAME_BINARY, json.as_bytes()).is_err());
-        assert!(decode_record(protocol::PROTOCOL_VERSION, &payload_of(&sweep)).is_err());
+        });
+        assert!(decode_record(FRAME_BINARY, &sweep).is_ok());
+        assert!(decode_record(LEGACY_FRAME_KIND, &sweep).is_err());
+        assert!(decode_record(protocol::PROTOCOL_VERSION, &sweep).is_err());
+
+        let mut header = payload_of(&build_record(5, 1, 2, 3, &[]));
+        assert!(decode_record(FRAME_BINARY, &header).is_ok());
+        header[1..5].copy_from_slice(&(JOURNAL_FORMAT + 1).to_le_bytes());
+        let err = decode_record(FRAME_BINARY, &header).unwrap_err();
+        assert!(err.contains("journal format 5"), "{err}");
     }
 
     #[test]
@@ -1167,65 +1159,6 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A header written before the `format` and `shard` fields existed
-    /// reads as format 1, solo — and a wal under it is refused by
-    /// name, before any of its JSON transitions is looked at.
-    #[test]
-    fn a_format_1_wal_is_refused_naming_the_directory_and_the_format() {
-        let campaign = NetCampaign::build(CampaignParams::tiny());
-        let (config, faults) = (ServerConfig::default(), ServerFaults::default());
-        let dir = scratch_dir("format1");
-        let header = serde_json::to_string(&JournalRecord::Header {
-            epoch: 0,
-            params: campaign.params(),
-            config,
-            faults,
-            shard: ShardSpec::solo(),
-            format: JOURNAL_FORMAT,
-        })
-        .unwrap();
-        let old_header = header
-            .replace(&format!(",\"format\":{JOURNAL_FORMAT}"), "")
-            .replace(",\"shard\":{\"shard_id\":0,\"shards\":1}", "");
-        assert!(!old_header.contains("format") && !old_header.contains("shard\""));
-        match decode_record(FRAME_JSON, old_header.as_bytes()).expect("old header parses") {
-            JournalRecord::Header { format, shard, .. } => {
-                assert_eq!((format, shard), (1, ShardSpec::solo()));
-            }
-            other => panic!("{other:?}"),
-        }
-        let fetch = serde_json::to_string(&JournalRecord::Fetch {
-            now_s: 0.0,
-            agent: 1,
-            assigned: Some((0, 0)),
-        })
-        .unwrap();
-        let frame = |json: &str| protocol::frame_payload_versioned(FRAME_JSON, json.as_bytes());
-        let mut wal = frame(&old_header).to_vec();
-        wal.extend_from_slice(&frame(&fetch));
-        fs::write(dir.join(WAL_FILE), &wal).unwrap();
-
-        let err = open_journaled(
-            &JournalConfig::new(&dir),
-            &campaign,
-            config,
-            faults,
-            ShardSpec::solo(),
-        )
-        .err()
-        .expect("a format-1 wal must be refused");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        let msg = err.to_string();
-        assert!(msg.contains(&dir.display().to_string()), "{msg}");
-        assert!(msg.contains("format 1"), "{msg}");
-        assert_eq!(
-            fs::read(dir.join(WAL_FILE)).unwrap(),
-            wal,
-            "refused wal left untouched"
-        );
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
     /// A frame as journal formats 1 and 2 sealed it: the same header
     /// layout, FNV-1a 64 in the checksum field.
     fn fnv_sealed_frame(version: u8, payload: &[u8]) -> Vec<u8> {
@@ -1237,35 +1170,52 @@ mod tests {
         frame
     }
 
-    /// To this build a format-2 file fails its very first checksum, which
-    /// is also what a wal torn inside its header looks like — and a torn
-    /// header is re-initialised. A format-2 directory must instead be
-    /// refused by name, wal or snapshot, with nothing on disk touched.
+    /// What an older build left behind must never read as "an empty
+    /// wal" — that is re-initialised, silently restarting the campaign.
+    /// A format-2 file fails its very first checksum, which is also what
+    /// a wal torn inside its header looks like; a format-3 wal whose
+    /// compaction just ran is a lone JSON header with the whole campaign
+    /// in `snapshot.bin` beside it. Each is refused by name, by recovery
+    /// and by the `hcmd-journal dump` reader alike, with nothing on disk
+    /// touched or created.
     #[test]
     fn a_format_2_journal_is_refused_not_reinitialised() {
         let campaign = NetCampaign::build(CampaignParams::tiny());
         let (config, faults) = (ServerConfig::default(), ServerFaults::default());
-        let header = serde_json::to_string(&JournalRecord::Header {
-            epoch: 0,
-            params: campaign.params(),
-            config,
-            faults,
-            shard: ShardSpec::solo(),
-            format: 2,
-        })
-        .unwrap();
-        let mut old = fnv_sealed_frame(FRAME_JSON, header.as_bytes());
+        // The header text formats 1–3 wrote (1 lacked the last field).
+        let header = br#"{"Header":{"epoch":0,"params":{},"config":{},"faults":{},"format":3}}"#;
         let fetch = payload_of(&JournalRecord::Fetch {
             now_s: 0.0,
             agent: 1,
             assigned: Some((0, 0)),
         });
-        old.extend_from_slice(&fnv_sealed_frame(FRAME_BINARY, &fetch));
+        let mut fnv_sealed = fnv_sealed_frame(LEGACY_FRAME_KIND, header);
+        fnv_sealed.extend_from_slice(&fnv_sealed_frame(FRAME_BINARY, &fetch));
+        let mut format_3 = protocol::frame_payload_versioned(LEGACY_FRAME_KIND, header).to_vec();
+        format_3.extend_from_slice(&frame(&JournalRecord::Fetch {
+            now_s: 0.0,
+            agent: 1,
+            assigned: Some((0, 0)),
+        }));
 
-        for file in [WAL_FILE, SNAPSHOT_FILE] {
-            let dir = scratch_dir(&format!("format2-{file}"));
-            fs::write(dir.join(file), &old).unwrap();
-            let err = open_journaled(
+        for (tag, file, old, named) in [
+            (
+                "fnv",
+                WAL_FILE,
+                &fnv_sealed,
+                "journal format 2 (FNV-1a checksums)",
+            ),
+            ("json", WAL_FILE, &format_3, "journal format 3 or earlier"),
+            (
+                "snapshot",
+                "snapshot.bin",
+                &format_3,
+                "journal format 3 or earlier",
+            ),
+        ] {
+            let dir = scratch_dir(&format!("legacy-{tag}"));
+            fs::write(dir.join(file), old).unwrap();
+            let recovery = open_journaled(
                 &JournalConfig::new(&dir),
                 &campaign,
                 config,
@@ -1273,13 +1223,18 @@ mod tests {
                 ShardSpec::solo(),
             )
             .err()
-            .expect("a format-2 journal must be refused");
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-            let msg = err.to_string();
-            assert!(msg.contains(&dir.display().to_string()), "{msg}");
-            assert!(msg.contains("journal format 2 (FNV-1a checksums)"), "{msg}");
+            .expect("a legacy journal must be refused");
+            let dump = open_wal(&dir)
+                .and_then(|records| records.collect::<io::Result<Vec<_>>>())
+                .expect_err("a legacy journal must not dump");
+            for err in [recovery, dump] {
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{tag}: {err}");
+                let msg = err.to_string();
+                assert!(msg.contains(&dir.join(file).display().to_string()), "{msg}");
+                assert!(msg.contains(named), "{msg}");
+            }
             assert_eq!(
-                fs::read(dir.join(file)).unwrap(),
+                &fs::read(dir.join(file)).unwrap(),
                 old,
                 "{file} left untouched"
             );
@@ -1288,21 +1243,14 @@ mod tests {
             fs::remove_dir_all(&dir).unwrap();
         }
 
-        // Damage that is not an FNV seal is still what it always was: a
-        // wal torn inside its first frame is an empty wal.
-        let dir = scratch_dir("format2-torn");
-        let mut torn = frame_json(&JournalRecord::Header {
-            epoch: 0,
-            params: campaign.params(),
-            config,
-            faults,
-            shard: ShardSpec::solo(),
-            format: JOURNAL_FORMAT,
-        });
+        // Damage that is not a legacy seal is still what it always was:
+        // a wal torn inside its first frame is an empty wal.
+        let dir = scratch_dir("legacy-torn");
+        let mut torn = frame(&build_record(5, 1, 2, 3, &[]));
         let last = torn.len() - 1;
         torn[last] ^= 0x01;
         fs::write(dir.join(WAL_FILE), &torn).unwrap();
-        let mut reader = RecordReader::open(&dir.join(WAL_FILE)).unwrap();
+        let mut reader = open_wal(&dir).unwrap();
         assert!(reader.next().is_none());
         assert_eq!(reader.offset(), 0);
         fs::remove_dir_all(&dir).unwrap();

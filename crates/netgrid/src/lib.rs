@@ -41,9 +41,10 @@
 //!   the byte-identical cross-shard artifact merge;
 //! * [`faults`] — deterministic fault injection: disconnects, stalls
 //!   past the deadline, bit-flipped payloads, connection limits;
-//! * [`journal`] — write-ahead journal + compacting snapshots, so a
-//!   `kill -9` mid-campaign resumes from disk and finishes with the
-//!   identical merged artifact;
+//! * [`journal`] — the write-ahead journal: one append-only `wal.bin`
+//!   replayed through the live entry points, so a `kill -9`
+//!   mid-campaign resumes from disk and finishes with the identical
+//!   merged artifact;
 //! * [`trust`] — the trust-adaptive replication policy: a journaled
 //!   per-agent accept/reject ledger drives three replication bands
 //!   (trusted singles with seeded spot checks, probation quorum,

@@ -12,7 +12,7 @@
 //! * `GET /` — a self-contained HTML status page (inline CSS, no
 //!   external assets, meta-refresh): per-receptor progression, virtual
 //!   full-time processors, workunit state counts, reissue and
-//!   quorum-reject rates, journal epoch/lag, and the per-agent table.
+//!   quorum-reject rates, journal size, and the per-agent table.
 //!
 //! # Why scrapes cannot stall the grid
 //!
@@ -440,17 +440,17 @@ pub fn render_metrics(snap: &OpsSnapshot) -> String {
 
     if let Some(j) = &snap.journal {
         let n = r.family(
-            "hcmd_journal_epoch",
+            "hcmd_journal_wal_records",
             MetricKind::Gauge,
-            "Snapshot epoch of the write-ahead journal",
+            "Transition records in the write-ahead journal (what a restart replays)",
         );
-        r.sample(&n, &[], j.epoch as f64);
+        r.sample(&n, &[], j.wal_records as f64);
         let n = r.family(
-            "hcmd_journal_wal_appends_since_snapshot",
+            "hcmd_journal_wal_bytes",
             MetricKind::Gauge,
-            "Wal frames since the last compacting snapshot (journal lag)",
+            "Size of the write-ahead journal in bytes",
         );
-        r.sample(&n, &[], j.wal_appends_since_snapshot as f64);
+        r.sample(&n, &[], j.wal_bytes as f64);
     }
 
     if let Some(sh) = &snap.shard {
@@ -739,9 +739,9 @@ pub fn render_dashboard(snap: &OpsSnapshot) -> String {
 
     let journal_tile = match &snap.journal {
         Some(j) => format!(
-            "<div class=\"tile\"><div class=\"label\">Journal epoch / lag</div>\
+            "<div class=\"tile\"><div class=\"label\">Journal records / bytes</div>\
              <div class=\"value\">{} / {}</div></div>",
-            j.epoch, j.wal_appends_since_snapshot
+            j.wal_records, j.wal_bytes
         ),
         None => "<div class=\"tile\"><div class=\"label\">Journal</div>\
              <div class=\"value\">off</div></div>"
@@ -1001,8 +1001,8 @@ mod tests {
             quorum_candidate_workunits: 4,
             campaign_complete: false,
             journal: Some(JournalOps {
-                epoch: 3,
-                wal_appends_since_snapshot: 17,
+                wal_records: 3,
+                wal_bytes: 17,
             }),
             agents: vec![(
                 9,
@@ -1072,8 +1072,8 @@ mod tests {
         assert!(text.contains("hcmd_redundancy_factor 1.25"));
         // 2500 ref-seconds over 12.5 clock seconds = 200 VFTP.
         assert!(text.contains("hcmd_virtual_full_time_processors 200"));
-        assert!(text.contains("hcmd_journal_epoch 3"));
-        assert!(text.contains("hcmd_journal_wal_appends_since_snapshot 17"));
+        assert!(text.contains("hcmd_journal_wal_records 3"));
+        assert!(text.contains("hcmd_journal_wal_bytes 17"));
         assert!(text.contains("hcmd_campaign_complete 0"));
         assert!(text.contains("hcmd_wasted_ref_seconds 750"));
         assert!(text.contains("hcmd_trust_enabled 1"));
@@ -1112,7 +1112,7 @@ mod tests {
             ("20/40", "workunit progress tile"),
             ("12/20", "receptor 0 progression"),
             ("200.00", "VFTP tile"),
-            ("3 / 17", "journal epoch / lag tile"),
+            ("3 / 17", "journal records / bytes tile"),
             ("<td>9</td>", "agent row"),
             ("3 / 2 / 1 / 1", "trust band tile"),
             ("6 / 1", "spot check tile"),

@@ -34,16 +34,16 @@
 //! length cap and checksum only and hands the byte back. The wire accepts
 //! exactly [`PROTOCOL_VERSION`] in one header check shared by
 //! [`decode_versioned`] and [`read_message`]. The journal reuses this
-//! framing for `wal.bin` and `snapshot.bin` and stamps the byte with its
-//! own two *frame kinds* (1 = JSON `Header`/`Snapshot`, 2 = binary
-//! transition; constants local to `journal.rs`): they predate this
-//! module's single version, are pinned on disk by `JOURNAL_FORMAT`, and
-//! never meet a socket, so they are not protocol versions.
+//! framing for `wal.bin` and stamps the byte with its own *frame kind*
+//! (2 = binary record; 1 was the JSON header of older journal formats;
+//! constants local to `journal.rs`): they predate this module's single
+//! version, are pinned on disk by `JOURNAL_FORMAT`, and never meet a
+//! socket, so they are not protocol versions.
 //!
 //! The checksum is one word-parallel 64-bit hash ([`checksum64`]: four
 //! multiply–xorshift lanes over little-endian 8-byte words, every step a
 //! bijection), the same function on the wire, in the journal's
-//! `wal.bin` and `snapshot.bin`, and in the quorum fingerprint. Damage
+//! `wal.bin`, and in the quorum fingerprint. Damage
 //! confined to one aligned 8-byte word of a payload is *always*
 //! detected, anything else with probability 1 − 2⁻⁶⁴. A report's payload
 //! is hashed four times on its way from an agent's encoder to the
@@ -421,7 +421,7 @@ fn fold_checksum(lanes: [u64; 4], len: u64, rest: &[u8]) -> u64 {
 }
 
 /// The one bulk checksum: what the 8 checksum bytes of every frame
-/// header hold (wire, `wal.bin`, `snapshot.bin` alike) and what the
+/// header hold (wire and `wal.bin` alike) and what the
 /// quorum fingerprint is computed with. Its output is a wire and disk
 /// format, pinned by literals in this module's tests.
 ///
@@ -528,7 +528,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// Frames an arbitrary payload with the standard header (magic,
 /// `version`, length, [`checksum64`]). The wire stamps
 /// [`PROTOCOL_VERSION`]; the journal reuses the exact same framing for
-/// its on-disk records with its own frame-kind bytes (here and in
+/// its on-disk records with its own frame-kind byte (through
 /// [`seal_frame`]), so one reader/checksum implementation covers both.
 pub fn frame_payload_versioned(version: u8, payload: &[u8]) -> Bytes {
     assert!(
@@ -823,7 +823,7 @@ pub mod binary {
                 self.u64(x);
             }
         }
-        fn params(&mut self, p: &super::CampaignParams) {
+        pub(crate) fn params(&mut self, p: &super::CampaignParams) {
             self.u32(p.proteins);
             self.u64(p.lib_seed);
             self.f64(p.h_seconds);
@@ -926,7 +926,7 @@ pub mod binary {
             }
             Ok(out)
         }
-        fn params(&mut self) -> Result<super::CampaignParams, String> {
+        pub(crate) fn params(&mut self) -> Result<super::CampaignParams, String> {
             Ok(super::CampaignParams {
                 proteins: self.u32()?,
                 lib_seed: self.u64()?,

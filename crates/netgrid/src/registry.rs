@@ -2,8 +2,8 @@
 //!
 //! The paper's grid was one project among many on a shared volunteer
 //! pool; BOINC models that as *project shares*. Here the registry holds
-//! one [`GridState`] per campaign — its own catalog, journal directory,
-//! snapshot cadence, and merged artifact — and a
+//! one [`GridState`] per campaign — its own catalog, journal directory
+//! and merged artifact — and a
 //! [`gridsim::FairShare`] ledger arbitrates which campaign's queue a
 //! volunteer ask is served from: deficit-weighted round robin over
 //! *delivered reference-seconds*, priority as the tie-break, with
@@ -190,10 +190,7 @@ impl MultiGrid {
                     };
                     open_journaled(&cfg, &campaign, scheduler, faults, spec)?
                 }
-                None => (
-                    GridState::new_sharded(&campaign, scheduler, faults, spec),
-                    0.0,
-                ),
+                None => (GridState::new(&campaign, scheduler, faults, spec), 0.0),
             };
             clock_offset = clock_offset.max(offset);
             slots.push(Slot {

@@ -317,9 +317,9 @@ impl Conn {
 
 impl NetServer {
     /// Binds the listener and materialises the campaign. With a journal
-    /// configured, this is also the recovery path: any existing
-    /// snapshot + wal under the journal directory is replayed before the
-    /// first connection is accepted.
+    /// configured, this is also the recovery path: any existing wal
+    /// under the journal directory is replayed before the first
+    /// connection is accepted.
     pub fn bind(config: NetServerConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;

@@ -149,32 +149,23 @@ pub struct NetStats {
     pub backoffs_sent: u64,
     /// Fetches denied because the agent is quarantined (a subset of
     /// `backoffs_sent`).
-    #[serde(default)]
     pub trust_denied_fetches: u64,
     /// Spot-check recomputations that byte-matched the audited result.
-    #[serde(default)]
     pub spot_checks_passed: u64,
     /// Spot-check recomputations that mismatched (each craters the
     /// audited agent's trust).
-    #[serde(default)]
     pub spot_checks_failed: u64,
     /// Validated workunits retracted after a failed spot check.
-    #[serde(default)]
     pub workunits_invalidated: u64,
     /// Work requests answered with a `Redirect` to a peer shard.
-    #[serde(default)]
     pub shard_redirects: u64,
     /// Leases granted to hungry peer shards.
-    #[serde(default)]
     pub shard_leases_out: u64,
     /// Leases adopted from loaded peer shards.
-    #[serde(default)]
     pub shard_leases_in: u64,
     /// Workunits whose ownership left with an outbound lease.
-    #[serde(default)]
     pub shard_wus_leased_out: u64,
     /// Workunits whose ownership arrived with an inbound lease.
-    #[serde(default)]
     pub shard_wus_leased_in: u64,
 }
 
@@ -237,10 +228,10 @@ pub struct TrustSummary {
 /// Journal health as seen by the ops endpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct JournalOps {
-    /// Snapshot epoch (bumped by each compacting snapshot).
-    pub epoch: u64,
-    /// Wal frames appended since the last compacting snapshot.
-    pub wal_appends_since_snapshot: u64,
+    /// Transition records in the wal: what a restart would replay.
+    pub wal_records: u64,
+    /// Size of the wal in bytes, header frame included.
+    pub wal_bytes: u64,
 }
 
 /// Shard identity and ownership as seen by the ops endpoint; `None`
@@ -374,25 +365,26 @@ pub struct GridState {
     /// Replicas that have reported (wire-level dedup; the core panics on
     /// double reports).
     reported: std::collections::HashSet<u64>,
-    /// Quorum candidates per incomplete workunit: payload fingerprint,
-    /// the payload itself (kept so the *matched* copy becomes the
-    /// accepted artifact), and the reporting agent (`u64::MAX` when the
-    /// replica was never attributed) so quorum partners earn trust
-    /// credit when their pair completes.
-    candidates: HashMap<u32, Vec<(u64, DockingOutput, u64)>>,
+    /// Quorum candidates per incomplete workunit: payload fingerprint
+    /// and the reporting agent (`u64::MAX` when the replica was never
+    /// attributed) so quorum partners earn trust credit when their pair
+    /// completes. Fingerprints only: the accepted artifact is the copy
+    /// the completing reporter sent, so a candidate's payload is never
+    /// needed again, and a flood of wrong results costs 16 bytes each.
+    candidates: HashMap<u32, Vec<(u64, u64)>>,
     /// The validated output per workunit, in catalog order.
     accepted: Vec<Option<DockingOutput>>,
     /// Consecutive empty fetches per agent (drives backoff).
     misses: HashMap<u64, u32>,
     /// Which agent holds each issued replica — lets a report (which
     /// carries no agent id on the wire) be attributed back to the agent
-    /// the replica was assigned to. Promoted into [`GridSnapshot`] with
-    /// the trust ledger: trust credit flows through this map, so a
-    /// restart must reconstruct it exactly.
+    /// the replica was assigned to. Part of [`GridSnapshot`] with the
+    /// trust ledger: trust credit flows through this map, so a restart
+    /// must reconstruct it exactly.
     replica_agent: HashMap<u64, u64>,
     /// Per-agent accept/reject history driving the replication bands.
-    /// Journaled (unlike the advisory `agents` ledger): trust decisions
-    /// change scheduling, so they must survive `kill -9`.
+    /// Trust decisions change scheduling, so they must survive
+    /// `kill -9`: the ledgers change only inside journaled transitions.
     agent_trust: HashMap<u64, AgentTrust>,
     /// Trusted agents' accepted singles not yet independently
     /// confirmed, per suspect agent — the set a failed spot check
@@ -403,10 +395,8 @@ pub struct GridState {
     /// Spot-check replicas in flight: replica → (workunit, suspect).
     spot_outstanding: HashMap<u64, (u32, u64)>,
     /// Per-agent assignment/report accounting for the ops endpoint.
-    /// Advisory: rebuilt from `Fetch` records on journal replay but not
-    /// part of [`GridSnapshot`], so it restarts empty after a
-    /// restore-from-snapshot (the scheduler state it describes does
-    /// not).
+    /// Advisory (not part of [`GridSnapshot`]), and rebuilt by journal
+    /// replay like everything else.
     agents: HashMap<u64, AgentLedger>,
     /// Wire-level counters.
     pub net_stats: NetStats,
@@ -420,52 +410,40 @@ pub struct GridState {
     tele: Tele,
 }
 
-/// One workunit's banked candidate list as the snapshot stores it:
-/// `(fingerprint, payload, reporting agent)` per candidate.
-type CandidateRows = Vec<(u64, DockingOutput, u64)>;
-
-/// A complete, serializable copy of [`GridState`] — what the journal's
-/// compacting snapshot persists. Maps are flattened to key-sorted pairs
-/// so equal states snapshot to identical bytes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A complete, comparable copy of [`GridState`]: what "the same state"
+/// means to the crash-point tests, which compare a recovered state
+/// against the live one record by record. Never written to disk — the
+/// journal is the wal alone. Maps are flattened to key-sorted pairs so
+/// equal states compare (and print) equal.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct GridSnapshot {
     core: CoreSnapshot,
     outstanding: Vec<(u64, f64)>,
     reported: Vec<u64>,
-    candidates: Vec<(u32, CandidateRows)>,
+    /// `(fingerprint, reporting agent)` per candidate, per workunit.
+    candidates: Vec<(u32, Vec<(u64, u64)>)>,
     accepted: Vec<Option<DockingOutput>>,
     misses: Vec<(u64, u32)>,
     net_stats: NetStats,
     last_now: f64,
-    #[serde(default)]
     replica_agent: Vec<(u64, u64)>,
-    #[serde(default)]
     agent_trust: Vec<(u64, AgentTrust)>,
-    #[serde(default)]
     unverified: Vec<(u64, Vec<u32>)>,
-    #[serde(default)]
     spot_queue: Vec<(u32, u64)>,
-    #[serde(default)]
     spot_outstanding: Vec<(u64, (u32, u64))>,
-    #[serde(default = "ShardSpec::solo")]
     shard: ShardSpec,
-    #[serde(default)]
     leases_granted: Vec<(u64, (u16, Vec<u32>))>,
-    #[serde(default)]
     leases_held: Vec<(u64, Vec<u32>)>,
 }
 
 impl GridState {
-    /// Builds the state for one campaign (unsharded).
-    pub fn new(campaign: &NetCampaign, config: ServerConfig, faults: ServerFaults) -> Self {
-        Self::new_sharded(campaign, config, faults, ShardSpec::solo())
-    }
-
-    /// Builds the state for one shard of a campaign. The scheduler runs
-    /// over the full catalog but owns only the workunits the shard map
-    /// assigns to `shard` — keeping workunit indices, replica ids and
-    /// launch order globally consistent across the topology.
-    pub fn new_sharded(
+    /// Builds the state for one shard of a campaign
+    /// ([`ShardSpec::solo`] when unsharded) — the one way a `GridState`
+    /// comes to be; recovery replays the journal into it. The scheduler
+    /// runs over the full catalog but owns only the workunits the shard
+    /// map assigns to `shard` — keeping workunit indices, replica ids
+    /// and launch order globally consistent across the topology.
+    pub fn new(
         campaign: &NetCampaign,
         config: ServerConfig,
         faults: ServerFaults,
@@ -508,8 +486,8 @@ impl GridState {
     }
 
     /// Attaches an open write-ahead journal; every subsequent
-    /// [`Self::fetch`]/[`Self::report`]/[`Self::sweep`] transition is
-    /// appended to it (and compacted when due).
+    /// [`Self::fetch`]/[`Self::report`]/[`Self::sweep`] and lease
+    /// transition is appended to it.
     pub fn attach_journal(&mut self, journal: Journal) {
         self.journal = Some(journal);
     }
@@ -519,7 +497,7 @@ impl GridState {
         self.last_now
     }
 
-    /// Captures the complete state for a compacting snapshot.
+    /// Captures the complete state for comparison; see [`GridSnapshot`].
     pub fn snapshot(&self) -> GridSnapshot {
         fn sorted<V: Clone>(map: &HashMap<u64, V>) -> Vec<(u64, V)> {
             let mut v: Vec<(u64, V)> = map.iter().map(|(&k, v)| (k, v.clone())).collect();
@@ -528,7 +506,7 @@ impl GridState {
         }
         let mut reported: Vec<u64> = self.reported.iter().copied().collect();
         reported.sort_unstable();
-        let mut candidates: Vec<(u32, CandidateRows)> = self
+        let mut candidates: Vec<(u32, Vec<(u64, u64)>)> = self
             .candidates
             .iter()
             .map(|(&wu, v)| (wu, v.clone()))
@@ -554,91 +532,14 @@ impl GridState {
         }
     }
 
-    /// Rebuilds a state from a snapshot taken under the same campaign
-    /// and configuration. Fails (with a reason) when the snapshot is
-    /// internally inconsistent or belongs to a different campaign.
-    pub fn restore(
-        campaign: &NetCampaign,
-        config: ServerConfig,
-        faults: ServerFaults,
-        snap: GridSnapshot,
-    ) -> Result<Self, String> {
-        let core = SchedulerCore::restore(campaign.catalog(), config, snap.core)?;
-        if snap.shard.shards > 1 && !core.is_sharded() {
-            return Err(format!(
-                "snapshot names shard {}/{} but carries no ownership state",
-                snap.shard.shard_id, snap.shard.shards
-            ));
-        }
-        if snap.accepted.len() != campaign.len() {
-            return Err(format!(
-                "snapshot has {} accepted slots for a {}-workunit campaign",
-                snap.accepted.len(),
-                campaign.len()
-            ));
-        }
-        let replicas = core.replica_count() as u64;
-        if let Some(&(r, _)) = snap.outstanding.iter().find(|&&(r, _)| r >= replicas) {
-            return Err(format!("outstanding replica {r} out of range"));
-        }
-        if let Some(&r) = snap.reported.iter().find(|&&r| r >= replicas) {
-            return Err(format!("reported replica {r} out of range"));
-        }
-        Ok(Self {
-            core,
-            faults,
-            ranges: ValueRanges::default(),
-            shard: snap.shard,
-            leases_granted: snap.leases_granted.into_iter().collect(),
-            leases_held: snap.leases_held.into_iter().collect(),
-            outstanding: snap.outstanding.into_iter().collect(),
-            reported: snap.reported.into_iter().collect(),
-            // The stored fingerprints are whatever the writing build
-            // computed; re-derive them, so quorum partners reported on
-            // either side of a restart are always compared under one
-            // definition.
-            candidates: snap
-                .candidates
-                .into_iter()
-                .map(|(wu, rows)| {
-                    let rows = rows
-                        .into_iter()
-                        .map(|(_, payload, agent)| (fingerprint(&payload), payload, agent))
-                        .collect();
-                    (wu, rows)
-                })
-                .collect(),
-            accepted: snap.accepted,
-            misses: snap.misses.into_iter().collect(),
-            replica_agent: snap.replica_agent.into_iter().collect(),
-            agent_trust: snap.agent_trust.into_iter().collect(),
-            unverified: snap.unverified.into_iter().collect(),
-            spot_queue: snap.spot_queue.into(),
-            spot_outstanding: snap.spot_outstanding.into_iter().collect(),
-            agents: HashMap::new(),
-            net_stats: snap.net_stats,
-            last_now: snap.last_now,
-            journal: None,
-            tele: Tele::new(),
-        })
-    }
-
-    /// Appends one transition to the journal (when attached), cutting a
-    /// compacting snapshot when one is due. Durability failures are
-    /// fatal by design: a server that can no longer journal must not
-    /// keep mutating state it promised to persist.
+    /// Appends one transition to the journal (when attached).
+    /// Durability failures are fatal by design: a server that can no
+    /// longer journal must not keep mutating state it promised to
+    /// persist.
     fn journal_append(&mut self, rec: &JournalRecord) {
-        let Some(mut journal) = self.journal.take() else {
-            return;
-        };
-        journal.append(rec).expect("journal append failed");
-        if journal.snapshot_due() {
-            let snap = self.snapshot();
-            journal
-                .write_snapshot(self.last_now, snap)
-                .expect("journal snapshot failed");
+        if let Some(journal) = self.journal.as_mut() {
+            journal.append(rec).expect("journal append failed");
         }
-        self.journal = Some(journal);
     }
 
     /// Syncs any journal appends the `EveryN` fsync policy left
@@ -761,9 +662,8 @@ impl GridState {
         self.outstanding.len()
     }
 
-    /// Counts one work request answered with a `Redirect`. Advisory
-    /// (like the per-agent ledger): not journaled, so it restarts from
-    /// the snapshot value.
+    /// Counts one work request answered with a `Redirect`. Advisory:
+    /// not journaled, so it restarts from zero.
     pub fn note_redirect(&mut self) {
         self.net_stats.shard_redirects += 1;
     }
@@ -1182,8 +1082,8 @@ impl GridState {
             quorum_candidate_workunits: self.candidates.len(),
             campaign_complete: self.is_campaign_complete(),
             journal: self.journal.as_ref().map(|j| JournalOps {
-                epoch: j.epoch(),
-                wal_appends_since_snapshot: j.appends_since_snapshot(),
+                wal_records: j.wal_records(),
+                wal_bytes: j.wal_bytes(),
             }),
             agents,
             wasted_ref_seconds: self.core.wasted_ref_seconds(),
@@ -1303,14 +1203,14 @@ impl GridState {
                 .copied()
                 .unwrap_or(u64::MAX);
             let cands = self.candidates.entry(workunit).or_default();
-            if !cands.is_empty() && !cands.iter().any(|(h, _, _)| *h == fp) {
+            if !cands.is_empty() && !cands.iter().any(|(h, _)| *h == fp) {
                 // Disagrees with every candidate: reject — but *keep* it
                 // as a candidate. If the first result was the corrupted
                 // one, an honest pair must still be able to meet and
                 // validate; with majority-free pairwise matching the
                 // corrupted minority loses because corruption is random
                 // (two corrupted payloads never match byte-for-byte).
-                cands.push((fp, output.clone(), agent));
+                cands.push((fp, agent));
                 self.net_stats.quorum_rejected += 1;
                 self.tele.quorum_rejected.inc();
                 telemetry::emit(Some(now.seconds()), || Event::QuorumRejected {
@@ -1336,7 +1236,7 @@ impl GridState {
                 // the quorum era. (The completing reporter's own credit
                 // flows through the verdict.)
                 let cands = self.candidates.remove(&workunit).unwrap_or_default();
-                for (_, _, partner) in cands.into_iter().filter(|(h, _, _)| *h == fp) {
+                for (_, partner) in cands.into_iter().filter(|(h, _)| *h == fp) {
                     self.trust_accept(partner);
                 }
                 return ResultDisposition {
@@ -1348,7 +1248,7 @@ impl GridState {
             // Not yet completed: either the first candidate of the pair,
             // or a match whose quorum the core has not closed (only
             // possible with >2 live replicas of one workunit).
-            cands.push((fp, output.clone(), agent));
+            cands.push((fp, agent));
             return ResultDisposition {
                 verdict: Verdict::QuorumPending,
                 completed_workunit: false,
@@ -1401,7 +1301,12 @@ mod tests {
             deadline_seconds: 5.0,
             ..ServerConfig::default()
         };
-        let state = GridState::new(&campaign, config, ServerFaults::default());
+        let state = GridState::new(
+            &campaign,
+            config,
+            ServerFaults::default(),
+            ShardSpec::solo(),
+        );
         (campaign, state)
     }
 
@@ -1580,7 +1485,7 @@ mod tests {
             },
             ..ServerFaults::default()
         };
-        let state = GridState::new(&campaign, config, faults);
+        let state = GridState::new(&campaign, config, faults, ShardSpec::solo());
         (campaign, state)
     }
 
@@ -1783,86 +1688,6 @@ mod tests {
             Some(&honest),
             "the honest pair repairs the artifact"
         );
-    }
-
-    #[test]
-    fn trust_state_round_trips_through_the_snapshot() {
-        let (campaign, mut state) = setup_trust(1.0);
-        let now_s = earn_trust(&campaign, &mut state, (1, 2), 5, 0.0);
-        // Leave a single accepted with its audit still queued, so the
-        // snapshot carries non-trivial spot state.
-        let a = assigned(&mut state, t(now_s), 1);
-        let honest = campaign.compute(campaign.spec(a.workunit));
-        state.report(
-            t(now_s + 1.0),
-            &campaign,
-            a.replica,
-            a.workunit,
-            honest.clone(),
-        );
-        let snap = state.snapshot();
-        let config = ServerConfig {
-            deadline_seconds: 5.0,
-            ..ServerConfig::default()
-        };
-        let faults = ServerFaults {
-            trust: crate::trust::TrustConfig {
-                spot_check_rate: 1.0,
-                ..crate::trust::TrustConfig::on()
-            },
-            ..ServerFaults::default()
-        };
-        let mut twin = GridState::restore(&campaign, config, faults, snap).expect("restore");
-        assert_eq!(
-            twin.agent_trust_table(),
-            state.agent_trust_table(),
-            "trust ledgers survive the snapshot"
-        );
-        assert_eq!(twin.is_campaign_complete(), state.is_campaign_complete());
-        // The restored state serves the same pending audit and judges it
-        // the same way.
-        let x = assigned(&mut state, t(now_s + 2.0), 2);
-        let y = assigned(&mut twin, t(now_s + 2.0), 2);
-        assert_eq!(x.workunit, y.workunit, "same pending spot check");
-        assert_eq!(
-            state
-                .report(
-                    t(now_s + 3.0),
-                    &campaign,
-                    x.replica,
-                    x.workunit,
-                    honest.clone()
-                )
-                .verdict,
-            twin.report(t(now_s + 3.0), &campaign, y.replica, y.workunit, honest)
-                .verdict,
-        );
-    }
-    /// A snapshot's stored fingerprints are whatever the build that
-    /// wrote it computed. Restore re-derives them, so the partner that
-    /// reports after the restart still meets its pending candidate.
-    #[test]
-    fn restore_rederives_candidate_fingerprints() {
-        let (campaign, mut state) = setup();
-        let a = assigned(&mut state, t(0.0), 1);
-        let b = assigned(&mut state, t(0.0), 2);
-        assert_eq!(a.workunit, b.workunit);
-        let out = campaign.compute(campaign.spec(a.workunit));
-        let d = state.report(t(1.0), &campaign, a.replica, a.workunit, out.clone());
-        assert_eq!(d.verdict, Verdict::QuorumPending);
-
-        let mut snap = state.snapshot();
-        let stored = &mut snap.candidates[0].1[0].0;
-        assert_eq!(*stored, fingerprint(&out));
-        *stored ^= 0xdead_beef; // e.g. written under the canonical-JSON fingerprint
-        let config = ServerConfig {
-            deadline_seconds: 5.0,
-            ..ServerConfig::default()
-        };
-        let mut restored =
-            GridState::restore(&campaign, config, ServerFaults::default(), snap).expect("restore");
-        let d = restored.report(t(2.0), &campaign, b.replica, b.workunit, out);
-        assert_eq!(d.verdict, Verdict::Accepted, "the honest pair must meet");
     }
 
     /// The fingerprint this one replaced, kept here only to pin that

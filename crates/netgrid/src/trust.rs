@@ -29,8 +29,10 @@
 //!   offenders wait twice as long each time.
 //!
 //! All of this state is deliberately plain old data (`Copy`, serde,
-//! `PartialEq`): it rides inside `GridSnapshot` through the journal, so
-//! trust survives `kill -9` exactly like the scheduler state does.
+//! `PartialEq`) that changes only inside journaled transitions, so
+//! journal replay rebuilds it and trust survives `kill -9` exactly like
+//! the scheduler state does (`GridSnapshot` carries it for the tests
+//! that compare the two).
 
 use crate::protocol::fnv1a64;
 use serde::{Deserialize, Serialize};

@@ -52,7 +52,6 @@ fn scratch(tag: &str) -> JournalConfig {
     let _ = fs::remove_dir_all(&dir);
     JournalConfig {
         fsync: FsyncPolicy::Never,
-        snapshot_every: 0, // pure wal replay
         ..JournalConfig::new(dir)
     }
 }
@@ -272,7 +271,6 @@ fn every_wal_truncation_recovers_the_longest_whole_record_prefix() {
             JournalRecord::Sweep { .. } => kinds[2] += 1,
             JournalRecord::LeaseOut { .. } => kinds[3] += 1,
             JournalRecord::LeaseIn { .. } => kinds[4] += 1,
-            JournalRecord::Snapshot { .. } => panic!("snapshot in the wal"),
         }
         assert_eq!(reader.offset() as usize, history.marks[k].0, "record {k}");
     }

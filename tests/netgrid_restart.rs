@@ -19,8 +19,9 @@
 use gridsim::server::{ServerConfig, ServerStats};
 use gridsim::SimTime;
 use netgrid::{
-    open_journaled, CampaignParams, FsyncPolicy, GridState, JournalConfig, NetCampaign, NetStats,
-    ServerFaults, ShardSpec, TrustConfig, Verdict, WorkReply,
+    open_journaled, CampaignDef, CampaignParams, FaultDice, FaultProfile, FsyncPolicy, GridState,
+    JournalConfig, MultiGrid, NetCampaign, NetStats, ServerFaults, ShardSpec, TrustConfig, Verdict,
+    WorkReply,
 };
 use std::path::PathBuf;
 
@@ -123,7 +124,6 @@ fn scripted_history_replays_to_the_exact_live_state_and_artifact() {
     let campaign = NetCampaign::build(CampaignParams::tiny());
     let cfg = JournalConfig {
         fsync: FsyncPolicy::EveryN(4),
-        snapshot_every: 0, // pure wal replay
         ..JournalConfig::new(journal_dir("script"))
     };
 
@@ -152,10 +152,7 @@ fn scripted_history_replays_to_the_exact_live_state_and_artifact() {
 #[test]
 fn torn_wal_tail_recovers_a_consistent_prefix_and_still_completes() {
     let campaign = NetCampaign::build(CampaignParams::tiny());
-    let cfg = JournalConfig {
-        snapshot_every: 0,
-        ..JournalConfig::new(journal_dir("torn"))
-    };
+    let cfg = JournalConfig::new(journal_dir("torn"));
 
     let (mut live, _) = open(&campaign, &cfg);
     run_script(&mut live, &campaign);
@@ -181,34 +178,103 @@ fn torn_wal_tail_recovers_a_consistent_prefix_and_still_completes() {
     let _ = std::fs::remove_dir_all(&cfg.dir);
 }
 
+/// What a journal directory holds: one file.
+fn assert_only_the_wal(dir: &std::path::Path) {
+    let names: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(names, ["wal.bin"], "{}", dir.display());
+}
+
+/// One identity lands thousands of distinct wrong-but-in-bounds results
+/// on a quorum workunit (every rejection queues it another replica).
+/// Server state grows by a fingerprint each, the journal by a record
+/// each, and neither has a size at which the server stops working —
+/// the compacting snapshot this replaced framed every retained payload
+/// into one record and panicked past the 8 MiB frame cap here.
 #[test]
-fn snapshot_compaction_bounds_the_wal_and_recovery_stays_exact() {
+fn a_flood_of_rejected_results_neither_kills_the_server_nor_its_recovery() {
     let campaign = NetCampaign::build(CampaignParams::tiny());
-    let cfg = JournalConfig {
-        snapshot_every: 4, // compact aggressively
-        ..JournalConfig::new(journal_dir("snap"))
-    };
-
+    let cfg = JournalConfig::new(journal_dir("flood"));
     let (mut live, _) = open(&campaign, &cfg);
-    run_script(&mut live, &campaign);
-    let (stats, net, last_now) = crash_point(&live);
-    drop(live);
 
-    let snapshot = cfg.dir.join("snapshot.bin");
-    assert!(snapshot.exists(), "compaction must have run");
-    let wal_len = std::fs::metadata(cfg.dir.join("wal.bin")).unwrap().len();
-    let snap_len = std::fs::metadata(&snapshot).unwrap().len();
+    let baseline = campaign.baseline_outputs();
+    let mut dice = FaultDice::new(7, 9, FaultProfile::saboteur());
+    let mut rejected = 0;
+    for k in 0..2_500 {
+        let now = f64::from(k) * 0.001; // well inside the 10 s deadline
+        let a = fetch(&mut live, now, 9);
+        let mut corrupt = baseline[a.workunit as usize].clone();
+        dice.corrupt(&mut corrupt);
+        let d = live.report(t(now), &campaign, a.replica, a.workunit, corrupt);
+        rejected += usize::from(d.verdict == Verdict::QuorumRejected);
+    }
     assert!(
-        wal_len < snap_len,
-        "compaction keeps the wal short: wal={wal_len}B snapshot={snap_len}B"
+        rejected > 2_400,
+        "only {rejected} corruptions were distinct"
     );
+    let before = live.snapshot();
+    drop(live); // crash
 
-    let (mut recovered, resume) = open(&campaign, &cfg);
-    assert_eq!(recovered.server_stats(), stats);
-    assert_eq!(recovered.net_stats, net);
-    assert_eq!(resume, last_now);
+    assert_only_the_wal(&cfg.dir);
+    let (mut recovered, _) = open(&campaign, &cfg);
+    assert!(
+        recovered.snapshot() == before,
+        "replay rebuilt another state"
+    );
     drain(&mut recovered, &campaign);
     assert_eq!(artifact_json(&recovered), baseline_json(&campaign));
+    let _ = std::fs::remove_dir_all(&cfg.dir);
+}
+
+/// The campaign the snapshot design could not finish whatever the peers
+/// did: 3 392 workunits of honest quorum traffic through the registry,
+/// journaled under the default policy, then recovered from the wal
+/// alone.
+#[test]
+#[ignore = "docks 3 392 workunits: cargo test --release --test netgrid_restart -- --ignored"]
+fn an_honest_3392_workunit_campaign_journals_to_completion_and_recovers() {
+    let defs = vec![CampaignDef::default_solo(CampaignParams {
+        proteins: 32,
+        lib_seed: 87,
+        ..CampaignParams::tiny()
+    })];
+    let cfg = JournalConfig::new(journal_dir("honest"));
+    let open_grid = || {
+        MultiGrid::open(
+            defs.clone(),
+            ServerConfig::default(),
+            ServerFaults::default(),
+            ShardSpec::solo(),
+            Some(&cfg),
+        )
+        .expect("registry opens journaled")
+        .0
+    };
+
+    let mut grid = open_grid();
+    let campaign = grid.slots()[0].campaign.clone();
+    assert_eq!(campaign.len(), 3_392);
+    let baseline = campaign.baseline_outputs();
+    let mut now = 0.0;
+    while !grid.all_complete() {
+        now += 0.001;
+        let (cidx, reply) = grid.fetch(t(now), 1, &[true]);
+        let WorkReply::Assigned(a) = reply else {
+            panic!("an honest campaign never runs dry: {reply:?}");
+        };
+        let out = baseline[a.workunit as usize].clone();
+        grid.report(t(now), cidx, a.replica, a.workunit, out);
+    }
+    let artifact = artifact_json(&grid.slots()[0].state);
+    assert!(artifact == serde_json::to_string(&baseline).unwrap());
+    drop(grid);
+
+    assert_only_the_wal(&cfg.dir);
+    let grid = open_grid();
+    assert!(grid.all_complete(), "recovery lost validated workunits");
+    assert!(artifact_json(&grid.slots()[0].state) == artifact);
     let _ = std::fs::remove_dir_all(&cfg.dir);
 }
 
@@ -217,7 +283,6 @@ fn fsync_batch_phase_survives_restart() {
     let campaign = NetCampaign::build(CampaignParams::tiny());
     let cfg = JournalConfig {
         fsync: FsyncPolicy::EveryN(4),
-        snapshot_every: 0,
         ..JournalConfig::new(journal_dir("fsync-phase"))
     };
 
@@ -358,7 +423,6 @@ fn trust_bands_and_quarantine_replay_exactly_across_a_crash() {
     let campaign = NetCampaign::build(CampaignParams::tiny());
     let cfg = JournalConfig {
         fsync: FsyncPolicy::EveryN(4),
-        snapshot_every: 8, // exercise trust state through the snapshot too
         ..JournalConfig::new(journal_dir("trust"))
     };
 
@@ -398,7 +462,12 @@ fn trust_bands_and_quarantine_replay_exactly_across_a_crash() {
     assert_eq!(recovered.trust_summary(), Some(live_summary));
 
     // An uninterrupted twin run of the identical script...
-    let mut twin = GridState::new(&campaign, server_config(), trust_faults());
+    let mut twin = GridState::new(
+        &campaign,
+        server_config(),
+        trust_faults(),
+        ShardSpec::solo(),
+    );
     let twin_crash_now = trust_script(&mut twin, &campaign);
     assert_eq!(crash_now, twin_crash_now);
 

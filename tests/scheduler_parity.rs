@@ -21,7 +21,8 @@ use gridsim::server::{SchedulerCore, ServerConfig, ServerStats};
 use gridsim::SimTime;
 use netgrid::trust::spot_selected;
 use netgrid::{
-    CampaignParams, GridState, NetCampaign, ServerFaults, TrustConfig, Verdict, WorkReply,
+    CampaignParams, GridState, NetCampaign, ServerFaults, ShardSpec, TrustConfig, Verdict,
+    WorkReply,
 };
 
 /// The common frontend surface the script drives.
@@ -131,7 +132,12 @@ struct WireFrontend {
 impl WireFrontend {
     fn new(config: ServerConfig) -> Self {
         let campaign = NetCampaign::build(CampaignParams::tiny());
-        let state = GridState::new(&campaign, config, ServerFaults::default());
+        let state = GridState::new(
+            &campaign,
+            config,
+            ServerFaults::default(),
+            ShardSpec::solo(),
+        );
         Self {
             campaign,
             state,
@@ -309,7 +315,7 @@ fn trust_scripted_history_is_deterministic_with_bounded_replication() {
             },
             ..ServerFaults::default()
         };
-        let mut state = GridState::new(&campaign, config, faults);
+        let mut state = GridState::new(&campaign, config, faults, ShardSpec::solo());
         let mut log = Vec::new();
         // Deterministic script mixer (an LCG, not the std RNG, so the
         // history is identical on every run of this test binary).
