@@ -26,8 +26,10 @@
 //! * [`sys`] — a dependency-free readiness shim: epoll on Linux with a
 //!   portable `poll(2)` fallback, via direct `extern "C"` declarations;
 //! * [`server`] — the TCP daemon: a single-threaded nonblocking event
-//!   loop driving per-connection state machines, with the deadline
-//!   sweeper and journal fsync folded in as timer events;
+//!   loop that owns the grid state by value and drives per-connection
+//!   state machines — volunteers, steering links to peer shards and ops
+//!   scrapes alike — with the deadline sweeper, journal fsync and
+//!   steering folded in as timer events;
 //! * [`agent`] — the volunteer loop (fetch → dock → checkpoint →
 //!   report) with real multicore docking;
 //! * [`mux`] — a multiplexed fleet driver: one thread pushing thousands
@@ -75,7 +77,7 @@ pub use journal::{
     open_journaled, FsyncPolicy, Journal, JournalConfig, JournalRecord, RecordReader,
 };
 pub use mux::{run_mux_fleet, MuxFleetConfig, MuxFleetReport};
-pub use ops::{http_get, OpsServer};
+pub use ops::http_get;
 pub use protocol::{CampaignParams, Codec, DecodeError, Message};
 pub use registry::{CampaignDef, MultiGrid, Slot};
 pub use server::{CampaignRunReport, NetRunReport, NetServer, NetServerConfig, ShardTopology};

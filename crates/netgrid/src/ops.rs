@@ -3,8 +3,9 @@
 //! The paper's operators steered a 26-week campaign by watching live
 //! per-protein progression and fleet health (Figs. 1/6/7); this module
 //! is that surface for `hcmd-server`. It is deliberately tiny: a
-//! hand-rolled HTTP/1.1 responder on the same nonblocking-accept
-//! pattern as the task listener, two routes, zero dependencies.
+//! hand-rolled HTTP/1.1 responder — request parsing, two routes and
+//! their renderers — with zero dependencies; the sockets belong to the
+//! server's event loop.
 //!
 //! * `GET /metrics` — Prometheus text exposition: every registry metric
 //!   (via `telemetry::exposition`) plus the scheduler-state families
@@ -16,27 +17,27 @@
 //!
 //! # Why scrapes cannot stall the grid
 //!
-//! The endpoint never holds the state lock across I/O: it takes a
-//! [`GridState::ops_snapshot`] — a copy of counters and short vecs — in
-//! one short critical section, drops the lock, then renders and writes
-//! to the socket at the scraper's pace. A slow or wedged scraper costs
-//! the fetch/report hot path exactly one cheap copy. Requests are
-//! served one at a time on the ops thread; concurrent scrapers queue in
-//! the listener backlog rather than spawning threads into the server.
+//! A scrape is one more connection on the server's event loop
+//! ([`crate::server`]), so it holds no thread and no lock — only its
+//! own buffers, and those are bounded: the request head is capped
+//! ([`MAX_REQUEST_HEAD`], request line 1 KiB) while it is read, a
+//! connection that makes no progress for [`IDLE_CAP`] is closed on the
+//! next sweep tick, and the response is written with nonblocking
+//! writes at the scraper's pace. What a request costs the grid is one
+//! [`MultiGrid::ops_snapshot`] — a copy of counters and short vecs —
+//! plus one render, both on the loop between two agent frames; a
+//! request that does not parse to a known GET route is answered 4xx/405
+//! before any scheduler state is read. `benchmarks/gridbench` reports
+//! that cost from the scraper's side as `ops.scrape_p50_us`.
 //!
-//! The ops thread keeps answering for a short linger window
-//! ([`OPS_LINGER`]) after the campaign completes, so a scraper polling
-//! mid-run gets to observe the final state before the socket closes.
+//! The endpoint keeps answering for [`LINGER`] after the campaign
+//! completes, so a scraper polling mid-run gets to observe the final
+//! state before the socket closes.
 
 use crate::registry::MultiGrid;
 use crate::state::OpsSnapshot;
-use crate::sys::Poller;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
-use std::sync::{Arc, Mutex};
-use std::thread;
+use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 use telemetry::exposition::{MetricKind, TextRenderer};
 
@@ -44,176 +45,55 @@ use telemetry::exposition::{MetricKind, TextRenderer};
 const MAX_REQUEST_LINE: usize = 1024;
 
 /// Maximum total request-head size; bigger heads get `431`.
-const MAX_REQUEST_HEAD: usize = 8192;
+pub(crate) const MAX_REQUEST_HEAD: usize = 8192;
 
 /// How long the endpoint keeps serving after the campaign completes.
-const OPS_LINGER: Duration = Duration::from_secs(1);
+pub(crate) const LINGER: Duration = Duration::from_secs(1);
 
-/// Per-connection socket timeout: bounds how long one misbehaving
-/// scraper can occupy the (single) serving thread.
-const OPS_IO_TIMEOUT: Duration = Duration::from_millis(500);
+/// How long a scrape may go without progress — its whole head arriving,
+/// then the scraper taking response bytes — before it is closed.
+pub(crate) const IDLE_CAP: Duration = Duration::from_millis(500);
 
-/// Upper bound on one readiness wait: how often the accept loop checks
-/// the `done` flag when no scraper is knocking. A pending connection
-/// wakes the wait immediately — this is *not* a latency floor the way
-/// the old fixed 10 ms sleep-poll was, which put a uniform 0–10 ms of
-/// queueing ahead of every scrape and pushed the observed p99 over
-/// 10 ms for a sub-millisecond render.
-const ACCEPT_WAIT: Duration = Duration::from_millis(50);
-
-struct Tele {
-    requests: &'static telemetry::Counter,
-    bad_requests: &'static telemetry::Counter,
-    bytes_out: &'static telemetry::Counter,
-    scrape_us: &'static telemetry::Histogram,
-}
-
-impl Tele {
-    fn new() -> Self {
-        Self {
-            requests: telemetry::counter("net.ops.requests"),
-            bad_requests: telemetry::counter("net.ops.bad_requests"),
-            bytes_out: telemetry::counter("net.ops.bytes_out"),
-            scrape_us: telemetry::histogram("net.ops.scrape_us"),
-        }
-    }
-}
-
-/// A bound, not-yet-serving ops endpoint.
-pub struct OpsServer {
-    listener: TcpListener,
-}
-
-impl OpsServer {
-    /// Binds the ops listener (port 0 lets the OS pick).
-    pub fn bind(addr: &str) -> io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        Ok(Self { listener })
-    }
-
-    /// The bound address (resolves port 0).
-    pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.listener.local_addr()
-    }
-
-    /// Spawns the serving thread. It answers scrapes until `done` is
-    /// set *and* the linger window has passed, then drops its state
-    /// handle and exits — the server joins it before tearing the state
-    /// down.
-    pub fn spawn(
-        self,
-        grid: Arc<Mutex<MultiGrid>>,
-        done: Arc<AtomicBool>,
-    ) -> thread::JoinHandle<()> {
-        thread::spawn(move || {
-            let tele = Tele::new();
-            let mut done_since: Option<Instant> = None;
-            // Readiness-waited accept: scrapes are served the moment
-            // the SYN lands instead of after a sleep-poll tick.
-            let mut poller = Poller::new().ok();
-            if let Some(p) = poller.as_mut() {
-                if p.register(self.listener.as_raw_fd(), true, false).is_err() {
-                    poller = None;
-                }
-            }
-            let mut events = Vec::new();
-            loop {
-                if done.load(Relaxed) {
-                    if done_since.get_or_insert_with(Instant::now).elapsed() > OPS_LINGER {
-                        return;
-                    }
-                } else {
-                    done_since = None;
-                }
-                match self.listener.accept() {
-                    Ok((stream, _peer)) => serve_one(stream, &grid, &tele),
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => match poller.as_mut() {
-                        Some(p) => {
-                            let _ = p.wait(Some(ACCEPT_WAIT), &mut events);
-                        }
-                        // Degraded fallback if the poller could not be
-                        // set up: the old fixed-tick behaviour.
-                        None => thread::sleep(Duration::from_millis(10)),
-                    },
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => return,
-                }
-            }
-        })
-    }
-}
-
-/// Reads one request head and writes one response; never touches
-/// scheduler state unless the request parsed to a known GET route.
-fn serve_one(mut stream: TcpStream, grid: &Arc<Mutex<MultiGrid>>, tele: &Tele) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(OPS_IO_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(OPS_IO_TIMEOUT));
-    tele.requests.inc();
-    let started = Instant::now();
-    let response = match read_request_head(&mut stream) {
-        Ok(head) => match parse_request_line(&head) {
-            Ok(("GET", path)) => match path {
-                "/metrics" => {
-                    let snap = { grid.lock().unwrap().ops_snapshot() };
-                    Response::ok(
-                        "text/plain; version=0.0.4; charset=utf-8",
-                        render_metrics(&snap),
-                    )
-                }
-                "/" | "/index.html" => {
-                    let snap = { grid.lock().unwrap().ops_snapshot() };
-                    Response::ok("text/html; charset=utf-8", render_dashboard(&snap))
-                }
-                _ => Response::error(404, "not found\n"),
-            },
-            Ok((_other, _)) => Response::error(405, "only GET is served here\n"),
+/// The response to the request bytes received so far, or `None` while
+/// the head is neither whole, nor over its cap, nor cut short by `eof`.
+/// Scheduler state is read only for a request that parsed to a known
+/// GET route. `accepted` is when the connection was, for the
+/// `net.ops.scrape_us` histogram.
+pub(crate) fn respond(
+    buf: &[u8],
+    eof: bool,
+    accepted: Instant,
+    grid: &MultiGrid,
+) -> Option<Vec<u8>> {
+    let whole = buf.windows(4).any(|w| w == b"\r\n\r\n") || buf.windows(2).any(|w| w == b"\n\n");
+    let response = if whole || eof {
+        let head = std::str::from_utf8(buf).map_err(|_| 400u16);
+        match head.and_then(parse_request_line) {
+            Ok(("GET", "/metrics")) => Response::ok(
+                "text/plain; version=0.0.4; charset=utf-8",
+                render_metrics(&grid.ops_snapshot()),
+            ),
+            Ok(("GET", "/" | "/index.html")) => Response::ok(
+                "text/html; charset=utf-8",
+                render_dashboard(&grid.ops_snapshot()),
+            ),
+            Ok(("GET", _)) => Response::error(404, "not found\n"),
+            Ok(_) => Response::error(405, "only GET is served here\n"),
             Err(status) => Response::error(status, "malformed request\n"),
-        },
-        Err(status) => Response::error(status, "request head too large\n"),
+        }
+    } else if buf.len() > MAX_REQUEST_HEAD {
+        Response::error(431, "request head too large\n")
+    } else {
+        return None;
     };
+    telemetry::counter("net.ops.requests").inc();
     if response.status != 200 {
-        tele.bad_requests.inc();
+        telemetry::counter("net.ops.bad_requests").inc();
     }
     let bytes = response.into_bytes();
-    tele.bytes_out.add(bytes.len() as u64);
-    let _ = stream.write_all(&bytes);
-    let _ = stream.flush();
-    tele.scrape_us.record(started.elapsed().as_micros() as u64);
-}
-
-/// Reads until the `\r\n\r\n` head terminator, bounded by
-/// [`MAX_REQUEST_HEAD`]. Returns the head text or a 4xx status.
-fn read_request_head(stream: &mut TcpStream) -> Result<String, u16> {
-    let mut head = Vec::new();
-    let mut buf = [0u8; 512];
-    loop {
-        match stream.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => {
-                head.extend_from_slice(&buf[..n]);
-                if head.windows(4).any(|w| w == b"\r\n\r\n")
-                    || head.windows(2).any(|w| w == b"\n\n")
-                {
-                    break;
-                }
-                if head.len() > MAX_REQUEST_HEAD {
-                    return Err(431u16);
-                }
-            }
-            Err(ref e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                break
-            }
-            Err(_) => return Err(400),
-        }
-    }
-    String::from_utf8(head).map_err(|_| 400u16)
+    telemetry::counter("net.ops.bytes_out").add(bytes.len() as u64);
+    telemetry::histogram("net.ops.scrape_us").record(accepted.elapsed().as_micros() as u64);
+    Some(bytes)
 }
 
 /// Parses `METHOD SP PATH SP HTTP/x.y` out of the head's first line.
@@ -1131,6 +1011,44 @@ mod tests {
                 "dashboard references an external asset via {forbidden}"
             );
         }
+    }
+
+    /// The request head is answered when whole, cut short, or over its
+    /// cap — never before — and only a known GET route is a 200.
+    #[test]
+    fn a_head_is_answered_once_whole_cut_short_or_too_large() {
+        use crate::registry::CampaignDef;
+        let (grid, _) = MultiGrid::open(
+            vec![CampaignDef::default_solo(crate::CampaignParams::tiny())],
+            Default::default(),
+            Default::default(),
+            crate::ShardSpec::solo(),
+            None,
+        )
+        .unwrap();
+        let status = |buf: &[u8], eof| {
+            respond(buf, eof, Instant::now(), &grid)
+                .map(|bytes| String::from_utf8(bytes).unwrap()[9..12].to_owned())
+        };
+        assert_eq!(status(b"GET /metr", false), None);
+        assert_eq!(status(b"GET /metrics HTTP/1.1\r\nHost: x\r\n", false), None);
+        assert_eq!(status(b"GET /metr", true).as_deref(), Some("400"));
+        assert_eq!(
+            status(b"GET /metrics HTTP/1.1\r\n\r\n", false).as_deref(),
+            Some("200")
+        );
+        assert_eq!(status(b"GET / HTTP/1.0\n\n", false).as_deref(), Some("200"));
+        assert_eq!(
+            status(b"GET /nope HTTP/1.1\r\n\r\n", false).as_deref(),
+            Some("404")
+        );
+        assert_eq!(
+            status(b"POST /metrics HTTP/1.1\r\n\r\n", false).as_deref(),
+            Some("405")
+        );
+        assert_eq!(status(&[0xff, b'\n', b'\n'], false).as_deref(), Some("400"));
+        let endless = vec![b'a'; MAX_REQUEST_HEAD + 1];
+        assert_eq!(status(&endless, false).as_deref(), Some("431"));
     }
 
     #[test]

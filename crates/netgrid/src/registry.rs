@@ -131,10 +131,10 @@ pub struct Slot {
     pub state: GridState,
 }
 
-/// N campaigns and the fair-share arbiter over them. Everything the
-/// event loop, the ops scraper, and the steering thread touch goes
-/// through one `Mutex<MultiGrid>` — the same single-lock discipline the
-/// single-campaign server had.
+/// N campaigns and the fair-share arbiter over them. The server's
+/// event loop owns the one `MultiGrid` by value: every ask, report,
+/// sweep, steering frame and ops scrape is a call on it from that one
+/// thread, in the order the loop took them.
 pub struct MultiGrid {
     slots: Vec<Slot>,
     fair: FairShare,
@@ -319,7 +319,7 @@ impl MultiGrid {
     /// work-starved campaign lends capacity, and the deficit ledger
     /// repays it once its queue refills.
     pub fn fetch(&mut self, now: SimTime, agent: u64, attached: &[bool]) -> (u16, WorkReply) {
-        if let Some(ms) = self.cross_quarantine_ms(now, agent, attached) {
+        if let Some(ms) = self.cross_quarantine_ms(now, agent) {
             self.cross_quarantine_denials += 1;
             return (
                 self.first_attached(attached),
@@ -455,12 +455,12 @@ impl MultiGrid {
 
     /// Remaining quarantine (ms) imposed on `agent` by any campaign
     /// *other than the ones its own fetch would check* — i.e. by any
-    /// slot at all; per-agent trust is global across campaigns.
-    fn cross_quarantine_ms(&self, now: SimTime, agent: u64, attached: &[bool]) -> Option<u64> {
+    /// slot at all, attached or not; per-agent trust is global across
+    /// campaigns.
+    fn cross_quarantine_ms(&self, now: SimTime, agent: u64) -> Option<u64> {
         if self.slots.len() < 2 {
             return None; // solo: the slot's own fetch gate handles it
         }
-        let _ = attached; // the gate reads every ledger, attached or not
         let trust = self.slots[0].state.trust_config();
         if !trust.enabled {
             return None;

@@ -1,23 +1,41 @@
 //! The wire-level task server.
 //!
 //! A small, dependency-free TCP daemon built as a **single-threaded
-//! nonblocking event loop**: one [`crate::sys::Poller`] watches the
-//! listener and every volunteer socket, and each connection advances a
-//! tiny state machine (accumulate bytes → decode frame → dispatch →
-//! queue reply → flush). The scheduling itself never left
-//! `gridsim::SchedulerCore` — this module only moves frames and maps
-//! wall-clock time onto the core's [`SimTime`] axis (seconds since
-//! server start, so a wall run of a few minutes sits firmly inside day
-//! 0's quorum-compare era).
+//! nonblocking event loop** that owns the whole grid by value: the
+//! [`MultiGrid`], the per-campaign shard boards and the completion
+//! flag are plain fields of one struct, reached from one thread. One
+//! [`crate::sys::Poller`] watches the task listener, the ops listener
+//! and every socket, and each connection advances a tiny state machine
+//! (accumulate bytes → decode frame → dispatch → queue reply → flush).
+//! Three kinds of connection share that machine:
 //!
-//! Why an event loop: the previous design spawned one OS thread per
-//! agent, which topped out around the dozens-of-volunteers scale —
-//! 10 000 loopback agents would mean 10 000 stacks and a scheduler
-//! meltdown. Here every connection is a few kilobytes of buffer
-//! state, the deadline sweeper and the journal fsync policy are timer
-//! events on the same loop, and the state mutex (still shared with the
-//! ops scrape thread) is only ever taken from this one thread for
-//! scheduler calls.
+//! * **inbound** — a volunteer, or a peer shard's steering link (it
+//!   becomes one with its first `ShardStatus`);
+//! * **link** — this shard's own steering link to a peer, kept open;
+//!   every [`STEER_INTERVAL_MS`] a timer queues one `ShardStatus` per
+//!   campaign on it, and the `LeaseGrant`/`StatusAck` replies come back
+//!   through the same read → decode → dispatch path (acks return in
+//!   send order, so the link remembers which campaign each answers);
+//! * **scrape** — one HTTP request on the ops listener, answered from
+//!   [`MultiGrid::ops_snapshot`] (see [`crate::ops`]).
+//!
+//! The deadline sweeper, the journal fsync policy, steering and the
+//! scrape idle cap are timer events on the same loop. The only thing
+//! off it is the blocking `connect` of a steering link, handed to one
+//! dialer thread that sees addresses and returns sockets — never grid
+//! state. A server with no peers never starts it.
+//!
+//! The scheduling itself never left `gridsim::SchedulerCore` — this
+//! module only moves frames and maps wall-clock time onto the core's
+//! [`SimTime`] axis (seconds since server start, so a wall run of a few
+//! minutes sits firmly inside day 0's quorum-compare era).
+//!
+//! Why an event loop: a thread per agent tops out around the
+//! dozens-of-volunteers scale — 10 000 loopback agents would mean
+//! 10 000 stacks and a scheduler meltdown. Here every connection is a
+//! few kilobytes of buffer state, and because one thread owns the state
+//! a request takes no lock and a stalled peer or scraper holds nothing
+//! but its own buffers.
 //!
 //! Nothing is negotiated: every peer speaks the one wire dialect
 //! ([`crate::protocol`]), and a frame with any other version byte closes
@@ -25,7 +43,7 @@
 
 use crate::faults::ServerFaults;
 use crate::journal::JournalConfig;
-use crate::ops::OpsServer;
+use crate::ops;
 use crate::protocol::{
     decode_versioned, encode_with, CampaignParams, Codec, DecodeError, Message, PROTOCOL_VERSION,
 };
@@ -36,12 +54,12 @@ use crate::sys::{Event as IoEvent, Poller};
 use gridsim::server::{ReplicaId, ServerConfig, ServerStats};
 use gridsim::SimTime;
 use maxdo::DockingOutput;
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc;
+use std::thread;
 use std::time::{Duration, Instant};
 use telemetry::{self, Event};
 
@@ -65,7 +83,8 @@ pub struct NetServerConfig {
     /// (`/metrics`, `/`); `None` disables it. Port 0 lets the OS pick.
     pub ops_addr: Option<String>,
     /// Sharded topology: this server's place in it plus every shard's
-    /// listen address. `None` runs the classic single-server campaign.
+    /// listen address. `None` is one shard of one with no peer
+    /// addresses ([`ShardSpec::solo`]) — the same server, fewer peers.
     pub shard: Option<ShardTopology>,
     /// The campaign roster with fair-share weights. Empty hosts the
     /// single implicit campaign built from `campaign` (slot 0, name
@@ -180,18 +199,9 @@ pub struct CampaignRunReport {
     pub net_stats: NetStats,
 }
 
-/// A bound, not-yet-running server.
-pub struct NetServer {
-    listener: TcpListener,
-    grid: Arc<Mutex<MultiGrid>>,
-    config: NetServerConfig,
-    /// Server-clock second the journal replay reached (0 for a fresh
-    /// state): added to every `epoch.elapsed()` reading so the SimTime
-    /// axis stays monotone across restarts.
-    clock_offset: f64,
-    /// Bound observability endpoint, when `ops_addr` is configured.
-    ops: Option<OpsServer>,
-}
+/// A bound, not-yet-running server: the event loop with its listeners
+/// registered and any journal already replayed.
+pub struct NetServer(EventLoop);
 
 /// How long the loop keeps serving after the campaign completes, so an
 /// agent sleeping on a `NoWork` backoff (capped at 2 s agent-side) can
@@ -199,8 +209,8 @@ pub struct NetServer {
 /// finding a dead socket and burning its whole reconnect budget.
 const SHUTDOWN_GRACE: Duration = Duration::from_secs(3);
 
-/// Stack scratch of one blocking steering exchange's reads.
-const READ_CHUNK: usize = 16 * 1024;
+const STEER_INTERVAL: Duration = Duration::from_millis(STEER_INTERVAL_MS);
+const STEER_TIMEOUT: Duration = Duration::from_millis(STEER_TIMEOUT_MS);
 
 /// The least free space a connection's [`ReadBuf`] offers a `read`:
 /// large enough that a typical request frame (a 21-row report is 1.5 KB)
@@ -242,6 +252,27 @@ impl ReadBuf {
     }
 }
 
+/// What a connection is to the loop — the one thing that differs
+/// between the kinds of socket sharing the read/dispatch/flush machine.
+enum Role {
+    /// Accepted on the task listener: a volunteer, or — from its first
+    /// `ShardStatus` on, as `Some(shard)` — a peer's steering link.
+    Inbound(Option<u16>),
+    /// Turned away at the connection limit: it gets a `Busy` frame and
+    /// a close, and was telemetered as *rejected*, so it neither holds
+    /// a limit slot nor emits a `ConnectionClosed` event.
+    Brushoff,
+    /// This shard's steering link to `peer`, with the campaign and send
+    /// time of every `ShardStatus` not yet acked, oldest first.
+    Link {
+        peer: u16,
+        unacked: VecDeque<(u16, Instant)>,
+    },
+    /// An ops scrape: accepted at this instant or, once its response is
+    /// queued, last seen taking bytes at it.
+    Scrape(Instant),
+}
+
 /// One live connection's state: buffered bytes in each direction plus
 /// the bookkeeping the dispatch needs. The implicit state machine is
 /// *reading header → reading payload → dispatching → writing reply* —
@@ -249,6 +280,7 @@ impl ReadBuf {
 /// "is `write_buf` drained yet".
 struct Conn {
     stream: TcpStream,
+    role: Role,
     /// Bytes received but not yet decoded into frames.
     read_buf: ReadBuf,
     /// Encoded replies not yet flushed to the socket.
@@ -257,27 +289,26 @@ struct Conn {
     write_pos: usize,
     /// The agent id learned from `Hello` (0 until then).
     agent: u64,
-    /// The campaign attach mask resolved from the `Hello` request —
-    /// empty until then (treated as "default campaign only").
+    /// The campaign attach mask: resolved from the `Hello` request, or
+    /// the default-campaign mask from the first ask of a peer that
+    /// never said `Hello`. Empty until one of the two.
     attached: Vec<bool>,
     /// Frames decoded on this connection (for close telemetry).
     frames: u64,
     /// Set when the connection should close once `write_buf` drains,
     /// carrying the close reason for telemetry.
     closing: Option<&'static str>,
-    /// A connection turned away at the limit: it gets a `Busy` frame
-    /// and a close, and was telemetered as *rejected*, so it must not
-    /// emit a `ConnectionClosed` event.
-    brushoff: bool,
-    /// The interest currently registered with the poller, so interest
-    /// updates only hit `epoll_ctl` when something changed.
-    interest: (bool, bool),
+    /// The interest registered with the poller — `None` until the
+    /// connection is first filed — so interest updates only hit
+    /// `epoll_ctl` when something changed.
+    interest: Option<(bool, bool)>,
 }
 
 impl Conn {
-    fn new(stream: TcpStream, brushoff: bool) -> Self {
+    fn new(stream: TcpStream, role: Role) -> Self {
         Self {
             stream,
+            role,
             read_buf: ReadBuf::default(),
             write_buf: Vec::new(),
             write_pos: 0,
@@ -285,9 +316,12 @@ impl Conn {
             attached: Vec::new(),
             frames: 0,
             closing: None,
-            brushoff,
-            interest: (false, false),
+            interest: None,
         }
+    }
+
+    fn queue(&mut self, msg: &Message) {
+        self.write_buf.extend_from_slice(&encode_with(msg, Codec));
     }
 
     /// Drains as much of `write_buf` as the socket will take. Returns
@@ -307,11 +341,23 @@ impl Conn {
         Ok(true)
     }
 
+    fn flushed(&self) -> bool {
+        self.write_pos >= self.write_buf.len()
+    }
+
     /// The interest this connection wants right now: reads while the
     /// dialogue is open, writes only while bytes are queued.
     fn wanted_interest(&self) -> (bool, bool) {
-        let pending_write = self.write_pos < self.write_buf.len();
-        (self.closing.is_none() && !self.brushoff, pending_write)
+        (self.closing.is_none(), !self.flushed())
+    }
+
+    /// The attach mask asks and reports are judged under; sized here
+    /// for a peer that skipped `Hello`.
+    fn mask(&mut self, grid: &MultiGrid) -> &[bool] {
+        if self.attached.len() != grid.len() {
+            self.attached = grid.attach_mask(&[]);
+        }
+        &self.attached
     }
 }
 
@@ -322,144 +368,35 @@ impl NetServer {
     /// connection is accepted.
     pub fn bind(config: NetServerConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
-        // std's listen backlog is 128; a 10k-agent reconnect storm
-        // overflows that and every dropped SYN costs the dialer a 1 s
-        // retransmit. Widen it (the kernel clamps to somaxconn).
-        crate::sys::widen_listen_backlog(listener.as_raw_fd(), 4096);
-        let spec = match &config.shard {
-            Some(topo) => {
-                if usize::from(topo.spec.shards) != topo.addrs.len()
-                    || topo.spec.shard_id >= topo.spec.shards
-                {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        format!(
-                            "shard {}/{} with {} addresses",
-                            topo.spec.shard_id,
-                            topo.spec.shards,
-                            topo.addrs.len()
-                        ),
-                    ));
-                }
-                topo.spec
-            }
-            None => ShardSpec::solo(),
-        };
-        let defs = if config.campaigns.is_empty() {
-            vec![CampaignDef::default_solo(config.campaign)]
-        } else {
-            config.campaigns.clone()
-        };
-        let (grid, clock_offset) = MultiGrid::open(
-            defs,
-            config.scheduler,
-            config.faults,
-            spec,
-            config.journal.as_ref(),
-        )?;
-        let ops = match &config.ops_addr {
-            Some(addr) => Some(OpsServer::bind(addr)?),
-            None => None,
-        };
-        Ok(Self {
-            listener,
-            grid: Arc::new(Mutex::new(grid)),
-            config,
-            clock_offset,
-            ops,
-        })
+        Ok(Self(EventLoop::open(listener, &config)?))
     }
 
     /// The bound address (resolves port 0).
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.listener.local_addr()
+        self.0.listener.local_addr()
     }
 
     /// The bound observability address, when `ops_addr` is configured
     /// (resolves port 0).
     pub fn ops_addr(&self) -> Option<SocketAddr> {
-        self.ops.as_ref().and_then(|o| o.local_addr().ok())
+        self.0.ops_listener.as_ref()?.local_addr().ok()
     }
 
     /// Runs the campaign to completion: accepts volunteers, sweeps
     /// deadlines, and returns once every workunit has validated and the
     /// connections have drained (or the shutdown grace expires).
     pub fn run(self) -> io::Result<NetRunReport> {
-        let epoch = Instant::now();
-        let spec = self
-            .config
-            .shard
-            .as_ref()
-            .map_or_else(ShardSpec::solo, |t| t.spec);
-        let campaign_count = self.grid.lock().unwrap().len();
-        // One board per campaign: lease steering and peer completion
-        // are tracked per registry slot across the same peer set.
-        let boards = Arc::new(Mutex::new(
-            (0..campaign_count)
-                .map(|_| ShardBoard::new(spec.shards))
-                .collect::<Vec<_>>(),
-        ));
-        // A journaled restart may recover an already-finished campaign
-        // — but a sharded server must still wait on its peers.
-        let done = Arc::new(AtomicBool::new(
-            spec.shards == 1 && self.grid.lock().unwrap().all_complete(),
-        ));
-
-        // The ops thread holds its own registry Arc and serves scrapes
-        // until `done` plus a linger window — it must be joined before
-        // the state is torn down below.
-        let ops_thread = self
-            .ops
-            .map(|ops| ops.spawn(Arc::clone(&self.grid), Arc::clone(&done)));
-
-        // The steering thread gossips this shard's load picture to
-        // every peer and adopts any leases offered back. Inbound gossip
-        // is answered by the event loop like any other frame.
-        let steer_thread = self.config.shard.clone().map(|topo| {
-            let grid = Arc::clone(&self.grid);
-            let done = Arc::clone(&done);
-            let boards = Arc::clone(&boards);
-            std::thread::spawn(move || steer_loop(&topo, &grid, &boards, &done))
-        });
-
-        let mut event_loop = EventLoop {
-            listener: Some(self.listener),
-            grid: Arc::clone(&self.grid),
-            done: Arc::clone(&done),
-            deadline_seconds: self.config.scheduler.deadline_seconds,
-            faults: self.config.faults,
-            epoch,
-            clock_offset: self.clock_offset,
-            poller: Poller::new()?,
-            conns: HashMap::new(),
-            connections: 0,
-            rejected: 0,
-            accepted_active: 0,
-            shard: self.config.shard.clone(),
-            boards: Arc::clone(&boards),
-        };
-        event_loop.run(Duration::from_millis(self.config.sweep_ms.max(1)))?;
-        let connections = event_loop.connections;
-        let rejected = event_loop.rejected;
-        drop(event_loop);
-
-        // Captured before the ops join: the ops thread lingers ~1 s
-        // past completion for late scrapers, and that grace must not
-        // inflate the reported campaign duration.
-        let wall_seconds = epoch.elapsed().as_secs_f64();
-        if let Some(t) = steer_thread {
-            let _ = t.join();
-        }
-        if let Some(t) = ops_thread {
-            let _ = t.join();
+        let mut ev = self.0;
+        let wall_seconds = ev.run()?;
+        if let Some(Dialer { jobs, thread, .. }) = ev.dialer.take() {
+            drop(jobs); // the dialer's queue closes and it returns
+            thread
+                .join()
+                .map_err(|_| io::Error::other("the dialer thread panicked"))?;
         }
 
-        let grid = Arc::try_unwrap(self.grid)
-            .map_err(|_| ())
-            .expect("all state holders joined")
-            .into_inner()
-            .unwrap();
+        let spec = ev.topo.spec;
+        let grid = ev.grid;
         let share_error = grid.share_error();
         let cross_quarantine_denials = grid.cross_quarantine_denials;
         let campaigns: Vec<CampaignRunReport> = grid
@@ -497,8 +434,8 @@ impl NetServer {
             outputs: campaigns[0].outputs.clone(),
             wall_seconds,
             workunits: slot0.campaign.len(),
-            connections,
-            rejected_connections: rejected,
+            connections: ev.connections,
+            rejected_connections: ev.rejected,
             campaigns,
             share_error,
             cross_quarantine_denials,
@@ -506,28 +443,17 @@ impl NetServer {
     }
 }
 
-/// What the dispatch of one decoded frame asks the loop to do.
-enum Disposition {
-    /// Queue this reply and keep reading.
-    Reply(Message),
-    /// Queue several replies — steering gossip can answer one
-    /// `ShardStatus` with re-sent grants, a fresh grant, *and* the ack.
-    ReplyMany(Vec<Message>),
-    /// Close once queued replies flush, with this telemetry reason.
-    Close(&'static str),
-}
-
-/// What each shard knows about its peers, fed by both gossip
-/// directions (inbound `ShardStatus` frames and the acks the steering
-/// thread collects). Shared between the event loop and the steering
-/// thread.
+/// What this shard knows about its peers on one campaign, fed by both
+/// gossip directions (inbound `ShardStatus` frames and the replies
+/// arriving on its own links).
 struct ShardBoard {
     /// Sticky per-shard completion: once a peer reports its owned
     /// slice validated, that never un-happens (leases only move
     /// never-issued work, and a complete shard has none).
     complete: Vec<bool>,
     /// Each peer's last advertised fresh backlog — the redirect target
-    /// picker's input.
+    /// picker's input. Zeroed when a steering connection to or from the
+    /// peer closes: an advert lives no longer than the link it rode.
     backlog: Vec<u64>,
 }
 
@@ -568,282 +494,396 @@ impl ShardBoard {
     }
 }
 
-/// The steering thread: every [`STEER_INTERVAL_MS`] it sends this
-/// shard's load picture to each peer and applies whatever comes back
-/// (lease grants are adopted and journaled; acks update the board).
-/// A peer that is down, slow, or over its connection limit costs one
-/// bounded timeout and is retried next tick — steering rides the same
-/// listener as agent traffic, so no extra port is needed.
-fn steer_loop(
-    topo: &ShardTopology,
-    grid: &Mutex<MultiGrid>,
-    boards: &Mutex<Vec<ShardBoard>>,
-    done: &AtomicBool,
-) {
-    let me = topo.spec.shard_id;
-    let campaign_count = grid.lock().unwrap().len();
-    let mut backoffs_seen = vec![0u64; campaign_count];
-    while !done.load(Relaxed) {
-        std::thread::sleep(Duration::from_millis(STEER_INTERVAL_MS));
-        let mut all_complete = true;
-        for (c, seen) in backoffs_seen.iter_mut().enumerate() {
-            // One status per campaign per tick: agent demand is
-            // "someone asked this campaign and got nothing since the
-            // last tick", which gates hunger so an agent-less drained
-            // shard never begs work off a loaded one.
-            let (mut status, complete) = {
-                let g = grid.lock().unwrap();
-                let s = &g.slots()[c].state;
-                let backoffs = s.net_stats.backoffs_sent;
-                let demand = backoffs > *seen;
-                *seen = backoffs;
-                let complete = s.is_campaign_complete();
-                let fresh = s.core().fresh_backlog() as u64;
-                (
-                    Message::ShardStatus {
-                        shard: me,
-                        fresh_backlog: fresh,
-                        outstanding: s.outstanding_len() as u64,
-                        complete,
-                        hungry: !complete && fresh == 0 && demand,
-                        leases_held: Vec::new(), // per-peer, filled below
-                        campaign: c as u16,
-                    },
-                    complete,
-                )
-            };
-            all_complete &= complete;
-            for peer in 0..topo.spec.shards {
-                if peer == me {
-                    continue;
-                }
-                if let Message::ShardStatus { leases_held, .. } = &mut status {
-                    *leases_held = grid.lock().unwrap().slots()[c].state.leases_held_from(peer);
-                }
-                let replies = match steer_exchange(&topo.addrs[usize::from(peer)], &status) {
-                    Ok(replies) => replies,
-                    Err(_) => continue, // down or slow; next tick retries
-                };
-                for reply in replies {
-                    match reply {
-                        Message::LeaseGrant {
-                            lease,
-                            from_shard,
-                            wus,
-                            complete: peer_complete,
-                            campaign,
-                        } => {
-                            let mut g = grid.lock().unwrap();
-                            let i = usize::from(campaign).min(g.len() - 1);
-                            // The shared clock lives in the event loop;
-                            // the monotone high-water mark is the right
-                            // stamp.
-                            let now = SimTime::new(g.last_now());
-                            g.slots_mut()[i].state.adopt_lease(now, lease, &wus);
-                            drop(g);
-                            let mut bs = boards.lock().unwrap();
-                            bs[i].note(from_shard, peer_complete, None);
-                        }
-                        Message::StatusAck {
-                            shard,
-                            complete: peer_complete,
-                        } => boards.lock().unwrap()[c].note(shard, peer_complete, None),
-                        _ => {}
-                    }
+/// This shard's steering link to one peer.
+#[derive(Clone, Copy)]
+enum Link {
+    /// No connection; the next steering tick dials.
+    Down,
+    /// The dialer has the address; its answer arrives on the channel.
+    Dialing,
+    /// Connected: the [`Role::Link`] connection filed under this fd.
+    Up(i32),
+}
+
+/// The one helper thread: it runs the blocking `connect` of a steering
+/// link so the loop never does. It is given a peer id and an address
+/// and hands back a socket or an error — no grid state crosses over.
+struct Dialer {
+    jobs: mpsc::Sender<(u16, String)>,
+    dialed: mpsc::Receiver<(u16, io::Result<TcpStream>)>,
+    thread: thread::JoinHandle<()>,
+}
+
+impl Dialer {
+    fn spawn() -> Self {
+        let (jobs, queue) = mpsc::channel::<(u16, String)>();
+        let (answers, dialed) = mpsc::channel();
+        let thread = thread::spawn(move || {
+            for (peer, addr) in queue {
+                let stream = addr
+                    .to_socket_addrs()
+                    .and_then(|mut socks| {
+                        socks
+                            .next()
+                            .ok_or_else(|| io::Error::other("unresolvable peer"))
+                    })
+                    .and_then(|sock| TcpStream::connect_timeout(&sock, STEER_TIMEOUT));
+                if answers.send((peer, stream)).is_err() {
+                    return; // the loop is gone
                 }
             }
-        }
-        // Completion is decided here as well as on the sweep tick, so a
-        // shard whose last workunit validated long ago still notices
-        // the moment its final peer reports complete.
-        if all_complete && boards.lock().unwrap().iter().all(|b| b.peers_complete(me)) {
-            done.store(true, Relaxed);
+        });
+        Self {
+            jobs,
+            dialed,
+            thread,
         }
     }
 }
 
-/// One blocking steering exchange: connect, send the status, read
-/// frames until the terminating `StatusAck` (or until the peer hangs
-/// up / the timeout fires). Every step is bounded by
-/// [`STEER_TIMEOUT_MS`].
-fn steer_exchange(addr: &str, status: &Message) -> io::Result<Vec<Message>> {
-    let timeout = Duration::from_millis(STEER_TIMEOUT_MS);
-    let sock = addr
-        .to_socket_addrs()?
-        .next()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "unresolvable peer"))?;
-    let mut stream = TcpStream::connect_timeout(&sock, timeout)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    let _ = stream.set_nodelay(true);
-    stream.write_all(&encode_with(status, Codec))?;
-    let mut replies = Vec::new();
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; READ_CHUNK];
-    loop {
-        match decode_versioned(&buf) {
-            Ok((msg, consumed, _)) => {
-                buf.drain(..consumed);
-                let last = matches!(msg, Message::StatusAck { .. } | Message::Busy { .. });
-                replies.push(msg);
-                if last {
-                    return Ok(replies);
-                }
-                continue;
-            }
-            Err(DecodeError::Incomplete { .. }) => {}
-            Err(_) => return Err(io::ErrorKind::InvalidData.into()),
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return Ok(replies),
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// The readiness loop and every piece of context its handlers need.
+/// The readiness loop: the grid, the peer picture, every connection and
+/// every timer, owned by value and stepped by one thread.
 struct EventLoop {
-    /// `Some` while accepting; dropped (closing the socket) the moment
-    /// the campaign completes, so no new volunteers join the grace
-    /// window.
-    listener: Option<TcpListener>,
-    grid: Arc<Mutex<MultiGrid>>,
-    done: Arc<AtomicBool>,
+    listener: TcpListener,
+    /// The observability listener, when `ops_addr` is configured.
+    ops_listener: Option<TcpListener>,
+    grid: MultiGrid,
+    /// This server's place among its peers; one shard of one when the
+    /// configuration names no topology.
+    topo: ShardTopology,
+    /// Peer completion/backlog picture, one board per campaign.
+    boards: Vec<ShardBoard>,
+    /// The steering link to each shard, indexed by shard id (this
+    /// shard's own entry stays `Down`).
+    links: Vec<Link>,
+    /// Per campaign: `backoffs_sent` as of the last steering tick, and
+    /// whether it had grown since the one before — "someone asked this
+    /// campaign and got nothing", which gates hunger so an agent-less
+    /// drained shard never begs work off a loaded one.
+    demand: Vec<(u64, bool)>,
+    /// Started by the first dial, so a server without peers has none.
+    dialer: Option<Dialer>,
+    /// Every campaign validated here and on every peer.
+    done: bool,
     deadline_seconds: f64,
     faults: ServerFaults,
     epoch: Instant,
+    /// Server-clock second the journal replay reached (0 for a fresh
+    /// state): added to every `epoch.elapsed()` reading so the SimTime
+    /// axis stays monotone across restarts.
     clock_offset: f64,
+    sweep_interval: Duration,
+    next_sweep: Instant,
+    next_steer: Instant,
     poller: Poller,
+    events: Vec<IoEvent>,
     conns: HashMap<i32, Conn>,
     connections: u64,
     rejected: u64,
-    /// Live accepted (non-brushoff) connections, against
+    /// Live [`Role::Inbound`] connections, against
     /// `faults.max_connections`.
     accepted_active: usize,
-    /// Sharded topology, when this server is one shard of several.
-    shard: Option<ShardTopology>,
-    /// Peer completion/backlog picture, one board per campaign
-    /// (shared with steering).
-    boards: Arc<Mutex<Vec<ShardBoard>>>,
 }
 
 impl EventLoop {
+    /// Everything [`NetServer::bind`] does once the task listener is
+    /// bound: checks the topology, opens (or recovers) the registry,
+    /// binds the ops listener and registers both with the poller.
+    fn open(listener: TcpListener, config: &NetServerConfig) -> io::Result<Self> {
+        listener.set_nonblocking(true)?;
+        // std's listen backlog is 128; a 10k-agent reconnect storm
+        // overflows that and every dropped SYN costs the dialer a 1 s
+        // retransmit. Widen it (the kernel clamps to somaxconn).
+        crate::sys::widen_listen_backlog(listener.as_raw_fd(), 4096);
+        let topo = match &config.shard {
+            Some(topo) => {
+                if usize::from(topo.spec.shards) != topo.addrs.len()
+                    || topo.spec.shard_id >= topo.spec.shards
+                {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidInput,
+                        format!(
+                            "shard {}/{} with {} addresses",
+                            topo.spec.shard_id,
+                            topo.spec.shards,
+                            topo.addrs.len()
+                        ),
+                    ));
+                }
+                topo.clone()
+            }
+            None => ShardTopology {
+                spec: ShardSpec::solo(),
+                addrs: Vec::new(),
+            },
+        };
+        let defs = if config.campaigns.is_empty() {
+            vec![CampaignDef::default_solo(config.campaign)]
+        } else {
+            config.campaigns.clone()
+        };
+        let (grid, clock_offset) = MultiGrid::open(
+            defs,
+            config.scheduler,
+            config.faults,
+            topo.spec,
+            config.journal.as_ref(),
+        )?;
+        let mut poller = Poller::new()?;
+        poller.register(listener.as_raw_fd(), true, false)?;
+        let ops_listener = match &config.ops_addr {
+            Some(addr) => {
+                let ops = TcpListener::bind(addr)?;
+                ops.set_nonblocking(true)?;
+                poller.register(ops.as_raw_fd(), true, false)?;
+                Some(ops)
+            }
+            None => None,
+        };
+        let now = Instant::now();
+        let sweep_interval = Duration::from_millis(config.sweep_ms.max(1));
+        let mut ev = Self {
+            listener,
+            ops_listener,
+            boards: (0..grid.len())
+                .map(|_| ShardBoard::new(topo.spec.shards))
+                .collect(),
+            links: vec![Link::Down; usize::from(topo.spec.shards)],
+            demand: vec![(0, false); grid.len()],
+            dialer: None,
+            done: false,
+            grid,
+            topo,
+            deadline_seconds: config.scheduler.deadline_seconds,
+            faults: config.faults,
+            epoch: now,
+            clock_offset,
+            sweep_interval,
+            next_sweep: now + sweep_interval,
+            next_steer: now + STEER_INTERVAL,
+            poller,
+            events: Vec::new(),
+            conns: HashMap::new(),
+            connections: 0,
+            rejected: 0,
+            accepted_active: 0,
+        };
+        // A journaled restart may recover an already-finished campaign.
+        ev.check_done();
+        Ok(ev)
+    }
+
     fn now(&self) -> SimTime {
         SimTime::new(self.clock_offset + self.epoch.elapsed().as_secs_f64())
     }
 
     /// Whether everything this agent is attached to (not just this
     /// shard's slice of it) is done: local completion of the attached
-    /// campaigns plus, when sharded, every peer's on each of them.
+    /// campaigns plus every peer's on each of them.
     fn globally_complete_for(&self, local_complete: bool, attached: &[bool]) -> bool {
-        match &self.shard {
-            None => local_complete,
-            Some(topo) => {
-                local_complete
-                    && self
-                        .boards
-                        .lock()
-                        .unwrap()
-                        .iter()
-                        .enumerate()
-                        .all(|(i, b)| {
-                            !attached.get(i).copied().unwrap_or(i == 0)
-                                || b.peers_complete(topo.spec.shard_id)
-                        })
-            }
-        }
+        let me = self.topo.spec.shard_id;
+        local_complete
+            && self
+                .boards
+                .iter()
+                .zip(attached)
+                .all(|(b, &a)| !a || b.peers_complete(me))
     }
 
-    /// Whether the *whole roster* is done everywhere — the server's
-    /// shutdown condition.
-    fn globally_all_complete(&self, local_all_complete: bool) -> bool {
-        match &self.shard {
-            None => local_all_complete,
-            Some(topo) => {
-                local_all_complete
-                    && self
-                        .boards
-                        .lock()
-                        .unwrap()
-                        .iter()
-                        .all(|b| b.peers_complete(topo.spec.shard_id))
-            }
-        }
+    /// Notices the server's shutdown condition: the *whole roster* done
+    /// here and on every peer.
+    fn check_done(&mut self) {
+        let me = self.topo.spec.shard_id;
+        self.done = self.done
+            || self.grid.all_complete() && self.boards.iter().all(|b| b.peers_complete(me));
     }
 
-    /// The loop proper. Each iteration: wait for readiness or the next
-    /// sweep tick, drain the listener, advance ready connections, and
-    /// fire timer events (deadline sweep + journal fsync).
-    fn run(&mut self, sweep_interval: Duration) -> io::Result<()> {
-        let listener_fd = self.listener.as_ref().unwrap().as_raw_fd();
-        self.poller.register(listener_fd, true, false)?;
-        let mut events: Vec<IoEvent> = Vec::new();
-        let mut next_sweep = Instant::now() + sweep_interval;
+    /// Runs to completion and returns the campaign's wall seconds: from
+    /// now until the volunteers had drained (or the shutdown grace ran
+    /// out). The ops endpoint is served for [`ops::LINGER`] past
+    /// completion so a scraper polling mid-run observes the final
+    /// state; that wait is not part of the figure returned.
+    fn run(&mut self) -> io::Result<f64> {
+        self.epoch = Instant::now();
         let mut done_since: Option<Instant> = None;
-
+        let mut wall_seconds: Option<f64> = None;
         loop {
-            // Timer events fold into the same loop: the poll timeout is
-            // exactly the time until the next sweep (bounded by the
-            // shutdown grace once the campaign is done).
-            if Instant::now() >= next_sweep {
-                self.sweep_tick();
-                next_sweep = Instant::now() + sweep_interval;
-            }
-            let done = self.done.load(Relaxed);
-            if done {
-                let since = done_since.get_or_insert_with(Instant::now);
-                // Completion: stop accepting, linger through the grace
-                // window answering `campaign_complete`, leave as soon
-                // as every volunteer has said Bye. A sharded server
-                // keeps its listener through the grace so peers that
-                // have not yet heard this shard is complete can get one
-                // more ack instead of a connection refusal.
-                if self.shard.is_none() {
-                    if let Some(listener) = self.listener.take() {
-                        self.poller.deregister(listener.as_raw_fd())?;
-                        drop(listener);
+            if self.done {
+                // Completion: linger through the grace window answering
+                // `campaign_complete`, with the listener open — an agent
+                // that heard "not yet" a gossip tick ago must be able to
+                // come back for the final word. A server without peers
+                // leaves as soon as every volunteer has said Bye; one
+                // with peers sits the window out, because a peer that
+                // has not heard this shard is complete (one restarting
+                // from its journal, say) learns it only by dialing in.
+                let since = done_since.get_or_insert_with(Instant::now).elapsed();
+                let drained = self.accepted_active == 0 && self.links.len() == 1;
+                if wall_seconds.is_none() && (drained || since > SHUTDOWN_GRACE) {
+                    wall_seconds = Some(self.epoch.elapsed().as_secs_f64());
+                }
+                if let Some(wall) = wall_seconds {
+                    if self.ops_listener.is_none() || since > ops::LINGER {
+                        return Ok(wall);
                     }
                 }
-                let drained = self.shard.is_none() && self.conns.is_empty();
-                if drained || since.elapsed() > SHUTDOWN_GRACE {
-                    return Ok(());
-                }
             }
-            let timeout = next_sweep.saturating_duration_since(Instant::now());
-            self.poller.wait(Some(timeout), &mut events)?;
+            self.turn(SHUTDOWN_GRACE)?;
+        }
+    }
 
-            // advance_conn takes each ready connection out of the map,
-            // advances it, decides its fate, and puts it back.
-            for ev in events.drain(..) {
-                if ev.fd == listener_fd && self.listener.is_some() {
-                    self.accept_ready()?;
-                    continue;
-                }
+    /// One turn of the loop: fire the timers that are due, wait for
+    /// readiness — at most `timeout`, never past the next timer —
+    /// advance every ready connection, and adopt any dialed link.
+    fn turn(&mut self, timeout: Duration) -> io::Result<()> {
+        let now = Instant::now();
+        if now >= self.next_sweep {
+            self.sweep_tick();
+            self.next_sweep = Instant::now() + self.sweep_interval;
+        }
+        if now >= self.next_steer {
+            self.steer_tick();
+            self.next_steer = now + STEER_INTERVAL;
+        }
+        let next_timer = self.next_sweep.min(self.next_steer);
+        let timeout = timeout.min(next_timer.saturating_duration_since(Instant::now()));
+        let mut events = std::mem::take(&mut self.events);
+        self.poller.wait(Some(timeout), &mut events)?;
+        let listener_fd = self.listener.as_raw_fd();
+        let ops_fd = self.ops_listener.as_ref().map(AsRawFd::as_raw_fd);
+        for ev in events.drain(..) {
+            if ev.fd == listener_fd {
+                self.accept_ready(false)?;
+            } else if Some(ev.fd) == ops_fd {
+                self.accept_ready(true)?;
+            } else {
                 self.advance_conn(ev);
             }
         }
+        self.events = events;
+        self.adopt_dialed();
+        Ok(())
     }
 
     /// One sweep tick: expire deadlines, settle the journal's fsync
-    /// debt, and notice campaign completion.
+    /// debt, notice campaign completion, and close scrapes that have
+    /// sat past the idle cap.
     fn sweep_tick(&mut self) {
         let now = self.now();
-        let mut g = self.grid.lock().unwrap();
-        g.sweep(now);
-        g.flush_journals();
-        let local = g.all_complete();
-        drop(g);
-        if self.globally_all_complete(local) {
-            self.done.store(true, Relaxed);
+        self.grid.sweep(now);
+        self.grid.flush_journals();
+        self.check_done();
+        if self.ops_listener.is_some() {
+            let idle: Vec<i32> = self
+                .conns
+                .iter()
+                .filter(|(_, c)| matches!(c.role, Role::Scrape(t) if t.elapsed() > ops::IDLE_CAP))
+                .map(|(&fd, _)| fd)
+                .collect();
+            for fd in idle {
+                self.hang_up(fd, "idle");
+            }
         }
     }
 
-    /// Drains the listener: accept every pending connection, brushing
-    /// off anything over the limit with a `Busy` frame.
-    fn accept_ready(&mut self) -> io::Result<()> {
+    /// One steering tick: tell every peer this shard's load picture on
+    /// each campaign, over the link kept open to it. A peer that is
+    /// down costs one dial per tick; one that stopped answering has its
+    /// link recycled once a status has waited [`STEER_TIMEOUT_MS`].
+    /// Steering rides the same listener as agent traffic, so no extra
+    /// port is needed.
+    fn steer_tick(&mut self) {
+        for (slot, seen) in self.grid.slots().iter().zip(&mut self.demand) {
+            let backoffs = slot.state.net_stats.backoffs_sent;
+            *seen = (backoffs, backoffs > seen.0);
+        }
+        let me = self.topo.spec.shard_id;
+        for peer in (0..self.topo.spec.shards).filter(|&p| p != me) {
+            let p = usize::from(peer);
+            if let Link::Up(fd) = self.links[p] {
+                let unanswered = matches!(
+                    self.conns.get(&fd).map(|c| &c.role),
+                    Some(Role::Link { unacked, .. })
+                        if unacked.front().is_some_and(|(_, sent)| sent.elapsed() > STEER_TIMEOUT)
+                );
+                if unanswered {
+                    self.hang_up(fd, "timeout");
+                }
+            }
+            match self.links[p] {
+                Link::Down => {
+                    let dialer = self.dialer.get_or_insert_with(Dialer::spawn);
+                    if dialer.jobs.send((peer, self.topo.addrs[p].clone())).is_ok() {
+                        self.links[p] = Link::Dialing;
+                    }
+                }
+                Link::Dialing => {}
+                Link::Up(fd) => self.send_statuses(fd),
+            }
+        }
+    }
+
+    /// Queues one `ShardStatus` per campaign on the link filed under
+    /// `fd` and remembers, in order, which campaign each ack will be
+    /// answering.
+    fn send_statuses(&mut self, fd: i32) {
+        let Some(mut conn) = self.conns.remove(&fd) else {
+            return;
+        };
+        if let Role::Link { peer, unacked } = &mut conn.role {
+            let sent = Instant::now();
+            for (c, (slot, &(_, demand))) in self.grid.slots().iter().zip(&self.demand).enumerate()
+            {
+                let s = &slot.state;
+                let complete = s.is_campaign_complete();
+                let fresh = s.core().fresh_backlog() as u64;
+                let status = Message::ShardStatus {
+                    shard: self.topo.spec.shard_id,
+                    fresh_backlog: fresh,
+                    outstanding: s.outstanding_len() as u64,
+                    complete,
+                    hungry: !complete && fresh == 0 && demand,
+                    leases_held: s.leases_held_from(*peer),
+                    campaign: c as u16,
+                };
+                conn.write_buf
+                    .extend_from_slice(&encode_with(&status, Codec));
+                unacked.push_back((c as u16, sent));
+            }
+        }
+        self.settle(fd, conn);
+    }
+
+    /// Takes every answer the dialer has ready: a connected socket
+    /// becomes the peer's link, a failed dial leaves it `Down` for the
+    /// next steering tick.
+    fn adopt_dialed(&mut self) {
+        while let Some((peer, dialed)) = self.dialer.as_ref().and_then(|d| d.dialed.try_recv().ok())
+        {
+            let p = usize::from(peer);
+            self.links[p] = Link::Down;
+            let Ok(stream) = dialed else { continue };
+            if stream.set_nonblocking(true).is_err() {
+                continue;
+            }
+            let _ = stream.set_nodelay(true);
+            let fd = stream.as_raw_fd();
+            self.links[p] = Link::Up(fd);
+            let unacked = VecDeque::new();
+            self.settle(fd, Conn::new(stream, Role::Link { peer, unacked }));
+        }
+    }
+
+    /// Drains a listener: accept every pending connection. On the task
+    /// listener anything over the limit is brushed off with a `Busy`
+    /// frame; on the ops listener every connection is one scrape.
+    fn accept_ready(&mut self, ops: bool) -> io::Result<()> {
         loop {
-            let (stream, _peer) = match self.listener.as_ref().unwrap().accept() {
+            let listener = match &self.ops_listener {
+                Some(listener) if ops => listener,
+                _ => &self.listener,
+            };
+            let (stream, _peer) = match listener.accept() {
                 Ok(pair) => pair,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -852,6 +892,15 @@ impl EventLoop {
             stream.set_nonblocking(true)?;
             let _ = stream.set_nodelay(true);
             let fd = stream.as_raw_fd();
+            if ops {
+                // A scraper sends its request with the connect, so it is
+                // usually readable already: answered here, the scrape
+                // never costs a poller registration.
+                let mut conn = Conn::new(stream, Role::Scrape(Instant::now()));
+                self.read_and_dispatch(&mut conn);
+                self.settle(fd, conn);
+                continue;
+            }
             let limit = self.faults.max_connections;
             if limit > 0 && self.accepted_active >= limit {
                 // Turned away before any frame is read: counted (and
@@ -860,49 +909,21 @@ impl EventLoop {
                 self.rejected += 1;
                 let retry_after_ms = self.faults.backoff_base_ms.max(1) * 4;
                 telemetry::emit(None, || Event::ConnectionRejected { retry_after_ms });
-                let mut conn = Conn::new(stream, true);
-                conn.write_buf
-                    .extend_from_slice(&encode_with(&Message::Busy { retry_after_ms }, Codec));
+                let mut conn = Conn::new(stream, Role::Brushoff);
+                conn.queue(&Message::Busy { retry_after_ms });
                 conn.closing = Some("busy");
-                self.install(fd, conn);
+                self.settle(fd, conn);
                 continue;
             }
             self.connections += 1;
             self.accepted_active += 1;
-            self.install(fd, Conn::new(stream, false));
-        }
-    }
-
-    /// Flushes what it can, registers the connection, and retires it on
-    /// the spot if it is already finished (e.g. a brush-off whose Busy
-    /// frame fit in the socket buffer).
-    fn install(&mut self, fd: i32, mut conn: Conn) {
-        match conn.flush() {
-            Ok(_) => {}
-            Err(_) => {
-                conn.closing.get_or_insert("io");
-                self.retire(conn);
-                return;
-            }
-        }
-        if conn.closing.is_some() && conn.write_pos >= conn.write_buf.len() {
-            self.retire(conn);
-            return;
-        }
-        let interest = conn.wanted_interest();
-        conn.interest = interest;
-        if self.poller.register(fd, interest.0, interest.1).is_ok() {
-            self.conns.insert(fd, conn);
-        } else {
-            conn.closing.get_or_insert("io");
-            self.retire(conn);
+            self.settle(fd, Conn::new(stream, Role::Inbound(None)));
         }
     }
 
     /// Advances one connection's state machine for a readiness event:
     /// read what the socket holds, decode and dispatch every complete
-    /// frame, flush queued replies, then update poller interest or
-    /// retire the connection.
+    /// frame, then [`Self::settle`] it.
     fn advance_conn(&mut self, ev: IoEvent) {
         let Some(mut conn) = self.conns.remove(&ev.fd) else {
             return;
@@ -910,45 +931,77 @@ impl EventLoop {
         if ev.readable || ev.hangup {
             self.read_and_dispatch(&mut conn);
         }
-        if conn.write_pos < conn.write_buf.len() && conn.flush().is_err() {
+        if ev.hangup && conn.closing.is_none() {
+            // Error/hangup with nothing left to read: the peer is gone,
+            // and with it anyone to flush to.
+            conn.closing = Some("eof");
+            conn.write_buf.clear();
+            conn.write_pos = 0;
+        }
+        if let (true, Role::Scrape(progress)) = (ev.writable, &mut conn.role) {
+            *progress = Instant::now();
+        }
+        self.settle(ev.fd, conn);
+    }
+
+    /// Flushes queued replies, then either retires a connection that is
+    /// finished (a brush-off whose `Busy` frame fit the socket buffer is,
+    /// before it was ever registered) or files it under the interest it
+    /// now wants.
+    fn settle(&mut self, fd: i32, mut conn: Conn) {
+        if conn.flush().is_err() {
             conn.closing.get_or_insert("io");
             conn.write_buf.clear();
             conn.write_pos = 0;
         }
-        let finished_flush = conn.write_pos >= conn.write_buf.len();
-        if conn.closing.is_some() && finished_flush {
-            let _ = self.poller.deregister(ev.fd);
-            self.retire(conn);
-            return;
-        }
-        if ev.hangup && conn.closing.is_none() {
-            // Error/hangup with nothing left to read: the peer is gone.
-            conn.closing = Some("eof");
-            let _ = self.poller.deregister(ev.fd);
-            self.retire(conn);
-            return;
-        }
         let wanted = conn.wanted_interest();
-        if wanted != conn.interest {
-            conn.interest = wanted;
-            let _ = self.poller.reregister(ev.fd, wanted.0, wanted.1);
+        let filed = match conn.interest {
+            _ if conn.closing.is_some() && conn.flushed() => false,
+            Some(registered) if registered == wanted => true,
+            Some(_) => self.poller.reregister(fd, wanted.0, wanted.1).is_ok(),
+            None => self.poller.register(fd, wanted.0, wanted.1).is_ok(),
+        };
+        if filed {
+            conn.interest = Some(wanted);
+            self.conns.insert(fd, conn);
+        } else {
+            if conn.interest.is_some() {
+                let _ = self.poller.deregister(fd);
+            }
+            conn.closing.get_or_insert("io");
+            self.retire(conn);
         }
-        self.conns.insert(ev.fd, conn);
+    }
+
+    /// Closes the connection filed under `fd` now, whatever it still
+    /// had queued.
+    fn hang_up(&mut self, fd: i32, reason: &'static str) {
+        if let Some(mut conn) = self.conns.remove(&fd) {
+            conn.closing = Some(reason);
+            let _ = self.poller.deregister(fd);
+            self.retire(conn);
+        }
     }
 
     /// The read half of the state machine: read what the socket holds
     /// into the connection's buffer, then decode and dispatch every
-    /// complete frame in it (an agent may pipeline several).
+    /// complete frame in it (an agent may pipeline several) — or, on a
+    /// scrape, answer the request head once it is whole.
     ///
     /// A read that comes back short has drained the socket, so the loop
     /// stops there instead of paying a second `read` for `WouldBlock`;
     /// the poller is level-triggered (see [`crate::sys`]), so anything
     /// that arrives later — an EOF included — raises a new event.
     fn read_and_dispatch(&mut self, conn: &mut Conn) {
-        if conn.closing.is_some() || conn.brushoff {
+        if conn.closing.is_some() {
             return;
         }
-        loop {
+        // A scrape's head is bounded while it is read, not after.
+        let most = match conn.role {
+            Role::Scrape(_) => ops::MAX_REQUEST_HEAD,
+            _ => usize::MAX,
+        };
+        while conn.read_buf.filled <= most {
             let space = conn.read_buf.space();
             let offered = space.len();
             match conn.stream.read(space) {
@@ -970,25 +1023,24 @@ impl EventLoop {
                 }
             }
         }
-        let orderly_close = conn.closing;
-        conn.closing = None;
+        let orderly_close = conn.closing.take();
+        if let Role::Scrape(since) = &mut conn.role {
+            let head = conn.read_buf.pending();
+            if let Some(response) = ops::respond(head, orderly_close.is_some(), *since, &self.grid)
+            {
+                conn.write_buf = response;
+                conn.closing = Some("ops");
+                *since = Instant::now();
+            }
+            return;
+        }
         while conn.closing.is_none() {
             match decode_versioned(conn.read_buf.pending()) {
-                Ok((msg, consumed, codec)) => {
+                Ok((msg, consumed, _)) => {
                     conn.read_buf.consume(consumed);
                     conn.frames += 1;
-                    match self.dispatch(&mut conn.agent, &mut conn.attached, msg) {
-                        Disposition::Reply(reply) => {
-                            conn.write_buf
-                                .extend_from_slice(&encode_with(&reply, codec));
-                        }
-                        Disposition::ReplyMany(replies) => {
-                            for reply in replies {
-                                conn.write_buf
-                                    .extend_from_slice(&encode_with(&reply, codec));
-                            }
-                        }
-                        Disposition::Close(reason) => conn.closing = Some(reason),
+                    if let Err(reason) = self.dispatch(conn, msg) {
+                        conn.closing = Some(reason);
                     }
                 }
                 Err(DecodeError::Incomplete { .. }) => break,
@@ -1002,49 +1054,44 @@ impl EventLoop {
         }
     }
 
-    /// Maps one decoded frame to a scheduler call and a reply — the
-    /// dispatch state of the per-connection machine.
-    fn dispatch(
-        &mut self,
-        agent_id: &mut u64,
-        attached: &mut Vec<bool>,
-        msg: Message,
-    ) -> Disposition {
+    /// Maps one decoded frame to a scheduler call and queues the reply
+    /// — the dispatch state of the per-connection machine. `Err` closes
+    /// the connection (once queued replies flush) with that reason.
+    fn dispatch(&mut self, conn: &mut Conn, msg: Message) -> Result<(), &'static str> {
         let now = self.now();
-        match msg {
+        if let Role::Link { unacked, .. } = &mut conn.role {
+            return self.link_reply(now, unacked, msg);
+        }
+        let reply = match msg {
             Message::Hello {
                 agent,
                 threads: _,
                 campaigns,
             } => {
-                *agent_id = agent;
-                let grid = self.grid.lock().unwrap();
-                *attached = grid.attach_mask(&campaigns);
-                // The roster travels only when there is one worth
-                // announcing; a solo registry sends the recipe in
-                // `campaign` and an empty roster.
-                let roster = if grid.len() > 1 {
-                    grid.roster()
-                } else {
-                    Vec::new()
-                };
-                let params = grid.slots()[0].def.params;
-                drop(grid);
+                conn.agent = agent;
+                conn.attached = self.grid.attach_mask(&campaigns);
                 telemetry::emit(Some(now.seconds()), || Event::ConnectionOpened { agent });
-                Disposition::Reply(Message::HelloAck {
+                Message::HelloAck {
                     protocol: PROTOCOL_VERSION,
-                    campaign: params,
+                    campaign: self.grid.slots()[0].def.params,
                     deadline_seconds: self.deadline_seconds,
-                    campaigns: roster,
-                })
+                    // The roster travels only when there is one worth
+                    // announcing; a solo registry sends the recipe in
+                    // `campaign` and an empty roster.
+                    campaigns: match self.grid.len() {
+                        1 => Vec::new(),
+                        _ => self.grid.roster(),
+                    },
+                }
             }
             Message::RequestWork => {
-                let mask = self.attach_or_default(attached);
-                let mut grid = self.grid.lock().unwrap();
-                let (cidx, reply) = grid.fetch(now, *agent_id, &mask);
-                Disposition::Reply(match reply {
-                    WorkReply::Assigned(a) => {
-                        let spec = grid.slots()[usize::from(cidx)].campaign.spec(a.workunit);
+                let agent = conn.agent;
+                let mask = conn.mask(&self.grid);
+                match self.grid.fetch(now, agent, mask) {
+                    (cidx, WorkReply::Assigned(a)) => {
+                        let spec = self.grid.slots()[usize::from(cidx)]
+                            .campaign
+                            .spec(a.workunit);
                         Message::Assignment {
                             replica: a.replica.0,
                             workunit: a.workunit,
@@ -1056,22 +1103,17 @@ impl EventLoop {
                             campaign: cidx,
                         }
                     }
-                    WorkReply::Backoff {
+                    (
+                        _,
+                        WorkReply::Backoff {
+                            retry_after_ms,
+                            campaign_complete,
+                        },
+                    ) => self.try_redirect(mask).unwrap_or(Message::NoWork {
+                        campaign_complete: self.globally_complete_for(campaign_complete, mask),
                         retry_after_ms,
-                        campaign_complete,
-                    } => {
-                        drop(grid);
-                        if let Some(redirect) = self.try_redirect(&mask) {
-                            redirect
-                        } else {
-                            Message::NoWork {
-                                campaign_complete: self
-                                    .globally_complete_for(campaign_complete, &mask),
-                                retry_after_ms,
-                            }
-                        }
-                    }
-                })
+                    }),
+                }
             }
             Message::ResultReport {
                 replica,
@@ -1079,18 +1121,13 @@ impl EventLoop {
                 campaign,
                 output,
             } => {
-                let mask = self.attach_or_default(attached);
-                let mut grid = self.grid.lock().unwrap();
                 let (_, disposition) =
-                    grid.report(now, campaign, ReplicaId(replica), workunit, output);
-                let attached_done = grid.attached_complete(&mask);
-                let all_done = grid.all_complete();
-                drop(grid);
-                let campaign_complete = self.globally_complete_for(attached_done, &mask);
-                if self.globally_all_complete(all_done) {
-                    self.done.store(true, Relaxed);
-                }
-                Disposition::Reply(Message::ResultAck {
+                    self.grid
+                        .report(now, campaign, ReplicaId(replica), workunit, output);
+                self.check_done();
+                let mask = conn.mask(&self.grid);
+                let attached_done = self.grid.attached_complete(mask);
+                Message::ResultAck {
                     accepted: matches!(
                         disposition.verdict,
                         crate::state::Verdict::Accepted
@@ -1100,20 +1137,14 @@ impl EventLoop {
                             | crate::state::Verdict::SpotVoid
                     ),
                     completed_workunit: disposition.completed_workunit,
-                    campaign_complete,
-                })
+                    campaign_complete: self.globally_complete_for(attached_done, mask),
+                }
             }
-            Message::ShardMapRequest => {
-                let (shards, self_shard, addrs) = match &self.shard {
-                    Some(topo) => (topo.spec.shards, topo.spec.shard_id, topo.addrs.clone()),
-                    None => (1, 0, Vec::new()),
-                };
-                Disposition::Reply(Message::ShardMap {
-                    shards,
-                    self_shard,
-                    addrs,
-                })
-            }
+            Message::ShardMapRequest => Message::ShardMap {
+                shards: self.topo.spec.shards,
+                self_shard: self.topo.spec.shard_id,
+                addrs: self.topo.addrs.clone(),
+            },
             Message::ShardStatus {
                 shard,
                 fresh_backlog,
@@ -1122,28 +1153,71 @@ impl EventLoop {
                 hungry,
                 leases_held,
                 campaign,
-            } => self.handle_shard_status(
-                now,
-                campaign,
-                shard,
-                fresh_backlog,
-                complete,
-                hungry,
-                leases_held,
-            ),
-            Message::Bye => Disposition::Close("bye"),
+            } => {
+                return self.handle_shard_status(
+                    conn,
+                    now,
+                    campaign,
+                    shard,
+                    fresh_backlog,
+                    complete,
+                    hungry,
+                    leases_held,
+                )
+            }
+            Message::Bye => return Err("bye"),
             // Server-to-agent and reply frames arriving here mean a
             // confused peer (LeaseGrant/StatusAck only ever travel as
-            // replies on the steering connection).
-            _ => Disposition::Close("protocol"),
+            // replies on a steering link this shard dialed).
+            _ => return Err("protocol"),
+        };
+        conn.queue(&reply);
+        Ok(())
+    }
+
+    /// Applies one frame a peer sent back on this shard's own steering
+    /// link: a lease grant is adopted and journaled, an ack (the oldest
+    /// unanswered status's — acks return in send order) updates the
+    /// board. Neither is replied to.
+    fn link_reply(
+        &mut self,
+        now: SimTime,
+        unacked: &mut VecDeque<(u16, Instant)>,
+        msg: Message,
+    ) -> Result<(), &'static str> {
+        match msg {
+            Message::LeaseGrant {
+                lease,
+                from_shard,
+                wus,
+                complete,
+                campaign,
+            } => {
+                let c = usize::from(campaign).min(self.grid.len() - 1);
+                self.grid.slots_mut()[c].state.adopt_lease(now, lease, &wus);
+                self.boards[c].note(from_shard, complete, None);
+            }
+            Message::StatusAck { shard, complete } => {
+                let (campaign, _) = unacked.pop_front().ok_or("protocol")?;
+                self.boards[usize::from(campaign)].note(shard, complete, None);
+            }
+            // The peer is over its connection limit; the next steering
+            // tick dials again.
+            Message::Busy { .. } => return Err("busy"),
+            _ => return Err("protocol"),
         }
+        // Completion is decided here as well as on the sweep tick, so a
+        // shard whose last workunit validated long ago still notices
+        // the moment its final peer reports complete.
+        self.check_done();
+        Ok(())
     }
 
     /// When this shard has nothing to issue but a peer advertises
     /// fresh backlog, answer an agent's ask with a `Redirect` there
     /// instead of a backoff. The agent follows at most one redirect per
-    /// ask, and the target was advertising work moments ago, so a
-    /// bounce chain cannot form.
+    /// ask, and the target was advertising work moments ago over a
+    /// connection that is still open, so a bounce chain cannot form.
     ///
     /// A shard whose own slice is already complete redirects too: it
     /// is the one state in which it can never again look hungry (a
@@ -1153,45 +1227,37 @@ impl EventLoop {
     /// slice that validates within one steering interval gets there
     /// before the first lease could have been cut.
     fn try_redirect(&mut self, attached: &[bool]) -> Option<Message> {
-        let topo = self.shard.as_ref()?;
-        {
-            // A backoff with backlog still on hand was a trust denial
-            // (quarantine), not a drained queue: the agent waits here.
-            let g = self.grid.lock().unwrap();
-            if g.attached_fresh_backlog(attached) > 0 {
-                return None;
-            }
+        // A backoff with backlog still on hand was a trust denial
+        // (quarantine), not a drained queue: the agent waits here.
+        if self.grid.attached_fresh_backlog(attached) > 0 {
+            return None;
         }
         // The peer worth bouncing to: the deepest advertised backlog
         // across every campaign this agent is attached to.
-        let (cidx, peer) = {
-            let bs = self.boards.lock().unwrap();
-            bs.iter()
-                .enumerate()
-                .filter(|&(i, _)| attached.get(i).copied().unwrap_or(i == 0))
-                .filter_map(|(i, b)| {
-                    b.busiest_peer(topo.spec.shard_id)
-                        .map(|(peer, backlog)| (i, peer, backlog))
-                })
-                .max_by_key(|&(_, _, backlog)| backlog)
-                .map(|(i, peer, _)| (i, peer))?
-        };
-        let addr = topo.addrs.get(usize::from(peer))?.clone();
-        self.grid.lock().unwrap().slots_mut()[cidx]
-            .state
-            .note_redirect();
+        let me = self.topo.spec.shard_id;
+        let (cidx, peer, _) = self
+            .boards
+            .iter()
+            .zip(attached)
+            .enumerate()
+            .filter(|&(_, (_, &a))| a)
+            .filter_map(|(i, (b, _))| b.busiest_peer(me).map(|(peer, backlog)| (i, peer, backlog)))
+            .max_by_key(|&(_, _, backlog)| backlog)?;
+        let addr = self.topo.addrs.get(usize::from(peer))?.clone();
+        self.grid.slots_mut()[cidx].state.note_redirect();
         Some(Message::Redirect { shard: peer, addr })
     }
 
     /// Answers one inbound gossip frame: update the board, re-send any
     /// grant the sender has not adopted, cut a fresh lease if the
     /// sender is hungry and this shard has backlog to spare, and ack.
-    /// The `LeaseOut` journal record is appended (inside the state
-    /// lock) *before* the grant frame is queued, so a crash here can
-    /// lose a sent grant only in the direction the re-send heals.
+    /// The `LeaseOut` journal record is appended *before* the grant
+    /// frame is queued, so a crash here can lose a sent grant only in
+    /// the direction the re-send heals.
     #[allow(clippy::too_many_arguments)]
     fn handle_shard_status(
         &mut self,
+        conn: &mut Conn,
         now: SimTime,
         campaign: u16,
         shard: u16,
@@ -1199,132 +1265,138 @@ impl EventLoop {
         complete: bool,
         hungry: bool,
         leases_held: Vec<u64>,
-    ) -> Disposition {
-        let Some(topo) = self.shard.clone() else {
-            return Disposition::Close("protocol");
-        };
-        let me = topo.spec.shard_id;
-        if shard >= topo.spec.shards || shard == me {
-            return Disposition::Close("protocol");
-        }
-        let mut g = self.grid.lock().unwrap();
+    ) -> Result<(), &'static str> {
+        let me = self.topo.spec.shard_id;
         let c = usize::from(campaign);
-        if c >= g.len() {
-            return Disposition::Close("protocol");
+        if shard >= self.topo.spec.shards || shard == me || c >= self.grid.len() {
+            return Err("protocol");
         }
-        self.boards.lock().unwrap()[c].note(shard, complete, Some(fresh_backlog));
-        let mut replies = Vec::new();
-        let s = &mut g.slots_mut()[c].state;
+        conn.role = Role::Inbound(Some(shard));
+        self.boards[c].note(shard, complete, Some(fresh_backlog));
+        let s = &mut self.grid.slots_mut()[c].state;
         let local_complete = s.is_campaign_complete();
+        let grant = |(lease, wus)| Message::LeaseGrant {
+            lease,
+            from_shard: me,
+            wus,
+            complete: local_complete,
+            campaign,
+        };
         // Re-send grants missing from the sender's holdings: our
         // journal says granted, theirs never said adopted — the grant
         // frame died with a connection or a crash. Idempotent on their
         // side, so over-sending is harmless.
         let held: HashSet<u64> = leases_held.into_iter().collect();
-        for (lease, wus) in s.leases_granted_to(shard) {
-            if !held.contains(&lease) {
-                replies.push(Message::LeaseGrant {
-                    lease,
-                    from_shard: me,
-                    wus,
-                    complete: local_complete,
-                    campaign,
-                });
+        let mut resent = false;
+        for missing in s.leases_granted_to(shard) {
+            if !held.contains(&missing.0) {
+                conn.queue(&grant(missing));
+                resent = true;
             }
         }
-        if hungry && replies.is_empty() {
-            if let Some((lease, wus)) = s.grant_lease(now, shard, LEASE_CHUNK) {
-                replies.push(Message::LeaseGrant {
-                    lease,
-                    from_shard: me,
-                    wus,
-                    complete: local_complete,
-                    campaign,
-                });
+        if hungry && !resent {
+            if let Some(fresh) = s.grant_lease(now, shard, LEASE_CHUNK) {
+                conn.queue(&grant(fresh));
             }
         }
-        drop(g);
-        replies.push(Message::StatusAck {
+        conn.queue(&Message::StatusAck {
             shard: me,
             complete: local_complete,
         });
-        Disposition::ReplyMany(replies)
+        self.check_done();
+        Ok(())
     }
 
-    /// The connection's attach mask, or the default-campaign mask for a
-    /// peer that never said `Hello` (or said it before this registry
-    /// grew — masks are sized at `Hello` time).
-    fn attach_or_default(&self, attached: &[bool]) -> Vec<bool> {
-        let len = self.grid.lock().unwrap().len();
-        if attached.len() == len {
-            attached.to_vec()
-        } else {
-            let mut mask = vec![false; len];
-            mask[0] = true;
-            mask
-        }
-    }
-
-    /// Final close of a connection: emits the paired `ConnectionClosed`
-    /// event (brush-offs were telemetered as rejections instead) and
-    /// releases its limit slot.
+    /// Final close of a connection. An inbound one emits the paired
+    /// `ConnectionClosed` event and releases its limit slot; a steering
+    /// connection, dialed or accepted, takes the peer's advertised
+    /// backlog with it — a peer that died with backlog on the board
+    /// must not keep drawing redirects to a dead address.
     fn retire(&mut self, conn: Conn) {
-        if !conn.brushoff {
-            self.accepted_active -= 1;
-            let reason = conn.closing.unwrap_or("eof");
-            telemetry::emit(None, || Event::ConnectionClosed {
-                agent: conn.agent,
-                frames: conn.frames,
-                reason: reason.into(),
-            });
+        let peer = match conn.role {
+            Role::Inbound(peer) => {
+                self.accepted_active -= 1;
+                let reason = conn.closing.unwrap_or("eof");
+                telemetry::emit(None, || Event::ConnectionClosed {
+                    agent: conn.agent,
+                    frames: conn.frames,
+                    reason: reason.into(),
+                });
+                peer
+            }
+            Role::Link { peer, .. } => {
+                self.links[usize::from(peer)] = Link::Down;
+                Some(peer)
+            }
+            Role::Brushoff | Role::Scrape(_) => None,
+        };
+        if let Some(peer) = peer {
+            for board in &mut self.boards {
+                board.backlog[usize::from(peer)] = 0;
+            }
         }
-        drop(conn);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::{open_wal, JournalRecord};
     use crate::protocol::HEADER_BYTES;
+    use crate::shard::merge_artifacts;
 
-    /// An event loop over a solo tiny campaign, with no listener: the
-    /// tests hand it connections directly.
+    fn listener() -> TcpListener {
+        TcpListener::bind("127.0.0.1:0").unwrap()
+    }
+
+    /// A loop whose timers never come due by themselves: the test
+    /// decides when a sweep or steering tick happens.
+    fn open(listener: TcpListener, config: &NetServerConfig) -> EventLoop {
+        let mut ev = EventLoop::open(listener, config).unwrap();
+        let never = Instant::now() + Duration::from_secs(3600);
+        (ev.next_sweep, ev.next_steer) = (never, never);
+        ev
+    }
+
+    /// An event loop over a solo tiny campaign.
     fn event_loop() -> EventLoop {
-        let (grid, clock_offset) = MultiGrid::open(
-            vec![CampaignDef::default_solo(CampaignParams::tiny())],
-            ServerConfig::default(),
-            ServerFaults::default(),
-            ShardSpec::solo(),
-            None,
-        )
-        .unwrap();
-        EventLoop {
-            listener: None,
-            grid: Arc::new(Mutex::new(grid)),
-            done: Arc::new(AtomicBool::new(false)),
-            deadline_seconds: 5.0,
-            faults: ServerFaults::default(),
-            epoch: Instant::now(),
-            clock_offset,
-            poller: Poller::new().unwrap(),
-            conns: HashMap::new(),
-            connections: 0,
-            rejected: 0,
-            accepted_active: 0,
-            shard: None,
-            boards: Arc::new(Mutex::new(Vec::new())),
-        }
+        open(listener(), &NetServerConfig::loopback(5.0))
+    }
+
+    /// One shard of a topology whose task listeners are already bound.
+    fn shard_loop(
+        own: TcpListener,
+        shard_id: u16,
+        addrs: &[String],
+        journal: Option<JournalConfig>,
+    ) -> EventLoop {
+        let config = NetServerConfig {
+            journal,
+            shard: Some(ShardTopology {
+                spec: ShardSpec {
+                    shard_id,
+                    shards: addrs.len() as u16,
+                },
+                addrs: addrs.to_vec(),
+            }),
+            ..NetServerConfig::loopback(60.0)
+        };
+        open(own, &config)
+    }
+
+    fn addr_of(listener: &TcpListener) -> String {
+        listener.local_addr().unwrap().to_string()
     }
 
     /// A connected loopback pair: the agent's blocking end and the
     /// server's nonblocking connection.
     fn socket_pair() -> (TcpStream, Conn) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let listener = listener();
         let agent = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         agent.set_nodelay(true).unwrap();
         let (stream, _) = listener.accept().unwrap();
         stream.set_nonblocking(true).unwrap();
-        (agent, Conn::new(stream, false))
+        (agent, Conn::new(stream, Role::Inbound(None)))
     }
 
     /// Runs the read half until `until` holds. Loopback delivery is
@@ -1337,6 +1409,174 @@ mod tests {
             ev.read_and_dispatch(conn);
             std::thread::yield_now();
         }
+    }
+
+    /// Turns every loop, from this one thread and without sleeping (a
+    /// turn is a zero-timeout poll), until `until` holds.
+    fn spin(loops: &mut [EventLoop], mut until: impl FnMut(&mut [EventLoop]) -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while !until(loops) {
+            assert!(Instant::now() < deadline, "the loops never got there");
+            for ev in loops.iter_mut() {
+                ev.turn(Duration::ZERO).unwrap();
+            }
+            std::thread::yield_now();
+        }
+    }
+
+    /// The far end of a connection to a loop under test, driven by the
+    /// same thread that turns the loops: nonblocking, so waiting for a
+    /// reply is spinning the loops, never blocking in `read`.
+    struct Client {
+        stream: TcpStream,
+        inbox: Vec<u8>,
+    }
+
+    impl Client {
+        fn connect(addr: &str) -> Self {
+            let stream = TcpStream::connect(addr).unwrap();
+            stream.set_nodelay(true).unwrap();
+            stream.set_nonblocking(true).unwrap();
+            Self {
+                stream,
+                inbox: Vec::new(),
+            }
+        }
+
+        /// Connects and introduces itself as `agent`.
+        fn hello(addr: &str, agent: u64, loops: &mut [EventLoop]) -> Self {
+            let mut client = Self::connect(addr);
+            let hello = Message::Hello {
+                agent,
+                threads: 1,
+                campaigns: Vec::new(),
+            };
+            let ack = client.exchange(&hello, loops);
+            assert!(matches!(ack, Message::HelloAck { .. }), "{ack:?}");
+            client
+        }
+
+        /// Frames here are far smaller than a socket buffer, so the
+        /// nonblocking write takes them whole.
+        fn send(&mut self, msg: &Message) {
+            self.stream.write_all(&encode_with(msg, Codec)).unwrap();
+        }
+
+        /// The next whole frame received, if one is in.
+        fn poll(&mut self) -> Option<Message> {
+            let mut chunk = [0u8; 4096];
+            while let Ok(n @ 1..) = self.stream.read(&mut chunk) {
+                self.inbox.extend_from_slice(&chunk[..n]);
+            }
+            let (msg, consumed, _) = decode_versioned(&self.inbox).ok()?;
+            self.inbox.drain(..consumed);
+            Some(msg)
+        }
+
+        fn recv(&mut self, loops: &mut [EventLoop]) -> Message {
+            let mut reply = None;
+            spin(loops, |_| {
+                reply = self.poll();
+                reply.is_some()
+            });
+            reply.unwrap()
+        }
+
+        fn exchange(&mut self, msg: &Message, loops: &mut [EventLoop]) -> Message {
+            self.send(msg);
+            self.recv(loops)
+        }
+
+        /// Asks once; an assignment comes back as the report it calls
+        /// for (docked from the precomputed `baseline`), anything else
+        /// as it is.
+        fn ask(
+            &mut self,
+            loops: &mut [EventLoop],
+            baseline: &[DockingOutput],
+        ) -> Result<Message, Message> {
+            match self.exchange(&Message::RequestWork, loops) {
+                Message::Assignment {
+                    replica,
+                    workunit,
+                    campaign,
+                    ..
+                } => Ok(Message::ResultReport {
+                    replica,
+                    workunit,
+                    campaign,
+                    output: baseline[workunit as usize].clone(),
+                }),
+                other => Err(other),
+            }
+        }
+
+        fn report(&mut self, report: &Message, loops: &mut [EventLoop]) {
+            let ack = self.exchange(report, loops);
+            assert!(
+                matches!(ack, Message::ResultAck { accepted: true, .. }),
+                "{ack:?}"
+            );
+        }
+
+        /// Asks and reports until an ask draws no assignment; returns
+        /// that reply.
+        fn work(&mut self, loops: &mut [EventLoop], baseline: &[DockingOutput]) -> Message {
+            loop {
+                match self.ask(loops, baseline) {
+                    Ok(report) => self.report(&report, loops),
+                    Err(other) => return other,
+                }
+            }
+        }
+
+        /// One gossip exchange played as shard `me`; returns the leases
+        /// granted before the closing `StatusAck`.
+        fn gossip(
+            &mut self,
+            loops: &mut [EventLoop],
+            me: u16,
+            held: &[u64],
+            fresh_backlog: u64,
+            hungry: bool,
+        ) -> Vec<u64> {
+            self.send(&Message::ShardStatus {
+                shard: me,
+                fresh_backlog,
+                outstanding: 0,
+                complete: false,
+                hungry,
+                leases_held: held.to_vec(),
+                campaign: 0,
+            });
+            let mut leases = Vec::new();
+            loop {
+                match self.recv(loops) {
+                    Message::LeaseGrant { lease, .. } => leases.push(lease),
+                    Message::StatusAck { .. } => return leases,
+                    other => panic!("unexpected steering reply: {other:?}"),
+                }
+            }
+        }
+    }
+
+    /// The statuses awaiting an ack on the loop's one steering link.
+    fn unacked(ev: &mut EventLoop) -> &mut VecDeque<(u16, Instant)> {
+        ev.conns
+            .values_mut()
+            .find_map(|c| match &mut c.role {
+                Role::Link { unacked, .. } => Some(unacked),
+                _ => None,
+            })
+            .expect("a steering link")
+    }
+
+    fn link_up(ev: &EventLoop, peer: usize) -> bool {
+        matches!(ev.links[peer], Link::Up(_))
+    }
+
+    fn net_stats(ev: &EventLoop) -> NetStats {
+        ev.grid.slots()[0].state.net_stats
     }
 
     fn hello(campaigns: Vec<String>) -> Vec<u8> {
@@ -1374,18 +1614,25 @@ mod tests {
         assert!(matches!(replies(&conn)[..], [Message::HelloAck { .. }]));
     }
 
+    /// The third frame also pins the one-shard topology: a server with
+    /// no peers answers `ShardMapRequest` as shard 0 of 1.
     #[test]
-    fn two_frames_pipelined_in_one_write_each_dispatch_once() {
+    fn frames_pipelined_in_one_write_each_dispatch_once() {
         let (mut ev, (mut agent, mut conn)) = (event_loop(), socket_pair());
         let mut wire = hello(Vec::new());
         wire.extend_from_slice(&encode_with(&Message::RequestWork, Codec));
+        wire.extend_from_slice(&encode_with(&Message::ShardMapRequest, Codec));
         agent.write_all(&wire).unwrap();
-        pump(&mut ev, &mut conn, |c| c.frames >= 2);
-        assert_eq!((conn.frames, conn.read_buf.filled), (2, 0));
-        assert!(matches!(
-            replies(&conn)[..],
-            [Message::HelloAck { .. }, Message::Assignment { .. }]
-        ));
+        pump(&mut ev, &mut conn, |c| c.frames >= 3);
+        assert_eq!((conn.frames, conn.read_buf.filled), (3, 0));
+        match &replies(&conn)[..] {
+            [Message::HelloAck { .. }, Message::Assignment { .. }, Message::ShardMap {
+                shards: 1,
+                self_shard: 0,
+                addrs,
+            }] => assert!(addrs.is_empty()),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]
@@ -1440,8 +1687,8 @@ mod tests {
             pump(&mut ev, &mut conn, |c| c.closing.is_some());
             assert_eq!((conn.closing, conn.frames), (Some("protocol"), 0));
             assert!(conn.write_buf.is_empty(), "zero reply bytes");
-            let grid = ev.grid.lock().unwrap();
-            assert_eq!(grid.slots()[0].state.outstanding_len(), 0, "nothing issued");
+            let issued = ev.grid.slots()[0].state.outstanding_len();
+            assert_eq!(issued, 0, "nothing issued");
         }
     }
 
@@ -1450,14 +1697,11 @@ mod tests {
     #[test]
     fn the_cap_brush_off_busy_decodes_with_the_one_decoder() {
         let mut ev = event_loop();
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        listener.set_nonblocking(true).unwrap();
-        let mut agent = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        ev.listener = Some(listener);
+        let mut agent = TcpStream::connect(ev.listener.local_addr().unwrap()).unwrap();
         ev.faults.max_connections = 1;
         ev.accepted_active = 1;
-        ev.accept_ready().unwrap();
-        assert_eq!((ev.rejected, ev.connections), (1, 0));
+        spin(std::slice::from_mut(&mut ev), |l| l[0].rejected == 1);
+        assert_eq!(ev.connections, 0);
 
         let mut wire = Vec::new();
         agent.read_to_end(&mut wire).unwrap();
@@ -1478,5 +1722,244 @@ mod tests {
         assert_eq!(conn.closing, Some("eof"));
         assert_eq!(conn.frames, 1, "the frame before the EOF was served");
         assert!(matches!(replies(&conn)[..], [Message::HelloAck { .. }]));
+    }
+
+    /// A whole sharded campaign — hunger, a lease cut, adopted and
+    /// journaled, a redirect off the drained shard, completion gossiped
+    /// both ways — as one scripted history: two loops, their agents and
+    /// every tick stepped from this thread, in this order.
+    #[test]
+    fn a_two_shard_history_runs_to_done_on_one_thread() {
+        let dir = std::env::temp_dir().join(format!("hcmd-loop-lease-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (l0, l1) = (listener(), listener());
+        let addrs = [addr_of(&l0), addr_of(&l1)];
+        let journal = crate::journal::JournalConfig::new(&dir);
+        let loops = &mut [
+            shard_loop(l0, 0, &addrs, None),
+            shard_loop(l1, 1, &addrs, Some(journal)),
+        ];
+        let baseline = loops[0].grid.slots()[0].campaign.baseline_outputs();
+
+        // Both links come up.
+        loops[0].steer_tick();
+        loops[1].steer_tick();
+        spin(loops, |l| link_up(&l[0], 1) && link_up(&l[1], 0));
+
+        // Shard 1's agent works its slice dry — all but one result it
+        // sits on, so the slice is drained yet not complete — and is
+        // told to wait...
+        let mut agent1 = Client::hello(&addrs[1], 1, loops);
+        let sat_on = agent1.ask(loops, &baseline).expect("work on a fresh shard");
+        let dry = agent1.work(loops, &baseline);
+        assert!(
+            matches!(
+                dry,
+                Message::NoWork {
+                    campaign_complete: false,
+                    ..
+                }
+            ),
+            "{dry:?}"
+        );
+        // ...so its next status is hungry, shard 0 cuts a lease, and
+        // shard 1 adopts and journals it.
+        loops[1].steer_tick();
+        spin(loops, |l| net_stats(&l[1]).shard_leases_in == 1);
+        assert_eq!(net_stats(&loops[0]).shard_leases_out, 1);
+        let granted = loops[0].grid.slots()[0].state.leases_granted_to(1);
+        loops[1].grid.flush_journals();
+        let adopted: Vec<(u64, Vec<u32>)> = open_wal(&dir)
+            .unwrap()
+            .filter_map(|rec| match rec.unwrap() {
+                JournalRecord::LeaseIn { lease, wus, .. } => Some((lease, wus)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(adopted, granted, "the wal holds exactly the grant");
+
+        // Shard 1 advertises the leased backlog; shard 0's agent
+        // finishes what is left of shard 0's slice and is sent there.
+        loops[1].steer_tick();
+        spin(loops, |l| l[0].boards[0].backlog[1] > 0);
+        let mut agent0 = Client::hello(&addrs[0], 2, loops);
+        match agent0.work(loops, &baseline) {
+            Message::Redirect { shard: 1, addr } => assert_eq!(addr, addrs[1]),
+            other => panic!("a drained, complete shard must redirect, got {other:?}"),
+        }
+        assert_eq!(net_stats(&loops[0]).shard_redirects, 1);
+
+        // Shard 1 finishes the lease and its own last result; one more
+        // round of gossip each way and both loops know it is over.
+        agent1.work(loops, &baseline);
+        agent1.report(&sat_on, loops);
+        assert!(!loops[0].done, "shard 0 last heard shard 1 had work left");
+        loops[0].steer_tick();
+        loops[1].steer_tick();
+        spin(loops, |l| l[0].done && l[1].done);
+        let ask = agent0.exchange(&Message::RequestWork, loops);
+        assert!(
+            matches!(
+                ask,
+                Message::NoWork {
+                    campaign_complete: true,
+                    ..
+                }
+            ),
+            "{ask:?}"
+        );
+
+        let parts: Vec<_> = loops
+            .iter()
+            .map(|l| l.grid.slots()[0].state.partial_outputs())
+            .collect();
+        assert_eq!(merge_artifacts(&parts).unwrap(), baseline);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A peer that died with backlog on the board kept drawing
+    /// redirects: its advert was only ever overwritten by its next
+    /// status, which never came, and every redirected agent was refused,
+    /// fell home, asked, and was redirected again without a pause. The
+    /// advert now leaves with the steering connection — whichever way
+    /// it was dialed.
+    #[test]
+    fn a_dead_peers_backlog_leaves_with_its_link() {
+        let (own, peer) = (listener(), listener());
+        let addrs = [addr_of(&own), addr_of(&peer)];
+        let loops = &mut [shard_loop(own, 0, &addrs, None)];
+        loops[0].steer_tick();
+        spin(loops, |l| link_up(&l[0], 1));
+        let (far_end, _) = peer.accept().unwrap();
+
+        // Played as shard 1: lease shard 0's whole slice away, so its
+        // agents' asks can only back off or bounce.
+        let mut gossip = Client::connect(&addrs[0]);
+        let mut held = Vec::new();
+        loop {
+            let leases = gossip.gossip(loops, 1, &held, 0, true);
+            if leases.is_empty() {
+                break;
+            }
+            held.extend(leases);
+        }
+        let mut agent = Client::hello(&addrs[0], 9, loops);
+        let mut ask = |loops: &mut [EventLoop]| agent.exchange(&Message::RequestWork, loops);
+
+        gossip.gossip(loops, 1, &held, 5, false);
+        assert!(matches!(ask(loops), Message::Redirect { shard: 1, .. }));
+
+        // The link this shard dialed drops: the peer is gone.
+        drop(far_end);
+        spin(loops, |l| !link_up(&l[0], 1));
+        assert_eq!(loops[0].boards[0].backlog[1], 0);
+        assert!(loops[0].try_redirect(&[true]).is_none());
+        match ask(loops) {
+            Message::NoWork { retry_after_ms, .. } => assert!(retry_after_ms > 0),
+            other => panic!("a dead peer must not draw a redirect, got {other:?}"),
+        }
+
+        // The same for the link the peer dialed.
+        gossip.gossip(loops, 1, &held, 5, false);
+        assert!(matches!(ask(loops), Message::Redirect { shard: 1, .. }));
+        let before = loops[0].accepted_active;
+        drop(gossip);
+        spin(loops, |l| l[0].accepted_active < before);
+        assert!(matches!(ask(loops), Message::NoWork { .. }));
+    }
+
+    /// A stalled peer holds nothing but its own link: agents are served
+    /// in the very turns its status sits unanswered, and the link is
+    /// recycled once that status is [`STEER_TIMEOUT_MS`] old.
+    #[test]
+    fn a_peer_that_accepts_and_never_answers_costs_agents_nothing() {
+        // Connections complete in this listener's backlog; nobody ever
+        // accepts them, let alone answers.
+        let (own, silent) = (listener(), listener());
+        let addrs = [addr_of(&own), addr_of(&silent)];
+        let loops = &mut [shard_loop(own, 0, &addrs, None)];
+        loops[0].steer_tick();
+        spin(loops, |l| link_up(&l[0], 1));
+        loops[0].steer_tick();
+        assert_eq!(unacked(&mut loops[0]).len(), 1);
+
+        let mut agent = Client::hello(&addrs[0], 9, loops);
+        let reply = agent.exchange(&Message::RequestWork, loops);
+        assert!(matches!(reply, Message::Assignment { .. }), "{reply:?}");
+
+        // Younger than the timeout, the link is kept and told again...
+        loops[0].steer_tick();
+        assert_eq!(unacked(&mut loops[0]).len(), 2);
+        // ...older, it is hung up and dialed afresh.
+        unacked(&mut loops[0])[0].1 -= STEER_TIMEOUT + Duration::from_millis(1);
+        loops[0].steer_tick();
+        assert!(matches!(loops[0].links[1], Link::Dialing));
+        assert!(!loops[0]
+            .conns
+            .values()
+            .any(|c| matches!(c.role, Role::Link { .. })));
+        spin(loops, |l| link_up(&l[0], 1));
+    }
+
+    /// Scrapes are connections like any other: one that stops half way
+    /// through its request line delays neither an agent's frame nor a
+    /// second scraper, and is closed at the idle cap.
+    #[test]
+    fn a_scraper_that_stalls_mid_request_line_delays_nobody() {
+        let config = NetServerConfig {
+            ops_addr: Some("127.0.0.1:0".into()),
+            ..NetServerConfig::loopback(5.0)
+        };
+        let loops = &mut [open(listener(), &config)];
+        let task_addr = addr_of(&loops[0].listener);
+        let ops_addr = addr_of(loops[0].ops_listener.as_ref().unwrap());
+        let scrapes = |ev: &EventLoop| {
+            ev.conns
+                .values()
+                .filter(|c| matches!(c.role, Role::Scrape(_)))
+                .count()
+        };
+
+        let mut stalled = TcpStream::connect(&ops_addr).unwrap();
+        stalled.write_all(b"GET /metr").unwrap();
+        spin(loops, |l| {
+            l[0].conns.values().any(|c| c.read_buf.filled == 9)
+        });
+
+        Client::hello(&task_addr, 9, loops);
+        let mut second = TcpStream::connect(&ops_addr).unwrap();
+        second.set_nonblocking(true).unwrap();
+        second.write_all(b"GET /metrics HTTP/1.1\r\n\r\n").unwrap();
+        let mut answer = Vec::new();
+        spin(loops, |_| {
+            let mut chunk = [0u8; 4096];
+            loop {
+                match second.read(&mut chunk) {
+                    Ok(0) => return true,
+                    Ok(n) => answer.extend_from_slice(&chunk[..n]),
+                    Err(_) => return false,
+                }
+            }
+        });
+        let answer = String::from_utf8(answer).unwrap();
+        assert!(answer.starts_with("HTTP/1.1 200 OK\r\n"), "{answer}");
+        assert!(answer.contains("hcmd_wu_states{state=\"done\"} 0"));
+
+        // Still there after a sweep inside the cap; gone, with not a
+        // byte sent, after one past it.
+        loops[0].sweep_tick();
+        assert_eq!(scrapes(&loops[0]), 1);
+        for conn in loops[0].conns.values_mut() {
+            if let Role::Scrape(since) = &mut conn.role {
+                *since -= ops::IDLE_CAP + Duration::from_millis(1);
+            }
+        }
+        loops[0].sweep_tick();
+        assert_eq!(scrapes(&loops[0]), 0);
+        assert_eq!(
+            stalled.read(&mut [0u8; 16]).unwrap(),
+            0,
+            "closed unanswered"
+        );
     }
 }

@@ -11,7 +11,8 @@
 //! indices, replica ids, and the launch order globally consistent.
 //!
 //! Ownership is not static: the steering channel (see
-//! `server::dispatch` and the steering thread) leases never-issued
+//! [`crate::server`] — a timer on the event loop and one kept-open
+//! link per peer) leases never-issued
 //! workunits from a loaded shard to a drained one. Leases are
 //! journaled on both sides ([`crate::journal`]) and identified by
 //! [`lease_id`] so replay after a `kill -9` reconstructs a consistent
@@ -52,9 +53,11 @@ impl ShardSpec {
 
 /// How often a shard gossips its load picture to each peer, ms.
 pub const STEER_INTERVAL_MS: u64 = 100;
-/// Connect/read timeout of one steering exchange, ms. Gossip runs on a
-/// background thread, so a slow peer stalls only the next gossip tick,
-/// never the event loop.
+/// How long a steering link may make no progress, ms: a link whose
+/// oldest unanswered `ShardStatus` is this old is hung up and dialed
+/// afresh on the next steering tick, and a dial gets this long to
+/// connect. The link is one connection on the server's event loop, so a
+/// slow peer holds up nothing but its own link.
 pub const STEER_TIMEOUT_MS: u64 = 250;
 /// Most workunits one lease moves. Small chunks keep steering smooth:
 /// a drained shard asks again next tick if it drains again.
