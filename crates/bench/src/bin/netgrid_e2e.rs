@@ -229,6 +229,11 @@ struct ShardBenchRow {
     requests: usize,
     /// `Redirect` frames sent across all shards.
     redirects: u64,
+    /// Redirects the fleet's agents followed to the peer they named. The
+    /// first one an agent receives is always followed, so zero here with
+    /// `redirects` above zero is a driver that ignores the frame — the
+    /// binary exits 1 on it.
+    redirects_followed: u64,
     /// Work-stealing leases granted across all shards (the steal count).
     leases: u64,
     /// Workunits that moved shard-to-shard under those leases.
@@ -462,6 +467,7 @@ struct ShardedOutcome {
     /// sharded shutdown grace, so they are not a throughput clock).
     wall_seconds: f64,
     requests: usize,
+    redirects_followed: u64,
     merged_json: String,
 }
 
@@ -532,6 +538,7 @@ fn run_sharded_campaign(
     ShardedOutcome {
         merged_json: serde_json::to_string(&merged).expect("merged artifact serializes"),
         requests: fleet.request_latencies_ms.len(),
+        redirects_followed: fleet.redirects_followed,
         reports,
         wall_seconds,
     }
@@ -825,6 +832,7 @@ fn main() {
                         .collect(),
                     requests: o.requests,
                     redirects: o.reports.iter().map(|r| r.net_stats.shard_redirects).sum(),
+                    redirects_followed: o.redirects_followed,
                     leases: o.reports.iter().map(|r| r.net_stats.shard_leases_out).sum(),
                     leased_workunits: o
                         .reports
@@ -1033,13 +1041,14 @@ fn main() {
         for row in rows {
             println!(
                 "sharded: {} shards{} -> {:.1} wu/s aggregate ({:.2}x single-server {:.1}), \
-                 {} redirects, {} leases ({} wus stolen), merge matches single: {}",
+                 {} redirects ({} followed), {} leases ({} wus stolen), merge matches single: {}",
                 row.shards,
                 if row.trust { " (trust on)" } else { "" },
                 row.workunits_per_sec,
                 row.throughput_vs_single_frac,
                 report.shard_single_workunits_per_sec.unwrap_or(0.0),
                 row.redirects,
+                row.redirects_followed,
                 row.leases,
                 row.leased_workunits,
                 row.merged_matches_single,
@@ -1085,6 +1094,13 @@ fn main() {
     if !ok {
         eprintln!("netgrid_e2e: ERROR: merged output diverged from the baseline");
     }
+    let redirects_ignored = report.shard_campaigns.as_ref().is_some_and(|rows| {
+        rows.iter()
+            .any(|r| r.redirects > 0 && r.redirects_followed == 0)
+    });
+    if redirects_ignored {
+        eprintln!("netgrid_e2e: ERROR: shards sent redirects and the fleet followed none");
+    }
     if report.timeout_reissues == 0 || report.quorum_rejects == 0 {
         eprintln!("netgrid_e2e: WARNING: a fault path went unexercised this run");
     }
@@ -1104,7 +1120,7 @@ fn main() {
     }
     session.record_engine(report.requests as u64, 0, report.workunits as u64);
     session.finish();
-    if !ok {
+    if !ok || redirects_ignored {
         std::process::exit(1);
     }
 }

@@ -9,10 +9,11 @@
 //! the O(log n) sift of a binary heap, with no per-event allocation in
 //! steady state.
 //!
-//! The previous `BinaryHeap` engine survives as [`HeapQueue`]; both
-//! implement [`Scheduler`] and pop in exactly the same `(at, seq)`
-//! order, which the `sim_scale` bench and the engine-identity tests use
-//! to A/B the two implementations.
+//! A `BinaryHeap` engine, [`HeapQueue`], is the reference the wheel is
+//! checked against: both implement [`Scheduler`] and must pop in exactly
+//! the same `(at, seq)` order, which `tests/event_engine_identity.rs`,
+//! the wheel's proptest and the `sim_scale` bench assert. It is public
+//! because integration tests cannot see `#[cfg(test)]` items.
 
 use crate::wheel::TimingWheel;
 use std::collections::BinaryHeap;
@@ -264,9 +265,10 @@ impl<E> Scheduler<E> for EventQueue<E> {
     }
 }
 
-/// The original `BinaryHeap` engine, kept as the A/B baseline for the
-/// timing wheel (`sim_scale` bench, engine-identity tests). O(log n)
-/// schedule/pop with one comparison-heavy sift per operation.
+/// The `BinaryHeap` engine: the reference implementation the timing
+/// wheel's pop order is compared against (`sim_scale` bench,
+/// engine-identity tests). O(log n) schedule/pop with one
+/// comparison-heavy sift per operation.
 #[derive(Debug)]
 pub struct HeapQueue<E> {
     heap: BinaryHeap<ScheduledEvent<E>>,

@@ -26,8 +26,9 @@
 //! * a dedicated grid (Grid'5000-style) baseline for Table 2
 //!   ([`dedicated`]);
 //! * the discrete-event engine itself ([`event`]) — a hierarchical
-//!   timing wheel ([`wheel`]) with the original binary heap kept as an
-//!   A/B baseline — and deterministic splittable RNG streams ([`rng`]).
+//!   timing wheel ([`wheel`]) with a binary heap as the reference its
+//!   pop order is tested against — and deterministic splittable RNG
+//!   streams ([`rng`]).
 //!
 //! The top-level entry point is [`volunteer::VolunteerGridSim`]:
 //!

@@ -194,8 +194,6 @@ pub struct SchedulerCore {
     config: ServerConfig,
     states: Vec<WuState>,
     replicas: Vec<ReplicaState>,
-    /// Next never-issued workunit (launch order).
-    next_new: usize,
     /// Workunits needing another replica (errors, timeouts, quorum).
     reissue: VecDeque<u32>,
     /// Completed workunit count.
@@ -226,9 +224,9 @@ pub struct SchedulerCore {
     /// workunit; full campaigns have ~10⁵ workunits, far too many to log
     /// each. Override with `HCMD_TELEMETRY_SAMPLE=<stride>`.
     sample_stride: u64,
-    /// Shard-ownership mode; `None` (single server) on every pre-shard
-    /// path, preserving bit-identical scheduling decisions.
-    shard: Option<ShardOwnership>,
+    /// Which workunits this scheduler owns, and its launch-ordered queue
+    /// of never-issued ones — where every fresh issue comes from.
+    shard: ShardOwnership,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -238,20 +236,20 @@ enum ReissueCause {
     Error,
 }
 
-/// Shard-ownership state: which slice of the catalog this scheduler
-/// instance is responsible for, when a campaign is split across several
-/// servers (multi-server sharding). `None` on every single-server path,
-/// in which case the scheduler behaves exactly as before — the
-/// launch-order cursor (`next_new`) walks the whole catalog.
+/// Ownership state: which slice of the catalog this scheduler instance
+/// is responsible for. A single server is one shard of one — it owns
+/// every workunit and its queue is `0..n` in launch order; when a
+/// campaign is split across several servers each owns the slice its
+/// ownership map names.
 ///
-/// In shard mode the never-issued pool is an explicit launch-ordered
-/// queue instead of a cursor, because work-stealing leases mutate
-/// ownership mid-campaign: `lease_out` releases unissued workunits to a
-/// hungry peer and `lease_in` adopts them. Both are idempotent (a
-/// duplicate gossip frame re-applying a lease is a no-op), and only
-/// never-issued workunits can move — once a replica is out, the
-/// workunit's reissue/quorum lifecycle stays on the shard that issued
-/// it, so completion accounting never crosses shards.
+/// The never-issued pool is an explicit launch-ordered queue rather than
+/// a cursor because work-stealing leases mutate ownership mid-campaign:
+/// `lease_out` releases unissued workunits to a hungry peer and
+/// `lease_in` adopts them. Both are idempotent (a duplicate gossip frame
+/// re-applying a lease is a no-op), and only never-issued workunits can
+/// move — once a replica is out, the workunit's reissue/quorum lifecycle
+/// stays on the shard that issued it, so completion accounting never
+/// crosses shards.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardOwnership {
     /// Per-workunit: does this shard currently own it?
@@ -295,7 +293,6 @@ pub enum ReplicationOverride {
 pub struct CoreSnapshot {
     states: Vec<WuState>,
     replicas: Vec<ReplicaState>,
-    next_new: usize,
     reissue: Vec<u32>,
     reissue_causes: Vec<ReissueCause>,
     completed: usize,
@@ -305,7 +302,7 @@ pub struct CoreSnapshot {
     feeder_cache: Vec<(u32, Option<ReissueCause>)>,
     feeder_misses: u64,
     wasted_ref_seconds: f64,
-    shard: Option<ShardOwnership>,
+    shard: ShardOwnership,
 }
 
 impl ReissueCause {
@@ -353,10 +350,26 @@ impl ServerTelemetry {
 }
 
 impl SchedulerCore {
-    /// Creates a server over a launch-ordered workunit catalog.
+    /// Creates a server that owns every workunit of a launch-ordered
+    /// catalog: one shard of one.
     pub fn new(catalog: Vec<WorkunitCatalogEntry>, config: ServerConfig) -> Self {
+        let owned = vec![true; catalog.len()];
+        Self::with_ownership(catalog, config, owned)
+    }
+
+    /// Creates a server over the *full* launch-ordered catalog, owning
+    /// only the workunits where `owned[wu]` is true. The catalog stays
+    /// complete so replica/workunit indices agree across shards (and
+    /// with the single-server run); only issue eligibility is
+    /// restricted.
+    pub fn with_ownership(
+        catalog: Vec<WorkunitCatalogEntry>,
+        config: ServerConfig,
+        owned: Vec<bool>,
+    ) -> Self {
         assert!(!catalog.is_empty(), "campaign has no workunits");
         assert!(config.deadline_seconds > 0.0, "deadline must be positive");
+        assert_eq!(owned.len(), catalog.len(), "ownership map length");
         let n = catalog.len();
         let sample_stride = std::env::var("HCMD_TELEMETRY_SAMPLE")
             .ok()
@@ -374,11 +387,11 @@ impl SchedulerCore {
         };
         let reissue_capacity = if redundancy > 1 { (n / 4).max(64) } else { 64 };
         let feeder_capacity = config.feeder.map_or(0, |f| f.cache_size);
+        let fresh: VecDeque<u32> = (0..n as u32).filter(|&wu| owned[wu as usize]).collect();
         Self {
             config,
             states: vec![WuState::default(); n],
             replicas: Vec::with_capacity(n * redundancy),
-            next_new: 0,
             reissue: VecDeque::with_capacity(reissue_capacity),
             completed: 0,
             results_received: 0,
@@ -390,47 +403,15 @@ impl SchedulerCore {
             wasted_ref_seconds: 0.0,
             tele: ServerTelemetry::new(),
             sample_stride,
-            shard: None,
+            shard: ShardOwnership {
+                issued: vec![false; n],
+                owned_total: fresh.len(),
+                owned,
+                fresh,
+                issued_count: 0,
+            },
             catalog,
         }
-    }
-
-    /// Creates a sharded server over the *full* launch-ordered catalog,
-    /// owning only the workunits where `owned[wu]` is true. The catalog
-    /// stays complete so replica/workunit indices agree across shards
-    /// (and with the single-server run); only issue eligibility is
-    /// restricted. Shard mode does not support the feeder cache — the
-    /// feeder's refill pass walks the launch cursor, which shard mode
-    /// replaces with an ownership queue.
-    pub fn with_ownership(
-        catalog: Vec<WorkunitCatalogEntry>,
-        config: ServerConfig,
-        owned: Vec<bool>,
-    ) -> Self {
-        assert!(
-            config.feeder.is_none(),
-            "shard-ownership mode does not support the feeder cache"
-        );
-        assert_eq!(owned.len(), catalog.len(), "ownership map length");
-        let mut core = Self::new(catalog, config);
-        let fresh: VecDeque<u32> = owned
-            .iter()
-            .enumerate()
-            .filter(|(_, &o)| o)
-            .map(|(i, _)| i as u32)
-            .collect();
-        let owned_total = fresh.len();
-        // Park the launch cursor at the end: fresh issue flows through
-        // the ownership queue instead.
-        core.next_new = core.catalog.len();
-        core.shard = Some(ShardOwnership {
-            issued: vec![false; owned.len()],
-            owned,
-            fresh,
-            owned_total,
-            issued_count: 0,
-        });
-        core
     }
 
     /// Captures the scheduler's mutable state for comparison.
@@ -438,7 +419,6 @@ impl SchedulerCore {
         CoreSnapshot {
             states: self.states.clone(),
             replicas: self.replicas.clone(),
-            next_new: self.next_new,
             reissue: self.reissue.iter().copied().collect(),
             reissue_causes: self.reissue_causes.iter().copied().collect(),
             completed: self.completed,
@@ -479,9 +459,7 @@ impl SchedulerCore {
         while self.feeder_cache.len() < cache_size.min(self.feeder_cache.len() + n) {
             if let Some((wu, cause)) = self.pop_reissue() {
                 self.feeder_cache.push_back((wu, Some(cause)));
-            } else if self.next_new < self.catalog.len() {
-                let wu = self.next_new as u32;
-                self.next_new += 1;
+            } else if let Some(wu) = self.pop_fresh() {
                 if self.policy_at(now) == ValidationPolicy::QuorumCompare {
                     self.push_reissue(wu, ReissueCause::Quorum);
                 }
@@ -515,13 +493,9 @@ impl SchedulerCore {
         self.completed
     }
 
-    /// True when every workunit is validated — every *owned* workunit,
-    /// in shard mode.
+    /// True when every *owned* workunit is validated.
     pub fn is_campaign_complete(&self) -> bool {
-        match &self.shard {
-            Some(sh) => self.completed == sh.owned_total,
-            None => self.completed == self.catalog.len(),
-        }
+        self.completed == self.shard.owned_total
     }
 
     /// Catalog entry of a workunit.
@@ -621,73 +595,43 @@ impl SchedulerCore {
         Some(self.issue_replica(workunit))
     }
 
-    /// Pops the next never-issued workunit in launch order: the
-    /// `next_new` cursor on the single-server path, the ownership
-    /// queue in shard mode (skipping entries leased away, already
-    /// issued via a re-adoption duplicate, or completed).
+    /// Pops the next never-issued workunit in launch order off the
+    /// ownership queue, skipping entries leased away, already issued
+    /// via a re-adoption duplicate, or completed.
     fn pop_fresh(&mut self) -> Option<u32> {
-        match &mut self.shard {
-            None => {
-                if self.next_new < self.catalog.len() {
-                    let wu = self.next_new as u32;
-                    self.next_new += 1;
-                    Some(wu)
-                } else {
-                    None
-                }
+        let sh = &mut self.shard;
+        loop {
+            let wu = sh.fresh.pop_front()?;
+            let i = wu as usize;
+            if sh.owned[i] && !sh.issued[i] && !self.states[i].complete {
+                sh.issued[i] = true;
+                sh.issued_count += 1;
+                break Some(wu);
             }
-            Some(sh) => loop {
-                let wu = sh.fresh.pop_front()?;
-                let i = wu as usize;
-                if sh.owned[i] && !sh.issued[i] && !self.states[i].complete {
-                    sh.issued[i] = true;
-                    sh.issued_count += 1;
-                    break Some(wu);
-                }
-            },
         }
     }
 
-    /// Whether this scheduler runs in shard-ownership mode.
-    pub fn is_sharded(&self) -> bool {
-        self.shard.is_some()
-    }
-
-    /// Whether this scheduler currently owns `wu`. Always true on the
-    /// single-server path.
+    /// Whether this scheduler currently owns `wu`.
     pub fn owns(&self, wu: u32) -> bool {
-        match &self.shard {
-            Some(sh) => sh.owned[wu as usize],
-            None => true,
-        }
+        self.shard.owned[wu as usize]
     }
 
-    /// Currently-owned workunit count (the whole catalog when not
-    /// sharded).
+    /// Currently-owned workunit count.
     pub fn owned_count(&self) -> usize {
-        match &self.shard {
-            Some(sh) => sh.owned_total,
-            None => self.catalog.len(),
-        }
+        self.shard.owned_total
     }
 
     /// Owned workunits no replica has ever been issued for — the
     /// shard's stealable backlog.
     pub fn fresh_backlog(&self) -> usize {
-        match &self.shard {
-            Some(sh) => sh.owned_total - sh.issued_count,
-            None => self.catalog.len() - self.next_new,
-        }
+        self.shard.owned_total - self.shard.issued_count
     }
 
     /// Up to `max` workunits this shard could lease to a hungry peer:
     /// the *tail* of the launch-ordered ownership queue (the work this
-    /// shard would reach last), owned and never issued. Empty when not
-    /// sharded.
+    /// shard would reach last), owned and never issued.
     pub fn lease_candidates(&self, max: usize) -> Vec<u32> {
-        let Some(sh) = &self.shard else {
-            return Vec::new();
-        };
+        let sh = &self.shard;
         let mut out = Vec::with_capacity(max.min(8));
         for &wu in sh.fresh.iter().rev() {
             let i = wu as usize;
@@ -705,9 +649,7 @@ impl SchedulerCore {
     /// Idempotent: workunits already released, already issued here, or
     /// not owned are skipped. Returns how many actually moved.
     pub fn lease_out(&mut self, wus: &[u32]) -> usize {
-        let Some(sh) = &mut self.shard else {
-            return 0;
-        };
+        let sh = &mut self.shard;
         let mut moved = 0;
         for &wu in wus {
             let i = wu as usize;
@@ -725,9 +667,7 @@ impl SchedulerCore {
     /// gossip frame re-applying the same lease is a no-op. Returns how
     /// many actually moved.
     pub fn lease_in(&mut self, wus: &[u32]) -> usize {
-        let Some(sh) = &mut self.shard else {
-            return 0;
-        };
+        let sh = &mut self.shard;
         let mut moved = 0;
         for &wu in wus {
             let i = wu as usize;
@@ -981,25 +921,19 @@ impl SchedulerCore {
         }
     }
 
-    /// Workunit state counts for operator dashboards. `issued` counts
-    /// workunits with at least one replica ever created (issue order is
-    /// launch order, so that is exactly `0..next_new`); `quorum_pending`
-    /// are issued workunits holding a partial quorum (≥ 1 valid result,
-    /// not yet complete).
+    /// Workunit state counts for operator dashboards. `total` counts
+    /// owned workunits and `issued` those with at least one replica ever
+    /// created; `quorum_pending` are issued workunits holding a partial
+    /// quorum (≥ 1 valid result, not yet complete).
     pub fn wu_state_counts(&self) -> WuStateCounts {
-        // Launch order is issue order on the single-server path, so
-        // issued workunits are exactly `0..next_new`; shard mode issues
-        // out of the ownership queue and counts explicitly.
-        let (total, issued) = match &self.shard {
-            Some(sh) => (sh.owned_total, sh.issued_count),
-            None => (self.catalog.len(), self.next_new),
-        };
-        let quorum_pending = self.states[..self.next_new]
+        let issued = self.shard.issued_count;
+        let quorum_pending = self
+            .states
             .iter()
             .filter(|s| !s.complete && s.valid_results > 0)
             .count();
         WuStateCounts {
-            total,
+            total: self.shard.owned_total,
             issued,
             in_flight: issued - self.completed,
             quorum_pending,
@@ -1758,12 +1692,85 @@ mod shard_tests {
     #[test]
     fn sharded_core_issues_only_owned_workunits_in_launch_order() {
         let mut s = SchedulerCore::with_ownership(catalog(6), bounds_cfg(), owned_evens(6));
-        assert!(s.is_sharded());
+        assert!(s.owns(0) && !s.owns(1));
         assert_eq!(s.owned_count(), 3);
         assert_eq!(s.fresh_backlog(), 3);
         let issued: Vec<u32> =
             std::iter::from_fn(|| s.fetch_work(t(0.0)).map(|a| a.workunit)).collect();
         assert_eq!(issued, vec![0, 2, 4]);
+    }
+
+    /// `new` is `with_ownership` over an all-true map. The expected
+    /// counts are the launch cursor's, written down from a build that
+    /// still had one: quorum era, five workunits, a sibling, a rejection,
+    /// an expiry and a completion.
+    #[test]
+    fn a_solo_core_is_one_shard_of_one() {
+        let mut s = SchedulerCore::new(catalog(5), ServerConfig::default());
+        assert!((0..5).all(|wu| s.owns(wu)));
+        assert_eq!((s.owned_count(), s.fresh_backlog()), (5, 5));
+        assert_eq!(s.lease_candidates(2), vec![4, 3]);
+        let mut seen = Vec::new();
+        let mut note = |s: &SchedulerCore| {
+            let wu = s.wu_state_counts();
+            seen.push((
+                s.fresh_backlog(),
+                s.available_count(t(0.0)),
+                wu.issued,
+                wu.in_flight,
+                wu.quorum_pending,
+                wu.done,
+            ));
+        };
+        let a = s.fetch_work(t(0.0)).unwrap(); // wu 0
+        note(&s);
+        let b = s.fetch_work(t(0.0)).unwrap(); // wu 0, sibling
+        let c = s.fetch_work(t(0.0)).unwrap(); // wu 1
+        note(&s);
+        s.report_result(t(1.0), a.replica, false);
+        s.report_result(t(2.0), b.replica, true);
+        note(&s);
+        assert!(s.handle_timeout(c.replica));
+        let d = s.fetch_work(t(3.0)).unwrap(); // wu 1, sibling
+        let e = s.fetch_work(t(3.0)).unwrap(); // wu 0, error copy
+        assert_eq!((d.workunit, e.workunit), (1, 0));
+        s.report_result(t(4.0), e.replica, false);
+        note(&s);
+        let rest: Vec<u32> =
+            std::iter::from_fn(|| s.fetch_work(t(5.0)).map(|x| x.workunit)).collect();
+        assert_eq!(rest, vec![1, 2, 2, 3, 3, 4, 4], "launch order");
+        note(&s);
+        assert_eq!(
+            seen,
+            vec![
+                (4, 5, 1, 1, 0, 0),
+                (3, 4, 2, 2, 0, 0),
+                (3, 5, 2, 2, 1, 0),
+                (3, 4, 2, 1, 0, 1),
+                (0, 0, 5, 4, 0, 1),
+            ]
+        );
+        assert_eq!(s.wu_state_counts().total, 5);
+        assert!(!s.is_campaign_complete());
+    }
+
+    #[test]
+    fn the_feeder_refills_through_the_ownership_queue() {
+        let cfg = ServerConfig {
+            feeder: Some(FeederConfig {
+                cache_size: 2,
+                refill_batch: 8,
+            }),
+            ..bounds_cfg()
+        };
+        let mut s = SchedulerCore::with_ownership(catalog(8), cfg, owned_evens(8));
+        let mut issued = Vec::new();
+        for poll in 0..20 {
+            issued.extend(s.fetch_work(t(f64::from(poll))).map(|a| a.workunit));
+            assert!(s.feeder_cache.len() <= 2, "cache bound");
+        }
+        assert_eq!(issued, vec![0, 2, 4, 6], "owned only, launch order");
+        assert_eq!(s.fresh_backlog(), 0);
     }
 
     #[test]

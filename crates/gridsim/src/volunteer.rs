@@ -140,9 +140,9 @@ struct HostSlot {
 
 /// The simulator.
 ///
-/// Generic over the event engine so the timing-wheel [`EventQueue`]
-/// (the default) and the legacy [`crate::event::HeapQueue`] can be
-/// A/B-compared on identical campaigns; both satisfy the same `(at,
+/// Generic over the event engine so the identity tests can run one
+/// campaign on the timing-wheel [`EventQueue`] (the default) and on the
+/// reference [`crate::event::HeapQueue`]; both satisfy the same `(at,
 /// seq)` pop order, so the choice cannot change a trace.
 pub struct VolunteerGridSim<S: Scheduler<SimEvent> = EventQueue<SimEvent>> {
     config: VolunteerGridConfig,

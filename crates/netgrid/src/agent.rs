@@ -361,7 +361,7 @@ fn compute_workunit(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::protocol::{decode_versioned, CampaignParams, HEADER_BYTES, PROTOCOL_VERSION};
     use std::io::Read;
@@ -370,7 +370,7 @@ mod tests {
     use std::sync::Arc;
 
     /// A scripted server's listener on an ephemeral port, and its address.
-    fn listen() -> (TcpListener, String) {
+    pub(crate) fn listen() -> (TcpListener, String) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         (listener, addr)
@@ -385,7 +385,7 @@ mod tests {
         }
     }
 
-    fn redirect(shard: u16, addr: &str) -> Message {
+    pub(crate) fn redirect(shard: u16, addr: &str) -> Message {
         Message::Redirect {
             shard,
             addr: addr.to_string(),
@@ -402,7 +402,7 @@ mod tests {
     /// Plays a scripted session on `s`: `Hello` gets a tiny-campaign
     /// `HelloAck`, every `RequestWork` gets `on_ask()`, until the agent
     /// says `Bye` or drops the connection.
-    fn serve(s: &mut TcpStream, mut on_ask: impl FnMut() -> Message) {
+    pub(crate) fn serve(s: &mut TcpStream, mut on_ask: impl FnMut() -> Message) {
         loop {
             let reply = match read_message(s) {
                 Ok(Some(Message::Hello { .. })) => hello_ack(),

@@ -321,35 +321,22 @@ fn main() {
                 // A multi-campaign server writes one artifact per
                 // campaign as `<stem>.<name><ext>`, each byte-identical
                 // to a solo run of that campaign.
-                if report.campaigns.len() > 1 {
-                    for c in &report.campaigns {
-                        let per = campaign_out_path(path, &c.name);
-                        let json = if report.shard.shards > 1 {
-                            serde_json::to_string(&c.partial_outputs)
-                                .expect("DockingOutput serializes")
-                        } else {
-                            serde_json::to_string(&c.outputs).expect("DockingOutput serializes")
-                        };
-                        if let Err(e) = std::fs::write(&per, json) {
-                            eprintln!("hcmd-server: cannot write artifact {per}: {e}");
-                            telemetry::shutdown();
-                            std::process::exit(1);
-                        }
-                        println!("artifact for campaign {} written to {per}", c.name);
-                    }
-                } else {
-                    let json = if report.shard.shards > 1 {
-                        serde_json::to_string(&report.partial_outputs)
-                            .expect("DockingOutput serializes")
-                    } else {
-                        serde_json::to_string(&report.outputs).expect("DockingOutput serializes")
+                for c in &report.campaigns {
+                    let path = match report.campaigns.len() {
+                        1 => path.clone(),
+                        _ => campaign_out_path(path, &c.name),
                     };
-                    if let Err(e) = std::fs::write(path, json) {
+                    let json = match report.shard.shards {
+                        1 => serde_json::to_string(&c.outputs),
+                        _ => serde_json::to_string(&c.partial_outputs),
+                    }
+                    .expect("DockingOutput serializes");
+                    if let Err(e) = std::fs::write(&path, json) {
                         eprintln!("hcmd-server: cannot write artifact {path}: {e}");
                         telemetry::shutdown();
                         std::process::exit(1);
                     }
-                    println!("artifact written to {path}");
+                    println!("artifact for campaign {} written to {path}", c.name);
                 }
             }
             telemetry::shutdown();

@@ -8,12 +8,14 @@
 //! drives N agent state machines through nonblocking sockets on a
 //! single thread, mirroring the reference agent's protocol behaviour
 //! exactly — Hello/HelloAck, request → compute → report, Busy retries,
-//! server-directed backoff, and the same per-agent [`FaultDice`]
+//! server-directed backoff, cross-shard redirects (at most one followed
+//! per ask, home again when the target is dead, hangs up in the
+//! handshake or has no work), and the same per-agent [`FaultDice`]
 //! stream (disconnects, stalls past the deadline, corrupted payloads)
 //! folded into the state machine as timer events.
 //!
-//! Two deliberate departures from the reference agent, both chosen for
-//! scale rather than fidelity:
+//! Three deliberate departures from the reference agent, all chosen for
+//! scale rather than fidelity, and the only ones:
 //!
 //! * **Memoized docking.** Every unique workunit is computed once, on a
 //!   helper thread, and the result shared; a corrupting agent mutates
@@ -22,8 +24,9 @@
 //!   and a stalled compute on the driver thread would poison every
 //!   other agent's latency sample.
 //! * **Sessions close across backoffs.** The reference agent sleeps on
-//!   an open socket; here an agent told `NoWork` says `Bye`, closes,
-//!   and reconnects when its backoff expires. That is how periodic
+//!   an open socket; here an agent told `NoWork` (or redirected a second
+//!   time for one ask) says `Bye`, closes, and reconnects when its
+//!   backoff expires. That is how periodic
 //!   BOINC volunteers actually behave, and it keeps the peak open-fd
 //!   count under [`MuxFleetConfig::max_open`] — a 10k-agent loopback
 //!   run owns *both* ends of every socket, which would otherwise need
@@ -135,6 +138,8 @@ pub struct MuxFleetReport {
     pub saw_completion: bool,
     /// Connections the fleet opened over its lifetime.
     pub connections: u64,
+    /// Cross-shard redirects followed (sharded servers only).
+    pub redirects_followed: u64,
 }
 
 /// One simulated agent's protocol position.
@@ -179,6 +184,13 @@ struct MuxAgent {
     dice: FaultDice,
     state: AState,
     conn: Option<MuxConn>,
+    /// Where the next session dials when that is not the agent's home
+    /// shard: the peer a `Redirect` named.
+    away: Option<String>,
+    /// A redirect was followed for the current ask. At most one is, so
+    /// two drained shards pointing at each other cannot trap an agent
+    /// in a loop.
+    bounced: bool,
 }
 
 struct MuxConn {
@@ -223,6 +235,10 @@ const DISCONNECT_PAUSE: Duration = Duration::from_millis(20);
 
 /// Reconnect delay after an unexpected socket error.
 const ERROR_PAUSE: Duration = Duration::from_millis(50);
+
+/// Backoff after a second `Redirect` for one ask (the reference agent's
+/// 100 ms sleep before it asks the same server again).
+const REDIRECT_PAUSE: Duration = Duration::from_millis(100);
 
 /// Connector-pool width. Dialing is blocking (a dropped SYN under
 /// backlog pressure stalls `connect` for a full retransmit timeout),
@@ -299,6 +315,8 @@ impl Driver {
                     dice: FaultDice::new(config.seed, id, profile),
                     state: AState::Offline { until: start },
                     conn: None,
+                    away: None,
+                    bounced: false,
                 }
             })
             .collect();
@@ -501,7 +519,7 @@ impl Driver {
                     budget -= 1;
                     self.pending_connects += 1;
                     self.agents[idx].state = AState::Connecting;
-                    let addr = self.home_addr(idx).to_string();
+                    let addr = self.dial_addr(idx).to_string();
                     if self.dial_tx.send((idx, addr)).is_err() {
                         // Connector pool gone (only on teardown): retry
                         // later so the state machine stays coherent.
@@ -516,14 +534,25 @@ impl Driver {
         }
     }
 
-    /// The shard this agent calls home: round-robin over `addrs` when a
-    /// sharded topology is configured, else the single `addr`.
-    fn home_addr(&self, idx: usize) -> &str {
-        if self.config.addrs.is_empty() {
+    /// Where this agent's next session dials: the peer it was
+    /// redirected to, else the shard it calls home — round-robin over
+    /// `addrs` when a sharded topology is configured, else the single
+    /// `addr`.
+    fn dial_addr(&self, idx: usize) -> &str {
+        if let Some(peer) = &self.agents[idx].away {
+            peer
+        } else if self.config.addrs.is_empty() {
             &self.config.addr
         } else {
             &self.config.addrs[idx % self.config.addrs.len()]
         }
+    }
+
+    /// Points the agent's next dial back at its home shard, which tracks
+    /// global completion and can re-steer. True if it was away.
+    fn fall_home(&mut self, idx: usize) -> bool {
+        self.agents[idx].bounced = false;
+        self.agents[idx].away.take().is_some()
     }
 
     /// Collects dialed sockets from the connector pool and installs
@@ -536,11 +565,7 @@ impl Driver {
             }
             match dialed {
                 Ok(stream) => self.install_conn(idx, stream),
-                Err(_) => {
-                    self.agents[idx].state = AState::Offline {
-                        until: Instant::now() + ERROR_PAUSE,
-                    };
-                }
+                Err(_) => self.lose_session(idx),
             }
         }
     }
@@ -567,7 +592,7 @@ impl Driver {
         self.open += 1;
         self.report.connections += 1;
         if self.poller.register(fd, true, false).is_err() {
-            self.drop_session(idx, ERROR_PAUSE);
+            self.lose_session(idx);
             return;
         }
         if let Some(c) = self.agents[idx].conn.as_mut() {
@@ -575,6 +600,9 @@ impl Driver {
         }
         let threads = 1u32;
         let id = self.agents[idx].id;
+        // Before the frame is queued: a peer that resets under the Hello
+        // already hung up in the handshake.
+        self.agents[idx].state = AState::Greeting;
         self.queue_frame(
             idx,
             &Message::Hello {
@@ -583,7 +611,6 @@ impl Driver {
                 campaigns: self.config.campaigns.clone(),
             },
         );
-        self.agents[idx].state = AState::Greeting;
     }
 
     /// Encodes `msg` onto the agent's connection and flushes what fits;
@@ -595,7 +622,7 @@ impl Driver {
         };
         conn.write_buf.extend_from_slice(&frame);
         if conn.flush().is_err() {
-            self.drop_session(idx, ERROR_PAUSE);
+            self.lose_session(idx);
             return;
         }
         self.update_interest(idx);
@@ -657,6 +684,16 @@ impl Driver {
         }
     }
 
+    /// The reply to this agent's ask arrived: releases its slot and
+    /// records the round trip.
+    fn ask_answered(&mut self, idx: usize) {
+        if let Some(asked) = self.end_ask(idx) {
+            self.report
+                .request_latencies_ms
+                .push(asked.elapsed().as_secs_f64() * 1e3);
+        }
+    }
+
     /// Admits parked asks as in-flight slots free up (once per driver
     /// iteration, so reply handlers never re-enter each other).
     fn pump_asks(&mut self) {
@@ -675,8 +712,24 @@ impl Driver {
         }
     }
 
-    /// Socket loss mid-session: close and schedule a reconnect, exactly
-    /// like the reference agent's `continue 'session`.
+    /// A session lost to a failed dial, a socket error or a confused
+    /// peer: pause, then dial the same server again. A redirect target
+    /// that is dead, or hangs up before its `HelloAck`, finished its
+    /// drain and closed between gossip ticks — not a dead campaign: the
+    /// agent falls home at once instead.
+    fn lose_session(&mut self, idx: usize) {
+        let state = &self.agents[idx].state;
+        let unmet = matches!(state, AState::Connecting | AState::Greeting);
+        let pause = if unmet && self.fall_home(idx) {
+            Duration::ZERO
+        } else {
+            ERROR_PAUSE
+        };
+        self.drop_session(idx, pause);
+    }
+
+    /// Closes the session and schedules a reconnect, exactly like the
+    /// reference agent's `continue 'session`.
     fn drop_session(&mut self, idx: usize, pause: Duration) {
         self.end_ask(idx);
         self.disconnect(idx);
@@ -719,13 +772,13 @@ impl Driver {
                     }
                     Err(DecodeError::Incomplete { .. }) => break,
                     Err(_) => {
-                        self.drop_session(idx, ERROR_PAUSE);
+                        self.lose_session(idx);
                         return;
                     }
                 }
             }
             if lost && self.agents[idx].conn.is_some() {
-                self.drop_session(idx, ERROR_PAUSE);
+                self.lose_session(idx);
                 return;
             }
         }
@@ -734,7 +787,7 @@ impl Driver {
                 return;
             };
             if conn.flush().is_err() {
-                self.drop_session(idx, ERROR_PAUSE);
+                self.lose_session(idx);
                 return;
             }
         }
@@ -771,16 +824,21 @@ impl Driver {
                 campaign_complete,
                 retry_after_ms,
             } => {
-                if let Some(asked) = self.end_ask(idx) {
-                    self.report
-                        .request_latencies_ms
-                        .push(asked.elapsed().as_secs_f64() * 1e3);
-                }
+                self.ask_answered(idx);
+                self.agents[idx].bounced = false;
                 if campaign_complete {
                     self.queue_frame(idx, &Message::Bye);
                     self.disconnect(idx);
                     self.agents[idx].state = AState::Done;
                     self.complete = true;
+                    return;
+                }
+                // A drained redirect target with the campaign still open
+                // is the home shard's problem, not this peer's: fall home
+                // rather than camping on the peer.
+                if self.fall_home(idx) {
+                    self.queue_frame(idx, &Message::Bye);
+                    self.drop_session(idx, Duration::ZERO);
                     return;
                 }
                 // Unlike the reference agent, release the socket across
@@ -794,6 +852,24 @@ impl Driver {
                 self.queue_frame(idx, &Message::Bye);
                 self.drop_session(idx, Duration::from_millis(base + jitter));
             }
+            Message::Redirect { addr: peer, .. } => {
+                self.ask_answered(idx);
+                let pause = if self.agents[idx].bounced || peer == self.dial_addr(idx) {
+                    // Already followed one redirect for this ask (or the
+                    // server pointed at itself): back off and ask the
+                    // same server again instead of chasing pointers
+                    // around a ring of drained shards.
+                    self.agents[idx].bounced = false;
+                    REDIRECT_PAUSE
+                } else {
+                    self.report.redirects_followed += 1;
+                    self.agents[idx].bounced = true;
+                    self.agents[idx].away = Some(peer);
+                    Duration::ZERO
+                };
+                self.queue_frame(idx, &Message::Bye);
+                self.drop_session(idx, pause);
+            }
             Message::Assignment {
                 replica,
                 workunit,
@@ -802,11 +878,8 @@ impl Driver {
                 campaign,
                 ..
             } => {
-                if let Some(asked) = self.end_ask(idx) {
-                    self.report
-                        .request_latencies_ms
-                        .push(asked.elapsed().as_secs_f64() * 1e3);
-                }
+                self.ask_answered(idx);
+                self.agents[idx].bounced = false;
                 self.report.assignments += 1;
                 let action = self.agents[idx].dice.draw();
                 if action == FaultAction::Disconnect {
@@ -847,7 +920,7 @@ impl Driver {
             }
             // Agent-to-server frames or a second HelloAck mean a
             // confused peer: start the session over.
-            _ => self.drop_session(idx, ERROR_PAUSE),
+            _ => self.lose_session(idx),
         }
     }
 
@@ -873,7 +946,7 @@ impl Driver {
                 let Some(params) = self.roster.get(usize::from(campaign)).map(Arc::clone) else {
                     // HelloAck always precedes assignments; defensive.
                     self.cache.remove(&key);
-                    self.drop_session(idx, ERROR_PAUSE);
+                    self.lose_session(idx);
                     return;
                 };
                 if self
@@ -883,7 +956,7 @@ impl Driver {
                 {
                     // Compute pool gone (only on teardown).
                     self.cache.remove(&key);
-                    self.drop_session(idx, ERROR_PAUSE);
+                    self.lose_session(idx);
                 }
             }
         }
@@ -921,6 +994,50 @@ mod tests {
         assert!(fleet.saw_completion, "fleet should see completion");
         assert!(fleet.assignments > 0 && fleet.reported > 0);
         assert!(!fleet.request_latencies_ms.is_empty());
+        let baseline = NetCampaign::build(params).baseline_outputs();
+        assert_eq!(
+            serde_json::to_string(&run.outputs).unwrap(),
+            serde_json::to_string(&baseline).unwrap(),
+            "merged artifact must match the baseline"
+        );
+    }
+
+    /// A redirected simulated volunteer goes where it is sent, like the
+    /// reference agent: home answers its ask with a `Redirect` to a real
+    /// server and never serves it again, so the campaign finishes only
+    /// if the agent dials the peer and stays there while it has work.
+    #[test]
+    fn a_mux_agent_follows_a_redirect_to_where_the_work_is() {
+        use crate::agent::tests::{listen, redirect, serve};
+        let config = NetServerConfig {
+            sweep_ms: 25,
+            ..NetServerConfig::loopback(5.0)
+        };
+        let params = config.campaign;
+        let peer = NetServer::bind(config).expect("bind");
+        let peer_addr = peer.local_addr().expect("addr").to_string();
+        let peer = thread::spawn(move || peer.run());
+        let (home, home_addr) = listen();
+        let home = thread::spawn(move || {
+            let (mut s, _) = home.accept().unwrap();
+            drop(home);
+            let mut asks = 0;
+            serve(&mut s, || {
+                asks += 1;
+                redirect(1, &peer_addr)
+            });
+            asks
+        });
+
+        let fleet = run_mux_fleet(MuxFleetConfig {
+            timeout: Duration::from_secs(60),
+            ..MuxFleetConfig::new(home_addr, 1)
+        })
+        .expect("fleet ran");
+        assert!(fleet.saw_completion, "the agent never left home: {fleet:?}");
+        assert_eq!(fleet.redirects_followed, 1);
+        assert_eq!(home.join().unwrap(), 1, "one ask at home, then the peer");
+        let run = peer.join().unwrap().expect("server ran");
         let baseline = NetCampaign::build(params).baseline_outputs();
         assert_eq!(
             serde_json::to_string(&run.outputs).unwrap(),

@@ -541,12 +541,46 @@ impl Dialer {
     }
 }
 
+/// What a failed `accept` says about the listener it was called on.
+#[derive(Debug, PartialEq, Eq)]
+enum AcceptFailure {
+    /// That one connection died in the backlog; the listener is fine.
+    Connection,
+    /// The process or the host is out of descriptors or buffers
+    /// (EMFILE, ENFILE, ENOBUFS, ENOMEM): the backlog stays, and stays
+    /// readable, until something is closed.
+    Exhausted,
+    /// Anything else: the listener itself is broken.
+    Listener,
+}
+
+impl AcceptFailure {
+    fn of(e: &io::Error) -> Self {
+        const ENOMEM: i32 = 12;
+        const ENFILE: i32 = 23;
+        const EMFILE: i32 = 24;
+        const ENOBUFS: i32 = 105;
+        match (e.kind(), e.raw_os_error()) {
+            (io::ErrorKind::ConnectionAborted | io::ErrorKind::ConnectionReset, _) => {
+                Self::Connection
+            }
+            (_, Some(ENOMEM | ENFILE | EMFILE | ENOBUFS)) => Self::Exhausted,
+            _ => Self::Listener,
+        }
+    }
+}
+
 /// The readiness loop: the grid, the peer picture, every connection and
 /// every timer, owned by value and stepped by one thread.
 struct EventLoop {
     listener: TcpListener,
     /// The observability listener, when `ops_addr` is configured.
     ops_listener: Option<TcpListener>,
+    /// Listeners (task, ops) whose read interest is off until the next
+    /// sweep tick because an `accept` found resources exhausted. The
+    /// poller is level-triggered: left armed, a backlog that cannot be
+    /// accepted would make every turn a failed `accept`.
+    accept_paused: [bool; 2],
     grid: MultiGrid,
     /// This server's place among its peers; one shard of one when the
     /// configuration names no topology.
@@ -645,6 +679,7 @@ impl EventLoop {
         let mut ev = Self {
             listener,
             ops_listener,
+            accept_paused: [false; 2],
             boards: (0..grid.len())
                 .map(|_| ShardBoard::new(topo.spec.shards))
                 .collect(),
@@ -766,9 +801,18 @@ impl EventLoop {
     }
 
     /// One sweep tick: expire deadlines, settle the journal's fsync
-    /// debt, notice campaign completion, and close scrapes that have
-    /// sat past the idle cap.
+    /// debt, notice campaign completion, re-arm listeners an exhausted
+    /// `accept` paused, and close scrapes that have sat past the idle
+    /// cap.
     fn sweep_tick(&mut self) {
+        let listeners = [Some(&self.listener), self.ops_listener.as_ref()];
+        for (listener, paused) in listeners.into_iter().zip(&mut self.accept_paused) {
+            if let (Some(listener), true) = (listener, *paused) {
+                // Stays paused, for the next tick to retry, if it fails.
+                let armed = self.poller.reregister(listener.as_raw_fd(), true, false);
+                *paused = armed.is_err();
+            }
+        }
         let now = self.now();
         self.grid.sweep(now);
         self.grid.flush_journals();
@@ -874,22 +918,44 @@ impl EventLoop {
         }
     }
 
+    /// The ops listener when `ops` (and one is configured), else the
+    /// task listener.
+    fn listener(&self, ops: bool) -> &TcpListener {
+        match &self.ops_listener {
+            Some(listener) if ops => listener,
+            _ => &self.listener,
+        }
+    }
+
+    /// Takes a listener's read interest off until the next sweep tick.
+    fn pause_accepts(&mut self, ops: bool) -> io::Result<()> {
+        let fd = self.listener(ops).as_raw_fd();
+        self.poller.reregister(fd, false, false)?;
+        self.accept_paused[usize::from(ops)] = true;
+        Ok(())
+    }
+
     /// Drains a listener: accept every pending connection. On the task
     /// listener anything over the limit is brushed off with a `Busy`
-    /// frame; on the ops listener every connection is one scrape.
+    /// frame; on the ops listener every connection is one scrape. A
+    /// connection that fails by itself is dropped, exhaustion costs one
+    /// failed `accept` per sweep tick, and only a broken listener ends
+    /// the server.
     fn accept_ready(&mut self, ops: bool) -> io::Result<()> {
         loop {
-            let listener = match &self.ops_listener {
-                Some(listener) if ops => listener,
-                _ => &self.listener,
-            };
-            let (stream, _peer) = match listener.accept() {
+            let (stream, _peer) = match self.listener(ops).accept() {
                 Ok(pair) => pair,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
+                Err(e) => match AcceptFailure::of(&e) {
+                    AcceptFailure::Connection => continue,
+                    AcceptFailure::Exhausted => return self.pause_accepts(ops),
+                    AcceptFailure::Listener => return Err(e),
+                },
             };
-            stream.set_nonblocking(true)?;
+            if stream.set_nonblocking(true).is_err() {
+                continue;
+            }
             let _ = stream.set_nodelay(true);
             let fd = stream.as_raw_fd();
             if ops {
@@ -1422,6 +1488,56 @@ mod tests {
             }
             std::thread::yield_now();
         }
+    }
+
+    #[test]
+    fn a_failed_accept_is_the_connection_the_moment_or_the_listener() {
+        let os = io::Error::from_raw_os_error;
+        for errno in [103, 104] {
+            // ECONNABORTED, ECONNRESET
+            assert_eq!(AcceptFailure::of(&os(errno)), AcceptFailure::Connection);
+        }
+        for errno in [12, 23, 24, 105] {
+            assert_eq!(AcceptFailure::of(&os(errno)), AcceptFailure::Exhausted);
+        }
+        for errno in [9, 22, 88, 95] {
+            // EBADF, EINVAL, ENOTSOCK, EOPNOTSUPP
+            assert_eq!(AcceptFailure::of(&os(errno)), AcceptFailure::Listener);
+        }
+        let made_up = io::Error::other("no errno");
+        assert_eq!(AcceptFailure::of(&made_up), AcceptFailure::Listener);
+    }
+
+    /// A paused listener leaves its backlog alone — no accept, failed or
+    /// otherwise, until a sweep tick re-arms it — and loses nothing.
+    #[test]
+    fn a_paused_listener_accepts_again_after_the_next_sweep_tick() {
+        let config = NetServerConfig {
+            ops_addr: Some("127.0.0.1:0".into()),
+            ..NetServerConfig::loopback(5.0)
+        };
+        let mut ev = open(listener(), &config);
+        let ops_addr = addr_of(ev.ops_listener.as_ref().unwrap());
+        ev.pause_accepts(false).unwrap();
+        ev.pause_accepts(true).unwrap();
+        let _agent = TcpStream::connect(addr_of(&ev.listener)).unwrap();
+        let mut scraper = TcpStream::connect(ops_addr).unwrap();
+        scraper.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").unwrap();
+        scraper.set_nonblocking(true).unwrap();
+        let mut reply = Vec::new();
+        for _ in 0..50 {
+            ev.turn(Duration::from_millis(1)).unwrap();
+            let _ = scraper.read_to_end(&mut reply);
+        }
+        assert_eq!((ev.connections, reply.len()), (0, 0), "both paused");
+
+        ev.sweep_tick();
+        assert_eq!(ev.accept_paused, [false; 2]);
+        let loops = &mut [ev];
+        spin(loops, |loops| {
+            let _ = scraper.read_to_end(&mut reply);
+            loops[0].connections == 1 && reply.starts_with(b"HTTP/1.1 200")
+        });
     }
 
     /// The far end of a connection to a loop under test, driven by the

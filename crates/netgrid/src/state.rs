@@ -342,6 +342,33 @@ pub struct OpsSnapshot {
     pub cross_quarantine_denials: u64,
 }
 
+/// What the server holds for one in-flight replica.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+struct InFlight {
+    /// The agent the replica was assigned to — a report carries no
+    /// agent id on the wire, so this is how it is attributed.
+    agent: u64,
+    /// Absolute deadline, server-clock seconds.
+    deadline: f64,
+    /// For a spot-check replica, the agent whose single it audits.
+    suspect: Option<u64>,
+}
+
+/// What the server holds for one agent.
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+struct AgentBook {
+    /// Assignment/report accounting for the ops endpoint (advisory).
+    ledger: AgentLedger,
+    /// Consecutive empty fetches (drives backoff).
+    misses: u32,
+    /// Accept/reject history driving the replication bands; stays at
+    /// its default, and is never shown, with the trust policy off.
+    trust: AgentTrust,
+    /// This agent's accepted singles not yet independently confirmed —
+    /// the set a failed spot check of it retracts retroactively.
+    unverified: Vec<u32>,
+}
+
 /// The live grid's server state (scheduling + validation + payloads),
 /// with time as an explicit argument.
 pub struct GridState {
@@ -359,53 +386,43 @@ pub struct GridState {
     /// advertised back to each grantor so both books converge after a
     /// crash on either side.
     leases_held: HashMap<u64, Vec<u32>>,
-    /// Outstanding (issued, unreported, unexpired) replicas → absolute
-    /// deadline in seconds.
-    outstanding: HashMap<u64, f64>,
-    /// Replicas that have reported (wire-level dedup; the core panics on
-    /// double reports).
-    reported: std::collections::HashSet<u64>,
+    /// In-flight (issued, unreported, unexpired) replicas. `fetch`
+    /// inserts, `report` and `sweep` remove: a replica that is in
+    /// neither this map nor `lapsed` has reported (or was never issued),
+    /// which is the wire-level dedup the core needs — it panics on double
+    /// reports. Nothing replica-keyed outlives the report.
+    in_flight: HashMap<u64, InFlight>,
+    /// Replicas `sweep` expired that have not reported, → the agent they
+    /// were assigned to. A late report can still complete its workunit
+    /// and must still be credited, so the attribution is kept; the
+    /// deadline and audit role are not (an expired audit replica that
+    /// reports after all is an ordinary surplus copy).
+    lapsed: HashMap<u64, u64>,
     /// Quorum candidates per incomplete workunit: payload fingerprint
-    /// and the reporting agent (`u64::MAX` when the replica was never
-    /// attributed) so quorum partners earn trust credit when their pair
-    /// completes. Fingerprints only: the accepted artifact is the copy
-    /// the completing reporter sent, so a candidate's payload is never
-    /// needed again, and a flood of wrong results costs 16 bytes each.
+    /// and the reporting agent, so quorum partners earn trust credit
+    /// when their pair completes. Fingerprints only: the accepted
+    /// artifact is the copy the completing reporter sent, so a
+    /// candidate's payload is never needed again, and a flood of wrong
+    /// results costs 16 bytes each.
     candidates: HashMap<u32, Vec<(u64, u64)>>,
     /// The validated output per workunit, in catalog order.
     accepted: Vec<Option<DockingOutput>>,
-    /// Consecutive empty fetches per agent (drives backoff).
-    misses: HashMap<u64, u32>,
-    /// Which agent holds each issued replica — lets a report (which
-    /// carries no agent id on the wire) be attributed back to the agent
-    /// the replica was assigned to. Part of [`GridSnapshot`] with the
-    /// trust ledger: trust credit flows through this map, so a restart
-    /// must reconstruct it exactly.
-    replica_agent: HashMap<u64, u64>,
-    /// Per-agent accept/reject history driving the replication bands.
-    /// Trust decisions change scheduling, so they must survive
-    /// `kill -9`: the ledgers change only inside journaled transitions.
-    agent_trust: HashMap<u64, AgentTrust>,
-    /// Trusted agents' accepted singles not yet independently
-    /// confirmed, per suspect agent — the set a failed spot check
-    /// retracts retroactively.
-    unverified: HashMap<u64, Vec<u32>>,
+    /// Everything kept per agent that ever asked for work. Trust
+    /// decisions change scheduling, so they must survive `kill -9`: a
+    /// book changes only inside journaled transitions.
+    agents: HashMap<u64, AgentBook>,
     /// Spot checks awaiting an independent agent: (workunit, suspect).
     spot_queue: VecDeque<(u32, u64)>,
-    /// Spot-check replicas in flight: replica → (workunit, suspect).
-    spot_outstanding: HashMap<u64, (u32, u64)>,
-    /// Per-agent assignment/report accounting for the ops endpoint.
-    /// Advisory (not part of [`GridSnapshot`]), and rebuilt by journal
-    /// replay like everything else.
-    agents: HashMap<u64, AgentLedger>,
+    /// Spot-check replicas in flight (the `in_flight` entries with a
+    /// suspect), counted so the completion gate need not scan for them.
+    spots_in_flight: usize,
     /// Wire-level counters.
     pub net_stats: NetStats,
     /// Latest server-clock second any entry point has seen — the resume
     /// offset a journaled restart continues the clock from.
     last_now: f64,
     /// Write-ahead journal, when durability is on. Lives inside the
-    /// state (behind the server's state lock), so wal order is exactly
-    /// the transition apply order.
+    /// state, so wal order is exactly the transition apply order.
     journal: Option<Journal>,
     tele: Tele,
 }
@@ -418,19 +435,15 @@ pub struct GridState {
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct GridSnapshot {
     core: CoreSnapshot,
-    outstanding: Vec<(u64, f64)>,
-    reported: Vec<u64>,
+    in_flight: Vec<(u64, InFlight)>,
+    lapsed: Vec<(u64, u64)>,
     /// `(fingerprint, reporting agent)` per candidate, per workunit.
     candidates: Vec<(u32, Vec<(u64, u64)>)>,
     accepted: Vec<Option<DockingOutput>>,
-    misses: Vec<(u64, u32)>,
+    agents: Vec<(u64, AgentBook)>,
     net_stats: NetStats,
     last_now: f64,
-    replica_agent: Vec<(u64, u64)>,
-    agent_trust: Vec<(u64, AgentTrust)>,
-    unverified: Vec<(u64, Vec<u32>)>,
     spot_queue: Vec<(u32, u64)>,
-    spot_outstanding: Vec<(u64, (u32, u64))>,
     shard: ShardSpec,
     leases_granted: Vec<(u64, (u16, Vec<u32>))>,
     leases_held: Vec<(u64, Vec<u32>)>,
@@ -449,30 +462,21 @@ impl GridState {
         faults: ServerFaults,
         shard: ShardSpec,
     ) -> Self {
-        let core = if shard.shards > 1 {
-            let owned = shard::ownership_map(campaign, shard);
-            SchedulerCore::with_ownership(campaign.catalog(), config, owned)
-        } else {
-            SchedulerCore::new(campaign.catalog(), config)
-        };
+        let owned = shard::ownership_map(campaign, shard);
         Self {
-            core,
+            core: SchedulerCore::with_ownership(campaign.catalog(), config, owned),
             faults,
             ranges: ValueRanges::default(),
             shard,
             leases_granted: HashMap::new(),
             leases_held: HashMap::new(),
-            outstanding: HashMap::new(),
-            reported: std::collections::HashSet::new(),
+            in_flight: HashMap::new(),
+            lapsed: HashMap::new(),
             candidates: HashMap::new(),
             accepted: vec![None; campaign.len()],
-            misses: HashMap::new(),
-            replica_agent: HashMap::new(),
-            agent_trust: HashMap::new(),
-            unverified: HashMap::new(),
-            spot_queue: VecDeque::new(),
-            spot_outstanding: HashMap::new(),
             agents: HashMap::new(),
+            spot_queue: VecDeque::new(),
+            spots_in_flight: 0,
             net_stats: NetStats::default(),
             last_now: 0.0,
             journal: None,
@@ -499,33 +503,21 @@ impl GridState {
 
     /// Captures the complete state for comparison; see [`GridSnapshot`].
     pub fn snapshot(&self) -> GridSnapshot {
-        fn sorted<V: Clone>(map: &HashMap<u64, V>) -> Vec<(u64, V)> {
-            let mut v: Vec<(u64, V)> = map.iter().map(|(&k, v)| (k, v.clone())).collect();
+        fn sorted<K: Copy + Ord, V: Clone>(map: &HashMap<K, V>) -> Vec<(K, V)> {
+            let mut v: Vec<(K, V)> = map.iter().map(|(&k, v)| (k, v.clone())).collect();
             v.sort_by_key(|&(k, _)| k);
             v
         }
-        let mut reported: Vec<u64> = self.reported.iter().copied().collect();
-        reported.sort_unstable();
-        let mut candidates: Vec<(u32, Vec<(u64, u64)>)> = self
-            .candidates
-            .iter()
-            .map(|(&wu, v)| (wu, v.clone()))
-            .collect();
-        candidates.sort_by_key(|&(wu, _)| wu);
         GridSnapshot {
             core: self.core.snapshot(),
-            outstanding: sorted(&self.outstanding),
-            reported,
-            candidates,
+            in_flight: sorted(&self.in_flight),
+            lapsed: sorted(&self.lapsed),
+            candidates: sorted(&self.candidates),
             accepted: self.accepted.clone(),
-            misses: sorted(&self.misses),
+            agents: sorted(&self.agents),
             net_stats: self.net_stats,
             last_now: self.last_now,
-            replica_agent: sorted(&self.replica_agent),
-            agent_trust: sorted(&self.agent_trust),
-            unverified: sorted(&self.unverified),
             spot_queue: self.spot_queue.iter().copied().collect(),
-            spot_outstanding: sorted(&self.spot_outstanding),
             shard: self.shard,
             leases_granted: sorted(&self.leases_granted),
             leases_held: sorted(&self.leases_held),
@@ -566,12 +558,10 @@ impl GridState {
 
     /// True once every workunit has validated *and* no spot check is
     /// queued or in flight — a campaign does not finish with audits of
-    /// its single-replica results unresolved. (Both sets are empty when
+    /// its single-replica results unresolved. (There are no audits when
     /// trust is off, so this is the core's own gate then.)
     pub fn is_campaign_complete(&self) -> bool {
-        self.core.is_campaign_complete()
-            && self.spot_queue.is_empty()
-            && self.spot_outstanding.is_empty()
+        self.core.is_campaign_complete() && self.spot_queue.is_empty() && self.spots_in_flight == 0
     }
 
     /// Donated reference CPU seconds spent on results that never became
@@ -591,7 +581,7 @@ impl GridState {
             return None;
         }
         let mut summary = TrustSummary::default();
-        for trust in self.agent_trust.values() {
+        for AgentBook { trust, .. } in self.agents.values() {
             match trust.band(self.last_now, &cfg) {
                 TrustBand::Trusted => summary.trusted += 1,
                 TrustBand::Probation => summary.probation += 1,
@@ -610,7 +600,8 @@ impl GridState {
     /// The trust ledger of one agent, when trust is on and the agent
     /// has history.
     pub fn agent_trust(&self, agent: u64) -> Option<AgentTrust> {
-        self.agent_trust.get(&agent).copied()
+        let book = self.agents.get(&agent)?;
+        self.faults.trust.enabled.then_some(book.trust)
     }
 
     /// The trust policy this state runs under.
@@ -628,8 +619,11 @@ impl GridState {
     /// The full trust ledger, sorted by agent id; empty when trust is
     /// off (end-of-run reporting and the restart regression tests).
     pub fn agent_trust_table(&self) -> Vec<(u64, AgentTrust)> {
+        if !self.faults.trust.enabled {
+            return Vec::new();
+        }
         let mut v: Vec<(u64, AgentTrust)> =
-            self.agent_trust.iter().map(|(&a, &t)| (a, t)).collect();
+            self.agents.iter().map(|(&a, b)| (a, b.trust)).collect();
         v.sort_by_key(|&(a, _)| a);
         v
     }
@@ -659,7 +653,7 @@ impl GridState {
     /// Issued, unreported, unexpired replicas (gossiped to peers: a
     /// shard with no backlog *and* nothing outstanding is fully drained).
     pub fn outstanding_len(&self) -> usize {
-        self.outstanding.len()
+        self.in_flight.len()
     }
 
     /// Counts one work request answered with a `Redirect`. Advisory:
@@ -768,16 +762,21 @@ impl GridState {
     /// Answers a work request from `agent` at time `now`.
     pub fn fetch(&mut self, now: SimTime, agent: u64) -> WorkReply {
         self.last_now = self.last_now.max(now.seconds());
-        let ledger = self.agents.entry(agent).or_default();
-        ledger.last_seen_s = ledger.last_seen_s.max(now.seconds());
-        let reply = match self.next_assignment(now, agent) {
-            Ok(assignment) => {
-                self.misses.remove(&agent);
-                self.agents.entry(agent).or_default().assignments += 1;
-                self.replica_agent.insert(assignment.replica.0, agent);
-                self.outstanding.insert(
+        let outcome = self.next_assignment(now, agent);
+        let book = self.agents.entry(agent).or_default();
+        book.ledger.last_seen_s = book.ledger.last_seen_s.max(now.seconds());
+        let reply = match outcome {
+            Ok((assignment, suspect)) => {
+                book.misses = 0;
+                book.ledger.assignments += 1;
+                self.spots_in_flight += usize::from(suspect.is_some());
+                self.in_flight.insert(
                     assignment.replica.0,
-                    now.seconds() + self.core.deadline_seconds(),
+                    InFlight {
+                        agent,
+                        deadline: now.seconds() + self.core.deadline_seconds(),
+                        suspect,
+                    },
                 );
                 telemetry::emit(Some(now.seconds()), || Event::WorkunitDispatched {
                     workunit: u64::from(assignment.workunit),
@@ -795,9 +794,8 @@ impl GridState {
                         ms.max(self.faults.backoff_base_ms.max(1))
                     }
                     None => {
-                        let miss = self.misses.entry(agent).or_insert(0);
-                        let ms = self.faults.backoff_ms(agent, *miss);
-                        *miss = miss.saturating_add(1);
+                        let ms = self.faults.backoff_ms(agent, book.misses);
+                        book.misses = book.misses.saturating_add(1);
                         ms
                     }
                 };
@@ -823,10 +821,10 @@ impl GridState {
         reply
     }
 
-    /// Picks the next replica for `agent`, or `Err(quarantine)` when
-    /// nothing is issuable: `Err(Some(ms))` for a quarantined agent
-    /// (remaining quarantine in ms), `Err(None)` for a plain empty
-    /// queue.
+    /// Picks the next replica for `agent` — with the suspect it audits
+    /// when it is a spot check — or `Err(quarantine)` when nothing is
+    /// issuable: `Err(Some(ms))` for a quarantined agent (remaining
+    /// quarantine in ms), `Err(None)` for a plain empty queue.
     ///
     /// With trust on, the order is: quarantine gate, then pending spot
     /// checks (served to any agent but the suspect — an audit computed
@@ -837,13 +835,17 @@ impl GridState {
         &mut self,
         now: SimTime,
         agent: u64,
-    ) -> Result<ReplicaAssignment, Option<u64>> {
+    ) -> Result<(ReplicaAssignment, Option<u64>), Option<u64>> {
         let trust = self.faults.trust;
         if !trust.enabled {
-            return self.core.fetch_work(now).ok_or(None);
+            return self.core.fetch_work(now).map(|a| (a, None)).ok_or(None);
         }
-        let entry = self.agent_trust.entry(agent).or_default();
-        let quarantine_s = entry.quarantine_remaining_s(now.seconds());
+        // A newcomer has no book yet (`fetch` opens it) and no history.
+        let history = self
+            .agents
+            .get(&agent)
+            .map_or_else(AgentTrust::default, |b| b.trust);
+        let quarantine_s = history.quarantine_remaining_s(now.seconds());
         if quarantine_s > 0.0 {
             return Err(Some((quarantine_s * 1_000.0).ceil() as u64));
         }
@@ -866,24 +868,17 @@ impl GridState {
                 // workunit is back under quorum; the audit is moot.
                 continue;
             }
-            let assignment = self.core.issue_spot_check(wu);
-            self.spot_outstanding
-                .insert(assignment.replica.0, (wu, suspect));
-            return Ok(assignment);
+            return Ok((self.core.issue_spot_check(wu), Some(suspect)));
         }
-        let replication = match self
-            .agent_trust
-            .entry(agent)
-            .or_default()
-            .band(now.seconds(), &trust)
-        {
+        let replication = match history.band(now.seconds(), &trust) {
             TrustBand::Trusted => Some(ReplicationOverride::Single),
             TrustBand::Untrusted => Some(ReplicationOverride::Quorum),
             TrustBand::Probation => None,
             // Gated above; unreachable in practice, safe if not.
             TrustBand::Quarantined => return Err(None),
         };
-        self.core.fetch_work_with(now, replication).ok_or(None)
+        let assignment = self.core.fetch_work_with(now, replication);
+        assignment.map(|a| (a, None)).ok_or(None)
     }
 
     /// Expires outstanding replicas whose deadline passed; each expiry
@@ -892,27 +887,30 @@ impl GridState {
     pub fn sweep(&mut self, now: SimTime) -> usize {
         self.last_now = self.last_now.max(now.seconds());
         let mut expired: Vec<u64> = self
-            .outstanding
+            .in_flight
             .iter()
-            .filter(|(_, &deadline)| now.seconds() >= deadline)
+            .filter(|(_, held)| now.seconds() >= held.deadline)
             .map(|(&r, _)| r)
             .collect();
         // Replica-id order, not map order: when one sweep expires
         // several replicas the reissue queue must come out the same on
         // the live server and on journal replay.
         expired.sort_unstable();
-        for r in &expired {
-            self.outstanding.remove(r);
+        for &r in &expired {
+            let held = self.in_flight.remove(&r).expect("listed above");
+            self.lapsed.insert(r, held.agent);
             self.net_stats.deadline_expiries += 1;
             self.tele.expiries.inc();
-            if let Some((wu, suspect)) = self.spot_outstanding.remove(r) {
+            if let Some(suspect) = held.suspect {
                 // An expired spot check goes back in the audit queue —
                 // the workunit stays unconfirmed until somebody
                 // actually recomputes it.
+                self.spots_in_flight -= 1;
+                let wu = self.core.replica_workunit(ReplicaId(r));
                 self.spot_queue.push_back((wu, suspect));
                 continue;
             }
-            self.core.handle_timeout(ReplicaId(*r));
+            self.core.handle_timeout(ReplicaId(r));
         }
         // No-op sweeps change nothing and run every few tens of ms, so
         // only expiring sweeps are journaled.
@@ -941,8 +939,39 @@ impl GridState {
         output: DockingOutput,
     ) -> ResultDisposition {
         self.last_now = self.last_now.max(now.seconds());
-        let d = self.report_inner(now, campaign, replica, workunit, &output);
-        self.note_report(replica, d.verdict, now);
+        // Wire-level sanity: only a replica still in the books may reach
+        // the core (it panics on double reports by design — the simulator
+        // can never produce one). A retransmission left them with its
+        // first report and a forged id was never in them; either way, or
+        // if the workunit does not match, the report is dropped and
+        // attributed to nobody.
+        let held = match self.in_flight.get(&replica.0) {
+            Some(held) => Some((held.agent, held.suspect)),
+            None => self.lapsed.get(&replica.0).map(|&agent| (agent, None)),
+        };
+        let verdict = match held {
+            Some((agent, suspect)) if self.core.replica_workunit(replica) == workunit => {
+                if self.in_flight.remove(&replica.0).is_none() {
+                    self.lapsed.remove(&replica.0);
+                }
+                let verdict = match suspect {
+                    Some(suspect) => self.judge_spot(now, replica, workunit, &output, suspect),
+                    None => self.judge(now, campaign, replica, workunit, &output, agent),
+                };
+                self.note_report(agent, verdict, now);
+                verdict
+            }
+            _ => {
+                self.net_stats.duplicates_dropped += 1;
+                self.tele.duplicates.inc();
+                Verdict::Duplicate
+            }
+        };
+        let d = ResultDisposition {
+            verdict,
+            completed_workunit: verdict == Verdict::Accepted,
+            campaign_complete: self.is_campaign_complete(),
+        };
         if self.journal.is_some() {
             // The journal keeps the payload exactly when replay needs it
             // to reproduce the verdict; replay synthesizes the rest,
@@ -966,13 +995,8 @@ impl GridState {
     }
 
     /// Books one report against the agent the replica was assigned to.
-    /// Forged replica ids never got an assignment, so they attribute to
-    /// nobody.
-    fn note_report(&mut self, replica: ReplicaId, verdict: Verdict, now: SimTime) {
-        let Some(&agent) = self.replica_agent.get(&replica.0) else {
-            return;
-        };
-        let ledger = self.agents.entry(agent).or_default();
+    fn note_report(&mut self, agent: u64, verdict: Verdict, now: SimTime) {
+        let ledger = &mut self.agents.entry(agent).or_default().ledger;
         ledger.last_seen_s = ledger.last_seen_s.max(now.seconds());
         ledger.reports += 1;
         match verdict {
@@ -1005,7 +1029,7 @@ impl GridState {
         if !self.faults.trust.enabled || agent == u64::MAX {
             return;
         }
-        self.agent_trust.entry(agent).or_default().record_accept();
+        self.agents.entry(agent).or_default().trust.record_accept();
     }
 
     /// Debits one rejected result; a long enough run of consecutive
@@ -1015,7 +1039,7 @@ impl GridState {
         if !cfg.enabled || agent == u64::MAX {
             return;
         }
-        let trust = self.agent_trust.entry(agent).or_default();
+        let trust = &mut self.agents.entry(agent).or_default().trust;
         if trust.record_reject(&cfg) {
             trust.quarantine(now.seconds(), &cfg);
         }
@@ -1027,16 +1051,11 @@ impl GridState {
     /// and re-replicated under forced quorum.
     fn crater_agent(&mut self, suspect: u64, now: SimTime) {
         let cfg = self.faults.trust;
+        let book = self.agents.entry(suspect).or_default();
         if suspect != u64::MAX {
-            self.agent_trust
-                .entry(suspect)
-                .or_default()
-                .crater(now.seconds(), &cfg);
+            book.trust.crater(now.seconds(), &cfg);
         }
-        let Some(wus) = self.unverified.remove(&suspect) else {
-            return;
-        };
-        for wu in wus {
+        for wu in std::mem::take(&mut book.unverified) {
             if self.core.invalidate_workunit(wu) {
                 self.net_stats.workunits_invalidated += 1;
                 self.accepted[wu as usize] = None;
@@ -1053,20 +1072,14 @@ impl GridState {
     /// section stays far below one fetch/report cycle.
     pub fn ops_snapshot(&self) -> OpsSnapshot {
         let mut agents: Vec<(u64, AgentLedger)> =
-            self.agents.iter().map(|(&a, &l)| (a, l)).collect();
+            self.agents.iter().map(|(&a, b)| (a, b.ledger)).collect();
         agents.sort_by_key(|&(a, _)| a);
-        let agents_trust = if self.faults.trust.enabled {
-            let cfg = self.faults.trust;
-            let mut v: Vec<(u64, f64, TrustBand)> = self
-                .agent_trust
-                .iter()
-                .map(|(&a, t)| (a, t.score(), t.band(self.last_now, &cfg)))
-                .collect();
-            v.sort_by_key(|&(a, _, _)| a);
-            v
-        } else {
-            Vec::new()
-        };
+        let cfg = self.faults.trust;
+        let agents_trust = self
+            .agent_trust_table()
+            .into_iter()
+            .map(|(a, t)| (a, t.score(), t.band(self.last_now, &cfg)))
+            .collect();
         OpsSnapshot {
             last_now: self.last_now,
             wu: self.core.wu_state_counts(),
@@ -1077,7 +1090,7 @@ impl GridState {
             results_useful: self.core.results_useful,
             redundancy_factor: self.core.redundancy_factor(),
             completed_ref_seconds: self.core.completed_ref_seconds(),
-            outstanding_replicas: self.outstanding.len(),
+            outstanding_replicas: self.in_flight.len(),
             reissue_queue_depth: self.core.reissue_queue_depth(),
             quorum_candidate_workunits: self.candidates.len(),
             campaign_complete: self.is_campaign_complete(),
@@ -1102,75 +1115,52 @@ impl GridState {
         }
     }
 
-    fn report_inner(
+    /// Judges a spot-check replica's report. It short-circuits normal
+    /// validation: the workunit is already complete, and the only
+    /// question is whether this independent recomputation byte-matches
+    /// the accepted single of `suspect` it audits.
+    fn judge_spot(
+        &mut self,
+        now: SimTime,
+        replica: ReplicaId,
+        workunit: u32,
+        output: &DockingOutput,
+        suspect: u64,
+    ) -> Verdict {
+        self.spots_in_flight -= 1;
+        self.core.note_spot_report(replica);
+        let Some(accepted) = self.accepted[workunit as usize].as_ref() else {
+            // Retracted while the audit was in flight.
+            return Verdict::SpotVoid;
+        };
+        if fingerprint(output) == fingerprint(accepted) {
+            self.net_stats.spot_checks_passed += 1;
+            // The audited single is now independently confirmed; a
+            // later crater of the suspect no longer retracts it.
+            if let Some(book) = self.agents.get_mut(&suspect) {
+                book.unverified.retain(|&w| w != workunit);
+            }
+            return Verdict::SpotConfirmed;
+        }
+        self.net_stats.spot_checks_failed += 1;
+        telemetry::emit(Some(now.seconds()), || Event::QuorumRejected {
+            workunit: u64::from(workunit),
+        });
+        self.crater_agent(suspect, now);
+        Verdict::SpotMismatch
+    }
+
+    /// Judges an ordinary replica's report, `agent` being who it was
+    /// assigned to.
+    fn judge(
         &mut self,
         now: SimTime,
         campaign: &NetCampaign,
         replica: ReplicaId,
         workunit: u32,
         output: &DockingOutput,
-    ) -> ResultDisposition {
-        // Wire-level sanity: a retransmitted or forged report must not
-        // reach the core (it panics on double reports by design — the
-        // simulator can never produce one).
-        if self.reported.contains(&replica.0)
-            || replica.0 >= self.core.replica_count() as u64
-            || self.core.replica_workunit(replica) != workunit
-        {
-            self.net_stats.duplicates_dropped += 1;
-            self.tele.duplicates.inc();
-            return ResultDisposition {
-                verdict: Verdict::Duplicate,
-                completed_workunit: false,
-                campaign_complete: self.is_campaign_complete(),
-            };
-        }
-        self.reported.insert(replica.0);
-        self.outstanding.remove(&replica.0);
-
-        // Spot-check replicas short-circuit normal validation: the
-        // workunit is already complete, and the only question is
-        // whether this independent recomputation byte-matches the
-        // accepted single it audits.
-        if let Some((wu, suspect)) = self.spot_outstanding.remove(&replica.0) {
-            debug_assert_eq!(wu, workunit, "spot replica reported for the wrong workunit");
-            self.core.note_spot_report(replica);
-            let Some(accepted) = self.accepted[wu as usize].as_ref() else {
-                // Retracted while the audit was in flight.
-                return ResultDisposition {
-                    verdict: Verdict::SpotVoid,
-                    completed_workunit: false,
-                    campaign_complete: self.is_campaign_complete(),
-                };
-            };
-            if fingerprint(output) == fingerprint(accepted) {
-                self.net_stats.spot_checks_passed += 1;
-                // The audited single is now independently confirmed; a
-                // later crater of the suspect no longer retracts it.
-                if let Some(wus) = self.unverified.get_mut(&suspect) {
-                    wus.retain(|&w| w != wu);
-                    if wus.is_empty() {
-                        self.unverified.remove(&suspect);
-                    }
-                }
-                return ResultDisposition {
-                    verdict: Verdict::SpotConfirmed,
-                    completed_workunit: false,
-                    campaign_complete: self.is_campaign_complete(),
-                };
-            }
-            self.net_stats.spot_checks_failed += 1;
-            telemetry::emit(Some(now.seconds()), || Event::QuorumRejected {
-                workunit: u64::from(wu),
-            });
-            self.crater_agent(suspect, now);
-            return ResultDisposition {
-                verdict: Verdict::SpotMismatch,
-                completed_workunit: false,
-                campaign_complete: self.is_campaign_complete(),
-            };
-        }
-
+        agent: u64,
+    ) -> Verdict {
         // Layer 1: the §5.2 bounds checks (the simulator's `error` flag
         // made concrete).
         let bounds_ok =
@@ -1180,11 +1170,7 @@ impl GridState {
             self.tele.bounds_rejected.inc();
             let outcome = self.core.report_result(now, replica, true);
             debug_assert!(outcome.erroneous);
-            return ResultDisposition {
-                verdict: Verdict::BoundsRejected,
-                completed_workunit: false,
-                campaign_complete: self.is_campaign_complete(),
-            };
+            return Verdict::BoundsRejected;
         }
 
         // Accepted payloads are recorded exactly when the core validates
@@ -1197,11 +1183,6 @@ impl GridState {
         let needed = self.core.replication_needed(now, workunit);
         if needed >= 2 && !was_complete {
             let fp = fingerprint(output);
-            let agent = self
-                .replica_agent
-                .get(&replica.0)
-                .copied()
-                .unwrap_or(u64::MAX);
             let cands = self.candidates.entry(workunit).or_default();
             if !cands.is_empty() && !cands.iter().any(|(h, _)| *h == fp) {
                 // Disagrees with every candidate: reject — but *keep* it
@@ -1218,11 +1199,7 @@ impl GridState {
                 });
                 let outcome = self.core.report_result(now, replica, true);
                 debug_assert!(outcome.erroneous);
-                return ResultDisposition {
-                    verdict: Verdict::QuorumRejected,
-                    completed_workunit: false,
-                    campaign_complete: self.is_campaign_complete(),
-                };
+                return Verdict::QuorumRejected;
             }
             let matched = !cands.is_empty();
             let outcome = self.core.report_result(now, replica, false);
@@ -1239,54 +1216,39 @@ impl GridState {
                 for (_, partner) in cands.into_iter().filter(|(h, _)| *h == fp) {
                     self.trust_accept(partner);
                 }
-                return ResultDisposition {
-                    verdict: Verdict::Accepted,
-                    completed_workunit: true,
-                    campaign_complete: self.is_campaign_complete(),
-                };
+                return Verdict::Accepted;
             }
             // Not yet completed: either the first candidate of the pair,
             // or a match whose quorum the core has not closed (only
             // possible with >2 live replicas of one workunit).
             cands.push((fp, agent));
-            return ResultDisposition {
-                verdict: Verdict::QuorumPending,
-                completed_workunit: false,
-                campaign_complete: self.is_campaign_complete(),
-            };
+            return Verdict::QuorumPending;
         }
 
         // Single-replica validation (bounds-check era, a trusted
         // agent's single, or a surplus copy of a validated workunit).
         let outcome = self.core.report_result(now, replica, false);
-        if outcome.completed_workunit {
-            self.accepted[workunit as usize] = Some(output.clone());
-            self.candidates.remove(&workunit);
-            self.tele.accepted.inc();
-            // A single accepted under trust is provisional until
-            // audited; a seeded deterministic draw decides whether this
-            // one gets an independent recomputation.
-            let trust = self.faults.trust;
-            if trust.enabled {
-                if let Some(&agent) = self.replica_agent.get(&replica.0) {
-                    self.unverified.entry(agent).or_default().push(workunit);
-                    if spot_selected(trust.spot_seed, workunit, trust.spot_check_rate) {
-                        self.spot_queue.push_back((workunit, agent));
-                    }
-                }
-            }
-            ResultDisposition {
-                verdict: Verdict::Accepted,
-                completed_workunit: true,
-                campaign_complete: self.is_campaign_complete(),
-            }
-        } else {
-            ResultDisposition {
-                verdict: Verdict::Late,
-                completed_workunit: false,
-                campaign_complete: self.is_campaign_complete(),
+        if !outcome.completed_workunit {
+            return Verdict::Late;
+        }
+        self.accepted[workunit as usize] = Some(output.clone());
+        self.candidates.remove(&workunit);
+        self.tele.accepted.inc();
+        // A single accepted under trust is provisional until audited; a
+        // seeded deterministic draw decides whether this one gets an
+        // independent recomputation.
+        let trust = self.faults.trust;
+        if trust.enabled {
+            self.agents
+                .entry(agent)
+                .or_default()
+                .unverified
+                .push(workunit);
+            if spot_selected(trust.spot_seed, workunit, trust.spot_check_rate) {
+                self.spot_queue.push_back((workunit, agent));
             }
         }
+        Verdict::Accepted
     }
 }
 
@@ -1470,6 +1432,40 @@ mod tests {
         let late = state.report(t(12.0), &campaign, b.replica, b.workunit, out);
         assert_eq!(late.verdict, Verdict::Late);
         assert_eq!(state.server_stats().late_results, 1);
+    }
+
+    #[test]
+    fn the_replica_books_hold_only_what_is_unreported() {
+        let (campaign, mut state) = setup();
+        let baseline = campaign.baseline_outputs();
+        let honest = |a: ReplicaAssignment| baseline[a.workunit as usize].clone();
+        // One pair with a stall in it: b expires, its timeout copy closes
+        // the pair, b reports late, and a's report is retransmitted.
+        let a = assigned(&mut state, t(0.0), 1);
+        let b = assigned(&mut state, t(0.0), 2);
+        state.report(t(1.0), &campaign, a.replica, a.workunit, honest(a));
+        assert_eq!(state.sweep(t(6.0)), 1);
+        assert_eq!((state.outstanding_len(), state.lapsed.len()), (0, 1));
+        let c = assigned(&mut state, t(6.0), 3);
+        state.report(t(7.0), &campaign, c.replica, c.workunit, honest(c));
+        let late = state.report(t(8.0), &campaign, b.replica, b.workunit, honest(b));
+        assert_eq!(late.verdict, Verdict::Late);
+        let again = state.report(t(9.0), &campaign, a.replica, a.workunit, honest(a));
+        assert_eq!(again.verdict, Verdict::Duplicate);
+        assert_eq!(state.agents[&1].ledger.reports, 1, "attributed to nobody");
+        // The rest of the campaign, two agents taking turns.
+        let mut asked = 0;
+        while !state.is_campaign_complete() {
+            asked += 1;
+            let x = assigned(&mut state, t(10.0), 4 + asked % 2);
+            assert_eq!(state.outstanding_len(), 1);
+            state.report(t(10.0), &campaign, x.replica, x.workunit, honest(x));
+        }
+        assert_eq!((state.outstanding_len(), state.lapsed.len()), (0, 0));
+        assert!(state.core.replica_count() >= 2 * campaign.len());
+        let mut agents: Vec<u64> = state.agents.keys().copied().collect();
+        agents.sort_unstable();
+        assert_eq!(agents, [1, 2, 3, 4, 5], "one row per agent that asked");
     }
 
     fn setup_trust(spot_check_rate: f64) -> (NetCampaign, GridState) {
