@@ -375,15 +375,6 @@ fn run_campaign_with(
         } = fleet;
         latencies = request_latencies_ms;
         faults = (disconnect_faults, stall_faults, corrupt_faults);
-        // Debug hook: dump every mux request latency (one ms value per
-        // line) for offline histogramming of the tail.
-        if let Ok(path) = std::env::var("HCMD_LAT_DUMP") {
-            let mut s = String::with_capacity(latencies.len() * 8);
-            for v in &latencies {
-                s.push_str(&format!("{v:.3}\n"));
-            }
-            let _ = std::fs::write(path, s);
-        }
     } else {
         let honest: Vec<_> = (1..=honest_agents as u64)
             .map(|agent| {

@@ -1,13 +1,25 @@
 //! The volunteer agent: fetch, dock, checkpoint, report.
 //!
-//! One agent models one volunteer machine. Its session loop mirrors the
-//! BOINC client the paper's volunteers ran: connect, learn the campaign
-//! from `HelloAck`, then cycle *request work → compute → report* until
-//! the server says the campaign is complete. The docking is the real
-//! maxdo kernel; with `threads > 1` each starting position's 21
-//! orientation couples run on the vendored rayon pool
-//! (order-preserving, so the payload is byte-identical to a
-//! single-threaded volunteer's — a prerequisite for byte-level quorum).
+//! One agent models one volunteer machine, and the volunteer is the
+//! [`Session`]: the protocol side of the BOINC client the paper's
+//! volunteers ran — connect, learn the campaign from `HelloAck`, then
+//! cycle *request work → compute → report* until the server says the
+//! campaign is complete — as a state machine with no socket, thread or
+//! clock. It is told what happened ([`Input`]) and answers the one next
+//! thing to do ([`Step`]); every rule an agent follows is a transition
+//! of [`Session::step`], and nowhere else: where it dials (home, a
+//! `Redirect`'s peer at most once per ask, home again when that peer is
+//! dead, hangs up in the handshake or has no work), how long it backs
+//! off, when it gives up, what each injected fault does, every counter
+//! of the [`AgentReport`].
+//!
+//! [`run_agent`] is the session's blocking driver: one OS thread, one
+//! socket, real docking. The docking is the real maxdo kernel; with
+//! `threads > 1` each starting position's 21 orientation couples run on
+//! the vendored rayon pool (order-preserving, so the payload is
+//! byte-identical to a single-threaded volunteer's — a prerequisite for
+//! byte-level quorum). [`crate::mux`] drives thousands of sessions from
+//! one thread; a test drives one by hand.
 //!
 //! Progress is checkpointed *between starting positions* (§4.3,
 //! [`DockingCheckpoint`]): when fault injection kills the connection
@@ -17,7 +29,7 @@
 
 use crate::campaign::NetCampaign;
 use crate::faults::{FaultAction, FaultDice, FaultProfile};
-use crate::protocol::{read_message, write_message_with, Codec, Message};
+use crate::protocol::{read_message, write_message_with, CampaignParams, Codec, Message};
 use maxdo::{DockingCheckpoint, DockingOutput};
 use std::io;
 use std::net::TcpStream;
@@ -91,243 +103,479 @@ pub struct AgentReport {
     pub redirects_followed: u64,
 }
 
-/// Runs one agent until the campaign completes (or it dies on purpose).
-pub fn run_agent(config: AgentConfig) -> io::Result<AgentReport> {
-    let mut report = AgentReport::default();
-    let mut dice = FaultDice::new(config.seed, config.agent, config.profile);
-    // Campaigns the agent is attached to, indexed by the wire campaign
-    // id from `Assignment::campaign`. A single-campaign server has
-    // exactly one entry, index 0.
-    let mut roster: Vec<NetCampaign> = Vec::new();
-    let mut connect_failures = 0u32;
-    let codec = config.codec;
-    // Where the next session dials. A sharded server may answer a
-    // RequestWork with a Redirect to a loaded peer; the agent follows
-    // at most ONE redirect per ask (`bounced` below), so two drained
-    // shards pointing at each other cannot trap an agent in a loop.
-    let mut addr = config.addr.clone();
-    let mut bounced = false;
+/// What happened, as its driver tells a [`Session`].
+#[derive(Debug, Clone)]
+pub(crate) enum Input {
+    /// The `Dial` connected.
+    Connected,
+    /// The `Dial` failed.
+    ConnectFailed,
+    /// A frame arrived.
+    Frame(Message),
+    /// The connection is gone: the peer closed it, the socket failed, or
+    /// the driver closed it itself (a `Bye` step, a wait spent closed).
+    Lost,
+    /// The `Compute` finished.
+    Computed(DockingOutput),
+    /// The `Wait` is over.
+    Woke,
+}
 
-    'session: loop {
-        let mut stream = match TcpStream::connect(&addr) {
-            Ok(s) => {
-                connect_failures = 0;
-                s
+/// The one next thing a driver does for its [`Session`], and the
+/// [`Input`] that answers it.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Step {
+    /// Drop any open connection and connect here: `Connected` or
+    /// `ConnectFailed`.
+    Dial(String),
+    /// Send this frame: the `Frame` that comes back, or `Lost`.
+    Send(Message),
+    /// Send `RequestWork`, answered like a `Send`. Set apart because it
+    /// is the one send a driver clocks and may hold back.
+    Ask,
+    /// Dock this workunit of roster entry `campaign`: `Computed`.
+    Compute {
+        campaign: u16,
+        workunit: u32,
+        isep_start: u32,
+        positions: u32,
+    },
+    /// Let this long pass: `Woke` — or `Lost`, from a driver that spent
+    /// the wait with the connection closed.
+    Wait(Duration),
+    /// Say `Bye` (best effort) and close the connection: `Lost`.
+    Bye,
+    /// Nothing more to do; [`Session::report`] is final.
+    Finished(Outcome),
+}
+
+/// How a [`Session`] ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Outcome {
+    /// It saw the campaign complete, died on purpose (`die_after`), or
+    /// lost a server it had already worked for.
+    Done,
+    /// The connect budget ran out before a single assignment arrived.
+    GaveUp,
+}
+
+/// Where a [`Session`] stands: the step it last issued, and for the
+/// three that are a `Wait`, what waking does.
+enum Phase {
+    /// Waking dials (also: nothing issued yet).
+    Resting,
+    /// Waking asks again on the same connection.
+    BackingOff,
+    /// Waking sends the result a stall fault sat on.
+    Stalling(Message),
+    Dialing,
+    Greeting,
+    Asking,
+    Computing(Job),
+    Reporting,
+    Leaving,
+    Finished(Outcome),
+}
+
+/// The assignment being docked and the fault it drew.
+struct Job {
+    replica: u64,
+    workunit: u32,
+    campaign: u16,
+    action: FaultAction,
+    deadline_seconds: f64,
+}
+
+/// Server-directed waits (`NoWork`, `Busy`) are capped here, so a
+/// server's grace window after completion ([`crate::server`]) outlasts
+/// any agent's sleep.
+const MAX_WAIT_MS: u64 = 2_000;
+
+/// One volunteer's protocol decisions, with no socket, thread or clock:
+/// [`Self::step`] is told what happened and answers what to do next. A
+/// driver supplies the I/O — [`run_agent`] with a blocking socket,
+/// [`crate::mux`] with thousands of nonblocking ones — and owns nothing
+/// of the protocol.
+pub(crate) struct Session {
+    config: AgentConfig,
+    dice: FaultDice,
+    /// Where the next dial goes when that is not home (`config.addr`):
+    /// the peer a `Redirect` named.
+    away: Option<String>,
+    /// A redirect was followed for the current ask. At most one is, so
+    /// two drained shards pointing at each other cannot trap an agent
+    /// in a loop.
+    bounced: bool,
+    /// The recipes of the campaigns the agent is attached to, indexed
+    /// by the wire campaign id of `Assignment::campaign`; a
+    /// single-campaign server announces exactly one, index 0.
+    roster: Vec<CampaignParams>,
+    /// The server's replica deadline, from the latest `HelloAck`.
+    deadline_seconds: f64,
+    connect_failures: u32,
+    phase: Phase,
+    /// Every counter is kept here; `request_latencies_ms` is the
+    /// driver's to fill — it holds the clock.
+    pub(crate) report: AgentReport,
+}
+
+impl Session {
+    /// A volunteer that has done nothing yet; `step(Input::Woke)`
+    /// starts it.
+    pub(crate) fn new(config: AgentConfig) -> Self {
+        Self {
+            dice: FaultDice::new(config.seed, config.agent, config.profile),
+            config,
+            away: None,
+            bounced: false,
+            roster: Vec::new(),
+            deadline_seconds: 0.0,
+            connect_failures: 0,
+            phase: Phase::Resting,
+            report: AgentReport::default(),
+        }
+    }
+
+    /// The campaign recipes the handshake announced (empty before the
+    /// first `HelloAck`); a `Compute` step's `campaign` indexes them.
+    pub(crate) fn roster(&self) -> &[CampaignParams] {
+        &self.roster
+    }
+
+    fn addr(&self) -> &str {
+        self.away.as_deref().unwrap_or(&self.config.addr)
+    }
+
+    fn dial(&mut self) -> Step {
+        self.phase = Phase::Dialing;
+        Step::Dial(self.addr().to_string())
+    }
+
+    fn wait(&mut self, ms: u64, asleep: Phase) -> Step {
+        self.phase = asleep;
+        Step::Wait(Duration::from_millis(ms.min(MAX_WAIT_MS)))
+    }
+
+    fn ask(&mut self) -> Step {
+        self.phase = Phase::Asking;
+        Step::Ask
+    }
+
+    fn send_report(&mut self, report: Message) -> Step {
+        self.report.reported += 1;
+        self.phase = Phase::Reporting;
+        Step::Send(report)
+    }
+
+    fn leave(&mut self) -> Step {
+        self.phase = Phase::Leaving;
+        Step::Bye
+    }
+
+    fn finish(&mut self, outcome: Outcome) -> Step {
+        self.phase = Phase::Finished(outcome);
+        Step::Finished(outcome)
+    }
+
+    /// Points the next dial back at the home shard, which tracks global
+    /// completion and can re-steer. True if the agent was away.
+    fn fall_home(&mut self) -> bool {
+        self.bounced = false;
+        self.away.take().is_some()
+    }
+
+    /// The whole agent side of the protocol, one transition per call.
+    /// Total: an input the phase has no arm for — a socket lost
+    /// mid-dialogue, a frame out of place or in the wrong direction —
+    /// loses the session, and the agent dials the same server again.
+    pub(crate) fn step(&mut self, input: Input) -> Step {
+        // Taken by value (a stalled report lives in it); every arm
+        // installs the phase it leaves through one of the helpers.
+        match (std::mem::replace(&mut self.phase, Phase::Dialing), input) {
+            (Phase::Finished(outcome), _) => self.finish(outcome),
+            (Phase::Resting, Input::Woke) => self.dial(),
+            (Phase::BackingOff, Input::Woke) => self.ask(),
+            (Phase::Stalling(report), Input::Woke) => self.send_report(report),
+            (Phase::Dialing, Input::Connected) => {
+                self.connect_failures = 0;
+                self.phase = Phase::Greeting;
+                Step::Send(Message::Hello {
+                    agent: self.config.agent,
+                    threads: self.config.threads as u32,
+                    campaigns: self.config.campaigns.clone(),
+                })
             }
-            Err(e) => {
+            (Phase::Dialing, Input::ConnectFailed) => {
                 // A dead redirect target is not a dead campaign: fall
                 // back to the home shard before giving up.
-                if addr != config.addr {
-                    addr = config.addr.clone();
-                    bounced = false;
-                    continue 'session;
+                if self.fall_home() {
+                    return self.dial();
                 }
-                connect_failures += 1;
-                if connect_failures >= config.max_connect_attempts {
-                    // The server is gone — most likely the campaign
-                    // finished while this agent was between sessions.
-                    // Any received assignment counts as progress: an
-                    // agent whose every assignment drew a disconnect
-                    // fault has reported nothing yet still ran exactly
-                    // as configured, so its report is a result, not an
-                    // error.
-                    return if report.saw_completion || report.assignments > 0 {
-                        Ok(report)
+                self.connect_failures += 1;
+                if self.connect_failures < self.config.max_connect_attempts {
+                    return self.wait(50, Phase::Resting);
+                }
+                // The server is gone — most likely the campaign
+                // finished while this agent was between sessions. Any
+                // received assignment counts as progress: an agent
+                // whose every assignment drew a disconnect fault has
+                // reported nothing yet still ran exactly as configured,
+                // so its report is a result, not an error.
+                let progressed = self.report.saw_completion || self.report.assignments > 0;
+                self.finish(if progressed {
+                    Outcome::Done
+                } else {
+                    Outcome::GaveUp
+                })
+            }
+            (
+                Phase::Greeting,
+                Input::Frame(Message::HelloAck {
+                    campaign,
+                    deadline_seconds,
+                    campaigns,
+                    ..
+                }),
+            ) => {
+                if self.roster.is_empty() {
+                    self.roster = if campaigns.is_empty() {
+                        vec![campaign]
                     } else {
-                        Err(e)
+                        campaigns.into_iter().map(|(_, p)| p).collect()
                     };
                 }
-                std::thread::sleep(Duration::from_millis(50));
-                continue 'session;
+                self.deadline_seconds = deadline_seconds;
+                self.ask()
             }
-        };
-        stream.set_nodelay(true)?;
-
-        write_message_with(
-            &mut stream,
-            &Message::Hello {
-                agent: config.agent,
-                threads: config.threads as u32,
-                campaigns: config.campaigns.clone(),
-            },
-            codec,
-        )?;
-        let deadline_seconds = match read_message(&mut stream) {
-            Ok(Some(Message::HelloAck {
-                campaign: params,
-                deadline_seconds,
-                campaigns,
-                ..
-            })) => {
-                if roster.is_empty() {
-                    roster = if campaigns.is_empty() {
-                        vec![NetCampaign::build(params)]
-                    } else {
-                        campaigns
-                            .iter()
-                            .map(|(_, p)| NetCampaign::build(*p))
-                            .collect()
-                    };
-                }
-                deadline_seconds
+            (Phase::Greeting | Phase::Asking, Input::Frame(Message::Busy { retry_after_ms })) => {
+                self.wait(retry_after_ms, Phase::Resting)
             }
-            Ok(Some(Message::Busy { retry_after_ms })) => {
-                std::thread::sleep(Duration::from_millis(retry_after_ms.min(2_000)));
-                continue 'session;
-            }
-            Ok(_) | Err(_) => {
+            (Phase::Greeting, _) => {
                 // A handshake that dies says nothing about the peer's
                 // dialect — there is only one — so the next session
                 // says the same `Hello`, attachments and all. A
                 // redirect target that hangs up is a peer that finished
                 // its drain and closed between gossip ticks: fall home.
-                if addr != config.addr {
-                    addr = config.addr.clone();
-                    bounced = false;
-                    continue 'session;
+                if self.fall_home() {
+                    self.dial()
+                } else {
+                    self.wait(50, Phase::Resting)
                 }
-                std::thread::sleep(Duration::from_millis(50));
-                continue 'session;
             }
-        };
-        loop {
-            let asked = Instant::now();
-            if write_message_with(&mut stream, &Message::RequestWork, codec).is_err() {
-                continue 'session;
-            }
-            let reply = match read_message(&mut stream) {
-                Ok(Some(m)) => m,
-                _ => continue 'session,
-            };
-            report
-                .request_latencies_ms
-                .push(asked.elapsed().as_secs_f64() * 1e3);
-            match reply {
-                Message::NoWork {
+            (
+                Phase::Asking,
+                Input::Frame(Message::NoWork {
                     campaign_complete,
                     retry_after_ms,
-                } => {
-                    bounced = false;
-                    if campaign_complete {
-                        report.saw_completion = true;
-                        let _ = write_message_with(&mut stream, &Message::Bye, codec);
-                        return Ok(report);
-                    }
+                }),
+            ) => {
+                self.bounced = false;
+                if campaign_complete {
+                    self.report.saw_completion = true;
+                    self.leave()
+                } else if self.fall_home() {
                     // A drained redirect target with the campaign still
                     // open is the home shard's problem, not this peer's:
-                    // fall home rather than camping on the peer — home
-                    // tracks global completion and can re-steer.
-                    if addr != config.addr {
-                        let _ = write_message_with(&mut stream, &Message::Bye, codec);
-                        addr = config.addr.clone();
-                        continue 'session;
-                    }
-                    std::thread::sleep(Duration::from_millis(retry_after_ms.min(2_000)));
+                    // fall home rather than camping on the peer.
+                    self.leave()
+                } else {
+                    self.wait(retry_after_ms, Phase::BackingOff)
                 }
-                Message::Busy { retry_after_ms } => {
-                    std::thread::sleep(Duration::from_millis(retry_after_ms.min(2_000)));
-                    continue 'session;
+            }
+            (Phase::Asking, Input::Frame(Message::Redirect { addr: peer, .. })) => {
+                if self.bounced || peer == self.addr() {
+                    // Already followed one redirect for this ask (or
+                    // the server pointed at itself): back off in place
+                    // instead of chasing pointers around a ring of
+                    // drained shards.
+                    self.bounced = false;
+                    self.wait(100, Phase::BackingOff)
+                } else {
+                    self.report.redirects_followed += 1;
+                    self.bounced = true;
+                    self.away = (peer != self.config.addr).then_some(peer);
+                    self.leave()
                 }
-                Message::Redirect { addr: peer, .. } => {
-                    if bounced || peer == addr {
-                        // Already followed one redirect for this ask
-                        // (or the server pointed at itself): back off
-                        // in place instead of chasing pointers around
-                        // a ring of drained shards.
-                        bounced = false;
-                        std::thread::sleep(Duration::from_millis(100));
-                    } else {
-                        report.redirects_followed += 1;
-                        bounced = true;
-                        addr = peer;
-                        let _ = write_message_with(&mut stream, &Message::Bye, codec);
-                        continue 'session;
-                    }
-                }
-                Message::Assignment {
+            }
+            (
+                Phase::Asking,
+                Input::Frame(Message::Assignment {
                     replica,
                     workunit,
                     isep_start,
                     positions,
-                    deadline_seconds: wu_deadline,
-                    campaign: campaign_idx,
+                    deadline_seconds,
+                    campaign,
                     ..
-                } => {
-                    // The roster entry this assignment docks against —
-                    // index 0 unless a multi-campaign server said
-                    // otherwise. An index the handshake never announced
-                    // is a server bug; drop the session.
-                    let Some(campaign) = roster.get(usize::from(campaign_idx)) else {
-                        continue 'session;
-                    };
-                    bounced = false;
-                    report.assignments += 1;
-                    if config
-                        .die_after
-                        .is_some_and(|n| report.assignments >= u64::from(n))
-                    {
-                        // Vanish mid-workunit: no report, no Bye.
-                        return Ok(report);
+                }),
+            ) => {
+                // The roster entry this assignment docks against —
+                // index 0 unless a multi-campaign server said
+                // otherwise. An index the handshake never announced is
+                // a server bug; drop the session.
+                if usize::from(campaign) >= self.roster.len() {
+                    return self.dial();
+                }
+                self.bounced = false;
+                self.report.assignments += 1;
+                let die_after = self.config.die_after.map(u64::from);
+                if die_after.is_some_and(|n| self.report.assignments >= n) {
+                    // Vanish mid-workunit: no report, no Bye.
+                    return self.finish(Outcome::Done);
+                }
+                let action = self.dice.draw();
+                if action == FaultAction::Disconnect {
+                    self.report.disconnect_faults += 1;
+                    // Drop the connection on the floor; the replica
+                    // ages out and the server reissues it.
+                    return self.wait(20, Phase::Resting);
+                }
+                self.phase = Phase::Computing(Job {
+                    replica,
+                    workunit,
+                    campaign,
+                    action,
+                    deadline_seconds,
+                });
+                Step::Compute {
+                    campaign,
+                    workunit,
+                    isep_start,
+                    positions,
+                }
+            }
+            (Phase::Computing(job), Input::Computed(mut output)) => {
+                let held = match job.action {
+                    FaultAction::Stall => {
+                        self.report.stall_faults += 1;
+                        // Past whichever deadline is later; one that is
+                        // not a length of time holds nothing up.
+                        let deadline = job.deadline_seconds.max(self.deadline_seconds);
+                        let deadline = Duration::try_from_secs_f64(deadline).unwrap_or_default();
+                        Some(deadline + Duration::from_millis(300))
                     }
-                    let action = dice.draw();
-                    if action == FaultAction::Disconnect {
-                        report.disconnect_faults += 1;
-                        // Drop the TCP stream on the floor; the replica
-                        // ages out and the server reissues it.
-                        std::thread::sleep(Duration::from_millis(20));
-                        continue 'session;
+                    FaultAction::Corrupt => {
+                        self.report.corrupt_faults += 1;
+                        self.dice.corrupt(&mut output);
+                        None
                     }
-                    let mut output =
-                        compute_workunit(campaign, workunit, isep_start, positions, config.threads);
-                    match action {
-                        FaultAction::Stall => {
-                            report.stall_faults += 1;
-                            let past_deadline =
-                                Duration::from_secs_f64(wu_deadline.max(deadline_seconds) + 0.3);
-                            std::thread::sleep(past_deadline);
-                        }
-                        FaultAction::Corrupt => {
-                            report.corrupt_faults += 1;
-                            dice.corrupt(&mut output);
-                        }
-                        FaultAction::None | FaultAction::Disconnect => {}
+                    FaultAction::None | FaultAction::Disconnect => None,
+                };
+                let report = Message::ResultReport {
+                    replica: job.replica,
+                    workunit: job.workunit,
+                    campaign: job.campaign,
+                    output,
+                };
+                match held {
+                    Some(past_deadline) => {
+                        self.phase = Phase::Stalling(report);
+                        Step::Wait(past_deadline)
                     }
-                    if write_message_with(
-                        &mut stream,
-                        &Message::ResultReport {
-                            replica,
-                            workunit,
-                            campaign: campaign_idx,
-                            output,
-                        },
-                        codec,
-                    )
-                    .is_err()
-                    {
-                        continue 'session;
+                    None => self.send_report(report),
+                }
+            }
+            (
+                Phase::Reporting,
+                Input::Frame(Message::ResultAck {
+                    accepted,
+                    campaign_complete,
+                    ..
+                }),
+            ) => {
+                self.report.accepted += u64::from(accepted);
+                if campaign_complete {
+                    self.report.saw_completion = true;
+                    self.leave()
+                } else {
+                    self.ask()
+                }
+            }
+            (Phase::Leaving, _) if self.report.saw_completion => self.finish(Outcome::Done),
+            _ => self.dial(),
+        }
+    }
+}
+
+/// Runs one agent until the campaign completes (or it dies on purpose):
+/// the blocking driver of a [`Session`]. It connects, writes and reads
+/// one frame at a time, docks on the calling thread, and sleeps a
+/// `Wait` out on the open socket.
+pub fn run_agent(config: AgentConfig) -> io::Result<AgentReport> {
+    let (codec, threads) = (config.codec, config.threads);
+    let mut session = Session::new(config);
+    let mut stream: Option<TcpStream> = None;
+    let mut roster: Vec<NetCampaign> = Vec::new();
+    let mut dial_error = None;
+    let mut input = Input::Woke;
+    loop {
+        input = match session.step(input) {
+            Step::Dial(addr) => {
+                // Closed before the dial, not by it: a server at its
+                // connection limit must see the old socket go first.
+                stream = None;
+                match TcpStream::connect(&addr) {
+                    Ok(connected) => {
+                        connected.set_nodelay(true)?;
+                        stream = Some(connected);
+                        Input::Connected
                     }
-                    report.reported += 1;
-                    match read_message(&mut stream) {
-                        Ok(Some(Message::ResultAck {
-                            accepted,
-                            campaign_complete,
-                            ..
-                        })) => {
-                            if accepted {
-                                report.accepted += 1;
-                            }
-                            if campaign_complete {
-                                report.saw_completion = true;
-                                let _ = write_message_with(&mut stream, &Message::Bye, codec);
-                                return Ok(report);
-                            }
-                        }
-                        _ => continue 'session,
+                    Err(e) => {
+                        dial_error = Some(e);
+                        Input::ConnectFailed
                     }
                 }
-                _ => continue 'session,
             }
-        }
+            Step::Send(msg) => exchange(&mut stream, &msg, codec),
+            Step::Ask => {
+                let asked = Instant::now();
+                let reply = exchange(&mut stream, &Message::RequestWork, codec);
+                if let Input::Frame(_) = reply {
+                    let latency_ms = asked.elapsed().as_secs_f64() * 1e3;
+                    session.report.request_latencies_ms.push(latency_ms);
+                }
+                reply
+            }
+            Step::Compute {
+                campaign,
+                workunit,
+                isep_start,
+                positions,
+            } => {
+                if roster.is_empty() {
+                    let recipes = session.roster().iter();
+                    roster = recipes.map(|p| NetCampaign::build(*p)).collect();
+                }
+                let campaign = &roster[usize::from(campaign)];
+                let output = compute_workunit(campaign, workunit, isep_start, positions, threads);
+                Input::Computed(output)
+            }
+            Step::Wait(pause) => {
+                std::thread::sleep(pause);
+                Input::Woke
+            }
+            Step::Bye => {
+                if let Some(mut leaving) = stream.take() {
+                    let _ = write_message_with(&mut leaving, &Message::Bye, codec);
+                }
+                Input::Lost
+            }
+            Step::Finished(Outcome::Done) => return Ok(session.report),
+            Step::Finished(Outcome::GaveUp) => {
+                return Err(dial_error.expect("a session gives up only on a failed dial"))
+            }
+        };
+    }
+}
+
+/// Writes one frame on the open connection and reads one back.
+fn exchange(stream: &mut Option<TcpStream>, msg: &Message, codec: Codec) -> Input {
+    let Some(stream) = stream else {
+        return Input::Lost;
+    };
+    match write_message_with(stream, msg, codec).and_then(|()| read_message(stream)) {
+        Ok(Some(reply)) => Input::Frame(reply),
+        Ok(None) | Err(_) => Input::Lost,
     }
 }
 
@@ -376,7 +624,7 @@ pub(crate) mod tests {
         (listener, addr)
     }
 
-    fn hello_ack() -> Message {
+    pub(crate) fn hello_ack() -> Message {
         Message::HelloAck {
             protocol: PROTOCOL_VERSION,
             campaign: CampaignParams::tiny(),
@@ -620,6 +868,450 @@ pub(crate) mod tests {
         );
         home_thread.join().unwrap();
         peer_thread.join().unwrap();
+    }
+
+    // ---- The same volunteer with no socket, no sleep and no thread:
+    // a bare `Session` told what happened, step by step. ----
+
+    fn hello(agent: u64, campaigns: &[&str]) -> Step {
+        Step::Send(Message::Hello {
+            agent,
+            threads: 1,
+            campaigns: campaigns.iter().map(|c| c.to_string()).collect(),
+        })
+    }
+
+    pub(crate) fn no_work(retry_after_ms: u64) -> Message {
+        Message::NoWork {
+            campaign_complete: false,
+            retry_after_ms,
+        }
+    }
+
+    /// Workunit 0 of the tiny campaign, as replica 0, due in `deadline_seconds`.
+    pub(crate) fn assignment(deadline_seconds: f64) -> Message {
+        let spec = NetCampaign::build(CampaignParams::tiny()).spec(0);
+        Message::Assignment {
+            replica: 0,
+            workunit: 0,
+            receptor: spec.receptor.0,
+            ligand: spec.ligand.0,
+            isep_start: spec.isep_start,
+            positions: spec.positions,
+            deadline_seconds,
+            campaign: 0,
+        }
+    }
+
+    fn ms(ms: u64) -> Step {
+        Step::Wait(Duration::from_millis(ms))
+    }
+
+    /// Tells the session each input in turn and checks the step it
+    /// answers with.
+    fn transcript(session: &mut Session, script: Vec<(Input, Step)>) {
+        for (i, (input, expected)) in script.into_iter().enumerate() {
+            let said = format!("{input:?}");
+            assert_eq!(session.step(input), expected, "step {i}, after {said}");
+        }
+    }
+
+    /// From a fresh session to its first ask, at `home`.
+    fn to_first_ask(home: &str, agent: u64) -> Vec<(Input, Step)> {
+        vec![
+            (Input::Woke, Step::Dial(home.into())),
+            (Input::Connected, hello(agent, &[])),
+            (Input::Frame(hello_ack()), Step::Ask),
+        ]
+    }
+
+    #[test]
+    fn stepped_redirect_is_followed_at_most_once_per_ask() {
+        let mut session = Session::new(AgentConfig::new("a", 7));
+        transcript(&mut session, to_first_ask("a", 7));
+        transcript(
+            &mut session,
+            vec![
+                (Input::Frame(redirect(1, "b")), Step::Bye),
+                (Input::Lost, Step::Dial("b".into())),
+                (Input::Connected, hello(7, &[])),
+                (Input::Frame(hello_ack()), Step::Ask),
+                // Straight back at shard A: a backoff in place, not a chase.
+                (Input::Frame(redirect(0, "a")), ms(100)),
+                (Input::Woke, Step::Ask),
+                (Input::Frame(campaign_done()), Step::Bye),
+                (Input::Lost, Step::Finished(Outcome::Done)),
+            ],
+        );
+        assert!(session.report.saw_completion);
+        assert_eq!(session.report.redirects_followed, 1, "one bounce per ask");
+    }
+
+    #[test]
+    fn stepped_a_dropped_handshake_retries_with_the_same_hello() {
+        let config = AgentConfig {
+            campaigns: vec!["prod".into(), "pilot".into()],
+            ..AgentConfig::new("home", 10)
+        };
+        transcript(
+            &mut Session::new(config),
+            vec![
+                (Input::Woke, Step::Dial("home".into())),
+                (Input::Connected, hello(10, &["prod", "pilot"])),
+                (Input::Lost, ms(50)),
+                (Input::Woke, Step::Dial("home".into())),
+                (Input::Connected, hello(10, &["prod", "pilot"])),
+                (Input::Frame(hello_ack()), Step::Ask),
+            ],
+        );
+    }
+
+    #[test]
+    fn stepped_dead_redirect_target_falls_home() {
+        // Whether the dead peer refuses the dial or hangs up on the Hello.
+        for hung_up in [false, true] {
+            let mut session = Session::new(AgentConfig::new("home", 11));
+            transcript(&mut session, to_first_ask("home", 11));
+            let mut script = vec![
+                (Input::Frame(redirect(1, "peer")), Step::Bye),
+                (Input::Lost, Step::Dial("peer".into())),
+            ];
+            if hung_up {
+                script.push((Input::Connected, hello(11, &[])));
+                script.push((Input::Lost, Step::Dial("home".into())));
+            } else {
+                script.push((Input::ConnectFailed, Step::Dial("home".into())));
+            }
+            script.push((Input::Connected, hello(11, &[])));
+            transcript(&mut session, script);
+            assert_eq!(session.report.redirects_followed, 1);
+        }
+    }
+
+    #[test]
+    fn stepped_drained_redirect_target_sends_the_agent_home() {
+        let mut session = Session::new(AgentConfig::new("home", 12));
+        transcript(&mut session, to_first_ask("home", 12));
+        transcript(
+            &mut session,
+            vec![
+                (Input::Frame(redirect(1, "peer")), Step::Bye),
+                (Input::Lost, Step::Dial("peer".into())),
+                (Input::Connected, hello(12, &[])),
+                (Input::Frame(hello_ack()), Step::Ask),
+                // One NoWork from the peer, campaign open: home, at once.
+                (Input::Frame(no_work(5)), Step::Bye),
+                (Input::Lost, Step::Dial("home".into())),
+                (Input::Connected, hello(12, &[])),
+                (Input::Frame(hello_ack()), Step::Ask),
+                // The same NoWork at home is a wait on the open socket.
+                (Input::Frame(no_work(5)), ms(5)),
+                (Input::Woke, Step::Ask),
+            ],
+        );
+    }
+
+    #[test]
+    fn stepped_give_up_with_assignments_but_no_reports_is_ok() {
+        let config = |disconnect| AgentConfig {
+            profile: FaultProfile {
+                disconnect,
+                ..FaultProfile::none()
+            },
+            max_connect_attempts: 3,
+            ..AgentConfig::new("home", 9)
+        };
+        let refused = |last| {
+            vec![
+                (Input::ConnectFailed, ms(50)),
+                (Input::Woke, Step::Dial("home".into())),
+                (Input::ConnectFailed, ms(50)),
+                (Input::Woke, Step::Dial("home".into())),
+                (Input::ConnectFailed, Step::Finished(last)),
+            ]
+        };
+        let mut session = Session::new(config(1.0));
+        transcript(&mut session, to_first_ask("home", 9));
+        transcript(
+            &mut session,
+            vec![
+                (Input::Frame(assignment(5.0)), ms(20)),
+                (Input::Woke, Step::Dial("home".into())),
+            ],
+        );
+        transcript(&mut session, refused(Outcome::Done));
+        let report = &session.report;
+        assert_eq!((report.assignments, report.reported), (1, 0));
+        assert_eq!(report.disconnect_faults, 1);
+        assert!(!report.saw_completion);
+
+        // With nothing to show for itself, the same silence is an error.
+        let mut idle = Session::new(config(0.0));
+        transcript(&mut idle, vec![(Input::Woke, Step::Dial("home".into()))]);
+        transcript(&mut idle, refused(Outcome::GaveUp));
+    }
+
+    /// The fleet's sessions are built like any other, so a stalled fleet
+    /// agent sits on its result past whichever deadline is later — the
+    /// assignment's own here, not the handshake's.
+    #[test]
+    fn a_stalled_fleet_agent_waits_out_the_assignments_own_deadline() {
+        let mut session = Session::new(AgentConfig {
+            profile: FaultProfile {
+                stall: 1.0,
+                ..FaultProfile::none()
+            },
+            max_connect_attempts: u32::MAX,
+            ..AgentConfig::new("home", 1)
+        });
+        let one_second = Message::HelloAck {
+            protocol: PROTOCOL_VERSION,
+            campaign: CampaignParams::tiny(),
+            deadline_seconds: 1.0,
+            campaigns: Vec::new(),
+        };
+        let output = DockingOutput {
+            rows: Vec::new(),
+            evaluations: 3,
+        };
+        let spec = NetCampaign::build(CampaignParams::tiny()).spec(0);
+        transcript(
+            &mut session,
+            vec![
+                (Input::Woke, Step::Dial("home".into())),
+                (Input::Connected, hello(1, &[])),
+                (Input::Frame(one_second), Step::Ask),
+                (
+                    Input::Frame(assignment(5.0)),
+                    Step::Compute {
+                        campaign: 0,
+                        workunit: 0,
+                        isep_start: spec.isep_start,
+                        positions: spec.positions,
+                    },
+                ),
+                (Input::Computed(output.clone()), ms(5_300)),
+                (
+                    Input::Woke,
+                    Step::Send(Message::ResultReport {
+                        replica: 0,
+                        workunit: 0,
+                        campaign: 0,
+                        output,
+                    }),
+                ),
+            ],
+        );
+        assert_eq!(session.report.stall_faults, 1);
+    }
+
+    /// Every frame kind in every phase: a defined step, never a panic.
+    /// The only frames that advance a session are the server's replies
+    /// in their places; any other — a reply out of place, a frame an
+    /// agent sends, shard gossip — loses it.
+    #[test]
+    fn every_frame_in_every_phase_yields_a_defined_step() {
+        let stalls = AgentConfig {
+            profile: FaultProfile {
+                stall: 1.0,
+                ..FaultProfile::none()
+            },
+            ..AgentConfig::new("home", 3)
+        };
+        let computed = Input::Computed(DockingOutput {
+            rows: Vec::new(),
+            evaluations: 0,
+        });
+        let ask = || -> Vec<Input> { to_first_ask("home", 3).into_iter().map(|s| s.0).collect() };
+        let with = |more: &[Input]| [ask(), more.to_vec()].concat();
+        let working = Input::Frame(assignment(5.0));
+        let phases: Vec<(&str, Vec<Input>)> = vec![
+            ("resting", vec![]),
+            ("dialing", vec![Input::Woke]),
+            ("greeting", vec![Input::Woke, Input::Connected]),
+            ("asking", ask()),
+            ("backing off", with(&[Input::Frame(no_work(5))])),
+            ("computing", with(std::slice::from_ref(&working))),
+            ("stalling", with(&[working.clone(), computed.clone()])),
+            ("leaving", with(&[Input::Frame(redirect(1, "peer"))])),
+            (
+                "finished",
+                with(&[Input::Frame(campaign_done()), Input::Lost]),
+            ),
+        ];
+        // "reporting" is the one phase the stalling volunteer passes
+        // through only after its wait; an honest one gets there directly.
+        let reporting = with(&[working, computed]);
+        for (phase, prefix, config) in phases
+            .iter()
+            .map(|(phase, prefix)| (*phase, prefix, stalls.clone()))
+            .chain([("reporting", &reporting, AgentConfig::new("home", 3))])
+        {
+            for frame in crate::protocol::tests::sample_messages() {
+                let mut session = Session::new(config.clone());
+                for input in prefix {
+                    session.step(input.clone());
+                }
+                let in_place = matches!(
+                    (phase, &frame),
+                    ("greeting", Message::HelloAck { .. } | Message::Busy { .. })
+                        | (
+                            "asking",
+                            Message::NoWork { .. }
+                                | Message::Busy { .. }
+                                | Message::Redirect { .. }
+                                | Message::Assignment { .. }
+                        )
+                        | ("reporting", Message::ResultAck { .. })
+                );
+                let step = session.step(Input::Frame(frame.clone()));
+                let lost = match phase {
+                    "greeting" => ms(50),
+                    "leaving" => Step::Dial("peer".into()),
+                    "finished" => Step::Finished(Outcome::Done),
+                    _ => Step::Dial("home".into()),
+                };
+                assert!(in_place || step == lost, "{phase}: {frame:?} gave {step:?}");
+            }
+        }
+    }
+
+    mod walk {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// What a driver may tell a session that just issued `step`,
+        /// picked by `pick`; `None` once it has finished.
+        fn legal_input(step: &Step, pick: u16) -> Option<Input> {
+            let lost = pick.is_multiple_of(8);
+            Some(match step {
+                Step::Finished(_) => return None,
+                Step::Dial(_) if pick.is_multiple_of(3) => Input::ConnectFailed,
+                Step::Dial(_) => Input::Connected,
+                Step::Bye => Input::Lost,
+                _ if lost => Input::Lost,
+                Step::Wait(_) => Input::Woke,
+                Step::Compute { .. } => Input::Computed(DockingOutput {
+                    rows: Vec::new(),
+                    evaluations: u64::from(pick),
+                }),
+                Step::Send(_) | Step::Ask => Input::Frame(match pick % 13 {
+                    0 | 1 => hello_ack(),
+                    2 => no_work(u64::from(pick) * 7),
+                    3 => Message::Busy {
+                        retry_after_ms: u64::from(pick) * 1_000,
+                    },
+                    4 => redirect(0, "a"),
+                    5 => redirect(1, "b"),
+                    6 => redirect(2, "c"),
+                    7 | 8 => assignment(f64::from(pick) - 30_000.0),
+                    9 => Message::ResultAck {
+                        accepted: pick.is_multiple_of(2),
+                        completed_workunit: false,
+                        campaign_complete: pick % 64 == 9,
+                    },
+                    10 => campaign_done(),
+                    _ => {
+                        let kinds = crate::protocol::tests::sample_messages();
+                        kinds[usize::from(pick) % kinds.len()].clone()
+                    }
+                }),
+            })
+        }
+
+        /// Plays `history` into a fresh session, then `next`, then only
+        /// good news — dials connect, greetings and reports are
+        /// acknowledged — until the next ask; returns the address it
+        /// goes out to.
+        fn next_ask(config: &AgentConfig, history: &[Input], next: Input) -> Option<String> {
+            let mut session = Session::new(config.clone());
+            let mut at = String::new();
+            let mut step = Step::Bye;
+            for input in history.iter().cloned().chain([next]) {
+                step = session.step(input);
+                if let Step::Dial(addr) = &step {
+                    at = addr.clone();
+                }
+            }
+            for _ in 0..16 {
+                let input = match &step {
+                    Step::Ask => return Some(at),
+                    Step::Finished(_) => return None,
+                    Step::Dial(addr) => {
+                        at = addr.clone();
+                        Input::Connected
+                    }
+                    Step::Send(Message::Hello { .. }) => Input::Frame(hello_ack()),
+                    Step::Send(_) => Input::Frame(Message::ResultAck {
+                        accepted: true,
+                        completed_workunit: true,
+                        campaign_complete: false,
+                    }),
+                    Step::Bye => Input::Lost,
+                    Step::Wait(_) => Input::Woke,
+                    Step::Compute { .. } => unreachable!("good news assigns nothing"),
+                };
+                step = session.step(input);
+            }
+            panic!("no ask within 16 steps of good news");
+        }
+
+        proptest! {
+            /// A seeded random walk over everything a driver may legally
+            /// say, with a flaky volunteer under it.
+            #[test]
+            fn a_session_keeps_its_word_on_any_walk(
+                seed in 0u64..u64::MAX,
+                picks in collection::vec(0u16..u16::MAX, 1..150),
+            ) {
+                let config = AgentConfig {
+                    profile: FaultProfile::flaky(),
+                    seed,
+                    max_connect_attempts: 4,
+                    ..AgentConfig::new("a", 5)
+                };
+                let mut session = Session::new(config.clone());
+                let (mut connected, mut asks) = (false, 0u64);
+                let mut history: Vec<Input> = Vec::new();
+                let mut input = Input::Woke;
+                for pick in picks {
+                    let step = session.step(input.clone());
+                    history.push(input.clone());
+                    match &step {
+                        // A dial is answered before anything else is said.
+                        Step::Dial(_) => {
+                            prop_assert!(!matches!(input, Input::Connected), "{history:?}");
+                            connected = false;
+                        }
+                        Step::Bye => connected = false,
+                        Step::Send(_) => prop_assert!(connected, "{history:?}"),
+                        Step::Ask => {
+                            prop_assert!(connected, "{history:?}");
+                            asks += 1;
+                        }
+                        // Only a stall sits past the two-second cap.
+                        Step::Wait(pause) => {
+                            let stall = matches!(input, Input::Computed(_));
+                            prop_assert!(stall || *pause <= Duration::from_secs(2), "{pause:?}");
+                            // Slept on the open socket or spent with it
+                            // closed, the wait ends in the same ask.
+                            let slept = next_ask(&config, &history, Input::Woke);
+                            let closed = next_ask(&config, &history, Input::Lost);
+                            prop_assert!(slept == closed, "{slept:?} / {closed:?} after {history:?}");
+                        }
+                        Step::Compute { .. } | Step::Finished(_) => {}
+                    }
+                    prop_assert!(session.report.redirects_followed <= asks);
+                    let Some(next) = legal_input(&step, pick) else { break };
+                    connected = match next {
+                        Input::Connected => true,
+                        Input::ConnectFailed | Input::Lost => false,
+                        _ => connected,
+                    };
+                    input = next;
+                }
+            }
+        }
     }
 
     #[test]

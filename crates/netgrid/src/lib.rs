@@ -24,17 +24,19 @@
 //!   real-payload validation (bounds + byte-level quorum), wall-clock
 //!   deadlines, per-agent backoff;
 //! * [`sys`] — a dependency-free readiness shim: epoll on Linux with a
-//!   portable `poll(2)` fallback, via direct `extern "C"` declarations;
+//!   portable `poll(2)` fallback, via direct `extern "C"` declarations,
+//!   and the read buffer and flush loop of a nonblocking connection;
 //! * [`server`] — the TCP daemon: a single-threaded nonblocking event
 //!   loop that owns the grid state by value and drives per-connection
 //!   state machines — volunteers, steering links to peer shards and ops
 //!   scrapes alike — with the deadline sweeper, journal fsync and
 //!   steering folded in as timer events;
-//! * [`agent`] — the volunteer loop (fetch → dock → checkpoint →
-//!   report) with real multicore docking;
-//! * [`mux`] — a multiplexed fleet driver: one thread pushing thousands
-//!   of simulated agent connections through nonblocking sockets, for
-//!   scale benchmarking without a thread per agent;
+//! * [`agent`] — the volunteer: its protocol decisions as a sans-IO
+//!   state machine, and the blocking driver that runs one with a socket
+//!   and real multicore docking (fetch → dock → checkpoint → report);
+//! * [`mux`] — the other driver: one thread carrying thousands of those
+//!   state machines over nonblocking sockets, for scale benchmarking
+//!   without a thread per agent;
 //! * [`registry`] — the multi-campaign registry: N isolated campaign
 //!   states under one server, arbitrated by a deficit-weighted
 //!   fair-share ledger over delivered reference-seconds;

@@ -1,53 +1,46 @@
 //! The multiplexed fleet driver: thousands of simulated volunteers on
 //! one thread.
 //!
-//! The threaded agent ([`crate::agent::run_agent`]) is the *reference*
-//! volunteer — one OS thread, blocking sockets, real docking. It is
-//! faithful but it cannot scale a loopback bench past a few dozen
-//! agents: 10 000 volunteers would need 10 000 stacks. This module
-//! drives N agent state machines through nonblocking sockets on a
-//! single thread, mirroring the reference agent's protocol behaviour
-//! exactly — Hello/HelloAck, request → compute → report, Busy retries,
-//! server-directed backoff, cross-shard redirects (at most one followed
-//! per ask, home again when the target is dead, hangs up in the
-//! handshake or has no work), and the same per-agent [`FaultDice`]
-//! stream (disconnects, stalls past the deadline, corrupted payloads)
-//! folded into the state machine as timer events.
+//! A volunteer is a [`Session`]: it decides everything the protocol
+//! leaves to an agent — what to say after each reply, when to follow a
+//! `Redirect` and when to go home, how long to back off, what each
+//! injected fault does. [`crate::agent::run_agent`] drives one session
+//! with a blocking socket and the calling thread, which is faithful but
+//! cannot scale a loopback bench past a few dozen agents: 10 000
+//! volunteers would need 10 000 stacks. This module drives N sessions
+//! through nonblocking sockets on a single thread. It makes no protocol
+//! decision; it only chooses how to carry out three of the steps a
+//! session hands it, each differently from the blocking driver, each
+//! for scale rather than fidelity, and no others:
 //!
-//! Three deliberate departures from the reference agent, all chosen for
-//! scale rather than fidelity, and the only ones:
-//!
-//! * **Memoized docking.** Every unique workunit is computed once, on a
-//!   helper thread, and the result shared; a corrupting agent mutates
-//!   its own clone. 10 000 agents re-docking the same 33 workunits
-//!   would measure the docking kernel, not the server's wire path —
-//!   and a stalled compute on the driver thread would poison every
-//!   other agent's latency sample.
-//! * **Sessions close across backoffs.** The reference agent sleeps on
-//!   an open socket; here an agent told `NoWork` (or redirected a second
-//!   time for one ask) says `Bye`, closes, and reconnects when its
-//!   backoff expires. That is how periodic
-//!   BOINC volunteers actually behave, and it keeps the peak open-fd
-//!   count under [`MuxFleetConfig::max_open`] — a 10k-agent loopback
-//!   run owns *both* ends of every socket, which would otherwise need
-//!   20 001 descriptors against a typical 1024-or-so rlimit.
-//! * **Admission-controlled asks.** At most
-//!   [`MuxFleetConfig::max_inflight_asks`] `RequestWork` frames are in
-//!   flight at once; agents past the cap park in a FIFO until a reply
-//!   frees a slot. The single-threaded server answers one frame at a
-//!   time, so a synchronized wave of 10 000 asks serializes into a
-//!   ~200 ms queue for whoever lands last — a deep-but-bounded pipeline
-//!   keeps the server saturated (throughput is unchanged) while holding
-//!   its queue, and therefore request latency, to a few hundred service
-//!   times.
+//! * **A `Compute` is memoized.** Every unique workunit is docked once,
+//!   on a helper thread, and every session that is handed it gets a
+//!   clone (a corrupting session mutates its own). 10 000 agents
+//!   re-docking the same 33 workunits would measure the docking kernel,
+//!   not the server's wire path — and a compute on the driver thread
+//!   would poison every other agent's latency sample.
+//! * **A `Wait` is spent with the connection closed.** The blocking
+//!   driver sleeps on an open socket; here the agent says `Bye`, closes,
+//!   and when the wait — stretched by up to 25 % of id-salted jitter,
+//!   so ten thousand agents told the same backoff do not re-dial as one
+//!   SYN storm — is over the session is told its connection is gone: it
+//!   dials, greets and asks again, the same next ask a slept wait leads
+//!   to. That is how periodic BOINC volunteers actually behave, and it
+//!   keeps the peak open-fd count under [`MAX_OPEN`]. The one wait
+//!   slept on the open socket is a stall fault's, because the result it
+//!   sits on must still ride that connection.
+//! * **An `Ask` waits for admission.** At most [`MAX_INFLIGHT_ASKS`]
+//!   `RequestWork` frames are in flight at once; asks past the cap park
+//!   in a FIFO until a reply frees a slot.
 
+use crate::agent::{AgentConfig, Input, Session, Step};
 use crate::campaign::NetCampaign;
-use crate::faults::{FaultAction, FaultDice, FaultProfile};
+use crate::faults::FaultProfile;
 use crate::protocol::{decode_versioned, encode_with, Codec, DecodeError, Message};
-use crate::sys::{Event as IoEvent, Poller};
+use crate::sys::{Event as IoEvent, Poller, ReadBuf};
 use maxdo::DockingOutput;
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::TcpStream;
 use std::os::unix::io::AsRawFd;
 use std::sync::{mpsc, Arc, Mutex};
@@ -59,9 +52,9 @@ use std::time::{Duration, Instant};
 pub struct MuxFleetConfig {
     /// Server address (`host:port`).
     pub addr: String,
-    /// Sharded topology: when non-empty, agent *i* dials
-    /// `addrs[i % addrs.len()]` instead of `addr`, spreading the fleet
-    /// round-robin across every shard of a multi-server campaign.
+    /// Sharded topology: when non-empty, agent *i* calls
+    /// `addrs[i % addrs.len()]` home instead of `addr`, spreading the
+    /// fleet round-robin across every shard of a multi-server campaign.
     pub addrs: Vec<String>,
     /// Number of simulated agents; ids run `1..=agents`.
     pub agents: usize,
@@ -78,20 +71,6 @@ pub struct MuxFleetConfig {
     /// Campaign attachments every fleet agent announces in its Hello.
     /// Empty = the default campaign; `["*"]` = all.
     pub campaigns: Vec<String>,
-    /// Peak simultaneously-open connections; agents beyond it queue for
-    /// a connect slot. Remember the loopback bench owns both socket
-    /// ends, so the process fd bill is twice this number.
-    pub max_open: usize,
-    /// Connect dispatches per driver iteration. Dialing happens on a
-    /// small connector-thread pool — this only bounds how fast the
-    /// driver feeds it, so a ramp cannot flood the dial queue.
-    pub connect_batch: usize,
-    /// Peak `RequestWork` frames in flight at once. The server answers
-    /// one frame at a time, so a synchronized burst of N asks queues the
-    /// last one behind N − 1 service times (~200 ms at N = 10 000); this
-    /// admission cap turns the burst into a pipeline deep enough to keep
-    /// the server saturated while bounding its queue.
-    pub max_inflight_asks: usize,
     /// Hard wall-clock cap; the driver returns what it has when this
     /// expires (`saw_completion: false`).
     pub timeout: Duration,
@@ -108,9 +87,6 @@ impl MuxFleetConfig {
             profile: FaultProfile::none(),
             saboteurs: 0,
             campaigns: Vec::new(),
-            max_open: 8_000,
-            connect_batch: 64,
-            max_inflight_asks: 16,
             timeout: Duration::from_secs(300),
         }
     }
@@ -142,60 +118,41 @@ pub struct MuxFleetReport {
     pub redirects_followed: u64,
 }
 
-/// One simulated agent's protocol position.
+/// What the driver owes one agent's session: the step it was last
+/// handed, as far as carrying it out has got.
 enum AState {
-    /// Not connected; wants a connect slot once `until` passes.
-    Offline { until: Instant },
+    /// A `Wait` is running out. When `until` passes the session hears
+    /// `Lost` if the wait cost it a connection, else `Woke`.
+    Waiting { until: Instant, closed: bool },
+    /// A `Dial` here is waiting for a connect slot.
+    WantsDial(String),
     /// Handed to the connector pool; waiting for the dialed socket.
     Connecting,
-    /// Hello sent, awaiting `HelloAck`.
-    Greeting,
-    /// Ready to ask but held back by the in-flight ask cap; queued in
-    /// the driver's `ask_queue`.
+    /// A frame is out (or a stalled result is in hand) on an open
+    /// connection; whatever arrives on it goes to the session.
+    Talking,
+    /// An `Ask` held back by the in-flight cap; queued in the driver's
+    /// `ask_queue`.
     AskPending,
     /// `RequestWork` sent at `asked`, awaiting the reply.
     Asking { asked: Instant },
-    /// Assignment in hand, waiting for the shared compute of its
-    /// workunit; the fault drawn on receipt is applied at delivery.
-    AwaitCompute {
-        replica: u64,
-        campaign: u16,
-        workunit: u32,
-        action: FaultAction,
-    },
-    /// Stall fault: the finished result is deliberately held past the
-    /// deadline, then reported.
-    Stalling {
-        until: Instant,
-        replica: u64,
-        campaign: u16,
-        workunit: u32,
-    },
-    /// Report sent, awaiting `ResultAck`.
-    AwaitAck,
-    /// Saw campaign completion (or was shut down with the fleet).
-    Done,
+    /// A `Compute` waiting for the shared docking of this (campaign,
+    /// workunit).
+    AwaitCompute((u16, u32)),
 }
 
-/// One agent: identity, fault dice, state, and (while connected) its
-/// socket with buffered bytes each way.
+/// One agent: its session, what the driver is doing for it, and (while
+/// connected) its socket with buffered bytes each way.
 struct MuxAgent {
     id: u64,
-    dice: FaultDice,
+    session: Session,
     state: AState,
     conn: Option<MuxConn>,
-    /// Where the next session dials when that is not the agent's home
-    /// shard: the peer a `Redirect` named.
-    away: Option<String>,
-    /// A redirect was followed for the current ask. At most one is, so
-    /// two drained shards pointing at each other cannot trap an agent
-    /// in a loop.
-    bounced: bool,
 }
 
 struct MuxConn {
     stream: TcpStream,
-    read_buf: Vec<u8>,
+    read_buf: ReadBuf,
     write_buf: Vec<u8>,
     write_pos: usize,
     interest: (bool, bool),
@@ -203,18 +160,13 @@ struct MuxConn {
 
 impl MuxConn {
     fn flush(&mut self) -> io::Result<bool> {
-        while self.write_pos < self.write_buf.len() {
-            match self.stream.write(&self.write_buf[self.write_pos..]) {
-                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => self.write_pos += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        self.write_buf.clear();
-        self.write_pos = 0;
-        Ok(true)
+        crate::sys::flush(&mut self.stream, &mut self.write_buf, &mut self.write_pos)
+    }
+
+    /// Queues `msg` and writes as much as the socket takes at once.
+    fn send(&mut self, msg: &Message) -> io::Result<bool> {
+        self.write_buf.extend_from_slice(&encode_with(msg, Codec));
+        self.flush()
     }
 }
 
@@ -222,29 +174,38 @@ impl MuxConn {
 enum CacheEntry {
     /// Compute in flight; these agent indices are waiting on it.
     Pending(Vec<usize>),
-    Ready(Arc<DockingOutput>),
+    Ready(DockingOutput),
 }
 
-/// How often the driver scans agent timers (backoffs, stalls, connect
-/// queue) when no socket is ready — also the poll-timeout ceiling.
+/// How often the driver scans agent timers (waits, connect queue) when
+/// no socket is ready — also the poll-timeout ceiling.
 const TIMER_TICK: Duration = Duration::from_millis(5);
-
-/// Reconnect delay after an injected disconnect (matches the reference
-/// agent's 20 ms pause before it re-dials).
-const DISCONNECT_PAUSE: Duration = Duration::from_millis(20);
-
-/// Reconnect delay after an unexpected socket error.
-const ERROR_PAUSE: Duration = Duration::from_millis(50);
-
-/// Backoff after a second `Redirect` for one ask (the reference agent's
-/// 100 ms sleep before it asks the same server again).
-const REDIRECT_PAUSE: Duration = Duration::from_millis(100);
 
 /// Connector-pool width. Dialing is blocking (a dropped SYN under
 /// backlog pressure stalls `connect` for a full retransmit timeout),
 /// so it happens on these helper threads: one slow dial delays at most
 /// the dials queued behind it on the same worker, never the driver.
 const CONNECT_WORKERS: usize = 4;
+
+/// Dials handed to the connector pool per driver iteration: the pool is
+/// only as fast as [`CONNECT_WORKERS`] blocking connects, so this bounds
+/// how fast a ramp (or a herd waking from one backoff) floods its queue.
+const CONNECT_BATCH: usize = 64;
+
+/// Peak simultaneously-open connections; dials beyond it wait for a
+/// slot. A loopback bench owns *both* ends of every socket, so the
+/// process fd bill is twice this — 10 000 always-open agents would need
+/// 20 001 descriptors, and `netgrid_e2e` raises the soft limit to
+/// 20 000.
+const MAX_OPEN: usize = 8_000;
+
+/// Peak `RequestWork` frames in flight at once. The single-threaded
+/// server answers one frame at a time, so a synchronized wave of N asks
+/// queues the last one behind N − 1 service times (~200 ms at
+/// N = 10 000); 16 is a pipeline deep enough to keep the server
+/// saturated (throughput is unchanged) while holding its queue, and
+/// therefore request latency, to a handful of service times.
+const MAX_INFLIGHT_ASKS: usize = 16;
 
 /// Compute-pool width: all spare cores, at least one. Docking runs on
 /// a few persistent nice-19 workers rather than a thread per workunit —
@@ -260,6 +221,34 @@ fn compute_workers() -> usize {
         .max(1)
 }
 
+/// Starts `workers` helper threads that each run `init` once and then
+/// turn jobs from the one queue into results; they end when the driver
+/// drops its end of the queue.
+fn pool<J: Send + 'static, R: Send + 'static>(
+    workers: usize,
+    init: fn(),
+    work: fn(J) -> R,
+) -> (mpsc::Sender<J>, mpsc::Receiver<R>) {
+    let (job_tx, jobs) = mpsc::channel::<J>();
+    let (done, results) = mpsc::channel();
+    let jobs = Arc::new(Mutex::new(jobs));
+    for _ in 0..workers {
+        let (jobs, done) = (Arc::clone(&jobs), done.clone());
+        thread::spawn(move || {
+            init();
+            loop {
+                let Ok(job) = jobs.lock().expect("job queue").recv() else {
+                    return;
+                };
+                // Fails only once the driver is gone; then the job queue
+                // is closed too and the next recv ends the worker.
+                let _ = done.send(work(job));
+            }
+        });
+    }
+    (job_tx, results)
+}
+
 /// Runs the whole fleet to campaign completion (or the timeout) on the
 /// calling thread.
 pub fn run_mux_fleet(config: MuxFleetConfig) -> io::Result<MuxFleetReport> {
@@ -267,32 +256,34 @@ pub fn run_mux_fleet(config: MuxFleetConfig) -> io::Result<MuxFleetReport> {
 }
 
 struct Driver {
-    config: MuxFleetConfig,
+    timeout: Duration,
     poller: Poller,
     agents: Vec<MuxAgent>,
     /// fd → agent index, for routing readiness events.
     by_fd: HashMap<i32, usize>,
-    /// Hosted campaigns the fleet is attached to, indexed by the wire
-    /// campaign id (one entry, index 0, on a single-campaign server).
+    /// The campaigns the handshake announced, built when the first
+    /// `Compute` needs one and shared by the whole fleet; indexed by the
+    /// wire campaign id.
     roster: Vec<Arc<NetCampaign>>,
-    deadline_seconds: f64,
     /// Memoized docking results, keyed by campaign id + workunit — the
     /// same workunit index names different work in different campaigns.
     cache: HashMap<(u16, u32), CacheEntry>,
     /// Finished docking results from the compute pool.
     compute_rx: mpsc::Receiver<((u16, u32), DockingOutput)>,
     /// Docking jobs for the persistent compute pool.
-    compute_job_tx: mpsc::Sender<(u16, u32, u32, u32, Arc<NetCampaign>)>,
+    compute_job_tx: mpsc::Sender<((u16, u32), Arc<NetCampaign>)>,
     dial_tx: mpsc::Sender<(usize, String)>,
     dialed_rx: mpsc::Receiver<(usize, io::Result<TcpStream>)>,
     /// Dials handed to the pool and not yet back; counts against
-    /// `max_open` so in-flight connects can't overshoot the fd budget.
+    /// `MAX_OPEN` so in-flight connects can't overshoot the fd budget.
     pending_connects: usize,
     /// `RequestWork` frames awaiting a reply (agents in `Asking`).
     inflight_asks: usize,
     /// Agents in `AskPending`, oldest first. Entries can go stale when
     /// a queued session drops; `pump_asks` skips those.
     ask_queue: VecDeque<usize>,
+    /// Connections opened and ask latencies — what the driver clocks
+    /// and counts; the sessions' counters are summed in at the end.
     report: MuxFleetReport,
     open: usize,
     complete: bool,
@@ -303,71 +294,60 @@ impl Driver {
         let start = Instant::now();
         let agents = (1..=config.agents as u64)
             .map(|id| {
-                // Saboteurs corrupt unconditionally; everyone else rolls
-                // the configured profile.
-                let profile = if id <= config.saboteurs as u64 {
-                    FaultProfile::saboteur()
-                } else {
-                    config.profile
+                // Where this agent calls home: round-robin over `addrs`
+                // when a sharded topology is configured.
+                let home = match config.addrs.len() {
+                    0 => &config.addr,
+                    shards => &config.addrs[(id - 1) as usize % shards],
                 };
+                let session = Session::new(AgentConfig {
+                    // Saboteurs corrupt unconditionally; everyone else
+                    // rolls the configured profile.
+                    profile: if id <= config.saboteurs as u64 {
+                        FaultProfile::saboteur()
+                    } else {
+                        config.profile
+                    },
+                    seed: config.seed,
+                    campaigns: config.campaigns.clone(),
+                    // A simulated volunteer never switches itself off
+                    // and never despairs of its server: the fleet ends
+                    // by completion or by `timeout`.
+                    max_connect_attempts: u32::MAX,
+                    ..AgentConfig::new(home.clone(), id)
+                });
                 MuxAgent {
                     id,
-                    dice: FaultDice::new(config.seed, id, profile),
-                    state: AState::Offline { until: start },
+                    session,
+                    state: AState::Waiting {
+                        until: start,
+                        closed: false,
+                    },
                     conn: None,
-                    away: None,
-                    bounced: false,
                 }
             })
             .collect();
-        let (compute_tx, compute_rx) = mpsc::channel();
-        let (compute_job_tx, compute_jobs) =
-            mpsc::channel::<(u16, u32, u32, u32, Arc<NetCampaign>)>();
-        let compute_jobs = Arc::new(Mutex::new(compute_jobs));
-        for _ in 0..compute_workers() {
-            let jobs = Arc::clone(&compute_jobs);
-            let done = compute_tx.clone();
-            thread::spawn(move || {
-                // The docking kernel must not starve the driver (or the
-                // server, on a loopback bench sharing its core): compute
-                // runs at the lowest scheduling priority.
-                crate::sys::deprioritize_current_thread();
-                loop {
-                    let Ok((cidx, workunit, isep_start, positions, campaign)) =
-                        jobs.lock().expect("compute queue").recv()
-                    else {
-                        return;
-                    };
-                    let spec = campaign.spec(workunit);
-                    debug_assert_eq!((spec.isep_start, spec.positions), (isep_start, positions));
-                    let output = campaign.compute(spec);
-                    // Fails only once the driver is gone; then the job
-                    // queue is closed too and the next recv ends us.
-                    let _ = done.send(((cidx, workunit), output));
-                }
-            });
-        }
-        let (dial_tx, dial_jobs) = mpsc::channel::<(usize, String)>();
-        let (dialed_tx, dialed_rx) = mpsc::channel();
-        let dial_jobs = Arc::new(Mutex::new(dial_jobs));
-        for _ in 0..CONNECT_WORKERS {
-            let jobs = Arc::clone(&dial_jobs);
-            let done = dialed_tx.clone();
-            thread::spawn(move || loop {
-                let Ok((idx, addr)) = jobs.lock().expect("dial queue").recv() else {
-                    return;
-                };
-                // Sends fail only once the driver is gone — then the
-                // queue is closed too and the next recv ends the worker.
-                let _ = done.send((idx, TcpStream::connect(&addr)));
-            });
-        }
+        // The docking kernel must not starve the driver (or the server,
+        // on a loopback bench sharing its core): compute runs at the
+        // lowest scheduling priority.
+        let (compute_job_tx, compute_rx) = pool(
+            compute_workers(),
+            crate::sys::deprioritize_current_thread,
+            |(key, campaign): ((u16, u32), Arc<NetCampaign>)| {
+                (key, campaign.compute(campaign.spec(key.1)))
+            },
+        );
+        let (dial_tx, dialed_rx) = pool(
+            CONNECT_WORKERS,
+            || (),
+            |(idx, addr): (usize, String)| (idx, TcpStream::connect(&addr)),
+        );
         Ok(Self {
+            timeout: config.timeout,
             poller: Poller::new()?,
             agents,
             by_fd: HashMap::new(),
             roster: Vec::new(),
-            deadline_seconds: 0.0,
             cache: HashMap::new(),
             compute_rx,
             compute_job_tx,
@@ -379,17 +359,13 @@ impl Driver {
             report: MuxFleetReport::default(),
             open: 0,
             complete: false,
-            config,
         })
     }
 
     fn run(mut self) -> io::Result<MuxFleetReport> {
-        let deadline = Instant::now() + self.config.timeout;
+        let deadline = Instant::now() + self.timeout;
         let mut events: Vec<IoEvent> = Vec::new();
-        while !self.complete {
-            if Instant::now() > deadline {
-                break;
-            }
+        while !self.complete && Instant::now() <= deadline {
             self.drain_compute_results();
             self.drain_dialed();
             self.fire_timers();
@@ -406,226 +382,186 @@ impl Driver {
         }
         // Fleet shutdown: every socket drops at once; the server sees
         // the EOFs and drains within its grace window.
+        let mut report = std::mem::take(&mut self.report);
         for idx in 0..self.agents.len() {
             self.disconnect(idx);
-            self.agents[idx].state = AState::Done;
+            let agent = &self.agents[idx].session.report;
+            report.assignments += agent.assignments;
+            report.reported += agent.reported;
+            report.accepted += agent.accepted;
+            report.disconnect_faults += agent.disconnect_faults;
+            report.stall_faults += agent.stall_faults;
+            report.corrupt_faults += agent.corrupt_faults;
+            report.redirects_followed += agent.redirects_followed;
         }
-        self.report.saw_completion = self.complete;
-        Ok(self.report)
+        report.saw_completion = self.complete;
+        Ok(report)
     }
 
-    /// Applies finished docking computes: the workunit's waiters get
-    /// their (possibly fault-shaped) reports queued.
-    fn drain_compute_results(&mut self) {
-        while let Ok((key, output)) = self.compute_rx.try_recv() {
-            let output = Arc::new(output);
-            let waiters = match self
-                .cache
-                .insert(key, CacheEntry::Ready(Arc::clone(&output)))
-            {
-                Some(CacheEntry::Pending(w)) => w,
-                _ => Vec::new(),
-            };
-            for idx in waiters {
-                self.deliver_compute(idx, key, &output);
+    /// Tells the agent's session what happened and carries out the step
+    /// it answers with. An ask in flight ends here, whatever ended it;
+    /// one a frame answered is a latency sample.
+    fn feed(&mut self, idx: usize, input: Input) {
+        if let AState::Asking { asked } = self.agents[idx].state {
+            self.inflight_asks -= 1;
+            // So a step that feeds again (a `Bye`, a failed write)
+            // cannot free the slot twice.
+            self.agents[idx].state = AState::Talking;
+            if let Input::Frame(_) = input {
+                let latency_ms = asked.elapsed().as_secs_f64() * 1e3;
+                self.report.request_latencies_ms.push(latency_ms);
             }
         }
+        let step = self.agents[idx].session.step(input);
+        self.perform(idx, step);
     }
 
-    /// Moves one agent from `AwaitCompute` toward its report, honouring
-    /// the fault it drew when the assignment arrived.
-    fn deliver_compute(&mut self, idx: usize, key: (u16, u32), output: &Arc<DockingOutput>) {
-        let AState::AwaitCompute {
-            replica,
-            campaign,
-            workunit,
-            action,
-        } = self.agents[idx].state
-        else {
-            return;
-        };
-        if (campaign, workunit) != key {
-            return;
-        }
-        match action {
-            FaultAction::Stall => {
-                self.agents[idx].state = AState::Stalling {
-                    until: Instant::now()
-                        + Duration::from_secs_f64(self.deadline_seconds.max(0.0) + 0.3),
-                    replica,
-                    campaign,
-                    workunit,
+    /// Carries out one step, as far as it can be without waiting; the
+    /// state left behind says what the driver still owes.
+    fn perform(&mut self, idx: usize, step: Step) {
+        match step {
+            Step::Dial(addr) => {
+                self.disconnect(idx);
+                self.agents[idx].state = AState::WantsDial(addr);
+            }
+            Step::Send(msg) => {
+                // Before the frame is queued: a write that fails tells
+                // the session, which steps again.
+                self.agents[idx].state = AState::Talking;
+                self.queue_frame(idx, &msg);
+            }
+            Step::Ask => {
+                self.agents[idx].state = AState::AskPending;
+                self.ask_queue.push_back(idx);
+                self.pump_asks();
+            }
+            Step::Compute {
+                campaign,
+                workunit,
+                isep_start,
+                positions,
+            } => {
+                self.agents[idx].state = AState::AwaitCompute((campaign, workunit));
+                self.request_compute(idx, (campaign, workunit), (isep_start, positions));
+            }
+            Step::Wait(pause) => {
+                // Release the socket across the wait (see the module
+                // docs on fd budgets) and spread the reconnects.
+                let closed = self.hang_up(idx);
+                let ms = pause.as_millis() as u64;
+                let jitter = (self.agents[idx].id.wrapping_mul(0x9e37_79b9) >> 7) % (ms / 4 + 1);
+                self.agents[idx].state = AState::Waiting {
+                    until: Instant::now() + pause + Duration::from_millis(jitter),
+                    closed,
                 };
             }
-            FaultAction::Corrupt => {
-                let mut corrupted = (**output).clone();
-                self.agents[idx].dice.corrupt(&mut corrupted);
-                self.send_report(idx, replica, campaign, workunit, corrupted);
+            Step::Bye => {
+                self.hang_up(idx);
+                self.feed(idx, Input::Lost);
             }
-            FaultAction::None | FaultAction::Disconnect => {
-                self.send_report(idx, replica, campaign, workunit, (**output).clone());
-            }
+            // Fleet sessions neither die on purpose nor give up, so one
+            // that finished saw the campaign complete — and with it the
+            // fleet: `run` closes every socket.
+            Step::Finished(_) => self.complete = true,
         }
     }
 
-    fn send_report(
-        &mut self,
-        idx: usize,
-        replica: u64,
-        campaign: u16,
-        workunit: u32,
-        output: DockingOutput,
-    ) {
-        self.queue_frame(
-            idx,
-            &Message::ResultReport {
-                replica,
-                workunit,
-                campaign,
-                output,
-            },
-        );
-        self.report.reported += 1;
-        self.agents[idx].state = AState::AwaitAck;
+    /// Hands finished docking computes to the sessions waiting on them.
+    fn drain_compute_results(&mut self) {
+        while let Ok((key, output)) = self.compute_rx.try_recv() {
+            if let Some(CacheEntry::Pending(waiters)) = self.cache.remove(&key) {
+                for idx in waiters {
+                    self.deliver_compute(idx, key, output.clone());
+                }
+            }
+            self.cache.insert(key, CacheEntry::Ready(output));
+        }
     }
 
-    /// Timer scan: expire stalls, wake offline agents whose backoff
-    /// passed (bounded by the connect batch and the open-socket cap).
+    /// Answers one agent's `Compute` with its own clone of the shared
+    /// result — unless the agent has moved on since it asked.
+    fn deliver_compute(&mut self, idx: usize, key: (u16, u32), output: DockingOutput) {
+        if !matches!(self.agents[idx].state, AState::AwaitCompute(asked) if asked == key) {
+            return;
+        }
+        self.agents[idx].state = AState::Talking;
+        match self.agents[idx].session.step(Input::Computed(output)) {
+            // A wait with a result in hand is slept on the open socket:
+            // the result rides it, and closing would turn every stall
+            // into a disconnect.
+            Step::Wait(pause) => {
+                self.agents[idx].state = AState::Waiting {
+                    until: Instant::now() + pause,
+                    closed: false,
+                }
+            }
+            step => self.perform(idx, step),
+        }
+    }
+
+    /// Timer scan: end the waits that have run out, and hand waiting
+    /// dials to the connector pool (bounded by the connect batch and the
+    /// open-socket cap).
     fn fire_timers(&mut self) {
         let now = Instant::now();
-        let mut budget = self.config.connect_batch;
+        let mut budget = CONNECT_BATCH;
         for idx in 0..self.agents.len() {
-            match self.agents[idx].state {
-                AState::Stalling {
-                    until,
-                    replica,
-                    campaign,
-                    workunit,
-                } if now >= until => {
-                    if let Some(CacheEntry::Ready(out)) = self.cache.get(&(campaign, workunit)) {
-                        let out = Arc::clone(out);
-                        self.send_report(idx, replica, campaign, workunit, (*out).clone());
-                    } else {
-                        // Compute lost in a shutdown race: nothing to
-                        // report, start the session over.
-                        self.agents[idx].state = AState::Offline { until: now };
-                    }
+            if let AState::Waiting { until, closed } = self.agents[idx].state {
+                if now >= until {
+                    self.feed(idx, if closed { Input::Lost } else { Input::Woke });
                 }
-                AState::Offline { until }
-                    if now >= until
-                        && budget > 0
-                        && self.open + self.pending_connects < self.config.max_open =>
-                {
+            }
+            if let AState::WantsDial(addr) = &self.agents[idx].state {
+                if budget == 0 || self.open + self.pending_connects >= MAX_OPEN {
+                    continue;
+                }
+                // A send fails only once the connector pool is gone, on
+                // teardown; the dial keeps waiting.
+                if self.dial_tx.send((idx, addr.clone())).is_ok() {
                     budget -= 1;
                     self.pending_connects += 1;
                     self.agents[idx].state = AState::Connecting;
-                    let addr = self.dial_addr(idx).to_string();
-                    if self.dial_tx.send((idx, addr)).is_err() {
-                        // Connector pool gone (only on teardown): retry
-                        // later so the state machine stays coherent.
-                        self.pending_connects -= 1;
-                        self.agents[idx].state = AState::Offline {
-                            until: now + ERROR_PAUSE,
-                        };
-                    }
                 }
-                _ => {}
             }
         }
     }
 
-    /// Where this agent's next session dials: the peer it was
-    /// redirected to, else the shard it calls home — round-robin over
-    /// `addrs` when a sharded topology is configured, else the single
-    /// `addr`.
-    fn dial_addr(&self, idx: usize) -> &str {
-        if let Some(peer) = &self.agents[idx].away {
-            peer
-        } else if self.config.addrs.is_empty() {
-            &self.config.addr
-        } else {
-            &self.config.addrs[idx % self.config.addrs.len()]
-        }
-    }
-
-    /// Points the agent's next dial back at its home shard, which tracks
-    /// global completion and can re-steer. True if it was away.
-    fn fall_home(&mut self, idx: usize) -> bool {
-        self.agents[idx].bounced = false;
-        self.agents[idx].away.take().is_some()
-    }
-
-    /// Collects dialed sockets from the connector pool and installs
-    /// them on their agents.
+    /// Collects dialed sockets from the connector pool and wires them
+    /// into the poller; one that cannot be is a failed dial.
     fn drain_dialed(&mut self) {
         while let Ok((idx, dialed)) = self.dialed_rx.try_recv() {
             self.pending_connects -= 1;
-            if !matches!(self.agents[idx].state, AState::Connecting) || self.complete {
-                continue; // Stale dial; the socket drops here.
-            }
-            match dialed {
-                Ok(stream) => self.install_conn(idx, stream),
-                Err(_) => self.lose_session(idx),
-            }
-        }
-    }
-
-    /// Wires a freshly-dialed socket into the poller and queues the
-    /// agent's `Hello`.
-    fn install_conn(&mut self, idx: usize, stream: TcpStream) {
-        let _ = stream.set_nodelay(true);
-        if stream.set_nonblocking(true).is_err() {
-            self.agents[idx].state = AState::Offline {
-                until: Instant::now() + ERROR_PAUSE,
+            let wired = dialed.and_then(|stream| {
+                let _ = stream.set_nodelay(true);
+                stream.set_nonblocking(true)?;
+                self.poller.register(stream.as_raw_fd(), true, false)?;
+                Ok(stream)
+            });
+            let Ok(stream) = wired else {
+                self.feed(idx, Input::ConnectFailed);
+                continue;
             };
-            return;
+            self.by_fd.insert(stream.as_raw_fd(), idx);
+            self.agents[idx].conn = Some(MuxConn {
+                stream,
+                read_buf: ReadBuf::default(),
+                write_buf: Vec::new(),
+                write_pos: 0,
+                interest: (true, false),
+            });
+            self.open += 1;
+            self.report.connections += 1;
+            self.feed(idx, Input::Connected);
         }
-        let fd = stream.as_raw_fd();
-        self.agents[idx].conn = Some(MuxConn {
-            stream,
-            read_buf: Vec::new(),
-            write_buf: Vec::new(),
-            write_pos: 0,
-            interest: (false, false),
-        });
-        self.by_fd.insert(fd, idx);
-        self.open += 1;
-        self.report.connections += 1;
-        if self.poller.register(fd, true, false).is_err() {
-            self.lose_session(idx);
-            return;
-        }
-        if let Some(c) = self.agents[idx].conn.as_mut() {
-            c.interest = (true, false);
-        }
-        let threads = 1u32;
-        let id = self.agents[idx].id;
-        // Before the frame is queued: a peer that resets under the Hello
-        // already hung up in the handshake.
-        self.agents[idx].state = AState::Greeting;
-        self.queue_frame(
-            idx,
-            &Message::Hello {
-                agent: id,
-                threads,
-                campaigns: self.config.campaigns.clone(),
-            },
-        );
     }
 
-    /// Encodes `msg` onto the agent's connection and flushes what fits;
-    /// leftover bytes raise write interest.
+    /// Sends `msg` on the agent's connection; leftover bytes raise write
+    /// interest, and no connection to send on is a lost one.
     fn queue_frame(&mut self, idx: usize, msg: &Message) {
-        let frame = encode_with(msg, Codec);
-        let Some(conn) = self.agents[idx].conn.as_mut() else {
-            return;
-        };
-        conn.write_buf.extend_from_slice(&frame);
-        if conn.flush().is_err() {
-            self.lose_session(idx);
-            return;
+        match self.agents[idx].conn.as_mut().map(|conn| conn.send(msg)) {
+            Some(Ok(_)) => self.update_interest(idx),
+            Some(Err(_)) | None => self.feed(idx, Input::Lost),
         }
-        self.update_interest(idx);
     }
 
     fn update_interest(&mut self, idx: usize) {
@@ -650,54 +586,22 @@ impl Driver {
         }
     }
 
-    /// Sends `RequestWork` now if an in-flight slot is free, else parks
-    /// the agent in `AskPending` until one opens.
-    fn begin_ask(&mut self, idx: usize) {
-        if self.inflight_asks >= self.config.max_inflight_asks {
-            self.agents[idx].state = AState::AskPending;
-            self.ask_queue.push_back(idx);
-            return;
-        }
-        self.inflight_asks += 1;
-        self.agents[idx].state = AState::Asking {
-            asked: Instant::now(),
+    /// Says `Bye`, best effort, and closes. False if there was no
+    /// connection to close.
+    fn hang_up(&mut self, idx: usize) -> bool {
+        let Some(conn) = self.agents[idx].conn.as_mut() else {
+            return false;
         };
-        // On a flush error this drops the session, which releases the
-        // slot again via `end_ask`.
-        self.queue_frame(idx, &Message::RequestWork);
+        let _ = conn.send(&Message::Bye);
+        self.disconnect(idx);
+        true
     }
 
-    /// Releases the agent's in-flight ask slot if it holds one,
-    /// returning the send time. Call before overwriting an `Asking`
-    /// state, from reply handlers and teardown paths alike.
-    fn end_ask(&mut self, idx: usize) -> Option<Instant> {
-        if let AState::Asking { asked } = self.agents[idx].state {
-            self.inflight_asks -= 1;
-            // Leave `Asking` with the release so a nested teardown
-            // (e.g. `drop_session` after a reply handler already called
-            // this) cannot free the slot twice; every caller overwrites
-            // this placeholder state before returning to the driver.
-            self.agents[idx].state = AState::AskPending;
-            Some(asked)
-        } else {
-            None
-        }
-    }
-
-    /// The reply to this agent's ask arrived: releases its slot and
-    /// records the round trip.
-    fn ask_answered(&mut self, idx: usize) {
-        if let Some(asked) = self.end_ask(idx) {
-            self.report
-                .request_latencies_ms
-                .push(asked.elapsed().as_secs_f64() * 1e3);
-        }
-    }
-
-    /// Admits parked asks as in-flight slots free up (once per driver
-    /// iteration, so reply handlers never re-enter each other).
+    /// Releases parked asks, oldest first, while in-flight slots are
+    /// free: when an `Ask` is parked, and once per driver iteration for
+    /// the slots replies freed.
     fn pump_asks(&mut self) {
-        while self.inflight_asks < self.config.max_inflight_asks {
+        while self.inflight_asks < MAX_INFLIGHT_ASKS {
             let Some(idx) = self.ask_queue.pop_front() else {
                 return;
             };
@@ -708,78 +612,43 @@ impl Driver {
             self.agents[idx].state = AState::Asking {
                 asked: Instant::now(),
             };
+            // On a flush error the session hears `Lost`, which releases
+            // the slot again in `feed`.
             self.queue_frame(idx, &Message::RequestWork);
         }
     }
 
-    /// A session lost to a failed dial, a socket error or a confused
-    /// peer: pause, then dial the same server again. A redirect target
-    /// that is dead, or hangs up before its `HelloAck`, finished its
-    /// drain and closed between gossip ticks — not a dead campaign: the
-    /// agent falls home at once instead.
-    fn lose_session(&mut self, idx: usize) {
-        let state = &self.agents[idx].state;
-        let unmet = matches!(state, AState::Connecting | AState::Greeting);
-        let pause = if unmet && self.fall_home(idx) {
-            Duration::ZERO
-        } else {
-            ERROR_PAUSE
-        };
-        self.drop_session(idx, pause);
-    }
-
-    /// Closes the session and schedules a reconnect, exactly like the
-    /// reference agent's `continue 'session`.
-    fn drop_session(&mut self, idx: usize, pause: Duration) {
-        self.end_ask(idx);
-        self.disconnect(idx);
-        self.agents[idx].state = AState::Offline {
-            until: Instant::now() + pause,
-        };
-    }
-
-    /// Readiness on one agent's socket: read, decode, dispatch, flush.
+    /// Readiness on one agent's socket: read, decode, hand each frame to
+    /// the session, flush.
     fn advance_io(&mut self, idx: usize, ev: IoEvent) {
         if ev.readable || ev.hangup {
-            let mut chunk = [0u8; 16 * 1024];
-            let mut lost = false;
+            let Some(conn) = self.agents[idx].conn.as_mut() else {
+                return;
+            };
+            let mut lost = conn
+                .read_buf
+                .fill(&mut conn.stream, usize::MAX)
+                .unwrap_or(true);
+            // The session may redial on any frame, and the connection
+            // goes with that: look it up afresh for each.
             loop {
                 let Some(conn) = self.agents[idx].conn.as_mut() else {
                     return;
                 };
-                match conn.stream.read(&mut chunk) {
-                    Ok(0) => {
-                        lost = true;
-                        break;
-                    }
-                    Ok(n) => conn.read_buf.extend_from_slice(&chunk[..n]),
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        lost = true;
-                        break;
-                    }
-                }
-            }
-            loop {
-                let Some(conn) = self.agents[idx].conn.as_mut() else {
-                    return;
-                };
-                match decode_versioned(&conn.read_buf) {
+                match decode_versioned(conn.read_buf.pending()) {
                     Ok((msg, consumed, _)) => {
-                        conn.read_buf.drain(..consumed);
-                        self.on_message(idx, msg);
+                        conn.read_buf.consume(consumed);
+                        self.feed(idx, Input::Frame(msg));
                     }
                     Err(DecodeError::Incomplete { .. }) => break,
                     Err(_) => {
-                        self.lose_session(idx);
-                        return;
+                        lost = true;
+                        break;
                     }
                 }
             }
-            if lost && self.agents[idx].conn.is_some() {
-                self.lose_session(idx);
-                return;
+            if lost {
+                return self.feed(idx, Input::Lost);
             }
         }
         if ev.writable {
@@ -787,177 +656,34 @@ impl Driver {
                 return;
             };
             if conn.flush().is_err() {
-                self.lose_session(idx);
-                return;
+                return self.feed(idx, Input::Lost);
             }
         }
         self.update_interest(idx);
     }
 
-    /// One server frame against this agent's state machine — the mux
-    /// mirror of the reference agent's session-loop `match`.
-    fn on_message(&mut self, idx: usize, msg: Message) {
-        match msg {
-            Message::HelloAck {
-                campaign: params,
-                deadline_seconds,
-                campaigns,
-                ..
-            } => {
-                if self.roster.is_empty() {
-                    self.roster = if campaigns.is_empty() {
-                        vec![Arc::new(NetCampaign::build(params))]
-                    } else {
-                        campaigns
-                            .iter()
-                            .map(|(_, p)| Arc::new(NetCampaign::build(*p)))
-                            .collect()
-                    };
-                }
-                self.deadline_seconds = deadline_seconds;
-                self.begin_ask(idx);
-            }
-            Message::Busy { retry_after_ms } => {
-                self.drop_session(idx, Duration::from_millis(retry_after_ms.min(2_000)));
-            }
-            Message::NoWork {
-                campaign_complete,
-                retry_after_ms,
-            } => {
-                self.ask_answered(idx);
-                self.agents[idx].bounced = false;
-                if campaign_complete {
-                    self.queue_frame(idx, &Message::Bye);
-                    self.disconnect(idx);
-                    self.agents[idx].state = AState::Done;
-                    self.complete = true;
-                    return;
-                }
-                // A drained redirect target with the campaign still open
-                // is the home shard's problem, not this peer's: fall home
-                // rather than camping on the peer.
-                if self.fall_home(idx) {
-                    self.queue_frame(idx, &Message::Bye);
-                    self.drop_session(idx, Duration::ZERO);
-                    return;
-                }
-                // Unlike the reference agent, release the socket across
-                // the backoff (see the module docs on fd budgets). The
-                // deterministic per-agent jitter (up to +25%) spreads
-                // reconnects: the server's own backoff jitter is small
-                // relative to the exponential steps, and ten thousand
-                // agents re-dialing on the same step is a SYN storm.
-                let base = retry_after_ms.min(2_000);
-                let jitter = (self.agents[idx].id.wrapping_mul(0x9e37_79b9) >> 7) % (base / 4 + 1);
-                self.queue_frame(idx, &Message::Bye);
-                self.drop_session(idx, Duration::from_millis(base + jitter));
-            }
-            Message::Redirect { addr: peer, .. } => {
-                self.ask_answered(idx);
-                let pause = if self.agents[idx].bounced || peer == self.dial_addr(idx) {
-                    // Already followed one redirect for this ask (or the
-                    // server pointed at itself): back off and ask the
-                    // same server again instead of chasing pointers
-                    // around a ring of drained shards.
-                    self.agents[idx].bounced = false;
-                    REDIRECT_PAUSE
-                } else {
-                    self.report.redirects_followed += 1;
-                    self.agents[idx].bounced = true;
-                    self.agents[idx].away = Some(peer);
-                    Duration::ZERO
-                };
-                self.queue_frame(idx, &Message::Bye);
-                self.drop_session(idx, pause);
-            }
-            Message::Assignment {
-                replica,
-                workunit,
-                isep_start,
-                positions,
-                campaign,
-                ..
-            } => {
-                self.ask_answered(idx);
-                self.agents[idx].bounced = false;
-                self.report.assignments += 1;
-                let action = self.agents[idx].dice.draw();
-                if action == FaultAction::Disconnect {
-                    self.report.disconnect_faults += 1;
-                    self.drop_session(idx, DISCONNECT_PAUSE);
-                    return;
-                }
-                if action == FaultAction::Stall {
-                    self.report.stall_faults += 1;
-                }
-                if action == FaultAction::Corrupt {
-                    self.report.corrupt_faults += 1;
-                }
-                self.agents[idx].state = AState::AwaitCompute {
-                    replica,
-                    campaign,
-                    workunit,
-                    action,
-                };
-                self.request_compute(idx, campaign, workunit, isep_start, positions);
-            }
-            Message::ResultAck {
-                accepted,
-                campaign_complete,
-                ..
-            } => {
-                if accepted {
-                    self.report.accepted += 1;
-                }
-                if campaign_complete {
-                    self.queue_frame(idx, &Message::Bye);
-                    self.disconnect(idx);
-                    self.agents[idx].state = AState::Done;
-                    self.complete = true;
-                    return;
-                }
-                self.begin_ask(idx);
-            }
-            // Agent-to-server frames or a second HelloAck mean a
-            // confused peer: start the session over.
-            _ => self.lose_session(idx),
-        }
-    }
-
-    /// Ensures `workunit`'s docking result exists or is being computed;
-    /// delivers immediately on a cache hit.
-    fn request_compute(
-        &mut self,
-        idx: usize,
-        campaign: u16,
-        workunit: u32,
-        isep_start: u32,
-        positions: u32,
-    ) {
-        let key = (campaign, workunit);
+    /// Ensures the docking result of `key` (campaign, workunit) exists or
+    /// is being computed; delivers immediately on a cache hit.
+    fn request_compute(&mut self, idx: usize, key: (u16, u32), slice: (u32, u32)) {
         match self.cache.get_mut(&key) {
             Some(CacheEntry::Ready(out)) => {
-                let out = Arc::clone(out);
-                self.deliver_compute(idx, key, &out);
+                let out = out.clone();
+                self.deliver_compute(idx, key, out);
             }
             Some(CacheEntry::Pending(waiters)) => waiters.push(idx),
             None => {
-                self.cache.insert(key, CacheEntry::Pending(vec![idx]));
-                let Some(params) = self.roster.get(usize::from(campaign)).map(Arc::clone) else {
-                    // HelloAck always precedes assignments; defensive.
-                    self.cache.remove(&key);
-                    self.lose_session(idx);
-                    return;
-                };
-                if self
-                    .compute_job_tx
-                    .send((campaign, workunit, isep_start, positions, params))
-                    .is_err()
-                {
-                    // Compute pool gone (only on teardown).
-                    self.cache.remove(&key);
-                    self.lose_session(idx);
+                if self.roster.is_empty() {
+                    let recipes = self.agents[idx].session.roster().iter();
+                    self.roster = recipes.map(|p| Arc::new(NetCampaign::build(*p))).collect();
                 }
+                // The session only hands out campaigns on its roster.
+                let campaign = Arc::clone(&self.roster[usize::from(key.0)]);
+                let spec = campaign.spec(key.1);
+                debug_assert_eq!((spec.isep_start, spec.positions), slice);
+                self.cache.insert(key, CacheEntry::Pending(vec![idx]));
+                // A send fails only once the compute pool is gone, on
+                // teardown; nobody is left to wait for the result.
+                let _ = self.compute_job_tx.send((key, campaign));
             }
         }
     }
@@ -1044,6 +770,103 @@ mod tests {
             serde_json::to_string(&baseline).unwrap(),
             "merged artifact must match the baseline"
         );
+    }
+
+    /// One volunteer, two drivers: the same scripted servers — home
+    /// redirects to a peer, the peer has nothing, home says wait, then
+    /// assigns, then declares the campaign complete — served once to
+    /// `run_agent` and once to a fleet of one. Each server receives the
+    /// same frames from both, once the fleet's one documented habit is
+    /// struck out: it spends the wait closed, so a `Bye` and a fresh
+    /// `Hello` surround it.
+    #[test]
+    fn one_transcript_two_drivers() {
+        use crate::agent::tests::{assignment, hello_ack, listen, no_work, redirect};
+        use crate::agent::{run_agent, AgentConfig};
+        use crate::protocol::{read_message, write_message_with};
+        use std::net::TcpListener;
+
+        /// Serves sessions one after another, answering the asks from
+        /// `script` in order, until the script is spent and that session
+        /// over; returns every frame received.
+        fn serve(listener: TcpListener, script: Vec<Message>) -> thread::JoinHandle<Vec<Message>> {
+            thread::spawn(move || {
+                let (mut script, mut heard) = (script.into_iter().peekable(), Vec::new());
+                while script.peek().is_some() {
+                    let (mut s, _) = listener.accept().unwrap();
+                    while let Ok(Some(frame)) = read_message(&mut s) {
+                        heard.push(frame);
+                        let reply = match heard.last() {
+                            Some(Message::Hello { .. }) => hello_ack(),
+                            Some(Message::RequestWork) => script.next().expect("an ask too many"),
+                            Some(Message::ResultReport { .. }) => Message::ResultAck {
+                                accepted: true,
+                                completed_workunit: true,
+                                campaign_complete: false,
+                            },
+                            _ => break,
+                        };
+                        write_message_with(&mut s, &reply, Codec).unwrap();
+                    }
+                }
+                heard
+            })
+        }
+
+        let complete = Message::NoWork {
+            campaign_complete: true,
+            retry_after_ms: 0,
+        };
+        let mut heard = Vec::new();
+        for fleet in [false, true] {
+            let ((home, home_addr), (peer, peer_addr)) = (listen(), listen());
+            let home_script = vec![
+                redirect(1, &peer_addr),
+                no_work(5),
+                assignment(5.0),
+                complete.clone(),
+            ];
+            let servers = [serve(home, home_script), serve(peer, vec![no_work(5)])];
+            if fleet {
+                let fleet = run_mux_fleet(MuxFleetConfig {
+                    timeout: Duration::from_secs(60),
+                    ..MuxFleetConfig::new(home_addr, 1)
+                })
+                .expect("fleet ran");
+                assert!(fleet.saw_completion, "{fleet:?}");
+                assert_eq!((fleet.redirects_followed, fleet.accepted), (1, 1));
+            } else {
+                let report = run_agent(AgentConfig::new(home_addr, 1)).expect("agent ran");
+                assert!(report.saw_completion, "{report:?}");
+                assert_eq!((report.redirects_followed, report.accepted), (1, 1));
+            }
+            heard.push(servers.map(|s| s.join().unwrap()));
+        }
+
+        let [reference, mut fleet] = <[_; 2]>::try_from(heard).unwrap();
+        let kinds = |heard: &[Message]| -> Vec<&str> {
+            let kind = |frame: &Message| match frame {
+                Message::Hello { .. } => "hello",
+                Message::RequestWork => "ask",
+                Message::ResultReport { .. } => "report",
+                Message::Bye => "bye",
+                _ => "?",
+            };
+            heard.iter().map(kind).collect()
+        };
+        let at_home = [
+            "hello", "ask", "bye", "hello", "ask", "ask", "report", "ask", "bye",
+        ];
+        assert_eq!(kinds(&reference[0]), at_home);
+        assert_eq!(kinds(&reference[1]), ["hello", "ask", "bye"]);
+        // The fleet's first `Bye` where the reference says none is the
+        // wait; the `Hello` after it is the reconnect.
+        let waited = (0..fleet[0].len())
+            .find(|&i| fleet[0][i] == Message::Bye && reference[0][i] != Message::Bye)
+            .expect("the fleet closes across the wait");
+        assert!(matches!(fleet[0][waited + 1], Message::Hello { .. }));
+        fleet[0].drain(waited..waited + 2);
+        assert_eq!(fleet, reference);
     }
 
     /// Faulty mux agents must exercise the reissue and quorum paths

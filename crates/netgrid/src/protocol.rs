@@ -1229,7 +1229,7 @@ pub mod binary {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use maxdo::{DockingRow, EulerZyz, Vec3};
 
@@ -1242,7 +1242,7 @@ mod tests {
     }
 
     /// One message of every kind, campaign fields off their defaults.
-    fn sample_messages() -> Vec<Message> {
+    pub(crate) fn sample_messages() -> Vec<Message> {
         vec![
             Message::Hello {
                 agent: 42,

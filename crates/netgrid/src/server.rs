@@ -48,14 +48,14 @@ use crate::protocol::{
     decode_versioned, encode_with, CampaignParams, Codec, DecodeError, Message, PROTOCOL_VERSION,
 };
 use crate::registry::{CampaignDef, MultiGrid};
-use crate::shard::{ShardSpec, LEASE_CHUNK, STEER_INTERVAL_MS, STEER_TIMEOUT_MS};
+use crate::shard::{lease_grantor, ShardSpec, LEASE_CHUNK, STEER_INTERVAL_MS, STEER_TIMEOUT_MS};
 use crate::state::{NetStats, WorkReply};
-use crate::sys::{Event as IoEvent, Poller};
+use crate::sys::{Event as IoEvent, Poller, ReadBuf};
 use gridsim::server::{ReplicaId, ServerConfig, ServerStats};
 use gridsim::SimTime;
 use maxdo::DockingOutput;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
 use std::sync::mpsc;
@@ -212,46 +212,6 @@ const SHUTDOWN_GRACE: Duration = Duration::from_secs(3);
 const STEER_INTERVAL: Duration = Duration::from_millis(STEER_INTERVAL_MS);
 const STEER_TIMEOUT: Duration = Duration::from_millis(STEER_TIMEOUT_MS);
 
-/// The least free space a connection's [`ReadBuf`] offers a `read`:
-/// large enough that a typical request frame (a 21-row report is 1.5 KB)
-/// arrives in one, small enough to hold per connection ten thousand
-/// times over.
-const READ_SPACE: usize = 4 * 1024;
-
-/// Bytes received on a connection and not yet decoded into frames.
-///
-/// The socket is read straight into the buffer: `bytes` stays
-/// initialised past `filled` (zeroed once, when it grows — never per
-/// read), so there is no scratch chunk to clear and copy out of.
-#[derive(Default)]
-struct ReadBuf {
-    bytes: Vec<u8>,
-    filled: usize,
-}
-
-impl ReadBuf {
-    /// The free space to read into, grown first when under
-    /// [`READ_SPACE`] (doubling, so a large frame costs few reads).
-    fn space(&mut self) -> &mut [u8] {
-        if self.bytes.len() - self.filled < READ_SPACE {
-            let grown = self.bytes.len() + self.bytes.len().max(READ_SPACE);
-            self.bytes.resize(grown, 0);
-        }
-        &mut self.bytes[self.filled..]
-    }
-
-    /// The received bytes not yet consumed.
-    fn pending(&self) -> &[u8] {
-        &self.bytes[..self.filled]
-    }
-
-    /// Drops the first `n` pending bytes (one decoded frame).
-    fn consume(&mut self, n: usize) {
-        self.bytes.copy_within(n..self.filled, 0);
-        self.filled -= n;
-    }
-}
-
 /// What a connection is to the loop — the one thing that differs
 /// between the kinds of socket sharing the read/dispatch/flush machine.
 enum Role {
@@ -327,18 +287,7 @@ impl Conn {
     /// Drains as much of `write_buf` as the socket will take. Returns
     /// `Ok(true)` when fully flushed.
     fn flush(&mut self) -> io::Result<bool> {
-        while self.write_pos < self.write_buf.len() {
-            match self.stream.write(&self.write_buf[self.write_pos..]) {
-                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => self.write_pos += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        self.write_buf.clear();
-        self.write_pos = 0;
-        Ok(true)
+        crate::sys::flush(&mut self.stream, &mut self.write_buf, &mut self.write_pos)
     }
 
     fn flushed(&self) -> bool {
@@ -1053,11 +1002,6 @@ impl EventLoop {
     /// into the connection's buffer, then decode and dispatch every
     /// complete frame in it (an agent may pipeline several) — or, on a
     /// scrape, answer the request head once it is whole.
-    ///
-    /// A read that comes back short has drained the socket, so the loop
-    /// stops there instead of paying a second `read` for `WouldBlock`;
-    /// the poller is level-triggered (see [`crate::sys`]), so anything
-    /// that arrives later — an EOF included — raises a new event.
     fn read_and_dispatch(&mut self, conn: &mut Conn) {
         if conn.closing.is_some() {
             return;
@@ -1067,27 +1011,10 @@ impl EventLoop {
             Role::Scrape(_) => ops::MAX_REQUEST_HEAD,
             _ => usize::MAX,
         };
-        while conn.read_buf.filled <= most {
-            let space = conn.read_buf.space();
-            let offered = space.len();
-            match conn.stream.read(space) {
-                Ok(0) => {
-                    conn.closing = Some("eof");
-                    break;
-                }
-                Ok(n) => {
-                    conn.read_buf.filled += n;
-                    if n < offered {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    conn.closing = Some("io");
-                    break;
-                }
-            }
+        match conn.read_buf.fill(&mut conn.stream, most) {
+            Ok(false) => {}
+            Ok(true) => conn.closing = Some("eof"),
+            Err(_) => conn.closing = Some("io"),
         }
         let orderly_close = conn.closing.take();
         if let Role::Scrape(since) = &mut conn.role {
@@ -1125,8 +1052,8 @@ impl EventLoop {
     /// the connection (once queued replies flush) with that reason.
     fn dispatch(&mut self, conn: &mut Conn, msg: Message) -> Result<(), &'static str> {
         let now = self.now();
-        if let Role::Link { unacked, .. } = &mut conn.role {
-            return self.link_reply(now, unacked, msg);
+        if let Role::Link { peer, unacked } = &mut conn.role {
+            return self.link_reply(now, *peer, unacked, msg);
         }
         let reply = match msg {
             Message::Hello {
@@ -1241,13 +1168,17 @@ impl EventLoop {
         Ok(())
     }
 
-    /// Applies one frame a peer sent back on this shard's own steering
+    /// Applies one frame `peer` sent back on this shard's own steering
     /// link: a lease grant is adopted and journaled, an ack (the oldest
     /// unanswered status's — acks return in send order) updates the
-    /// board. Neither is replied to.
+    /// board. Neither is replied to. A frame that speaks for anyone but
+    /// `peer` — a grant cut by or attributed to another shard, an ack in
+    /// a third shard's name — or names a campaign this server does not
+    /// host changes nothing and closes the link.
     fn link_reply(
         &mut self,
         now: SimTime,
+        peer: u16,
         unacked: &mut VecDeque<(u16, Instant)>,
         msg: Message,
     ) -> Result<(), &'static str> {
@@ -1259,11 +1190,17 @@ impl EventLoop {
                 complete,
                 campaign,
             } => {
-                let c = usize::from(campaign).min(self.grid.len() - 1);
+                let c = usize::from(campaign);
+                if c >= self.grid.len() || from_shard != peer || lease_grantor(lease) != peer {
+                    return Err("protocol");
+                }
                 self.grid.slots_mut()[c].state.adopt_lease(now, lease, &wus);
                 self.boards[c].note(from_shard, complete, None);
             }
             Message::StatusAck { shard, complete } => {
+                if shard != peer {
+                    return Err("protocol");
+                }
                 let (campaign, _) = unacked.pop_front().ok_or("protocol")?;
                 self.boards[usize::from(campaign)].note(shard, complete, None);
             }
@@ -1317,6 +1254,8 @@ impl EventLoop {
     /// Answers one inbound gossip frame: update the board, re-send any
     /// grant the sender has not adopted, cut a fresh lease if the
     /// sender is hungry and this shard has backlog to spare, and ack.
+    /// A connection speaks for one shard: a status in another's name
+    /// than its first is refused like one from no shard at all.
     /// The `LeaseOut` journal record is appended *before* the grant
     /// frame is queued, so a crash here can lose a sent grant only in
     /// the direction the re-send heals.
@@ -1334,7 +1273,8 @@ impl EventLoop {
     ) -> Result<(), &'static str> {
         let me = self.topo.spec.shard_id;
         let c = usize::from(campaign);
-        if shard >= self.topo.spec.shards || shard == me || c >= self.grid.len() {
+        let renamed = matches!(conn.role, Role::Inbound(Some(was)) if was != shard);
+        if shard >= self.topo.spec.shards || shard == me || c >= self.grid.len() || renamed {
             return Err("protocol");
         }
         conn.role = Role::Inbound(Some(shard));
@@ -1410,6 +1350,8 @@ mod tests {
     use crate::journal::{open_wal, JournalRecord};
     use crate::protocol::HEADER_BYTES;
     use crate::shard::merge_artifacts;
+    use crate::sys::READ_SPACE;
+    use std::io::{Read, Write};
 
     fn listener() -> TcpListener {
         TcpListener::bind("127.0.0.1:0").unwrap()
@@ -1721,12 +1663,12 @@ mod tests {
         let (mut ev, (mut agent, mut conn)) = (event_loop(), socket_pair());
         let frame = hello(Vec::new());
         agent.write_all(&frame[..10]).unwrap();
-        pump(&mut ev, &mut conn, |c| c.read_buf.filled == 10);
+        pump(&mut ev, &mut conn, |c| c.read_buf.pending().len() == 10);
         assert_eq!(conn.frames, 0);
         assert!(conn.write_buf.is_empty() && conn.closing.is_none());
         agent.write_all(&frame[10..]).unwrap();
         pump(&mut ev, &mut conn, |c| c.frames > 0);
-        assert_eq!((conn.frames, conn.read_buf.filled), (1, 0));
+        assert_eq!((conn.frames, conn.read_buf.pending().len()), (1, 0));
         assert!(matches!(replies(&conn)[..], [Message::HelloAck { .. }]));
     }
 
@@ -1740,7 +1682,7 @@ mod tests {
         wire.extend_from_slice(&encode_with(&Message::ShardMapRequest, Codec));
         agent.write_all(&wire).unwrap();
         pump(&mut ev, &mut conn, |c| c.frames >= 3);
-        assert_eq!((conn.frames, conn.read_buf.filled), (3, 0));
+        assert_eq!((conn.frames, conn.read_buf.pending().len()), (3, 0));
         match &replies(&conn)[..] {
             [Message::HelloAck { .. }, Message::Assignment { .. }, Message::ShardMap {
                 shards: 1,
@@ -1763,7 +1705,7 @@ mod tests {
         });
         pump(&mut ev, &mut conn, |c| c.frames > 0);
         let _agent = writer.join().unwrap();
-        assert_eq!((conn.frames, conn.read_buf.filled), (1, 0));
+        assert_eq!((conn.frames, conn.read_buf.pending().len()), (1, 0));
         assert!(matches!(replies(&conn)[..], [Message::HelloAck { .. }]));
         ev.read_and_dispatch(&mut conn);
         assert_eq!(conn.frames, 1, "nothing is dispatched twice");
@@ -2017,6 +1959,128 @@ mod tests {
         spin(loops, |l| link_up(&l[0], 1));
     }
 
+    /// The far end of the steering link `loops[0]` (shard 0) keeps to
+    /// shard 1, whose listener the test holds: the link is dialed and
+    /// `statuses` steering ticks are sent down it.
+    fn far_end_of_link(loops: &mut [EventLoop], peer: &TcpListener, statuses: usize) -> TcpStream {
+        loops[0].steer_tick();
+        spin(loops, |l| (1..l[0].links.len()).all(|p| link_up(&l[0], p)));
+        let (far_end, _) = peer.accept().unwrap();
+        for _ in 0..statuses {
+            loops[0].steer_tick();
+        }
+        assert_eq!(unacked(&mut loops[0]).len(), statuses);
+        far_end
+    }
+
+    /// A `LeaseGrant` is believed only as far as the link it rides: one
+    /// for a campaign this server does not host, attributed to another
+    /// shard than the peer, or cut under another shard's lease ids
+    /// closes the link, moves no workunit and journals nothing — where
+    /// adopting it would hand the last campaign a `LeaseIn` it never
+    /// earned.
+    #[test]
+    fn a_forged_lease_grant_changes_nothing_and_closes_the_link() {
+        let dir = std::env::temp_dir().join(format!("hcmd-loop-forged-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (own, peer) = (listener(), listener());
+        let addrs = [addr_of(&own), addr_of(&peer)];
+        let journal = crate::journal::JournalConfig::new(&dir);
+        let loops = &mut [shard_loop(own, 0, &addrs, Some(journal))];
+        let books = |ev: &mut EventLoop| {
+            ev.grid.flush_journals();
+            let state = &ev.grid.slots()[0].state;
+            let wal = std::fs::metadata(dir.join("wal.bin")).unwrap().len();
+            (
+                state.core().owned_count(),
+                net_stats(ev).shard_leases_in,
+                wal,
+            )
+        };
+        let before = books(&mut loops[0]);
+        let everything: Vec<u32> = (0..loops[0].grid.slots()[0].campaign.len() as u32).collect();
+        assert!(
+            before.0 < everything.len(),
+            "shard 1 owns something to forge"
+        );
+
+        let lease = crate::shard::lease_id;
+        for (campaign, from_shard, lease) in [
+            (7, 1, lease(1, 1)),
+            (0, 0, lease(1, 1)),
+            (0, 1, lease(0, 1)),
+        ] {
+            let mut far_end = far_end_of_link(loops, &peer, 0);
+            let forged = Message::LeaseGrant {
+                lease,
+                from_shard,
+                wus: everything.clone(),
+                complete: true,
+                campaign,
+            };
+            far_end.write_all(&encode_with(&forged, Codec)).unwrap();
+            spin(loops, |l| !link_up(&l[0], 1));
+            assert!(matches!(loops[0].links[1], Link::Down));
+            assert_eq!(books(&mut loops[0]), before, "{forged:?}");
+            assert!(!loops[0].boards[0].complete[1]);
+        }
+
+        // The honest grant the same peer could have sent is adopted.
+        let mut far_end = far_end_of_link(loops, &peer, 0);
+        let honest = Message::LeaseGrant {
+            lease: lease(1, 1),
+            from_shard: 1,
+            wus: everything.clone(),
+            complete: false,
+            campaign: 0,
+        };
+        far_end.write_all(&encode_with(&honest, Codec)).unwrap();
+        spin(loops, |l| net_stats(&l[0]).shard_leases_in == 1);
+        assert_eq!(books(&mut loops[0]).0, everything.len());
+        assert!(link_up(&loops[0], 1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A peer speaks for itself only. A `StatusAck` in a third shard's
+    /// name marks nobody complete — believed, it would (with the peer's
+    /// own completion) end this server while shard 2 still had work —
+    /// and an inbound steering connection keeps the shard it first named.
+    #[test]
+    fn a_status_ack_naming_a_third_shard_marks_nobody_complete() {
+        let (own, peer, third) = (listener(), listener(), listener());
+        let addrs = [addr_of(&own), addr_of(&peer), addr_of(&third)];
+        let loops = &mut [shard_loop(own, 0, &addrs, None)];
+        let mut far_end = far_end_of_link(loops, &peer, 2);
+        for shard in [1, 2] {
+            let ack = Message::StatusAck {
+                shard,
+                complete: true,
+            };
+            far_end.write_all(&encode_with(&ack, Codec)).unwrap();
+        }
+        spin(loops, |l| !link_up(&l[0], 1));
+        assert_eq!(loops[0].boards[0].complete, [false, true, false]);
+        assert!(!loops[0].boards[0].peers_complete(0));
+
+        // Dialed in as shard 1, then speaking as shard 2: refused, and
+        // shard 2's advert is not on the board.
+        let mut gossip = Client::connect(&addrs[0]);
+        gossip.gossip(loops, 1, &[], 3, false);
+        let before = loops[0].accepted_active;
+        gossip.send(&Message::ShardStatus {
+            shard: 2,
+            fresh_backlog: 9,
+            outstanding: 0,
+            complete: true,
+            hungry: false,
+            leases_held: Vec::new(),
+            campaign: 0,
+        });
+        spin(loops, |l| l[0].accepted_active < before);
+        assert_eq!(loops[0].boards[0].backlog, [0, 0, 0]);
+        assert_eq!(loops[0].boards[0].complete, [false, true, false]);
+    }
+
     /// Scrapes are connections like any other: one that stops half way
     /// through its request line delays neither an agent's frame nor a
     /// second scraper, and is closed at the idle cap.
@@ -2039,7 +2103,7 @@ mod tests {
         let mut stalled = TcpStream::connect(&ops_addr).unwrap();
         stalled.write_all(b"GET /metr").unwrap();
         spin(loops, |l| {
-            l[0].conns.values().any(|c| c.read_buf.filled == 9)
+            l[0].conns.values().any(|c| c.read_buf.pending().len() == 9)
         });
 
         Client::hello(&task_addr, 9, loops);

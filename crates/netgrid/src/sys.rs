@@ -15,7 +15,10 @@
 //! Readiness is level-triggered on both backends, which keeps the
 //! consumers simple: read until `WouldBlock` or a short read (whatever
 //! arrives afterwards raises the fd again), only register write
-//! interest while bytes are actually queued.
+//! interest while bytes are actually queued. Both consumers keep a
+//! nonblocking socket's bytes the same way, so that lives here too:
+//! [`ReadBuf`] for what has arrived and not yet decoded, [`flush`] for
+//! what is queued and not yet written.
 //!
 //! The `poll(2)` backend rebuilds its `pollfd` array on every wait —
 //! O(n) per call, fine as a portability fallback and for the small fd
@@ -23,7 +26,7 @@
 //! 10k-connection loopback scenario.
 
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, Read, Write};
 use std::os::raw::{c_int, c_short, c_ulong};
 use std::time::Duration;
 
@@ -313,6 +316,97 @@ impl PollPoller {
         }
         Ok(())
     }
+}
+
+// ---- buffered bytes on a nonblocking socket ---------------------------
+
+/// The least free space a connection's [`ReadBuf`] offers a `read`:
+/// large enough that a typical request frame (a 21-row report is 1.5 KB)
+/// arrives in one, small enough to hold per connection ten thousand
+/// times over.
+pub(crate) const READ_SPACE: usize = 4 * 1024;
+
+/// Bytes received on a connection and not yet decoded into frames.
+///
+/// The socket is read straight into the buffer: `bytes` stays
+/// initialised past `filled` (zeroed once, when it grows — never per
+/// read), so there is no scratch chunk to clear and copy out of.
+#[derive(Default)]
+pub(crate) struct ReadBuf {
+    bytes: Vec<u8>,
+    filled: usize,
+}
+
+impl ReadBuf {
+    /// Reads what the socket holds into the buffer, stopping once more
+    /// than `most` bytes are pending. `Ok(true)` when the peer closed.
+    ///
+    /// A read that comes back short has drained the socket, so the loop
+    /// stops there instead of paying a second `read` for `WouldBlock`;
+    /// the poller is level-triggered, so anything that arrives later —
+    /// an EOF included — raises a new event.
+    pub(crate) fn fill(&mut self, stream: &mut impl Read, most: usize) -> io::Result<bool> {
+        while self.filled <= most {
+            let space = self.space();
+            let offered = space.len();
+            match stream.read(space) {
+                Ok(0) => return Ok(true),
+                Ok(n) => {
+                    self.filled += n;
+                    if n < offered {
+                        break;
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(false)
+    }
+
+    /// The free space to read into, grown first when under
+    /// [`READ_SPACE`] (doubling, so a large frame costs few reads).
+    fn space(&mut self) -> &mut [u8] {
+        if self.bytes.len() - self.filled < READ_SPACE {
+            let grown = self.bytes.len() + self.bytes.len().max(READ_SPACE);
+            self.bytes.resize(grown, 0);
+        }
+        &mut self.bytes[self.filled..]
+    }
+
+    /// The received bytes not yet consumed.
+    pub(crate) fn pending(&self) -> &[u8] {
+        &self.bytes[..self.filled]
+    }
+
+    /// Drops the first `n` pending bytes (one decoded frame).
+    pub(crate) fn consume(&mut self, n: usize) {
+        self.bytes.copy_within(n..self.filled, 0);
+        self.filled -= n;
+    }
+}
+
+/// Drains as much of `buf[*pos..]` — encoded frames not yet written —
+/// as the socket will take, and empties `buf` once all of it has gone.
+/// Returns `Ok(true)` when fully flushed.
+pub(crate) fn flush(
+    stream: &mut impl Write,
+    buf: &mut Vec<u8>,
+    pos: &mut usize,
+) -> io::Result<bool> {
+    while *pos < buf.len() {
+        match stream.write(&buf[*pos..]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => *pos += n,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    buf.clear();
+    *pos = 0;
+    Ok(true)
 }
 
 // ---- RLIMIT_NOFILE ---------------------------------------------------
