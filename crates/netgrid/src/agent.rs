@@ -32,7 +32,7 @@ use crate::faults::{FaultAction, FaultDice, FaultProfile};
 use crate::protocol::{read_message, write_message_with, CampaignParams, Codec, Message};
 use maxdo::{DockingCheckpoint, DockingOutput};
 use std::io;
-use std::net::TcpStream;
+use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 /// Agent configuration.
@@ -190,6 +190,13 @@ struct Job {
 /// server's grace window after completion ([`crate::server`]) outlasts
 /// any agent's sleep.
 const MAX_WAIT_MS: u64 = 2_000;
+
+/// How long [`run_agent`] lets a dial, a read or a write take before it
+/// calls the server lost: a live server answers within a turn of its
+/// loop, and one that accepts and then says nothing would otherwise
+/// hold a volunteer until the kernel gave up. A `Wait` is slept, not
+/// read, so a stall past the replica deadline is not cut short by it.
+const IO_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// One volunteer's protocol decisions, with no socket, thread or clock:
 /// [`Self::step`] is told what happened and answers what to do next. A
@@ -514,9 +521,8 @@ pub fn run_agent(config: AgentConfig) -> io::Result<AgentReport> {
                 // Closed before the dial, not by it: a server at its
                 // connection limit must see the old socket go first.
                 stream = None;
-                match TcpStream::connect(&addr) {
+                match dial(&addr, IO_TIMEOUT) {
                     Ok(connected) => {
-                        connected.set_nodelay(true)?;
                         stream = Some(connected);
                         Input::Connected
                     }
@@ -568,7 +574,25 @@ pub fn run_agent(config: AgentConfig) -> io::Result<AgentReport> {
     }
 }
 
-/// Writes one frame on the open connection and reads one back.
+/// Connects to the first of `addr`'s addresses to answer within
+/// `patience`, and gives every read and write on the stream as long.
+fn dial(addr: &str, patience: Duration) -> io::Result<TcpStream> {
+    let mut dialed = Err(io::Error::other("the server address resolves to nothing"));
+    for sock in addr.to_socket_addrs()? {
+        dialed = TcpStream::connect_timeout(&sock, patience);
+        if dialed.is_ok() {
+            break;
+        }
+    }
+    let stream = dialed?;
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(patience))?;
+    stream.set_write_timeout(Some(patience))?;
+    Ok(stream)
+}
+
+/// Writes one frame on the open connection and reads one back; a reply
+/// that does not come within the stream's timeout is a lost connection.
 fn exchange(stream: &mut Option<TcpStream>, msg: &Message, codec: Codec) -> Input {
     let Some(stream) = stream else {
         return Input::Lost;
@@ -799,6 +823,28 @@ pub(crate) mod tests {
         .unwrap();
         assert!(report.saw_completion, "{report:?}");
         home_thread.join().unwrap();
+    }
+
+    /// A server that accepts and then says nothing holds a blocking
+    /// agent only as long as the stream's timeout: the unanswered
+    /// `Hello` comes back `Lost`, which the session already handles.
+    /// (The connection completes in the listener's backlog; nobody
+    /// accepts it, let alone answers.)
+    #[test]
+    fn a_silent_server_is_a_lost_connection_within_the_timeout() {
+        let (_silent, addr) = listen();
+        let began = Instant::now();
+        let mut stream = Some(dial(&addr, Duration::from_millis(200)).unwrap());
+        let hello = Message::Hello {
+            agent: 1,
+            threads: 1,
+            campaigns: Vec::new(),
+        };
+        let heard = exchange(&mut stream, &hello, Codec);
+        assert!(matches!(heard, Input::Lost), "{heard:?}");
+        let took = began.elapsed();
+        assert!(took >= Duration::from_millis(200), "{took:?}: it waited");
+        assert!(took < Duration::from_secs(1), "{took:?}");
     }
 
     /// A redirect target that completed and shut down between gossip

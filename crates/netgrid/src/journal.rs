@@ -15,8 +15,8 @@
 //! A journal directory holds one file, `wal.bin`: a
 //! [`JournalRecord::Header`] frame (campaign recipe, server config,
 //! fault knobs, shard, format) followed by one frame per transition, in
-//! the exact order the state lock applied them. It only grows; the one
-//! thing recovery ever cuts off is a torn tail.
+//! the exact order the grid's one owner applied them. It only grows; the
+//! one thing recovery ever cuts off is a torn tail.
 //!
 //! Every frame is the same kind (the frame-kind byte of its header —
 //! the byte a wire frame keeps its protocol version in — is always 2)
@@ -300,9 +300,9 @@ impl Tele {
     }
 }
 
-/// An open write-ahead journal. Owned by [`GridState`] (behind the same
-/// lock that orders the transitions), so the wal order is exactly the
-/// apply order.
+/// An open write-ahead journal. Owned by [`GridState`] and appended to
+/// from inside each transition, so the wal order is exactly the apply
+/// order.
 pub struct Journal {
     wal: File,
     fsync: FsyncPolicy,

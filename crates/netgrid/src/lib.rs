@@ -27,19 +27,20 @@
 //!   portable `poll(2)` fallback, via direct `extern "C"` declarations,
 //!   and the read buffer and flush loop of a nonblocking connection;
 //! * [`server`] — the TCP daemon: a single-threaded nonblocking event
-//!   loop that owns the grid state by value and drives per-connection
-//!   state machines — volunteers, steering links to peer shards and ops
-//!   scrapes alike — with the deadline sweeper, journal fsync and
-//!   steering folded in as timer events;
+//!   loop that moves the bytes of every connection — volunteers,
+//!   steering links to peer shards and ops scrapes alike — keeps the
+//!   sweep, fsync and steering timers, and tells the core in
+//!   [`registry`] what happened and when; it decides nothing;
 //! * [`agent`] — the volunteer: its protocol decisions as a sans-IO
 //!   state machine, and the blocking driver that runs one with a socket
 //!   and real multicore docking (fetch → dock → checkpoint → report);
 //! * [`mux`] — the other driver: one thread carrying thousands of those
 //!   state machines over nonblocking sockets, for scale benchmarking
 //!   without a thread per agent;
-//! * [`registry`] — the multi-campaign registry: N isolated campaign
-//!   states under one server, arbitrated by a deficit-weighted
-//!   fair-share ledger over delivered reference-seconds;
+//! * [`registry`] — one server's decisions, sans-IO and sans-clock: N
+//!   isolated campaign states under a deficit-weighted fair-share
+//!   ledger, the peer-shard picture, and the server half of the
+//!   protocol as calls that take the time and return frames;
 //! * [`shard`] — multi-server sharding: the deterministic shard map
 //!   splitting one catalog across N servers, work-stealing leases, and
 //!   the byte-identical cross-shard artifact merge;

@@ -1,34 +1,33 @@
-//! The wire-level task server.
+//! The wire-level task server: the loop that moves bytes and keeps
+//! time for the core that decides.
 //!
 //! A small, dependency-free TCP daemon built as a **single-threaded
-//! nonblocking event loop** that owns the whole grid by value: the
-//! [`MultiGrid`], the per-campaign shard boards and the completion
-//! flag are plain fields of one struct, reached from one thread. One
+//! nonblocking event loop**. Every decision — what an ask, a report or
+//! a gossip frame is answered with, who is redirected where, when the
+//! campaign is over — is [`MultiGrid`]'s ([`crate::registry`]), which
+//! the loop owns by value and tells what happened and when; nothing
+//! here matches a frame. What is here is the I/O: one
 //! [`crate::sys::Poller`] watches the task listener, the ops listener
 //! and every socket, and each connection advances a tiny state machine
-//! (accumulate bytes → decode frame → dispatch → queue reply → flush).
-//! Three kinds of connection share that machine:
+//! (accumulate bytes → decode frame → hand it to the core → flush what
+//! the core queued). Three kinds of connection share that machine:
 //!
-//! * **inbound** — a volunteer, or a peer shard's steering link (it
-//!   becomes one with its first `ShardStatus`);
+//! * **inbound** — a volunteer or a peer shard's steering link; which,
+//!   the core remembers ([`Caller`]);
 //! * **link** — this shard's own steering link to a peer, kept open;
-//!   every [`STEER_INTERVAL_MS`] a timer queues one `ShardStatus` per
-//!   campaign on it, and the `LeaseGrant`/`StatusAck` replies come back
-//!   through the same read → decode → dispatch path (acks return in
-//!   send order, so the link remembers which campaign each answers);
-//! * **scrape** — one HTTP request on the ops listener, answered from
-//!   [`MultiGrid::ops_snapshot`] (see [`crate::ops`]).
+//!   every [`STEER_INTERVAL_MS`] a timer has the core queue its
+//!   statuses on it, and the replies go back to the core;
+//! * **scrape** — one HTTP request on the ops listener, rendered from
+//!   the core between two frames (see [`crate::ops`]).
 //!
-//! The deadline sweeper, the journal fsync policy, steering and the
-//! scrape idle cap are timer events on the same loop. The only thing
-//! off it is the blocking `connect` of a steering link, handed to one
-//! dialer thread that sees addresses and returns sockets — never grid
-//! state. A server with no peers never starts it.
-//!
-//! The scheduling itself never left `gridsim::SchedulerCore` — this
-//! module only moves frames and maps wall-clock time onto the core's
-//! [`SimTime`] axis (seconds since server start, so a wall run of a few
-//! minutes sits firmly inside day 0's quorum-compare era).
+//! The deadline sweep, the journal fsync policy, steering and the
+//! scrape idle cap are timer events on the same loop, which also maps
+//! wall-clock time onto the core's [`SimTime`] axis (seconds since
+//! server start, so a wall run of a few minutes sits firmly inside day
+//! 0's quorum-compare era). The only thing off the loop is the blocking
+//! `connect` of a steering link, handed to one dialer thread that sees
+//! addresses and returns sockets — never grid state. A server with no
+//! peers never starts it.
 //!
 //! Why an event loop: a thread per agent tops out around the
 //! dozens-of-volunteers scale — 10 000 loopback agents would mean
@@ -44,17 +43,15 @@
 use crate::faults::ServerFaults;
 use crate::journal::JournalConfig;
 use crate::ops;
-use crate::protocol::{
-    decode_versioned, encode_with, CampaignParams, Codec, DecodeError, Message, PROTOCOL_VERSION,
-};
-use crate::registry::{CampaignDef, MultiGrid};
-use crate::shard::{lease_grantor, ShardSpec, LEASE_CHUNK, STEER_INTERVAL_MS, STEER_TIMEOUT_MS};
-use crate::state::{NetStats, WorkReply};
+use crate::protocol::{decode_versioned, encode_with, CampaignParams, Codec, DecodeError, Message};
+use crate::registry::{Caller, CampaignDef, MultiGrid};
+use crate::shard::{ShardSpec, STEER_INTERVAL_MS, STEER_TIMEOUT_MS};
+use crate::state::NetStats;
 use crate::sys::{Event as IoEvent, Poller, ReadBuf};
-use gridsim::server::{ReplicaId, ServerConfig, ServerStats};
+use gridsim::server::{ServerConfig, ServerStats};
 use gridsim::SimTime;
 use maxdo::DockingOutput;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
@@ -215,29 +212,25 @@ const STEER_TIMEOUT: Duration = Duration::from_millis(STEER_TIMEOUT_MS);
 /// What a connection is to the loop — the one thing that differs
 /// between the kinds of socket sharing the read/dispatch/flush machine.
 enum Role {
-    /// Accepted on the task listener: a volunteer, or — from its first
-    /// `ShardStatus` on, as `Some(shard)` — a peer's steering link.
-    Inbound(Option<u16>),
+    /// Accepted on the task listener: a volunteer or a peer's steering
+    /// link — which, and who, is the core's to remember.
+    Inbound(Caller),
     /// Turned away at the connection limit: it gets a `Busy` frame and
     /// a close, and was telemetered as *rejected*, so it neither holds
     /// a limit slot nor emits a `ConnectionClosed` event.
     Brushoff,
-    /// This shard's steering link to `peer`, with the campaign and send
-    /// time of every `ShardStatus` not yet acked, oldest first.
-    Link {
-        peer: u16,
-        unacked: VecDeque<(u16, Instant)>,
-    },
+    /// This shard's steering link to this peer.
+    Link(u16),
     /// An ops scrape: accepted at this instant or, once its response is
     /// queued, last seen taking bytes at it.
     Scrape(Instant),
 }
 
-/// One live connection's state: buffered bytes in each direction plus
-/// the bookkeeping the dispatch needs. The implicit state machine is
-/// *reading header → reading payload → dispatching → writing reply* —
-/// the first two are simply "does `read_buf` decode yet", the last is
-/// "is `write_buf` drained yet".
+/// One live connection's state: buffered bytes in each direction and
+/// what closing it takes. The implicit state machine is *reading header
+/// → reading payload → handing the frame over → writing reply* — the
+/// first two are simply "does `read_buf` decode yet", the last is "is
+/// `write_buf` drained yet".
 struct Conn {
     stream: TcpStream,
     role: Role,
@@ -247,12 +240,6 @@ struct Conn {
     write_buf: Vec<u8>,
     /// How much of `write_buf` has been written so far.
     write_pos: usize,
-    /// The agent id learned from `Hello` (0 until then).
-    agent: u64,
-    /// The campaign attach mask: resolved from the `Hello` request, or
-    /// the default-campaign mask from the first ask of a peer that
-    /// never said `Hello`. Empty until one of the two.
-    attached: Vec<bool>,
     /// Frames decoded on this connection (for close telemetry).
     frames: u64,
     /// Set when the connection should close once `write_buf` drains,
@@ -272,16 +259,10 @@ impl Conn {
             read_buf: ReadBuf::default(),
             write_buf: Vec::new(),
             write_pos: 0,
-            agent: 0,
-            attached: Vec::new(),
             frames: 0,
             closing: None,
             interest: None,
         }
-    }
-
-    fn queue(&mut self, msg: &Message) {
-        self.write_buf.extend_from_slice(&encode_with(msg, Codec));
     }
 
     /// Drains as much of `write_buf` as the socket will take. Returns
@@ -298,15 +279,6 @@ impl Conn {
     /// dialogue is open, writes only while bytes are queued.
     fn wanted_interest(&self) -> (bool, bool) {
         (self.closing.is_none(), !self.flushed())
-    }
-
-    /// The attach mask asks and reports are judged under; sized here
-    /// for a peer that skipped `Hello`.
-    fn mask(&mut self, grid: &MultiGrid) -> &[bool] {
-        if self.attached.len() != grid.len() {
-            self.attached = grid.attach_mask(&[]);
-        }
-        &self.attached
     }
 }
 
@@ -344,8 +316,8 @@ impl NetServer {
                 .map_err(|_| io::Error::other("the dialer thread panicked"))?;
         }
 
-        let spec = ev.topo.spec;
-        let grid = ev.grid;
+        let grid = ev.core;
+        let spec = grid.spec();
         let share_error = grid.share_error();
         let cross_quarantine_denials = grid.cross_quarantine_denials;
         let campaigns: Vec<CampaignRunReport> = grid
@@ -389,57 +361,6 @@ impl NetServer {
             share_error,
             cross_quarantine_denials,
         })
-    }
-}
-
-/// What this shard knows about its peers on one campaign, fed by both
-/// gossip directions (inbound `ShardStatus` frames and the replies
-/// arriving on its own links).
-struct ShardBoard {
-    /// Sticky per-shard completion: once a peer reports its owned
-    /// slice validated, that never un-happens (leases only move
-    /// never-issued work, and a complete shard has none).
-    complete: Vec<bool>,
-    /// Each peer's last advertised fresh backlog — the redirect target
-    /// picker's input. Zeroed when a steering connection to or from the
-    /// peer closes: an advert lives no longer than the link it rode.
-    backlog: Vec<u64>,
-}
-
-impl ShardBoard {
-    fn new(shards: u16) -> Self {
-        Self {
-            complete: vec![false; usize::from(shards)],
-            backlog: vec![0; usize::from(shards)],
-        }
-    }
-
-    fn note(&mut self, shard: u16, complete: bool, backlog: Option<u64>) {
-        let i = usize::from(shard);
-        if i < self.complete.len() {
-            self.complete[i] |= complete;
-            if let Some(b) = backlog {
-                self.backlog[i] = b;
-            }
-        }
-    }
-
-    /// True when every shard but `me` has reported completion.
-    fn peers_complete(&self, me: u16) -> bool {
-        self.complete
-            .iter()
-            .enumerate()
-            .all(|(i, &c)| c || i == usize::from(me))
-    }
-
-    /// The peer with the deepest advertised backlog, if any has one.
-    fn busiest_peer(&self, me: u16) -> Option<(u16, u64)> {
-        self.backlog
-            .iter()
-            .enumerate()
-            .filter(|&(i, &b)| i != usize::from(me) && b > 0 && !self.complete[i])
-            .max_by_key(|&(_, &b)| b)
-            .map(|(i, &b)| (i as u16, b))
     }
 }
 
@@ -519,8 +440,9 @@ impl AcceptFailure {
     }
 }
 
-/// The readiness loop: the grid, the peer picture, every connection and
-/// every timer, owned by value and stepped by one thread.
+/// The readiness loop: every connection, every timer and the core they
+/// feed — which makes every decision — owned by value and stepped by one
+/// thread.
 struct EventLoop {
     listener: TcpListener,
     /// The observability listener, when `ops_addr` is configured.
@@ -530,25 +452,12 @@ struct EventLoop {
     /// poller is level-triggered: left armed, a backlog that cannot be
     /// accepted would make every turn a failed `accept`.
     accept_paused: [bool; 2],
-    grid: MultiGrid,
-    /// This server's place among its peers; one shard of one when the
-    /// configuration names no topology.
-    topo: ShardTopology,
-    /// Peer completion/backlog picture, one board per campaign.
-    boards: Vec<ShardBoard>,
+    core: MultiGrid,
     /// The steering link to each shard, indexed by shard id (this
     /// shard's own entry stays `Down`).
     links: Vec<Link>,
-    /// Per campaign: `backoffs_sent` as of the last steering tick, and
-    /// whether it had grown since the one before — "someone asked this
-    /// campaign and got nothing", which gates hunger so an agent-less
-    /// drained shard never begs work off a loaded one.
-    demand: Vec<(u64, bool)>,
     /// Started by the first dial, so a server without peers has none.
     dialer: Option<Dialer>,
-    /// Every campaign validated here and on every peer.
-    done: bool,
-    deadline_seconds: f64,
     faults: ServerFaults,
     epoch: Instant,
     /// Server-clock second the journal replay reached (0 for a fresh
@@ -578,7 +487,7 @@ impl EventLoop {
         // overflows that and every dropped SYN costs the dialer a 1 s
         // retransmit. Widen it (the kernel clamps to somaxconn).
         crate::sys::widen_listen_backlog(listener.as_raw_fd(), 4096);
-        let topo = match &config.shard {
+        let (spec, addrs) = match &config.shard {
             Some(topo) => {
                 if usize::from(topo.spec.shards) != topo.addrs.len()
                     || topo.spec.shard_id >= topo.spec.shards
@@ -593,25 +502,23 @@ impl EventLoop {
                         ),
                     ));
                 }
-                topo.clone()
+                (topo.spec, topo.addrs.clone())
             }
-            None => ShardTopology {
-                spec: ShardSpec::solo(),
-                addrs: Vec::new(),
-            },
+            None => (ShardSpec::solo(), Vec::new()),
         };
         let defs = if config.campaigns.is_empty() {
             vec![CampaignDef::default_solo(config.campaign)]
         } else {
             config.campaigns.clone()
         };
-        let (grid, clock_offset) = MultiGrid::open(
+        let (mut core, clock_offset) = MultiGrid::open(
             defs,
             config.scheduler,
             config.faults,
-            topo.spec,
+            spec,
             config.journal.as_ref(),
         )?;
+        core.set_addrs(addrs);
         let mut poller = Poller::new()?;
         poller.register(listener.as_raw_fd(), true, false)?;
         let ops_listener = match &config.ops_addr {
@@ -625,20 +532,13 @@ impl EventLoop {
         };
         let now = Instant::now();
         let sweep_interval = Duration::from_millis(config.sweep_ms.max(1));
-        let mut ev = Self {
+        Ok(Self {
             listener,
             ops_listener,
             accept_paused: [false; 2],
-            boards: (0..grid.len())
-                .map(|_| ShardBoard::new(topo.spec.shards))
-                .collect(),
-            links: vec![Link::Down; usize::from(topo.spec.shards)],
-            demand: vec![(0, false); grid.len()],
+            core,
+            links: vec![Link::Down; usize::from(spec.shards)],
             dialer: None,
-            done: false,
-            grid,
-            topo,
-            deadline_seconds: config.scheduler.deadline_seconds,
             faults: config.faults,
             epoch: now,
             clock_offset,
@@ -651,35 +551,13 @@ impl EventLoop {
             connections: 0,
             rejected: 0,
             accepted_active: 0,
-        };
-        // A journaled restart may recover an already-finished campaign.
-        ev.check_done();
-        Ok(ev)
+        })
     }
 
+    /// The wall clock on the core's [`SimTime`] axis — read here, and
+    /// handed to the core with whatever happened at it.
     fn now(&self) -> SimTime {
         SimTime::new(self.clock_offset + self.epoch.elapsed().as_secs_f64())
-    }
-
-    /// Whether everything this agent is attached to (not just this
-    /// shard's slice of it) is done: local completion of the attached
-    /// campaigns plus every peer's on each of them.
-    fn globally_complete_for(&self, local_complete: bool, attached: &[bool]) -> bool {
-        let me = self.topo.spec.shard_id;
-        local_complete
-            && self
-                .boards
-                .iter()
-                .zip(attached)
-                .all(|(b, &a)| !a || b.peers_complete(me))
-    }
-
-    /// Notices the server's shutdown condition: the *whole roster* done
-    /// here and on every peer.
-    fn check_done(&mut self) {
-        let me = self.topo.spec.shard_id;
-        self.done = self.done
-            || self.grid.all_complete() && self.boards.iter().all(|b| b.peers_complete(me));
     }
 
     /// Runs to completion and returns the campaign's wall seconds: from
@@ -692,7 +570,7 @@ impl EventLoop {
         let mut done_since: Option<Instant> = None;
         let mut wall_seconds: Option<f64> = None;
         loop {
-            if self.done {
+            if self.core.done() {
                 // Completion: linger through the grace window answering
                 // `campaign_complete`, with the listener open — an agent
                 // that heard "not yet" a gossip tick ago must be able to
@@ -749,10 +627,9 @@ impl EventLoop {
         Ok(())
     }
 
-    /// One sweep tick: expire deadlines, settle the journal's fsync
-    /// debt, notice campaign completion, re-arm listeners an exhausted
-    /// `accept` paused, and close scrapes that have sat past the idle
-    /// cap.
+    /// One sweep tick: re-arm listeners an exhausted `accept` paused,
+    /// have the core expire deadlines, settle the journal's fsync debt,
+    /// and close scrapes that have sat past the idle cap.
     fn sweep_tick(&mut self) {
         let listeners = [Some(&self.listener), self.ops_listener.as_ref()];
         for (listener, paused) in listeners.into_iter().zip(&mut self.accept_paused) {
@@ -762,10 +639,8 @@ impl EventLoop {
                 *paused = armed.is_err();
             }
         }
-        let now = self.now();
-        self.grid.sweep(now);
-        self.grid.flush_journals();
-        self.check_done();
+        self.core.sweep(self.now());
+        self.core.flush_journals();
         if self.ops_listener.is_some() {
             let idle: Vec<i32> = self
                 .conns
@@ -786,65 +661,31 @@ impl EventLoop {
     /// Steering rides the same listener as agent traffic, so no extra
     /// port is needed.
     fn steer_tick(&mut self) {
-        for (slot, seen) in self.grid.slots().iter().zip(&mut self.demand) {
-            let backoffs = slot.state.net_stats.backoffs_sent;
-            *seen = (backoffs, backoffs > seen.0);
-        }
-        let me = self.topo.spec.shard_id;
-        for peer in (0..self.topo.spec.shards).filter(|&p| p != me) {
+        let now = self.now();
+        self.core.note_demand();
+        let ShardSpec { shard_id, shards } = self.core.spec();
+        for peer in (0..shards).filter(|&p| p != shard_id) {
             let p = usize::from(peer);
-            if let Link::Up(fd) = self.links[p] {
-                let unanswered = matches!(
-                    self.conns.get(&fd).map(|c| &c.role),
-                    Some(Role::Link { unacked, .. })
-                        if unacked.front().is_some_and(|(_, sent)| sent.elapsed() > STEER_TIMEOUT)
-                );
-                if unanswered {
-                    self.hang_up(fd, "timeout");
-                }
+            if let (Link::Up(fd), true) = (self.links[p], self.core.link_stalled(now, peer)) {
+                self.hang_up(fd, "timeout");
             }
             match self.links[p] {
                 Link::Down => {
                     let dialer = self.dialer.get_or_insert_with(Dialer::spawn);
-                    if dialer.jobs.send((peer, self.topo.addrs[p].clone())).is_ok() {
+                    let addr = self.core.addr(peer).to_string();
+                    if dialer.jobs.send((peer, addr)).is_ok() {
                         self.links[p] = Link::Dialing;
                     }
                 }
                 Link::Dialing => {}
-                Link::Up(fd) => self.send_statuses(fd),
+                Link::Up(fd) => {
+                    if let Some(mut conn) = self.conns.remove(&fd) {
+                        self.core.send_statuses(now, peer, &mut conn.write_buf);
+                        self.settle(fd, conn);
+                    }
+                }
             }
         }
-    }
-
-    /// Queues one `ShardStatus` per campaign on the link filed under
-    /// `fd` and remembers, in order, which campaign each ack will be
-    /// answering.
-    fn send_statuses(&mut self, fd: i32) {
-        let Some(mut conn) = self.conns.remove(&fd) else {
-            return;
-        };
-        if let Role::Link { peer, unacked } = &mut conn.role {
-            let sent = Instant::now();
-            for (c, (slot, &(_, demand))) in self.grid.slots().iter().zip(&self.demand).enumerate()
-            {
-                let s = &slot.state;
-                let complete = s.is_campaign_complete();
-                let fresh = s.core().fresh_backlog() as u64;
-                let status = Message::ShardStatus {
-                    shard: self.topo.spec.shard_id,
-                    fresh_backlog: fresh,
-                    outstanding: s.outstanding_len() as u64,
-                    complete,
-                    hungry: !complete && fresh == 0 && demand,
-                    leases_held: s.leases_held_from(*peer),
-                    campaign: c as u16,
-                };
-                conn.write_buf
-                    .extend_from_slice(&encode_with(&status, Codec));
-                unacked.push_back((c as u16, sent));
-            }
-        }
-        self.settle(fd, conn);
     }
 
     /// Takes every answer the dialer has ready: a connected socket
@@ -862,8 +703,7 @@ impl EventLoop {
             let _ = stream.set_nodelay(true);
             let fd = stream.as_raw_fd();
             self.links[p] = Link::Up(fd);
-            let unacked = VecDeque::new();
-            self.settle(fd, Conn::new(stream, Role::Link { peer, unacked }));
+            self.settle(fd, Conn::new(stream, Role::Link(peer)));
         }
     }
 
@@ -925,20 +765,21 @@ impl EventLoop {
                 let retry_after_ms = self.faults.backoff_base_ms.max(1) * 4;
                 telemetry::emit(None, || Event::ConnectionRejected { retry_after_ms });
                 let mut conn = Conn::new(stream, Role::Brushoff);
-                conn.queue(&Message::Busy { retry_after_ms });
+                let busy = encode_with(&Message::Busy { retry_after_ms }, Codec);
+                conn.write_buf.extend_from_slice(&busy);
                 conn.closing = Some("busy");
                 self.settle(fd, conn);
                 continue;
             }
             self.connections += 1;
             self.accepted_active += 1;
-            self.settle(fd, Conn::new(stream, Role::Inbound(None)));
+            self.settle(fd, Conn::new(stream, Role::Inbound(Caller::default())));
         }
     }
 
     /// Advances one connection's state machine for a readiness event:
-    /// read what the socket holds, decode and dispatch every complete
-    /// frame, then [`Self::settle`] it.
+    /// read what the socket holds, hand every complete frame to the
+    /// core, then [`Self::settle`] it.
     fn advance_conn(&mut self, ev: IoEvent) {
         let Some(mut conn) = self.conns.remove(&ev.fd) else {
             return;
@@ -999,13 +840,14 @@ impl EventLoop {
     }
 
     /// The read half of the state machine: read what the socket holds
-    /// into the connection's buffer, then decode and dispatch every
-    /// complete frame in it (an agent may pipeline several) — or, on a
-    /// scrape, answer the request head once it is whole.
+    /// into the connection's buffer, then hand every complete frame in it
+    /// (an agent may pipeline several) to the core, whose replies land in
+    /// `write_buf` — or, on a scrape, answer the head once it is whole.
     fn read_and_dispatch(&mut self, conn: &mut Conn) {
         if conn.closing.is_some() {
             return;
         }
+        let now = self.now();
         // A scrape's head is bounded while it is read, not after.
         let most = match conn.role {
             Role::Scrape(_) => ops::MAX_REQUEST_HEAD,
@@ -1019,7 +861,7 @@ impl EventLoop {
         let orderly_close = conn.closing.take();
         if let Role::Scrape(since) = &mut conn.role {
             let head = conn.read_buf.pending();
-            if let Some(response) = ops::respond(head, orderly_close.is_some(), *since, &self.grid)
+            if let Some(response) = ops::respond(head, orderly_close.is_some(), *since, &self.core)
             {
                 conn.write_buf = response;
                 conn.closing = Some("ops");
@@ -1032,314 +874,47 @@ impl EventLoop {
                 Ok((msg, consumed, _)) => {
                     conn.read_buf.consume(consumed);
                     conn.frames += 1;
-                    if let Err(reason) = self.dispatch(conn, msg) {
-                        conn.closing = Some(reason);
-                    }
+                    let heard = match &mut conn.role {
+                        Role::Inbound(caller) => {
+                            self.core.inbound(now, caller, msg, &mut conn.write_buf)
+                        }
+                        Role::Link(peer) => self.core.link_frame(now, *peer, msg),
+                        // One is closing, the other was answered above.
+                        Role::Brushoff | Role::Scrape(_) => Err("protocol"),
+                    };
+                    conn.closing = heard.err();
                 }
                 Err(DecodeError::Incomplete { .. }) => break,
                 Err(_) => conn.closing = Some("protocol"),
             }
         }
         // An EOF/error noticed during the reads only takes effect after
-        // every already-buffered frame has been dispatched.
+        // every already-buffered frame has been handed over.
         if conn.closing.is_none() {
             conn.closing = orderly_close;
         }
     }
 
-    /// Maps one decoded frame to a scheduler call and queues the reply
-    /// — the dispatch state of the per-connection machine. `Err` closes
-    /// the connection (once queued replies flush) with that reason.
-    fn dispatch(&mut self, conn: &mut Conn, msg: Message) -> Result<(), &'static str> {
-        let now = self.now();
-        if let Role::Link { peer, unacked } = &mut conn.role {
-            return self.link_reply(now, *peer, unacked, msg);
-        }
-        let reply = match msg {
-            Message::Hello {
-                agent,
-                threads: _,
-                campaigns,
-            } => {
-                conn.agent = agent;
-                conn.attached = self.grid.attach_mask(&campaigns);
-                telemetry::emit(Some(now.seconds()), || Event::ConnectionOpened { agent });
-                Message::HelloAck {
-                    protocol: PROTOCOL_VERSION,
-                    campaign: self.grid.slots()[0].def.params,
-                    deadline_seconds: self.deadline_seconds,
-                    // The roster travels only when there is one worth
-                    // announcing; a solo registry sends the recipe in
-                    // `campaign` and an empty roster.
-                    campaigns: match self.grid.len() {
-                        1 => Vec::new(),
-                        _ => self.grid.roster(),
-                    },
-                }
-            }
-            Message::RequestWork => {
-                let agent = conn.agent;
-                let mask = conn.mask(&self.grid);
-                match self.grid.fetch(now, agent, mask) {
-                    (cidx, WorkReply::Assigned(a)) => {
-                        let spec = self.grid.slots()[usize::from(cidx)]
-                            .campaign
-                            .spec(a.workunit);
-                        Message::Assignment {
-                            replica: a.replica.0,
-                            workunit: a.workunit,
-                            receptor: spec.receptor.0,
-                            ligand: spec.ligand.0,
-                            isep_start: spec.isep_start,
-                            positions: spec.positions,
-                            deadline_seconds: self.deadline_seconds,
-                            campaign: cidx,
-                        }
-                    }
-                    (
-                        _,
-                        WorkReply::Backoff {
-                            retry_after_ms,
-                            campaign_complete,
-                        },
-                    ) => self.try_redirect(mask).unwrap_or(Message::NoWork {
-                        campaign_complete: self.globally_complete_for(campaign_complete, mask),
-                        retry_after_ms,
-                    }),
-                }
-            }
-            Message::ResultReport {
-                replica,
-                workunit,
-                campaign,
-                output,
-            } => {
-                let (_, disposition) =
-                    self.grid
-                        .report(now, campaign, ReplicaId(replica), workunit, output);
-                self.check_done();
-                let mask = conn.mask(&self.grid);
-                let attached_done = self.grid.attached_complete(mask);
-                Message::ResultAck {
-                    accepted: matches!(
-                        disposition.verdict,
-                        crate::state::Verdict::Accepted
-                            | crate::state::Verdict::QuorumPending
-                            | crate::state::Verdict::Late
-                            | crate::state::Verdict::SpotConfirmed
-                            | crate::state::Verdict::SpotVoid
-                    ),
-                    completed_workunit: disposition.completed_workunit,
-                    campaign_complete: self.globally_complete_for(attached_done, mask),
-                }
-            }
-            Message::ShardMapRequest => Message::ShardMap {
-                shards: self.topo.spec.shards,
-                self_shard: self.topo.spec.shard_id,
-                addrs: self.topo.addrs.clone(),
-            },
-            Message::ShardStatus {
-                shard,
-                fresh_backlog,
-                outstanding: _,
-                complete,
-                hungry,
-                leases_held,
-                campaign,
-            } => {
-                return self.handle_shard_status(
-                    conn,
-                    now,
-                    campaign,
-                    shard,
-                    fresh_backlog,
-                    complete,
-                    hungry,
-                    leases_held,
-                )
-            }
-            Message::Bye => return Err("bye"),
-            // Server-to-agent and reply frames arriving here mean a
-            // confused peer (LeaseGrant/StatusAck only ever travel as
-            // replies on a steering link this shard dialed).
-            _ => return Err("protocol"),
-        };
-        conn.queue(&reply);
-        Ok(())
-    }
-
-    /// Applies one frame `peer` sent back on this shard's own steering
-    /// link: a lease grant is adopted and journaled, an ack (the oldest
-    /// unanswered status's — acks return in send order) updates the
-    /// board. Neither is replied to. A frame that speaks for anyone but
-    /// `peer` — a grant cut by or attributed to another shard, an ack in
-    /// a third shard's name — or names a campaign this server does not
-    /// host changes nothing and closes the link.
-    fn link_reply(
-        &mut self,
-        now: SimTime,
-        peer: u16,
-        unacked: &mut VecDeque<(u16, Instant)>,
-        msg: Message,
-    ) -> Result<(), &'static str> {
-        match msg {
-            Message::LeaseGrant {
-                lease,
-                from_shard,
-                wus,
-                complete,
-                campaign,
-            } => {
-                let c = usize::from(campaign);
-                if c >= self.grid.len() || from_shard != peer || lease_grantor(lease) != peer {
-                    return Err("protocol");
-                }
-                self.grid.slots_mut()[c].state.adopt_lease(now, lease, &wus);
-                self.boards[c].note(from_shard, complete, None);
-            }
-            Message::StatusAck { shard, complete } => {
-                if shard != peer {
-                    return Err("protocol");
-                }
-                let (campaign, _) = unacked.pop_front().ok_or("protocol")?;
-                self.boards[usize::from(campaign)].note(shard, complete, None);
-            }
-            // The peer is over its connection limit; the next steering
-            // tick dials again.
-            Message::Busy { .. } => return Err("busy"),
-            _ => return Err("protocol"),
-        }
-        // Completion is decided here as well as on the sweep tick, so a
-        // shard whose last workunit validated long ago still notices
-        // the moment its final peer reports complete.
-        self.check_done();
-        Ok(())
-    }
-
-    /// When this shard has nothing to issue but a peer advertises
-    /// fresh backlog, answer an agent's ask with a `Redirect` there
-    /// instead of a backoff. The agent follows at most one redirect per
-    /// ask, and the target was advertising work moments ago over a
-    /// connection that is still open, so a bounce chain cannot form.
-    ///
-    /// A shard whose own slice is already complete redirects too: it
-    /// is the one state in which it can never again look hungry (a
-    /// complete slice is skipped by `fetch`, so it records no demand
-    /// and begs no lease), and volunteers parked on it would otherwise
-    /// poll `NoWork` for ever while a peer's backlog sat untouched. A
-    /// slice that validates within one steering interval gets there
-    /// before the first lease could have been cut.
-    fn try_redirect(&mut self, attached: &[bool]) -> Option<Message> {
-        // A backoff with backlog still on hand was a trust denial
-        // (quarantine), not a drained queue: the agent waits here.
-        if self.grid.attached_fresh_backlog(attached) > 0 {
-            return None;
-        }
-        // The peer worth bouncing to: the deepest advertised backlog
-        // across every campaign this agent is attached to.
-        let me = self.topo.spec.shard_id;
-        let (cidx, peer, _) = self
-            .boards
-            .iter()
-            .zip(attached)
-            .enumerate()
-            .filter(|&(_, (_, &a))| a)
-            .filter_map(|(i, (b, _))| b.busiest_peer(me).map(|(peer, backlog)| (i, peer, backlog)))
-            .max_by_key(|&(_, _, backlog)| backlog)?;
-        let addr = self.topo.addrs.get(usize::from(peer))?.clone();
-        self.grid.slots_mut()[cidx].state.note_redirect();
-        Some(Message::Redirect { shard: peer, addr })
-    }
-
-    /// Answers one inbound gossip frame: update the board, re-send any
-    /// grant the sender has not adopted, cut a fresh lease if the
-    /// sender is hungry and this shard has backlog to spare, and ack.
-    /// A connection speaks for one shard: a status in another's name
-    /// than its first is refused like one from no shard at all.
-    /// The `LeaseOut` journal record is appended *before* the grant
-    /// frame is queued, so a crash here can lose a sent grant only in
-    /// the direction the re-send heals.
-    #[allow(clippy::too_many_arguments)]
-    fn handle_shard_status(
-        &mut self,
-        conn: &mut Conn,
-        now: SimTime,
-        campaign: u16,
-        shard: u16,
-        fresh_backlog: u64,
-        complete: bool,
-        hungry: bool,
-        leases_held: Vec<u64>,
-    ) -> Result<(), &'static str> {
-        let me = self.topo.spec.shard_id;
-        let c = usize::from(campaign);
-        let renamed = matches!(conn.role, Role::Inbound(Some(was)) if was != shard);
-        if shard >= self.topo.spec.shards || shard == me || c >= self.grid.len() || renamed {
-            return Err("protocol");
-        }
-        conn.role = Role::Inbound(Some(shard));
-        self.boards[c].note(shard, complete, Some(fresh_backlog));
-        let s = &mut self.grid.slots_mut()[c].state;
-        let local_complete = s.is_campaign_complete();
-        let grant = |(lease, wus)| Message::LeaseGrant {
-            lease,
-            from_shard: me,
-            wus,
-            complete: local_complete,
-            campaign,
-        };
-        // Re-send grants missing from the sender's holdings: our
-        // journal says granted, theirs never said adopted — the grant
-        // frame died with a connection or a crash. Idempotent on their
-        // side, so over-sending is harmless.
-        let held: HashSet<u64> = leases_held.into_iter().collect();
-        let mut resent = false;
-        for missing in s.leases_granted_to(shard) {
-            if !held.contains(&missing.0) {
-                conn.queue(&grant(missing));
-                resent = true;
-            }
-        }
-        if hungry && !resent {
-            if let Some(fresh) = s.grant_lease(now, shard, LEASE_CHUNK) {
-                conn.queue(&grant(fresh));
-            }
-        }
-        conn.queue(&Message::StatusAck {
-            shard: me,
-            complete: local_complete,
-        });
-        self.check_done();
-        Ok(())
-    }
-
     /// Final close of a connection. An inbound one emits the paired
-    /// `ConnectionClosed` event and releases its limit slot; a steering
-    /// connection, dialed or accepted, takes the peer's advertised
-    /// backlog with it — a peer that died with backlog on the board
-    /// must not keep drawing redirects to a dead address.
+    /// `ConnectionClosed` event and releases its limit slot; the core
+    /// is told of either kind that may have been a steering connection.
     fn retire(&mut self, conn: Conn) {
-        let peer = match conn.role {
-            Role::Inbound(peer) => {
+        match conn.role {
+            Role::Inbound(caller) => {
                 self.accepted_active -= 1;
                 let reason = conn.closing.unwrap_or("eof");
                 telemetry::emit(None, || Event::ConnectionClosed {
-                    agent: conn.agent,
+                    agent: caller.agent,
                     frames: conn.frames,
                     reason: reason.into(),
                 });
-                peer
+                self.core.caller_lost(&caller);
             }
-            Role::Link { peer, .. } => {
+            Role::Link(peer) => {
                 self.links[usize::from(peer)] = Link::Down;
-                Some(peer)
+                self.core.link_lost(peer);
             }
-            Role::Brushoff | Role::Scrape(_) => None,
-        };
-        if let Some(peer) = peer {
-            for board in &mut self.boards {
-                board.backlog[usize::from(peer)] = 0;
-            }
+            Role::Brushoff | Role::Scrape(_) => {}
         }
     }
 }
@@ -1348,9 +923,10 @@ impl EventLoop {
 mod tests {
     use super::*;
     use crate::journal::{open_wal, JournalRecord};
-    use crate::protocol::HEADER_BYTES;
+    use crate::protocol::{HEADER_BYTES, PROTOCOL_VERSION};
     use crate::shard::merge_artifacts;
     use crate::sys::READ_SPACE;
+    use std::collections::VecDeque;
     use std::io::{Read, Write};
 
     fn listener() -> TcpListener {
@@ -1404,7 +980,7 @@ mod tests {
         agent.set_nodelay(true).unwrap();
         let (stream, _) = listener.accept().unwrap();
         stream.set_nonblocking(true).unwrap();
-        (agent, Conn::new(stream, Role::Inbound(None)))
+        (agent, Conn::new(stream, Role::Inbound(Caller::default())))
     }
 
     /// Runs the read half until `until` holds. Loopback delivery is
@@ -1619,14 +1195,9 @@ mod tests {
     }
 
     /// The statuses awaiting an ack on the loop's one steering link.
-    fn unacked(ev: &mut EventLoop) -> &mut VecDeque<(u16, Instant)> {
-        ev.conns
-            .values_mut()
-            .find_map(|c| match &mut c.role {
-                Role::Link { unacked, .. } => Some(unacked),
-                _ => None,
-            })
-            .expect("a steering link")
+    fn unacked(ev: &mut EventLoop) -> &mut VecDeque<(u16, SimTime)> {
+        let peer = ev.links.iter().position(|l| matches!(l, Link::Up(_)));
+        &mut ev.core.unacked[peer.expect("a steering link")]
     }
 
     fn link_up(ev: &EventLoop, peer: usize) -> bool {
@@ -1634,7 +1205,7 @@ mod tests {
     }
 
     fn net_stats(ev: &EventLoop) -> NetStats {
-        ev.grid.slots()[0].state.net_stats
+        ev.core.slots()[0].state.net_stats
     }
 
     fn hello(campaigns: Vec<String>) -> Vec<u8> {
@@ -1745,7 +1316,7 @@ mod tests {
             pump(&mut ev, &mut conn, |c| c.closing.is_some());
             assert_eq!((conn.closing, conn.frames), (Some("protocol"), 0));
             assert!(conn.write_buf.is_empty(), "zero reply bytes");
-            let issued = ev.grid.slots()[0].state.outstanding_len();
+            let issued = ev.core.slots()[0].state.outstanding_len();
             assert_eq!(issued, 0, "nothing issued");
         }
     }
@@ -1797,7 +1368,7 @@ mod tests {
             shard_loop(l0, 0, &addrs, None),
             shard_loop(l1, 1, &addrs, Some(journal)),
         ];
-        let baseline = loops[0].grid.slots()[0].campaign.baseline_outputs();
+        let baseline = loops[0].core.slots()[0].campaign.baseline_outputs();
 
         // Both links come up.
         loops[0].steer_tick();
@@ -1825,8 +1396,8 @@ mod tests {
         loops[1].steer_tick();
         spin(loops, |l| net_stats(&l[1]).shard_leases_in == 1);
         assert_eq!(net_stats(&loops[0]).shard_leases_out, 1);
-        let granted = loops[0].grid.slots()[0].state.leases_granted_to(1);
-        loops[1].grid.flush_journals();
+        let granted = loops[0].core.slots()[0].state.leases_granted_to(1);
+        loops[1].core.flush_journals();
         let adopted: Vec<(u64, Vec<u32>)> = open_wal(&dir)
             .unwrap()
             .filter_map(|rec| match rec.unwrap() {
@@ -1839,7 +1410,7 @@ mod tests {
         // Shard 1 advertises the leased backlog; shard 0's agent
         // finishes what is left of shard 0's slice and is sent there.
         loops[1].steer_tick();
-        spin(loops, |l| l[0].boards[0].backlog[1] > 0);
+        spin(loops, |l| l[0].core.slots()[0].board.backlog[1] > 0);
         let mut agent0 = Client::hello(&addrs[0], 2, loops);
         match agent0.work(loops, &baseline) {
             Message::Redirect { shard: 1, addr } => assert_eq!(addr, addrs[1]),
@@ -1851,10 +1422,13 @@ mod tests {
         // round of gossip each way and both loops know it is over.
         agent1.work(loops, &baseline);
         agent1.report(&sat_on, loops);
-        assert!(!loops[0].done, "shard 0 last heard shard 1 had work left");
+        assert!(
+            !loops[0].core.done(),
+            "shard 0 last heard shard 1 had work left"
+        );
         loops[0].steer_tick();
         loops[1].steer_tick();
-        spin(loops, |l| l[0].done && l[1].done);
+        spin(loops, |l| l[0].core.done() && l[1].core.done());
         let ask = agent0.exchange(&Message::RequestWork, loops);
         assert!(
             matches!(
@@ -1869,7 +1443,7 @@ mod tests {
 
         let parts: Vec<_> = loops
             .iter()
-            .map(|l| l.grid.slots()[0].state.partial_outputs())
+            .map(|l| l.core.slots()[0].state.partial_outputs())
             .collect();
         assert_eq!(merge_artifacts(&parts).unwrap(), baseline);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1910,8 +1484,8 @@ mod tests {
         // The link this shard dialed drops: the peer is gone.
         drop(far_end);
         spin(loops, |l| !link_up(&l[0], 1));
-        assert_eq!(loops[0].boards[0].backlog[1], 0);
-        assert!(loops[0].try_redirect(&[true]).is_none());
+        assert_eq!(loops[0].core.slots()[0].board.backlog[1], 0);
+        assert!(loops[0].core.try_redirect(&[true]).is_none());
         match ask(loops) {
             Message::NoWork { retry_after_ms, .. } => assert!(retry_after_ms > 0),
             other => panic!("a dead peer must not draw a redirect, got {other:?}"),
@@ -1949,13 +1523,13 @@ mod tests {
         loops[0].steer_tick();
         assert_eq!(unacked(&mut loops[0]).len(), 2);
         // ...older, it is hung up and dialed afresh.
-        unacked(&mut loops[0])[0].1 -= STEER_TIMEOUT + Duration::from_millis(1);
+        loops[0].clock_offset += (STEER_TIMEOUT + Duration::from_millis(1)).as_secs_f64();
         loops[0].steer_tick();
         assert!(matches!(loops[0].links[1], Link::Dialing));
         assert!(!loops[0]
             .conns
             .values()
-            .any(|c| matches!(c.role, Role::Link { .. })));
+            .any(|c| matches!(c.role, Role::Link(_))));
         spin(loops, |l| link_up(&l[0], 1));
     }
 
@@ -1988,8 +1562,8 @@ mod tests {
         let journal = crate::journal::JournalConfig::new(&dir);
         let loops = &mut [shard_loop(own, 0, &addrs, Some(journal))];
         let books = |ev: &mut EventLoop| {
-            ev.grid.flush_journals();
-            let state = &ev.grid.slots()[0].state;
+            ev.core.flush_journals();
+            let state = &ev.core.slots()[0].state;
             let wal = std::fs::metadata(dir.join("wal.bin")).unwrap().len();
             (
                 state.core().owned_count(),
@@ -1998,7 +1572,7 @@ mod tests {
             )
         };
         let before = books(&mut loops[0]);
-        let everything: Vec<u32> = (0..loops[0].grid.slots()[0].campaign.len() as u32).collect();
+        let everything: Vec<u32> = (0..loops[0].core.slots()[0].campaign.len() as u32).collect();
         assert!(
             before.0 < everything.len(),
             "shard 1 owns something to forge"
@@ -2022,7 +1596,7 @@ mod tests {
             spin(loops, |l| !link_up(&l[0], 1));
             assert!(matches!(loops[0].links[1], Link::Down));
             assert_eq!(books(&mut loops[0]), before, "{forged:?}");
-            assert!(!loops[0].boards[0].complete[1]);
+            assert!(!loops[0].core.slots()[0].board.complete[1]);
         }
 
         // The honest grant the same peer could have sent is adopted.
@@ -2059,8 +1633,11 @@ mod tests {
             far_end.write_all(&encode_with(&ack, Codec)).unwrap();
         }
         spin(loops, |l| !link_up(&l[0], 1));
-        assert_eq!(loops[0].boards[0].complete, [false, true, false]);
-        assert!(!loops[0].boards[0].peers_complete(0));
+        assert_eq!(
+            loops[0].core.slots()[0].board.complete,
+            [false, true, false]
+        );
+        assert!(!loops[0].core.slots()[0].board.peers_complete(0));
 
         // Dialed in as shard 1, then speaking as shard 2: refused, and
         // shard 2's advert is not on the board.
@@ -2077,8 +1654,11 @@ mod tests {
             campaign: 0,
         });
         spin(loops, |l| l[0].accepted_active < before);
-        assert_eq!(loops[0].boards[0].backlog, [0, 0, 0]);
-        assert_eq!(loops[0].boards[0].complete, [false, true, false]);
+        assert_eq!(loops[0].core.slots()[0].board.backlog, [0, 0, 0]);
+        assert_eq!(
+            loops[0].core.slots()[0].board.complete,
+            [false, true, false]
+        );
     }
 
     /// Scrapes are connections like any other: one that stops half way

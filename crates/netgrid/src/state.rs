@@ -207,7 +207,7 @@ pub struct AgentLedger {
 }
 
 /// End-of-run trust accounting; see [`GridState::trust_summary`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrustSummary {
     /// Agents whose history earns single-replica issues.
     pub trusted: usize,
@@ -226,7 +226,7 @@ pub struct TrustSummary {
 }
 
 /// Journal health as seen by the ops endpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JournalOps {
     /// Transition records in the wal: what a restart would replay.
     pub wal_records: u64,
@@ -236,7 +236,7 @@ pub struct JournalOps {
 
 /// Shard identity and ownership as seen by the ops endpoint; `None`
 /// when the server runs unsharded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardOps {
     /// This server's shard id.
     pub shard_id: u16,
@@ -251,7 +251,7 @@ pub struct ShardOps {
 /// One campaign's row in the ops snapshot: identity, fair-share ledger
 /// position, and progress — enough for the `hcmd_campaign_*` metric
 /// families and the dashboard table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignOps {
     /// Registry name.
     pub name: String,
@@ -277,12 +277,11 @@ pub struct CampaignOps {
     pub complete: bool,
 }
 
-/// A cheap, self-contained copy of everything the ops endpoint renders,
-/// taken under the server's state lock by [`GridState::ops_snapshot`].
-/// Copy-on-scrape: the HTTP thread takes this snapshot in one short
-/// critical section and renders outside it, so a slow scraper can never
-/// stall the fetch/report hot path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A self-contained copy of everything the ops endpoint renders, taken
+/// by [`GridState::ops_snapshot`]. The thread that owns the grid takes
+/// and renders it between two frames; the scraper only ever holds up
+/// its own connection's write buffer.
+#[derive(Debug, Clone, PartialEq)]
 pub struct OpsSnapshot {
     /// Latest server-clock second any entry point has seen.
     pub last_now: f64,
@@ -317,28 +316,21 @@ pub struct OpsSnapshot {
     pub agents: Vec<(u64, AgentLedger)>,
     /// Reference CPU seconds burned on results that were not useful
     /// (redundant surplus, rejects, late reports, spot recomputations).
-    #[serde(default)]
     pub wasted_ref_seconds: f64,
     /// Trust band census; `None` when the trust policy is off.
-    #[serde(default)]
     pub trust: Option<TrustSummary>,
     /// Per-agent trust score and band, sorted by agent id; empty when
     /// the trust policy is off.
-    #[serde(default)]
     pub agents_trust: Vec<(u64, f64, TrustBand)>,
     /// Shard identity and ownership; `None` when unsharded.
-    #[serde(default)]
     pub shard: Option<ShardOps>,
     /// Per-campaign rows, in registry slot order (one row for the
     /// implicit solo campaign). The top-level fields above describe
     /// slot 0 — the default campaign — for scrape continuity.
-    #[serde(default)]
     pub campaigns: Vec<CampaignOps>,
     /// Largest |delivered fraction − share| across campaigns.
-    #[serde(default)]
     pub campaign_share_error: f64,
     /// Fetches denied by the cross-campaign trust gate.
-    #[serde(default)]
     pub cross_quarantine_denials: u64,
 }
 
@@ -1067,9 +1059,9 @@ impl GridState {
     }
 
     /// Takes the copy-on-scrape snapshot the ops endpoint renders; see
-    /// [`OpsSnapshot`]. Called under the server's state lock — every
-    /// field is a counter, small struct, or short vec, so the critical
-    /// section stays far below one fetch/report cycle.
+    /// [`OpsSnapshot`]. Every field is a counter, small struct, or
+    /// short vec, so taking it delays the next frame by far less than
+    /// one fetch/report cycle.
     pub fn ops_snapshot(&self) -> OpsSnapshot {
         let mut agents: Vec<(u64, AgentLedger)> =
             self.agents.iter().map(|(&a, b)| (a, b.ledger)).collect();
