@@ -23,7 +23,11 @@
 //! * energies are *cutoff-shifted* so `E(r_cut) = 0` exactly and the
 //!   landscape stays continuous for the minimiser;
 //! * inter-bead distances are softened (`r_eff² = r² + δ²`) so overlapping
-//!   starting poses produce large-but-finite energies and gradients.
+//!   starting poses produce large-but-finite energies and gradients;
+//! * an in-cutoff pair costs one division, `inv = 1/r_eff²`, and no
+//!   square root: the LJ powers, the Coulomb term and the gradient are
+//!   all products of `inv`, and each ligand bead's force is summed before
+//!   its one torque cross product.
 //!
 //! Floating-point sums depend on their order, and every result file,
 //! quorum fingerprint and merged artifact in this repository is compared
@@ -93,18 +97,21 @@ pub struct EnergyGradient {
 /// voxels hug the cutoff sphere more tightly — fewer rejected candidates
 /// per probe — and cost memory cubically. Measured on the benchmark's
 /// 6-protein libraries (20 to 75 beads, 60 in-cutoff pairs per
-/// evaluation) and a 300-bead receptor:
+/// evaluation) and a 300-bead receptor; docking time is the four
+/// `volunteer_kernel` libraries' baseline under the one-division pair
+/// arithmetic, relative to 3 voxels per cutoff:
 ///
 /// | voxels/cutoff | candidates/eval | docking time | index, 6 proteins | 300 beads |
 /// |---|---|---|---|---|
-/// | 2   | 229 | 1.06 | 101 KB | 106 KB |
-/// | 2.5 | 183 | 1.01 | 168 KB | 176 KB |
+/// | 2   | 229 | 1.08 | 101 KB | 106 KB |
+/// | 2.5 | 183 | 1.06 | 168 KB | 176 KB |
 /// | 3   | 157 | 1.00 | 256 KB | 265 KB |
-/// | 4   | 124 | 1.00 | 521 KB | 536 KB |
+/// | 4   | 124 | 0.95 | 521 KB | 536 KB |
 ///
-/// (27-cell scan: 837 candidates, docking time 2.5.) Past 2.5 the pair
-/// arithmetic dominates and the extra resolution buys about a percent,
-/// while a campaign keeps one index per receptor resident.
+/// (27-cell scan: 837 candidates.) With the pair math cheap, the
+/// candidate distance tests are what finer voxels save: 4 docks ≈ 10 %
+/// faster than 2.5, for three times the index a campaign keeps resident
+/// per receptor — past what `peak_rss_mb`'s 5 % bound allows.
 const VOXELS_PER_CUTOFF: f64 = 2.5;
 
 /// How far, in voxel edges, a bead's reach is inflated beyond the cutoff
@@ -125,8 +132,8 @@ const VOXEL_SLACK: f64 = 1e-6;
 struct VoxelGrid {
     origin: Vec3,
     edge: f64,
-    /// `1 / edge`: a probe scales three coordinates per ligand bead, and
-    /// the pair loop is already bound by the divider.
+    /// `1 / edge`: a probe scales three coordinates per ligand bead by a
+    /// multiply instead of a division.
     inv_edge: f64,
     dims: [usize; 3],
 }
@@ -340,9 +347,8 @@ impl CellList {
 
 /// Precomputed pair parameters for every ordered [`BeadKind`] pair:
 /// combined well depth `ε_ij = √(ε_i ε_j)`, contact distance
-/// `rmin_ij = r_i + r_j`, and the charge product — the per-pair square
-/// roots otherwise dominate the inner loop (see the `energy` criterion
-/// bench for the ablation).
+/// `rmin_ij = r_i + r_j`, and the charge product — so the pair loop takes
+/// no square root of `ε_i ε_j` and reads each with one indexed load.
 #[derive(Debug, Clone)]
 pub struct PairTable {
     eps: [[f64; 5]; 5],
@@ -494,17 +500,19 @@ fn evaluate_probing<I: Iterator<Item = usize>>(
     ligand: &Protein,
     pose: &Pose,
     params: &EnergyParams,
-    mut grad: Option<&mut (Vec3, Vec3)>,
+    grad: Option<&mut (Vec3, Vec3)>,
     cull: &mut CullTally,
     probe: impl Fn(Vec3) -> I,
 ) -> EnergyBreakdown {
     let cutoff_sq = params.cutoff * params.cutoff;
     let delta_sq = params.softening * params.softening;
     // Cutoff-shift reference at the softened cutoff distance.
-    let rc_sq = cutoff_sq + delta_sq;
+    let inv_rc_sq = 1.0 / (cutoff_sq + delta_sq);
+    let coulomb = COULOMB_KCAL / params.dielectric;
     let pair_table = PairTable::shared();
     let mut elj = 0.0;
     let mut eelec = 0.0;
+    let (mut net_force, mut net_torque) = (Vec3::ZERO, Vec3::ZERO);
     for lbead in ligand.beads() {
         let lp = pose.apply(lbead.position);
         // One pair-table row per ligand bead: the inner loop then needs
@@ -513,6 +521,9 @@ fn evaluate_probing<I: Iterator<Item = usize>>(
         let eps_row = &pair_table.eps[row];
         let rmin_sq_row = &pair_table.rmin_sq[row];
         let qq_row = &pair_table.qq[row];
+        // Force on this ligand bead, summed over its pairs in slot order.
+        let mut force = Vec3::ZERO;
+        let mut paired = false;
         for slot in probe(lp) {
             cull.candidates.add(1);
             let rbead = &cells.slots[slot];
@@ -524,41 +535,47 @@ fn evaluate_probing<I: Iterator<Item = usize>>(
                 continue;
             }
             cull.pairs.add(1);
+            paired = true;
             let kind = rbead.kind as usize;
             let eps = eps_row[kind];
             let rmin_sq = rmin_sq_row[kind];
-            let q1q2 = qq_row[kind];
-            // Softened distance.
-            let rr_sq = r_sq + delta_sq;
-            let rr = rr_sq.sqrt();
+            // The pair's one division: 1/rr² of the softened distance.
+            let inv = 1.0 / (r_sq + delta_sq);
 
             // Lennard-Jones 12-6 in rmin form:
             //   E = ε [ (rmin/r)^12 − 2 (rmin/r)^6 ]
-            let s6 = (rmin_sq / rr_sq).powi(3);
+            let s2 = rmin_sq * inv;
+            let s6 = s2 * s2 * s2;
             let s12 = s6 * s6;
-            let c6 = (rmin_sq / rc_sq).powi(3);
+            let c2 = rmin_sq * inv_rc_sq;
+            let c6 = c2 * c2 * c2;
             let c12 = c6 * c6;
             elj += eps * ((s12 - 2.0 * s6) - (c12 - 2.0 * c6));
 
             // Screened Coulomb with distance-dependent dielectric
             // ε(r) = ε₀ r ⇒ E = k q₁q₂ / (ε₀ r²), cutoff-shifted.
-            let ke = COULOMB_KCAL * q1q2 / params.dielectric;
-            eelec += ke * (1.0 / rr_sq - 1.0 / rc_sq);
+            let ke = coulomb * qq_row[kind];
+            eelec += ke * (inv - inv_rc_sq);
 
-            if let Some(g) = grad.as_deref_mut() {
-                // dE/d(rr): LJ term.
-                let dlj = eps * (-12.0 * s12 / rr + 12.0 * s6 / rr);
-                // Electrostatic term: d/d(rr) [k/rr²] = −2k/rr³.
-                let dele = -2.0 * ke / (rr_sq * rr);
-                // d(rr)/d(d_vec) = d_vec / rr (softening is additive
-                // in r²).
-                let de_dvec = Vec3::new(dx, dy, dz) * ((dlj + dele) / rr);
-                // Force on the ligand bead is −∂E/∂(bead position).
-                let f = -de_dvec;
-                g.0 += f;
-                g.1 += (lp - pose.translation).cross(f);
+            if grad.is_some() {
+                // dE/d(rr²) is ½·(12ε(s6 − s12) − 2k·inv)·inv, and
+                // d(rr²)/d(d_vec) = 2·d_vec (softening is additive in
+                // r²); the force on the ligand bead is −∂E/∂(position).
+                let de = (12.0 * eps * (s6 - s12) - 2.0 * ke * inv) * inv;
+                force -= Vec3::new(dx, dy, dz) * de;
             }
         }
+        // Most beads of a pose far from contact have no pair; adding
+        // their zero force would change no bit of the sums and cost a
+        // cross product each.
+        if paired {
+            net_force += force;
+            net_torque += (lp - pose.translation).cross(force);
+        }
+    }
+    if let Some(g) = grad {
+        g.0 += net_force;
+        g.1 += net_torque;
     }
     EnergyBreakdown { elj, eelec }
 }
@@ -712,6 +729,76 @@ mod tests {
             force: grad.0,
             torque: grad.1,
         }
+    }
+
+    /// The pair arithmetic the one-division form replaced, kept as the
+    /// reference it is bounded against: a square root and nine divisions
+    /// per pair, `powi(3)` of quotients, and the torque crossed per pair.
+    /// Every output recorded before it was replaced was computed this way.
+    ///
+    /// Also returns, in the same shape, the sum over pairs of the
+    /// magnitudes of the products each pair adds to each output — the
+    /// scale a rounding error of the sum is measured in.
+    fn two_root_energy_and_gradient(
+        coarse: &CoarseCells,
+        cells: &CellList,
+        ligand: &Protein,
+        pose: &Pose,
+        params: &EnergyParams,
+    ) -> (EnergyGradient, EnergyGradient) {
+        let cutoff_sq = params.cutoff * params.cutoff;
+        let delta_sq = params.softening * params.softening;
+        let rc_sq = cutoff_sq + delta_sq;
+        let table = PairTable::shared();
+        let zero = EnergyGradient {
+            energy: EnergyBreakdown::default(),
+            force: Vec3::ZERO,
+            torque: Vec3::ZERO,
+        };
+        let (mut g, mut scale) = (zero, zero);
+        let abs = |v: Vec3| Vec3::new(v.x.abs(), v.y.abs(), v.z.abs());
+        for lbead in ligand.beads() {
+            let lp = pose.apply(lbead.position);
+            let arm = lp - pose.translation;
+            let row = PairTable::index(lbead.kind);
+            for slot in coarse.for_neighbors(lp) {
+                let rbead = &cells.slots[slot];
+                let d = lp - rbead.position;
+                let r_sq = d.x * d.x + d.y * d.y + d.z * d.z;
+                if r_sq >= cutoff_sq {
+                    continue;
+                }
+                let kind = rbead.kind as usize;
+                let eps = table.eps[row][kind];
+                let rmin_sq = table.rmin_sq[row][kind];
+                let rr_sq = r_sq + delta_sq;
+                let rr = rr_sq.sqrt();
+                let s6 = (rmin_sq / rr_sq).powi(3);
+                let s12 = s6 * s6;
+                let c6 = (rmin_sq / rc_sq).powi(3);
+                let c12 = c6 * c6;
+                g.energy.elj += eps * ((s12 - 2.0 * s6) - (c12 - 2.0 * c6));
+                let ke = COULOMB_KCAL * table.qq[row][kind] / params.dielectric;
+                g.energy.eelec += ke * (1.0 / rr_sq - 1.0 / rc_sq);
+                let dlj = eps * (-12.0 * s12 / rr + 12.0 * s6 / rr);
+                let dele = -2.0 * ke / (rr_sq * rr);
+                let f = -(d * ((dlj + dele) / rr));
+                g.force += f;
+                g.torque += arm.cross(f);
+
+                scale.energy.elj += eps * (s12 + 2.0 * s6 + c12 + 2.0 * c6);
+                scale.energy.eelec += ke.abs() * (1.0 / rr_sq + 1.0 / rc_sq);
+                let f = abs(d) * ((12.0 * eps * (s12 + s6) + 2.0 * ke.abs() / rr_sq) / rr_sq);
+                let a = abs(arm);
+                scale.force += f;
+                scale.torque += Vec3::new(
+                    a.y * f.z + a.z * f.y,
+                    a.z * f.x + a.x * f.z,
+                    a.x * f.y + a.y * f.x,
+                );
+            }
+        }
+        (g, scale)
     }
 
     /// Receptors the index is exercised on: one bead (a 1-voxel-thick
@@ -914,6 +1001,16 @@ mod tests {
         }
     }
 
+    /// Over the same random poses, three more checks ride along:
+    ///
+    /// * `interaction_energy` is `energy_and_gradient`'s energy, bit for
+    ///   bit — the gradient branch never changes the energy;
+    /// * each of `elj`, `eelec`, force and torque is within
+    ///   `128·ε·Σ|addends|` of [`two_root_energy_and_gradient`], the
+    ///   arithmetic the one-division form replaced. Worst seen over these
+    ///   poses (the test prints it), in units of `ε·Σ|addends|`: 5.4
+    ///   (`elj`), 0 (`eelec`), 31.5 (force), 23.6 (torque); over 2 000
+    ///   poses per receptor 8.6, 0, 40.9, 39.0.
     #[test]
     fn voxel_index_matches_the_27_cell_reference_bit_for_bit() {
         use rand::{Rng, SeedableRng};
@@ -921,6 +1018,7 @@ mod tests {
         let params = EnergyParams::default();
         let receptors = receptors();
         let ligands = [&receptors[1], &receptors[2]];
+        let mut worst = [0.0f64; 8];
         for receptor in &receptors {
             let cells = CellList::build(receptor, params.cutoff);
             let coarse = CoarseCells::build(receptor, params.cutoff);
@@ -943,7 +1041,7 @@ mod tests {
                 );
                 let fast = energy_and_gradient(receptor, &cells, ligand, &pose, &params);
                 let slow = reference_energy_and_gradient(&coarse, &cells, ligand, &pose, &params);
-                let bits = |g: &EnergyGradient| {
+                let outputs = |g: &EnergyGradient| {
                     [
                         g.energy.elj,
                         g.energy.eelec,
@@ -954,13 +1052,39 @@ mod tests {
                         g.torque.y,
                         g.torque.z,
                     ]
-                    .map(f64::to_bits)
                 };
+                let bits = |g: &EnergyGradient| outputs(g).map(f64::to_bits);
                 assert_eq!(bits(&fast), bits(&slow), "pose {pose:?}");
+
+                let energy = interaction_energy(receptor, &cells, ligand, &pose, &params);
+                assert_eq!(
+                    [energy.elj, energy.eelec].map(f64::to_bits),
+                    [fast.energy.elj, fast.energy.eelec].map(f64::to_bits),
+                    "pose {pose:?}"
+                );
+
+                let (old, scale) =
+                    two_root_energy_and_gradient(&coarse, &cells, ligand, &pose, &params);
+                for (k, ((new, old), scale)) in outputs(&fast)
+                    .into_iter()
+                    .zip(outputs(&old))
+                    .zip(outputs(&scale))
+                    .enumerate()
+                {
+                    let units = (new - old).abs() / (f64::EPSILON * scale);
+                    assert!(
+                        (new - old).abs() <= 128.0 * f64::EPSILON * scale,
+                        "output {k}: {new} against {old}, {units} ε·Σ|addends|, pose {pose:?}"
+                    );
+                    if scale > 0.0 {
+                        worst[k] = worst[k].max(units);
+                    }
+                }
                 interacting += usize::from(fast.energy.total() != 0.0);
             }
             assert!(interacting > 100, "only {interacting} poses interacted");
         }
+        println!("worst |new − old| in ε·Σ|addends|: {worst:.1?}");
     }
 
     #[test]

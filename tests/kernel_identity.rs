@@ -3,10 +3,11 @@
 //! Every artifact, quorum fingerprint and `*_matches_baseline` check in
 //! the repository compares the kernel with itself, so a change to
 //! `maxdo::energy` that moves a low-order bit everywhere at once passes
-//! them all. The values below were recorded at the commit *before* the
-//! neighbour-voxel index replaced the 27-cell probe; a kernel change
-//! that claims "bit-identical" has to reproduce them unedited, and one
-//! that knowingly moves bits re-records them in the same PR and says so.
+//! them all. The values below were recorded at the one-division pair
+//! arithmetic (PR 25, which re-recorded the values the 27-cell probe and
+//! the voxel index had both reproduced); a kernel change that claims
+//! "bit-identical" has to reproduce them unedited, and one that knowingly
+//! moves bits re-records them in the same PR and says so.
 //!
 //! The payload digests are this file's own FNV-1a 64 over the binary
 //! row records (`netgrid::protocol::binary::row_bytes`) — the definition
@@ -42,39 +43,39 @@ fn payload_digest(out: &DockingOutput) -> u64 {
 /// `payload_digest evaluations` of every workunit of the tiny campaign, in
 /// catalog order.
 const TINY_CAMPAIGN: &str = "\
-40e2f86c8936b55a 410
-0dace96e9aa61064 250
-2b4b842a87018d56 280
-d83972b7fe68e2f3 480
-dba2ffbaa910d926 350
+95feaa4d75b9bab8 410
+8a7b75c8cc32e84a 250
+a59e527b74c68275 280
+8b5692758181924f 480
+10c98f59b97b2ce9 350
 ef91666da23c461a 240
 65037f3fee8b33e9 270
-8fe8540e63a67f70 340
-eac32e181a83e1c9 320
-6d55bf8f5306c475 620
-c915b0cb2af2e315 1140
-93f7b5462dcabe63 420
-940d69bd67c69342 250
-e35362754f4e098e 520
-e12fd34b63bbba80 1080
-acb437c8dc76a6e5 270
+07f0aaa8cde3b081 340
+98cc0908b1c1dd6f 320
+5ea9cb0ce63a3d2e 620
+32269e2654af5ef3 1140
+f4e09f7ce011094e 420
+08a8fb01736192d4 250
+c93a946ac8d27237 520
+fc3f1a747e4df22e 1080
+d857c8cff1fe8411 270
 ";
 
 /// Two starting positions of one couple of proteins the size of the
 /// paper's (hundreds of beads, several cutoff lengths across): bead
 /// counts, then `payload_digest` and `evaluations`.
-const PAPER_SCALE: (usize, usize, u64, u64) = (296, 304, 0x4c9e31dcea328b1a, 1268);
+const PAPER_SCALE: (usize, usize, u64, u64) = (296, 304, 0x5fe93a768de1d0ba, 1268);
 
 /// One FIRE relaxation of the same couple from deep contact, where every
 /// ligand bead has receptor beads inside the cutoff: `elj eelec x y z`
 /// bits, then evaluations.
 const FIRE: ([u64; 5], usize) = (
     [
-        0xc0392ae7f6a30f60,
-        0xbfbea742ab2f47a1,
-        0x4038286c8ad8a73d,
-        0xbfecfd5071400b49,
-        0xbfc1fdd288569b39,
+        0xc0392ae7f6a30f68,
+        0xbfbea742ab2f47d5,
+        0x4038286c8ad8a73c,
+        0xbfecfd5071400b64,
+        0xbfc1fdd288569aa1,
     ],
     81,
 );
