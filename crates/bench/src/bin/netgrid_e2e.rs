@@ -214,7 +214,8 @@ struct ShardBenchRow {
     /// Workunits validated across all shards (the whole catalog).
     workunits: usize,
     /// Fleet-side wall clock, start of the fleet to global completion.
-    /// (Server-side `wall_seconds` includes the sharded shutdown grace,
+    /// (Server-side `wall_seconds` can include the shutdown grace a
+    /// shard sits out when no volunteer heard the final word from it,
     /// which would understate throughput.)
     wall_seconds: f64,
     /// Aggregate throughput across the topology; bench_guard warns when
@@ -454,8 +455,8 @@ fn run_multi_campaign(
 /// Everything one sharded campaign yields, across all its shards.
 struct ShardedOutcome {
     reports: Vec<NetRunReport>,
-    /// Fleet-side wall clock (the per-shard server reports include the
-    /// sharded shutdown grace, so they are not a throughput clock).
+    /// Fleet-side wall clock (a per-shard server report can include the
+    /// shutdown grace, so it is not a throughput clock).
     wall_seconds: f64,
     requests: usize,
     redirects_followed: u64,

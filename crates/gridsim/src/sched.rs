@@ -101,7 +101,7 @@ impl Default for ServerConfig {
 pub struct ReplicaId(pub u64);
 
 /// A replica handed to a host, with everything the host model needs.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ReplicaAssignment {
     /// The replica's identity (for reporting and timeout matching).
     pub replica: ReplicaId,
@@ -1042,9 +1042,9 @@ pub struct CampaignShare {
 /// counts how often a campaign was served out of fair order so the
 /// effect is observable.
 ///
-/// Deliveries are derived state — each campaign core already knows its
-/// [`SchedulerCore::completed_ref_seconds`] — so recovery re-seeds the
-/// arbiter from the cores instead of journaling it.
+/// The arbiter is a pure function of the picks and credits made on it,
+/// so a server that journals every ask and report rebuilds it, borrows
+/// included, by making them again.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FairShare {
     shares: Vec<CampaignShare>,
@@ -1111,8 +1111,8 @@ impl FairShare {
         self.borrows[i]
     }
 
-    /// Re-seeds campaign `i`'s delivery tally (recovery: the campaign
-    /// core's `completed_ref_seconds()` is the durable source of truth).
+    /// Sets campaign `i`'s delivery tally (a campaign core's
+    /// `completed_ref_seconds()`, the one definition of it).
     pub fn set_delivered(&mut self, i: usize, ref_seconds: f64) {
         self.delivered[i] = ref_seconds;
     }

@@ -2,10 +2,12 @@
 //!
 //! Walks `DIR/wal.bin` with the reader recovery itself uses
 //! ([`netgrid::journal::open_wal`]) and prints one JSON object per
-//! record on stdout, in file order. The records are binary on disk;
-//! this is where they are legible. A summary (records, valid bytes,
-//! torn tail if any) goes to stderr. Read-only: unlike recovery it
-//! never truncates a torn tail.
+//! record on stdout, in file order: the header (roster, config, faults,
+//! shard), then one `Applied` record per command the server applied —
+//! its time, the command and the outcome it drew. The records are
+//! binary on disk; this is where they are legible. A summary (records,
+//! valid bytes, torn tail if any) goes to stderr. Read-only: unlike
+//! recovery it never truncates a torn tail.
 //!
 //! Exit status: 0 when the wal scans cleanly (a torn tail is clean —
 //! it is what a crash leaves), 1 on a bad record — which includes a

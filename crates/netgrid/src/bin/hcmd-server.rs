@@ -19,10 +19,10 @@
 //! text exposition) and `GET /` (a self-contained HTML status page).
 //! See README "Watching a live campaign".
 //!
-//! With `--journal DIR` the server is crash-safe: every scheduler
-//! transition is appended to a write-ahead log under `DIR`, and a
-//! restarted server replays it and resumes the campaign exactly where
-//! the crash left it (see DESIGN.md §6 "Durability"). `--out PATH`
+//! With `--journal DIR` the server is crash-safe: every decision a
+//! restart must rebuild is appended to one write-ahead log, `DIR/wal.bin`,
+//! and a restarted server replays it and resumes the campaign exactly
+//! where the crash left it (see DESIGN.md §6 "Durability"). `--out PATH`
 //! writes the merged validated artifact as JSON on completion, which
 //! the restart smoke test byte-compares against an uninterrupted run.
 //!
@@ -53,7 +53,8 @@
 //! multiple campaigns, `--out base.json` writes one artifact per
 //! campaign as `base.NAME.json`, each byte-identical to the artifact a
 //! solo server running only that campaign would write. `--journal DIR`
-//! keeps one journal per campaign under `DIR/NAME/`.
+//! still keeps the one `DIR/wal.bin`, and pins the roster — names,
+//! recipes, shares, priorities — so a restart must name the same.
 
 use netgrid::{
     CampaignDef, FsyncPolicy, JournalConfig, NetServer, NetServerConfig, ShardSpec, ShardTopology,

@@ -1,70 +1,76 @@
-//! Write-ahead journal: crash-safe server state.
+//! Write-ahead journal: the server's command log.
 //!
 //! The paper's campaign ran for 26 weeks; a server whose scheduling
 //! state lives only in RAM cannot survive such a run. This module makes
-//! [`GridState`] durable the way BOINC's database does, but with the
-//! repo's own machinery: every scheduler transition — replica issue,
-//! result report (with verdict), deadline expiry, lease — is appended
-//! to a per-campaign write-ahead log as a length-prefixed, checksummed
-//! frame (the exact wire framing from [`crate::protocol`], checksum
-//! included: [`protocol::checksum64`]). The log *is* the state: nothing
-//! else is ever written, and nothing in it is ever rewritten.
+//! a [`MultiGrid`] durable the way BOINC's database does, but with the
+//! repo's own machinery: every decision a restart must rebuild is one
+//! [`Command`] applied through [`MultiGrid::apply`], and the journal
+//! appends it — with the time it was made at and the [`Outcome`] it
+//! drew — as a length-prefixed, checksummed frame (the exact wire
+//! framing from [`crate::protocol`], checksum included:
+//! [`protocol::checksum64`]). The log *is* the state: nothing else is
+//! ever written, and nothing in it is ever rewritten.
+//!
+//! [`MultiGrid`]: crate::registry::MultiGrid
+//! [`MultiGrid::apply`]: crate::registry::MultiGrid::apply
+//! [`MultiGrid::open`]: crate::registry::MultiGrid::open
 //!
 //! # File layout
 //!
-//! A journal directory holds one file, `wal.bin`: a
-//! [`JournalRecord::Header`] frame (campaign recipe, server config,
-//! fault knobs, shard, format) followed by one frame per transition, in
-//! the exact order the grid's one owner applied them. It only grows; the
-//! one thing recovery ever cuts off is a torn tail.
+//! A journal directory holds one file, `wal.bin`, however many
+//! campaigns the server hosts: a [`JournalRecord::Header`] frame (the
+//! roster — every campaign's name, recipe, share and priority, in
+//! order — server config, fault knobs, shard, format) followed by one
+//! [`JournalRecord::Applied`] frame per command, in the exact order the
+//! grid's one owner applied them. It only grows; the one thing recovery
+//! ever cuts off is a torn tail.
 //!
 //! Every frame is the same kind (the frame-kind byte of its header —
 //! the byte a wire frame keeps its protocol version in — is always 2)
 //! and every record has exactly one payload encoding: a tag byte and
 //! fixed-width little-endian fields written with the wire codec's own
 //! primitives ([`crate::protocol::binary`]), decoded strictly. A
-//! `Report`'s payload is the same 72-byte rows the agent sent.
-//! Transitions are the hot path: one per request, encoded into a buffer
-//! the [`Journal`] reuses, written with one `write_all`.
+//! report's payload is the same 72-byte rows the agent sent, encoded
+//! straight from the command that carried them. Commands are the hot
+//! path: one per request, encoded into a buffer the [`Journal`] reuses,
+//! written with one `write_all`.
 //!
 //! `hcmd-journal dump DIR` prints every record as one JSON line,
 //! through the same [`open_wal`] recovery uses.
 //!
 //! # Recovery
 //!
-//! [`open_journaled`] has one path: a fresh [`GridState::new`], then
-//! every wal record replayed **through the live transition entry
-//! points** ([`GridState::fetch`] / [`GridState::report`] /
-//! [`GridState::sweep`] and the lease pair), asserting at each step
-//! that the state makes the *same decision it made live* (same replica
-//! issued, same verdict, same expiry count). A divergence means the
-//! journal and the code disagree and recovery fails loudly instead of
-//! silently forking the campaign. Records are deframed, decoded and
-//! applied one at a time; the decoded wal is never held as a whole.
+//! [`MultiGrid::open`] has one path: a fresh registry, then every
+//! recorded command handed to the live call, [`MultiGrid::apply`], and
+//! the outcome it decides compared with the recorded one. A difference
+//! means the journal and the code disagree, and recovery fails loudly
+//! instead of silently forking the campaign. Records are read, decoded
+//! and applied one at a time; neither the file nor the decoded wal is
+//! ever held as a whole.
 //!
 //! The price is a wal that is O(requests), not O(state): a request that
-//! left no state behind (a `NoWork` fetch is a 35-byte record) stays in
+//! left no state behind (a `NoWork` fetch is a 51-byte record) stays in
 //! the log for the life of the campaign. On every traffic mix the
 //! benchmark runs that is both smaller and faster to replay than a
 //! serialised copy of the state would be to write (DESIGN.md §6,
 //! "Durability").
 //!
-//! Replayed reports need their payloads only when the payload decided
-//! something: accepted artifacts and quorum candidates are journaled
-//! in full (replay recomputes their fingerprints through `report`),
-//! while `BoundsRejected`, `Duplicate`, `SpotMismatch` and `SpotVoid`
-//! reports — whose payloads the server discards on arrival — are
-//! replayed with a synthesized empty payload (an empty result file
-//! always fails the §5.2 line-count check, and an empty payload's
-//! fingerprint never matches an accepted artifact, reproducing each
-//! rejection exactly).
+//! A report keeps its payload in the log only when the payload decided
+//! something: accepted artifacts and quorum candidates are kept in full
+//! (replay recomputes their fingerprints), while `BoundsRejected`,
+//! `Duplicate`, `SpotMismatch` and `SpotVoid` reports — whose payloads
+//! the server discards on arrival — are replayed with an empty payload
+//! (an empty result file always fails the §5.2 line-count check, an
+//! empty payload's fingerprint never matches an accepted artifact, and
+//! the other two never look at theirs, reproducing each verdict
+//! exactly).
 //!
 //! # Consistency model
 //!
 //! A `kill -9` loses at most the un-fsynced suffix of the wal (none
 //! under [`FsyncPolicy::Always`]). Replay stops at the first torn frame
 //! and truncates the wal there, so the recovered state is always a
-//! *prefix* of the crashed run — a consistent earlier state. Two kinds
+//! *prefix* of the crashed run — a consistent earlier state. Three kinds
 //! of damage are told apart:
 //!
 //! * **torn tail** — the file ends inside a frame, a payload fails its
@@ -96,6 +102,10 @@
 //!     most of the campaign. A wal whose first frame is kind 1, or a
 //!     directory that contains a `snapshot.bin` at all, is refused
 //!     naming "journal format 3 or earlier".
+//!   - journal format 4 recorded each campaign's own calls, in a wal
+//!     per campaign (`DIR/NAME/wal.bin` on a multi-campaign server). Its
+//!     header decodes as far as its format field, and a directory that
+//!     holds a `NAME/wal.bin` is refused too, naming "journal format 4".
 //!
 //! Prefix loss is safe by construction: a lost `Fetch` replica
 //! ages out of nothing (it was never outstanding in the recovered
@@ -107,19 +117,20 @@
 //! `tests/journal_crash_points.rs` (every byte offset of a scripted
 //! wal) and the CI restart-smoke job pin.
 
-use crate::campaign::NetCampaign;
 use crate::faults::ServerFaults;
 use crate::protocol::binary::{Reader, Writer};
-use crate::protocol::{self, CampaignParams, DecodeError, HEADER_BYTES};
+use crate::protocol::{self, DecodeError, HEADER_BYTES};
+use crate::registry::{CampaignDef, Command, Outcome};
 use crate::shard::ShardSpec;
-use crate::state::{GridState, Verdict, WorkReply};
+use crate::state::{ResultDisposition, Verdict, WorkReply};
 use crate::trust::TrustConfig;
-use gridsim::server::{FeederConfig, ReplicaId, ServerConfig};
+use gridsim::server::{FeederConfig, ReplicaAssignment, ReplicaId, ServerConfig};
 use gridsim::SimTime;
 use maxdo::DockingOutput;
 use serde::Serialize;
+use std::borrow::Cow;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Wal file name inside the journal directory.
@@ -136,10 +147,11 @@ const LEGACY_FRAME_KIND: u8 = 1;
 /// Format 1 encoded transitions as JSON; format 2 encodes them in
 /// binary; format 3 is format 2 with every frame sealed by
 /// [`protocol::checksum64`] instead of FNV-1a 64; format 4 is format 3
-/// with a binary header and no `snapshot.bin`. Formats 1–3 never get as
+/// with a binary header and no `snapshot.bin`; format 5 records what the
+/// registry was told, in one wal per server. Formats 1–3 never get as
 /// far as a parsed header — [`RecordReader`] recognises their first
 /// frame (module docs, "legacy file").
-const JOURNAL_FORMAT: u32 = 4;
+pub(crate) const JOURNAL_FORMAT: u32 = 5;
 
 /// When appended frames are flushed to disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,7 +159,7 @@ pub enum FsyncPolicy {
     /// `fdatasync` after every append: a crash loses nothing.
     Always,
     /// `fdatasync` every N appends: a crash loses at most the last N
-    /// transitions (replay recovers a consistent earlier state).
+    /// commands (replay recovers a consistent earlier state).
     EveryN(u64),
     /// Never fsync explicitly; the OS flushes when it pleases. Fastest,
     /// still torn-tail safe, bounded only by the page cache.
@@ -171,7 +183,7 @@ impl FsyncPolicy {
 
 impl Default for FsyncPolicy {
     fn default() -> Self {
-        // Batched durability: a crash costs at most 64 transitions of
+        // Batched durability: a crash costs at most 64 commands of
         // replay-safe work, and appends stay off the fsync critical
         // path in the common case.
         FsyncPolicy::EveryN(64)
@@ -197,21 +209,23 @@ impl JournalConfig {
     }
 }
 
-/// One journaled frame: the `Header` that opens the wal, then its
-/// transition stream.
+/// One journaled frame: the `Header` that opens the wal, then one per
+/// command.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum JournalRecord {
-    /// Identity of the journaled campaign. Recovery refuses to replay a
-    /// journal whose recipe/config/faults differ from the server's.
+    /// Identity of the journaled server. Recovery refuses to replay a
+    /// wal whose roster/config/faults/shard differ from the server's.
     Header {
-        /// The campaign recipe (both ends re-derive the catalog from it).
-        params: CampaignParams,
+        /// Every campaign's registration in roster order: name, recipe
+        /// (both ends re-derive the catalog from it), share and priority
+        /// (another share would re-decide every arbitrated ask).
+        roster: Vec<CampaignDef>,
         /// Scheduler configuration.
         config: ServerConfig,
         /// Server-side fault/limit knobs.
         faults: ServerFaults,
-        /// Which shard of the campaign this journal belongs to. Shard
-        /// 0's WAL refuses to replay into a server configured as shard
+        /// Which shard of the campaigns this journal belongs to. Shard
+        /// 0's wal refuses to replay into a server configured as shard
         /// 1 — workunit ownership differs, so replay would diverge or
         /// silently fork the campaign.
         shard: ShardSpec,
@@ -220,65 +234,16 @@ pub enum JournalRecord {
         /// value is refused before the rest is read).
         format: u32,
     },
-    /// One `GridState::fetch` call and its decision.
-    Fetch {
+    /// One command the registry applied, and what it decided. A report
+    /// whose verdict discarded its payload is recorded (and so decoded)
+    /// with an empty one (module docs, "Recovery").
+    Applied {
         /// Server-clock seconds of the call.
         now_s: f64,
-        /// Requesting agent.
-        agent: u64,
-        /// `Some((replica, workunit))` if work was issued, `None` for a
-        /// backoff (journaled too: backoff counters are state).
-        assigned: Option<(u64, u32)>,
-    },
-    /// One `GridState::report` call and its verdict. `output` is kept
-    /// exactly when the payload decided the verdict (candidate or
-    /// accepted artifact); rejected/duplicate payloads are dropped on
-    /// arrival live, so they are not persisted either.
-    Report {
-        /// Server-clock seconds of the call.
-        now_s: f64,
-        /// Reporting replica.
-        replica: u64,
-        /// Its workunit.
-        workunit: u32,
-        /// The live verdict (replay must reproduce it).
-        verdict: Verdict,
-        /// The payload, for verdicts replay needs it to reproduce.
-        output: Option<DockingOutput>,
-    },
-    /// One `GridState::sweep` call that expired at least one replica
-    /// (no-op sweeps are not journaled — they change nothing).
-    Sweep {
-        /// Server-clock seconds of the call.
-        now_s: f64,
-        /// Replicas expired.
-        expired: u64,
-    },
-    /// One outbound lease: ownership of `wus` left for `to_shard`.
-    /// Written *before* the grant is sent, so a crash after the send
-    /// can never forget having granted (the unsafe direction — both
-    /// shards would own the range).
-    LeaseOut {
-        /// Server-clock seconds of the grant.
-        now_s: f64,
-        /// Lease id ([`crate::shard::lease_id`]).
-        lease: u64,
-        /// The lessee shard.
-        to_shard: u16,
-        /// The workunits whose ownership moved.
-        wus: Vec<u32>,
-    },
-    /// One inbound lease: ownership of `wus` adopted from the grantor
-    /// encoded in the lease id. A crash before this record is written
-    /// is safe — the next `ShardStatus` advertisement omits the lease
-    /// and the grantor re-sends it.
-    LeaseIn {
-        /// Server-clock seconds of the adoption.
-        now_s: f64,
-        /// Lease id ([`crate::shard::lease_id`]).
-        lease: u64,
-        /// The workunits whose ownership arrived.
-        wus: Vec<u32>,
+        /// What the registry was told.
+        command: Command<'static>,
+        /// What it decided; replay must decide the same.
+        outcome: Outcome,
     },
 }
 
@@ -300,14 +265,14 @@ impl Tele {
     }
 }
 
-/// An open write-ahead journal. Owned by [`GridState`] and appended to
-/// from inside each transition, so the wal order is exactly the apply
-/// order.
+/// An open write-ahead journal. Owned by the registry and appended to
+/// from inside [`crate::registry::MultiGrid::apply`], so the wal order is
+/// exactly the apply order.
 pub struct Journal {
     wal: File,
     fsync: FsyncPolicy,
     appends_since_sync: u64,
-    /// Transition records in the wal: what a restart would replay.
+    /// Command records in the wal: what a restart would replay.
     wal_records: u64,
     /// Bytes in the wal, header frame included.
     wal_bytes: u64,
@@ -332,9 +297,10 @@ fn other_format(found: &str) -> String {
 const TAG_FETCH: u8 = 0;
 const TAG_REPORT: u8 = 1;
 const TAG_SWEEP: u8 = 2;
-const TAG_LEASE_OUT: u8 = 3;
-const TAG_LEASE_IN: u8 = 4;
+const TAG_GRANT: u8 = 3;
+const TAG_ADOPT: u8 = 4;
 const TAG_HEADER: u8 = 5;
+const TAG_PEER_COMPLETE: u8 = 6;
 
 /// Verdicts in the order of their byte on disk (the byte is the index).
 const VERDICTS: [Verdict; 9] = [
@@ -349,11 +315,20 @@ const VERDICTS: [Verdict; 9] = [
     Verdict::SpotVoid,
 ];
 
+/// Whether a report judged `verdict` keeps its payload in the log: it
+/// does exactly when replay needs it to judge the report the same way.
+fn keeps_payload(verdict: Verdict) -> bool {
+    !matches!(
+        verdict,
+        Verdict::BoundsRejected | Verdict::Duplicate | Verdict::SpotMismatch | Verdict::SpotVoid
+    )
+}
+
 /// Encodes one record as a binary payload (no frame header).
 fn encode_record(rec: &JournalRecord, w: &mut Writer) {
     match rec {
         JournalRecord::Header {
-            params,
+            roster,
             config,
             faults,
             shard,
@@ -361,7 +336,13 @@ fn encode_record(rec: &JournalRecord, w: &mut Writer) {
         } => {
             w.u8(TAG_HEADER);
             w.u32(*format);
-            w.params(params);
+            w.u32(roster.len() as u32);
+            for def in roster {
+                w.str(&def.name);
+                w.params(&def.params);
+                w.f64(def.share);
+                w.u32(def.priority);
+            }
             w.flag(config.validation_switch_day.is_some());
             if let Some(day) = config.validation_switch_day {
                 w.u64(day as u64);
@@ -389,71 +370,113 @@ fn encode_record(rec: &JournalRecord, w: &mut Writer) {
             w.u16(shard.shard_id);
             w.u16(shard.shards);
         }
-        JournalRecord::Fetch {
+        JournalRecord::Applied {
             now_s,
-            agent,
-            assigned,
-        } => {
-            w.u8(TAG_FETCH);
-            w.f64(*now_s);
+            command,
+            outcome,
+        } => encode_applied(*now_s, command, outcome, w),
+    }
+}
+
+/// Encodes one applied command: its tag, time and fields, what it
+/// decided, and last — where the codec wants a payload's output — a
+/// report's payload when [`keeps_payload`] says so.
+fn encode_applied(now_s: f64, command: &Command, outcome: &Outcome, w: &mut Writer) {
+    w.u8(match command {
+        Command::Fetch { .. } => TAG_FETCH,
+        Command::Report { .. } => TAG_REPORT,
+        Command::Sweep => TAG_SWEEP,
+        Command::Grant { .. } => TAG_GRANT,
+        Command::Adopt { .. } => TAG_ADOPT,
+        Command::PeerComplete { .. } => TAG_PEER_COMPLETE,
+    });
+    w.f64(now_s);
+    match command {
+        Command::Fetch { agent, attached } => {
             w.u64(*agent);
-            w.flag(assigned.is_some());
-            if let Some((replica, workunit)) = assigned {
-                w.u64(*replica);
-                w.u32(*workunit);
-            }
+            w.u32(attached.len() as u32);
+            attached.iter().for_each(|&a| w.flag(a));
         }
-        JournalRecord::Report {
-            now_s,
+        Command::Report {
+            campaign,
             replica,
             workunit,
-            verdict,
-            output,
+            ..
         } => {
-            w.u8(TAG_REPORT);
-            w.f64(*now_s);
+            w.u16(*campaign);
             w.u64(*replica);
             w.u32(*workunit);
-            let byte = VERDICTS.iter().position(|v| v == verdict);
-            w.u8(byte.expect("every verdict is in VERDICTS") as u8);
-            w.flag(output.is_some());
-            if let Some(output) = output {
-                w.output(output);
-            }
         }
-        JournalRecord::Sweep { now_s, expired } => {
-            w.u8(TAG_SWEEP);
-            w.f64(*now_s);
-            w.u64(*expired);
-        }
-        JournalRecord::LeaseOut {
-            now_s,
-            lease,
+        Command::Sweep => {}
+        Command::Grant {
+            campaign,
             to_shard,
+            max,
+        } => {
+            w.u16(*campaign);
+            w.u16(*to_shard);
+            w.u32(*max);
+        }
+        Command::Adopt {
+            campaign,
+            lease,
             wus,
         } => {
-            w.u8(TAG_LEASE_OUT);
-            w.f64(*now_s);
+            w.u16(*campaign);
             w.u64(*lease);
-            w.u16(*to_shard);
             w.u32s(wus);
         }
-        JournalRecord::LeaseIn { now_s, lease, wus } => {
-            w.u8(TAG_LEASE_IN);
-            w.f64(*now_s);
+        Command::PeerComplete { campaign, shard } => {
+            w.u16(*campaign);
+            w.u16(*shard);
+        }
+    }
+    match outcome {
+        Outcome::Fetched { campaign, reply } => {
+            w.u16(*campaign);
+            w.flag(matches!(reply, WorkReply::Assigned(_)));
+            match reply {
+                WorkReply::Assigned(a) => {
+                    w.u64(a.replica.0);
+                    w.u32(a.workunit);
+                    w.f64(a.ref_seconds);
+                    w.f64(a.position_ref_seconds);
+                }
+                WorkReply::Backoff {
+                    retry_after_ms,
+                    campaign_complete,
+                } => {
+                    w.u64(*retry_after_ms);
+                    w.flag(*campaign_complete);
+                }
+            }
+        }
+        Outcome::Judged(d) => {
+            let byte = VERDICTS.iter().position(|&v| v == d.verdict);
+            w.u8(byte.expect("every verdict is in VERDICTS") as u8);
+            w.flag(d.completed_workunit);
+        }
+        Outcome::Expired(n) | Outcome::Adopted(n) => w.u64(*n),
+        Outcome::Granted { lease, wus } => {
             w.u64(*lease);
             w.u32s(wus);
+        }
+        Outcome::Noted | Outcome::Unchanged => {}
+    }
+    if let (Command::Report { output, .. }, Outcome::Judged(d)) = (command, outcome) {
+        w.flag(keeps_payload(d.verdict));
+        if keeps_payload(d.verdict) {
+            w.output(output);
         }
     }
 }
 
-/// Overwrites `w` with the complete frame of one record: the payload is
-/// encoded after reserved header space, then the header is patched in
-/// place.
-fn frame_record(rec: &JournalRecord, w: &mut Writer) {
+/// Overwrites `w` with one complete frame: `encode` writes the payload
+/// after reserved header space, then the header is patched in place.
+fn frame_record(w: &mut Writer, encode: impl FnOnce(&mut Writer)) {
     w.0.clear();
     w.0.resize(HEADER_BYTES, 0);
-    encode_record(rec, w);
+    encode(w);
     protocol::seal_frame(FRAME_BINARY, &mut w.0);
 }
 
@@ -466,7 +489,15 @@ fn decode_header(r: &mut Reader) -> Result<JournalRecord, String> {
         return Err(other_format(&format!("journal format {format}")));
     }
     Ok(JournalRecord::Header {
-        params: r.params()?,
+        // A name's length, a recipe, a share and a priority at least.
+        roster: r.counted(48, |r| {
+            Ok(CampaignDef {
+                name: r.str()?,
+                params: r.params()?,
+                share: r.f64()?,
+                priority: r.u32()?,
+            })
+        })?,
         config: ServerConfig {
             validation_switch_day: match r.flag()? {
                 true => Some(r.u64()? as usize),
@@ -509,63 +540,194 @@ fn decode_header(r: &mut Reader) -> Result<JournalRecord, String> {
 /// Decodes one checksum-verified frame, as strictly as the wire
 /// decoder: a foreign frame kind, unknown tags and verdicts, non-0/1
 /// flags, counts that disagree with the bytes present, truncation and
-/// trailing bytes are all errors.
+/// trailing bytes are all errors. The command's tag says which outcome
+/// follows it.
 fn decode_record(kind: u8, payload: &[u8]) -> Result<JournalRecord, String> {
     if kind != FRAME_BINARY {
         return Err(format!("frame kind {kind} is not a journal record"));
     }
     let mut r = Reader::new(payload);
-    let rec = match r.u8()? {
-        TAG_HEADER => decode_header(&mut r)?,
-        TAG_FETCH => JournalRecord::Fetch {
-            now_s: r.f64()?,
-            agent: r.u64()?,
-            assigned: match r.flag()? {
-                true => Some((r.u64()?, r.u32()?)),
-                false => None,
+    let tag = r.u8()?;
+    if tag == TAG_HEADER {
+        let header = decode_header(&mut r)?;
+        r.finish()?;
+        return Ok(header);
+    }
+    let now_s = r.f64()?;
+    let (command, outcome) = match tag {
+        TAG_FETCH => (
+            Command::Fetch {
+                agent: r.u64()?,
+                attached: Cow::Owned(r.counted(1, |r| r.flag())?),
             },
-        },
-        TAG_REPORT => JournalRecord::Report {
-            now_s: r.f64()?,
-            replica: r.u64()?,
-            workunit: r.u32()?,
-            verdict: {
-                let byte = r.u8()?;
-                *VERDICTS
-                    .get(usize::from(byte))
-                    .ok_or_else(|| format!("unknown verdict byte {byte:#04x}"))?
+            Outcome::Fetched {
+                campaign: r.u16()?,
+                reply: match r.flag()? {
+                    true => WorkReply::Assigned(ReplicaAssignment {
+                        replica: ReplicaId(r.u64()?),
+                        workunit: r.u32()?,
+                        ref_seconds: r.f64()?,
+                        position_ref_seconds: r.f64()?,
+                    }),
+                    false => WorkReply::Backoff {
+                        retry_after_ms: r.u64()?,
+                        campaign_complete: r.flag()?,
+                    },
+                },
             },
-            output: match r.flag()? {
-                true => Some(r.output()?),
-                false => None,
+        ),
+        TAG_REPORT => {
+            let (campaign, replica, workunit) = (r.u16()?, r.u64()?, r.u32()?);
+            let byte = r.u8()?;
+            let verdict = *VERDICTS
+                .get(usize::from(byte))
+                .ok_or_else(|| format!("unknown verdict byte {byte:#04x}"))?;
+            let outcome = Outcome::Judged(ResultDisposition {
+                verdict,
+                completed_workunit: r.flag()?,
+            });
+            let output = match r.flag()? {
+                true => r.output()?,
+                false => DockingOutput {
+                    rows: Vec::new(),
+                    evaluations: 0,
+                },
+            };
+            let report = Command::Report {
+                campaign,
+                replica,
+                workunit,
+                output: Cow::Owned(output),
+            };
+            (report, outcome)
+        }
+        TAG_SWEEP => (Command::Sweep, Outcome::Expired(r.u64()?)),
+        TAG_GRANT => (
+            Command::Grant {
+                campaign: r.u16()?,
+                to_shard: r.u16()?,
+                max: r.u32()?,
             },
-        },
-        TAG_SWEEP => JournalRecord::Sweep {
-            now_s: r.f64()?,
-            expired: r.u64()?,
-        },
-        TAG_LEASE_OUT => JournalRecord::LeaseOut {
-            now_s: r.f64()?,
-            lease: r.u64()?,
-            to_shard: r.u16()?,
-            wus: r.counted(4, |r| r.u32())?,
-        },
-        TAG_LEASE_IN => JournalRecord::LeaseIn {
-            now_s: r.f64()?,
-            lease: r.u64()?,
-            wus: r.counted(4, |r| r.u32())?,
-        },
+            Outcome::Granted {
+                lease: r.u64()?,
+                wus: r.counted(4, |r| r.u32())?,
+            },
+        ),
+        TAG_ADOPT => (
+            Command::Adopt {
+                campaign: r.u16()?,
+                lease: r.u64()?,
+                wus: Cow::Owned(r.counted(4, |r| r.u32())?),
+            },
+            Outcome::Adopted(r.u64()?),
+        ),
+        TAG_PEER_COMPLETE => (
+            Command::PeerComplete {
+                campaign: r.u16()?,
+                shard: r.u16()?,
+            },
+            Outcome::Noted,
+        ),
         other => return Err(format!("unknown record tag {other:#04x}")),
     };
     r.finish()?;
-    Ok(rec)
+    Ok(JournalRecord::Applied {
+        now_s,
+        command,
+        outcome,
+    })
 }
 
 impl Journal {
-    /// Appends one transition frame, honouring the fsync policy.
-    pub fn append(&mut self, rec: &JournalRecord) -> io::Result<()> {
-        debug_assert!(!matches!(rec, JournalRecord::Header { .. }));
-        frame_record(rec, &mut self.scratch);
+    /// Opens (or creates) the command log under `cfg.dir` for the server
+    /// `header` names, after handing every command recorded there to
+    /// `apply` — the live call, `MultiGrid::apply` — and refusing the
+    /// wal at the first one that does not decide what it decided when
+    /// it was recorded. A wal of another server is refused naming what
+    /// differs; a torn tail is cut off; a wal that is missing, or torn
+    /// inside its header frame, starts afresh.
+    pub(crate) fn open(
+        cfg: &JournalConfig,
+        header: &JournalRecord,
+        mut apply: impl FnMut(SimTime, &Command) -> Outcome,
+    ) -> io::Result<Self> {
+        fs::create_dir_all(&cfg.dir)?;
+        let what = cfg.dir.display();
+        let tele = Tele::new();
+        let (mut wal_records, mut wal_bytes) = (0u64, 0u64);
+        match open_wal(&cfg.dir) {
+            Ok(mut records) => {
+                if let Some(first) = records.next().transpose()? {
+                    check_header(&first, header, &cfg.dir)?;
+                    for rec in records.by_ref() {
+                        let JournalRecord::Applied {
+                            now_s,
+                            command,
+                            outcome,
+                        } = rec?
+                        else {
+                            return Err(bad(format!("{what}: a second Header frame in the wal")));
+                        };
+                        wal_records += 1;
+                        let decided = apply(SimTime::new(now_s), &command);
+                        if decided != outcome {
+                            return Err(bad(format!(
+                                "{what}: replay diverged at record {wal_records}: the wal says \
+                                 {outcome:?}, this build decides {decided:?}"
+                            )));
+                        }
+                        tele.replayed.inc();
+                    }
+                    wal_bytes = records.offset();
+                }
+            }
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+            Err(e) => return Err(e),
+        }
+
+        // Open the wal for appending, cut back to the last good frame
+        // (drops any torn tail).
+        let mut wal = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(false) // the valid prefix is set_len() below, not dropped here
+            .open(cfg.dir.join(WAL_FILE))?;
+        let mut scratch = Writer(Vec::new());
+        wal.set_len(wal_bytes)?;
+        wal.seek(SeekFrom::Start(wal_bytes))?;
+        if wal_bytes == 0 {
+            frame_record(&mut scratch, |w| encode_record(header, w));
+            wal.write_all(&scratch.0)?;
+            wal.sync_data()?;
+            wal_bytes = scratch.0.len() as u64;
+        }
+        Ok(Self {
+            wal,
+            fsync: cfg.fsync,
+            // The fsync phase survives the restart: the replayed records
+            // count against the `every=N` batch exactly as they did
+            // live, so the next fsync lands on the same append boundary
+            // and a crash shortly after recovery never widens the
+            // durability window to up to 2N-1 unsynced appends.
+            appends_since_sync: match cfg.fsync {
+                FsyncPolicy::EveryN(n) => wal_records % n,
+                FsyncPolicy::Always | FsyncPolicy::Never => 0,
+            },
+            wal_records,
+            wal_bytes,
+            scratch,
+            tele,
+        })
+    }
+
+    /// Appends one applied command, honouring the fsync policy. The
+    /// command is encoded where it lies: a report's payload is not
+    /// copied on its way to disk.
+    pub fn append(&mut self, now_s: f64, command: &Command, outcome: &Outcome) -> io::Result<()> {
+        frame_record(&mut self.scratch, |w| {
+            encode_applied(now_s, command, outcome, w)
+        });
         self.wal.write_all(&self.scratch.0)?;
         self.tele.appends.inc();
         self.tele.bytes.add(self.scratch.0.len() as u64);
@@ -589,8 +751,9 @@ impl Journal {
     /// server's event loop calls this on its sweep timer, so a burst of
     /// traffic that stops mid-batch still reaches the platter within one
     /// timer tick instead of waiting for the Nth append that may never
-    /// come. A no-op under `Always` (nothing pending) and respected as a
-    /// no-op under `Never` (the operator opted out of fsync entirely).
+    /// come; the registry calls it before it acks a peer's completion. A
+    /// no-op under `Always` (nothing pending) and respected as a no-op
+    /// under `Never` (the operator opted out of fsync entirely).
     pub fn flush(&mut self) -> io::Result<()> {
         if self.appends_since_sync == 0 || matches!(self.fsync, FsyncPolicy::Never) {
             return Ok(());
@@ -601,7 +764,7 @@ impl Journal {
         Ok(())
     }
 
-    /// Transition records in the wal — what a restart would replay.
+    /// Command records in the wal — what a restart would replay.
     pub fn wal_records(&self) -> u64 {
         self.wal_records
     }
@@ -612,7 +775,7 @@ impl Journal {
     }
 
     /// Appends since the last fsync: the phase of the `every=N` batch
-    /// counter. [`open_journaled`] restores it from the replayed wal so
+    /// counter, which [`Self::open`] restores from the replayed wal so
     /// restart does not silently reset the durability window.
     pub fn fsync_phase(&self) -> u64 {
         self.appends_since_sync
@@ -624,17 +787,22 @@ impl Journal {
 /// well-formed frame and ends at the end of the file or at a torn tail;
 /// a bad record or a legacy file yields one `InvalidData` error and
 /// ends the walk too (module docs, "Consistency model", tell them
-/// apart).
+/// apart). It streams: the one frame being read is all of the file it
+/// holds.
 pub struct RecordReader {
     what: String,
-    buf: Vec<u8>,
-    off: usize,
+    file: BufReader<File>,
+    len: u64,
+    off: u64,
+    /// The frame being read, reused from one to the next.
+    frame: Vec<u8>,
     done: bool,
 }
 
 /// Opens the wal of journal directory `dir` for scanning, after
-/// refusing a directory that holds a journal format 3 `snapshot.bin`
-/// (module docs, "legacy file"). `NotFound` when there is no wal.
+/// refusing a directory that holds a journal format 3 `snapshot.bin` or
+/// a journal format 4 per-campaign wal (module docs, "legacy file").
+/// `NotFound` when there is no wal.
 pub fn open_wal(dir: &Path) -> io::Result<RecordReader> {
     let snapshot = dir.join("snapshot.bin");
     if snapshot.exists() {
@@ -644,29 +812,85 @@ pub fn open_wal(dir: &Path) -> io::Result<RecordReader> {
             other_format("left by an older build: journal format 3 or earlier")
         )));
     }
+    let entries = fs::read_dir(dir).into_iter().flatten().flatten();
+    if let Some(nested) = entries
+        .map(|e| e.path().join(WAL_FILE))
+        .find(|p| p.exists())
+    {
+        return Err(bad(format!(
+            "{}: {}",
+            nested.display(),
+            other_format("a wal per campaign: journal format 4")
+        )));
+    }
     RecordReader::open(&dir.join(WAL_FILE))
 }
 
 impl RecordReader {
-    /// Reads `path` for scanning.
+    /// Opens `path` for scanning.
     pub fn open(path: &Path) -> io::Result<Self> {
         let what = path.display().to_string();
+        let named = |e: io::Error| io::Error::new(e.kind(), format!("{what}: {e}"));
+        let file = File::open(path).map_err(named)?;
+        let len = file.metadata().map_err(named)?.len();
         Ok(Self {
-            buf: fs::read(path).map_err(|e| io::Error::new(e.kind(), format!("{what}: {e}")))?,
+            file: BufReader::new(file),
+            len,
             what,
             off: 0,
+            frame: Vec::new(),
             done: false,
         })
     }
 
     /// Byte offset just past the last record yielded.
     pub fn offset(&self) -> u64 {
-        self.off as u64
+        self.off
     }
 
-    /// Size of the file as read, torn tail included.
+    /// Size of the file, torn tail included.
     pub fn file_len(&self) -> u64 {
-        self.buf.len() as u64
+        self.len
+    }
+
+    /// Reads and decodes the frame at `off`, taking from the file what
+    /// the deframer says it still needs — the header, then the payload
+    /// it announces. `Ok(None)` at the end of the file or a torn tail.
+    fn read_frame(&mut self, off: u64) -> Result<Option<JournalRecord>, String> {
+        self.frame.clear();
+        loop {
+            match protocol::deframe(&self.frame) {
+                Err(DecodeError::Incomplete { needed }) => {
+                    let have = self.frame.len();
+                    self.frame.resize(have + needed, 0);
+                    match self.file.read_exact(&mut self.frame[have..]) {
+                        Ok(()) => {}
+                        // The file ends at a frame boundary, or inside a
+                        // frame.
+                        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
+                        Err(e) => return Err(e.to_string()),
+                    }
+                }
+                Ok((LEGACY_FRAME_KIND, ..)) if off == 0 => {
+                    let legacy = "opens with a JSON header: journal format 3 or earlier";
+                    return Err(other_format(legacy));
+                }
+                Ok((kind, payload, consumed)) => {
+                    let rec = decode_record(kind, payload)?;
+                    self.off += consumed as u64;
+                    return Ok(Some(rec));
+                }
+                Err(DecodeError::Checksum { expected, .. })
+                    if off == 0 && sealed_with_fnv(&self.frame, expected) =>
+                {
+                    let legacy =
+                        "sealed by an older build: journal format 2 (FNV-1a checksums) or earlier";
+                    return Err(other_format(legacy));
+                }
+                Err(DecodeError::Checksum { .. } | DecodeError::BadMagic(_)) => return Ok(None),
+                Err(e) => return Err(e.to_string()),
+            }
+        }
     }
 }
 
@@ -678,32 +902,10 @@ impl Iterator for RecordReader {
             return None;
         }
         let off = self.off;
-        let step = match protocol::deframe(&self.buf[off..]) {
-            Ok((LEGACY_FRAME_KIND, ..)) if off == 0 => Err(other_format(
-                "opens with a JSON header: journal format 3 or earlier",
-            )),
-            Ok((kind, payload, consumed)) => {
-                decode_record(kind, payload).inspect(|_| self.off += consumed)
-            }
-            Err(DecodeError::Checksum { expected, .. })
-                if off == 0 && sealed_with_fnv(&self.buf, expected) =>
-            {
-                Err(other_format(
-                    "sealed by an older build: journal format 2 (FNV-1a checksums) or earlier",
-                ))
-            }
-            Err(
-                DecodeError::Incomplete { .. }
-                | DecodeError::Checksum { .. }
-                | DecodeError::BadMagic(_),
-            ) => {
-                self.done = true; // end of file, or a torn tail
-                return None;
-            }
-            Err(e) => Err(e.to_string()),
-        };
-        self.done = step.is_err();
-        Some(step.map_err(|e| bad(format!("{}: frame at {off}: {e}", self.what))))
+        let step = self.read_frame(off);
+        self.done = !matches!(step, Ok(Some(_)));
+        let named = |e| bad(format!("{}: frame at {off}: {e}", self.what));
+        step.map_err(named).transpose()
     }
 }
 
@@ -716,240 +918,59 @@ fn sealed_with_fnv(file: &[u8], expected: u64) -> bool {
     protocol::fnv1a64(&file[HEADER_BYTES..HEADER_BYTES + len]) == expected
 }
 
-/// Checks the wal's first record against the server's own campaign
-/// identity.
-fn check_header(
-    rec: JournalRecord,
-    dir: &Path,
-    params: CampaignParams,
-    config: ServerConfig,
-    faults: ServerFaults,
-    shard: ShardSpec,
-) -> io::Result<()> {
+/// Checks the wal's first record, `found`, against the server's own
+/// header, naming what differs.
+fn check_header(found: &JournalRecord, ours: &JournalRecord, dir: &Path) -> io::Result<()> {
     let what = dir.display();
-    match rec {
+    let (
         JournalRecord::Header {
-            params: p,
+            roster: r,
             config: c,
             faults: f,
             shard: s,
             ..
-        } => {
-            if p != params || c != config || f != faults {
-                return Err(bad(format!(
-                    "{what}: wal belongs to a different campaign/config; refusing to replay"
-                )));
-            }
-            if s != shard {
-                return Err(bad(format!(
-                    "{what}: wal belongs to shard {}/{}, this server is shard {}/{}; \
-                     refusing to replay",
-                    s.shard_id, s.shards, shard.shard_id, shard.shards
-                )));
-            }
-            Ok(())
-        }
-        _ => Err(bad(format!(
-            "{what}: wal does not start with a Header frame"
-        ))),
-    }
-}
-
-/// Replays one wal transition through the live entry points, asserting
-/// the state reproduces the recorded decision.
-fn apply(state: &mut GridState, campaign: &NetCampaign, rec: JournalRecord) -> io::Result<()> {
-    match rec {
-        JournalRecord::Fetch {
-            now_s,
-            agent,
-            assigned,
-        } => {
-            let reply = state.fetch(SimTime::new(now_s), agent);
-            let got = match &reply {
-                WorkReply::Assigned(a) => Some((a.replica.0, a.workunit)),
-                WorkReply::Backoff { .. } => None,
-            };
-            if got != assigned {
-                return Err(bad(format!(
-                    "replay diverged: fetch(agent={agent}) issued {got:?}, journal says {assigned:?}"
-                )));
-            }
-        }
-        JournalRecord::Report {
-            now_s,
-            replica,
-            workunit,
-            verdict,
-            output,
-        } => {
-            let payload = match (output, verdict) {
-                (Some(out), _) => out,
-                // The server discarded these payloads on arrival; an
-                // empty result file fails the §5.2 line-count check, so
-                // it reproduces the bounds rejection, and a duplicate is
-                // dropped before its payload is ever inspected. A spot
-                // mismatch is judged by fingerprint against the accepted
-                // artifact — an empty payload never matches a real one,
-                // reproducing the mismatch — and a voided spot check
-                // never looks at its payload at all.
-                (
-                    None,
-                    Verdict::BoundsRejected
-                    | Verdict::Duplicate
-                    | Verdict::SpotMismatch
-                    | Verdict::SpotVoid,
-                ) => DockingOutput {
-                    rows: Vec::new(),
-                    evaluations: 0,
-                },
-                (None, v) => {
-                    return Err(bad(format!(
-                        "journal Report with verdict {v:?} is missing its payload"
-                    )))
-                }
-            };
-            let d = state.report(
-                SimTime::new(now_s),
-                campaign,
-                ReplicaId(replica),
-                workunit,
-                payload,
-            );
-            if d.verdict != verdict {
-                return Err(bad(format!(
-                    "replay diverged: report(replica={replica}, wu={workunit}) judged {:?}, \
-                     journal says {verdict:?}",
-                    d.verdict
-                )));
-            }
-        }
-        JournalRecord::Sweep { now_s, expired } => {
-            let got = state.sweep(SimTime::new(now_s)) as u64;
-            if got != expired {
-                return Err(bad(format!(
-                    "replay diverged: sweep expired {got}, journal says {expired}"
-                )));
-            }
-        }
-        JournalRecord::LeaseOut {
-            now_s,
-            lease,
-            to_shard,
-            wus,
-        } => {
-            // The live grant only journals workunits it actually moved,
-            // so replay must move every one of them again.
-            let moved = state.apply_lease_out(SimTime::new(now_s), lease, to_shard, &wus);
-            if moved != wus.len() {
-                return Err(bad(format!(
-                    "replay diverged: lease {lease:#x} out moved {moved} of {} workunits",
-                    wus.len()
-                )));
-            }
-        }
-        JournalRecord::LeaseIn { now_s, lease, wus } => {
-            let moved = state.adopt_lease(SimTime::new(now_s), lease, &wus);
-            if moved != wus.len() {
-                return Err(bad(format!(
-                    "replay diverged: lease {lease:#x} in moved {moved} of {} workunits",
-                    wus.len()
-                )));
-            }
-        }
-        JournalRecord::Header { .. } => {
-            return Err(bad("Header frame inside the wal transition stream"));
-        }
-    }
-    Ok(())
-}
-
-/// Opens (or creates) the journal under `cfg.dir` and returns the
-/// recovered [`GridState`] — every wal record replayed into a fresh
-/// state, the journal attached and ready for new appends — plus the
-/// server-clock second recovery reached, which the caller must use as
-/// its clock offset so time stays monotone across restarts.
-pub fn open_journaled(
-    cfg: &JournalConfig,
-    campaign: &NetCampaign,
-    config: ServerConfig,
-    faults: ServerFaults,
-    shard: ShardSpec,
-) -> io::Result<(GridState, f64)> {
-    fs::create_dir_all(&cfg.dir)?;
-    let params = campaign.params();
-    let tele = Tele::new();
-    let mut state = GridState::new(campaign, config, faults, shard);
-
-    // 1. Replay the wal through the live entry points, one record at a
-    //    time. A wal torn inside its header frame is as good as absent:
-    //    nothing was journaled after it.
-    let (mut wal_records, mut wal_bytes) = (0u64, 0u64);
-    match open_wal(&cfg.dir) {
-        Ok(mut records) => {
-            if let Some(first) = records.next().transpose()? {
-                check_header(first, &cfg.dir, params, config, faults, shard)?;
-                for rec in records.by_ref() {
-                    apply(&mut state, campaign, rec?)?;
-                    tele.replayed.inc();
-                    wal_records += 1;
-                }
-                wal_bytes = records.offset();
-            }
-        }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-        Err(e) => return Err(e),
-    }
-
-    // 2. Open the wal for appending, cut back to the last good frame
-    //    (drops any torn tail).
-    let mut wal = OpenOptions::new()
-        .read(true)
-        .write(true)
-        .create(true)
-        .truncate(false) // the valid prefix is set_len() below, not dropped here
-        .open(cfg.dir.join(WAL_FILE))?;
-    let mut scratch = Writer(Vec::new());
-    wal.set_len(wal_bytes)?;
-    wal.seek(SeekFrom::Start(wal_bytes))?;
-    if wal_bytes == 0 {
-        let header = JournalRecord::Header {
-            params,
+        },
+        JournalRecord::Header {
+            roster,
             config,
             faults,
             shard,
-            format: JOURNAL_FORMAT,
-        };
-        frame_record(&header, &mut scratch);
-        wal.write_all(&scratch.0)?;
-        wal.sync_data()?;
-        wal_bytes = scratch.0.len() as u64;
-    }
-    let journal = Journal {
-        wal,
-        fsync: cfg.fsync,
-        // The fsync phase survives the restart: the replayed records
-        // count against the `every=N` batch exactly as they did live, so
-        // the next fsync lands on the same append boundary and a crash
-        // shortly after recovery never widens the durability window to
-        // up to 2N-1 unsynced appends.
-        appends_since_sync: match cfg.fsync {
-            FsyncPolicy::EveryN(n) => wal_records % n,
-            FsyncPolicy::Always | FsyncPolicy::Never => 0,
+            ..
         },
-        wal_records,
-        wal_bytes,
-        scratch,
-        tele,
+    ) = (found, ours)
+    else {
+        return Err(bad(format!(
+            "{what}: wal does not start with a Header frame"
+        )));
     };
-
-    let resume_s = state.last_now();
-    state.attach_journal(journal);
-    Ok((state, resume_s))
+    if let Some(i) = (0..r.len().max(roster.len())).find(|&i| r.get(i) != roster.get(i)) {
+        return Err(bad(format!(
+            "{what}: wal belongs to a different campaign roster: its campaign {i} is {:?}, this \
+             server's is {:?}; refusing to replay",
+            r.get(i),
+            roster.get(i)
+        )));
+    }
+    if c != config || f != faults {
+        return Err(bad(format!(
+            "{what}: wal belongs to a server of another scheduler config or fault/trust policy; \
+             refusing to replay"
+        )));
+    }
+    if s != shard {
+        return Err(bad(format!(
+            "{what}: wal belongs to shard {}/{}, this server is shard {}/{}; refusing to replay",
+            s.shard_id, s.shards, shard.shard_id, shard.shards
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::CampaignParams;
+    use crate::registry::MultiGrid;
     use maxdo::{DockingRow, EulerZyz, Vec3};
     use proptest::prelude::*;
 
@@ -965,7 +986,7 @@ mod tests {
     /// A record as the [`Journal`] frames it.
     fn frame(rec: &JournalRecord) -> Vec<u8> {
         let mut w = Writer(Vec::new());
-        frame_record(rec, &mut w);
+        frame_record(&mut w, |w| encode_record(rec, w));
         w.0
     }
 
@@ -978,6 +999,14 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    fn sweep(now_s: f64, expired: u64) -> JournalRecord {
+        JournalRecord::Applied {
+            now_s,
+            command: Command::Sweep,
+            outcome: Outcome::Expired(expired),
+        }
     }
 
     /// One record of each kind from sampled primitives; floats come
@@ -1003,64 +1032,114 @@ mod tests {
             evaluations: a,
         };
         let wus: Vec<u32> = rows.iter().map(|&(i, _)| i).collect();
-        match kind {
-            0 => JournalRecord::Fetch {
-                now_s,
-                agent: a,
-                assigned: b.is_multiple_of(2).then_some((a ^ 1, b)),
-            },
-            1 => JournalRecord::Report {
-                now_s,
-                replica: a,
-                workunit: b,
-                verdict: VERDICTS[b as usize % VERDICTS.len()],
-                output: (!a.is_multiple_of(3)).then_some(output),
-            },
-            2 => JournalRecord::Sweep { now_s, expired: a },
-            3 => JournalRecord::LeaseOut {
-                now_s,
-                lease: a,
-                to_shard: b as u16,
-                wus,
-            },
-            4 => JournalRecord::LeaseIn {
-                now_s,
-                lease: a,
-                wus,
-            },
-            _ => JournalRecord::Header {
-                params: CampaignParams {
-                    proteins: b,
-                    lib_seed: a,
-                    h_seconds: now_s,
-                    ..CampaignParams::tiny()
+        let (campaign, shard) = (b as u16, (b >> 16) as u16);
+        let (command, outcome) = match kind {
+            0 => (
+                Command::Fetch {
+                    agent: a,
+                    attached: Cow::Owned(wus.iter().map(|w| w % 3 == 0).collect()),
                 },
-                config: ServerConfig {
-                    validation_switch_day: b.is_multiple_of(2).then_some(a as usize),
-                    deadline_seconds: f64::from_bits(!bits),
-                    feeder: (!a.is_multiple_of(3)).then_some(FeederConfig {
-                        cache_size: b as usize,
-                        refill_batch: rows.len(),
-                    }),
-                },
-                faults: ServerFaults {
-                    max_connections: a as usize,
-                    backoff_jitter_ms: bits,
-                    trust: TrustConfig {
-                        enabled: b.is_multiple_of(5),
-                        spot_check_rate: now_s,
-                        spot_seed: a ^ bits,
-                        quarantine_after: b,
-                        ..TrustConfig::on()
+                Outcome::Fetched {
+                    campaign,
+                    reply: match b % 2 {
+                        0 => WorkReply::Assigned(ReplicaAssignment {
+                            replica: ReplicaId(a ^ 1),
+                            workunit: b,
+                            ref_seconds: now_s,
+                            position_ref_seconds: f64::from_bits(!bits),
+                        }),
+                        _ => WorkReply::Backoff {
+                            retry_after_ms: a,
+                            campaign_complete: b.is_multiple_of(3),
+                        },
                     },
-                    ..ServerFaults::default()
                 },
-                shard: ShardSpec {
-                    shard_id: b as u16,
-                    shards: (b >> 16) as u16,
+            ),
+            1 => {
+                let verdict = VERDICTS[b as usize % VERDICTS.len()];
+                let output = match keeps_payload(verdict) {
+                    true => output,
+                    false => DockingOutput {
+                        rows: Vec::new(),
+                        evaluations: 0,
+                    },
+                };
+                let report = Command::Report {
+                    campaign,
+                    replica: a,
+                    workunit: b,
+                    output: Cow::Owned(output),
+                };
+                let d = ResultDisposition {
+                    verdict,
+                    completed_workunit: a.is_multiple_of(2),
+                };
+                (report, Outcome::Judged(d))
+            }
+            2 => (Command::Sweep, Outcome::Expired(a)),
+            3 => (
+                Command::Grant {
+                    campaign,
+                    to_shard: shard,
+                    max: b,
                 },
-                format: JOURNAL_FORMAT,
-            },
+                Outcome::Granted { lease: a, wus },
+            ),
+            4 => (
+                Command::Adopt {
+                    campaign,
+                    lease: a,
+                    wus: Cow::Owned(wus),
+                },
+                Outcome::Adopted(a),
+            ),
+            5 => (Command::PeerComplete { campaign, shard }, Outcome::Noted),
+            _ => {
+                let def = |name: &str, share| CampaignDef {
+                    name: name.into(),
+                    params: CampaignParams {
+                        proteins: b,
+                        lib_seed: a,
+                        h_seconds: now_s,
+                        ..CampaignParams::tiny()
+                    },
+                    share,
+                    priority: b,
+                };
+                return JournalRecord::Header {
+                    roster: vec![def("alpha", now_s), def("beta-2", f64::from_bits(!bits))],
+                    config: ServerConfig {
+                        validation_switch_day: b.is_multiple_of(2).then_some(a as usize),
+                        deadline_seconds: f64::from_bits(!bits),
+                        feeder: (!a.is_multiple_of(3)).then_some(FeederConfig {
+                            cache_size: b as usize,
+                            refill_batch: rows.len(),
+                        }),
+                    },
+                    faults: ServerFaults {
+                        max_connections: a as usize,
+                        backoff_jitter_ms: bits,
+                        trust: TrustConfig {
+                            enabled: b.is_multiple_of(5),
+                            spot_check_rate: now_s,
+                            spot_seed: a ^ bits,
+                            quarantine_after: b,
+                            ..TrustConfig::on()
+                        },
+                        ..ServerFaults::default()
+                    },
+                    shard: ShardSpec {
+                        shard_id: campaign,
+                        shards: shard,
+                    },
+                    format: JOURNAL_FORMAT,
+                };
+            }
+        };
+        JournalRecord::Applied {
+            now_s,
+            command,
+            outcome,
         }
     }
 
@@ -1073,7 +1152,7 @@ mod tests {
         /// truncation and any trailing byte is an error.
         #[test]
         fn records_round_trip_and_reject_damaged_payloads(
-            kind in 0usize..6,
+            kind in 0usize..7,
             a in 0u64..u64::MAX,
             b in 0u32..u32::MAX,
             bits in 0u64..u64::MAX,
@@ -1097,17 +1176,11 @@ mod tests {
 
     #[test]
     fn unknown_tags_verdicts_and_flags_are_rejected() {
-        let rec = JournalRecord::Report {
-            now_s: 1.0,
-            replica: 2,
-            workunit: 3,
-            verdict: Verdict::Duplicate,
-            output: None,
-        };
+        let rec = build_record(1, 2, 4, 1f64.to_bits(), &[]);
         let good = payload_of(&rec);
         assert_eq!(decode_record(FRAME_BINARY, &good), Ok(rec));
         // tag, verdict byte, has-payload flag
-        for (at, byte) in [(0, 6), (21, VERDICTS.len() as u8), (22, 2)] {
+        for (at, byte) in [(0, 7), (23, VERDICTS.len() as u8), (25, 2)] {
             let mut bad = good.clone();
             bad[at] = byte;
             assert!(
@@ -1123,39 +1196,32 @@ mod tests {
     /// format is refused at its first field.
     #[test]
     fn each_record_kind_has_exactly_one_encoding() {
-        let sweep = payload_of(&JournalRecord::Sweep {
-            now_s: 1.0,
-            expired: 2,
-        });
+        let sweep = payload_of(&sweep(1.0, 2));
         assert!(decode_record(FRAME_BINARY, &sweep).is_ok());
         assert!(decode_record(LEGACY_FRAME_KIND, &sweep).is_err());
         assert!(decode_record(protocol::PROTOCOL_VERSION, &sweep).is_err());
 
-        let mut header = payload_of(&build_record(5, 1, 2, 3, &[]));
+        let mut header = payload_of(&build_record(6, 1, 2, 3, &[]));
         assert!(decode_record(FRAME_BINARY, &header).is_ok());
         header[1..5].copy_from_slice(&(JOURNAL_FORMAT + 1).to_le_bytes());
         let err = decode_record(FRAME_BINARY, &header).unwrap_err();
-        assert!(err.contains("journal format 5"), "{err}");
+        let named = format!("journal format {}", JOURNAL_FORMAT + 1);
+        assert!(err.contains(&named), "{err}");
     }
 
     #[test]
     fn torn_tail_stops_the_scan_at_the_last_good_frame() {
         let dir = scratch_dir("torn");
         let path = dir.join(WAL_FILE);
-        let a = frame(&JournalRecord::Sweep {
-            now_s: 1.0,
-            expired: 2,
-        });
-        let b = frame(&JournalRecord::Sweep {
-            now_s: 2.0,
-            expired: 1,
-        });
+        let a = frame(&sweep(1.0, 2));
+        let b = frame(&sweep(2.0, 1));
         let mut bytes = a.clone();
         bytes.extend_from_slice(&b[..b.len() / 2]); // torn mid-frame
         fs::write(&path, &bytes).unwrap();
         let mut reader = RecordReader::open(&path).unwrap();
         assert_eq!(reader.by_ref().count(), 1);
         assert_eq!(reader.offset(), a.len() as u64);
+        assert_eq!(reader.file_len(), bytes.len() as u64);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1175,28 +1241,22 @@ mod tests {
     /// A format-2 file fails its very first checksum, which is also what
     /// a wal torn inside its header looks like; a format-3 wal whose
     /// compaction just ran is a lone JSON header with the whole campaign
-    /// in `snapshot.bin` beside it. Each is refused by name, by recovery
-    /// and by the `hcmd-journal dump` reader alike, with nothing on disk
+    /// in `snapshot.bin` beside it; a format-4 wal decodes as far as its
+    /// format field, and a multi-campaign server kept one per campaign
+    /// in a subdirectory. Each is refused by name, by recovery and by
+    /// the `hcmd-journal dump` reader alike, with nothing on disk
     /// touched or created.
     #[test]
     fn a_format_2_journal_is_refused_not_reinitialised() {
-        let campaign = NetCampaign::build(CampaignParams::tiny());
         let (config, faults) = (ServerConfig::default(), ServerFaults::default());
         // The header text formats 1–3 wrote (1 lacked the last field).
         let header = br#"{"Header":{"epoch":0,"params":{},"config":{},"faults":{},"format":3}}"#;
-        let fetch = payload_of(&JournalRecord::Fetch {
-            now_s: 0.0,
-            agent: 1,
-            assigned: Some((0, 0)),
-        });
+        let record = payload_of(&sweep(0.0, 1));
         let mut fnv_sealed = fnv_sealed_frame(LEGACY_FRAME_KIND, header);
-        fnv_sealed.extend_from_slice(&fnv_sealed_frame(FRAME_BINARY, &fetch));
+        fnv_sealed.extend_from_slice(&fnv_sealed_frame(FRAME_BINARY, &record));
         let mut format_3 = protocol::frame_payload_versioned(LEGACY_FRAME_KIND, header).to_vec();
-        format_3.extend_from_slice(&frame(&JournalRecord::Fetch {
-            now_s: 0.0,
-            agent: 1,
-            assigned: Some((0, 0)),
-        }));
+        format_3.extend_from_slice(&frame(&sweep(0.0, 1)));
+        let format_4 = include_bytes!("../../../tests/data/wal_format4.bin").to_vec();
 
         for (tag, file, old, named) in [
             (
@@ -1212,32 +1272,29 @@ mod tests {
                 &format_3,
                 "journal format 3 or earlier",
             ),
+            ("format4", WAL_FILE, &format_4, "journal format 4"),
+            ("nested", "alpha/wal.bin", &format_4, "journal format 4"),
         ] {
             let dir = scratch_dir(&format!("legacy-{tag}"));
-            fs::write(dir.join(file), old).unwrap();
-            let recovery = open_journaled(
-                &JournalConfig::new(&dir),
-                &campaign,
-                config,
-                faults,
-                ShardSpec::solo(),
-            )
-            .err()
-            .expect("a legacy journal must be refused");
+            let path = dir.join(file);
+            fs::create_dir_all(path.parent().unwrap()).unwrap();
+            fs::write(&path, old).unwrap();
+            let roster = vec![CampaignDef::default_solo(CampaignParams::tiny())];
+            let journal = JournalConfig::new(&dir);
+            let recovery =
+                MultiGrid::open(roster, config, faults, ShardSpec::solo(), Some(&journal))
+                    .err()
+                    .expect("a legacy journal must be refused");
             let dump = open_wal(&dir)
                 .and_then(|records| records.collect::<io::Result<Vec<_>>>())
                 .expect_err("a legacy journal must not dump");
             for err in [recovery, dump] {
                 assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{tag}: {err}");
                 let msg = err.to_string();
-                assert!(msg.contains(&dir.join(file).display().to_string()), "{msg}");
+                assert!(msg.contains(&path.display().to_string()), "{msg}");
                 assert!(msg.contains(named), "{msg}");
             }
-            assert_eq!(
-                &fs::read(dir.join(file)).unwrap(),
-                old,
-                "{file} left untouched"
-            );
+            assert_eq!(&fs::read(&path).unwrap(), old, "{file} left untouched");
             let others = fs::read_dir(&dir).unwrap().count();
             assert_eq!(others, 1, "nothing was created next to the refused {file}");
             fs::remove_dir_all(&dir).unwrap();
@@ -1246,7 +1303,7 @@ mod tests {
         // Damage that is not a legacy seal is still what it always was:
         // a wal torn inside its first frame is an empty wal.
         let dir = scratch_dir("legacy-torn");
-        let mut torn = frame(&build_record(5, 1, 2, 3, &[]));
+        let mut torn = frame(&build_record(6, 1, 2, 3, &[]));
         let last = torn.len() - 1;
         torn[last] ^= 0x01;
         fs::write(dir.join(WAL_FILE), &torn).unwrap();

@@ -20,9 +20,9 @@
 //!   docs);
 //! * [`campaign`] — deterministic campaign expansion from a tiny recipe
 //!   (both ends derive the same library and launch-ordered catalog);
-//! * [`state`] — the transport-free server state: `SchedulerCore` plus
-//!   real-payload validation (bounds + byte-level quorum), wall-clock
-//!   deadlines, per-agent backoff;
+//! * [`state`] — one campaign's transport-free server state:
+//!   `SchedulerCore` plus real-payload validation (bounds + byte-level
+//!   quorum), wall-clock deadlines, per-agent backoff;
 //! * [`sys`] — a dependency-free readiness shim: epoll on Linux with a
 //!   portable `poll(2)` fallback, via direct `extern "C"` declarations,
 //!   and the read buffer and flush loop of a nonblocking connection;
@@ -40,14 +40,17 @@
 //! * [`registry`] — one server's decisions, sans-IO and sans-clock: N
 //!   isolated campaign states under a deficit-weighted fair-share
 //!   ledger, the peer-shard picture, and the server half of the
-//!   protocol as calls that take the time and return frames;
+//!   protocol as calls that take the time and return frames; every
+//!   decision a restart must rebuild is one `Command` through
+//!   `MultiGrid::apply`;
 //! * [`shard`] — multi-server sharding: the deterministic shard map
 //!   splitting one catalog across N servers, work-stealing leases, and
 //!   the byte-identical cross-shard artifact merge;
 //! * [`faults`] — deterministic fault injection: disconnects, stalls
 //!   past the deadline, bit-flipped payloads, connection limits;
 //! * [`journal`] — the write-ahead journal: one append-only `wal.bin`
-//!   replayed through the live entry points, so a `kill -9`
+//!   per server, the log of the commands `MultiGrid::apply` applied,
+//!   which recovery folds the same call over, so a `kill -9`
 //!   mid-campaign resumes from disk and finishes with the identical
 //!   merged artifact;
 //! * [`trust`] — the trust-adaptive replication policy: a journaled
@@ -76,13 +79,11 @@ pub mod trust;
 pub use agent::{run_agent, AgentConfig, AgentReport};
 pub use campaign::NetCampaign;
 pub use faults::{FaultAction, FaultDice, FaultProfile, ServerFaults};
-pub use journal::{
-    open_journaled, FsyncPolicy, Journal, JournalConfig, JournalRecord, RecordReader,
-};
+pub use journal::{FsyncPolicy, JournalConfig, JournalRecord, RecordReader};
 pub use mux::{run_mux_fleet, MuxFleetConfig, MuxFleetReport};
 pub use ops::http_get;
 pub use protocol::{CampaignParams, Codec, DecodeError, Message};
-pub use registry::{CampaignDef, MultiGrid, Slot};
+pub use registry::{CampaignDef, Command, MultiGrid, Outcome, Slot};
 pub use server::{CampaignRunReport, NetRunReport, NetServer, NetServerConfig, ShardTopology};
 pub use shard::{merge_artifact_json, merge_artifacts, shard_of, ShardSpec};
 pub use state::{

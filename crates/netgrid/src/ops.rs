@@ -322,7 +322,7 @@ pub fn render_metrics(snap: &OpsSnapshot) -> String {
         let n = r.family(
             "hcmd_journal_wal_records",
             MetricKind::Gauge,
-            "Transition records in the write-ahead journal (what a restart replays)",
+            "Command records in the server's write-ahead journal (what a restart replays)",
         );
         r.sample(&n, &[], j.wal_records as f64);
         let n = r.family(

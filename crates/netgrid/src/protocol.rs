@@ -730,7 +730,7 @@ pub fn read_message(r: &mut impl Read) -> io::Result<Option<Message>> {
 /// byte-level quorum fingerprint ([`crate::state::fingerprint`]) is a
 /// hash of the decoded output's fields in this same row layout.
 ///
-/// The journal encodes its transition records with this module's
+/// The journal encodes its command records with this module's
 /// [`Writer`]/[`Reader`] too, so the wire and the wal share one set of
 /// field primitives and one strictness rule.
 ///
@@ -807,7 +807,7 @@ pub mod binary {
         pub(crate) fn u16(&mut self, v: u16) {
             self.0.extend_from_slice(&v.to_le_bytes());
         }
-        fn str(&mut self, s: &str) {
+        pub(crate) fn str(&mut self, s: &str) {
             self.u32(s.len() as u32);
             self.0.extend_from_slice(s.as_bytes());
         }
@@ -901,7 +901,7 @@ pub mod binary {
         pub(crate) fn u16(&mut self) -> Result<u16, String> {
             Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
         }
-        fn str(&mut self) -> Result<String, String> {
+        pub(crate) fn str(&mut self) -> Result<String, String> {
             let len = self.u32()? as usize;
             let bytes = self.take(len)?;
             String::from_utf8(bytes.to_vec()).map_err(|e| format!("bad string: {e}"))

@@ -9,51 +9,57 @@
 //! bytes and keeps the time, a test steps a grid by hand, and
 //! `agent::Session` is the same shape on the volunteer's side.
 //!
+//! Every decision that changes a book a restart must rebuild is one
+//! [`Command`] applied through [`MultiGrid::apply`], which answers with
+//! the [`Outcome`] and, on a journaled server, appends `(now, command,
+//! outcome)` to its one wal ([`crate::journal`]). Recovery is the same
+//! call folded over that wal, so the live path and the replay path are
+//! one path.
+//!
 //! The paper's grid was one project among many on a shared volunteer
 //! pool; BOINC models that as *project shares*. Here the registry holds
-//! one [`GridState`] per campaign — its own catalog, journal directory
-//! and merged artifact — and a
-//! [`gridsim::FairShare`] ledger arbitrates which campaign's queue a
-//! volunteer ask is served from: deficit-weighted round robin over
-//! *delivered reference-seconds*, priority as the tie-break, with
+//! one [`GridState`] per campaign — its own catalog and merged artifact
+//! — and a [`gridsim::FairShare`] ledger arbitrates which campaign's
+//! queue a volunteer ask is served from: deficit-weighted round robin
+//! over *delivered reference-seconds*, priority as the tie-break, with
 //! work-starved campaigns lending their idle capacity and being repaid
 //! through the same deficit accounting.
 //!
 //! Isolation rules:
-//! - Scheduling, validation, payloads, and journals are strictly
-//!   per-campaign. A campaign's merged artifact is byte-identical to
-//!   the artifact of a solo run of that campaign, because nothing any
-//!   other campaign does can reach its `GridState`.
+//! - Scheduling, validation and payloads are strictly per-campaign. A
+//!   campaign's merged artifact is byte-identical to the artifact of a
+//!   solo run of that campaign, because nothing any other campaign does
+//!   can reach its `GridState`.
 //! - Trust is per-agent but **global across campaigns**: an agent
 //!   quarantined by any campaign's ledger is denied work by all of
-//!   them (the gate sits above the per-slot fetch, so per-slot journals
-//!   never record the cross-campaign denial and replay stays a pure
-//!   function of each slot's own records).
-//! - Fair-share deliveries are *derived*, not journaled: recovery
-//!   re-seeds each campaign's delivered ref-seconds from
-//!   `SchedulerCore::completed_ref_seconds()`, the durable source of
-//!   truth.
+//!   them (the gate sits above the per-slot fetch, and the denial is the
+//!   outcome of the ask that met it).
+//! - Fair-share deliveries, borrows, the cross-campaign denials and the
+//!   contended share error are *replayed*: each is moved only by the
+//!   asks and reports a restart applies again, in the same order.
 
 use crate::campaign::NetCampaign;
 use crate::faults::ServerFaults;
-use crate::journal::{open_journaled, JournalConfig};
+use crate::journal::{Journal, JournalConfig, JournalRecord, JOURNAL_FORMAT};
 use crate::protocol::{encode_with, CampaignParams, Codec, Message, PROTOCOL_VERSION};
 use crate::shard::{lease_grantor, ShardSpec, LEASE_CHUNK, STEER_TIMEOUT_MS};
 use crate::state::{GridState, ResultDisposition, Verdict, WorkReply};
 use gridsim::server::{ReplicaId, ServerConfig};
 use gridsim::{CampaignShare, FairShare, SimTime};
 use maxdo::DockingOutput;
+use serde::Serialize;
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::io;
 use std::sync::Arc;
 use telemetry::{self, Event};
 
-/// One campaign's registration: its name (journal subdirectory and
-/// artifact suffix), recipe, and fair-share weight.
-#[derive(Debug, Clone, PartialEq)]
+/// One campaign's registration: its name (artifact suffix), recipe, and
+/// fair-share weight.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CampaignDef {
-    /// Registry key; also the journal subdirectory and the per-campaign
-    /// artifact suffix, so it is restricted to `[A-Za-z0-9._-]`.
+    /// Registry key; also the per-campaign artifact suffix, so it is
+    /// restricted to `[A-Za-z0-9._-]`.
     pub name: String,
     /// The campaign recipe announced to attached agents.
     pub params: CampaignParams,
@@ -131,32 +137,101 @@ impl CampaignDef {
     }
 }
 
+/// One decision that changes what a restart must rebuild: the unit of
+/// the command log. [`MultiGrid::apply`] takes one, the wal records it
+/// with its [`Outcome`], and recovery hands it back to the same call.
+/// What a command carries is borrowed on the live path and owned when
+/// it was decoded from the wal.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub enum Command<'a> {
+    /// `agent` asks, arbitrated across the campaigns its attach mask
+    /// (one flag per roster campaign) marks.
+    Fetch {
+        agent: u64,
+        attached: Cow<'a, [bool]>,
+    },
+    /// `replica` of `workunit` reports `output`, booked against roster
+    /// campaign `campaign`.
+    Report {
+        campaign: u16,
+        replica: u64,
+        workunit: u32,
+        output: Cow<'a, DockingOutput>,
+    },
+    /// A deadline sweep of every campaign.
+    Sweep,
+    /// A lease of at most `max` never-issued workunits of `campaign`,
+    /// cut for hungry peer `to_shard`.
+    Grant {
+        campaign: u16,
+        to_shard: u16,
+        max: u32,
+    },
+    /// Peer lease `lease` ([`crate::shard::lease_id`]) of `campaign`'s
+    /// workunits `wus`, adopted.
+    Adopt {
+        campaign: u16,
+        lease: u64,
+        wus: Cow<'a, [u32]>,
+    },
+    /// Peer `shard` has its slice of `campaign` validated.
+    PeerComplete { campaign: u16, shard: u16 },
+}
+
+/// What [`MultiGrid::apply`] decided. Replay compares the recorded one
+/// with the one it decides, with `==`.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub enum Outcome {
+    /// The roster campaign that answered an ask (the deepest-deficit
+    /// attached one when none issued), and its answer.
+    Fetched { campaign: u16, reply: WorkReply },
+    /// How a report was judged.
+    Judged(ResultDisposition),
+    /// Replicas a sweep expired (at least one).
+    Expired(u64),
+    /// A lease cut: its id and the workunits it moved away.
+    Granted { lease: u64, wus: Vec<u32> },
+    /// Workunits an adopted lease moved here.
+    Adopted(u64),
+    /// A peer's completion, news to its board.
+    Noted,
+    /// Nothing changed — the sweep expired nothing, nothing was
+    /// leaseable, the lease was held already, the completion known, or
+    /// the command names a campaign or shard this server does not have.
+    /// Never recorded.
+    Unchanged,
+}
+
 /// What this shard knows about its peers on one campaign, fed by both
 /// gossip directions (inbound `ShardStatus` frames and the replies
 /// arriving on its own links).
 pub(crate) struct ShardBoard {
     /// Sticky per-shard completion: once a peer reports its owned
     /// slice validated, that never un-happens (leases only move
-    /// never-issued work, and a complete shard has none).
+    /// never-issued work, and a complete shard has none). Moved only by
+    /// [`Command::PeerComplete`], so a restart remembers it.
     pub(crate) complete: Vec<bool>,
     /// Each peer's last advertised fresh backlog — the redirect target
     /// picker's input. Zeroed when a steering connection to or from the
-    /// peer closes: an advert lives no longer than the link it rode.
+    /// peer closes, or a dial to it fails: an advert lives no longer
+    /// than the link it rode.
     pub(crate) backlog: Vec<u64>,
+    /// Shards that need no more word of this shard's completion of the
+    /// campaign: this one, and each peer that acked a status that said
+    /// complete (and so holds it in its wal) or could not be dialed once
+    /// both were complete.
+    pub(crate) settled: Vec<bool>,
 }
 
 impl ShardBoard {
-    fn new(shards: u16) -> Self {
+    fn new(spec: ShardSpec) -> Self {
+        let shards = usize::from(spec.shards);
+        let mut settled = vec![false; shards];
+        settled[usize::from(spec.shard_id)] = true;
         Self {
-            complete: vec![false; usize::from(shards)],
-            backlog: vec![0; usize::from(shards)],
-        }
-    }
-
-    fn note(&mut self, shard: u16, complete: bool, backlog: Option<u64>) {
-        self.complete[usize::from(shard)] |= complete;
-        if let Some(b) = backlog {
-            self.backlog[usize::from(shard)] = b;
+            complete: vec![false; shards],
+            backlog: vec![0; shards],
+            settled,
         }
     }
 
@@ -187,7 +262,7 @@ pub struct Slot {
     pub def: CampaignDef,
     /// The materialised catalog (specs + reference outputs).
     pub campaign: Arc<NetCampaign>,
-    /// Scheduling, validation, payloads, journal — all per-campaign.
+    /// Scheduling, validation, payloads — all per-campaign.
     pub state: GridState,
     /// Peer completion/backlog picture.
     pub(crate) board: ShardBoard,
@@ -211,7 +286,7 @@ pub(crate) struct Caller {
     attached: Vec<bool>,
     /// The peer shard this connection is a steering link of, from its
     /// first `ShardStatus` on.
-    shard: Option<u16>,
+    pub(crate) shard: Option<u16>,
 }
 
 impl Caller {
@@ -229,40 +304,49 @@ fn queue(out: &mut Vec<u8>, msg: &Message) {
     out.extend_from_slice(&encode_with(msg, Codec));
 }
 
-/// N campaigns, the fair-share arbiter over them and this server's
-/// picture of its peer shards. Whoever drives the server owns the one
-/// `MultiGrid` by value: every frame, tick and ops scrape is a call on
-/// it from one thread, in the order they were taken, each with the time
-/// it happened.
+/// N campaigns, the fair-share arbiter over them, this server's picture
+/// of its peer shards and its command log. Whoever drives the server
+/// owns the one `MultiGrid` by value: every frame, tick and ops scrape
+/// is a call on it from one thread, in the order they were taken, each
+/// with the time it happened.
 pub struct MultiGrid {
     slots: Vec<Slot>,
     fair: FairShare,
     /// Every shard's listen address, by shard id: what a `ShardMap` and
     /// a `Redirect` announce. Empty until [`Self::set_addrs`].
     addrs: Vec<String>,
-    /// Per peer, the campaign and send time of every `ShardStatus` on
-    /// this shard's link to it not yet acked, oldest first (acks return
-    /// in send order).
-    pub(crate) unacked: Vec<VecDeque<(u16, SimTime)>>,
+    /// Per peer, the campaign, send time and completeness of every
+    /// `ShardStatus` on this shard's link to it not yet acked, oldest
+    /// first (acks return in send order).
+    pub(crate) unacked: Vec<VecDeque<(u16, SimTime, bool)>>,
     /// Fetches denied because the agent is quarantined by *another*
     /// campaign's ledger (the cross-campaign trust gate).
     pub cross_quarantine_denials: u64,
     /// Fair-share error sampled at the last report where every campaign
     /// still had fresh work — the convergence figure the bench reports.
     contended_share_error: Option<f64>,
+    /// Latest time any command was applied at: the clock offset a
+    /// restart resumes from.
+    last_now: f64,
+    /// The command log, when durability is on.
+    journal: Option<Journal>,
+    /// Whether a volunteer has been told that everything it works for
+    /// is over while this server was [`Self::done`]: the final word a
+    /// finished server stays up to give.
+    pub(crate) told_done: bool,
 }
 
 impl MultiGrid {
-    /// Builds every slot (recovering each from its journal when one is
-    /// configured) and seeds the fair-share ledger from the recovered
-    /// delivered ref-seconds. Returns the registry plus the clock
-    /// offset recovery reached (the max across slots, so the shared
-    /// SimTime axis stays monotone for every campaign).
+    /// Builds every slot and, when a journal is configured, recovers the
+    /// registry from it: every command the wal holds is applied again
+    /// through [`Self::apply`] and must decide what it decided live.
+    /// Returns the registry plus the clock offset recovery reached, so
+    /// the shared SimTime axis stays monotone across the restart.
     ///
-    /// Journal layout: a single implicit campaign journals directly in
-    /// `cfg.dir` (the pre-registry layout, so existing journals keep
-    /// recovering); named multi-campaign setups journal in
-    /// `cfg.dir/<name>/` each.
+    /// A journal is one `wal.bin` in `cfg.dir`, however many campaigns
+    /// there are; its header pins the roster, names, shares and
+    /// priorities included, so a restart under another roster is
+    /// refused rather than replayed.
     pub fn open(
         defs: Vec<CampaignDef>,
         scheduler: ServerConfig,
@@ -279,43 +363,34 @@ impl MultiGrid {
                 ));
             }
         }
-        let multi = defs.len() > 1;
-        let mut slots = Vec::with_capacity(defs.len());
-        let mut clock_offset = 0.0f64;
-        for def in defs {
-            let campaign = Arc::new(NetCampaign::build(def.params));
-            let (state, offset) = match journal {
-                Some(cfg) => {
-                    let cfg = if multi {
-                        JournalConfig {
-                            dir: cfg.dir.join(&def.name),
-                            ..cfg.clone()
-                        }
-                    } else {
-                        cfg.clone()
-                    };
-                    open_journaled(&cfg, &campaign, scheduler, faults, spec)?
-                }
-                None => (GridState::new(&campaign, scheduler, faults, spec), 0.0),
-            };
-            clock_offset = clock_offset.max(offset);
-            slots.push(Slot {
-                def,
-                campaign,
-                state,
-                board: ShardBoard::new(spec.shards),
-                demand: (0, false),
-            });
-        }
+        let header = JournalRecord::Header {
+            roster: defs.clone(),
+            config: scheduler,
+            faults,
+            shard: spec,
+            format: JOURNAL_FORMAT,
+        };
         let fair = FairShare::new(
-            slots
-                .iter()
-                .map(|s| CampaignShare {
-                    share: s.def.share,
-                    priority: s.def.priority,
+            defs.iter()
+                .map(|d| CampaignShare {
+                    share: d.share,
+                    priority: d.priority,
                 })
                 .collect(),
         );
+        let slots = defs
+            .into_iter()
+            .map(|def| {
+                let campaign = Arc::new(NetCampaign::build(def.params));
+                Slot {
+                    def,
+                    state: GridState::new(&campaign, scheduler, faults, spec),
+                    campaign,
+                    board: ShardBoard::new(spec),
+                    demand: (0, false),
+                }
+            })
+            .collect();
         let mut grid = Self {
             slots,
             fair,
@@ -323,19 +398,96 @@ impl MultiGrid {
             unacked: vec![VecDeque::new(); usize::from(spec.shards)],
             cross_quarantine_denials: 0,
             contended_share_error: None,
+            last_now: 0.0,
+            journal: None,
+            told_done: false,
         };
-        grid.reseed_delivered();
-        Ok((grid, clock_offset))
+        if let Some(cfg) = journal {
+            grid.journal = Some(Journal::open(cfg, &header, |now, command| {
+                grid.apply(now, command)
+            })?);
+        }
+        let resume = grid.last_now;
+        Ok((grid, resume))
     }
 
-    /// Re-derives every campaign's delivered ref-seconds from its
-    /// scheduler core — the recovery path and the post-report refresh
-    /// share this one definition, so they cannot drift.
-    fn reseed_delivered(&mut self) {
-        for i in 0..self.slots.len() {
-            self.fair
-                .set_delivered(i, self.slots[i].state.core().completed_ref_seconds());
+    /// Applies one command — the one entry point of every decision a
+    /// restart must rebuild, live or replayed — and, when the server is
+    /// journaled and something changed, appends `(now, command,
+    /// outcome)` to the wal before the outcome is acted on. Durability
+    /// failures are fatal by design: a server that can no longer journal
+    /// must not keep changing books it promised to persist.
+    pub fn apply(&mut self, now: SimTime, command: &Command) -> Outcome {
+        self.last_now = self.last_now.max(now.seconds());
+        let slots = self.slots.len();
+        let outcome = match *command {
+            Command::Fetch {
+                agent,
+                ref attached,
+            } => {
+                let (campaign, reply) = self.arbitrate(now, agent, attached);
+                Outcome::Fetched { campaign, reply }
+            }
+            Command::Report { campaign, .. }
+            | Command::Grant { campaign, .. }
+            | Command::Adopt { campaign, .. }
+            | Command::PeerComplete { campaign, .. }
+                if usize::from(campaign) >= slots =>
+            {
+                Outcome::Unchanged
+            }
+            Command::Report {
+                campaign,
+                replica,
+                workunit,
+                ref output,
+            } => Outcome::Judged(self.book(now, campaign, ReplicaId(replica), workunit, output)),
+            Command::Sweep => match self
+                .slots
+                .iter_mut()
+                .map(|s| s.state.sweep(now))
+                .sum::<usize>()
+            {
+                0 => Outcome::Unchanged,
+                expired => Outcome::Expired(expired as u64),
+            },
+            Command::Grant {
+                campaign,
+                to_shard,
+                max,
+            } => {
+                let state = &mut self.slots[usize::from(campaign)].state;
+                match state.grant_lease(to_shard, max as usize) {
+                    Some((lease, wus)) => Outcome::Granted { lease, wus },
+                    None => Outcome::Unchanged,
+                }
+            }
+            Command::Adopt {
+                campaign,
+                lease,
+                ref wus,
+            } => {
+                let state = &mut self.slots[usize::from(campaign)].state;
+                state
+                    .adopt_lease(lease, wus)
+                    .map_or(Outcome::Unchanged, |moved| Outcome::Adopted(moved as u64))
+            }
+            Command::PeerComplete { campaign, shard } => {
+                let board = &mut self.slots[usize::from(campaign)].board;
+                match board.complete.get_mut(usize::from(shard)) {
+                    Some(known @ false) => {
+                        *known = true;
+                        Outcome::Noted
+                    }
+                    _ => Outcome::Unchanged,
+                }
+            }
+        };
+        if let (Some(journal), false) = (&mut self.journal, outcome == Outcome::Unchanged) {
+            let appended = journal.append(now.seconds(), command, &outcome);
+            appended.expect("journal append failed");
         }
+        outcome
     }
 
     pub fn len(&self) -> usize {
@@ -403,17 +555,27 @@ impl MultiGrid {
         self.slots.iter().zip(attached).all(|(s, &a)| !a || done(s))
     }
 
-    /// One volunteer ask, arbitrated across the campaigns it is
-    /// attached to. Returns the campaign index served (meaningful for
-    /// `Assigned`; the deepest-deficit attached campaign otherwise).
-    ///
-    /// Order of business: the global trust gate (quarantined anywhere =
-    /// denied everywhere), then attached incomplete campaigns in
-    /// fair-share order until one issues. A campaign with nothing to
+    /// One volunteer ask ([`Command::Fetch`]), arbitrated across the
+    /// campaigns it is attached to. Returns the campaign index served
+    /// (meaningful for `Assigned`; the deepest-deficit attached campaign
+    /// otherwise).
+    pub fn fetch(&mut self, now: SimTime, agent: u64, attached: &[bool]) -> (u16, WorkReply) {
+        let attached = Cow::Borrowed(attached);
+        let Outcome::Fetched { campaign, reply } =
+            self.apply(now, &Command::Fetch { agent, attached })
+        else {
+            unreachable!("an ask is answered")
+        };
+        (campaign, reply)
+    }
+
+    /// Order of business of an ask: the global trust gate (quarantined
+    /// anywhere = denied everywhere), then attached incomplete campaigns
+    /// in fair-share order until one issues. A campaign with nothing to
     /// issue right now simply yields to the next — that is how a
     /// work-starved campaign lends capacity, and the deficit ledger
     /// repays it once its queue refills.
-    pub fn fetch(&mut self, now: SimTime, agent: u64, attached: &[bool]) -> (u16, WorkReply) {
+    fn arbitrate(&mut self, now: SimTime, agent: u64, attached: &[bool]) -> (u16, WorkReply) {
         if let Some(ms) = self.cross_quarantine_ms(now, agent) {
             self.cross_quarantine_denials += 1;
             return (
@@ -453,8 +615,8 @@ impl MultiGrid {
         )
     }
 
-    /// Books one reported result against its campaign and refreshes the
-    /// fair-share ledger from the (possibly grown) delivered total.
+    /// Books one reported result ([`Command::Report`]) against roster
+    /// campaign `campaign`, which must exist.
     pub fn report(
         &mut self,
         now: SimTime,
@@ -463,16 +625,42 @@ impl MultiGrid {
         workunit: u32,
         output: DockingOutput,
     ) -> (u16, ResultDisposition) {
-        // A stale or forged index cannot be allowed to cross-book into
-        // another campaign: clamp to the roster (replica ids that do
-        // not exist in the clamped slot are judged unknown there).
-        let i = usize::from(campaign).min(self.slots.len() - 1);
+        let report = Command::Report {
+            campaign,
+            replica: replica.0,
+            workunit,
+            output: Cow::Owned(output),
+        };
+        let Outcome::Judged(d) = self.apply(now, &report) else {
+            panic!("campaign {campaign} is not on the roster")
+        };
+        (campaign, d)
+    }
+
+    /// Judges one report in its campaign and moves the fair-share
+    /// ledger when the verdict moved the delivered total: a validated
+    /// workunit is credited, and a failed audit, which may retract
+    /// several, re-sums the catalog (replay makes this call once per
+    /// recorded report, so the common case must not walk the catalog).
+    fn book(
+        &mut self,
+        now: SimTime,
+        campaign: u16,
+        replica: ReplicaId,
+        workunit: u32,
+        output: &DockingOutput,
+    ) -> ResultDisposition {
+        let i = usize::from(campaign);
         let slot = &mut self.slots[i];
         let d = slot
             .state
-            .report(now, &Arc::clone(&slot.campaign), replica, workunit, output);
-        self.fair
-            .set_delivered(i, self.slots[i].state.core().completed_ref_seconds());
+            .report(now, &slot.campaign, replica, workunit, output);
+        let core = self.slots[i].state.core();
+        match d.verdict {
+            Verdict::Accepted => self.fair.credit(i, core.entry(workunit).ref_seconds.into()),
+            Verdict::SpotMismatch => self.fair.set_delivered(i, core.completed_ref_seconds()),
+            _ => {}
+        }
         // The convergence figure is only meaningful while every
         // campaign still has fresh work: once one drains, the others
         // legitimately absorb its capacity and the instantaneous ratio
@@ -484,7 +672,7 @@ impl MultiGrid {
         {
             self.contended_share_error = Some(self.fair.share_error());
         }
-        (i as u16, d)
+        d
     }
 
     /// The headline ±5% figure: the fair-share error at the last moment
@@ -495,32 +683,40 @@ impl MultiGrid {
             .unwrap_or_else(|| self.fair.share_error())
     }
 
-    /// Expires deadlines in every campaign. Returns total expiries.
+    /// Expires deadlines in every campaign ([`Command::Sweep`]). Returns
+    /// total expiries.
     pub fn sweep(&mut self, now: SimTime) -> usize {
-        self.slots.iter_mut().map(|s| s.state.sweep(now)).sum()
-    }
-
-    /// Settles every campaign journal's fsync debt.
-    pub fn flush_journals(&mut self) {
-        for s in &mut self.slots {
-            s.state.flush_journal();
+        match self.apply(now, &Command::Sweep) {
+            Outcome::Expired(n) => n as usize,
+            _ => 0,
         }
     }
 
-    /// The monotone high-water mark of the shared clock across slots.
+    /// Settles the journal's fsync debt.
+    pub fn flush_journal(&mut self) {
+        if let Some(journal) = &mut self.journal {
+            journal.flush().expect("journal flush failed");
+        }
+    }
+
+    /// Appends since the journal's last fsync (`None` when the server
+    /// runs unjournaled) — the `every=N` batch phase that must survive
+    /// restart.
+    pub fn journal_fsync_phase(&self) -> Option<u64> {
+        self.journal.as_ref().map(Journal::fsync_phase)
+    }
+
+    /// The latest time any command was applied at.
     pub fn last_now(&self) -> f64 {
-        self.slots
-            .iter()
-            .map(|s| s.state.last_now())
-            .fold(0.0, f64::max)
+        self.last_now
     }
 
     /// The ops-endpoint snapshot: slot 0's full picture (scrape
     /// continuity for the single-campaign families) plus one
-    /// [`crate::state::CampaignOps`] row per campaign and the global
-    /// fair-share health figures.
+    /// [`crate::state::CampaignOps`] row per campaign, the global
+    /// fair-share health figures and the server's one wal.
     pub fn ops_snapshot(&self) -> crate::state::OpsSnapshot {
-        let mut snap = self.slots[0].state.ops_snapshot();
+        let mut snap = self.slots[0].state.ops_snapshot(self.last_now);
         snap.campaigns = self
             .slots
             .iter()
@@ -542,9 +738,12 @@ impl MultiGrid {
                 }
             })
             .collect();
+        snap.journal = self.journal.as_ref().map(|j| crate::state::JournalOps {
+            wal_records: j.wal_records(),
+            wal_bytes: j.wal_bytes(),
+        });
         snap.campaign_share_error = self.share_error();
         snap.cross_quarantine_denials = self.cross_quarantine_denials;
-        snap.last_now = self.last_now();
         snap
     }
 
@@ -594,13 +793,22 @@ impl MultiGrid {
         &self.addrs[usize::from(shard)]
     }
 
-    /// The server's shutdown condition: the *whole roster* done here
-    /// and on every peer. Both halves are sticky — a complete slice has
-    /// nothing left to issue, audit or lease, and a board never
-    /// forgets a peer's completion — so this is read, not latched.
+    /// The *whole roster* done here and on every peer. Both halves are
+    /// sticky — a complete slice has nothing left to issue, audit or
+    /// lease, and a board never forgets a peer's completion, not even
+    /// across a restart — so this is read, not latched.
     pub(crate) fn done(&self) -> bool {
         let me = self.spec().shard_id;
         self.all_complete() && self.slots.iter().all(|s| s.board.peers_complete(me))
+    }
+
+    /// The peers' half of the server's shutdown condition: [`Self::done`],
+    /// and every peer has heard so or is past hearing it — settled on
+    /// every board. No timer decides a peer (the volunteers' half, and
+    /// its grace, are the event loop's: [`crate::server`]).
+    pub(crate) fn may_leave(&self) -> bool {
+        let settled = |s: &Slot| s.board.settled.iter().all(|&ok| ok);
+        self.done() && self.slots.iter().all(settled)
     }
 
     /// One decoded frame from an inbound connection — a volunteer, or a
@@ -660,11 +868,18 @@ impl MultiGrid {
                             retry_after_ms,
                             campaign_complete,
                         },
-                    ) => self.try_redirect(mask).unwrap_or(Message::NoWork {
-                        campaign_complete,
+                    ) => self.try_redirect(mask).unwrap_or_else(|| Message::NoWork {
+                        campaign_complete: self.final_word(campaign_complete),
                         retry_after_ms,
                     }),
                 }
+            }
+            // A stale or forged campaign index is refused, not clamped
+            // onto the roster: judged against another campaign's replica
+            // of the same id, it would book the verdict on whichever
+            // agent holds that one.
+            Message::ResultReport { campaign, .. } if usize::from(campaign) >= self.len() => {
+                return Err("protocol")
             }
             Message::ResultReport {
                 replica,
@@ -684,7 +899,7 @@ impl MultiGrid {
                             | Verdict::SpotVoid
                     ),
                     completed_workunit: disposition.completed_workunit,
-                    campaign_complete: self.attached_complete(caller.mask(self)),
+                    campaign_complete: self.final_word(self.attached_complete(caller.mask(self))),
                 }
             }
             Message::ShardMapRequest => Message::ShardMap {
@@ -711,9 +926,12 @@ impl MultiGrid {
                     return Err("protocol");
                 }
                 caller.shard = Some(shard);
-                self.slots[c]
-                    .board
-                    .note(shard, complete, Some(fresh_backlog));
+                self.slots[c].board.backlog[usize::from(shard)] = fresh_backlog;
+                // The ack is what lets the peer leave, so the completion
+                // it acknowledges is on the platter before it is queued.
+                if self.hear_complete(now, campaign, shard, complete) {
+                    self.flush_journal();
+                }
                 let complete = self.grant_leases(now, campaign, shard, hungry, leases_held, out);
                 Message::StatusAck {
                     shard: me,
@@ -730,13 +948,26 @@ impl MultiGrid {
         Ok(())
     }
 
+    /// A volunteer is told whether everything it works for is over.
+    fn final_word(&mut self, complete: bool) -> bool {
+        self.told_done |= complete && self.done();
+        complete
+    }
+
+    /// A peer said whether its slice of `campaign` is complete; the
+    /// first time a board hears that it is, the completion is recorded
+    /// ([`Command::PeerComplete`]). Whether it was news.
+    fn hear_complete(&mut self, now: SimTime, campaign: u16, shard: u16, complete: bool) -> bool {
+        complete && self.apply(now, &Command::PeerComplete { campaign, shard }) == Outcome::Noted
+    }
+
     /// The grants a `ShardStatus` from `shard` draws on `campaign`:
     /// re-sends any the sender has not adopted, else cuts a fresh lease
-    /// if it is hungry and this shard has backlog to spare. Returns
-    /// whether this shard's slice is complete, as every grant says.
-    /// The `LeaseOut` journal record is appended *before* the grant
-    /// frame is queued, so a crash here can lose a sent grant only in
-    /// the direction the re-send heals.
+    /// ([`Command::Grant`]) if it is hungry and this shard has backlog
+    /// to spare. Returns whether this shard's slice is complete, as
+    /// every grant says. The grant is journaled *before* its frame is
+    /// queued, so a crash here can lose a sent grant only in the
+    /// direction the re-send heals.
     fn grant_leases(
         &mut self,
         now: SimTime,
@@ -747,7 +978,7 @@ impl MultiGrid {
         out: &mut Vec<u8>,
     ) -> bool {
         let from_shard = self.spec().shard_id;
-        let s = &mut self.slots[usize::from(campaign)].state;
+        let s = &self.slots[usize::from(campaign)].state;
         let complete = s.is_campaign_complete();
         let grant = |(lease, wus)| Message::LeaseGrant {
             lease,
@@ -768,19 +999,25 @@ impl MultiGrid {
             }
         }
         if hungry && !resent {
-            if let Some(fresh) = s.grant_lease(now, shard, LEASE_CHUNK) {
-                queue(out, &grant(fresh));
+            let cut = Command::Grant {
+                campaign,
+                to_shard: shard,
+                max: LEASE_CHUNK as u32,
+            };
+            if let Outcome::Granted { lease, wus } = self.apply(now, &cut) {
+                queue(out, &grant((lease, wus)));
             }
         }
         complete
     }
 
     /// Applies one frame `peer` sent back on this shard's own steering
-    /// link: a lease grant is adopted and journaled, an ack (the oldest
-    /// unanswered status's — acks return in send order) updates the
-    /// board. Neither is replied to. A frame that speaks for anyone but
-    /// `peer` — a grant cut by or attributed to another shard, an ack in
-    /// a third shard's name — or names a campaign this server does not
+    /// link: a lease grant is adopted ([`Command::Adopt`]), an ack (the
+    /// oldest unanswered status's — acks return in send order) settles
+    /// the peer if that status said complete. Both update the board;
+    /// neither is replied to. A frame that speaks for anyone but `peer`
+    /// — a grant cut by or attributed to another shard, an ack in a
+    /// third shard's name — or names a campaign this server does not
     /// host changes nothing and closes the link.
     pub(crate) fn link_frame(
         &mut self,
@@ -800,19 +1037,27 @@ impl MultiGrid {
                 if c >= self.len() || from_shard != peer || lease_grantor(lease) != peer {
                     return Err("protocol");
                 }
-                self.slots[c].state.adopt_lease(now, lease, &wus);
-                self.slots[c].board.note(from_shard, complete, None);
+                let wus = Cow::Owned(wus);
+                self.apply(
+                    now,
+                    &Command::Adopt {
+                        campaign,
+                        lease,
+                        wus,
+                    },
+                );
+                self.hear_complete(now, campaign, from_shard, complete);
             }
             Message::StatusAck { shard, complete } => {
                 if shard != peer {
                     return Err("protocol");
                 }
-                let (campaign, _) = self.unacked[usize::from(peer)]
+                let (campaign, _, said_complete) = self.unacked[usize::from(peer)]
                     .pop_front()
                     .ok_or("protocol")?;
-                self.slots[usize::from(campaign)]
-                    .board
-                    .note(shard, complete, None);
+                let board = &mut self.slots[usize::from(campaign)].board;
+                board.settled[usize::from(peer)] |= said_complete;
+                self.hear_complete(now, campaign, shard, complete);
             }
             // The peer is over its connection limit; the next steering
             // tick dials again.
@@ -872,11 +1117,12 @@ impl MultiGrid {
     pub(crate) fn link_stalled(&self, now: SimTime, peer: u16) -> bool {
         let oldest = self.unacked[usize::from(peer)].front();
         let bound_s = STEER_TIMEOUT_MS as f64 / 1e3;
-        oldest.is_some_and(|(_, sent)| now.seconds() - sent.seconds() > bound_s)
+        oldest.is_some_and(|(_, sent, _)| now.seconds() - sent.seconds() > bound_s)
     }
 
     /// Queues one `ShardStatus` per campaign for the link to `peer` and
-    /// remembers, in order, which campaign each ack will be answering.
+    /// remembers, in order, which campaign each ack will be answering
+    /// and whether the status said complete.
     pub(crate) fn send_statuses(&mut self, now: SimTime, peer: u16, out: &mut Vec<u8>) {
         for (c, slot) in self.slots.iter().enumerate() {
             let s = &slot.state;
@@ -892,7 +1138,7 @@ impl MultiGrid {
                 campaign: c as u16,
             };
             queue(out, &status);
-            self.unacked[usize::from(peer)].push_back((c as u16, now));
+            self.unacked[usize::from(peer)].push_back((c as u16, now, complete));
         }
     }
 
@@ -901,6 +1147,18 @@ impl MultiGrid {
     pub(crate) fn link_lost(&mut self, peer: u16) {
         self.unacked[usize::from(peer)].clear();
         self.forget_backlog(peer);
+    }
+
+    /// A dial to `peer` failed. Its advert goes, as with a lost link;
+    /// and on every campaign complete here and, by the journaled board,
+    /// there too, the peer is settled: it is gone, and finished.
+    pub(crate) fn dial_failed(&mut self, peer: u16) {
+        self.forget_backlog(peer);
+        let p = usize::from(peer);
+        for slot in &mut self.slots {
+            let board = &mut slot.board;
+            board.settled[p] |= board.complete[p] && slot.state.is_campaign_complete();
+        }
     }
 
     /// An inbound connection is gone; if it was a peer's steering link,
@@ -924,7 +1182,6 @@ impl MultiGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::Verdict;
 
     fn defs_70_30() -> Vec<CampaignDef> {
         let base = CampaignParams::tiny();
@@ -1119,31 +1376,10 @@ mod tests {
         );
     }
 
-    /// An unknown/forged campaign index cannot cross-book: the report
-    /// is clamped into the roster and judged against *that* slot's
-    /// replicas (where a forged replica id is simply unknown).
-    #[test]
-    fn forged_campaign_index_is_clamped_not_trusted() {
-        let mut grid = open_ram(defs_70_30());
-        let attached = vec![true, true];
-        let (cidx, reply) = grid.fetch(SimTime::new(0.1), 1, &attached);
-        let WorkReply::Assigned(a) = reply else {
-            panic!("first ask assigns");
-        };
-        let slot = grid.slot(cidx).expect("slot");
-        let output = slot.campaign.compute(slot.campaign.spec(a.workunit));
-        let (booked, d) = grid.report(SimTime::new(0.2), 999, a.replica, a.workunit, output);
-        assert_eq!(usize::from(booked), grid.len() - 1);
-        assert!(
-            !matches!(d.verdict, Verdict::Accepted),
-            "forged index must not validate work in another campaign"
-        );
-    }
-
     // ---- The protocol, stepped: no socket, no thread, no sleep, and
     // `now` is whatever the test says it is. ----
 
-    use crate::agent::{Input, Outcome, Session, Step};
+    use crate::agent::{self, Input, Session, Step};
     use crate::journal::{open_wal, FsyncPolicy, JournalRecord};
     use crate::protocol::decode_versioned;
     use crate::shard::{lease_id, merge_artifacts};
@@ -1368,11 +1604,14 @@ mod tests {
             (1, 1)
         );
         let granted = s0.slots()[0].state.leases_granted_to(1);
-        s1.flush_journals();
+        s1.flush_journal();
         let adopted: Vec<(u64, Vec<u32>)> = open_wal(&dir)
             .unwrap()
             .filter_map(|rec| match rec.unwrap() {
-                JournalRecord::LeaseIn { lease, wus, .. } => Some((lease, wus)),
+                JournalRecord::Applied {
+                    command: Command::Adopt { lease, wus, .. },
+                    ..
+                } => Some((lease, wus.into_owned())),
                 _ => None,
             })
             .collect();
@@ -1453,16 +1692,8 @@ mod tests {
     /// What a refused frame must leave alone: the books a restart would
     /// replay to, the peer picture, and the wal.
     fn books(grid: &mut MultiGrid, dir: &Path) -> (Vec<crate::GridSnapshot>, Vec<Vec<u64>>, u64) {
-        fn wal_bytes(dir: &Path) -> u64 {
-            let entries = std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path());
-            entries
-                .map(|p| match p.is_dir() {
-                    true => wal_bytes(&p),
-                    false => p.metadata().unwrap().len(),
-                })
-                .sum()
-        }
-        grid.flush_journals();
+        let wal_bytes = |dir: &Path| std::fs::metadata(dir.join("wal.bin")).unwrap().len();
+        grid.flush_journal();
         let slots = grid.slots().iter();
         (
             slots.clone().map(|s| s.state.snapshot()).collect(),
@@ -1636,6 +1867,107 @@ mod tests {
         assert!(s0.link_stalled(t(10.126 + bound), 1));
     }
 
+    /// A report naming a campaign off the roster is refused, not
+    /// clamped onto the last campaign. There, replica ids are numbered
+    /// afresh, so the forged frame below names the very replica beta has
+    /// in flight to agent 2 for the same workunit: clamped, as it was,
+    /// agent 2's ledger took the verdict of a report agent 1 sent, and a
+    /// journal would have recorded it under beta. Refused, it leaves
+    /// books, boards and wal as they were, and closes with "protocol".
+    #[test]
+    fn a_forged_campaign_index_is_refused_not_clamped() {
+        let dir = scratch_dir("forged-index");
+        let mut grid = open_shard(defs_70_30(), (0, 1), ServerFaults::default(), Some(&dir));
+        let mut on_beta = Caller::default();
+        let beta = Message::Hello {
+            agent: 2,
+            threads: 1,
+            campaigns: vec!["beta".into()],
+        };
+        assert!(matches!(
+            ask(&mut grid, 1.0, &mut on_beta, beta),
+            Message::HelloAck { .. }
+        ));
+        let Ok(Message::ResultReport {
+            replica,
+            workunit,
+            campaign: 1,
+            output,
+        }) = fetch_one(&mut grid, 1.0, &mut on_beta)
+        else {
+            panic!("beta assigns");
+        };
+        let mut forger = hello(&mut grid, 1.0, 1);
+        let forged = Message::ResultReport {
+            replica,
+            workunit,
+            campaign: 9,
+            output,
+        };
+        let before = books(&mut grid, &dir);
+        assert_eq!(
+            tell(&mut grid, 1.5, &mut forger, forged),
+            (vec![], Some("protocol"))
+        );
+        assert_eq!(books(&mut grid, &dir), before);
+        assert_eq!(
+            grid.slots()[1].state.outstanding_len(),
+            1,
+            "still agent 2's"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A finished peer's word is kept: core 1 hears core 0 finish, is
+    /// killed, and comes back from its wal knowing it — done at once,
+    /// with core 0 never heard from again. (A board that was not
+    /// journaled left the restarted core waiting for gossip that never
+    /// came.) Core 0, for its part, may leave: core 1 acknowledged a
+    /// status that said complete.
+    #[test]
+    fn a_restarted_shard_remembers_that_its_peer_finished() {
+        let dir = scratch_dir("remembers");
+        let (mut s0, mut s1) = (shard(0, 2, None), shard(1, 2, Some(&dir)));
+        for (core, agent) in [(&mut s0, 1), (&mut s1, 2)] {
+            let mut volunteer = hello(core, 1.0, agent);
+            work(core, 1.0, &mut volunteer);
+        }
+        assert!(s0.all_complete() && s1.all_complete());
+        steer(&mut s0, &mut s1, &mut Caller::default(), 1.1);
+        assert!(s1.done() && s0.may_leave());
+        drop(s1); // kill -9: the wal is all that is left
+        let s1 = shard(1, 2, Some(&dir));
+        assert!(
+            s1.done(),
+            "the restarted core waits on a peer it heard finish"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The ops journal tile is the server's one wal: on a two-campaign
+    /// server the scrape counts the records of both campaigns' asks.
+    #[test]
+    fn the_scrape_counts_every_record_of_the_one_wal() {
+        let dir = scratch_dir("tile");
+        let mut grid = open_shard(defs_70_30(), (0, 1), ServerFaults::default(), Some(&dir));
+        for (agent, attached) in [(1, [true, false]), (2, [false, true]), (3, [false, true])] {
+            assert!(matches!(
+                grid.fetch(t(1.0), agent, &attached).1,
+                WorkReply::Assigned(_)
+            ));
+        }
+        grid.flush_journal();
+        let recorded = open_wal(&dir)
+            .unwrap()
+            .filter(|rec| matches!(rec, Ok(JournalRecord::Applied { .. })))
+            .count();
+        assert_eq!(recorded, 3);
+        let scrape = crate::ops::render_metrics(&grid.ops_snapshot());
+        let tile = format!("\nhcmd_journal_wal_records {recorded}\n");
+        assert!(scrape.contains(&tile), "{scrape}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// Totality: every frame kind, wherever it arrives, draws frames or
     /// a close reason (the silent exception: nothing here is an honest
     /// reply on the own link) and never a panic; and a frame refused as
@@ -1652,9 +1984,27 @@ mod tests {
         ];
         gossip(&mut s0, 1.0, &mut inbound[2].1, status(1, &[], 0, false));
         let mut refused = 0;
-        for msg in crate::protocol::tests::sample_messages() {
+        let mut samples = crate::protocol::tests::sample_messages();
+        // A result naming a campaign off the roster (this one has two).
+        let off_roster = samples.iter().find_map(|msg| match msg {
+            Message::ResultReport {
+                replica,
+                workunit,
+                output,
+                ..
+            } => Some(Message::ResultReport {
+                replica: *replica,
+                workunit: *workunit,
+                campaign: 2,
+                output: output.clone(),
+            }),
+            _ => None,
+        });
+        samples.extend(off_roster);
+        for msg in samples {
             // What an inbound connection draws, whatever it said before.
             let expected: Result<usize, &str> = match &msg {
+                Message::ResultReport { campaign: 2.., .. } => Err("protocol"),
                 Message::Hello { .. }
                 | Message::RequestWork
                 | Message::ResultReport { .. }
@@ -1686,7 +2036,7 @@ mod tests {
                 refused += 1;
             }
         }
-        assert_eq!(refused, 9 * 3 + 14);
+        assert_eq!(refused, 10 * 3 + 15);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1738,9 +2088,9 @@ mod tests {
     struct Grid {
         seed: u64,
         now: f64,
-        /// Core 0 lives in RAM, core 1 is journaled under `dir`.
+        /// Core `a` is journaled under `dirs[a]`.
         cores: Vec<MultiGrid>,
-        dir: PathBuf,
+        dirs: [PathBuf; 2],
         volunteers: Vec<Volunteer>,
         /// `links[a]`: core `a`'s own steering link to the other core.
         links: [Option<Pipe>; 2],
@@ -1751,13 +2101,15 @@ mod tests {
             if std::thread::panicking() {
                 eprintln!("the seeded grid failed on seed {}", self.seed);
             }
-            let _ = std::fs::remove_dir_all(&self.dir);
+            self.dirs.iter().for_each(|dir| {
+                let _ = std::fs::remove_dir_all(dir);
+            });
         }
     }
 
     impl Grid {
         fn new(seed: u64) -> Self {
-            let dir = scratch_dir(&format!("seeded-{seed}"));
+            let dirs = [0, 1].map(|a| scratch_dir(&format!("seeded-{seed}-{a}")));
             let volunteers = (0..6u64)
                 .map(|i| {
                     let config = AgentConfig {
@@ -1778,8 +2130,8 @@ mod tests {
             Self {
                 seed,
                 now: 0.0,
-                cores: vec![shard(0, 2, None), shard(1, 2, Some(&dir))],
-                dir,
+                cores: vec![shard(0, 2, Some(&dirs[0])), shard(1, 2, Some(&dirs[1]))],
+                dirs,
                 volunteers,
                 links: [None, None],
             }
@@ -1807,22 +2159,21 @@ mod tests {
             }
         }
 
-        /// Core 1 dies between two records and comes back from its wal;
-        /// every connection to or from it dies with it.
-        fn kill_and_reopen(&mut self) {
+        /// Core `a` dies between two records and comes back from its
+        /// wal; every connection to or from it dies with it.
+        fn kill_and_reopen(&mut self, a: usize) {
             for v in 0..self.volunteers.len() {
                 if self.volunteers[v]
                     .pipe
                     .as_ref()
-                    .is_some_and(|p| p.core == 1)
+                    .is_some_and(|p| p.core == a)
                 {
                     self.drop_volunteer_pipe(v);
                 }
             }
             self.drop_link(0);
             self.drop_link(1);
-            self.cores.pop();
-            self.cores.push(shard(1, 2, Some(&self.dir)));
+            self.cores[a] = shard(a as u16, 2, Some(&self.dirs[a]));
         }
 
         /// Carries out one step of volunteer `v`'s session.
@@ -1862,7 +2213,8 @@ mod tests {
                     Owed::Input(Input::Lost)
                 }
                 Step::Finished(outcome) => {
-                    assert_eq!(outcome, Outcome::Done, "seed {}: volunteer {v}", self.seed);
+                    let done = agent::Outcome::Done;
+                    assert_eq!(outcome, done, "seed {}: volunteer {v}", self.seed);
                     Owed::Nothing
                 }
             };
@@ -1954,13 +2306,15 @@ mod tests {
 
     /// One seeded history, to completion: the seed picks who moves
     /// when, which connections are cut where, and (one seed in four)
-    /// when the journaled core is killed. Ten milliseconds pass per
-    /// step; sweep and steering ticks come due as in the server.
+    /// when which core is killed. Ten milliseconds pass per step; sweep
+    /// and steering ticks come due as in the server.
     fn run_seeded_grid(seed: u64) {
         const STEP_BUDGET: u32 = 60_000;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
         let mut grid = Grid::new(seed);
-        let kill_at = seed.is_multiple_of(4).then(|| rng.gen_range(20..300));
+        let kill_at = seed
+            .is_multiple_of(4)
+            .then(|| (rng.gen_range(20..300u32), rng.gen_range(0..2)));
         let mut steps = 0;
         while grid
             .volunteers
@@ -1983,8 +2337,8 @@ mod tests {
                 grid.steer_tick(0);
                 grid.steer_tick(1);
             }
-            if kill_at == Some(steps) {
-                grid.kill_and_reopen();
+            if let Some((_, a)) = kill_at.filter(|&(at, _)| at == steps) {
+                grid.kill_and_reopen(a);
             }
             for _ in 0..rng.gen_range(1..=6) {
                 match rng.gen_range(0..8 + 2) {
@@ -2007,18 +2361,38 @@ mod tests {
             .map(|core| core.slots[0].state.partial_outputs())
             .collect();
         assert_eq!(merge_artifacts(&parts).unwrap(), baseline(), "seed {seed}");
-        // A last journaled transition, so the wal knows the time the
-        // live books do (a sweep that expires nothing writes no record).
-        // And the one counter that is advisory and restarts from zero.
-        let live = &mut grid.cores[1].slots[0].state;
-        live.fetch(t(grid.now), 1);
-        live.flush_journal();
-        live.net_stats.shard_redirects = 0;
-        let replayed = shard(1, 2, Some(&grid.dir));
-        assert!(
-            replayed.slots[0].state.snapshot() == grid.cores[1].slots[0].state.snapshot(),
-            "seed {seed}: the wal does not replay to the live books"
-        );
+        // Its volunteers gone, each core may leave once the other has
+        // acknowledged its completion: steering alone gets them there.
+        for round in 0.. {
+            if grid.cores.iter().all(MultiGrid::may_leave) {
+                break;
+            }
+            assert!(
+                round < 100,
+                "seed {seed}: a core never reaches the leave condition"
+            );
+            grid.now += 0.1;
+            for a in 0..2 {
+                grid.steer_tick(a);
+                (0..4).for_each(|_| grid.link_turn(a));
+            }
+        }
+        for a in 0..2 {
+            // The one counter that is advisory and restarts from zero.
+            let live = &mut grid.cores[a];
+            live.flush_journal();
+            live.slots[0].state.net_stats.shard_redirects = 0;
+            let replayed = shard(a as u16, 2, Some(&grid.dirs[a]));
+            let (live, slot) = (&grid.cores[a], &replayed.slots[0]);
+            assert!(
+                slot.state.snapshot() == live.slots[0].state.snapshot()
+                    && slot.board.complete == live.slots[0].board.complete
+                    && replayed.fair == live.fair
+                    && replayed.cross_quarantine_denials == live.cross_quarantine_denials
+                    && replayed.share_error() == live.share_error(),
+                "seed {seed}: core {a}'s wal does not replay to its live books"
+            );
+        }
     }
 
     /// The seeds `seeded_grids_finish_with_the_baseline_artifact` runs;
@@ -2026,9 +2400,10 @@ mod tests {
     const SEEDS: std::ops::Range<u64> = 0..256;
 
     /// After every seeded history: the merged artifact is the baseline,
-    /// no workunit was ever owned by both shards, the journaled core's
-    /// wal replays to its live books, and the campaign finished within
-    /// the step budget while its volunteers lived. What the seed does
+    /// no workunit was ever owned by both shards, the campaign finished
+    /// within the step budget while its volunteers lived, both cores
+    /// reach the leave condition, and each core's wal replays to its
+    /// live books — campaign state, peer board and fair-share ledger. What the seed does
     /// not yet do — reorder, duplicate or delay frames, jump the clock —
     /// is ROADMAP step (2).
     #[test]

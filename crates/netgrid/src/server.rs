@@ -85,9 +85,8 @@ pub struct NetServerConfig {
     pub shard: Option<ShardTopology>,
     /// The campaign roster with fair-share weights. Empty hosts the
     /// single implicit campaign built from `campaign` (slot 0, name
-    /// `"default"`) — the pre-registry behaviour, including the journal
-    /// layout. Non-empty replaces `campaign` entirely; slot order is
-    /// the roster order assignments index.
+    /// `"default"`). Non-empty replaces `campaign` entirely; slot order
+    /// is the roster order assignments index.
     pub campaigns: Vec<CampaignDef>,
 }
 
@@ -171,7 +170,7 @@ pub struct NetRunReport {
 /// One campaign's slice of a finished multi-campaign run.
 #[derive(Debug)]
 pub struct CampaignRunReport {
-    /// Registry name (journal subdirectory, artifact suffix).
+    /// Registry name (artifact suffix).
     pub name: String,
     /// Normalised fair-share weight.
     pub share: f64,
@@ -200,10 +199,12 @@ pub struct CampaignRunReport {
 /// registered and any journal already replayed.
 pub struct NetServer(EventLoop);
 
-/// How long the loop keeps serving after the campaign completes, so an
-/// agent sleeping on a `NoWork` backoff (capped at 2 s agent-side) can
-/// wake, ask once more, and be told `campaign_complete` instead of
-/// finding a dead socket and burning its whole reconnect budget.
+/// How long a finished server waits at most for its volunteers to say
+/// `Bye`, so an agent sleeping on a `NoWork` backoff (capped at 2 s
+/// agent-side) can wake, ask once more, and be told `campaign_complete`
+/// instead of finding a dead socket and burning its whole reconnect
+/// budget — while an open, silent socket cannot hold the server for
+/// ever. Peers are not waited on by the clock ([`MultiGrid::may_leave`]).
 const SHUTDOWN_GRACE: Duration = Duration::from_secs(3);
 
 const STEER_INTERVAL: Duration = Duration::from_millis(STEER_INTERVAL_MS);
@@ -348,7 +349,7 @@ impl NetServer {
             server_stats: slot0.state.server_stats(),
             net_stats: slot0.state.net_stats,
             wasted_ref_seconds: slot0.state.wasted_ref_seconds(),
-            trust: slot0.state.trust_summary(),
+            trust: slot0.state.trust_summary(grid.last_now()),
             agent_trust: slot0.state.agent_trust_table(),
             partial_outputs: slot0.state.partial_outputs(),
             shard: spec,
@@ -561,27 +562,30 @@ impl EventLoop {
     }
 
     /// Runs to completion and returns the campaign's wall seconds: from
-    /// now until the volunteers had drained (or the shutdown grace ran
-    /// out). The ops endpoint is served for [`ops::LINGER`] past
-    /// completion so a scraper polling mid-run observes the final
-    /// state; that wait is not part of the figure returned.
+    /// now until the server may leave. The ops endpoint is served for
+    /// [`ops::LINGER`] past completion so a scraper polling mid-run
+    /// observes the final state; that wait is not part of the figure
+    /// returned.
     fn run(&mut self) -> io::Result<f64> {
         self.epoch = Instant::now();
         let mut done_since: Option<Instant> = None;
         let mut wall_seconds: Option<f64> = None;
         loop {
             if self.core.done() {
-                // Completion: linger through the grace window answering
-                // `campaign_complete`, with the listener open — an agent
-                // that heard "not yet" a gossip tick ago must be able to
-                // come back for the final word. A server without peers
-                // leaves as soon as every volunteer has said Bye; one
-                // with peers sits the window out, because a peer that
-                // has not heard this shard is complete (one restarting
-                // from its journal, say) learns it only by dialing in.
+                // Completion: keep answering `campaign_complete`, with
+                // the listener open — an agent that heard "not yet" a
+                // gossip tick ago must be able to come back for the
+                // final word — until a volunteer has heard it and every
+                // one has said Bye (or the grace ran out), and every
+                // peer has heard it. A shard finishes on gossip, not on
+                // a report, so its volunteers may all be sleeping with
+                // their sockets closed when it does.
                 let since = done_since.get_or_insert_with(Instant::now).elapsed();
-                let drained = self.accepted_active == 0 && self.links.len() == 1;
-                if wall_seconds.is_none() && (drained || since > SHUTDOWN_GRACE) {
+                let volunteer =
+                    |c: &Conn| matches!(&c.role, Role::Inbound(caller) if caller.shard.is_none());
+                let drained = self.core.told_done && !self.conns.values().any(volunteer);
+                let drained = drained || since > SHUTDOWN_GRACE;
+                if wall_seconds.is_none() && drained && self.core.may_leave() {
                     wall_seconds = Some(self.epoch.elapsed().as_secs_f64());
                 }
                 if let Some(wall) = wall_seconds {
@@ -640,7 +644,7 @@ impl EventLoop {
             }
         }
         self.core.sweep(self.now());
-        self.core.flush_journals();
+        self.core.flush_journal();
         if self.ops_listener.is_some() {
             let idle: Vec<i32> = self
                 .conns
@@ -690,13 +694,16 @@ impl EventLoop {
 
     /// Takes every answer the dialer has ready: a connected socket
     /// becomes the peer's link, a failed dial leaves it `Down` for the
-    /// next steering tick.
+    /// next steering tick and is the core's to judge.
     fn adopt_dialed(&mut self) {
         while let Some((peer, dialed)) = self.dialer.as_ref().and_then(|d| d.dialed.try_recv().ok())
         {
             let p = usize::from(peer);
             self.links[p] = Link::Down;
-            let Ok(stream) = dialed else { continue };
+            let Ok(stream) = dialed else {
+                self.core.dial_failed(peer);
+                continue;
+            };
             if stream.set_nonblocking(true).is_err() {
                 continue;
             }
@@ -924,6 +931,7 @@ mod tests {
     use super::*;
     use crate::journal::{open_wal, JournalRecord};
     use crate::protocol::{HEADER_BYTES, PROTOCOL_VERSION};
+    use crate::registry::Command;
     use crate::shard::merge_artifacts;
     use crate::sys::READ_SPACE;
     use std::collections::VecDeque;
@@ -1195,7 +1203,7 @@ mod tests {
     }
 
     /// The statuses awaiting an ack on the loop's one steering link.
-    fn unacked(ev: &mut EventLoop) -> &mut VecDeque<(u16, SimTime)> {
+    fn unacked(ev: &mut EventLoop) -> &mut VecDeque<(u16, SimTime, bool)> {
         let peer = ev.links.iter().position(|l| matches!(l, Link::Up(_)));
         &mut ev.core.unacked[peer.expect("a steering link")]
     }
@@ -1397,11 +1405,14 @@ mod tests {
         spin(loops, |l| net_stats(&l[1]).shard_leases_in == 1);
         assert_eq!(net_stats(&loops[0]).shard_leases_out, 1);
         let granted = loops[0].core.slots()[0].state.leases_granted_to(1);
-        loops[1].core.flush_journals();
+        loops[1].core.flush_journal();
         let adopted: Vec<(u64, Vec<u32>)> = open_wal(&dir)
             .unwrap()
             .filter_map(|rec| match rec.unwrap() {
-                JournalRecord::LeaseIn { lease, wus, .. } => Some((lease, wus)),
+                JournalRecord::Applied {
+                    command: Command::Adopt { lease, wus, .. },
+                    ..
+                } => Some((lease, wus.into_owned())),
                 _ => None,
             })
             .collect();
@@ -1562,7 +1573,7 @@ mod tests {
         let journal = crate::journal::JournalConfig::new(&dir);
         let loops = &mut [shard_loop(own, 0, &addrs, Some(journal))];
         let books = |ev: &mut EventLoop| {
-            ev.core.flush_journals();
+            ev.core.flush_journal();
             let state = &ev.core.slots()[0].state;
             let wal = std::fs::metadata(dir.join("wal.bin")).unwrap().len();
             (

@@ -27,7 +27,6 @@
 
 use crate::campaign::NetCampaign;
 use crate::faults::ServerFaults;
-use crate::journal::{Journal, JournalRecord};
 use crate::protocol::{binary, Checksum64};
 use crate::shard::{self, ShardSpec};
 use crate::trust::{spot_selected, AgentTrust, TrustBand};
@@ -78,7 +77,7 @@ pub fn fingerprint(output: &DockingOutput) -> u64 {
 }
 
 /// Reply to a work request.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum WorkReply {
     /// One replica to compute.
     Assigned(ReplicaAssignment),
@@ -92,9 +91,6 @@ pub enum WorkReply {
 }
 
 /// How a reported result was judged.
-///
-/// Serializable because the journal records the live verdict of every
-/// report and replay asserts it is reproduced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Verdict {
     /// Validated its workunit (alone under bounds-check, or as the
@@ -124,14 +120,12 @@ pub enum Verdict {
 }
 
 /// Everything the transport needs to answer a `ResultReport`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ResultDisposition {
     /// How the result was judged.
     pub verdict: Verdict,
     /// Whether this result completed (validated) its workunit.
     pub completed_workunit: bool,
-    /// Whether the whole campaign is now validated.
-    pub campaign_complete: bool,
 }
 
 /// Wire-level counters, alongside the core's [`ServerStats`].
@@ -225,7 +219,7 @@ pub struct TrustSummary {
     pub spot_checks_failed: u64,
 }
 
-/// Journal health as seen by the ops endpoint.
+/// The wal's size as seen by the ops endpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JournalOps {
     /// Transition records in the wal: what a restart would replay.
@@ -310,7 +304,7 @@ pub struct OpsSnapshot {
     pub quorum_candidate_workunits: usize,
     /// True once every workunit validated.
     pub campaign_complete: bool,
-    /// Journal health; `None` when durability is off.
+    /// The wal's size; `None` when durability is off.
     pub journal: Option<JournalOps>,
     /// Per-agent ledger, sorted by agent id.
     pub agents: Vec<(u64, AgentLedger)>,
@@ -368,15 +362,15 @@ pub struct GridState {
     faults: ServerFaults,
     ranges: ValueRanges,
     /// This server's place in the shard topology ([`ShardSpec::solo`]
-    /// when unsharded). Part of the journal header identity.
+    /// when unsharded). Part of the wal header's identity.
     shard: ShardSpec,
     /// Leases this shard granted: lease id → (lessee shard, workunits).
-    /// Journaled (ownership moves are scheduling state); also drives
-    /// re-grants when a restarted lessee reports it never adopted one.
+    /// Ownership moves are scheduling state; this also drives re-grants
+    /// when a restarted lessee reports it never adopted one.
     leases_granted: HashMap<u64, (u16, Vec<u32>)>,
-    /// Leases adopted from peers: lease id → workunits. Journaled, and
-    /// advertised back to each grantor so both books converge after a
-    /// crash on either side.
+    /// Leases adopted from peers: lease id → workunits, advertised back
+    /// to each grantor so both books converge after a crash on either
+    /// side.
     leases_held: HashMap<u64, Vec<u32>>,
     /// In-flight (issued, unreported, unexpired) replicas. `fetch`
     /// inserts, `report` and `sweep` remove: a replica that is in
@@ -401,7 +395,7 @@ pub struct GridState {
     accepted: Vec<Option<DockingOutput>>,
     /// Everything kept per agent that ever asked for work. Trust
     /// decisions change scheduling, so they must survive `kill -9`: a
-    /// book changes only inside journaled transitions.
+    /// book changes only inside the calls a restart makes again.
     agents: HashMap<u64, AgentBook>,
     /// Spot checks awaiting an independent agent: (workunit, suspect).
     spot_queue: VecDeque<(u32, u64)>,
@@ -410,12 +404,6 @@ pub struct GridState {
     spots_in_flight: usize,
     /// Wire-level counters.
     pub net_stats: NetStats,
-    /// Latest server-clock second any entry point has seen — the resume
-    /// offset a journaled restart continues the clock from.
-    last_now: f64,
-    /// Write-ahead journal, when durability is on. Lives inside the
-    /// state, so wal order is exactly the transition apply order.
-    journal: Option<Journal>,
     tele: Tele,
 }
 
@@ -434,7 +422,6 @@ pub struct GridSnapshot {
     accepted: Vec<Option<DockingOutput>>,
     agents: Vec<(u64, AgentBook)>,
     net_stats: NetStats,
-    last_now: f64,
     spot_queue: Vec<(u32, u64)>,
     shard: ShardSpec,
     leases_granted: Vec<(u64, (u16, Vec<u32>))>,
@@ -444,7 +431,7 @@ pub struct GridSnapshot {
 impl GridState {
     /// Builds the state for one shard of a campaign
     /// ([`ShardSpec::solo`] when unsharded) — the one way a `GridState`
-    /// comes to be; recovery replays the journal into it. The scheduler
+    /// comes to be; recovery makes the recorded calls on it again. The scheduler
     /// runs over the full catalog but owns only the workunits the shard
     /// map assigns to `shard` — keeping workunit indices, replica ids
     /// and launch order globally consistent across the topology.
@@ -470,8 +457,6 @@ impl GridState {
             spot_queue: VecDeque::new(),
             spots_in_flight: 0,
             net_stats: NetStats::default(),
-            last_now: 0.0,
-            journal: None,
             tele: Tele::new(),
         }
     }
@@ -479,18 +464,6 @@ impl GridState {
     /// Read access to the shared scheduling core.
     pub fn core(&self) -> &SchedulerCore {
         &self.core
-    }
-
-    /// Attaches an open write-ahead journal; every subsequent
-    /// [`Self::fetch`]/[`Self::report`]/[`Self::sweep`] and lease
-    /// transition is appended to it.
-    pub fn attach_journal(&mut self, journal: Journal) {
-        self.journal = Some(journal);
-    }
-
-    /// Latest server-clock second any entry point has seen.
-    pub fn last_now(&self) -> f64 {
-        self.last_now
     }
 
     /// Captures the complete state for comparison; see [`GridSnapshot`].
@@ -508,39 +481,11 @@ impl GridState {
             accepted: self.accepted.clone(),
             agents: sorted(&self.agents),
             net_stats: self.net_stats,
-            last_now: self.last_now,
             spot_queue: self.spot_queue.iter().copied().collect(),
             shard: self.shard,
             leases_granted: sorted(&self.leases_granted),
             leases_held: sorted(&self.leases_held),
         }
-    }
-
-    /// Appends one transition to the journal (when attached).
-    /// Durability failures are fatal by design: a server that can no
-    /// longer journal must not keep mutating state it promised to
-    /// persist.
-    fn journal_append(&mut self, rec: &JournalRecord) {
-        if let Some(journal) = self.journal.as_mut() {
-            journal.append(rec).expect("journal append failed");
-        }
-    }
-
-    /// Syncs any journal appends the `EveryN` fsync policy left
-    /// pending. The server's event loop calls this as a timer event (on
-    /// the sweep tick), bounding how long an acknowledged transition can
-    /// sit in the page cache. Same failure policy as appends: fatal.
-    pub fn flush_journal(&mut self) {
-        if let Some(journal) = self.journal.as_mut() {
-            journal.flush().expect("journal flush failed");
-        }
-    }
-
-    /// Appends since the attached journal's last fsync (`None` when the
-    /// state runs unjournaled) — the `every=N` batch phase that must
-    /// survive restart.
-    pub fn journal_fsync_phase(&self) -> Option<u64> {
-        self.journal.as_ref().map(|j| j.fsync_phase())
     }
 
     /// The core's cumulative issue/validation statistics.
@@ -564,17 +509,17 @@ impl GridState {
     }
 
     /// Band counts and spot-check totals for end-of-run reporting;
-    /// `None` when trust is off. Bands are judged at the latest server
-    /// clock, so an agent still serving quarantine counts as
-    /// quarantined.
-    pub fn trust_summary(&self) -> Option<TrustSummary> {
+    /// `None` when trust is off. Bands are judged at `now_s` — the
+    /// server's latest clock, so an agent still serving quarantine
+    /// counts as quarantined.
+    pub fn trust_summary(&self, now_s: f64) -> Option<TrustSummary> {
         let cfg = self.faults.trust;
         if !cfg.enabled {
             return None;
         }
         let mut summary = TrustSummary::default();
         for AgentBook { trust, .. } in self.agents.values() {
-            match trust.band(self.last_now, &cfg) {
+            match trust.band(now_s, &cfg) {
                 TrustBand::Trusted => summary.trusted += 1,
                 TrustBand::Probation => summary.probation += 1,
                 TrustBand::Untrusted => summary.untrusted += 1,
@@ -655,72 +600,37 @@ impl GridState {
     }
 
     /// Grants a lease of up to `max` never-issued workunits to a hungry
-    /// peer. Returns `None` when nothing is leaseable. The lease id is
-    /// derived from this shard's id and its journaled grant count, so
-    /// replay regenerates the same ids in the same order.
-    pub fn grant_lease(
-        &mut self,
-        now: SimTime,
-        to_shard: u16,
-        max: usize,
-    ) -> Option<(u64, Vec<u32>)> {
+    /// peer: they stop being owned here. Returns `None` when nothing is
+    /// leaseable. The lease id is derived from this shard's id and its
+    /// grant count, so a restart that makes the same grants again cuts
+    /// the same ids in the same order.
+    pub fn grant_lease(&mut self, to_shard: u16, max: usize) -> Option<(u64, Vec<u32>)> {
         let wus = self.core.lease_candidates(max);
         if wus.is_empty() {
             return None;
         }
         let lease = shard::lease_id(self.shard.shard_id, self.leases_granted.len() as u64);
-        self.apply_lease_out(now, lease, to_shard, &wus);
+        let moved = self.core.lease_out(&wus);
+        self.leases_granted.insert(lease, (to_shard, wus.clone()));
+        self.net_stats.shard_leases_out += 1;
+        self.net_stats.shard_wus_leased_out += moved as u64;
         Some((lease, wus))
     }
 
-    /// Applies (and journals) one outbound lease: the workunits stop
-    /// being owned here. Idempotent — a lease id already granted is a
-    /// no-op returning 0, so duplicate gossip frames cannot double-move
-    /// ownership. Returns the workunits whose ownership moved.
-    pub fn apply_lease_out(
-        &mut self,
-        now: SimTime,
-        lease: u64,
-        to_shard: u16,
-        wus: &[u32],
-    ) -> usize {
-        if self.leases_granted.contains_key(&lease) {
-            return 0;
-        }
-        self.last_now = self.last_now.max(now.seconds());
-        let moved = self.core.lease_out(wus);
-        self.leases_granted.insert(lease, (to_shard, wus.to_vec()));
-        self.net_stats.shard_leases_out += 1;
-        self.net_stats.shard_wus_leased_out += moved as u64;
-        self.journal_append(&JournalRecord::LeaseOut {
-            now_s: now.seconds(),
-            lease,
-            to_shard,
-            wus: wus.to_vec(),
-        });
-        moved
-    }
-
-    /// Adopts (and journals) one inbound lease: the workunits become
-    /// owned here and join the fresh queue. Idempotent — a lease id
-    /// already held is a no-op returning 0, so a re-sent `LeaseGrant`
-    /// (duplicate gossip, or a grantor re-offering after a crash)
-    /// cannot double-issue the range. Returns the workunits adopted.
-    pub fn adopt_lease(&mut self, now: SimTime, lease: u64, wus: &[u32]) -> usize {
+    /// Adopts one inbound lease: the workunits become owned here and
+    /// join the fresh queue. Idempotent — a lease id already held is a
+    /// no-op returning `None`, so a re-sent `LeaseGrant` (duplicate
+    /// gossip, or a grantor re-offering after a crash) cannot
+    /// double-issue the range. Returns the workunits adopted.
+    pub fn adopt_lease(&mut self, lease: u64, wus: &[u32]) -> Option<usize> {
         if self.leases_held.contains_key(&lease) {
-            return 0;
+            return None;
         }
-        self.last_now = self.last_now.max(now.seconds());
         let moved = self.core.lease_in(wus);
         self.leases_held.insert(lease, wus.to_vec());
         self.net_stats.shard_leases_in += 1;
         self.net_stats.shard_wus_leased_in += moved as u64;
-        self.journal_append(&JournalRecord::LeaseIn {
-            now_s: now.seconds(),
-            lease,
-            wus: wus.to_vec(),
-        });
-        moved
+        Some(moved)
     }
 
     /// Lease ids this shard adopted from `grantor` — advertised back in
@@ -753,11 +663,10 @@ impl GridState {
 
     /// Answers a work request from `agent` at time `now`.
     pub fn fetch(&mut self, now: SimTime, agent: u64) -> WorkReply {
-        self.last_now = self.last_now.max(now.seconds());
         let outcome = self.next_assignment(now, agent);
         let book = self.agents.entry(agent).or_default();
         book.ledger.last_seen_s = book.ledger.last_seen_s.max(now.seconds());
-        let reply = match outcome {
+        match outcome {
             Ok((assignment, suspect)) => {
                 book.misses = 0;
                 book.ledger.assignments += 1;
@@ -798,19 +707,7 @@ impl GridState {
                     campaign_complete: self.is_campaign_complete(),
                 }
             }
-        };
-        if self.journal.is_some() {
-            let assigned = match &reply {
-                WorkReply::Assigned(a) => Some((a.replica.0, a.workunit)),
-                WorkReply::Backoff { .. } => None,
-            };
-            self.journal_append(&JournalRecord::Fetch {
-                now_s: now.seconds(),
-                agent,
-                assigned,
-            });
         }
-        reply
     }
 
     /// Picks the next replica for `agent` — with the suspect it audits
@@ -822,7 +719,7 @@ impl GridState {
     /// checks (served to any agent but the suspect — an audit computed
     /// by its own subject proves nothing), then regular work at the
     /// agent's band-appropriate replication level. Every decision is a
-    /// pure function of journaled state, so replay reproduces it.
+    /// pure function of the books, so a restart reproduces it.
     fn next_assignment(
         &mut self,
         now: SimTime,
@@ -877,7 +774,6 @@ impl GridState {
     /// queues a timeout reissue in the core (if still needed). Returns
     /// the number of expiries.
     pub fn sweep(&mut self, now: SimTime) -> usize {
-        self.last_now = self.last_now.max(now.seconds());
         let mut expired: Vec<u64> = self
             .in_flight
             .iter()
@@ -886,7 +782,7 @@ impl GridState {
             .collect();
         // Replica-id order, not map order: when one sweep expires
         // several replicas the reissue queue must come out the same on
-        // the live server and on journal replay.
+        // the live server and on replay.
         expired.sort_unstable();
         for &r in &expired {
             let held = self.in_flight.remove(&r).expect("listed above");
@@ -904,14 +800,6 @@ impl GridState {
             }
             self.core.handle_timeout(ReplicaId(r));
         }
-        // No-op sweeps change nothing and run every few tens of ms, so
-        // only expiring sweeps are journaled.
-        if !expired.is_empty() {
-            self.journal_append(&JournalRecord::Sweep {
-                now_s: now.seconds(),
-                expired: expired.len() as u64,
-            });
-        }
         expired.len()
     }
 
@@ -928,9 +816,8 @@ impl GridState {
         campaign: &NetCampaign,
         replica: ReplicaId,
         workunit: u32,
-        output: DockingOutput,
+        output: &DockingOutput,
     ) -> ResultDisposition {
-        self.last_now = self.last_now.max(now.seconds());
         // Wire-level sanity: only a replica still in the books may reach
         // the core (it panics on double reports by design — the simulator
         // can never produce one). A retransmission left them with its
@@ -947,8 +834,8 @@ impl GridState {
                     self.lapsed.remove(&replica.0);
                 }
                 let verdict = match suspect {
-                    Some(suspect) => self.judge_spot(now, replica, workunit, &output, suspect),
-                    None => self.judge(now, campaign, replica, workunit, &output, agent),
+                    Some(suspect) => self.judge_spot(now, replica, workunit, output, suspect),
+                    None => self.judge(now, campaign, replica, workunit, output, agent),
                 };
                 self.note_report(agent, verdict, now);
                 verdict
@@ -959,31 +846,10 @@ impl GridState {
                 Verdict::Duplicate
             }
         };
-        let d = ResultDisposition {
+        ResultDisposition {
             verdict,
             completed_workunit: verdict == Verdict::Accepted,
-            campaign_complete: self.is_campaign_complete(),
-        };
-        if self.journal.is_some() {
-            // The journal keeps the payload exactly when replay needs it
-            // to reproduce the verdict; replay synthesizes the rest,
-            // whose bytes the live server discarded on arrival anyway.
-            let payload = match d.verdict {
-                Verdict::BoundsRejected
-                | Verdict::Duplicate
-                | Verdict::SpotMismatch
-                | Verdict::SpotVoid => None,
-                _ => Some(output),
-            };
-            self.journal_append(&JournalRecord::Report {
-                now_s: now.seconds(),
-                replica: replica.0,
-                workunit,
-                verdict: d.verdict,
-                output: payload,
-            });
         }
-        d
     }
 
     /// Books one report against the agent the replica was assigned to.
@@ -1058,11 +924,11 @@ impl GridState {
         }
     }
 
-    /// Takes the copy-on-scrape snapshot the ops endpoint renders; see
-    /// [`OpsSnapshot`]. Every field is a counter, small struct, or
-    /// short vec, so taking it delays the next frame by far less than
-    /// one fetch/report cycle.
-    pub fn ops_snapshot(&self) -> OpsSnapshot {
+    /// Takes the copy-on-scrape snapshot the ops endpoint renders at
+    /// server-clock second `now_s`; see [`OpsSnapshot`]. Every field is
+    /// a counter, small struct, or short vec, so taking it delays the
+    /// next frame by far less than one fetch/report cycle.
+    pub fn ops_snapshot(&self, now_s: f64) -> OpsSnapshot {
         let mut agents: Vec<(u64, AgentLedger)> =
             self.agents.iter().map(|(&a, b)| (a, b.ledger)).collect();
         agents.sort_by_key(|&(a, _)| a);
@@ -1070,10 +936,10 @@ impl GridState {
         let agents_trust = self
             .agent_trust_table()
             .into_iter()
-            .map(|(a, t)| (a, t.score(), t.band(self.last_now, &cfg)))
+            .map(|(a, t)| (a, t.score(), t.band(now_s, &cfg)))
             .collect();
         OpsSnapshot {
-            last_now: self.last_now,
+            last_now: now_s,
             wu: self.core.wu_state_counts(),
             receptors: self.core.receptor_progress(),
             stats: self.core.stats,
@@ -1086,13 +952,9 @@ impl GridState {
             reissue_queue_depth: self.core.reissue_queue_depth(),
             quorum_candidate_workunits: self.candidates.len(),
             campaign_complete: self.is_campaign_complete(),
-            journal: self.journal.as_ref().map(|j| JournalOps {
-                wal_records: j.wal_records(),
-                wal_bytes: j.wal_bytes(),
-            }),
             agents,
             wasted_ref_seconds: self.core.wasted_ref_seconds(),
-            trust: self.trust_summary(),
+            trust: self.trust_summary(now_s),
             agents_trust,
             shard: (self.shard.shards > 1).then(|| ShardOps {
                 shard_id: self.shard.shard_id,
@@ -1100,7 +962,9 @@ impl GridState {
                 owned_workunits: self.core.owned_count() as u64,
                 fresh_backlog: self.core.fresh_backlog() as u64,
             }),
-            // Filled by the registry, which owns the fair-share ledger.
+            // Filled by the registry, which owns the fair-share ledger
+            // and the journal.
+            journal: None,
             campaigns: Vec::new(),
             campaign_share_error: 0.0,
             cross_quarantine_denials: 0,
@@ -1281,9 +1145,9 @@ mod tests {
         };
         assert_eq!(a.workunit, b.workunit, "quorum sibling issued first");
         let out = campaign.compute(campaign.spec(a.workunit));
-        let d1 = state.report(t(1.0), &campaign, a.replica, a.workunit, out.clone());
+        let d1 = state.report(t(1.0), &campaign, a.replica, a.workunit, &out);
         assert_eq!(d1.verdict, Verdict::QuorumPending);
-        let d2 = state.report(t(2.0), &campaign, b.replica, b.workunit, out.clone());
+        let d2 = state.report(t(2.0), &campaign, b.replica, b.workunit, &out);
         assert_eq!(d2.verdict, Verdict::Accepted);
         assert!(d2.completed_workunit);
     }
@@ -1303,10 +1167,10 @@ mod tests {
         let mut corrupt = honest.clone();
         corrupt.rows[0].eelec += 1e-9;
         // Corrupted result lands first and becomes the first candidate.
-        let d1 = state.report(t(1.0), &campaign, a.replica, a.workunit, corrupt);
+        let d1 = state.report(t(1.0), &campaign, a.replica, a.workunit, &corrupt);
         assert_eq!(d1.verdict, Verdict::QuorumPending);
         // Honest result disagrees with it: quorum-rejected, error reissue.
-        let d2 = state.report(t(2.0), &campaign, b.replica, b.workunit, honest.clone());
+        let d2 = state.report(t(2.0), &campaign, b.replica, b.workunit, &honest);
         assert_eq!(d2.verdict, Verdict::QuorumRejected);
         assert_eq!(state.net_stats.quorum_rejected, 1);
         // The reissued replicas eventually deliver two honest copies.
@@ -1315,7 +1179,7 @@ mod tests {
             other => panic!("{other:?}"),
         };
         assert_eq!(c.workunit, a.workunit, "error reissue comes first");
-        let d3 = state.report(t(4.0), &campaign, c.replica, c.workunit, honest.clone());
+        let d3 = state.report(t(4.0), &campaign, c.replica, c.workunit, &honest);
         assert_eq!(d3.verdict, Verdict::Accepted, "honest pair met");
         assert!(d3.completed_workunit);
         assert_eq!(
@@ -1334,7 +1198,7 @@ mod tests {
         };
         let mut bad = campaign.compute(campaign.spec(a.workunit));
         bad.rows[0].elj = f64::INFINITY;
-        let d = state.report(t(1.0), &campaign, a.replica, a.workunit, bad);
+        let d = state.report(t(1.0), &campaign, a.replica, a.workunit, &bad);
         assert_eq!(d.verdict, Verdict::BoundsRejected);
         assert_eq!(state.net_stats.bounds_rejected, 1);
         assert_eq!(state.server_stats().errors_received, 1);
@@ -1348,8 +1212,8 @@ mod tests {
             other => panic!("{other:?}"),
         };
         let out = campaign.compute(campaign.spec(a.workunit));
-        state.report(t(1.0), &campaign, a.replica, a.workunit, out.clone());
-        let d = state.report(t(1.5), &campaign, a.replica, a.workunit, out);
+        state.report(t(1.0), &campaign, a.replica, a.workunit, &out);
+        let d = state.report(t(1.5), &campaign, a.replica, a.workunit, &out);
         assert_eq!(d.verdict, Verdict::Duplicate);
         assert_eq!(state.net_stats.duplicates_dropped, 1);
     }
@@ -1411,17 +1275,17 @@ mod tests {
         let out = campaign.compute(campaign.spec(a.workunit));
         // One half of the pair reports; the other stalls past its
         // deadline, so the sweep reissues it.
-        state.report(t(1.0), &campaign, a.replica, a.workunit, out.clone());
+        state.report(t(1.0), &campaign, a.replica, a.workunit, &out);
         assert_eq!(state.sweep(t(10.0)), 1, "only b is still outstanding");
         let c = match state.fetch(t(10.0), 3) {
             WorkReply::Assigned(c) => c,
             other => panic!("{other:?}"),
         };
         assert_eq!(c.workunit, a.workunit, "timeout reissue of the pair");
-        let d = state.report(t(11.0), &campaign, c.replica, c.workunit, out.clone());
+        let d = state.report(t(11.0), &campaign, c.replica, c.workunit, &out);
         assert_eq!(d.verdict, Verdict::Accepted);
         // The stalled replica finally reports: valid, but redundant.
-        let late = state.report(t(12.0), &campaign, b.replica, b.workunit, out);
+        let late = state.report(t(12.0), &campaign, b.replica, b.workunit, &out);
         assert_eq!(late.verdict, Verdict::Late);
         assert_eq!(state.server_stats().late_results, 1);
     }
@@ -1435,14 +1299,14 @@ mod tests {
         // the pair, b reports late, and a's report is retransmitted.
         let a = assigned(&mut state, t(0.0), 1);
         let b = assigned(&mut state, t(0.0), 2);
-        state.report(t(1.0), &campaign, a.replica, a.workunit, honest(a));
+        state.report(t(1.0), &campaign, a.replica, a.workunit, &honest(a));
         assert_eq!(state.sweep(t(6.0)), 1);
         assert_eq!((state.outstanding_len(), state.lapsed.len()), (0, 1));
         let c = assigned(&mut state, t(6.0), 3);
-        state.report(t(7.0), &campaign, c.replica, c.workunit, honest(c));
-        let late = state.report(t(8.0), &campaign, b.replica, b.workunit, honest(b));
+        state.report(t(7.0), &campaign, c.replica, c.workunit, &honest(c));
+        let late = state.report(t(8.0), &campaign, b.replica, b.workunit, &honest(b));
         assert_eq!(late.verdict, Verdict::Late);
-        let again = state.report(t(9.0), &campaign, a.replica, a.workunit, honest(a));
+        let again = state.report(t(9.0), &campaign, a.replica, a.workunit, &honest(a));
         assert_eq!(again.verdict, Verdict::Duplicate);
         assert_eq!(state.agents[&1].ledger.reports, 1, "attributed to nobody");
         // The rest of the campaign, two agents taking turns.
@@ -1451,7 +1315,7 @@ mod tests {
             asked += 1;
             let x = assigned(&mut state, t(10.0), 4 + asked % 2);
             assert_eq!(state.outstanding_len(), 1);
-            state.report(t(10.0), &campaign, x.replica, x.workunit, honest(x));
+            state.report(t(10.0), &campaign, x.replica, x.workunit, &honest(x));
         }
         assert_eq!((state.outstanding_len(), state.lapsed.len()), (0, 0));
         assert!(state.core.replica_count() >= 2 * campaign.len());
@@ -1498,9 +1362,9 @@ mod tests {
             let b = assigned(state, t(now_s), agents.1);
             assert_eq!(a.workunit, b.workunit, "probation pair shares a workunit");
             let out = campaign.compute(campaign.spec(a.workunit));
-            let d1 = state.report(t(now_s + 1.0), campaign, a.replica, a.workunit, out.clone());
+            let d1 = state.report(t(now_s + 1.0), campaign, a.replica, a.workunit, &out);
             assert_eq!(d1.verdict, Verdict::QuorumPending);
-            let d2 = state.report(t(now_s + 2.0), campaign, b.replica, b.workunit, out);
+            let d2 = state.report(t(now_s + 2.0), campaign, b.replica, b.workunit, &out);
             assert_eq!(d2.verdict, Verdict::Accepted);
             now_s += 3.0;
         }
@@ -1526,7 +1390,7 @@ mod tests {
         let b = assigned(&mut state, t(now_s), 2);
         assert_ne!(a.workunit, b.workunit, "trusted issues carry no sibling");
         let out = campaign.compute(campaign.spec(a.workunit));
-        let d = state.report(t(now_s + 1.0), &campaign, a.replica, a.workunit, out);
+        let d = state.report(t(now_s + 1.0), &campaign, a.replica, a.workunit, &out);
         assert_eq!(d.verdict, Verdict::Accepted);
         assert!(d.completed_workunit, "a trusted single completes alone");
     }
@@ -1548,18 +1412,12 @@ mod tests {
             let honest = campaign.compute(campaign.spec(a.workunit));
             let mut corrupt = honest.clone();
             corrupt.rows[0].eelec += 1e-9;
-            state.report(
-                t(now_s + 1.0),
-                &campaign,
-                a.replica,
-                a.workunit,
-                honest.clone(),
-            );
-            let d = state.report(t(now_s + 2.0), &campaign, b.replica, b.workunit, corrupt);
+            state.report(t(now_s + 1.0), &campaign, a.replica, a.workunit, &honest);
+            let d = state.report(t(now_s + 2.0), &campaign, b.replica, b.workunit, &corrupt);
             assert_eq!(d.verdict, Verdict::QuorumRejected, "reject {k}");
             let c = assigned(&mut state, t(now_s + 2.0), 200 + k);
             assert_eq!(c.workunit, a.workunit, "error reissue comes first");
-            let d = state.report(t(now_s + 3.0), &campaign, c.replica, c.workunit, honest);
+            let d = state.report(t(now_s + 3.0), &campaign, c.replica, c.workunit, &honest);
             assert_eq!(d.verdict, Verdict::Accepted);
             now_s += 4.0;
         }
@@ -1597,13 +1455,7 @@ mod tests {
         let now_s = earn_trust(&campaign, &mut state, (1, 2), 5, 0.0);
         let a = assigned(&mut state, t(now_s), 1);
         let honest = campaign.compute(campaign.spec(a.workunit));
-        let d = state.report(
-            t(now_s + 1.0),
-            &campaign,
-            a.replica,
-            a.workunit,
-            honest.clone(),
-        );
+        let d = state.report(t(now_s + 1.0), &campaign, a.replica, a.workunit, &honest);
         assert!(d.completed_workunit, "trusted single");
         // Rate 1.0: the accepted single is queued for audit, and the
         // campaign must not be reported complete until it drains.
@@ -1615,7 +1467,7 @@ mod tests {
             &campaign,
             audit.replica,
             audit.workunit,
-            honest.clone(),
+            &honest,
         );
         assert_eq!(d.verdict, Verdict::SpotConfirmed);
         assert!(!d.completed_workunit, "the workunit was already complete");
@@ -1639,7 +1491,7 @@ mod tests {
         let honest = campaign.compute(campaign.spec(wu));
         let mut corrupt = honest.clone();
         corrupt.rows[0].eelec += 1e-9;
-        let d = state.report(t(now_s + 1.0), &campaign, a.replica, wu, corrupt);
+        let d = state.report(t(now_s + 1.0), &campaign, a.replica, wu, &corrupt);
         assert!(d.completed_workunit, "the poisoned single sails through");
         // Agent 2's independent recomputation disagrees byte-for-byte.
         let audit = assigned(&mut state, t(now_s + 2.0), 2);
@@ -1649,7 +1501,7 @@ mod tests {
             &campaign,
             audit.replica,
             audit.workunit,
-            honest.clone(),
+            &honest,
         );
         assert_eq!(d.verdict, Verdict::SpotMismatch);
         assert_eq!(state.net_stats.spot_checks_failed, 1);
@@ -1667,9 +1519,9 @@ mod tests {
         let c = assigned(&mut state, t(now_s + 4.0), 3);
         assert_eq!(b.workunit, wu, "error reissue comes first");
         assert_eq!(c.workunit, wu, "two replicas for the forced quorum");
-        let d1 = state.report(t(now_s + 5.0), &campaign, b.replica, wu, honest.clone());
+        let d1 = state.report(t(now_s + 5.0), &campaign, b.replica, wu, &honest);
         assert_eq!(d1.verdict, Verdict::QuorumPending);
-        let d2 = state.report(t(now_s + 6.0), &campaign, c.replica, wu, honest.clone());
+        let d2 = state.report(t(now_s + 6.0), &campaign, c.replica, wu, &honest);
         assert_eq!(d2.verdict, Verdict::Accepted);
         assert_eq!(
             state.accepted[wu as usize].as_ref(),

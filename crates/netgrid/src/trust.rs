@@ -29,7 +29,7 @@
 //!   offenders wait twice as long each time.
 //!
 //! All of this state is deliberately plain old data (`Copy`, serde,
-//! `PartialEq`) that changes only inside journaled transitions, so
+//! `PartialEq`) that changes only inside journaled commands, so
 //! journal replay rebuilds it and trust survives `kill -9` exactly like
 //! the scheduler state does (`GridSnapshot` carries it for the tests
 //! that compare the two).

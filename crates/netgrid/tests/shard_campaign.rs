@@ -17,9 +17,9 @@ use gridsim::server::ServerConfig;
 use netgrid::protocol::{read_message, write_message_with};
 use netgrid::shard::ownership_map;
 use netgrid::{
-    merge_artifacts, open_journaled, run_agent, run_mux_fleet, AgentConfig, CampaignParams, Codec,
-    FsyncPolicy, JournalConfig, Message, MuxFleetConfig, NetCampaign, NetRunReport, NetServer,
-    NetServerConfig, ServerFaults, ShardSpec, ShardTopology, TrustConfig,
+    merge_artifacts, run_agent, run_mux_fleet, AgentConfig, CampaignDef, CampaignParams, Codec,
+    FsyncPolicy, JournalConfig, Message, MultiGrid, MuxFleetConfig, NetCampaign, NetRunReport,
+    NetServer, NetServerConfig, ServerFaults, ShardSpec, ShardTopology, TrustConfig,
 };
 use std::net::{TcpListener, TcpStream};
 use std::thread;
@@ -457,7 +457,6 @@ fn journal_of_one_shard_refuses_replay_into_another() {
         fsync: FsyncPolicy::Always,
         ..JournalConfig::new(&dir)
     };
-    let campaign = NetCampaign::build(CampaignParams::tiny());
     let sc = ServerConfig {
         deadline_seconds: 5.0,
         ..ServerConfig::default()
@@ -466,13 +465,16 @@ fn journal_of_one_shard_refuses_replay_into_another() {
         shard_id: 0,
         shards: 2,
     };
+    let open_journaled = |shard| {
+        let roster = vec![CampaignDef::default_solo(CampaignParams::tiny())];
+        MultiGrid::open(roster, sc, ServerFaults::default(), shard, Some(&cfg))
+    };
 
-    let opened = open_journaled(&cfg, &campaign, sc, ServerFaults::default(), shard0)
-        .expect("fresh shard-0 journal opens");
+    let opened = open_journaled(shard0).expect("fresh shard-0 journal opens");
     drop(opened);
 
     // Same shard, same topology: replays fine.
-    let reopened = open_journaled(&cfg, &campaign, sc, ServerFaults::default(), shard0);
+    let reopened = open_journaled(shard0);
     assert!(reopened.is_ok(), "shard 0 reopens its own journal");
     drop(reopened);
 
@@ -493,7 +495,7 @@ fn journal_of_one_shard_refuses_replay_into_another() {
         ),
         ("solo server", ShardSpec::solo()),
     ] {
-        let err = match open_journaled(&cfg, &campaign, sc, ServerFaults::default(), wrong) {
+        let err = match open_journaled(wrong) {
             Ok(_) => panic!("{what} must refuse shard 0's journal"),
             Err(e) => e,
         };

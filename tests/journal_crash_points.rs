@@ -2,9 +2,9 @@
 //!
 //! `tests/netgrid_restart.rs` samples a few crash points of a scripted
 //! history; this file takes every one. A scripted history of 40-odd
-//! records — fetches, reports of every verdict class that can occur
+//! commands — fetches, reports of every verdict class that can occur
 //! without trust, an expiring sweep, a lease out and a lease in — is
-//! journaled once, and then:
+//! journaled once by a one-campaign registry, and then:
 //!
 //! * `wal.bin` is cut at **every byte offset**. Recovery must yield
 //!   exactly the state the live server had after the longest whole-record
@@ -16,13 +16,16 @@
 //!   and none after — either as a torn tail or with `InvalidData`, and
 //!   never panic.
 
+mod common;
+
+use common::OneCampaign;
 use gridsim::server::{ReplicaAssignment, ServerConfig};
 use gridsim::SimTime;
 use maxdo::DockingOutput;
 use netgrid::shard::{lease_id, ownership_map};
 use netgrid::{
-    open_journaled, CampaignParams, FsyncPolicy, GridSnapshot, GridState, JournalConfig,
-    JournalRecord, NetCampaign, RecordReader, ServerFaults, ShardSpec, Verdict, WorkReply,
+    CampaignParams, Command, FsyncPolicy, GridSnapshot, JournalConfig, JournalRecord, NetCampaign,
+    RecordReader, ServerFaults, ShardSpec, Verdict, WorkReply,
 };
 use std::fs;
 use std::io::ErrorKind;
@@ -56,13 +59,13 @@ fn scratch(tag: &str) -> JournalConfig {
     }
 }
 
-fn open(campaign: &NetCampaign, cfg: &JournalConfig) -> std::io::Result<(GridState, f64)> {
-    open_journaled(
-        cfg,
-        campaign,
+fn open(campaign: &NetCampaign, cfg: &JournalConfig) -> std::io::Result<(OneCampaign, f64)> {
+    OneCampaign::open(
+        campaign.params(),
         server_config(),
         ServerFaults::default(),
         SHARD,
+        Some(cfg),
     )
 }
 
@@ -80,8 +83,7 @@ struct History {
 /// Drives the live state, marking the wal length and the state after
 /// every call that journaled a record.
 struct Recorder<'a> {
-    live: GridState,
-    campaign: &'a NetCampaign,
+    live: OneCampaign,
     baseline: &'a [DockingOutput],
     wal: PathBuf,
     marks: Vec<(usize, GridSnapshot)>,
@@ -107,9 +109,7 @@ impl Recorder<'_> {
     }
 
     fn report(&mut self, now: f64, a: ReplicaAssignment, output: DockingOutput) -> Verdict {
-        let d = self
-            .live
-            .report(t(now), self.campaign, a.replica, a.workunit, output);
+        let d = self.live.report(t(now), a.replica, a.workunit, output);
         self.mark();
         d.verdict
     }
@@ -127,7 +127,6 @@ fn scripted_history(
     let (live, _) = open(campaign, cfg).expect("fresh journal opens");
     let mut rec = Recorder {
         live,
-        campaign,
         baseline,
         wal: cfg.dir.join("wal.bin"),
         marks: Vec::new(),
@@ -226,12 +225,7 @@ fn scripted_history(
 /// scripted lease-in is re-offered first (a no-op when the recovered
 /// prefix already holds it — leases are idempotent by id), so every
 /// crash point ends up owning, and validating, the whole catalog.
-fn drain(
-    state: &mut GridState,
-    campaign: &NetCampaign,
-    history: &History,
-    baseline: &[DockingOutput],
-) {
+fn drain(state: &mut OneCampaign, history: &History, baseline: &[DockingOutput]) {
     let mut now = 100.0;
     state.adopt_lease(t(now), history.lease_in.0, &history.lease_in.1);
     while !state.is_campaign_complete() {
@@ -239,7 +233,7 @@ fn drain(
         state.sweep(t(now));
         while let WorkReply::Assigned(a) = state.fetch(t(now), 9) {
             let out = baseline[a.workunit as usize].clone();
-            state.report(t(now), campaign, a.replica, a.workunit, out);
+            state.report(t(now), a.replica, a.workunit, out);
         }
     }
 }
@@ -266,11 +260,14 @@ fn every_wal_truncation_recovers_the_longest_whole_record_prefix() {
         let Some(rec) = reader.next() else { break };
         match rec.expect("the live wal scans cleanly") {
             JournalRecord::Header { .. } => assert_eq!(k, 0),
-            JournalRecord::Fetch { .. } => kinds[0] += 1,
-            JournalRecord::Report { .. } => kinds[1] += 1,
-            JournalRecord::Sweep { .. } => kinds[2] += 1,
-            JournalRecord::LeaseOut { .. } => kinds[3] += 1,
-            JournalRecord::LeaseIn { .. } => kinds[4] += 1,
+            JournalRecord::Applied { command, .. } => match command {
+                Command::Fetch { .. } => kinds[0] += 1,
+                Command::Report { .. } => kinds[1] += 1,
+                Command::Sweep => kinds[2] += 1,
+                Command::Grant { .. } => kinds[3] += 1,
+                Command::Adopt { .. } => kinds[4] += 1,
+                Command::PeerComplete { .. } => panic!("a shard with no peer speaking"),
+            },
         }
         assert_eq!(reader.offset() as usize, history.marks[k].0, "record {k}");
     }
@@ -310,7 +307,7 @@ fn every_wal_truncation_recovers_the_longest_whole_record_prefix() {
         );
         // Once per prefix, at its first (mid-record or boundary) cut.
         if !std::mem::replace(&mut drained[k], true) {
-            drain(&mut recovered, &campaign, &history, &baseline);
+            drain(&mut recovered, &history, &baseline);
             let artifact = recovered.accepted_outputs().expect("campaign complete");
             assert!(
                 serde_json::to_string(&artifact).unwrap() == baseline_json,
@@ -338,10 +335,10 @@ fn a_damaged_report_frame_stops_the_scan_without_misdecoding() {
         .position(|rec| {
             matches!(
                 rec,
-                Ok(JournalRecord::Report {
-                    output: Some(_),
+                Ok(JournalRecord::Applied {
+                    command: Command::Report { output, .. },
                     ..
-                })
+                }) if !output.rows.is_empty()
             )
         })
         .expect("a Report with a payload");

@@ -1,32 +1,42 @@
 //! A golden wal: the disk twin of `crates/netgrid/tests/wire_golden.rs`.
 //!
-//! `tests/data/wal_format4.bin` is a `wal.bin` a journaled, trust-on
-//! shard wrote while a scripted history ran through its public entry
-//! points: a quorum pair, a retransmission, a quorum rejection, a bounds
-//! rejection, an expiry and the late report that follows it, a trusted
-//! single with its spot check (one audit expires and its straggler
-//! reports anyway, the re-served one confirms), one lease out and one
-//! lease in. The file is committed as the generator left it; the literals
-//! below are what that server held when it stopped.
+//! `tests/data/wal_format5.bin` is a `wal.bin` a journaled, trust-on
+//! shard of one campaign wrote while a scripted history ran through its
+//! registry: a quorum pair, a retransmission, a quorum rejection, a
+//! bounds rejection, an expiry and the late report that follows it, a
+//! trusted single with its spot check (one audit expires and its
+//! straggler reports anyway, the re-served one confirms), one lease out
+//! and one lease in. The file is committed as the generator left it; the
+//! literals below are what that server held when it stopped.
 //!
-//! Recovery replays every record through the live entry points and
-//! refuses on the first decision that differs from the recorded one, so
-//! opening the fixture checks each fetch, verdict and expiry count; the
-//! literals check what the decisions added up to. A change that needs the
-//! fixture regenerated or a literal edited has changed what a journal
-//! means — bump `JOURNAL_FORMAT` and refuse the old one instead.
+//! Recovery applies every recorded command again through the live call
+//! and refuses on the first outcome that differs from the recorded one,
+//! so opening the fixture checks each fetch, verdict, expiry and lease;
+//! the literals check what the decisions added up to. A change that
+//! needs the fixture regenerated or a literal edited has changed what a
+//! journal means — bump `JOURNAL_FORMAT` and refuse the old one instead.
+//!
+//! The literals were first recorded from the same history in journal
+//! format 4, whose wal, `tests/data/wal_format4.bin`, stays as the file
+//! this build must refuse by name. Its payloads were docked by the
+//! kernel of that day; the generator reports them again, so the format
+//! changed and the literals did not.
 //!
 //! Regenerate (only with a format bump):
 //! `cargo test --test journal_golden -- --ignored --nocapture`.
 
+mod common;
+
+use common::OneCampaign;
 use gridsim::server::{ReplicaAssignment, ServerConfig};
 use gridsim::SimTime;
-use maxdo::DockingOutput;
+use maxdo::{DockingOutput, DockingRow, EulerZyz, Vec3};
 use netgrid::shard::lease_id;
 use netgrid::{
-    fingerprint, open_journaled, CampaignParams, FsyncPolicy, GridState, JournalConfig,
-    NetCampaign, ServerFaults, ShardSpec, TrustConfig, Verdict, WorkReply,
+    fingerprint, CampaignParams, FsyncPolicy, GridState, JournalConfig, NetCampaign, ServerFaults,
+    ShardSpec, TrustConfig, Verdict, WorkReply,
 };
+use std::collections::HashMap;
 use std::fs;
 use std::path::PathBuf;
 
@@ -65,8 +75,9 @@ fn faults() -> ServerFaults {
     }
 }
 
-fn fixture() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data/wal_format4.bin")
+fn fixture(format: u32) -> PathBuf {
+    let data = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data");
+    data.join(format!("wal_format{format}.bin"))
 }
 
 fn scratch(tag: &str) -> JournalConfig {
@@ -78,8 +89,49 @@ fn scratch(tag: &str) -> JournalConfig {
     }
 }
 
-fn open(campaign: &NetCampaign, cfg: &JournalConfig) -> std::io::Result<(GridState, f64)> {
-    open_journaled(cfg, campaign, server_config(), faults(), SHARD)
+fn open(cfg: &JournalConfig) -> std::io::Result<(OneCampaign, f64)> {
+    let params = CampaignParams::tiny();
+    OneCampaign::open(params, server_config(), faults(), SHARD, Some(cfg))
+}
+
+/// The honest payload of every workunit the format-4 golden reported,
+/// read from its wal: the first payload each workunit's reports kept
+/// (a format-4 `Report` record is tag 1, time, replica, workunit,
+/// verdict, a kept flag, then the payload in the wire's row layout).
+fn format_4_payloads() -> HashMap<u32, DockingOutput> {
+    let wal = fs::read(fixture(4)).unwrap();
+    let (mut off, mut payloads) = (0, HashMap::new());
+    while off < wal.len() {
+        let (_, rec, consumed) = netgrid::protocol::deframe(&wal[off..]).expect("a whole frame");
+        off += consumed;
+        if rec[0] != 1 || rec[22] != 1 {
+            continue;
+        }
+        let f64_at =
+            |row: &[u8], at: usize| f64::from_le_bytes(row[at..at + 8].try_into().unwrap());
+        let u32_at =
+            |row: &[u8], at: usize| u32::from_le_bytes(row[at..at + 4].try_into().unwrap());
+        let rows = rec[35..].chunks_exact(72).map(|row| DockingRow {
+            isep: u32_at(row, 0),
+            irot: u32_at(row, 4),
+            position: Vec3::new(f64_at(row, 8), f64_at(row, 16), f64_at(row, 24)),
+            orientation: EulerZyz {
+                alpha: f64_at(row, 32),
+                beta: f64_at(row, 40),
+                gamma: f64_at(row, 48),
+            },
+            elj: f64_at(row, 56),
+            eelec: f64_at(row, 64),
+        });
+        let evaluations = u64::from_le_bytes(rec[23..31].try_into().unwrap());
+        payloads
+            .entry(u32_at(rec, 17))
+            .or_insert_with(|| DockingOutput {
+                rows: rows.collect(),
+                evaluations,
+            });
+    }
+    payloads
 }
 
 /// What the literals pin, as text: the core's issue accounting, the wire
@@ -100,13 +152,13 @@ fn observed(state: &GridState) -> [String; 4] {
     ]
 }
 
-struct Script<'a> {
-    live: GridState,
-    campaign: &'a NetCampaign,
-    baseline: &'a [DockingOutput],
+struct Script {
+    live: OneCampaign,
+    /// The honest payload of every workunit the history reports.
+    honest: HashMap<u32, DockingOutput>,
 }
 
-impl Script<'_> {
+impl Script {
     fn fetch(&mut self, now: f64, agent: u64) -> ReplicaAssignment {
         match self.live.fetch(t(now), agent) {
             WorkReply::Assigned(a) => a,
@@ -116,12 +168,12 @@ impl Script<'_> {
 
     fn report(&mut self, now: f64, a: ReplicaAssignment, output: DockingOutput) -> Verdict {
         self.live
-            .report(t(now), self.campaign, a.replica, a.workunit, output)
+            .report(t(now), a.replica, a.workunit, output)
             .verdict
     }
 
     fn honest(&self, a: ReplicaAssignment) -> DockingOutput {
-        self.baseline[a.workunit as usize].clone()
+        self.honest[&a.workunit].clone()
     }
 
     /// One honest probation pair between two agents.
@@ -219,7 +271,7 @@ fn scripted_history(s: &mut Script) {
 /// Finishes the campaign honestly from wherever the wal left off; two
 /// agents, so a queued audit always finds somebody who is not its
 /// suspect.
-fn drain(state: &mut GridState, campaign: &NetCampaign, baseline: &[DockingOutput]) {
+fn drain(state: &mut OneCampaign, baseline: &[DockingOutput]) {
     let mut now = 100.0;
     while !state.is_campaign_complete() {
         now += 20.0; // past every deadline the wal left outstanding
@@ -229,29 +281,25 @@ fn drain(state: &mut GridState, campaign: &NetCampaign, baseline: &[DockingOutpu
                 break;
             };
             let out = baseline[a.workunit as usize].clone();
-            state.report(t(now), campaign, a.replica, a.workunit, out);
+            state.report(t(now), a.replica, a.workunit, out);
         }
     }
 }
 
 #[test]
-#[ignore = "writes tests/data/wal_format4.bin; run by hand, and only with a format bump"]
+#[ignore = "writes tests/data/wal_format5.bin; run by hand, and only with a format bump"]
 fn generate_the_fixture() {
-    let campaign = NetCampaign::build(CampaignParams::tiny());
-    let baseline = campaign.baseline_outputs();
     let cfg = scratch("generate");
-    let (live, _) = open(&campaign, &cfg).expect("fresh journal opens");
+    let (live, _) = open(&cfg).expect("fresh journal opens");
     let mut script = Script {
         live,
-        campaign: &campaign,
-        baseline: &baseline,
+        honest: format_4_payloads(),
     };
     scripted_history(&mut script);
     let [server_stats, net_stats, agent_trust, accepted] = observed(&script.live);
     drop(script); // the wal is all that is kept
 
-    fs::create_dir_all(fixture().parent().unwrap()).unwrap();
-    fs::copy(cfg.dir.join("wal.bin"), fixture()).unwrap();
+    fs::copy(cfg.dir.join("wal.bin"), fixture(5)).unwrap();
     println!("const SERVER_STATS: &str = {server_stats:?};");
     println!("const NET_STATS: &str = {net_stats:?};");
     println!("const AGENT_TRUST: &str = {agent_trust:?};");
@@ -265,13 +313,13 @@ fn the_recorded_wal_replays_to_the_recorded_state() {
     let baseline = campaign.baseline_outputs();
     let cfg = scratch("replay");
     fs::create_dir_all(&cfg.dir).unwrap();
-    fs::copy(fixture(), cfg.dir.join("wal.bin")).unwrap();
+    fs::copy(fixture(5), cfg.dir.join("wal.bin")).unwrap();
 
-    let (mut state, resume_s) = open(&campaign, &cfg).expect("every recorded decision replays");
+    let (mut state, resume_s) = open(&cfg).expect("every recorded decision replays");
     assert_eq!(resume_s, 50.0, "the last record's clock");
     assert_eq!(
         fs::read(cfg.dir.join("wal.bin")).unwrap(),
-        fs::read(fixture()).unwrap(),
+        fs::read(fixture(5)).unwrap(),
         "a whole wal is neither cut nor rewritten by recovery"
     );
     let [server_stats, net_stats, agent_trust, accepted] = observed(&state);
@@ -290,7 +338,7 @@ fn the_recorded_wal_replays_to_the_recorded_state() {
         .iter()
         .map(Option::is_some)
         .collect();
-    drain(&mut state, &campaign, &baseline);
+    drain(&mut state, &baseline);
     let mut filled = 0;
     for (wu, out) in state.partial_outputs().iter().enumerate() {
         if let (Some(out), false) = (out, from_wal[wu]) {

@@ -170,7 +170,7 @@ impl Frontend for WireFrontend {
         }
         let d = self
             .state
-            .report(SimTime::new(now), &self.campaign, replica, wu, output);
+            .report(SimTime::new(now), &self.campaign, replica, wu, &output);
         let erroneous = matches!(d.verdict, Verdict::BoundsRejected | Verdict::QuorumRejected);
         self.log.push(format!(
             "report wu={wu} completed={} erroneous={erroneous}",
@@ -361,7 +361,7 @@ fn trust_scripted_history_is_deterministic_with_bounded_replication() {
                         &campaign,
                         a.replica,
                         a.workunit,
-                        out,
+                        &out,
                     );
                     log.push(format!(
                         "agent={agent} wu={} verdict={:?} complete={}",
