@@ -59,6 +59,9 @@
 use netgrid::{
     CampaignDef, FsyncPolicy, JournalConfig, NetServer, NetServerConfig, ShardSpec, ShardTopology,
 };
+use std::fs::{self, File};
+use std::io;
+use std::path::Path;
 
 fn usage() -> ! {
     eprintln!(
@@ -87,6 +90,24 @@ fn campaign_out_path(base: &str, name: &str) -> String {
         }
         _ => format!("{base}.{name}"),
     }
+}
+
+/// Writes `value` to `path` as compact JSON, whole or not at all: the
+/// text streams into `PATH.tmp`, which is synced, renamed over `path`,
+/// and the rename synced through the directory. A crash leaves the old
+/// file or none under `path`, never a torn one that a reader or a `cmp`
+/// would take for the artifact.
+fn write_json_file<T: serde::Serialize>(path: &str, value: &T) -> io::Result<()> {
+    let tmp = format!("{path}.tmp");
+    let mut file = File::create(&tmp)?;
+    serde_json::to_writer(&mut file, value).map_err(io::Error::other)?;
+    file.sync_all()?;
+    fs::rename(&tmp, path)?;
+    let dir = match Path::new(path).parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    File::open(dir)?.sync_all()
 }
 
 fn main() {
@@ -305,9 +326,7 @@ fn main() {
                 );
             }
             if let Some(path) = &trust_state_out {
-                let json =
-                    serde_json::to_string(&report.agent_trust).expect("AgentTrust serializes");
-                if let Err(e) = std::fs::write(path, json) {
+                if let Err(e) = write_json_file(path, &report.agent_trust) {
                     eprintln!("hcmd-server: cannot write trust state {path}: {e}");
                     telemetry::shutdown();
                     std::process::exit(1);
@@ -327,12 +346,11 @@ fn main() {
                         1 => path.clone(),
                         _ => campaign_out_path(path, &c.name),
                     };
-                    let json = match report.shard.shards {
-                        1 => serde_json::to_string(&c.outputs),
-                        _ => serde_json::to_string(&c.partial_outputs),
-                    }
-                    .expect("DockingOutput serializes");
-                    if let Err(e) = std::fs::write(&path, json) {
+                    let written = match report.shard.shards {
+                        1 => write_json_file(&path, &c.outputs),
+                        _ => write_json_file(&path, &c.partial_outputs),
+                    };
+                    if let Err(e) = written {
                         eprintln!("hcmd-server: cannot write artifact {path}: {e}");
                         telemetry::shutdown();
                         std::process::exit(1);
