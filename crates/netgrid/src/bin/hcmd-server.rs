@@ -225,6 +225,12 @@ fn main() {
 
     let server = match NetServer::bind(config) {
         Ok(s) => s,
+        // A setting the server cannot honour (a NaN, a non-positive
+        // deadline, no proteins, a shard that is not in its topology).
+        Err(e) if e.kind() == io::ErrorKind::InvalidInput => {
+            eprintln!("hcmd-server: configuration error: {e}");
+            std::process::exit(2);
+        }
         Err(e) => {
             eprintln!("hcmd-server: bind failed: {e}");
             std::process::exit(1);

@@ -31,6 +31,8 @@
 //!   steering links to peer shards and ops scrapes alike — keeps the
 //!   sweep, fsync and steering timers, and tells the core in
 //!   [`registry`] what happened and when; it decides nothing;
+//! * [`ops`] — the read-only HTTP endpoint (`GET /metrics`, `GET /`):
+//!   renders the server's `MultiGrid` in place, between two frames;
 //! * [`agent`] — the volunteer: its protocol decisions as a sans-IO
 //!   state machine, and the blocking driver that runs one with a socket
 //!   and real multicore docking (fetch → dock → checkpoint → report);
@@ -87,7 +89,7 @@ pub use registry::{CampaignDef, Command, MultiGrid, Outcome, Slot};
 pub use server::{CampaignRunReport, NetRunReport, NetServer, NetServerConfig, ShardTopology};
 pub use shard::{merge_artifact_json, merge_artifacts, shard_of, ShardSpec};
 pub use state::{
-    fingerprint, AgentLedger, CampaignOps, GridSnapshot, GridState, JournalOps, NetStats,
-    OpsSnapshot, ResultDisposition, ShardOps, TrustSummary, Verdict, WorkReply,
+    fingerprint, AgentLedger, GridSnapshot, GridState, NetStats, ResultDisposition, TrustSummary,
+    Verdict, WorkReply,
 };
 pub use trust::{AgentTrust, TrustBand, TrustConfig};

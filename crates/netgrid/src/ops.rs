@@ -8,8 +8,8 @@
 //! server's event loop.
 //!
 //! * `GET /metrics` — Prometheus text exposition: every registry metric
-//!   (via `telemetry::exposition`) plus the scheduler-state families
-//!   rendered from an [`OpsSnapshot`].
+//!   (via `telemetry::exposition`) plus the scheduler-state families,
+//!   read from the [`MultiGrid`] the endpoint is served from.
 //! * `GET /` — a self-contained HTML status page (inline CSS, no
 //!   external assets, meta-refresh): per-receptor progression, virtual
 //!   full-time processors, workunit state counts, reissue and
@@ -24,10 +24,11 @@
 //! connection that makes no progress for [`IDLE_CAP`] is closed on the
 //! next sweep tick, and the response is written with nonblocking
 //! writes at the scraper's pace. What a request costs the grid is one
-//! [`MultiGrid::ops_snapshot`] — a copy of counters and short vecs —
-//! plus one render, both on the loop between two agent frames; a
-//! request that does not parse to a known GET route is answered 4xx/405
-//! before any scheduler state is read. `benchmarks/gridbench` reports
+//! render on the loop between two agent frames: it reads the registry
+//! in place — counters, and one walk of each campaign's workunit states
+//! — and copies nothing out first. A request that does not parse to a
+//! known GET route is answered 4xx/405 before any scheduler state is
+//! read. `benchmarks/gridbench` reports
 //! that cost from the scraper's side as `ops.scrape_p50_us`.
 //!
 //! The endpoint keeps answering for [`LINGER`] after the campaign
@@ -35,7 +36,7 @@
 //! state before the socket closes.
 
 use crate::registry::MultiGrid;
-use crate::state::OpsSnapshot;
+use gridsim::WuStateCounts;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -71,12 +72,11 @@ pub(crate) fn respond(
         match head.and_then(parse_request_line) {
             Ok(("GET", "/metrics")) => Response::ok(
                 "text/plain; version=0.0.4; charset=utf-8",
-                render_metrics(&grid.ops_snapshot()),
+                render_metrics(grid),
             ),
-            Ok(("GET", "/" | "/index.html")) => Response::ok(
-                "text/html; charset=utf-8",
-                render_dashboard(&grid.ops_snapshot()),
-            ),
+            Ok(("GET", "/" | "/index.html")) => {
+                Response::ok("text/html; charset=utf-8", render_dashboard(grid))
+            }
             Ok(("GET", _)) => Response::error(404, "not found\n"),
             Ok(_) => Response::error(405, "only GET is served here\n"),
             Err(status) => Response::error(status, "malformed request\n"),
@@ -162,32 +162,36 @@ impl Response {
 
 /// Renders the full `/metrics` document: the telemetry registry first
 /// (empty when the `telemetry` feature is off), then the scheduler
-/// families from the ops snapshot.
-pub fn render_metrics(snap: &OpsSnapshot) -> String {
+/// families read from `grid`. The unlabelled families describe slot 0,
+/// the default campaign; the `hcmd_campaign_*` ones have a row per
+/// campaign, in slot order.
+pub fn render_metrics(grid: &MultiGrid) -> String {
     let mut doc = telemetry::render_snapshot(&telemetry::snapshot());
     let mut r = TextRenderer::new();
+    let slots = grid.slots();
+    let state = &slots[0].state;
+    let core = state.core();
+    let (stats, net) = (core.stats, state.net_stats);
+    let wu_counts = wu_state_counts(grid);
+    let wu = wu_counts[0];
 
     let n = r.family(
         "hcmd_wu_states",
         MetricKind::Gauge,
         "Workunit state counts by lifecycle state",
     );
-    r.sample(&n, &[("state", "total")], snap.wu.total as f64);
-    r.sample(&n, &[("state", "issued")], snap.wu.issued as f64);
-    r.sample(&n, &[("state", "in_flight")], snap.wu.in_flight as f64);
-    r.sample(
-        &n,
-        &[("state", "quorum_pending")],
-        snap.wu.quorum_pending as f64,
-    );
-    r.sample(&n, &[("state", "done")], snap.wu.done as f64);
+    r.sample(&n, &[("state", "total")], wu.total as f64);
+    r.sample(&n, &[("state", "issued")], wu.issued as f64);
+    r.sample(&n, &[("state", "in_flight")], wu.in_flight as f64);
+    r.sample(&n, &[("state", "quorum_pending")], wu.quorum_pending as f64);
+    r.sample(&n, &[("state", "done")], wu.done as f64);
 
     let n = r.family(
         "hcmd_receptor_workunits",
         MetricKind::Gauge,
         "Per-receptor workunit progression (paper Fig. 1)",
     );
-    for p in &snap.receptors {
+    for p in core.receptor_progress() {
         let receptor = p.receptor.to_string();
         r.sample(
             &n,
@@ -206,141 +210,134 @@ pub fn render_metrics(snap: &OpsSnapshot) -> String {
         MetricKind::Counter,
         "Replicas issued by cause",
     );
-    r.sample(
-        &n,
-        &[("cause", "initial")],
-        snap.stats.initial_issues as f64,
-    );
-    r.sample(&n, &[("cause", "quorum")], snap.stats.quorum_issues as f64);
-    r.sample(
-        &n,
-        &[("cause", "timeout")],
-        snap.stats.timeout_reissues as f64,
-    );
-    r.sample(&n, &[("cause", "error")], snap.stats.error_reissues as f64);
+    r.sample(&n, &[("cause", "initial")], stats.initial_issues as f64);
+    r.sample(&n, &[("cause", "quorum")], stats.quorum_issues as f64);
+    r.sample(&n, &[("cause", "timeout")], stats.timeout_reissues as f64);
+    r.sample(&n, &[("cause", "error")], stats.error_reissues as f64);
 
     let n = r.family(
         "hcmd_results_received",
         MetricKind::Counter,
         "Results received over the campaign",
     );
-    r.sample(&n, &[], snap.results_received as f64);
+    r.sample(&n, &[], core.results_received as f64);
     let n = r.family(
         "hcmd_results_useful",
         MetricKind::Counter,
         "Useful (non-redundant, valid) results",
     );
-    r.sample(&n, &[], snap.results_useful as f64);
+    r.sample(&n, &[], core.results_useful as f64);
 
     let n = r.family(
         "hcmd_results_rejected",
         MetricKind::Counter,
         "Results rejected by validation layer",
     );
-    r.sample(
-        &n,
-        &[("layer", "quorum")],
-        snap.net_stats.quorum_rejected as f64,
-    );
-    r.sample(
-        &n,
-        &[("layer", "bounds")],
-        snap.net_stats.bounds_rejected as f64,
-    );
+    r.sample(&n, &[("layer", "quorum")], net.quorum_rejected as f64);
+    r.sample(&n, &[("layer", "bounds")], net.bounds_rejected as f64);
 
     let n = r.family(
         "hcmd_redundancy_factor",
         MetricKind::Gauge,
         "Results received / useful results (paper section 6)",
     );
-    r.sample(&n, &[], snap.redundancy_factor);
+    r.sample(&n, &[], core.redundancy_factor());
 
     let n = r.family(
         "hcmd_virtual_full_time_processors",
         MetricKind::Gauge,
         "Validated reference CPU seconds / campaign seconds (paper section 3.1)",
     );
-    r.sample(&n, &[], vftp(snap));
+    r.sample(&n, &[], vftp(grid));
 
     let n = r.family(
         "hcmd_outstanding_replicas",
         MetricKind::Gauge,
         "Issued, unreported, unexpired replicas",
     );
-    r.sample(&n, &[], snap.outstanding_replicas as f64);
+    r.sample(&n, &[], state.outstanding_len() as f64);
 
     let n = r.family(
         "hcmd_reissue_queue_depth",
         MetricKind::Gauge,
         "Workunits queued for another replica",
     );
-    r.sample(&n, &[], snap.reissue_queue_depth as f64);
+    r.sample(&n, &[], core.reissue_queue_depth() as f64);
 
     let n = r.family(
         "hcmd_quorum_candidate_workunits",
         MetricKind::Gauge,
         "Incomplete workunits holding quorum candidates",
     );
-    r.sample(&n, &[], snap.quorum_candidate_workunits as f64);
+    r.sample(&n, &[], state.quorum_candidate_workunits() as f64);
 
     let n = r.family(
         "hcmd_deadline_expiries",
         MetricKind::Counter,
         "Replica deadlines expired by the sweeper",
     );
-    r.sample(&n, &[], snap.net_stats.deadline_expiries as f64);
+    r.sample(&n, &[], net.deadline_expiries as f64);
 
     let n = r.family(
         "hcmd_backoffs_sent",
         MetricKind::Counter,
         "Fetches answered with a backoff",
     );
-    r.sample(&n, &[], snap.net_stats.backoffs_sent as f64);
+    r.sample(&n, &[], net.backoffs_sent as f64);
 
     let n = r.family(
         "hcmd_agents_seen",
         MetricKind::Gauge,
         "Agents that have fetched or reported",
     );
-    r.sample(&n, &[], snap.agents.len() as f64);
+    r.sample(&n, &[], state.agent_ledgers().len() as f64);
 
     let n = r.family(
         "hcmd_server_clock_seconds",
         MetricKind::Gauge,
         "Latest server-clock second any entry point has seen",
     );
-    r.sample(&n, &[], snap.last_now);
+    r.sample(&n, &[], grid.last_now());
 
     let n = r.family(
         "hcmd_campaign_complete",
         MetricKind::Gauge,
         "1 once every workunit validated",
     );
-    r.sample(&n, &[], if snap.campaign_complete { 1.0 } else { 0.0 });
+    r.sample(
+        &n,
+        &[],
+        if state.is_campaign_complete() {
+            1.0
+        } else {
+            0.0
+        },
+    );
 
-    if let Some(j) = &snap.journal {
+    if let Some((records, bytes)) = grid.wal_size() {
         let n = r.family(
             "hcmd_journal_wal_records",
             MetricKind::Gauge,
             "Command records in the server's write-ahead journal (what a restart replays)",
         );
-        r.sample(&n, &[], j.wal_records as f64);
+        r.sample(&n, &[], records as f64);
         let n = r.family(
             "hcmd_journal_wal_bytes",
             MetricKind::Gauge,
             "Size of the write-ahead journal in bytes",
         );
-        r.sample(&n, &[], j.wal_bytes as f64);
+        r.sample(&n, &[], bytes as f64);
     }
 
-    if let Some(sh) = &snap.shard {
+    let spec = grid.spec();
+    if spec.shards > 1 {
         let n = r.family(
             "hcmd_shard_info",
             MetricKind::Gauge,
             "Shard identity: always 1, labelled with shard id and topology size",
         );
-        let shard_id = sh.shard_id.to_string();
-        let shards = sh.shards.to_string();
+        let shard_id = spec.shard_id.to_string();
+        let shards = spec.shards.to_string();
         r.sample(
             &n,
             &[("shard", shard_id.as_str()), ("shards", shards.as_str())],
@@ -351,49 +348,33 @@ pub fn render_metrics(snap: &OpsSnapshot) -> String {
             MetricKind::Gauge,
             "Workunits this shard currently owns (initial partition plus leases)",
         );
-        r.sample(&n, &[], sh.owned_workunits as f64);
+        r.sample(&n, &[], core.owned_count() as f64);
         let n = r.family(
             "hcmd_shard_fresh_backlog",
             MetricKind::Gauge,
             "Owned workunits never yet issued to any agent",
         );
-        r.sample(&n, &[], sh.fresh_backlog as f64);
+        r.sample(&n, &[], core.fresh_backlog() as f64);
         let n = r.family(
             "hcmd_shard_redirects",
             MetricKind::Counter,
             "Drained-shard fetches answered with a redirect to a loaded peer",
         );
-        r.sample(&n, &[], snap.net_stats.shard_redirects as f64);
+        r.sample(&n, &[], net.shard_redirects as f64);
         let n = r.family(
             "hcmd_shard_leases",
             MetricKind::Counter,
             "Work-stealing leases by direction (out = granted, in = adopted)",
         );
-        r.sample(
-            &n,
-            &[("direction", "out")],
-            snap.net_stats.shard_leases_out as f64,
-        );
-        r.sample(
-            &n,
-            &[("direction", "in")],
-            snap.net_stats.shard_leases_in as f64,
-        );
+        r.sample(&n, &[("direction", "out")], net.shard_leases_out as f64);
+        r.sample(&n, &[("direction", "in")], net.shard_leases_in as f64);
         let n = r.family(
             "hcmd_shard_leased_workunits",
             MetricKind::Counter,
             "Workunits moved by work-stealing leases, by direction",
         );
-        r.sample(
-            &n,
-            &[("direction", "out")],
-            snap.net_stats.shard_wus_leased_out as f64,
-        );
-        r.sample(
-            &n,
-            &[("direction", "in")],
-            snap.net_stats.shard_wus_leased_in as f64,
-        );
+        r.sample(&n, &[("direction", "out")], net.shard_wus_leased_out as f64);
+        r.sample(&n, &[("direction", "in")], net.shard_wus_leased_in as f64);
     }
 
     let n = r.family(
@@ -401,16 +382,17 @@ pub fn render_metrics(snap: &OpsSnapshot) -> String {
         MetricKind::Gauge,
         "Reference CPU seconds burned on results that were not useful",
     );
-    r.sample(&n, &[], snap.wasted_ref_seconds);
+    r.sample(&n, &[], state.wasted_ref_seconds());
 
+    let trust = state.trust_summary(grid.last_now());
     let n = r.family(
         "hcmd_trust_enabled",
         MetricKind::Gauge,
         "1 when trust-adaptive replication is on",
     );
-    r.sample(&n, &[], if snap.trust.is_some() { 1.0 } else { 0.0 });
+    r.sample(&n, &[], if trust.is_some() { 1.0 } else { 0.0 });
 
-    if let Some(t) = &snap.trust {
+    if let Some(t) = &trust {
         let n = r.family(
             "hcmd_trust_band_agents",
             MetricKind::Gauge,
@@ -434,153 +416,155 @@ pub fn render_metrics(snap: &OpsSnapshot) -> String {
             MetricKind::Counter,
             "Fetches refused because the agent is quarantined",
         );
-        r.sample(&n, &[], snap.net_stats.trust_denied_fetches as f64);
+        r.sample(&n, &[], net.trust_denied_fetches as f64);
 
         let n = r.family(
             "hcmd_trust_workunits_invalidated",
             MetricKind::Counter,
             "Validated workunits retracted after a failed spot check",
         );
-        r.sample(&n, &[], snap.net_stats.workunits_invalidated as f64);
+        r.sample(&n, &[], net.workunits_invalidated as f64);
 
         let n = r.family(
             "hcmd_trust_agent_score",
             MetricKind::Gauge,
             "Per-agent accept ratio over the current scoring window",
         );
-        for (agent, score, _band) in &snap.agents_trust {
+        for (agent, trust) in state.agent_trust_table() {
             let agent = agent.to_string();
-            r.sample(&n, &[("agent", agent.as_str())], *score);
+            r.sample(&n, &[("agent", agent.as_str())], trust.score());
         }
     }
 
-    if !snap.campaigns.is_empty() {
-        let n = r.family(
-            "hcmd_campaign_share",
-            MetricKind::Gauge,
-            "Configured fair-share weight per campaign",
-        );
-        for c in &snap.campaigns {
-            r.sample(&n, &[("campaign", c.name.as_str())], c.share);
-        }
-        let n = r.family(
-            "hcmd_campaign_delivered_ref_seconds",
-            MetricKind::Counter,
-            "Validated reference CPU seconds delivered per campaign",
-        );
-        for c in &snap.campaigns {
-            r.sample(
-                &n,
-                &[("campaign", c.name.as_str())],
-                c.delivered_ref_seconds,
-            );
-        }
-        let n = r.family(
-            "hcmd_campaign_deficit",
-            MetricKind::Gauge,
-            "Fair-share deficit (positive = campaign is owed work)",
-        );
-        for c in &snap.campaigns {
-            r.sample(&n, &[("campaign", c.name.as_str())], c.deficit);
-        }
-        let n = r.family(
-            "hcmd_campaign_borrows_total",
-            MetricKind::Counter,
-            "Issues a campaign borrowed while higher-deficit peers were drained",
-        );
-        for c in &snap.campaigns {
-            r.sample(&n, &[("campaign", c.name.as_str())], c.borrows as f64);
-        }
-        let n = r.family(
-            "hcmd_campaign_workunits",
-            MetricKind::Gauge,
-            "Per-campaign workunit progression",
-        );
-        for c in &snap.campaigns {
-            r.sample(
-                &n,
-                &[("campaign", c.name.as_str()), ("state", "done")],
-                c.workunits_done as f64,
-            );
-            r.sample(
-                &n,
-                &[("campaign", c.name.as_str()), ("state", "total")],
-                c.workunits as f64,
-            );
-        }
-        let n = r.family(
-            "hcmd_campaign_fresh_backlog",
-            MetricKind::Gauge,
-            "Per-campaign workunits never yet issued to any agent",
-        );
-        for c in &snap.campaigns {
-            r.sample(&n, &[("campaign", c.name.as_str())], c.fresh_backlog as f64);
-        }
-        let n = r.family(
-            "hcmd_campaign_done",
-            MetricKind::Gauge,
-            "1 once every workunit of the campaign validated",
-        );
-        for c in &snap.campaigns {
-            r.sample(
-                &n,
-                &[("campaign", c.name.as_str())],
-                if c.complete { 1.0 } else { 0.0 },
-            );
-        }
-        let n = r.family(
-            "hcmd_campaign_share_error",
-            MetricKind::Gauge,
-            "Max absolute deviation between delivered and configured shares",
-        );
-        r.sample(&n, &[], snap.campaign_share_error);
-        let n = r.family(
-            "hcmd_campaign_cross_quarantine_denials_total",
-            MetricKind::Counter,
-            "Fetches refused because the agent is quarantined in another campaign",
-        );
-        r.sample(&n, &[], snap.cross_quarantine_denials as f64);
+    let fair = grid.fair();
+    let n = r.family(
+        "hcmd_campaign_share",
+        MetricKind::Gauge,
+        "Configured fair-share weight per campaign",
+    );
+    for (i, s) in slots.iter().enumerate() {
+        r.sample(&n, &[("campaign", s.def.name.as_str())], fair.share(i));
     }
+    let n = r.family(
+        "hcmd_campaign_delivered_ref_seconds",
+        MetricKind::Counter,
+        "Validated reference CPU seconds delivered per campaign",
+    );
+    for (i, s) in slots.iter().enumerate() {
+        r.sample(&n, &[("campaign", s.def.name.as_str())], fair.delivered(i));
+    }
+    let n = r.family(
+        "hcmd_campaign_deficit",
+        MetricKind::Gauge,
+        "Fair-share deficit (positive = campaign is owed work)",
+    );
+    for (i, s) in slots.iter().enumerate() {
+        r.sample(&n, &[("campaign", s.def.name.as_str())], fair.deficit(i));
+    }
+    let n = r.family(
+        "hcmd_campaign_borrows_total",
+        MetricKind::Counter,
+        "Issues a campaign borrowed while higher-deficit peers were drained",
+    );
+    for (i, s) in slots.iter().enumerate() {
+        let borrows = fair.borrows(i) as f64;
+        r.sample(&n, &[("campaign", s.def.name.as_str())], borrows);
+    }
+    let n = r.family(
+        "hcmd_campaign_workunits",
+        MetricKind::Gauge,
+        "Per-campaign workunit progression",
+    );
+    for (s, wu) in slots.iter().zip(&wu_counts) {
+        let campaign = ("campaign", s.def.name.as_str());
+        r.sample(&n, &[campaign, ("state", "done")], wu.done as f64);
+        r.sample(&n, &[campaign, ("state", "total")], wu.total as f64);
+    }
+    let n = r.family(
+        "hcmd_campaign_fresh_backlog",
+        MetricKind::Gauge,
+        "Per-campaign workunits never yet issued to any agent",
+    );
+    for s in slots {
+        let fresh = s.state.core().fresh_backlog() as f64;
+        r.sample(&n, &[("campaign", s.def.name.as_str())], fresh);
+    }
+    let n = r.family(
+        "hcmd_campaign_done",
+        MetricKind::Gauge,
+        "1 once every workunit of the campaign validated",
+    );
+    for s in slots {
+        let done = if s.state.is_campaign_complete() {
+            1.0
+        } else {
+            0.0
+        };
+        r.sample(&n, &[("campaign", s.def.name.as_str())], done);
+    }
+    let n = r.family(
+        "hcmd_campaign_share_error",
+        MetricKind::Gauge,
+        "Max absolute deviation between delivered and configured shares",
+    );
+    r.sample(&n, &[], grid.share_error());
+    let n = r.family(
+        "hcmd_campaign_cross_quarantine_denials_total",
+        MetricKind::Counter,
+        "Fetches refused because the agent is quarantined in another campaign",
+    );
+    r.sample(&n, &[], grid.cross_quarantine_denials as f64);
 
     doc.push_str(&r.finish());
     doc
 }
 
-/// §3.1 virtual full-time processors: validated reference CPU seconds
-/// over elapsed campaign seconds.
-fn vftp(snap: &OpsSnapshot) -> f64 {
-    if snap.last_now <= 0.0 {
+/// Every campaign's workunit state counts, in slot order: one walk of
+/// each campaign's workunit states, however many lines show them.
+fn wu_state_counts(grid: &MultiGrid) -> Vec<WuStateCounts> {
+    let slots = grid.slots().iter();
+    slots.map(|s| s.state.core().wu_state_counts()).collect()
+}
+
+/// §3.1 virtual full-time processors of the default campaign:
+/// validated reference CPU seconds over elapsed campaign seconds.
+fn vftp(grid: &MultiGrid) -> f64 {
+    let now = grid.last_now();
+    if now <= 0.0 {
         0.0
     } else {
-        snap.completed_ref_seconds / snap.last_now
+        grid.slots()[0].state.core().completed_ref_seconds() / now
     }
 }
 
 /// Renders the self-contained HTML status page. Inline CSS only, no
 /// external assets, no script beyond the meta-refresh — the page must
 /// render from an air-gapped operator console.
-pub fn render_dashboard(snap: &OpsSnapshot) -> String {
-    let wu = &snap.wu;
+pub fn render_dashboard(grid: &MultiGrid) -> String {
+    let state = &grid.slots()[0].state;
+    let core = state.core();
+    let (stats, now) = (core.stats, grid.last_now());
+    let wu_counts = wu_state_counts(grid);
+    let wu = wu_counts[0];
     let pct = if wu.total == 0 {
         0.0
     } else {
         100.0 * wu.done as f64 / wu.total as f64
     };
-    let reissues =
-        snap.stats.quorum_issues + snap.stats.timeout_reissues + snap.stats.error_reissues;
-    let reissue_rate = if snap.stats.total_issues() == 0 {
+    let reissues = stats.quorum_issues + stats.timeout_reissues + stats.error_reissues;
+    let reissue_rate = if stats.total_issues() == 0 {
         0.0
     } else {
-        100.0 * reissues as f64 / snap.stats.total_issues() as f64
+        100.0 * reissues as f64 / stats.total_issues() as f64
     };
-    let qreject_rate = if snap.results_received == 0 {
+    let qreject_rate = if core.results_received == 0 {
         0.0
     } else {
-        100.0 * snap.net_stats.quorum_rejected as f64 / snap.results_received as f64
+        100.0 * state.net_stats.quorum_rejected as f64 / core.results_received as f64
     };
 
     let mut receptor_rows = String::new();
-    for p in &snap.receptors {
+    for p in core.receptor_progress() {
         let rpct = if p.total == 0 {
             0.0
         } else {
@@ -594,20 +578,17 @@ pub fn render_dashboard(snap: &OpsSnapshot) -> String {
         ));
     }
 
-    let trust_on = snap.trust.is_some();
-    let trust_of = |agent: u64| -> String {
-        snap.agents_trust
-            .iter()
-            .find(|&&(a, _, _)| a == agent)
-            .map(|&(_, score, band)| format!("{band:?} ({score:.2})"))
-            .unwrap_or_else(|| "&mdash;".into())
-    };
+    let trust = state.trust_summary(now);
+    let ledgers = state.agent_ledgers();
     let mut agent_rows = String::new();
-    for (agent, l) in &snap.agents {
-        let trust_cell = if trust_on {
-            format!("<td>{}</td>", trust_of(*agent))
-        } else {
-            String::new()
+    for &(agent, l) in &ledgers {
+        // `None` for every agent exactly when the policy is off.
+        let trust_cell = match state.agent_trust(agent) {
+            Some(t) => {
+                let band = t.band(now, &state.trust_config());
+                format!("<td>{band:?} ({:.2})</td>", t.score())
+            }
+            None => String::new(),
         };
         agent_rows.push_str(&format!(
             "<tr><td>{agent}</td><td class=\"num\">{}</td><td class=\"num\">{}</td>\
@@ -615,29 +596,35 @@ pub fn render_dashboard(snap: &OpsSnapshot) -> String {
             l.assignments, l.reports, l.accepted, l.rejected, l.last_seen_s, trust_cell
         ));
     }
-    let trust_th = if trust_on { "<th>Trust</th>" } else { "" };
+    let trust_th = if trust.is_some() {
+        "<th>Trust</th>"
+    } else {
+        ""
+    };
 
-    let journal_tile = match &snap.journal {
-        Some(j) => format!(
+    let journal_tile = match grid.wal_size() {
+        Some((records, bytes)) => format!(
             "<div class=\"tile\"><div class=\"label\">Journal records / bytes</div>\
-             <div class=\"value\">{} / {}</div></div>",
-            j.wal_records, j.wal_bytes
+             <div class=\"value\">{records} / {bytes}</div></div>"
         ),
         None => "<div class=\"tile\"><div class=\"label\">Journal</div>\
              <div class=\"value\">off</div></div>"
             .into(),
     };
 
-    let shard_tile = match &snap.shard {
-        Some(sh) => format!(
+    let spec = grid.spec();
+    let shard_tile = match spec.shards {
+        1 => String::new(),
+        shards => format!(
             "<div class=\"tile\"><div class=\"label\">Shard (owned / fresh)</div>\
-             <div class=\"value\">{} of {} ({} / {})</div></div>",
-            sh.shard_id, sh.shards, sh.owned_workunits, sh.fresh_backlog
+             <div class=\"value\">{} of {shards} ({} / {})</div></div>",
+            spec.shard_id,
+            core.owned_count(),
+            core.fresh_backlog()
         ),
-        None => String::new(),
     };
 
-    let trust_tile = match &snap.trust {
+    let trust_tile = match &trust {
         Some(t) => format!(
             "<div class=\"tile\"><div class=\"label\">Trust bands T/P/U/Q</div>\
              <div class=\"value\">{} / {} / {} / {}</div></div>\
@@ -655,45 +642,35 @@ pub fn render_dashboard(snap: &OpsSnapshot) -> String {
             .into(),
     };
 
-    let campaign_section = if snap.campaigns.is_empty() {
-        String::new()
-    } else {
-        let total_delivered: f64 = snap.campaigns.iter().map(|c| c.delivered_ref_seconds).sum();
-        let mut rows = String::new();
-        for c in &snap.campaigns {
-            let got = if total_delivered > 0.0 {
-                100.0 * c.delivered_ref_seconds / total_delivered
-            } else {
-                0.0
-            };
-            let cpct = if c.workunits == 0 {
-                0.0
-            } else {
-                100.0 * c.workunits_done as f64 / c.workunits as f64
-            };
-            rows.push_str(&format!(
-                "<tr><td>{}</td><td class=\"num\">{:.0}%</td><td class=\"num\">{got:.1}%</td>\
-                 <td class=\"num\">{}</td><td class=\"num\">{}/{}</td>\
-                 <td class=\"barcell\"><div class=\"bar\"><span style=\"width:{cpct:.1}%\"></span></div></td>\
-                 <td class=\"num\">{}</td></tr>\n",
-                c.name,
-                100.0 * c.share,
-                c.priority,
-                c.workunits_done,
-                c.workunits,
-                c.borrows,
-            ));
-        }
-        format!(
-            "<h2>Campaigns (share error {err:.3})</h2>\n<table>\n\
-             <thead><tr><th>Campaign</th><th>Share</th><th>Delivered</th>\
-             <th>Priority</th><th>Done</th><th></th><th>Borrows</th></tr></thead>\n\
-             <tbody>\n{rows}</tbody>\n</table>\n",
-            err = snap.campaign_share_error,
-        )
-    };
+    let fair = grid.fair();
+    let total_delivered = fair.total_delivered();
+    let mut campaign_rows = String::new();
+    for (i, (s, c)) in grid.slots().iter().zip(&wu_counts).enumerate() {
+        let got = if total_delivered > 0.0 {
+            100.0 * fair.delivered(i) / total_delivered
+        } else {
+            0.0
+        };
+        let cpct = if c.total == 0 {
+            0.0
+        } else {
+            100.0 * c.done as f64 / c.total as f64
+        };
+        campaign_rows.push_str(&format!(
+            "<tr><td>{}</td><td class=\"num\">{:.0}%</td><td class=\"num\">{got:.1}%</td>\
+             <td class=\"num\">{}</td><td class=\"num\">{}/{}</td>\
+             <td class=\"barcell\"><div class=\"bar\"><span style=\"width:{cpct:.1}%\"></span></div></td>\
+             <td class=\"num\">{}</td></tr>\n",
+            s.def.name,
+            100.0 * fair.share(i),
+            s.def.priority,
+            c.done,
+            c.total,
+            fair.borrows(i),
+        ));
+    }
 
-    let status = if snap.campaign_complete {
+    let status = if state.is_campaign_complete() {
         "complete"
     } else {
         "running"
@@ -754,7 +731,7 @@ td.barcell {{ width: 220px; }}
 </head>
 <body>
 <h1>hcmd campaign ops</h1>
-<div class="sub">status: {status} &middot; server clock {last_now:.1}s &middot; auto-refresh 2s</div>
+<div class="sub">status: {status} &middot; server clock {now:.1}s &middot; auto-refresh 2s</div>
 <div class="progress"><span style="width:{pct:.2}%"></span></div>
 <div class="tiles">
   <div class="tile"><div class="label">Workunits done</div><div class="value">{done}/{total}</div></div>
@@ -769,7 +746,13 @@ td.barcell {{ width: 220px; }}
   {shard_tile}
   {trust_tile}
 </div>
-{campaign_section}<h2>Per-receptor progression</h2>
+<h2>Campaigns (share error {share_error:.3})</h2>
+<table>
+<thead><tr><th>Campaign</th><th>Share</th><th>Delivered</th><th>Priority</th><th>Done</th><th></th><th>Borrows</th></tr></thead>
+<tbody>
+{campaign_rows}</tbody>
+</table>
+<h2>Per-receptor progression</h2>
 <table>
 <thead><tr><th>Receptor</th><th>Done</th><th></th><th>%</th></tr></thead>
 <tbody>
@@ -784,28 +767,17 @@ td.barcell {{ width: 220px; }}
 </body>
 </html>
 "#,
-        status = status,
-        last_now = snap.last_now,
-        pct = pct,
         done = wu.done,
         total = wu.total,
         issued = wu.issued,
         in_flight = wu.in_flight,
         quorum_pending = wu.quorum_pending,
-        vftp = vftp(snap),
-        redundancy = snap.redundancy_factor,
-        reissue_rate = reissue_rate,
-        qreject_rate = qreject_rate,
-        outstanding = snap.outstanding_replicas,
-        reissue_queue = snap.reissue_queue_depth,
-        journal_tile = journal_tile,
-        shard_tile = shard_tile,
-        trust_tile = trust_tile,
-        campaign_section = campaign_section,
-        receptor_rows = receptor_rows,
-        agent_count = snap.agents.len(),
-        agent_rows = agent_rows,
-        trust_th = trust_th,
+        vftp = vftp(grid),
+        redundancy = core.redundancy_factor(),
+        outstanding = state.outstanding_len(),
+        reissue_queue = core.reissue_queue_depth(),
+        share_error = grid.share_error(),
+        agent_count = ledgers.len(),
     )
 }
 
@@ -837,145 +809,66 @@ pub fn http_get(addr: SocketAddr, path: &str) -> io::Result<(u16, String)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::{AgentLedger, CampaignOps, JournalOps, NetStats, ShardOps, TrustSummary};
-    use crate::trust::TrustBand;
-    use gridsim::{ReceptorProgress, WuStateCounts};
+    use crate::registry::{CampaignDef, Command, Outcome};
+    use crate::shard::{lease_id, shard_of};
+    use crate::{
+        CampaignParams, FsyncPolicy, JournalConfig, ServerFaults, ShardSpec, TrustConfig, Verdict,
+        WorkReply,
+    };
 
-    fn snap() -> OpsSnapshot {
-        OpsSnapshot {
-            last_now: 12.5,
-            wu: WuStateCounts {
-                total: 40,
-                issued: 30,
-                in_flight: 10,
-                quorum_pending: 4,
-                done: 20,
-            },
-            receptors: vec![
-                ReceptorProgress {
-                    receptor: 0,
-                    total: 20,
-                    completed: 12,
-                },
-                ReceptorProgress {
-                    receptor: 1,
-                    total: 20,
-                    completed: 8,
-                },
-            ],
-            stats: Default::default(),
-            net_stats: NetStats {
-                shard_redirects: 5,
-                shard_leases_out: 2,
-                shard_leases_in: 1,
-                shard_wus_leased_out: 16,
-                shard_wus_leased_in: 8,
-                ..Default::default()
-            },
-            results_received: 55,
-            results_useful: 44,
-            redundancy_factor: 1.25,
-            completed_ref_seconds: 2500.0,
-            outstanding_replicas: 7,
-            reissue_queue_depth: 2,
-            quorum_candidate_workunits: 4,
-            campaign_complete: false,
-            journal: Some(JournalOps {
-                wal_records: 3,
-                wal_bytes: 17,
-            }),
-            agents: vec![(
-                9,
-                AgentLedger {
-                    assignments: 5,
-                    reports: 4,
-                    accepted: 3,
-                    rejected: 1,
-                    last_seen_s: 11.0,
-                },
-            )],
-            wasted_ref_seconds: 750.0,
-            trust: Some(TrustSummary {
-                trusted: 3,
-                probation: 2,
-                untrusted: 1,
-                quarantined: 1,
-                ever_quarantined: 1,
-                spot_checks_passed: 6,
-                spot_checks_failed: 1,
-            }),
-            agents_trust: vec![(9, 0.96, TrustBand::Trusted)],
-            shard: Some(ShardOps {
-                shard_id: 1,
-                shards: 2,
-                owned_workunits: 22,
-                fresh_backlog: 6,
-            }),
-            campaigns: vec![
-                CampaignOps {
-                    name: "prod".into(),
-                    share: 0.7,
-                    priority: 0,
-                    delivered_ref_seconds: 1750.0,
-                    deficit: 0.5,
-                    borrows: 2,
-                    workunits: 30,
-                    workunits_done: 15,
-                    fresh_backlog: 4,
-                    outstanding_replicas: 5,
-                    complete: false,
-                },
-                CampaignOps {
-                    name: "pilot".into(),
-                    share: 0.3,
-                    priority: 1,
-                    delivered_ref_seconds: 750.0,
-                    deficit: -0.5,
-                    borrows: 0,
-                    workunits: 10,
-                    workunits_done: 5,
-                    fresh_backlog: 2,
-                    outstanding_replicas: 2,
-                    complete: false,
-                },
-            ],
-            campaign_share_error: 0.02,
-            cross_quarantine_denials: 3,
-        }
+    mod grids;
+
+    /// The two-campaign, journaled, trust-on fixture grid, its wal in a
+    /// directory of its own.
+    fn contended(name: &str) -> MultiGrid {
+        let dir = std::env::temp_dir().join(format!("hcmd-ops-{name}-{}", std::process::id()));
+        let grid = grids::contended(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
+        grid
     }
 
     #[test]
     fn metrics_document_carries_the_scheduler_families() {
-        let text = render_metrics(&snap());
-        assert!(text.contains("hcmd_wu_states{state=\"done\"} 20"));
-        assert!(text.contains("hcmd_receptor_workunits{receptor=\"1\",state=\"done\"} 8"));
-        assert!(text.contains("hcmd_redundancy_factor 1.25"));
-        // 2500 ref-seconds over 12.5 clock seconds = 200 VFTP.
-        assert!(text.contains("hcmd_virtual_full_time_processors 200"));
-        assert!(text.contains("hcmd_journal_wal_records 3"));
-        assert!(text.contains("hcmd_journal_wal_bytes 17"));
+        let text = render_metrics(&contended("metrics"));
+        assert!(text.contains("hcmd_wu_states{state=\"done\"} 7"));
+        assert!(text.contains("hcmd_receptor_workunits{receptor=\"0\",state=\"done\"} 7"));
+        assert!(text.contains("hcmd_redundancy_factor 2.857142857142857"));
+        // 5014.52 validated ref-seconds over 9.2 clock seconds.
+        assert!(text.contains("hcmd_virtual_full_time_processors 545.0565238620925"));
+        assert!(text.contains("hcmd_quorum_candidate_workunits 1"));
+        assert!(text.contains("hcmd_journal_wal_records 45"));
+        assert!(text.contains("hcmd_journal_wal_bytes 34806"));
         assert!(text.contains("hcmd_campaign_complete 0"));
-        assert!(text.contains("hcmd_wasted_ref_seconds 750"));
+        assert!(text.contains("hcmd_wasted_ref_seconds 9532.992553710938"));
         assert!(text.contains("hcmd_trust_enabled 1"));
-        assert!(text.contains("hcmd_trust_band_agents{band=\"trusted\"} 3"));
+        assert!(text.contains("hcmd_trust_band_agents{band=\"trusted\"} 2"));
         assert!(text.contains("hcmd_trust_band_agents{band=\"quarantined\"} 1"));
-        assert!(text.contains("hcmd_trust_spot_checks{result=\"passed\"} 6"));
-        assert!(text.contains("hcmd_trust_spot_checks{result=\"failed\"} 1"));
-        assert!(text.contains("hcmd_trust_agent_score{agent=\"9\"} 0.96"));
-        assert!(text.contains("hcmd_shard_info{shard=\"1\",shards=\"2\"} 1"));
-        assert!(text.contains("hcmd_shard_owned_workunits 22"));
-        assert!(text.contains("hcmd_shard_fresh_backlog 6"));
-        assert!(text.contains("hcmd_shard_redirects 5"));
-        assert!(text.contains("hcmd_shard_leases{direction=\"out\"} 2"));
-        assert!(text.contains("hcmd_shard_leases{direction=\"in\"} 1"));
-        assert!(text.contains("hcmd_shard_leased_workunits{direction=\"out\"} 16"));
-        assert!(text.contains("hcmd_shard_leased_workunits{direction=\"in\"} 8"));
-        assert!(text.contains("hcmd_campaign_share{campaign=\"prod\"} 0.7"));
-        assert!(text.contains("hcmd_campaign_delivered_ref_seconds{campaign=\"pilot\"} 750"));
-        assert!(text.contains("hcmd_campaign_borrows_total{campaign=\"prod\"} 2"));
-        assert!(text.contains("hcmd_campaign_workunits{campaign=\"prod\",state=\"done\"} 15"));
-        assert!(text.contains("hcmd_campaign_share_error 0.02"));
-        assert!(text.contains("hcmd_campaign_cross_quarantine_denials_total 3"));
+        assert!(text.contains("hcmd_trust_spot_checks{result=\"passed\"} 1"));
+        assert!(text.contains("hcmd_trust_spot_checks{result=\"failed\"} 0"));
+        assert!(text.contains("hcmd_trust_agent_score{agent=\"30\"} 0"));
+        assert!(text.contains("hcmd_campaign_share{campaign=\"alpha\"} 0.7"));
+        assert!(text
+            .contains("hcmd_campaign_delivered_ref_seconds{campaign=\"beta\"} 90.56607818603516"));
+        assert!(text.contains("hcmd_campaign_borrows_total{campaign=\"alpha\"} 18"));
+        assert!(text.contains("hcmd_campaign_workunits{campaign=\"alpha\",state=\"done\"} 7"));
+        assert!(text.contains("hcmd_campaign_share_error 0.2822596374571369"));
+        assert!(text.contains("hcmd_campaign_cross_quarantine_denials_total 1"));
+        assert!(
+            !text.contains("hcmd_shard_"),
+            "an unsharded server has no shard tile"
+        );
+        let shard = render_metrics(&grids::shard());
+        assert!(shard.contains("hcmd_shard_info{shard=\"1\",shards=\"2\"} 1"));
+        assert!(shard.contains("hcmd_shard_owned_workunits 9"));
+        assert!(shard.contains("hcmd_shard_fresh_backlog 8"));
+        assert!(shard.contains("hcmd_shard_leases{direction=\"out\"} 1"));
+        assert!(shard.contains("hcmd_shard_leases{direction=\"in\"} 1"));
+        assert!(shard.contains("hcmd_shard_leased_workunits{direction=\"out\"} 2"));
+        assert!(shard.contains("hcmd_shard_leased_workunits{direction=\"in\"} 3"));
+        let solo = render_metrics(&grids::solo());
+        assert!(solo.contains("hcmd_deadline_expiries 1"));
+        assert!(solo.contains("hcmd_results_rejected{layer=\"bounds\"} 1"));
+        assert!(solo.contains("hcmd_trust_enabled 0"));
         // Every family is announced before it is sampled.
         for family in ["hcmd_wu_states", "hcmd_results_received"] {
             let type_at = text.find(&format!("# TYPE {family} ")).unwrap();
@@ -986,24 +879,27 @@ mod tests {
 
     #[test]
     fn dashboard_is_self_contained_html() {
-        let html = render_dashboard(&snap());
+        let html = render_dashboard(&contended("dashboard"));
         assert!(html.starts_with("<!doctype html>"));
         for (needle, why) in [
-            ("20/40", "workunit progress tile"),
-            ("12/20", "receptor 0 progression"),
-            ("200.00", "VFTP tile"),
-            ("3 / 17", "journal records / bytes tile"),
+            ("7/16", "workunit progress tile"),
+            ("7/8", "receptor 0 progression"),
+            ("545.06", "VFTP tile"),
+            ("45 / 34806", "journal records / bytes tile"),
             ("<td>9</td>", "agent row"),
-            ("3 / 2 / 1 / 1", "trust band tile"),
-            ("6 / 1", "spot check tile"),
-            ("Trusted (0.96)", "agent trust column"),
-            ("1 of 2 (22 / 6)", "shard tile"),
-            ("<td>prod</td>", "campaign row"),
-            ("Campaigns (share error 0.020)", "campaign table heading"),
+            ("2 / 10 / 0 / 1", "trust band tile"),
+            ("1 / 0", "spot check tile"),
+            ("Quarantined (1.00)", "agent trust column"),
+            ("<td>alpha</td>", "campaign row"),
+            ("Campaigns (share error 0.282)", "campaign table heading"),
             ("prefers-color-scheme: dark", "dark mode palette"),
         ] {
             assert!(html.contains(needle), "missing {why}: {needle}");
         }
+        let shard = render_dashboard(&grids::shard());
+        assert!(shard.contains("1 of 2 (9 / 8)"), "missing shard tile");
+        let solo = render_dashboard(&grids::solo());
+        assert!(solo.contains("Trust policy"), "missing trust-off tile");
         // Self-contained: no external fetches of any kind.
         for forbidden in ["http://", "https://", "src=", "href=", "@import", "url("] {
             assert!(

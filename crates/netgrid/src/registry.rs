@@ -7,7 +7,8 @@
 //! frames to queue and, when the dialogue is over, the close reason. It
 //! names no socket, thread or clock: [`crate::server`]'s loop moves the
 //! bytes and keeps the time, a test steps a grid by hand, and
-//! `agent::Session` is the same shape on the volunteer's side.
+//! `agent::Session` is the same shape on the volunteer's side. The ops
+//! endpoint ([`crate::ops`]) renders it through its read accessors.
 //!
 //! Every decision that changes a book a restart must rebuild is one
 //! [`Command`] applied through [`MultiGrid::apply`], which answers with
@@ -102,9 +103,6 @@ impl CampaignDef {
             .ok_or_else(|| format!("campaign {name:?}: missing share"))?
             .parse()
             .map_err(|e| format!("campaign {name:?}: bad share: {e}"))?;
-        if share.is_nan() || share <= 0.0 {
-            return Err(format!("campaign {name:?}: share must be > 0"));
-        }
         let priority: u32 = match parts.next() {
             None | Some("") => 0,
             Some(p) => p
@@ -128,12 +126,58 @@ impl CampaignDef {
                 }
             }
         }
-        Ok(Self {
+        let def = Self {
             name: name.into(),
             params,
             share,
             priority,
-        })
+        };
+        def.check()?;
+        Ok(def)
+    }
+
+    /// Refuses a registration the code cannot honour: a NaN, which the
+    /// wal header holds but never compares equal to (a restart would
+    /// refuse its own wal), or a value the catalog build asserts on.
+    fn check(&self) -> Result<(), String> {
+        let p = &self.params;
+        let positive = [
+            ("share", self.share),
+            ("h_seconds", p.h_seconds),
+            ("separation_spacing", p.separation_spacing),
+        ];
+        if let Some((field, v)) = positive.into_iter().find(|&(_, v)| v.is_nan() || v <= 0.0) {
+            return Err(format!(
+                "campaign {:?}: {field} must be > 0, not {v}",
+                self.name
+            ));
+        }
+        match p.proteins {
+            0 => Err(format!("campaign {:?}: proteins must be >= 1", self.name)),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// [`CampaignDef::check`] for the settings every campaign shares: the
+/// replica deadline the scheduler asserts is positive, and the trust
+/// policy's rates and durations, which the wal header holds.
+fn check_policy(scheduler: &ServerConfig, faults: &ServerFaults) -> Result<(), String> {
+    let deadline = scheduler.deadline_seconds;
+    if deadline.is_nan() || deadline <= 0.0 {
+        return Err(format!("deadline_seconds must be > 0, not {deadline}"));
+    }
+    let t = faults.trust;
+    let trust = [
+        ("trusted_threshold", t.trusted_threshold),
+        ("untrusted_threshold", t.untrusted_threshold),
+        ("spot_check_rate", t.spot_check_rate),
+        ("quarantine_base_s", t.quarantine_base_s),
+        ("quarantine_max_s", t.quarantine_max_s),
+    ];
+    match trust.into_iter().find(|(_, v)| v.is_nan()) {
+        Some((field, _)) => Err(format!("trust {field} must be a number, not NaN")),
+        None => Ok(()),
     }
 }
 
@@ -346,7 +390,9 @@ impl MultiGrid {
     /// A journal is one `wal.bin` in `cfg.dir`, however many campaigns
     /// there are; its header pins the roster, names, shares and
     /// priorities included, so a restart under another roster is
-    /// refused rather than replayed.
+    /// refused rather than replayed. A roster or policy the code cannot
+    /// honour is refused (`InvalidInput`) before any catalog is built
+    /// or the journal touched.
     pub fn open(
         defs: Vec<CampaignDef>,
         scheduler: ServerConfig,
@@ -355,14 +401,14 @@ impl MultiGrid {
         journal: Option<&JournalConfig>,
     ) -> io::Result<(Self, f64)> {
         assert!(!defs.is_empty(), "registry needs at least one campaign");
+        let refuse = |e: String| io::Error::new(io::ErrorKind::InvalidInput, e);
         for (i, def) in defs.iter().enumerate() {
             if defs[..i].iter().any(|d| d.name == def.name) {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!("duplicate campaign name {:?}", def.name),
-                ));
+                return Err(refuse(format!("duplicate campaign name {:?}", def.name)));
             }
+            def.check().map_err(refuse)?;
         }
+        check_policy(&scheduler, &faults).map_err(refuse)?;
         let header = JournalRecord::Header {
             roster: defs.clone(),
             config: scheduler,
@@ -711,40 +757,11 @@ impl MultiGrid {
         self.last_now
     }
 
-    /// The ops-endpoint snapshot: slot 0's full picture (scrape
-    /// continuity for the single-campaign families) plus one
-    /// [`crate::state::CampaignOps`] row per campaign, the global
-    /// fair-share health figures and the server's one wal.
-    pub fn ops_snapshot(&self) -> crate::state::OpsSnapshot {
-        let mut snap = self.slots[0].state.ops_snapshot(self.last_now);
-        snap.campaigns = self
-            .slots
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let wu = s.state.core().wu_state_counts();
-                crate::state::CampaignOps {
-                    name: s.def.name.clone(),
-                    share: self.fair.share(i),
-                    priority: s.def.priority,
-                    delivered_ref_seconds: self.fair.delivered(i),
-                    deficit: self.fair.deficit(i),
-                    borrows: self.fair.borrows(i),
-                    workunits: wu.total,
-                    workunits_done: wu.done,
-                    fresh_backlog: s.state.core().fresh_backlog(),
-                    outstanding_replicas: s.state.outstanding_len(),
-                    complete: s.state.is_campaign_complete(),
-                }
-            })
-            .collect();
-        snap.journal = self.journal.as_ref().map(|j| crate::state::JournalOps {
-            wal_records: j.wal_records(),
-            wal_bytes: j.wal_bytes(),
-        });
-        snap.campaign_share_error = self.share_error();
-        snap.cross_quarantine_denials = self.cross_quarantine_denials;
-        snap
+    /// The wal's record and byte counts — what a restart would replay —
+    /// or `None` when the server runs unjournaled.
+    pub fn wal_size(&self) -> Option<(u64, u64)> {
+        let journal = self.journal.as_ref()?;
+        Some((journal.wal_records(), journal.wal_bytes()))
     }
 
     /// Remaining quarantine (ms) imposed on `agent` by any campaign
@@ -1271,6 +1288,9 @@ mod tests {
             "x:1:z",
             "x:1:0:bogus=1",
             "x:1:0:proteins",
+            "a:1:0:hours=nan,spacing=-3",
+            "x:1:0:spacing=0",
+            "x:1:0:proteins=0",
         ] {
             assert!(CampaignDef::parse(bad, base).is_err(), "{bad:?} accepted");
         }
@@ -1303,6 +1323,83 @@ mod tests {
         .err()
         .expect("duplicate refused");
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    }
+
+    /// A configuration the code cannot honour is refused before a
+    /// catalog is built or the journal touched. A NaN trust rate used to
+    /// be journaled, and the restart then refused its own wal (NaN !=
+    /// NaN in the header check); the other values panicked deep in the
+    /// catalog build or the scheduler.
+    #[test]
+    fn a_config_the_code_cannot_honour_is_refused_up_front() {
+        let dir = scratch_dir("nan-rate");
+        let nan_rate = ServerFaults {
+            trust: TrustConfig {
+                spot_check_rate: f64::NAN,
+                ..TrustConfig::on()
+            },
+            ..ServerFaults::default()
+        };
+        let solo = |params| vec![CampaignDef::default_solo(params)];
+        let tiny = CampaignParams::tiny();
+        let journal = JournalConfig::new(&dir);
+        let scheduler = ServerConfig::default();
+        let open = MultiGrid::open(
+            solo(tiny),
+            scheduler,
+            nan_rate,
+            ShardSpec::solo(),
+            Some(&journal),
+        );
+        let err = open.err().expect("a NaN spot-check rate is refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("spot_check_rate"), "{err}");
+        assert!(!dir.join("wal.bin").exists(), "nothing was journaled");
+
+        for (params, deadline_seconds) in [
+            (tiny, f64::NAN),
+            (tiny, 0.0),
+            (
+                CampaignParams {
+                    h_seconds: f64::NAN,
+                    ..tiny
+                },
+                30.0,
+            ),
+            (
+                CampaignParams {
+                    separation_spacing: -3.0,
+                    ..tiny
+                },
+                30.0,
+            ),
+            (
+                CampaignParams {
+                    proteins: 0,
+                    ..tiny
+                },
+                30.0,
+            ),
+        ] {
+            let scheduler = ServerConfig {
+                deadline_seconds,
+                ..ServerConfig::default()
+            };
+            let open = MultiGrid::open(
+                solo(params),
+                scheduler,
+                ServerFaults::default(),
+                ShardSpec::solo(),
+                None,
+            );
+            let refused = open.err().map(|e| e.kind());
+            assert_eq!(
+                refused,
+                Some(io::ErrorKind::InvalidInput),
+                "{params:?}, {deadline_seconds}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The registry isolation invariant: each campaign's merged
@@ -1962,7 +2059,7 @@ mod tests {
             .filter(|rec| matches!(rec, Ok(JournalRecord::Applied { .. })))
             .count();
         assert_eq!(recorded, 3);
-        let scrape = crate::ops::render_metrics(&grid.ops_snapshot());
+        let scrape = crate::ops::render_metrics(&grid);
         let tile = format!("\nhcmd_journal_wal_records {recorded}\n");
         assert!(scrape.contains(&tile), "{scrape}");
         let _ = std::fs::remove_dir_all(&dir);

@@ -35,7 +35,6 @@ use gridsim::server::{
     ServerStats,
 };
 use gridsim::SimTime;
-use gridsim::{ReceptorProgress, WuStateCounts};
 use maxdo::DockingOutput;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
@@ -200,7 +199,8 @@ pub struct AgentLedger {
     pub last_seen_s: f64,
 }
 
-/// End-of-run trust accounting; see [`GridState::trust_summary`].
+/// Trust band census, for the run report and the ops endpoint; see
+/// [`GridState::trust_summary`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrustSummary {
     /// Agents whose history earns single-replica issues.
@@ -217,115 +217,6 @@ pub struct TrustSummary {
     pub spot_checks_passed: u64,
     /// Spot checks that mismatched.
     pub spot_checks_failed: u64,
-}
-
-/// The wal's size as seen by the ops endpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JournalOps {
-    /// Transition records in the wal: what a restart would replay.
-    pub wal_records: u64,
-    /// Size of the wal in bytes, header frame included.
-    pub wal_bytes: u64,
-}
-
-/// Shard identity and ownership as seen by the ops endpoint; `None`
-/// when the server runs unsharded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardOps {
-    /// This server's shard id.
-    pub shard_id: u16,
-    /// Total shards in the topology.
-    pub shards: u16,
-    /// Workunits this shard currently owns (leases shift it).
-    pub owned_workunits: u64,
-    /// Owned workunits never yet issued — the steerable backlog.
-    pub fresh_backlog: u64,
-}
-
-/// One campaign's row in the ops snapshot: identity, fair-share ledger
-/// position, and progress — enough for the `hcmd_campaign_*` metric
-/// families and the dashboard table.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CampaignOps {
-    /// Registry name.
-    pub name: String,
-    /// Normalised fair-share weight.
-    pub share: f64,
-    /// Fair-share tie-break priority.
-    pub priority: u32,
-    /// Validated reference-CPU seconds delivered so far.
-    pub delivered_ref_seconds: f64,
-    /// `share · Σdelivered − delivered`: positive when underserved.
-    pub deficit: f64,
-    /// Picks that out-ranked a work-starved larger-deficit campaign.
-    pub borrows: u64,
-    /// Workunits in the catalog.
-    pub workunits: usize,
-    /// Workunits validated.
-    pub workunits_done: usize,
-    /// Owned workunits never yet issued.
-    pub fresh_backlog: usize,
-    /// Issued, unreported, unexpired replicas.
-    pub outstanding_replicas: usize,
-    /// Every workunit validated.
-    pub complete: bool,
-}
-
-/// A self-contained copy of everything the ops endpoint renders, taken
-/// by [`GridState::ops_snapshot`]. The thread that owns the grid takes
-/// and renders it between two frames; the scraper only ever holds up
-/// its own connection's write buffer.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OpsSnapshot {
-    /// Latest server-clock second any entry point has seen.
-    pub last_now: f64,
-    /// Workunit state counts (issued / in-flight / quorum-pending / done).
-    pub wu: WuStateCounts,
-    /// Per-receptor progression (the paper's Fig. 1, live).
-    pub receptors: Vec<ReceptorProgress>,
-    /// Core issue/reissue/validation accounting.
-    pub stats: ServerStats,
-    /// Wire-level counters.
-    pub net_stats: NetStats,
-    /// Total results received.
-    pub results_received: u64,
-    /// Useful results.
-    pub results_useful: u64,
-    /// Results received / useful results.
-    pub redundancy_factor: f64,
-    /// Reference CPU seconds of validated workunits (drives the virtual
-    /// full-time processor figure: divide by `last_now`).
-    pub completed_ref_seconds: f64,
-    /// Issued, unreported, unexpired replicas.
-    pub outstanding_replicas: usize,
-    /// Workunits queued for another replica.
-    pub reissue_queue_depth: usize,
-    /// Incomplete workunits holding quorum candidates.
-    pub quorum_candidate_workunits: usize,
-    /// True once every workunit validated.
-    pub campaign_complete: bool,
-    /// The wal's size; `None` when durability is off.
-    pub journal: Option<JournalOps>,
-    /// Per-agent ledger, sorted by agent id.
-    pub agents: Vec<(u64, AgentLedger)>,
-    /// Reference CPU seconds burned on results that were not useful
-    /// (redundant surplus, rejects, late reports, spot recomputations).
-    pub wasted_ref_seconds: f64,
-    /// Trust band census; `None` when the trust policy is off.
-    pub trust: Option<TrustSummary>,
-    /// Per-agent trust score and band, sorted by agent id; empty when
-    /// the trust policy is off.
-    pub agents_trust: Vec<(u64, f64, TrustBand)>,
-    /// Shard identity and ownership; `None` when unsharded.
-    pub shard: Option<ShardOps>,
-    /// Per-campaign rows, in registry slot order (one row for the
-    /// implicit solo campaign). The top-level fields above describe
-    /// slot 0 — the default campaign — for scrape continuity.
-    pub campaigns: Vec<CampaignOps>,
-    /// Largest |delivered fraction − share| across campaigns.
-    pub campaign_share_error: f64,
-    /// Fetches denied by the cross-campaign trust gate.
-    pub cross_quarantine_denials: u64,
 }
 
 /// What the server holds for one in-flight replica.
@@ -591,6 +482,19 @@ impl GridState {
     /// shard with no backlog *and* nothing outstanding is fully drained).
     pub fn outstanding_len(&self) -> usize {
         self.in_flight.len()
+    }
+
+    /// Incomplete workunits holding quorum candidates.
+    pub fn quorum_candidate_workunits(&self) -> usize {
+        self.candidates.len()
+    }
+
+    /// Every agent's ledger, sorted by agent id (the ops fleet table).
+    pub fn agent_ledgers(&self) -> Vec<(u64, AgentLedger)> {
+        let mut v: Vec<(u64, AgentLedger)> =
+            self.agents.iter().map(|(&a, b)| (a, b.ledger)).collect();
+        v.sort_by_key(|&(a, _)| a);
+        v
     }
 
     /// Counts one work request answered with a `Redirect`. Advisory:
@@ -921,53 +825,6 @@ impl GridState {
                 // Any queued audit of a retracted workunit is dropped
                 // lazily at fetch time (its accepted copy is gone).
             }
-        }
-    }
-
-    /// Takes the copy-on-scrape snapshot the ops endpoint renders at
-    /// server-clock second `now_s`; see [`OpsSnapshot`]. Every field is
-    /// a counter, small struct, or short vec, so taking it delays the
-    /// next frame by far less than one fetch/report cycle.
-    pub fn ops_snapshot(&self, now_s: f64) -> OpsSnapshot {
-        let mut agents: Vec<(u64, AgentLedger)> =
-            self.agents.iter().map(|(&a, b)| (a, b.ledger)).collect();
-        agents.sort_by_key(|&(a, _)| a);
-        let cfg = self.faults.trust;
-        let agents_trust = self
-            .agent_trust_table()
-            .into_iter()
-            .map(|(a, t)| (a, t.score(), t.band(now_s, &cfg)))
-            .collect();
-        OpsSnapshot {
-            last_now: now_s,
-            wu: self.core.wu_state_counts(),
-            receptors: self.core.receptor_progress(),
-            stats: self.core.stats,
-            net_stats: self.net_stats,
-            results_received: self.core.results_received,
-            results_useful: self.core.results_useful,
-            redundancy_factor: self.core.redundancy_factor(),
-            completed_ref_seconds: self.core.completed_ref_seconds(),
-            outstanding_replicas: self.in_flight.len(),
-            reissue_queue_depth: self.core.reissue_queue_depth(),
-            quorum_candidate_workunits: self.candidates.len(),
-            campaign_complete: self.is_campaign_complete(),
-            agents,
-            wasted_ref_seconds: self.core.wasted_ref_seconds(),
-            trust: self.trust_summary(now_s),
-            agents_trust,
-            shard: (self.shard.shards > 1).then(|| ShardOps {
-                shard_id: self.shard.shard_id,
-                shards: self.shard.shards,
-                owned_workunits: self.core.owned_count() as u64,
-                fresh_backlog: self.core.fresh_backlog() as u64,
-            }),
-            // Filled by the registry, which owns the fair-share ledger
-            // and the journal.
-            journal: None,
-            campaigns: Vec::new(),
-            campaign_share_error: 0.0,
-            cross_quarantine_denials: 0,
         }
     }
 
