@@ -525,7 +525,10 @@ fn run_sharded_campaign(
         .into_iter()
         .map(|h| h.join().unwrap().expect("shard ran"))
         .collect();
-    let parts: Vec<_> = reports.iter().map(|r| r.partial_outputs.clone()).collect();
+    let parts: Vec<_> = reports
+        .iter()
+        .map(|r| r.campaigns[0].partial_outputs.clone())
+        .collect();
     let merged = merge_artifacts(&parts).expect("shards cover the campaign");
     ShardedOutcome {
         merged_json: serde_json::to_string(&merged).expect("merged artifact serializes"),
@@ -564,7 +567,7 @@ fn run_shard_reference(
     let wall = t0.elapsed().as_secs_f64();
     assert!(fleet.saw_completion, "reference fleet saw completion");
     let run = server.join().unwrap().expect("reference server ran");
-    let json = serde_json::to_string(&run.outputs).expect("outputs serialize");
+    let json = serde_json::to_string(&run.campaigns[0].outputs).expect("outputs serialize");
     (json, run.workunits as f64 / wall.max(1e-9))
 }
 
@@ -808,7 +811,8 @@ fn main() {
                     seed,
                     trust,
                 );
-                let validated = |r: &NetRunReport| r.partial_outputs.iter().flatten().count();
+                let validated =
+                    |r: &NetRunReport| r.campaigns[0].partial_outputs.iter().flatten().count();
                 let workunits: usize = o.reports.iter().map(&validated).sum();
                 let workunits_per_sec = workunits as f64 / o.wall_seconds.max(1e-9);
                 ShardBenchRow {
@@ -842,7 +846,8 @@ fn main() {
     let baseline = NetCampaign::build(campaign_params).baseline_outputs();
     let baseline_json = serde_json::to_string(&baseline).expect("baseline serializes");
     let matches_baseline = |run: &NetRunReport| {
-        serde_json::to_string(&run.outputs).expect("outputs serialize") == baseline_json
+        serde_json::to_string(&run.campaigns[0].outputs).expect("outputs serialize")
+            == baseline_json
     };
     let merged_matches_baseline = matches_baseline(&plain.run);
     let total_delivered: f64 = multi

@@ -15,26 +15,31 @@
 //! (no wal at all is one), 2 on usage.
 
 use netgrid::journal::open_wal;
-use std::io::{self, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::process::ExitCode;
 
+/// Each record is printed straight into one buffer over stdout, so a
+/// long wal costs a write per buffer-full, not one per line. The lines
+/// before a bad record are flushed before its error is returned.
 fn dump(dir: &Path) -> io::Result<()> {
-    let mut out = io::stdout().lock();
+    let mut out = BufWriter::new(io::stdout().lock());
     let mut records = open_wal(dir)?;
     let mut count = 0u64;
-    for rec in records.by_ref() {
-        let json = serde_json::to_string(&rec?).expect("JournalRecord serializes");
-        writeln!(out, "{json}")?;
+    let scanned = records.by_ref().try_for_each(|rec| {
+        serde_json::to_writer(&mut out, &rec?).map_err(io::Error::other)?;
         count += 1;
-    }
+        out.write_all(b"\n")
+    });
+    out.flush()?;
+    scanned?;
     let (valid, len) = (records.offset(), records.file_len());
     let tail = match len - valid {
         0 => String::new(),
         torn => format!(", then a torn tail of {torn} B"),
     };
     eprintln!("{}: {count} records in {valid} B{tail}", dir.display());
-    out.flush()
+    Ok(())
 }
 
 fn main() -> ExitCode {

@@ -32,7 +32,9 @@
 //! checks, agents with a dirty one get full quorum or quarantine.
 //! `--trust-state-out PATH` writes the closing per-agent trust ledger
 //! as JSON, which the trust restart regression compares across a
-//! `kill -9`.
+//! `kill -9`. Every campaign keeps its own ledger, so with several
+//! campaigns it writes one per campaign, named like `--out`'s
+//! (`base.json` → `base.NAME.json`).
 //!
 //! With `--shard-id I --shards N --peers A0,A1,...,A(N-1)` this server
 //! runs as one shard of an N-server campaign (see DESIGN.md §6
@@ -52,7 +54,8 @@
 //! `spacing`, `iters` — unset knobs inherit the top-level flags. With
 //! multiple campaigns, `--out base.json` writes one artifact per
 //! campaign as `base.NAME.json`, each byte-identical to the artifact a
-//! solo server running only that campaign would write. `--journal DIR`
+//! solo server running only that campaign would write, and
+//! `--trust-state-out` names its ledgers the same way. `--journal DIR`
 //! still keeps the one `DIR/wal.bin`, and pins the roster — names,
 //! recipes, shares, priorities — so a restart must name the same.
 
@@ -331,27 +334,30 @@ fn main() {
                     report.wasted_ref_seconds
                 );
             }
-            if let Some(path) = &trust_state_out {
-                if let Err(e) = write_json_file(path, &report.agent_trust) {
-                    eprintln!("hcmd-server: cannot write trust state {path}: {e}");
-                    telemetry::shutdown();
-                    std::process::exit(1);
+            // A multi-campaign server writes one file per campaign as
+            // `<stem>.<name><ext>`: each campaign keeps its own trust
+            // ledger, and each artifact is byte-identical to a solo run
+            // of that campaign.
+            let per_campaign = |base: &str, name: &str| match report.campaigns.len() {
+                1 => base.to_string(),
+                _ => campaign_out_path(base, name),
+            };
+            for c in &report.campaigns {
+                if let Some(base) = &trust_state_out {
+                    let path = per_campaign(base, &c.name);
+                    if let Err(e) = write_json_file(&path, &c.agent_trust) {
+                        eprintln!("hcmd-server: cannot write trust state {path}: {e}");
+                        telemetry::shutdown();
+                        std::process::exit(1);
+                    }
+                    println!("trust state for campaign {} written to {path}", c.name);
                 }
-                println!("trust state written to {path}");
-            }
-            if let Some(path) = &out {
-                // A sharded server only owns part of the catalog: its
-                // artifact is the Option-per-slot partial, which
-                // `netgrid::merge_artifact_json` combines with the
-                // other shards' into the single-server byte stream.
-                // A multi-campaign server writes one artifact per
-                // campaign as `<stem>.<name><ext>`, each byte-identical
-                // to a solo run of that campaign.
-                for c in &report.campaigns {
-                    let path = match report.campaigns.len() {
-                        1 => path.clone(),
-                        _ => campaign_out_path(path, &c.name),
-                    };
+                if let Some(base) = &out {
+                    // A sharded server only owns part of the catalog:
+                    // its artifact is the Option-per-slot partial, which
+                    // `netgrid::merge_artifact_json` combines with the
+                    // other shards' into the single-server byte stream.
+                    let path = per_campaign(base, &c.name);
                     let written = match report.shard.shards {
                         1 => write_json_file(&path, &c.outputs),
                         _ => write_json_file(&path, &c.partial_outputs),

@@ -722,7 +722,7 @@ mod tests {
         assert!(!fleet.request_latencies_ms.is_empty());
         let baseline = NetCampaign::build(params).baseline_outputs();
         assert_eq!(
-            serde_json::to_string(&run.outputs).unwrap(),
+            serde_json::to_string(&run.campaigns[0].outputs).unwrap(),
             serde_json::to_string(&baseline).unwrap(),
             "merged artifact must match the baseline"
         );
@@ -766,7 +766,7 @@ mod tests {
         let run = peer.join().unwrap().expect("server ran");
         let baseline = NetCampaign::build(params).baseline_outputs();
         assert_eq!(
-            serde_json::to_string(&run.outputs).unwrap(),
+            serde_json::to_string(&run.campaigns[0].outputs).unwrap(),
             serde_json::to_string(&baseline).unwrap(),
             "merged artifact must match the baseline"
         );
@@ -898,7 +898,7 @@ mod tests {
         );
         let baseline = NetCampaign::build(params).baseline_outputs();
         assert_eq!(
-            serde_json::to_string(&run.outputs).unwrap(),
+            serde_json::to_string(&run.campaigns[0].outputs).unwrap(),
             serde_json::to_string(&baseline).unwrap(),
         );
     }
@@ -943,7 +943,7 @@ mod tests {
             trust.ever_quarantined >= 1,
             "saboteur should have been quarantined: {trust:?}"
         );
-        let saboteur = run
+        let saboteur = run.campaigns[0]
             .agent_trust
             .iter()
             .find(|(a, _)| *a == 1)
@@ -957,7 +957,7 @@ mod tests {
         assert!(saboteur.quarantine_count >= 1);
         let baseline = NetCampaign::build(params).baseline_outputs();
         assert_eq!(
-            serde_json::to_string(&run.outputs).unwrap(),
+            serde_json::to_string(&run.campaigns[0].outputs).unwrap(),
             serde_json::to_string(&baseline).unwrap(),
             "trust must never cost artifact correctness"
         );

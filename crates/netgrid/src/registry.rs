@@ -548,6 +548,12 @@ impl MultiGrid {
         &self.slots
     }
 
+    /// Gives up every slot by value, in roster order — the end of the
+    /// grid: what a finished run reports is moved out of its slots.
+    pub fn into_slots(self) -> Vec<Slot> {
+        self.slots
+    }
+
     pub fn slot(&self, campaign: u16) -> Option<&Slot> {
         self.slots.get(usize::from(campaign))
     }
@@ -1260,8 +1266,9 @@ mod tests {
         }
         grid.slots()
             .iter()
-            .map(|s| s.state.accepted_outputs().expect("complete"))
-            .collect()
+            .map(|s| s.state.outputs().iter().cloned().collect())
+            .collect::<Option<_>>()
+            .expect("complete")
     }
 
     #[test]
@@ -1745,7 +1752,7 @@ mod tests {
             }
         ));
         let parts: Vec<_> = [&s0, &s1]
-            .map(|s| s.slots()[0].state.partial_outputs())
+            .map(|s| s.slots()[0].state.outputs().to_vec())
             .into();
         assert_eq!(merge_artifacts(&parts).unwrap(), baseline());
         let _ = std::fs::remove_dir_all(&dir);
@@ -2455,7 +2462,7 @@ mod tests {
         let parts: Vec<_> = grid
             .cores
             .iter()
-            .map(|core| core.slots[0].state.partial_outputs())
+            .map(|core| core.slots[0].state.outputs().to_vec())
             .collect();
         assert_eq!(merge_artifacts(&parts).unwrap(), baseline(), "seed {seed}");
         // Its volunteers gone, each core may leave once the other has

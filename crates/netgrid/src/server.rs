@@ -129,15 +129,6 @@ pub struct NetRunReport {
     pub server_stats: ServerStats,
     /// Wire-layer counters (quorum rejects, expiries, backoffs...).
     pub net_stats: NetStats,
-    /// The validated output of every workunit, in catalog order — the
-    /// artifact that must match the in-process baseline byte for byte.
-    /// Empty for a sharded run (one shard validates only its slice);
-    /// use [`Self::partial_outputs`] and merge across shards instead.
-    pub outputs: Vec<DockingOutput>,
-    /// The validated output per workunit, `Some` exactly where this
-    /// server validated — the sharded partial artifact. On a
-    /// single-server run every slot is `Some`.
-    pub partial_outputs: Vec<Option<DockingOutput>>,
     /// This server's place in the shard topology (solo when unsharded).
     pub shard: ShardSpec,
     /// Wall-clock duration of the run, seconds.
@@ -152,12 +143,9 @@ pub struct NetRunReport {
     pub wasted_ref_seconds: f64,
     /// Trust band census at shutdown; `None` when the policy is off.
     pub trust: Option<crate::state::TrustSummary>,
-    /// Per-agent trust ledger at shutdown, sorted by agent id; empty
-    /// when the policy is off.
-    pub agent_trust: Vec<(u64, crate::trust::AgentTrust)>,
-    /// Per-campaign results, in registry slot order. A single implicit
-    /// campaign still gets its one row here; the legacy top-level
-    /// fields above always describe slot 0.
+    /// Per-campaign results, artifacts included, in registry slot
+    /// order. A single implicit campaign still gets its one row here;
+    /// the top-level fields above describe slot 0.
     pub campaigns: Vec<CampaignRunReport>,
     /// Largest deviation between any campaign's delivered-ref-second
     /// fraction and its configured share (0.0 for a single campaign).
@@ -181,11 +169,14 @@ pub struct CampaignRunReport {
     /// Times this campaign was served while a larger-deficit campaign
     /// was starved for work — lent capacity, repaid via the deficit.
     pub borrows: u64,
-    /// The campaign's merged artifact (empty for a sharded run; merge
-    /// `partial_outputs` across shards instead).
+    /// The validated output of every workunit, in catalog order — the
+    /// artifact that must match the in-process baseline byte for byte.
+    /// Filled on a solo server only; a shard fills `partial_outputs`.
     pub outputs: Vec<DockingOutput>,
-    /// Validated output per workunit, `Some` where this server
-    /// validated — the sharded partial artifact.
+    /// The validated output per workunit, `Some` exactly where this
+    /// shard validated — the partial artifact
+    /// [`crate::shard::merge_artifacts`] combines across shards. Filled
+    /// on a shard only; a solo server fills `outputs`.
     pub partial_outputs: Vec<Option<DockingOutput>>,
     /// Workunits in this campaign's catalog.
     pub workunits: usize,
@@ -193,6 +184,9 @@ pub struct CampaignRunReport {
     pub server_stats: ServerStats,
     /// The campaign's wire-layer counters.
     pub net_stats: NetStats,
+    /// This campaign's per-agent trust ledger at shutdown, sorted by
+    /// agent id; empty when the policy is off.
+    pub agent_trust: Vec<(u64, crate::trust::AgentTrust)>,
 }
 
 /// A bound, not-yet-running server: the event loop with its listeners
@@ -316,52 +310,7 @@ impl NetServer {
                 .join()
                 .map_err(|_| io::Error::other("the dialer thread panicked"))?;
         }
-
-        let grid = ev.core;
-        let spec = grid.spec();
-        let share_error = grid.share_error();
-        let cross_quarantine_denials = grid.cross_quarantine_denials;
-        let campaigns: Vec<CampaignRunReport> = grid
-            .slots()
-            .iter()
-            .enumerate()
-            .map(|(i, slot)| CampaignRunReport {
-                name: slot.def.name.clone(),
-                share: grid.fair().share(i),
-                priority: slot.def.priority,
-                delivered_ref_seconds: grid.fair().delivered(i),
-                borrows: grid.fair().borrows(i),
-                outputs: match spec.shards {
-                    1 => slot
-                        .state
-                        .accepted_outputs()
-                        .expect("run() only returns after campaign completion"),
-                    _ => Vec::new(),
-                },
-                partial_outputs: slot.state.partial_outputs(),
-                workunits: slot.campaign.len(),
-                server_stats: slot.state.server_stats(),
-                net_stats: slot.state.net_stats,
-            })
-            .collect();
-        let slot0 = &grid.slots()[0];
-        Ok(NetRunReport {
-            server_stats: slot0.state.server_stats(),
-            net_stats: slot0.state.net_stats,
-            wasted_ref_seconds: slot0.state.wasted_ref_seconds(),
-            trust: slot0.state.trust_summary(grid.last_now()),
-            agent_trust: slot0.state.agent_trust_table(),
-            partial_outputs: slot0.state.partial_outputs(),
-            shard: spec,
-            outputs: campaigns[0].outputs.clone(),
-            wall_seconds,
-            workunits: slot0.campaign.len(),
-            connections: ev.connections,
-            rejected_connections: ev.rejected,
-            campaigns,
-            share_error,
-            cross_quarantine_denials,
-        })
+        Ok(ev.into_report(wall_seconds))
     }
 }
 
@@ -595,6 +544,70 @@ impl EventLoop {
                 }
             }
             self.turn(SHUTDOWN_GRACE)?;
+        }
+    }
+
+    /// The finished run's report. The loop is given up whole, so each
+    /// campaign's validated outputs are moved out of its slot, never
+    /// copied: the report holds the one copy of the artifact, in
+    /// `outputs` on a solo server and in `partial_outputs` on a shard.
+    /// A solo server's campaigns must all be complete.
+    fn into_report(self, wall_seconds: f64) -> NetRunReport {
+        let grid = self.core;
+        let spec = grid.spec();
+        let fair = grid.fair().clone();
+        let slot0 = &grid.slots()[0].state;
+        let wasted_ref_seconds = slot0.wasted_ref_seconds();
+        let trust = slot0.trust_summary(grid.last_now());
+        let share_error = grid.share_error();
+        let cross_quarantine_denials = grid.cross_quarantine_denials;
+        let campaigns: Vec<_> = grid
+            .into_slots()
+            .into_iter()
+            .enumerate()
+            .map(|(i, slot)| {
+                let server_stats = slot.state.server_stats();
+                let net_stats = slot.state.net_stats;
+                let agent_trust = slot.state.agent_trust_table();
+                let accepted = slot.state.into_outputs();
+                let (outputs, partial_outputs) = match spec.shards {
+                    1 => (
+                        accepted
+                            .into_iter()
+                            .collect::<Option<_>>()
+                            .expect("a solo server reports complete campaigns"),
+                        Vec::new(),
+                    ),
+                    _ => (Vec::new(), accepted),
+                };
+                CampaignRunReport {
+                    name: slot.def.name,
+                    share: fair.share(i),
+                    priority: slot.def.priority,
+                    delivered_ref_seconds: fair.delivered(i),
+                    borrows: fair.borrows(i),
+                    outputs,
+                    partial_outputs,
+                    workunits: slot.campaign.len(),
+                    server_stats,
+                    net_stats,
+                    agent_trust,
+                }
+            })
+            .collect();
+        NetRunReport {
+            server_stats: campaigns[0].server_stats,
+            net_stats: campaigns[0].net_stats,
+            wasted_ref_seconds,
+            trust,
+            shard: spec,
+            wall_seconds,
+            workunits: campaigns[0].workunits,
+            connections: self.connections,
+            rejected_connections: self.rejected,
+            campaigns,
+            share_error,
+            cross_quarantine_denials,
         }
     }
 
@@ -933,6 +946,7 @@ mod tests {
     use crate::protocol::{HEADER_BYTES, PROTOCOL_VERSION};
     use crate::registry::Command;
     use crate::shard::merge_artifacts;
+    use crate::state::WorkReply;
     use crate::sys::READ_SPACE;
     use std::collections::VecDeque;
     use std::io::{Read, Write};
@@ -1361,6 +1375,73 @@ mod tests {
         assert!(matches!(replies(&conn)[..], [Message::HelloAck { .. }]));
     }
 
+    /// Asks and reports straight on the loop's core, as agents 1 and 2
+    /// in turn with results from `baseline`, until neither draws work.
+    fn drive(ev: &mut EventLoop, baseline: &[DockingOutput]) {
+        let mut idle = 0;
+        for (step, agent) in (1..=2u64).cycle().enumerate() {
+            assert!(step < 10_000, "the core never ran dry");
+            let now = SimTime::new(1.0 + step as f64 * 0.01);
+            match ev.core.fetch(now, agent, &[true]) {
+                (campaign, WorkReply::Assigned(a)) => {
+                    idle = 0;
+                    let output = baseline[a.workunit as usize].clone();
+                    ev.core.report(now, campaign, a.replica, a.workunit, output);
+                }
+                _ if idle == 1 => return,
+                _ => idle += 1,
+            }
+        }
+    }
+
+    /// Where each validated output's rows live in the grid.
+    fn row_addresses(ev: &EventLoop) -> Vec<Option<*const maxdo::DockingRow>> {
+        let outputs = ev.core.slots()[0].state.outputs();
+        outputs
+            .iter()
+            .map(|o| o.as_ref().map(|o| o.rows.as_ptr()))
+            .collect()
+    }
+
+    /// The report takes the grid's one copy of the artifact: every
+    /// validated output's rows are still where the grid kept them, and
+    /// a campaign fills `outputs` on a solo server, `partial_outputs` on
+    /// a shard, never both.
+    #[test]
+    fn the_report_moves_each_output_out_of_the_grid() {
+        let mut solo = event_loop();
+        let baseline = solo.core.slots()[0].campaign.baseline_outputs();
+        assert!(
+            baseline.iter().all(|o| !o.rows.is_empty()),
+            "rows to point at"
+        );
+        drive(&mut solo, &baseline);
+        assert!(solo.core.all_complete());
+        let held = row_addresses(&solo);
+        let report = solo.into_report(0.0);
+        let c = &report.campaigns[0];
+        assert!(c.partial_outputs.is_empty(), "solo fills outputs only");
+        assert_eq!(c.outputs, baseline);
+        let reported: Vec<_> = c.outputs.iter().map(|o| Some(o.rows.as_ptr())).collect();
+        assert_eq!(reported, held, "moved, not copied");
+
+        let (own, peer) = (listener(), listener());
+        let addrs = [addr_of(&own), addr_of(&peer)];
+        let mut shard = shard_loop(own, 0, &addrs, None);
+        drive(&mut shard, &baseline);
+        let held = row_addresses(&shard);
+        assert!(held.iter().any(Option::is_some) && held.iter().any(Option::is_none));
+        let report = shard.into_report(0.0);
+        let c = &report.campaigns[0];
+        assert!(c.outputs.is_empty(), "a shard fills partial_outputs only");
+        let reported: Vec<_> = c
+            .partial_outputs
+            .iter()
+            .map(|o| o.as_ref().map(|o| o.rows.as_ptr()))
+            .collect();
+        assert_eq!(reported, held, "moved, not copied");
+    }
+
     /// A whole sharded campaign — hunger, a lease cut, adopted and
     /// journaled, a redirect off the drained shard, completion gossiped
     /// both ways — as one scripted history: two loops, their agents and
@@ -1454,7 +1535,7 @@ mod tests {
 
         let parts: Vec<_> = loops
             .iter()
-            .map(|l| l.core.slots()[0].state.partial_outputs())
+            .map(|l| l.core.slots()[0].state.outputs().to_vec())
             .collect();
         assert_eq!(merge_artifacts(&parts).unwrap(), baseline);
         let _ = std::fs::remove_dir_all(&dir);

@@ -456,21 +456,19 @@ impl GridState {
         v
     }
 
-    /// The validated outputs in catalog order; `None` until
-    /// [`Self::is_campaign_complete`].
-    pub fn accepted_outputs(&self) -> Option<Vec<DockingOutput>> {
-        if !self.is_campaign_complete() {
-            return None;
-        }
-        self.accepted.iter().cloned().collect::<Option<Vec<_>>>()
+    /// The validated output per workunit, in catalog order: `Some`
+    /// exactly at the workunits this state validated — every one once
+    /// [`Self::is_campaign_complete`] on a solo server, this shard's
+    /// share on a sharded one ([`crate::shard::merge_artifacts`]
+    /// stitches the shards' parts into the single-server result).
+    pub fn outputs(&self) -> &[Option<DockingOutput>] {
+        &self.accepted
     }
 
-    /// The validated outputs this shard holds, in catalog order — the
-    /// partial artifact a sharded `--out` writes. `Some` exactly at the
-    /// workunits this shard validated; [`crate::shard::merge_artifacts`]
-    /// stitches the shards' parts into the single-server result.
-    pub fn partial_outputs(&self) -> Vec<Option<DockingOutput>> {
-        self.accepted.clone()
+    /// Gives up [`Self::outputs`] by value: the one copy of the artifact
+    /// the grid holds, handed to whoever reports the finished run.
+    pub fn into_outputs(self) -> Vec<Option<DockingOutput>> {
+        self.accepted
     }
 
     /// This server's place in the shard topology.

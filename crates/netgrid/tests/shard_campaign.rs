@@ -100,9 +100,15 @@ fn run_sharded_campaign(shards: u16, trust: bool) -> Vec<NetRunReport> {
                 shards
             }
         );
-        assert!(r.outputs.is_empty(), "sharded runs publish partials only");
+        assert!(
+            r.campaigns[0].outputs.is_empty(),
+            "sharded runs publish partials only"
+        );
     }
-    let parts: Vec<_> = reports.iter().map(|r| r.partial_outputs.clone()).collect();
+    let parts: Vec<_> = reports
+        .iter()
+        .map(|r| r.campaigns[0].partial_outputs.clone())
+        .collect();
     let merged = merge_artifacts(&parts).expect("shards cover the campaign");
     let baseline = NetCampaign::build(params).baseline_outputs();
     assert_eq!(
@@ -135,11 +141,14 @@ fn two_shard_campaign_merges_byte_identical_to_single_server() {
     assert!(fleet.saw_completion);
     let solo = solo.join().unwrap().expect("solo ran");
 
-    let parts: Vec<_> = reports.iter().map(|r| r.partial_outputs.clone()).collect();
+    let parts: Vec<_> = reports
+        .iter()
+        .map(|r| r.campaigns[0].partial_outputs.clone())
+        .collect();
     let merged = merge_artifacts(&parts).unwrap();
     assert_eq!(
         serde_json::to_string(&merged).unwrap(),
-        serde_json::to_string(&solo.outputs).unwrap(),
+        serde_json::to_string(&solo.campaigns[0].outputs).unwrap(),
         "sharded merge vs. an actual single-server run"
     );
 }
@@ -217,7 +226,10 @@ fn agents_on_one_shard_finish_the_campaign_via_steering() {
         "every redirect the server issued was followed exactly once"
     );
 
-    let parts: Vec<_> = reports.iter().map(|r| r.partial_outputs.clone()).collect();
+    let parts: Vec<_> = reports
+        .iter()
+        .map(|r| r.campaigns[0].partial_outputs.clone())
+        .collect();
     let merged = merge_artifacts(&parts).expect("covered");
     let baseline = NetCampaign::build(params).baseline_outputs();
     assert_eq!(

@@ -139,7 +139,7 @@ fn format_4_payloads() -> HashMap<u32, DockingOutput> {
 /// payload with which fingerprint.
 fn observed(state: &GridState) -> [String; 4] {
     let accepted: Vec<(usize, u64)> = state
-        .partial_outputs()
+        .outputs()
         .iter()
         .enumerate()
         .filter_map(|(wu, out)| out.as_ref().map(|out| (wu, fingerprint(out))))
@@ -333,14 +333,10 @@ fn the_recorded_wal_replays_to_the_recorded_state() {
     // payloads the wal holds were computed by the kernel of the day it
     // was recorded and are pinned by `ACCEPTED`; the ones the drain
     // filled come from today's baseline.
-    let from_wal: Vec<bool> = state
-        .partial_outputs()
-        .iter()
-        .map(Option::is_some)
-        .collect();
+    let from_wal: Vec<bool> = state.outputs().iter().map(Option::is_some).collect();
     drain(&mut state, &baseline);
     let mut filled = 0;
-    for (wu, out) in state.partial_outputs().iter().enumerate() {
+    for (wu, out) in state.outputs().iter().enumerate() {
         if let (Some(out), false) = (out, from_wal[wu]) {
             assert_eq!(fingerprint(out), fingerprint(&baseline[wu]), "wu {wu}");
             filled += 1;

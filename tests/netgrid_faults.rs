@@ -82,9 +82,10 @@ fn killed_agent_times_out_and_campaign_still_completes() {
         "expiry must become a timeout reissue: {:?}",
         report.server_stats
     );
-    assert_eq!(report.outputs.len(), report.workunits);
+    let outputs = &report.campaigns[0].outputs;
+    assert_eq!(outputs.len(), report.workunits);
     assert_eq!(
-        serde_json::to_string(&report.outputs).unwrap(),
+        serde_json::to_string(outputs).unwrap(),
         baseline_json(),
         "merged wire-level output must be byte-identical to the in-process baseline"
     );
@@ -141,7 +142,7 @@ fn corrupted_results_are_quorum_rejected_and_the_honest_output_wins() {
         report.server_stats
     );
     assert_eq!(
-        serde_json::to_string(&report.outputs).unwrap(),
+        serde_json::to_string(&report.campaigns[0].outputs).unwrap(),
         baseline_json(),
         "corruption must never reach the accepted artifact"
     );
@@ -201,7 +202,7 @@ fn busy_rejections_are_not_double_counted_as_connections() {
     );
     let baseline = NetCampaign::build(params).baseline_outputs();
     assert_eq!(
-        serde_json::to_string(&report.outputs).unwrap(),
+        serde_json::to_string(&report.campaigns[0].outputs).unwrap(),
         serde_json::to_string(&baseline).unwrap(),
         "a rejected probe must not perturb the artifact"
     );

@@ -108,8 +108,11 @@ fn drain(state: &mut OneCampaign, campaign: &NetCampaign) {
     }
 }
 
+/// A complete campaign's artifact as the server writes it: every
+/// output is `Some`, and `Some(out)` prints as `out`.
 fn artifact_json(state: &GridState) -> String {
-    serde_json::to_string(&state.accepted_outputs().expect("campaign complete")).unwrap()
+    assert!(state.is_campaign_complete(), "campaign complete");
+    serde_json::to_string(state.outputs()).unwrap()
 }
 
 fn baseline_json(campaign: &NetCampaign) -> String {
