@@ -13,8 +13,8 @@
 //! compare identical work.
 //!
 //! Writes `BENCH_simscale.json` at the workspace root (override with
-//! `--out`); `tools/bench_guard` compares fresh runs against the
-//! committed baseline in CI. `--quick` runs the two small fleets only.
+//! `--out`). CI runs `--quick`, the two small fleets only, for the
+//! order-checksum assertion; its events/sec are recorded, not compared.
 
 use bench_support::{thousands, RunSession};
 use gridsim::{EventQueue, HeapQueue, Scheduler, SimTime};

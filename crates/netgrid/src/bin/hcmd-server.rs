@@ -60,7 +60,8 @@
 //! recipes, shares, priorities — so a restart must name the same.
 
 use netgrid::{
-    CampaignDef, FsyncPolicy, JournalConfig, NetServer, NetServerConfig, ShardSpec, ShardTopology,
+    CampaignDef, CampaignRunReport, FsyncPolicy, JournalConfig, NetServer, NetServerConfig,
+    ShardSpec, ShardTopology,
 };
 use std::fs::{self, File};
 use std::io;
@@ -255,49 +256,80 @@ fn main() {
 
     match server.run() {
         Ok(report) => {
+            // Totals over every hosted campaign; the wire, shard and
+            // trust lines are per campaign, named when there are several.
+            let total = |f: &dyn Fn(&CampaignRunReport) -> u64| -> u64 {
+                report.campaigns.iter().map(f).sum()
+            };
             println!(
                 "campaign complete: {} workunits in {:.1} s ({} connections, {} rejected)",
-                report.workunits,
+                total(&|c| c.workunits as u64),
                 report.wall_seconds,
                 report.connections,
                 report.rejected_connections
             );
             println!(
                 "issues: {} initial, {} quorum, {} timeout reissues, {} error reissues",
-                report.server_stats.initial_issues,
-                report.server_stats.quorum_issues,
-                report.server_stats.timeout_reissues,
-                report.server_stats.error_reissues
+                total(&|c| c.server_stats.initial_issues),
+                total(&|c| c.server_stats.quorum_issues),
+                total(&|c| c.server_stats.timeout_reissues),
+                total(&|c| c.server_stats.error_reissues)
             );
-            println!(
-                "wire: {} quorum-rejected, {} bounds-rejected, {} duplicates, {} expiries, {} backoffs",
-                report.net_stats.quorum_rejected,
-                report.net_stats.bounds_rejected,
-                report.net_stats.duplicates_dropped,
-                report.net_stats.deadline_expiries,
-                report.net_stats.backoffs_sent
-            );
-            if report.shard.shards > 1 {
+            for c in &report.campaigns {
+                let label = match report.campaigns.len() {
+                    1 => String::new(),
+                    _ => format!("campaign {} ", c.name),
+                };
+                let n = &c.net_stats;
                 println!(
-                    "shard {}/{}: {} redirects, {} leases out ({} wus), {} leases in ({} wus)",
-                    report.shard.shard_id,
-                    report.shard.shards,
-                    report.net_stats.shard_redirects,
-                    report.net_stats.shard_leases_out,
-                    report.net_stats.shard_wus_leased_out,
-                    report.net_stats.shard_leases_in,
-                    report.net_stats.shard_wus_leased_in
+                    "{label}wire: {} quorum-rejected, {} bounds-rejected, {} duplicates, \
+                     {} expiries, {} backoffs",
+                    n.quorum_rejected,
+                    n.bounds_rejected,
+                    n.duplicates_dropped,
+                    n.deadline_expiries,
+                    n.backoffs_sent
                 );
+                if report.shard.shards > 1 {
+                    println!(
+                        "{label}shard {}/{}: {} redirects, {} leases out ({} wus), \
+                         {} leases in ({} wus)",
+                        report.shard.shard_id,
+                        report.shard.shards,
+                        n.shard_redirects,
+                        n.shard_leases_out,
+                        n.shard_wus_leased_out,
+                        n.shard_leases_in,
+                        n.shard_wus_leased_in
+                    );
+                }
+                if let Some(t) = &c.trust {
+                    println!(
+                        "{label}trust: {} trusted, {} probation, {} untrusted, {} quarantined \
+                         ({} ever), spot checks {} passed / {} failed, {} fetches denied, \
+                         {} workunits retracted, {:.0} ref-s wasted",
+                        t.trusted,
+                        t.probation,
+                        t.untrusted,
+                        t.quarantined,
+                        t.ever_quarantined,
+                        t.spot_checks_passed,
+                        t.spot_checks_failed,
+                        n.trust_denied_fetches,
+                        n.workunits_invalidated,
+                        c.wasted_ref_seconds
+                    );
+                }
             }
             if report.campaigns.len() > 1 {
-                let total: f64 = report
+                let delivered: f64 = report
                     .campaigns
                     .iter()
                     .map(|c| c.delivered_ref_seconds)
                     .sum();
                 for c in &report.campaigns {
-                    let got = if total > 0.0 {
-                        c.delivered_ref_seconds / total
+                    let got = if delivered > 0.0 {
+                        c.delivered_ref_seconds / delivered
                     } else {
                         0.0
                     };
@@ -315,23 +347,6 @@ fn main() {
                 println!(
                     "fair-share error {:.3}, {} cross-campaign quarantine denials",
                     report.share_error, report.cross_quarantine_denials
-                );
-            }
-            if let Some(t) = &report.trust {
-                println!(
-                    "trust: {} trusted, {} probation, {} untrusted, {} quarantined \
-                     ({} ever), spot checks {} passed / {} failed, {} fetches denied, \
-                     {} workunits retracted, {:.0} ref-s wasted",
-                    t.trusted,
-                    t.probation,
-                    t.untrusted,
-                    t.quarantined,
-                    t.ever_quarantined,
-                    t.spot_checks_passed,
-                    t.spot_checks_failed,
-                    report.net_stats.trust_denied_fetches,
-                    report.net_stats.workunits_invalidated,
-                    report.wasted_ref_seconds
                 );
             }
             // A multi-campaign server writes one file per campaign as

@@ -938,7 +938,9 @@ mod tests {
 
         assert!(fleet.saw_completion);
         assert!(fleet.corrupt_faults > 0, "saboteur never got to corrupt");
-        let trust = run.trust.expect("trust summary present when enabled");
+        let trust = run.campaigns[0]
+            .trust
+            .expect("trust summary present when enabled");
         assert!(
             trust.ever_quarantined >= 1,
             "saboteur should have been quarantined: {trust:?}"

@@ -125,27 +125,20 @@ impl NetServerConfig {
 /// What a finished campaign run hands back.
 #[derive(Debug)]
 pub struct NetRunReport {
-    /// The scheduling core's issue/validation statistics.
+    /// Slot 0's issue/validation statistics, the same value as
+    /// `campaigns[0].server_stats`; kept because the benchmark harness
+    /// reads it. Anything that sums over campaigns reads `campaigns`.
     pub server_stats: ServerStats,
-    /// Wire-layer counters (quorum rejects, expiries, backoffs...).
-    pub net_stats: NetStats,
     /// This server's place in the shard topology (solo when unsharded).
     pub shard: ShardSpec,
     /// Wall-clock duration of the run, seconds.
     pub wall_seconds: f64,
-    /// Workunits in the campaign.
-    pub workunits: usize,
     /// Connections accepted over the run.
     pub connections: u64,
     /// Connections turned away at the limit.
     pub rejected_connections: u64,
-    /// Reference CPU seconds burned on results that were not useful.
-    pub wasted_ref_seconds: f64,
-    /// Trust band census at shutdown; `None` when the policy is off.
-    pub trust: Option<crate::state::TrustSummary>,
     /// Per-campaign results, artifacts included, in registry slot
-    /// order. A single implicit campaign still gets its one row here;
-    /// the top-level fields above describe slot 0.
+    /// order. A single implicit campaign still gets its one row here.
     pub campaigns: Vec<CampaignRunReport>,
     /// Largest deviation between any campaign's delivered-ref-second
     /// fraction and its configured share (0.0 for a single campaign).
@@ -184,6 +177,12 @@ pub struct CampaignRunReport {
     pub server_stats: ServerStats,
     /// The campaign's wire-layer counters.
     pub net_stats: NetStats,
+    /// Reference CPU seconds this campaign burned on results that were
+    /// not useful.
+    pub wasted_ref_seconds: f64,
+    /// This campaign's trust band census at shutdown; `None` when the
+    /// policy is off.
+    pub trust: Option<crate::state::TrustSummary>,
     /// This campaign's per-agent trust ledger at shutdown, sorted by
     /// agent id; empty when the policy is off.
     pub agent_trust: Vec<(u64, crate::trust::AgentTrust)>,
@@ -556,9 +555,7 @@ impl EventLoop {
         let grid = self.core;
         let spec = grid.spec();
         let fair = grid.fair().clone();
-        let slot0 = &grid.slots()[0].state;
-        let wasted_ref_seconds = slot0.wasted_ref_seconds();
-        let trust = slot0.trust_summary(grid.last_now());
+        let now_s = grid.last_now();
         let share_error = grid.share_error();
         let cross_quarantine_denials = grid.cross_quarantine_denials;
         let campaigns: Vec<_> = grid
@@ -568,6 +565,8 @@ impl EventLoop {
             .map(|(i, slot)| {
                 let server_stats = slot.state.server_stats();
                 let net_stats = slot.state.net_stats;
+                let wasted_ref_seconds = slot.state.wasted_ref_seconds();
+                let trust = slot.state.trust_summary(now_s);
                 let agent_trust = slot.state.agent_trust_table();
                 let accepted = slot.state.into_outputs();
                 let (outputs, partial_outputs) = match spec.shards {
@@ -591,18 +590,16 @@ impl EventLoop {
                     workunits: slot.campaign.len(),
                     server_stats,
                     net_stats,
+                    wasted_ref_seconds,
+                    trust,
                     agent_trust,
                 }
             })
             .collect();
         NetRunReport {
             server_stats: campaigns[0].server_stats,
-            net_stats: campaigns[0].net_stats,
-            wasted_ref_seconds,
-            trust,
             shard: spec,
             wall_seconds,
-            workunits: campaigns[0].workunits,
             connections: self.connections,
             rejected_connections: self.rejected,
             campaigns,
@@ -1376,16 +1373,18 @@ mod tests {
     }
 
     /// Asks and reports straight on the loop's core, as agents 1 and 2
-    /// in turn with results from `baseline`, until neither draws work.
-    fn drive(ev: &mut EventLoop, baseline: &[DockingOutput]) {
+    /// in turn volunteering for every campaign, with results from that
+    /// campaign's `baselines` row, until neither draws work.
+    fn drive(ev: &mut EventLoop, baselines: &[Vec<DockingOutput>]) {
+        let attached = vec![true; baselines.len()];
         let mut idle = 0;
         for (step, agent) in (1..=2u64).cycle().enumerate() {
             assert!(step < 10_000, "the core never ran dry");
             let now = SimTime::new(1.0 + step as f64 * 0.01);
-            match ev.core.fetch(now, agent, &[true]) {
+            match ev.core.fetch(now, agent, &attached) {
                 (campaign, WorkReply::Assigned(a)) => {
                     idle = 0;
-                    let output = baseline[a.workunit as usize].clone();
+                    let output = baselines[usize::from(campaign)][a.workunit as usize].clone();
                     ev.core.report(now, campaign, a.replica, a.workunit, output);
                 }
                 _ if idle == 1 => return,
@@ -1415,7 +1414,8 @@ mod tests {
             baseline.iter().all(|o| !o.rows.is_empty()),
             "rows to point at"
         );
-        drive(&mut solo, &baseline);
+        let baselines = std::slice::from_ref(&baseline);
+        drive(&mut solo, baselines);
         assert!(solo.core.all_complete());
         let held = row_addresses(&solo);
         let report = solo.into_report(0.0);
@@ -1428,7 +1428,7 @@ mod tests {
         let (own, peer) = (listener(), listener());
         let addrs = [addr_of(&own), addr_of(&peer)];
         let mut shard = shard_loop(own, 0, &addrs, None);
-        drive(&mut shard, &baseline);
+        drive(&mut shard, baselines);
         let held = row_addresses(&shard);
         assert!(held.iter().any(Option::is_some) && held.iter().any(Option::is_none));
         let report = shard.into_report(0.0);
@@ -1440,6 +1440,78 @@ mod tests {
             .map(|o| o.as_ref().map(|o| o.rows.as_ptr()))
             .collect();
         assert_eq!(reported, held, "moved, not copied");
+    }
+
+    /// Two campaigns under the trust policy, and only beta's volunteer
+    /// is a saboteur: each campaign's row reports its own census, so
+    /// beta's shows the quarantine and alpha's does not.
+    #[test]
+    fn each_campaign_reports_its_own_trust_census() {
+        let base = CampaignParams::tiny();
+        let def = |name: &str, lib_seed, share| CampaignDef {
+            name: name.into(),
+            params: CampaignParams { lib_seed, ..base },
+            share,
+            priority: 0,
+        };
+        let mut config = NetServerConfig {
+            campaigns: vec![
+                def("alpha", base.lib_seed, 0.7),
+                def("beta", base.lib_seed + 1, 0.3),
+            ],
+            ..NetServerConfig::loopback(5.0)
+        };
+        config.faults.trust = crate::trust::TrustConfig::on();
+        let quarantine_after = config.faults.trust.quarantine_after;
+        let mut ev = open(listener(), &config);
+        let baselines: Vec<_> = ev
+            .core
+            .slots()
+            .iter()
+            .map(|s| s.campaign.baseline_outputs())
+            .collect();
+
+        // The saboteur reports second, and wrong, on beta's quorum pairs
+        // until quarantine trips; an honest reissue validates each.
+        const SABOTEUR: u64 = 9;
+        let beta = [false, true];
+        let served = |ev: &mut EventLoop, now: f64, agent: u64| {
+            let reply = ev.core.fetch(SimTime::new(now), agent, &beta);
+            match reply {
+                (1, WorkReply::Assigned(a)) => a,
+                other => panic!("agent {agent} not served on beta: {other:?}"),
+            }
+        };
+        for k in 0..u64::from(quarantine_after) {
+            let now = 1.0 + k as f64;
+            let first = served(&mut ev, now, 10 + k);
+            let second = served(&mut ev, now, SABOTEUR);
+            assert_eq!(first.workunit, second.workunit, "quorum siblings");
+            let output = baselines[1][first.workunit as usize].clone();
+            let mut corrupted = output.clone();
+            corrupted.rows[0].eelec += 1e-9;
+            let at = SimTime::new(now + 0.1);
+            ev.core
+                .report(at, 1, first.replica, first.workunit, output.clone());
+            let (_, judged) = ev
+                .core
+                .report(at, 1, second.replica, second.workunit, corrupted);
+            assert_eq!(judged.verdict, crate::state::Verdict::QuorumRejected);
+            let reissue = served(&mut ev, now + 0.2, 20 + k);
+            assert_eq!(reissue.workunit, first.workunit, "the rejected one");
+            let at = SimTime::new(now + 0.3);
+            ev.core
+                .report(at, 1, reissue.replica, reissue.workunit, output);
+        }
+        drive(&mut ev, &baselines);
+        assert!(ev.core.all_complete());
+
+        let report = ev.into_report(0.0);
+        let trust = |i: usize| report.campaigns[i].trust.expect("trust is on");
+        assert_eq!(trust(0).ever_quarantined, 0, "alpha: {:?}", trust(0));
+        assert_eq!(trust(1).ever_quarantined, 1, "beta: {:?}", trust(1));
+        assert!(report.campaigns[1].net_stats.quorum_rejected >= u64::from(quarantine_after));
+        assert_eq!(report.campaigns[0].net_stats.quorum_rejected, 0);
     }
 
     /// A whole sharded campaign — hunger, a lease cut, adopted and

@@ -3,7 +3,10 @@
 //! with the final [`NetRunReport`]. Malformed requests must come back
 //! as 4xx without touching scheduler state.
 
-use netgrid::{http_get, run_agent, AgentConfig, NetRunReport, NetServer, NetServerConfig};
+use netgrid::{
+    http_get, run_agent, AgentConfig, CampaignParams, NetCampaign, NetRunReport, NetServer,
+    NetServerConfig,
+};
 use std::net::SocketAddr;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -72,9 +75,19 @@ fn live_scrapes_agree_with_the_final_report() {
     let (metrics, html) = last.expect("at least one successful scrape pair");
     assert!(successes >= 2, "expected repeated scrapes, got {successes}");
 
+    // Scraping never touches what is served: the artifact is the
+    // in-process baseline, byte for byte.
+    let campaign = &report.campaigns[0];
+    assert_eq!(
+        serde_json::to_string(&campaign.outputs).unwrap(),
+        serde_json::to_string(&NetCampaign::build(CampaignParams::tiny()).baseline_outputs())
+            .unwrap(),
+        "a scraped run's artifact must match the in-process baseline"
+    );
+
     // The last scrape saw the finished campaign: every workunit done,
     // and the counts agree with the run report.
-    let wu = report.workunits as f64;
+    let wu = campaign.workunits as f64;
     assert_eq!(metric(&metrics, "hcmd_campaign_complete"), Some(1.0));
     assert_eq!(
         metric(&metrics, "hcmd_wu_states{state=\"total\"}"),
@@ -91,7 +104,7 @@ fn live_scrapes_agree_with_the_final_report() {
     );
     assert_eq!(
         metric(&metrics, "hcmd_results_rejected{layer=\"quorum\"}"),
-        Some(report.net_stats.quorum_rejected as f64)
+        Some(campaign.net_stats.quorum_rejected as f64)
     );
     let received = metric(&metrics, "hcmd_results_received").expect("results_received present");
     assert!(received >= wu, "at least one result per workunit");
@@ -105,7 +118,7 @@ fn live_scrapes_agree_with_the_final_report() {
 
     // The dashboard reflects the same finished state, self-contained.
     assert!(html.contains("status: complete"), "dashboard not final");
-    assert!(html.contains(&format!("{}/{}", report.workunits, report.workunits)));
+    assert!(html.contains(&format!("{}/{}", campaign.workunits, campaign.workunits)));
     for forbidden in ["http://", "https://", "src=", "href="] {
         assert!(!html.contains(forbidden), "external asset via {forbidden}");
     }

@@ -160,11 +160,11 @@ fn four_shard_campaign_merges_byte_identical() {
     // granted, workunit for workunit.
     let out: u64 = reports
         .iter()
-        .map(|r| r.net_stats.shard_wus_leased_out)
+        .map(|r| r.campaigns[0].net_stats.shard_wus_leased_out)
         .sum();
     let adopted: u64 = reports
         .iter()
-        .map(|r| r.net_stats.shard_wus_leased_in)
+        .map(|r| r.campaigns[0].net_stats.shard_wus_leased_in)
         .sum();
     assert!(
         adopted <= out,
@@ -178,7 +178,10 @@ fn two_shard_campaign_under_trust_merges_byte_identical() {
     // Trust is scoped per shard by design (DESIGN.md §6): each shard
     // keeps its own ledger over the agents it served.
     for r in &reports {
-        assert!(r.trust.is_some(), "trust summary present on every shard");
+        assert!(
+            r.campaigns[0].trust.is_some(),
+            "trust summary present on every shard"
+        );
     }
 }
 
@@ -212,17 +215,14 @@ fn agents_on_one_shard_finish_the_campaign_via_steering() {
         redirects_followed += r.redirects_followed;
     }
 
-    let steered = reports[0].net_stats.shard_leases_in
-        + reports[1].net_stats.shard_leases_out
-        + reports[0].net_stats.shard_redirects;
+    let [s0, s1] = [0, 1].map(|i| reports[i].campaigns[0].net_stats);
+    let steered = s0.shard_leases_in + s1.shard_leases_out + s0.shard_redirects;
     assert!(
         steered > 0,
-        "an agentless shard's work must move by lease or redirect: {:?} / {:?}",
-        reports[0].net_stats,
-        reports[1].net_stats
+        "an agentless shard's work must move by lease or redirect: {s0:?} / {s1:?}"
     );
     assert_eq!(
-        redirects_followed, reports[0].net_stats.shard_redirects,
+        redirects_followed, s0.shard_redirects,
         "every redirect the server issued was followed exactly once"
     );
 
@@ -358,9 +358,10 @@ fn duplicate_gossip_resends_the_same_lease_never_a_new_one() {
     drop(stream);
 
     let report = server.join().unwrap().expect("shard 0 ran");
-    assert_eq!(report.net_stats.shard_leases_out, held.len() as u64);
-    assert_eq!(report.net_stats.shard_wus_leased_out, leased.len() as u64);
-    assert_eq!(report.net_stats.shard_leases_in, 0);
+    let stats = report.campaigns[0].net_stats;
+    assert_eq!(stats.shard_leases_out, held.len() as u64);
+    assert_eq!(stats.shard_wus_leased_out, leased.len() as u64);
+    assert_eq!(stats.shard_leases_in, 0);
 }
 
 /// Regression: a shard whose own slice was already complete never
@@ -455,7 +456,7 @@ fn a_complete_shard_still_redirects_to_a_peer_with_backlog() {
     gossip(&held, 0, false, true);
     drop(peer);
     let report = server.join().unwrap().expect("shard 0 ran");
-    assert_eq!(report.net_stats.shard_redirects, 1);
+    assert_eq!(report.campaigns[0].net_stats.shard_redirects, 1);
 }
 
 /// Shard identity is part of the journal header: a WAL written as one

@@ -6,23 +6,29 @@
 //! agent's replica is reissued after its deadline, corrupted results
 //! are caught by quorum comparison, and the campaign still completes
 //! with a merged output byte-identical to the in-process baseline.
+//! The first two scenarios also run journaled, and the wal they leave
+//! must rebuild the finished campaign on its own.
 
 use netgrid::{
-    run_agent, AgentConfig, CampaignParams, FaultProfile, Message, NetCampaign, NetRunReport,
-    NetServer, NetServerConfig,
+    run_agent, AgentConfig, CampaignDef, CampaignParams, FaultProfile, JournalConfig, Message,
+    MultiGrid, NetCampaign, NetRunReport, NetServer, NetServerConfig, ShardSpec,
 };
 use std::thread;
 use std::time::Duration;
 
-/// Binds a loopback server for a tiny campaign and returns the resolved
-/// address plus the thread computing `run()`.
-fn spawn_server(
-    deadline_seconds: f64,
-) -> (String, thread::JoinHandle<std::io::Result<NetRunReport>>) {
-    let config = NetServerConfig {
+/// A loopback server configuration for the tiny campaign.
+fn loopback(deadline_seconds: f64) -> NetServerConfig {
+    NetServerConfig {
         sweep_ms: 25,
         ..NetServerConfig::loopback(deadline_seconds)
-    };
+    }
+}
+
+/// Binds a server and returns the resolved address plus the thread
+/// computing `run()`.
+fn spawn_server(
+    config: NetServerConfig,
+) -> (String, thread::JoinHandle<std::io::Result<NetRunReport>>) {
     let server = NetServer::bind(config).expect("bind loopback");
     let addr = server.local_addr().expect("local addr").to_string();
     (addr, thread::spawn(move || server.run()))
@@ -33,9 +39,47 @@ fn baseline_json() -> String {
     serde_json::to_string(&baseline).unwrap()
 }
 
+/// Runs `scenario` with the write-ahead journal in a scratch directory
+/// of its own, then reopens that wal with no server: the replay alone
+/// must find the campaign complete, holding the artifact that was
+/// served.
+fn journaled(name: &str, deadline_seconds: f64, scenario: fn(NetServerConfig) -> NetRunReport) {
+    let dir = std::env::temp_dir().join(format!("hcmd-faults-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let journal = JournalConfig::new(&dir);
+    let config = NetServerConfig {
+        journal: Some(journal.clone()),
+        ..loopback(deadline_seconds)
+    };
+    let (scheduler, faults) = (config.scheduler, config.faults);
+    let report = scenario(config);
+
+    let roster = vec![CampaignDef::default_solo(CampaignParams::tiny())];
+    let (grid, _) = MultiGrid::open(roster, scheduler, faults, ShardSpec::solo(), Some(&journal))
+        .expect("the wal replays");
+    assert!(grid.all_complete(), "the wal rebuilds a finished campaign");
+    let recovered: Option<Vec<_>> = grid.slots()[0].state.outputs().iter().cloned().collect();
+    assert_eq!(
+        serde_json::to_string(&recovered.expect("every workunit validated")).unwrap(),
+        serde_json::to_string(&report.campaigns[0].outputs).unwrap(),
+        "the recovered artifact is the served one"
+    );
+    drop(grid);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn killed_agent_times_out_and_campaign_still_completes() {
-    let (addr, server) = spawn_server(1.5);
+    killed_agent(loopback(1.5));
+}
+
+#[test]
+fn killed_agent_times_out_and_campaign_still_completes_journaled() {
+    journaled("killed-agent", 1.5, killed_agent);
+}
+
+fn killed_agent(config: NetServerConfig) -> NetRunReport {
+    let (addr, server) = spawn_server(config);
 
     // The victim takes one assignment and vanishes without reporting —
     // the volunteer's PC switched off mid-workunit.
@@ -72,28 +116,38 @@ fn killed_agent_times_out_and_campaign_still_completes() {
     );
 
     let report = server.join().unwrap().expect("server ran");
+    let campaign = &report.campaigns[0];
     assert!(
-        report.net_stats.deadline_expiries >= 1,
+        campaign.net_stats.deadline_expiries >= 1,
         "the abandoned replica must expire: {:?}",
-        report.net_stats
+        campaign.net_stats
     );
     assert!(
-        report.server_stats.timeout_reissues >= 1,
+        campaign.server_stats.timeout_reissues >= 1,
         "expiry must become a timeout reissue: {:?}",
-        report.server_stats
+        campaign.server_stats
     );
-    let outputs = &report.campaigns[0].outputs;
-    assert_eq!(outputs.len(), report.workunits);
+    assert_eq!(campaign.outputs.len(), campaign.workunits);
     assert_eq!(
-        serde_json::to_string(outputs).unwrap(),
+        serde_json::to_string(&campaign.outputs).unwrap(),
         baseline_json(),
         "merged wire-level output must be byte-identical to the in-process baseline"
     );
+    report
 }
 
 #[test]
 fn corrupted_results_are_quorum_rejected_and_the_honest_output_wins() {
-    let (addr, server) = spawn_server(8.0);
+    corrupted_results(loopback(8.0));
+}
+
+#[test]
+fn corrupted_results_are_quorum_rejected_and_the_honest_output_wins_journaled() {
+    journaled("corrupted-results", 8.0, corrupted_results);
+}
+
+fn corrupted_results(config: NetServerConfig) -> NetRunReport {
+    let (addr, server) = spawn_server(config);
 
     // One saboteur corrupts every result; three honest agents (one
     // multicore) outvote it on every workunit.
@@ -131,21 +185,23 @@ fn corrupted_results_are_quorum_rejected_and_the_honest_output_wins() {
     let _ = saboteur.join().unwrap();
 
     let report = server.join().unwrap().expect("server ran");
+    let campaign = &report.campaigns[0];
     assert!(
-        report.net_stats.quorum_rejected >= 1,
+        campaign.net_stats.quorum_rejected >= 1,
         "a corrupted result must disagree with an honest candidate: {:?}",
-        report.net_stats
+        campaign.net_stats
     );
     assert!(
-        report.server_stats.error_reissues >= 1,
+        campaign.server_stats.error_reissues >= 1,
         "each quorum rejection reissues the workunit: {:?}",
-        report.server_stats
+        campaign.server_stats
     );
     assert_eq!(
-        serde_json::to_string(&report.campaigns[0].outputs).unwrap(),
+        serde_json::to_string(&campaign.outputs).unwrap(),
         baseline_json(),
         "corruption must never reach the accepted artifact"
     );
+    report
 }
 
 /// Regression: a connection turned away with `Busy` used to be counted
