@@ -1,18 +1,17 @@
-//! Benchmarks of the discrete-event substrate: raw event-queue
-//! throughput, host execution planning, task-server issue/report cycles,
-//! and a whole scaled campaign per iteration.
+//! Benchmarks of the discrete-event substrate: raw throughput of the
+//! timing-wheel event queue, host execution planning, task-server
+//! issue/report cycles, and a whole scaled campaign per iteration.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gridsim::{
-    EventQueue, HeapQueue, Host, HostId, HostParams, Scheduler, SchedulerCore, ServerConfig,
-    SimTime, VolunteerGridConfig, VolunteerGridSim,
+    EventQueue, Host, HostId, HostParams, SchedulerCore, ServerConfig, SimTime,
+    VolunteerGridConfig, VolunteerGridSim,
 };
 use std::hint::black_box;
 
-/// Schedules 10k scattered events and drains them on engine `S` — the
-/// shared body of the wheel-vs-heap A/B pair below.
-fn schedule_pop_10k<S: Scheduler<u64>>() -> u64 {
-    let mut q = S::default();
+/// Schedules 10k scattered events and drains them.
+fn schedule_pop_10k() -> u64 {
+    let mut q = EventQueue::new();
     for i in 0..10_000u64 {
         // Scatter times deterministically.
         let t = ((i * 2_654_435_761) % 1_000_000) as f64;
@@ -27,12 +26,7 @@ fn schedule_pop_10k<S: Scheduler<u64>>() -> u64 {
 
 fn bench_event_queue(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_queue_schedule_pop_10k");
-    group.bench_function("wheel", |b| {
-        b.iter(|| black_box(schedule_pop_10k::<EventQueue<u64>>()))
-    });
-    group.bench_function("heap", |b| {
-        b.iter(|| black_box(schedule_pop_10k::<HeapQueue<u64>>()))
-    });
+    group.bench_function("wheel", |b| b.iter(|| black_box(schedule_pop_10k())));
     group.finish();
 }
 
@@ -48,7 +42,7 @@ fn bench_task_server(c: &mut Criterion) {
     c.bench_function("server_issue_report_10k_wus", |b| {
         b.iter(|| {
             let catalog: Vec<_> = (0..10_000)
-                .map(|i| gridsim::server::WorkunitCatalogEntry {
+                .map(|i| gridsim::sched::WorkunitCatalogEntry {
                     ref_seconds: 1000.0 + i as f32,
                     position_ref_seconds: 100.0,
                     receptor: (i % 168) as u16,

@@ -57,7 +57,7 @@ pub struct CampaignTrace {
     /// Useful results.
     pub results_useful: u64,
     /// Server-side issue/reissue cause accounting.
-    pub server_stats: crate::server::ServerStats,
+    pub server_stats: crate::sched::ServerStats,
     /// Formula-(1) reference total of the simulated (scaled) workload,
     /// seconds.
     pub reference_total_seconds: f64,
@@ -228,7 +228,7 @@ mod tests {
             completion_day: Some(2),
             results_received: 14,
             results_useful: 10,
-            server_stats: crate::server::ServerStats::default(),
+            server_stats: crate::sched::ServerStats::default(),
             reference_total_seconds: 86_400.0,
             events_processed: 24,
             peak_queue_depth: 6,

@@ -8,12 +8,18 @@
 //! (`scale_divisor` > 1) divide both workload and population so every
 //! intensive quantity — VFTP per share, speed-down, redundancy, durations —
 //! is preserved while extensive ones shrink.
+//!
+//! The simulator runs on the crate's one event engine, the timing-wheel
+//! [`EventQueue`]. A trace is a pure function of the seed and the
+//! configuration: `tests/event_engine_identity.rs` holds the serialized
+//! traces of five fixed campaigns (analytic, session-level and feeder
+//! modes) to recorded digests, byte for byte.
 
-use crate::event::{EventQueue, Scheduler, SimTime};
+use crate::event::{EventQueue, SimTime};
 use crate::host::{Host, HostId, HostParams};
 use crate::membership::{ChurnCounters, MembershipModel, HCMD_LAUNCH_DAY};
 use crate::project::ProjectPhases;
-use crate::server::{ReplicaId, SchedulerCore, ServerConfig, WorkunitCatalogEntry};
+use crate::sched::{ReplicaId, SchedulerCore, ServerConfig, WorkunitCatalogEntry};
 use crate::trace::{CampaignTrace, WorkSnapshot};
 use metrics::DailySeries;
 use workunit::{CampaignPackage, LaunchSchedule};
@@ -105,12 +111,10 @@ impl VolunteerGridConfig {
 
 /// An event in the volunteer-grid simulation.
 ///
-/// Public so the engine can be swapped via [`Scheduler`] type
-/// parameters (`sim_scale` bench, engine-identity tests); the payload
-/// stays a small inline enum — no boxing — so the timing wheel's bucket
-/// `Vec`s hold events by value with no per-schedule allocation.
+/// A small inline enum — no boxing — so the timing wheel's bucket `Vec`s
+/// hold events by value with no per-schedule allocation.
 #[derive(Debug)]
-pub enum SimEvent {
+pub(crate) enum SimEvent {
     /// Daily tick: population targets, snapshots, grid accounting.
     DayTick,
     /// A host asks the server for work.
@@ -138,16 +142,11 @@ struct HostSlot {
     join_seconds: f64,
 }
 
-/// The simulator.
-///
-/// Generic over the event engine so the identity tests can run one
-/// campaign on the timing-wheel [`EventQueue`] (the default) and on the
-/// reference [`crate::event::HeapQueue`]; both satisfy the same `(at,
-/// seq)` pop order, so the choice cannot change a trace.
-pub struct VolunteerGridSim<S: Scheduler<SimEvent> = EventQueue<SimEvent>> {
+/// The simulator, on the timing-wheel [`EventQueue`].
+pub struct VolunteerGridSim {
     config: VolunteerGridConfig,
     server: SchedulerCore,
-    queue: S,
+    queue: EventQueue<SimEvent>,
     hosts: Vec<HostSlot>,
     idle: Vec<u32>,
     active_count: usize,
@@ -161,19 +160,11 @@ pub struct VolunteerGridSim<S: Scheduler<SimEvent> = EventQueue<SimEvent>> {
 }
 
 impl VolunteerGridSim {
-    /// Builds a simulator from a packaged campaign, on the default
-    /// timing-wheel engine.
+    /// Builds a simulator from a packaged campaign.
     ///
     /// The catalog is ordered by the §5.1 launch schedule (cheapest
     /// receptor first); receptor indices in the trace follow that order.
     pub fn new(pkg: &CampaignPackage<'_>, config: VolunteerGridConfig) -> Self {
-        Self::with_scheduler(pkg, config)
-    }
-}
-
-impl<S: Scheduler<SimEvent>> VolunteerGridSim<S> {
-    /// Builds a simulator on an explicit event engine (`S::default()`).
-    pub fn with_scheduler(pkg: &CampaignPackage<'_>, config: VolunteerGridConfig) -> Self {
         let schedule = LaunchSchedule::cheapest_first(pkg);
         let mut catalog = Vec::new();
         let mut receptor_total = vec![0.0f64; schedule.len()];
@@ -203,7 +194,7 @@ impl<S: Scheduler<SimEvent>> VolunteerGridSim<S> {
             h_seconds,
         });
         let server = SchedulerCore::new(catalog, config.server);
-        let mut queue = S::default();
+        let mut queue = EventQueue::new();
         queue.schedule(SimTime::ZERO, SimEvent::DayTick);
         let n_receptors = schedule.len();
         let snapshot_days = config.snapshot_days.clone();
@@ -221,7 +212,7 @@ impl<S: Scheduler<SimEvent>> VolunteerGridSim<S> {
             completion_day: None,
             results_received: 0,
             results_useful: 0,
-            server_stats: crate::server::ServerStats::default(),
+            server_stats: crate::sched::ServerStats::default(),
             reference_total_seconds,
             events_processed: 0,
             peak_queue_depth: 0,

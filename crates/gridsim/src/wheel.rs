@@ -20,8 +20,9 @@
 //! # Determinism
 //!
 //! The wheel pops entries in strictly increasing `(at, seq)` order — the
-//! same total order a binary heap over `(at, seq)` yields — so swapping
-//! the backing store cannot change a simulation trace by a byte:
+//! order of a list sorted by `(at, seq)`, which is the oracle
+//! `tests/event_engine_identity.rs` checks it against — so the layout
+//! below cannot change a simulation trace by a byte:
 //!
 //! 1. Buckets are drained in tick order, and a bucket is sorted by
 //!    `(at, seq)` the moment it becomes current; `(at, seq)` keys are

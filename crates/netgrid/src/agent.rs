@@ -519,7 +519,9 @@ pub fn run_agent(config: AgentConfig) -> io::Result<AgentReport> {
         input = match session.step(input) {
             Step::Dial(addr) => {
                 // Closed before the dial, not by it: a server at its
-                // connection limit must see the old socket go first.
+                // connection limit must see the old socket go first. It
+                // does when the close reaches it with the dial, because
+                // it serves a batch's connections before its listeners.
                 stream = None;
                 match dial(&addr, IO_TIMEOUT) {
                     Ok(connected) => {

@@ -15,7 +15,7 @@
 //! wire-level output is identical to the in-process baseline.
 
 use crate::protocol::CampaignParams;
-use gridsim::server::WorkunitCatalogEntry;
+use gridsim::sched::WorkunitCatalogEntry;
 use maxdo::{
     CellList, DockingEngine, DockingOutput, EnergyParams, LibraryConfig, MinimizeParams,
     ProteinLibrary,

@@ -124,7 +124,7 @@ use crate::registry::{CampaignDef, Command, Outcome};
 use crate::shard::ShardSpec;
 use crate::state::{ResultDisposition, Verdict, WorkReply};
 use crate::trust::TrustConfig;
-use gridsim::server::{FeederConfig, ReplicaAssignment, ReplicaId, ServerConfig};
+use gridsim::sched::{FeederConfig, ReplicaAssignment, ReplicaId, ServerConfig};
 use gridsim::SimTime;
 use maxdo::DockingOutput;
 use serde::Serialize;

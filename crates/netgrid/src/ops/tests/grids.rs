@@ -14,7 +14,7 @@ use super::{
     lease_id, shard_of, CampaignDef, CampaignParams, Command, FsyncPolicy, JournalConfig,
     MultiGrid, Outcome, ServerFaults, ShardSpec, TrustConfig, Verdict, WorkReply,
 };
-use gridsim::server::{ReplicaAssignment, ServerConfig};
+use gridsim::sched::{ReplicaAssignment, ServerConfig};
 use gridsim::SimTime;
 use maxdo::DockingOutput;
 use std::borrow::Cow;

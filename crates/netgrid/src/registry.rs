@@ -45,7 +45,7 @@ use crate::journal::{Journal, JournalConfig, JournalRecord, JOURNAL_FORMAT};
 use crate::protocol::{encode_with, CampaignParams, Codec, Message, PROTOCOL_VERSION};
 use crate::shard::{lease_grantor, ShardSpec, LEASE_CHUNK, STEER_TIMEOUT_MS};
 use crate::state::{GridState, ResultDisposition, Verdict, WorkReply};
-use gridsim::server::{ReplicaId, ServerConfig};
+use gridsim::sched::{ReplicaId, ServerConfig};
 use gridsim::{CampaignShare, FairShare, SimTime};
 use maxdo::DockingOutput;
 use serde::Serialize;

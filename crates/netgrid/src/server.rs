@@ -48,7 +48,7 @@ use crate::registry::{Caller, CampaignDef, MultiGrid};
 use crate::shard::{ShardSpec, STEER_INTERVAL_MS, STEER_TIMEOUT_MS};
 use crate::state::NetStats;
 use crate::sys::{Event as IoEvent, Poller, ReadBuf};
-use gridsim::server::{ServerConfig, ServerStats};
+use gridsim::sched::{ServerConfig, ServerStats};
 use gridsim::SimTime;
 use maxdo::DockingOutput;
 use std::collections::HashMap;
@@ -625,19 +625,37 @@ impl EventLoop {
         let timeout = timeout.min(next_timer.saturating_duration_since(Instant::now()));
         let mut events = std::mem::take(&mut self.events);
         self.poller.wait(Some(timeout), &mut events)?;
+        self.serve_batch(events.drain(..))?;
+        self.events = events;
+        self.adopt_dialed();
+        Ok(())
+    }
+
+    /// Serves one batch of readiness events: every connection first, the
+    /// listeners last. The poller is level-triggered, so a listener it
+    /// reported before can come back *ahead* of a later connection event,
+    /// and one batch can hold a holder's `Bye` (or EOF) behind the
+    /// listener its successor waits on. Accepting in batch order would
+    /// count the successor against `max_connections` while the holder
+    /// still filled the slot, and brush it off with `Busy`.
+    fn serve_batch(&mut self, events: impl IntoIterator<Item = IoEvent>) -> io::Result<()> {
         let listener_fd = self.listener.as_raw_fd();
         let ops_fd = self.ops_listener.as_ref().map(AsRawFd::as_raw_fd);
-        for ev in events.drain(..) {
+        let mut accept = [false; 2];
+        for ev in events {
             if ev.fd == listener_fd {
-                self.accept_ready(false)?;
+                accept[0] = true;
             } else if Some(ev.fd) == ops_fd {
-                self.accept_ready(true)?;
+                accept[1] = true;
             } else {
                 self.advance_conn(ev);
             }
         }
-        self.events = events;
-        self.adopt_dialed();
+        for ops in [false, true] {
+            if accept[usize::from(ops)] {
+                self.accept_ready(ops)?;
+            }
+        }
         Ok(())
     }
 
@@ -1357,6 +1375,51 @@ mod tests {
         let (msg, consumed, _) = decode_versioned(&wire).expect("a whole Busy frame");
         assert!(matches!(msg, Message::Busy { retry_after_ms } if retry_after_ms > 0));
         assert_eq!(consumed, wire.len(), "one frame, then the close");
+    }
+
+    /// A batch that holds the task listener ahead of a holder's `Bye` —
+    /// what the level-triggered poller hands back when it reported the
+    /// listener before — retires the holder before it accepts: at
+    /// `max_connections = 1` the newcomer is served, not brushed off.
+    #[test]
+    fn a_batch_frees_a_leaving_holders_slot_before_it_accepts() {
+        let mut ev = event_loop();
+        ev.faults.max_connections = 1;
+        let addr = addr_of(&ev.listener);
+        let mut holder = Client::hello(&addr, 1, std::slice::from_mut(&mut ev));
+        let holder_fd = *ev.conns.keys().next().expect("the holder");
+        let listener_fd = ev.listener.as_raw_fd();
+        holder.send(&Message::Bye);
+        let mut newcomer = Client::connect(&addr);
+
+        // Both are in before the batch is served: the Bye on the
+        // holder's socket, the newcomer in the listen backlog.
+        let mut ready = Vec::new();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while ![listener_fd, holder_fd]
+            .iter()
+            .all(|&fd| ready.iter().any(|e: &IoEvent| e.fd == fd))
+        {
+            assert!(Instant::now() < deadline, "never both ready");
+            ev.poller.wait(Some(Duration::ZERO), &mut ready).unwrap();
+        }
+        let readable = |fd| IoEvent {
+            fd,
+            readable: true,
+            writable: false,
+            hangup: false,
+        };
+        ev.serve_batch([readable(listener_fd), readable(holder_fd)])
+            .unwrap();
+        assert_eq!((ev.rejected, ev.connections), (0, 2));
+
+        let hello = Message::Hello {
+            agent: 2,
+            threads: 1,
+            campaigns: Vec::new(),
+        };
+        let ack = newcomer.exchange(&hello, std::slice::from_mut(&mut ev));
+        assert!(matches!(ack, Message::HelloAck { .. }), "{ack:?}");
     }
 
     /// The read loop stops on a short read without seeing the EOF behind

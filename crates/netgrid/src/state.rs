@@ -30,7 +30,7 @@ use crate::faults::ServerFaults;
 use crate::protocol::{binary, Checksum64};
 use crate::shard::{self, ShardSpec};
 use crate::trust::{spot_selected, AgentTrust, TrustBand};
-use gridsim::server::{
+use gridsim::sched::{
     CoreSnapshot, ReplicaAssignment, ReplicaId, ReplicationOverride, SchedulerCore, ServerConfig,
     ServerStats,
 };

@@ -13,7 +13,7 @@
 //! The SIGKILL-mid-lease variant lives in `restart_kill.rs`; the
 //! agent-side redirect-loop guard is a unit test in `agent.rs`.
 
-use gridsim::server::ServerConfig;
+use gridsim::sched::ServerConfig;
 use netgrid::protocol::{read_message, write_message_with};
 use netgrid::shard::ownership_map;
 use netgrid::{

@@ -5,7 +5,7 @@
 
 #![allow(dead_code)] // each test crate drives its own subset
 
-use gridsim::server::{ReplicaId, ServerConfig};
+use gridsim::sched::{ReplicaId, ServerConfig};
 use gridsim::SimTime;
 use maxdo::DockingOutput;
 use netgrid::{

@@ -19,7 +19,7 @@
 mod common;
 
 use common::OneCampaign;
-use gridsim::server::{ReplicaAssignment, ServerConfig};
+use gridsim::sched::{ReplicaAssignment, ServerConfig};
 use gridsim::SimTime;
 use maxdo::DockingOutput;
 use netgrid::shard::{lease_id, ownership_map};

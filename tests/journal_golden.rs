@@ -28,7 +28,7 @@
 mod common;
 
 use common::OneCampaign;
-use gridsim::server::{ReplicaAssignment, ServerConfig};
+use gridsim::sched::{ReplicaAssignment, ServerConfig};
 use gridsim::SimTime;
 use maxdo::{DockingOutput, DockingRow, EulerZyz, Vec3};
 use netgrid::shard::lease_id;

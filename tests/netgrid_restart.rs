@@ -19,7 +19,7 @@
 mod common;
 
 use common::OneCampaign;
-use gridsim::server::{ServerConfig, ServerStats};
+use gridsim::sched::{ServerConfig, ServerStats};
 use gridsim::SimTime;
 use netgrid::{
     CampaignDef, CampaignParams, FaultDice, FaultProfile, FsyncPolicy, GridState, JournalConfig,
@@ -55,7 +55,7 @@ fn open(campaign: &NetCampaign, cfg: &JournalConfig) -> (OneCampaign, f64) {
     .expect("journal opens")
 }
 
-fn fetch(state: &mut OneCampaign, now: f64, agent: u64) -> gridsim::server::ReplicaAssignment {
+fn fetch(state: &mut OneCampaign, now: f64, agent: u64) -> gridsim::sched::ReplicaAssignment {
     match state.fetch(t(now), agent) {
         WorkReply::Assigned(a) => a,
         other => panic!("expected work, got {other:?}"),

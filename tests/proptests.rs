@@ -168,51 +168,3 @@ fn make_chunk(isep_start: u32, isep_end: u32) -> ResultFile {
             .collect(),
     }
 }
-
-/// Replays one randomized schedule/pop interleaving on engine `S` and
-/// returns the full pop sequence (time bits + payload).
-///
-/// Each op schedules one event whose delay class covers every tier of
-/// the timing wheel — same-timestamp ties (class 0), sub-tick offsets,
-/// near-wheel seconds, day-scale coarse windows, 20-day deadlines, and
-/// far-future spills — and pops whenever `pop_gate == 0`, so drains
-/// interleave with inserts at every depth.
-fn replay_engine<S: gridsim::Scheduler<u32>>(ops: &[(u8, u8)]) -> Vec<(u64, u32)> {
-    let mut q = S::default();
-    let mut out = Vec::new();
-    for (i, &(delay_class, pop_gate)) in ops.iter().enumerate() {
-        let delay = match delay_class {
-            0 => 0.0,
-            1 => 0.25 + i as f64 * 1e-3,
-            2 => (i % 97) as f64,
-            3 => 86_400.0 + (i % 11) as f64 * 3600.0,
-            4 => 20.0 * 86_400.0,
-            _ => (400.0 + (i % 5) as f64 * 300.0) * 86_400.0,
-        };
-        q.schedule_in(delay, i as u32);
-        if pop_gate == 0 {
-            if let Some((t, e)) = q.pop() {
-                out.push((t.seconds().to_bits(), e));
-            }
-        }
-    }
-    while let Some((t, e)) = q.pop() {
-        out.push((t.seconds().to_bits(), e));
-    }
-    out
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// The timing wheel pops exactly what a reference binary heap pops,
-    /// in exactly the same order, for any schedule/pop interleaving.
-    #[test]
-    fn timing_wheel_matches_heap_reference(
-        ops in proptest::collection::vec((0u8..6, 0u8..4), 1..250),
-    ) {
-        let wheel = replay_engine::<gridsim::EventQueue<u32>>(&ops);
-        let heap = replay_engine::<gridsim::HeapQueue<u32>>(&ops);
-        prop_assert_eq!(wheel, heap);
-    }
-}

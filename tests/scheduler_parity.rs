@@ -17,7 +17,7 @@
 //! error outcomes, reissue bookkeeping) must be identical, down to the
 //! final `ServerStats`.
 
-use gridsim::server::{SchedulerCore, ServerConfig, ServerStats};
+use gridsim::sched::{SchedulerCore, ServerConfig, ServerStats};
 use gridsim::SimTime;
 use netgrid::trust::spot_selected;
 use netgrid::{
@@ -45,7 +45,7 @@ trait Frontend {
 struct SimFrontend {
     core: SchedulerCore,
     /// (replica, workunit, deadline, reported)
-    assignments: Vec<(gridsim::server::ReplicaId, u32, f64, bool)>,
+    assignments: Vec<(gridsim::sched::ReplicaId, u32, f64, bool)>,
     log: Vec<String>,
 }
 
@@ -125,7 +125,7 @@ struct WireFrontend {
     campaign: NetCampaign,
     state: GridState,
     /// (replica, workunit)
-    assignments: Vec<(gridsim::server::ReplicaId, u32)>,
+    assignments: Vec<(gridsim::sched::ReplicaId, u32)>,
     log: Vec<String>,
 }
 
