@@ -3,7 +3,7 @@
 //! ```text
 //! hcmd-server [--addr 127.0.0.1:7070] [--proteins 2] [--seed 7]
 //!             [--h-seconds 40] [--deadline 30] [--max-connections 64]
-//!             [--events PATH] [--journal DIR] [--fsync always|never|every=N]
+//!             [--events PATH] [--journal DIR] [--fsync always|never]
 //!             [--out PATH] [--ops-addr HOST:PORT]
 //!             [--trust on|off] [--trust-spot-rate F] [--trust-spot-seed N]
 //!             [--trust-min-samples N] [--trust-state-out PATH]
@@ -22,7 +22,11 @@
 //! With `--journal DIR` the server is crash-safe: every decision a
 //! restart must rebuild is appended to one write-ahead log, `DIR/wal.bin`,
 //! and a restarted server replays it and resumes the campaign exactly
-//! where the crash left it (see DESIGN.md §6 "Durability"). `--out PATH`
+//! where the crash left it (see DESIGN.md §6 "Durability"). Under the
+//! default `--fsync always` no reply leaves before the records it follows
+//! are on disk (one `fdatasync` per event-loop batch), so a power cut
+//! costs nothing any peer or volunteer was told; `--fsync never` leaves
+//! syncing to the OS (tmpfs, benchmarks). `--out PATH`
 //! writes the merged validated artifact as JSON on completion, which
 //! the restart smoke test byte-compares against an uninterrupted run.
 //!
@@ -71,7 +75,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: hcmd-server [--addr HOST:PORT] [--proteins N] [--seed N] \
          [--h-seconds S] [--deadline S] [--max-connections N] [--events PATH] \
-         [--journal DIR] [--fsync always|never|every=N] \
+         [--journal DIR] [--fsync always|never] \
          [--out PATH] [--ops-addr HOST:PORT] [--trust on|off] \
          [--trust-spot-rate F] [--trust-spot-seed N] [--trust-min-samples N] \
          [--trust-state-out PATH] [--shard-id N --shards N --peers ADDR,...] \

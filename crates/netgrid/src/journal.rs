@@ -67,11 +67,20 @@
 //!
 //! # Consistency model
 //!
-//! A `kill -9` loses at most the un-fsynced suffix of the wal (none
-//! under [`FsyncPolicy::Always`]). Replay stops at the first torn frame
-//! and truncates the wal there, so the recovered state is always a
-//! *prefix* of the crashed run — a consistent earlier state. Three kinds
-//! of damage are told apart:
+//! One rule makes the wal the truth: **no frame leaves the server before
+//! every record appended ahead of it is on disk** — rollback recovery's
+//! output commit (Elnozahy et al., 2002), done as group commit:
+//! [`Journal::append`] never syncs, and the event loop calls
+//! [`Journal::commit`] (one `fdatasync` if anything is uncommitted)
+//! before it writes a byte of any reply. A `kill -9` loses nothing; a
+//! power cut loses only records no peer or volunteer was told of. The
+//! records a restart replays count as uncommitted, since a `kill -9` can
+//! leave them in the page cache only. Under [`FsyncPolicy::Never`] a
+//! commit syncs nothing.
+//!
+//! Replay stops at the first torn frame and truncates the wal there, so
+//! the recovered state is always a *prefix* of the crashed run — a
+//! consistent earlier state. Three kinds of damage are told apart:
 //!
 //! * **torn tail** — the file ends inside a frame, a payload fails its
 //!   header checksum, or the bytes where a frame should start are not
@@ -110,10 +119,12 @@
 //! Prefix loss is safe by construction: a lost `Fetch` replica
 //! ages out of nothing (it was never outstanding in the recovered
 //! state), a lost `Report` is re-requested because its replica is still
-//! outstanding and will expire, and the §5 validation rules (quorum /
-//! bounds) judge the re-computed results exactly as they would have the
-//! originals. The merged artifact is therefore byte-identical to an
-//! uninterrupted run's no matter where the crash landed — the property
+//! outstanding and will expire, a lost `Grant` was never sent, so the
+//! next grant may reuse its lease id without anyone holding both, and
+//! the §5 validation rules (quorum / bounds) judge the re-computed
+//! results exactly as they would have the originals. The merged
+//! artifact is therefore byte-identical to an uninterrupted run's no
+//! matter where the crash landed — the property
 //! `tests/journal_crash_points.rs` (every byte offset of a scripted
 //! wal) and the CI restart-smoke job pin.
 
@@ -153,54 +164,48 @@ const LEGACY_FRAME_KIND: u8 = 1;
 /// frame (module docs, "legacy file").
 pub(crate) const JOURNAL_FORMAT: u32 = 5;
 
-/// When appended frames are flushed to disk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Whether a commit waits for the disk. Either way nothing is synced on
+/// append: the event loop calls [`Journal::commit`] before any frame
+/// leaves it (module docs, "Consistency model").
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// `fdatasync` after every append: a crash loses nothing.
+    /// A commit is one `fdatasync` when records were appended since the
+    /// last one: a power cut loses nothing any peer or volunteer was
+    /// told.
+    #[default]
     Always,
-    /// `fdatasync` every N appends: a crash loses at most the last N
-    /// commands (replay recovers a consistent earlier state).
-    EveryN(u64),
-    /// Never fsync explicitly; the OS flushes when it pleases. Fastest,
-    /// still torn-tail safe, bounded only by the page cache.
+    /// A commit syncs nothing; the OS flushes when it pleases. For
+    /// benchmarks, tmpfs and fast tests: still torn-tail safe, and a
+    /// `kill -9` still loses nothing, but a power cut can.
     Never,
 }
 
 impl FsyncPolicy {
-    /// Parses `always` | `never` | `every=N`, as accepted by
-    /// `hcmd-server --fsync`.
+    /// Parses `always` | `never`, as accepted by `hcmd-server --fsync`.
     pub fn parse(s: &str) -> Result<Self, String> {
         match s {
             "always" => Ok(Self::Always),
             "never" => Ok(Self::Never),
-            other => match other.strip_prefix("every=").map(str::parse::<u64>) {
-                Some(Ok(n)) if n > 0 => Ok(Self::EveryN(n)),
-                _ => Err(format!("bad fsync policy '{other}' (always|never|every=N)")),
-            },
+            batched if batched.starts_with("every") => Err(format!(
+                "fsync policy '{batched}' was removed: 'always' now syncs once per event-loop \
+                 batch, before any reply leaves (always|never)"
+            )),
+            other => Err(format!("bad fsync policy '{other}' (always|never)")),
         }
     }
 }
 
-impl Default for FsyncPolicy {
-    fn default() -> Self {
-        // Batched durability: a crash costs at most 64 commands of
-        // replay-safe work, and appends stay off the fsync critical
-        // path in the common case.
-        FsyncPolicy::EveryN(64)
-    }
-}
-
-/// Journal location and flush policy.
+/// Journal location and commit policy.
 #[derive(Debug, Clone)]
 pub struct JournalConfig {
     /// Directory holding `wal.bin` (created if absent).
     pub dir: PathBuf,
-    /// Flush policy for wal appends.
+    /// Whether a commit syncs.
     pub fsync: FsyncPolicy,
 }
 
 impl JournalConfig {
-    /// The default flush policy for a journal rooted at `dir`.
+    /// The default commit policy for a journal rooted at `dir`.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         Self {
             dir: dir.into(),
@@ -271,7 +276,8 @@ impl Tele {
 pub struct Journal {
     wal: File,
     fsync: FsyncPolicy,
-    appends_since_sync: u64,
+    /// Records appended since the last [`Self::commit`].
+    uncommitted: u64,
     /// Command records in the wal: what a restart would replay.
     wal_records: u64,
     /// Bytes in the wal, header frame included.
@@ -705,15 +711,9 @@ impl Journal {
         Ok(Self {
             wal,
             fsync: cfg.fsync,
-            // The fsync phase survives the restart: the replayed records
-            // count against the `every=N` batch exactly as they did
-            // live, so the next fsync lands on the same append boundary
-            // and a crash shortly after recovery never widens the
-            // durability window to up to 2N-1 unsynced appends.
-            appends_since_sync: match cfg.fsync {
-                FsyncPolicy::EveryN(n) => wal_records % n,
-                FsyncPolicy::Always | FsyncPolicy::Never => 0,
-            },
+            // A `kill -9` can leave the replayed records in the page cache
+            // only: the restarted server's first frame waits for them.
+            uncommitted: wal_records,
             wal_records,
             wal_bytes,
             scratch,
@@ -721,9 +721,10 @@ impl Journal {
         })
     }
 
-    /// Appends one applied command, honouring the fsync policy. The
-    /// command is encoded where it lies: a report's payload is not
-    /// copied on its way to disk.
+    /// Appends one applied command. Nothing is synced here: the record
+    /// is durable once [`Self::commit`] returns. The command is encoded
+    /// where it lies: a report's payload is not copied on its way to
+    /// disk.
     pub fn append(&mut self, now_s: f64, command: &Command, outcome: &Outcome) -> io::Result<()> {
         frame_record(&mut self.scratch, |w| {
             encode_applied(now_s, command, outcome, w)
@@ -733,35 +734,30 @@ impl Journal {
         self.tele.bytes.add(self.scratch.0.len() as u64);
         self.wal_records += 1;
         self.wal_bytes += self.scratch.0.len() as u64;
-        self.appends_since_sync += 1;
-        let due = match self.fsync {
-            FsyncPolicy::Always => true,
-            FsyncPolicy::EveryN(n) => self.appends_since_sync >= n,
-            FsyncPolicy::Never => false,
-        };
-        if due {
-            self.wal.sync_data()?;
-            self.tele.fsyncs.inc();
-            self.appends_since_sync = 0;
-        }
+        self.uncommitted += 1;
         Ok(())
     }
 
-    /// Flushes any appends the `EveryN` fsync policy left unsynced. The
-    /// server's event loop calls this on its sweep timer, so a burst of
-    /// traffic that stops mid-batch still reaches the platter within one
-    /// timer tick instead of waiting for the Nth append that may never
-    /// come; the registry calls it before it acks a peer's completion. A
-    /// no-op under `Always` (nothing pending) and respected as a no-op
-    /// under `Never` (the operator opted out of fsync entirely).
-    pub fn flush(&mut self) -> io::Result<()> {
-        if self.appends_since_sync == 0 || matches!(self.fsync, FsyncPolicy::Never) {
+    /// Makes every record appended so far durable: one `fdatasync` when
+    /// any is uncommitted, none otherwise or under
+    /// [`FsyncPolicy::Never`]. The event loop calls this before it writes
+    /// a byte of any frame, so one poll batch costs at most one sync.
+    pub fn commit(&mut self) -> io::Result<()> {
+        if self.uncommitted == 0 {
             return Ok(());
         }
-        self.wal.sync_data()?;
-        self.tele.fsyncs.inc();
-        self.appends_since_sync = 0;
+        if self.fsync == FsyncPolicy::Always {
+            self.wal.sync_data()?;
+            self.tele.fsyncs.inc();
+        }
+        self.uncommitted = 0;
         Ok(())
+    }
+
+    /// Records appended since the last [`Self::commit`]: what a power cut
+    /// could still take.
+    pub fn uncommitted(&self) -> u64 {
+        self.uncommitted
     }
 
     /// Command records in the wal — what a restart would replay.
@@ -772,13 +768,6 @@ impl Journal {
     /// Size of the wal in bytes, header frame included.
     pub fn wal_bytes(&self) -> u64 {
         self.wal_bytes
-    }
-
-    /// Appends since the last fsync: the phase of the `every=N` batch
-    /// counter, which [`Self::open`] restores from the replayed wal so
-    /// restart does not silently reset the durability window.
-    pub fn fsync_phase(&self) -> u64 {
-        self.appends_since_sync
     }
 }
 
@@ -978,9 +967,14 @@ mod tests {
     fn fsync_policy_parses() {
         assert_eq!(FsyncPolicy::parse("always"), Ok(FsyncPolicy::Always));
         assert_eq!(FsyncPolicy::parse("never"), Ok(FsyncPolicy::Never));
-        assert_eq!(FsyncPolicy::parse("every=8"), Ok(FsyncPolicy::EveryN(8)));
-        assert!(FsyncPolicy::parse("every=0").is_err());
-        assert!(FsyncPolicy::parse("sometimes").is_err());
+        assert_eq!(FsyncPolicy::default(), FsyncPolicy::Always);
+        // The batched policy is gone, and says what replaced it.
+        let batched = ["every", "8"].join("=");
+        let err = FsyncPolicy::parse(&batched).unwrap_err();
+        assert!(err.contains(&format!("'{batched}' was removed")), "{err}");
+        assert!(err.contains("once per event-loop batch, before any reply leaves"));
+        let err = FsyncPolicy::parse("sometimes").unwrap_err();
+        assert_eq!(err, "bad fsync policy 'sometimes' (always|never)");
     }
 
     /// A record as the [`Journal`] frames it.

@@ -29,8 +29,8 @@
 //! * [`server`] — the TCP daemon: a single-threaded nonblocking event
 //!   loop that moves the bytes of every connection — volunteers,
 //!   steering links to peer shards and ops scrapes alike — keeps the
-//!   sweep, fsync and steering timers, and tells the core in
-//!   [`registry`] what happened and when; it decides nothing;
+//!   sweep and steering timers, and tells the core in [`registry`]
+//!   what happened and when; it decides nothing;
 //! * [`ops`] — the read-only HTTP endpoint (`GET /metrics`, `GET /`):
 //!   renders the server's `MultiGrid` in place, between two frames;
 //! * [`agent`] — the volunteer: its protocol decisions as a sans-IO

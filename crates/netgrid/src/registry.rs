@@ -744,18 +744,18 @@ impl MultiGrid {
         }
     }
 
-    /// Settles the journal's fsync debt.
-    pub fn flush_journal(&mut self) {
+    /// Makes every record appended so far durable; the event loop calls
+    /// it before any frame leaves (journal docs, "Consistency model").
+    pub fn commit(&mut self) {
         if let Some(journal) = &mut self.journal {
-            journal.flush().expect("journal flush failed");
+            journal.commit().expect("journal commit failed");
         }
     }
 
-    /// Appends since the journal's last fsync (`None` when the server
-    /// runs unjournaled) — the `every=N` batch phase that must survive
-    /// restart.
-    pub fn journal_fsync_phase(&self) -> Option<u64> {
-        self.journal.as_ref().map(Journal::fsync_phase)
+    /// Records appended since the last [`Self::commit`] (0 when the
+    /// server runs unjournaled).
+    pub(crate) fn uncommitted(&self) -> u64 {
+        self.journal.as_ref().map_or(0, Journal::uncommitted)
     }
 
     /// The latest time any command was applied at.
@@ -950,11 +950,7 @@ impl MultiGrid {
                 }
                 caller.shard = Some(shard);
                 self.slots[c].board.backlog[usize::from(shard)] = fresh_backlog;
-                // The ack is what lets the peer leave, so the completion
-                // it acknowledges is on the platter before it is queued.
-                if self.hear_complete(now, campaign, shard, complete) {
-                    self.flush_journal();
-                }
+                self.hear_complete(now, campaign, shard, complete);
                 let complete = self.grant_leases(now, campaign, shard, hungry, leases_held, out);
                 Message::StatusAck {
                     shard: me,
@@ -979,9 +975,11 @@ impl MultiGrid {
 
     /// A peer said whether its slice of `campaign` is complete; the
     /// first time a board hears that it is, the completion is recorded
-    /// ([`Command::PeerComplete`]). Whether it was news.
-    fn hear_complete(&mut self, now: SimTime, campaign: u16, shard: u16, complete: bool) -> bool {
-        complete && self.apply(now, &Command::PeerComplete { campaign, shard }) == Outcome::Noted
+    /// ([`Command::PeerComplete`]).
+    fn hear_complete(&mut self, now: SimTime, campaign: u16, shard: u16, complete: bool) {
+        if complete {
+            self.apply(now, &Command::PeerComplete { campaign, shard });
+        }
     }
 
     /// The grants a `ShardStatus` from `shard` draws on `campaign`:
@@ -989,8 +987,8 @@ impl MultiGrid {
     /// ([`Command::Grant`]) if it is hungry and this shard has backlog
     /// to spare. Returns whether this shard's slice is complete, as
     /// every grant says. The grant is journaled *before* its frame is
-    /// queued, so a crash here can lose a sent grant only in the
-    /// direction the re-send heals.
+    /// queued, and the frame leaves only after [`Self::commit`], so a
+    /// power cut can lose a grant only before anyone holds it.
     fn grant_leases(
         &mut self,
         now: SimTime,
@@ -1502,6 +1500,15 @@ mod tests {
         dir
     }
 
+    /// A power cut under the wal in `dir`: only its first `synced` bytes
+    /// were on the platter.
+    fn cut_power(dir: &Path, synced: u64) {
+        let wal = std::fs::OpenOptions::new()
+            .write(true)
+            .open(dir.join("wal.bin"));
+        wal.and_then(|wal| wal.set_len(synced)).unwrap();
+    }
+
     /// One shard of `shards`, addressed `shard-0`, `shard-1`, ...
     fn open_shard(
         defs: Vec<CampaignDef>,
@@ -1618,15 +1625,18 @@ mod tests {
     /// One steering tick of `from` and everything it sets off, with no
     /// wire between: its statuses heard by `to` on `link` (`to`'s
     /// memory of that connection), `to`'s replies heard back on
-    /// `from`'s own link.
+    /// `from`'s own link. Each side commits before its frames are
+    /// heard, as the event loop does.
     fn steer(from: &mut MultiGrid, to: &mut MultiGrid, link: &mut Caller, now: f64) {
         let (me, peer) = (from.spec().shard_id, to.spec().shard_id);
         from.note_demand();
         let (mut statuses, mut replies) = (Vec::new(), Vec::new());
         from.send_statuses(t(now), peer, &mut statuses);
+        from.commit();
         for status in frames(statuses) {
             to.inbound(t(now), link, status, &mut replies).unwrap();
         }
+        to.commit();
         for reply in frames(replies) {
             from.link_frame(t(now), peer, reply).unwrap();
         }
@@ -1708,7 +1718,6 @@ mod tests {
             (1, 1)
         );
         let granted = s0.slots()[0].state.leases_granted_to(1);
-        s1.flush_journal();
         let adopted: Vec<(u64, Vec<u32>)> = open_wal(&dir)
             .unwrap()
             .filter_map(|rec| match rec.unwrap() {
@@ -1795,9 +1804,8 @@ mod tests {
 
     /// What a refused frame must leave alone: the books a restart would
     /// replay to, the peer picture, and the wal.
-    fn books(grid: &mut MultiGrid, dir: &Path) -> (Vec<crate::GridSnapshot>, Vec<Vec<u64>>, u64) {
+    fn books(grid: &MultiGrid, dir: &Path) -> (Vec<crate::GridSnapshot>, Vec<Vec<u64>>, u64) {
         let wal_bytes = |dir: &Path| std::fs::metadata(dir.join("wal.bin")).unwrap().len();
-        grid.flush_journal();
         let slots = grid.slots().iter();
         (
             slots.clone().map(|s| s.state.snapshot()).collect(),
@@ -1816,7 +1824,7 @@ mod tests {
     fn stepped_a_forged_lease_grant_changes_nothing_and_closes_the_link() {
         let dir = scratch_dir("forged");
         let mut s0 = shard(0, 2, Some(&dir));
-        let before = books(&mut s0, &dir);
+        let before = books(&s0, &dir);
         let everything: Vec<u32> = (0..s0.slots()[0].campaign.len() as u32).collect();
         let owned = |s0: &MultiGrid| s0.slots()[0].state.core().owned_count();
         assert!(owned(&s0) < everything.len(), "shard 1 owns something");
@@ -1835,7 +1843,7 @@ mod tests {
         ] {
             let forged = grant(campaign, from_shard, lease, true);
             assert_eq!(s0.link_frame(t(1.0), 1, forged.clone()), Err("protocol"));
-            assert_eq!(books(&mut s0, &dir), before, "{forged:?}");
+            assert_eq!(books(&s0, &dir), before, "{forged:?}");
         }
         // The honest grant the same peer could have sent is adopted.
         let honest = grant(0, 1, lease_id(1, 1), false);
@@ -2008,12 +2016,12 @@ mod tests {
             campaign: 9,
             output,
         };
-        let before = books(&mut grid, &dir);
+        let before = books(&grid, &dir);
         assert_eq!(
             tell(&mut grid, 1.5, &mut forger, forged),
             (vec![], Some("protocol"))
         );
-        assert_eq!(books(&mut grid, &dir), before);
+        assert_eq!(books(&grid, &dir), before);
         assert_eq!(
             grid.slots()[1].state.outstanding_len(),
             1,
@@ -2048,6 +2056,68 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The grantor commits before its `LeaseGrant` is heard, as the
+    /// event loop does, so a power cut afterwards takes only what came
+    /// after the commit — here an ask whose reply never left. The lease
+    /// stays granted, no workunit is owned by both shards, and the next
+    /// grant cuts a new id instead of reusing the held one.
+    #[test]
+    fn a_power_cut_after_a_grant_leaves_the_lease_where_the_lessee_holds_it() {
+        let dir = scratch_dir("power-cut");
+        // Enough workunits that the grantor keeps some past one lease.
+        let params = CampaignParams {
+            proteins: 4,
+            ..CampaignParams::tiny()
+        };
+        let open = |shard_id, journal| {
+            let defs = vec![CampaignDef::default_solo(params)];
+            open_shard(defs, (shard_id, 2), ServerFaults::default(), journal)
+        };
+        let (mut s0, mut s1) = (open(0, Some(dir.as_path())), open(1, None));
+        // Shard 1's agent takes every fresh workunit and is told to wait.
+        let mut agent1 = hello(&mut s1, 1.0, 1);
+        let ask_work = |grid: &mut MultiGrid, caller: &mut Caller| {
+            matches!(
+                ask(grid, 1.1, caller, Message::RequestWork),
+                Message::Assignment { .. }
+            )
+        };
+        while ask_work(&mut s1, &mut agent1) {}
+        // So shard 1 is hungry: shard 0 grants, commits, and only then
+        // is its grant heard.
+        steer(&mut s1, &mut s0, &mut Caller::default(), 1.2);
+        let granted = s0.slots()[0].state.leases_granted_to(1);
+        let held = s1.slots()[0].state.leases_held_from(0);
+        assert_eq!(held.len(), 1, "one lease granted and adopted");
+        assert_eq!(held, granted.iter().map(|g| g.0).collect::<Vec<_>>());
+        // What that commit synced: all a power cut leaves of the wal.
+        assert_eq!(s0.uncommitted(), 0);
+        let synced = s0.wal_size().unwrap().1;
+        let mut agent0 = hello(&mut s0, 1.3, 2);
+        assert!(ask_work(&mut s0, &mut agent0), "shard 0 kept work");
+        assert!(s0.wal_size().unwrap().1 > synced, "the ask was journaled");
+
+        drop(s0);
+        cut_power(&dir, synced);
+        let mut s0 = open(0, Some(dir.as_path()));
+
+        let owns = |grid: &MultiGrid, wu| grid.slots()[0].state.core().owns(wu);
+        let wus = s0.slots()[0].campaign.len() as u32;
+        let both = (0..wus).find(|&wu| owns(&s0, wu) && owns(&s1, wu));
+        assert_eq!(both, None, "a workunit owned by both shards");
+        assert_eq!(s0.slots()[0].state.leases_granted_to(1), granted);
+        let next = Command::Grant {
+            campaign: 0,
+            to_shard: 1,
+            max: 1,
+        };
+        match s0.apply(t(1.4), &next) {
+            Outcome::Granted { lease, .. } => assert!(!held.contains(&lease), "{lease} reused"),
+            other => panic!("shard 0 has backlog to lease: {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// The ops journal tile is the server's one wal: on a two-campaign
     /// server the scrape counts the records of both campaigns' asks.
     #[test]
@@ -2060,7 +2130,6 @@ mod tests {
                 WorkReply::Assigned(_)
             ));
         }
-        grid.flush_journal();
         let recorded = open_wal(&dir)
             .unwrap()
             .filter(|rec| matches!(rec, Ok(JournalRecord::Applied { .. })))
@@ -2119,24 +2188,24 @@ mod tests {
                 _ => Err("protocol"),
             };
             for (place, caller) in &mut inbound {
-                let before = books(&mut s0, &dir);
+                let before = books(&s0, &dir);
                 let (replies, closed) = tell(&mut s0, 2.0, caller, msg.clone());
                 let heard = closed.map_or(Ok(replies.len()), Err);
                 assert_eq!(heard, expected, "{place}: {msg:?}");
                 if closed == Some("protocol") {
                     assert!(replies.is_empty());
-                    assert_eq!(books(&mut s0, &dir), before, "{place}: {msg:?}");
+                    assert_eq!(books(&s0, &dir), before, "{place}: {msg:?}");
                     refused += 1;
                 }
             }
             // On this shard's own link to peer 1, the samples speak for
             // shard 0 where they speak for anyone: every one is refused.
-            let before = books(&mut s0, &dir);
+            let before = books(&s0, &dir);
             let closed = s0.link_frame(t(2.0), 1, msg.clone()).err();
             let busy = matches!(msg, Message::Busy { .. });
             assert_eq!(closed, Some(if busy { "busy" } else { "protocol" }));
             if !busy {
-                assert_eq!(books(&mut s0, &dir), before, "own link: {msg:?}");
+                assert_eq!(books(&s0, &dir), before, "own link: {msg:?}");
                 refused += 1;
             }
         }
@@ -2195,6 +2264,9 @@ mod tests {
         /// Core `a` is journaled under `dirs[a]`.
         cores: Vec<MultiGrid>,
         dirs: [PathBuf; 2],
+        /// `synced[a]`: core `a`'s wal length at its last commit — what
+        /// a power cut leaves of it.
+        synced: [u64; 2],
         volunteers: Vec<Volunteer>,
         /// `links[a]`: core `a`'s own steering link to the other core.
         links: [Option<Pipe>; 2],
@@ -2231,14 +2303,23 @@ mod tests {
                     }
                 })
                 .collect();
+            let cores = vec![shard(0, 2, Some(&dirs[0])), shard(1, 2, Some(&dirs[1]))];
             Self {
                 seed,
                 now: 0.0,
-                cores: vec![shard(0, 2, Some(&dirs[0])), shard(1, 2, Some(&dirs[1]))],
+                synced: [0, 1].map(|a| cores[a].wal_size().expect("journaled").1),
+                cores,
                 dirs,
                 volunteers,
                 links: [None, None],
             }
+        }
+
+        /// What the event loop does before the far end can read a frame
+        /// core `a` queued: commit, which is where `synced[a]` moves.
+        fn commit(&mut self, a: usize) {
+            self.cores[a].commit();
+            self.synced[a] = self.cores[a].wal_size().expect("journaled").1;
         }
 
         /// The connection is gone, whichever end let go: what was
@@ -2278,6 +2359,13 @@ mod tests {
             self.drop_link(0);
             self.drop_link(1);
             self.cores[a] = shard(a as u16, 2, Some(&self.dirs[a]));
+        }
+
+        /// Core `a` loses power: its wal keeps what its last commit
+        /// synced, and it comes back from that.
+        fn power_cut(&mut self, a: usize) {
+            cut_power(&self.dirs[a], self.synced[a]);
+            self.kill_and_reopen(a);
         }
 
         /// Carries out one step of volunteer `v`'s session.
@@ -2343,6 +2431,9 @@ mod tests {
                         self.volunteers[v].owed = Owed::Reply;
                         return;
                     }
+                    let core = pipe.core;
+                    self.commit(core);
+                    let pipe = self.volunteers[v].pipe.as_mut().expect("still open");
                     match take_frame(&mut pipe.down) {
                         Some(reply) => Input::Frame(reply),
                         None => {
@@ -2361,11 +2452,17 @@ mod tests {
             self.carry_out(v, step);
         }
 
-        /// One frame moves on core `a`'s steering link, either way.
+        /// One frame moves on core `a`'s steering link, either way: a
+        /// status of `a`'s first, once `a` has committed, else a reply
+        /// of `b`'s, once `b` has.
         fn link_turn(&mut self, a: usize) {
             let (now, b) = (t(self.now), 1 - a);
-            let Some(pipe) = &mut self.links[a] else {
+            let Some(pipe) = &self.links[a] else {
                 return;
+            };
+            self.commit(if pipe.up.is_empty() { b } else { a });
+            let Some(pipe) = &mut self.links[a] else {
+                unreachable!("a commit leaves the link alone");
             };
             let lost = if let Some(status) = take_frame(&mut pipe.up) {
                 let heard = self.cores[b].inbound(now, &mut pipe.caller, status, &mut pipe.down);
@@ -2409,15 +2506,16 @@ mod tests {
     }
 
     /// One seeded history, to completion: the seed picks who moves
-    /// when, which connections are cut where, and (one seed in four)
-    /// when which core is killed. Ten milliseconds pass per step; sweep
-    /// and steering ticks come due as in the server.
+    /// when, which connections are cut where, and when which core is
+    /// killed (one seed in four) or loses power (one in eight). Ten
+    /// milliseconds pass per step; sweep and steering ticks come due as
+    /// in the server.
     fn run_seeded_grid(seed: u64) {
         const STEP_BUDGET: u32 = 60_000;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
         let mut grid = Grid::new(seed);
-        let kill_at = seed
-            .is_multiple_of(4)
+        let power_cut = seed % 8 == 2;
+        let crash_at = (seed.is_multiple_of(4) || power_cut)
             .then(|| (rng.gen_range(20..300u32), rng.gen_range(0..2)));
         let mut steps = 0;
         while grid
@@ -2441,8 +2539,10 @@ mod tests {
                 grid.steer_tick(0);
                 grid.steer_tick(1);
             }
-            if let Some((_, a)) = kill_at.filter(|&(at, _)| at == steps) {
-                grid.kill_and_reopen(a);
+            match crash_at.filter(|&(at, _)| at == steps) {
+                Some((_, a)) if power_cut => grid.power_cut(a),
+                Some((_, a)) => grid.kill_and_reopen(a),
+                None => {}
             }
             for _ in 0..rng.gen_range(1..=6) {
                 match rng.gen_range(0..8 + 2) {
@@ -2483,9 +2583,7 @@ mod tests {
         }
         for a in 0..2 {
             // The one counter that is advisory and restarts from zero.
-            let live = &mut grid.cores[a];
-            live.flush_journal();
-            live.slots[0].state.net_stats.shard_redirects = 0;
+            grid.cores[a].slots[0].state.net_stats.shard_redirects = 0;
             let replayed = shard(a as u16, 2, Some(&grid.dirs[a]));
             let (live, slot) = (&grid.cores[a], &replayed.slots[0]);
             assert!(
@@ -2503,7 +2601,9 @@ mod tests {
     /// narrow it to `n..n + 1` to run seed `n` alone.
     const SEEDS: std::ops::Range<u64> = 0..256;
 
-    /// After every seeded history: the merged artifact is the baseline,
+    /// After every seeded history — power cuts included, which keep of a
+    /// wal only what was committed before the far end read a frame —
+    /// the merged artifact is the baseline,
     /// no workunit was ever owned by both shards, the campaign finished
     /// within the step budget while its volunteers lived, both cores
     /// reach the leave condition, and each core's wal replays to its

@@ -20,8 +20,8 @@
 //! * **scrape** — one HTTP request on the ops listener, rendered from
 //!   the core between two frames (see [`crate::ops`]).
 //!
-//! The deadline sweep, the journal fsync policy, steering and the
-//! scrape idle cap are timer events on the same loop, which also maps
+//! The deadline sweep, steering and the scrape idle cap are timer
+//! events on the same loop, which also maps
 //! wall-clock time onto the core's [`SimTime`] axis (seconds since
 //! server start, so a wall run of a few minutes sits firmly inside day
 //! 0's quorum-compare era). The only thing off the loop is the blocking
@@ -638,18 +638,24 @@ impl EventLoop {
     /// listener its successor waits on. Accepting in batch order would
     /// count the successor against `max_connections` while the holder
     /// still filled the slot, and brush it off with `Busy`.
+    /// Every connection is read before any is settled, so the first
+    /// write commits the whole batch's records: one `fdatasync`.
     fn serve_batch(&mut self, events: impl IntoIterator<Item = IoEvent>) -> io::Result<()> {
         let listener_fd = self.listener.as_raw_fd();
         let ops_fd = self.ops_listener.as_ref().map(AsRawFd::as_raw_fd);
         let mut accept = [false; 2];
+        let mut served = Vec::new();
         for ev in events {
             if ev.fd == listener_fd {
                 accept[0] = true;
             } else if Some(ev.fd) == ops_fd {
                 accept[1] = true;
-            } else {
-                self.advance_conn(ev);
+            } else if let Some(conn) = self.advance_conn(ev) {
+                served.push((ev.fd, conn));
             }
+        }
+        for (fd, conn) in served {
+            self.settle(fd, conn);
         }
         for ops in [false, true] {
             if accept[usize::from(ops)] {
@@ -660,8 +666,8 @@ impl EventLoop {
     }
 
     /// One sweep tick: re-arm listeners an exhausted `accept` paused,
-    /// have the core expire deadlines, settle the journal's fsync debt,
-    /// and close scrapes that have sat past the idle cap.
+    /// have the core expire deadlines, and close scrapes that have sat
+    /// past the idle cap.
     fn sweep_tick(&mut self) {
         let listeners = [Some(&self.listener), self.ops_listener.as_ref()];
         for (listener, paused) in listeners.into_iter().zip(&mut self.accept_paused) {
@@ -672,7 +678,6 @@ impl EventLoop {
             }
         }
         self.core.sweep(self.now());
-        self.core.flush_journal();
         if self.ops_listener.is_some() {
             let idle: Vec<i32> = self
                 .conns
@@ -813,12 +818,10 @@ impl EventLoop {
     }
 
     /// Advances one connection's state machine for a readiness event:
-    /// read what the socket holds, hand every complete frame to the
-    /// core, then [`Self::settle`] it.
-    fn advance_conn(&mut self, ev: IoEvent) {
-        let Some(mut conn) = self.conns.remove(&ev.fd) else {
-            return;
-        };
+    /// read what the socket holds and hand every complete frame to the
+    /// core; the connection comes back, out of `conns`, to be settled.
+    fn advance_conn(&mut self, ev: IoEvent) -> Option<Conn> {
+        let mut conn = self.conns.remove(&ev.fd)?;
         if ev.readable || ev.hangup {
             self.read_and_dispatch(&mut conn);
         }
@@ -832,14 +835,18 @@ impl EventLoop {
         if let (true, Role::Scrape(progress)) = (ev.writable, &mut conn.role) {
             *progress = Instant::now();
         }
-        self.settle(ev.fd, conn);
+        Some(conn)
     }
 
     /// Flushes queued replies, then either retires a connection that is
     /// finished (a brush-off whose `Busy` frame fit the socket buffer is,
     /// before it was ever registered) or files it under the interest it
-    /// now wants.
+    /// now wants; no byte leaves before the records ahead of it are on disk.
     fn settle(&mut self, fd: i32, mut conn: Conn) {
+        if !conn.flushed() {
+            self.core.commit();
+            debug_assert_eq!(self.core.uncommitted(), 0, "frame before record");
+        }
         if conn.flush().is_err() {
             conn.closing.get_or_insert("io");
             conn.write_buf.clear();
@@ -1621,7 +1628,6 @@ mod tests {
         spin(loops, |l| net_stats(&l[1]).shard_leases_in == 1);
         assert_eq!(net_stats(&loops[0]).shard_leases_out, 1);
         let granted = loops[0].core.slots()[0].state.leases_granted_to(1);
-        loops[1].core.flush_journal();
         let adopted: Vec<(u64, Vec<u32>)> = open_wal(&dir)
             .unwrap()
             .filter_map(|rec| match rec.unwrap() {
@@ -1788,8 +1794,7 @@ mod tests {
         let addrs = [addr_of(&own), addr_of(&peer)];
         let journal = crate::journal::JournalConfig::new(&dir);
         let loops = &mut [shard_loop(own, 0, &addrs, Some(journal))];
-        let books = |ev: &mut EventLoop| {
-            ev.core.flush_journal();
+        let books = |ev: &EventLoop| {
             let state = &ev.core.slots()[0].state;
             let wal = std::fs::metadata(dir.join("wal.bin")).unwrap().len();
             (
@@ -1798,7 +1803,7 @@ mod tests {
                 wal,
             )
         };
-        let before = books(&mut loops[0]);
+        let before = books(&loops[0]);
         let everything: Vec<u32> = (0..loops[0].core.slots()[0].campaign.len() as u32).collect();
         assert!(
             before.0 < everything.len(),
@@ -1822,7 +1827,7 @@ mod tests {
             far_end.write_all(&encode_with(&forged, Codec)).unwrap();
             spin(loops, |l| !link_up(&l[0], 1));
             assert!(matches!(loops[0].links[1], Link::Down));
-            assert_eq!(books(&mut loops[0]), before, "{forged:?}");
+            assert_eq!(books(&loops[0]), before, "{forged:?}");
             assert!(!loops[0].core.slots()[0].board.complete[1]);
         }
 
@@ -1837,7 +1842,7 @@ mod tests {
         };
         far_end.write_all(&encode_with(&honest, Codec)).unwrap();
         spin(loops, |l| net_stats(&l[0]).shard_leases_in == 1);
-        assert_eq!(books(&mut loops[0]).0, everything.len());
+        assert_eq!(books(&loops[0]).0, everything.len());
         assert!(link_up(&loops[0], 1));
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -51,7 +51,6 @@ fn spawn_server_with(
     cmd.args(["--addr", addr, "--deadline", "2"])
         .arg("--journal")
         .arg(journal)
-        .args(["--fsync", "every=8"])
         .args(extra)
         .stdout(Stdio::null())
         .stderr(Stdio::inherit());

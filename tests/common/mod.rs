@@ -86,10 +86,6 @@ impl OneCampaign {
         }
     }
 
-    pub fn journal_fsync_phase(&self) -> Option<u64> {
-        self.0.journal_fsync_phase()
-    }
-
     /// The server's clock: the latest time any command was applied at.
     pub fn last_now(&self) -> f64 {
         self.0.last_now()

@@ -127,10 +127,7 @@ fn crash_point(state: &OneCampaign) -> (ServerStats, NetStats, f64) {
 #[test]
 fn scripted_history_replays_to_the_exact_live_state_and_artifact() {
     let campaign = NetCampaign::build(CampaignParams::tiny());
-    let cfg = JournalConfig {
-        fsync: FsyncPolicy::EveryN(4),
-        ..JournalConfig::new(journal_dir("script"))
-    };
+    let cfg = JournalConfig::new(journal_dir("script"));
 
     let (mut live, resume) = open(&campaign, &cfg);
     assert_eq!(resume, 0.0, "fresh journal starts the clock at zero");
@@ -284,39 +281,6 @@ fn an_honest_3392_workunit_campaign_journals_to_completion_and_recovers() {
 }
 
 #[test]
-fn fsync_batch_phase_survives_restart() {
-    let campaign = NetCampaign::build(CampaignParams::tiny());
-    let cfg = JournalConfig {
-        fsync: FsyncPolicy::EveryN(4),
-        ..JournalConfig::new(journal_dir("fsync-phase"))
-    };
-
-    // Three appends into a batch of four: phase 3, no fsync yet.
-    let (mut live, _) = open(&campaign, &cfg);
-    for agent in 1..=3 {
-        let _ = fetch(&mut live, 0.0, agent);
-    }
-    assert_eq!(live.journal_fsync_phase(), Some(3));
-    drop(live); // crash mid-batch
-
-    // Recovery replays the three-record tail; the batch counter must
-    // resume at 3, not restart at 0 — otherwise the next crash could
-    // lose up to 2N-1 appends instead of the promised at-most-N.
-    let (mut recovered, _) = open(&campaign, &cfg);
-    assert_eq!(
-        recovered.journal_fsync_phase(),
-        Some(3),
-        "every=N phase must survive restart"
-    );
-
-    // The very next append completes the inherited batch and fsyncs,
-    // wrapping the phase to 0 on the same boundary as the live run.
-    let _ = fetch(&mut recovered, 0.5, 4);
-    assert_eq!(recovered.journal_fsync_phase(), Some(0));
-    let _ = std::fs::remove_dir_all(&cfg.dir);
-}
-
-#[test]
 fn journal_of_a_different_campaign_is_refused() {
     let campaign = NetCampaign::build(CampaignParams::tiny());
     let cfg = JournalConfig::new(journal_dir("mismatch"));
@@ -420,10 +384,7 @@ fn trust_drain(state: &mut OneCampaign, campaign: &NetCampaign, start: f64) {
 #[test]
 fn trust_bands_and_quarantine_replay_exactly_across_a_crash() {
     let campaign = NetCampaign::build(CampaignParams::tiny());
-    let cfg = JournalConfig {
-        fsync: FsyncPolicy::EveryN(4),
-        ..JournalConfig::new(journal_dir("trust"))
-    };
+    let cfg = JournalConfig::new(journal_dir("trust"));
 
     let (mut live, resume) = OneCampaign::open(
         campaign.params(),
