@@ -125,7 +125,7 @@ pub struct ReportOutcome {
     pub erroneous: bool,
 }
 
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct WuState {
     valid_results: u16,
     complete: bool,
@@ -136,7 +136,7 @@ struct WuState {
     needed_override: u16,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ReplicaState {
     workunit: u32,
     reported: bool,
@@ -188,7 +188,14 @@ impl ServerStats {
 /// The scheduling core: workunit queue in launch order, replica issue,
 /// validation, reissue. Transport-free — drive it from a simulator event
 /// loop or from live connection handlers; see the module docs.
-#[derive(Debug)]
+///
+/// The core is its own picture: two cores hold "the same scheduler
+/// state" exactly when they compare `==`, every field included (catalog,
+/// configuration and queues alike). Its counters — [`ServerStats`],
+/// `results_received`, `results_useful`, `feeder_misses` and the
+/// validated count — are the one home of those counts; nothing mirrors
+/// them into the telemetry registry.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SchedulerCore {
     catalog: Vec<WorkunitCatalogEntry>,
     config: ServerConfig,
@@ -218,8 +225,6 @@ pub struct SchedulerCore {
     /// Pending reissue causes aligned with the `reissue` queue semantics:
     /// cause of the next issue of each queued workunit.
     reissue_causes: VecDeque<ReissueCause>,
-    /// Cached telemetry handles (zero-sized when telemetry is disabled).
-    tele: ServerTelemetry,
     /// Workunit lifecycle events are logged for every `sample_stride`-th
     /// workunit; full campaigns have ~10⁵ workunits, far too many to log
     /// each. Override with `HCMD_TELEMETRY_SAMPLE=<stride>`.
@@ -229,7 +234,7 @@ pub struct SchedulerCore {
     shard: ShardOwnership,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ReissueCause {
     Quorum,
     Timeout,
@@ -250,7 +255,7 @@ enum ReissueCause {
 /// move — once a replica is out, the workunit's reissue/quorum lifecycle
 /// stays on the shard that issued it, so completion accounting never
 /// crosses shards.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardOwnership {
     /// Per-workunit: does this shard currently own it?
     owned: Vec<bool>,
@@ -280,71 +285,12 @@ pub enum ReplicationOverride {
     Quorum,
 }
 
-/// A complete, comparable image of the scheduler's mutable state, taken
-/// with [`SchedulerCore::snapshot`]: what "the same scheduler state"
-/// means to tests that compare a journal-recovered server against the
-/// live one. It is never read back — a scheduler is only ever built by
-/// [`SchedulerCore::new`] / [`SchedulerCore::with_ownership`] and driven
-/// through its entry points.
-///
-/// The catalog and configuration are *not* part of the image: both are
-/// derived deterministically from the campaign recipe.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct CoreSnapshot {
-    states: Vec<WuState>,
-    replicas: Vec<ReplicaState>,
-    reissue: Vec<u32>,
-    reissue_causes: Vec<ReissueCause>,
-    completed: usize,
-    results_received: u64,
-    results_useful: u64,
-    stats: ServerStats,
-    feeder_cache: Vec<(u32, Option<ReissueCause>)>,
-    feeder_misses: u64,
-    wasted_ref_seconds: f64,
-    shard: ShardOwnership,
-}
-
 impl ReissueCause {
     fn issue_cause(self) -> IssueCause {
         match self {
             ReissueCause::Quorum => IssueCause::Quorum,
             ReissueCause::Timeout => IssueCause::Timeout,
             ReissueCause::Error => IssueCause::Error,
-        }
-    }
-}
-
-/// The server's cached metric handles, resolved once at construction so
-/// the scheduling hot path never touches the registry lock. Mirrors
-/// [`ServerStats`] into the global registry plus result accounting.
-#[derive(Debug)]
-struct ServerTelemetry {
-    initial_issues: &'static telemetry::Counter,
-    quorum_issues: &'static telemetry::Counter,
-    timeout_reissues: &'static telemetry::Counter,
-    error_reissues: &'static telemetry::Counter,
-    spot_check_issues: &'static telemetry::Counter,
-    errors_received: &'static telemetry::Counter,
-    late_results: &'static telemetry::Counter,
-    results_received: &'static telemetry::Counter,
-    workunits_validated: &'static telemetry::Counter,
-    feeder_misses: &'static telemetry::Counter,
-}
-
-impl ServerTelemetry {
-    fn new() -> Self {
-        Self {
-            initial_issues: telemetry::counter("server.issues.initial"),
-            quorum_issues: telemetry::counter("server.issues.quorum"),
-            timeout_reissues: telemetry::counter("server.issues.timeout"),
-            error_reissues: telemetry::counter("server.issues.error"),
-            spot_check_issues: telemetry::counter("server.issues.spotcheck"),
-            errors_received: telemetry::counter("server.results.errors"),
-            late_results: telemetry::counter("server.results.late"),
-            results_received: telemetry::counter("server.results.received"),
-            workunits_validated: telemetry::counter("server.workunits.validated"),
-            feeder_misses: telemetry::counter("server.feeder.misses"),
         }
     }
 }
@@ -401,7 +347,6 @@ impl SchedulerCore {
             feeder_cache: VecDeque::with_capacity(feeder_capacity),
             feeder_misses: 0,
             wasted_ref_seconds: 0.0,
-            tele: ServerTelemetry::new(),
             sample_stride,
             shard: ShardOwnership {
                 issued: vec![false; n],
@@ -414,24 +359,6 @@ impl SchedulerCore {
         }
     }
 
-    /// Captures the scheduler's mutable state for comparison.
-    pub fn snapshot(&self) -> CoreSnapshot {
-        CoreSnapshot {
-            states: self.states.clone(),
-            replicas: self.replicas.clone(),
-            reissue: self.reissue.iter().copied().collect(),
-            reissue_causes: self.reissue_causes.iter().copied().collect(),
-            completed: self.completed,
-            results_received: self.results_received,
-            results_useful: self.results_useful,
-            stats: self.stats,
-            feeder_cache: self.feeder_cache.iter().copied().collect(),
-            feeder_misses: self.feeder_misses,
-            wasted_ref_seconds: self.wasted_ref_seconds,
-            shard: self.shard.clone(),
-        }
-    }
-
     /// Whether a workunit's lifecycle is logged to the event stream (the
     /// engine uses the same sampling for dispatch/report events).
     pub fn sampled(&self, wu: u32) -> bool {
@@ -439,12 +366,6 @@ impl SchedulerCore {
     }
 
     fn record_issue(&self, now: SimTime, wu: u32, cause: IssueCause) {
-        match cause {
-            IssueCause::Initial => self.tele.initial_issues.inc(),
-            IssueCause::Quorum => self.tele.quorum_issues.inc(),
-            IssueCause::Timeout => self.tele.timeout_reissues.inc(),
-            IssueCause::Error => self.tele.error_reissues.inc(),
-        }
         if self.sampled(wu) {
             telemetry::emit(Some(now.seconds()), || Event::WorkunitIssued {
                 workunit: u64::from(wu),
@@ -532,7 +453,6 @@ impl SchedulerCore {
                 let Some((wu, cause)) = self.feeder_cache.pop_front() else {
                     if self.available_count(now) > 0 {
                         self.feeder_misses += 1;
-                        self.tele.feeder_misses.inc();
                     }
                     self.feeder_refill(now, feeder.refill_batch, feeder.cache_size);
                     return None;
@@ -726,12 +646,10 @@ impl SchedulerCore {
         r.reported = true;
         let wu = r.workunit;
         self.results_received += 1;
-        self.tele.results_received.inc();
         let ref_s = f64::from(self.catalog[wu as usize].ref_seconds);
         let needed = self.needed_at(now, wu);
         if erroneous {
             self.stats.errors_received += 1;
-            self.tele.errors_received.inc();
             self.wasted_ref_seconds += ref_s;
             // Rejected; if the workunit still needs results, reissue.
             if !self.states[wu as usize].complete {
@@ -754,7 +672,6 @@ impl SchedulerCore {
             // Late or surplus copy of an already-validated workunit: the
             // paper counts it (it arrived) but it is redundant.
             self.stats.late_results += 1;
-            self.tele.late_results.inc();
             self.wasted_ref_seconds += ref_s;
             return ReportOutcome {
                 completed_workunit: false,
@@ -766,7 +683,6 @@ impl SchedulerCore {
         if state.valid_results >= needed {
             state.complete = true;
             self.completed += 1;
-            self.tele.workunits_validated.inc();
             if self.sampled(wu) {
                 telemetry::emit(Some(now.seconds()), || Event::WorkunitValidated {
                     workunit: u64::from(wu),
@@ -824,7 +740,6 @@ impl SchedulerCore {
             "spot checks recompute completed workunits"
         );
         self.stats.spot_check_issues += 1;
-        self.tele.spot_check_issues.inc();
         self.issue_replica(wu)
     }
 
@@ -838,7 +753,6 @@ impl SchedulerCore {
         r.reported = true;
         let wu = r.workunit;
         self.results_received += 1;
-        self.tele.results_received.inc();
         self.wasted_ref_seconds += f64::from(self.catalog[wu as usize].ref_seconds);
         wu
     }

@@ -252,9 +252,10 @@ pub enum JournalRecord {
     },
 }
 
+/// The journal's registry counters: only the counts no field keeps.
+/// Records and bytes appended are `wal_records`/`wal_bytes`, which
+/// `/metrics` renders from the journal itself.
 struct Tele {
-    appends: &'static telemetry::Counter,
-    bytes: &'static telemetry::Counter,
     fsyncs: &'static telemetry::Counter,
     replayed: &'static telemetry::Counter,
 }
@@ -262,8 +263,6 @@ struct Tele {
 impl Tele {
     fn new() -> Self {
         Self {
-            appends: telemetry::counter("journal.appends"),
-            bytes: telemetry::counter("journal.bytes"),
             fsyncs: telemetry::counter("journal.fsyncs"),
             replayed: telemetry::counter("journal.replayed"),
         }
@@ -730,8 +729,6 @@ impl Journal {
             encode_applied(now_s, command, outcome, w)
         });
         self.wal.write_all(&self.scratch.0)?;
-        self.tele.appends.inc();
-        self.tele.bytes.add(self.scratch.0.len() as u64);
         self.wal_records += 1;
         self.wal_bytes += self.scratch.0.len() as u64;
         self.uncommitted += 1;

@@ -89,7 +89,7 @@ pub use registry::{CampaignDef, Command, MultiGrid, Outcome, Slot};
 pub use server::{CampaignRunReport, NetRunReport, NetServer, NetServerConfig, ShardTopology};
 pub use shard::{merge_artifact_json, merge_artifacts, shard_of, ShardSpec};
 pub use state::{
-    fingerprint, AgentLedger, GridSnapshot, GridState, NetStats, ResultDisposition, TrustSummary,
-    Verdict, WorkReply,
+    fingerprint, AgentLedger, GridState, NetStats, ResultDisposition, TrustSummary, Verdict,
+    WorkReply,
 };
 pub use trust::{AgentTrust, TrustBand, TrustConfig};

@@ -1804,11 +1804,11 @@ mod tests {
 
     /// What a refused frame must leave alone: the books a restart would
     /// replay to, the peer picture, and the wal.
-    fn books(grid: &MultiGrid, dir: &Path) -> (Vec<crate::GridSnapshot>, Vec<Vec<u64>>, u64) {
+    fn books(grid: &MultiGrid, dir: &Path) -> (Vec<GridState>, Vec<Vec<u64>>, u64) {
         let wal_bytes = |dir: &Path| std::fs::metadata(dir.join("wal.bin")).unwrap().len();
         let slots = grid.slots().iter();
         (
-            slots.clone().map(|s| s.state.snapshot()).collect(),
+            slots.clone().map(|s| s.state.clone()).collect(),
             slots
                 .map(|s| {
                     let complete = s.board.complete.iter().map(|&c| u64::from(c));
@@ -2587,7 +2587,7 @@ mod tests {
             let replayed = shard(a as u16, 2, Some(&grid.dirs[a]));
             let (live, slot) = (&grid.cores[a], &replayed.slots[0]);
             assert!(
-                slot.state.snapshot() == live.slots[0].state.snapshot()
+                slot.state == live.slots[0].state
                     && slot.board.complete == live.slots[0].board.complete
                     && replayed.fair == live.fair
                     && replayed.cross_quarantine_denials == live.cross_quarantine_denials

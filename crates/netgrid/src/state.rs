@@ -31,8 +31,7 @@ use crate::protocol::{binary, Checksum64};
 use crate::shard::{self, ShardSpec};
 use crate::trust::{spot_selected, AgentTrust, TrustBand};
 use gridsim::sched::{
-    CoreSnapshot, ReplicaAssignment, ReplicaId, ReplicationOverride, SchedulerCore, ServerConfig,
-    ServerStats,
+    ReplicaAssignment, ReplicaId, ReplicationOverride, SchedulerCore, ServerConfig, ServerStats,
 };
 use gridsim::SimTime;
 use maxdo::DockingOutput;
@@ -162,28 +161,6 @@ pub struct NetStats {
     pub shard_wus_leased_in: u64,
 }
 
-struct Tele {
-    quorum_rejected: &'static telemetry::Counter,
-    bounds_rejected: &'static telemetry::Counter,
-    duplicates: &'static telemetry::Counter,
-    expiries: &'static telemetry::Counter,
-    backoffs: &'static telemetry::Counter,
-    accepted: &'static telemetry::Counter,
-}
-
-impl Tele {
-    fn new() -> Self {
-        Self {
-            quorum_rejected: telemetry::counter("net.results.quorum_rejected"),
-            bounds_rejected: telemetry::counter("net.results.bounds_rejected"),
-            duplicates: telemetry::counter("net.results.duplicates"),
-            expiries: telemetry::counter("net.replicas.expired"),
-            backoffs: telemetry::counter("net.fetch.backoffs"),
-            accepted: telemetry::counter("net.results.accepted"),
-        }
-    }
-}
-
 /// Per-agent accounting for the ops endpoint's fleet table.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct AgentLedger {
@@ -220,7 +197,7 @@ pub struct TrustSummary {
 }
 
 /// What the server holds for one in-flight replica.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct InFlight {
     /// The agent the replica was assigned to — a report carries no
     /// agent id on the wire, so this is how it is attributed.
@@ -232,7 +209,7 @@ struct InFlight {
 }
 
 /// What the server holds for one agent.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct AgentBook {
     /// Assignment/report accounting for the ops endpoint (advisory).
     ledger: AgentLedger,
@@ -248,6 +225,16 @@ struct AgentBook {
 
 /// The live grid's server state (scheduling + validation + payloads),
 /// with time as an explicit argument.
+///
+/// The state is its own picture: a journal-recovered state is "the same
+/// state" as the live one exactly when the two compare `==` — every
+/// field, the core's included, with maps compared as maps (iteration
+/// order does not matter). A field added here is compared by every
+/// crash, restart and replay test without further work. The counts it
+/// keeps ([`NetStats`], the agents' ledgers, the core's
+/// [`ServerStats`]) are their only home: `/metrics` renders them from
+/// here, and nothing mirrors them into the telemetry registry.
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridState {
     core: SchedulerCore,
     faults: ServerFaults,
@@ -295,28 +282,6 @@ pub struct GridState {
     spots_in_flight: usize,
     /// Wire-level counters.
     pub net_stats: NetStats,
-    tele: Tele,
-}
-
-/// A complete, comparable copy of [`GridState`]: what "the same state"
-/// means to the crash-point tests, which compare a recovered state
-/// against the live one record by record. Never written to disk — the
-/// journal is the wal alone. Maps are flattened to key-sorted pairs so
-/// equal states compare (and print) equal.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct GridSnapshot {
-    core: CoreSnapshot,
-    in_flight: Vec<(u64, InFlight)>,
-    lapsed: Vec<(u64, u64)>,
-    /// `(fingerprint, reporting agent)` per candidate, per workunit.
-    candidates: Vec<(u32, Vec<(u64, u64)>)>,
-    accepted: Vec<Option<DockingOutput>>,
-    agents: Vec<(u64, AgentBook)>,
-    net_stats: NetStats,
-    spot_queue: Vec<(u32, u64)>,
-    shard: ShardSpec,
-    leases_granted: Vec<(u64, (u16, Vec<u32>))>,
-    leases_held: Vec<(u64, Vec<u32>)>,
 }
 
 impl GridState {
@@ -348,35 +313,12 @@ impl GridState {
             spot_queue: VecDeque::new(),
             spots_in_flight: 0,
             net_stats: NetStats::default(),
-            tele: Tele::new(),
         }
     }
 
     /// Read access to the shared scheduling core.
     pub fn core(&self) -> &SchedulerCore {
         &self.core
-    }
-
-    /// Captures the complete state for comparison; see [`GridSnapshot`].
-    pub fn snapshot(&self) -> GridSnapshot {
-        fn sorted<K: Copy + Ord, V: Clone>(map: &HashMap<K, V>) -> Vec<(K, V)> {
-            let mut v: Vec<(K, V)> = map.iter().map(|(&k, v)| (k, v.clone())).collect();
-            v.sort_by_key(|&(k, _)| k);
-            v
-        }
-        GridSnapshot {
-            core: self.core.snapshot(),
-            in_flight: sorted(&self.in_flight),
-            lapsed: sorted(&self.lapsed),
-            candidates: sorted(&self.candidates),
-            accepted: self.accepted.clone(),
-            agents: sorted(&self.agents),
-            net_stats: self.net_stats,
-            spot_queue: self.spot_queue.iter().copied().collect(),
-            shard: self.shard,
-            leases_granted: sorted(&self.leases_granted),
-            leases_held: sorted(&self.leases_held),
-        }
     }
 
     /// The core's cumulative issue/validation statistics.
@@ -603,7 +545,6 @@ impl GridState {
                     }
                 };
                 self.net_stats.backoffs_sent += 1;
-                self.tele.backoffs.inc();
                 WorkReply::Backoff {
                     retry_after_ms,
                     campaign_complete: self.is_campaign_complete(),
@@ -690,7 +631,6 @@ impl GridState {
             let held = self.in_flight.remove(&r).expect("listed above");
             self.lapsed.insert(r, held.agent);
             self.net_stats.deadline_expiries += 1;
-            self.tele.expiries.inc();
             if let Some(suspect) = held.suspect {
                 // An expired spot check goes back in the audit queue —
                 // the workunit stays unconfirmed until somebody
@@ -744,7 +684,6 @@ impl GridState {
             }
             _ => {
                 self.net_stats.duplicates_dropped += 1;
-                self.tele.duplicates.inc();
                 Verdict::Duplicate
             }
         };
@@ -878,7 +817,6 @@ impl GridState {
             check_rows(&campaign.file_header(workunit), &output.rows, &self.ranges).is_empty();
         if !bounds_ok {
             self.net_stats.bounds_rejected += 1;
-            self.tele.bounds_rejected.inc();
             let outcome = self.core.report_result(now, replica, true);
             debug_assert!(outcome.erroneous);
             return Verdict::BoundsRejected;
@@ -904,7 +842,6 @@ impl GridState {
                 // (two corrupted payloads never match byte-for-byte).
                 cands.push((fp, agent));
                 self.net_stats.quorum_rejected += 1;
-                self.tele.quorum_rejected.inc();
                 telemetry::emit(Some(now.seconds()), || Event::QuorumRejected {
                     workunit: u64::from(workunit),
                 });
@@ -917,7 +854,6 @@ impl GridState {
             if outcome.completed_workunit {
                 debug_assert!(matched, "core quorum met before a byte-level match");
                 self.accepted[workunit as usize] = Some(output.clone());
-                self.tele.accepted.inc();
                 // The pending partners whose bytes won the quorum earn
                 // trust credit too — without this, agents whose results
                 // mostly land first would never accumulate accepts in
@@ -944,7 +880,6 @@ impl GridState {
         }
         self.accepted[workunit as usize] = Some(output.clone());
         self.candidates.remove(&workunit);
-        self.tele.accepted.inc();
         // A single accepted under trust is provisional until audited; a
         // seeded deterministic draw decides whether this one gets an
         // independent recomputation.

@@ -31,8 +31,8 @@
 //! All of this state is deliberately plain old data (`Copy`, serde,
 //! `PartialEq`) that changes only inside journaled commands, so
 //! journal replay rebuilds it and trust survives `kill -9` exactly like
-//! the scheduler state does (`GridSnapshot` carries it for the tests
-//! that compare the two).
+//! the scheduler state does (the tests that compare a recovered
+//! `GridState` with the live one compare it too).
 
 use crate::protocol::fnv1a64;
 use serde::{Deserialize, Serialize};

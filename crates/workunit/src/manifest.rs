@@ -3,10 +3,15 @@
 //! The World Community Grid servers "host a database of computing work"
 //! (§3.1). A phase-I production packaging is ~3.6 million workunits;
 //! persisting it as text or JSON wastes an order of magnitude. The
-//! manifest is the fixed-record binary file the task server loads at
-//! startup: a magic header, the target duration, then 16 bytes per
-//! workunit (receptor u16, ligand u16, isep_start u32, positions u32,
-//! plus a 4-byte FNV-1a record checksum), little-endian via `bytes`.
+//! manifest is a fixed-record binary file for that database: a magic
+//! header, the target duration, then 16 bytes per workunit (receptor
+//! u16, ligand u16, isep_start u32, positions u32, plus a 4-byte FNV-1a
+//! record checksum), little-endian via `bytes`.
+//!
+//! The format has no reader in the system: the live task server
+//! (`hcmd-netgrid`'s `NetCampaign::build`) derives its catalog from the
+//! campaign recipe, and nothing writes or loads a manifest file. Only
+//! this module's round-trip tests exercise it.
 
 use crate::package::{CampaignPackage, WorkunitSpec};
 use bytes::{Buf, BufMut, Bytes, BytesMut};

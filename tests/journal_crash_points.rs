@@ -8,9 +8,9 @@
 //!
 //! * `wal.bin` is cut at **every byte offset**. Recovery must yield
 //!   exactly the state the live server had after the longest whole-record
-//!   prefix (compared as full [`GridSnapshot`]s), leave the wal cut back
-//!   to that prefix, and — checked once per distinct prefix — still drain
-//!   to the baseline artifact byte for byte.
+//!   prefix (whole [`GridState`]s compared with `==`, every field), leave
+//!   the wal cut back to that prefix, and — checked once per distinct
+//!   prefix — still drain to the baseline artifact byte for byte.
 //! * every byte of one `Report` frame is damaged in place. The scan must
 //!   stop at that frame — yielding the records before it, none from it
 //!   and none after — either as a torn tail or with `InvalidData`, and
@@ -24,7 +24,7 @@ use gridsim::SimTime;
 use maxdo::DockingOutput;
 use netgrid::shard::{lease_id, ownership_map};
 use netgrid::{
-    CampaignParams, Command, FsyncPolicy, GridSnapshot, JournalConfig, JournalRecord, NetCampaign,
+    CampaignParams, Command, FsyncPolicy, GridState, JournalConfig, JournalRecord, NetCampaign,
     RecordReader, ServerFaults, ShardSpec, Verdict, WorkReply,
 };
 use std::fs;
@@ -73,9 +73,9 @@ fn open(campaign: &NetCampaign, cfg: &JournalConfig) -> std::io::Result<(OneCamp
 /// of its records.
 struct History {
     wal: Vec<u8>,
-    /// `(wal length, live snapshot)` after the header alone, then after
+    /// `(wal length, live state)` after the header alone, then after
     /// each transition record.
-    marks: Vec<(usize, GridSnapshot)>,
+    marks: Vec<(usize, GridState)>,
     /// The lease the scripted `LeaseIn` adopted: id and workunits.
     lease_in: (u64, Vec<u32>),
 }
@@ -86,7 +86,7 @@ struct Recorder<'a> {
     live: OneCampaign,
     baseline: &'a [DockingOutput],
     wal: PathBuf,
-    marks: Vec<(usize, GridSnapshot)>,
+    marks: Vec<(usize, GridState)>,
 }
 
 impl Recorder<'_> {
@@ -96,7 +96,7 @@ impl Recorder<'_> {
             self.marks.last().is_none_or(|&(last, _)| len > last),
             "every scripted call journals a record"
         );
-        self.marks.push((len, self.live.snapshot()));
+        self.marks.push((len, GridState::clone(&self.live)));
     }
 
     fn fetch(&mut self, now: f64, agent: u64) -> ReplicaAssignment {
@@ -297,7 +297,7 @@ fn every_wal_truncation_recovers_the_longest_whole_record_prefix() {
         let (mut recovered, _) =
             open(&campaign, &cfg).unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
         assert!(
-            recovered.snapshot() == *expected,
+            *recovered == *expected,
             "cut at {cut}: state is not prefix {k}"
         );
         assert_eq!(
@@ -389,10 +389,7 @@ fn a_damaged_report_frame_stops_the_scan_without_misdecoding() {
                         !refused,
                         "byte {at}^{mask:#x}: recovery accepted a bad record"
                     );
-                    assert!(
-                        recovered.snapshot() == history.marks[k - 1].1,
-                        "byte {at}^{mask:#x}"
-                    );
+                    assert!(*recovered == history.marks[k - 1].1, "byte {at}^{mask:#x}");
                 }
                 Err(e) => {
                     assert!(refused, "byte {at}^{mask:#x}: {e}");

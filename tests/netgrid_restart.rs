@@ -7,10 +7,10 @@
 //! quorum validation, a duplicate, a quorum rejection, a bounds
 //! rejection, a deadline expiry, backoffs — then "crash" it (drop it
 //! with no clean shutdown; the wal on disk is all that survives) and
-//! recover with `MultiGrid::open`. Recovery must reconstruct
-//! `ServerStats`, `NetStats` and the resume clock exactly, and draining
-//! the recovered state to completion must produce the same merged
-//! artifact as the in-process baseline, byte for byte.
+//! recover with `MultiGrid::open`. Recovery must reconstruct the whole
+//! `GridState` (`==` on every field) and the resume clock exactly, and
+//! draining the recovered state to completion must produce the same
+//! merged artifact as the in-process baseline, byte for byte.
 //!
 //! The process-level version of the same property (SIGKILL of a live
 //! `hcmd-server`, restart from `--journal`) lives in
@@ -19,11 +19,11 @@
 mod common;
 
 use common::OneCampaign;
-use gridsim::sched::{ServerConfig, ServerStats};
+use gridsim::sched::ServerConfig;
 use gridsim::SimTime;
 use netgrid::{
     CampaignDef, CampaignParams, FaultDice, FaultProfile, FsyncPolicy, GridState, JournalConfig,
-    MultiGrid, NetCampaign, NetStats, ServerFaults, ShardSpec, TrustConfig, Verdict, WorkReply,
+    MultiGrid, NetCampaign, ServerFaults, ShardSpec, TrustConfig, Verdict, WorkReply,
 };
 use std::path::PathBuf;
 
@@ -119,11 +119,6 @@ fn baseline_json(campaign: &NetCampaign) -> String {
     serde_json::to_string(&campaign.baseline_outputs()).unwrap()
 }
 
-/// Captured live state to compare recovery against.
-fn crash_point(state: &OneCampaign) -> (ServerStats, NetStats, f64) {
-    (state.server_stats(), state.net_stats, state.last_now())
-}
-
 #[test]
 fn scripted_history_replays_to_the_exact_live_state_and_artifact() {
     let campaign = NetCampaign::build(CampaignParams::tiny());
@@ -132,14 +127,14 @@ fn scripted_history_replays_to_the_exact_live_state_and_artifact() {
     let (mut live, resume) = open(&campaign, &cfg);
     assert_eq!(resume, 0.0, "fresh journal starts the clock at zero");
     run_script(&mut live, &campaign);
-    let (stats, net, last_now) = crash_point(&live);
+    let (before, last_now) = (GridState::clone(&live), live.last_now());
+    let net = before.net_stats;
     assert!(net.duplicates_dropped >= 1 && net.quorum_rejected >= 1);
     assert!(net.bounds_rejected >= 1 && net.deadline_expiries >= 1);
     drop(live); // crash: no clean shutdown exists, the wal is the truth
 
     let (mut recovered, resume) = open(&campaign, &cfg);
-    assert_eq!(recovered.server_stats(), stats, "ServerStats reconstructed");
-    assert_eq!(recovered.net_stats, net, "NetStats reconstructed");
+    assert!(*recovered == before, "replay rebuilt another state");
     assert_eq!(resume, last_now, "clock resumes where the journal ends");
 
     drain(&mut recovered, &campaign);
@@ -158,7 +153,7 @@ fn torn_wal_tail_recovers_a_consistent_prefix_and_still_completes() {
 
     let (mut live, _) = open(&campaign, &cfg);
     run_script(&mut live, &campaign);
-    let (_, net, _) = crash_point(&live);
+    let net = live.net_stats;
     drop(live);
 
     // Tear the tail mid-frame, as a crash between write and sync would:
@@ -216,15 +211,12 @@ fn a_flood_of_rejected_results_neither_kills_the_server_nor_its_recovery() {
         rejected > 2_400,
         "only {rejected} corruptions were distinct"
     );
-    let before = live.snapshot();
+    let before = GridState::clone(&live);
     drop(live); // crash
 
     assert_only_the_wal(&cfg.dir);
     let (mut recovered, _) = open(&campaign, &cfg);
-    assert!(
-        recovered.snapshot() == before,
-        "replay rebuilt another state"
-    );
+    assert!(*recovered == before, "replay rebuilt another state");
     drain(&mut recovered, &campaign);
     assert_eq!(artifact_json(&recovered), baseline_json(&campaign));
     let _ = std::fs::remove_dir_all(&cfg.dir);
@@ -396,8 +388,7 @@ fn trust_bands_and_quarantine_replay_exactly_across_a_crash() {
     .expect("journal opens");
     assert_eq!(resume, 0.0);
     let crash_now = trust_script(&mut live, &campaign);
-    let (stats, net, last_now) = crash_point(&live);
-    let live_trust = live.agent_trust_table();
+    let (before, last_now) = (GridState::clone(&live), live.last_now());
     let live_summary = live.trust_summary().expect("trust on");
     assert_eq!(live_summary.quarantined, 1, "saboteur serving quarantine");
     assert!(!live.is_campaign_complete(), "audit still queued");
@@ -412,13 +403,9 @@ fn trust_bands_and_quarantine_replay_exactly_across_a_crash() {
     )
     .expect("recovery");
     assert_eq!(resume, last_now);
-    assert_eq!(recovered.server_stats(), stats);
-    assert_eq!(recovered.net_stats, net);
-    assert_eq!(
-        recovered.agent_trust_table(),
-        live_trust,
-        "per-agent trust ledgers reconstructed exactly"
-    );
+    // One comparison covers the audit books (the queued spot check and
+    // any in flight), the trust ledgers and every counter.
+    assert!(*recovered == before, "replay rebuilt another state");
     assert_eq!(recovered.trust_summary(), Some(live_summary));
 
     // An uninterrupted twin run of the identical script...
