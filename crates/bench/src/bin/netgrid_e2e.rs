@@ -1,38 +1,28 @@
-//! Live-grid end-to-end bench: the real `hcmd-netgrid` server and a
+//! Live-grid end-to-end smoke: the real `hcmd-netgrid` server and a
 //! fleet of real agents over loopback TCP, faults on.
 //!
-//! This is the wire-level counterpart of `sim_scale`: instead of a
-//! synthetic event fleet it runs an actual campaign — length-prefixed
-//! frames, maxdo docking in agent threads, quorum validation on the
-//! server — and reports throughput plus request-latency percentiles.
-//! The fleet always includes one agent that vanishes mid-workunit and
+//! It runs an actual campaign — length-prefixed frames, maxdo docking in
+//! agent threads, quorum validation on the server — with a threaded
+//! fleet that always includes one agent that vanishes mid-workunit and
 //! one saboteur that corrupts every payload, so a single run exercises
 //! the §5.1 timeout-reissue path and the quorum-rejection path, and the
-//! report carries those counts.
+//! report carries those counts next to the injected fault totals.
 //!
-//! This binary checks that the artifact survives faults, scale, trust,
-//! sharding and shared campaigns; it is not where performance is
-//! measured, and it compares no number with a baseline. What a layer costs
-//! — the journal (`wire_durable` against `wire_steady`), an ops scrape
+//! This binary checks that the artifact survives faults, scale and
+//! sharding; it is not where performance is measured, and it compares no
+//! number with a baseline. What a layer costs — the journal
+//! (`wire_durable` against `wire_steady`), an ops scrape
 //! (`ops.scrape_p50_us`), a request — is measured by the benchmark
-//! harness in `benchmarks/` (see `BENCHMARK.json`).
+//! harness in `benchmarks/` (see `BENCHMARK.json`). What a stepped test
+//! pins better — the trust policy's quarantine, a fair-share split, a
+//! two-campaign server's artifacts — is left to those tests.
 //!
 //! A second, *scale* campaign drives `--scale-agents` (default
 //! 10 000) simulated volunteers through the multiplexed driver
-//! (`netgrid::run_mux_fleet`) against the same event-loop server —
-//! the `scale_*` columns report its throughput and request-latency
-//! percentiles. `--agents` beyond 64 switches the classic fleet itself
-//! to the mux driver (the separate scale campaign is then skipped,
-//! since the classic run *is* the scale run).
-//!
-//! A final *trust* pair prices trust-adaptive replication: the same
-//! campaign with an honest-but-unreliable fleet plus the saboteur,
-//! once under the fixed-quorum policy and once with `--trust on`. The
-//! `trust_*` columns report the redundancy fraction (replicas issued
-//! per workunit), quorum-rejection counts, wasted reference
-//! CPU-seconds, spot-check tallies and whether the saboteur was
-//! quarantined — the CI `netgrid-trust-smoke` job asserts the last
-//! plus artifact identity.
+//! (`netgrid::run_mux_fleet`) against the same event-loop server; the
+//! `scale_*` columns record its throughput and request-latency
+//! percentiles. The soft open-file limit is raised first: a loopback
+//! run holds both ends of every socket.
 //!
 //! A *sharded* block then splits the same campaign across N
 //! `NetServer` shards (2-shard, 2-shard `--trust on` and 4-shard by
@@ -41,17 +31,7 @@
 //! in the `shard_campaigns` column reports redirect and lease (steal)
 //! counts, per-shard and aggregate throughput, and whether the merged
 //! per-shard artifacts are byte-identical to a like-for-like
-//! single-server run — the CI `netgrid-shard-smoke` job asserts that
-//! flag.
-//!
-//! A *multi-campaign* block then hosts a 70/30 pair of campaigns
-//! (same recipe, different library seeds) on one server, with a small
-//! threaded fleet volunteering for both over protocol v4. The
-//! `campaign_*` columns report each campaign's delivered share,
-//! borrow count and whether its merged artifact is byte-identical to
-//! a solo run of the same recipe, plus the fair-share error sampled
-//! while both campaigns still had fresh work — the CI
-//! `netgrid-campaign-smoke` job fails when that error exceeds 0.05.
+//! single-server run.
 //!
 //! The binary exits 1 when any artifact diverges from its reference,
 //! when a shard row's fleet followed none of the redirects it was
@@ -73,7 +53,7 @@
 use bench_support::RunSession;
 use metrics::quantile;
 use netgrid::{
-    merge_artifact_json, merge_artifacts, run_agent, run_mux_fleet, AgentConfig, CampaignDef,
+    merge_artifact_json, merge_artifacts, run_agent, run_mux_fleet, sys, AgentConfig,
     CampaignParams, CampaignRunReport, FaultProfile, MuxFleetConfig, MuxFleetReport, NetCampaign,
     NetRunReport, NetServer, NetServerConfig, NetStats, ShardSpec, ShardTopology, TrustConfig,
 };
@@ -81,9 +61,14 @@ use std::net::TcpListener;
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Threaded-fleet ceiling: more honest agents than this and the classic
-/// campaign switches to the multiplexed driver.
+/// Threaded-fleet ceiling: a campaign with more honest agents than this
+/// runs them through the multiplexed driver.
 const THREADED_FLEET_MAX: usize = 64;
+
+/// Soft open-file limit asked for before the scale campaign: the mux
+/// driver keeps at most 8 000 connections open, and a loopback run owns
+/// both ends of each.
+const SCALE_NOFILE: u64 = 20_000;
 
 /// The `BENCH_netgrid.json` document.
 #[derive(serde::Serialize)]
@@ -91,19 +76,10 @@ struct NetgridReport {
     bench: String,
     quick: bool,
     seed: u64,
-    /// Honest (flaky-profile) agents; the victim and the saboteur ride
-    /// on top of these.
+    /// Honest (flaky-profile) threaded agents; the victim and the
+    /// saboteur ride on top of these.
     agents: usize,
-    /// Whether the classic fleet ran through the multiplexed driver
-    /// (`--agents` beyond the threaded ceiling).
-    mux: bool,
     workunits: usize,
-    wall_seconds: f64,
-    workunits_per_sec: f64,
-    /// `RequestWork` round trips observed across the whole fleet.
-    requests: usize,
-    request_latency_p50_ms: f64,
-    request_latency_p99_ms: f64,
     timeout_reissues: u64,
     quorum_rejects: u64,
     /// Injected fault totals, for context next to the reissue counts.
@@ -120,33 +96,6 @@ struct NetgridReport {
     scale_request_latency_p99_ms: Option<f64>,
     scale_connections: Option<u64>,
     scale_merged_matches_baseline: Option<bool>,
-    /// Honest (reliable-profile) agents in the trust comparison pair;
-    /// the same corrupt-everything saboteur rides along in both runs.
-    trust_agents: usize,
-    /// Replicas issued per workunit with the fixed-quorum policy
-    /// (`--trust off`): initial + quorum + reissues, over workunits.
-    trust_off_redundancy_frac: f64,
-    /// Replicas issued per workunit with trust-adaptive replication on
-    /// (single-replica issues to trusted agents + seeded spot checks).
-    trust_on_redundancy_frac: f64,
-    /// `(off - on) / off` — the headline saving.
-    trust_redundancy_reduction_frac: f64,
-    trust_off_quorum_rejects: u64,
-    /// With trust on the saboteur is quarantined after a short run of
-    /// rejections and stops burning quorum slots.
-    trust_on_quorum_rejects: u64,
-    /// Reference CPU-seconds burned on redundant replicas of
-    /// already-validated workunits, fixed-quorum policy.
-    trust_off_wasted_ref_seconds: f64,
-    /// Same measure with trust on.
-    trust_on_wasted_ref_seconds: f64,
-    trust_on_spot_checks_passed: u64,
-    trust_on_spot_checks_failed: u64,
-    /// True when the trust-on run ever quarantined an agent (the
-    /// saboteur); the CI trust-smoke job asserts this.
-    trust_saboteur_quarantined: bool,
-    trust_off_merged_matches_baseline: bool,
-    trust_on_merged_matches_baseline: bool,
     /// Throughput of the like-for-like single-server run the sharded
     /// campaigns are scored against: same campaign, same mux fleet, one
     /// unsharded server. Null when `--shards 0` skipped the block.
@@ -154,31 +103,6 @@ struct NetgridReport {
     /// One row per sharded campaign (2-shard, 2-shard trust-on and
     /// 4-shard by default). Null when `--shards 0` skipped the block.
     shard_campaigns: Option<Vec<ShardBenchRow>>,
-    /// Fair-share error of the two-campaign run, sampled at the last
-    /// report where both campaigns still had fresh work (the ±5%
-    /// convergence figure; CI fails above 0.05).
-    campaign_share_error: f64,
-    /// One row per hosted campaign in the 70/30 two-campaign run.
-    campaign_rows: Vec<CampaignBenchRow>,
-}
-
-/// One hosted campaign of the multi-campaign run, in roster order.
-#[derive(serde::Serialize)]
-struct CampaignBenchRow {
-    name: String,
-    /// Configured fair-share weight (normalised).
-    share: f64,
-    priority: u32,
-    workunits: usize,
-    /// Validated reference CPU-seconds this campaign received.
-    delivered_ref_seconds: f64,
-    /// This campaign's fraction of everything delivered.
-    delivered_frac: f64,
-    /// Issues taken while higher-deficit campaigns had nothing to give.
-    borrows: u64,
-    /// The isolation invariant: this campaign's merged artifact is
-    /// byte-identical to a solo run of the same recipe.
-    matches_solo_baseline: bool,
 }
 
 /// One sharded campaign in the `shard_campaigns` column.
@@ -243,8 +167,8 @@ impl CampaignOutcome {
     }
 }
 
-/// One full wire-level campaign: fleet, faults and all. The honest
-/// majority (of `honest_profile`) runs as real threaded agents up to
+/// One full wire-level campaign: fleet, faults and all. The honest,
+/// flaky majority runs as real threaded agents up to
 /// [`THREADED_FLEET_MAX`], then switches to the multiplexed driver; the
 /// victim (takes a workunit and vanishes) and the saboteur (corrupts
 /// every payload) are always real threaded agents.
@@ -253,17 +177,12 @@ fn run_campaign(
     deadline_seconds: f64,
     honest_agents: usize,
     seed: u64,
-    honest_profile: FaultProfile,
-    trust: bool,
 ) -> CampaignOutcome {
     let mut config = NetServerConfig {
         campaign: campaign_params,
         sweep_ms: 25,
         ..NetServerConfig::loopback(deadline_seconds)
     };
-    if trust {
-        config.faults.trust = TrustConfig::on();
-    }
     if honest_agents > THREADED_FLEET_MAX {
         // The default 64-connection Busy limit models a small server;
         // the scale campaign measures the event loop itself, so the
@@ -306,7 +225,7 @@ fn run_campaign(
     if honest_agents > THREADED_FLEET_MAX {
         let fleet = run_mux_fleet(MuxFleetConfig {
             seed,
-            profile: honest_profile,
+            profile: FaultProfile::flaky(),
             timeout: Duration::from_secs(280),
             ..MuxFleetConfig::new(addr, honest_agents)
         })
@@ -326,7 +245,7 @@ fn run_campaign(
                 let addr = addr.clone();
                 thread::spawn(move || {
                     run_agent(AgentConfig {
-                        profile: honest_profile,
+                        profile: FaultProfile::flaky(),
                         threads: if agent == 1 { 2 } else { 1 },
                         seed,
                         ..AgentConfig::new(addr, agent)
@@ -351,44 +270,6 @@ fn run_campaign(
         latencies,
         faults,
     }
-}
-
-/// The multi-campaign run: one server hosting `defs` (a 70/30 pair in
-/// practice), a reliable threaded fleet volunteering for every
-/// campaign over protocol v4. The returned report's `campaigns` rows
-/// carry per-campaign delivery and artifacts; its `share_error` is the
-/// fair-share error sampled while every campaign still had fresh work.
-fn run_multi_campaign(
-    defs: Vec<CampaignDef>,
-    deadline_seconds: f64,
-    agents: usize,
-    seed: u64,
-) -> NetRunReport {
-    let config = NetServerConfig {
-        campaigns: defs,
-        sweep_ms: 25,
-        ..NetServerConfig::loopback(deadline_seconds)
-    };
-    let server = NetServer::bind(config).expect("bind loopback");
-    let addr = server.local_addr().expect("local addr").to_string();
-    let server = thread::spawn(move || server.run());
-    let fleet: Vec<_> = (1..=agents as u64)
-        .map(|agent| {
-            let addr = addr.clone();
-            thread::spawn(move || {
-                run_agent(AgentConfig {
-                    profile: FaultProfile::reliable(),
-                    seed,
-                    campaigns: vec!["*".into()],
-                    ..AgentConfig::new(addr, agent)
-                })
-            })
-        })
-        .collect();
-    for h in fleet {
-        h.join().unwrap().expect("multi-campaign agent ran");
-    }
-    server.join().unwrap().expect("multi-campaign server ran")
 }
 
 /// Everything one sharded campaign yields, across all its shards.
@@ -524,7 +405,6 @@ fn run_shard_reference(
 fn main() {
     let mut quick = false;
     let mut seed = 42u64;
-    let mut agents: Option<usize> = None;
     let mut scale_agents: Option<usize> = None;
     let mut shards: Option<u16> = None;
     let mut merge: Option<String> = None;
@@ -538,13 +418,6 @@ fn main() {
                     .next()
                     .and_then(|s| s.parse().ok())
                     .expect("--seed <n>")
-            }
-            "--agents" => {
-                agents = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .expect("--agents <n>"),
-                )
             }
             "--scale-agents" => {
                 scale_agents = Some(
@@ -565,8 +438,7 @@ fn main() {
             other => {
                 eprintln!("netgrid_e2e: unknown argument {other}");
                 eprintln!(
-                    "usage: netgrid_e2e [--quick] [--seed <n>] [--agents <n>] \
-                     [--scale-agents <n>] [--shards <n>] \
+                    "usage: netgrid_e2e [--quick] [--seed <n>] [--scale-agents <n>] [--shards <n>] \
                      [--out <path>] | --merge <p0.json,p1.json,...> [--out <path>]"
                 );
                 std::process::exit(2);
@@ -607,15 +479,8 @@ fn main() {
     // Quick keeps the tiny 2-protein campaign and a short deadline so
     // the victim's abandoned replica expires fast; the full run grows
     // the library and the fleet.
-    let honest_agents = agents.unwrap_or(if quick { 4 } else { 6 });
-    let mux = honest_agents > THREADED_FLEET_MAX;
-    // A mux-driven classic fleet IS the scale run; a separate scale
-    // campaign would just repeat it.
-    let scale_agents = if mux {
-        0
-    } else {
-        scale_agents.unwrap_or(if quick { 256 } else { 10_000 })
-    };
+    let honest_agents = if quick { 4 } else { 6 };
+    let scale_agents = scale_agents.unwrap_or(if quick { 256 } else { 10_000 });
     let deadline_seconds = if quick { 2.0 } else { 4.0 };
     let campaign_params = CampaignParams {
         proteins: if quick { 2 } else { 3 },
@@ -625,69 +490,15 @@ fn main() {
 
     let mut session = RunSession::start("netgrid_e2e", seed, 1);
 
-    let flaky = |agents: usize| {
-        run_campaign(
-            campaign_params,
-            deadline_seconds,
-            agents,
-            seed,
-            FaultProfile::flaky(),
-            false,
-        )
-    };
-    let plain = flaky(honest_agents);
+    let plain = run_campaign(campaign_params, deadline_seconds, honest_agents, seed);
 
     // The scale campaign: the same server, thousands of multiplexed
     // volunteers.
-    let scale = (scale_agents > 0).then(|| flaky(scale_agents));
-
-    // The trust comparison pair: an honest-but-unreliable fleet (drops
-    // and stalls, never corrupts — the fleet the policy is designed to
-    // reward) plus the same corrupt-everything saboteur, once under the
-    // fixed-quorum policy and once with trust-adaptive replication on.
-    // A small threaded fleet regardless of `--agents`: the pair
-    // measures replication policy, not driver throughput.
-    let trust_fleet = honest_agents.min(8);
-    let trust_run = |trust: bool| {
-        run_campaign(
-            campaign_params,
-            deadline_seconds,
-            trust_fleet,
-            seed,
-            FaultProfile::reliable(),
-            trust,
-        )
-    };
-    let trust_off = trust_run(false);
-    let trust_on = trust_run(true);
-
-    // The multi-campaign block: one server hosting a 70/30 pair of
-    // campaigns (same recipe, different library seeds), every agent
-    // volunteering for both. Priorities differ so exact deficit ties
-    // exercise the tie-break.
-    let campaign_defs = vec![
-        CampaignDef {
-            name: "alpha".into(),
-            params: campaign_params,
-            share: 0.7,
-            priority: 1,
-        },
-        CampaignDef {
-            name: "beta".into(),
-            params: CampaignParams {
-                lib_seed: seed + 1,
-                ..campaign_params
-            },
-            share: 0.3,
-            priority: 0,
-        },
-    ];
-    let multi = run_multi_campaign(
-        campaign_defs.clone(),
-        deadline_seconds,
-        honest_agents.min(8),
-        seed,
-    );
+    let scale = (scale_agents > 0).then(|| {
+        let limit = sys::raise_nofile_limit(SCALE_NOFILE);
+        println!("scale: open-file soft limit {limit}");
+        run_campaign(campaign_params, deadline_seconds, scale_agents, seed)
+    });
 
     // The sharded block: the same campaign hash-split across N servers,
     // the mux fleet round-robined across every shard, scored against a
@@ -701,7 +512,7 @@ fn main() {
     };
     let sharded = (!shard_rows.is_empty()).then(|| {
         let max_shards = shard_rows.iter().map(|&(n, _)| n).max().unwrap() as usize;
-        let shard_fleet = honest_agents.min(8).max(max_shards);
+        let shard_fleet = honest_agents.max(max_shards);
         // A larger catalog than the classic campaigns: global completion
         // travels by gossip (one ~100 ms steering tick), a fixed lag
         // that would dominate the throughput ratio on a sub-second
@@ -758,64 +569,14 @@ fn main() {
         serde_json::to_string(&o.campaign().outputs).expect("outputs serialize") == baseline_json
     };
     let merged_matches_baseline = matches_baseline(&plain);
-    let total_delivered: f64 = multi
-        .campaigns
-        .iter()
-        .map(|c| c.delivered_ref_seconds)
-        .sum();
-    let campaign_rows: Vec<CampaignBenchRow> = multi
-        .campaigns
-        .iter()
-        .map(|c| {
-            let def = campaign_defs
-                .iter()
-                .find(|d| d.name == c.name)
-                .expect("configured campaign");
-            let solo_json =
-                serde_json::to_string(&NetCampaign::build(def.params).baseline_outputs())
-                    .expect("solo baseline serializes");
-            let artifact_json =
-                serde_json::to_string(&c.outputs).expect("campaign outputs serialize");
-            CampaignBenchRow {
-                name: c.name.clone(),
-                share: c.share,
-                priority: c.priority,
-                workunits: c.workunits,
-                delivered_ref_seconds: c.delivered_ref_seconds,
-                delivered_frac: c.delivered_ref_seconds / total_delivered.max(1e-9),
-                borrows: c.borrows,
-                matches_solo_baseline: artifact_json == solo_json,
-            }
-        })
-        .collect();
     let scale_merged_matches_baseline = scale.as_ref().map(matches_baseline);
-
-    // Replicas issued per workunit: every issue class the scheduler
-    // has, over the campaign size. The fixed-quorum floor is 2.0; trust
-    // pulls it toward 1.0 plus the spot-check fraction.
-    let redundancy_frac = |o: &CampaignOutcome| {
-        let c = o.campaign();
-        c.server_stats.total_issues() as f64 / (c.workunits as f64).max(1.0)
-    };
-    let trust_off_redundancy_frac = redundancy_frac(&trust_off);
-    let trust_on_redundancy_frac = redundancy_frac(&trust_on);
-    let trust_summary = trust_on
-        .campaign()
-        .trust
-        .expect("trust-on run has a summary");
 
     let report = NetgridReport {
         bench: "netgrid_e2e".to_string(),
         quick,
         seed,
         agents: honest_agents,
-        mux,
         workunits: plain.campaign().workunits,
-        wall_seconds: plain.run.wall_seconds,
-        workunits_per_sec: plain.workunits_per_sec(),
-        requests: plain.latencies.len(),
-        request_latency_p50_ms: quantile(&plain.latencies, 0.50).unwrap_or(0.0),
-        request_latency_p99_ms: quantile(&plain.latencies, 0.99).unwrap_or(0.0),
         timeout_reissues: plain.campaign().server_stats.timeout_reissues,
         quorum_rejects: plain.campaign().net_stats.quorum_rejected,
         disconnect_faults: plain.faults.0,
@@ -834,36 +595,12 @@ fn main() {
             .map(|o| quantile(&o.latencies, 0.99).unwrap_or(0.0)),
         scale_connections: scale.as_ref().map(|o| o.run.connections),
         scale_merged_matches_baseline,
-        trust_agents: trust_fleet,
-        trust_off_redundancy_frac,
-        trust_on_redundancy_frac,
-        trust_redundancy_reduction_frac: (trust_off_redundancy_frac - trust_on_redundancy_frac)
-            / trust_off_redundancy_frac.max(1e-9),
-        trust_off_quorum_rejects: trust_off.campaign().net_stats.quorum_rejected,
-        trust_on_quorum_rejects: trust_on.campaign().net_stats.quorum_rejected,
-        trust_off_wasted_ref_seconds: trust_off.campaign().wasted_ref_seconds,
-        trust_on_wasted_ref_seconds: trust_on.campaign().wasted_ref_seconds,
-        trust_on_spot_checks_passed: trust_summary.spot_checks_passed,
-        trust_on_spot_checks_failed: trust_summary.spot_checks_failed,
-        trust_saboteur_quarantined: trust_summary.ever_quarantined >= 1,
-        trust_off_merged_matches_baseline: matches_baseline(&trust_off),
-        trust_on_merged_matches_baseline: matches_baseline(&trust_on),
         shard_single_workunits_per_sec: sharded.as_ref().map(|(wps, _)| *wps),
         shard_campaigns: sharded.map(|(_, rows)| rows),
-        campaign_share_error: multi.share_error,
-        campaign_rows,
     };
     println!(
-        "{} workunits in {:.2} s over loopback ({:.1} wu/s, {} agents [{}] + victim + saboteur)",
-        report.workunits,
-        report.wall_seconds,
-        report.workunits_per_sec,
-        report.agents,
-        if mux { "mux" } else { "threaded" },
-    );
-    println!(
-        "request latency p50 {:.2} ms, p99 {:.2} ms over {} requests",
-        report.request_latency_p50_ms, report.request_latency_p99_ms, report.requests
+        "{} workunits over loopback ({} threaded agents + victim + saboteur)",
+        report.workunits, report.agents,
     );
     println!(
         "faults: {} timeout reissues, {} quorum rejects ({} disconnects, {} stalls, {} corruptions injected)",
@@ -885,20 +622,6 @@ fn main() {
             report.scale_connections.unwrap_or(0),
         );
     }
-    println!(
-        "trust: redundancy {:.2} -> {:.2} replicas/wu ({:.0}% saved), quorum rejects {} -> {}, \
-         wasted {:.0} -> {:.0} ref-s, spot checks {} passed / {} failed, saboteur quarantined: {}",
-        report.trust_off_redundancy_frac,
-        report.trust_on_redundancy_frac,
-        report.trust_redundancy_reduction_frac * 100.0,
-        report.trust_off_quorum_rejects,
-        report.trust_on_quorum_rejects,
-        report.trust_off_wasted_ref_seconds,
-        report.trust_on_wasted_ref_seconds,
-        report.trust_on_spot_checks_passed,
-        report.trust_on_spot_checks_failed,
-        report.trust_saboteur_quarantined,
-    );
     if let Some(rows) = &report.shard_campaigns {
         for row in rows {
             println!(
@@ -917,38 +640,16 @@ fn main() {
             );
         }
     }
-    for row in &report.campaign_rows {
-        println!(
-            "campaign {}: share {:.0}% -> delivered {:.1}% ({:.0} ref-s, {} workunits, {} borrows), artifact matches solo: {}",
-            row.name,
-            row.share * 100.0,
-            row.delivered_frac * 100.0,
-            row.delivered_ref_seconds,
-            row.workunits,
-            row.borrows,
-            row.matches_solo_baseline,
-        );
-    }
     println!(
-        "multi-campaign fair-share error {:.3} (sampled while contended)",
-        report.campaign_share_error
-    );
-    println!(
-        "merged output matches in-process baseline: plain {}, scale {:?}, trust off/on {}/{}",
-        report.merged_matches_baseline,
-        report.scale_merged_matches_baseline,
-        report.trust_off_merged_matches_baseline,
-        report.trust_on_merged_matches_baseline,
+        "merged output matches in-process baseline: plain {}, scale {:?}",
+        report.merged_matches_baseline, report.scale_merged_matches_baseline,
     );
     let ok = report.merged_matches_baseline
         && report.scale_merged_matches_baseline.unwrap_or(true)
-        && report.trust_off_merged_matches_baseline
-        && report.trust_on_merged_matches_baseline
         && report
             .shard_campaigns
             .as_ref()
-            .is_none_or(|rows| rows.iter().all(|r| r.merged_matches_single))
-        && report.campaign_rows.iter().all(|r| r.matches_solo_baseline);
+            .is_none_or(|rows| rows.iter().all(|r| r.merged_matches_single));
     if !ok {
         eprintln!("netgrid_e2e: ERROR: merged output diverged from the baseline");
     }
@@ -973,9 +674,6 @@ fn main() {
     if report.timeout_reissues == 0 || report.quorum_rejects == 0 {
         eprintln!("netgrid_e2e: WARNING: a fault path went unexercised this run");
     }
-    if !report.trust_saboteur_quarantined {
-        eprintln!("netgrid_e2e: WARNING: the saboteur escaped quarantine this run");
-    }
 
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     let default_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_netgrid.json");
@@ -987,7 +685,7 @@ fn main() {
             std::process::exit(1);
         }
     }
-    session.record_engine(report.requests as u64, 0, report.workunits as u64);
+    session.record_engine(plain.latencies.len() as u64, 0, report.workunits as u64);
     session.finish();
     if !ok || redirects_ignored || steering_loop {
         std::process::exit(1);

@@ -194,9 +194,9 @@ const CONNECT_BATCH: usize = 64;
 
 /// Peak simultaneously-open connections; dials beyond it wait for a
 /// slot. A loopback bench owns *both* ends of every socket, so the
-/// process fd bill is twice this — 10 000 always-open agents would need
-/// 20 001 descriptors, and `netgrid_e2e` raises the soft limit to
-/// 20 000.
+/// process fd bill is twice this plus a few — 16 000 at the cap, and
+/// `netgrid_e2e` raises the soft limit to 20 000
+/// ([`crate::sys::raise_nofile_limit`]) before its scale campaign.
 const MAX_OPEN: usize = 8_000;
 
 /// Peak `RequestWork` frames in flight at once. The single-threaded
@@ -692,40 +692,60 @@ impl Driver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::CampaignParams;
     use crate::server::{NetServer, NetServerConfig};
     use crate::trust::{TrustBand, TrustConfig};
 
     /// A mux fleet alone must carry a campaign to completion and the
     /// server's merged artifact must equal the in-process baseline —
-    /// the same bar the threaded fleet is held to.
+    /// the same bar the threaded fleet is held to. The second input is a
+    /// 70/30 two-campaign server with every session attached to `*`:
+    /// each campaign's artifact must equal its own recipe's baseline, so
+    /// a driver that docks a workunit with another campaign's recipe
+    /// fails here.
     #[test]
     fn mux_fleet_completes_a_campaign_with_the_baseline_artifact() {
-        let config = NetServerConfig {
-            sweep_ms: 25,
-            ..NetServerConfig::loopback(5.0)
-        };
-        let params = config.campaign;
-        let server = NetServer::bind(config).expect("bind");
-        let addr = server.local_addr().expect("addr").to_string();
-        let server = thread::spawn(move || server.run());
+        let two = crate::registry::tests::defs_70_30();
+        for (campaigns, attach) in [(Vec::new(), Vec::new()), (two, vec!["*".into()])] {
+            let config = NetServerConfig {
+                sweep_ms: 25,
+                campaigns,
+                ..NetServerConfig::loopback(5.0)
+            };
+            let recipes: Vec<CampaignParams> = if config.campaigns.is_empty() {
+                vec![config.campaign]
+            } else {
+                config.campaigns.iter().map(|d| d.params).collect()
+            };
+            let server = NetServer::bind(config).expect("bind");
+            let addr = server.local_addr().expect("addr").to_string();
+            let server = thread::spawn(move || server.run());
 
-        let fleet = run_mux_fleet(MuxFleetConfig {
-            seed: 7,
-            timeout: Duration::from_secs(60),
-            ..MuxFleetConfig::new(addr, 8)
-        })
-        .expect("fleet ran");
-        let run = server.join().unwrap().expect("server ran");
+            let fleet = run_mux_fleet(MuxFleetConfig {
+                seed: 7,
+                campaigns: attach,
+                timeout: Duration::from_secs(60),
+                ..MuxFleetConfig::new(addr, 8)
+            })
+            .expect("fleet ran");
+            // Before the join: a server whose campaign never validates
+            // never returns.
+            assert!(fleet.saw_completion, "fleet should see completion");
+            let run = server.join().unwrap().expect("server ran");
 
-        assert!(fleet.saw_completion, "fleet should see completion");
-        assert!(fleet.assignments > 0 && fleet.reported > 0);
-        assert!(!fleet.request_latencies_ms.is_empty());
-        let baseline = NetCampaign::build(params).baseline_outputs();
-        assert_eq!(
-            serde_json::to_string(&run.campaigns[0].outputs).unwrap(),
-            serde_json::to_string(&baseline).unwrap(),
-            "merged artifact must match the baseline"
-        );
+            assert!(fleet.assignments > 0 && fleet.reported > 0);
+            assert!(!fleet.request_latencies_ms.is_empty());
+            assert_eq!(run.campaigns.len(), recipes.len());
+            for (campaign, params) in run.campaigns.iter().zip(recipes) {
+                let baseline = NetCampaign::build(params).baseline_outputs();
+                assert_eq!(
+                    serde_json::to_string(&campaign.outputs).unwrap(),
+                    serde_json::to_string(&baseline).unwrap(),
+                    "campaign {:?}: merged artifact must match its baseline",
+                    campaign.name
+                );
+            }
+        }
     }
 
     /// A redirected simulated volunteer goes where it is sent, like the

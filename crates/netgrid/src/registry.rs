@@ -138,11 +138,17 @@ impl CampaignDef {
 
     /// Refuses a registration the code cannot honour: a NaN, which the
     /// wal header holds but never compares equal to (a restart would
-    /// refuse its own wal), or a value the catalog build asserts on.
+    /// refuse its own wal), a value the catalog build asserts on, or an
+    /// infinite share, which leaves the fair-share weights NaN.
     fn check(&self) -> Result<(), String> {
         let p = &self.params;
+        if !(self.share.is_finite() && self.share > 0.0) {
+            return Err(format!(
+                "campaign {:?}: share must be a finite number > 0, not {}",
+                self.name, self.share
+            ));
+        }
         let positive = [
-            ("share", self.share),
             ("h_seconds", p.h_seconds),
             ("separation_spacing", p.separation_spacing),
         ];
@@ -1201,10 +1207,10 @@ impl MultiGrid {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn defs_70_30() -> Vec<CampaignDef> {
+    pub(crate) fn defs_70_30() -> Vec<CampaignDef> {
         let base = CampaignParams::tiny();
         vec![
             CampaignDef {
@@ -1361,28 +1367,35 @@ mod tests {
         assert!(err.to_string().contains("spot_check_rate"), "{err}");
         assert!(!dir.join("wal.bin").exists(), "nothing was journaled");
 
-        for (params, deadline_seconds) in [
-            (tiny, f64::NAN),
-            (tiny, 0.0),
+        for (defs, deadline_seconds) in [
+            (solo(tiny), f64::NAN),
+            (solo(tiny), 0.0),
             (
-                CampaignParams {
+                solo(CampaignParams {
                     h_seconds: f64::NAN,
                     ..tiny
-                },
+                }),
                 30.0,
             ),
             (
-                CampaignParams {
+                solo(CampaignParams {
                     separation_spacing: -3.0,
                     ..tiny
-                },
+                }),
                 30.0,
             ),
             (
-                CampaignParams {
+                solo(CampaignParams {
                     proteins: 0,
                     ..tiny
-                },
+                }),
+                30.0,
+            ),
+            (
+                vec![CampaignDef {
+                    share: f64::INFINITY,
+                    ..CampaignDef::default_solo(tiny)
+                }],
                 30.0,
             ),
         ] {
@@ -1390,19 +1403,16 @@ mod tests {
                 deadline_seconds,
                 ..ServerConfig::default()
             };
+            let label = format!("{defs:?}, {deadline_seconds}");
             let open = MultiGrid::open(
-                solo(params),
+                defs,
                 scheduler,
                 ServerFaults::default(),
                 ShardSpec::solo(),
                 None,
             );
             let refused = open.err().map(|e| e.kind());
-            assert_eq!(
-                refused,
-                Some(io::ErrorKind::InvalidInput),
-                "{params:?}, {deadline_seconds}"
-            );
+            assert_eq!(refused, Some(io::ErrorKind::InvalidInput), "{label}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -523,10 +523,12 @@ impl GridState {
                         suspect,
                     },
                 );
-                telemetry::emit(Some(now.seconds()), || Event::WorkunitDispatched {
-                    workunit: u64::from(assignment.workunit),
-                    host: agent,
-                });
+                if telemetry::ENABLED && self.core.sampled(assignment.workunit) {
+                    telemetry::emit(Some(now.seconds()), || Event::WorkunitDispatched {
+                        workunit: u64::from(assignment.workunit),
+                        host: agent,
+                    });
+                }
                 WorkReply::Assigned(assignment)
             }
             Err(quarantined_ms) => {
@@ -793,9 +795,11 @@ impl GridState {
             return Verdict::SpotConfirmed;
         }
         self.net_stats.spot_checks_failed += 1;
-        telemetry::emit(Some(now.seconds()), || Event::QuorumRejected {
-            workunit: u64::from(workunit),
-        });
+        if telemetry::ENABLED && self.core.sampled(workunit) {
+            telemetry::emit(Some(now.seconds()), || Event::QuorumRejected {
+                workunit: u64::from(workunit),
+            });
+        }
         self.crater_agent(suspect, now);
         Verdict::SpotMismatch
     }
@@ -842,9 +846,11 @@ impl GridState {
                 // (two corrupted payloads never match byte-for-byte).
                 cands.push((fp, agent));
                 self.net_stats.quorum_rejected += 1;
-                telemetry::emit(Some(now.seconds()), || Event::QuorumRejected {
-                    workunit: u64::from(workunit),
-                });
+                if telemetry::ENABLED && self.core.sampled(workunit) {
+                    telemetry::emit(Some(now.seconds()), || Event::QuorumRejected {
+                        workunit: u64::from(workunit),
+                    });
+                }
                 let outcome = self.core.report_result(now, replica, true);
                 debug_assert!(outcome.erroneous);
                 return Verdict::QuorumRejected;
