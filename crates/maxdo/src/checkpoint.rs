@@ -14,6 +14,7 @@
 //! the *checkpoint replay* term in the §6 speed-down decomposition.
 
 use crate::docking::{DockingEngine, DockingOutput, DockingRow};
+use crate::sampling::NROT_COUPLES;
 use serde::{Deserialize, Serialize};
 
 /// Resumable state of a partially computed workunit
@@ -91,12 +92,16 @@ impl DockingCheckpoint {
         }
     }
 
-    /// Serialises to the simple line-oriented text format the agent writes
-    /// to disk between positions.
+    /// Serialises to a simple line-oriented text format, for an agent
+    /// that keeps its checkpoint on disk between positions (the network
+    /// agent's `compute_workunit` keeps it in memory). Floats are written
+    /// in their shortest exact form, so [`Self::from_text`] gives back the
+    /// same bits: the quorum compares payload bytes.
     pub fn to_text(&self) -> String {
         // One buffer sized for the whole file: a row is two indices and
-        // eight `{:.6}` numbers, ~96 bytes for docking-sized values.
-        let mut s = String::with_capacity(64 + 96 * self.rows.len());
+        // eight shortest-round-trip numbers, ~160 bytes for docking-sized
+        // values.
+        let mut s = String::with_capacity(64 + 160 * self.rows.len());
         self.write_text(&mut s)
             .expect("writing to a String cannot fail");
         s
@@ -116,7 +121,7 @@ impl DockingCheckpoint {
         for r in &self.rows {
             writeln!(
                 out,
-                "{} {} {:.6} {:.6} {:.6} {:.6} {:.6} {:.6} {:.6} {:.6}",
+                "{} {} {} {} {} {} {} {} {} {}",
                 r.isep,
                 r.irot,
                 r.position.x,
@@ -132,7 +137,10 @@ impl DockingCheckpoint {
         Ok(())
     }
 
-    /// Parses the text format written by [`Self::to_text`].
+    /// Parses the text format written by [`Self::to_text`]. The file
+    /// comes from a volunteer's disk, so it is refused as
+    /// [`CheckpointParseError::Inconsistent`] unless its rows are exactly
+    /// the canonical `(isep, irot)` rows of the completed positions.
     pub fn from_text(text: &str) -> Result<Self, CheckpointParseError> {
         use CheckpointParseError::*;
         let mut lines = text.lines();
@@ -189,7 +197,19 @@ impl DockingCheckpoint {
             rows,
             evaluations: evals[0],
         };
-        if cp.isep_start < 1 || cp.isep_start > cp.isep_end || cp.next_isep < cp.isep_start {
+        if cp.isep_start < 1
+            || cp.isep_start > cp.isep_end
+            || cp.next_isep < cp.isep_start
+            || cp.next_isep - 1 > cp.isep_end
+        {
+            return Err(Inconsistent);
+        }
+        let nrot = NROT_COUPLES as u32;
+        let canonical =
+            (cp.isep_start..cp.next_isep).flat_map(|isep| (1..=nrot).map(move |irot| (isep, irot)));
+        if cp.rows.len() != NROT_COUPLES * cp.completed_positions() as usize
+            || !cp.rows.iter().map(|r| (r.isep, r.irot)).eq(canonical)
+        {
             return Err(Inconsistent);
         }
         Ok(cp)
@@ -271,14 +291,8 @@ mod tests {
         let mut resumed = DockingCheckpoint::from_text(&saved).unwrap();
         assert_eq!(resumed.completed_positions(), 1);
         resumed.run_to_completion(&e);
-        assert_eq!(resumed.rows.len(), reference.rows.len());
-        // Energies match the uninterrupted run (float text round-trip keeps
-        // 6 decimals, so compare with that tolerance).
-        for (a, b) in resumed.rows.iter().zip(&reference.rows) {
-            assert_eq!((a.isep, a.irot), (b.isep, b.irot));
-            assert!((a.etot() - b.etot()).abs() < 1e-5);
-        }
-        assert_eq!(resumed.evaluations, reference.evaluations);
+        // The quorum compares payload bytes: every row, every bit.
+        assert_eq!(resumed, reference);
     }
 
     #[test]
@@ -303,16 +317,43 @@ mod tests {
         assert!((cp.progress() - 0.5).abs() < 1e-12);
     }
 
+    /// Canonical rows for positions `isep_start..next_isep`, with values
+    /// no short decimal form holds.
+    fn rows(isep_start: u32, next_isep: u32) -> Vec<DockingRow> {
+        // A logistic map: full-width mantissas in (0, 1).
+        let mut x = 0.1f64;
+        let mut value = move || {
+            x = 3.9 * x * (1.0 - x);
+            x
+        };
+        (isep_start..next_isep)
+            .flat_map(|isep| (1..=NROT_COUPLES as u32).map(move |irot| (isep, irot)))
+            .map(|(isep, irot)| DockingRow {
+                isep,
+                irot,
+                position: crate::geom::Vec3::new(
+                    100.0 * value() - 50.0,
+                    -30.0 * value(),
+                    1e-9 * value(),
+                ),
+                orientation: crate::geom::EulerZyz {
+                    alpha: std::f64::consts::TAU * value(),
+                    beta: std::f64::consts::PI * value(),
+                    gamma: value(),
+                },
+                elj: -1e-30 * value(),
+                eelec: 1e3 * value(),
+            })
+            .collect()
+    }
+
     #[test]
-    fn text_round_trip_preserves_structure() {
+    fn text_round_trip_is_exact() {
         let mut cp = DockingCheckpoint::new(2, 7);
+        cp.rows = rows(2, 4);
         cp.next_isep = 4;
         cp.evaluations = 1234;
-        let re = DockingCheckpoint::from_text(&cp.to_text()).unwrap();
-        assert_eq!(re.isep_start, 2);
-        assert_eq!(re.isep_end, 7);
-        assert_eq!(re.next_isep, 4);
-        assert_eq!(re.evaluations, 1234);
+        assert_eq!(DockingCheckpoint::from_text(&cp.to_text()), Ok(cp));
     }
 
     #[test]
@@ -337,6 +378,44 @@ mod tests {
             DockingCheckpoint::from_text("CHECKPOINT v1\nrange 5 2\nnext 5\nevals 0\nrows 0\n"),
             Err(Inconsistent)
         );
+        // Past the end: it would read as complete, 2.67 of the way there.
+        assert_eq!(
+            DockingCheckpoint::from_text("CHECKPOINT v1\nrange 1 3\nnext 9\nevals 0\nrows 0\n"),
+            Err(Inconsistent)
+        );
+        assert_eq!(
+            DockingCheckpoint::from_text(
+                "CHECKPOINT v1\nrange 1 4294967295\nnext 4294967295\nevals 0\nrows 0\n"
+            ),
+            Err(Inconsistent)
+        );
+        // Rows that are not those of the completed positions, in order.
+        let text = |next: u32, rows: &[DockingRow]| {
+            let mut cp = DockingCheckpoint::new(1, 3);
+            cp.next_isep = next;
+            cp.rows = rows.to_vec();
+            cp.to_text()
+        };
+        let two = rows(1, 3);
+        let mut swapped = two.clone();
+        swapped.swap(3, 4);
+        let mut shifted = two.clone();
+        shifted[30].isep = 3;
+        for (next, rows) in [
+            (2, &two[..]),
+            (3, &two[..41]),
+            (3, &swapped[..]),
+            (3, &shifted[..]),
+            (2, &rows(2, 3)[..]),
+        ] {
+            assert_eq!(
+                DockingCheckpoint::from_text(&text(next, rows)),
+                Err(Inconsistent),
+                "next {next}, {} rows",
+                rows.len()
+            );
+        }
+        assert!(DockingCheckpoint::from_text(&text(3, &two)).is_ok());
     }
 
     /// Regression: the declared row count sized an allocation unchecked,

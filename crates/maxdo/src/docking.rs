@@ -103,6 +103,8 @@ pub struct DockingEngine<'a> {
 /// uncontended.
 struct DockTelemetry {
     evaluations: &'static telemetry::Counter,
+    beads: &'static telemetry::Counter,
+    culled: &'static telemetry::Counter,
     candidates: &'static telemetry::Counter,
     pairs: &'static telemetry::Counter,
     cells_docked: &'static telemetry::Counter,
@@ -114,6 +116,8 @@ impl DockTelemetry {
     fn new() -> Self {
         Self {
             evaluations: telemetry::counter("maxdo.energy.evaluations"),
+            beads: telemetry::counter("maxdo.energy.beads"),
+            culled: telemetry::counter("maxdo.energy.culled"),
             candidates: telemetry::counter("maxdo.energy.candidates"),
             pairs: telemetry::counter("maxdo.energy.pairs"),
             cells_docked: telemetry::counter("maxdo.cells.docked"),
@@ -248,6 +252,8 @@ impl<'a> DockingEngine<'a> {
             }
         }
         self.tele.evaluations.add(evals);
+        self.tele.beads.add(cull.beads.get());
+        self.tele.culled.add(cull.culled.get());
         self.tele.candidates.add(cull.candidates.get());
         self.tele.pairs.add(cull.pairs.get());
         self.tele.cells_docked.inc();

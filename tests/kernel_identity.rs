@@ -26,18 +26,29 @@ use maxdo::{
 use netgrid::protocol::binary::row_bytes;
 use netgrid::{CampaignParams, NetCampaign};
 
-/// FNV-1a 64 of `evaluations ‖ row count ‖ row records`, all
-/// little-endian: the digest the literals below hold.
-fn payload_digest(out: &DockingOutput) -> u64 {
+/// FNV-1a 64 of `bytes`, continued from the hash `h`.
+fn fnv1a(h: u64, bytes: impl Iterator<Item = u8>) -> u64 {
+    bytes.fold(h, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// `evaluations ‖ row count ‖ row records`, all little-endian.
+fn payload_bytes(out: &DockingOutput) -> impl Iterator<Item = u8> + '_ {
     let header = [
         &out.evaluations.to_le_bytes()[..],
         &(out.rows.len() as u32).to_le_bytes(),
     ];
     let rows = out.rows.iter().map(row_bytes);
-    let bytes = header.concat().into_iter().chain(rows.flatten());
-    bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
+    header.concat().into_iter().chain(rows.flatten())
+}
+
+/// FNV-1a 64 of one workunit's payload bytes: the digest the literals
+/// below hold.
+fn payload_digest(out: &DockingOutput) -> u64 {
+    fnv1a(FNV_OFFSET, payload_bytes(out))
 }
 
 /// `payload_digest evaluations` of every workunit of the tiny campaign, in
@@ -79,6 +90,48 @@ const FIRE: ([u64; 5], usize) = (
     ],
     81,
 );
+
+/// Two of the benchmark's own campaigns, whole catalogs (recorded at the
+/// kernel without the reach cull): `benchmarks/gridbench`'s wire library
+/// 87 (880 workunits docked far from contact) and kernel library 12 (264
+/// workunits docked near it). Per campaign: library seed, proteins,
+/// separation spacing, minimiser iterations, then one FNV-1a 64 over
+/// every workunit's payload bytes in catalog order and the total
+/// evaluations.
+const BENCHMARK_CAMPAIGNS: [(u64, u32, f64, u32, u64, u64); 2] = [
+    (87, 16, 30.0, 10, 0xa2b2fdc7b5e781cb, 711_980),
+    (12, 6, 20.0, 40, 0xb50cf38b4b4bdfc2, 822_518),
+];
+
+/// About 2.5 s in release; wire library 87 alone takes about 5 s in a
+/// debug build, so the debug suite skips it and the release run of this
+/// file checks it.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn benchmark_campaigns_match_the_recorded_kernel() {
+    let computed = BENCHMARK_CAMPAIGNS.map(|(lib_seed, proteins, spacing, iterations, ..)| {
+        let campaign = NetCampaign::build(CampaignParams {
+            proteins,
+            lib_seed,
+            h_seconds: 40.0,
+            separation_spacing: spacing,
+            max_iterations: iterations,
+        });
+        let (mut digest, mut evaluations) = (FNV_OFFSET, 0);
+        for &spec in campaign.specs() {
+            let out = campaign.compute(spec);
+            digest = fnv1a(digest, payload_bytes(&out));
+            evaluations += out.evaluations;
+        }
+        (lib_seed, proteins, spacing, iterations, digest, evaluations)
+    });
+    let table = computed.map(
+        |(lib, proteins, spacing, iterations, digest, evaluations)| {
+            format!("({lib}, {proteins}, {spacing:?}, {iterations}, {digest:#x}, {evaluations})")
+        },
+    );
+    assert!(computed == BENCHMARK_CAMPAIGNS, "computed: {table:#?}");
+}
 
 #[test]
 fn tiny_campaign_workunits_match_the_recorded_kernel() {
