@@ -281,6 +281,9 @@ pub struct Journal {
     wal_records: u64,
     /// Bytes in the wal, header frame included.
     wal_bytes: u64,
+    /// `wal_bytes` at the last [`Self::commit`] (at open, the whole
+    /// recovered file): what a power cut is allowed to leave.
+    committed_bytes: u64,
     /// The frame being appended, reused so steady-state appends never
     /// allocate.
     scratch: Writer,
@@ -715,6 +718,7 @@ impl Journal {
             uncommitted: wal_records,
             wal_records,
             wal_bytes,
+            committed_bytes: wal_bytes,
             scratch,
             tele,
         })
@@ -748,6 +752,7 @@ impl Journal {
             self.tele.fsyncs.inc();
         }
         self.uncommitted = 0;
+        self.committed_bytes = self.wal_bytes;
         Ok(())
     }
 
@@ -765,6 +770,13 @@ impl Journal {
     /// Size of the wal in bytes, header frame included.
     pub fn wal_bytes(&self) -> u64 {
         self.wal_bytes
+    }
+
+    /// Size of the wal at the last [`Self::commit`], under either fsync
+    /// policy: the prefix a power cut must leave, since a frame may
+    /// have told someone of any record in it.
+    pub fn committed_bytes(&self) -> u64 {
+        self.committed_bytes
     }
 }
 

@@ -26,11 +26,13 @@
 //! * [`sys`] — a dependency-free readiness shim: epoll on Linux with a
 //!   portable `poll(2)` fallback, via direct `extern "C"` declarations,
 //!   and the read buffer and flush loop of a nonblocking connection;
-//! * [`server`] — the TCP daemon: a single-threaded nonblocking event
-//!   loop that moves the bytes of every connection — volunteers,
-//!   steering links to peer shards and ops scrapes alike — keeps the
-//!   sweep and steering timers, and tells the core in [`registry`]
-//!   what happened and when; it decides nothing;
+//! * `event_loop` — the server's event loop with the I/O and the clock
+//!   taken out: every connection's buffers, the timers and every
+//!   ordering rule between bytes, timers and the core, stepped by a
+//!   driver — sockets in [`server`], in-memory pipes in the tests;
+//! * [`server`] — the TCP daemon: the socket driver of that loop — one
+//!   readiness poller for volunteers, steering links to peer shards
+//!   and ops scrapes alike, and the wall clock; it decides nothing;
 //! * [`ops`] — the read-only HTTP endpoint (`GET /metrics`, `GET /`):
 //!   renders the server's `MultiGrid` in place, between two frames;
 //! * [`agent`] — the volunteer: its protocol decisions as a sans-IO
@@ -66,6 +68,7 @@
 
 pub mod agent;
 pub mod campaign;
+mod event_loop;
 pub mod faults;
 pub mod journal;
 pub mod mux;

@@ -36,10 +36,10 @@
 //! state before the socket closes.
 
 use crate::registry::MultiGrid;
-use gridsim::WuStateCounts;
+use gridsim::{SimTime, WuStateCounts};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use telemetry::exposition::{MetricKind, TextRenderer};
 
 /// Maximum request-line length; longer lines get `414 URI Too Long`.
@@ -58,12 +58,13 @@ pub(crate) const IDLE_CAP: Duration = Duration::from_millis(500);
 /// The response to the request bytes received so far, or `None` while
 /// the head is neither whole, nor over its cap, nor cut short by `eof`.
 /// Scheduler state is read only for a request that parsed to a known
-/// GET route. `accepted` is when the connection was, for the
-/// `net.ops.scrape_us` histogram.
+/// GET route. `accepted` is when the connection was and `now` when the
+/// response is made, for the `net.ops.scrape_us` histogram.
 pub(crate) fn respond(
     buf: &[u8],
     eof: bool,
-    accepted: Instant,
+    accepted: SimTime,
+    now: SimTime,
     grid: &MultiGrid,
 ) -> Option<Vec<u8>> {
     let whole = buf.windows(4).any(|w| w == b"\r\n\r\n") || buf.windows(2).any(|w| w == b"\n\n");
@@ -92,7 +93,8 @@ pub(crate) fn respond(
     }
     let bytes = response.into_bytes();
     telemetry::counter("net.ops.bytes_out").add(bytes.len() as u64);
-    telemetry::histogram("net.ops.scrape_us").record(accepted.elapsed().as_micros() as u64);
+    let waited_us = (now.seconds() - accepted.seconds()) * 1e6;
+    telemetry::histogram("net.ops.scrape_us").record(waited_us as u64);
     Some(bytes)
 }
 
@@ -923,7 +925,7 @@ mod tests {
         )
         .unwrap();
         let status = |buf: &[u8], eof| {
-            respond(buf, eof, Instant::now(), &grid)
+            respond(buf, eof, SimTime::ZERO, SimTime::ZERO, &grid)
                 .map(|bytes| String::from_utf8(bytes).unwrap()[9..12].to_owned())
         };
         assert_eq!(status(b"GET /metr", false), None);

@@ -366,9 +366,12 @@ impl ReadBuf {
     }
 
     /// The free space to read into, grown first when under
-    /// [`READ_SPACE`] (doubling, so a large frame costs few reads).
+    /// [`READ_SPACE`] (doubling, so a large frame costs few reads). The
+    /// first growth is one zeroed allocation, not a fill loop.
     fn space(&mut self) -> &mut [u8] {
-        if self.bytes.len() - self.filled < READ_SPACE {
+        if self.bytes.is_empty() {
+            self.bytes = vec![0; READ_SPACE];
+        } else if self.bytes.len() - self.filled < READ_SPACE {
             let grown = self.bytes.len() + self.bytes.len().max(READ_SPACE);
             self.bytes.resize(grown, 0);
         }
