@@ -97,7 +97,7 @@ pub(crate) enum Role {
 /// first two are simply "does `read_buf` decode yet", the last is "is
 /// `write_buf` drained yet".
 pub(crate) struct Conn<S> {
-    stream: S,
+    pub(crate) stream: S,
     pub(crate) role: Role,
     /// Bytes received but not yet decoded into frames.
     pub(crate) read_buf: ReadBuf,
@@ -570,157 +570,16 @@ impl<S: Read + Write> Loop<S> {
 #[cfg(test)]
 pub(crate) mod tests {
     //! The loop stepped over in-memory pipes from one thread, `now` a
-    //! literal; and the one set of far-end helpers these tests, the
-    //! socket tests in `server.rs` and the seeded grid in `registry.rs`
-    //! share.
+    //! literal: scripted histories on the one stepped world.
 
     use super::*;
     use crate::protocol::HEADER_BYTES;
-    use crate::registry::tests::{baseline, books, frames, scratch_dir, shard, status, t};
     use crate::registry::Command;
     use crate::shard::{lease_id, merge_artifacts, STEER_TIMEOUT_MS};
     use crate::sys::READ_SPACE;
+    use crate::world::{baseline, books, frames, pump_until, status, t, Client, End, Pump};
+    use crate::world::{Server, World};
     use crate::JournalRecord;
-    use maxdo::DockingOutput;
-    use std::cell::{Cell, RefCell};
-    use std::collections::{BTreeMap, VecDeque};
-    use std::rc::Rc;
-
-    // ---- Far ends: one helper set over sockets and pipes alike. ----
-
-    /// Whatever moves the bytes between a test's far ends and the loops
-    /// under test: one call is one round of it.
-    pub(crate) trait Pump {
-        fn pump(&mut self);
-    }
-
-    /// Rounds `net` until `until` holds; a bound, in rounds, only on a
-    /// failing test.
-    pub(crate) fn pump_until<N: Pump + ?Sized>(net: &mut N, mut until: impl FnMut(&mut N) -> bool) {
-        for _ in 0..10_000 {
-            if until(net) {
-                return;
-            }
-            net.pump();
-        }
-        panic!("the loops never got there");
-    }
-
-    /// The far end of a connection to a loop under test: frames out,
-    /// frames in, never blocking — waiting for a reply is pumping.
-    pub(crate) struct Client<E> {
-        pub(crate) end: E,
-        inbox: Vec<u8>,
-    }
-
-    impl<E: Read + Write> Client<E> {
-        pub(crate) fn new(end: E) -> Self {
-            Self {
-                end,
-                inbox: Vec::new(),
-            }
-        }
-
-        /// Frames here are far smaller than a socket buffer, so a
-        /// nonblocking write takes them whole; one to a closed end is
-        /// lost, as on a socket.
-        pub(crate) fn send(&mut self, msg: &Message) {
-            let _ = self.end.write_all(&encode_with(msg, Codec));
-        }
-
-        /// The next whole frame received, if one is in.
-        pub(crate) fn poll(&mut self) -> Option<Message> {
-            let mut chunk = [0u8; 4096];
-            while let Ok(n @ 1..) = self.end.read(&mut chunk) {
-                self.inbox.extend_from_slice(&chunk[..n]);
-            }
-            let (msg, consumed, _) = decode_versioned(&self.inbox).ok()?;
-            self.inbox.drain(..consumed);
-            Some(msg)
-        }
-
-        pub(crate) fn recv(&mut self, net: &mut dyn Pump) -> Message {
-            let mut reply = None;
-            pump_until(net, |_| {
-                reply = self.poll();
-                reply.is_some()
-            });
-            reply.expect("a reply")
-        }
-
-        pub(crate) fn exchange(&mut self, msg: &Message, net: &mut dyn Pump) -> Message {
-            self.send(msg);
-            self.recv(net)
-        }
-
-        /// Introduces itself as `agent`.
-        pub(crate) fn hello(mut self, agent: u64, net: &mut dyn Pump) -> Self {
-            let hello = Message::Hello {
-                agent,
-                threads: 1,
-                campaigns: Vec::new(),
-            };
-            let ack = self.exchange(&hello, net);
-            assert!(matches!(ack, Message::HelloAck { .. }), "{ack:?}");
-            self
-        }
-
-        /// Asks once; an assignment comes back as the report it calls
-        /// for (docked from the precomputed `baseline`), anything else
-        /// as it is.
-        pub(crate) fn ask(
-            &mut self,
-            net: &mut dyn Pump,
-            baseline: &[DockingOutput],
-        ) -> Result<Message, Message> {
-            match self.exchange(&Message::RequestWork, net) {
-                Message::Assignment {
-                    replica,
-                    workunit,
-                    campaign,
-                    ..
-                } => Ok(Message::ResultReport {
-                    replica,
-                    workunit,
-                    campaign,
-                    output: baseline[workunit as usize].clone(),
-                }),
-                other => Err(other),
-            }
-        }
-
-        pub(crate) fn report(&mut self, report: &Message, net: &mut dyn Pump) {
-            let ack = self.exchange(report, net);
-            assert!(
-                matches!(ack, Message::ResultAck { accepted: true, .. }),
-                "{ack:?}"
-            );
-        }
-
-        /// Asks and reports until an ask draws no assignment; that reply.
-        pub(crate) fn work(&mut self, net: &mut dyn Pump, baseline: &[DockingOutput]) -> Message {
-            loop {
-                match self.ask(net, baseline) {
-                    Ok(report) => self.report(&report, net),
-                    Err(other) => return other,
-                }
-            }
-        }
-
-        /// One gossip exchange played as a peer shard; the leases
-        /// granted before the closing `StatusAck`.
-        pub(crate) fn gossip(&mut self, net: &mut dyn Pump, status: Message) -> Vec<u64> {
-            self.send(&status);
-            let mut leases = Vec::new();
-            loop {
-                match self.recv(net) {
-                    Message::LeaseGrant { lease, .. } => leases.push(lease),
-                    Message::StatusAck { .. } => return leases,
-                    other => panic!("unexpected steering reply: {other:?}"),
-                }
-            }
-        }
-    }
 
     impl<S> Loop<S> {
         /// Pushes both timers out of any test's reach: the test decides
@@ -735,308 +594,9 @@ pub(crate) mod tests {
         }
     }
 
-    // ---- Pipes: in-memory connections and the driver over them. ----
-
-    /// One in-memory connection: the bytes each way (`bytes[e]` written
-    /// by end `e`), which ends have let go, and whether it broke.
-    #[derive(Default)]
-    struct Wire {
-        bytes: [VecDeque<u8>; 2],
-        gone: [bool; 2],
-        cut: bool,
-    }
-
-    impl Wire {
-        /// What end `e` reads has ended: the far end let go, or the
-        /// wire broke.
-        fn ended(&self, e: usize) -> bool {
-            self.cut || self.gone[1 - e]
-        }
-
-        /// A read at end `e` would find something: bytes, or the close.
-        fn readable(&self, e: usize) -> bool {
-            self.ended(e) || !self.bytes[1 - e].is_empty()
-        }
-    }
-
-    /// One end of a wire (0 dialed, 1 accepted), as a loop or a far end
-    /// holds it: reads what the far end wrote (`WouldBlock` while there
-    /// is nothing, EOF once it let go or the wire broke), writes for it
-    /// to read, and lets go when dropped. An end a loop holds adds what
-    /// it writes to its driver's `sent`.
-    pub(crate) struct End {
-        wire: Rc<RefCell<Wire>>,
-        end: usize,
-        sent: Option<Rc<Cell<u64>>>,
-    }
-
-    impl End {
-        /// A fresh connection: (dialing end, accepting end).
-        pub(crate) fn pair() -> (End, End) {
-            let wire = Rc::new(RefCell::new(Wire::default()));
-            let end = |end| End {
-                wire: wire.clone(),
-                end,
-                sent: None,
-            };
-            (end(0), end(1))
-        }
-
-        /// The far end has let go, or the wire broke.
-        pub(crate) fn far_gone(&self) -> bool {
-            self.wire.borrow().ended(self.end)
-        }
-
-        /// The connection breaks: both ends find it gone, and whatever
-        /// was in flight is lost.
-        pub(crate) fn cut(&self) {
-            let mut wire = self.wire.borrow_mut();
-            wire.cut = true;
-            wire.bytes = Default::default();
-        }
-    }
-
-    impl Read for End {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            let mut wire = self.wire.borrow_mut();
-            if !wire.readable(self.end) {
-                return Err(io::ErrorKind::WouldBlock.into());
-            }
-            let from = &mut wire.bytes[1 - self.end];
-            from.make_contiguous();
-            from.read(buf)
-        }
-    }
-
-    impl Write for End {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            let mut wire = self.wire.borrow_mut();
-            if wire.ended(self.end) {
-                return Err(io::ErrorKind::BrokenPipe.into());
-            }
-            wire.bytes[self.end].extend(buf);
-            if let Some(sent) = &self.sent {
-                sent.set(sent.get() + buf.len() as u64);
-            }
-            Ok(buf.len())
-        }
-
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
-
-    impl Drop for End {
-        fn drop(&mut self) {
-            let mut wire = self.wire.borrow_mut();
-            wire.gone[self.end] = true;
-            wire.bytes[1 - self.end].clear();
-        }
-    }
-
-    /// One loop's driver over pipes: its listeners' backlogs, the ends
-    /// it was handed, the dials it asked for, and the bytes it wrote.
-    #[derive(Default)]
-    pub(crate) struct Pipes {
-        next_id: Id,
-        /// Connections waiting on the task and the ops listener.
-        backlog: [VecDeque<End>; 2],
-        paused: [bool; 2],
-        /// The wire and end of each end the loop holds, in id order.
-        held: Vec<(Id, Rc<RefCell<Wire>>, usize)>,
-        dials: Vec<u16>,
-        sent: Rc<Cell<u64>>,
-    }
-
-    impl Pipes {
-        /// A connection into the task listener (or the ops listener):
-        /// the far end's end.
-        pub(crate) fn connect(&mut self, ops: bool) -> End {
-            let (dialing, accepting) = End::pair();
-            self.backlog[usize::from(ops)].push_back(accepting);
-            dialing
-        }
-
-        /// Names `end`, handed to the loop.
-        fn hold(&mut self, mut end: End) -> (Id, End) {
-            self.next_id += 1;
-            end.sent = Some(self.sent.clone());
-            self.held.push((self.next_id, end.wire.clone(), end.end));
-            (self.next_id, end)
-        }
-
-        /// Everything that reached the loop since it last served: every
-        /// end it holds with something to read, in id order, then each
-        /// listener with a backlog.
-        pub(crate) fn ready(&mut self) -> Vec<Ready> {
-            self.held.retain(|(_, wire, e)| !wire.borrow().gone[*e]);
-            let readable = self.held.iter().filter(|(_, w, e)| w.borrow().readable(*e));
-            let mut batch: Vec<Ready> = readable
-                .map(|&(fd, ..)| {
-                    Ready::Conn(Event {
-                        fd,
-                        readable: true,
-                        writable: false,
-                        hangup: false,
-                    })
-                })
-                .collect();
-            for ops in [false, true] {
-                let i = usize::from(ops);
-                if !self.paused[i] && !self.backlog[i].is_empty() {
-                    batch.push(Ready::Listener(ops));
-                }
-            }
-            batch
-        }
-    }
-
-    impl Io<End> for Pipes {
-        fn accept(&mut self, ops: bool) -> io::Result<Accept<End>> {
-            Ok(match self.backlog[usize::from(ops)].pop_front() {
-                Some(end) => {
-                    let (id, end) = self.hold(end);
-                    Accept::Conn(id, end)
-                }
-                None => Accept::Empty,
-            })
-        }
-
-        fn watch(&mut self, _: Id, _: Option<(bool, bool)>, _: (bool, bool)) -> bool {
-            true
-        }
-
-        fn forget(&mut self, _: Id) {}
-
-        fn listen(&mut self, ops: bool, on: bool) -> io::Result<()> {
-            self.paused[usize::from(ops)] = !on;
-            Ok(())
-        }
-
-        fn dial(&mut self, peer: u16, _: &str) -> bool {
-            self.dials.push(peer);
-            true
-        }
-    }
-
-    /// Stepped loops joined by pipes, indexed by shard id, `now` a
-    /// literal the test sets. A dial to a shard with a loop here lands
-    /// in its task listener; one to any other shard is answered by a
-    /// peer that accepted and says nothing, whose end waits in `far`.
-    /// Every turn of a loop is held to two oracles from outside it:
-    /// bytes left only with its core's records committed, and a `Busy`
-    /// went out only while the inbound connections left open filled
-    /// the cap.
-    pub(crate) struct Stepped {
-        pub(crate) loops: Vec<Loop<End>>,
-        pub(crate) pipes: Vec<Pipes>,
-        pub(crate) far: BTreeMap<u16, End>,
-        pub(crate) now: f64,
-    }
-
-    impl Stepped {
-        pub(crate) fn new(cores: Vec<MultiGrid>) -> Self {
-            let faults = ServerFaults::default();
-            let new = |core| Loop::new(core, faults, 50, false, t(1.0));
-            Self {
-                pipes: cores.iter().map(|_| Pipes::default()).collect(),
-                loops: cores.into_iter().map(new).collect(),
-                far: BTreeMap::new(),
-                now: 1.0,
-            }
-        }
-
-        /// A volunteer's (or a peer's) connection to shard `a`.
-        pub(crate) fn connect(&mut self, a: usize) -> Client<End> {
-            Client::new(self.pipes[a].connect(false))
-        }
-
-        /// One turn of loop `a` at `now`, the dials it asks for
-        /// answered, held to the oracles.
-        pub(crate) fn turn(
-            &mut self,
-            a: usize,
-            f: impl FnOnce(&mut Loop<End>, &mut Pipes, SimTime),
-        ) {
-            let (sent, rejected) = (self.pipes[a].sent.get(), self.loops[a].rejected);
-            f(&mut self.loops[a], &mut self.pipes[a], t(self.now));
-            for peer in std::mem::take(&mut self.pipes[a].dials) {
-                let dialing = match self.pipes.get_mut(usize::from(peer)) {
-                    Some(pipes) => pipes.connect(false),
-                    None => {
-                        let (dialing, accepting) = End::pair();
-                        self.far.insert(peer, accepting);
-                        dialing
-                    }
-                };
-                let link = self.pipes[a].hold(dialing);
-                self.loops[a].dialed(&mut self.pipes[a], peer, Some(link));
-            }
-            let lp = &self.loops[a];
-            if self.pipes[a].sent.get() > sent {
-                assert_eq!(
-                    lp.core.uncommitted(),
-                    0,
-                    "loop {a} wrote ahead of its records"
-                );
-            }
-            if lp.rejected > rejected {
-                let inbound = |c: &&Conn<End>| matches!(c.role, Role::Inbound(_));
-                let open = lp.conns.values().filter(inbound).count();
-                let cap = lp.faults.max_connections;
-                assert_eq!(
-                    open, cap,
-                    "loop {a} turned away a connection it had room for"
-                );
-            }
-        }
-
-        /// Loop `a` serves `batch`.
-        pub(crate) fn serve(&mut self, a: usize, batch: Vec<Ready>) {
-            self.turn(a, |lp, pipes, now| lp.serve(pipes, now, batch).unwrap());
-        }
-
-        /// Loop `a`'s steering tick.
-        pub(crate) fn steer(&mut self, a: usize) {
-            self.turn(a, Loop::steer_tick);
-        }
-
-        /// Loop `a`'s own steering link is cut.
-        pub(crate) fn cut_link(&mut self, a: usize) {
-            let mut conns = self.loops[a].conns.values();
-            if let Some(link) = conns.find(|c| matches!(c.role, Role::Link(_))) {
-                link.stream.cut();
-            }
-        }
-
-        fn stats(&self, a: usize) -> crate::NetStats {
-            self.loops[a].core.slots()[0].state.net_stats
-        }
-
-        fn board(&self, a: usize) -> &crate::registry::ShardBoard {
-            &self.loops[a].core.slots()[0].board
-        }
-    }
-
-    /// One round: each loop serves everything that reached it, in the
-    /// order it arrived.
-    impl Pump for Stepped {
-        fn pump(&mut self) {
-            for a in 0..self.loops.len() {
-                let batch = self.pipes[a].ready();
-                self.serve(a, batch);
-            }
-        }
-    }
-
     /// One server of one, with no peer addresses.
-    fn solo() -> Stepped {
-        let solo = vec![crate::CampaignDef::default_solo(
-            crate::CampaignParams::tiny(),
-        )];
-        let spec = ShardSpec::solo();
-        let opened = MultiGrid::open(solo, Default::default(), Default::default(), spec, None);
-        Stepped::new(vec![opened.unwrap().0])
+    fn solo() -> World {
+        World::new(vec![Server::shard(0, 1)])
     }
 
     /// A connection handed straight to the test, not filed in a loop:
@@ -1197,9 +757,11 @@ pub(crate) mod tests {
     /// second scraper, and is closed at the idle cap.
     #[test]
     fn a_scraper_that_stalls_mid_request_line_delays_nobody() {
-        let mut net = solo();
-        net.loops[0].ops_listener = true;
-        let scrapes = |net: &Stepped| {
+        let mut net = World::new(vec![Server {
+            ops: true,
+            ..Server::shard(0, 1)
+        }]);
+        let scrapes = |net: &World| {
             let conns = net.loops[0].conns.values();
             conns.filter(|c| matches!(c.role, Role::Scrape(_))).count()
         };
@@ -1239,11 +801,11 @@ pub(crate) mod tests {
     /// recycled once that status is `STEER_TIMEOUT_MS` old.
     #[test]
     fn a_peer_that_accepts_and_never_answers_costs_agents_nothing() {
-        let mut net = Stepped::new(vec![shard(0, 2, None)]);
+        let mut net = World::new(vec![Server::shard(0, 2)]);
         net.steer(0);
         assert!(net.loops[0].link_up(1));
         net.steer(0);
-        let unacked = |net: &Stepped| net.loops[0].core.unacked[1].len();
+        let unacked = |net: &World| net.loops[0].core.unacked[1].len();
         assert_eq!(unacked(&net), 1);
 
         let mut agent = net.connect(0).hello(9, &mut net);
@@ -1271,8 +833,11 @@ pub(crate) mod tests {
     /// stepped from this thread, in this order.
     #[test]
     fn a_two_shard_history_runs_to_done() {
-        let dir = scratch_dir("history");
-        let mut net = Stepped::new(vec![shard(0, 2, None), shard(1, 2, Some(&dir))]);
+        let servers = vec![
+            Server::shard(0, 2),
+            Server::shard(1, 2).journaled("history"),
+        ];
+        let mut net = World::new(servers);
         let baseline = baseline();
 
         // Both links come up.
@@ -1305,7 +870,7 @@ pub(crate) mod tests {
         pump_until(&mut net, |net| net.stats(1).shard_leases_in == 1);
         assert_eq!(net.stats(0).shard_leases_out, 1);
         let granted = net.loops[0].core.slots()[0].state.leases_granted_to(1);
-        let adopted: Vec<(u64, Vec<u32>)> = crate::journal::open_wal(&dir)
+        let adopted: Vec<(u64, Vec<u32>)> = crate::journal::open_wal(net.wal(1))
             .unwrap()
             .filter_map(|rec| match rec.unwrap() {
                 JournalRecord::Applied {
@@ -1363,7 +928,6 @@ pub(crate) mod tests {
             .map(|l| l.core.slots()[0].state.outputs().to_vec())
             .collect();
         assert_eq!(merge_artifacts(&parts).unwrap(), baseline);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A peer that died with backlog on the board kept drawing
@@ -1371,10 +935,14 @@ pub(crate) mod tests {
     /// status, which never came, and every redirected agent was refused,
     /// fell home, asked, and was redirected again without a pause. The
     /// advert now leaves with the steering connection — whichever way
-    /// it was dialed — and with nothing else.
+    /// it was dialed — and with nothing else. On the way it pins an
+    /// older bug: a shard whose own slice was complete never redirected
+    /// (its slice skipped by `fetch`, it recorded no demand and begged
+    /// no lease), so volunteers parked on it polled `NoWork` for ever
+    /// while a peer's backlog sat untouched.
     #[test]
     fn a_dead_peers_backlog_leaves_with_its_link() {
-        let mut net = Stepped::new(vec![shard(0, 2, None)]);
+        let mut net = World::new(vec![Server::shard(0, 2)]);
         net.steer(0);
         let far_end = net.far.remove(&1).expect("shard 0 dialed shard 1");
 
@@ -1383,17 +951,28 @@ pub(crate) mod tests {
         let mut gossip = net.connect(0);
         let mut held = Vec::new();
         loop {
-            let leases = gossip.gossip(&mut net, status(1, &held, 0, true));
-            if leases.is_empty() {
+            let (grants, _) = gossip.gossip(&mut net, status(1, &held, 0, true));
+            if grants.is_empty() {
                 break;
             }
-            held.extend(leases);
+            held.extend(grants.into_iter().map(|(lease, _)| lease));
         }
         let mut agent = net.connect(0).hello(9, &mut net);
-        let mut ask = |net: &mut Stepped| agent.exchange(&Message::RequestWork, net);
+        let mut ask = |net: &mut World| agent.exchange(&Message::RequestWork, net);
 
-        gossip.gossip(&mut net, status(1, &held, 5, false));
-        assert!(matches!(ask(&mut net), Message::Redirect { shard: 1, .. }));
+        let (_, ack) = gossip.gossip(&mut net, status(1, &held, 5, false));
+        let complete = matches!(ack, Message::StatusAck { complete: true, .. });
+        assert!(complete, "shard 0 leased its whole slice away");
+        let redirect = Message::Redirect {
+            shard: 1,
+            addr: "shard-1".into(),
+        };
+        assert_eq!(
+            ask(&mut net),
+            redirect,
+            "a drained, complete shard must redirect"
+        );
+        assert_eq!(net.stats(0).shard_redirects, 1);
 
         // The link this shard dialed drops: the peer is gone.
         drop(far_end);
@@ -1432,12 +1011,11 @@ pub(crate) mod tests {
     /// earned.
     #[test]
     fn a_forged_lease_grant_changes_nothing_and_closes_the_link() {
-        let dir = scratch_dir("forged");
-        let mut net = Stepped::new(vec![shard(0, 2, Some(&dir))]);
-        let before = books(&net.loops[0].core, &dir);
+        let mut net = World::new(vec![Server::shard(0, 2).journaled("forged")]);
+        let before = books(&net.loops[0].core, net.wal(0));
         let everything: Vec<u32> =
             (0..net.loops[0].core.slots()[0].campaign.len() as u32).collect();
-        let owned = |net: &Stepped| net.loops[0].core.slots()[0].state.core().owned_count();
+        let owned = |net: &World| net.loops[0].core.slots()[0].state.core().owned_count();
         assert!(owned(&net) < everything.len(), "shard 1 owns something");
 
         let grant = |campaign, from_shard, lease, complete| Message::LeaseGrant {
@@ -1447,7 +1025,7 @@ pub(crate) mod tests {
             complete,
             campaign,
         };
-        let on_the_link = |net: &mut Stepped, msg: &Message| {
+        let on_the_link = |net: &mut World, msg: &Message| {
             net.steer(0);
             let mut far_end = Client::new(net.far.remove(&1).expect("a fresh link"));
             far_end.send(msg);
@@ -1463,7 +1041,7 @@ pub(crate) mod tests {
             let far_end = on_the_link(&mut net, &forged);
             assert!(far_end.end.far_gone(), "{forged:?} closes the link");
             assert!(matches!(net.loops[0].links[1], Link::Down));
-            assert_eq!(books(&net.loops[0].core, &dir), before, "{forged:?}");
+            assert_eq!(books(&net.loops[0].core, net.wal(0)), before, "{forged:?}");
         }
 
         // The honest grant the same peer could have sent is adopted.
@@ -1472,7 +1050,6 @@ pub(crate) mod tests {
         assert_eq!(owned(&net), everything.len());
         assert_eq!(net.stats(0).shard_leases_in, 1);
         assert!(net.loops[0].link_up(1));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A peer speaks for itself only. A `StatusAck` in a third shard's
@@ -1481,7 +1058,7 @@ pub(crate) mod tests {
     /// and an inbound steering connection keeps the shard it first named.
     #[test]
     fn a_status_ack_naming_a_third_shard_marks_nobody_complete() {
-        let mut net = Stepped::new(vec![shard(0, 3, None)]);
+        let mut net = World::new(vec![Server::shard(0, 3)]);
         net.steer(0);
         net.steer(0);
         net.steer(0);

@@ -80,6 +80,8 @@ pub mod shard;
 pub mod state;
 pub mod sys;
 pub mod trust;
+#[cfg(test)]
+mod world;
 
 pub use agent::{run_agent, AgentConfig, AgentReport};
 pub use campaign::NetCampaign;

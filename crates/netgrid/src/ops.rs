@@ -966,4 +966,128 @@ mod tests {
         let long = format!("GET /{} HTTP/1.1\r\n", "a".repeat(2 * MAX_REQUEST_LINE));
         assert_eq!(parse_request_line(&long), Err(414u16));
     }
+
+    // ---- Scrapes of a live loop, taken between its turns. ----
+
+    use crate::world::{Server, World};
+    use crate::AgentConfig;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+
+    /// A solo server with an ops listener, and three honest volunteers.
+    fn scraped() -> World {
+        let mut world = World::new(vec![Server {
+            ops: true,
+            ..Server::shard(0, 1)
+        }]);
+        for agent in 1..=3 {
+            world.volunteer(AgentConfig::new("shard-0", agent));
+        }
+        world
+    }
+
+    /// The value of `series` (exact name and label text) in an
+    /// exposition document.
+    fn metric(body: &str, series: &str) -> Option<f64> {
+        body.lines()
+            .find(|l| l.starts_with(series) && l[series.len()..].starts_with(' '))
+            .and_then(|l| l.rsplit(' ').next()?.parse().ok())
+    }
+
+    /// Both routes scraped every tenth step of a running campaign. The
+    /// endpoint answers for `LINGER` past the end, so the last pair sees
+    /// the finished campaign, and agrees with the books the server ends
+    /// on; and serving the scrapes leaves the artifact the baseline.
+    #[test]
+    fn live_scrapes_agree_with_the_final_books() {
+        let mut world = scraped();
+        let (mut last, mut scrapes) = (None, 0);
+        world.finish(&mut ChaCha8Rng::seed_from_u64(5), |world, step| {
+            if step % 10 == 0 {
+                if let ((200, metrics), (200, html)) = (world.get(0, "/metrics"), world.get(0, "/"))
+                {
+                    scrapes += 1;
+                    last = Some((metrics, html));
+                }
+            }
+        });
+        let (metrics, html) = last.expect("a scraped pair");
+        assert!(scrapes >= 2, "{scrapes} scrapes");
+        world.assert_the_end();
+
+        let state = world.state(0);
+        let wu = world.loops[0].core.slots()[0].campaign.len();
+        let count = |n: usize| Some(n as f64);
+        assert_eq!(metric(&metrics, "hcmd_campaign_complete"), Some(1.0));
+        assert_eq!(
+            metric(&metrics, "hcmd_wu_states{state=\"total\"}"),
+            count(wu)
+        );
+        assert_eq!(
+            metric(&metrics, "hcmd_wu_states{state=\"done\"}"),
+            count(wu)
+        );
+        assert_eq!(
+            metric(&metrics, "hcmd_wu_states{state=\"in_flight\"}"),
+            Some(0.0)
+        );
+        let issued = state.server_stats().initial_issues as usize;
+        assert_eq!(
+            metric(&metrics, "hcmd_replicas_issued{cause=\"initial\"}"),
+            count(issued)
+        );
+        let rejected = state.net_stats.quorum_rejected as usize;
+        assert_eq!(
+            metric(&metrics, "hcmd_results_rejected{layer=\"quorum\"}"),
+            count(rejected)
+        );
+        let received = metric(&metrics, "hcmd_results_received").expect("results_received");
+        assert!(received >= wu as f64, "at least one result per workunit");
+        // Per-receptor series sum to the campaign totals.
+        let receptor_done: f64 = metrics
+            .lines()
+            .filter(|l| l.starts_with("hcmd_receptor_workunits{") && l.contains("state=\"done\""))
+            .filter_map(|l| l.rsplit(' ').next()?.parse::<f64>().ok())
+            .sum();
+        assert_eq!(receptor_done, wu as f64);
+
+        // The dashboard shows the same finished state, self-contained.
+        assert!(html.contains("status: complete"), "dashboard not final");
+        assert!(html.contains(&format!("{wu}/{wu}")));
+        for forbidden in ["http://", "https://", "src=", "href="] {
+            assert!(!html.contains(forbidden), "external asset via {forbidden}");
+        }
+    }
+
+    /// Malformed requests come back 4xx and change nothing a scrape
+    /// shows of the scheduler; the campaign then runs to the baseline.
+    #[test]
+    fn malformed_requests_get_4xx_and_leave_scheduler_state_alone() {
+        let mut world = scraped();
+        let (status, before) = world.get(0, "/metrics");
+        assert_eq!(status, 200);
+        assert_eq!(world.get(0, "/nope").0, 404);
+        assert_eq!(world.get(0, &format!("/{}", "a".repeat(4096))).0, 414);
+        let raw = world.scrape(0, "POST /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
+        assert!(raw.starts_with("HTTP/1.1 405"), "got: {raw}");
+        let (status, after) = world.get(0, "/metrics");
+        assert_eq!(status, 200);
+        // Only the net.ops.* registry counters (with telemetry compiled
+        // in) may differ between the two scrapes.
+        let scheduler_lines = |body: &str| -> Vec<String> {
+            body.lines()
+                .filter(|l| l.starts_with("hcmd_") || l.contains(" hcmd_"))
+                .filter(|l| !l.contains("server_clock"))
+                .map(String::from)
+                .collect()
+        };
+        assert_eq!(
+            scheduler_lines(&before),
+            scheduler_lines(&after),
+            "malformed requests mutated scheduler state"
+        );
+        assert_eq!(metric(&after, "hcmd_results_received"), Some(0.0));
+        world.finish(&mut ChaCha8Rng::seed_from_u64(6), |_, _| {});
+        world.assert_the_end();
+    }
 }

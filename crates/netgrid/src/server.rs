@@ -527,10 +527,10 @@ impl AcceptFailure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event_loop::tests::{pump_until, Client, Pump};
     use crate::protocol::{decode_versioned, CampaignParams, Message, PROTOCOL_VERSION};
     use crate::shard::merge_artifacts;
     use crate::state::WorkReply;
+    use crate::world::{pump_until, Client, Pump};
     use std::io::{Read, Write};
 
     fn listener() -> TcpListener {
