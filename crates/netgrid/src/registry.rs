@@ -1914,8 +1914,9 @@ pub(crate) mod tests {
     /// who moves when, in which order a loop serves what reached it,
     /// which connections are cut where, and when which loop is killed
     /// (one seed in four, and one four-shard seed in two) or loses
-    /// power (one in eight). A failing run names its seed.
-    fn run_seeded_grid(seed: u64) -> Vec<Vec<u8>> {
+    /// power (one in eight). A failing run names its seed. Also how
+    /// many volunteers' dials found their loop gone.
+    fn run_seeded_grid(seed: u64) -> (Vec<Vec<u8>>, u64) {
         let history = move || {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let shards = if seed % 4 == 1 { 4 } else { 2 };
@@ -1933,7 +1934,7 @@ pub(crate) mod tests {
                 Some((at, a)) if at == step => world.kill_and_reopen(a),
                 _ => {}
             });
-            world.assert_the_end()
+            (world.assert_the_end(), world.gone_dials)
         };
         std::panic::catch_unwind(history).unwrap_or_else(|panic| {
             eprintln!("the seeded grid failed on seed {seed}");
@@ -1950,15 +1951,21 @@ pub(crate) mod tests {
     /// the baseline, no workunit was ever owned by two shards, no loop
     /// wrote ahead of its records or brushed off a connection it had
     /// room for, the campaign finished within the step budget while its
-    /// volunteers lived, every loop reaches its end, and each core's wal
+    /// volunteers lived, every loop left and every volunteer finished
+    /// (giving up only once the campaign was over), and each core's wal
     /// replays to its live books — campaign state, peer board and
-    /// fair-share ledger. What the seed does not yet do — duplicate or
-    /// delay frames, jump the clock — is ROADMAP item 1.
+    /// fair-share ledger. A loop leaves while volunteers are still out
+    /// (a flaky one resting after a dropped connection, one cut off), so
+    /// on some seeds a volunteer finds it gone. What the seed does not
+    /// yet do — duplicate or delay frames, jump the clock — is ROADMAP
+    /// item 1.
     #[test]
     fn seeded_grids_finish_with_the_baseline_artifact() {
-        SEEDS.for_each(|seed| {
-            run_seeded_grid(seed);
-        });
+        let gone: u64 = SEEDS.map(|seed| run_seeded_grid(seed).1).sum();
+        assert!(
+            gone > 0,
+            "no volunteer found a loop gone on seeds {SEEDS:?}"
+        );
     }
 
     /// A seed is its history: run twice, it leaves every wal byte for
@@ -1974,18 +1981,24 @@ pub(crate) mod tests {
         }
     }
 
-    /// Eight honest volunteers at home round-robin over `servers`,
-    /// spending their waits closed as `mux.rs`'s fleet does, run by
-    /// `seed` to the end, which is checked.
+    /// Eight honest volunteers at home round-robin over `servers`, run
+    /// by `seed` to the end, which is checked: each server left, and
+    /// every volunteer finished `Done`.
     fn fleet(servers: Vec<Server>, seed: u64) -> World {
         let shards = servers.len() as u64;
         let mut world = World::new(servers);
-        world.closed_waits = true;
         for agent in 1..=8 {
             world.volunteer(AgentConfig::new(format!("shard-{}", agent % shards), agent));
         }
         world.finish(&mut ChaCha8Rng::seed_from_u64(seed), |_, _| {});
         world.assert_the_end();
+        for v in 0..8 {
+            assert_eq!(
+                world.outcome(v),
+                Some(crate::agent::Outcome::Done),
+                "volunteer {v}"
+            );
+        }
         world
     }
 
@@ -2072,13 +2085,12 @@ pub(crate) mod tests {
         let [s0, s1] = [0, 1].map(|a| world.stats(a));
         let steered = s0.shard_leases_in + s1.shard_leases_out + s0.shard_redirects;
         assert!(steered > 0, "no lease, no redirect: {s0:?} / {s1:?}");
-        // Every redirect either shard issued was followed once, or
-        // declined as the second bounce of an ask that followed one.
+        // Every redirect either shard issued reached a volunteer and
+        // was followed exactly once, or declined as the second bounce
+        // of an ask that had followed one.
+        let declined: u64 = (0..3).map(|v| world.declined(v)).sum();
         let issued = s0.shard_redirects + s1.shard_redirects;
-        assert!(
-            followed <= issued && issued <= 2 * followed,
-            "{followed} of {issued}"
-        );
+        assert_eq!(followed + declined, issued, "{followed} followed");
     }
 
     /// Shard 1, played by hand against a live shard 0, pins lease
@@ -2158,20 +2170,32 @@ pub(crate) mod tests {
         (world, ended, killed)
     }
 
+    /// The one seed of `0..40` on which [`killed_mid_lease`] strands
+    /// work: the known hole pinned below.
+    const STRANDED: u64 = 37;
+
     /// Across a kill between a grant and its adoption, no workunit is
     /// owned by both shards at any point, none is validated by both, and
-    /// the merge is the baseline.
+    /// the merge is the baseline. Swept over seeds `0..40`: the kill
+    /// comes only on a seed whose history starts a step with a grant in
+    /// flight, written by shard 0 and not yet read by shard 1. On most
+    /// seeds shard 1 reads every grant within the step that wrote it,
+    /// and nothing is killed; every seed must still end, bar
+    /// [`STRANDED`].
     #[test]
     fn a_shard_killed_mid_lease_comes_back_owning_what_it_kept() {
-        for seed in [6, 8, 9, 10] {
+        let mut kills = 0;
+        for seed in (0..40).filter(|&seed| seed != STRANDED) {
             let (world, ended, killed) = killed_mid_lease(seed);
-            assert!(ended && killed, "seed {seed}");
+            assert!(ended, "seed {seed} (killed: {killed})");
+            kills += u32::from(killed);
             for wu in 0..baseline().len() {
                 let validated = |a: usize| world.state(a).outputs()[wu].is_some();
                 assert!(validated(0) != validated(1), "seed {seed}: workunit {wu}");
             }
             world.assert_the_end();
         }
+        assert!(kills >= 10, "the kill landed on {kills} seeds of 39");
     }
 
     /// A known liveness hole, pinned by seed: steering moves only work
@@ -2180,11 +2204,11 @@ pub(crate) mod tests {
     /// still out, the visitors fall home; the replica expires and waits
     /// to be reissued on a shard that has no volunteers of its own and
     /// advertises no backlog, so nobody is ever sent there and shard 0
-    /// never completes. This test fails once the hole is closed; seed 37
-    /// then joins the seeds above.
+    /// never completes. This test fails once the hole is closed; the
+    /// sweep above then takes seed 37 back.
     #[test]
     fn known_hole_expired_work_on_a_shard_without_volunteers_is_stranded() {
-        let (world, ended, killed) = killed_mid_lease(37);
+        let (world, ended, killed) = killed_mid_lease(STRANDED);
         assert!(killed && !ended);
         let stranded = world.state(0);
         assert!(!stranded.is_campaign_complete());

@@ -492,8 +492,8 @@ impl Server {
 /// What a volunteer's session is owed next.
 enum Owed {
     Input(Input),
-    /// This input, once the clock reaches the time.
-    WakeAt(f64, Input),
+    /// [`Input::Woke`], once the clock reaches the time.
+    WakeAt(f64),
     /// A frame, or the loss, of its open connection.
     Reply,
     Nothing,
@@ -503,16 +503,27 @@ struct Volunteer {
     session: Session,
     conn: Option<Client<End>>,
     owed: Owed,
+    /// The `Redirect`s it heard and declined: the second bounce of an
+    /// ask that had followed one already.
+    declined: u64,
+    outcome: Option<agent::Outcome>,
+}
+
+impl Volunteer {
+    fn finished(&self) -> bool {
+        self.outcome.is_some()
+    }
 }
 
 /// Loops joined by pipes, indexed by shard id, their volunteers, and
 /// the clock. A dial to a shard with a loop here lands in its task
-/// listener; one to any other shard is answered by a peer that accepted
-/// and says nothing, whose end waits in `far`. Every turn of a loop is
-/// held to two oracles from outside it: bytes left only with its core's
-/// records committed, and a `Busy` went out only while the inbound
-/// connections left open filled the cap. After every batch served and
-/// every restart, no workunit is owned by two shards.
+/// listener, and fails once that loop has left; one to any other shard
+/// is answered by a peer that accepted and says nothing, whose end
+/// waits in `far`. Every turn of a loop is held to two oracles from
+/// outside it: bytes left only with its core's records committed, and
+/// a `Busy` went out only while the inbound connections left open
+/// filled the cap. After every batch served and every restart, no
+/// workunit is owned by two shards.
 pub(crate) struct World {
     servers: Vec<Server>,
     pub(crate) loops: Vec<Loop<End>>,
@@ -522,10 +533,11 @@ pub(crate) struct World {
     pub(crate) now: f64,
     /// Whether [`Self::run`] cuts connections now and then.
     pub(crate) cuts: bool,
-    /// Whether volunteers spend a wait with their connection closed,
-    /// as `mux.rs`'s fleet does (bar a stall's, which no honest
-    /// volunteer draws), not asleep on it, as `run_agent` does.
-    pub(crate) closed_waits: bool,
+    /// Which loops have left, as the real server exits: every
+    /// connection to or from them closed, nothing listening.
+    left: Vec<bool>,
+    /// Volunteers' dials that found their loop gone: it had left.
+    pub(crate) gone_dials: u64,
 }
 
 impl Drop for World {
@@ -546,13 +558,14 @@ impl World {
     fn starting_at(now: f64, servers: Vec<Server>) -> Self {
         let mut world = Self {
             pipes: servers.iter().map(|_| Pipes::default()).collect(),
+            left: vec![false; servers.len()],
             servers,
             loops: Vec::new(),
             far: BTreeMap::new(),
             volunteers: Vec::new(),
             now,
             cuts: false,
-            closed_waits: false,
+            gone_dials: 0,
         };
         world.loops = (0..world.servers.len()).map(|a| world.open(a)).collect();
         world
@@ -625,16 +638,18 @@ impl World {
         let (sent, rejected) = (self.pipes[a].sent.get(), self.loops[a].rejected);
         f(&mut self.loops[a], &mut self.pipes[a], t(self.now));
         for peer in std::mem::take(&mut self.pipes[a].dials) {
-            let dialing = match self.pipes.get_mut(usize::from(peer)) {
-                Some(pipes) => pipes.connect(false),
+            let p = usize::from(peer);
+            let dialing = match self.pipes.get_mut(p) {
+                Some(_) if self.left[p] => None,
+                Some(pipes) => Some(pipes.connect(false)),
                 None => {
                     let (dialing, accepting) = End::pair();
                     self.far.insert(peer, accepting);
-                    dialing
+                    Some(dialing)
                 }
             };
-            let link = self.pipes[a].hold(dialing);
-            self.loops[a].dialed(&mut self.pipes[a], peer, Some(link));
+            let link = dialing.map(|end| self.pipes[a].hold(end));
+            self.loops[a].dialed(&mut self.pipes[a], peer, link);
         }
         let lp = &self.loops[a];
         if self.pipes[a].sent.get() > sent {
@@ -684,7 +699,18 @@ impl World {
     pub(crate) fn kill_and_reopen(&mut self, a: usize) {
         self.pipes[a] = Pipes::default();
         self.loops[a] = self.open(a);
+        self.left[a] = false;
         self.assert_nothing_is_owned_twice();
+    }
+
+    /// Loop `a` leaves, as the real server exits once its loop says it
+    /// may: every connection to or from it closes, those waiting in its
+    /// listeners' backlogs too, and later dials to it fail. Its core
+    /// stays, for the end of the run to check.
+    fn leave(&mut self, a: usize) {
+        self.loops[a].conns.clear();
+        self.pipes[a] = Pipes::default();
+        self.left[a] = true;
     }
 
     /// Loop `a` loses power: its wal keeps what its core last
@@ -723,6 +749,8 @@ impl World {
             session: Session::new(config),
             conn: None,
             owed: Owed::Input(Input::Woke),
+            declined: 0,
+            outcome: None,
         });
     }
 
@@ -731,13 +759,23 @@ impl World {
         &self.volunteers[v].session.report
     }
 
+    /// How volunteer `v` finished, once it has.
+    pub(crate) fn outcome(&self, v: usize) -> Option<agent::Outcome> {
+        self.volunteers[v].outcome
+    }
+
+    /// The `Redirect`s volunteer `v` heard and did not follow.
+    pub(crate) fn declined(&self, v: usize) -> u64 {
+        self.volunteers[v].declined
+    }
+
     /// Volunteer `v` takes its turn: one input to its session, if one
     /// is due.
     fn volunteer_turn(&mut self, v: usize) {
         let vol = &mut self.volunteers[v];
         let input = match std::mem::replace(&mut vol.owed, Owed::Nothing) {
             Owed::Input(input) => input,
-            Owed::WakeAt(due, input) if due <= self.now => input,
+            Owed::WakeAt(due) if due <= self.now => Input::Woke,
             Owed::Reply => {
                 let conn = vol
                     .conn
@@ -760,12 +798,15 @@ impl World {
                 return;
             }
         };
+        let redirect = matches!(input, Input::Frame(Message::Redirect { .. }));
         let step = vol.session.step(input);
+        // A redirect followed ends the session; one declined waits.
+        vol.declined += u64::from(redirect && matches!(step, Step::Wait(_)));
         self.carry_out(v, step);
     }
 
     /// Carries out one step of volunteer `v`'s session. A dial finds
-    /// the loop whose shard the address names.
+    /// the loop whose shard the address names, and fails if it left.
     fn carry_out(&mut self, v: usize, step: Step) {
         let vol = &mut self.volunteers[v];
         let mut send = |msg: &Message| match &mut vol.conn {
@@ -779,26 +820,20 @@ impl World {
             Step::Dial(addr) => {
                 let named = |a: &usize| format!("shard-{a}") == addr;
                 let a = (0..self.loops.len()).find(named).expect("a known address");
-                vol.conn = Some(Client::new(self.pipes[a].connect(false)));
-                Owed::Input(Input::Connected)
+                if self.left[a] {
+                    self.gone_dials += 1;
+                    Owed::Input(Input::ConnectFailed)
+                } else {
+                    vol.conn = Some(Client::new(self.pipes[a].connect(false)));
+                    Owed::Input(Input::Connected)
+                }
             }
             Step::Send(msg) => send(&msg),
             Step::Ask => send(&Message::RequestWork),
             Step::Compute { workunit, .. } => {
                 Owed::Input(Input::Computed(baseline()[workunit as usize].clone()))
             }
-            Step::Wait(pause) => {
-                let due = self.now + pause.as_secs_f64();
-                match &mut vol.conn {
-                    // The fleet's way: say Bye, close, and be told after.
-                    Some(conn) if self.closed_waits => {
-                        conn.send(&Message::Bye);
-                        vol.conn = None;
-                        Owed::WakeAt(due, Input::Lost)
-                    }
-                    _ => Owed::WakeAt(due, Input::Woke),
-                }
-            }
+            Step::Wait(pause) => Owed::WakeAt(self.now + pause.as_secs_f64()),
             Step::Bye => {
                 if let Some(mut conn) = vol.conn.take() {
                     conn.send(&Message::Bye);
@@ -806,7 +841,17 @@ impl World {
                 Owed::Input(Input::Lost)
             }
             Step::Finished(outcome) => {
-                assert_eq!(outcome, agent::Outcome::Done, "volunteer {v}");
+                // Giving up is a session's answer to a home gone before
+                // it got any work or word of the end, and only the end
+                // of the campaign may take a home away.
+                let report = &vol.session.report;
+                let idle = report.assignments == 0 && !report.saw_completion;
+                let over = self.loops.iter().all(|l| l.core.all_complete());
+                assert!(
+                    outcome == agent::Outcome::Done || (idle && over),
+                    "volunteer {v} gave up: {report:?}"
+                );
+                vol.outcome = Some(outcome);
                 Owed::Nothing
             }
         };
@@ -846,14 +891,15 @@ impl World {
     }
 
     /// Runs the world to its end under `rng`: `false` if a budget of
-    /// steps ran out first — the campaign did not finish, or a loop
-    /// never may leave. Ten milliseconds pass per step; each loop's own timers
-    /// decide when it sweeps and steers; `between(world, step)` then
-    /// runs (a kill, a scrape); then the seed picks a few moves: a
-    /// volunteer's turn, a loop serving everything that reached it in
-    /// an order the seed shuffles, or — with `cuts`, one pick in a
-    /// hundred — a connection cut. The volunteers work until each is
-    /// finished; then the loops run on until each may leave.
+    /// steps ran out first — the campaign did not finish, a loop never
+    /// may leave, or a volunteer never finished. Ten milliseconds pass
+    /// per step; each loop's own timers decide when it sweeps and
+    /// steers; `between(world, step)` then runs (a kill, a scrape);
+    /// then the seed picks a few moves: a volunteer's turn, a loop
+    /// serving everything that reached it in an order the seed
+    /// shuffles, or — with `cuts`, one pick in a hundred — a connection
+    /// cut. At the end of every step a loop that may leave does
+    /// ([`Self::leave`]); volunteers still out find it gone.
     pub(crate) fn run(
         &mut self,
         rng: &mut impl Rng,
@@ -861,16 +907,15 @@ impl World {
     ) -> bool {
         const STEP_BUDGET: u32 = 60_000;
         let (start, n) = (self.now, self.loops.len());
-        let mut over = vec![None; n];
         let mut steps = 0;
-        while over.iter().any(Option::is_none) {
+        while self.left.contains(&false) || !self.volunteers.iter().all(Volunteer::finished) {
             steps += 1;
             if steps == STEP_BUDGET {
                 return false;
             }
             self.now = start + f64::from(steps) * 0.01;
             for a in 0..n {
-                if t(self.now) >= self.loops[a].next_timer() {
+                if !self.left[a] && t(self.now) >= self.loops[a].next_timer() {
                     self.turn(a, Loop::tick);
                 }
             }
@@ -891,13 +936,9 @@ impl World {
                     _ => {}
                 }
             }
-            if self
-                .volunteers
-                .iter()
-                .all(|v| matches!(v.owed, Owed::Nothing))
-            {
-                for (a, over) in over.iter_mut().enumerate() {
-                    *over = over.or(self.loops[a].over(t(self.now)));
+            for a in 0..n {
+                if !self.left[a] && self.loops[a].over(t(self.now)).is_some() {
+                    self.leave(a);
                 }
             }
         }
