@@ -12,9 +12,9 @@
 //! It is the simulator's only engine. Its contract — events pop in
 //! increasing `(at, seq)` order, so equal timestamps pop FIFO — is
 //! pinned from outside: `tests/event_engine_identity.rs` runs it against
-//! a sorted-`Vec` oracle and holds five campaign traces to recorded
-//! digests, and `sim_scale` holds each fleet's pop order to a recorded
-//! checksum.
+//! a sorted-`Vec` oracle, holds five campaign traces to recorded
+//! digests, and holds six synthetic fleets' pop orders to recorded
+//! checksums.
 
 use crate::wheel::TimingWheel;
 

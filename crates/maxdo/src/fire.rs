@@ -5,9 +5,9 @@
 //! engine here ([`crate::minimize`]) is adaptive steepest descent. This
 //! module provides FIRE (Bitzek et al., PRL 2006), the standard inertial
 //! relaxation scheme of molecular simulation, over the same six rigid
-//! degrees of freedom — used by the ablation bench to check that the
-//! docking landscape, not the optimiser, determines the results, and
-//! available to users who want faster relaxation on large couples.
+//! degrees of freedom — compared with it in this module's tests, which
+//! check that the docking landscape, not the optimiser, determines the
+//! results, and available to users who want faster relaxation.
 //!
 //! FIRE integrates damped Newtonian dynamics and adapts the timestep: it
 //! accelerates while the velocity keeps pointing downhill (`P = F·v > 0`)

@@ -26,8 +26,8 @@
 //! `hcmd-telemetry` unconditionally and expose a `telemetry = `
 //! `["hcmd-telemetry/enabled"]` passthrough feature; without it, metric
 //! handles are zero-sized, [`ENABLED`] is `false`, and every call inlines
-//! to nothing. The `telemetry_overhead` criterion bench in `hcmd-bench`
-//! measures the *enabled* cost on the event loop (< 2 %).
+//! to nothing. The `telemetry_overhead` binary in `hcmd-bench` measures
+//! the *enabled* cost on the event loop and fails over 2 %.
 
 /// Whether instrumentation is compiled in (`enabled` cargo feature).
 pub const ENABLED: bool = cfg!(feature = "enabled");

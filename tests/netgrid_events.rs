@@ -52,6 +52,10 @@ fn busy_rejections_keep_open_close_pairing_exact() {
     }
     drop(probe);
     netgrid::protocol::write_message_with(&mut holder, &Message::Bye, netgrid::Codec).expect("bye");
+    // The server hangs up on a Bye as it frees the slot; until then an
+    // accept it drains in the probe's turn could still find it full.
+    let hung_up = netgrid::protocol::read_message(&mut holder);
+    assert!(matches!(hung_up, Ok(None)), "no hang-up: {hung_up:?}");
     drop(holder);
 
     let agent = thread::spawn(move || run_agent(AgentConfig::new(addr, 1)));

@@ -210,33 +210,25 @@ fn corrupted_results(config: NetServerConfig) -> NetRunReport {
 /// disjoint: accepted connections on one side, rejections on the other.
 #[test]
 fn busy_rejections_are_not_double_counted_as_connections() {
-    let mut config = NetServerConfig {
-        sweep_ms: 25,
-        ..NetServerConfig::loopback(8.0)
-    };
-    // The event-loop server clears the stock tiny campaign in tens of
-    // milliseconds — faster than the probe below can land — so give
-    // every workunit enough docking iterations that the solo volunteer
-    // is still mid-campaign when the probe arrives.
-    config.campaign = CampaignParams {
-        max_iterations: 400,
-        ..CampaignParams::tiny()
-    };
-    let params = config.campaign;
-    // One slot: the single honest volunteer holds it for the whole
-    // campaign, so any probe while it runs draws `Busy`.
+    let mut config = loopback(8.0);
+    // One slot, held by a volunteer that has said Hello and asks for
+    // nothing, so the probe below draws `Busy` whatever the clock does.
     config.faults.max_connections = 1;
-    let server = NetServer::bind(config).expect("bind loopback");
-    let addr = server.local_addr().expect("local addr").to_string();
-    let server = thread::spawn(move || server.run());
+    let (addr, server) = spawn_server(config);
 
-    let agent = {
-        let addr = addr.clone();
-        thread::spawn(move || run_agent(AgentConfig::new(addr, 1)))
+    let mut holder = std::net::TcpStream::connect(&addr).expect("holder connects");
+    let hello = Message::Hello {
+        agent: 2,
+        threads: 1,
+        campaigns: Vec::new(),
     };
+    netgrid::protocol::write_message_with(&mut holder, &hello, netgrid::Codec).expect("hello");
+    match netgrid::protocol::read_message(&mut holder) {
+        Ok(Some(Message::HelloAck { .. })) => {}
+        other => panic!("expected HelloAck, got {other:?}"),
+    }
 
     // Probe the full server with a raw socket and read the brush-off.
-    thread::sleep(Duration::from_millis(250));
     let mut probe = std::net::TcpStream::connect(&addr).expect("probe connects");
     match netgrid::protocol::read_message(&mut probe) {
         Ok(Some(Message::Busy { retry_after_ms })) => {
@@ -245,21 +237,28 @@ fn busy_rejections_are_not_double_counted_as_connections() {
         other => panic!("expected Busy at the connection limit, got {other:?}"),
     }
     drop(probe);
+    netgrid::protocol::write_message_with(&mut holder, &Message::Bye, netgrid::Codec).expect("bye");
+    // The server hangs up on a Bye as it frees the slot; until then an
+    // accept it drains in the probe's turn could still find it full.
+    let hung_up = netgrid::protocol::read_message(&mut holder);
+    assert!(matches!(hung_up, Ok(None)), "no hang-up: {hung_up:?}");
+    drop(holder);
 
-    agent.join().unwrap().expect("honest agent ran");
+    // The freed slot goes to an honest volunteer, which runs the
+    // campaign to the end.
+    run_agent(AgentConfig::new(addr, 1)).expect("honest agent ran");
     let report = server.join().unwrap().expect("server ran");
     assert_eq!(
-        report.connections, 1,
-        "only the agent's session is an accepted connection: {report:?}"
+        report.connections, 2,
+        "the holder's and the agent's sessions are the accepted connections: {report:?}"
     );
     assert_eq!(
         report.rejected_connections, 1,
         "the probe is a rejection, nothing else: {report:?}"
     );
-    let baseline = NetCampaign::build(params).baseline_outputs();
     assert_eq!(
         serde_json::to_string(&report.campaigns[0].outputs).unwrap(),
-        serde_json::to_string(&baseline).unwrap(),
+        baseline_json(),
         "a rejected probe must not perturb the artifact"
     );
 }
