@@ -543,19 +543,22 @@ impl<S: Read + Write> Loop<S> {
         }
     }
 
-    /// Final close of a connection. An inbound one emits the paired
-    /// `ConnectionClosed` event and releases its limit slot; the core
-    /// is told of either kind that may have been a steering connection.
+    /// Final close of a connection. An inbound one releases its limit
+    /// slot and, if it said `Hello`, emits the `ConnectionClosed` that
+    /// pairs its `ConnectionOpened`; the core is told of either kind
+    /// that may have been a steering connection.
     fn retire(&mut self, conn: Conn<S>) {
         match conn.role {
             Role::Inbound(caller) => {
                 self.accepted_active -= 1;
-                let reason = conn.closing.unwrap_or("eof");
-                telemetry::emit(None, || Telemetry::ConnectionClosed {
-                    agent: caller.agent,
-                    frames: conn.frames,
-                    reason: reason.into(),
-                });
+                if caller.greeted {
+                    let reason = conn.closing.unwrap_or("eof");
+                    telemetry::emit(None, || Telemetry::ConnectionClosed {
+                        agent: caller.agent,
+                        frames: conn.frames,
+                        reason: reason.into(),
+                    });
+                }
                 self.core.caller_lost(&caller);
             }
             Role::Link(peer) => {

@@ -330,6 +330,9 @@ pub struct Slot {
 pub(crate) struct Caller {
     /// The agent id learned from `Hello` (0 until then).
     pub(crate) agent: u64,
+    /// Whether it said `Hello`: its `ConnectionOpened` went out, so its
+    /// close is paired with a `ConnectionClosed`.
+    pub(crate) greeted: bool,
     /// The campaign attach mask: resolved from the `Hello` request, or
     /// the default-campaign mask from the first ask of a peer that
     /// never said `Hello`. Empty until one of the two.
@@ -865,7 +868,9 @@ impl MultiGrid {
             } => {
                 caller.agent = agent;
                 caller.attached = self.attach_mask(&campaigns);
-                telemetry::emit(Some(now.seconds()), || Event::ConnectionOpened { agent });
+                if !std::mem::replace(&mut caller.greeted, true) {
+                    telemetry::emit(Some(now.seconds()), || Event::ConnectionOpened { agent });
+                }
                 Message::HelloAck {
                     protocol: PROTOCOL_VERSION,
                     campaign: self.slots[0].def.params,
@@ -1522,6 +1527,7 @@ pub(crate) mod tests {
     use crate::world::{baseline, books, frames, open_shard, pump_until, scratch_dir, shard};
     use crate::world::{status, t, Client, End, Server, World};
     use crate::{AgentConfig, FaultProfile, NetStats, TrustConfig};
+    use gridsim::sched::ServerStats;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -2253,5 +2259,102 @@ pub(crate) mod tests {
         assert!(nine.quarantine_count >= 1, "{nine:?}");
         assert_eq!(nine.accepted, 0, "no corrupt result ever validated");
         world.assert_the_end();
+    }
+
+    // ---- The §5.1 failure handling: a vanished volunteer, a saboteur. ----
+
+    /// The seeds each scenario below runs.
+    const FAULT_SEEDS: std::ops::Range<u64> = 0..16;
+
+    /// One solo server with trust off, journaled under `wal` if it is
+    /// named, run by `seed` to its end: `first` volunteers from the
+    /// start, `joining` from the first step `ready` holds. The end is
+    /// checked (the artifact is the baseline, a wal replays to the live
+    /// books), every volunteer finished `Done`, and one of them saw the
+    /// campaign complete. The server's stats.
+    fn faulted(
+        seed: u64,
+        wal: Option<&str>,
+        first: AgentConfig,
+        mut joining: Vec<AgentConfig>,
+        ready: impl Fn(&World) -> bool,
+    ) -> (NetStats, ServerStats) {
+        let server = Server::shard(0, 1);
+        let mut world = World::new(vec![match wal {
+            Some(name) => server.journaled(name),
+            None => server,
+        }]);
+        world.volunteer(first);
+        let volunteers = 1 + joining.len();
+        world.finish(&mut ChaCha8Rng::seed_from_u64(seed), |world, _| {
+            if !joining.is_empty() && ready(world) {
+                joining.drain(..).for_each(|config| world.volunteer(config));
+            }
+        });
+        world.assert_the_end();
+        for v in 0..volunteers {
+            let done = Some(crate::agent::Outcome::Done);
+            assert_eq!(world.outcome(v), done, "seed {seed}: volunteer {v}");
+        }
+        let saw_the_end = (0..volunteers).any(|v| world.report(v).saw_completion);
+        assert!(saw_the_end, "seed {seed}: no volunteer saw the end");
+        (world.stats(0), world.state(0).server_stats())
+    }
+
+    /// A volunteer takes one assignment and vanishes with it, no report
+    /// and no `Bye` (its PC switched off); two honest volunteers then
+    /// join. The abandoned replica expires and is reissued as a timeout,
+    /// and the campaign still ends on the baseline.
+    fn killed_agent(wal: Option<&str>) {
+        for seed in FAULT_SEEDS {
+            let victim = AgentConfig {
+                die_after: Some(1),
+                ..AgentConfig::new("shard-0", 100)
+            };
+            let honest = (1..=2).map(|agent| AgentConfig::new("shard-0", agent));
+            let died = |world: &World| world.outcome(0).is_some();
+            let (net, server) = faulted(seed, wal, victim, honest.collect(), died);
+            assert!(net.deadline_expiries >= 1, "seed {seed}: {net:?}");
+            assert!(server.timeout_reissues >= 1, "seed {seed}: {server:?}");
+        }
+    }
+
+    #[test]
+    fn killed_agent_times_out_and_campaign_still_completes() {
+        killed_agent(None);
+    }
+
+    #[test]
+    fn killed_agent_times_out_and_campaign_still_completes_journaled() {
+        killed_agent(Some("killed-agent"));
+    }
+
+    /// A saboteur corrupts every result and gets its turns first, until
+    /// one corrupt result is in; then three honest volunteers join and
+    /// outvote it. A corrupt result disagrees with an honest candidate
+    /// and the workunit is reissued; none reaches the artifact.
+    fn corrupted_results(wal: Option<&str>) {
+        for seed in FAULT_SEEDS {
+            let saboteur = AgentConfig {
+                profile: FaultProfile::saboteur(),
+                seed: 5,
+                ..AgentConfig::new("shard-0", 666)
+            };
+            let honest = (1..=3).map(|agent| AgentConfig::new("shard-0", agent));
+            let reported = |world: &World| world.report(0).reported >= 1;
+            let (net, server) = faulted(seed, wal, saboteur, honest.collect(), reported);
+            assert!(net.quorum_rejected >= 1, "seed {seed}: {net:?}");
+            assert!(server.error_reissues >= 1, "seed {seed}: {server:?}");
+        }
+    }
+
+    #[test]
+    fn corrupted_results_are_quorum_rejected_and_the_honest_output_wins() {
+        corrupted_results(None);
+    }
+
+    #[test]
+    fn corrupted_results_are_quorum_rejected_and_the_honest_output_wins_journaled() {
+        corrupted_results(Some("corrupted-results"));
     }
 }

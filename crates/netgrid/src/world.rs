@@ -852,6 +852,9 @@ impl World {
                     "volunteer {v} gave up: {report:?}"
                 );
                 vol.outcome = Some(outcome);
+                // `run_agent` returns and its socket closes with it: a
+                // volunteer that dies on purpose hangs up mid-workunit.
+                vol.conn = None;
                 Owed::Nothing
             }
         };
@@ -1000,5 +1003,34 @@ impl Pump for World {
             let batch = self.pipes[a].ready();
             self.serve(a, batch);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A volunteer that dies on purpose (`die_after`) takes its
+    /// connection with it, as `run_agent` returning closes its socket:
+    /// the loop's open inbound connections drop by one, and it need not
+    /// wait out its shutdown grace to drain.
+    #[test]
+    fn a_volunteer_that_dies_hangs_up() {
+        let mut net = World::new(vec![Server::shard(0, 1)]);
+        net.volunteer(AgentConfig {
+            die_after: Some(1),
+            ..AgentConfig::new("shard-0", 1)
+        });
+        loop {
+            net.volunteer_turn(0);
+            if net.outcome(0).is_some() {
+                break;
+            }
+            net.pump();
+        }
+        let open = |net: &World| net.loops[0].accepted_active;
+        assert_eq!((net.report(0).assignments, open(&net)), (1, 1));
+        net.pump();
+        assert_eq!(open(&net), 0, "the dead volunteer's pipe is open");
     }
 }

@@ -112,16 +112,16 @@ pub enum Event {
         /// Why the reissue happened.
         cause: IssueCause,
     },
-    /// A volunteer agent's connection to the live task server opened
-    /// (netgrid; wire-level runs only).
+    /// A volunteer agent's connection to the live task server opened:
+    /// its first `Hello` (netgrid; wire-level runs only).
     ConnectionOpened {
         /// Agent identifier from the `Hello` frame.
         agent: u64,
     },
-    /// A volunteer agent's connection closed.
+    /// A volunteer agent's connection closed. Emitted only for a
+    /// connection that said `Hello`, once per [`Event::ConnectionOpened`].
     ConnectionClosed {
-        /// Agent identifier from the `Hello` frame (0 when the agent
-        /// dropped before identifying itself).
+        /// Agent identifier from the `Hello` frame.
         agent: u64,
         /// Frames exchanged over the connection's lifetime.
         frames: u64,
