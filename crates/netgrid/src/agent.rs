@@ -13,13 +13,13 @@
 //! off, when it gives up, what each injected fault does, every counter
 //! of the [`AgentReport`].
 //!
-//! [`run_agent`] is the session's blocking driver: one OS thread, one
-//! socket, real docking. The docking is the real maxdo kernel; with
+//! Its one driver is [`crate::mux`]: [`crate::mux::run_agent`] over one
+//! session, a fleet over thousands; a test drives one by hand. The
+//! docking is the real maxdo kernel ([`compute_workunit`]); with
 //! `threads > 1` each starting position's 21 orientation couples run on
 //! the vendored rayon pool (order-preserving, so the payload is
 //! byte-identical to a single-threaded volunteer's — a prerequisite for
-//! byte-level quorum). [`crate::mux`] drives thousands of sessions from
-//! one thread; a test drives one by hand.
+//! byte-level quorum).
 //!
 //! Progress is checkpointed *between starting positions* (§4.3,
 //! [`DockingCheckpoint`]): when fault injection kills the connection
@@ -29,11 +29,9 @@
 
 use crate::campaign::NetCampaign;
 use crate::faults::{FaultAction, FaultDice, FaultProfile};
-use crate::protocol::{read_message, write_message_with, CampaignParams, Codec, Message};
+use crate::protocol::{CampaignParams, Codec, Message};
 use maxdo::{DockingCheckpoint, DockingOutput};
-use std::io;
-use std::net::{TcpStream, ToSocketAddrs};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Agent configuration.
 #[derive(Debug, Clone)]
@@ -54,8 +52,8 @@ pub struct AgentConfig {
     /// Give up after this many consecutive failed connection attempts.
     pub max_connect_attempts: u32,
     /// The one wire dialect. A vestige with a single value, kept because
-    /// `benchmarks/gridbench` reads it (see [`Codec`]); `run_agent`
-    /// never changes it, whatever a handshake does.
+    /// `benchmarks/gridbench` reads it (see [`Codec`]); the driver never
+    /// changes it, whatever a handshake does.
     pub codec: Codec,
     /// Campaign attachments announced in the handshake: names of the
     /// hosted campaigns this volunteer works for. Empty means the
@@ -191,18 +189,11 @@ struct Job {
 /// any agent's sleep.
 const MAX_WAIT_MS: u64 = 2_000;
 
-/// How long [`run_agent`] lets a dial, a read or a write take before it
-/// calls the server lost: a live server answers within a turn of its
-/// loop, and one that accepts and then says nothing would otherwise
-/// hold a volunteer until the kernel gave up. A `Wait` is slept, not
-/// read, so a stall past the replica deadline is not cut short by it.
-const IO_TIMEOUT: Duration = Duration::from_secs(30);
-
 /// One volunteer's protocol decisions, with no socket, thread or clock:
 /// [`Self::step`] is told what happened and answers what to do next. A
-/// driver supplies the I/O — [`run_agent`] with a blocking socket,
-/// [`crate::mux`] with thousands of nonblocking ones — and owns nothing
-/// of the protocol.
+/// driver supplies the I/O — [`crate::mux`] with nonblocking sockets,
+/// the stepped world with in-memory pipes — and owns nothing of the
+/// protocol.
 pub(crate) struct Session {
     config: AgentConfig,
     dice: FaultDice,
@@ -504,121 +495,17 @@ impl Session {
     }
 }
 
-/// Runs one agent until the campaign completes (or it dies on purpose):
-/// the blocking driver of a [`Session`]. It connects, writes and reads
-/// one frame at a time, docks on the calling thread, and sleeps a
-/// `Wait` out on the open socket.
-pub fn run_agent(config: AgentConfig) -> io::Result<AgentReport> {
-    let (codec, threads) = (config.codec, config.threads);
-    let mut session = Session::new(config);
-    let mut stream: Option<TcpStream> = None;
-    let mut roster: Vec<NetCampaign> = Vec::new();
-    let mut dial_error = None;
-    let mut input = Input::Woke;
-    loop {
-        input = match session.step(input) {
-            Step::Dial(addr) => {
-                // Closed before the dial, not by it: a server at its
-                // connection limit must see the old socket go first. It
-                // does when the close reaches it with the dial, because
-                // it serves a batch's connections before its listeners.
-                stream = None;
-                match dial(&addr, IO_TIMEOUT) {
-                    Ok(connected) => {
-                        stream = Some(connected);
-                        Input::Connected
-                    }
-                    Err(e) => {
-                        dial_error = Some(e);
-                        Input::ConnectFailed
-                    }
-                }
-            }
-            Step::Send(msg) => exchange(&mut stream, &msg, codec),
-            Step::Ask => {
-                let asked = Instant::now();
-                let reply = exchange(&mut stream, &Message::RequestWork, codec);
-                if let Input::Frame(_) = reply {
-                    let latency_ms = asked.elapsed().as_secs_f64() * 1e3;
-                    session.report.request_latencies_ms.push(latency_ms);
-                }
-                reply
-            }
-            Step::Compute {
-                campaign,
-                workunit,
-                isep_start,
-                positions,
-            } => {
-                if roster.is_empty() {
-                    let recipes = session.roster().iter();
-                    roster = recipes.map(|p| NetCampaign::build(*p)).collect();
-                }
-                let campaign = &roster[usize::from(campaign)];
-                let output = compute_workunit(campaign, workunit, isep_start, positions, threads);
-                Input::Computed(output)
-            }
-            Step::Wait(pause) => {
-                std::thread::sleep(pause);
-                Input::Woke
-            }
-            Step::Bye => {
-                if let Some(mut leaving) = stream.take() {
-                    let _ = write_message_with(&mut leaving, &Message::Bye, codec);
-                }
-                Input::Lost
-            }
-            Step::Finished(Outcome::Done) => return Ok(session.report),
-            Step::Finished(Outcome::GaveUp) => {
-                return Err(dial_error.expect("a session gives up only on a failed dial"))
-            }
-        };
-    }
-}
-
-/// Connects to the first of `addr`'s addresses to answer within
-/// `patience`, and gives every read and write on the stream as long.
-fn dial(addr: &str, patience: Duration) -> io::Result<TcpStream> {
-    let mut dialed = Err(io::Error::other("the server address resolves to nothing"));
-    for sock in addr.to_socket_addrs()? {
-        dialed = TcpStream::connect_timeout(&sock, patience);
-        if dialed.is_ok() {
-            break;
-        }
-    }
-    let stream = dialed?;
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(patience))?;
-    stream.set_write_timeout(Some(patience))?;
-    Ok(stream)
-}
-
-/// Writes one frame on the open connection and reads one back; a reply
-/// that does not come within the stream's timeout is a lost connection.
-fn exchange(stream: &mut Option<TcpStream>, msg: &Message, codec: Codec) -> Input {
-    let Some(stream) = stream else {
-        return Input::Lost;
-    };
-    match write_message_with(stream, msg, codec).and_then(|()| read_message(stream)) {
-        Ok(Some(reply)) => Input::Frame(reply),
-        Ok(None) | Err(_) => Input::Lost,
-    }
-}
-
 /// Computes one workunit through the §4.3 checkpoint, position by
 /// position — on `threads > 1`, each position's orientation fan runs on
 /// the shared rayon pool with a thread-local cap.
-fn compute_workunit(
+pub(crate) fn compute_workunit(
     campaign: &NetCampaign,
     workunit: u32,
-    isep_start: u32,
-    positions: u32,
     threads: usize,
 ) -> DockingOutput {
     let spec = campaign.spec(workunit);
-    debug_assert_eq!((spec.isep_start, spec.positions), (isep_start, positions));
     let engine = campaign.engine(spec);
-    let mut cp = DockingCheckpoint::new(isep_start, isep_start + positions - 1);
+    let mut cp = DockingCheckpoint::new(spec.isep_start, spec.isep_start + spec.positions - 1);
     while !cp.is_complete() {
         let next = cp.next_isep;
         let out = if threads > 1 {
@@ -638,14 +525,6 @@ fn compute_workunit(
 pub(crate) mod tests {
     use super::*;
     use crate::protocol::{CampaignParams, PROTOCOL_VERSION};
-    use std::net::TcpListener;
-
-    /// A scripted server's listener on an ephemeral port, and its address.
-    pub(crate) fn listen() -> (TcpListener, String) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        (listener, addr)
-    }
 
     pub(crate) fn hello_ack() -> Message {
         Message::HelloAck {
@@ -663,109 +542,15 @@ pub(crate) mod tests {
         }
     }
 
-    fn campaign_done() -> Message {
+    pub(crate) fn campaign_done() -> Message {
         Message::NoWork {
             campaign_complete: true,
             retry_after_ms: 0,
         }
     }
 
-    /// Plays a scripted session on `s`: `Hello` gets a tiny-campaign
-    /// `HelloAck`, every `RequestWork` gets `on_ask()`, until the agent
-    /// says `Bye` or drops the connection.
-    pub(crate) fn serve(s: &mut TcpStream, mut on_ask: impl FnMut() -> Message) {
-        loop {
-            let reply = match read_message(s) {
-                Ok(Some(Message::Hello { .. })) => hello_ack(),
-                Ok(Some(Message::RequestWork)) => on_ask(),
-                _ => return,
-            };
-            if write_message_with(s, &reply, Codec).is_err() {
-                return;
-            }
-        }
-    }
-
-    /// Regression: an agent whose *every* assignment drew a disconnect
-    /// fault has `reported == 0` when the server exits. That agent ran
-    /// exactly as configured, so giving up on a vanished server must be
-    /// `Ok(report)` — it used to demand `reported > 0` and returned the
-    /// connect error instead. One that never got an assignment does
-    /// return it. (`stepped_give_up_with_assignments_but_no_reports_is_ok`
-    /// is the session's side; this is `run_agent`'s over refused dials.)
-    #[test]
-    fn give_up_with_assignments_but_no_reports_is_ok() {
-        let (listener, addr) = listen();
-        let home = addr.clone();
-        let server = std::thread::spawn(move || {
-            let (mut s, _) = listener.accept().unwrap();
-            // Close the listener immediately: once the faulty agent
-            // drops this connection, every reconnect is refused.
-            drop(listener);
-            let campaign = NetCampaign::build(CampaignParams::tiny());
-            let spec = campaign.spec(0);
-            serve(&mut s, || Message::Assignment {
-                replica: 0,
-                workunit: 0,
-                receptor: spec.receptor.0,
-                ligand: spec.ligand.0,
-                isep_start: spec.isep_start,
-                positions: spec.positions,
-                deadline_seconds: 5.0,
-                campaign: 0,
-            });
-        });
-
-        let report = run_agent(AgentConfig {
-            profile: FaultProfile {
-                disconnect: 1.0,
-                stall: 0.0,
-                corrupt: 0.0,
-            },
-            max_connect_attempts: 3,
-            ..AgentConfig::new(addr, 9)
-        })
-        .expect("an agent that received assignments made progress");
-        assert!(report.assignments >= 1, "{report:?}");
-        assert_eq!(report.reported, 0, "every assignment disconnected");
-        assert_eq!(report.disconnect_faults, report.assignments);
-        assert!(!report.saw_completion);
-        server.join().unwrap();
-
-        let idle = run_agent(AgentConfig {
-            max_connect_attempts: 1,
-            ..AgentConfig::new(home, 10)
-        });
-        assert!(
-            idle.is_err(),
-            "nothing to show is the connect error: {idle:?}"
-        );
-    }
-
-    /// A server that accepts and then says nothing holds a blocking
-    /// agent only as long as the stream's timeout: the unanswered
-    /// `Hello` comes back `Lost`, which the session already handles.
-    /// (The connection completes in the listener's backlog; nobody
-    /// accepts it, let alone answers.)
-    #[test]
-    fn a_silent_server_is_a_lost_connection_within_the_timeout() {
-        let (_silent, addr) = listen();
-        let began = Instant::now();
-        let mut stream = Some(dial(&addr, Duration::from_millis(200)).unwrap());
-        let hello = Message::Hello {
-            agent: 1,
-            threads: 1,
-            campaigns: Vec::new(),
-        };
-        let heard = exchange(&mut stream, &hello, Codec);
-        assert!(matches!(heard, Input::Lost), "{heard:?}");
-        let took = began.elapsed();
-        assert!(took >= Duration::from_millis(200), "{took:?}: it waited");
-        assert!(took < Duration::from_secs(1), "{took:?}");
-    }
-
-    // ---- The same volunteer with no socket, no sleep and no thread:
-    // a bare `Session` told what happened, step by step. ----
+    // ---- A bare `Session` told what happened, step by step: no
+    // socket, no sleep and no thread. ----
 
     fn hello(agent: u64, campaigns: &[&str]) -> Step {
         Step::Send(Message::Hello {
@@ -898,7 +683,7 @@ pub(crate) mod tests {
                 (Input::Lost, Step::Dial("home".into())),
                 (Input::Connected, hello(12, &[])),
                 (Input::Frame(hello_ack()), Step::Ask),
-                // The same NoWork at home is a wait on the open socket.
+                // The same NoWork at home is a wait, then the next ask.
                 (Input::Frame(no_work(5)), ms(5)),
                 (Input::Woke, Step::Ask),
             ],
@@ -1213,9 +998,9 @@ pub(crate) mod tests {
         let campaign = NetCampaign::build(CampaignParams::tiny());
         let spec = campaign.spec(0);
         let direct = campaign.compute(spec);
-        let via_checkpoint = compute_workunit(&campaign, 0, spec.isep_start, spec.positions, 1);
+        let via_checkpoint = compute_workunit(&campaign, 0, 1);
         assert_eq!(via_checkpoint, direct);
-        let parallel = compute_workunit(&campaign, 0, spec.isep_start, spec.positions, 4);
+        let parallel = compute_workunit(&campaign, 0, 4);
         assert_eq!(parallel, direct, "thread count must not change bytes");
     }
 }

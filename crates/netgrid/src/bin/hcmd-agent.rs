@@ -13,6 +13,13 @@
 //! to exercise the server's reissue and quorum machinery. There is no
 //! wire format to pick: agent and server speak the one protocol.
 //!
+//! Like a periodic BOINC client, the agent holds no connection while it
+//! waits: told `NoWork` or `Busy`, it says `Bye`, hangs up, and dials
+//! again when the wait is over. A server that finished meanwhile
+//! refuses the dial; the agent then exits once its connect attempts run
+//! out (about 2.5 s), with its report if it ever got work and with the
+//! connect error if it did not.
+//!
 //! Against a multi-campaign server, `--campaigns a,b` volunteers only
 //! for the named campaigns and `--campaigns '*'` for all of them;
 //! without the flag the agent lands on the server's default (first)

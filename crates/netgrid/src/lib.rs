@@ -36,11 +36,12 @@
 //! * [`ops`] — the read-only HTTP endpoint (`GET /metrics`, `GET /`):
 //!   renders the server's `MultiGrid` in place, between two frames;
 //! * [`agent`] — the volunteer: its protocol decisions as a sans-IO
-//!   state machine, and the blocking driver that runs one with a socket
-//!   and real multicore docking (fetch → dock → checkpoint → report);
-//! * [`mux`] — the other driver: one thread carrying thousands of those
-//!   state machines over nonblocking sockets, for scale benchmarking
-//!   without a thread per agent;
+//!   state machine, and the checkpointed multicore docking it asks for
+//!   (fetch → dock → checkpoint → report);
+//! * [`mux`] — its one driver: one thread carrying one of those state
+//!   machines (`run_agent`, docking on that thread) or thousands (a
+//!   fleet, for scale benchmarking without a thread per agent) over
+//!   nonblocking sockets;
 //! * [`registry`] — one server's decisions, sans-IO and sans-clock: N
 //!   isolated campaign states under a deficit-weighted fair-share
 //!   ledger, the peer-shard picture, and the server half of the
@@ -83,11 +84,11 @@ pub mod trust;
 #[cfg(test)]
 mod world;
 
-pub use agent::{run_agent, AgentConfig, AgentReport};
+pub use agent::{AgentConfig, AgentReport};
 pub use campaign::NetCampaign;
 pub use faults::{FaultAction, FaultDice, FaultProfile, ServerFaults};
 pub use journal::{FsyncPolicy, JournalConfig, JournalRecord, RecordReader};
-pub use mux::{run_mux_fleet, MuxFleetConfig, MuxFleetReport};
+pub use mux::{run_agent, run_mux_fleet, MuxFleetConfig, MuxFleetReport};
 pub use ops::http_get;
 pub use protocol::{CampaignParams, Codec, DecodeError, Message};
 pub use registry::{CampaignDef, Command, MultiGrid, Outcome, Slot};

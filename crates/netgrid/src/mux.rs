@@ -1,39 +1,37 @@
-//! The multiplexed fleet driver: thousands of simulated volunteers on
-//! one thread.
+//! The volunteer driver: every agent's I/O, on one thread.
 //!
-//! A volunteer is a [`Session`]: it decides everything the protocol
-//! leaves to an agent — what to say after each reply, when to follow a
-//! `Redirect` and when to go home, how long to back off, what each
-//! injected fault does. [`crate::agent::run_agent`] drives one session
-//! with a blocking socket and the calling thread, which is faithful but
-//! cannot scale a loopback bench past a few dozen agents: 10 000
-//! volunteers would need 10 000 stacks. This module drives N sessions
-//! through nonblocking sockets on a single thread. It makes no protocol
-//! decision; it only chooses how to carry out three of the steps a
-//! session hands it, each differently from the blocking driver, each
-//! for scale rather than fidelity, and no others:
+//! A volunteer is a [`Session`], which decides everything the protocol
+//! leaves to an agent. This module carries its steps out over
+//! nonblocking sockets, for one session ([`run_agent`], `hcmd-agent`'s
+//! volunteer) or for thousands ([`run_mux_fleet`]; blocking sockets
+//! would need as many stacks). It makes no protocol decision; it only
+//! chooses how to carry out four kinds of step, and no others:
 //!
-//! * **A `Compute` is memoized.** Every unique workunit is docked once,
-//!   on a helper thread, and every session that is handed it gets a
-//!   clone (a corrupting session mutates its own). 10 000 agents
-//!   re-docking the same 33 workunits would measure the docking kernel,
-//!   not the server's wire path — and a compute on the driver thread
-//!   would poison every other agent's latency sample.
-//! * **A `Wait` is spent with the connection closed.** The blocking
-//!   driver sleeps on an open socket; here the agent says `Bye`, closes,
-//!   and when the wait — stretched by up to 25 % of id-salted jitter,
-//!   so ten thousand agents told the same backoff do not re-dial as one
-//!   SYN storm — is over the session is told its connection is gone: it
-//!   dials, greets and asks again, the same next ask a slept wait leads
-//!   to. That is how periodic BOINC volunteers actually behave, and it
-//!   keeps the peak open-fd count under [`MAX_OPEN`]. The one wait
-//!   slept on the open socket is a stall fault's, because the result it
-//!   sits on must still ride that connection.
+//! * **A `Dial` and each frame sent get [`IO_TIMEOUT`]**: a connect
+//!   that takes longer failed, and a frame unanswered as long is a lost
+//!   connection.
+//! * **A `Wait` is spent with the connection closed.** The agent says
+//!   `Bye`, closes, and when the wait — stretched by up to 25 % of
+//!   id-salted jitter, so ten thousand agents told the same backoff do
+//!   not re-dial as one SYN storm — is over, the session hears that its
+//!   connection is gone: it dials, greets and asks again, the same next
+//!   ask a slept wait leads to. That is how periodic BOINC volunteers
+//!   behave, and it keeps a fleet's open fds under [`MAX_OPEN`]. Only a
+//!   stall fault's wait is slept on the open socket: the result it sits
+//!   on must still ride that connection.
+//! * **A `Compute` docks where it holds up no other agent.** A lone
+//!   agent docks, and dials, on the driver thread, with its own
+//!   `threads`. A fleet docks each unique workunit once on a helper pool
+//!   and hands every session its own clone (a corrupting one mutates
+//!   it): 10 000 agents re-docking the same 33 workunits would measure
+//!   the kernel, not the server's wire path, and a dock on the driver
+//!   thread would poison every other agent's latency sample. A fleet's
+//!   dials run on a connector pool for the same reason.
 //! * **An `Ask` waits for admission.** At most [`MAX_INFLIGHT_ASKS`]
 //!   `RequestWork` frames are in flight at once; asks past the cap park
 //!   in a FIFO until a reply frees a slot.
 
-use crate::agent::{AgentConfig, Input, Session, Step};
+use crate::agent::{compute_workunit, AgentConfig, AgentReport, Input, Outcome, Session, Step};
 use crate::campaign::NetCampaign;
 use crate::faults::FaultProfile;
 use crate::protocol::{decode_versioned, encode_with, Codec, DecodeError, Message};
@@ -41,7 +39,7 @@ use crate::sys::{Event as IoEvent, Poller, ReadBuf};
 use maxdo::DockingOutput;
 use std::collections::{HashMap, VecDeque};
 use std::io;
-use std::net::TcpStream;
+use std::net::{TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
@@ -128,17 +126,17 @@ enum AState {
     WantsDial(String),
     /// Handed to the connector pool; waiting for the dialed socket.
     Connecting,
-    /// A frame is out (or a stalled result is in hand) on an open
-    /// connection; whatever arrives on it goes to the session.
+    /// A frame is out on an open connection; whatever arrives on it
+    /// goes to the session.
     Talking,
     /// An `Ask` held back by the in-flight cap; queued in the driver's
     /// `ask_queue`.
     AskPending,
     /// `RequestWork` sent at `asked`, awaiting the reply.
     Asking { asked: Instant },
-    /// A `Compute` waiting for the shared docking of this (campaign,
-    /// workunit).
-    AwaitCompute((u16, u32)),
+    /// A `Compute` waiting for the fleet's shared docking of this
+    /// (campaign, workunit).
+    AwaitCompute(Key),
 }
 
 /// One agent: its session, what the driver is doing for it, and (while
@@ -148,6 +146,9 @@ struct MuxAgent {
     session: Session,
     state: AState,
     conn: Option<MuxConn>,
+    /// When the frame last sent has gone unanswered too long; `None`
+    /// once anything has happened to the session since.
+    reply_due: Option<Instant>,
 }
 
 struct MuxConn {
@@ -177,14 +178,21 @@ enum CacheEntry {
     Ready(DockingOutput),
 }
 
-/// How often the driver scans agent timers (waits, connect queue) when
-/// no socket is ready — also the poll-timeout ceiling.
+/// How long a dial may take, and the reply to a frame sent, before the
+/// driver calls the server lost: a live server answers within a turn of
+/// its loop, and one that accepts and then says nothing would otherwise
+/// hold a volunteer until the kernel gave up. A `Wait` is timed on its
+/// own, so a stall past the replica deadline is not cut short by it.
+const IO_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// A fleet's poll-timeout ceiling: its pools answer on channels the
+/// poller cannot see. A lone agent's driver sleeps until its next timer.
 const TIMER_TICK: Duration = Duration::from_millis(5);
 
 /// Connector-pool width. Dialing is blocking (a dropped SYN under
 /// backlog pressure stalls `connect` for a full retransmit timeout),
-/// so it happens on these helper threads: one slow dial delays at most
-/// the dials queued behind it on the same worker, never the driver.
+/// so a fleet dials on these helper threads: one slow dial delays at
+/// most the dials queued behind it on the same worker, never the driver.
 const CONNECT_WORKERS: usize = 4;
 
 /// Dials handed to the connector pool per driver iteration: the pool is
@@ -228,7 +236,7 @@ fn pool<J: Send + 'static, R: Send + 'static>(
     workers: usize,
     init: fn(),
     work: fn(J) -> R,
-) -> (mpsc::Sender<J>, mpsc::Receiver<R>) {
+) -> Pool<J, R> {
     let (job_tx, jobs) = mpsc::channel::<J>();
     let (done, results) = mpsc::channel();
     let jobs = Arc::new(Mutex::new(jobs));
@@ -249,14 +257,105 @@ fn pool<J: Send + 'static, R: Send + 'static>(
     (job_tx, results)
 }
 
+/// Connects to the first of `addr`'s addresses to answer within
+/// `patience`.
+fn connect(addr: &str, patience: Duration) -> io::Result<TcpStream> {
+    let mut dialed = Err(io::Error::other("the server address resolves to nothing"));
+    for sock in addr.to_socket_addrs()? {
+        dialed = TcpStream::connect_timeout(&sock, patience);
+        if dialed.is_ok() {
+            break;
+        }
+    }
+    dialed
+}
+
+/// Runs one volunteer until its session finishes — the campaign
+/// completes, it dies on purpose (`die_after`), or its connect budget
+/// runs out — on the calling thread, which dials, docks and waits in the
+/// poller in between. A session that gave up with nothing to show for
+/// it returns the last dial's error.
+pub fn run_agent(config: AgentConfig) -> io::Result<AgentReport> {
+    let mut driver = Driver::new(vec![config], None)?;
+    driver.run()?;
+    if driver.ended == Some(Outcome::GaveUp) {
+        return Err(driver
+            .dial_error
+            .expect("a session gives up only on a failed dial"));
+    }
+    let mut report = std::mem::take(&mut driver.agents[0].session.report);
+    report.request_latencies_ms = std::mem::take(&mut driver.report.request_latencies_ms);
+    Ok(report)
+}
+
 /// Runs the whole fleet to campaign completion (or the timeout) on the
 /// calling thread.
 pub fn run_mux_fleet(config: MuxFleetConfig) -> io::Result<MuxFleetReport> {
-    Driver::new(config)?.run()
+    let agents = (1..=config.agents as u64).map(|id| {
+        // Where this agent calls home: round-robin over `addrs` when a
+        // sharded topology is configured.
+        let home = match config.addrs.len() {
+            0 => &config.addr,
+            shards => &config.addrs[(id - 1) as usize % shards],
+        };
+        AgentConfig {
+            // Saboteurs corrupt unconditionally; everyone else rolls
+            // the configured profile.
+            profile: if id <= config.saboteurs as u64 {
+                FaultProfile::saboteur()
+            } else {
+                config.profile
+            },
+            seed: config.seed,
+            campaigns: config.campaigns.clone(),
+            // A simulated volunteer never switches itself off and never
+            // despairs of its server: the fleet ends by completion or by
+            // `timeout`.
+            max_connect_attempts: u32::MAX,
+            ..AgentConfig::new(home.clone(), id)
+        }
+    });
+    let mut driver = Driver::new(agents.collect(), Some(config.timeout))?;
+    driver.run()?;
+    let mut report = std::mem::take(&mut driver.report);
+    for agent in &driver.agents {
+        let agent = &agent.session.report;
+        report.assignments += agent.assignments;
+        report.reported += agent.reported;
+        report.accepted += agent.accepted;
+        report.disconnect_faults += agent.disconnect_faults;
+        report.stall_faults += agent.stall_faults;
+        report.corrupt_faults += agent.corrupt_faults;
+        report.redirects_followed += agent.redirects_followed;
+    }
+    // Fleet sessions neither die on purpose nor give up, so the one
+    // that finished saw the campaign complete.
+    report.saw_completion = driver.ended.is_some();
+    Ok(report)
+}
+
+/// A job queue into a helper pool, and the results coming back.
+type Pool<J, R> = (mpsc::Sender<J>, mpsc::Receiver<R>);
+
+/// A docking's campaign id and workunit: the same workunit index names
+/// different work in different campaigns.
+type Key = (u16, u32);
+
+/// A fleet's helpers, which a lone agent does without.
+struct Pools {
+    /// Docking jobs, and their results.
+    compute: Pool<(Key, Arc<NetCampaign>), (Key, DockingOutput)>,
+    /// What `compute` docked or is docking: each workunit once.
+    cache: HashMap<Key, CacheEntry>,
+    dial: Pool<(usize, String, Duration), (usize, io::Result<TcpStream>)>,
 }
 
 struct Driver {
-    timeout: Duration,
+    /// A fleet's `timeout`, as an instant; `run_agent` runs until its
+    /// session finishes.
+    deadline: Option<Instant>,
+    /// [`IO_TIMEOUT`], which a test shortens.
+    io_timeout: Duration,
     poller: Poller,
     agents: Vec<MuxAgent>,
     /// fd → agent index, for routing readiness events.
@@ -265,15 +364,10 @@ struct Driver {
     /// `Compute` needs one and shared by the whole fleet; indexed by the
     /// wire campaign id.
     roster: Vec<Arc<NetCampaign>>,
-    /// Memoized docking results, keyed by campaign id + workunit — the
-    /// same workunit index names different work in different campaigns.
-    cache: HashMap<(u16, u32), CacheEntry>,
-    /// Finished docking results from the compute pool.
-    compute_rx: mpsc::Receiver<((u16, u32), DockingOutput)>,
-    /// Docking jobs for the persistent compute pool.
-    compute_job_tx: mpsc::Sender<((u16, u32), Arc<NetCampaign>)>,
-    dial_tx: mpsc::Sender<(usize, String)>,
-    dialed_rx: mpsc::Receiver<(usize, io::Result<TcpStream>)>,
+    /// `None` for a lone agent, which dials and docks on this thread.
+    pools: Option<Pools>,
+    /// A lone agent's `AgentConfig::threads`; the pool docks on one.
+    threads: usize,
     /// Dials handed to the pool and not yet back; counts against
     /// `MAX_OPEN` so in-flight connects can't overshoot the fd budget.
     pending_connects: usize,
@@ -286,93 +380,81 @@ struct Driver {
     /// and counts; the sessions' counters are summed in at the end.
     report: MuxFleetReport,
     open: usize,
-    complete: bool,
+    /// How the first session to finish ended; that ends the run.
+    ended: Option<Outcome>,
+    /// The last dial that failed: a session that gives up returns it.
+    dial_error: Option<io::Error>,
 }
 
 impl Driver {
-    fn new(config: MuxFleetConfig) -> io::Result<Self> {
+    fn new(agents: Vec<AgentConfig>, timeout: Option<Duration>) -> io::Result<Self> {
         let start = Instant::now();
-        let agents = (1..=config.agents as u64)
-            .map(|id| {
-                // Where this agent calls home: round-robin over `addrs`
-                // when a sharded topology is configured.
-                let home = match config.addrs.len() {
-                    0 => &config.addr,
-                    shards => &config.addrs[(id - 1) as usize % shards],
-                };
-                let session = Session::new(AgentConfig {
-                    // Saboteurs corrupt unconditionally; everyone else
-                    // rolls the configured profile.
-                    profile: if id <= config.saboteurs as u64 {
-                        FaultProfile::saboteur()
-                    } else {
-                        config.profile
-                    },
-                    seed: config.seed,
-                    campaigns: config.campaigns.clone(),
-                    // A simulated volunteer never switches itself off
-                    // and never despairs of its server: the fleet ends
-                    // by completion or by `timeout`.
-                    max_connect_attempts: u32::MAX,
-                    ..AgentConfig::new(home.clone(), id)
-                });
-                MuxAgent {
-                    id,
-                    session,
-                    state: AState::Waiting {
-                        until: start,
-                        closed: false,
-                    },
-                    conn: None,
-                }
-            })
-            .collect();
+        let threads = agents.first().map_or(1, |config| config.threads);
         // The docking kernel must not starve the driver (or the server,
         // on a loopback bench sharing its core): compute runs at the
         // lowest scheduling priority.
-        let (compute_job_tx, compute_rx) = pool(
-            compute_workers(),
-            crate::sys::deprioritize_current_thread,
-            |(key, campaign): ((u16, u32), Arc<NetCampaign>)| {
-                (key, campaign.compute(campaign.spec(key.1)))
-            },
-        );
-        let (dial_tx, dialed_rx) = pool(
-            CONNECT_WORKERS,
-            || (),
-            |(idx, addr): (usize, String)| (idx, TcpStream::connect(&addr)),
-        );
+        let pools = (agents.len() > 1).then(|| Pools {
+            compute: pool(
+                compute_workers(),
+                crate::sys::deprioritize_current_thread,
+                |(key, campaign): (Key, Arc<NetCampaign>)| {
+                    (key, compute_workunit(&campaign, key.1, 1))
+                },
+            ),
+            cache: HashMap::new(),
+            dial: pool(
+                CONNECT_WORKERS,
+                || (),
+                |(idx, addr, patience)| (idx, connect(&addr, patience)),
+            ),
+        });
+        let agents = agents
+            .into_iter()
+            .map(|config| MuxAgent {
+                id: config.agent,
+                session: Session::new(config),
+                state: AState::Waiting {
+                    until: start,
+                    closed: false,
+                },
+                conn: None,
+                reply_due: None,
+            })
+            .collect();
         Ok(Self {
-            timeout: config.timeout,
+            deadline: timeout.map(|timeout| start + timeout),
+            io_timeout: IO_TIMEOUT,
             poller: Poller::new()?,
             agents,
             by_fd: HashMap::new(),
             roster: Vec::new(),
-            cache: HashMap::new(),
-            compute_rx,
-            compute_job_tx,
-            dial_tx,
-            dialed_rx,
+            pools,
+            threads,
             pending_connects: 0,
             inflight_asks: 0,
             ask_queue: VecDeque::new(),
             report: MuxFleetReport::default(),
             open: 0,
-            complete: false,
+            ended: None,
+            dial_error: None,
         })
     }
 
-    fn run(mut self) -> io::Result<MuxFleetReport> {
-        let deadline = Instant::now() + self.timeout;
+    fn run(&mut self) -> io::Result<()> {
         let mut events: Vec<IoEvent> = Vec::new();
-        while !self.complete && Instant::now() <= deadline {
-            self.drain_compute_results();
-            self.drain_dialed();
+        while self.ended.is_none() && self.deadline.is_none_or(|end| Instant::now() <= end) {
+            self.drain_pools();
             self.fire_timers();
             self.pump_asks();
-            self.poller.wait(Some(TIMER_TICK), &mut events)?;
+            let timeout = match self.pools {
+                Some(_) => Some(TIMER_TICK),
+                None => self
+                    .next_due()
+                    .map(|due| due.saturating_duration_since(Instant::now())),
+            };
+            self.poller.wait(timeout, &mut events)?;
             for ev in events.drain(..) {
-                if self.complete {
+                if self.ended.is_some() {
                     break;
                 }
                 if let Some(&idx) = self.by_fd.get(&ev.fd) {
@@ -380,28 +462,30 @@ impl Driver {
                 }
             }
         }
-        // Fleet shutdown: every socket drops at once; the server sees
-        // the EOFs and drains within its grace window.
-        let mut report = std::mem::take(&mut self.report);
+        // Shutdown: every socket drops at once; the server sees the
+        // EOFs and drains within its grace window.
         for idx in 0..self.agents.len() {
             self.disconnect(idx);
-            let agent = &self.agents[idx].session.report;
-            report.assignments += agent.assignments;
-            report.reported += agent.reported;
-            report.accepted += agent.accepted;
-            report.disconnect_faults += agent.disconnect_faults;
-            report.stall_faults += agent.stall_faults;
-            report.corrupt_faults += agent.corrupt_faults;
-            report.redirects_followed += agent.redirects_followed;
         }
-        report.saw_completion = self.complete;
-        Ok(report)
+        Ok(())
+    }
+
+    /// When a lone agent's driver next has work no socket wakes it for:
+    /// a wait or a reply deadline running out, a dial, the run's end.
+    fn next_due(&self) -> Option<Instant> {
+        let agents = self.agents.iter().filter_map(|agent| match agent.state {
+            AState::Waiting { until, .. } => Some(until),
+            AState::WantsDial(_) => Some(Instant::now()),
+            _ => agent.reply_due,
+        });
+        agents.chain(self.deadline).min()
     }
 
     /// Tells the agent's session what happened and carries out the step
     /// it answers with. An ask in flight ends here, whatever ended it;
     /// one a frame answered is a latency sample.
     fn feed(&mut self, idx: usize, input: Input) {
+        self.agents[idx].reply_due = None;
         if let AState::Asking { asked } = self.agents[idx].state {
             self.inflight_asks -= 1;
             // So a step that feeds again (a `Bye`, a failed write)
@@ -421,6 +505,8 @@ impl Driver {
     fn perform(&mut self, idx: usize, step: Step) {
         match step {
             Step::Dial(addr) => {
+                // Closed before the dial, not by it: a server at its
+                // connection limit must see the old socket go first.
                 self.disconnect(idx);
                 self.agents[idx].state = AState::WantsDial(addr);
             }
@@ -441,12 +527,40 @@ impl Driver {
                 isep_start,
                 positions,
             } => {
-                self.agents[idx].state = AState::AwaitCompute((campaign, workunit));
-                self.request_compute(idx, (campaign, workunit), (isep_start, positions));
+                let key = (campaign, workunit);
+                self.agents[idx].state = AState::AwaitCompute(key);
+                if self.roster.is_empty() {
+                    let recipes = self.agents[idx].session.roster().iter();
+                    self.roster = recipes.map(|p| Arc::new(NetCampaign::build(*p))).collect();
+                }
+                // The session only hands out campaigns on its roster.
+                let campaign = Arc::clone(&self.roster[usize::from(campaign)]);
+                let spec = campaign.spec(workunit);
+                debug_assert_eq!((spec.isep_start, spec.positions), (isep_start, positions));
+                let docked = match &mut self.pools {
+                    None => Some(compute_workunit(&campaign, workunit, self.threads)),
+                    Some(pools) => match pools.cache.get_mut(&key) {
+                        Some(CacheEntry::Ready(out)) => Some(out.clone()),
+                        Some(CacheEntry::Pending(waiters)) => {
+                            waiters.push(idx);
+                            None
+                        }
+                        None => {
+                            pools.cache.insert(key, CacheEntry::Pending(vec![idx]));
+                            // A send fails only once the compute pool is
+                            // gone, on teardown; nobody is left waiting.
+                            let _ = pools.compute.0.send((key, campaign));
+                            None
+                        }
+                    },
+                };
+                if let Some(output) = docked {
+                    self.deliver_compute(idx, key, output);
+                }
             }
             Step::Wait(pause) => {
                 // Release the socket across the wait (see the module
-                // docs on fd budgets) and spread the reconnects.
+                // docs) and spread the reconnects.
                 let closed = self.hang_up(idx);
                 let ms = pause.as_millis() as u64;
                 let jitter = (self.agents[idx].id.wrapping_mul(0x9e37_79b9) >> 7) % (ms / 4 + 1);
@@ -459,28 +573,36 @@ impl Driver {
                 self.hang_up(idx);
                 self.feed(idx, Input::Lost);
             }
-            // Fleet sessions neither die on purpose nor give up, so one
-            // that finished saw the campaign complete — and with it the
-            // fleet: `run` closes every socket.
-            Step::Finished(_) => self.complete = true,
-        }
-    }
-
-    /// Hands finished docking computes to the sessions waiting on them.
-    fn drain_compute_results(&mut self) {
-        while let Ok((key, output)) = self.compute_rx.try_recv() {
-            if let Some(CacheEntry::Pending(waiters)) = self.cache.remove(&key) {
-                for idx in waiters {
-                    self.deliver_compute(idx, key, output.clone());
-                }
+            Step::Finished(outcome) => {
+                self.ended.get_or_insert(outcome);
             }
-            self.cache.insert(key, CacheEntry::Ready(output));
         }
     }
 
-    /// Answers one agent's `Compute` with its own clone of the shared
-    /// result — unless the agent has moved on since it asked.
-    fn deliver_compute(&mut self, idx: usize, key: (u16, u32), output: DockingOutput) {
+    /// Hands what a fleet's pools finished to the sessions waiting on
+    /// it: dialed sockets, and docking results to every agent handed
+    /// that workunit meanwhile.
+    fn drain_pools(&mut self) {
+        while let Some(pools) = &mut self.pools {
+            if let Ok((idx, dialed)) = pools.dial.1.try_recv() {
+                self.pending_connects -= 1;
+                self.connected(idx, dialed);
+            } else if let Ok((key, output)) = pools.compute.1.try_recv() {
+                let ready = CacheEntry::Ready(output.clone());
+                if let Some(CacheEntry::Pending(waiters)) = pools.cache.insert(key, ready) {
+                    for idx in waiters {
+                        self.deliver_compute(idx, key, output.clone());
+                    }
+                }
+            } else {
+                return;
+            }
+        }
+    }
+
+    /// Answers one agent's `Compute` with its own copy of the result —
+    /// unless the agent has moved on since it asked.
+    fn deliver_compute(&mut self, idx: usize, key: Key, output: DockingOutput) {
         if !matches!(self.agents[idx].state, AState::AwaitCompute(asked) if asked == key) {
             return;
         }
@@ -499,9 +621,10 @@ impl Driver {
         }
     }
 
-    /// Timer scan: end the waits that have run out, and hand waiting
-    /// dials to the connector pool (bounded by the connect batch and the
-    /// open-socket cap).
+    /// Timer scan: end the waits that have run out, call the connections
+    /// whose reply is overdue lost, and dial — a lone agent here, a
+    /// fleet through the connector pool (bounded by the connect batch
+    /// and the open-socket cap).
     fn fire_timers(&mut self) {
         let now = Instant::now();
         let mut budget = CONNECT_BATCH;
@@ -511,13 +634,22 @@ impl Driver {
                     self.feed(idx, if closed { Input::Lost } else { Input::Woke });
                 }
             }
+            if self.agents[idx].reply_due.is_some_and(|due| now >= due) {
+                self.feed(idx, Input::Lost);
+            }
             if let AState::WantsDial(addr) = &self.agents[idx].state {
                 if budget == 0 || self.open + self.pending_connects >= MAX_OPEN {
                     continue;
                 }
+                let addr = addr.clone();
+                let Some(pools) = &self.pools else {
+                    let dialed = connect(&addr, self.io_timeout);
+                    self.connected(idx, dialed);
+                    continue;
+                };
                 // A send fails only once the connector pool is gone, on
                 // teardown; the dial keeps waiting.
-                if self.dial_tx.send((idx, addr.clone())).is_ok() {
+                if pools.dial.0.send((idx, addr, self.io_timeout)).is_ok() {
                     budget -= 1;
                     self.pending_connects += 1;
                     self.agents[idx].state = AState::Connecting;
@@ -526,40 +658,44 @@ impl Driver {
         }
     }
 
-    /// Collects dialed sockets from the connector pool and wires them
-    /// into the poller; one that cannot be is a failed dial.
-    fn drain_dialed(&mut self) {
-        while let Ok((idx, dialed)) = self.dialed_rx.try_recv() {
-            self.pending_connects -= 1;
-            let wired = dialed.and_then(|stream| {
-                let _ = stream.set_nodelay(true);
-                stream.set_nonblocking(true)?;
-                self.poller.register(stream.as_raw_fd(), true, false)?;
-                Ok(stream)
-            });
-            let Ok(stream) = wired else {
-                self.feed(idx, Input::ConnectFailed);
-                continue;
-            };
-            self.by_fd.insert(stream.as_raw_fd(), idx);
-            self.agents[idx].conn = Some(MuxConn {
-                stream,
-                read_buf: ReadBuf::default(),
-                write_buf: Vec::new(),
-                write_pos: 0,
-                interest: (true, false),
-            });
-            self.open += 1;
-            self.report.connections += 1;
-            self.feed(idx, Input::Connected);
-        }
+    /// Wires a dialed socket into the poller and tells the session; a
+    /// socket that cannot be wired is a failed dial.
+    fn connected(&mut self, idx: usize, dialed: io::Result<TcpStream>) {
+        let wired = dialed.and_then(|stream| {
+            let _ = stream.set_nodelay(true);
+            stream.set_nonblocking(true)?;
+            self.poller.register(stream.as_raw_fd(), true, false)?;
+            Ok(stream)
+        });
+        let stream = match wired {
+            Ok(stream) => stream,
+            Err(e) => {
+                self.dial_error = Some(e);
+                return self.feed(idx, Input::ConnectFailed);
+            }
+        };
+        self.by_fd.insert(stream.as_raw_fd(), idx);
+        self.agents[idx].conn = Some(MuxConn {
+            stream,
+            read_buf: ReadBuf::default(),
+            write_buf: Vec::new(),
+            write_pos: 0,
+            interest: (true, false),
+        });
+        self.open += 1;
+        self.report.connections += 1;
+        self.feed(idx, Input::Connected);
     }
 
-    /// Sends `msg` on the agent's connection; leftover bytes raise write
-    /// interest, and no connection to send on is a lost one.
+    /// Sends `msg` on the agent's connection, due a reply within the
+    /// I/O timeout; leftover bytes raise write interest, and no
+    /// connection to send on is a lost one.
     fn queue_frame(&mut self, idx: usize, msg: &Message) {
         match self.agents[idx].conn.as_mut().map(|conn| conn.send(msg)) {
-            Some(Ok(_)) => self.update_interest(idx),
+            Some(Ok(_)) => {
+                self.agents[idx].reply_due = Some(Instant::now() + self.io_timeout);
+                self.update_interest(idx);
+            }
             Some(Err(_)) | None => self.feed(idx, Input::Lost),
         }
     }
@@ -661,40 +797,67 @@ impl Driver {
         }
         self.update_interest(idx);
     }
-
-    /// Ensures the docking result of `key` (campaign, workunit) exists or
-    /// is being computed; delivers immediately on a cache hit.
-    fn request_compute(&mut self, idx: usize, key: (u16, u32), slice: (u32, u32)) {
-        match self.cache.get_mut(&key) {
-            Some(CacheEntry::Ready(out)) => {
-                let out = out.clone();
-                self.deliver_compute(idx, key, out);
-            }
-            Some(CacheEntry::Pending(waiters)) => waiters.push(idx),
-            None => {
-                if self.roster.is_empty() {
-                    let recipes = self.agents[idx].session.roster().iter();
-                    self.roster = recipes.map(|p| Arc::new(NetCampaign::build(*p))).collect();
-                }
-                // The session only hands out campaigns on its roster.
-                let campaign = Arc::clone(&self.roster[usize::from(key.0)]);
-                let spec = campaign.spec(key.1);
-                debug_assert_eq!((spec.isep_start, spec.positions), slice);
-                self.cache.insert(key, CacheEntry::Pending(vec![idx]));
-                // A send fails only once the compute pool is gone, on
-                // teardown; nobody is left to wait for the result.
-                let _ = self.compute_job_tx.send((key, campaign));
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::CampaignParams;
+    use crate::agent::tests::{assignment, campaign_done, hello_ack, no_work, redirect};
+    use crate::protocol::{read_message, write_message_with, CampaignParams};
     use crate::server::{NetServer, NetServerConfig};
     use crate::trust::{TrustBand, TrustConfig};
+    use std::net::TcpListener;
+
+    /// A scripted server's listener on an ephemeral port, and its address.
+    fn listen() -> (TcpListener, String) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        (listener, addr)
+    }
+
+    /// Plays a scripted session on `s`: `Hello` gets a tiny-campaign
+    /// `HelloAck`, every `RequestWork` gets `on_ask()`, until the agent
+    /// says `Bye` or drops the connection.
+    fn serve_one(s: &mut TcpStream, mut on_ask: impl FnMut() -> Message) {
+        loop {
+            let reply = match read_message(s) {
+                Ok(Some(Message::Hello { .. })) => hello_ack(),
+                Ok(Some(Message::RequestWork)) => on_ask(),
+                _ => return,
+            };
+            if write_message_with(s, &reply, Codec).is_err() {
+                return;
+            }
+        }
+    }
+
+    /// Serves sessions one after another, answering the asks from
+    /// `script` in order and acknowledging every report, until the
+    /// script is spent and that session over; returns every frame
+    /// received.
+    fn serve(listener: TcpListener, script: Vec<Message>) -> thread::JoinHandle<Vec<Message>> {
+        thread::spawn(move || {
+            let (mut script, mut heard) = (script.into_iter().peekable(), Vec::new());
+            while script.peek().is_some() {
+                let (mut s, _) = listener.accept().unwrap();
+                while let Ok(Some(frame)) = read_message(&mut s) {
+                    heard.push(frame);
+                    let reply = match heard.last() {
+                        Some(Message::Hello { .. }) => hello_ack(),
+                        Some(Message::RequestWork) => script.next().expect("an ask too many"),
+                        Some(Message::ResultReport { .. }) => Message::ResultAck {
+                            accepted: true,
+                            completed_workunit: true,
+                            campaign_complete: false,
+                        },
+                        _ => break,
+                    };
+                    write_message_with(&mut s, &reply, Codec).unwrap();
+                }
+            }
+            heard
+        })
+    }
 
     /// A mux fleet alone must carry a campaign to completion and the
     /// server's merged artifact must equal the in-process baseline —
@@ -754,7 +917,6 @@ mod tests {
     /// if the agent dials the peer and stays there while it has work.
     #[test]
     fn a_mux_agent_follows_a_redirect_to_where_the_work_is() {
-        use crate::agent::tests::{listen, redirect, serve};
         let config = NetServerConfig {
             sweep_ms: 25,
             ..NetServerConfig::loopback(5.0)
@@ -768,7 +930,7 @@ mod tests {
             let (mut s, _) = home.accept().unwrap();
             drop(home);
             let mut asks = 0;
-            serve(&mut s, || {
+            serve_one(&mut s, || {
                 asks += 1;
                 redirect(1, &peer_addr)
             });
@@ -792,78 +954,27 @@ mod tests {
         );
     }
 
-    /// One volunteer, two drivers: the same scripted servers — home
-    /// redirects to a peer, the peer has nothing, home says wait, then
-    /// assigns, then declares the campaign complete — served once to
-    /// `run_agent` and once to a fleet of one. Each server receives the
-    /// same frames from both, once the fleet's one documented habit is
-    /// struck out: it spends the wait closed, so a `Bye` and a fresh
-    /// `Hello` surround it.
+    /// One volunteer, one transcript: scripted servers — home redirects
+    /// to a peer, the peer has nothing, home says wait, then assigns,
+    /// then declares the campaign complete — hear from `run_agent`
+    /// exactly the frames listed here. The wait is spent closed, so a
+    /// `Bye` and a fresh `Hello` surround it; every `Hello` is the same,
+    /// and the report carries the kernel's docking of the workunit.
     #[test]
-    fn one_transcript_two_drivers() {
-        use crate::agent::tests::{assignment, hello_ack, listen, no_work, redirect};
-        use crate::agent::{run_agent, AgentConfig};
-        use crate::protocol::{read_message, write_message_with};
-        use std::net::TcpListener;
+    fn one_volunteer_one_transcript() {
+        let ((home, home_addr), (peer, peer_addr)) = (listen(), listen());
+        let home_script = vec![
+            redirect(1, &peer_addr),
+            no_work(5),
+            assignment(5.0),
+            campaign_done(),
+        ];
+        let servers = [serve(home, home_script), serve(peer, vec![no_work(5)])];
+        let report = run_agent(AgentConfig::new(home_addr, 1)).expect("agent ran");
+        assert!(report.saw_completion, "{report:?}");
+        assert_eq!((report.redirects_followed, report.accepted), (1, 1));
+        let [at_home, at_peer] = servers.map(|s| s.join().unwrap());
 
-        /// Serves sessions one after another, answering the asks from
-        /// `script` in order, until the script is spent and that session
-        /// over; returns every frame received.
-        fn serve(listener: TcpListener, script: Vec<Message>) -> thread::JoinHandle<Vec<Message>> {
-            thread::spawn(move || {
-                let (mut script, mut heard) = (script.into_iter().peekable(), Vec::new());
-                while script.peek().is_some() {
-                    let (mut s, _) = listener.accept().unwrap();
-                    while let Ok(Some(frame)) = read_message(&mut s) {
-                        heard.push(frame);
-                        let reply = match heard.last() {
-                            Some(Message::Hello { .. }) => hello_ack(),
-                            Some(Message::RequestWork) => script.next().expect("an ask too many"),
-                            Some(Message::ResultReport { .. }) => Message::ResultAck {
-                                accepted: true,
-                                completed_workunit: true,
-                                campaign_complete: false,
-                            },
-                            _ => break,
-                        };
-                        write_message_with(&mut s, &reply, Codec).unwrap();
-                    }
-                }
-                heard
-            })
-        }
-
-        let complete = Message::NoWork {
-            campaign_complete: true,
-            retry_after_ms: 0,
-        };
-        let mut heard = Vec::new();
-        for fleet in [false, true] {
-            let ((home, home_addr), (peer, peer_addr)) = (listen(), listen());
-            let home_script = vec![
-                redirect(1, &peer_addr),
-                no_work(5),
-                assignment(5.0),
-                complete.clone(),
-            ];
-            let servers = [serve(home, home_script), serve(peer, vec![no_work(5)])];
-            if fleet {
-                let fleet = run_mux_fleet(MuxFleetConfig {
-                    timeout: Duration::from_secs(60),
-                    ..MuxFleetConfig::new(home_addr, 1)
-                })
-                .expect("fleet ran");
-                assert!(fleet.saw_completion, "{fleet:?}");
-                assert_eq!((fleet.redirects_followed, fleet.accepted), (1, 1));
-            } else {
-                let report = run_agent(AgentConfig::new(home_addr, 1)).expect("agent ran");
-                assert!(report.saw_completion, "{report:?}");
-                assert_eq!((report.redirects_followed, report.accepted), (1, 1));
-            }
-            heard.push(servers.map(|s| s.join().unwrap()));
-        }
-
-        let [reference, mut fleet] = <[_; 2]>::try_from(heard).unwrap();
         let kinds = |heard: &[Message]| -> Vec<&str> {
             let kind = |frame: &Message| match frame {
                 Message::Hello { .. } => "hello",
@@ -874,19 +985,120 @@ mod tests {
             };
             heard.iter().map(kind).collect()
         };
-        let at_home = [
-            "hello", "ask", "bye", "hello", "ask", "ask", "report", "ask", "bye",
-        ];
-        assert_eq!(kinds(&reference[0]), at_home);
-        assert_eq!(kinds(&reference[1]), ["hello", "ask", "bye"]);
-        // The fleet's first `Bye` where the reference says none is the
-        // wait; the `Hello` after it is the reconnect.
-        let waited = (0..fleet[0].len())
-            .find(|&i| fleet[0][i] == Message::Bye && reference[0][i] != Message::Bye)
-            .expect("the fleet closes across the wait");
-        assert!(matches!(fleet[0][waited + 1], Message::Hello { .. }));
-        fleet[0].drain(waited..waited + 2);
-        assert_eq!(fleet, reference);
+        let waited = ["hello", "ask", "bye"];
+        let rest = ["hello", "ask", "report", "ask", "bye"];
+        assert_eq!(kinds(&at_home), [&waited[..], &waited, &rest].concat());
+        assert_eq!(kinds(&at_peer), waited);
+        let hello = Message::Hello {
+            agent: 1,
+            threads: 1,
+            campaigns: Vec::new(),
+        };
+        let mut hellos = at_home.iter().chain(&at_peer);
+        assert!(hellos.all(|f| !matches!(f, Message::Hello { .. }) || *f == hello));
+        let campaign = NetCampaign::build(CampaignParams::tiny());
+        let report = Message::ResultReport {
+            replica: 0,
+            workunit: 0,
+            campaign: 0,
+            output: campaign.compute(campaign.spec(0)),
+        };
+        assert!(
+            at_home.contains(&report),
+            "the report carries workunit 0's docking"
+        );
+    }
+
+    /// Regression: an agent whose *every* assignment drew a disconnect
+    /// fault has `reported == 0` when the server exits. That agent ran
+    /// exactly as configured, so giving up on a vanished server must be
+    /// `Ok(report)` — it used to demand `reported > 0` and returned the
+    /// connect error instead. One that never got an assignment does
+    /// return it. (`stepped_give_up_with_assignments_but_no_reports_is_ok`
+    /// is the session's side; this is `run_agent`'s over refused dials.)
+    #[test]
+    fn give_up_with_assignments_but_no_reports_is_ok() {
+        let (listener, addr) = listen();
+        let home = addr.clone();
+        let server = thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            // Close the listener immediately: once the faulty agent
+            // drops this connection, every reconnect is refused.
+            drop(listener);
+            serve_one(&mut s, || assignment(5.0));
+        });
+
+        let report = run_agent(AgentConfig {
+            profile: FaultProfile {
+                disconnect: 1.0,
+                stall: 0.0,
+                corrupt: 0.0,
+            },
+            max_connect_attempts: 3,
+            ..AgentConfig::new(addr, 9)
+        })
+        .expect("an agent that received assignments made progress");
+        assert!(report.assignments >= 1, "{report:?}");
+        assert_eq!(report.reported, 0, "every assignment disconnected");
+        assert_eq!(report.disconnect_faults, report.assignments);
+        assert!(!report.saw_completion);
+        server.join().unwrap();
+
+        let idle = run_agent(AgentConfig {
+            max_connect_attempts: 1,
+            ..AgentConfig::new(home, 10)
+        });
+        assert!(
+            idle.is_err(),
+            "nothing to show is the connect error: {idle:?}"
+        );
+    }
+
+    /// A server that accepts and then says nothing holds an agent only
+    /// as long as the driver's reply deadline: the unanswered `Hello`
+    /// comes back `Lost`, and after its 50 ms backoff the agent dials
+    /// again. So over 700 ms at a 200 ms deadline each agent dials two
+    /// or three times, a lone one and a fleet's alike; with no deadline
+    /// a fleet's agent waited for the fleet's `timeout`. (The connection
+    /// completes in the listener's backlog; nobody accepts it, let alone
+    /// answers.)
+    #[test]
+    fn a_silent_server_is_a_lost_connection_within_the_timeout() {
+        for agents in [1, 2] {
+            let (_silent, addr) = listen();
+            let configs = (1..=agents).map(|id| AgentConfig::new(addr.clone(), id));
+            let run = Duration::from_millis(700);
+            let mut driver = Driver::new(configs.collect(), Some(run)).unwrap();
+            driver.io_timeout = Duration::from_millis(200);
+            driver.run().unwrap();
+            let dials = driver.report.connections;
+            assert!(
+                dials >= 2 * agents,
+                "{agents} agent(s): {dials} dials, no deadline"
+            );
+            assert!(
+                dials <= 3 * agents,
+                "{agents} agent(s): {dials} dials, no wait"
+            );
+            assert!(driver.ended.is_none());
+        }
+    }
+
+    /// A fleet of one docks on the driver thread: it starts no compute
+    /// pool and so holds no memo of what it docked.
+    #[test]
+    fn a_fleet_of_one_docks_with_no_pool_and_no_memo() {
+        let (home, addr) = listen();
+        let server = serve(home, vec![assignment(5.0), campaign_done()]);
+        let mut driver = Driver::new(vec![AgentConfig::new(addr, 1)], None).unwrap();
+        driver.run().unwrap();
+        assert_eq!(driver.ended, Some(Outcome::Done));
+        assert_eq!(driver.agents[0].session.report.accepted, 1);
+        assert!(
+            driver.pools.is_none(),
+            "a lone agent started the fleet's pools"
+        );
+        server.join().unwrap();
     }
 
     /// Faulty mux agents must exercise the reissue and quorum paths

@@ -4,8 +4,15 @@
 //! request is answered, is checked on the stepped loop in `ops.rs`.
 
 use netgrid::{http_get, run_agent, AgentConfig, NetServer, NetServerConfig};
+use std::sync::mpsc;
 use std::thread;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// How long the server may take to return once its volunteer has: it
+/// leaves within its shutdown grace and the ops linger, so one still
+/// running by then has hung, and the test fails naming itself instead
+/// of holding up the run.
+const SERVER_EXIT: Duration = Duration::from_secs(30);
 
 /// Regression guard for the accept path: the ops thread used to poll
 /// its listener on a 10 ms sleep, so a scrape arriving just after the
@@ -22,7 +29,11 @@ fn scrape_latency_is_not_sleep_quantised() {
     let server = NetServer::bind(config).expect("bind server");
     let addr = server.local_addr().unwrap().to_string();
     let ops = server.ops_addr().expect("ops endpoint bound");
-    let run = thread::spawn(move || server.run().expect("campaign run"));
+    let (ran, run) = mpsc::channel();
+    let server = thread::spawn(move || {
+        // Fails only once the test has stopped waiting.
+        let _ = ran.send(server.run());
+    });
 
     // The listener is bound already: the first scrape waits in its
     // backlog until the loop runs, then the burst is measured.
@@ -46,5 +57,9 @@ fn scrape_latency_is_not_sleep_quantised() {
 
     // One volunteer finishes the campaign, so the server returns.
     run_agent(AgentConfig::new(addr, 1)).expect("agent finished");
-    run.join().unwrap();
+    let report = run
+        .recv_timeout(SERVER_EXIT)
+        .unwrap_or_else(|e| panic!("scrape_latency_is_not_sleep_quantised: no server exit ({e})"));
+    server.join().unwrap();
+    report.expect("campaign run");
 }

@@ -91,14 +91,16 @@ fn sigkill_mid_campaign_then_restart_yields_the_baseline_artifact() {
         })
         .expect("the server names its address");
 
-    // Volunteers that survive the restart: generous reconnect budget
-    // (50 ms between attempts) so the kill→rebind gap is routine.
+    // Volunteers that survive the restart: a reconnect budget of about
+    // 5 s (50 ms between attempts) makes the kill→rebind gap routine.
+    // It is also how long a volunteer asleep when the campaign ends
+    // redials the server that has left, so it is not larger.
     let agents: Vec<_> = (1..=3u64)
         .map(|agent| {
             let addr = addr.clone();
             thread::spawn(move || {
                 run_agent(AgentConfig {
-                    max_connect_attempts: 600,
+                    max_connect_attempts: 100,
                     ..AgentConfig::new(addr, agent)
                 })
             })

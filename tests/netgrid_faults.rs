@@ -13,7 +13,14 @@ use netgrid::{
     run_agent, AgentConfig, CampaignParams, Codec, Message, NetCampaign, NetServer, NetServerConfig,
 };
 use std::net::TcpStream;
+use std::sync::mpsc;
 use std::thread;
+use std::time::Duration;
+
+/// How long the server may take to return once its volunteer has: it
+/// leaves within its shutdown grace, so one still running by then has
+/// hung, and the test fails naming itself instead of holding up the run.
+const SERVER_EXIT: Duration = Duration::from_secs(30);
 
 /// Regression: a connection turned away with `Busy` used to be counted
 /// in `NetRunReport.connections` *and* `rejected_connections`, so the
@@ -43,7 +50,11 @@ fn busy_rejections_are_not_double_counted_as_connections() {
     config.faults.max_connections = 1;
     let server = NetServer::bind(config).expect("bind loopback");
     let addr = server.local_addr().expect("local addr").to_string();
-    let server = thread::spawn(move || server.run());
+    let (ran, run) = mpsc::channel();
+    let server = thread::spawn(move || {
+        // Fails only once the test has stopped waiting.
+        let _ = ran.send(server.run());
+    });
 
     // A connection that never says `Hello`: it says `Bye` and waits for
     // the server to hang up, which frees the slot before the holder
@@ -85,7 +96,11 @@ fn busy_rejections_are_not_double_counted_as_connections() {
     // The freed slot goes to an honest volunteer, which runs the
     // campaign to the end.
     run_agent(AgentConfig::new(addr, 1)).expect("honest agent ran");
-    let report = server.join().unwrap().expect("server ran");
+    let report = run.recv_timeout(SERVER_EXIT).unwrap_or_else(|e| {
+        panic!("busy_rejections_are_not_double_counted_as_connections: no server exit ({e})")
+    });
+    server.join().unwrap();
+    let report = report.expect("server ran");
     assert_eq!(
         report.connections, 3,
         "the stranger's, the holder's and the agent's are the accepted connections: {report:?}"
