@@ -152,6 +152,10 @@ struct ShardBenchRow {
 /// Everything one campaign run yields, whichever driver carried it.
 struct CampaignOutcome {
     run: NetRunReport,
+    /// Fleet-side wall clock, server start to the honest fleet's end
+    /// (the server's own figure also holds the rests it waits out once
+    /// done, so it is not a throughput clock).
+    wall_seconds: f64,
     latencies: Vec<f64>,
     faults: (u64, u64, u64),
 }
@@ -163,7 +167,7 @@ impl CampaignOutcome {
     }
 
     fn workunits_per_sec(&self) -> f64 {
-        self.campaign().workunits as f64 / self.run.wall_seconds.max(1e-9)
+        self.campaign().workunits as f64 / self.wall_seconds.max(1e-9)
     }
 }
 
@@ -192,6 +196,7 @@ fn run_campaign(
     let server = NetServer::bind(config).expect("bind loopback");
     let addr = server.local_addr().expect("local addr").to_string();
     let server = thread::spawn(move || server.run());
+    let t0 = Instant::now();
 
     // The fleet: one victim that takes a workunit and vanishes (forces
     // a timeout reissue), one saboteur that corrupts everything it
@@ -261,12 +266,14 @@ fn run_campaign(
             faults.2 += r.corrupt_faults;
         }
     }
+    let wall_seconds = t0.elapsed().as_secs_f64();
     if let Ok(r) = saboteur.join().unwrap() {
         latencies.extend_from_slice(&r.request_latencies_ms);
         faults.2 += r.corrupt_faults;
     }
     CampaignOutcome {
         run: server.join().unwrap().expect("server ran"),
+        wall_seconds,
         latencies,
         faults,
     }
@@ -584,7 +591,7 @@ fn main() {
         corrupt_faults: plain.faults.2,
         merged_matches_baseline,
         scale_agents,
-        scale_wall_seconds: scale.as_ref().map(|o| o.run.wall_seconds),
+        scale_wall_seconds: scale.as_ref().map(|o| o.wall_seconds),
         scale_workunits_per_sec: scale.as_ref().map(CampaignOutcome::workunits_per_sec),
         scale_requests: scale.as_ref().map(|o| o.latencies.len()),
         scale_request_latency_p50_ms: scale

@@ -9,9 +9,10 @@
 //! thing to do ([`Step`]); every rule an agent follows is a transition
 //! of [`Session::step`], and nowhere else: where it dials (home, a
 //! `Redirect`'s peer at most once per ask, home again when that peer is
-//! dead, hangs up in the handshake or has no work), how long it backs
-//! off, when it gives up, what each injected fault does, every counter
-//! of the [`AgentReport`].
+//! dead, hangs up in the handshake or has no work), how it backs off
+//! (it hangs up, rests for the capped pause plus its own jitter, and
+//! dials again), when it gives up, what each injected fault does, every
+//! counter of the [`AgentReport`].
 //!
 //! Its one driver is [`crate::mux`]: [`crate::mux::run_agent`] over one
 //! session, a fleet over thousands; a test drives one by hand. The
@@ -111,7 +112,7 @@ pub(crate) enum Input {
     /// A frame arrived.
     Frame(Message),
     /// The connection is gone: the peer closed it, the socket failed, or
-    /// the driver closed it itself (a `Bye` step, a wait spent closed).
+    /// the driver closed it itself (a `Bye` step).
     Lost,
     /// The `Compute` finished.
     Computed(DockingOutput),
@@ -138,8 +139,9 @@ pub(crate) enum Step {
         isep_start: u32,
         positions: u32,
     },
-    /// Let this long pass: `Woke` — or `Lost`, from a driver that spent
-    /// the wait with the connection closed.
+    /// Let this long pass: `Woke`. A backoff's wait comes with no
+    /// connection open; only a stall's sits on one, and a frame or a
+    /// loss on it still goes to the session.
     Wait(Duration),
     /// Say `Bye` (best effort) and close the connection: `Lost`.
     Bye,
@@ -158,12 +160,10 @@ pub(crate) enum Outcome {
 }
 
 /// Where a [`Session`] stands: the step it last issued, and for the
-/// three that are a `Wait`, what waking does.
+/// two that are a `Wait`, what waking does.
 enum Phase {
     /// Waking dials (also: nothing issued yet).
     Resting,
-    /// Waking asks again on the same connection.
-    BackingOff,
     /// Waking sends the result a stall fault sat on.
     Stalling(Message),
     Dialing,
@@ -171,7 +171,9 @@ enum Phase {
     Asking,
     Computing(Job),
     Reporting,
-    Leaving,
+    /// Hanging up, then resting this many milliseconds, if any, before
+    /// the next dial.
+    Leaving(Option<u64>),
     Finished(Outcome),
 }
 
@@ -184,16 +186,25 @@ struct Job {
     deadline_seconds: f64,
 }
 
-/// Server-directed waits (`NoWork`, `Busy`) are capped here, so a
-/// server's grace window after completion ([`crate::server`]) outlasts
-/// any agent's sleep.
+/// Every backoff's pause is capped here, before its jitter.
 const MAX_WAIT_MS: u64 = 2_000;
+
+/// The longest a backoff rests: the cap plus its jitter. A server that
+/// told a volunteer `NoWork` stays up this long for its next ask
+/// ([`crate::event_loop::Loop::over`]).
+pub(crate) const MAX_REST: Duration = Duration::from_millis(MAX_WAIT_MS + MAX_WAIT_MS / 4);
+
+/// Up to a quarter of a `ms` pause, salted by the agent's id, so ten
+/// thousand agents told the same backoff do not re-dial as one SYN storm.
+fn jitter(agent: u64, ms: u64) -> u64 {
+    (agent.wrapping_mul(0x9e37_79b9) >> 7) % (ms / 4 + 1)
+}
 
 /// One volunteer's protocol decisions, with no socket, thread or clock:
 /// [`Self::step`] is told what happened and answers what to do next. A
 /// driver supplies the I/O — [`crate::mux`] with nonblocking sockets,
 /// the stepped world with in-memory pipes — and owns nothing of the
-/// protocol.
+/// protocol, its waits included: it sleeps each `Wait` and says `Woke`.
 pub(crate) struct Session {
     config: AgentConfig,
     dice: FaultDice,
@@ -249,9 +260,18 @@ impl Session {
         Step::Dial(self.addr().to_string())
     }
 
-    fn wait(&mut self, ms: u64, asleep: Phase) -> Step {
-        self.phase = asleep;
-        Step::Wait(Duration::from_millis(ms.min(MAX_WAIT_MS)))
+    /// Rests with no connection open for `ms`, capped, plus the
+    /// agent's jitter; waking dials.
+    fn wait(&mut self, ms: u64) -> Step {
+        self.phase = Phase::Resting;
+        let ms = ms.min(MAX_WAIT_MS);
+        Step::Wait(Duration::from_millis(ms + jitter(self.config.agent, ms)))
+    }
+
+    /// Backs off: hangs up, then rests ([`Self::wait`]).
+    fn back_off(&mut self, ms: u64) -> Step {
+        self.phase = Phase::Leaving(Some(ms));
+        Step::Bye
     }
 
     fn ask(&mut self) -> Step {
@@ -266,7 +286,7 @@ impl Session {
     }
 
     fn leave(&mut self) -> Step {
-        self.phase = Phase::Leaving;
+        self.phase = Phase::Leaving(None);
         Step::Bye
     }
 
@@ -292,7 +312,6 @@ impl Session {
         match (std::mem::replace(&mut self.phase, Phase::Dialing), input) {
             (Phase::Finished(outcome), _) => self.finish(outcome),
             (Phase::Resting, Input::Woke) => self.dial(),
-            (Phase::BackingOff, Input::Woke) => self.ask(),
             (Phase::Stalling(report), Input::Woke) => self.send_report(report),
             (Phase::Dialing, Input::Connected) => {
                 self.connect_failures = 0;
@@ -311,7 +330,7 @@ impl Session {
                 }
                 self.connect_failures += 1;
                 if self.connect_failures < self.config.max_connect_attempts {
-                    return self.wait(50, Phase::Resting);
+                    return self.wait(50);
                 }
                 // The server is gone — most likely the campaign
                 // finished while this agent was between sessions. Any
@@ -346,7 +365,7 @@ impl Session {
                 self.ask()
             }
             (Phase::Greeting | Phase::Asking, Input::Frame(Message::Busy { retry_after_ms })) => {
-                self.wait(retry_after_ms, Phase::Resting)
+                self.back_off(retry_after_ms)
             }
             (Phase::Greeting, _) => {
                 // A handshake that dies says nothing about the peer's
@@ -357,7 +376,7 @@ impl Session {
                 if self.fall_home() {
                     self.dial()
                 } else {
-                    self.wait(50, Phase::Resting)
+                    self.back_off(50)
                 }
             }
             (
@@ -377,17 +396,17 @@ impl Session {
                     // fall home rather than camping on the peer.
                     self.leave()
                 } else {
-                    self.wait(retry_after_ms, Phase::BackingOff)
+                    self.back_off(retry_after_ms)
                 }
             }
             (Phase::Asking, Input::Frame(Message::Redirect { addr: peer, .. })) => {
                 if self.bounced || peer == self.addr() {
                     // Already followed one redirect for this ask (or
-                    // the server pointed at itself): back off in place
-                    // instead of chasing pointers around a ring of
+                    // the server pointed at itself): back off where it
+                    // is instead of chasing pointers around a ring of
                     // drained shards.
                     self.bounced = false;
-                    self.wait(100, Phase::BackingOff)
+                    self.back_off(100)
                 } else {
                     self.report.redirects_followed += 1;
                     self.bounced = true;
@@ -424,9 +443,9 @@ impl Session {
                 let action = self.dice.draw();
                 if action == FaultAction::Disconnect {
                     self.report.disconnect_faults += 1;
-                    // Drop the connection on the floor; the replica
-                    // ages out and the server reissues it.
-                    return self.wait(20, Phase::Resting);
+                    // Hang up on the workunit; the replica ages out
+                    // and the server reissues it.
+                    return self.back_off(20);
                 }
                 self.phase = Phase::Computing(Job {
                     replica,
@@ -489,7 +508,8 @@ impl Session {
                     self.ask()
                 }
             }
-            (Phase::Leaving, _) if self.report.saw_completion => self.finish(Outcome::Done),
+            (Phase::Leaving(_), _) if self.report.saw_completion => self.finish(Outcome::Done),
+            (Phase::Leaving(Some(ms)), _) => self.wait(ms),
             _ => self.dial(),
         }
     }
@@ -586,6 +606,13 @@ pub(crate) mod tests {
         Step::Wait(Duration::from_millis(ms))
     }
 
+    /// Agent `agent`'s rest after a backoff of `ms`: the capped pause
+    /// plus its jitter.
+    fn rest(agent: u64, ms: u64) -> Step {
+        let ms = ms.min(MAX_WAIT_MS);
+        Step::Wait(Duration::from_millis(ms + jitter(agent, ms)))
+    }
+
     /// Tells the session each input in turn and checks the step it
     /// answers with.
     fn transcript(session: &mut Session, script: Vec<(Input, Step)>) {
@@ -615,9 +642,13 @@ pub(crate) mod tests {
                 (Input::Lost, Step::Dial("b".into())),
                 (Input::Connected, hello(7, &[])),
                 (Input::Frame(hello_ack()), Step::Ask),
-                // Straight back at shard A: a backoff in place, not a chase.
-                (Input::Frame(redirect(0, "a")), ms(100)),
-                (Input::Woke, Step::Ask),
+                // Straight back at shard A: a backoff where it is, not a
+                // chase.
+                (Input::Frame(redirect(0, "a")), Step::Bye),
+                (Input::Lost, rest(7, 100)),
+                (Input::Woke, Step::Dial("b".into())),
+                (Input::Connected, hello(7, &[])),
+                (Input::Frame(hello_ack()), Step::Ask),
                 (Input::Frame(campaign_done()), Step::Bye),
                 (Input::Lost, Step::Finished(Outcome::Done)),
             ],
@@ -637,7 +668,8 @@ pub(crate) mod tests {
             vec![
                 (Input::Woke, Step::Dial("home".into())),
                 (Input::Connected, hello(10, &["prod", "pilot"])),
-                (Input::Lost, ms(50)),
+                (Input::Lost, Step::Bye),
+                (Input::Lost, rest(10, 50)),
                 (Input::Woke, Step::Dial("home".into())),
                 (Input::Connected, hello(10, &["prod", "pilot"])),
                 (Input::Frame(hello_ack()), Step::Ask),
@@ -683,9 +715,10 @@ pub(crate) mod tests {
                 (Input::Lost, Step::Dial("home".into())),
                 (Input::Connected, hello(12, &[])),
                 (Input::Frame(hello_ack()), Step::Ask),
-                // The same NoWork at home is a wait, then the next ask.
-                (Input::Frame(no_work(5)), ms(5)),
-                (Input::Woke, Step::Ask),
+                // The same NoWork at home is a rest, then a fresh dial.
+                (Input::Frame(no_work(5)), Step::Bye),
+                (Input::Lost, rest(12, 5)),
+                (Input::Woke, Step::Dial("home".into())),
             ],
         );
     }
@@ -702,9 +735,9 @@ pub(crate) mod tests {
         };
         let refused = |last| {
             vec![
-                (Input::ConnectFailed, ms(50)),
+                (Input::ConnectFailed, rest(9, 50)),
                 (Input::Woke, Step::Dial("home".into())),
-                (Input::ConnectFailed, ms(50)),
+                (Input::ConnectFailed, rest(9, 50)),
                 (Input::Woke, Step::Dial("home".into())),
                 (Input::ConnectFailed, Step::Finished(last)),
             ]
@@ -714,7 +747,8 @@ pub(crate) mod tests {
         transcript(
             &mut session,
             vec![
-                (Input::Frame(assignment(5.0)), ms(20)),
+                (Input::Frame(assignment(5.0)), Step::Bye),
+                (Input::Lost, rest(9, 20)),
                 (Input::Woke, Step::Dial("home".into())),
             ],
         );
@@ -787,7 +821,8 @@ pub(crate) mod tests {
     /// Every frame kind in every phase: a defined step, never a panic.
     /// The only frames that advance a session are the server's replies
     /// in their places; any other — a reply out of place, a frame an
-    /// agent sends, shard gossip — loses it.
+    /// agent sends, shard gossip — loses it, and a session hanging up
+    /// takes it for the loss it was waiting for.
     #[test]
     fn every_frame_in_every_phase_yields_a_defined_step() {
         let stalls = AgentConfig {
@@ -809,7 +844,11 @@ pub(crate) mod tests {
             ("dialing", vec![Input::Woke]),
             ("greeting", vec![Input::Woke, Input::Connected]),
             ("asking", ask()),
-            ("backing off", with(&[Input::Frame(no_work(5))])),
+            ("hanging up", with(&[Input::Frame(no_work(5))])),
+            (
+                "backing off",
+                with(&[Input::Frame(no_work(5)), Input::Lost]),
+            ),
             ("computing", with(std::slice::from_ref(&working))),
             ("stalling", with(&[working.clone(), computed.clone()])),
             ("leaving", with(&[Input::Frame(redirect(1, "peer"))])),
@@ -845,7 +884,8 @@ pub(crate) mod tests {
                 );
                 let step = session.step(Input::Frame(frame.clone()));
                 let lost = match phase {
-                    "greeting" => ms(50),
+                    "greeting" => Step::Bye,
+                    "hanging up" => rest(3, 5),
                     "leaving" => Step::Dial("peer".into()),
                     "finished" => Step::Finished(Outcome::Done),
                     _ => Step::Dial("home".into()),
@@ -898,43 +938,6 @@ pub(crate) mod tests {
             })
         }
 
-        /// Plays `history` into a fresh session, then `next`, then only
-        /// good news — dials connect, greetings and reports are
-        /// acknowledged — until the next ask; returns the address it
-        /// goes out to.
-        fn next_ask(config: &AgentConfig, history: &[Input], next: Input) -> Option<String> {
-            let mut session = Session::new(config.clone());
-            let mut at = String::new();
-            let mut step = Step::Bye;
-            for input in history.iter().cloned().chain([next]) {
-                step = session.step(input);
-                if let Step::Dial(addr) = &step {
-                    at = addr.clone();
-                }
-            }
-            for _ in 0..16 {
-                let input = match &step {
-                    Step::Ask => return Some(at),
-                    Step::Finished(_) => return None,
-                    Step::Dial(addr) => {
-                        at = addr.clone();
-                        Input::Connected
-                    }
-                    Step::Send(Message::Hello { .. }) => Input::Frame(hello_ack()),
-                    Step::Send(_) => Input::Frame(Message::ResultAck {
-                        accepted: true,
-                        completed_workunit: true,
-                        campaign_complete: false,
-                    }),
-                    Step::Bye => Input::Lost,
-                    Step::Wait(_) => Input::Woke,
-                    Step::Compute { .. } => unreachable!("good news assigns nothing"),
-                };
-                step = session.step(input);
-            }
-            panic!("no ask within 16 steps of good news");
-        }
-
         proptest! {
             /// A seeded random walk over everything a driver may legally
             /// say, with a flaky volunteer under it.
@@ -949,8 +952,8 @@ pub(crate) mod tests {
                     max_connect_attempts: 4,
                     ..AgentConfig::new("a", 5)
                 };
-                let mut session = Session::new(config.clone());
-                let (mut connected, mut asks) = (false, 0u64);
+                let mut session = Session::new(config);
+                let (mut connected, mut asks, mut told) = (false, 0u64, 0u64);
                 let mut history: Vec<Input> = Vec::new();
                 let mut input = Input::Woke;
                 for pick in picks {
@@ -968,20 +971,31 @@ pub(crate) mod tests {
                             prop_assert!(connected, "{history:?}");
                             asks += 1;
                         }
-                        // Only a stall sits past the two-second cap.
+                        // Only a stall's wait keeps the connection, and
+                        // only a stall's sits past the longest rest. Any
+                        // other is a backoff: the one the server asked
+                        // for last, or the session's own (a disconnect
+                        // fault, a failed dial or handshake, a declined
+                        // redirect), capped, plus this agent's jitter.
                         Step::Wait(pause) => {
                             let stall = matches!(input, Input::Computed(_));
-                            prop_assert!(stall || *pause <= Duration::from_secs(2), "{pause:?}");
-                            // Slept on the open socket or spent with it
-                            // closed, the wait ends in the same ask.
-                            let slept = next_ask(&config, &history, Input::Woke);
-                            let closed = next_ask(&config, &history, Input::Lost);
-                            prop_assert!(slept == closed, "{slept:?} / {closed:?} after {history:?}");
+                            prop_assert!(stall || *pause <= MAX_REST, "{pause:?}");
+                            if !stall {
+                                prop_assert!(!connected, "{history:?}");
+                                let backoff = [20, 50, 100, told].map(|ms| rest(5, ms));
+                                prop_assert!(backoff.contains(&step), "{step:?} after {history:?}");
+                            }
                         }
                         Step::Compute { .. } | Step::Finished(_) => {}
                     }
                     prop_assert!(session.report.redirects_followed <= asks);
                     let Some(next) = legal_input(&step, pick) else { break };
+                    if let Input::Frame(
+                        Message::NoWork { retry_after_ms, .. } | Message::Busy { retry_after_ms },
+                    ) = next
+                    {
+                        told = retry_after_ms;
+                    }
                     connected = match next {
                         Input::Connected => true,
                         Input::ConnectFailed | Input::Lost => false,

@@ -13,6 +13,7 @@
 //! literal or a step counter — so every seeded history runs the rules
 //! that ship.
 
+use crate::agent;
 use crate::faults::ServerFaults;
 use crate::ops;
 use crate::protocol::{decode_versioned, encode_with, Codec, DecodeError, Message};
@@ -25,13 +26,14 @@ use std::io::{self, Read, Write};
 use std::time::Duration;
 use telemetry::Event as Telemetry;
 
-/// How long a finished server waits at most for its volunteers to say
-/// `Bye`, so an agent sleeping on a `NoWork` backoff (capped at 2 s
-/// agent-side) can wake, ask once more, and be told `campaign_complete`
-/// instead of finding a dead socket and burning its whole reconnect
-/// budget — while an open, silent socket cannot hold the server for
-/// ever. Peers are not waited on by the clock ([`MultiGrid::may_leave`]).
+/// How long a finished server waits at most for its volunteers, so an
+/// open, silent socket cannot hold it for ever. It outlasts
+/// [`agent::MAX_REST`], the longest a volunteer told `NoWork` rests
+/// before it asks again — and hears `campaign_complete` instead of
+/// finding a dead port and burning its reconnect budget. Peers are not
+/// waited on by the clock ([`MultiGrid::may_leave`]).
 pub(crate) const SHUTDOWN_GRACE: Duration = Duration::from_secs(3);
+const _: () = assert!(SHUTDOWN_GRACE.as_millis() > agent::MAX_REST.as_millis());
 
 /// A connection's name, given by the driver: the fd on sockets.
 pub(crate) type Id = i32;
@@ -236,10 +238,12 @@ impl<S: Read + Write> Loop<S> {
     /// The run's wall seconds once it is over at `now`: from the start
     /// until the server may leave. A done core keeps answering
     /// `campaign_complete`, listener open, until a volunteer has heard
-    /// it and every one said Bye (or the grace ran out) and every peer
-    /// has heard it — a shard finishes on gossip, so its volunteers may
-    /// all be asleep with their sockets closed. The ops endpoint lingers
-    /// [`ops::LINGER`] past that, outside the figure returned.
+    /// it, every one said Bye and every one it told `NoWork` has had its
+    /// rest out ([`MultiGrid::rest_until`]) — or the grace ran out — and
+    /// every peer has heard it: a shard finishes on gossip, so its
+    /// volunteers may all be asleep with their sockets closed. The ops
+    /// endpoint lingers [`ops::LINGER`] past that, outside the figure
+    /// returned.
     pub(crate) fn over(&mut self, now: SimTime) -> Option<f64> {
         if !self.core.done() {
             return None;
@@ -247,7 +251,8 @@ impl<S: Read + Write> Loop<S> {
         let since = now.seconds() - self.done_since.get_or_insert(now).seconds();
         let volunteer =
             |c: &Conn<S>| matches!(&c.role, Role::Inbound(caller) if caller.shard.is_none());
-        let drained = self.core.told_done && !self.conns.values().any(volunteer);
+        let rested = now >= self.core.rest_until;
+        let drained = self.core.told_done && rested && !self.conns.values().any(volunteer);
         let drained = drained || since > SHUTDOWN_GRACE.as_secs_f64();
         if self.left_after.is_none() && drained && self.core.may_leave() {
             self.left_after = Some(now.seconds() - self.started.seconds());
@@ -728,6 +733,44 @@ pub(crate) mod tests {
             frames(&conn.write_buf)[..],
             [Message::HelloAck { .. }]
         ));
+    }
+
+    /// A volunteer told `NoWork` rests with its socket closed, for up to
+    /// [`agent::MAX_REST`], before it asks again. So a loop that is done,
+    /// has given its final word and holds no connection still waits that
+    /// long after the reply: the volunteer's next ask hears
+    /// `campaign_complete` instead of finding the port gone.
+    #[test]
+    fn a_done_loop_waits_out_the_rest_it_handed_out() {
+        let mut net = solo();
+        let holders = net.hold_every_replica(0);
+        let mut resting = net.connect(0).hello(1, &mut net);
+        let told = net.now;
+        let reply = resting.exchange(&Message::RequestWork, &mut net);
+        let no_work = matches!(
+            reply,
+            Message::NoWork {
+                campaign_complete: false,
+                ..
+            }
+        );
+        assert!(no_work, "{reply:?}");
+        drop(resting);
+        for (mut holder, owed) in holders {
+            for report in &owed {
+                holder.report(report, &mut net);
+            }
+        }
+        net.pump();
+        let lp = &mut net.loops[0];
+        assert!(lp.core.done() && lp.core.told_done && lp.conns.is_empty());
+        let rest = agent::MAX_REST.as_secs_f64();
+        assert_eq!(
+            lp.over(t(told + rest - 0.01)),
+            None,
+            "left while a volunteer rested"
+        );
+        assert!(lp.over(t(told + rest)).is_some());
     }
 
     /// A batch that holds the task listener ahead of a holder's `Bye` —

@@ -4,21 +4,15 @@
 //! leaves to an agent. This module carries its steps out over
 //! nonblocking sockets, for one session ([`run_agent`], `hcmd-agent`'s
 //! volunteer) or for thousands ([`run_mux_fleet`]; blocking sockets
-//! would need as many stacks). It makes no protocol decision; it only
-//! chooses how to carry out four kinds of step, and no others:
+//! would need as many stacks). It makes no protocol decision, and a
+//! `Wait` is none: the session hangs up before every wait but a stall's
+//! and adds its own jitter, so the driver sleeps it out and says
+//! `Woke` — which is also why a resting fleet holds no socket. It only
+//! chooses how to carry out three kinds of step, and no others:
 //!
 //! * **A `Dial` and each frame sent get [`IO_TIMEOUT`]**: a connect
 //!   that takes longer failed, and a frame unanswered as long is a lost
 //!   connection.
-//! * **A `Wait` is spent with the connection closed.** The agent says
-//!   `Bye`, closes, and when the wait — stretched by up to 25 % of
-//!   id-salted jitter, so ten thousand agents told the same backoff do
-//!   not re-dial as one SYN storm — is over, the session hears that its
-//!   connection is gone: it dials, greets and asks again, the same next
-//!   ask a slept wait leads to. That is how periodic BOINC volunteers
-//!   behave, and it keeps a fleet's open fds under [`MAX_OPEN`]. Only a
-//!   stall fault's wait is slept on the open socket: the result it sits
-//!   on must still ride that connection.
 //! * **A `Compute` docks where it holds up no other agent.** A lone
 //!   agent docks, and dials, on the driver thread, with its own
 //!   `threads`. A fleet docks each unique workunit once on a helper pool
@@ -119,9 +113,9 @@ pub struct MuxFleetReport {
 /// What the driver owes one agent's session: the step it was last
 /// handed, as far as carrying it out has got.
 enum AState {
-    /// A `Wait` is running out. When `until` passes the session hears
-    /// `Lost` if the wait cost it a connection, else `Woke`.
-    Waiting { until: Instant, closed: bool },
+    /// A `Wait` is running out; when `until` passes the session hears
+    /// `Woke`.
+    Waiting { until: Instant },
     /// A `Dial` here is waiting for a connect slot.
     WantsDial(String),
     /// Handed to the connector pool; waiting for the dialed socket.
@@ -142,7 +136,6 @@ enum AState {
 /// One agent: its session, what the driver is doing for it, and (while
 /// connected) its socket with buffered bytes each way.
 struct MuxAgent {
-    id: u64,
     session: Session,
     state: AState,
     conn: Option<MuxConn>,
@@ -411,12 +404,8 @@ impl Driver {
         let agents = agents
             .into_iter()
             .map(|config| MuxAgent {
-                id: config.agent,
                 session: Session::new(config),
-                state: AState::Waiting {
-                    until: start,
-                    closed: false,
-                },
+                state: AState::Waiting { until: start },
                 conn: None,
                 reply_due: None,
             })
@@ -474,7 +463,7 @@ impl Driver {
     /// a wait or a reply deadline running out, a dial, the run's end.
     fn next_due(&self) -> Option<Instant> {
         let agents = self.agents.iter().filter_map(|agent| match agent.state {
-            AState::Waiting { until, .. } => Some(until),
+            AState::Waiting { until } => Some(until),
             AState::WantsDial(_) => Some(Instant::now()),
             _ => agent.reply_due,
         });
@@ -559,18 +548,15 @@ impl Driver {
                 }
             }
             Step::Wait(pause) => {
-                // Release the socket across the wait (see the module
-                // docs) and spread the reconnects.
-                let closed = self.hang_up(idx);
-                let ms = pause.as_millis() as u64;
-                let jitter = (self.agents[idx].id.wrapping_mul(0x9e37_79b9) >> 7) % (ms / 4 + 1);
                 self.agents[idx].state = AState::Waiting {
-                    until: Instant::now() + pause + Duration::from_millis(jitter),
-                    closed,
+                    until: Instant::now() + pause,
                 };
             }
             Step::Bye => {
-                self.hang_up(idx);
+                if let Some(conn) = self.agents[idx].conn.as_mut() {
+                    let _ = conn.send(&Message::Bye);
+                }
+                self.disconnect(idx);
                 self.feed(idx, Input::Lost);
             }
             Step::Finished(outcome) => {
@@ -607,18 +593,8 @@ impl Driver {
             return;
         }
         self.agents[idx].state = AState::Talking;
-        match self.agents[idx].session.step(Input::Computed(output)) {
-            // A wait with a result in hand is slept on the open socket:
-            // the result rides it, and closing would turn every stall
-            // into a disconnect.
-            Step::Wait(pause) => {
-                self.agents[idx].state = AState::Waiting {
-                    until: Instant::now() + pause,
-                    closed: false,
-                }
-            }
-            step => self.perform(idx, step),
-        }
+        let step = self.agents[idx].session.step(Input::Computed(output));
+        self.perform(idx, step);
     }
 
     /// Timer scan: end the waits that have run out, call the connections
@@ -629,9 +605,9 @@ impl Driver {
         let now = Instant::now();
         let mut budget = CONNECT_BATCH;
         for idx in 0..self.agents.len() {
-            if let AState::Waiting { until, closed } = self.agents[idx].state {
+            if let AState::Waiting { until } = self.agents[idx].state {
                 if now >= until {
-                    self.feed(idx, if closed { Input::Lost } else { Input::Woke });
+                    self.feed(idx, Input::Woke);
                 }
             }
             if self.agents[idx].reply_due.is_some_and(|due| now >= due) {
@@ -720,17 +696,6 @@ impl Driver {
             self.by_fd.remove(&fd);
             self.open -= 1;
         }
-    }
-
-    /// Says `Bye`, best effort, and closes. False if there was no
-    /// connection to close.
-    fn hang_up(&mut self, idx: usize) -> bool {
-        let Some(conn) = self.agents[idx].conn.as_mut() else {
-            return false;
-        };
-        let _ = conn.send(&Message::Bye);
-        self.disconnect(idx);
-        true
     }
 
     /// Releases parked asks, oldest first, while in-flight slots are
@@ -957,9 +922,10 @@ mod tests {
     /// One volunteer, one transcript: scripted servers — home redirects
     /// to a peer, the peer has nothing, home says wait, then assigns,
     /// then declares the campaign complete — hear from `run_agent`
-    /// exactly the frames listed here. The wait is spent closed, so a
-    /// `Bye` and a fresh `Hello` surround it; every `Hello` is the same,
-    /// and the report carries the kernel's docking of the workunit.
+    /// exactly the frames listed here. The session hangs up before it
+    /// waits, so a `Bye` and a fresh `Hello` surround the wait; every
+    /// `Hello` is the same, and the report carries the kernel's docking
+    /// of the workunit.
     #[test]
     fn one_volunteer_one_transcript() {
         let ((home, home_addr), (peer, peer_addr)) = (listen(), listen());

@@ -387,6 +387,10 @@ pub struct MultiGrid {
     /// is over while this server was [`Self::done`]: the final word a
     /// finished server stays up to give.
     pub(crate) told_done: bool,
+    /// Until when a volunteer told `NoWork` may still be resting, its
+    /// socket closed, before it asks again: the last such reply plus
+    /// [`crate::agent::MAX_REST`].
+    pub(crate) rest_until: SimTime,
 }
 
 impl MultiGrid {
@@ -456,6 +460,7 @@ impl MultiGrid {
             last_now: 0.0,
             journal: None,
             told_done: false,
+            rest_until: SimTime::ZERO,
         };
         if let Some(cfg) = journal {
             grid.journal = Some(Journal::open(cfg, &header, |now, command| {
@@ -908,9 +913,14 @@ impl MultiGrid {
                             retry_after_ms,
                             campaign_complete,
                         },
-                    ) => self.try_redirect(mask).unwrap_or_else(|| Message::NoWork {
-                        campaign_complete: self.final_word(campaign_complete),
-                        retry_after_ms,
+                    ) => self.try_redirect(mask).unwrap_or_else(|| {
+                        if !self.final_word(campaign_complete) {
+                            self.rest_until = now.after(crate::agent::MAX_REST.as_secs_f64());
+                        }
+                        Message::NoWork {
+                            campaign_complete,
+                            retry_after_ms,
+                        }
                     }),
                 }
             }

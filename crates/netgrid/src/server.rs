@@ -276,8 +276,9 @@ impl NetServer {
     }
 
     /// Runs the campaign to completion: accepts volunteers, sweeps
-    /// deadlines, and returns once every workunit has validated and the
-    /// connections have drained (or the shutdown grace expires).
+    /// deadlines, and returns once every workunit has validated, the
+    /// connections have drained and the `NoWork` rests it handed out
+    /// have run (or the shutdown grace expires).
     pub fn run(mut self) -> io::Result<NetRunReport> {
         self.epoch = Instant::now();
         let wall_seconds = loop {

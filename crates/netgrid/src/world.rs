@@ -743,6 +743,25 @@ impl World {
         (head[9..12].parse().unwrap(), body.into())
     }
 
+    /// Holders on loop `a` take every replica it has to issue — agents
+    /// 100, 101, ... until one draws nothing — so the next ask draws
+    /// `NoWork`. Each holder, with the reports it owes.
+    pub(crate) fn hold_every_replica(&mut self, a: usize) -> Vec<(Client<End>, Vec<Message>)> {
+        let mut holders = Vec::new();
+        loop {
+            let mut holder = self.connect(a).hello(100 + holders.len() as u64, self);
+            let mut owed = Vec::new();
+            while let Ok(report) = holder.ask(self, baseline()) {
+                owed.push(report);
+            }
+            let drew = !owed.is_empty();
+            holders.push((holder, owed));
+            if !drew {
+                return holders;
+            }
+        }
+    }
+
     /// A volunteer joins, to start at its first turn.
     pub(crate) fn volunteer(&mut self, config: AgentConfig) {
         self.volunteers.push(Volunteer {
@@ -799,9 +818,10 @@ impl World {
             }
         };
         let redirect = matches!(input, Input::Frame(Message::Redirect { .. }));
+        let followed = vol.session.report.redirects_followed;
         let step = vol.session.step(input);
-        // A redirect followed ends the session; one declined waits.
-        vol.declined += u64::from(redirect && matches!(step, Step::Wait(_)));
+        let declined = vol.session.report.redirects_followed == followed;
+        vol.declined += u64::from(redirect && declined);
         self.carry_out(v, step);
     }
 
@@ -1032,5 +1052,39 @@ mod tests {
         assert_eq!((net.report(0).assignments, open(&net)), (1, 1));
         net.pump();
         assert_eq!(open(&net), 0, "the dead volunteer's pipe is open");
+    }
+
+    /// A volunteer told `NoWork` rests as every driver carries a backoff
+    /// out: it hangs up first, so the loop holds no connection of its
+    /// through the wait, and waking, it dials and says `Hello` afresh.
+    #[test]
+    fn a_volunteer_told_no_work_rests_with_no_connection() {
+        let mut net = World::new(vec![Server::shard(0, 1)]);
+        let holders = net.hold_every_replica(0);
+        net.volunteer(AgentConfig::new("shard-0", 1));
+        let due = loop {
+            if let Owed::WakeAt(due) = net.volunteers[0].owed {
+                break due;
+            }
+            net.volunteer_turn(0);
+            net.pump();
+        };
+        net.pump();
+        assert_eq!(
+            net.loops[0].accepted_active,
+            holders.len(),
+            "the resting volunteer holds a connection"
+        );
+        net.now = due;
+        net.volunteer_turn(0);
+        let dialed = matches!(net.volunteers[0].owed, Owed::Input(Input::Connected));
+        assert!(dialed, "waking, the volunteer does not dial");
+        net.volunteer_turn(0);
+        let mut conn = net.volunteers[0].conn.take().expect("a fresh connection");
+        let greeted = matches!(conn.recv(&mut net), Message::HelloAck { .. });
+        assert!(
+            greeted,
+            "the volunteer said no Hello on its fresh connection"
+        );
     }
 }
