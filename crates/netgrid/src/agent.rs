@@ -13,6 +13,9 @@
 //! (it hangs up, rests for the capped pause plus its own jitter, and
 //! dials again), when it gives up, what each injected fault does, every
 //! counter of the [`AgentReport`].
+//! How long it rests is its own policy too: the server states a fixed
+//! hint, and the session doubles a `NoWork`'s for each one in a row
+//! since its last `Assignment`; every other rest is as said.
 //!
 //! Its one driver is [`crate::mux`]: [`crate::mux::run_agent`] over one
 //! session, a fleet over thousands; a test drives one by hand. The
@@ -190,8 +193,9 @@ struct Job {
 const MAX_WAIT_MS: u64 = 2_000;
 
 /// The longest a backoff rests: the cap plus its jitter. A server that
-/// told a volunteer `NoWork` stays up this long for its next ask
-/// ([`crate::event_loop::Loop::over`]).
+/// sent a volunteer off to rest (a `NoWork`, a `Busy`, a `Redirect` it
+/// may decline) stays up this long for its next ask
+/// ([`crate::registry::MultiGrid::sent_to_rest`]).
 pub(crate) const MAX_REST: Duration = Duration::from_millis(MAX_WAIT_MS + MAX_WAIT_MS / 4);
 
 /// Up to a quarter of a `ms` pause, salted by the agent's id, so ten
@@ -222,6 +226,10 @@ pub(crate) struct Session {
     /// The server's replica deadline, from the latest `HelloAck`.
     deadline_seconds: f64,
     connect_failures: u32,
+    /// `NoWork`s rested on at home since the last `Assignment`: the
+    /// next one rests its hint doubled this many times (at most ten),
+    /// capped like any rest.
+    streak: u32,
     phase: Phase,
     /// Every counter is kept here; `request_latencies_ms` is the
     /// driver's to fill — it holds the clock.
@@ -240,6 +248,7 @@ impl Session {
             roster: Vec::new(),
             deadline_seconds: 0.0,
             connect_failures: 0,
+            streak: 0,
             phase: Phase::Resting,
             report: AgentReport::default(),
         }
@@ -396,7 +405,9 @@ impl Session {
                     // fall home rather than camping on the peer.
                     self.leave()
                 } else {
-                    self.back_off(retry_after_ms)
+                    let grown = retry_after_ms.saturating_mul(1 << self.streak.min(10));
+                    self.streak = self.streak.saturating_add(1);
+                    self.back_off(grown)
                 }
             }
             (Phase::Asking, Input::Frame(Message::Redirect { addr: peer, .. })) => {
@@ -434,6 +445,7 @@ impl Session {
                     return self.dial();
                 }
                 self.bounced = false;
+                self.streak = 0;
                 self.report.assignments += 1;
                 let die_after = self.config.die_after.map(u64::from);
                 if die_after.is_some_and(|n| self.report.assignments >= n) {
@@ -723,6 +735,125 @@ pub(crate) mod tests {
         );
     }
 
+    /// From a rest to the next ask at `home`: a fresh dial and handshake.
+    fn ask_again(home: &str, agent: u64) -> Vec<(Input, Step)> {
+        vec![
+            (Input::Woke, Step::Dial(home.into())),
+            (Input::Connected, hello(agent, &[])),
+            (Input::Frame(hello_ack()), Step::Ask),
+        ]
+    }
+
+    /// Told `NoWork` with `hint` at home, the session hangs up and
+    /// rests `then`, and asks again.
+    fn told_no_work(agent: u64, hint: u64, then: Step) -> Vec<(Input, Step)> {
+        let mut script = vec![
+            (Input::Frame(no_work(hint)), Step::Bye),
+            (Input::Lost, then),
+        ];
+        script.extend(ask_again("home", agent));
+        script
+    }
+
+    /// The server states one hint; the session doubles it for each
+    /// `NoWork` in a row.
+    #[test]
+    fn consecutive_no_work_rests_double_from_the_told_hint() {
+        let mut session = Session::new(AgentConfig::new("home", 13));
+        transcript(&mut session, to_first_ask("home", 13));
+        for (k, doubled) in (1..).zip([20, 40, 80, 160, 320]) {
+            transcript(&mut session, told_no_work(13, 20, rest(13, doubled)));
+            assert_eq!(session.streak, k, "after NoWork {k}");
+        }
+    }
+
+    /// The doubling stops at [`MAX_WAIT_MS`], and the jitter comes on
+    /// top of the cap: the rest never passes [`MAX_REST`].
+    #[test]
+    fn no_work_rests_cap_at_the_longest_wait_before_jitter() {
+        let capped = Duration::from_millis(MAX_WAIT_MS + jitter(14, MAX_WAIT_MS));
+        assert!(capped <= MAX_REST, "{capped:?}");
+        let mut session = Session::new(AgentConfig::new("home", 14));
+        transcript(&mut session, to_first_ask("home", 14));
+        for k in 0..40u32 {
+            let doubled = 20u64 << k.min(10);
+            let expected = match doubled < MAX_WAIT_MS {
+                true => rest(14, doubled),
+                false => Step::Wait(capped),
+            };
+            transcript(&mut session, told_no_work(14, 20, expected));
+        }
+        assert_eq!(session.streak, 40);
+    }
+
+    /// An `Assignment` ends the run of `NoWork`s: the next one rests
+    /// the bare hint again.
+    #[test]
+    fn an_assignment_resets_the_no_work_rests() {
+        let mut session = Session::new(AgentConfig::new("home", 15));
+        let spec = NetCampaign::build(CampaignParams::tiny()).spec(0);
+        let output = DockingOutput {
+            rows: Vec::new(),
+            evaluations: 1,
+        };
+        transcript(&mut session, to_first_ask("home", 15));
+        transcript(&mut session, told_no_work(15, 20, rest(15, 20)));
+        transcript(&mut session, told_no_work(15, 20, rest(15, 40)));
+        transcript(
+            &mut session,
+            vec![
+                (
+                    Input::Frame(assignment(5.0)),
+                    Step::Compute {
+                        campaign: 0,
+                        workunit: 0,
+                        isep_start: spec.isep_start,
+                        positions: spec.positions,
+                    },
+                ),
+                (
+                    Input::Computed(output.clone()),
+                    Step::Send(Message::ResultReport {
+                        replica: 0,
+                        workunit: 0,
+                        campaign: 0,
+                        output,
+                    }),
+                ),
+                (
+                    Input::Frame(Message::ResultAck {
+                        accepted: true,
+                        completed_workunit: false,
+                        campaign_complete: false,
+                    }),
+                    Step::Ask,
+                ),
+            ],
+        );
+        transcript(&mut session, told_no_work(15, 20, rest(15, 20)));
+    }
+
+    /// A `Busy` rests what it says however often it comes, and leaves
+    /// the run of `NoWork`s where it was: it says the server is full,
+    /// not that its queue is empty.
+    #[test]
+    fn a_busy_rest_neither_grows_nor_resets_the_no_work_streak() {
+        let mut session = Session::new(AgentConfig::new("home", 16));
+        let busy = Message::Busy { retry_after_ms: 80 };
+        transcript(&mut session, to_first_ask("home", 16));
+        transcript(&mut session, told_no_work(16, 20, rest(16, 20)));
+        transcript(&mut session, told_no_work(16, 20, rest(16, 40)));
+        for _ in 0..3 {
+            let mut script = vec![
+                (Input::Frame(busy.clone()), Step::Bye),
+                (Input::Lost, rest(16, 80)),
+            ];
+            script.extend(ask_again("home", 16));
+            transcript(&mut session, script);
+        }
+        transcript(&mut session, told_no_work(16, 20, rest(16, 80)));
+    }
+
     #[test]
     fn stepped_give_up_with_assignments_but_no_reports_is_ok() {
         let config = |disconnect| AgentConfig {
@@ -953,7 +1084,9 @@ pub(crate) mod tests {
                     ..AgentConfig::new("a", 5)
                 };
                 let mut session = Session::new(config);
-                let (mut connected, mut asks, mut told) = (false, 0u64, 0u64);
+                // The last `NoWork` or `Busy` hint, and how many times
+                // the session may have doubled it.
+                let (mut connected, mut asks, mut told) = (false, 0u64, (0u64, 0u32));
                 let mut history: Vec<Input> = Vec::new();
                 let mut input = Input::Woke;
                 for pick in picks {
@@ -974,7 +1107,8 @@ pub(crate) mod tests {
                         // Only a stall's wait keeps the connection, and
                         // only a stall's sits past the longest rest. Any
                         // other is a backoff: the one the server asked
-                        // for last, or the session's own (a disconnect
+                        // for last (a `NoWork`'s doubled up to ten
+                        // times), or the session's own (a disconnect
                         // fault, a failed dial or handshake, a declined
                         // redirect), capped, plus this agent's jitter.
                         Step::Wait(pause) => {
@@ -982,19 +1116,24 @@ pub(crate) mod tests {
                             prop_assert!(stall || *pause <= MAX_REST, "{pause:?}");
                             if !stall {
                                 prop_assert!(!connected, "{history:?}");
-                                let backoff = [20, 50, 100, told].map(|ms| rest(5, ms));
-                                prop_assert!(backoff.contains(&step), "{step:?} after {history:?}");
+                                let grown = (0..=told.1).map(|k| told.0.saturating_mul(1 << k));
+                                let mut backoff = [20, 50, 100].into_iter().chain(grown);
+                                prop_assert!(
+                                    backoff.any(|ms| rest(5, ms) == step),
+                                    "{step:?} after {history:?}"
+                                );
                             }
                         }
                         Step::Compute { .. } | Step::Finished(_) => {}
                     }
                     prop_assert!(session.report.redirects_followed <= asks);
                     let Some(next) = legal_input(&step, pick) else { break };
-                    if let Input::Frame(
-                        Message::NoWork { retry_after_ms, .. } | Message::Busy { retry_after_ms },
-                    ) = next
-                    {
-                        told = retry_after_ms;
+                    match next {
+                        Input::Frame(Message::NoWork { retry_after_ms, .. }) => {
+                            told = (retry_after_ms, 10);
+                        }
+                        Input::Frame(Message::Busy { retry_after_ms }) => told = (retry_after_ms, 0),
+                        _ => {}
                     }
                     connected = match next {
                         Input::Connected => true,

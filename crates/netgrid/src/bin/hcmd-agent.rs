@@ -15,9 +15,10 @@
 //!
 //! Like a periodic BOINC client, the agent holds no connection while it
 //! waits: told `NoWork` or `Busy`, it says `Bye`, hangs up, and dials
-//! again when the wait is over. A server that finished meanwhile stays
-//! up until a `NoWork` rest has run out, so the agent wakes to hear the
-//! campaign is complete. A server that is gone refuses the dial; the
+//! again when the wait is over — a `NoWork`'s wait doubled for each one
+//! in a row, up to 2 s. A server that finished meanwhile stays up until
+//! such a rest has run out, so the agent wakes to hear the campaign is
+//! complete. A server that is gone refuses the dial; the
 //! agent then exits once its connect attempts run out (about 3 s), with
 //! its report if it ever got work and with the connect error if it did
 //! not.

@@ -28,12 +28,16 @@ use telemetry::Event as Telemetry;
 
 /// How long a finished server waits at most for its volunteers, so an
 /// open, silent socket cannot hold it for ever. It outlasts
-/// [`agent::MAX_REST`], the longest a volunteer told `NoWork` rests
+/// [`agent::MAX_REST`], the longest a volunteer sent off to rest waits
 /// before it asks again — and hears `campaign_complete` instead of
 /// finding a dead port and burning its reconnect budget. Peers are not
 /// waited on by the clock ([`MultiGrid::may_leave`]).
 pub(crate) const SHUTDOWN_GRACE: Duration = Duration::from_secs(3);
 const _: () = assert!(SHUTDOWN_GRACE.as_millis() > agent::MAX_REST.as_millis());
+
+/// The rest a `Busy` brush-off suggests, ms: a fixed hint, which the
+/// volunteer rests as said ([`crate::agent`]).
+const BUSY_RETRY_MS: u64 = 80;
 
 /// A connection's name, given by the driver: the fd on sockets.
 pub(crate) type Id = i32;
@@ -238,8 +242,8 @@ impl<S: Read + Write> Loop<S> {
     /// The run's wall seconds once it is over at `now`: from the start
     /// until the server may leave. A done core keeps answering
     /// `campaign_complete`, listener open, until a volunteer has heard
-    /// it, every one said Bye and every one it told `NoWork` has had its
-    /// rest out ([`MultiGrid::rest_until`]) — or the grace ran out — and
+    /// it, every one said Bye and every one it sent off to rest has had
+    /// its rest out ([`MultiGrid::sent_to_rest`]) — or the grace ran out — and
     /// every peer has heard it: a shard finishes on gossip, so its
     /// volunteers may all be asleep with their sockets closed. The ops
     /// endpoint lingers [`ops::LINGER`] past that, outside the figure
@@ -404,7 +408,8 @@ impl<S: Read + Write> Loop<S> {
                 // telemetered) as a rejection, never as an accepted
                 // connection.
                 self.rejected += 1;
-                let retry_after_ms = self.faults.backoff_base_ms.max(1) * 4;
+                self.core.sent_to_rest(now);
+                let retry_after_ms = BUSY_RETRY_MS;
                 telemetry::emit(None, || Telemetry::ConnectionRejected { retry_after_ms });
                 let mut conn = Conn::new(stream, Role::Brushoff);
                 let busy = encode_with(&Message::Busy { retry_after_ms }, Codec);
@@ -773,6 +778,37 @@ pub(crate) mod tests {
         assert!(lp.over(t(told + rest)).is_some());
     }
 
+    /// A `Busy` sends a volunteer off to rest just as a `NoWork` does,
+    /// so a loop that brushed one off waits that rest out too once done,
+    /// though the brushed-off volunteer never said `Hello`.
+    #[test]
+    fn a_done_loop_waits_out_a_busy_rest() {
+        let mut net = solo();
+        // The last holder drew a `NoWork`; the `Busy` comes later.
+        let holders = net.hold_every_replica(0);
+        net.loops[0].faults.max_connections = holders.len();
+        net.now += 0.5;
+        let brushed = net.now;
+        let reply = net.connect(0).recv(&mut net);
+        assert!(matches!(reply, Message::Busy { .. }), "{reply:?}");
+        assert_eq!(net.loops[0].rejected, 1);
+        for (mut holder, owed) in holders {
+            for report in &owed {
+                holder.report(report, &mut net);
+            }
+        }
+        net.pump();
+        let lp = &mut net.loops[0];
+        assert!(lp.core.done() && lp.core.told_done && lp.conns.is_empty());
+        let rest = agent::MAX_REST.as_secs_f64();
+        assert_eq!(
+            lp.over(t(brushed + rest - 0.01)),
+            None,
+            "left while a brushed-off volunteer rested"
+        );
+        assert!(lp.over(t(brushed + rest)).is_some());
+    }
+
     /// A batch that holds the task listener ahead of a holder's `Bye` —
     /// what a level-triggered poller hands back when it reported the
     /// listener before — retires the holder before it accepts: at
@@ -1025,7 +1061,8 @@ pub(crate) mod tests {
         net.pump();
         assert!(!net.loops[0].link_up(1));
         assert_eq!(net.board(0).backlog[1], 0);
-        assert!(net.loops[0].core.try_redirect(&[true]).is_none());
+        let now = t(net.now);
+        assert!(net.loops[0].core.try_redirect(now, &[true]).is_none());
         match ask(&mut net) {
             Message::NoWork { retry_after_ms, .. } => assert!(retry_after_ms > 0),
             other => panic!("a dead peer must not draw a redirect, got {other:?}"),

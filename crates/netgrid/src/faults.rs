@@ -19,6 +19,11 @@
 //! Draws come from a per-agent `ChaCha8` stream seeded by
 //! `(run seed, agent id)`, so a campaign's fault schedule is
 //! reproducible run to run.
+//!
+//! [`ServerFaults`] is the server's side: the connection cap behind a
+//! `Busy` and the trust policy. It sets no backoff: the server states a
+//! fixed hint, and how long a volunteer rests on it is the volunteer's
+//! own policy ([`crate::agent`]).
 
 use maxdo::DockingOutput;
 use rand::{Rng, SeedableRng};
@@ -166,25 +171,19 @@ impl FaultDice {
     }
 }
 
-/// Server-side fault/limit knobs.
+/// Server-side limits.
 ///
 /// Serializable because the journal header records them: a journaled
-/// campaign must resume under the same limits it ran under.
+/// campaign must resume under the same limits it ran under. How long a
+/// volunteer rests between asks is not among them: that is the
+/// volunteer's own policy ([`crate::agent`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ServerFaults {
     /// Connections beyond this are turned away with `Busy` (0 = off).
     pub max_connections: usize,
-    /// Base of the per-agent exponential backoff, ms.
-    pub backoff_base_ms: u64,
-    /// Backoff ceiling, ms.
-    pub backoff_max_ms: u64,
-    /// Extra deterministic jitter added per retry, ms (spreads agent
-    /// retries so they do not re-collide; derived from the agent id,
-    /// not a clock, to keep runs reproducible).
-    pub backoff_jitter_ms: u64,
     /// Trust-adaptive replication policy. In the journal header
-    /// identity alongside the other knobs: a journal written under one
-    /// trust policy refuses to replay under another.
+    /// identity alongside the connection limit: a journal written under
+    /// one trust policy refuses to replay under another.
     pub trust: crate::trust::TrustConfig,
 }
 
@@ -192,27 +191,8 @@ impl Default for ServerFaults {
     fn default() -> Self {
         Self {
             max_connections: 64,
-            backoff_base_ms: 20,
-            backoff_max_ms: 2_000,
-            backoff_jitter_ms: 17,
             trust: crate::trust::TrustConfig::off(),
         }
-    }
-}
-
-impl ServerFaults {
-    /// Backoff for an agent's `miss`-th consecutive empty fetch:
-    /// exponential in `miss`, capped, plus per-agent jitter.
-    pub fn backoff_ms(&self, agent: u64, miss: u32) -> u64 {
-        let exp = self
-            .backoff_base_ms
-            .saturating_mul(1u64 << miss.min(10))
-            .min(self.backoff_max_ms);
-        let jitter = (agent
-            .wrapping_mul(0x9e37_79b9)
-            .wrapping_add(u64::from(miss)))
-            % (self.backoff_jitter_ms.max(1));
-        exp + jitter
     }
 }
 
@@ -271,35 +251,6 @@ mod tests {
         assert_ne!(out, clean, "corruption must change the payload");
         let delta = (out.rows[0].eelec - clean.rows[0].eelec).abs();
         assert!(delta < 1.0, "bit flip too large to pass bounds: {delta}");
-    }
-
-    #[test]
-    fn backoff_grows_and_caps() {
-        let f = ServerFaults::default();
-        // With base 20 ms and cap 2000 ms the exponential part doubles
-        // through miss 6 (20·2⁶ = 1280) and saturates at the cap from
-        // miss 7 on (20·2⁷ = 2560 → 2000). Jitter is < 17 ms, smaller
-        // than every doubling step, so growth below the cap is strict.
-        for agent in [0u64, 1, 7, 1_000_003] {
-            for miss in 0..7 {
-                let lo = f.backoff_ms(agent, miss);
-                let hi = f.backoff_ms(agent, miss + 1);
-                assert!(
-                    lo < hi,
-                    "backoff must strictly grow below the cap: \
-                     agent={agent} miss={miss}: {lo} → {hi}"
-                );
-            }
-            // Past the knee every backoff sits in the cap band
-            // [max, max + jitter): capped, but never above the ceiling.
-            for miss in 7..40 {
-                let b = f.backoff_ms(agent, miss);
-                assert!(
-                    (f.backoff_max_ms..f.backoff_max_ms + f.backoff_jitter_ms).contains(&b),
-                    "agent={agent} miss={miss}: {b} outside the cap band"
-                );
-            }
-        }
     }
 
     #[test]

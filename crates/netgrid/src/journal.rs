@@ -115,6 +115,10 @@
 //!     per campaign (`DIR/NAME/wal.bin` on a multi-campaign server). Its
 //!     header decodes as far as its format field, and a directory that
 //!     holds a `NAME/wal.bin` is refused too, naming "journal format 4".
+//!   - journal format 5 is this one with three more fields in the
+//!     header's faults (the server's backoff knobs); its header decodes
+//!     as far as its format field and is refused naming "journal
+//!     format 5".
 //!
 //! Prefix loss is safe by construction: a lost `Fetch` replica
 //! ages out of nothing (it was never outstanding in the recovered
@@ -159,10 +163,13 @@ const LEGACY_FRAME_KIND: u8 = 1;
 /// binary; format 3 is format 2 with every frame sealed by
 /// [`protocol::checksum64`] instead of FNV-1a 64; format 4 is format 3
 /// with a binary header and no `snapshot.bin`; format 5 records what the
-/// registry was told, in one wal per server. Formats 1–3 never get as
-/// far as a parsed header — [`RecordReader`] recognises their first
-/// frame (module docs, "legacy file").
-pub(crate) const JOURNAL_FORMAT: u32 = 5;
+/// registry was told, in one wal per server; format 6 is format 5 with
+/// the three backoff knobs gone from the header's faults (a volunteer's
+/// rests are its own). Formats 1–3 never get as far as a parsed header
+/// — [`RecordReader`] recognises their first frame (module docs,
+/// "legacy file"); formats 4 and 5 are refused at the header's format
+/// field.
+pub(crate) const JOURNAL_FORMAT: u32 = 6;
 
 /// Whether a commit waits for the disk. Either way nothing is synced on
 /// append: the event loop calls [`Journal::commit`] before any frame
@@ -362,9 +369,6 @@ fn encode_record(rec: &JournalRecord, w: &mut Writer) {
                 w.u64(feeder.refill_batch as u64);
             }
             w.u64(faults.max_connections as u64);
-            w.u64(faults.backoff_base_ms);
-            w.u64(faults.backoff_max_ms);
-            w.u64(faults.backoff_jitter_ms);
             let trust = &faults.trust;
             w.flag(trust.enabled);
             w.f64(trust.trusted_threshold);
@@ -522,9 +526,6 @@ fn decode_header(r: &mut Reader) -> Result<JournalRecord, String> {
         },
         faults: ServerFaults {
             max_connections: r.u64()? as usize,
-            backoff_base_ms: r.u64()?,
-            backoff_max_ms: r.u64()?,
-            backoff_jitter_ms: r.u64()?,
             trust: TrustConfig {
                 enabled: r.flag()?,
                 trusted_threshold: r.f64()?,
@@ -1121,7 +1122,6 @@ mod tests {
                     },
                     faults: ServerFaults {
                         max_connections: a as usize,
-                        backoff_jitter_ms: bits,
                         trust: TrustConfig {
                             enabled: b.is_multiple_of(5),
                             spot_check_rate: now_s,
@@ -1129,7 +1129,6 @@ mod tests {
                             quarantine_after: b,
                             ..TrustConfig::on()
                         },
-                        ..ServerFaults::default()
                     },
                     shard: ShardSpec {
                         shard_id: campaign,
@@ -1246,7 +1245,8 @@ mod tests {
     /// compaction just ran is a lone JSON header with the whole campaign
     /// in `snapshot.bin` beside it; a format-4 wal decodes as far as its
     /// format field, and a multi-campaign server kept one per campaign
-    /// in a subdirectory. Each is refused by name, by recovery and by
+    /// in a subdirectory; a format-5 wal too decodes as far as its
+    /// format field. Each is refused by name, by recovery and by
     /// the `hcmd-journal dump` reader alike, with nothing on disk
     /// touched or created.
     #[test]
@@ -1260,6 +1260,7 @@ mod tests {
         let mut format_3 = protocol::frame_payload_versioned(LEGACY_FRAME_KIND, header).to_vec();
         format_3.extend_from_slice(&frame(&sweep(0.0, 1)));
         let format_4 = include_bytes!("../../../tests/data/wal_format4.bin").to_vec();
+        let format_5 = include_bytes!("../../../tests/data/wal_format5.bin").to_vec();
 
         for (tag, file, old, named) in [
             (
@@ -1277,6 +1278,7 @@ mod tests {
             ),
             ("format4", WAL_FILE, &format_4, "journal format 4"),
             ("nested", "alpha/wal.bin", &format_4, "journal format 4"),
+            ("format5", WAL_FILE, &format_5, "journal format 5"),
         ] {
             let dir = scratch_dir(&format!("legacy-{tag}"));
             let path = dir.join(file);

@@ -22,7 +22,7 @@
 //!   (both ends derive the same library and launch-ordered catalog);
 //! * [`state`] — one campaign's transport-free server state:
 //!   `SchedulerCore` plus real-payload validation (bounds + byte-level
-//!   quorum), wall-clock deadlines, per-agent backoff;
+//!   quorum), wall-clock deadlines, a fixed rest hint for an empty queue;
 //! * [`sys`] — a dependency-free readiness shim: epoll on Linux with a
 //!   portable `poll(2)` fallback, via direct `extern "C"` declarations,
 //!   and the read buffer and flush loop of a nonblocking connection;

@@ -175,7 +175,8 @@ pub enum Message {
         campaign: u16,
     },
     /// Server → agent: nothing issuable right now (BOINC's "no work
-    /// sent, try again"); carries the per-agent backoff.
+    /// sent, try again"); carries the server's rest hint, which the
+    /// agent grows over a run of these.
     NoWork {
         /// True once every workunit has validated — the agent should
         /// say `Bye` and exit.

@@ -387,9 +387,9 @@ pub struct MultiGrid {
     /// is over while this server was [`Self::done`]: the final word a
     /// finished server stays up to give.
     pub(crate) told_done: bool,
-    /// Until when a volunteer told `NoWork` may still be resting, its
-    /// socket closed, before it asks again: the last such reply plus
-    /// [`crate::agent::MAX_REST`].
+    /// Until when a volunteer sent off to rest may still be resting,
+    /// its socket closed, before it asks again: the last such reply plus
+    /// [`crate::agent::MAX_REST`] ([`Self::sent_to_rest`]).
     pub(crate) rest_until: SimTime,
 }
 
@@ -913,9 +913,9 @@ impl MultiGrid {
                             retry_after_ms,
                             campaign_complete,
                         },
-                    ) => self.try_redirect(mask).unwrap_or_else(|| {
+                    ) => self.try_redirect(now, mask).unwrap_or_else(|| {
                         if !self.final_word(campaign_complete) {
-                            self.rest_until = now.after(crate::agent::MAX_REST.as_secs_f64());
+                            self.sent_to_rest(now);
                         }
                         Message::NoWork {
                             campaign_complete,
@@ -1128,7 +1128,7 @@ impl MultiGrid {
     /// poll `NoWork` for ever while a peer's backlog sat untouched. A
     /// slice that validates within one steering interval gets there
     /// before the first lease could have been cut.
-    pub(crate) fn try_redirect(&mut self, attached: &[bool]) -> Option<Message> {
+    pub(crate) fn try_redirect(&mut self, now: SimTime, attached: &[bool]) -> Option<Message> {
         // A backoff with backlog still on hand was a trust denial
         // (quarantine), not a drained queue: the agent waits here.
         let on_hand = |(s, &a): (&Slot, &bool)| a && s.state.core().fresh_backlog() > 0;
@@ -1148,7 +1148,18 @@ impl MultiGrid {
             .max_by_key(|&(_, _, backlog)| backlog)?;
         let addr = self.addrs.get(usize::from(peer))?.clone();
         self.slots[cidx].state.note_redirect();
+        self.sent_to_rest(now);
         Some(Message::Redirect { shard: peer, addr })
+    }
+
+    /// A volunteer was just sent off to rest at `now`, its socket
+    /// closed: told `NoWork` with the campaign open, brushed off with
+    /// `Busy`, or handed a `Redirect` it may decline. However long the
+    /// rest, it asks again within [`crate::agent::MAX_REST`], and a
+    /// finished server stays up that long to tell it so
+    /// ([`crate::event_loop::Loop::over`]).
+    pub(crate) fn sent_to_rest(&mut self, now: SimTime) {
+        self.rest_until = now.after(crate::agent::MAX_REST.as_secs_f64());
     }
 
     /// One steering tick's bookkeeping, before any status is built:
@@ -2231,6 +2242,54 @@ pub(crate) mod tests {
         assert_eq!(stranded.core().fresh_backlog(), 0, "nothing to lease");
         assert_eq!(stranded.outstanding_len(), 0, "nothing in flight");
         assert_eq!(world.board(1).backlog[0], 0, "no redirect to shard 0");
+    }
+
+    /// A known liveness hole, DESIGN §6's termination window, pinned by
+    /// script: shard 1 finishes its slice and tells shard 0, then goes
+    /// down before it hears shard 0 finish. Shard 0's dial to it fails
+    /// with its completion already on shard 0's board, so shard 0 takes
+    /// it for gone and finished, and leaves. Restarted from its wal,
+    /// shard 1 knows its own completion only, has nobody left to gossip
+    /// with, tells its volunteers the campaign is open, and never
+    /// becomes done. This test fails once the hole is closed; the fix is
+    /// for an exhaustive search to find and judge (ROADMAP item 11).
+    #[test]
+    fn known_hole_a_peer_down_before_it_hears_us_finish_never_does() {
+        let journaled = |a| Server::shard(a, 2).journaled(&format!("window-{a}"));
+        let net = &mut World::new(vec![journaled(0), journaled(1)]);
+        // Shard 1 finishes its slice; its first steering tick dials,
+        // its second tells shard 0, which records it.
+        net.connect(1).hello(2, net).work(net, baseline());
+        net.steer(1);
+        net.steer(1);
+        pump_until(net, |net| net.board(0).complete[1]);
+        // Shard 0 finishes its own, and shard 1 goes down before shard
+        // 0's first steering tick could tell it.
+        net.connect(0).hello(1, net).work(net, baseline());
+        assert!(net.loops[0].core.done() && !net.board(1).complete[0]);
+        net.leave(1);
+        net.steer(0);
+        assert!(net.loops[0].core.may_leave(), "the failed dial settled it");
+        pump_until(net, |net| net.loops[0].conns.is_empty());
+        assert!(net.loops[0].over(t(net.now)).is_some(), "shard 0 may leave");
+        net.leave(0);
+
+        net.kill_and_reopen(1);
+        assert!(net.state(1).is_campaign_complete(), "its own slice");
+        assert!(!net.board(1).complete[0], "its wal holds no word of 0");
+        let mut volunteer = net.connect(1).hello(3, net);
+        let ask = volunteer.exchange(&Message::RequestWork, net);
+        let open = matches!(
+            ask,
+            Message::NoWork {
+                campaign_complete: false,
+                ..
+            }
+        );
+        assert!(open, "{ask:?}");
+        drop(volunteer);
+        let ended = net.run(&mut ChaCha8Rng::seed_from_u64(0), |_, _| {});
+        assert!(!ended && !net.loops[1].core.done());
     }
 
     /// A saboteur among three honest volunteers, under the trust policy,

@@ -50,7 +50,7 @@ pub struct NetServerConfig {
     pub campaign: CampaignParams,
     /// Scheduling-core configuration (deadline, validation switch).
     pub scheduler: ServerConfig,
-    /// Connection limits and backoff shaping.
+    /// The connection limit and the trust policy.
     pub faults: ServerFaults,
     /// Deadline-sweep interval, ms.
     pub sweep_ms: u64,

@@ -17,7 +17,8 @@
 //! * **double-report protection**: the core asserts each replica reports
 //!   once; TCP peers can retransmit, so the wire layer must deduplicate
 //!   before calling in;
-//! * **per-agent backoff** when a fetch finds no work.
+//! * **a fixed rest hint** when a fetch finds no work
+//!   (`NO_WORK_RETRY_MS`; the volunteer grows its own rests from it).
 //!
 //! `GridState` is deliberately transport-free (time is an explicit
 //! argument, no sockets): the parity test drives it and a bare
@@ -74,14 +75,21 @@ pub fn fingerprint(output: &DockingOutput) -> u64 {
     sum.finish()
 }
 
+/// The rest an empty queue suggests, ms: one fixed hint for every
+/// agent. The volunteer grows its own rests from it, one doubling per
+/// `NoWork` in a row ([`crate::agent`]); a quarantine suggests what is
+/// left of it, never less than this.
+pub(crate) const NO_WORK_RETRY_MS: u64 = 20;
+
 /// Reply to a work request.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum WorkReply {
     /// One replica to compute.
     Assigned(ReplicaAssignment),
-    /// Nothing issuable; retry after the per-agent backoff.
+    /// Nothing issuable; retry after the suggested rest.
     Backoff {
-        /// Suggested wait, ms.
+        /// Suggested wait, ms: a fixed hint (`NO_WORK_RETRY_MS`), or
+        /// what is left of a quarantine.
         retry_after_ms: u64,
         /// True once the campaign is fully validated.
         campaign_complete: bool,
@@ -213,8 +221,6 @@ struct InFlight {
 struct AgentBook {
     /// Assignment/report accounting for the ops endpoint (advisory).
     ledger: AgentLedger,
-    /// Consecutive empty fetches (drives backoff).
-    misses: u32,
     /// Accept/reject history driving the replication bands; stays at
     /// its default, and is never shown, with the trust policy off.
     trust: AgentTrust,
@@ -512,7 +518,6 @@ impl GridState {
         book.ledger.last_seen_s = book.ledger.last_seen_s.max(now.seconds());
         match outcome {
             Ok((assignment, suspect)) => {
-                book.misses = 0;
                 book.ledger.assignments += 1;
                 self.spots_in_flight += usize::from(suspect.is_some());
                 self.in_flight.insert(
@@ -538,13 +543,9 @@ impl GridState {
                     // often it asks.
                     Some(ms) => {
                         self.net_stats.trust_denied_fetches += 1;
-                        ms.max(self.faults.backoff_base_ms.max(1))
+                        ms.max(NO_WORK_RETRY_MS)
                     }
-                    None => {
-                        let ms = self.faults.backoff_ms(agent, book.misses);
-                        book.misses = book.misses.saturating_add(1);
-                        ms
-                    }
+                    None => NO_WORK_RETRY_MS,
                 };
                 self.net_stats.backoffs_sent += 1;
                 WorkReply::Backoff {
@@ -1033,8 +1034,10 @@ mod tests {
         assert_eq!(b.workunit, a.workunit);
     }
 
+    /// An empty queue states one fixed hint, the same for every agent
+    /// however often it asks: the rest grows on the volunteer's side.
     #[test]
-    fn empty_queue_backs_off_exponentially_per_agent() {
+    fn an_empty_queue_states_one_fixed_hint() {
         let (campaign, mut state) = setup();
         // Drain the whole queue.
         let mut assignments = Vec::new();
@@ -1042,18 +1045,17 @@ mod tests {
             assignments.push(a);
         }
         assert!(assignments.len() >= 2 * campaign.len());
-        let first = match state.fetch(t(0.0), 9) {
-            WorkReply::Backoff { retry_after_ms, .. } => retry_after_ms,
-            other => panic!("{other:?}"),
-        };
-        let later = (0..4)
-            .map(|_| match state.fetch(t(0.0), 9) {
-                WorkReply::Backoff { retry_after_ms, .. } => retry_after_ms,
-                other => panic!("{other:?}"),
-            })
-            .last()
-            .unwrap();
-        assert!(later > first, "backoff must grow: {first} → {later}");
+        for agent in [1, 9, 1_000_003] {
+            for _ in 0..12 {
+                let reply = state.fetch(t(0.0), agent);
+                let hint = WorkReply::Backoff {
+                    retry_after_ms: NO_WORK_RETRY_MS,
+                    campaign_complete: false,
+                };
+                assert_eq!(reply, hint, "agent {agent}");
+            }
+        }
+        assert_eq!(state.net_stats.backoffs_sent, 3 * 12 + 1);
     }
 
     #[test]

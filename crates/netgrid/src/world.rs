@@ -706,8 +706,9 @@ impl World {
     /// Loop `a` leaves, as the real server exits once its loop says it
     /// may: every connection to or from it closes, those waiting in its
     /// listeners' backlogs too, and later dials to it fail. Its core
-    /// stays, for the end of the run to check.
-    fn leave(&mut self, a: usize) {
+    /// stays, for the end of the run to check. A test also uses it for a
+    /// server that is down until [`Self::kill_and_reopen`] restarts it.
+    pub(crate) fn leave(&mut self, a: usize) {
         self.loops[a].conns.clear();
         self.pipes[a] = Pipes::default();
         self.left[a] = true;

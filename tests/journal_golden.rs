@@ -1,6 +1,6 @@
 //! A golden wal: the disk twin of `crates/netgrid/tests/wire_golden.rs`.
 //!
-//! `tests/data/wal_format5.bin` is a `wal.bin` a journaled, trust-on
+//! `tests/data/wal_format6.bin` is a `wal.bin` a journaled, trust-on
 //! shard of one campaign wrote while a scripted history ran through its
 //! registry: a quorum pair, a retransmission, a quorum rejection, a
 //! bounds rejection, an expiry and the late report that follows it, a
@@ -17,12 +17,15 @@
 //! journal means — bump `JOURNAL_FORMAT` and refuse the old one instead.
 //!
 //! The literals were first recorded from the same history in journal
-//! format 4, whose wal, `tests/data/wal_format4.bin`, stays as the file
-//! this build must refuse by name. Its payloads were docked by the
-//! kernel of that day; the generator reports them again, so the format
-//! changed and the literals did not.
+//! format 4, and held unedited through formats 5 and 6. The older
+//! fixtures stay byte for byte as files this build must refuse by name:
+//! `tests/data/wal_format4.bin` ("journal format 4": a wal per campaign)
+//! and `tests/data/wal_format5.bin` ("journal format 5": the header
+//! still carried the server's three backoff knobs). The format-4 wal's
+//! payloads were docked by the kernel of that day; the generator reports
+//! them again, so the format changed and the literals did not.
 //!
-//! Regenerate (only with a format bump):
+//! Regenerate (only with a format bump, and then keep the old file):
 //! `cargo test --test journal_golden -- --ignored --nocapture`.
 
 mod common;
@@ -287,7 +290,7 @@ fn drain(state: &mut OneCampaign, baseline: &[DockingOutput]) {
 }
 
 #[test]
-#[ignore = "writes tests/data/wal_format5.bin; run by hand, and only with a format bump"]
+#[ignore = "writes tests/data/wal_format6.bin; run by hand, and only with a format bump"]
 fn generate_the_fixture() {
     let cfg = scratch("generate");
     let (live, _) = open(&cfg).expect("fresh journal opens");
@@ -299,7 +302,7 @@ fn generate_the_fixture() {
     let [server_stats, net_stats, agent_trust, accepted] = observed(&script.live);
     drop(script); // the wal is all that is kept
 
-    fs::copy(cfg.dir.join("wal.bin"), fixture(5)).unwrap();
+    fs::copy(cfg.dir.join("wal.bin"), fixture(6)).unwrap();
     println!("const SERVER_STATS: &str = {server_stats:?};");
     println!("const NET_STATS: &str = {net_stats:?};");
     println!("const AGENT_TRUST: &str = {agent_trust:?};");
@@ -313,13 +316,13 @@ fn the_recorded_wal_replays_to_the_recorded_state() {
     let baseline = campaign.baseline_outputs();
     let cfg = scratch("replay");
     fs::create_dir_all(&cfg.dir).unwrap();
-    fs::copy(fixture(5), cfg.dir.join("wal.bin")).unwrap();
+    fs::copy(fixture(6), cfg.dir.join("wal.bin")).unwrap();
 
     let (mut state, resume_s) = open(&cfg).expect("every recorded decision replays");
     assert_eq!(resume_s, 50.0, "the last record's clock");
     assert_eq!(
         fs::read(cfg.dir.join("wal.bin")).unwrap(),
-        fs::read(fixture(5)).unwrap(),
+        fs::read(fixture(6)).unwrap(),
         "a whole wal is neither cut nor rewritten by recovery"
     );
     let [server_stats, net_stats, agent_trust, accepted] = observed(&state);
