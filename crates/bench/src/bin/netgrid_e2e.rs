@@ -1,12 +1,14 @@
 //! Live-grid end-to-end smoke: the real `hcmd-netgrid` server and a
 //! fleet of real agents over loopback TCP, faults on.
 //!
-//! It runs an actual campaign — length-prefixed frames, maxdo docking in
-//! agent threads, quorum validation on the server — with a threaded
-//! fleet that always includes one agent that vanishes mid-workunit and
-//! one saboteur that corrupts every payload, so a single run exercises
-//! the §5.1 timeout-reissue path and the quorum-rejection path, and the
-//! report carries those counts next to the injected fault totals.
+//! It runs an actual campaign — length-prefixed frames, maxdo docking,
+//! quorum validation on the server — with one fleet of agents
+//! (`netgrid::run_mux_fleet`, one `AgentConfig` per volunteer, each run
+//! to its own end) that always includes one agent that vanishes
+//! mid-workunit and one saboteur that corrupts every payload, so a
+//! single run exercises the §5.1 timeout-reissue path and the
+//! quorum-rejection path, and the report carries those counts next to
+//! the injected fault totals.
 //!
 //! This binary checks that the artifact survives faults, scale and
 //! sharding; it is not where performance is measured, and it compares no
@@ -17,17 +19,16 @@
 //! pins better — the trust policy's quarantine, a fair-share split, a
 //! two-campaign server's artifacts — is left to those tests.
 //!
-//! A second, *scale* campaign drives `--scale-agents` (default
-//! 10 000) simulated volunteers through the multiplexed driver
-//! (`netgrid::run_mux_fleet`) against the same event-loop server; the
-//! `scale_*` columns record its throughput and request-latency
-//! percentiles. The soft open-file limit is raised first: a loopback
-//! run holds both ends of every socket.
+//! A second, *scale* campaign is the same fleet with `--scale-agents`
+//! (default 10 000) honest volunteers against the same event-loop
+//! server; the `scale_*` columns record its throughput and
+//! request-latency percentiles. The soft open-file limit is raised
+//! first: a loopback run holds both ends of every socket. Every fleet
+//! clock runs from the fleet's start to its last session's end.
 //!
 //! A *sharded* block then splits the same campaign across N
 //! `NetServer` shards (2-shard, 2-shard `--trust on` and 4-shard by
-//! default; `--shards N` overrides the topology, `--shards 0` skips the
-//! block) with the mux fleet round-robined across every shard. Each row
+//! block) with the fleet's homes round-robined across every shard. Each row
 //! in the `shard_campaigns` column reports redirect and lease (steal)
 //! counts, per-shard and aggregate throughput, and whether the merged
 //! per-shard artifacts are byte-identical to a like-for-like
@@ -53,17 +54,17 @@
 use bench_support::RunSession;
 use metrics::quantile;
 use netgrid::{
-    merge_artifact_json, merge_artifacts, run_agent, run_mux_fleet, sys, AgentConfig,
-    CampaignParams, CampaignRunReport, FaultProfile, MuxFleetConfig, MuxFleetReport, NetCampaign,
-    NetRunReport, NetServer, NetServerConfig, NetStats, ShardSpec, ShardTopology, TrustConfig,
+    merge_artifact_json, merge_artifacts, run_mux_fleet, sys, AgentConfig, AgentReport,
+    CampaignParams, CampaignRunReport, FaultProfile, NetCampaign, NetRunReport, NetServer,
+    NetServerConfig, NetStats, ShardSpec, ShardTopology, TrustConfig,
 };
 use std::net::TcpListener;
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Threaded-fleet ceiling: a campaign with more honest agents than this
-/// runs them through the multiplexed driver.
-const THREADED_FLEET_MAX: usize = 64;
+/// How long any fleet may run before the sessions still running are
+/// cut off.
+const FLEET_TIMEOUT: Duration = Duration::from_secs(280);
 
 /// Soft open-file limit asked for before the scale campaign: the mux
 /// driver keeps at most 8 000 connections open, and a loopback run owns
@@ -76,8 +77,8 @@ struct NetgridReport {
     bench: String,
     quick: bool,
     seed: u64,
-    /// Honest (flaky-profile) threaded agents; the victim and the
-    /// saboteur ride on top of these.
+    /// Honest (flaky-profile) agents in the plain campaign's fleet; the
+    /// victim and the saboteur ride on top of these.
     agents: usize,
     workunits: usize,
     timeout_reissues: u64,
@@ -97,7 +98,7 @@ struct NetgridReport {
     scale_connections: Option<u64>,
     scale_merged_matches_baseline: Option<bool>,
     /// Throughput of the like-for-like single-server run the sharded
-    /// campaigns are scored against: same campaign, same mux fleet, one
+    /// campaigns are scored against: same campaign, same fleet, one
     /// unsharded server. Null when `--shards 0` skipped the block.
     shard_single_workunits_per_sec: Option<f64>,
     /// One row per sharded campaign (2-shard, 2-shard trust-on and
@@ -115,8 +116,8 @@ struct ShardBenchRow {
     trust: bool,
     /// Workunits validated across all shards (the whole catalog).
     workunits: usize,
-    /// Fleet-side wall clock, start of the fleet to global completion.
-    /// (Server-side `wall_seconds` can include the shutdown grace a
+    /// Fleet-side wall clock, start of the fleet to its last session's
+    /// end. (Server-side `wall_seconds` can include the shutdown grace a
     /// shard sits out when no volunteer heard the final word from it,
     /// which would understate throughput.)
     wall_seconds: f64,
@@ -149,12 +150,12 @@ struct ShardBenchRow {
     throughput_vs_single_frac: f64,
 }
 
-/// Everything one campaign run yields, whichever driver carried it.
+/// Everything one campaign run yields.
 struct CampaignOutcome {
     run: NetRunReport,
-    /// Fleet-side wall clock, server start to the honest fleet's end
-    /// (the server's own figure also holds the rests it waits out once
-    /// done, so it is not a throughput clock).
+    /// Fleet-side wall clock, the fleet's start to its last session's
+    /// end (the server's own figure also holds the rests it waits out
+    /// once done, so it is not a throughput clock).
     wall_seconds: f64,
     latencies: Vec<f64>,
     faults: (u64, u64, u64),
@@ -171,11 +172,45 @@ impl CampaignOutcome {
     }
 }
 
-/// One full wire-level campaign: fleet, faults and all. The honest,
-/// flaky majority runs as real threaded agents up to
-/// [`THREADED_FLEET_MAX`], then switches to the multiplexed driver; the
-/// victim (takes a workunit and vanishes) and the saboteur (corrupts
-/// every payload) are always real threaded agents.
+/// `agents` clean volunteers on one run seed, ids `1..=agents`, their
+/// homes round-robined over `homes`.
+fn fleet(homes: &[String], agents: usize, seed: u64) -> Vec<AgentConfig> {
+    let volunteer = |id: u64| AgentConfig {
+        seed,
+        ..AgentConfig::new(homes[(id - 1) as usize % homes.len()].clone(), id)
+    };
+    (1..=agents as u64).map(volunteer).collect()
+}
+
+/// Every `RequestWork` latency a fleet clocked.
+fn latencies(reports: &[AgentReport]) -> Vec<f64> {
+    let each = reports.iter().map(|r| &r.request_latencies_ms);
+    each.flatten().copied().collect()
+}
+
+/// One counter summed over a fleet's reports.
+fn total(reports: &[AgentReport], counter: fn(&AgentReport) -> u64) -> u64 {
+    reports.iter().map(counter).sum()
+}
+
+/// Runs a fleet that must see its campaign complete.
+fn run_fleet(agents: Vec<AgentConfig>, what: &str) -> (Vec<AgentReport>, f64) {
+    let t0 = Instant::now();
+    let reports = run_mux_fleet(agents, FLEET_TIMEOUT).expect("fleet ran");
+    let wall_seconds = t0.elapsed().as_secs_f64();
+    assert!(
+        reports.iter().any(|r| r.saw_completion),
+        "{what}: no session saw the campaign complete"
+    );
+    (reports, wall_seconds)
+}
+
+/// One full wire-level campaign as one fleet: a victim that takes a
+/// workunit and vanishes (forces a timeout reissue), a saboteur that
+/// corrupts every payload (forces quorum rejections), and the
+/// honest-but-flaky majority that carries the campaign. The two go
+/// first, so they dial before thousands of honest volunteers drain the
+/// queue.
 fn run_campaign(
     campaign_params: CampaignParams,
     deadline_seconds: f64,
@@ -187,95 +222,41 @@ fn run_campaign(
         sweep_ms: 25,
         ..NetServerConfig::loopback(deadline_seconds)
     };
-    if honest_agents > THREADED_FLEET_MAX {
-        // The default 64-connection Busy limit models a small server;
-        // the scale campaign measures the event loop itself, so the
-        // brush-off path must not throttle the fleet.
-        config.faults.max_connections = 0;
-    }
+    // No `Busy` limit: the scale campaign measures the event loop
+    // itself, and the plain fleet is far below the default one.
+    config.faults.max_connections = 0;
     let server = NetServer::bind(config).expect("bind loopback");
     let addr = server.local_addr().expect("local addr").to_string();
     let server = thread::spawn(move || server.run());
-    let t0 = Instant::now();
 
-    // The fleet: one victim that takes a workunit and vanishes (forces
-    // a timeout reissue), one saboteur that corrupts everything it
-    // touches (forces quorum rejections), and the honest-but-flaky
-    // majority that actually carries the campaign.
-    let victim = {
-        let addr = addr.clone();
-        thread::spawn(move || {
-            run_agent(AgentConfig {
-                die_after: Some(1),
-                seed,
-                ..AgentConfig::new(addr, 100)
-            })
-        })
+    let victim = AgentConfig {
+        die_after: Some(1),
+        seed,
+        ..AgentConfig::new(addr.clone(), 100)
     };
-    victim.join().unwrap().expect("victim agent ran");
-    let saboteur = {
-        let addr = addr.clone();
-        thread::spawn(move || {
-            run_agent(AgentConfig {
-                profile: FaultProfile::saboteur(),
-                seed,
-                ..AgentConfig::new(addr, 666)
-            })
-        })
+    let saboteur = AgentConfig {
+        profile: FaultProfile::saboteur(),
+        seed,
+        ..AgentConfig::new(addr.clone(), 666)
     };
-    thread::sleep(Duration::from_millis(50));
-
-    let mut latencies: Vec<f64> = Vec::new();
-    let mut faults = (0u64, 0u64, 0u64);
-    if honest_agents > THREADED_FLEET_MAX {
-        let fleet = run_mux_fleet(MuxFleetConfig {
-            seed,
-            profile: FaultProfile::flaky(),
-            timeout: Duration::from_secs(280),
-            ..MuxFleetConfig::new(addr, honest_agents)
-        })
-        .expect("mux fleet ran");
-        let MuxFleetReport {
-            disconnect_faults,
-            stall_faults,
-            corrupt_faults,
-            request_latencies_ms,
-            ..
-        } = fleet;
-        latencies = request_latencies_ms;
-        faults = (disconnect_faults, stall_faults, corrupt_faults);
-    } else {
-        let honest: Vec<_> = (1..=honest_agents as u64)
-            .map(|agent| {
-                let addr = addr.clone();
-                thread::spawn(move || {
-                    run_agent(AgentConfig {
-                        profile: FaultProfile::flaky(),
-                        threads: if agent == 1 { 2 } else { 1 },
-                        seed,
-                        ..AgentConfig::new(addr, agent)
-                    })
-                })
-            })
-            .collect();
-        for h in honest {
-            let r = h.join().unwrap().expect("honest agent ran");
-            latencies.extend_from_slice(&r.request_latencies_ms);
-            faults.0 += r.disconnect_faults;
-            faults.1 += r.stall_faults;
-            faults.2 += r.corrupt_faults;
-        }
-    }
-    let wall_seconds = t0.elapsed().as_secs_f64();
-    if let Ok(r) = saboteur.join().unwrap() {
-        latencies.extend_from_slice(&r.request_latencies_ms);
-        faults.2 += r.corrupt_faults;
-    }
+    let honest = fleet(&[addr], honest_agents, seed).into_iter();
+    let flaky = honest.map(|config| AgentConfig {
+        profile: FaultProfile::flaky(),
+        ..config
+    });
+    let (reports, wall_seconds) = run_fleet(
+        [victim, saboteur].into_iter().chain(flaky).collect(),
+        "campaign",
+    );
     CampaignOutcome {
         run: server.join().unwrap().expect("server ran"),
         wall_seconds,
-        latencies,
-        faults,
+        latencies: latencies(&reports),
+        faults: (
+            total(&reports, |r| r.disconnect_faults),
+            total(&reports, |r| r.stall_faults),
+            total(&reports, |r| r.corrupt_faults),
+        ),
     }
 }
 
@@ -314,7 +295,7 @@ fn free_addrs(n: u16) -> Vec<String> {
 }
 
 /// One campaign split across `shards` servers by the deterministic
-/// shard map, with the mux fleet round-robined across every shard.
+/// shard map, with the fleet's homes round-robined across every shard.
 /// Always speaks protocol v3 — steering needs the shard messages.
 fn run_sharded_campaign(
     campaign_params: CampaignParams,
@@ -345,19 +326,7 @@ fn run_sharded_campaign(
         })
         .collect();
 
-    let t0 = Instant::now();
-    let fleet = run_mux_fleet(MuxFleetConfig {
-        seed,
-        addrs: addrs.clone(),
-        timeout: Duration::from_secs(280),
-        ..MuxFleetConfig::new(addrs[0].clone(), agents)
-    })
-    .expect("sharded mux fleet ran");
-    let wall_seconds = t0.elapsed().as_secs_f64();
-    assert!(
-        fleet.saw_completion,
-        "sharded fleet should see global completion"
-    );
+    let (fleet, wall_seconds) = run_fleet(fleet(&addrs, agents, seed), "sharded fleet");
     let reports: Vec<NetRunReport> = handles
         .into_iter()
         .map(|h| h.join().unwrap().expect("shard ran"))
@@ -369,8 +338,8 @@ fn run_sharded_campaign(
     let merged = merge_artifacts(&parts).expect("shards cover the campaign");
     ShardedOutcome {
         merged_json: serde_json::to_string(&merged).expect("merged artifact serializes"),
-        requests: fleet.request_latencies_ms.len(),
-        redirects_followed: fleet.redirects_followed,
+        requests: latencies(&fleet).len(),
+        redirects_followed: total(&fleet, |r| r.redirects_followed),
         reports,
         wall_seconds,
     }
@@ -394,15 +363,7 @@ fn run_shard_reference(
     let server = NetServer::bind(config).expect("bind single reference");
     let addr = server.local_addr().expect("local addr").to_string();
     let server = thread::spawn(move || server.run());
-    let t0 = Instant::now();
-    let fleet = run_mux_fleet(MuxFleetConfig {
-        seed,
-        timeout: Duration::from_secs(280),
-        ..MuxFleetConfig::new(addr, agents)
-    })
-    .expect("reference mux fleet ran");
-    let wall = t0.elapsed().as_secs_f64();
-    assert!(fleet.saw_completion, "reference fleet saw completion");
+    let (_, wall) = run_fleet(fleet(&[addr], agents, seed), "reference fleet");
     let run = server.join().unwrap().expect("reference server ran");
     let campaign = &run.campaigns[0];
     let json = serde_json::to_string(&campaign.outputs).expect("outputs serialize");
@@ -508,7 +469,7 @@ fn main() {
     });
 
     // The sharded block: the same campaign hash-split across N servers,
-    // the mux fleet round-robined across every shard, scored against a
+    // the fleet's homes round-robined across every shard, scored against a
     // like-for-like single-server run. 2-shard (plain and trust-on) and
     // 4-shard by default; `--shards N` narrows to one topology (plain
     // and trust-on), `--shards 0` (or 1) skips the block.
@@ -606,7 +567,7 @@ fn main() {
         shard_campaigns: sharded.map(|(_, rows)| rows),
     };
     println!(
-        "{} workunits over loopback ({} threaded agents + victim + saboteur)",
+        "{} workunits over loopback ({} honest agents + victim + saboteur)",
         report.workunits, report.agents,
     );
     println!(

@@ -1,13 +1,13 @@
 //! The volunteer agent: fetch, dock, checkpoint, report.
 //!
 //! One agent models one volunteer machine, and the volunteer is the
-//! [`Session`]: the protocol side of the BOINC client the paper's
+//! `Session`: the protocol side of the BOINC client the paper's
 //! volunteers ran — connect, learn the campaign from `HelloAck`, then
 //! cycle *request work → compute → report* until the server says the
 //! campaign is complete — as a state machine with no socket, thread or
-//! clock. It is told what happened ([`Input`]) and answers the one next
-//! thing to do ([`Step`]); every rule an agent follows is a transition
-//! of [`Session::step`], and nowhere else: where it dials (home, a
+//! clock. It is told what happened (`Input`) and answers the one next
+//! thing to do (`Step`); every rule an agent follows is a transition
+//! of `Session::step`, and nowhere else: where it dials (home, a
 //! `Redirect`'s peer at most once per ask, home again when that peer is
 //! dead, hangs up in the handshake or has no work), how it backs off
 //! (it hangs up, rests for the capped pause plus its own jitter, and
@@ -19,7 +19,7 @@
 //!
 //! Its one driver is [`crate::mux`]: [`crate::mux::run_agent`] over one
 //! session, a fleet over thousands; a test drives one by hand. The
-//! docking is the real maxdo kernel ([`compute_workunit`]); with
+//! docking is the real maxdo kernel (`compute_workunit`); with
 //! `threads > 1` each starting position's 21 orientation couples run on
 //! the vendored rayon pool (order-preserving, so the payload is
 //! byte-identical to a single-threaded volunteer's — a prerequisite for
@@ -82,7 +82,9 @@ impl AgentConfig {
     }
 }
 
-/// What one agent did over its lifetime.
+/// What one agent did over its lifetime. A fleet returns one per
+/// volunteer, in the order of its configs; whoever reads a fleet sums
+/// what it needs.
 #[derive(Debug, Clone, Default)]
 pub struct AgentReport {
     /// Assignments received.
@@ -97,12 +99,15 @@ pub struct AgentReport {
     pub stall_faults: u64,
     /// Injected corruptions.
     pub corrupt_faults: u64,
-    /// Round-trip latency of each `RequestWork`, milliseconds.
+    /// Round-trip latency of each `RequestWork` a frame answered,
+    /// milliseconds, as the driver clocked it.
     pub request_latencies_ms: Vec<f64>,
     /// Whether the agent saw the campaign complete (vs. dying early).
     pub saw_completion: bool,
     /// Cross-shard redirects followed (sharded servers only).
     pub redirects_followed: u64,
+    /// Connections opened: every dial that connected.
+    pub connections: u64,
 }
 
 /// What happened, as its driver tells a [`Session`].
@@ -323,6 +328,7 @@ impl Session {
             (Phase::Resting, Input::Woke) => self.dial(),
             (Phase::Stalling(report), Input::Woke) => self.send_report(report),
             (Phase::Dialing, Input::Connected) => {
+                self.report.connections += 1;
                 self.connect_failures = 0;
                 self.phase = Phase::Greeting;
                 Step::Send(Message::Hello {

@@ -241,7 +241,7 @@ pub enum JournalRecord {
         /// 1 — workunit ownership differs, so replay would diverge or
         /// silently fork the campaign.
         shard: ShardSpec,
-        /// The journal format of the file: always [`JOURNAL_FORMAT`] in
+        /// The journal format of the file: always `JOURNAL_FORMAT` in
         /// a header that decoded (it is the first field, and any other
         /// value is refused before the rest is read).
         format: u32,

@@ -88,7 +88,7 @@ pub use agent::{AgentConfig, AgentReport};
 pub use campaign::NetCampaign;
 pub use faults::{FaultAction, FaultDice, FaultProfile, ServerFaults};
 pub use journal::{FsyncPolicy, JournalConfig, JournalRecord, RecordReader};
-pub use mux::{run_agent, run_mux_fleet, MuxFleetConfig, MuxFleetReport};
+pub use mux::{run_agent, run_mux_fleet};
 pub use ops::http_get;
 pub use protocol::{CampaignParams, Codec, DecodeError, Message};
 pub use registry::{CampaignDef, Command, MultiGrid, Outcome, Slot};

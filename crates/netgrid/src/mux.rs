@@ -1,16 +1,22 @@
 //! The volunteer driver: every agent's I/O, on one thread.
 //!
-//! A volunteer is a [`Session`], which decides everything the protocol
+//! A volunteer is a `Session`, which decides everything the protocol
 //! leaves to an agent. This module carries its steps out over
 //! nonblocking sockets, for one session ([`run_agent`], `hcmd-agent`'s
 //! volunteer) or for thousands ([`run_mux_fleet`]; blocking sockets
-//! would need as many stacks). It makes no protocol decision, and a
-//! `Wait` is none: the session hangs up before every wait but a stall's
-//! and adds its own jitter, so the driver sleeps it out and says
-//! `Woke` — which is also why a resting fleet holds no socket. It only
-//! chooses how to carry out three kinds of step, and no others:
+//! would need as many stacks). A fleet is a list of volunteers, one
+//! [`AgentConfig`] each, and every session runs to its own end: a run is
+//! over when each has finished, or at a fleet's timeout. A session that
+//! finishes has its socket dropped at once, with no `Bye`, so one told
+//! to die mid-workunit vanishes while the rest work on.
 //!
-//! * **A `Dial` and each frame sent get [`IO_TIMEOUT`]**: a connect
+//! The driver makes no protocol decision, and a `Wait` is none: the
+//! session hangs up before every wait but a stall's and adds its own
+//! jitter, so the driver sleeps it out and says `Woke` — which is also
+//! why a resting fleet holds no socket. It only chooses how to carry out
+//! three kinds of step, and no others:
+//!
+//! * **A `Dial` and each frame sent get `IO_TIMEOUT`**: a connect
 //!   that takes longer failed, and a frame unanswered as long is a lost
 //!   connection.
 //! * **A `Compute` docks where it holds up no other agent.** A lone
@@ -21,13 +27,12 @@
 //!   the kernel, not the server's wire path, and a dock on the driver
 //!   thread would poison every other agent's latency sample. A fleet's
 //!   dials run on a connector pool for the same reason.
-//! * **An `Ask` waits for admission.** At most [`MAX_INFLIGHT_ASKS`]
+//! * **An `Ask` waits for admission.** At most `MAX_INFLIGHT_ASKS`
 //!   `RequestWork` frames are in flight at once; asks past the cap park
 //!   in a FIFO until a reply frees a slot.
 
 use crate::agent::{compute_workunit, AgentConfig, AgentReport, Input, Outcome, Session, Step};
 use crate::campaign::NetCampaign;
-use crate::faults::FaultProfile;
 use crate::protocol::{decode_versioned, encode_with, Codec, DecodeError, Message};
 use crate::sys::{Event as IoEvent, Poller, ReadBuf};
 use maxdo::DockingOutput;
@@ -38,77 +43,6 @@ use std::os::unix::io::AsRawFd;
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
-
-/// Multiplexed fleet configuration.
-#[derive(Debug, Clone)]
-pub struct MuxFleetConfig {
-    /// Server address (`host:port`).
-    pub addr: String,
-    /// Sharded topology: when non-empty, agent *i* calls
-    /// `addrs[i % addrs.len()]` home instead of `addr`, spreading the
-    /// fleet round-robin across every shard of a multi-server campaign.
-    pub addrs: Vec<String>,
-    /// Number of simulated agents; ids run `1..=agents`.
-    pub agents: usize,
-    /// Run seed shared with the rest of the campaign fleet.
-    pub seed: u64,
-    /// Fault profile applied to every simulated agent (each agent still
-    /// draws from its own id-salted dice stream).
-    pub profile: FaultProfile,
-    /// The first `saboteurs` agent ids (1..=saboteurs) corrupt *every*
-    /// payload instead of drawing from `profile` — the adversary the
-    /// trust policy is designed to starve. Low ids, so a saboteur fleet
-    /// is deterministic regardless of fleet size.
-    pub saboteurs: usize,
-    /// Campaign attachments every fleet agent announces in its Hello.
-    /// Empty = the default campaign; `["*"]` = all.
-    pub campaigns: Vec<String>,
-    /// Hard wall-clock cap; the driver returns what it has when this
-    /// expires (`saw_completion: false`).
-    pub timeout: Duration,
-}
-
-impl MuxFleetConfig {
-    /// A clean (no-fault) fleet of `agents` volunteers.
-    pub fn new(addr: impl Into<String>, agents: usize) -> Self {
-        Self {
-            addr: addr.into(),
-            addrs: Vec::new(),
-            agents,
-            seed: 0,
-            profile: FaultProfile::none(),
-            saboteurs: 0,
-            campaigns: Vec::new(),
-            timeout: Duration::from_secs(300),
-        }
-    }
-}
-
-/// What the whole fleet did, aggregated — the mux analogue of summing
-/// N [`crate::agent::AgentReport`]s.
-#[derive(Debug, Clone, Default)]
-pub struct MuxFleetReport {
-    /// Assignments received across the fleet.
-    pub assignments: u64,
-    /// Results reported (honest + corrupted + stalled).
-    pub reported: u64,
-    /// Reports the server accepted.
-    pub accepted: u64,
-    /// Injected disconnects.
-    pub disconnect_faults: u64,
-    /// Injected stalls.
-    pub stall_faults: u64,
-    /// Injected corruptions.
-    pub corrupt_faults: u64,
-    /// Round-trip latency of every `RequestWork`, milliseconds.
-    pub request_latencies_ms: Vec<f64>,
-    /// Whether any agent saw the campaign complete before the timeout.
-    pub saw_completion: bool,
-    /// Connections the fleet opened over its lifetime.
-    pub connections: u64,
-    /// Cross-shard redirects followed (sharded servers only).
-    pub redirects_followed: u64,
-}
 
 /// What the driver owes one agent's session: the step it was last
 /// handed, as far as carrying it out has got.
@@ -131,6 +65,9 @@ enum AState {
     /// A `Compute` waiting for the fleet's shared docking of this
     /// (campaign, workunit).
     AwaitCompute(Key),
+    /// The session finished; the driver owes it nothing more, and no
+    /// input reaches it again.
+    Finished(Outcome),
 }
 
 /// One agent: its session, what the driver is doing for it, and (while
@@ -271,60 +208,27 @@ fn connect(addr: &str, patience: Duration) -> io::Result<TcpStream> {
 pub fn run_agent(config: AgentConfig) -> io::Result<AgentReport> {
     let mut driver = Driver::new(vec![config], None)?;
     driver.run()?;
-    if driver.ended == Some(Outcome::GaveUp) {
+    if let AState::Finished(Outcome::GaveUp) = driver.agents[0].state {
         return Err(driver
             .dial_error
             .expect("a session gives up only on a failed dial"));
     }
-    let mut report = std::mem::take(&mut driver.agents[0].session.report);
-    report.request_latencies_ms = std::mem::take(&mut driver.report.request_latencies_ms);
-    Ok(report)
+    Ok(driver.agents.remove(0).session.report)
 }
 
-/// Runs the whole fleet to campaign completion (or the timeout) on the
-/// calling thread.
-pub fn run_mux_fleet(config: MuxFleetConfig) -> io::Result<MuxFleetReport> {
-    let agents = (1..=config.agents as u64).map(|id| {
-        // Where this agent calls home: round-robin over `addrs` when a
-        // sharded topology is configured.
-        let home = match config.addrs.len() {
-            0 => &config.addr,
-            shards => &config.addrs[(id - 1) as usize % shards],
-        };
-        AgentConfig {
-            // Saboteurs corrupt unconditionally; everyone else rolls
-            // the configured profile.
-            profile: if id <= config.saboteurs as u64 {
-                FaultProfile::saboteur()
-            } else {
-                config.profile
-            },
-            seed: config.seed,
-            campaigns: config.campaigns.clone(),
-            // A simulated volunteer never switches itself off and never
-            // despairs of its server: the fleet ends by completion or by
-            // `timeout`.
-            max_connect_attempts: u32::MAX,
-            ..AgentConfig::new(home.clone(), id)
-        }
-    });
-    let mut driver = Driver::new(agents.collect(), Some(config.timeout))?;
+/// Runs a fleet of volunteers, one per config, on the calling thread,
+/// each session to its own end — or all of them to `timeout`, where the
+/// ones still running are cut off. Returns every session's report, in
+/// the order of `agents`; one that gave up is a report with nothing in
+/// it, not an error.
+pub fn run_mux_fleet(agents: Vec<AgentConfig>, timeout: Duration) -> io::Result<Vec<AgentReport>> {
+    let mut driver = Driver::new(agents, Some(timeout))?;
     driver.run()?;
-    let mut report = std::mem::take(&mut driver.report);
-    for agent in &driver.agents {
-        let agent = &agent.session.report;
-        report.assignments += agent.assignments;
-        report.reported += agent.reported;
-        report.accepted += agent.accepted;
-        report.disconnect_faults += agent.disconnect_faults;
-        report.stall_faults += agent.stall_faults;
-        report.corrupt_faults += agent.corrupt_faults;
-        report.redirects_followed += agent.redirects_followed;
-    }
-    // Fleet sessions neither die on purpose nor give up, so the one
-    // that finished saw the campaign complete.
-    report.saw_completion = driver.ended.is_some();
-    Ok(report)
+    Ok(driver
+        .agents
+        .into_iter()
+        .map(|a| a.session.report)
+        .collect())
 }
 
 /// A job queue into a helper pool, and the results coming back.
@@ -344,8 +248,8 @@ struct Pools {
 }
 
 struct Driver {
-    /// A fleet's `timeout`, as an instant; `run_agent` runs until its
-    /// session finishes.
+    /// A fleet's `timeout`, as an instant, unless its last session
+    /// finishes first; `run_agent` runs until its session finishes.
     deadline: Option<Instant>,
     /// [`IO_TIMEOUT`], which a test shortens.
     io_timeout: Duration,
@@ -369,12 +273,9 @@ struct Driver {
     /// Agents in `AskPending`, oldest first. Entries can go stale when
     /// a queued session drops; `pump_asks` skips those.
     ask_queue: VecDeque<usize>,
-    /// Connections opened and ask latencies — what the driver clocks
-    /// and counts; the sessions' counters are summed in at the end.
-    report: MuxFleetReport,
     open: usize,
-    /// How the first session to finish ended; that ends the run.
-    ended: Option<Outcome>,
+    /// Sessions not yet finished; the run ends when none is left.
+    running: usize,
     /// The last dial that failed: a session that gives up returns it.
     dial_error: Option<io::Error>,
 }
@@ -401,6 +302,7 @@ impl Driver {
                 |(idx, addr, patience)| (idx, connect(&addr, patience)),
             ),
         });
+        let running = agents.len();
         let agents = agents
             .into_iter()
             .map(|config| MuxAgent {
@@ -422,19 +324,23 @@ impl Driver {
             pending_connects: 0,
             inflight_asks: 0,
             ask_queue: VecDeque::new(),
-            report: MuxFleetReport::default(),
             open: 0,
-            ended: None,
+            running,
             dial_error: None,
         })
     }
 
     fn run(&mut self) -> io::Result<()> {
         let mut events: Vec<IoEvent> = Vec::new();
-        while self.ended.is_none() && self.deadline.is_none_or(|end| Instant::now() <= end) {
+        loop {
             self.drain_pools();
             self.fire_timers();
             self.pump_asks();
+            // After the timers: a dial they failed can finish the last
+            // session, which leaves the poller nothing to wait for.
+            if self.running == 0 || self.deadline.is_some_and(|end| Instant::now() > end) {
+                break;
+            }
             let timeout = match self.pools {
                 Some(_) => Some(TIMER_TICK),
                 None => self
@@ -443,16 +349,13 @@ impl Driver {
             };
             self.poller.wait(timeout, &mut events)?;
             for ev in events.drain(..) {
-                if self.ended.is_some() {
-                    break;
-                }
                 if let Some(&idx) = self.by_fd.get(&ev.fd) {
                     self.advance_io(idx, ev);
                 }
             }
         }
-        // Shutdown: every socket drops at once; the server sees the
-        // EOFs and drains within its grace window.
+        // At the timeout, the sessions still running are cut off: every
+        // socket drops at once, and the server sees the EOFs.
         for idx in 0..self.agents.len() {
             self.disconnect(idx);
         }
@@ -482,7 +385,8 @@ impl Driver {
             self.agents[idx].state = AState::Talking;
             if let Input::Frame(_) = input {
                 let latency_ms = asked.elapsed().as_secs_f64() * 1e3;
-                self.report.request_latencies_ms.push(latency_ms);
+                let report = &mut self.agents[idx].session.report;
+                report.request_latencies_ms.push(latency_ms);
             }
         }
         let step = self.agents[idx].session.step(input);
@@ -560,7 +464,12 @@ impl Driver {
                 self.feed(idx, Input::Lost);
             }
             Step::Finished(outcome) => {
-                self.ended.get_or_insert(outcome);
+                // Dropped at once, with no `Bye`: a `die_after` volunteer
+                // vanishes mid-workunit, and one that said goodbye has
+                // no socket left.
+                self.disconnect(idx);
+                self.agents[idx].state = AState::Finished(outcome);
+                self.running -= 1;
             }
         }
     }
@@ -659,7 +568,6 @@ impl Driver {
             interest: (true, false),
         });
         self.open += 1;
-        self.report.connections += 1;
         self.feed(idx, Input::Connected);
     }
 
@@ -768,10 +676,36 @@ impl Driver {
 mod tests {
     use super::*;
     use crate::agent::tests::{assignment, campaign_done, hello_ack, no_work, redirect};
+    use crate::faults::FaultProfile;
     use crate::protocol::{read_message, write_message_with, CampaignParams};
-    use crate::server::{NetServer, NetServerConfig};
+    use crate::server::{NetRunReport, NetServer, NetServerConfig};
     use crate::trust::{TrustBand, TrustConfig};
-    use std::net::TcpListener;
+    use std::net::{Shutdown, TcpListener};
+
+    /// How long a test waits for its server to return once the fleet is
+    /// done: a server that never does fails the test by name instead of
+    /// hanging the run.
+    const SERVER_EXIT: Duration = Duration::from_secs(30);
+
+    /// `n` clean volunteers on one run seed calling `addr` home, ids
+    /// `1..=n`.
+    fn fleet(addr: &str, n: u64, seed: u64) -> Vec<AgentConfig> {
+        let volunteer = |id| AgentConfig {
+            seed,
+            ..AgentConfig::new(addr, id)
+        };
+        (1..=n).map(volunteer).collect()
+    }
+
+    /// One counter summed over a fleet's reports.
+    fn total(reports: &[AgentReport], counter: impl Fn(&AgentReport) -> u64) -> u64 {
+        reports.iter().map(counter).sum()
+    }
+
+    /// Whether some session of the fleet saw the campaign complete.
+    fn saw_completion(reports: &[AgentReport]) -> bool {
+        reports.iter().any(|r| r.saw_completion)
+    }
 
     /// A scripted server's listener on an ephemeral port, and its address.
     fn listen() -> (TcpListener, String) {
@@ -824,9 +758,9 @@ mod tests {
         })
     }
 
-    /// A mux fleet alone must carry a campaign to completion and the
+    /// A fleet alone must carry a campaign to completion and the
     /// server's merged artifact must equal the in-process baseline —
-    /// the same bar the threaded fleet is held to. The second input is a
+    /// the same bar a lone agent is held to. The second input is a
     /// 70/30 two-campaign server with every session attached to `*`:
     /// each campaign's artifact must equal its own recipe's baseline, so
     /// a driver that docks a workunit with another campaign's recipe
@@ -849,20 +783,19 @@ mod tests {
             let addr = server.local_addr().expect("addr").to_string();
             let server = thread::spawn(move || server.run());
 
-            let fleet = run_mux_fleet(MuxFleetConfig {
-                seed: 7,
-                campaigns: attach,
-                timeout: Duration::from_secs(60),
-                ..MuxFleetConfig::new(addr, 8)
-            })
-            .expect("fleet ran");
+            let attached = fleet(&addr, 8, 7).into_iter().map(|config| AgentConfig {
+                campaigns: attach.clone(),
+                ..config
+            });
+            let fleet =
+                run_mux_fleet(attached.collect(), Duration::from_secs(60)).expect("fleet ran");
             // Before the join: a server whose campaign never validates
             // never returns.
-            assert!(fleet.saw_completion, "fleet should see completion");
+            assert!(saw_completion(&fleet), "fleet should see completion");
             let run = server.join().unwrap().expect("server ran");
 
-            assert!(fleet.assignments > 0 && fleet.reported > 0);
-            assert!(!fleet.request_latencies_ms.is_empty());
+            assert!(total(&fleet, |r| r.assignments) > 0 && total(&fleet, |r| r.reported) > 0);
+            assert!(fleet.iter().any(|r| !r.request_latencies_ms.is_empty()));
             assert_eq!(run.campaigns.len(), recipes.len());
             for (campaign, params) in run.campaigns.iter().zip(recipes) {
                 let baseline = NetCampaign::build(params).baseline_outputs();
@@ -874,6 +807,85 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Relays the first connection `listener` takes to `server`, both
+    /// ways, and returns when the dialer's side closed.
+    fn relay(listener: TcpListener, server: String) -> thread::JoinHandle<Instant> {
+        thread::spawn(move || {
+            let (mut near, _) = listener.accept().unwrap();
+            let mut far = TcpStream::connect(server).unwrap();
+            let (mut from, mut to) = (far.try_clone().unwrap(), near.try_clone().unwrap());
+            let back = thread::spawn(move || io::copy(&mut from, &mut to));
+            let _ = io::copy(&mut near, &mut far);
+            let closed = Instant::now();
+            // The server hears the hang-up, and the copy back ends.
+            let _ = far.shutdown(Shutdown::Both);
+            let _ = back.join().unwrap();
+            closed
+        })
+    }
+
+    /// A fleet runs every session to its own end: a victim that dies on
+    /// its first assignment and three honest volunteers. The victim
+    /// vanishes holding a replica, the server reissues it at the
+    /// deadline, and the honest sessions carry the campaign to the
+    /// baseline artifact. The victim reaches the server through a relay,
+    /// which hears its socket close when it dies, seconds before the
+    /// fleet is over; a driver that kept a finished session's socket
+    /// would close it only with the fleet.
+    #[test]
+    fn a_fleet_runs_every_session_to_its_own_end() {
+        let config = NetServerConfig {
+            sweep_ms: 25,
+            ..NetServerConfig::loopback(2.0)
+        };
+        let params = config.campaign;
+        let server = NetServer::bind(config).expect("bind");
+        let addr = server.local_addr().expect("addr").to_string();
+        let (exit, exited) = mpsc::channel::<io::Result<NetRunReport>>();
+        let server = thread::spawn(move || {
+            let _ = exit.send(server.run());
+        });
+        let (near, near_addr) = listen();
+        let relay = relay(near, addr.clone());
+
+        let victim = AgentConfig {
+            die_after: Some(1),
+            ..AgentConfig::new(near_addr, 100)
+        };
+        let mut agents = vec![victim];
+        agents.extend(fleet(&addr, 3, 0));
+        let fleet = run_mux_fleet(agents, Duration::from_secs(60)).expect("fleet ran");
+        let over = Instant::now();
+
+        let victim = &fleet[0];
+        assert_eq!(
+            (victim.assignments, victim.reported, victim.saw_completion),
+            (1, 0, false),
+            "{victim:?}"
+        );
+        assert!(saw_completion(&fleet[1..]), "{fleet:?}");
+        // The driver has closed every socket by now, so this returns.
+        let closed = relay.join().unwrap();
+        let early = over.saturating_duration_since(closed);
+        assert!(
+            early > Duration::from_secs(1),
+            "the victim's socket closed only {early:?} before the fleet was over"
+        );
+        let run = exited
+            .recv_timeout(SERVER_EXIT)
+            .expect("no server exit")
+            .expect("server ran");
+        server.join().unwrap();
+        let campaign = &run.campaigns[0];
+        let stats = &campaign.server_stats;
+        assert!(stats.timeout_reissues >= 1, "{stats:?}");
+        let baseline = NetCampaign::build(params).baseline_outputs();
+        assert_eq!(
+            serde_json::to_string(&campaign.outputs).unwrap(),
+            serde_json::to_string(&baseline).unwrap(),
+        );
     }
 
     /// A redirected simulated volunteer goes where it is sent, like the
@@ -902,13 +914,13 @@ mod tests {
             asks
         });
 
-        let fleet = run_mux_fleet(MuxFleetConfig {
-            timeout: Duration::from_secs(60),
-            ..MuxFleetConfig::new(home_addr, 1)
-        })
-        .expect("fleet ran");
-        assert!(fleet.saw_completion, "the agent never left home: {fleet:?}");
-        assert_eq!(fleet.redirects_followed, 1);
+        let fleet =
+            run_mux_fleet(fleet(&home_addr, 1, 0), Duration::from_secs(60)).expect("fleet ran");
+        assert!(
+            saw_completion(&fleet),
+            "the agent never left home: {fleet:?}"
+        );
+        assert_eq!(total(&fleet, |r| r.redirects_followed), 1);
         assert_eq!(home.join().unwrap(), 1, "one ask at home, then the peer");
         let run = peer.join().unwrap().expect("server ran");
         let baseline = NetCampaign::build(params).baseline_outputs();
@@ -1037,7 +1049,11 @@ mod tests {
             let mut driver = Driver::new(configs.collect(), Some(run)).unwrap();
             driver.io_timeout = Duration::from_millis(200);
             driver.run().unwrap();
-            let dials = driver.report.connections;
+            let dials: u64 = driver
+                .agents
+                .iter()
+                .map(|a| a.session.report.connections)
+                .sum();
             assert!(
                 dials >= 2 * agents,
                 "{agents} agent(s): {dials} dials, no deadline"
@@ -1046,7 +1062,7 @@ mod tests {
                 dials <= 3 * agents,
                 "{agents} agent(s): {dials} dials, no wait"
             );
-            assert!(driver.ended.is_none());
+            assert_eq!(driver.running, driver.agents.len(), "a session ended");
         }
     }
 
@@ -1058,7 +1074,10 @@ mod tests {
         let server = serve(home, vec![assignment(5.0), campaign_done()]);
         let mut driver = Driver::new(vec![AgentConfig::new(addr, 1)], None).unwrap();
         driver.run().unwrap();
-        assert_eq!(driver.ended, Some(Outcome::Done));
+        assert!(matches!(
+            driver.agents[0].state,
+            AState::Finished(Outcome::Done)
+        ));
         assert_eq!(driver.agents[0].session.report.accepted, 1);
         assert!(
             driver.pools.is_none(),
@@ -1080,18 +1099,19 @@ mod tests {
         let addr = server.local_addr().expect("addr").to_string();
         let server = thread::spawn(move || server.run());
 
-        let fleet = run_mux_fleet(MuxFleetConfig {
-            seed: 11,
+        let flaky = fleet(&addr, 8, 11).into_iter().map(|config| AgentConfig {
             profile: FaultProfile::flaky(),
-            timeout: Duration::from_secs(120),
-            ..MuxFleetConfig::new(addr, 8)
-        })
-        .expect("fleet ran");
+            ..config
+        });
+        let fleet = run_mux_fleet(flaky.collect(), Duration::from_secs(120)).expect("fleet ran");
         let run = server.join().unwrap().expect("server ran");
 
-        assert!(fleet.saw_completion);
+        assert!(saw_completion(&fleet));
         assert!(
-            fleet.disconnect_faults + fleet.stall_faults + fleet.corrupt_faults > 0,
+            total(&fleet, |r| r.disconnect_faults
+                + r.stall_faults
+                + r.corrupt_faults)
+                > 0,
             "flaky profile should have injected something: {fleet:?}"
         );
         let baseline = NetCampaign::build(params).baseline_outputs();
@@ -1125,17 +1145,16 @@ mod tests {
         let addr = server.local_addr().expect("addr").to_string();
         let server = thread::spawn(move || server.run());
 
-        let fleet = run_mux_fleet(MuxFleetConfig {
-            seed: 13,
-            saboteurs: 1,
-            timeout: Duration::from_secs(120),
-            ..MuxFleetConfig::new(addr, 8)
-        })
-        .expect("fleet ran");
+        let mut agents = fleet(&addr, 8, 13);
+        agents[0].profile = FaultProfile::saboteur();
+        let fleet = run_mux_fleet(agents, Duration::from_secs(120)).expect("fleet ran");
         let run = server.join().unwrap().expect("server ran");
 
-        assert!(fleet.saw_completion);
-        assert!(fleet.corrupt_faults > 0, "saboteur never got to corrupt");
+        assert!(saw_completion(&fleet));
+        assert!(
+            total(&fleet, |r| r.corrupt_faults) > 0,
+            "saboteur never got to corrupt"
+        );
         let trust = run.campaigns[0]
             .trust
             .expect("trust summary present when enabled");

@@ -20,8 +20,8 @@
 //! A scrape is one more connection on the server's event loop
 //! ([`crate::server`]), so it holds no thread and no lock — only its
 //! own buffers, and those are bounded: the request head is capped
-//! ([`MAX_REQUEST_HEAD`], request line 1 KiB) while it is read, a
-//! connection that makes no progress for [`IDLE_CAP`] is closed on the
+//! (`MAX_REQUEST_HEAD`, request line 1 KiB) while it is read, a
+//! connection that makes no progress for `IDLE_CAP` is closed on the
 //! next sweep tick, and the response is written with nonblocking
 //! writes at the scraper's pace. What a request costs the grid is one
 //! render on the loop between two agent frames: it reads the registry
@@ -31,7 +31,7 @@
 //! read. `benchmarks/gridbench` reports
 //! that cost from the scraper's side as `ops.scrape_p50_us`.
 //!
-//! The endpoint keeps answering for [`LINGER`] after the campaign
+//! The endpoint keeps answering for `LINGER` after the campaign
 //! completes, so a scraper polling mid-run gets to observe the final
 //! state before the socket closes.
 

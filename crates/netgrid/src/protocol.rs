@@ -732,7 +732,7 @@ pub fn read_message(r: &mut impl Read) -> io::Result<Option<Message>> {
 /// hash of the decoded output's fields in this same row layout.
 ///
 /// The journal encodes its command records with this module's
-/// [`Writer`]/[`Reader`] too, so the wire and the wal share one set of
+/// `Writer`/`Reader` too, so the wire and the wal share one set of
 /// field primitives and one strictness rule.
 ///
 /// The decoder is strict: unknown tags, non-0/1 booleans, row counts

@@ -5,7 +5,7 @@
 //! decision is [`MultiGrid`]'s ([`crate::registry`]) and every ordering
 //! rule — connections before listeners, commit before a byte leaves,
 //! the brush-off at the cap, the timers and the shutdown grace — is
-//! [`Loop`]'s ([`crate::event_loop`]). What is here only carries: one
+//! `Loop`'s (`crate::event_loop`). What is here only carries: one
 //! [`crate::sys::Poller`] watches the task listener, the ops listener
 //! and every connection — volunteers, steering links to and from peer
 //! shards, ops scrapes — and each batch it finds ready is handed to the

@@ -652,7 +652,7 @@ impl GridState {
     ///
     /// Validation is two-layered, matching §5.2: the value-range checks
     /// always run on arrival (they became the *only* check after the
-    /// day-110 switch), and under [`ValidationPolicy::QuorumCompare`]
+    /// day-110 switch), and under [`ValidationPolicy::QuorumCompare`](gridsim::sched::ValidationPolicy::QuorumCompare)
     /// a result must additionally agree byte-for-byte with a partner
     /// replica before the workunit validates.
     pub fn report(

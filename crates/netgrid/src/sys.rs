@@ -17,7 +17,7 @@
 //! arrives afterwards raises the fd again), only register write
 //! interest while bytes are actually queued. Both consumers keep a
 //! nonblocking socket's bytes the same way, so that lives here too:
-//! [`ReadBuf`] for what has arrived and not yet decoded, [`flush`] for
+//! `ReadBuf` for what has arrived and not yet decoded, `flush` for
 //! what is queued and not yet written.
 //!
 //! The `poll(2)` backend rebuilds its `pollfd` array on every wait —
