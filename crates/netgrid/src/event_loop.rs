@@ -58,6 +58,10 @@ pub(crate) trait Io<S> {
     /// Starts a connection to `peer` at `addr`, answered through
     /// [`Loop::dialed`]; `false` if it could not be started.
     fn dial(&mut self, peer: u16, addr: &str) -> bool;
+    /// Puts the core's committed wal `batch` on disk, synced as the
+    /// journal's policy says, before any reply behind it is written. An
+    /// error stops the loop for good ([`Loop::wal_error`]).
+    fn persist(&mut self, batch: &[u8]) -> io::Result<()>;
 }
 
 /// What an `accept` found.
@@ -189,6 +193,9 @@ pub(crate) struct Loop<S> {
     /// Live [`Role::Inbound`] connections, against
     /// `faults.max_connections`.
     pub(crate) accepted_active: usize,
+    /// Why the driver could not persist a batch. From then on nothing
+    /// the loop holds is written, and the driver stops it.
+    pub(crate) wal_error: Option<io::Error>,
 }
 
 impl<S: Read + Write> Loop<S> {
@@ -219,6 +226,7 @@ impl<S: Read + Write> Loop<S> {
             connections: 0,
             rejected: 0,
             accepted_active: 0,
+            wal_error: None,
         }
     }
 
@@ -445,15 +453,24 @@ impl<S: Read + Write> Loop<S> {
         Some(conn)
     }
 
+    /// Has the driver persist every record the core appended since the
+    /// last commit, once, before any reply behind them is written.
+    /// `false` once a persist has failed: the records may not be on
+    /// disk, so nothing may leave the loop again.
+    pub(crate) fn commit(&mut self, io: &mut impl Io<S>) -> bool {
+        if self.wal_error.is_none() {
+            self.wal_error = self.core.commit(|batch| io.persist(batch)).err();
+        }
+        self.wal_error.is_none()
+    }
+
     /// Commits, flushes queued replies, then either retires a connection
     /// that is finished (a brush-off whose `Busy` frame was taken whole
     /// is, before it was ever filed) or files it under the interest it
-    /// now wants.
+    /// now wants. With the wal unwritable the replies are dropped.
     fn settle(&mut self, io: &mut impl Io<S>, id: Id, mut conn: Conn<S>) {
-        if !conn.flushed() {
-            self.core.commit();
-        }
-        if self.flush(&mut conn).is_err() {
+        let unsent = !conn.flushed() && !self.commit(io);
+        if unsent || self.flush(&mut conn).is_err() {
             conn.closing.get_or_insert("io");
             conn.write_buf.clear();
             conn.write_pos = 0;
@@ -592,7 +609,7 @@ pub(crate) mod tests {
     use crate::sys::READ_SPACE;
     use crate::world::{baseline, books, frames, pump_until, status, t, Client, End, Pump};
     use crate::world::{Server, World};
-    use crate::JournalRecord;
+    use crate::{JournalRecord, RecordReader};
 
     impl<S> Loop<S> {
         /// Pushes both timers out of any test's reach: the test decides
@@ -915,10 +932,7 @@ pub(crate) mod tests {
     /// stepped from this thread, in this order.
     #[test]
     fn a_two_shard_history_runs_to_done() {
-        let servers = vec![
-            Server::shard(0, 2),
-            Server::shard(1, 2).journaled("history"),
-        ];
+        let servers = vec![Server::shard(0, 2), Server::shard(1, 2).journaled()];
         let mut net = World::new(servers);
         let baseline = baseline();
 
@@ -952,8 +966,8 @@ pub(crate) mod tests {
         pump_until(&mut net, |net| net.stats(1).shard_leases_in == 1);
         assert_eq!(net.stats(0).shard_leases_out, 1);
         let granted = net.loops[0].core.slots()[0].state.leases_granted_to(1);
-        let adopted: Vec<(u64, Vec<u32>)> = crate::journal::open_wal(net.wal(1))
-            .unwrap()
+        net.commit(1);
+        let adopted: Vec<(u64, Vec<u32>)> = RecordReader::over(net.wal(1))
             .filter_map(|rec| match rec.unwrap() {
                 JournalRecord::Applied {
                     command: Command::Adopt { lease, wus, .. },
@@ -1094,8 +1108,8 @@ pub(crate) mod tests {
     /// earned.
     #[test]
     fn a_forged_lease_grant_changes_nothing_and_closes_the_link() {
-        let mut net = World::new(vec![Server::shard(0, 2).journaled("forged")]);
-        let before = books(&net.loops[0].core, net.wal(0));
+        let mut net = World::new(vec![Server::shard(0, 2).journaled()]);
+        let before = books(&net.loops[0].core);
         let everything: Vec<u32> =
             (0..net.loops[0].core.slots()[0].campaign.len() as u32).collect();
         let owned = |net: &World| net.loops[0].core.slots()[0].state.core().owned_count();
@@ -1124,7 +1138,7 @@ pub(crate) mod tests {
             let far_end = on_the_link(&mut net, &forged);
             assert!(far_end.end.far_gone(), "{forged:?} closes the link");
             assert!(matches!(net.loops[0].links[1], Link::Down));
-            assert_eq!(books(&net.loops[0].core, net.wal(0)), before, "{forged:?}");
+            assert_eq!(books(&net.loops[0].core), before, "{forged:?}");
         }
 
         // The honest grant the same peer could have sent is adopted.

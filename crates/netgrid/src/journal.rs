@@ -14,6 +14,14 @@
 //! [`MultiGrid`]: crate::registry::MultiGrid
 //! [`MultiGrid::apply`]: crate::registry::MultiGrid::apply
 //! [`MultiGrid::open`]: crate::registry::MultiGrid::open
+//! [`MultiGrid::open_bytes`]: crate::registry::MultiGrid::open_bytes
+//! [`MultiGrid::commit`]: crate::registry::MultiGrid::commit
+//!
+//! The log is bytes: a `Wal` is the open group-commit batch and the
+//! counts, held by the grid and compared and cloned with it. It touches
+//! no file. Whoever drives the grid persists each batch: the server's
+//! socket driver into `wal.bin` through the file driver ([`mod@file`]), the
+//! stepped world into a `Vec<u8>` that stands for its disk.
 //!
 //! # File layout
 //!
@@ -32,8 +40,9 @@
 //! primitives ([`crate::protocol::binary`]), decoded strictly. A
 //! report's payload is the same 72-byte rows the agent sent, encoded
 //! straight from the command that carried them. Commands are the hot
-//! path: one per request, encoded into a buffer the [`Journal`] reuses,
-//! written with one `write_all`.
+//! path: one per request, framed onto the end of the `Wal`'s batch,
+//! whose capacity every commit keeps; the driver writes each committed
+//! batch with one `write_all`.
 //!
 //! `hcmd-journal dump DIR` prints every record as one JSON line,
 //! through the same [`open_wal`] recovery uses.
@@ -46,7 +55,8 @@
 //! means the journal and the code disagree, and recovery fails loudly
 //! instead of silently forking the campaign. Records are read, decoded
 //! and applied one at a time; neither the file nor the decoded wal is
-//! ever held as a whole.
+//! ever held as a whole. [`MultiGrid::open_bytes`] runs the same replay
+//! over a wal held in memory.
 //!
 //! The price is a wal that is O(requests), not O(state): a request that
 //! left no state behind (a `NoWork` fetch is a 51-byte record) stays in
@@ -70,13 +80,15 @@
 //! One rule makes the wal the truth: **no frame leaves the server before
 //! every record appended ahead of it is on disk** — rollback recovery's
 //! output commit (Elnozahy et al., 2002), done as group commit:
-//! [`Journal::append`] never syncs, and the event loop calls
-//! [`Journal::commit`] (one `fdatasync` if anything is uncommitted)
-//! before it writes a byte of any reply. A `kill -9` loses nothing; a
-//! power cut loses only records no peer or volunteer was told of. The
-//! records a restart replays count as uncommitted, since a `kill -9` can
-//! leave them in the page cache only. Under [`FsyncPolicy::Never`] a
-//! commit syncs nothing.
+//! `Wal::append` only frames a record into the open batch, and the
+//! event loop calls [`MultiGrid::commit`] before it writes a byte of any
+//! reply, which hands the batch to its driver to persist (one
+//! `write_all`, and one `fdatasync` under [`FsyncPolicy::Always`]) and
+//! empties it. A `kill -9` or a power cut loses only the open batch,
+//! which no peer or volunteer was told of; under [`FsyncPolicy::Never`]
+//! a power cut can take committed batches too. Recovery syncs the wal it
+//! replayed under `Always`, since a `kill -9` can leave those records in
+//! the page cache only.
 //!
 //! Replay stops at the first torn frame and truncates the wal there, so
 //! the recovered state is always a *prefix* of the crashed run — a
@@ -85,9 +97,9 @@
 //! * **torn tail** — the file ends inside a frame, a payload fails its
 //!   header checksum, or the bytes where a frame should start are not
 //!   the magic (a filesystem can leave zeros past the last completed
-//!   write). This is what a crash between `write` and `fsync` leaves; the
-//!   scan stops there and the rest is dropped. A wal torn inside its
-//!   very first frame is an empty wal: nothing was journaled yet.
+//!   write). This is what a crash mid-`write` leaves; the scan stops
+//!   there and the rest is dropped. A wal torn inside its very first
+//!   frame is an empty wal: nothing was journaled yet.
 //! * **bad record** — a frame whose checksum passes but whose payload
 //!   does not decode strictly (unknown tag or verdict, trailing or
 //!   missing bytes, a header of another format) or whose frame kind is
@@ -132,6 +144,8 @@
 //! `tests/journal_crash_points.rs` (every byte offset of a scripted
 //! wal) and the CI restart-smoke job pin.
 
+pub mod file;
+
 use crate::faults::ServerFaults;
 use crate::protocol::binary::{Reader, Writer};
 use crate::protocol::{self, DecodeError, HEADER_BYTES};
@@ -144,9 +158,9 @@ use gridsim::SimTime;
 use maxdo::DockingOutput;
 use serde::Serialize;
 use std::borrow::Cow;
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::io::{self, Read};
+
+pub use file::{open_wal, FsyncPolicy, JournalConfig, WalFile};
 
 /// Wal file name inside the journal directory.
 pub const WAL_FILE: &str = "wal.bin";
@@ -170,56 +184,6 @@ const LEGACY_FRAME_KIND: u8 = 1;
 /// "legacy file"); formats 4 and 5 are refused at the header's format
 /// field.
 pub(crate) const JOURNAL_FORMAT: u32 = 6;
-
-/// Whether a commit waits for the disk. Either way nothing is synced on
-/// append: the event loop calls [`Journal::commit`] before any frame
-/// leaves it (module docs, "Consistency model").
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum FsyncPolicy {
-    /// A commit is one `fdatasync` when records were appended since the
-    /// last one: a power cut loses nothing any peer or volunteer was
-    /// told.
-    #[default]
-    Always,
-    /// A commit syncs nothing; the OS flushes when it pleases. For
-    /// benchmarks, tmpfs and fast tests: still torn-tail safe, and a
-    /// `kill -9` still loses nothing, but a power cut can.
-    Never,
-}
-
-impl FsyncPolicy {
-    /// Parses `always` | `never`, as accepted by `hcmd-server --fsync`.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "always" => Ok(Self::Always),
-            "never" => Ok(Self::Never),
-            batched if batched.starts_with("every") => Err(format!(
-                "fsync policy '{batched}' was removed: 'always' now syncs once per event-loop \
-                 batch, before any reply leaves (always|never)"
-            )),
-            other => Err(format!("bad fsync policy '{other}' (always|never)")),
-        }
-    }
-}
-
-/// Journal location and commit policy.
-#[derive(Debug, Clone)]
-pub struct JournalConfig {
-    /// Directory holding `wal.bin` (created if absent).
-    pub dir: PathBuf,
-    /// Whether a commit syncs.
-    pub fsync: FsyncPolicy,
-}
-
-impl JournalConfig {
-    /// The default commit policy for a journal rooted at `dir`.
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Self {
-            dir: dir.into(),
-            fsync: FsyncPolicy::default(),
-        }
-    }
-}
 
 /// One journaled frame: the `Header` that opens the wal, then one per
 /// command.
@@ -259,42 +223,72 @@ pub enum JournalRecord {
     },
 }
 
-/// The journal's registry counters: only the counts no field keeps.
-/// Records and bytes appended are `wal_records`/`wal_bytes`, which
-/// `/metrics` renders from the journal itself.
-struct Tele {
-    fsyncs: &'static telemetry::Counter,
-    replayed: &'static telemetry::Counter,
-}
-
-impl Tele {
-    fn new() -> Self {
-        Self {
-            fsyncs: telemetry::counter("journal.fsyncs"),
-            replayed: telemetry::counter("journal.replayed"),
-        }
-    }
-}
-
-/// An open write-ahead journal. Owned by the registry and appended to
-/// from inside [`crate::registry::MultiGrid::apply`], so the wal order is
-/// exactly the apply order.
-pub struct Journal {
-    wal: File,
-    fsync: FsyncPolicy,
-    /// Records appended since the last [`Self::commit`].
-    uncommitted: u64,
-    /// Command records in the wal: what a restart would replay.
-    wal_records: u64,
-    /// Bytes in the wal, header frame included.
-    wal_bytes: u64,
-    /// `wal_bytes` at the last [`Self::commit`] (at open, the whole
-    /// recovered file): what a power cut is allowed to leave.
-    committed_bytes: u64,
-    /// The frame being appended, reused so steady-state appends never
+/// The write-ahead log as bytes, owned by the registry and appended to
+/// from inside [`crate::registry::MultiGrid::apply`], so the wal order
+/// is exactly the apply order. It holds only what its driver has not
+/// persisted yet — the open group-commit batch — and counts the rest,
+/// so two logs of the same history are `==`.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct Wal {
+    /// Whole frames appended since the last [`Self::commit`]. Emptied
+    /// by each commit, its capacity kept, so steady-state appends never
     /// allocate.
-    scratch: Writer,
-    tele: Tele,
+    batch: Writer,
+    /// Command records in the wal, the batch's included: what a restart
+    /// would replay.
+    records: u64,
+    /// Bytes the driver has persisted: the wal's length at the last
+    /// commit, header frame included.
+    committed: u64,
+}
+
+impl Wal {
+    /// The log of a wal that holds nothing yet: `header`'s frame is the
+    /// open batch, for the driver's first commit to write.
+    fn fresh(header: &JournalRecord) -> Self {
+        let mut wal = Self::default();
+        frame_record(&mut wal.batch, |w| encode_record(header, w));
+        wal
+    }
+
+    /// Frames one applied command onto the open batch. It is durable
+    /// once a [`Self::commit`] has returned. The command is encoded where
+    /// it lies: a report's payload is not copied on its way to the batch.
+    pub(crate) fn append(&mut self, now_s: f64, command: &Command, outcome: &Outcome) {
+        frame_record(&mut self.batch, |w| {
+            encode_applied(now_s, command, outcome, w)
+        });
+        self.records += 1;
+    }
+
+    /// Hands the open batch to `persist` — the driver's write, and its
+    /// sync — and counts it committed, emptied, once that returns. A
+    /// failed persist leaves the batch open.
+    pub(crate) fn commit(
+        &mut self,
+        persist: impl FnOnce(&[u8]) -> io::Result<()>,
+    ) -> io::Result<()> {
+        persist(&self.batch.0)?;
+        self.committed += self.batch.0.len() as u64;
+        self.batch.0.clear();
+        Ok(())
+    }
+
+    /// Bytes appended since the last [`Self::commit`]: what a power cut
+    /// could still take.
+    pub(crate) fn uncommitted(&self) -> u64 {
+        self.batch.0.len() as u64
+    }
+
+    /// Command records in the wal — what a restart would replay.
+    pub(crate) fn records(&self) -> u64 {
+        self.records
+    }
+
+    /// Size of the wal in bytes, header frame and open batch included.
+    pub(crate) fn bytes(&self) -> u64 {
+        self.committed + self.uncommitted()
+    }
 }
 
 fn bad(msg: impl Into<String>) -> io::Error {
@@ -483,15 +477,6 @@ fn encode_applied(now_s: f64, command: &Command, outcome: &Outcome, w: &mut Writ
     }
 }
 
-/// Overwrites `w` with one complete frame: `encode` writes the payload
-/// after reserved header space, then the header is patched in place.
-fn frame_record(w: &mut Writer, encode: impl FnOnce(&mut Writer)) {
-    w.0.clear();
-    w.0.resize(HEADER_BYTES, 0);
-    encode(w);
-    protocol::seal_frame(FRAME_BINARY, &mut w.0);
-}
-
 /// Decodes the fields behind a `TAG_HEADER` byte. The format comes
 /// first and is judged first: what follows it is only known to have
 /// this layout under [`JOURNAL_FORMAT`].
@@ -647,150 +632,86 @@ fn decode_record(kind: u8, payload: &[u8]) -> Result<JournalRecord, String> {
     })
 }
 
-impl Journal {
-    /// Opens (or creates) the command log under `cfg.dir` for the server
-    /// `header` names, after handing every command recorded there to
-    /// `apply` — the live call, `MultiGrid::apply` — and refusing the
-    /// wal at the first one that does not decide what it decided when
-    /// it was recorded. A wal of another server is refused naming what
-    /// differs; a torn tail is cut off; a wal that is missing, or torn
-    /// inside its header frame, starts afresh.
-    pub(crate) fn open(
-        cfg: &JournalConfig,
-        header: &JournalRecord,
-        mut apply: impl FnMut(SimTime, &Command) -> Outcome,
-    ) -> io::Result<Self> {
-        fs::create_dir_all(&cfg.dir)?;
-        let what = cfg.dir.display();
-        let tele = Tele::new();
-        let (mut wal_records, mut wal_bytes) = (0u64, 0u64);
-        match open_wal(&cfg.dir) {
-            Ok(mut records) => {
-                if let Some(first) = records.next().transpose()? {
-                    check_header(&first, header, &cfg.dir)?;
-                    for rec in records.by_ref() {
-                        let JournalRecord::Applied {
-                            now_s,
-                            command,
-                            outcome,
-                        } = rec?
-                        else {
-                            return Err(bad(format!("{what}: a second Header frame in the wal")));
-                        };
-                        wal_records += 1;
-                        let decided = apply(SimTime::new(now_s), &command);
-                        if decided != outcome {
-                            return Err(bad(format!(
-                                "{what}: replay diverged at record {wal_records}: the wal says \
-                                 {outcome:?}, this build decides {decided:?}"
-                            )));
-                        }
-                        tele.replayed.inc();
-                    }
-                    wal_bytes = records.offset();
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
+/// Appends one complete frame to `w`: `encode` writes the payload after
+/// reserved header space, then the header is patched in place.
+fn frame_record(w: &mut Writer, encode: impl FnOnce(&mut Writer)) {
+    let start = w.0.len();
+    w.0.resize(start + HEADER_BYTES, 0);
+    encode(w);
+    protocol::seal_frame(FRAME_BINARY, &mut w.0[start..]);
+}
 
-        // Open the wal for appending, cut back to the last good frame
-        // (drops any torn tail).
-        let mut wal = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false) // the valid prefix is set_len() below, not dropped here
-            .open(cfg.dir.join(WAL_FILE))?;
-        let mut scratch = Writer(Vec::new());
-        wal.set_len(wal_bytes)?;
-        wal.seek(SeekFrom::Start(wal_bytes))?;
-        if wal_bytes == 0 {
-            frame_record(&mut scratch, |w| encode_record(header, w));
-            wal.write_all(&scratch.0)?;
-            wal.sync_data()?;
-            wal_bytes = scratch.0.len() as u64;
+/// The one replay loop, over a wal read from anywhere: its header is
+/// checked against the server's own, `header`, and every recorded
+/// command is handed to `apply` — the live call, `MultiGrid::apply` —
+/// and the wal refused at the first one that does not decide what it
+/// decided when it was recorded. A wal of another server is refused
+/// naming what differs; one that holds no whole header starts afresh.
+/// The log of the valid prefix: the bytes the caller keeps of its wal.
+fn replay<R: Read>(
+    mut records: RecordReader<R>,
+    header: &JournalRecord,
+    mut apply: impl FnMut(SimTime, &Command) -> Outcome,
+) -> io::Result<Wal> {
+    let Some(first) = records.next().transpose()? else {
+        return Ok(Wal::fresh(header));
+    };
+    let what = records.what.clone();
+    check_header(&first, header, &what)?;
+    let replayed = telemetry::counter("journal.replayed");
+    let mut wal = Wal::default();
+    for rec in records.by_ref() {
+        let JournalRecord::Applied {
+            now_s,
+            command,
+            outcome,
+        } = rec?
+        else {
+            return Err(bad(format!("{what}: a second Header frame in the wal")));
+        };
+        wal.records += 1;
+        let decided = apply(SimTime::new(now_s), &command);
+        if decided != outcome {
+            return Err(bad(format!(
+                "{what}: replay diverged at record {}: the wal says {outcome:?}, this build \
+                 decides {decided:?}",
+                wal.records
+            )));
         }
-        Ok(Self {
-            wal,
-            fsync: cfg.fsync,
-            // A `kill -9` can leave the replayed records in the page cache
-            // only: the restarted server's first frame waits for them.
-            uncommitted: wal_records,
-            wal_records,
-            wal_bytes,
-            committed_bytes: wal_bytes,
-            scratch,
-            tele,
-        })
+        replayed.inc();
     }
+    wal.committed = records.offset();
+    Ok(wal)
+}
 
-    /// Appends one applied command. Nothing is synced here: the record
-    /// is durable once [`Self::commit`] returns. The command is encoded
-    /// where it lies: a report's payload is not copied on its way to
-    /// disk.
-    pub fn append(&mut self, now_s: f64, command: &Command, outcome: &Outcome) -> io::Result<()> {
-        frame_record(&mut self.scratch, |w| {
-            encode_applied(now_s, command, outcome, w)
-        });
-        self.wal.write_all(&self.scratch.0)?;
-        self.wal_records += 1;
-        self.wal_bytes += self.scratch.0.len() as u64;
-        self.uncommitted += 1;
+/// Recovers a wal held in memory the way the file driver recovers
+/// `wal.bin` ([`mod@file`]): `disk` is replayed through `apply`, cut back
+/// to its last whole record, and given `header`'s frame when none of it
+/// was whole.
+pub(crate) fn recover_bytes(
+    disk: &mut Vec<u8>,
+    header: &JournalRecord,
+    apply: impl FnMut(SimTime, &Command) -> Outcome,
+) -> io::Result<Wal> {
+    let mut wal = replay(RecordReader::over(disk), header, apply)?;
+    disk.truncate(wal.committed as usize);
+    wal.commit(|batch| {
+        disk.extend_from_slice(batch);
         Ok(())
-    }
-
-    /// Makes every record appended so far durable: one `fdatasync` when
-    /// any is uncommitted, none otherwise or under
-    /// [`FsyncPolicy::Never`]. The event loop calls this before it writes
-    /// a byte of any frame, so one poll batch costs at most one sync.
-    pub fn commit(&mut self) -> io::Result<()> {
-        if self.uncommitted == 0 {
-            return Ok(());
-        }
-        if self.fsync == FsyncPolicy::Always {
-            self.wal.sync_data()?;
-            self.tele.fsyncs.inc();
-        }
-        self.uncommitted = 0;
-        self.committed_bytes = self.wal_bytes;
-        Ok(())
-    }
-
-    /// Records appended since the last [`Self::commit`]: what a power cut
-    /// could still take.
-    pub fn uncommitted(&self) -> u64 {
-        self.uncommitted
-    }
-
-    /// Command records in the wal — what a restart would replay.
-    pub fn wal_records(&self) -> u64 {
-        self.wal_records
-    }
-
-    /// Size of the wal in bytes, header frame included.
-    pub fn wal_bytes(&self) -> u64 {
-        self.wal_bytes
-    }
-
-    /// Size of the wal at the last [`Self::commit`], under either fsync
-    /// policy: the prefix a power cut must leave, since a frame may
-    /// have told someone of any record in it.
-    pub fn committed_bytes(&self) -> u64 {
-        self.committed_bytes
-    }
+    })?;
+    Ok(wal)
 }
 
 /// Walks the records of one wal in order — the reader both recovery
-/// and `hcmd-journal dump` use. Yields one decoded record per
-/// well-formed frame and ends at the end of the file or at a torn tail;
-/// a bad record or a legacy file yields one `InvalidData` error and
-/// ends the walk too (module docs, "Consistency model", tell them
-/// apart). It streams: the one frame being read is all of the file it
-/// holds.
-pub struct RecordReader {
+/// and `hcmd-journal dump` use, over a file ([`open_wal`]) or over bytes
+/// ([`Self::over`]). Yields one decoded record per well-formed frame
+/// and ends at the end of the wal or at a torn tail; a bad record or a
+/// legacy file yields one `InvalidData` error and ends the walk too
+/// (module docs, "Consistency model", tell them apart). It streams: the
+/// one frame being read is all of the wal it holds.
+pub struct RecordReader<R> {
     what: String,
-    file: BufReader<File>,
+    source: R,
     len: u64,
     off: u64,
     /// The frame being read, reused from one to the next.
@@ -798,48 +719,24 @@ pub struct RecordReader {
     done: bool,
 }
 
-/// Opens the wal of journal directory `dir` for scanning, after
-/// refusing a directory that holds a journal format 3 `snapshot.bin` or
-/// a journal format 4 per-campaign wal (module docs, "legacy file").
-/// `NotFound` when there is no wal.
-pub fn open_wal(dir: &Path) -> io::Result<RecordReader> {
-    let snapshot = dir.join("snapshot.bin");
-    if snapshot.exists() {
-        return Err(bad(format!(
-            "{}: {}",
-            snapshot.display(),
-            other_format("left by an older build: journal format 3 or earlier")
-        )));
+impl<'a> RecordReader<&'a [u8]> {
+    /// Scans the wal `bytes` hold.
+    pub fn over(bytes: &'a [u8]) -> Self {
+        Self::new("the wal".into(), bytes, bytes.len() as u64)
     }
-    let entries = fs::read_dir(dir).into_iter().flatten().flatten();
-    if let Some(nested) = entries
-        .map(|e| e.path().join(WAL_FILE))
-        .find(|p| p.exists())
-    {
-        return Err(bad(format!(
-            "{}: {}",
-            nested.display(),
-            other_format("a wal per campaign: journal format 4")
-        )));
-    }
-    RecordReader::open(&dir.join(WAL_FILE))
 }
 
-impl RecordReader {
-    /// Opens `path` for scanning.
-    pub fn open(path: &Path) -> io::Result<Self> {
-        let what = path.display().to_string();
-        let named = |e: io::Error| io::Error::new(e.kind(), format!("{what}: {e}"));
-        let file = File::open(path).map_err(named)?;
-        let len = file.metadata().map_err(named)?.len();
-        Ok(Self {
-            file: BufReader::new(file),
-            len,
+impl<R: Read> RecordReader<R> {
+    /// Scans the `len` bytes of `source`, named `what` in its errors.
+    fn new(what: String, source: R, len: u64) -> Self {
+        Self {
             what,
+            source,
+            len,
             off: 0,
             frame: Vec::new(),
             done: false,
-        })
+        }
     }
 
     /// Byte offset just past the last record yielded.
@@ -847,14 +744,14 @@ impl RecordReader {
         self.off
     }
 
-    /// Size of the file, torn tail included.
+    /// Size of the wal, torn tail included.
     pub fn file_len(&self) -> u64 {
         self.len
     }
 
-    /// Reads and decodes the frame at `off`, taking from the file what
+    /// Reads and decodes the frame at `off`, taking from the source what
     /// the deframer says it still needs — the header, then the payload
-    /// it announces. `Ok(None)` at the end of the file or a torn tail.
+    /// it announces. `Ok(None)` at the end of the wal or a torn tail.
     fn read_frame(&mut self, off: u64) -> Result<Option<JournalRecord>, String> {
         self.frame.clear();
         loop {
@@ -862,9 +759,9 @@ impl RecordReader {
                 Err(DecodeError::Incomplete { needed }) => {
                     let have = self.frame.len();
                     self.frame.resize(have + needed, 0);
-                    match self.file.read_exact(&mut self.frame[have..]) {
+                    match self.source.read_exact(&mut self.frame[have..]) {
                         Ok(()) => {}
-                        // The file ends at a frame boundary, or inside a
+                        // The wal ends at a frame boundary, or inside a
                         // frame.
                         Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
                         Err(e) => return Err(e.to_string()),
@@ -893,7 +790,7 @@ impl RecordReader {
     }
 }
 
-impl Iterator for RecordReader {
+impl<R: Read> Iterator for RecordReader<R> {
     type Item = io::Result<JournalRecord>;
 
     fn next(&mut self) -> Option<Self::Item> {
@@ -919,8 +816,7 @@ fn sealed_with_fnv(file: &[u8], expected: u64) -> bool {
 
 /// Checks the wal's first record, `found`, against the server's own
 /// header, naming what differs.
-fn check_header(found: &JournalRecord, ours: &JournalRecord, dir: &Path) -> io::Result<()> {
-    let what = dir.display();
+fn check_header(found: &JournalRecord, ours: &JournalRecord, what: &str) -> io::Result<()> {
     let (
         JournalRecord::Header {
             roster: r,
@@ -972,6 +868,8 @@ mod tests {
     use crate::registry::MultiGrid;
     use maxdo::{DockingRow, EulerZyz, Vec3};
     use proptest::prelude::*;
+    use std::fs;
+    use std::path::PathBuf;
 
     #[test]
     fn fsync_policy_parses() {
@@ -987,7 +885,7 @@ mod tests {
         assert_eq!(err, "bad fsync policy 'sometimes' (always|never)");
     }
 
-    /// A record as the [`Journal`] frames it.
+    /// A record as the [`Wal`] frames it.
     fn frame(rec: &JournalRecord) -> Vec<u8> {
         let mut w = Writer(Vec::new());
         frame_record(&mut w, |w| encode_record(rec, w));
@@ -1213,18 +1111,14 @@ mod tests {
 
     #[test]
     fn torn_tail_stops_the_scan_at_the_last_good_frame() {
-        let dir = scratch_dir("torn");
-        let path = dir.join(WAL_FILE);
         let a = frame(&sweep(1.0, 2));
         let b = frame(&sweep(2.0, 1));
         let mut bytes = a.clone();
         bytes.extend_from_slice(&b[..b.len() / 2]); // torn mid-frame
-        fs::write(&path, &bytes).unwrap();
-        let mut reader = RecordReader::open(&path).unwrap();
+        let mut reader = RecordReader::over(&bytes);
         assert_eq!(reader.by_ref().count(), 1);
         assert_eq!(reader.offset(), a.len() as u64);
         assert_eq!(reader.file_len(), bytes.len() as u64);
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A frame as journal formats 1 and 2 sealed it: the same header

@@ -787,6 +787,7 @@ pub mod binary {
     }
 
     /// Appends fixed-width little-endian fields to the buffer it wraps.
+    #[derive(Debug, Clone, Default, PartialEq)]
     pub(crate) struct Writer(pub(crate) Vec<u8>);
 
     impl Writer {

@@ -41,7 +41,7 @@
 
 use crate::campaign::NetCampaign;
 use crate::faults::ServerFaults;
-use crate::journal::{Journal, JournalConfig, JournalRecord, JOURNAL_FORMAT};
+use crate::journal::{self, JournalConfig, JournalRecord, Wal, JOURNAL_FORMAT};
 use crate::protocol::{encode_with, CampaignParams, Codec, Message, PROTOCOL_VERSION};
 use crate::shard::{lease_grantor, ShardSpec, LEASE_CHUNK, STEER_TIMEOUT_MS};
 use crate::state::{GridState, ResultDisposition, Verdict, WorkReply};
@@ -255,6 +255,7 @@ pub enum Outcome {
 /// What this shard knows about its peers on one campaign, fed by both
 /// gossip directions (inbound `ShardStatus` frames and the replies
 /// arriving on its own links).
+#[derive(Clone, PartialEq)]
 pub(crate) struct ShardBoard {
     /// Sticky per-shard completion: once a peer reports its owned
     /// slice validated, that never un-happens (leases only move
@@ -306,7 +307,9 @@ impl ShardBoard {
 
 /// One registered campaign: definition, materialised catalog, the
 /// isolated scheduling/validation state, and what the peers have said
-/// about it.
+/// about it. Two slots are `==` when their books are: the catalog is
+/// compared by the definition it is built from.
+#[derive(Clone)]
 pub struct Slot {
     /// The registration this slot was built from.
     pub def: CampaignDef,
@@ -321,6 +324,15 @@ pub struct Slot {
     /// got nothing", which gates hunger so an agent-less drained shard
     /// never begs work off a loaded one.
     demand: (u64, bool),
+}
+
+impl PartialEq for Slot {
+    fn eq(&self, other: &Self) -> bool {
+        self.def == other.def
+            && self.state == other.state
+            && self.board == other.board
+            && self.demand == other.demand
+    }
 }
 
 /// What the protocol remembers about one inbound connection; whoever
@@ -361,7 +373,10 @@ fn queue(out: &mut Vec<u8>, msg: &Message) {
 /// of its peer shards and its command log. Whoever drives the server
 /// owns the one `MultiGrid` by value: every frame, tick and ops scrape
 /// is a call on it from one thread, in the order they were taken, each
-/// with the time it happened.
+/// with the time it happened. It holds no I/O, so a copy is a fork of
+/// the server and `==` says two servers hold the same books and the
+/// same open wal batch.
+#[derive(Clone, PartialEq)]
 pub struct MultiGrid {
     slots: Vec<Slot>,
     fair: FairShare,
@@ -382,7 +397,7 @@ pub struct MultiGrid {
     /// restart resumes from.
     last_now: f64,
     /// The command log, when durability is on.
-    journal: Option<Journal>,
+    wal: Option<Wal>,
     /// Whether a volunteer has been told that everything it works for
     /// is over while this server was [`Self::done`]: the final word a
     /// finished server stays up to give.
@@ -403,9 +418,11 @@ impl MultiGrid {
     /// A journal is one `wal.bin` in `cfg.dir`, however many campaigns
     /// there are; its header pins the roster, names, shares and
     /// priorities included, so a restart under another roster is
-    /// refused rather than replayed. A roster or policy the code cannot
-    /// honour is refused (`InvalidInput`) before any catalog is built
-    /// or the journal touched.
+    /// refused rather than replayed. Recovery cuts a torn tail back and
+    /// writes a fresh wal's header ([`mod@journal::file`]); the batches that
+    /// follow are the driver's to persist ([`Self::commit`]). A roster or
+    /// policy the code cannot honour is refused (`InvalidInput`) before
+    /// any catalog is built or the journal touched.
     pub fn open(
         defs: Vec<CampaignDef>,
         scheduler: ServerConfig,
@@ -413,6 +430,44 @@ impl MultiGrid {
         spec: ShardSpec,
         journal: Option<&JournalConfig>,
     ) -> io::Result<(Self, f64)> {
+        let (mut grid, header) = Self::build(defs, scheduler, faults, spec)?;
+        if let Some(cfg) = journal {
+            grid.wal = Some(journal::file::recover(cfg, &header, |now, command| {
+                grid.apply(now, command)
+            })?);
+        }
+        let resume = grid.last_now;
+        Ok((grid, resume))
+    }
+
+    /// [`Self::open`], journaled on a wal held in memory: `wal` is
+    /// recovered as `wal.bin` would be — replayed, cut back to its last
+    /// whole record, a fresh one given its header — and stands for the
+    /// disk the driver persists each later batch to.
+    pub fn open_bytes(
+        defs: Vec<CampaignDef>,
+        scheduler: ServerConfig,
+        faults: ServerFaults,
+        spec: ShardSpec,
+        wal: &mut Vec<u8>,
+    ) -> io::Result<(Self, f64)> {
+        let (mut grid, header) = Self::build(defs, scheduler, faults, spec)?;
+        grid.wal = Some(journal::recover_bytes(wal, &header, |now, command| {
+            grid.apply(now, command)
+        })?);
+        let resume = grid.last_now;
+        Ok((grid, resume))
+    }
+
+    /// A fresh, unjournaled registry and the header its wal opens with,
+    /// once the roster and the policy are known to be ones the code can
+    /// honour.
+    fn build(
+        defs: Vec<CampaignDef>,
+        scheduler: ServerConfig,
+        faults: ServerFaults,
+        spec: ShardSpec,
+    ) -> io::Result<(Self, JournalRecord)> {
         assert!(!defs.is_empty(), "registry needs at least one campaign");
         let refuse = |e: String| io::Error::new(io::ErrorKind::InvalidInput, e);
         for (i, def) in defs.iter().enumerate() {
@@ -450,7 +505,7 @@ impl MultiGrid {
                 }
             })
             .collect();
-        let mut grid = Self {
+        let grid = Self {
             slots,
             fair,
             addrs: Vec::new(),
@@ -458,25 +513,18 @@ impl MultiGrid {
             cross_quarantine_denials: 0,
             contended_share_error: None,
             last_now: 0.0,
-            journal: None,
+            wal: None,
             told_done: false,
             rest_until: SimTime::ZERO,
         };
-        if let Some(cfg) = journal {
-            grid.journal = Some(Journal::open(cfg, &header, |now, command| {
-                grid.apply(now, command)
-            })?);
-        }
-        let resume = grid.last_now;
-        Ok((grid, resume))
+        Ok((grid, header))
     }
 
     /// Applies one command — the one entry point of every decision a
     /// restart must rebuild, live or replayed — and, when the server is
     /// journaled and something changed, appends `(now, command,
-    /// outcome)` to the wal before the outcome is acted on. Durability
-    /// failures are fatal by design: a server that can no longer journal
-    /// must not keep changing books it promised to persist.
+    /// outcome)` to the wal's open batch before the outcome is acted on.
+    /// It is durable once the driver has committed it ([`Self::commit`]).
     pub fn apply(&mut self, now: SimTime, command: &Command) -> Outcome {
         self.last_now = self.last_now.max(now.seconds());
         let slots = self.slots.len();
@@ -543,9 +591,8 @@ impl MultiGrid {
                 }
             }
         };
-        if let (Some(journal), false) = (&mut self.journal, outcome == Outcome::Unchanged) {
-            let appended = journal.append(now.seconds(), command, &outcome);
-            appended.expect("journal append failed");
+        if let (Some(wal), false) = (&mut self.wal, outcome == Outcome::Unchanged) {
+            wal.append(now.seconds(), command, &outcome);
         }
         outcome
     }
@@ -758,24 +805,22 @@ impl MultiGrid {
         }
     }
 
-    /// Makes every record appended so far durable; the event loop calls
-    /// it before any frame leaves (journal docs, "Consistency model").
-    pub fn commit(&mut self) {
-        if let Some(journal) = &mut self.journal {
-            journal.commit().expect("journal commit failed");
+    /// Makes every record appended so far durable: hands the wal's open
+    /// batch to `persist` — the driver's write, and its sync — and counts
+    /// it committed once that returns. Nothing is handed over when no
+    /// record is open. The event loop calls it before any frame leaves
+    /// (journal docs, "Consistency model").
+    pub fn commit(&mut self, persist: impl FnOnce(&[u8]) -> io::Result<()>) -> io::Result<()> {
+        match &mut self.wal {
+            Some(wal) if wal.uncommitted() > 0 => wal.commit(persist),
+            _ => Ok(()),
         }
     }
 
-    /// Records appended since the last [`Self::commit`] (0 when the
-    /// server runs unjournaled).
+    /// Bytes appended since the last [`Self::commit`] (0 when the server
+    /// runs unjournaled): what a power cut could still take.
     pub(crate) fn uncommitted(&self) -> u64 {
-        self.journal.as_ref().map_or(0, Journal::uncommitted)
-    }
-
-    /// The wal's length at its last [`Self::commit`], or `None` when the
-    /// server runs unjournaled: what a power cut leaves of it.
-    pub fn committed_wal_bytes(&self) -> Option<u64> {
-        self.journal.as_ref().map(Journal::committed_bytes)
+        self.wal.as_ref().map_or(0, Wal::uncommitted)
     }
 
     /// The latest time any command was applied at.
@@ -786,8 +831,8 @@ impl MultiGrid {
     /// The wal's record and byte counts — what a restart would replay —
     /// or `None` when the server runs unjournaled.
     pub fn wal_size(&self) -> Option<(u64, u64)> {
-        let journal = self.journal.as_ref()?;
-        Some((journal.wal_records(), journal.wal_bytes()))
+        let wal = self.wal.as_ref()?;
+        Some((wal.records(), wal.bytes()))
     }
 
     /// Remaining quarantine (ms) imposed on `agent` by any campaign
@@ -1376,7 +1421,7 @@ pub(crate) mod tests {
     /// catalog build or the scheduler.
     #[test]
     fn a_config_the_code_cannot_honour_is_refused_up_front() {
-        let dir = scratch_dir("nan-rate");
+        let dir = std::env::temp_dir().join(format!("hcmd-core-nan-{}", std::process::id()));
         let nan_rate = ServerFaults {
             trust: TrustConfig {
                 spot_check_rate: f64::NAN,
@@ -1543,10 +1588,10 @@ pub(crate) mod tests {
     // `now` is whatever the test says it is. ----
 
     use crate::event_loop::{Conn, Role};
-    use crate::journal::{open_wal, JournalRecord};
+    use crate::journal::{JournalRecord, RecordReader};
     use crate::shard::ownership_map;
-    use crate::world::{baseline, books, frames, open_shard, pump_until, scratch_dir, shard};
-    use crate::world::{status, t, Client, End, Server, World};
+    use crate::world::{baseline, books, frames, open_shard, pump_until, shard};
+    use crate::world::{status, t, Client, End, Pump, Server, World};
     use crate::{AgentConfig, FaultProfile, NetStats, TrustConfig};
     use gridsim::sched::ServerStats;
     use rand::{Rng, SeedableRng};
@@ -1670,7 +1715,7 @@ pub(crate) mod tests {
     /// stalled, one a millisecond older is, and an ack resets it.
     #[test]
     fn a_link_is_stalled_only_past_the_timeout_of_argument_time() {
-        let mut s0 = shard(0, 2, None);
+        let mut s0 = shard(0, 2);
         assert!(!s0.link_stalled(t(1e6), 1), "nothing sent, nothing owed");
         s0.send_statuses(t(10.0), 1, &mut Vec::new());
         s0.send_statuses(t(10.125), 1, &mut Vec::new());
@@ -1696,8 +1741,8 @@ pub(crate) mod tests {
     /// books, boards and wal as they were, and closes with "protocol".
     #[test]
     fn a_forged_campaign_index_is_refused_not_clamped() {
-        let dir = scratch_dir("forged-index");
-        let mut grid = open_shard(defs_70_30(), (0, 1), ServerFaults::default(), Some(&dir));
+        let wal = &mut Vec::new();
+        let mut grid = open_shard(defs_70_30(), (0, 1), ServerFaults::default(), Some(wal));
         let mut on_beta = Caller::default();
         let beta = Message::Hello {
             agent: 2,
@@ -1725,41 +1770,48 @@ pub(crate) mod tests {
             campaign: 9,
             output,
         };
-        let before = books(&grid, &dir);
+        let before = books(&grid);
         assert_eq!(
             tell(&mut grid, 1.5, &mut forger, forged),
             (vec![], Some("protocol"))
         );
-        assert_eq!(books(&grid, &dir), before);
+        assert_eq!(books(&grid), before);
         assert_eq!(
             grid.slots()[1].state.outstanding_len(),
             1,
             "still agent 2's"
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The ops journal tile is the server's one wal: on a two-campaign
     /// server the scrape counts the records of both campaigns' asks.
     #[test]
     fn the_scrape_counts_every_record_of_the_one_wal() {
-        let dir = scratch_dir("tile");
-        let mut grid = open_shard(defs_70_30(), (0, 1), ServerFaults::default(), Some(&dir));
+        let mut wal = Vec::new();
+        let mut grid = open_shard(
+            defs_70_30(),
+            (0, 1),
+            ServerFaults::default(),
+            Some(&mut wal),
+        );
         for (agent, attached) in [(1, [true, false]), (2, [false, true]), (3, [false, true])] {
             assert!(matches!(
                 grid.fetch(t(1.0), agent, &attached).1,
                 WorkReply::Assigned(_)
             ));
         }
-        let recorded = open_wal(&dir)
-            .unwrap()
+        let committed = grid.commit(|batch| {
+            wal.extend_from_slice(batch);
+            Ok(())
+        });
+        committed.unwrap();
+        let recorded = RecordReader::over(&wal)
             .filter(|rec| matches!(rec, Ok(JournalRecord::Applied { .. })))
             .count();
         assert_eq!(recorded, 3);
         let scrape = crate::ops::render_metrics(&grid);
         let tile = format!("\nhcmd_journal_wal_records {recorded}\n");
         assert!(scrape.contains(&tile), "{scrape}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Totality: every frame kind, wherever it arrives, draws frames or
@@ -1769,8 +1821,8 @@ pub(crate) mod tests {
     /// were.
     #[test]
     fn every_frame_kind_in_every_place_is_answered_or_refused() {
-        let dir = scratch_dir("totality");
-        let mut s0 = open_shard(defs_70_30(), (0, 2), ServerFaults::default(), Some(&dir));
+        let wal = &mut Vec::new();
+        let mut s0 = open_shard(defs_70_30(), (0, 2), ServerFaults::default(), Some(wal));
         let mut inbound: Vec<(&str, Caller)> = vec![
             ("before Hello", Caller::default()),
             ("after Hello", hello(&mut s0, 1.0, 42)),
@@ -1810,29 +1862,28 @@ pub(crate) mod tests {
                 _ => Err("protocol"),
             };
             for (place, caller) in &mut inbound {
-                let before = books(&s0, &dir);
+                let before = books(&s0);
                 let (replies, closed) = tell(&mut s0, 2.0, caller, msg.clone());
                 let heard = closed.map_or(Ok(replies.len()), Err);
                 assert_eq!(heard, expected, "{place}: {msg:?}");
                 if closed == Some("protocol") {
                     assert!(replies.is_empty());
-                    assert_eq!(books(&s0, &dir), before, "{place}: {msg:?}");
+                    assert_eq!(books(&s0), before, "{place}: {msg:?}");
                     refused += 1;
                 }
             }
             // On this shard's own link to peer 1, the samples speak for
             // shard 0 where they speak for anyone: every one is refused.
-            let before = books(&s0, &dir);
+            let before = books(&s0);
             let closed = s0.link_frame(t(2.0), 1, msg.clone()).err();
             let busy = matches!(msg, Message::Busy { .. });
             assert_eq!(closed, Some(if busy { "busy" } else { "protocol" }));
             if !busy {
-                assert_eq!(books(&s0, &dir), before, "own link: {msg:?}");
+                assert_eq!(books(&s0), before, "own link: {msg:?}");
                 refused += 1;
             }
         }
         assert_eq!(refused, 10 * 3 + 15);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A finished peer's word is kept: loop 1 hears loop 0 finish, is
@@ -1843,10 +1894,7 @@ pub(crate) mod tests {
     /// status that said complete.
     #[test]
     fn a_restarted_shard_remembers_that_its_peer_finished() {
-        let servers = vec![
-            Server::shard(0, 2),
-            Server::shard(1, 2).journaled("remembers"),
-        ];
+        let servers = vec![Server::shard(0, 2), Server::shard(1, 2).journaled()];
         let net = &mut World::new(servers);
         for (a, agent) in [(0, 1), (1, 2)] {
             net.connect(a).hello(agent, net).work(net, baseline());
@@ -1868,7 +1916,10 @@ pub(crate) mod tests {
     /// power cut afterwards takes only what came after the commit — here
     /// an ask whose reply never left. The lease stays granted, no
     /// workunit is owned by both shards, and the next grant cuts a new
-    /// id instead of reusing the held one.
+    /// id instead of reusing the held one. A cut in the middle of the
+    /// write that commits a report tears its frame: the loop dies before
+    /// the ack behind it leaves, comes back with its wal cut to the last
+    /// whole record, and the campaign still ends on the baseline.
     #[test]
     fn a_power_cut_after_a_grant_leaves_the_lease_where_the_lessee_holds_it() {
         // Enough workunits that the grantor keeps some past one lease.
@@ -1880,7 +1931,7 @@ pub(crate) mod tests {
             defs: vec![CampaignDef::default_solo(params)],
             ..Server::shard(shard_id, 2)
         };
-        let net = &mut World::new(vec![server(0).journaled("power-cut"), server(1)]);
+        let net = &mut World::new(vec![server(0).journaled(), server(1)]);
         net.steer(1);
         // Shard 1's agent takes every fresh workunit and is told to wait.
         let mut agent1 = net.connect(1).hello(1, net);
@@ -1896,7 +1947,7 @@ pub(crate) mod tests {
         assert_eq!(held, granted.iter().map(|g| g.0).collect::<Vec<_>>());
         // What the grant's commit kept: all a power cut leaves of the wal.
         assert_eq!(net.loops[0].core.uncommitted(), 0);
-        let kept = net.loops[0].core.committed_wal_bytes().unwrap();
+        let kept = net.wal(0).len() as u64;
         // An ask shard 0 reads and journals, and whose reply never leaves.
         let (far, near) = End::pair();
         let mut conn = Conn::new(near, Role::Inbound(Caller::default()));
@@ -1919,9 +1970,12 @@ pub(crate) mod tests {
             "the ask was journaled"
         );
 
-        // Back from the cut, no workunit is owned by both shards (the
-        // world checks on every restart) and the lease stays granted.
-        net.power_cut(0);
+        // Back from the cut — between two writes it takes what a kill
+        // takes, the open batch — no workunit is owned by both shards
+        // (the world checks on every restart) and the lease stays
+        // granted.
+        net.kill_and_reopen(0);
+        assert_eq!(net.wal(0).len() as u64, kept);
         assert_eq!(net.state(0).leases_granted_to(1), granted);
         let next = Command::Grant {
             campaign: 0,
@@ -1932,6 +1986,84 @@ pub(crate) mod tests {
             Outcome::Granted { lease, .. } => assert!(!held.contains(&lease), "{lease} reused"),
             other => panic!("shard 0 has backlog to lease: {other:?}"),
         }
+
+        // The cut that tears a frame: 20 bytes of the report's, its
+        // header and no more, reach the disk.
+        let net = &mut World::new(vec![Server::shard(0, 1).journaled()]);
+        let mut agent = net.connect(0).hello(1, net);
+        let report = agent.ask(net, baseline()).expect("work on a fresh server");
+        let (whole, before) = (net.wal(0).to_vec(), net.state(0).clone());
+        net.cut_power(0, 20);
+        agent.send(&report);
+        net.pump();
+        assert_eq!(net.power_cuts, 1);
+        assert!(agent.poll().is_none(), "an ack left the dying loop");
+        assert!(agent.end.far_gone());
+        assert!(net.wal(0) == whole, "the torn frame was not cut off");
+        assert!(
+            *net.state(0) == before,
+            "the report survived its torn frame"
+        );
+        for agent in 2..=3 {
+            net.volunteer(AgentConfig::new("shard-0", agent));
+        }
+        net.finish(&mut ChaCha8Rng::seed_from_u64(0), |_, _| {});
+        net.assert_the_end();
+    }
+
+    /// A core is a value: cloned mid-history from a journaled world,
+    /// original and copy, told the same frames and ticks at the same
+    /// times, stay `==` — books, boards, ledger and open wal batch — and
+    /// commit the same wal bytes; one ask from another agent sets them
+    /// apart. The key a search over world states deduplicates by.
+    #[test]
+    fn a_cloned_core_stays_equal_while_it_hears_what_its_original_does() {
+        let net = &mut World::new(vec![Server::shard(0, 2).journaled()]);
+        let mut agent = net.connect(0).hello(1, net);
+        let report = agent.ask(net, baseline()).expect("work on a fresh shard");
+        agent.report(&report, net);
+        let _in_flight = agent.ask(net, baseline()).expect("more work");
+        let mut twin = net.loops[0].core.clone();
+        let mut disks = [net.wal(0).to_vec(), net.wal(0).to_vec()];
+        let original = &mut net.loops[0].core;
+        assert!(*original == twin);
+
+        for (grid, disk) in [&mut *original, &mut twin].into_iter().zip(&mut disks) {
+            let mut caller = hello(grid, 2.0, 7);
+            let Message::Assignment {
+                replica, workunit, ..
+            } = ask(grid, 2.0, &mut caller, Message::RequestWork)
+            else {
+                panic!("work for agent 7");
+            };
+            let output = baseline()[workunit as usize].clone();
+            let report = Message::ResultReport {
+                replica,
+                workunit,
+                campaign: 0,
+                output,
+            };
+            assert!(matches!(
+                ask(grid, 2.5, &mut caller, report),
+                Message::ResultAck { accepted: true, .. }
+            ));
+            assert_eq!(grid.sweep(t(9.0)), 1, "agent 1's replica expires");
+            let committed = grid.commit(|batch| {
+                disk.extend_from_slice(batch);
+                Ok(())
+            });
+            committed.unwrap();
+        }
+        assert!(*original == twin, "the same history, another state");
+        assert!(disks[0] == disks[1], "the same history, other wal bytes");
+
+        let ask_as = |agent| Command::Fetch {
+            agent,
+            attached: Cow::Owned(vec![true]),
+        };
+        original.apply(t(10.0), &ask_as(8));
+        twin.apply(t(10.0), &ask_as(9));
+        assert!(*original != twin, "another ask, the same state");
     }
 
     // ---- Seeded worlds. ----
@@ -1941,9 +2073,11 @@ pub(crate) mod tests {
     /// who moves when, in which order a loop serves what reached it,
     /// which connections are cut where, and when which loop is killed
     /// (one seed in four, and one four-shard seed in two) or loses
-    /// power (one in eight). A failing run names its seed. Also how
-    /// many volunteers' dials found their loop gone.
-    fn run_seeded_grid(seed: u64) -> (Vec<Vec<u8>>, u64) {
+    /// power during its next wal write, and how much of that write
+    /// lands (one in eight). A failing run names its seed. Also how
+    /// many volunteers' dials found their loop gone, and how many power
+    /// cuts landed.
+    fn run_seeded_grid(seed: u64) -> (Vec<Vec<u8>>, u64, u64) {
         let history = move || {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let shards = if seed % 4 == 1 { 4 } else { 2 };
@@ -1956,12 +2090,13 @@ pub(crate) mod tests {
                     rng.gen_range(0..usize::from(shards)),
                 )
             });
+            let landed: u64 = if power_cut { rng.gen() } else { 0 };
             world.finish(&mut rng, |world, step| match crash_at {
-                Some((at, a)) if at == step && power_cut => world.power_cut(a),
+                Some((at, a)) if at == step && power_cut => world.cut_power(a, landed),
                 Some((at, a)) if at == step => world.kill_and_reopen(a),
                 _ => {}
             });
-            (world.assert_the_end(), world.gone_dials)
+            (world.assert_the_end(), world.gone_dials, world.power_cuts)
         };
         std::panic::catch_unwind(history).unwrap_or_else(|panic| {
             eprintln!("the seeded grid failed on seed {seed}");
@@ -1974,7 +2109,10 @@ pub(crate) mod tests {
     const SEEDS: std::ops::Range<u64> = 0..256;
 
     /// After every seeded history — power cuts included, which keep of a
-    /// wal only what its core last committed — the merged artifact is
+    /// wal what its core had committed and a seed-chosen prefix of the
+    /// write they cut, mid-frame as likely as not, which recovery cuts
+    /// back to the last whole record (the world checks) — the merged
+    /// artifact is
     /// the baseline, no workunit was ever owned by two shards, no loop
     /// wrote ahead of its records or brushed off a connection it had
     /// room for, the campaign finished within the step budget while its
@@ -1988,11 +2126,17 @@ pub(crate) mod tests {
     /// item 1.
     #[test]
     fn seeded_grids_finish_with_the_baseline_artifact() {
-        let gone: u64 = SEEDS.map(|seed| run_seeded_grid(seed).1).sum();
+        let (mut gone, mut power_cuts) = (0, 0);
+        for seed in SEEDS {
+            let (_, dials, cuts) = run_seeded_grid(seed);
+            (gone, power_cuts) = (gone + dials, power_cuts + cuts);
+        }
         assert!(
             gone > 0,
             "no volunteer found a loop gone on seeds {SEEDS:?}"
         );
+        let armed = SEEDS.filter(|seed| seed % 8 == 2).count() as u64;
+        assert_eq!(power_cuts, armed, "a power cut never landed");
     }
 
     /// A seed is its history: run twice, it leaves every wal byte for
@@ -2181,7 +2325,7 @@ pub(crate) mod tests {
     /// from its wal. The world, whether it reached its end, and whether
     /// the kill came.
     fn killed_mid_lease(seed: u64) -> (World, bool, bool) {
-        let journaled = |a| Server::shard(a, 2).journaled(&format!("mid-lease-{a}"));
+        let journaled = |a| Server::shard(a, 2).journaled();
         let mut world = World::new(vec![journaled(0), journaled(1)]);
         for agent in 1..=3 {
             world.volunteer(AgentConfig::new("shard-1", agent));
@@ -2213,7 +2357,7 @@ pub(crate) mod tests {
     fn a_shard_killed_mid_lease_comes_back_owning_what_it_kept() {
         let mut kills = 0;
         for seed in (0..40).filter(|&seed| seed != STRANDED) {
-            let (world, ended, killed) = killed_mid_lease(seed);
+            let (mut world, ended, killed) = killed_mid_lease(seed);
             assert!(ended, "seed {seed} (killed: {killed})");
             kills += u32::from(killed);
             for wu in 0..baseline().len() {
@@ -2255,7 +2399,7 @@ pub(crate) mod tests {
     /// for an exhaustive search to find and judge (ROADMAP item 11).
     #[test]
     fn known_hole_a_peer_down_before_it_hears_us_finish_never_does() {
-        let journaled = |a| Server::shard(a, 2).journaled(&format!("window-{a}"));
+        let journaled = |a| Server::shard(a, 2).journaled();
         let net = &mut World::new(vec![journaled(0), journaled(1)]);
         // Shard 1 finishes its slice; its first steering tick dials,
         // its second tells shard 0, which records it.
@@ -2306,7 +2450,7 @@ pub(crate) mod tests {
             faults,
             ..Server::shard(0, 1)
         };
-        let mut world = World::new(vec![server.journaled("saboteur")]);
+        let mut world = World::new(vec![server.journaled()]);
         for agent in 1..=3 {
             world.volunteer(AgentConfig::new("shard-0", agent));
         }
@@ -2335,23 +2479,23 @@ pub(crate) mod tests {
     /// The seeds each scenario below runs.
     const FAULT_SEEDS: std::ops::Range<u64> = 0..16;
 
-    /// One solo server with trust off, journaled under `wal` if it is
-    /// named, run by `seed` to its end: `first` volunteers from the
+    /// One solo server with trust off, journaled if `journaled`, run by
+    /// `seed` to its end: `first` volunteers from the
     /// start, `joining` from the first step `ready` holds. The end is
     /// checked (the artifact is the baseline, a wal replays to the live
     /// books), every volunteer finished `Done`, and one of them saw the
     /// campaign complete. The server's stats.
     fn faulted(
         seed: u64,
-        wal: Option<&str>,
+        journaled: bool,
         first: AgentConfig,
         mut joining: Vec<AgentConfig>,
         ready: impl Fn(&World) -> bool,
     ) -> (NetStats, ServerStats) {
         let server = Server::shard(0, 1);
-        let mut world = World::new(vec![match wal {
-            Some(name) => server.journaled(name),
-            None => server,
+        let mut world = World::new(vec![Server {
+            journaled,
+            ..server
         }]);
         world.volunteer(first);
         let volunteers = 1 + joining.len();
@@ -2374,7 +2518,7 @@ pub(crate) mod tests {
     /// and no `Bye` (its PC switched off); two honest volunteers then
     /// join. The abandoned replica expires and is reissued as a timeout,
     /// and the campaign still ends on the baseline.
-    fn killed_agent(wal: Option<&str>) {
+    fn killed_agent(journaled: bool) {
         for seed in FAULT_SEEDS {
             let victim = AgentConfig {
                 die_after: Some(1),
@@ -2382,7 +2526,7 @@ pub(crate) mod tests {
             };
             let honest = (1..=2).map(|agent| AgentConfig::new("shard-0", agent));
             let died = |world: &World| world.outcome(0).is_some();
-            let (net, server) = faulted(seed, wal, victim, honest.collect(), died);
+            let (net, server) = faulted(seed, journaled, victim, honest.collect(), died);
             assert!(net.deadline_expiries >= 1, "seed {seed}: {net:?}");
             assert!(server.timeout_reissues >= 1, "seed {seed}: {server:?}");
         }
@@ -2390,19 +2534,19 @@ pub(crate) mod tests {
 
     #[test]
     fn killed_agent_times_out_and_campaign_still_completes() {
-        killed_agent(None);
+        killed_agent(false);
     }
 
     #[test]
     fn killed_agent_times_out_and_campaign_still_completes_journaled() {
-        killed_agent(Some("killed-agent"));
+        killed_agent(true);
     }
 
     /// A saboteur corrupts every result and gets its turns first, until
     /// one corrupt result is in; then three honest volunteers join and
     /// outvote it. A corrupt result disagrees with an honest candidate
     /// and the workunit is reissued; none reaches the artifact.
-    fn corrupted_results(wal: Option<&str>) {
+    fn corrupted_results(journaled: bool) {
         for seed in FAULT_SEEDS {
             let saboteur = AgentConfig {
                 profile: FaultProfile::saboteur(),
@@ -2411,7 +2555,7 @@ pub(crate) mod tests {
             };
             let honest = (1..=3).map(|agent| AgentConfig::new("shard-0", agent));
             let reported = |world: &World| world.report(0).reported >= 1;
-            let (net, server) = faulted(seed, wal, saboteur, honest.collect(), reported);
+            let (net, server) = faulted(seed, journaled, saboteur, honest.collect(), reported);
             assert!(net.quorum_rejected >= 1, "seed {seed}: {net:?}");
             assert!(server.error_reissues >= 1, "seed {seed}: {server:?}");
         }
@@ -2419,11 +2563,11 @@ pub(crate) mod tests {
 
     #[test]
     fn corrupted_results_are_quorum_rejected_and_the_honest_output_wins() {
-        corrupted_results(None);
+        corrupted_results(false);
     }
 
     #[test]
     fn corrupted_results_are_quorum_rejected_and_the_honest_output_wins_journaled() {
-        corrupted_results(Some("corrupted-results"));
+        corrupted_results(true);
     }
 }

@@ -10,10 +10,11 @@
 //! and every connection — volunteers, steering links to and from peer
 //! shards, ops scrapes — and each batch it finds ready is handed to the
 //! loop with the wall clock read on the core's [`SimTime`] axis
-//! (seconds since server start). The only thing off the thread is the
-//! blocking `connect` of a steering link, handed to one dialer thread
-//! that sees addresses and returns sockets — never grid state; a server
-//! with no peers never starts it.
+//! (seconds since server start), and each wal batch the loop commits is
+//! written to `wal.bin` through the journal's [`WalFile`]. The only
+//! thing off the thread is the blocking `connect` of a steering link,
+//! handed to one dialer thread that sees addresses and returns sockets
+//! — never grid state; a server with no peers never starts it.
 //!
 //! Why an event loop: a thread per agent tops out around the
 //! dozens-of-volunteers scale. Here every connection is a few kilobytes
@@ -25,7 +26,7 @@
 
 use crate::event_loop::{Accept, Id, Io, Loop, Ready, SHUTDOWN_GRACE};
 use crate::faults::ServerFaults;
-use crate::journal::JournalConfig;
+use crate::journal::{JournalConfig, WalFile};
 use crate::protocol::CampaignParams;
 use crate::registry::{CampaignDef, MultiGrid};
 use crate::shard::{ShardSpec, STEER_TIMEOUT_MS};
@@ -183,7 +184,7 @@ pub struct NetServer {
 }
 
 /// What the loop's bytes ride on: the listeners, the poller watching
-/// them and every connection, and the dialer.
+/// them and every connection, the dialer, and the wal file.
 struct Sockets {
     listener: TcpListener,
     /// The observability listener, when `ops_addr` is configured.
@@ -191,13 +192,15 @@ struct Sockets {
     poller: Poller,
     /// Started by the first dial, so a server without peers has none.
     dialer: Option<Dialer>,
+    /// Where the core's committed batches go, when it is journaled.
+    wal: Option<WalFile>,
 }
 
 impl NetServer {
     /// Binds the listener and materialises the campaign. With a journal
     /// configured, this is also the recovery path: any existing wal
     /// under the journal directory is replayed before the first
-    /// connection is accepted.
+    /// connection is accepted, then opened for the batches to come.
     pub fn bind(config: NetServerConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
@@ -237,6 +240,7 @@ impl NetServer {
             config.journal.as_ref(),
         )?;
         core.set_addrs(addrs);
+        let wal = config.journal.as_ref().map(WalFile::append).transpose()?;
         let mut poller = Poller::new()?;
         poller.register(listener.as_raw_fd(), true, false)?;
         let ops_listener = match &config.ops_addr {
@@ -257,6 +261,7 @@ impl NetServer {
                 ops_listener,
                 poller,
                 dialer: None,
+                wal,
             },
             events: Vec::new(),
             epoch: Instant::now(),
@@ -278,7 +283,9 @@ impl NetServer {
     /// Runs the campaign to completion: accepts volunteers, sweeps
     /// deadlines, and returns once every workunit has validated, the
     /// connections have drained and the `NoWork` rests it handed out
-    /// have run (or the shutdown grace expires).
+    /// have run (or the shutdown grace expires). On the way out the wal
+    /// takes the records no reply followed (a last sweep's). A batch the
+    /// wal file refuses ends the run with that error.
     pub fn run(mut self) -> io::Result<NetRunReport> {
         self.epoch = Instant::now();
         let wall_seconds = loop {
@@ -287,6 +294,10 @@ impl NetServer {
             }
             self.turn(SHUTDOWN_GRACE)?;
         };
+        self.lp.commit(&mut self.io);
+        if let Some(e) = self.lp.wal_error.take() {
+            return Err(e);
+        }
         if let Some(Dialer { jobs, thread, .. }) = self.io.dialer.take() {
             drop(jobs); // the dialer's queue closes and it returns
             thread
@@ -331,7 +342,7 @@ impl NetServer {
             let link = dialed.ok().map(|stream| (stream.as_raw_fd(), stream));
             self.lp.dialed(&mut self.io, peer, link);
         }
-        Ok(())
+        self.lp.wal_error.take().map_or(Ok(()), Err)
     }
 }
 
@@ -450,6 +461,11 @@ impl Io<TcpStream> for Sockets {
     fn dial(&mut self, peer: u16, addr: &str) -> bool {
         let dialer = self.dialer.get_or_insert_with(Dialer::spawn);
         dialer.jobs.send((peer, addr.to_string())).is_ok()
+    }
+
+    fn persist(&mut self, batch: &[u8]) -> io::Result<()> {
+        let wal = self.wal.as_mut().expect("a journaled core's wal file");
+        wal.persist(batch)
     }
 }
 

@@ -7,16 +7,16 @@
 //!
 //! A script drives it a call at a time — `connect`, `steer`, `pump`,
 //! `turn`, `get` — and a seed drives it to the end ([`World::run`]).
-//! Either may kill a loop, cut its power or cut a connection between
-//! two turns, and every turn of a loop is held to the same oracles.
-//! Shared too: the far-end helpers ([`Client`] runs over a socket in
-//! `server.rs` as well) and the fixtures the tests open their cores
-//! from.
+//! Either may kill a loop or cut a connection between two turns, or cut
+//! a loop's power in the middle of a wal write, and every turn of a loop
+//! is held to the same oracles. A journaled loop's disk is a `Vec<u8>`
+//! its driver persists batches to. Shared too: the far-end helpers
+//! ([`Client`] runs over a socket in `server.rs` as well) and the
+//! fixtures the tests open their cores from.
 
 use crate::agent::{self, AgentReport, Input, Session, Step};
 use crate::event_loop::{Accept, Conn, Id, Io, Loop, Ready, Role};
-use crate::journal::{FsyncPolicy, JournalConfig};
-use crate::protocol::{decode_versioned, encode_with, CampaignParams, Codec, Message};
+use crate::protocol::{self, decode_versioned, encode_with, CampaignParams, Codec, Message};
 use crate::registry::{CampaignDef, MultiGrid, ShardBoard};
 use crate::shard::{merge_artifacts, ShardSpec};
 use crate::state::{GridState, NetStats};
@@ -30,9 +30,7 @@ use rand::Rng;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
-use std::path::{Path, PathBuf};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 // ---- Fixtures. ----
@@ -41,44 +39,36 @@ pub(crate) fn t(seconds: f64) -> SimTime {
     SimTime::new(seconds)
 }
 
-/// A fresh directory of its own, however many tests ask for `name`.
-pub(crate) fn scratch_dir(name: &str) -> PathBuf {
-    static MADE: AtomicU64 = AtomicU64::new(0);
-    let n = MADE.fetch_add(1, Ordering::Relaxed);
-    let pid = std::process::id();
-    let dir = std::env::temp_dir().join(format!("hcmd-core-{name}-{pid}-{n}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 /// One shard of `shards`, addressed `shard-0`, `shard-1`, ... (a solo
-/// server, like the real one, has no addresses).
+/// server, like the real one, has no addresses), journaled on `wal`
+/// when given one: recovered from it, and its later batches the
+/// caller's to persist.
 pub(crate) fn open_shard(
     defs: Vec<CampaignDef>,
     (shard_id, shards): (u16, u16),
     faults: ServerFaults,
-    journal: Option<&Path>,
+    wal: Option<&mut Vec<u8>>,
 ) -> MultiGrid {
     let scheduler = ServerConfig {
         deadline_seconds: 2.0,
         ..ServerConfig::default()
     };
-    let journal = journal.map(|dir| JournalConfig {
-        fsync: FsyncPolicy::Never,
-        ..JournalConfig::new(dir)
-    });
     let spec = ShardSpec { shard_id, shards };
-    let (mut grid, _) = MultiGrid::open(defs, scheduler, faults, spec, journal.as_ref()).unwrap();
+    let (mut grid, _) = match wal {
+        Some(wal) => MultiGrid::open_bytes(defs, scheduler, faults, spec, wal),
+        None => MultiGrid::open(defs, scheduler, faults, spec, None),
+    }
+    .unwrap();
     if shards > 1 {
         grid.set_addrs((0..shards).map(|s| format!("shard-{s}")).collect());
     }
     grid
 }
 
-/// The tiny campaign's shard `shard_id` of `shards`.
-pub(crate) fn shard(shard_id: u16, shards: u16, journal: Option<&Path>) -> MultiGrid {
+/// The tiny campaign's shard `shard_id` of `shards`, unjournaled.
+pub(crate) fn shard(shard_id: u16, shards: u16) -> MultiGrid {
     let solo = vec![CampaignDef::default_solo(CampaignParams::tiny())];
-    open_shard(solo, (shard_id, shards), ServerFaults::default(), journal)
+    open_shard(solo, (shard_id, shards), ServerFaults::default(), None)
 }
 
 /// The tiny campaign's outputs, docked once for every test here.
@@ -109,10 +99,12 @@ pub(crate) fn status(shard: u16, held: &[u64], fresh_backlog: u64, hungry: bool)
     }
 }
 
+/// A core's campaign states, peer boards and wal size.
+pub(crate) type Books = (Vec<GridState>, Vec<Vec<u64>>, Option<(u64, u64)>);
+
 /// What a refused frame must leave alone: the books a restart would
-/// replay to, the peer picture, and the wal.
-pub(crate) fn books(grid: &MultiGrid, dir: &Path) -> (Vec<GridState>, Vec<Vec<u64>>, u64) {
-    let wal_bytes = |dir: &Path| std::fs::metadata(dir.join("wal.bin")).unwrap().len();
+/// replay to, the peer picture, and the wal's records and bytes.
+pub(crate) fn books(grid: &MultiGrid) -> Books {
     let slots = grid.slots().iter();
     (
         slots.clone().map(|s| s.state.clone()).collect(),
@@ -122,7 +114,7 @@ pub(crate) fn books(grid: &MultiGrid, dir: &Path) -> (Vec<GridState>, Vec<Vec<u6
                 complete.chain(s.board.backlog.iter().copied()).collect()
             })
             .collect(),
-        wal_bytes(dir),
+        grid.wal_size(),
     )
 }
 
@@ -365,7 +357,7 @@ impl Drop for End {
 }
 
 /// One loop's driver over pipes: its listeners' backlogs, the ends it
-/// was handed, the dials it asked for, and the bytes it wrote.
+/// was handed, the dials it asked for, the bytes it wrote, and its disk.
 #[derive(Default)]
 pub(crate) struct Pipes {
     next_id: Id,
@@ -376,9 +368,28 @@ pub(crate) struct Pipes {
     held: Vec<(Id, Rc<RefCell<Wire>>, usize)>,
     dials: Vec<u16>,
     sent: Rc<Cell<u64>>,
+    /// The wal of a journaled loop as its disk holds it: every batch the
+    /// loop committed, and what a power cut let land of the last one.
+    disk: Vec<u8>,
+    /// A power cut due at the next persist: of that batch, this many
+    /// bytes modulo its length plus one land.
+    power_cut: Option<u64>,
+    /// After a power cut, the disk's length once recovery has cut it
+    /// back to its last whole record.
+    whole: Option<usize>,
 }
 
 impl Pipes {
+    /// The pipes of a loop started afresh over the same disk: every
+    /// connection and backlog gone with the loop it belonged to.
+    fn restart(&mut self) {
+        let disk = std::mem::take(&mut self.disk);
+        *self = Self {
+            disk,
+            ..Self::default()
+        };
+    }
+
     /// A connection into the task listener (or the ops listener): the
     /// far end's end.
     pub(crate) fn connect(&mut self, ops: bool) -> End {
@@ -447,6 +458,23 @@ impl Io<End> for Pipes {
         self.dials.push(peer);
         true
     }
+
+    /// Appends the batch to the disk; a power cut instead lets a prefix
+    /// of it land, mid-frame as likely as not, and fails the write.
+    fn persist(&mut self, batch: &[u8]) -> io::Result<()> {
+        let Some(draw) = self.power_cut.take() else {
+            self.disk.extend_from_slice(batch);
+            return Ok(());
+        };
+        let landed = &batch[..(draw % (batch.len() as u64 + 1)) as usize];
+        let mut whole = 0;
+        while let Ok((.., frame)) = protocol::deframe(&landed[whole..]) {
+            whole += frame;
+        }
+        self.whole = Some(self.disk.len() + whole);
+        self.disk.extend_from_slice(landed);
+        Err(io::Error::other("the power went during a wal write"))
+    }
 }
 
 // ---- The world. ----
@@ -457,8 +485,8 @@ pub(crate) struct Server {
     pub(crate) defs: Vec<CampaignDef>,
     pub(crate) spec: ShardSpec,
     pub(crate) faults: ServerFaults,
-    /// Its wal's directory, if it is journaled.
-    pub(crate) wal: Option<PathBuf>,
+    /// Whether it keeps a wal, on its pipes' disk.
+    pub(crate) journaled: bool,
     /// Whether it answers scrapes on an ops listener.
     pub(crate) ops: bool,
 }
@@ -471,21 +499,29 @@ impl Server {
             defs: vec![CampaignDef::default_solo(CampaignParams::tiny())],
             spec: ShardSpec { shard_id, shards },
             faults: ServerFaults::default(),
-            wal: None,
+            journaled: false,
             ops: false,
         }
     }
 
-    /// The same, journaled in a directory of its own.
-    pub(crate) fn journaled(self, name: &str) -> Self {
-        let wal = Some(scratch_dir(name));
-        Self { wal, ..self }
+    /// The same, journaled.
+    pub(crate) fn journaled(self) -> Self {
+        Self {
+            journaled: true,
+            ..self
+        }
     }
 
-    fn core(&self) -> MultiGrid {
+    /// Its core, recovered from `disk` when it is journaled.
+    fn core(&self, disk: &mut Vec<u8>) -> MultiGrid {
         let ShardSpec { shard_id, shards } = self.spec;
         let (defs, faults) = (self.defs.clone(), self.faults);
-        open_shard(defs, (shard_id, shards), faults, self.wal.as_deref())
+        open_shard(
+            defs,
+            (shard_id, shards),
+            faults,
+            self.journaled.then_some(disk),
+        )
     }
 }
 
@@ -538,15 +574,8 @@ pub(crate) struct World {
     left: Vec<bool>,
     /// Volunteers' dials that found their loop gone: it had left.
     pub(crate) gone_dials: u64,
-}
-
-impl Drop for World {
-    fn drop(&mut self) {
-        self.loops.clear();
-        for dir in self.servers.iter().filter_map(|s| s.wal.as_ref()) {
-            let _ = std::fs::remove_dir_all(dir);
-        }
-    }
+    /// Power cuts that landed: each in the middle of a wal write.
+    pub(crate) power_cuts: u64,
 }
 
 impl World {
@@ -566,6 +595,7 @@ impl World {
             now,
             cuts: false,
             gone_dials: 0,
+            power_cuts: 0,
         };
         world.loops = (0..world.servers.len()).map(|a| world.open(a)).collect();
         world
@@ -585,7 +615,7 @@ impl World {
                     max_connections,
                     ..ServerFaults::default()
                 },
-                ..Server::shard(a, shards).journaled(&format!("seeded-{seed}-{a}"))
+                ..Server::shard(a, shards).journaled()
             })
             .collect();
         let mut world = Self::starting_at(0.0, servers);
@@ -604,15 +634,26 @@ impl World {
         world
     }
 
-    /// Loop `a`, its core opened from its wal, started now.
-    fn open(&self, a: usize) -> Loop<End> {
+    /// Loop `a`, its core opened from its disk, started now.
+    fn open(&mut self, a: usize) -> Loop<End> {
         let server = &self.servers[a];
-        Loop::new(server.core(), server.faults, 50, server.ops, t(self.now))
+        let core = server.core(&mut self.pipes[a].disk);
+        Loop::new(core, server.faults, 50, server.ops, t(self.now))
     }
 
-    /// Loop `a`'s wal directory.
-    pub(crate) fn wal(&self, a: usize) -> &Path {
-        self.servers[a].wal.as_deref().expect("journaled")
+    /// Loop `a`'s open batch goes to its disk, as its driver commits
+    /// before a reply leaves or at a clean exit.
+    pub(crate) fn commit(&mut self, a: usize) {
+        assert!(
+            self.loops[a].commit(&mut self.pipes[a]),
+            "loop {a} could not commit"
+        );
+    }
+
+    /// Loop `a`'s wal, as its disk holds it: what it committed.
+    pub(crate) fn wal(&self, a: usize) -> &[u8] {
+        assert!(self.servers[a].journaled, "loop {a} keeps no wal");
+        &self.pipes[a].disk
     }
 
     pub(crate) fn stats(&self, a: usize) -> NetStats {
@@ -668,6 +709,19 @@ impl World {
                 "loop {a} turned away a connection it had room for"
             );
         }
+        if lp.wal_error.is_some() {
+            // The power went mid-write, and the loop with it: it comes
+            // back from whatever landed, cut back to its last whole
+            // record.
+            let whole = self.pipes[a].whole.take().expect("a power cut");
+            self.kill_and_reopen(a);
+            assert_eq!(
+                self.pipes[a].disk.len(),
+                whole,
+                "loop {a}'s wal was not cut back to its last whole record"
+            );
+            self.power_cuts += 1;
+        }
     }
 
     /// Loop `a` serves `batch`, if it holds anything.
@@ -693,37 +747,36 @@ impl World {
         }
     }
 
-    /// Loop `a` dies between two turns and comes back from its wal;
-    /// every connection to or from it dies with it, those waiting in
-    /// its listeners' backlogs too.
+    /// Loop `a` dies between two turns — a `kill -9`, or a power cut
+    /// that lands between two writes — and comes back from its disk: the
+    /// records it had not committed die with it, and so does every
+    /// connection to or from it, those waiting in its listeners'
+    /// backlogs too.
     pub(crate) fn kill_and_reopen(&mut self, a: usize) {
-        self.pipes[a] = Pipes::default();
+        self.pipes[a].restart();
         self.loops[a] = self.open(a);
         self.left[a] = false;
         self.assert_nothing_is_owned_twice();
     }
 
     /// Loop `a` leaves, as the real server exits once its loop says it
-    /// may: every connection to or from it closes, those waiting in its
-    /// listeners' backlogs too, and later dials to it fail. Its core
-    /// stays, for the end of the run to check. A test also uses it for a
-    /// server that is down until [`Self::kill_and_reopen`] restarts it.
+    /// may: its last records committed, every connection to or from it
+    /// closed, those waiting in its listeners' backlogs too, and later
+    /// dials to it fail. Its core stays, for the end of the run to
+    /// check. A test also uses it for a server that is down until
+    /// [`Self::kill_and_reopen`] restarts it.
     pub(crate) fn leave(&mut self, a: usize) {
+        self.commit(a);
         self.loops[a].conns.clear();
-        self.pipes[a] = Pipes::default();
+        self.pipes[a].restart();
         self.left[a] = true;
     }
 
-    /// Loop `a` loses power: its wal keeps what its core last
-    /// committed, and it comes back from that.
-    pub(crate) fn power_cut(&mut self, a: usize) {
-        let kept = self.loops[a].core.committed_wal_bytes();
-        let wal = std::fs::OpenOptions::new()
-            .write(true)
-            .open(self.wal(a).join("wal.bin"));
-        wal.and_then(|wal| wal.set_len(kept.expect("journaled")))
-            .unwrap();
-        self.kill_and_reopen(a);
+    /// Loop `a` loses power during its next wal write, which `draw`
+    /// tears ([`Pipes`]): it dies there, before a byte of the replies
+    /// behind it leaves, and comes back from its disk.
+    pub(crate) fn cut_power(&mut self, a: usize, draw: u64) {
+        self.pipes[a].power_cut = Some(draw);
     }
 
     /// One request on loop `a`'s ops listener, answered within a round:
@@ -989,15 +1042,20 @@ impl World {
     }
 
     /// The end of a run, checked: the merged artifact is the baseline,
-    /// and each journaled loop's wal replays to its live books —
-    /// campaign state, peer board and fair-share ledger. Each wal's
-    /// bytes.
-    pub(crate) fn assert_the_end(&self) -> Vec<Vec<u8>> {
+    /// and each journaled loop's wal, its last records committed as at
+    /// a clean exit, replays to its live books — campaign state, peer
+    /// board and fair-share ledger. Each wal's bytes.
+    pub(crate) fn assert_the_end(&mut self) -> Vec<Vec<u8>> {
         assert_eq!(self.merged(), baseline());
-        let journaled = (0..self.loops.len()).filter(|&a| self.servers[a].wal.is_some());
+        let journaled: Vec<usize> = (0..self.loops.len())
+            .filter(|&a| self.servers[a].journaled)
+            .collect();
         journaled
+            .into_iter()
             .map(|a| {
-                let (live, replayed) = (&self.loops[a].core, self.servers[a].core());
+                self.commit(a);
+                let mut wal = self.pipes[a].disk.clone();
+                let (live, replayed) = (&self.loops[a].core, self.servers[a].core(&mut wal));
                 let same = live.slots().iter().zip(replayed.slots()).all(|(l, r)| {
                     let mut state = l.state.clone();
                     // The one counter that is advisory and restarts from zero.
@@ -1010,7 +1068,7 @@ impl World {
                         && replayed.share_error() == live.share_error(),
                     "core {a}'s wal does not replay to its live books"
                 );
-                std::fs::read(self.wal(a).join("wal.bin")).unwrap()
+                wal
             })
             .collect()
     }

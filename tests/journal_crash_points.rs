@@ -4,17 +4,23 @@
 //! history; this file takes every one. A scripted history of 40-odd
 //! commands — fetches, reports of every verdict class that can occur
 //! without trust, an expiring sweep, a lease out and a lease in — is
-//! journaled once by a one-campaign registry, and then:
+//! journaled once by a one-campaign registry, each call committing its
+//! batch to a wal held in memory, and then:
 //!
-//! * `wal.bin` is cut at **every byte offset**. Recovery must yield
-//!   exactly the state the live server had after the longest whole-record
-//!   prefix (whole [`GridState`]s compared with `==`, every field), leave
-//!   the wal cut back to that prefix, and — checked once per distinct
-//!   prefix — still drain to the baseline artifact byte for byte.
+//! * the wal is cut at **every byte offset**. Recovery from the bytes
+//!   (`MultiGrid::open_bytes`, the replay `MultiGrid::open` runs on
+//!   `wal.bin`) must yield exactly the state the live server had after
+//!   the longest whole-record prefix (whole [`GridState`]s compared with
+//!   `==`, every field), leave the wal cut back to that prefix, and —
+//!   checked once per distinct prefix — still drain to the baseline
+//!   artifact byte for byte.
 //! * every byte of one `Report` frame is damaged in place. The scan must
 //!   stop at that frame — yielding the records before it, none from it
 //!   and none after — either as a torn tail or with `InvalidData`, and
 //!   never panic.
+//! * once, on a file: `wal.bin` cut mid-frame is truncated back to its
+//!   last whole record by `MultiGrid::open`, and the next batch the file
+//!   driver writes lands right after it.
 
 mod common;
 
@@ -29,7 +35,6 @@ use netgrid::{
 };
 use std::fs;
 use std::io::ErrorKind;
-use std::path::{Path, PathBuf};
 
 /// Shard 0 of 2: leases only exist between shards. The scripted
 /// `LeaseIn` hands this shard everything it does not own, so a drained
@@ -50,22 +55,14 @@ fn server_config() -> ServerConfig {
     }
 }
 
-fn scratch(tag: &str) -> JournalConfig {
-    let dir = std::env::temp_dir().join(format!("hcmd-crashpoints-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    JournalConfig {
-        fsync: FsyncPolicy::Never,
-        ..JournalConfig::new(dir)
-    }
-}
-
-fn open(campaign: &NetCampaign, cfg: &JournalConfig) -> std::io::Result<(OneCampaign, f64)> {
-    OneCampaign::open(
+/// The campaign recovered from the wal `wal` holds.
+fn open(campaign: &NetCampaign, wal: &[u8]) -> std::io::Result<(OneCampaign, f64)> {
+    OneCampaign::open_bytes(
         campaign.params(),
         server_config(),
         ServerFaults::default(),
         SHARD,
-        Some(cfg),
+        wal.to_vec(),
     )
 }
 
@@ -85,13 +82,12 @@ struct History {
 struct Recorder<'a> {
     live: OneCampaign,
     baseline: &'a [DockingOutput],
-    wal: PathBuf,
     marks: Vec<(usize, GridState)>,
 }
 
 impl Recorder<'_> {
     fn mark(&mut self) {
-        let len = fs::metadata(&self.wal).unwrap().len() as usize;
+        let len = self.live.0.wal().len();
         assert!(
             self.marks.last().is_none_or(|&(last, _)| len > last),
             "every scripted call journals a record"
@@ -119,16 +115,11 @@ impl Recorder<'_> {
     }
 }
 
-fn scripted_history(
-    campaign: &NetCampaign,
-    baseline: &[DockingOutput],
-    cfg: &JournalConfig,
-) -> History {
-    let (live, _) = open(campaign, cfg).expect("fresh journal opens");
+fn scripted_history(campaign: &NetCampaign, baseline: &[DockingOutput]) -> History {
+    let (live, _) = open(campaign, &[]).expect("fresh journal opens");
     let mut rec = Recorder {
         live,
         baseline,
-        wal: cfg.dir.join("wal.bin"),
         marks: Vec::new(),
     };
     rec.mark(); // the header
@@ -212,11 +203,9 @@ fn scripted_history(
     }
     assert!(!rec.live.is_campaign_complete(), "a mid-campaign history");
 
-    let marks = rec.marks;
-    drop(rec.live); // crash: the wal is all that survives
     History {
-        wal: fs::read(cfg.dir.join("wal.bin")).unwrap(),
-        marks,
+        wal: rec.live.0.wal().to_vec(), // crash: the wal is all that survives
+        marks: rec.marks,
         lease_in,
     }
 }
@@ -238,23 +227,16 @@ fn drain(state: &mut OneCampaign, history: &History, baseline: &[DockingOutput])
     }
 }
 
-fn write_wal(dir: &Path, bytes: &[u8]) {
-    fs::create_dir_all(dir).unwrap();
-    fs::write(dir.join("wal.bin"), bytes).unwrap();
-}
-
 #[test]
 fn every_wal_truncation_recovers_the_longest_whole_record_prefix() {
     let campaign = NetCampaign::build(CampaignParams::tiny());
     let baseline = campaign.baseline_outputs();
     let baseline_json = serde_json::to_string(&baseline).unwrap();
-    let history = scripted_history(&campaign, &baseline, &scratch("script"));
+    let history = scripted_history(&campaign, &baseline);
 
     // The marks are exactly the wal's record boundaries, and the history
     // holds every record kind.
-    let cfg = scratch("cut");
-    write_wal(&cfg.dir, &history.wal);
-    let mut reader = RecordReader::open(&cfg.dir.join("wal.bin")).unwrap();
+    let mut reader = RecordReader::over(&history.wal);
     let mut kinds = [0usize; 5];
     for k in 0.. {
         let Some(rec) = reader.next() else { break };
@@ -293,16 +275,15 @@ fn every_wal_truncation_recovers_the_longest_whole_record_prefix() {
             .unwrap_or(0);
         let (prefix_len, expected) = &history.marks[k];
 
-        write_wal(&cfg.dir, &history.wal[..cut]);
         let (mut recovered, _) =
-            open(&campaign, &cfg).unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
+            open(&campaign, &history.wal[..cut]).unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
         assert!(
             *recovered == *expected,
             "cut at {cut}: state is not prefix {k}"
         );
         assert_eq!(
-            fs::read(cfg.dir.join("wal.bin")).unwrap(),
-            history.wal[..*prefix_len],
+            recovered.0.wal(),
+            &history.wal[..*prefix_len],
             "cut at {cut}: wal not cut back to prefix {k}"
         );
         // Once per prefix, at its first (mid-record or boundary) cut.
@@ -319,22 +300,17 @@ fn every_wal_truncation_recovers_the_longest_whole_record_prefix() {
         }
     }
     assert!(drained.iter().all(|&d| d));
-    let _ = fs::remove_dir_all(&cfg.dir);
 }
 
 #[test]
 fn a_damaged_report_frame_stops_the_scan_without_misdecoding() {
     let campaign = NetCampaign::build(CampaignParams::tiny());
     let baseline = campaign.baseline_outputs();
-    let history = scripted_history(&campaign, &baseline, &scratch("script-flip"));
-    let cfg = scratch("flip");
-    write_wal(&cfg.dir, &history.wal);
-    let wal_path = cfg.dir.join("wal.bin");
+    let history = scripted_history(&campaign, &baseline);
 
     // The first Report that carries its payload: record `k`, 1-based
     // among the wal's frames with the header as frame 0.
-    let k = RecordReader::open(&wal_path)
-        .unwrap()
+    let k = RecordReader::over(&history.wal)
         .position(|rec| {
             matches!(
                 rec,
@@ -351,8 +327,7 @@ fn a_damaged_report_frame_stops_the_scan_without_misdecoding() {
         "a full result payload: {} B",
         end - start
     );
-    let intact: Vec<String> = RecordReader::open(&wal_path)
-        .unwrap()
+    let intact: Vec<String> = RecordReader::over(&history.wal)
         .take(k)
         .map(|rec| format!("{:?}", rec.unwrap()))
         .collect();
@@ -361,9 +336,8 @@ fn a_damaged_report_frame_stops_the_scan_without_misdecoding() {
         for mask in [0xff, 0x01] {
             let mut damaged = history.wal.clone();
             damaged[at] ^= mask;
-            write_wal(&cfg.dir, &damaged);
 
-            let mut reader = RecordReader::open(&wal_path).unwrap();
+            let mut reader = RecordReader::over(&damaged);
             let mut seen = Vec::new();
             let mut refused = false;
             for rec in reader.by_ref() {
@@ -383,7 +357,7 @@ fn a_damaged_report_frame_stops_the_scan_without_misdecoding() {
 
             // Recovery agrees with the scan: the prefix before the
             // frame, or a refusal — never a state built from the frame.
-            match open(&campaign, &cfg) {
+            match open(&campaign, &damaged) {
                 Ok((recovered, _)) => {
                     assert!(
                         !refused,
@@ -398,5 +372,55 @@ fn a_damaged_report_frame_stops_the_scan_without_misdecoding() {
             }
         }
     }
-    let _ = fs::remove_dir_all(&cfg.dir);
+}
+
+/// The file driver's part, once: `wal.bin` cut mid-frame is truncated
+/// back to its last whole record when the campaign is opened on it, and
+/// the next batch is written right after that record.
+#[test]
+fn a_wal_file_cut_mid_frame_is_cut_back_and_appended_to() {
+    let campaign = NetCampaign::build(CampaignParams::tiny());
+    let baseline = campaign.baseline_outputs();
+    let history = scripted_history(&campaign, &baseline);
+    let (k, mid) = (history.marks.len() / 2, 7);
+    let (whole, expected) = &history.marks[k];
+    let dir = std::env::temp_dir().join(format!("hcmd-crashpoints-file-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("wal.bin");
+    fs::write(&path, &history.wal[..whole + mid]).unwrap();
+
+    let cfg = JournalConfig {
+        fsync: FsyncPolicy::Never,
+        ..JournalConfig::new(&dir)
+    };
+    let (mut recovered, _) = OneCampaign::open(
+        campaign.params(),
+        server_config(),
+        ServerFaults::default(),
+        SHARD,
+        Some(&cfg),
+    )
+    .expect("a torn wal opens");
+    assert!(*recovered == *expected, "state is not prefix {k}");
+    assert_eq!(fs::read(&path).unwrap(), history.wal[..*whole]);
+
+    recovered.sweep(SimTime::new(1e4));
+    let grown = fs::read(&path).unwrap();
+    assert_eq!(grown[..*whole], history.wal[..*whole]);
+    let mut reader = RecordReader::over(&grown);
+    let last = reader
+        .by_ref()
+        .last()
+        .expect("records")
+        .expect("a whole wal");
+    assert!(matches!(
+        last,
+        JournalRecord::Applied {
+            command: Command::Sweep,
+            ..
+        }
+    ));
+    assert_eq!(reader.offset() as usize, grown.len(), "the batch is whole");
+    let _ = fs::remove_dir_all(&dir);
 }

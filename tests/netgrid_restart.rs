@@ -5,9 +5,10 @@
 //! These tests drive a journaled one-campaign registry through a
 //! scripted history covering every command class the journal records —
 //! quorum validation, a duplicate, a quorum rejection, a bounds
-//! rejection, a deadline expiry, backoffs — then "crash" it (drop it
-//! with no clean shutdown; the wal on disk is all that survives) and
-//! recover with `MultiGrid::open`. Recovery must reconstruct the whole
+//! rejection, a deadline expiry, backoffs — each call committing its
+//! batch to the wal file as the server's driver does before a reply
+//! leaves — then "crash" it (drop it with no clean shutdown; the wal on
+//! disk is all that survives) and recover with `MultiGrid::open`. Recovery must reconstruct the whole
 //! `GridState` (`==` on every field) and the resume clock exactly, and
 //! draining the recovered state to completion must produce the same
 //! merged artifact as the in-process baseline, byte for byte.
@@ -18,7 +19,7 @@
 
 mod common;
 
-use common::OneCampaign;
+use common::{Journaled, OneCampaign};
 use gridsim::sched::ServerConfig;
 use gridsim::SimTime;
 use netgrid::{
@@ -236,7 +237,7 @@ fn an_honest_3392_workunit_campaign_journals_to_completion_and_recovers() {
     })];
     let cfg = JournalConfig::new(journal_dir("honest"));
     let open_grid = || {
-        MultiGrid::open(
+        Journaled::open(
             defs.clone(),
             ServerConfig::default(),
             ServerFaults::default(),
@@ -514,7 +515,7 @@ fn multi_campaign_registry_recovers_one_wal() {
         ..ServerFaults::default()
     };
     let open_multi = |defs: Vec<CampaignDef>| {
-        MultiGrid::open(defs, server_config(), faults, ShardSpec::solo(), Some(&cfg))
+        Journaled::open(defs, server_config(), faults, ShardSpec::solo(), Some(&cfg))
             .expect("registry opens journaled")
     };
     let assigned = |reply: WorkReply| match reply {
