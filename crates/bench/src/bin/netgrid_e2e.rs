@@ -117,9 +117,9 @@ struct ShardBenchRow {
     /// Workunits validated across all shards (the whole catalog).
     workunits: usize,
     /// Fleet-side wall clock, start of the fleet to its last session's
-    /// end. (Server-side `wall_seconds` can include the shutdown grace a
-    /// shard sits out when no volunteer heard the final word from it,
-    /// which would understate throughput.)
+    /// end. (Server-side `wall_seconds` can include the rest a shard
+    /// owes volunteers that left it without the final word, which would
+    /// understate throughput.)
     wall_seconds: f64,
     /// Aggregate throughput across the topology.
     workunits_per_sec: f64,
@@ -264,7 +264,7 @@ fn run_campaign(
 struct ShardedOutcome {
     reports: Vec<NetRunReport>,
     /// Fleet-side wall clock (a per-shard server report can include the
-    /// shutdown grace, so it is not a throughput clock).
+    /// rest it owes its volunteers, so it is not a throughput clock).
     wall_seconds: f64,
     requests: usize,
     redirects_followed: u64,

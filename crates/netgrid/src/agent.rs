@@ -197,10 +197,10 @@ struct Job {
 /// Every backoff's pause is capped here, before its jitter.
 const MAX_WAIT_MS: u64 = 2_000;
 
-/// The longest a backoff rests: the cap plus its jitter. A server that
-/// sent a volunteer off to rest (a `NoWork`, a `Busy`, a `Redirect` it
-/// may decline) stays up this long for its next ask
-/// ([`crate::registry::MultiGrid::sent_to_rest`]).
+/// The longest a backoff rests: the cap plus its jitter. A finished
+/// server owes a volunteer that left without hearing `campaign_complete`
+/// (sent off by a `NoWork`, a `Busy` or a `Redirect`, or cut off) this
+/// long for its next ask ([`crate::event_loop::Loop::over`]).
 pub(crate) const MAX_REST: Duration = Duration::from_millis(MAX_WAIT_MS + MAX_WAIT_MS / 4);
 
 /// Up to a quarter of a `ms` pause, salted by the agent's id, so ten

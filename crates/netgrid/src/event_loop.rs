@@ -26,14 +26,16 @@ use std::io::{self, Read, Write};
 use std::time::Duration;
 use telemetry::Event as Telemetry;
 
-/// How long a finished server waits at most for its volunteers, so an
-/// open, silent socket cannot hold it for ever. It outlasts
-/// [`agent::MAX_REST`], the longest a volunteer sent off to rest waits
-/// before it asks again — and hears `campaign_complete` instead of
-/// finding a dead port and burning its reconnect budget. Peers are not
-/// waited on by the clock ([`MultiGrid::may_leave`]).
+/// How long a finished server waits at most on its volunteers' open
+/// sockets, so a silent one cannot hold it for ever: a hang bound, which
+/// gives a connected volunteer longer than a resting one is owed. A
+/// volunteer that left is waited on by its debt ([`Loop::over`]), and a
+/// peer by no clock ([`MultiGrid::may_leave`]).
 pub(crate) const SHUTDOWN_GRACE: Duration = Duration::from_secs(3);
 const _: () = assert!(SHUTDOWN_GRACE.as_millis() > agent::MAX_REST.as_millis());
+
+/// The longest a volunteer sent off to rest waits before it asks again.
+const REST: f64 = agent::MAX_REST.as_secs_f64();
 
 /// The rest a `Busy` brush-off suggests, ms: a fixed hint, which the
 /// volunteer rests as said ([`crate::agent`]).
@@ -193,6 +195,10 @@ pub(crate) struct Loop<S> {
     /// Live [`Role::Inbound`] connections, against
     /// `faults.max_connections`.
     pub(crate) accepted_active: usize,
+    /// The final word owed to volunteers that left without it, by agent
+    /// id (`None`: any that never said `Hello`, a `Busy` brush-off among
+    /// them, or rested across a crash): until when each may be resting.
+    pub(crate) debts: HashMap<Option<u64>, SimTime>,
     /// Why the driver could not persist a batch. From then on nothing
     /// the loop holds is written, and the driver stops it.
     pub(crate) wal_error: Option<io::Error>,
@@ -210,6 +216,7 @@ impl<S: Read + Write> Loop<S> {
         now: SimTime,
     ) -> Self {
         let sweep_seconds = Duration::from_millis(sweep_ms.max(1)).as_secs_f64();
+        let reopened = core.wal_size().is_some_and(|(records, _)| records > 0);
         Self {
             links: vec![Link::Down; usize::from(core.spec().shards)],
             core,
@@ -226,6 +233,7 @@ impl<S: Read + Write> Loop<S> {
             connections: 0,
             rejected: 0,
             accepted_active: 0,
+            debts: HashMap::from_iter(reopened.then(|| (None, now.after(REST)))),
             wal_error: None,
         }
     }
@@ -249,13 +257,12 @@ impl<S: Read + Write> Loop<S> {
 
     /// The run's wall seconds once it is over at `now`: from the start
     /// until the server may leave. A done core keeps answering
-    /// `campaign_complete`, listener open, until a volunteer has heard
-    /// it, every one said Bye and every one it sent off to rest has had
-    /// its rest out ([`MultiGrid::sent_to_rest`]) — or the grace ran out — and
-    /// every peer has heard it: a shard finishes on gossip, so its
-    /// volunteers may all be asleep with their sockets closed. The ops
-    /// endpoint lingers [`ops::LINGER`] past that, outside the figure
-    /// returned.
+    /// `campaign_complete`, listener open, while a volunteer is
+    /// connected (for at most [`SHUTDOWN_GRACE`]), while a debt runs — a
+    /// volunteer sent off to rest or cut off may still be resting; a
+    /// shard finishes on gossip, so its volunteers may all be asleep
+    /// then — and until every peer has heard it. The ops endpoint
+    /// lingers [`ops::LINGER`] past that, outside the figure returned.
     pub(crate) fn over(&mut self, now: SimTime) -> Option<f64> {
         if !self.core.done() {
             return None;
@@ -263,10 +270,9 @@ impl<S: Read + Write> Loop<S> {
         let since = now.seconds() - self.done_since.get_or_insert(now).seconds();
         let volunteer =
             |c: &Conn<S>| matches!(&c.role, Role::Inbound(caller) if caller.shard.is_none());
-        let rested = now >= self.core.rest_until;
-        let drained = self.core.told_done && rested && !self.conns.values().any(volunteer);
-        let drained = drained || since > SHUTDOWN_GRACE.as_secs_f64();
-        if self.left_after.is_none() && drained && self.core.may_leave() {
+        let connected = self.conns.values().any(volunteer) && since <= SHUTDOWN_GRACE.as_secs_f64();
+        let owed = self.debts.values().any(|&until| now < until);
+        if self.left_after.is_none() && !connected && !owed && self.core.may_leave() {
             self.left_after = Some(now.seconds() - self.started.seconds());
         }
         let wall = self.left_after?;
@@ -301,7 +307,7 @@ impl<S: Read + Write> Loop<S> {
             }
         }
         for (id, conn) in served {
-            self.settle(io, id, conn);
+            self.settle(io, now, id, conn);
         }
         for ops in [false, true] {
             if accept[usize::from(ops)] {
@@ -311,10 +317,16 @@ impl<S: Read + Write> Loop<S> {
         Ok(())
     }
 
-    /// A dial of `peer` answered: a connection becomes the peer's link,
-    /// a failure leaves it `Down` for the next steering tick and is the
-    /// core's to judge.
-    pub(crate) fn dialed(&mut self, io: &mut impl Io<S>, peer: u16, conn: Option<(Id, S)>) {
+    /// A dial of `peer` answered at `now`: a connection becomes the
+    /// peer's link, a failure leaves it `Down` for the next steering
+    /// tick and is the core's to judge.
+    pub(crate) fn dialed(
+        &mut self,
+        io: &mut impl Io<S>,
+        now: SimTime,
+        peer: u16,
+        conn: Option<(Id, S)>,
+    ) {
         let p = usize::from(peer);
         self.links[p] = Link::Down;
         let Some((id, stream)) = conn else {
@@ -322,7 +334,7 @@ impl<S: Read + Write> Loop<S> {
             return;
         };
         self.links[p] = Link::Up(id);
-        self.settle(io, id, Conn::new(stream, Role::Link(peer)));
+        self.settle(io, now, id, Conn::new(stream, Role::Link(peer)));
     }
 
     /// One sweep tick: re-arm listeners an exhausted `accept` paused,
@@ -337,6 +349,7 @@ impl<S: Read + Write> Loop<S> {
             }
         }
         self.core.sweep(now);
+        self.debts.retain(|_, &mut until| now < until);
         if self.ops_listener {
             let cap = ops::IDLE_CAP.as_secs_f64();
             let idle: Vec<Id> = self
@@ -348,7 +361,7 @@ impl<S: Read + Write> Loop<S> {
                 .map(|(&id, _)| id)
                 .collect();
             for id in idle {
-                self.hang_up(io, id, "idle");
+                self.hang_up(io, now, id, "idle");
             }
         }
     }
@@ -366,7 +379,7 @@ impl<S: Read + Write> Loop<S> {
         for peer in (0..shards).filter(|&p| p != shard_id) {
             let p = usize::from(peer);
             if let (Link::Up(id), true) = (self.links[p], self.core.link_stalled(now, peer)) {
-                self.hang_up(io, id, "timeout");
+                self.hang_up(io, now, id, "timeout");
             }
             match self.links[p] {
                 Link::Down => {
@@ -378,7 +391,7 @@ impl<S: Read + Write> Loop<S> {
                 Link::Up(id) => {
                     if let Some(mut conn) = self.conns.remove(&id) {
                         self.core.send_statuses(now, peer, &mut conn.write_buf);
-                        self.settle(io, id, conn);
+                        self.settle(io, now, id, conn);
                     }
                 }
             }
@@ -407,7 +420,7 @@ impl<S: Read + Write> Loop<S> {
                 // never costs a registration.
                 let mut conn = Conn::new(stream, Role::Scrape(now));
                 self.read_and_dispatch(now, &mut conn);
-                self.settle(io, id, conn);
+                self.settle(io, now, id, conn);
                 continue;
             }
             let limit = self.faults.max_connections;
@@ -416,19 +429,19 @@ impl<S: Read + Write> Loop<S> {
                 // telemetered) as a rejection, never as an accepted
                 // connection.
                 self.rejected += 1;
-                self.core.sent_to_rest(now);
                 let retry_after_ms = BUSY_RETRY_MS;
                 telemetry::emit(None, || Telemetry::ConnectionRejected { retry_after_ms });
                 let mut conn = Conn::new(stream, Role::Brushoff);
                 let busy = encode_with(&Message::Busy { retry_after_ms }, Codec);
                 conn.write_buf.extend_from_slice(&busy);
                 conn.closing = Some("busy");
-                self.settle(io, id, conn);
+                self.settle(io, now, id, conn);
                 continue;
             }
             self.connections += 1;
             self.accepted_active += 1;
-            self.settle(io, id, Conn::new(stream, Role::Inbound(Caller::default())));
+            let conn = Conn::new(stream, Role::Inbound(Caller::default()));
+            self.settle(io, now, id, conn);
         }
     }
 
@@ -468,7 +481,7 @@ impl<S: Read + Write> Loop<S> {
     /// that is finished (a brush-off whose `Busy` frame was taken whole
     /// is, before it was ever filed) or files it under the interest it
     /// now wants. With the wal unwritable the replies are dropped.
-    fn settle(&mut self, io: &mut impl Io<S>, id: Id, mut conn: Conn<S>) {
+    fn settle(&mut self, io: &mut impl Io<S>, now: SimTime, id: Id, mut conn: Conn<S>) {
         let unsent = !conn.flushed() && !self.commit(io);
         if unsent || self.flush(&mut conn).is_err() {
             conn.closing.get_or_insert("io");
@@ -489,7 +502,7 @@ impl<S: Read + Write> Loop<S> {
                 io.forget(id);
             }
             conn.closing.get_or_insert("io");
-            self.retire(conn);
+            self.retire(now, conn);
         }
     }
 
@@ -507,11 +520,11 @@ impl<S: Read + Write> Loop<S> {
 
     /// Closes the connection filed under `id` now, whatever it still
     /// had queued.
-    fn hang_up(&mut self, io: &mut impl Io<S>, id: Id, reason: &'static str) {
+    fn hang_up(&mut self, io: &mut impl Io<S>, now: SimTime, id: Id, reason: &'static str) {
         if let Some(mut conn) = self.conns.remove(&id) {
             conn.closing = Some(reason);
             io.forget(id);
-            self.retire(conn);
+            self.retire(now, conn);
         }
     }
 
@@ -570,29 +583,39 @@ impl<S: Read + Write> Loop<S> {
         }
     }
 
-    /// Final close of a connection. An inbound one releases its limit
-    /// slot and, if it said `Hello`, emits the `ConnectionClosed` that
-    /// pairs its `ConnectionOpened`; the core is told of either kind
-    /// that may have been a steering connection.
-    fn retire(&mut self, conn: Conn<S>) {
+    /// Final close of a connection, at `now`. An inbound one releases
+    /// its limit slot and, if it said `Hello`, emits the
+    /// `ConnectionClosed` that pairs its `ConnectionOpened`; a steering
+    /// one takes its peer's advert along. A volunteer not told the
+    /// campaign is over that was sent off to rest, or left without a
+    /// `Bye`, asks again within a rest, which it is owed
+    /// ([`Self::debts`]); one that was told pays its agent's debt.
+    fn retire(&mut self, now: SimTime, conn: Conn<S>) {
         match conn.role {
             Role::Inbound(caller) => {
                 self.accepted_active -= 1;
-                if caller.greeted {
+                if let Some(agent) = caller.agent {
                     let reason = conn.closing.unwrap_or("eof");
                     telemetry::emit(None, || Telemetry::ConnectionClosed {
-                        agent: caller.agent,
+                        agent,
                         frames: conn.frames,
                         reason: reason.into(),
                     });
                 }
-                self.core.caller_lost(&caller);
+                let owed = caller.resting || conn.closing != Some("bye");
+                match (caller.shard, caller.heard) {
+                    (Some(peer), _) => self.core.forget_backlog(peer),
+                    (None, false) if owed => _ = self.debts.insert(caller.agent, now.after(REST)),
+                    (None, true) if caller.agent.is_some() => _ = self.debts.remove(&caller.agent),
+                    (None, _) => {}
+                }
             }
             Role::Link(peer) => {
                 self.links[usize::from(peer)] = Link::Down;
                 self.core.link_lost(peer);
             }
-            Role::Brushoff | Role::Scrape(_) => {}
+            Role::Brushoff => _ = self.debts.insert(None, now.after(REST)),
+            Role::Scrape(_) => {}
         }
     }
 }
@@ -757,13 +780,44 @@ pub(crate) mod tests {
         ));
     }
 
-    /// A volunteer told `NoWork` rests with its socket closed, for up to
-    /// [`agent::MAX_REST`], before it asks again. So a loop that is done,
-    /// has given its final word and holds no connection still waits that
-    /// long after the reply: the volunteer's next ask hears
-    /// `campaign_complete` instead of finding the port gone.
-    #[test]
-    fn a_done_loop_waits_out_the_rest_it_handed_out() {
+    /// The holders report every replica they took and, the campaign
+    /// done, hear the final word on an ask of their own: once they hang
+    /// up, the loop owes none of them anything.
+    fn report_and_hear_the_end(net: &mut World, holders: Vec<(Client<End>, Vec<Message>)>) {
+        let mut heard = Vec::new();
+        for (mut holder, owed) in holders {
+            for report in &owed {
+                holder.report(report, net);
+            }
+            heard.push(holder);
+        }
+        for holder in &mut heard {
+            hear_the_end(holder, net);
+        }
+        drop(heard);
+        net.pump();
+    }
+
+    /// One ask on `client`'s connection that hears `campaign_complete`,
+    /// and the `Bye` that says it was read.
+    fn hear_the_end(client: &mut Client<End>, net: &mut World) {
+        let reply = client.exchange(&Message::RequestWork, net);
+        let complete = matches!(
+            reply,
+            Message::NoWork {
+                campaign_complete: true,
+                ..
+            }
+        );
+        assert!(complete, "{reply:?}");
+        client.send(&Message::Bye);
+    }
+
+    /// Volunteer 1, told `NoWork` with the campaign open, which it rests
+    /// on with its socket closed after a `Bye`; every holder has since
+    /// heard the end.
+    /// The world, and when the volunteer was told.
+    fn one_volunteer_resting() -> (World, f64) {
         let mut net = solo();
         let holders = net.hold_every_replica(0);
         let mut resting = net.connect(0).hello(1, &mut net);
@@ -777,16 +831,25 @@ pub(crate) mod tests {
             }
         );
         assert!(no_work, "{reply:?}");
+        resting.send(&Message::Bye);
         drop(resting);
-        for (mut holder, owed) in holders {
-            for report in &owed {
-                holder.report(report, &mut net);
-            }
-        }
-        net.pump();
+        report_and_hear_the_end(&mut net, holders);
+        (net, told)
+    }
+
+    /// A volunteer told `NoWork` rests with its socket closed, for up to
+    /// [`agent::MAX_REST`], before it asks again. So a loop that is done
+    /// and holds no connection still owes it the final word that long
+    /// after it left: its next ask hears `campaign_complete` instead of
+    /// finding the port gone.
+    #[test]
+    fn a_done_loop_waits_out_the_rest_it_handed_out() {
+        let (mut net, told) = one_volunteer_resting();
         let lp = &mut net.loops[0];
-        assert!(lp.core.done() && lp.core.told_done && lp.conns.is_empty());
+        assert!(lp.core.done() && lp.conns.is_empty());
         let rest = agent::MAX_REST.as_secs_f64();
+        let owed = HashMap::from([(Some(1), t(told + rest))]);
+        assert_eq!(lp.debts, owed, "the resting volunteer alone is owed");
         assert_eq!(
             lp.over(t(told + rest - 0.01)),
             None,
@@ -809,21 +872,81 @@ pub(crate) mod tests {
         let reply = net.connect(0).recv(&mut net);
         assert!(matches!(reply, Message::Busy { .. }), "{reply:?}");
         assert_eq!(net.loops[0].rejected, 1);
-        for (mut holder, owed) in holders {
-            for report in &owed {
-                holder.report(report, &mut net);
-            }
-        }
-        net.pump();
+        report_and_hear_the_end(&mut net, holders);
         let lp = &mut net.loops[0];
-        assert!(lp.core.done() && lp.core.told_done && lp.conns.is_empty());
+        assert!(lp.core.done() && lp.conns.is_empty());
         let rest = agent::MAX_REST.as_secs_f64();
+        let owed = HashMap::from([(None, t(brushed + rest))]);
+        assert_eq!(lp.debts, owed, "the brushed-off volunteer alone is owed");
         assert_eq!(
             lp.over(t(brushed + rest - 0.01)),
             None,
             "left while a brushed-off volunteer rested"
         );
         assert!(lp.over(t(brushed + rest)).is_some());
+    }
+
+    /// A debt is paid by the final word: a volunteer sent off to rest
+    /// that comes back and hears `campaign_complete` is owed nothing
+    /// more, so a loop whose every volunteer has heard it leaves at
+    /// once, not a rest after the last `NoWork` it gave.
+    #[test]
+    fn a_done_loop_leaves_once_every_rested_volunteer_has_heard() {
+        let (mut net, _) = one_volunteer_resting();
+        hear_the_end(&mut net.connect(0).hello(1, &mut net), &mut net);
+        net.pump();
+        let lp = &mut net.loops[0];
+        assert!(lp.debts.is_empty(), "{:?}", lp.debts);
+        assert!(
+            lp.over(t(net.now)).is_some(),
+            "waited on volunteers that had all heard the end"
+        );
+    }
+
+    /// A volunteer that reports and says `Bye` without asking again was
+    /// not sent off to rest: it left of its own accord, and nothing is
+    /// owed to it. One cut off after the same report may come back, and
+    /// is owed a rest, as is one that says `Bye` after a `NoWork`.
+    #[test]
+    fn a_bye_after_a_report_is_owed_nothing() {
+        let rest = agent::MAX_REST.as_secs_f64();
+        let mut net = solo();
+        for (agent, bye) in [(1, true), (2, false)] {
+            let mut leaving = net.connect(0).hello(agent, &mut net);
+            let report = leaving.ask(&mut net, baseline()).expect("work");
+            leaving.report(&report, &mut net);
+            if bye {
+                leaving.send(&Message::Bye);
+            }
+            drop(leaving);
+            net.pump();
+        }
+        let owed = HashMap::from([(Some(2), t(net.now + rest))]);
+        assert_eq!(net.loops[0].debts, owed, "only the one cut off is owed");
+        let (net, told) = one_volunteer_resting();
+        let owed = HashMap::from([(Some(1), t(told + rest))]);
+        assert_eq!(net.loops[0].debts, owed);
+    }
+
+    /// A loop reopened done from its wal cannot know who was resting
+    /// across the crash, so it owes one rest from its start: a volunteer
+    /// that wakes inside it still hears `campaign_complete`.
+    #[test]
+    fn a_loop_reopened_done_keeps_its_listener_for_one_rest() {
+        let mut net = World::new(vec![Server::shard(0, 1).journaled()]);
+        net.connect(0).hello(1, &mut net).work(&mut net, baseline());
+        assert!(net.loops[0].core.done());
+        net.now += 1.0;
+        let reopened = net.now;
+        net.kill_and_reopen(0);
+        assert!(net.loops[0].core.done() && net.loops[0].conns.is_empty());
+        let rest = agent::MAX_REST.as_secs_f64();
+        net.now = reopened + rest - 0.01;
+        assert_eq!(net.loops[0].over(t(net.now)), None, "left at once");
+        hear_the_end(&mut net.connect(0).hello(2, &mut net), &mut net);
+        net.pump();
+        assert_eq!(net.loops[0].over(t(net.now)), None);
+        assert!(net.loops[0].over(t(reopened + rest)).is_some());
     }
 
     /// A batch that holds the task listener ahead of a holder's `Bye` —
@@ -1075,8 +1198,7 @@ pub(crate) mod tests {
         net.pump();
         assert!(!net.loops[0].link_up(1));
         assert_eq!(net.board(0).backlog[1], 0);
-        let now = t(net.now);
-        assert!(net.loops[0].core.try_redirect(now, &[true]).is_none());
+        assert!(net.loops[0].core.try_redirect(&[true]).is_none());
         match ask(&mut net) {
             Message::NoWork { retry_after_ms, .. } => assert!(retry_after_ms > 0),
             other => panic!("a dead peer must not draw a redirect, got {other:?}"),

@@ -340,11 +340,10 @@ impl PartialEq for Slot {
 /// frame.
 #[derive(Default)]
 pub(crate) struct Caller {
-    /// The agent id learned from `Hello` (0 until then).
-    pub(crate) agent: u64,
-    /// Whether it said `Hello`: its `ConnectionOpened` went out, so its
-    /// close is paired with a `ConnectionClosed`.
-    pub(crate) greeted: bool,
+    /// The agent id learned from `Hello`; once there is one, its
+    /// `ConnectionOpened` went out, so its close is paired with a
+    /// `ConnectionClosed`.
+    pub(crate) agent: Option<u64>,
     /// The campaign attach mask: resolved from the `Hello` request, or
     /// the default-campaign mask from the first ask of a peer that
     /// never said `Hello`. Empty until one of the two.
@@ -352,6 +351,10 @@ pub(crate) struct Caller {
     /// The peer shard this connection is a steering link of, from its
     /// first `ShardStatus` on.
     pub(crate) shard: Option<u16>,
+    /// Whether a `NoWork` or `ResultAck` on it said `campaign_complete`.
+    pub(crate) heard: bool,
+    /// Whether its last reply, a `NoWork` or `Redirect`, sent it to rest.
+    pub(crate) resting: bool,
 }
 
 impl Caller {
@@ -398,14 +401,6 @@ pub struct MultiGrid {
     last_now: f64,
     /// The command log, when durability is on.
     wal: Option<Wal>,
-    /// Whether a volunteer has been told that everything it works for
-    /// is over while this server was [`Self::done`]: the final word a
-    /// finished server stays up to give.
-    pub(crate) told_done: bool,
-    /// Until when a volunteer sent off to rest may still be resting,
-    /// its socket closed, before it asks again: the last such reply plus
-    /// [`crate::agent::MAX_REST`] ([`Self::sent_to_rest`]).
-    pub(crate) rest_until: SimTime,
 }
 
 impl MultiGrid {
@@ -514,8 +509,6 @@ impl MultiGrid {
             contended_share_error: None,
             last_now: 0.0,
             wal: None,
-            told_done: false,
-            rest_until: SimTime::ZERO,
         };
         Ok((grid, header))
     }
@@ -892,8 +885,8 @@ impl MultiGrid {
 
     /// The peers' half of the server's shutdown condition: [`Self::done`],
     /// and every peer has heard so or is past hearing it — settled on
-    /// every board. No timer decides a peer (the volunteers' half, and
-    /// its grace, are the event loop's: [`crate::server`]).
+    /// every board. No timer decides a peer (the volunteers' half is
+    /// the event loop's: [`crate::event_loop::Loop::over`]).
     pub(crate) fn may_leave(&self) -> bool {
         let settled = |s: &Slot| s.board.settled.iter().all(|&ok| ok);
         self.done() && self.slots.iter().all(settled)
@@ -916,9 +909,8 @@ impl MultiGrid {
                 threads: _,
                 campaigns,
             } => {
-                caller.agent = agent;
                 caller.attached = self.attach_mask(&campaigns);
-                if !std::mem::replace(&mut caller.greeted, true) {
+                if caller.agent.replace(agent).is_none() {
                     telemetry::emit(Some(now.seconds()), || Event::ConnectionOpened { agent });
                 }
                 Message::HelloAck {
@@ -935,7 +927,8 @@ impl MultiGrid {
                 }
             }
             Message::RequestWork => {
-                let agent = caller.agent;
+                // A peer that skipped `Hello` asks as agent 0.
+                let agent = caller.agent.unwrap_or(0);
                 let mask = caller.mask(self);
                 match self.fetch(now, agent, mask) {
                     (cidx, WorkReply::Assigned(a)) => {
@@ -958,10 +951,8 @@ impl MultiGrid {
                             retry_after_ms,
                             campaign_complete,
                         },
-                    ) => self.try_redirect(now, mask).unwrap_or_else(|| {
-                        if !self.final_word(campaign_complete) {
-                            self.sent_to_rest(now);
-                        }
+                    ) => self.try_redirect(mask).unwrap_or_else(|| {
+                        caller.heard |= campaign_complete;
                         Message::NoWork {
                             campaign_complete,
                             retry_after_ms,
@@ -984,6 +975,8 @@ impl MultiGrid {
             } => {
                 let (_, disposition) =
                     self.report(now, campaign, ReplicaId(replica), workunit, output);
+                let complete = self.attached_complete(caller.mask(self));
+                caller.heard |= complete;
                 Message::ResultAck {
                     accepted: matches!(
                         disposition.verdict,
@@ -994,7 +987,7 @@ impl MultiGrid {
                             | Verdict::SpotVoid
                     ),
                     completed_workunit: disposition.completed_workunit,
-                    campaign_complete: self.final_word(self.attached_complete(caller.mask(self))),
+                    campaign_complete: complete,
                 }
             }
             Message::ShardMapRequest => Message::ShardMap {
@@ -1035,14 +1028,9 @@ impl MultiGrid {
             // replies on a steering link this shard dialed).
             _ => return Err("protocol"),
         };
+        caller.resting = matches!(reply, Message::NoWork { .. } | Message::Redirect { .. });
         queue(out, &reply);
         Ok(())
-    }
-
-    /// A volunteer is told whether everything it works for is over.
-    fn final_word(&mut self, complete: bool) -> bool {
-        self.told_done |= complete && self.done();
-        complete
     }
 
     /// A peer said whether its slice of `campaign` is complete; the
@@ -1173,7 +1161,7 @@ impl MultiGrid {
     /// poll `NoWork` for ever while a peer's backlog sat untouched. A
     /// slice that validates within one steering interval gets there
     /// before the first lease could have been cut.
-    pub(crate) fn try_redirect(&mut self, now: SimTime, attached: &[bool]) -> Option<Message> {
+    pub(crate) fn try_redirect(&mut self, attached: &[bool]) -> Option<Message> {
         // A backoff with backlog still on hand was a trust denial
         // (quarantine), not a drained queue: the agent waits here.
         let on_hand = |(s, &a): (&Slot, &bool)| a && s.state.core().fresh_backlog() > 0;
@@ -1193,18 +1181,7 @@ impl MultiGrid {
             .max_by_key(|&(_, _, backlog)| backlog)?;
         let addr = self.addrs.get(usize::from(peer))?.clone();
         self.slots[cidx].state.note_redirect();
-        self.sent_to_rest(now);
         Some(Message::Redirect { shard: peer, addr })
-    }
-
-    /// A volunteer was just sent off to rest at `now`, its socket
-    /// closed: told `NoWork` with the campaign open, brushed off with
-    /// `Busy`, or handed a `Redirect` it may decline. However long the
-    /// rest, it asks again within [`crate::agent::MAX_REST`], and a
-    /// finished server stays up that long to tell it so
-    /// ([`crate::event_loop::Loop::over`]).
-    pub(crate) fn sent_to_rest(&mut self, now: SimTime) {
-        self.rest_until = now.after(crate::agent::MAX_REST.as_secs_f64());
     }
 
     /// One steering tick's bookkeeping, before any status is built:
@@ -1265,18 +1242,10 @@ impl MultiGrid {
         }
     }
 
-    /// An inbound connection is gone; if it was a peer's steering link,
-    /// so is that peer's advert.
-    pub(crate) fn caller_lost(&mut self, caller: &Caller) {
-        if let Some(peer) = caller.shard {
-            self.forget_backlog(peer);
-        }
-    }
-
     /// A steering connection, dialed or accepted, takes the peer's
     /// advertised backlog with it — a peer that died with backlog on
     /// the board must not keep drawing redirects to a dead address.
-    fn forget_backlog(&mut self, peer: u16) {
+    pub(crate) fn forget_backlog(&mut self, peer: u16) {
         for slot in &mut self.slots {
             slot.board.backlog[usize::from(peer)] = 0;
         }

@@ -4,7 +4,7 @@
 //! A small, dependency-free TCP daemon on **one thread**. Every
 //! decision is [`MultiGrid`]'s ([`crate::registry`]) and every ordering
 //! rule — connections before listeners, commit before a byte leaves,
-//! the brush-off at the cap, the timers and the shutdown grace — is
+//! the brush-off at the cap, the timers and the leave rule — is
 //! `Loop`'s (`crate::event_loop`). What is here only carries: one
 //! [`crate::sys::Poller`] watches the task listener, the ops listener
 //! and every connection — volunteers, steering links to and from peer
@@ -282,8 +282,9 @@ impl NetServer {
 
     /// Runs the campaign to completion: accepts volunteers, sweeps
     /// deadlines, and returns once every workunit has validated, the
-    /// connections have drained and the `NoWork` rests it handed out
-    /// have run (or the shutdown grace expires). On the way out the wal
+    /// volunteers' connections have drained (or the shutdown grace
+    /// expires) and no volunteer that left without hearing so may still
+    /// be resting (`event_loop::Loop::over`). On the way out the wal
     /// takes the records no reply followed (a last sweep's). A batch the
     /// wal file refuses ends the run with that error.
     pub fn run(mut self) -> io::Result<NetRunReport> {
@@ -340,7 +341,7 @@ impl NetServer {
             .and_then(|d| d.dialed.try_recv().ok())
         {
             let link = dialed.ok().map(|stream| (stream.as_raw_fd(), stream));
-            self.lp.dialed(&mut self.io, peer, link);
+            self.lp.dialed(&mut self.io, now, peer, link);
         }
         self.lp.wal_error.take().map_or(Ok(()), Err)
     }

@@ -690,7 +690,7 @@ impl World {
                 }
             };
             let link = dialing.map(|end| self.pipes[a].hold(end));
-            self.loops[a].dialed(&mut self.pipes[a], peer, link);
+            self.loops[a].dialed(&mut self.pipes[a], t(self.now), peer, link);
         }
         let lp = &self.loops[a];
         if self.pipes[a].sent.get() > sent {

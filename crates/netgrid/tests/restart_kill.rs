@@ -94,8 +94,9 @@ fn sigkill_mid_campaign_then_restart_yields_the_baseline_artifact() {
     // Volunteers that survive the restart: a reconnect budget of about
     // 5 s (50 ms between attempts, plus each agent's jitter) makes the
     // kill→rebind gap routine. The end does not spend it: a server stays
-    // up until the rests it handed out have run, so a volunteer resting
-    // then wakes to hear `campaign_complete`, not a refused port.
+    // up one rest for each volunteer that left without the final word, so
+    // a volunteer resting then wakes to hear `campaign_complete`, not a
+    // refused port.
     let agents: Vec<_> = (1..=3u64)
         .map(|agent| {
             let addr = addr.clone();
