@@ -10,8 +10,8 @@
 //! quorum-rejection path, and the report carries those counts next to
 //! the injected fault totals.
 //!
-//! This binary checks that the artifact survives faults, scale and
-//! sharding; it is not where performance is measured, and it compares no
+//! This binary checks that the artifact survives faults and scale; it
+//! is not where performance is measured, and it compares no
 //! number with a baseline. What a layer costs — the journal
 //! (`wire_durable` against `wire_steady`), an ops scrape
 //! (`ops.scrape_p50_us`), a request — is measured by the benchmark
@@ -26,26 +26,7 @@
 //! first: a loopback run holds both ends of every socket. Every fleet
 //! clock runs from the fleet's start to its last session's end.
 //!
-//! A *sharded* block then splits the same campaign across N
-//! `NetServer` shards (2-shard, 2-shard `--trust on` and 4-shard by
-//! block) with the fleet's homes round-robined across every shard. Each row
-//! in the `shard_campaigns` column reports redirect and lease (steal)
-//! counts, per-shard and aggregate throughput, and whether the merged
-//! per-shard artifacts are byte-identical to a like-for-like
-//! single-server run.
-//!
-//! The binary exits 1 when any artifact diverges from its reference,
-//! when a shard row's fleet followed none of the redirects it was
-//! sent, or when a shard row sent more redirects than the fleet made
-//! requests (one redirect answers one ask, so more is a steering
-//! loop).
-//!
-//! `--merge p0.json,p1.json[,...]` skips the bench entirely and runs
-//! the artifact merge step instead: reads the per-shard partials the
-//! sharded servers wrote with `--out`, combines them with
-//! `netgrid::merge_artifact_json`, and writes the single-server byte
-//! stream to `--out` (or stdout). This is how a real sharded operation
-//! — and the CI interop smoke — assembles the final catalog.
+//! The binary exits 1 when either artifact diverges from the baseline.
 //!
 //! Writes `BENCH_netgrid.json` at the workspace root (override with
 //! `--out`). `--quick` shrinks the fleet and the deadline so the
@@ -54,11 +35,9 @@
 use bench_support::RunSession;
 use metrics::quantile;
 use netgrid::{
-    merge_artifact_json, merge_artifacts, run_mux_fleet, sys, AgentConfig, AgentReport,
-    CampaignParams, CampaignRunReport, FaultProfile, NetCampaign, NetRunReport, NetServer,
-    NetServerConfig, NetStats, ShardSpec, ShardTopology, TrustConfig,
+    run_mux_fleet, sys, AgentConfig, AgentReport, CampaignParams, CampaignRunReport, FaultProfile,
+    NetCampaign, NetRunReport, NetServer, NetServerConfig,
 };
-use std::net::TcpListener;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -97,57 +76,6 @@ struct NetgridReport {
     scale_request_latency_p99_ms: Option<f64>,
     scale_connections: Option<u64>,
     scale_merged_matches_baseline: Option<bool>,
-    /// Throughput of the like-for-like single-server run the sharded
-    /// campaigns are scored against: same campaign, same fleet, one
-    /// unsharded server. Null when `--shards 0` skipped the block.
-    shard_single_workunits_per_sec: Option<f64>,
-    /// One row per sharded campaign (2-shard, 2-shard trust-on and
-    /// 4-shard by default). Null when `--shards 0` skipped the block.
-    shard_campaigns: Option<Vec<ShardBenchRow>>,
-}
-
-/// One sharded campaign in the `shard_campaigns` column.
-#[derive(serde::Serialize)]
-struct ShardBenchRow {
-    /// Topology size: the campaign catalog was hash-split across this
-    /// many `NetServer` shards.
-    shards: u16,
-    /// Whether every shard ran trust-adaptive replication.
-    trust: bool,
-    /// Workunits validated across all shards (the whole catalog).
-    workunits: usize,
-    /// Fleet-side wall clock, start of the fleet to its last session's
-    /// end. (Server-side `wall_seconds` can include the rest a shard
-    /// owes volunteers that left it without the final word, which would
-    /// understate throughput.)
-    wall_seconds: f64,
-    /// Aggregate throughput across the topology.
-    workunits_per_sec: f64,
-    /// Validated-workunit throughput of each shard, in shard order. A
-    /// shard that drained early and kept leasing work still shows up
-    /// here — steering is why these stay comparable.
-    per_shard_workunits_per_sec: Vec<f64>,
-    /// `RequestWork` round trips across the fleet; the natural bound on
-    /// `redirects` (one redirect answers one ask) — the binary exits 1
-    /// when a row exceeds it.
-    requests: usize,
-    /// `Redirect` frames sent across all shards.
-    redirects: u64,
-    /// Redirects the fleet's agents followed to the peer they named. The
-    /// first one an agent receives is always followed, so zero here with
-    /// `redirects` above zero is a driver that ignores the frame — the
-    /// binary exits 1 on it.
-    redirects_followed: u64,
-    /// Work-stealing leases granted across all shards (the steal count).
-    leases: u64,
-    /// Workunits that moved shard-to-shard under those leases.
-    leased_workunits: u64,
-    /// The headline invariant: the merged per-shard partials are
-    /// byte-identical to the single-server reference artifact.
-    merged_matches_single: bool,
-    /// `workunits_per_sec / shard_single_workunits_per_sec`. Recorded,
-    /// not checked: the 4-shard row's ratio is still unexplained.
-    throughput_vs_single_frac: f64,
 }
 
 /// Everything one campaign run yields.
@@ -172,12 +100,12 @@ impl CampaignOutcome {
     }
 }
 
-/// `agents` clean volunteers on one run seed, ids `1..=agents`, their
-/// homes round-robined over `homes`.
-fn fleet(homes: &[String], agents: usize, seed: u64) -> Vec<AgentConfig> {
+/// `agents` clean volunteers of the server at `addr` on one run seed,
+/// ids `1..=agents`.
+fn fleet(addr: &str, agents: usize, seed: u64) -> Vec<AgentConfig> {
     let volunteer = |id: u64| AgentConfig {
         seed,
-        ..AgentConfig::new(homes[(id - 1) as usize % homes.len()].clone(), id)
+        ..AgentConfig::new(addr, id)
     };
     (1..=agents as u64).map(volunteer).collect()
 }
@@ -239,7 +167,7 @@ fn run_campaign(
         seed,
         ..AgentConfig::new(addr.clone(), 666)
     };
-    let honest = fleet(&[addr], honest_agents, seed).into_iter();
+    let honest = fleet(&addr, honest_agents, seed).into_iter();
     let flaky = honest.map(|config| AgentConfig {
         profile: FaultProfile::flaky(),
         ..config
@@ -260,122 +188,10 @@ fn run_campaign(
     }
 }
 
-/// Everything one sharded campaign yields, across all its shards.
-struct ShardedOutcome {
-    reports: Vec<NetRunReport>,
-    /// Fleet-side wall clock (a per-shard server report can include the
-    /// rest it owes its volunteers, so it is not a throughput clock).
-    wall_seconds: f64,
-    requests: usize,
-    redirects_followed: u64,
-    merged_json: String,
-}
-
-impl ShardedOutcome {
-    /// One wire counter summed over every shard.
-    fn total(&self, counter: impl Fn(&NetStats) -> u64) -> u64 {
-        self.reports
-            .iter()
-            .map(|r| counter(&r.campaigns[0].net_stats))
-            .sum()
-    }
-}
-
-/// Reserves `n` distinct loopback addresses: all listeners are held
-/// until every port is known, then dropped together so the shards can
-/// rebind them.
-fn free_addrs(n: u16) -> Vec<String> {
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("reserve loopback port"))
-        .collect();
-    listeners
-        .iter()
-        .map(|l| l.local_addr().expect("local addr").to_string())
-        .collect()
-}
-
-/// One campaign split across `shards` servers by the deterministic
-/// shard map, with the fleet's homes round-robined across every shard.
-/// Always speaks protocol v3 — steering needs the shard messages.
-fn run_sharded_campaign(
-    campaign_params: CampaignParams,
-    deadline_seconds: f64,
-    shards: u16,
-    agents: usize,
-    seed: u64,
-    trust: bool,
-) -> ShardedOutcome {
-    let addrs = free_addrs(shards);
-    let handles: Vec<_> = (0..shards)
-        .map(|shard_id| {
-            let mut config = NetServerConfig {
-                campaign: campaign_params,
-                sweep_ms: 25,
-                ..NetServerConfig::loopback(deadline_seconds)
-            };
-            if trust {
-                config.faults.trust = TrustConfig::on();
-            }
-            config.addr = addrs[shard_id as usize].clone();
-            config.shard = Some(ShardTopology {
-                spec: ShardSpec { shard_id, shards },
-                addrs: addrs.clone(),
-            });
-            let server = NetServer::bind(config).expect("bind shard");
-            thread::spawn(move || server.run())
-        })
-        .collect();
-
-    let (fleet, wall_seconds) = run_fleet(fleet(&addrs, agents, seed), "sharded fleet");
-    let reports: Vec<NetRunReport> = handles
-        .into_iter()
-        .map(|h| h.join().unwrap().expect("shard ran"))
-        .collect();
-    let parts: Vec<_> = reports
-        .iter()
-        .map(|r| r.campaigns[0].partial_outputs.clone())
-        .collect();
-    let merged = merge_artifacts(&parts).expect("shards cover the campaign");
-    ShardedOutcome {
-        merged_json: serde_json::to_string(&merged).expect("merged artifact serializes"),
-        requests: latencies(&fleet).len(),
-        redirects_followed: total(&fleet, |r| r.redirects_followed),
-        reports,
-        wall_seconds,
-    }
-}
-
-/// The like-for-like single-server run the sharded campaigns are scored
-/// against: same campaign, same fleet size, same driver, one
-/// unsharded server. Returns the artifact JSON and the fleet-side
-/// workunits/sec.
-fn run_shard_reference(
-    campaign_params: CampaignParams,
-    deadline_seconds: f64,
-    agents: usize,
-    seed: u64,
-) -> (String, f64) {
-    let config = NetServerConfig {
-        campaign: campaign_params,
-        sweep_ms: 25,
-        ..NetServerConfig::loopback(deadline_seconds)
-    };
-    let server = NetServer::bind(config).expect("bind single reference");
-    let addr = server.local_addr().expect("local addr").to_string();
-    let server = thread::spawn(move || server.run());
-    let (_, wall) = run_fleet(fleet(&[addr], agents, seed), "reference fleet");
-    let run = server.join().unwrap().expect("reference server ran");
-    let campaign = &run.campaigns[0];
-    let json = serde_json::to_string(&campaign.outputs).expect("outputs serialize");
-    (json, campaign.workunits as f64 / wall.max(1e-9))
-}
-
 fn main() {
     let mut quick = false;
     let mut seed = 42u64;
     let mut scale_agents: Option<usize> = None;
-    let mut shards: Option<u16> = None;
-    let mut merge: Option<String> = None;
     let mut out: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -394,56 +210,17 @@ fn main() {
                         .expect("--scale-agents <n>"),
                 )
             }
-            "--shards" => {
-                shards = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .expect("--shards <n>"),
-                )
-            }
-            "--merge" => merge = Some(args.next().expect("--merge <p0.json,p1.json,...>")),
             "--out" => out = Some(args.next().expect("--out <path>")),
             other => {
                 eprintln!("netgrid_e2e: unknown argument {other}");
                 eprintln!(
-                    "usage: netgrid_e2e [--quick] [--seed <n>] [--scale-agents <n>] [--shards <n>] \
-                     [--out <path>] | --merge <p0.json,p1.json,...> [--out <path>]"
+                    "usage: netgrid_e2e [--quick] [--seed <n>] [--scale-agents <n>] [--out <path>]"
                 );
                 std::process::exit(2);
             }
         }
     }
 
-    // Merge mode: no campaign at all — combine per-shard partial
-    // artifacts (what a sharded `hcmd-server --out` writes) into the
-    // single-server byte stream and exit. The CI shard-interop smoke
-    // drives this path against real server processes.
-    if let Some(list) = merge {
-        let parts: Vec<String> = list
-            .split(',')
-            .map(|p| {
-                std::fs::read_to_string(p).unwrap_or_else(|e| {
-                    eprintln!("netgrid_e2e: cannot read partial artifact {p}: {e}");
-                    std::process::exit(2);
-                })
-            })
-            .collect();
-        let merged = merge_artifact_json(&parts).unwrap_or_else(|e| {
-            eprintln!("netgrid_e2e: merge failed: {e}");
-            std::process::exit(1);
-        });
-        match &out {
-            Some(path) => match std::fs::write(path, &merged) {
-                Ok(()) => println!("netgrid_e2e: merged {} partials -> {path}", parts.len()),
-                Err(e) => {
-                    eprintln!("netgrid_e2e: cannot write {path}: {e}");
-                    std::process::exit(1);
-                }
-            },
-            None => println!("{merged}"),
-        }
-        return;
-    }
     // Quick keeps the tiny 2-protein campaign and a short deadline so
     // the victim's abandoned replica expires fast; the full run grows
     // the library and the fleet.
@@ -466,69 +243,6 @@ fn main() {
         let limit = sys::raise_nofile_limit(SCALE_NOFILE);
         println!("scale: open-file soft limit {limit}");
         run_campaign(campaign_params, deadline_seconds, scale_agents, seed)
-    });
-
-    // The sharded block: the same campaign hash-split across N servers,
-    // the fleet's homes round-robined across every shard, scored against a
-    // like-for-like single-server run. 2-shard (plain and trust-on) and
-    // 4-shard by default; `--shards N` narrows to one topology (plain
-    // and trust-on), `--shards 0` (or 1) skips the block.
-    let shard_rows: Vec<(u16, bool)> = match shards {
-        None => vec![(2, false), (2, true), (4, false)],
-        Some(0) | Some(1) => Vec::new(),
-        Some(n) => vec![(n, false), (n, true)],
-    };
-    let sharded = (!shard_rows.is_empty()).then(|| {
-        let max_shards = shard_rows.iter().map(|&(n, _)| n).max().unwrap() as usize;
-        let shard_fleet = honest_agents.max(max_shards);
-        // A larger catalog than the classic campaigns: global completion
-        // travels by gossip (one ~100 ms steering tick), a fixed lag
-        // that would dominate the throughput ratio on a sub-second
-        // campaign. The single-server reference uses these same params,
-        // so the comparison stays like-for-like.
-        let shard_params = CampaignParams {
-            proteins: if quick { 5 } else { 6 },
-            ..campaign_params
-        };
-        let (single_json, single_wps) =
-            run_shard_reference(shard_params, deadline_seconds, shard_fleet, seed);
-        let rows: Vec<ShardBenchRow> = shard_rows
-            .iter()
-            .map(|&(n, trust)| {
-                let o = run_sharded_campaign(
-                    shard_params,
-                    deadline_seconds,
-                    n,
-                    shard_fleet,
-                    seed,
-                    trust,
-                );
-                let validated =
-                    |r: &NetRunReport| r.campaigns[0].partial_outputs.iter().flatten().count();
-                let workunits: usize = o.reports.iter().map(&validated).sum();
-                let workunits_per_sec = workunits as f64 / o.wall_seconds.max(1e-9);
-                ShardBenchRow {
-                    shards: n,
-                    trust,
-                    workunits,
-                    wall_seconds: o.wall_seconds,
-                    workunits_per_sec,
-                    per_shard_workunits_per_sec: o
-                        .reports
-                        .iter()
-                        .map(|r| validated(r) as f64 / o.wall_seconds.max(1e-9))
-                        .collect(),
-                    requests: o.requests,
-                    redirects: o.total(|n| n.shard_redirects),
-                    redirects_followed: o.redirects_followed,
-                    leases: o.total(|n| n.shard_leases_out),
-                    leased_workunits: o.total(|n| n.shard_wus_leased_out),
-                    merged_matches_single: o.merged_json == single_json,
-                    throughput_vs_single_frac: workunits_per_sec / single_wps.max(1e-9),
-                }
-            })
-            .collect();
-        (single_wps, rows)
     });
 
     let baseline = NetCampaign::build(campaign_params).baseline_outputs();
@@ -563,8 +277,6 @@ fn main() {
             .map(|o| quantile(&o.latencies, 0.99).unwrap_or(0.0)),
         scale_connections: scale.as_ref().map(|o| o.run.connections),
         scale_merged_matches_baseline,
-        shard_single_workunits_per_sec: sharded.as_ref().map(|(wps, _)| *wps),
-        shard_campaigns: sharded.map(|(_, rows)| rows),
     };
     println!(
         "{} workunits over loopback ({} honest agents + victim + saboteur)",
@@ -590,54 +302,13 @@ fn main() {
             report.scale_connections.unwrap_or(0),
         );
     }
-    if let Some(rows) = &report.shard_campaigns {
-        for row in rows {
-            println!(
-                "sharded: {} shards{} -> {:.1} wu/s aggregate ({:.2}x single-server {:.1}), \
-                 {} redirects ({} followed), {} leases ({} wus stolen), merge matches single: {}",
-                row.shards,
-                if row.trust { " (trust on)" } else { "" },
-                row.workunits_per_sec,
-                row.throughput_vs_single_frac,
-                report.shard_single_workunits_per_sec.unwrap_or(0.0),
-                row.redirects,
-                row.redirects_followed,
-                row.leases,
-                row.leased_workunits,
-                row.merged_matches_single,
-            );
-        }
-    }
     println!(
         "merged output matches in-process baseline: plain {}, scale {:?}",
         report.merged_matches_baseline, report.scale_merged_matches_baseline,
     );
-    let ok = report.merged_matches_baseline
-        && report.scale_merged_matches_baseline.unwrap_or(true)
-        && report
-            .shard_campaigns
-            .as_ref()
-            .is_none_or(|rows| rows.iter().all(|r| r.merged_matches_single));
+    let ok = report.merged_matches_baseline && report.scale_merged_matches_baseline.unwrap_or(true);
     if !ok {
         eprintln!("netgrid_e2e: ERROR: merged output diverged from the baseline");
-    }
-    let redirects_ignored = report.shard_campaigns.as_ref().is_some_and(|rows| {
-        rows.iter()
-            .any(|r| r.redirects > 0 && r.redirects_followed == 0)
-    });
-    if redirects_ignored {
-        eprintln!("netgrid_e2e: ERROR: shards sent redirects and the fleet followed none");
-    }
-    // One redirect answers one ask: more redirects than asks is the
-    // fleet being bounced between shards.
-    let steering_loop = report
-        .shard_campaigns
-        .as_ref()
-        .is_some_and(|rows| rows.iter().any(|r| r.redirects > r.requests as u64));
-    if steering_loop {
-        eprintln!(
-            "netgrid_e2e: ERROR: a shard row sent more redirects than the fleet made requests"
-        );
     }
     if report.timeout_reissues == 0 || report.quorum_rejects == 0 {
         eprintln!("netgrid_e2e: WARNING: a fault path went unexercised this run");
@@ -655,7 +326,7 @@ fn main() {
     }
     session.record_engine(plain.latencies.len() as u64, 0, report.workunits as u64);
     session.finish();
-    if !ok || redirects_ignored || steering_loop {
+    if !ok {
         std::process::exit(1);
     }
 }

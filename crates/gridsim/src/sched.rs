@@ -225,13 +225,53 @@ pub struct SchedulerCore {
     /// Pending reissue causes aligned with the `reissue` queue semantics:
     /// cause of the next issue of each queued workunit.
     reissue_causes: VecDeque<ReissueCause>,
-    /// Workunit lifecycle events are logged for every `sample_stride`-th
+    /// Workunit lifecycle events are logged for every stride-th
     /// workunit; full campaigns have ~10⁵ workunits, far too many to log
     /// each. Override with `HCMD_TELEMETRY_SAMPLE=<stride>`.
-    sample_stride: u64,
-    /// Which workunits this scheduler owns, and its launch-ordered queue
-    /// of never-issued ones — where every fresh issue comes from.
-    shard: ShardOwnership,
+    sample: Stride,
+    /// The next never-issued workunit in launch order — where every
+    /// fresh issue comes from: workunits `0..next_fresh` have each had a
+    /// replica issued.
+    next_fresh: u32,
+}
+
+/// A divisor `d`, held so that "`d` divides `x`" costs a multiply, a
+/// rotate and a compare instead of a 64-bit division (Hacker's Delight
+/// §10-17): with `d = odd · 2^shift`, `x` is a multiple of `d` exactly
+/// when `x · odd⁻¹ (mod 2⁶⁴)`, rotated right by `shift`, is at most
+/// `⌊(2⁶⁴ − 1) / d⌋`. The sampling test runs once per scheduler event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Stride {
+    /// The inverse of `d`'s odd part modulo 2⁶⁴.
+    inverse: u64,
+    /// `d`'s trailing zero bits.
+    shift: u32,
+    /// `⌊(2⁶⁴ − 1) / d⌋`.
+    limit: u64,
+}
+
+impl Stride {
+    fn new(d: u64) -> Self {
+        assert!(d > 0, "a stride is positive");
+        let shift = d.trailing_zeros();
+        let odd = d >> shift;
+        // Newton's iteration: `odd` is its own inverse modulo 8, and
+        // each step doubles the correct low bits (3, 6, ..., 96).
+        let mut inverse = odd;
+        for _ in 0..5 {
+            inverse = inverse.wrapping_mul(2u64.wrapping_sub(odd.wrapping_mul(inverse)));
+        }
+        Self {
+            inverse,
+            shift,
+            limit: u64::MAX / d,
+        }
+    }
+
+    /// `x % d == 0`.
+    fn divides(self, x: u64) -> bool {
+        x.wrapping_mul(self.inverse).rotate_right(self.shift) <= self.limit
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -239,37 +279,6 @@ enum ReissueCause {
     Quorum,
     Timeout,
     Error,
-}
-
-/// Ownership state: which slice of the catalog this scheduler instance
-/// is responsible for. A single server is one shard of one — it owns
-/// every workunit and its queue is `0..n` in launch order; when a
-/// campaign is split across several servers each owns the slice its
-/// ownership map names.
-///
-/// The never-issued pool is an explicit launch-ordered queue rather than
-/// a cursor because work-stealing leases mutate ownership mid-campaign:
-/// `lease_out` releases unissued workunits to a hungry peer and
-/// `lease_in` adopts them. Both are idempotent (a duplicate gossip frame
-/// re-applying a lease is a no-op), and only never-issued workunits can
-/// move — once a replica is out, the workunit's reissue/quorum lifecycle
-/// stays on the shard that issued it, so completion accounting never
-/// crosses shards.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardOwnership {
-    /// Per-workunit: does this shard currently own it?
-    owned: Vec<bool>,
-    /// Per-workunit: has this shard ever issued a replica of it?
-    /// Issued workunits are lease-locked (see above).
-    issued: Vec<bool>,
-    /// Launch-ordered queue of owned, never-issued workunits. Entries
-    /// can go stale (leased out, re-adopted, completed); pops skip
-    /// anything not currently owned-and-unissued.
-    fresh: VecDeque<u32>,
-    /// Currently-owned workunit count (the campaign-complete target).
-    owned_total: usize,
-    /// Workunits this shard has issued at least one replica of.
-    issued_count: usize,
 }
 
 /// Trust-adaptive replication level for a fresh workunit issue,
@@ -296,26 +305,10 @@ impl ReissueCause {
 }
 
 impl SchedulerCore {
-    /// Creates a server that owns every workunit of a launch-ordered
-    /// catalog: one shard of one.
+    /// Creates a server over a launch-ordered catalog.
     pub fn new(catalog: Vec<WorkunitCatalogEntry>, config: ServerConfig) -> Self {
-        let owned = vec![true; catalog.len()];
-        Self::with_ownership(catalog, config, owned)
-    }
-
-    /// Creates a server over the *full* launch-ordered catalog, owning
-    /// only the workunits where `owned[wu]` is true. The catalog stays
-    /// complete so replica/workunit indices agree across shards (and
-    /// with the single-server run); only issue eligibility is
-    /// restricted.
-    pub fn with_ownership(
-        catalog: Vec<WorkunitCatalogEntry>,
-        config: ServerConfig,
-        owned: Vec<bool>,
-    ) -> Self {
         assert!(!catalog.is_empty(), "campaign has no workunits");
         assert!(config.deadline_seconds > 0.0, "deadline must be positive");
-        assert_eq!(owned.len(), catalog.len(), "ownership map length");
         let n = catalog.len();
         let sample_stride = std::env::var("HCMD_TELEMETRY_SAMPLE")
             .ok()
@@ -333,7 +326,6 @@ impl SchedulerCore {
         };
         let reissue_capacity = if redundancy > 1 { (n / 4).max(64) } else { 64 };
         let feeder_capacity = config.feeder.map_or(0, |f| f.cache_size);
-        let fresh: VecDeque<u32> = (0..n as u32).filter(|&wu| owned[wu as usize]).collect();
         Self {
             config,
             states: vec![WuState::default(); n],
@@ -347,14 +339,8 @@ impl SchedulerCore {
             feeder_cache: VecDeque::with_capacity(feeder_capacity),
             feeder_misses: 0,
             wasted_ref_seconds: 0.0,
-            sample_stride,
-            shard: ShardOwnership {
-                issued: vec![false; n],
-                owned_total: fresh.len(),
-                owned,
-                fresh,
-                issued_count: 0,
-            },
+            sample: Stride::new(sample_stride),
+            next_fresh: 0,
             catalog,
         }
     }
@@ -362,7 +348,7 @@ impl SchedulerCore {
     /// Whether a workunit's lifecycle is logged to the event stream (the
     /// engine uses the same sampling for dispatch/report events).
     pub fn sampled(&self, wu: u32) -> bool {
-        u64::from(wu) % self.sample_stride == 0
+        self.sample.divides(u64::from(wu))
     }
 
     fn record_issue(&self, now: SimTime, wu: u32, cause: IssueCause) {
@@ -414,9 +400,9 @@ impl SchedulerCore {
         self.completed
     }
 
-    /// True when every *owned* workunit is validated.
+    /// True when every workunit is validated.
     pub fn is_campaign_complete(&self) -> bool {
-        self.completed == self.shard.owned_total
+        self.completed == self.catalog.len()
     }
 
     /// Catalog entry of a workunit.
@@ -515,90 +501,18 @@ impl SchedulerCore {
         Some(self.issue_replica(workunit))
     }
 
-    /// Pops the next never-issued workunit in launch order off the
-    /// ownership queue, skipping entries leased away, already issued
-    /// via a re-adoption duplicate, or completed.
+    /// Takes the next never-issued workunit in launch order.
     fn pop_fresh(&mut self) -> Option<u32> {
-        let sh = &mut self.shard;
-        loop {
-            let wu = sh.fresh.pop_front()?;
-            let i = wu as usize;
-            if sh.owned[i] && !sh.issued[i] && !self.states[i].complete {
-                sh.issued[i] = true;
-                sh.issued_count += 1;
-                break Some(wu);
-            }
-        }
+        let wu = self.next_fresh;
+        (wu < self.catalog.len() as u32).then(|| {
+            self.next_fresh += 1;
+            wu
+        })
     }
 
-    /// Whether this scheduler currently owns `wu`.
-    pub fn owns(&self, wu: u32) -> bool {
-        self.shard.owned[wu as usize]
-    }
-
-    /// Currently-owned workunit count.
-    pub fn owned_count(&self) -> usize {
-        self.shard.owned_total
-    }
-
-    /// Owned workunits no replica has ever been issued for — the
-    /// shard's stealable backlog.
+    /// Workunits no replica has ever been issued for.
     pub fn fresh_backlog(&self) -> usize {
-        self.shard.owned_total - self.shard.issued_count
-    }
-
-    /// Up to `max` workunits this shard could lease to a hungry peer:
-    /// the *tail* of the launch-ordered ownership queue (the work this
-    /// shard would reach last), owned and never issued.
-    pub fn lease_candidates(&self, max: usize) -> Vec<u32> {
-        let sh = &self.shard;
-        let mut out = Vec::with_capacity(max.min(8));
-        for &wu in sh.fresh.iter().rev() {
-            let i = wu as usize;
-            if sh.owned[i] && !sh.issued[i] && !self.states[i].complete && !out.contains(&wu) {
-                out.push(wu);
-                if out.len() >= max {
-                    break;
-                }
-            }
-        }
-        out
-    }
-
-    /// Releases ownership of never-issued workunits to a peer shard.
-    /// Idempotent: workunits already released, already issued here, or
-    /// not owned are skipped. Returns how many actually moved.
-    pub fn lease_out(&mut self, wus: &[u32]) -> usize {
-        let sh = &mut self.shard;
-        let mut moved = 0;
-        for &wu in wus {
-            let i = wu as usize;
-            if i < sh.owned.len() && sh.owned[i] && !sh.issued[i] {
-                sh.owned[i] = false;
-                sh.owned_total -= 1;
-                moved += 1;
-            }
-        }
-        moved
-    }
-
-    /// Adopts ownership of workunits leased from a peer shard.
-    /// Idempotent: workunits already owned are skipped, so a duplicate
-    /// gossip frame re-applying the same lease is a no-op. Returns how
-    /// many actually moved.
-    pub fn lease_in(&mut self, wus: &[u32]) -> usize {
-        let sh = &mut self.shard;
-        let mut moved = 0;
-        for &wu in wus {
-            let i = wu as usize;
-            if i < sh.owned.len() && !sh.owned[i] {
-                sh.owned[i] = true;
-                sh.owned_total += 1;
-                sh.fresh.push_back(wu);
-                moved += 1;
-            }
-        }
-        moved
+        self.catalog.len() - self.next_fresh as usize
     }
 
     /// Registers a fresh replica of `workunit` and builds its assignment.
@@ -836,18 +750,18 @@ impl SchedulerCore {
     }
 
     /// Workunit state counts for operator dashboards. `total` counts
-    /// owned workunits and `issued` those with at least one replica ever
-    /// created; `quorum_pending` are issued workunits holding a partial
+    /// the catalog and `issued` the workunits with at least one replica
+    /// ever created; `quorum_pending` are issued workunits holding a partial
     /// quorum (≥ 1 valid result, not yet complete).
     pub fn wu_state_counts(&self) -> WuStateCounts {
-        let issued = self.shard.issued_count;
+        let issued = self.next_fresh as usize;
         let quorum_pending = self
             .states
             .iter()
             .filter(|s| !s.complete && s.valid_results > 0)
             .count();
         WuStateCounts {
-            total: self.shard.owned_total,
+            total: self.catalog.len(),
             issued,
             in_flight: issued - self.completed,
             quorum_pending,
@@ -1575,7 +1489,7 @@ mod stats_tests {
 }
 
 #[cfg(test)]
-mod shard_tests {
+mod launch_tests {
     use super::*;
 
     fn catalog(n: usize) -> Vec<WorkunitCatalogEntry> {
@@ -1599,31 +1513,13 @@ mod shard_tests {
         }
     }
 
-    fn owned_evens(n: usize) -> Vec<bool> {
-        (0..n).map(|i| i % 2 == 0).collect()
-    }
-
+    /// The launch cursor's counts, written down from a build that had
+    /// one before and pinned since: quorum era, five workunits, a
+    /// sibling, a rejection, an expiry and a completion.
     #[test]
-    fn sharded_core_issues_only_owned_workunits_in_launch_order() {
-        let mut s = SchedulerCore::with_ownership(catalog(6), bounds_cfg(), owned_evens(6));
-        assert!(s.owns(0) && !s.owns(1));
-        assert_eq!(s.owned_count(), 3);
-        assert_eq!(s.fresh_backlog(), 3);
-        let issued: Vec<u32> =
-            std::iter::from_fn(|| s.fetch_work(t(0.0)).map(|a| a.workunit)).collect();
-        assert_eq!(issued, vec![0, 2, 4]);
-    }
-
-    /// `new` is `with_ownership` over an all-true map. The expected
-    /// counts are the launch cursor's, written down from a build that
-    /// still had one: quorum era, five workunits, a sibling, a rejection,
-    /// an expiry and a completion.
-    #[test]
-    fn a_solo_core_is_one_shard_of_one() {
+    fn fresh_issues_follow_the_launch_cursor() {
         let mut s = SchedulerCore::new(catalog(5), ServerConfig::default());
-        assert!((0..5).all(|wu| s.owns(wu)));
-        assert_eq!((s.owned_count(), s.fresh_backlog()), (5, 5));
-        assert_eq!(s.lease_candidates(2), vec![4, 3]);
+        assert_eq!(s.fresh_backlog(), 5);
         let mut seen = Vec::new();
         let mut note = |s: &SchedulerCore| {
             let wu = s.wu_state_counts();
@@ -1668,8 +1564,39 @@ mod shard_tests {
         assert!(!s.is_campaign_complete());
     }
 
+    /// The division-free sampling test is `%` exactly, at every stride
+    /// shape (odd, a power of two, mixed, the extremes) and around each
+    /// multiple.
     #[test]
-    fn the_feeder_refills_through_the_ownership_queue() {
+    fn the_stride_test_is_a_remainder_test() {
+        for d in [
+            1u64,
+            2,
+            3,
+            5,
+            7,
+            8,
+            12,
+            96,
+            255,
+            512,
+            1000,
+            1 << 40,
+            u64::MAX,
+        ] {
+            let stride = Stride::new(d);
+            let near = |k: u64| [k.wrapping_sub(1), k, k.wrapping_add(1)];
+            let xs = (0..2_000u64)
+                .chain((1..64).flat_map(|m| near(d.wrapping_mul(m))))
+                .chain([u64::MAX, u64::MAX - 1, u64::from(u32::MAX)]);
+            for x in xs {
+                assert_eq!(stride.divides(x), x % d == 0, "{x} % {d}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_feeder_refills_through_the_launch_cursor() {
         let cfg = ServerConfig {
             feeder: Some(FeederConfig {
                 cache_size: 2,
@@ -1677,70 +1604,13 @@ mod shard_tests {
             }),
             ..bounds_cfg()
         };
-        let mut s = SchedulerCore::with_ownership(catalog(8), cfg, owned_evens(8));
+        let mut s = SchedulerCore::new(catalog(8), cfg);
         let mut issued = Vec::new();
         for poll in 0..20 {
             issued.extend(s.fetch_work(t(f64::from(poll))).map(|a| a.workunit));
             assert!(s.feeder_cache.len() <= 2, "cache bound");
         }
-        assert_eq!(issued, vec![0, 2, 4, 6], "owned only, launch order");
+        assert_eq!(issued, (0..8).collect::<Vec<u32>>(), "launch order");
         assert_eq!(s.fresh_backlog(), 0);
-    }
-
-    #[test]
-    fn sharded_campaign_completes_at_the_owned_total() {
-        let mut s = SchedulerCore::with_ownership(catalog(6), bounds_cfg(), owned_evens(6));
-        while let Some(a) = s.fetch_work(t(0.0)) {
-            s.report_result(t(1.0), a.replica, false);
-        }
-        assert!(s.is_campaign_complete());
-        assert_eq!(s.completed_count(), 3);
-    }
-
-    #[test]
-    fn lease_moves_unissued_work_and_is_idempotent() {
-        let mut a = SchedulerCore::with_ownership(catalog(4), bounds_cfg(), vec![true; 4]);
-        let mut b = SchedulerCore::with_ownership(catalog(4), bounds_cfg(), vec![false; 4]);
-        assert!(b.fetch_work(t(0.0)).is_none(), "shard B starts empty");
-        assert!(b.is_campaign_complete(), "owning nothing is complete");
-
-        let wus = a.lease_candidates(2);
-        assert_eq!(wus, vec![3, 2], "tail of A's launch-order queue");
-        assert_eq!(a.lease_out(&wus), 2);
-        assert_eq!(a.lease_out(&wus), 0, "duplicate release is a no-op");
-        assert_eq!(b.lease_in(&wus), 2);
-        assert_eq!(b.lease_in(&wus), 0, "duplicate adoption is a no-op");
-        assert_eq!((a.owned_count(), b.owned_count()), (2, 2));
-
-        // A drains its remaining half; the leased wus never surface.
-        let a_issued: Vec<u32> =
-            std::iter::from_fn(|| a.fetch_work(t(0.0)).map(|x| x.workunit)).collect();
-        assert_eq!(a_issued, vec![0, 1]);
-        let b_issued: Vec<u32> =
-            std::iter::from_fn(|| b.fetch_work(t(0.0)).map(|x| x.workunit)).collect();
-        assert_eq!(b_issued, vec![3, 2]);
-    }
-
-    #[test]
-    fn issued_workunits_are_lease_locked() {
-        let mut s = SchedulerCore::with_ownership(catalog(2), bounds_cfg(), vec![true; 2]);
-        let a = s.fetch_work(t(0.0)).unwrap();
-        assert_eq!(a.workunit, 0);
-        assert_eq!(s.lease_out(&[0]), 0, "an issued workunit cannot move");
-        assert_eq!(s.lease_candidates(8), vec![1]);
-    }
-
-    #[test]
-    fn readopted_lease_does_not_double_issue() {
-        // A leases wu 1 out, the peer leases it straight back (e.g. the
-        // peer finished); the duplicate fresh entry must not produce a
-        // second initial issue.
-        let mut s = SchedulerCore::with_ownership(catalog(2), bounds_cfg(), vec![true; 2]);
-        s.lease_out(&[1]);
-        s.lease_in(&[1]);
-        let issued: Vec<u32> =
-            std::iter::from_fn(|| s.fetch_work(t(0.0)).map(|x| x.workunit)).collect();
-        assert_eq!(issued, vec![0, 1]);
-        assert_eq!(s.stats.initial_issues, 2);
     }
 }

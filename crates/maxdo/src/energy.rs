@@ -110,23 +110,29 @@ pub struct EnergyGradient {
 
 /// Voxels per cutoff length along each axis of the neighbour grid. Finer
 /// voxels hug the cutoff sphere more tightly — fewer rejected candidates
-/// per probe — and cost memory cubically. Measured on the benchmark's
-/// 6-protein libraries (20 to 75 beads, 60 in-cutoff pairs per
-/// evaluation) and a 300-bead receptor; docking time is the four
-/// `volunteer_kernel` libraries' baseline under the one-division pair
-/// arithmetic, relative to 3 voxels per cutoff:
+/// per probe — and cost memory cubically. Measured after the reach cull
+/// on the four `volunteer_kernel` libraries (6 proteins each, the whole
+/// baseline docked per variant; `taskset -c 1`, 10 interleaved runs,
+/// 2-vCPU x86-64 VM): candidates per evaluation, the median docking time
+/// relative to 2.5 voxels on 32-bit candidate ids (whose runs'
+/// quartiles are 0.90 and 1.06), and the index a campaign keeps, with
+/// the candidate slot ids stored as `u32` (as built) or as `u16` (a
+/// receptor has far fewer than 65 536 beads):
 ///
-/// | voxels/cutoff | candidates/eval | docking time | index, 6 proteins | 300 beads |
-/// |---|---|---|---|---|
-/// | 2   | 229 | 1.08 | 101 KB | 106 KB |
-/// | 2.5 | 183 | 1.06 | 168 KB | 176 KB |
-/// | 3   | 157 | 1.00 | 256 KB | 265 KB |
-/// | 4   | 124 | 0.95 | 521 KB | 536 KB |
+/// | voxels/cutoff | candidates/eval | time, u32 ids | time, u16 ids | index, u32 ids | index, u16 ids |
+/// |---|---|---|---|---|---|
+/// | 2.5 | 156 | 1.00 | 1.03 | 155 KB | 88 KB |
+/// | 3   | 135 | 0.98 | 0.97 | 238 KB | 133 KB |
+/// | 3.5 | 120 | 0.97 | 0.96 | 347 KB | 194 KB |
+/// | 4   | 111 | 1.04 | 1.00 | 484 KB | 270 KB |
 ///
-/// (27-cell scan: 837 candidates.) With the pair math cheap, the
-/// candidate distance tests are what finer voxels save: 4 docks ≈ 10 %
-/// faster than 2.5, for three times the index a campaign keeps resident
-/// per receptor — past what `peak_rss_mb`'s 5 % bound allows.
+/// Every variant docks the same bits. With the reach cull skipping most
+/// bead visits, the candidate tests finer voxels save do not show in
+/// docking time on that VM: every median is inside the noise. The
+/// index is what moves, and `peak_rss_mb` is the tight gate for it
+/// (gridbench's RSS rises ~1.8 bytes per index byte): 4 voxels on
+/// 16-bit ids holds 115 KB more per campaign than 2.5 on 32-bit ids,
+/// ≈ 3 % of `volunteer_kernel`'s peak, for no resolved gain.
 const VOXELS_PER_CUTOFF: f64 = 2.5;
 
 /// How far, in voxel edges, a bead's reach is inflated beyond the cutoff

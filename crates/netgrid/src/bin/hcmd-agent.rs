@@ -86,9 +86,6 @@ fn main() {
                 report.stall_faults,
                 report.corrupt_faults
             );
-            if report.redirects_followed > 0 {
-                println!("followed {} shard redirect(s)", report.redirects_followed);
-            }
             if report.saw_completion {
                 println!("campaign complete — thanks for volunteering");
             }

@@ -3,7 +3,7 @@
 //! Walks `DIR/wal.bin` with the reader recovery itself uses
 //! ([`netgrid::journal::open_wal`]) and prints one JSON object per
 //! record on stdout, in file order: the header (roster, config, faults,
-//! shard), then one `Applied` record per command the server applied —
+//! format), then one `Applied` record per command the server applied —
 //! its time, the command and the outcome it drew. The records are
 //! binary on disk; this is where they are legible. A summary (records,
 //! valid bytes, torn tail if any) goes to stderr. Read-only: unlike

@@ -7,7 +7,7 @@
 //!             [--out PATH] [--ops-addr HOST:PORT]
 //!             [--trust on|off] [--trust-spot-rate F] [--trust-spot-seed N]
 //!             [--trust-min-samples N] [--trust-state-out PATH]
-//!             [--shard-id N --shards N --peers ADDR,ADDR,...]
+//!             [--campaign NAME:SHARE:PRIORITY[:k=v,...]]...
 //! ```
 //!
 //! Binds, prints the resolved address, then runs the campaign to
@@ -40,17 +40,6 @@
 //! campaigns it writes one per campaign, named like `--out`'s
 //! (`base.json` → `base.NAME.json`).
 //!
-//! With `--shard-id I --shards N --peers A0,A1,...,A(N-1)` this server
-//! runs as one shard of an N-server campaign (see DESIGN.md §6
-//! "Sharding & steering"): it owns the workunits the deterministic
-//! shard map assigns to shard I, steers idle agents toward loaded
-//! peers, and steals work by lease when it drains first. `--peers`
-//! lists every shard's client address in shard order, *including this
-//! server's own*. A sharded `--out` writes the per-shard partial
-//! artifact; combine the N partials with `netgrid::merge_artifacts`
-//! (the e2e bench's `--shards` mode does this and byte-compares the
-//! result against a single-server run).
-//!
 //! With repeated `--campaign NAME:SHARE:PRIORITY[:k=v,...]` flags the
 //! server hosts several isolated campaigns at once, arbitrated by the
 //! deficit-weighted fair-share scheduler (see DESIGN.md §6
@@ -65,7 +54,6 @@
 
 use netgrid::{
     CampaignDef, CampaignRunReport, FsyncPolicy, JournalConfig, NetServer, NetServerConfig,
-    ShardSpec, ShardTopology,
 };
 use std::fs::{self, File};
 use std::io;
@@ -78,7 +66,7 @@ fn usage() -> ! {
          [--journal DIR] [--fsync always|never] \
          [--out PATH] [--ops-addr HOST:PORT] [--trust on|off] \
          [--trust-spot-rate F] [--trust-spot-seed N] [--trust-min-samples N] \
-         [--trust-state-out PATH] [--shard-id N --shards N --peers ADDR,...] \
+         [--trust-state-out PATH] \
          [--campaign NAME:SHARE:PRIORITY[:k=v,...]]..."
     );
     std::process::exit(2);
@@ -125,9 +113,6 @@ fn main() {
     let mut out: Option<String> = None;
     let mut trust_state_out: Option<String> = None;
     let mut fsync = FsyncPolicy::default();
-    let mut shard_id: Option<u16> = None;
-    let mut shards: Option<u16> = None;
-    let mut peers: Vec<String> = Vec::new();
     let mut campaign_specs: Vec<String> = Vec::new();
 
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -182,11 +167,6 @@ fn main() {
                     take(&args, &mut i).parse().unwrap_or_else(|_| usage())
             }
             "--trust-state-out" => trust_state_out = Some(take(&args, &mut i)),
-            "--shard-id" => {
-                shard_id = Some(take(&args, &mut i).parse().unwrap_or_else(|_| usage()))
-            }
-            "--shards" => shards = Some(take(&args, &mut i).parse().unwrap_or_else(|_| usage())),
-            "--peers" => peers = take(&args, &mut i).split(',').map(str::to_string).collect(),
             "--campaign" => campaign_specs.push(take(&args, &mut i)),
             "--help" | "-h" => usage(),
             _ => usage(),
@@ -207,20 +187,6 @@ fn main() {
             }
         }
     }
-    match (shard_id, shards, peers.is_empty()) {
-        (None, None, true) => {}
-        (Some(shard_id), Some(shards), false) => {
-            config.shard = Some(ShardTopology {
-                spec: ShardSpec { shard_id, shards },
-                addrs: peers,
-            });
-        }
-        _ => {
-            eprintln!("hcmd-server: --shard-id, --shards and --peers must be given together");
-            usage()
-        }
-    }
-
     if let Some(path) = &events {
         if let Err(e) = telemetry::install_jsonl(std::path::Path::new(path)) {
             eprintln!("hcmd-server: cannot open event log {path}: {e}");
@@ -234,7 +200,7 @@ fn main() {
     let server = match NetServer::bind(config) {
         Ok(s) => s,
         // A setting the server cannot honour (a NaN, a non-positive
-        // deadline, no proteins, a shard that is not in its topology).
+        // deadline, no proteins).
         Err(e) if e.kind() == io::ErrorKind::InvalidInput => {
             eprintln!("hcmd-server: configuration error: {e}");
             std::process::exit(2);
@@ -248,9 +214,6 @@ fn main() {
         Ok(addr) => println!("hcmd-server: listening on {addr}"),
         Err(e) => eprintln!("hcmd-server: local_addr: {e}"),
     }
-    if let (Some(id), Some(n)) = (shard_id, shards) {
-        println!("hcmd-server: shard {id} of {n}");
-    }
     for spec in &campaign_specs {
         println!("hcmd-server: hosting campaign {spec}");
     }
@@ -260,8 +223,8 @@ fn main() {
 
     match server.run() {
         Ok(report) => {
-            // Totals over every hosted campaign; the wire, shard and
-            // trust lines are per campaign, named when there are several.
+            // Totals over every hosted campaign; the wire and trust
+            // lines are per campaign, named when there are several.
             let total = |f: &dyn Fn(&CampaignRunReport) -> u64| -> u64 {
                 report.campaigns.iter().map(f).sum()
             };
@@ -294,19 +257,6 @@ fn main() {
                     n.deadline_expiries,
                     n.backoffs_sent
                 );
-                if report.shard.shards > 1 {
-                    println!(
-                        "{label}shard {}/{}: {} redirects, {} leases out ({} wus), \
-                         {} leases in ({} wus)",
-                        report.shard.shard_id,
-                        report.shard.shards,
-                        n.shard_redirects,
-                        n.shard_leases_out,
-                        n.shard_wus_leased_out,
-                        n.shard_leases_in,
-                        n.shard_wus_leased_in
-                    );
-                }
                 if let Some(t) = &c.trust {
                     println!(
                         "{label}trust: {} trusted, {} probation, {} untrusted, {} quarantined \
@@ -372,16 +322,8 @@ fn main() {
                     println!("trust state for campaign {} written to {path}", c.name);
                 }
                 if let Some(base) = &out {
-                    // A sharded server only owns part of the catalog:
-                    // its artifact is the Option-per-slot partial, which
-                    // `netgrid::merge_artifact_json` combines with the
-                    // other shards' into the single-server byte stream.
                     let path = per_campaign(base, &c.name);
-                    let written = match report.shard.shards {
-                        1 => write_json_file(&path, &c.outputs),
-                        _ => write_json_file(&path, &c.partial_outputs),
-                    };
-                    if let Err(e) = written {
+                    if let Err(e) = write_json_file(&path, &c.outputs) {
                         eprintln!("hcmd-server: cannot write artifact {path}: {e}");
                         telemetry::shutdown();
                         std::process::exit(1);

@@ -2,11 +2,11 @@
 //! ordering rules between bytes, timers and the core, kept once.
 //!
 //! A [`Loop`] owns the [`MultiGrid`] by value, every connection's
-//! buffers, role and interest, the steering links and the timers, on the
-//! core's [`SimTime`] axis. It is told what happened and when — a batch
-//! of ready connections and listeners ([`Loop::serve`]), a tick
-//! ([`Loop::tick`]), a dial's answer ([`Loop::dialed`]) — and asks its
-//! driver ([`Io`]) to accept, watch, forget, pause, resume and dial.
+//! buffers, role and interest, and the sweep timer, on the core's
+//! [`SimTime`] axis. It is told what happened and when — a batch of
+//! ready connections and listeners ([`Loop::serve`]), a tick
+//! ([`Loop::tick`]) — and asks its driver ([`Io`]) to accept, watch,
+//! forget, pause and resume.
 //! Each connection's bytes go straight between its stream `S` and its
 //! own buffers. Two drivers run it: [`crate::server`] over sockets and
 //! the wall clock, and the tests over in-memory pipes with `now` a
@@ -18,7 +18,6 @@ use crate::faults::ServerFaults;
 use crate::ops;
 use crate::protocol::{decode_versioned, encode_with, Codec, DecodeError, Message};
 use crate::registry::{Caller, MultiGrid};
-use crate::shard::{ShardSpec, STEER_INTERVAL_MS};
 use crate::sys::{self, Event, ReadBuf};
 use gridsim::SimTime;
 use std::collections::HashMap;
@@ -29,8 +28,7 @@ use telemetry::Event as Telemetry;
 /// How long a finished server waits at most on its volunteers' open
 /// sockets, so a silent one cannot hold it for ever: a hang bound, which
 /// gives a connected volunteer longer than a resting one is owed. A
-/// volunteer that left is waited on by its debt ([`Loop::over`]), and a
-/// peer by no clock ([`MultiGrid::may_leave`]).
+/// volunteer that left is waited on by its debt ([`Loop::over`]).
 pub(crate) const SHUTDOWN_GRACE: Duration = Duration::from_secs(3);
 const _: () = assert!(SHUTDOWN_GRACE.as_millis() > agent::MAX_REST.as_millis());
 
@@ -57,9 +55,6 @@ pub(crate) trait Io<S> {
     fn forget(&mut self, id: Id);
     /// Turns a listener's accepting on or off.
     fn listen(&mut self, ops: bool, on: bool) -> io::Result<()>;
-    /// Starts a connection to `peer` at `addr`, answered through
-    /// [`Loop::dialed`]; `false` if it could not be started.
-    fn dial(&mut self, peer: u16, addr: &str) -> bool;
     /// Puts the core's committed wal `batch` on disk, synced as the
     /// journal's policy says, before any reply behind it is written. An
     /// error stops the loop for good ([`Loop::wal_error`]).
@@ -89,15 +84,13 @@ pub(crate) enum Ready {
 /// between the kinds of connection sharing the read/dispatch/flush
 /// machine.
 pub(crate) enum Role {
-    /// Accepted on the task listener: a volunteer or a peer's steering
-    /// link — which, and who, is the core's to remember.
+    /// Accepted on the task listener: a volunteer, whose dialogue is the
+    /// core's to remember.
     Inbound(Caller),
     /// Turned away at the connection limit: it gets a `Busy` frame and
     /// a close, and was telemetered as *rejected*, so it neither holds
     /// a limit slot nor emits a `ConnectionClosed` event.
     Brushoff,
-    /// This shard's steering link to this peer.
-    Link(u16),
     /// An ops scrape: accepted at this time or, once its response is
     /// queued, last seen taking bytes at it.
     Scrape(SimTime),
@@ -152,26 +145,12 @@ impl<S> Conn<S> {
     }
 }
 
-/// This shard's steering link to one peer.
-#[derive(Clone, Copy)]
-pub(crate) enum Link {
-    /// No connection; the next steering tick dials.
-    Down,
-    /// Dialed; the answer comes through [`Loop::dialed`].
-    Dialing,
-    /// Connected: the [`Role::Link`] connection filed under this id.
-    Up(Id),
-}
-
 /// The server's event loop: every connection, every timer and the core
 /// they feed — which makes every decision — owned by value and stepped
 /// by one driver.
 pub(crate) struct Loop<S> {
     pub(crate) core: MultiGrid,
     pub(crate) conns: HashMap<Id, Conn<S>>,
-    /// The steering link to each shard, indexed by shard id (this
-    /// shard's own entry stays `Down`).
-    pub(crate) links: Vec<Link>,
     /// Listeners (task, ops) whose accepting is off until the next
     /// sweep tick because an `accept` found resources exhausted. Left
     /// on, a backlog that cannot be accepted would make every batch a
@@ -181,7 +160,6 @@ pub(crate) struct Loop<S> {
     pub(crate) faults: ServerFaults,
     sweep_seconds: f64,
     next_sweep: SimTime,
-    next_steer: SimTime,
     /// When the run started: wall seconds are counted from here.
     started: SimTime,
     /// When the core was first seen done.
@@ -205,8 +183,8 @@ pub(crate) struct Loop<S> {
 }
 
 impl<S: Read + Write> Loop<S> {
-    /// A loop over `core` started at `now`: its first sweep and
-    /// steering ticks come due one interval later. `ops_listener` says
+    /// A loop over `core` started at `now`: its first sweep tick comes
+    /// due one interval later. `ops_listener` says
     /// whether scrapes are served (and so lingered for at the end).
     pub(crate) fn new(
         core: MultiGrid,
@@ -218,7 +196,6 @@ impl<S: Read + Write> Loop<S> {
         let sweep_seconds = Duration::from_millis(sweep_ms.max(1)).as_secs_f64();
         let reopened = core.wal_size().is_some_and(|(records, _)| records > 0);
         Self {
-            links: vec![Link::Down; usize::from(core.spec().shards)],
             core,
             conns: HashMap::new(),
             accept_paused: [false; 2],
@@ -226,7 +203,6 @@ impl<S: Read + Write> Loop<S> {
             faults,
             sweep_seconds,
             next_sweep: now.after(sweep_seconds),
-            next_steer: now.after(STEER_INTERVAL_MS as f64 / 1e3),
             started: now,
             done_since: None,
             left_after: None,
@@ -240,39 +216,33 @@ impl<S: Read + Write> Loop<S> {
 
     /// When the next timer comes due.
     pub(crate) fn next_timer(&self) -> SimTime {
-        self.next_sweep.min(self.next_steer)
+        self.next_sweep
     }
 
-    /// Fires the timers due at `now`.
+    /// Fires the timer if it is due at `now`.
     pub(crate) fn tick(&mut self, io: &mut impl Io<S>, now: SimTime) {
         if now >= self.next_sweep {
             self.sweep_tick(io, now);
             self.next_sweep = now.after(self.sweep_seconds);
-        }
-        if now >= self.next_steer {
-            self.steer_tick(io, now);
-            self.next_steer = now.after(STEER_INTERVAL_MS as f64 / 1e3);
         }
     }
 
     /// The run's wall seconds once it is over at `now`: from the start
     /// until the server may leave. A done core keeps answering
     /// `campaign_complete`, listener open, while a volunteer is
-    /// connected (for at most [`SHUTDOWN_GRACE`]), while a debt runs — a
-    /// volunteer sent off to rest or cut off may still be resting; a
-    /// shard finishes on gossip, so its volunteers may all be asleep
-    /// then — and until every peer has heard it. The ops endpoint
-    /// lingers [`ops::LINGER`] past that, outside the figure returned.
+    /// connected (for at most [`SHUTDOWN_GRACE`]) and while a debt runs —
+    /// a volunteer sent off to rest or cut off may still be resting. The
+    /// ops endpoint lingers [`ops::LINGER`] past that, outside the figure
+    /// returned.
     pub(crate) fn over(&mut self, now: SimTime) -> Option<f64> {
-        if !self.core.done() {
+        if !self.core.all_complete() {
             return None;
         }
         let since = now.seconds() - self.done_since.get_or_insert(now).seconds();
-        let volunteer =
-            |c: &Conn<S>| matches!(&c.role, Role::Inbound(caller) if caller.shard.is_none());
+        let volunteer = |c: &Conn<S>| matches!(c.role, Role::Inbound(_));
         let connected = self.conns.values().any(volunteer) && since <= SHUTDOWN_GRACE.as_secs_f64();
         let owed = self.debts.values().any(|&until| now < until);
-        if self.left_after.is_none() && !connected && !owed && self.core.may_leave() {
+        if self.left_after.is_none() && !connected && !owed {
             self.left_after = Some(now.seconds() - self.started.seconds());
         }
         let wall = self.left_after?;
@@ -317,26 +287,6 @@ impl<S: Read + Write> Loop<S> {
         Ok(())
     }
 
-    /// A dial of `peer` answered at `now`: a connection becomes the
-    /// peer's link, a failure leaves it `Down` for the next steering
-    /// tick and is the core's to judge.
-    pub(crate) fn dialed(
-        &mut self,
-        io: &mut impl Io<S>,
-        now: SimTime,
-        peer: u16,
-        conn: Option<(Id, S)>,
-    ) {
-        let p = usize::from(peer);
-        self.links[p] = Link::Down;
-        let Some((id, stream)) = conn else {
-            self.core.dial_failed(peer);
-            return;
-        };
-        self.links[p] = Link::Up(id);
-        self.settle(io, now, id, Conn::new(stream, Role::Link(peer)));
-    }
-
     /// One sweep tick: re-arm listeners an exhausted `accept` paused,
     /// have the core expire deadlines, and close scrapes that have sat
     /// past the idle cap.
@@ -362,38 +312,6 @@ impl<S: Read + Write> Loop<S> {
                 .collect();
             for id in idle {
                 self.hang_up(io, now, id, "idle");
-            }
-        }
-    }
-
-    /// One steering tick: tell every peer this shard's load picture on
-    /// each campaign, over the link kept open to it. A peer that is
-    /// down costs one dial per tick; one that stopped answering has its
-    /// link recycled once a status has waited
-    /// [`crate::shard::STEER_TIMEOUT_MS`].
-    /// Steering rides the same listener as agent traffic, so no extra
-    /// port is needed.
-    pub(crate) fn steer_tick(&mut self, io: &mut impl Io<S>, now: SimTime) {
-        self.core.note_demand();
-        let ShardSpec { shard_id, shards } = self.core.spec();
-        for peer in (0..shards).filter(|&p| p != shard_id) {
-            let p = usize::from(peer);
-            if let (Link::Up(id), true) = (self.links[p], self.core.link_stalled(now, peer)) {
-                self.hang_up(io, now, id, "timeout");
-            }
-            match self.links[p] {
-                Link::Down => {
-                    if io.dial(peer, self.core.addr(peer)) {
-                        self.links[p] = Link::Dialing;
-                    }
-                }
-                Link::Dialing => {}
-                Link::Up(id) => {
-                    if let Some(mut conn) = self.conns.remove(&id) {
-                        self.core.send_statuses(now, peer, &mut conn.write_buf);
-                        self.settle(io, now, id, conn);
-                    }
-                }
             }
         }
     }
@@ -566,7 +484,6 @@ impl<S: Read + Write> Loop<S> {
                         Role::Inbound(caller) => {
                             self.core.inbound(now, caller, msg, &mut conn.write_buf)
                         }
-                        Role::Link(peer) => self.core.link_frame(now, *peer, msg),
                         // One is closing, the other was answered above.
                         Role::Brushoff | Role::Scrape(_) => Err("protocol"),
                     };
@@ -585,11 +502,12 @@ impl<S: Read + Write> Loop<S> {
 
     /// Final close of a connection, at `now`. An inbound one releases
     /// its limit slot and, if it said `Hello`, emits the
-    /// `ConnectionClosed` that pairs its `ConnectionOpened`; a steering
-    /// one takes its peer's advert along. A volunteer not told the
-    /// campaign is over that was sent off to rest, or left without a
-    /// `Bye`, asks again within a rest, which it is owed
-    /// ([`Self::debts`]); one that was told pays its agent's debt.
+    /// `ConnectionClosed` that pairs its `ConnectionOpened`. A volunteer
+    /// that said `Bye` after it was told the campaign is over has read
+    /// the final word, and pays its agent's debt. Any other that was
+    /// sent off to rest, or left without a `Bye`, may ask again within a
+    /// rest, which it is owed ([`Self::debts`]): a final word queued on a
+    /// connection that then broke may never have been read.
     fn retire(&mut self, now: SimTime, conn: Conn<S>) {
         match conn.role {
             Role::Inbound(caller) => {
@@ -602,17 +520,14 @@ impl<S: Read + Write> Loop<S> {
                         reason: reason.into(),
                     });
                 }
-                let owed = caller.resting || conn.closing != Some("bye");
-                match (caller.shard, caller.heard) {
-                    (Some(peer), _) => self.core.forget_backlog(peer),
-                    (None, false) if owed => _ = self.debts.insert(caller.agent, now.after(REST)),
-                    (None, true) if caller.agent.is_some() => _ = self.debts.remove(&caller.agent),
-                    (None, _) => {}
+                let bye = conn.closing == Some("bye");
+                if caller.heard && bye {
+                    if caller.agent.is_some() {
+                        self.debts.remove(&caller.agent);
+                    }
+                } else if caller.resting || !bye {
+                    self.debts.insert(caller.agent, now.after(REST));
                 }
-            }
-            Role::Link(peer) => {
-                self.links[usize::from(peer)] = Link::Down;
-                self.core.link_lost(peer);
             }
             Role::Brushoff => _ = self.debts.insert(None, now.after(REST)),
             Role::Scrape(_) => {}
@@ -627,29 +542,20 @@ pub(crate) mod tests {
 
     use super::*;
     use crate::protocol::HEADER_BYTES;
-    use crate::registry::Command;
-    use crate::shard::{lease_id, merge_artifacts, STEER_TIMEOUT_MS};
     use crate::sys::READ_SPACE;
-    use crate::world::{baseline, books, frames, pump_until, status, t, Client, End, Pump};
-    use crate::world::{Server, World};
-    use crate::{JournalRecord, RecordReader};
+    use crate::world::{baseline, frames, t, Client, End, Pump, Server, World};
 
     impl<S> Loop<S> {
-        /// Pushes both timers out of any test's reach: the test decides
-        /// when a sweep or steering tick happens.
+        /// Pushes the sweep timer out of any test's reach: the test
+        /// decides when a sweep tick happens.
         pub(crate) fn hold_timers(&mut self) {
-            let never = self.started.after(3600.0);
-            (self.next_sweep, self.next_steer) = (never, never);
-        }
-
-        pub(crate) fn link_up(&self, peer: usize) -> bool {
-            matches!(self.links[peer], Link::Up(_))
+            self.next_sweep = self.started.after(3600.0);
         }
     }
 
-    /// One server of one, with no peer addresses.
+    /// One server of the tiny campaign.
     fn solo() -> World {
-        World::new(vec![Server::shard(0, 1)])
+        World::new(Server::tiny())
     }
 
     /// A connection handed straight to the test, not filed in a loop:
@@ -673,11 +579,11 @@ pub(crate) mod tests {
         let (mut net, (mut far, mut conn)) = (solo(), pair());
         let frame = hello(Vec::new());
         far.write_all(&frame[..10]).unwrap();
-        net.loops[0].read_and_dispatch(t(1.0), &mut conn);
+        net.lp.read_and_dispatch(t(1.0), &mut conn);
         assert_eq!((conn.frames, conn.read_buf.pending().len()), (0, 10));
         assert!(conn.write_buf.is_empty() && conn.closing.is_none());
         far.write_all(&frame[10..]).unwrap();
-        net.loops[0].read_and_dispatch(t(1.0), &mut conn);
+        net.lp.read_and_dispatch(t(1.0), &mut conn);
         assert_eq!((conn.frames, conn.read_buf.pending().len()), (1, 0));
         assert!(matches!(
             frames(&conn.write_buf)[..],
@@ -685,23 +591,18 @@ pub(crate) mod tests {
         ));
     }
 
-    /// The third frame also pins the one-shard topology: a server with
-    /// no peers answers `ShardMapRequest` as shard 0 of 1.
     #[test]
     fn frames_pipelined_in_one_write_each_dispatch_once() {
         let (mut net, (mut far, mut conn)) = (solo(), pair());
         let mut wire = hello(Vec::new());
         wire.extend_from_slice(&encode_with(&Message::RequestWork, Codec));
-        wire.extend_from_slice(&encode_with(&Message::ShardMapRequest, Codec));
+        wire.extend_from_slice(&encode_with(&Message::RequestWork, Codec));
         far.write_all(&wire).unwrap();
-        net.loops[0].read_and_dispatch(t(1.0), &mut conn);
+        net.lp.read_and_dispatch(t(1.0), &mut conn);
         assert_eq!((conn.frames, conn.read_buf.pending().len()), (3, 0));
         match &frames(&conn.write_buf)[..] {
-            [Message::HelloAck { .. }, Message::Assignment { .. }, Message::ShardMap {
-                shards: 1,
-                self_shard: 0,
-                addrs,
-            }] => assert!(addrs.is_empty()),
+            [Message::HelloAck { .. }, Message::Assignment { workunit: 0, .. }, Message::Assignment { workunit: 0, .. }] =>
+                {}
             other => panic!("{other:?}"),
         }
     }
@@ -713,13 +614,13 @@ pub(crate) mod tests {
         let frame = hello((0..3000).map(|i| format!("campaign-{i:05}")).collect());
         assert!(frame.len() > 8 * READ_SPACE);
         far.write_all(&frame).unwrap();
-        net.loops[0].read_and_dispatch(t(1.0), &mut conn);
+        net.lp.read_and_dispatch(t(1.0), &mut conn);
         assert_eq!((conn.frames, conn.read_buf.pending().len()), (1, 0));
         assert!(matches!(
             frames(&conn.write_buf)[..],
             [Message::HelloAck { .. }]
         ));
-        net.loops[0].read_and_dispatch(t(1.0), &mut conn);
+        net.lp.read_and_dispatch(t(1.0), &mut conn);
         assert_eq!(conn.frames, 1, "nothing is dispatched twice");
     }
 
@@ -743,7 +644,7 @@ pub(crate) mod tests {
             assert_eq!(old.len(), HEADER_BYTES + usize::from(old[5]));
             let (mut net, (mut far, mut conn)) = (solo(), pair());
             far.write_all(&old[..HEADER_BYTES]).unwrap();
-            net.loops[0].read_and_dispatch(t(1.0), &mut conn);
+            net.lp.read_and_dispatch(t(1.0), &mut conn);
             assert_eq!(conn.closing, Some("protocol"), "version {}", old[4]);
             assert!(conn.write_buf.is_empty(), "zero reply bytes");
 
@@ -754,10 +655,10 @@ pub(crate) mod tests {
             wire.extend_from_slice(&hello(Vec::new()));
             wire.extend_from_slice(&encode_with(&Message::RequestWork, Codec));
             far.write_all(&wire).unwrap();
-            net.loops[0].read_and_dispatch(t(1.0), &mut conn);
+            net.lp.read_and_dispatch(t(1.0), &mut conn);
             assert_eq!((conn.closing, conn.frames), (Some("protocol"), 0));
             assert!(conn.write_buf.is_empty(), "zero reply bytes");
-            let issued = net.loops[0].core.slots()[0].state.outstanding_len();
+            let issued = net.lp.core.slots()[0].state.outstanding_len();
             assert_eq!(issued, 0, "nothing issued");
         }
     }
@@ -769,9 +670,9 @@ pub(crate) mod tests {
         let (mut net, (mut far, mut conn)) = (solo(), pair());
         far.write_all(&hello(Vec::new())).unwrap();
         drop(far);
-        net.loops[0].read_and_dispatch(t(1.0), &mut conn);
+        net.lp.read_and_dispatch(t(1.0), &mut conn);
         assert_eq!((conn.frames, conn.closing), (1, None), "stopped short");
-        net.loops[0].read_and_dispatch(t(1.0), &mut conn);
+        net.lp.read_and_dispatch(t(1.0), &mut conn);
         assert_eq!(conn.closing, Some("eof"));
         assert_eq!(conn.frames, 1, "the frame before the EOF was served");
         assert!(matches!(
@@ -819,8 +720,8 @@ pub(crate) mod tests {
     /// The world, and when the volunteer was told.
     fn one_volunteer_resting() -> (World, f64) {
         let mut net = solo();
-        let holders = net.hold_every_replica(0);
-        let mut resting = net.connect(0).hello(1, &mut net);
+        let holders = net.hold_every_replica();
+        let mut resting = net.connect().hello(1, &mut net);
         let told = net.now;
         let reply = resting.exchange(&Message::RequestWork, &mut net);
         let no_work = matches!(
@@ -845,8 +746,8 @@ pub(crate) mod tests {
     #[test]
     fn a_done_loop_waits_out_the_rest_it_handed_out() {
         let (mut net, told) = one_volunteer_resting();
-        let lp = &mut net.loops[0];
-        assert!(lp.core.done() && lp.conns.is_empty());
+        let lp = &mut net.lp;
+        assert!(lp.core.all_complete() && lp.conns.is_empty());
         let rest = agent::MAX_REST.as_secs_f64();
         let owed = HashMap::from([(Some(1), t(told + rest))]);
         assert_eq!(lp.debts, owed, "the resting volunteer alone is owed");
@@ -865,16 +766,16 @@ pub(crate) mod tests {
     fn a_done_loop_waits_out_a_busy_rest() {
         let mut net = solo();
         // The last holder drew a `NoWork`; the `Busy` comes later.
-        let holders = net.hold_every_replica(0);
-        net.loops[0].faults.max_connections = holders.len();
+        let holders = net.hold_every_replica();
+        net.lp.faults.max_connections = holders.len();
         net.now += 0.5;
         let brushed = net.now;
-        let reply = net.connect(0).recv(&mut net);
+        let reply = net.connect().recv(&mut net);
         assert!(matches!(reply, Message::Busy { .. }), "{reply:?}");
-        assert_eq!(net.loops[0].rejected, 1);
+        assert_eq!(net.lp.rejected, 1);
         report_and_hear_the_end(&mut net, holders);
-        let lp = &mut net.loops[0];
-        assert!(lp.core.done() && lp.conns.is_empty());
+        let lp = &mut net.lp;
+        assert!(lp.core.all_complete() && lp.conns.is_empty());
         let rest = agent::MAX_REST.as_secs_f64();
         let owed = HashMap::from([(None, t(brushed + rest))]);
         assert_eq!(lp.debts, owed, "the brushed-off volunteer alone is owed");
@@ -893,14 +794,43 @@ pub(crate) mod tests {
     #[test]
     fn a_done_loop_leaves_once_every_rested_volunteer_has_heard() {
         let (mut net, _) = one_volunteer_resting();
-        hear_the_end(&mut net.connect(0).hello(1, &mut net), &mut net);
+        hear_the_end(&mut net.connect().hello(1, &mut net), &mut net);
         net.pump();
-        let lp = &mut net.loops[0];
+        let lp = &mut net.lp;
         assert!(lp.debts.is_empty(), "{:?}", lp.debts);
         assert!(
             lp.over(t(net.now)).is_some(),
             "waited on volunteers that had all heard the end"
         );
+    }
+
+    /// A final word queued is not a final word read: a volunteer whose
+    /// connection breaks after the loop queued `campaign_complete` and
+    /// before the volunteer read it comes back within a rest, and the
+    /// loop still owes it that rest. Only the volunteer's own `Bye`
+    /// after the final word pays the debt.
+    #[test]
+    fn a_final_word_cut_off_before_it_is_read_pays_no_debt() {
+        let (mut net, _) = one_volunteer_resting();
+        net.now += 0.5;
+        let mut back = net.connect().hello(1, &mut net);
+        back.send(&Message::RequestWork);
+        net.pump();
+        let cut_at = net.now;
+        back.end.cut();
+        net.pump();
+        assert_eq!(back.poll(), None, "the final word was never read");
+        let lp = &mut net.lp;
+        assert!(lp.core.all_complete() && lp.conns.is_empty());
+        let rest = agent::MAX_REST.as_secs_f64();
+        let owed = HashMap::from([(Some(1), t(cut_at + rest))]);
+        assert_eq!(lp.debts, owed, "the cut-off volunteer is owed a rest");
+        assert_eq!(
+            lp.over(t(cut_at + rest - 0.01)),
+            None,
+            "left while the cut-off volunteer may rest"
+        );
+        assert!(lp.over(t(cut_at + rest)).is_some());
     }
 
     /// A volunteer that reports and says `Bye` without asking again was
@@ -912,7 +842,7 @@ pub(crate) mod tests {
         let rest = agent::MAX_REST.as_secs_f64();
         let mut net = solo();
         for (agent, bye) in [(1, true), (2, false)] {
-            let mut leaving = net.connect(0).hello(agent, &mut net);
+            let mut leaving = net.connect().hello(agent, &mut net);
             let report = leaving.ask(&mut net, baseline()).expect("work");
             leaving.report(&report, &mut net);
             if bye {
@@ -922,10 +852,10 @@ pub(crate) mod tests {
             net.pump();
         }
         let owed = HashMap::from([(Some(2), t(net.now + rest))]);
-        assert_eq!(net.loops[0].debts, owed, "only the one cut off is owed");
+        assert_eq!(net.lp.debts, owed, "only the one cut off is owed");
         let (net, told) = one_volunteer_resting();
         let owed = HashMap::from([(Some(1), t(told + rest))]);
-        assert_eq!(net.loops[0].debts, owed);
+        assert_eq!(net.lp.debts, owed);
     }
 
     /// A loop reopened done from its wal cannot know who was resting
@@ -933,20 +863,20 @@ pub(crate) mod tests {
     /// that wakes inside it still hears `campaign_complete`.
     #[test]
     fn a_loop_reopened_done_keeps_its_listener_for_one_rest() {
-        let mut net = World::new(vec![Server::shard(0, 1).journaled()]);
-        net.connect(0).hello(1, &mut net).work(&mut net, baseline());
-        assert!(net.loops[0].core.done());
+        let mut net = World::new(Server::tiny().journaled());
+        net.connect().hello(1, &mut net).work(&mut net, baseline());
+        assert!(net.lp.core.all_complete());
         net.now += 1.0;
         let reopened = net.now;
-        net.kill_and_reopen(0);
-        assert!(net.loops[0].core.done() && net.loops[0].conns.is_empty());
+        net.kill_and_reopen();
+        assert!(net.lp.core.all_complete() && net.lp.conns.is_empty());
         let rest = agent::MAX_REST.as_secs_f64();
         net.now = reopened + rest - 0.01;
-        assert_eq!(net.loops[0].over(t(net.now)), None, "left at once");
-        hear_the_end(&mut net.connect(0).hello(2, &mut net), &mut net);
+        assert_eq!(net.lp.over(t(net.now)), None, "left at once");
+        hear_the_end(&mut net.connect().hello(2, &mut net), &mut net);
         net.pump();
-        assert_eq!(net.loops[0].over(t(net.now)), None);
-        assert!(net.loops[0].over(t(reopened + rest)).is_some());
+        assert_eq!(net.lp.over(t(net.now)), None);
+        assert!(net.lp.over(t(reopened + rest)).is_some());
     }
 
     /// A batch that holds the task listener ahead of a holder's `Bye` —
@@ -956,21 +886,19 @@ pub(crate) mod tests {
     #[test]
     fn a_batch_frees_a_leaving_holders_slot_before_it_accepts() {
         let mut net = solo();
-        net.loops[0].faults.max_connections = 1;
-        let mut holder = net.connect(0).hello(1, &mut net);
-        let holder_id = *net.loops[0].conns.keys().next().expect("the holder");
+        net.lp.faults.max_connections = 1;
+        let mut holder = net.connect().hello(1, &mut net);
+        let holder_id = *net.lp.conns.keys().next().expect("the holder");
         holder.send(&Message::Bye);
-        let newcomer = net.connect(0);
-        let mut batch = net.pipes[0].ready();
+        let newcomer = net.connect();
+        let mut batch = net.pipes.ready();
         assert_eq!(batch.len(), 2, "the Bye and the newcomer are both in");
         batch.sort_by_key(|ready| matches!(ready, Ready::Conn(_)));
         assert!(
             matches!(batch[..], [Ready::Listener(false), Ready::Conn(ev)] if ev.fd == holder_id)
         );
-        net.loops[0]
-            .serve(&mut net.pipes[0], t(1.0), batch)
-            .unwrap();
-        assert_eq!((net.loops[0].rejected, net.loops[0].connections), (0, 2));
+        net.lp.serve(&mut net.pipes, t(1.0), batch).unwrap();
+        assert_eq!((net.lp.rejected, net.lp.connections), (0, 2));
         newcomer.hello(2, &mut net);
     }
 
@@ -979,23 +907,23 @@ pub(crate) mod tests {
     /// second scraper, and is closed at the idle cap.
     #[test]
     fn a_scraper_that_stalls_mid_request_line_delays_nobody() {
-        let mut net = World::new(vec![Server {
+        let mut net = World::new(Server {
             ops: true,
-            ..Server::shard(0, 1)
-        }]);
+            ..Server::tiny()
+        });
         let scrapes = |net: &World| {
-            let conns = net.loops[0].conns.values();
+            let conns = net.lp.conns.values();
             conns.filter(|c| matches!(c.role, Role::Scrape(_))).count()
         };
 
-        let mut stalled = net.pipes[0].connect(true);
+        let mut stalled = net.pipes.connect(true);
         stalled.write_all(b"GET /metr").unwrap();
         net.pump();
         let pending = |c: &Conn<End>| c.read_buf.pending().len() == 9;
-        assert!(net.loops[0].conns.values().any(pending));
+        assert!(net.lp.conns.values().any(pending));
 
-        net.connect(0).hello(9, &mut net);
-        let mut second = net.pipes[0].connect(true);
+        net.connect().hello(9, &mut net);
+        let mut second = net.pipes.connect(true);
         second.write_all(b"GET /metrics HTTP/1.1\r\n\r\n").unwrap();
         net.pump();
         let mut answer = String::new();
@@ -1006,315 +934,15 @@ pub(crate) mod tests {
         // Still there after a sweep inside the cap; gone, with not a
         // byte sent, after one past it.
         net.now = 1.0 + ops::IDLE_CAP.as_secs_f64();
-        net.turn(0, Loop::sweep_tick);
+        net.turn(Loop::sweep_tick);
         assert_eq!(scrapes(&net), 1);
         net.now += 0.001;
-        net.turn(0, Loop::sweep_tick);
+        net.turn(Loop::sweep_tick);
         assert_eq!(scrapes(&net), 0);
         assert_eq!(
             stalled.read(&mut [0u8; 16]).unwrap(),
             0,
             "closed unanswered"
         );
-    }
-
-    /// A stalled peer holds nothing but its own link: agents are served
-    /// in the very batches its status sits unanswered, and the link is
-    /// recycled once that status is `STEER_TIMEOUT_MS` old.
-    #[test]
-    fn a_peer_that_accepts_and_never_answers_costs_agents_nothing() {
-        let mut net = World::new(vec![Server::shard(0, 2)]);
-        net.steer(0);
-        assert!(net.loops[0].link_up(1));
-        net.steer(0);
-        let unacked = |net: &World| net.loops[0].core.unacked[1].len();
-        assert_eq!(unacked(&net), 1);
-
-        let mut agent = net.connect(0).hello(9, &mut net);
-        let reply = agent.exchange(&Message::RequestWork, &mut net);
-        assert!(matches!(reply, Message::Assignment { .. }), "{reply:?}");
-
-        // Younger than the timeout, the link is kept and told again...
-        net.steer(0);
-        assert_eq!(unacked(&net), 2);
-        // ...older, it is hung up and dialed afresh.
-        let silent = net.far.remove(&1).expect("the silent peer");
-        net.now += STEER_TIMEOUT_MS as f64 / 1e3 + 0.001;
-        net.turn(0, |lp, pipes, now| {
-            lp.steer_tick(pipes, now);
-            assert!(matches!(lp.links[1], Link::Dialing));
-            assert!(!lp.conns.values().any(|c| matches!(c.role, Role::Link(_))));
-        });
-        assert!(silent.far_gone(), "the silent peer was hung up on");
-        assert!(net.loops[0].link_up(1), "and dialed afresh");
-    }
-
-    /// A whole sharded campaign — hunger, a lease cut, adopted and
-    /// journaled, a redirect off the drained shard, completion gossiped
-    /// both ways — as one scripted history: two loops and their agents
-    /// stepped from this thread, in this order.
-    #[test]
-    fn a_two_shard_history_runs_to_done() {
-        let servers = vec![Server::shard(0, 2), Server::shard(1, 2).journaled()];
-        let mut net = World::new(servers);
-        let baseline = baseline();
-
-        // Both links come up.
-        net.steer(0);
-        net.steer(1);
-        assert!(net.loops[0].link_up(1) && net.loops[1].link_up(0));
-
-        // Shard 1's agent works its slice dry — all but one result it
-        // sits on, so the slice is drained yet not complete — and is
-        // told to wait...
-        let mut agent1 = net.connect(1).hello(1, &mut net);
-        let sat_on = agent1
-            .ask(&mut net, baseline)
-            .expect("work on a fresh shard");
-        let dry = agent1.work(&mut net, baseline);
-        assert!(
-            matches!(
-                dry,
-                Message::NoWork {
-                    campaign_complete: false,
-                    ..
-                }
-            ),
-            "{dry:?}"
-        );
-        // ...so its next status is hungry, shard 0 cuts a lease, and
-        // shard 1 adopts and journals it.
-        net.now = 1.2;
-        net.steer(1);
-        pump_until(&mut net, |net| net.stats(1).shard_leases_in == 1);
-        assert_eq!(net.stats(0).shard_leases_out, 1);
-        let granted = net.loops[0].core.slots()[0].state.leases_granted_to(1);
-        net.commit(1);
-        let adopted: Vec<(u64, Vec<u32>)> = RecordReader::over(net.wal(1))
-            .filter_map(|rec| match rec.unwrap() {
-                JournalRecord::Applied {
-                    command: Command::Adopt { lease, wus, .. },
-                    ..
-                } => Some((lease, wus.into_owned())),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(adopted, granted, "the wal holds exactly the grant");
-
-        // Shard 1 advertises the leased backlog; shard 0's agent
-        // finishes what is left of shard 0's slice and is sent there.
-        net.now = 1.3;
-        net.steer(1);
-        pump_until(&mut net, |net| net.board(0).backlog[1] > 0);
-        let mut agent0 = net.connect(0).hello(2, &mut net);
-        assert_eq!(
-            agent0.work(&mut net, baseline),
-            Message::Redirect {
-                shard: 1,
-                addr: "shard-1".into()
-            },
-            "a drained, complete shard must redirect"
-        );
-        assert_eq!(net.stats(0).shard_redirects, 1);
-
-        // Shard 1 finishes the lease and its own last result; one more
-        // round of gossip each way and both loops know it is over.
-        net.now = 1.5;
-        agent1.work(&mut net, baseline);
-        agent1.report(&sat_on, &mut net);
-        assert!(
-            !net.loops[0].core.done(),
-            "shard 0 last heard shard 1 had work left"
-        );
-        net.now = 1.6;
-        net.steer(0);
-        net.steer(1);
-        pump_until(&mut net, |net| net.loops.iter().all(|l| l.core.done()));
-        let ask = agent0.exchange(&Message::RequestWork, &mut net);
-        assert!(
-            matches!(
-                ask,
-                Message::NoWork {
-                    campaign_complete: true,
-                    ..
-                }
-            ),
-            "{ask:?}"
-        );
-        let parts: Vec<_> = net
-            .loops
-            .iter()
-            .map(|l| l.core.slots()[0].state.outputs().to_vec())
-            .collect();
-        assert_eq!(merge_artifacts(&parts).unwrap(), baseline);
-    }
-
-    /// A peer that died with backlog on the board kept drawing
-    /// redirects: its advert was only ever overwritten by its next
-    /// status, which never came, and every redirected agent was refused,
-    /// fell home, asked, and was redirected again without a pause. The
-    /// advert now leaves with the steering connection — whichever way
-    /// it was dialed — and with nothing else. On the way it pins an
-    /// older bug: a shard whose own slice was complete never redirected
-    /// (its slice skipped by `fetch`, it recorded no demand and begged
-    /// no lease), so volunteers parked on it polled `NoWork` for ever
-    /// while a peer's backlog sat untouched.
-    #[test]
-    fn a_dead_peers_backlog_leaves_with_its_link() {
-        let mut net = World::new(vec![Server::shard(0, 2)]);
-        net.steer(0);
-        let far_end = net.far.remove(&1).expect("shard 0 dialed shard 1");
-
-        // Played as shard 1: lease shard 0's whole slice away, so its
-        // agents' asks can only back off or bounce.
-        let mut gossip = net.connect(0);
-        let mut held = Vec::new();
-        loop {
-            let (grants, _) = gossip.gossip(&mut net, status(1, &held, 0, true));
-            if grants.is_empty() {
-                break;
-            }
-            held.extend(grants.into_iter().map(|(lease, _)| lease));
-        }
-        let mut agent = net.connect(0).hello(9, &mut net);
-        let mut ask = |net: &mut World| agent.exchange(&Message::RequestWork, net);
-
-        let (_, ack) = gossip.gossip(&mut net, status(1, &held, 5, false));
-        let complete = matches!(ack, Message::StatusAck { complete: true, .. });
-        assert!(complete, "shard 0 leased its whole slice away");
-        let redirect = Message::Redirect {
-            shard: 1,
-            addr: "shard-1".into(),
-        };
-        assert_eq!(
-            ask(&mut net),
-            redirect,
-            "a drained, complete shard must redirect"
-        );
-        assert_eq!(net.stats(0).shard_redirects, 1);
-
-        // The link this shard dialed drops: the peer is gone.
-        drop(far_end);
-        net.pump();
-        assert!(!net.loops[0].link_up(1));
-        assert_eq!(net.board(0).backlog[1], 0);
-        assert!(net.loops[0].core.try_redirect(&[true]).is_none());
-        match ask(&mut net) {
-            Message::NoWork { retry_after_ms, .. } => assert!(retry_after_ms > 0),
-            other => panic!("a dead peer must not draw a redirect, got {other:?}"),
-        }
-
-        // The same for the link the peer dialed.
-        gossip.gossip(&mut net, status(1, &held, 5, false));
-        assert!(matches!(ask(&mut net), Message::Redirect { shard: 1, .. }));
-        let before = net.loops[0].accepted_active;
-        drop(gossip);
-        net.pump();
-        assert_eq!(net.loops[0].accepted_active, before - 1);
-        assert!(matches!(ask(&mut net), Message::NoWork { .. }));
-
-        // A volunteer's connection going takes nobody's advert with it.
-        let mut gossip = net.connect(0);
-        gossip.gossip(&mut net, status(1, &held, 5, false));
-        drop(net.connect(0).hello(10, &mut net));
-        net.pump();
-        assert_eq!(net.loops[0].accepted_active, before);
-        assert_eq!(net.board(0).backlog[1], 5);
-    }
-
-    /// A `LeaseGrant` is believed only as far as the link it rides: one
-    /// for a campaign this server does not host, attributed to another
-    /// shard than the peer, or cut under another shard's lease ids
-    /// closes the link, moves no workunit and journals nothing — where
-    /// adopting it would hand the last campaign a `LeaseIn` it never
-    /// earned.
-    #[test]
-    fn a_forged_lease_grant_changes_nothing_and_closes_the_link() {
-        let mut net = World::new(vec![Server::shard(0, 2).journaled()]);
-        let before = books(&net.loops[0].core);
-        let everything: Vec<u32> =
-            (0..net.loops[0].core.slots()[0].campaign.len() as u32).collect();
-        let owned = |net: &World| net.loops[0].core.slots()[0].state.core().owned_count();
-        assert!(owned(&net) < everything.len(), "shard 1 owns something");
-
-        let grant = |campaign, from_shard, lease, complete| Message::LeaseGrant {
-            lease,
-            from_shard,
-            wus: everything.clone(),
-            complete,
-            campaign,
-        };
-        let on_the_link = |net: &mut World, msg: &Message| {
-            net.steer(0);
-            let mut far_end = Client::new(net.far.remove(&1).expect("a fresh link"));
-            far_end.send(msg);
-            net.pump();
-            far_end
-        };
-        for (campaign, from_shard, lease) in [
-            (7, 1, lease_id(1, 1)),
-            (0, 0, lease_id(1, 1)),
-            (0, 1, lease_id(0, 1)),
-        ] {
-            let forged = grant(campaign, from_shard, lease, true);
-            let far_end = on_the_link(&mut net, &forged);
-            assert!(far_end.end.far_gone(), "{forged:?} closes the link");
-            assert!(matches!(net.loops[0].links[1], Link::Down));
-            assert_eq!(books(&net.loops[0].core), before, "{forged:?}");
-        }
-
-        // The honest grant the same peer could have sent is adopted.
-        let honest = grant(0, 1, lease_id(1, 1), false);
-        let _far_end = on_the_link(&mut net, &honest);
-        assert_eq!(owned(&net), everything.len());
-        assert_eq!(net.stats(0).shard_leases_in, 1);
-        assert!(net.loops[0].link_up(1));
-    }
-
-    /// A peer speaks for itself only. A `StatusAck` in a third shard's
-    /// name marks nobody complete — believed, it would (with the peer's
-    /// own completion) end this server while shard 2 still had work —
-    /// and an inbound steering connection keeps the shard it first named.
-    #[test]
-    fn a_status_ack_naming_a_third_shard_marks_nobody_complete() {
-        let mut net = World::new(vec![Server::shard(0, 3)]);
-        net.steer(0);
-        net.steer(0);
-        net.steer(0);
-        assert_eq!(net.loops[0].core.unacked[1].len(), 2);
-        let ack = |shard| Message::StatusAck {
-            shard,
-            complete: true,
-        };
-        let mut far_end = Client::new(net.far.remove(&1).expect("the link to shard 1"));
-        far_end.send(&ack(1));
-        far_end.send(&ack(2));
-        net.pump();
-        assert!(!net.loops[0].link_up(1), "the second ack closed the link");
-        assert_eq!(net.board(0).complete, [false, true, false]);
-        assert!(!net.board(0).peers_complete(0));
-        // An ack nobody was waiting for is refused too.
-        net.steer(0);
-        let mut far_end = Client::new(net.far.remove(&1).expect("a fresh link"));
-        far_end.send(&ack(1));
-        net.pump();
-        assert!(!net.loops[0].link_up(1));
-
-        // Dialed in as shard 1, then speaking as shard 2: refused, and
-        // shard 2's advert is not on the board.
-        let mut gossip = net.connect(0);
-        gossip.gossip(&mut net, status(1, &[], 3, false));
-        assert_eq!(net.board(0).backlog, [0, 3, 0]);
-        let mut renamed = status(2, &[], 9, false);
-        if let Message::ShardStatus { complete, .. } = &mut renamed {
-            *complete = true;
-        }
-        gossip.send(&renamed);
-        net.pump();
-        assert_eq!(gossip.poll(), None, "no reply");
-        assert!(gossip.end.far_gone(), "closed");
-        // The closed steering connection took shard 1's advert along.
-        assert_eq!(net.board(0).backlog, [0, 0, 0]);
-        assert_eq!(net.board(0).complete, [false, true, false]);
     }
 }

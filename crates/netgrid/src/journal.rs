@@ -28,7 +28,7 @@
 //! A journal directory holds one file, `wal.bin`, however many
 //! campaigns the server hosts: a [`JournalRecord::Header`] frame (the
 //! roster — every campaign's name, recipe, share and priority, in
-//! order — server config, fault knobs, shard, format) followed by one
+//! order — server config, fault knobs, format) followed by one
 //! [`JournalRecord::Applied`] frame per command, in the exact order the
 //! grid's one owner applied them. It only grows; the one thing recovery
 //! ever cuts off is a torn tail.
@@ -127,17 +127,17 @@
 //!     per campaign (`DIR/NAME/wal.bin` on a multi-campaign server). Its
 //!     header decodes as far as its format field, and a directory that
 //!     holds a `NAME/wal.bin` is refused too, naming "journal format 4".
-//!   - journal format 5 is this one with three more fields in the
-//!     header's faults (the server's backoff knobs); its header decodes
-//!     as far as its format field and is refused naming "journal
-//!     format 5".
+//!   - journal format 5 is format 6 with three more fields in the
+//!     header's faults (the server's backoff knobs), and format 6 is
+//!     this one with a shard in the header and three more record kinds
+//!     (a lease granted, a lease adopted, a peer's completion). Each
+//!     header decodes as far as its format field and is refused naming
+//!     "journal format 5" or "journal format 6".
 //!
 //! Prefix loss is safe by construction: a lost `Fetch` replica
 //! ages out of nothing (it was never outstanding in the recovered
 //! state), a lost `Report` is re-requested because its replica is still
-//! outstanding and will expire, a lost `Grant` was never sent, so the
-//! next grant may reuse its lease id without anyone holding both, and
-//! the §5 validation rules (quorum / bounds) judge the re-computed
+//! outstanding and will expire, and the §5 validation rules (quorum / bounds) judge the re-computed
 //! results exactly as they would have the originals. The merged
 //! artifact is therefore byte-identical to an uninterrupted run's no
 //! matter where the crash landed — the property
@@ -150,7 +150,6 @@ use crate::faults::ServerFaults;
 use crate::protocol::binary::{Reader, Writer};
 use crate::protocol::{self, DecodeError, HEADER_BYTES};
 use crate::registry::{CampaignDef, Command, Outcome};
-use crate::shard::ShardSpec;
 use crate::state::{ResultDisposition, Verdict, WorkReply};
 use crate::trust::TrustConfig;
 use gridsim::sched::{FeederConfig, ReplicaAssignment, ReplicaId, ServerConfig};
@@ -179,18 +178,19 @@ const LEGACY_FRAME_KIND: u8 = 1;
 /// with a binary header and no `snapshot.bin`; format 5 records what the
 /// registry was told, in one wal per server; format 6 is format 5 with
 /// the three backoff knobs gone from the header's faults (a volunteer's
-/// rests are its own). Formats 1–3 never get as far as a parsed header
-/// — [`RecordReader`] recognises their first frame (module docs,
-/// "legacy file"); formats 4 and 5 are refused at the header's format
-/// field.
-pub(crate) const JOURNAL_FORMAT: u32 = 6;
+/// rests are its own); format 7 is format 6 with the shard gone from the
+/// header and the lease and peer-completion records gone (one server
+/// carries the campaign). Formats 1–3 never get as far as a parsed
+/// header — [`RecordReader`] recognises their first frame (module docs,
+/// "legacy file"); formats 4–6 are refused at the header's format field.
+pub(crate) const JOURNAL_FORMAT: u32 = 7;
 
 /// One journaled frame: the `Header` that opens the wal, then one per
 /// command.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum JournalRecord {
     /// Identity of the journaled server. Recovery refuses to replay a
-    /// wal whose roster/config/faults/shard differ from the server's.
+    /// wal whose roster/config/faults differ from the server's.
     Header {
         /// Every campaign's registration in roster order: name, recipe
         /// (both ends re-derive the catalog from it), share and priority
@@ -200,11 +200,6 @@ pub enum JournalRecord {
         config: ServerConfig,
         /// Server-side fault/limit knobs.
         faults: ServerFaults,
-        /// Which shard of the campaigns this journal belongs to. Shard
-        /// 0's wal refuses to replay into a server configured as shard
-        /// 1 — workunit ownership differs, so replay would diverge or
-        /// silently fork the campaign.
-        shard: ShardSpec,
         /// The journal format of the file: always `JOURNAL_FORMAT` in
         /// a header that decoded (it is the first field, and any other
         /// value is refused before the rest is read).
@@ -306,10 +301,7 @@ fn other_format(found: &str) -> String {
 const TAG_FETCH: u8 = 0;
 const TAG_REPORT: u8 = 1;
 const TAG_SWEEP: u8 = 2;
-const TAG_GRANT: u8 = 3;
-const TAG_ADOPT: u8 = 4;
 const TAG_HEADER: u8 = 5;
-const TAG_PEER_COMPLETE: u8 = 6;
 
 /// Verdicts in the order of their byte on disk (the byte is the index).
 const VERDICTS: [Verdict; 9] = [
@@ -340,7 +332,6 @@ fn encode_record(rec: &JournalRecord, w: &mut Writer) {
             roster,
             config,
             faults,
-            shard,
             format,
         } => {
             w.u8(TAG_HEADER);
@@ -373,8 +364,6 @@ fn encode_record(rec: &JournalRecord, w: &mut Writer) {
             w.u32(trust.quarantine_after);
             w.f64(trust.quarantine_base_s);
             w.f64(trust.quarantine_max_s);
-            w.u16(shard.shard_id);
-            w.u16(shard.shards);
         }
         JournalRecord::Applied {
             now_s,
@@ -392,9 +381,6 @@ fn encode_applied(now_s: f64, command: &Command, outcome: &Outcome, w: &mut Writ
         Command::Fetch { .. } => TAG_FETCH,
         Command::Report { .. } => TAG_REPORT,
         Command::Sweep => TAG_SWEEP,
-        Command::Grant { .. } => TAG_GRANT,
-        Command::Adopt { .. } => TAG_ADOPT,
-        Command::PeerComplete { .. } => TAG_PEER_COMPLETE,
     });
     w.f64(now_s);
     match command {
@@ -414,28 +400,6 @@ fn encode_applied(now_s: f64, command: &Command, outcome: &Outcome, w: &mut Writ
             w.u32(*workunit);
         }
         Command::Sweep => {}
-        Command::Grant {
-            campaign,
-            to_shard,
-            max,
-        } => {
-            w.u16(*campaign);
-            w.u16(*to_shard);
-            w.u32(*max);
-        }
-        Command::Adopt {
-            campaign,
-            lease,
-            wus,
-        } => {
-            w.u16(*campaign);
-            w.u64(*lease);
-            w.u32s(wus);
-        }
-        Command::PeerComplete { campaign, shard } => {
-            w.u16(*campaign);
-            w.u16(*shard);
-        }
     }
     match outcome {
         Outcome::Fetched { campaign, reply } => {
@@ -462,12 +426,8 @@ fn encode_applied(now_s: f64, command: &Command, outcome: &Outcome, w: &mut Writ
             w.u8(byte.expect("every verdict is in VERDICTS") as u8);
             w.flag(d.completed_workunit);
         }
-        Outcome::Expired(n) | Outcome::Adopted(n) => w.u64(*n),
-        Outcome::Granted { lease, wus } => {
-            w.u64(*lease);
-            w.u32s(wus);
-        }
-        Outcome::Noted | Outcome::Unchanged => {}
+        Outcome::Expired(n) => w.u64(*n),
+        Outcome::Unchanged => {}
     }
     if let (Command::Report { output, .. }, Outcome::Judged(d)) = (command, outcome) {
         w.flag(keeps_payload(d.verdict));
@@ -522,10 +482,6 @@ fn decode_header(r: &mut Reader) -> Result<JournalRecord, String> {
                 quarantine_base_s: r.f64()?,
                 quarantine_max_s: r.f64()?,
             },
-        },
-        shard: ShardSpec {
-            shard_id: r.u16()?,
-            shards: r.u16()?,
         },
         format,
     })
@@ -596,32 +552,6 @@ fn decode_record(kind: u8, payload: &[u8]) -> Result<JournalRecord, String> {
             (report, outcome)
         }
         TAG_SWEEP => (Command::Sweep, Outcome::Expired(r.u64()?)),
-        TAG_GRANT => (
-            Command::Grant {
-                campaign: r.u16()?,
-                to_shard: r.u16()?,
-                max: r.u32()?,
-            },
-            Outcome::Granted {
-                lease: r.u64()?,
-                wus: r.counted(4, |r| r.u32())?,
-            },
-        ),
-        TAG_ADOPT => (
-            Command::Adopt {
-                campaign: r.u16()?,
-                lease: r.u64()?,
-                wus: Cow::Owned(r.counted(4, |r| r.u32())?),
-            },
-            Outcome::Adopted(r.u64()?),
-        ),
-        TAG_PEER_COMPLETE => (
-            Command::PeerComplete {
-                campaign: r.u16()?,
-                shard: r.u16()?,
-            },
-            Outcome::Noted,
-        ),
         other => return Err(format!("unknown record tag {other:#04x}")),
     };
     r.finish()?;
@@ -822,14 +752,12 @@ fn check_header(found: &JournalRecord, ours: &JournalRecord, what: &str) -> io::
             roster: r,
             config: c,
             faults: f,
-            shard: s,
             ..
         },
         JournalRecord::Header {
             roster,
             config,
             faults,
-            shard,
             ..
         },
     ) = (found, ours)
@@ -850,12 +778,6 @@ fn check_header(found: &JournalRecord, ours: &JournalRecord, what: &str) -> io::
         return Err(bad(format!(
             "{what}: wal belongs to a server of another scheduler config or fault/trust policy; \
              refusing to replay"
-        )));
-    }
-    if s != shard {
-        return Err(bad(format!(
-            "{what}: wal belongs to shard {}/{}, this server is shard {}/{}; refusing to replay",
-            s.shard_id, s.shards, shard.shard_id, shard.shards
         )));
     }
     Ok(())
@@ -934,7 +856,7 @@ mod tests {
             evaluations: a,
         };
         let wus: Vec<u32> = rows.iter().map(|&(i, _)| i).collect();
-        let (campaign, shard) = (b as u16, (b >> 16) as u16);
+        let campaign = b as u16;
         let (command, outcome) = match kind {
             0 => (
                 Command::Fetch {
@@ -979,23 +901,6 @@ mod tests {
                 (report, Outcome::Judged(d))
             }
             2 => (Command::Sweep, Outcome::Expired(a)),
-            3 => (
-                Command::Grant {
-                    campaign,
-                    to_shard: shard,
-                    max: b,
-                },
-                Outcome::Granted { lease: a, wus },
-            ),
-            4 => (
-                Command::Adopt {
-                    campaign,
-                    lease: a,
-                    wus: Cow::Owned(wus),
-                },
-                Outcome::Adopted(a),
-            ),
-            5 => (Command::PeerComplete { campaign, shard }, Outcome::Noted),
             _ => {
                 let def = |name: &str, share| CampaignDef {
                     name: name.into(),
@@ -1028,10 +933,6 @@ mod tests {
                             ..TrustConfig::on()
                         },
                     },
-                    shard: ShardSpec {
-                        shard_id: campaign,
-                        shards: shard,
-                    },
                     format: JOURNAL_FORMAT,
                 };
             }
@@ -1052,7 +953,7 @@ mod tests {
         /// truncation and any trailing byte is an error.
         #[test]
         fn records_round_trip_and_reject_damaged_payloads(
-            kind in 0usize..7,
+            kind in 0usize..4,
             a in 0u64..u64::MAX,
             b in 0u32..u32::MAX,
             bits in 0u64..u64::MAX,
@@ -1101,7 +1002,7 @@ mod tests {
         assert!(decode_record(LEGACY_FRAME_KIND, &sweep).is_err());
         assert!(decode_record(protocol::PROTOCOL_VERSION, &sweep).is_err());
 
-        let mut header = payload_of(&build_record(6, 1, 2, 3, &[]));
+        let mut header = payload_of(&build_record(3, 1, 2, 3, &[]));
         assert!(decode_record(FRAME_BINARY, &header).is_ok());
         header[1..5].copy_from_slice(&(JOURNAL_FORMAT + 1).to_le_bytes());
         let err = decode_record(FRAME_BINARY, &header).unwrap_err();
@@ -1139,8 +1040,8 @@ mod tests {
     /// compaction just ran is a lone JSON header with the whole campaign
     /// in `snapshot.bin` beside it; a format-4 wal decodes as far as its
     /// format field, and a multi-campaign server kept one per campaign
-    /// in a subdirectory; a format-5 wal too decodes as far as its
-    /// format field. Each is refused by name, by recovery and by
+    /// in a subdirectory; format-5 and format-6 wals too decode as far
+    /// as their format field. Each is refused by name, by recovery and by
     /// the `hcmd-journal dump` reader alike, with nothing on disk
     /// touched or created.
     #[test]
@@ -1155,6 +1056,7 @@ mod tests {
         format_3.extend_from_slice(&frame(&sweep(0.0, 1)));
         let format_4 = include_bytes!("../../../tests/data/wal_format4.bin").to_vec();
         let format_5 = include_bytes!("../../../tests/data/wal_format5.bin").to_vec();
+        let format_6 = include_bytes!("../../../tests/data/wal_format6.bin").to_vec();
 
         for (tag, file, old, named) in [
             (
@@ -1173,6 +1075,7 @@ mod tests {
             ("format4", WAL_FILE, &format_4, "journal format 4"),
             ("nested", "alpha/wal.bin", &format_4, "journal format 4"),
             ("format5", WAL_FILE, &format_5, "journal format 5"),
+            ("format6", WAL_FILE, &format_6, "journal format 6"),
         ] {
             let dir = scratch_dir(&format!("legacy-{tag}"));
             let path = dir.join(file);
@@ -1180,10 +1083,15 @@ mod tests {
             fs::write(&path, old).unwrap();
             let roster = vec![CampaignDef::default_solo(CampaignParams::tiny())];
             let journal = JournalConfig::new(&dir);
-            let recovery =
-                MultiGrid::open(roster, config, faults, ShardSpec::solo(), Some(&journal))
-                    .err()
-                    .expect("a legacy journal must be refused");
+            let recovery = MultiGrid::open(
+                roster,
+                config,
+                faults,
+                crate::ShardSpec::solo(),
+                Some(&journal),
+            )
+            .err()
+            .expect("a legacy journal must be refused");
             let dump = open_wal(&dir)
                 .and_then(|records| records.collect::<io::Result<Vec<_>>>())
                 .expect_err("a legacy journal must not dump");
@@ -1202,7 +1110,7 @@ mod tests {
         // Damage that is not a legacy seal is still what it always was:
         // a wal torn inside its first frame is an empty wal.
         let dir = scratch_dir("legacy-torn");
-        let mut torn = frame(&build_record(6, 1, 2, 3, &[]));
+        let mut torn = frame(&build_record(3, 1, 2, 3, &[]));
         let last = torn.len() - 1;
         torn[last] ^= 0x01;
         fs::write(dir.join(WAL_FILE), &torn).unwrap();

@@ -31,8 +31,8 @@
 //!   ordering rule between bytes, timers and the core, stepped by a
 //!   driver — sockets in [`server`], in-memory pipes in the tests;
 //! * [`server`] — the TCP daemon: the socket driver of that loop — one
-//!   readiness poller for volunteers, steering links to peer shards
-//!   and ops scrapes alike, and the wall clock; it decides nothing;
+//!   readiness poller for volunteers and ops scrapes alike, and the
+//!   wall clock; it decides nothing;
 //! * [`ops`] — the read-only HTTP endpoint (`GET /metrics`, `GET /`):
 //!   renders the server's `MultiGrid` in place, between two frames;
 //! * [`agent`] — the volunteer: its protocol decisions as a sans-IO
@@ -44,13 +44,13 @@
 //!   nonblocking sockets;
 //! * [`registry`] — one server's decisions, sans-IO and sans-clock: N
 //!   isolated campaign states under a deficit-weighted fair-share
-//!   ledger, the peer-shard picture, and the server half of the
-//!   protocol as calls that take the time and return frames; every
+//!   ledger, and the server half of the protocol as calls that take
+//!   the time and return frames; every
 //!   decision a restart must rebuild is one `Command` through
 //!   `MultiGrid::apply`;
-//! * [`shard`] — multi-server sharding: the deterministic shard map
-//!   splitting one catalog across N servers, work-stealing leases, and
-//!   the byte-identical cross-shard artifact merge;
+//! * [`shard`] — the two names of the retired multi-server sharding
+//!   the benchmark still calls: the solo [`ShardSpec`] and
+//!   [`merge_artifacts`];
 //! * [`faults`] — deterministic fault injection: disconnects, stalls
 //!   past the deadline, bit-flipped payloads, connection limits;
 //! * [`journal`] — the write-ahead journal: one append-only `wal.bin`
@@ -91,9 +91,9 @@ pub use journal::{FsyncPolicy, JournalConfig, JournalRecord, RecordReader};
 pub use mux::{run_agent, run_mux_fleet};
 pub use ops::http_get;
 pub use protocol::{CampaignParams, Codec, DecodeError, Message};
-pub use registry::{CampaignDef, Command, MultiGrid, Outcome, Slot};
-pub use server::{CampaignRunReport, NetRunReport, NetServer, NetServerConfig, ShardTopology};
-pub use shard::{merge_artifact_json, merge_artifacts, shard_of, ShardSpec};
+pub use registry::{CampaignDef, Command, MultiGrid, Outcome, Slot, Unrecovered};
+pub use server::{CampaignRunReport, NetRunReport, NetServer, NetServerConfig};
+pub use shard::{merge_artifacts, ShardSpec};
 pub use state::{
     fingerprint, AgentLedger, GridState, NetStats, ResultDisposition, TrustSummary, Verdict,
     WorkReply,

@@ -51,7 +51,7 @@ enum AState {
     /// `Woke`.
     Waiting { until: Instant },
     /// A `Dial` here is waiting for a connect slot.
-    WantsDial(String),
+    WantsDial,
     /// Handed to the connector pool; waiting for the dialed socket.
     Connecting,
     /// A frame is out on an open connection; whatever arrives on it
@@ -367,7 +367,7 @@ impl Driver {
     fn next_due(&self) -> Option<Instant> {
         let agents = self.agents.iter().filter_map(|agent| match agent.state {
             AState::Waiting { until } => Some(until),
-            AState::WantsDial(_) => Some(Instant::now()),
+            AState::WantsDial => Some(Instant::now()),
             _ => agent.reply_due,
         });
         agents.chain(self.deadline).min()
@@ -397,11 +397,11 @@ impl Driver {
     /// state left behind says what the driver still owes.
     fn perform(&mut self, idx: usize, step: Step) {
         match step {
-            Step::Dial(addr) => {
+            Step::Dial => {
                 // Closed before the dial, not by it: a server at its
                 // connection limit must see the old socket go first.
                 self.disconnect(idx);
-                self.agents[idx].state = AState::WantsDial(addr);
+                self.agents[idx].state = AState::WantsDial;
             }
             Step::Send(msg) => {
                 // Before the frame is queued: a write that fails tells
@@ -522,11 +522,11 @@ impl Driver {
             if self.agents[idx].reply_due.is_some_and(|due| now >= due) {
                 self.feed(idx, Input::Lost);
             }
-            if let AState::WantsDial(addr) = &self.agents[idx].state {
+            if let AState::WantsDial = self.agents[idx].state {
                 if budget == 0 || self.open + self.pending_connects >= MAX_OPEN {
                     continue;
                 }
-                let addr = addr.clone();
+                let addr = self.agents[idx].session.addr().to_owned();
                 let Some(pools) = &self.pools else {
                     let dialed = connect(&addr, self.io_timeout);
                     self.connected(idx, dialed);
@@ -675,7 +675,7 @@ impl Driver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agent::tests::{assignment, campaign_done, hello_ack, no_work, redirect};
+    use crate::agent::tests::{assignment, campaign_done, hello_ack, no_work};
     use crate::faults::FaultProfile;
     use crate::protocol::{read_message, write_message_with, CampaignParams};
     use crate::server::{NetRunReport, NetServer, NetServerConfig};
@@ -888,70 +888,22 @@ mod tests {
         );
     }
 
-    /// A redirected simulated volunteer goes where it is sent, like the
-    /// reference agent: home answers its ask with a `Redirect` to a real
-    /// server and never serves it again, so the campaign finishes only
-    /// if the agent dials the peer and stays there while it has work.
-    #[test]
-    fn a_mux_agent_follows_a_redirect_to_where_the_work_is() {
-        let config = NetServerConfig {
-            sweep_ms: 25,
-            ..NetServerConfig::loopback(5.0)
-        };
-        let params = config.campaign;
-        let peer = NetServer::bind(config).expect("bind");
-        let peer_addr = peer.local_addr().expect("addr").to_string();
-        let peer = thread::spawn(move || peer.run());
-        let (home, home_addr) = listen();
-        let home = thread::spawn(move || {
-            let (mut s, _) = home.accept().unwrap();
-            drop(home);
-            let mut asks = 0;
-            serve_one(&mut s, || {
-                asks += 1;
-                redirect(1, &peer_addr)
-            });
-            asks
-        });
-
-        let fleet =
-            run_mux_fleet(fleet(&home_addr, 1, 0), Duration::from_secs(60)).expect("fleet ran");
-        assert!(
-            saw_completion(&fleet),
-            "the agent never left home: {fleet:?}"
-        );
-        assert_eq!(total(&fleet, |r| r.redirects_followed), 1);
-        assert_eq!(home.join().unwrap(), 1, "one ask at home, then the peer");
-        let run = peer.join().unwrap().expect("server ran");
-        let baseline = NetCampaign::build(params).baseline_outputs();
-        assert_eq!(
-            serde_json::to_string(&run.campaigns[0].outputs).unwrap(),
-            serde_json::to_string(&baseline).unwrap(),
-            "merged artifact must match the baseline"
-        );
-    }
-
-    /// One volunteer, one transcript: scripted servers — home redirects
-    /// to a peer, the peer has nothing, home says wait, then assigns,
-    /// then declares the campaign complete — hear from `run_agent`
+    /// One volunteer, one transcript: a scripted server — it says wait,
+    /// wait again, then assigns, then declares the campaign complete —
+    /// hears from `run_agent`
     /// exactly the frames listed here. The session hangs up before it
     /// waits, so a `Bye` and a fresh `Hello` surround the wait; every
     /// `Hello` is the same, and the report carries the kernel's docking
     /// of the workunit.
     #[test]
     fn one_volunteer_one_transcript() {
-        let ((home, home_addr), (peer, peer_addr)) = (listen(), listen());
-        let home_script = vec![
-            redirect(1, &peer_addr),
-            no_work(5),
-            assignment(5.0),
-            campaign_done(),
-        ];
-        let servers = [serve(home, home_script), serve(peer, vec![no_work(5)])];
-        let report = run_agent(AgentConfig::new(home_addr, 1)).expect("agent ran");
+        let (listener, addr) = listen();
+        let script = vec![no_work(5), no_work(5), assignment(5.0), campaign_done()];
+        let server = serve(listener, script);
+        let report = run_agent(AgentConfig::new(addr, 1)).expect("agent ran");
         assert!(report.saw_completion, "{report:?}");
-        assert_eq!((report.redirects_followed, report.accepted), (1, 1));
-        let [at_home, at_peer] = servers.map(|s| s.join().unwrap());
+        assert_eq!(report.accepted, 1);
+        let heard = server.join().unwrap();
 
         let kinds = |heard: &[Message]| -> Vec<&str> {
             let kind = |frame: &Message| match frame {
@@ -965,15 +917,15 @@ mod tests {
         };
         let waited = ["hello", "ask", "bye"];
         let rest = ["hello", "ask", "report", "ask", "bye"];
-        assert_eq!(kinds(&at_home), [&waited[..], &waited, &rest].concat());
-        assert_eq!(kinds(&at_peer), waited);
+        assert_eq!(kinds(&heard), [&waited[..], &waited, &rest].concat());
         let hello = Message::Hello {
             agent: 1,
             threads: 1,
             campaigns: Vec::new(),
         };
-        let mut hellos = at_home.iter().chain(&at_peer);
-        assert!(hellos.all(|f| !matches!(f, Message::Hello { .. }) || *f == hello));
+        assert!(heard
+            .iter()
+            .all(|f| !matches!(f, Message::Hello { .. }) || *f == hello));
         let campaign = NetCampaign::build(CampaignParams::tiny());
         let report = Message::ResultReport {
             replica: 0,
@@ -982,7 +934,7 @@ mod tests {
             output: campaign.compute(campaign.spec(0)),
         };
         assert!(
-            at_home.contains(&report),
+            heard.contains(&report),
             "the report carries workunit 0's docking"
         );
     }

@@ -331,54 +331,6 @@ pub fn render_metrics(grid: &MultiGrid) -> String {
         r.sample(&n, &[], bytes as f64);
     }
 
-    let spec = grid.spec();
-    if spec.shards > 1 {
-        let n = r.family(
-            "hcmd_shard_info",
-            MetricKind::Gauge,
-            "Shard identity: always 1, labelled with shard id and topology size",
-        );
-        let shard_id = spec.shard_id.to_string();
-        let shards = spec.shards.to_string();
-        r.sample(
-            &n,
-            &[("shard", shard_id.as_str()), ("shards", shards.as_str())],
-            1.0,
-        );
-        let n = r.family(
-            "hcmd_shard_owned_workunits",
-            MetricKind::Gauge,
-            "Workunits this shard currently owns (initial partition plus leases)",
-        );
-        r.sample(&n, &[], core.owned_count() as f64);
-        let n = r.family(
-            "hcmd_shard_fresh_backlog",
-            MetricKind::Gauge,
-            "Owned workunits never yet issued to any agent",
-        );
-        r.sample(&n, &[], core.fresh_backlog() as f64);
-        let n = r.family(
-            "hcmd_shard_redirects",
-            MetricKind::Counter,
-            "Drained-shard fetches answered with a redirect to a loaded peer",
-        );
-        r.sample(&n, &[], net.shard_redirects as f64);
-        let n = r.family(
-            "hcmd_shard_leases",
-            MetricKind::Counter,
-            "Work-stealing leases by direction (out = granted, in = adopted)",
-        );
-        r.sample(&n, &[("direction", "out")], net.shard_leases_out as f64);
-        r.sample(&n, &[("direction", "in")], net.shard_leases_in as f64);
-        let n = r.family(
-            "hcmd_shard_leased_workunits",
-            MetricKind::Counter,
-            "Workunits moved by work-stealing leases, by direction",
-        );
-        r.sample(&n, &[("direction", "out")], net.shard_wus_leased_out as f64);
-        r.sample(&n, &[("direction", "in")], net.shard_wus_leased_in as f64);
-    }
-
     let n = r.family(
         "hcmd_wasted_ref_seconds",
         MetricKind::Gauge,
@@ -614,18 +566,6 @@ pub fn render_dashboard(grid: &MultiGrid) -> String {
             .into(),
     };
 
-    let spec = grid.spec();
-    let shard_tile = match spec.shards {
-        1 => String::new(),
-        shards => format!(
-            "<div class=\"tile\"><div class=\"label\">Shard (owned / fresh)</div>\
-             <div class=\"value\">{} of {shards} ({} / {})</div></div>",
-            spec.shard_id,
-            core.owned_count(),
-            core.fresh_backlog()
-        ),
-    };
-
     let trust_tile = match &trust {
         Some(t) => format!(
             "<div class=\"tile\"><div class=\"label\">Trust bands T/P/U/Q</div>\
@@ -745,7 +685,6 @@ td.barcell {{ width: 220px; }}
   <div class="tile"><div class="label">Outstanding replicas</div><div class="value">{outstanding}</div></div>
   <div class="tile"><div class="label">Reissue queue</div><div class="value">{reissue_queue}</div></div>
   {journal_tile}
-  {shard_tile}
   {trust_tile}
 </div>
 <h2>Campaigns (share error {share_error:.3})</h2>
@@ -811,8 +750,7 @@ pub fn http_get(addr: SocketAddr, path: &str) -> io::Result<(u16, String)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::{CampaignDef, Command, Outcome};
-    use crate::shard::{lease_id, shard_of};
+    use crate::registry::CampaignDef;
     use crate::{
         CampaignParams, FsyncPolicy, JournalConfig, ServerFaults, ShardSpec, TrustConfig, Verdict,
         WorkReply,
@@ -839,7 +777,7 @@ mod tests {
         assert!(text.contains("hcmd_virtual_full_time_processors 545.0565238620925"));
         assert!(text.contains("hcmd_quorum_candidate_workunits 1"));
         assert!(text.contains("hcmd_journal_wal_records 45"));
-        assert!(text.contains("hcmd_journal_wal_bytes 34782"));
+        assert!(text.contains("hcmd_journal_wal_bytes 34778"));
         assert!(text.contains("hcmd_campaign_complete 0"));
         assert!(text.contains("hcmd_wasted_ref_seconds 9532.992553710938"));
         assert!(text.contains("hcmd_trust_enabled 1"));
@@ -855,18 +793,6 @@ mod tests {
         assert!(text.contains("hcmd_campaign_workunits{campaign=\"alpha\",state=\"done\"} 7"));
         assert!(text.contains("hcmd_campaign_share_error 0.2822596374571369"));
         assert!(text.contains("hcmd_campaign_cross_quarantine_denials_total 1"));
-        assert!(
-            !text.contains("hcmd_shard_"),
-            "an unsharded server has no shard tile"
-        );
-        let shard = render_metrics(&grids::shard());
-        assert!(shard.contains("hcmd_shard_info{shard=\"1\",shards=\"2\"} 1"));
-        assert!(shard.contains("hcmd_shard_owned_workunits 9"));
-        assert!(shard.contains("hcmd_shard_fresh_backlog 8"));
-        assert!(shard.contains("hcmd_shard_leases{direction=\"out\"} 1"));
-        assert!(shard.contains("hcmd_shard_leases{direction=\"in\"} 1"));
-        assert!(shard.contains("hcmd_shard_leased_workunits{direction=\"out\"} 2"));
-        assert!(shard.contains("hcmd_shard_leased_workunits{direction=\"in\"} 3"));
         let solo = render_metrics(&grids::solo());
         assert!(solo.contains("hcmd_deadline_expiries 1"));
         assert!(solo.contains("hcmd_results_rejected{layer=\"bounds\"} 1"));
@@ -887,7 +813,7 @@ mod tests {
             ("7/16", "workunit progress tile"),
             ("7/8", "receptor 0 progression"),
             ("545.06", "VFTP tile"),
-            ("45 / 34782", "journal records / bytes tile"),
+            ("45 / 34778", "journal records / bytes tile"),
             ("<td>9</td>", "agent row"),
             ("2 / 10 / 0 / 1", "trust band tile"),
             ("1 / 0", "spot check tile"),
@@ -898,8 +824,6 @@ mod tests {
         ] {
             assert!(html.contains(needle), "missing {why}: {needle}");
         }
-        let shard = render_dashboard(&grids::shard());
-        assert!(shard.contains("1 of 2 (9 / 8)"), "missing shard tile");
         let solo = render_dashboard(&grids::solo());
         assert!(solo.contains("Trust policy"), "missing trust-off tile");
         // Self-contained: no external fetches of any kind.
@@ -969,19 +893,19 @@ mod tests {
 
     // ---- Scrapes of a live loop, taken between its turns. ----
 
-    use crate::world::{Server, World};
+    use crate::world::{Server, World, ADDR};
     use crate::AgentConfig;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
     /// A solo server with an ops listener, and three honest volunteers.
     fn scraped() -> World {
-        let mut world = World::new(vec![Server {
+        let mut world = World::new(Server {
             ops: true,
-            ..Server::shard(0, 1)
-        }]);
+            ..Server::tiny()
+        });
         for agent in 1..=3 {
-            world.volunteer(AgentConfig::new("shard-0", agent));
+            world.volunteer(AgentConfig::new(ADDR, agent));
         }
         world
     }
@@ -1004,8 +928,7 @@ mod tests {
         let (mut last, mut scrapes) = (None, 0);
         world.finish(&mut ChaCha8Rng::seed_from_u64(5), |world, step| {
             if step % 10 == 0 {
-                if let ((200, metrics), (200, html)) = (world.get(0, "/metrics"), world.get(0, "/"))
-                {
+                if let ((200, metrics), (200, html)) = (world.get("/metrics"), world.get("/")) {
                     scrapes += 1;
                     last = Some((metrics, html));
                 }
@@ -1015,8 +938,8 @@ mod tests {
         assert!(scrapes >= 2, "{scrapes} scrapes");
         world.assert_the_end();
 
-        let state = world.state(0);
-        let wu = world.loops[0].core.slots()[0].campaign.len();
+        let state = world.state();
+        let wu = world.lp.core.slots()[0].campaign.len();
         let count = |n: usize| Some(n as f64);
         assert_eq!(metric(&metrics, "hcmd_campaign_complete"), Some(1.0));
         assert_eq!(
@@ -1064,13 +987,13 @@ mod tests {
     #[test]
     fn malformed_requests_get_4xx_and_leave_scheduler_state_alone() {
         let mut world = scraped();
-        let (status, before) = world.get(0, "/metrics");
+        let (status, before) = world.get("/metrics");
         assert_eq!(status, 200);
-        assert_eq!(world.get(0, "/nope").0, 404);
-        assert_eq!(world.get(0, &format!("/{}", "a".repeat(4096))).0, 414);
-        let raw = world.scrape(0, "POST /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
+        assert_eq!(world.get("/nope").0, 404);
+        assert_eq!(world.get(&format!("/{}", "a".repeat(4096))).0, 414);
+        let raw = world.scrape("POST /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
         assert!(raw.starts_with("HTTP/1.1 405"), "got: {raw}");
-        let (status, after) = world.get(0, "/metrics");
+        let (status, after) = world.get("/metrics");
         assert_eq!(status, 200);
         // Only the net.ops.* registry counters (with telemetry compiled
         // in) may differ between the two scrapes.

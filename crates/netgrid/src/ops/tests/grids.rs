@@ -1,23 +1,21 @@
-//! Three grids stepped by hand for the ops endpoint to render, shared by
+//! Two grids stepped by hand for the ops endpoint to render, shared by
 //! the unit tests of `ops.rs` and `tests/ops_golden.rs` (which includes
 //! this file by path). The netgrid names come from the including module,
 //! so the file compiles inside the crate and outside it.
 //!
-//! Between them the three renders show a non-zero value in every family
+//! Between them the two renders show a non-zero value in every family
 //! an operator reads: a validated quorum pair, a bounds reject and an
 //! expiry (`solo`); quorum rejects, a waiting quorum candidate, a
 //! quarantined agent, a cross-campaign quarantine denial, a spot check,
-//! the wal and both campaign rows (`contended`); leases in each
-//! direction (`shard`).
+//! the wal and both campaign rows (`contended`).
 
 use super::{
-    lease_id, shard_of, CampaignDef, CampaignParams, Command, FsyncPolicy, JournalConfig,
-    MultiGrid, Outcome, ServerFaults, ShardSpec, TrustConfig, Verdict, WorkReply,
+    CampaignDef, CampaignParams, FsyncPolicy, JournalConfig, MultiGrid, ServerFaults, ShardSpec,
+    TrustConfig, Verdict, WorkReply,
 };
 use gridsim::sched::{ReplicaAssignment, ServerConfig};
 use gridsim::SimTime;
 use maxdo::DockingOutput;
-use std::borrow::Cow;
 use std::path::Path;
 
 fn t(seconds: f64) -> SimTime {
@@ -27,14 +25,13 @@ fn t(seconds: f64) -> SimTime {
 fn open(
     defs: Vec<CampaignDef>,
     faults: ServerFaults,
-    spec: ShardSpec,
     journal: Option<&JournalConfig>,
 ) -> MultiGrid {
     let scheduler = ServerConfig {
         deadline_seconds: 5.0,
         ..ServerConfig::default()
     };
-    MultiGrid::open(defs, scheduler, faults, spec, journal)
+    MultiGrid::open(defs, scheduler, faults, ShardSpec::solo(), journal)
         .expect("a fixture grid opens")
         .0
 }
@@ -86,7 +83,7 @@ fn pair(grid: &mut MultiGrid, now: f64, agents: [u64; 2], attached: &[bool]) {
 /// pair, a bounds reject, and a replica that expires.
 pub fn solo() -> MultiGrid {
     let solo = vec![CampaignDef::default_solo(CampaignParams::tiny())];
-    let mut grid = open(solo, ServerFaults::default(), ShardSpec::solo(), None);
+    let mut grid = open(solo, ServerFaults::default(), None);
     let one = [true];
     pair(&mut grid, 1.0, [1, 2], &one);
     let wrong = fetch(&mut grid, 2.0, 3, &one);
@@ -130,7 +127,7 @@ pub fn contended(dir: &Path) -> MultiGrid {
         fsync: FsyncPolicy::Never,
         ..JournalConfig::new(dir)
     };
-    let mut grid = open(roster, faults, ShardSpec::solo(), Some(&journal));
+    let mut grid = open(roster, faults, Some(&journal));
     let (alpha, beta) = ([true, false], [false, true]);
 
     // Two pairs make agents 1 and 2 trusted: agent 1's next workunit is
@@ -193,35 +190,5 @@ pub fn contended(dir: &Path) -> MultiGrid {
     );
     pair(&mut grid, now + 1.0, [40, 41], &beta);
     assert!(grid.cross_quarantine_denials >= 1);
-    grid
-}
-
-/// Shard 1 of 2 of the tiny campaign: a lease granted to shard 0, one
-/// adopted from it, and a validated pair.
-pub fn shard() -> MultiGrid {
-    let solo = vec![CampaignDef::default_solo(CampaignParams::tiny())];
-    let spec = ShardSpec {
-        shard_id: 1,
-        shards: 2,
-    };
-    let mut grid = open(solo, ServerFaults::default(), spec, None);
-    let out = Command::Grant {
-        campaign: 0,
-        to_shard: 0,
-        max: 2,
-    };
-    assert!(matches!(grid.apply(t(1.0), &out), Outcome::Granted { .. }));
-    let catalog = &grid.slots()[0].campaign;
-    let theirs: Vec<u32> = (0..catalog.len() as u32)
-        .filter(|&wu| shard_of(&catalog.spec(wu), 2) == 0)
-        .take(3)
-        .collect();
-    let into = Command::Adopt {
-        campaign: 0,
-        lease: lease_id(0, 0),
-        wus: Cow::Owned(theirs),
-    };
-    assert!(matches!(grid.apply(t(1.5), &into), Outcome::Adopted(3)));
-    pair(&mut grid, 2.0, [1, 2], &[true]);
     grid
 }

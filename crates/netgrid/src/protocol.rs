@@ -1,8 +1,7 @@
 //! The wire protocol: length-prefixed, versioned, checksummed frames.
 //!
-//! Every message between a volunteer agent and the task server (and
-//! between two shards) travels as one frame, in the one dialect this
-//! grid speaks:
+//! Every message between a volunteer agent and the task server travels
+//! as one frame, in the one dialect this grid speaks:
 //!
 //! ```text
 //! offset  size  field
@@ -24,7 +23,7 @@
 //!
 //! There is one dialect because there is one agent build: the project
 //! ships the agent its volunteers run, so every peer understands every
-//! message — shard redirects, campaign attachments and all — and nothing
+//! message — campaign attachments and all — and nothing
 //! is negotiated. A frame with any other version byte is refused as soon
 //! as its 17 header bytes have arrived ([`DecodeError::UnsupportedVersion`]);
 //! the payload is never looked at. The layout is a format:
@@ -50,10 +49,10 @@
 //! journal, which is why the hash runs at memory speed rather than a
 //! byte per multiply. A frame sealed by a build from before the switch
 //! (FNV-1a 64 in the same 8 bytes) fails with [`DecodeError::Checksum`].
-//! FNV-1a survives as [`fnv1a64`] for two small *keyed draws* only — the
-//! shard map and the spot-check dice, a dozen bytes each — because their
-//! outputs are pinned by every sharded artifact and every journaled
-//! spot-check decision, and at that size its speed is irrelevant.
+//! FNV-1a survives as [`fnv1a64`] for one small *keyed draw* only — the
+//! spot-check dice, a dozen bytes — because its outputs are pinned by
+//! every journaled spot-check decision, and at that size its speed is
+//! irrelevant.
 //!
 //! [`encode_with`]/[`decode_versioned`] are pure buffer transforms
 //! (proptested for round-trip identity, truncation and oversize
@@ -213,81 +212,6 @@ pub enum Message {
     },
     /// Agent → server: clean shutdown of the connection.
     Bye,
-    /// Agent → server: "which shards run this campaign?".
-    ShardMapRequest,
-    /// Server → agent, reply to `ShardMapRequest`: the campaign's
-    /// static shard topology. Workunit homes derive deterministically
-    /// from the catalog (`shard::shard_of`), so the addresses are all
-    /// an agent needs to navigate.
-    ShardMap {
-        /// Number of shards the catalog is split across.
-        shards: u16,
-        /// The replying server's shard id.
-        self_shard: u16,
-        /// Listen address of every shard, indexed by shard id.
-        addrs: Vec<String>,
-    },
-    /// Server → agent, reply to `RequestWork` when this shard is
-    /// drained but a peer still has fresh backlog: ask there instead.
-    /// An agent follows at most one redirect per work request.
-    Redirect {
-        /// The shard worth asking.
-        shard: u16,
-        /// Its listen address.
-        addr: String,
-    },
-    /// Shard → shard steering gossip: the sender's load picture. Sent
-    /// periodically to every peer; the receiver answers `LeaseGrant`
-    /// (when the sender is hungry and the receiver has backlog) or
-    /// `StatusAck`.
-    ShardStatus {
-        /// Sending shard id.
-        shard: u16,
-        /// Owned workunits no replica was ever issued for.
-        fresh_backlog: u64,
-        /// Replicas issued and not yet resolved.
-        outstanding: u64,
-        /// The sender's owned workunits are all validated.
-        complete: bool,
-        /// The sender has agents asking and nothing fresh to issue —
-        /// the signal that invites a lease. Distinct from
-        /// `fresh_backlog == 0`: a drained shard with *no* agent demand
-        /// does not ask for work, which is what stops two idle shards
-        /// ping-ponging ownership forever.
-        hungry: bool,
-        /// Ids of leases the sender has already adopted *from the
-        /// receiving shard*, so a lessor that crashed after journaling
-        /// a grant but before replying can re-send missing grants.
-        leases_held: Vec<u64>,
-        /// Which campaign (registry slot index) this load picture and
-        /// its lease bookkeeping concern. A multi-campaign shard fleet
-        /// shares one `--campaign` roster, so indices agree fleet-wide.
-        campaign: u16,
-    },
-    /// Shard → shard: a work-stealing lease. Ownership of `wus` moves
-    /// from `from_shard` to the hungry receiver; both sides journal the
-    /// transfer, and re-application is idempotent.
-    LeaseGrant {
-        /// Lease id: `from_shard` in the top 16 bits, grant sequence
-        /// below — stable across replay, so duplicates are detectable.
-        lease: u64,
-        /// The granting (previously owning) shard.
-        from_shard: u16,
-        /// Leased workunits (a contiguous tail slice of the grantor's
-        /// launch-ordered fresh queue).
-        wus: Vec<u32>,
-        /// The grantor's own completion state, piggybacked.
-        complete: bool,
-        /// The campaign (registry slot index) whose ownership moves.
-        campaign: u16,
-    },
-    /// Shard → shard, reply to `ShardStatus` when no lease moves.
-    StatusAck {
-        /// Replying shard id.
-        shard: u16,
-        /// The replier's owned workunits are all validated.
-        complete: bool,
-    },
 }
 
 /// Why a buffer failed to decode.
@@ -509,10 +433,8 @@ impl Checksum64 {
     }
 }
 
-/// FNV-1a 64-bit. It survives for exactly two *keyed draws* over a
-/// dozen bytes, whose outputs are pinned elsewhere and must not move:
-/// [`crate::shard::shard_of`] (which shard owns a workunit — every
-/// sharded artifact depends on the split) and
+/// FNV-1a 64-bit. It survives for exactly one *keyed draw* over a dozen
+/// bytes, whose outputs are pinned elsewhere and must not move:
 /// [`crate::trust::spot_selected`] (the spot-check dice). No buffer is
 /// hashed with it: frames and fingerprints use [`checksum64`]; the
 /// journal calls it once more, only to recognise the first frame of a
@@ -753,12 +675,6 @@ pub mod binary {
     const TAG_RESULT_REPORT: u8 = 6;
     const TAG_RESULT_ACK: u8 = 7;
     const TAG_BYE: u8 = 8;
-    const TAG_SHARD_MAP_REQUEST: u8 = 9;
-    const TAG_SHARD_MAP: u8 = 10;
-    const TAG_REDIRECT: u8 = 11;
-    const TAG_SHARD_STATUS: u8 = 12;
-    const TAG_LEASE_GRANT: u8 = 13;
-    const TAG_STATUS_ACK: u8 = 14;
 
     /// Bytes of one fixed-width docking row record.
     pub const ROW_BYTES: usize = 4 + 4 + 24 + 24 + 8 + 8;
@@ -812,18 +728,6 @@ pub mod binary {
         pub(crate) fn str(&mut self, s: &str) {
             self.u32(s.len() as u32);
             self.0.extend_from_slice(s.as_bytes());
-        }
-        pub(crate) fn u32s(&mut self, v: &[u32]) {
-            self.u32(v.len() as u32);
-            for &x in v {
-                self.u32(x);
-            }
-        }
-        fn u64s(&mut self, v: &[u64]) {
-            self.u32(v.len() as u32);
-            for &x in v {
-                self.u64(x);
-            }
         }
         pub(crate) fn params(&mut self, p: &super::CampaignParams) {
             self.u32(p.proteins);
@@ -1074,62 +978,6 @@ pub mod binary {
                 w.flag(*campaign_complete);
             }
             Message::Bye => w.u8(TAG_BYE),
-            Message::ShardMapRequest => w.u8(TAG_SHARD_MAP_REQUEST),
-            Message::ShardMap {
-                shards,
-                self_shard,
-                addrs,
-            } => {
-                w.u8(TAG_SHARD_MAP);
-                w.u16(*shards);
-                w.u16(*self_shard);
-                w.u32(addrs.len() as u32);
-                for a in addrs {
-                    w.str(a);
-                }
-            }
-            Message::Redirect { shard, addr } => {
-                w.u8(TAG_REDIRECT);
-                w.u16(*shard);
-                w.str(addr);
-            }
-            Message::ShardStatus {
-                shard,
-                fresh_backlog,
-                outstanding,
-                complete,
-                hungry,
-                leases_held,
-                campaign,
-            } => {
-                w.u8(TAG_SHARD_STATUS);
-                w.u16(*shard);
-                w.u64(*fresh_backlog);
-                w.u64(*outstanding);
-                w.flag(*complete);
-                w.flag(*hungry);
-                w.u64s(leases_held);
-                w.u16(*campaign);
-            }
-            Message::LeaseGrant {
-                lease,
-                from_shard,
-                wus,
-                complete,
-                campaign,
-            } => {
-                w.u8(TAG_LEASE_GRANT);
-                w.u64(*lease);
-                w.u16(*from_shard);
-                w.u32s(wus);
-                w.flag(*complete);
-                w.u16(*campaign);
-            }
-            Message::StatusAck { shard, complete } => {
-                w.u8(TAG_STATUS_ACK);
-                w.u16(*shard);
-                w.flag(*complete);
-            }
         }
         w.0
     }
@@ -1186,43 +1034,6 @@ pub mod binary {
                 campaign_complete: r.flag()?,
             },
             TAG_BYE => Message::Bye,
-            TAG_SHARD_MAP_REQUEST => Message::ShardMapRequest,
-            TAG_SHARD_MAP => {
-                let shards = r.u16()?;
-                let self_shard = r.u16()?;
-                // Addresses are variable-width; each str() re-checks the
-                // remaining bytes, so a 1-byte element floor suffices.
-                let addrs = r.counted(1, |r| r.str())?;
-                Message::ShardMap {
-                    shards,
-                    self_shard,
-                    addrs,
-                }
-            }
-            TAG_REDIRECT => Message::Redirect {
-                shard: r.u16()?,
-                addr: r.str()?,
-            },
-            TAG_SHARD_STATUS => Message::ShardStatus {
-                shard: r.u16()?,
-                fresh_backlog: r.u64()?,
-                outstanding: r.u64()?,
-                complete: r.flag()?,
-                hungry: r.flag()?,
-                leases_held: r.counted(8, |r| r.u64())?,
-                campaign: r.u16()?,
-            },
-            TAG_LEASE_GRANT => Message::LeaseGrant {
-                lease: r.u64()?,
-                from_shard: r.u16()?,
-                wus: r.counted(4, |r| r.u32())?,
-                complete: r.flag()?,
-                campaign: r.u16()?,
-            },
-            TAG_STATUS_ACK => Message::StatusAck {
-                shard: r.u16()?,
-                complete: r.flag()?,
-            },
             other => return Err(format!("unknown message tag {other:#04x}")),
         };
         r.finish()?;
@@ -1300,37 +1111,6 @@ pub(crate) mod tests {
                 campaign_complete: false,
             },
             Message::Bye,
-            Message::ShardMapRequest,
-            Message::ShardMap {
-                shards: 2,
-                self_shard: 1,
-                addrs: vec!["127.0.0.1:7070".into(), "127.0.0.1:7071".into()],
-            },
-            Message::Redirect {
-                shard: 0,
-                addr: "127.0.0.1:7070".into(),
-            },
-            Message::ShardStatus {
-                shard: 1,
-                fresh_backlog: 0,
-                outstanding: 3,
-                complete: false,
-                hungry: true,
-                leases_held: vec![(1u64 << 48) | 2],
-                campaign: 1,
-            },
-            Message::LeaseGrant {
-                // Grantor shard 0, sequence 1.
-                lease: 1,
-                from_shard: 0,
-                wus: vec![11, 12, 13],
-                complete: false,
-                campaign: 1,
-            },
-            Message::StatusAck {
-                shard: 0,
-                complete: true,
-            },
         ]
     }
 
@@ -1436,20 +1216,16 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn shard_vector_counts_are_checked_before_allocation() {
-        let payload = binary::encode(&Message::ShardStatus {
-            shard: 0,
-            fresh_backlog: 1,
-            outstanding: 1,
-            complete: false,
-            hungry: false,
-            leases_held: vec![7],
-            campaign: 0,
+    fn vector_counts_are_checked_before_allocation() {
+        let payload = binary::encode(&Message::Hello {
+            agent: 9,
+            threads: 1,
+            campaigns: vec!["alpha".into()],
         });
-        // Inflate the lease count far past the payload: must be a
+        // Inflate the campaign count far past the payload: must be a
         // payload error, not an attempted huge allocation.
         let mut bad = payload.clone();
-        let count_off = 1 + 2 + 8 + 8 + 1 + 1;
+        let count_off = 1 + 8 + 4; // tag + agent + threads
         bad[count_off..count_off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         let frame = frame_payload_versioned(PROTOCOL_VERSION, &bad);
         assert!(matches!(decode(&frame), Err(DecodeError::Payload(_))));
@@ -1463,7 +1239,7 @@ pub(crate) mod tests {
     #[test]
     fn counted_vector_reservation_is_capped_by_the_payload_remainder() {
         let remaining = MAX_FRAME_BYTES;
-        // Worst case: `ShardMap` address strings — count can legally be
+        // Worst case: `Hello` campaign names — count can legally be
         // as large as the remainder, but each `String` is 24 in-memory
         // bytes, so an uncapped reservation would be ~24x the frame cap.
         let cap = binary::bounded_capacity::<String>(remaining, 1, remaining);
@@ -1478,19 +1254,19 @@ pub(crate) mod tests {
         assert_eq!(binary::bounded_capacity::<String>(0, 1, 0), 0);
     }
 
-    /// End to end: a ShardMap frame whose address count is inflated to
+    /// End to end: a `Hello` frame whose campaign count is inflated to
     /// the maximum value the wire-floor check accepts decodes to a clean
     /// payload error (the first element read runs out of bytes) without
     /// ballooning memory first.
     #[test]
     fn inflated_string_count_is_a_payload_error_not_an_allocation() {
-        let payload = binary::encode(&Message::ShardMap {
-            shards: 2,
-            self_shard: 0,
-            addrs: vec!["127.0.0.1:7070".into()],
+        let payload = binary::encode(&Message::Hello {
+            agent: 9,
+            threads: 1,
+            campaigns: vec!["alpha".into()],
         });
         let mut bad = payload.clone();
-        let count_off = 1 + 2 + 2; // tag + shards + self_shard
+        let count_off = 1 + 8 + 4; // tag + agent + threads
         let remaining = bad.len() - count_off - 4;
         bad[count_off..count_off + 4].copy_from_slice(&(remaining as u32).to_le_bytes());
         let frame = frame_payload_versioned(PROTOCOL_VERSION, &bad);

@@ -1,10 +1,9 @@
-//! One server's decisions: the multi-campaign registry, its picture of
-//! its peer shards, and the server half of the wire protocol.
+//! One server's decisions: the multi-campaign registry and the server
+//! half of the wire protocol.
 //!
-//! [`MultiGrid`] is told what happened and when — a decoded frame on an
-//! inbound connection or on this shard's own link to a peer, a sweep or
-//! steering tick, a steering connection gone — and answers with the
-//! frames to queue and, when the dialogue is over, the close reason. It
+//! [`MultiGrid`] is told what happened and when — a decoded frame on a
+//! volunteer's connection, a sweep tick — and answers with the frames
+//! to queue and, when the dialogue is over, the close reason. It
 //! names no socket, thread or clock: [`crate::server`]'s loop moves the
 //! bytes and keeps the time, a test steps a grid by hand, and
 //! `agent::Session` is the same shape on the volunteer's side. The ops
@@ -43,14 +42,13 @@ use crate::campaign::NetCampaign;
 use crate::faults::ServerFaults;
 use crate::journal::{self, JournalConfig, JournalRecord, Wal, JOURNAL_FORMAT};
 use crate::protocol::{encode_with, CampaignParams, Codec, Message, PROTOCOL_VERSION};
-use crate::shard::{lease_grantor, ShardSpec, LEASE_CHUNK, STEER_TIMEOUT_MS};
+use crate::shard::ShardSpec;
 use crate::state::{GridState, ResultDisposition, Verdict, WorkReply};
 use gridsim::sched::{ReplicaId, ServerConfig};
 use gridsim::{CampaignShare, FairShare, SimTime};
 use maxdo::DockingOutput;
 use serde::Serialize;
 use std::borrow::Cow;
-use std::collections::VecDeque;
 use std::io;
 use std::sync::Arc;
 use telemetry::{self, Event};
@@ -210,22 +208,6 @@ pub enum Command<'a> {
     },
     /// A deadline sweep of every campaign.
     Sweep,
-    /// A lease of at most `max` never-issued workunits of `campaign`,
-    /// cut for hungry peer `to_shard`.
-    Grant {
-        campaign: u16,
-        to_shard: u16,
-        max: u32,
-    },
-    /// Peer lease `lease` ([`crate::shard::lease_id`]) of `campaign`'s
-    /// workunits `wus`, adopted.
-    Adopt {
-        campaign: u16,
-        lease: u64,
-        wus: Cow<'a, [u32]>,
-    },
-    /// Peer `shard` has its slice of `campaign` validated.
-    PeerComplete { campaign: u16, shard: u16 },
 }
 
 /// What [`MultiGrid::apply`] decided. Replay compares the recorded one
@@ -239,76 +221,15 @@ pub enum Outcome {
     Judged(ResultDisposition),
     /// Replicas a sweep expired (at least one).
     Expired(u64),
-    /// A lease cut: its id and the workunits it moved away.
-    Granted { lease: u64, wus: Vec<u32> },
-    /// Workunits an adopted lease moved here.
-    Adopted(u64),
-    /// A peer's completion, news to its board.
-    Noted,
-    /// Nothing changed — the sweep expired nothing, nothing was
-    /// leaseable, the lease was held already, the completion known, or
-    /// the command names a campaign or shard this server does not have.
-    /// Never recorded.
+    /// Nothing changed — the sweep expired nothing, or the report names
+    /// a campaign this server does not have. Never recorded.
     Unchanged,
 }
 
-/// What this shard knows about its peers on one campaign, fed by both
-/// gossip directions (inbound `ShardStatus` frames and the replies
-/// arriving on its own links).
-#[derive(Clone, PartialEq)]
-pub(crate) struct ShardBoard {
-    /// Sticky per-shard completion: once a peer reports its owned
-    /// slice validated, that never un-happens (leases only move
-    /// never-issued work, and a complete shard has none). Moved only by
-    /// [`Command::PeerComplete`], so a restart remembers it.
-    pub(crate) complete: Vec<bool>,
-    /// Each peer's last advertised fresh backlog — the redirect target
-    /// picker's input. Zeroed when a steering connection to or from the
-    /// peer closes, or a dial to it fails: an advert lives no longer
-    /// than the link it rode.
-    pub(crate) backlog: Vec<u64>,
-    /// Shards that need no more word of this shard's completion of the
-    /// campaign: this one, and each peer that acked a status that said
-    /// complete (and so holds it in its wal) or could not be dialed once
-    /// both were complete.
-    pub(crate) settled: Vec<bool>,
-}
-
-impl ShardBoard {
-    fn new(spec: ShardSpec) -> Self {
-        let shards = usize::from(spec.shards);
-        let mut settled = vec![false; shards];
-        settled[usize::from(spec.shard_id)] = true;
-        Self {
-            complete: vec![false; shards],
-            backlog: vec![0; shards],
-            settled,
-        }
-    }
-
-    /// True when every shard but `me` has reported completion.
-    pub(crate) fn peers_complete(&self, me: u16) -> bool {
-        self.complete
-            .iter()
-            .enumerate()
-            .all(|(i, &c)| c || i == usize::from(me))
-    }
-
-    /// The peer with the deepest advertised backlog, if any has one.
-    fn busiest_peer(&self, me: u16) -> Option<(u16, u64)> {
-        self.backlog
-            .iter()
-            .enumerate()
-            .filter(|&(i, &b)| i != usize::from(me) && b > 0 && !self.complete[i])
-            .max_by_key(|&(_, &b)| b)
-            .map(|(i, &b)| (i as u16, b))
-    }
-}
-
-/// One registered campaign: definition, materialised catalog, the
-/// isolated scheduling/validation state, and what the peers have said
-/// about it. Two slots are `==` when their books are: the catalog is
-/// compared by the definition it is built from.
+/// One registered campaign: definition, materialised catalog and the
+/// isolated scheduling/validation state. Two slots are `==` when their
+/// books are: the catalog is compared by the definition it is built
+/// from.
 #[derive(Clone)]
 pub struct Slot {
     /// The registration this slot was built from.
@@ -317,25 +238,15 @@ pub struct Slot {
     pub campaign: Arc<NetCampaign>,
     /// Scheduling, validation, payloads — all per-campaign.
     pub state: GridState,
-    /// Peer completion/backlog picture.
-    pub(crate) board: ShardBoard,
-    /// `backoffs_sent` as of the last steering tick, and whether it had
-    /// grown since the one before — "someone asked this campaign and
-    /// got nothing", which gates hunger so an agent-less drained shard
-    /// never begs work off a loaded one.
-    demand: (u64, bool),
 }
 
 impl PartialEq for Slot {
     fn eq(&self, other: &Self) -> bool {
-        self.def == other.def
-            && self.state == other.state
-            && self.board == other.board
-            && self.demand == other.demand
+        self.def == other.def && self.state == other.state
     }
 }
 
-/// What the protocol remembers about one inbound connection; whoever
+/// What the protocol remembers about one connection; whoever
 /// carries the connection's bytes keeps it and hands it back with each
 /// frame.
 #[derive(Default)]
@@ -348,12 +259,9 @@ pub(crate) struct Caller {
     /// the default-campaign mask from the first ask of a peer that
     /// never said `Hello`. Empty until one of the two.
     attached: Vec<bool>,
-    /// The peer shard this connection is a steering link of, from its
-    /// first `ShardStatus` on.
-    pub(crate) shard: Option<u16>,
     /// Whether a `NoWork` or `ResultAck` on it said `campaign_complete`.
     pub(crate) heard: bool,
-    /// Whether its last reply, a `NoWork` or `Redirect`, sent it to rest.
+    /// Whether its last reply, a `NoWork`, sent it to rest.
     pub(crate) resting: bool,
 }
 
@@ -372,8 +280,31 @@ fn queue(out: &mut Vec<u8>, msg: &Message) {
     out.extend_from_slice(&encode_with(msg, Codec));
 }
 
-/// N campaigns, the fair-share arbiter over them, this server's picture
-/// of its peer shards and its command log. Whoever drives the server
+/// A registry [`MultiGrid::fresh`] built, and the header its wal opens
+/// with.
+#[derive(Clone)]
+pub struct Unrecovered {
+    grid: MultiGrid,
+    header: JournalRecord,
+}
+
+impl Unrecovered {
+    /// [`MultiGrid::open_bytes`] on this registry: `wal` is replayed into
+    /// it, cut back to its last whole record, and given the header when
+    /// none of it was whole. The registry and the clock offset recovery
+    /// reached.
+    pub fn recover_bytes(self, wal: &mut Vec<u8>) -> io::Result<(MultiGrid, f64)> {
+        let Self { mut grid, header } = self;
+        grid.wal = Some(journal::recover_bytes(wal, &header, |now, command| {
+            grid.apply(now, command)
+        })?);
+        let resume = grid.last_now;
+        Ok((grid, resume))
+    }
+}
+
+/// N campaigns, the fair-share arbiter over them and the command log.
+/// Whoever drives the server
 /// owns the one `MultiGrid` by value: every frame, tick and ops scrape
 /// is a call on it from one thread, in the order they were taken, each
 /// with the time it happened. It holds no I/O, so a copy is a fork of
@@ -383,13 +314,6 @@ fn queue(out: &mut Vec<u8>, msg: &Message) {
 pub struct MultiGrid {
     slots: Vec<Slot>,
     fair: FairShare,
-    /// Every shard's listen address, by shard id: what a `ShardMap` and
-    /// a `Redirect` announce. Empty until [`Self::set_addrs`].
-    addrs: Vec<String>,
-    /// Per peer, the campaign, send time and completeness of every
-    /// `ShardStatus` on this shard's link to it not yet acked, oldest
-    /// first (acks return in send order).
-    pub(crate) unacked: Vec<VecDeque<(u16, SimTime, bool)>>,
     /// Fetches denied because the agent is quarantined by *another*
     /// campaign's ledger (the cross-campaign trust gate).
     pub cross_quarantine_denials: u64,
@@ -418,6 +342,11 @@ impl MultiGrid {
     /// follow are the driver's to persist ([`Self::commit`]). A roster or
     /// policy the code cannot honour is refused (`InvalidInput`) before
     /// any catalog is built or the journal touched.
+    ///
+    /// `spec` is kept for `benchmarks/gridbench`, which names this
+    /// signature, until its next change drops it: one server carries
+    /// the campaign, so anything but [`ShardSpec::solo`] is refused
+    /// (`InvalidInput`).
     pub fn open(
         defs: Vec<CampaignDef>,
         scheduler: ServerConfig,
@@ -425,7 +354,16 @@ impl MultiGrid {
         spec: ShardSpec,
         journal: Option<&JournalConfig>,
     ) -> io::Result<(Self, f64)> {
-        let (mut grid, header) = Self::build(defs, scheduler, faults, spec)?;
+        if spec != ShardSpec::solo() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "shard {} of {}: this server runs unsharded",
+                    spec.shard_id, spec.shards
+                ),
+            ));
+        }
+        let (mut grid, header) = Self::build(defs, scheduler, faults)?;
         if let Some(cfg) = journal {
             grid.wal = Some(journal::file::recover(cfg, &header, |now, command| {
                 grid.apply(now, command)
@@ -443,15 +381,21 @@ impl MultiGrid {
         defs: Vec<CampaignDef>,
         scheduler: ServerConfig,
         faults: ServerFaults,
-        spec: ShardSpec,
         wal: &mut Vec<u8>,
     ) -> io::Result<(Self, f64)> {
-        let (mut grid, header) = Self::build(defs, scheduler, faults, spec)?;
-        grid.wal = Some(journal::recover_bytes(wal, &header, |now, command| {
-            grid.apply(now, command)
-        })?);
-        let resume = grid.last_now;
-        Ok((grid, resume))
+        Self::fresh(defs, scheduler, faults)?.recover_bytes(wal)
+    }
+
+    /// A registry built and not yet recovered: what
+    /// [`Unrecovered::recover_bytes`] replays a wal held in memory into.
+    /// A clone recovers without building a catalog again.
+    pub fn fresh(
+        defs: Vec<CampaignDef>,
+        scheduler: ServerConfig,
+        faults: ServerFaults,
+    ) -> io::Result<Unrecovered> {
+        let (grid, header) = Self::build(defs, scheduler, faults)?;
+        Ok(Unrecovered { grid, header })
     }
 
     /// A fresh, unjournaled registry and the header its wal opens with,
@@ -461,7 +405,6 @@ impl MultiGrid {
         defs: Vec<CampaignDef>,
         scheduler: ServerConfig,
         faults: ServerFaults,
-        spec: ShardSpec,
     ) -> io::Result<(Self, JournalRecord)> {
         assert!(!defs.is_empty(), "registry needs at least one campaign");
         let refuse = |e: String| io::Error::new(io::ErrorKind::InvalidInput, e);
@@ -476,7 +419,6 @@ impl MultiGrid {
             roster: defs.clone(),
             config: scheduler,
             faults,
-            shard: spec,
             format: JOURNAL_FORMAT,
         };
         let fair = FairShare::new(
@@ -493,18 +435,14 @@ impl MultiGrid {
                 let campaign = Arc::new(NetCampaign::build(def.params));
                 Slot {
                     def,
-                    state: GridState::new(&campaign, scheduler, faults, spec),
+                    state: GridState::new(&campaign, scheduler, faults),
                     campaign,
-                    board: ShardBoard::new(spec),
-                    demand: (0, false),
                 }
             })
             .collect();
         let grid = Self {
             slots,
             fair,
-            addrs: Vec::new(),
-            unacked: vec![VecDeque::new(); usize::from(spec.shards)],
             cross_quarantine_denials: 0,
             contended_share_error: None,
             last_now: 0.0,
@@ -520,7 +458,6 @@ impl MultiGrid {
     /// It is durable once the driver has committed it ([`Self::commit`]).
     pub fn apply(&mut self, now: SimTime, command: &Command) -> Outcome {
         self.last_now = self.last_now.max(now.seconds());
-        let slots = self.slots.len();
         let outcome = match *command {
             Command::Fetch {
                 agent,
@@ -529,12 +466,7 @@ impl MultiGrid {
                 let (campaign, reply) = self.arbitrate(now, agent, attached);
                 Outcome::Fetched { campaign, reply }
             }
-            Command::Report { campaign, .. }
-            | Command::Grant { campaign, .. }
-            | Command::Adopt { campaign, .. }
-            | Command::PeerComplete { campaign, .. }
-                if usize::from(campaign) >= slots =>
-            {
+            Command::Report { campaign, .. } if usize::from(campaign) >= self.slots.len() => {
                 Outcome::Unchanged
             }
             Command::Report {
@@ -552,37 +484,6 @@ impl MultiGrid {
                 0 => Outcome::Unchanged,
                 expired => Outcome::Expired(expired as u64),
             },
-            Command::Grant {
-                campaign,
-                to_shard,
-                max,
-            } => {
-                let state = &mut self.slots[usize::from(campaign)].state;
-                match state.grant_lease(to_shard, max as usize) {
-                    Some((lease, wus)) => Outcome::Granted { lease, wus },
-                    None => Outcome::Unchanged,
-                }
-            }
-            Command::Adopt {
-                campaign,
-                lease,
-                ref wus,
-            } => {
-                let state = &mut self.slots[usize::from(campaign)].state;
-                state
-                    .adopt_lease(lease, wus)
-                    .map_or(Outcome::Unchanged, |moved| Outcome::Adopted(moved as u64))
-            }
-            Command::PeerComplete { campaign, shard } => {
-                let board = &mut self.slots[usize::from(campaign)].board;
-                match board.complete.get_mut(usize::from(shard)) {
-                    Some(known @ false) => {
-                        *known = true;
-                        Outcome::Noted
-                    }
-                    _ => Outcome::Unchanged,
-                }
-            }
         };
         if let (Some(wal), false) = (&mut self.wal, outcome == Outcome::Unchanged) {
             wal.append(now.seconds(), command, &outcome);
@@ -652,12 +553,10 @@ impl MultiGrid {
         self.slots.iter().all(|s| s.state.is_campaign_complete())
     }
 
-    /// True once everything `attached` covers validated, here and on
-    /// every peer shard (not just this shard's slice of it) — what
+    /// True once everything `attached` covers validated — what
     /// `campaign_complete` means to that particular agent.
     pub fn attached_complete(&self, attached: &[bool]) -> bool {
-        let me = self.spec().shard_id;
-        let done = |s: &Slot| s.state.is_campaign_complete() && s.board.peers_complete(me);
+        let done = |s: &Slot| s.state.is_campaign_complete();
         self.slots.iter().zip(attached).all(|(s, &a)| !a || done(s))
     }
 
@@ -858,44 +757,10 @@ impl MultiGrid {
         attached.iter().position(|&a| a).unwrap_or(0) as u16
     }
 
-    /// This server's place in the shard topology (every campaign's
-    /// state was opened under the same one).
-    pub(crate) fn spec(&self) -> ShardSpec {
-        self.slots[0].state.shard()
-    }
-
-    /// Every shard's listen address, by shard id (this server's own
-    /// among them) — the caller has checked there is one per shard.
-    pub(crate) fn set_addrs(&mut self, addrs: Vec<String>) {
-        self.addrs = addrs;
-    }
-
-    pub(crate) fn addr(&self, shard: u16) -> &str {
-        &self.addrs[usize::from(shard)]
-    }
-
-    /// The *whole roster* done here and on every peer. Both halves are
-    /// sticky — a complete slice has nothing left to issue, audit or
-    /// lease, and a board never forgets a peer's completion, not even
-    /// across a restart — so this is read, not latched.
-    pub(crate) fn done(&self) -> bool {
-        let me = self.spec().shard_id;
-        self.all_complete() && self.slots.iter().all(|s| s.board.peers_complete(me))
-    }
-
-    /// The peers' half of the server's shutdown condition: [`Self::done`],
-    /// and every peer has heard so or is past hearing it — settled on
-    /// every board. No timer decides a peer (the volunteers' half is
-    /// the event loop's: [`crate::event_loop::Loop::over`]).
-    pub(crate) fn may_leave(&self) -> bool {
-        let settled = |s: &Slot| s.board.settled.iter().all(|&ok| ok);
-        self.done() && self.slots.iter().all(settled)
-    }
-
-    /// One decoded frame from an inbound connection — a volunteer, or a
-    /// peer's steering link — at `now`: makes the scheduler call it
-    /// maps to and queues the reply on `out`. `Err` closes the
-    /// connection (once queued replies flush) with that reason.
+    /// One decoded frame from a volunteer's connection at `now`: makes
+    /// the scheduler call it maps to and queues the reply on `out`.
+    /// `Err` closes the connection (once queued replies flush) with that
+    /// reason.
     pub(crate) fn inbound(
         &mut self,
         now: SimTime,
@@ -951,13 +816,13 @@ impl MultiGrid {
                             retry_after_ms,
                             campaign_complete,
                         },
-                    ) => self.try_redirect(mask).unwrap_or_else(|| {
+                    ) => {
                         caller.heard |= campaign_complete;
                         Message::NoWork {
                             campaign_complete,
                             retry_after_ms,
                         }
-                    }),
+                    }
                 }
             }
             // A stale or forged campaign index is refused, not clamped
@@ -990,265 +855,13 @@ impl MultiGrid {
                     campaign_complete: complete,
                 }
             }
-            Message::ShardMapRequest => Message::ShardMap {
-                shards: self.spec().shards,
-                self_shard: self.spec().shard_id,
-                addrs: self.addrs.clone(),
-            },
-            // One inbound gossip frame: update the board, grant what the
-            // sender is owed or hungry for, and ack. A connection speaks
-            // for one shard: a status in another's name than its first
-            // is refused like one from no shard at all.
-            Message::ShardStatus {
-                shard,
-                fresh_backlog,
-                outstanding: _,
-                complete,
-                hungry,
-                leases_held,
-                campaign,
-            } => {
-                let (me, c) = (self.spec().shard_id, usize::from(campaign));
-                let renamed = caller.shard.is_some_and(|was| was != shard);
-                if shard >= self.spec().shards || shard == me || c >= self.len() || renamed {
-                    return Err("protocol");
-                }
-                caller.shard = Some(shard);
-                self.slots[c].board.backlog[usize::from(shard)] = fresh_backlog;
-                self.hear_complete(now, campaign, shard, complete);
-                let complete = self.grant_leases(now, campaign, shard, hungry, leases_held, out);
-                Message::StatusAck {
-                    shard: me,
-                    complete,
-                }
-            }
             Message::Bye => return Err("bye"),
-            // Server-to-agent and reply frames arriving here mean a
-            // confused peer (LeaseGrant/StatusAck only ever travel as
-            // replies on a steering link this shard dialed).
+            // Server-to-agent frames arriving here mean a confused peer.
             _ => return Err("protocol"),
         };
-        caller.resting = matches!(reply, Message::NoWork { .. } | Message::Redirect { .. });
+        caller.resting = matches!(reply, Message::NoWork { .. });
         queue(out, &reply);
         Ok(())
-    }
-
-    /// A peer said whether its slice of `campaign` is complete; the
-    /// first time a board hears that it is, the completion is recorded
-    /// ([`Command::PeerComplete`]).
-    fn hear_complete(&mut self, now: SimTime, campaign: u16, shard: u16, complete: bool) {
-        if complete {
-            self.apply(now, &Command::PeerComplete { campaign, shard });
-        }
-    }
-
-    /// The grants a `ShardStatus` from `shard` draws on `campaign`:
-    /// re-sends any the sender has not adopted, else cuts a fresh lease
-    /// ([`Command::Grant`]) if it is hungry and this shard has backlog
-    /// to spare. Returns whether this shard's slice is complete, as
-    /// every grant says. The grant is journaled *before* its frame is
-    /// queued, and the frame leaves only after [`Self::commit`], so a
-    /// power cut can lose a grant only before anyone holds it.
-    fn grant_leases(
-        &mut self,
-        now: SimTime,
-        campaign: u16,
-        shard: u16,
-        hungry: bool,
-        leases_held: Vec<u64>,
-        out: &mut Vec<u8>,
-    ) -> bool {
-        let from_shard = self.spec().shard_id;
-        let s = &self.slots[usize::from(campaign)].state;
-        let complete = s.is_campaign_complete();
-        let grant = |(lease, wus)| Message::LeaseGrant {
-            lease,
-            from_shard,
-            wus,
-            complete,
-            campaign,
-        };
-        // Re-send grants missing from the sender's holdings: our
-        // journal says granted, theirs never said adopted — the grant
-        // frame died with a connection or a crash. Idempotent on their
-        // side, so over-sending is harmless.
-        let mut resent = false;
-        for missing in s.leases_granted_to(shard) {
-            if !leases_held.contains(&missing.0) {
-                queue(out, &grant(missing));
-                resent = true;
-            }
-        }
-        if hungry && !resent {
-            let cut = Command::Grant {
-                campaign,
-                to_shard: shard,
-                max: LEASE_CHUNK as u32,
-            };
-            if let Outcome::Granted { lease, wus } = self.apply(now, &cut) {
-                queue(out, &grant((lease, wus)));
-            }
-        }
-        complete
-    }
-
-    /// Applies one frame `peer` sent back on this shard's own steering
-    /// link: a lease grant is adopted ([`Command::Adopt`]), an ack (the
-    /// oldest unanswered status's — acks return in send order) settles
-    /// the peer if that status said complete. Both update the board;
-    /// neither is replied to. A frame that speaks for anyone but `peer`
-    /// — a grant cut by or attributed to another shard, an ack in a
-    /// third shard's name — or names a campaign this server does not
-    /// host changes nothing and closes the link.
-    pub(crate) fn link_frame(
-        &mut self,
-        now: SimTime,
-        peer: u16,
-        msg: Message,
-    ) -> Result<(), &'static str> {
-        match msg {
-            Message::LeaseGrant {
-                lease,
-                from_shard,
-                wus,
-                complete,
-                campaign,
-            } => {
-                let c = usize::from(campaign);
-                if c >= self.len() || from_shard != peer || lease_grantor(lease) != peer {
-                    return Err("protocol");
-                }
-                let wus = Cow::Owned(wus);
-                self.apply(
-                    now,
-                    &Command::Adopt {
-                        campaign,
-                        lease,
-                        wus,
-                    },
-                );
-                self.hear_complete(now, campaign, from_shard, complete);
-            }
-            Message::StatusAck { shard, complete } => {
-                if shard != peer {
-                    return Err("protocol");
-                }
-                let (campaign, _, said_complete) = self.unacked[usize::from(peer)]
-                    .pop_front()
-                    .ok_or("protocol")?;
-                let board = &mut self.slots[usize::from(campaign)].board;
-                board.settled[usize::from(peer)] |= said_complete;
-                self.hear_complete(now, campaign, shard, complete);
-            }
-            // The peer is over its connection limit; the next steering
-            // tick dials again.
-            Message::Busy { .. } => return Err("busy"),
-            _ => return Err("protocol"),
-        }
-        Ok(())
-    }
-
-    /// When this shard has nothing to issue but a peer advertises
-    /// fresh backlog, answer an agent's ask with a `Redirect` there
-    /// instead of a backoff. The agent follows at most one redirect per
-    /// ask, and the target was advertising work moments ago over a
-    /// connection that is still open, so a bounce chain cannot form.
-    ///
-    /// A shard whose own slice is already complete redirects too: it
-    /// is the one state in which it can never again look hungry (a
-    /// complete slice is skipped by `fetch`, so it records no demand
-    /// and begs no lease), and volunteers parked on it would otherwise
-    /// poll `NoWork` for ever while a peer's backlog sat untouched. A
-    /// slice that validates within one steering interval gets there
-    /// before the first lease could have been cut.
-    pub(crate) fn try_redirect(&mut self, attached: &[bool]) -> Option<Message> {
-        // A backoff with backlog still on hand was a trust denial
-        // (quarantine), not a drained queue: the agent waits here.
-        let on_hand = |(s, &a): (&Slot, &bool)| a && s.state.core().fresh_backlog() > 0;
-        if self.slots.iter().zip(attached).any(on_hand) {
-            return None;
-        }
-        // The peer worth bouncing to: the deepest advertised backlog
-        // across every campaign this agent is attached to.
-        let me = self.spec().shard_id;
-        let (cidx, peer, _) = self
-            .slots
-            .iter()
-            .zip(attached)
-            .enumerate()
-            .filter(|&(_, (_, &a))| a)
-            .filter_map(|(i, (s, _))| s.board.busiest_peer(me).map(|(peer, b)| (i, peer, b)))
-            .max_by_key(|&(_, _, backlog)| backlog)?;
-        let addr = self.addrs.get(usize::from(peer))?.clone();
-        self.slots[cidx].state.note_redirect();
-        Some(Message::Redirect { shard: peer, addr })
-    }
-
-    /// One steering tick's bookkeeping, before any status is built:
-    /// which campaigns turned an ask away since the last tick.
-    pub(crate) fn note_demand(&mut self) {
-        for slot in &mut self.slots {
-            let backoffs = slot.state.net_stats.backoffs_sent;
-            slot.demand = (backoffs, backoffs > slot.demand.0);
-        }
-    }
-
-    /// Whether the link to `peer` stopped answering: its oldest status
-    /// has waited more than [`STEER_TIMEOUT_MS`] as of `now`.
-    pub(crate) fn link_stalled(&self, now: SimTime, peer: u16) -> bool {
-        let oldest = self.unacked[usize::from(peer)].front();
-        let bound_s = STEER_TIMEOUT_MS as f64 / 1e3;
-        oldest.is_some_and(|(_, sent, _)| now.seconds() - sent.seconds() > bound_s)
-    }
-
-    /// Queues one `ShardStatus` per campaign for the link to `peer` and
-    /// remembers, in order, which campaign each ack will be answering
-    /// and whether the status said complete.
-    pub(crate) fn send_statuses(&mut self, now: SimTime, peer: u16, out: &mut Vec<u8>) {
-        for (c, slot) in self.slots.iter().enumerate() {
-            let s = &slot.state;
-            let complete = s.is_campaign_complete();
-            let fresh = s.core().fresh_backlog() as u64;
-            let status = Message::ShardStatus {
-                shard: self.spec().shard_id,
-                fresh_backlog: fresh,
-                outstanding: s.outstanding_len() as u64,
-                complete,
-                hungry: !complete && fresh == 0 && slot.demand.1,
-                leases_held: s.leases_held_from(peer),
-                campaign: c as u16,
-            };
-            queue(out, &status);
-            self.unacked[usize::from(peer)].push_back((c as u16, now, complete));
-        }
-    }
-
-    /// This shard's link to `peer` is gone, and with it every status
-    /// still unanswered and the peer's advert.
-    pub(crate) fn link_lost(&mut self, peer: u16) {
-        self.unacked[usize::from(peer)].clear();
-        self.forget_backlog(peer);
-    }
-
-    /// A dial to `peer` failed. Its advert goes, as with a lost link;
-    /// and on every campaign complete here and, by the journaled board,
-    /// there too, the peer is settled: it is gone, and finished.
-    pub(crate) fn dial_failed(&mut self, peer: u16) {
-        self.forget_backlog(peer);
-        let p = usize::from(peer);
-        for slot in &mut self.slots {
-            let board = &mut slot.board;
-            board.settled[p] |= board.complete[p] && slot.state.is_campaign_complete();
-        }
-    }
-
-    /// A steering connection, dialed or accepted, takes the peer's
-    /// advertised backlog with it — a peer that died with backlog on
-    /// the board must not keep drawing redirects to a dead address.
-    pub(crate) fn forget_backlog(&mut self, peer: u16) {
-        for slot in &mut self.slots {
-            slot.board.backlog[usize::from(peer)] = 0;
-        }
     }
 }
 
@@ -1382,9 +995,9 @@ pub(crate) mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
-    /// A configuration the code cannot honour is refused: before a
-    /// catalog is built or the journal touched, or, where the wal is
-    /// another shard's, at its header. A NaN trust rate used to
+    /// A configuration the code cannot honour is refused before a
+    /// catalog is built or the journal touched: a shard topology other
+    /// than one server among them. A NaN trust rate used to
     /// be journaled, and the restart then refused its own wal (NaN !=
     /// NaN in the header check); the other values panicked deep in the
     /// catalog build or the scheduler.
@@ -1462,23 +1075,17 @@ pub(crate) mod tests {
             assert_eq!(refused, Some(io::ErrorKind::InvalidInput), "{label}");
         }
 
-        // Nor can a wal be replayed into a server configured as another
-        // shard than wrote it: a sibling, a wider topology, a solo one.
-        let shard = |shard_id, shards| {
+        // Nor is any shard topology but one server: the grid runs
+        // unsharded, and `spec` stays only for the benchmark's sake.
+        for (shard_id, shards) in [(0, 2), (1, 2), (0, 4), (1, 1), (0, 0)] {
             let spec = ShardSpec { shard_id, shards };
             let faults = ServerFaults::default();
-            MultiGrid::open(solo(tiny), scheduler, faults, spec, Some(&journal))
-        };
-        assert!(
-            shard(0, 2).is_ok() && shard(0, 2).is_ok(),
-            "shard 0 reopens its wal"
-        );
-        for (shard_id, shards) in [(1, 2), (0, 4), (0, 1)] {
-            let err = shard(shard_id, shards)
-                .err()
-                .expect("another shard is refused");
-            assert!(err.to_string().contains("refusing to replay"), "{err}");
+            let open = MultiGrid::open(solo(tiny), scheduler, faults, spec, Some(&journal));
+            let err = open.err().expect("a sharded server is refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+            assert!(err.to_string().contains("unsharded"), "{err}");
         }
+        assert!(!dir.join("wal.bin").exists(), "nothing was journaled");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1556,11 +1163,8 @@ pub(crate) mod tests {
     // ---- The protocol, stepped: no socket, no thread, no sleep, and
     // `now` is whatever the test says it is. ----
 
-    use crate::event_loop::{Conn, Role};
     use crate::journal::{JournalRecord, RecordReader};
-    use crate::shard::ownership_map;
-    use crate::world::{baseline, books, frames, open_shard, pump_until, shard};
-    use crate::world::{status, t, Client, End, Pump, Server, World};
+    use crate::world::{baseline, books, frames, open_grid, t, Server, World, ADDR};
     use crate::{AgentConfig, FaultProfile, NetStats, TrustConfig};
     use gridsim::sched::ServerStats;
     use rand::{Rng, SeedableRng};
@@ -1595,123 +1199,17 @@ pub(crate) mod tests {
         caller
     }
 
-    /// The last status a peer sends: its slice is complete too.
-    fn finished(held: &[u64]) -> Message {
-        let mut last = status(1, held, 0, false);
-        if let Message::ShardStatus { complete, .. } = &mut last {
-            *complete = true;
-        }
-        last
-    }
-
-    /// A backoff issued while fresh backlog is on hand was a trust
-    /// denial: the quarantined agent waits here, whatever a peer
-    /// advertises, while an honest one beside it is served.
-    #[test]
-    fn a_quarantine_denial_is_not_turned_into_a_redirect() {
-        let faults = ServerFaults {
-            trust: TrustConfig::on(),
-            ..ServerFaults::default()
-        };
-        let net = &mut World::new(vec![Server {
-            faults,
-            ..Server::shard(0, 2)
-        }]);
-        let mut saboteur = net.connect(0).hello(9, net);
-        let corrupted = |report: Message| match report {
-            Message::ResultReport {
-                replica,
-                workunit,
-                campaign,
-                mut output,
-            } => {
-                output.rows[0].eelec += 1e-9;
-                Message::ResultReport {
-                    replica,
-                    workunit,
-                    campaign,
-                    output,
-                }
-            }
-            other => panic!("{other:?}"),
-        };
-        // Quorum rejections in a row, each against a fresh honest
-        // agent's copy of the same workunit, until quarantine trips.
-        for k in 0..u64::from(TrustConfig::on().quarantine_after) {
-            let now = 1.0 + k as f64;
-            net.now = now;
-            let mut honest = net.connect(0).hello(100 + k, net);
-            let first = honest.ask(net, baseline()).unwrap();
-            let second = saboteur.ask(net, baseline()).unwrap();
-            net.now = now + 0.1;
-            honest.report(&first, net);
-            net.now = now + 0.2;
-            let ack = saboteur.exchange(&corrupted(second), net);
-            assert!(
-                matches!(
-                    ack,
-                    Message::ResultAck {
-                        accepted: false,
-                        ..
-                    }
-                ),
-                "{ack:?}"
-            );
-            let mut third = net.connect(0).hello(200 + k, net);
-            let reissue = third.ask(net, baseline()).unwrap();
-            net.now = now + 0.3;
-            third.report(&reissue, net);
-        }
-        net.now += 1.0;
-        net.connect(0).gossip(net, status(1, &[], 50, false));
-        let state = |net: &World| net.state(0).clone();
-        assert!(state(net).core().fresh_backlog() > 0);
-        match saboteur.exchange(&Message::RequestWork, net) {
-            Message::NoWork {
-                campaign_complete: false,
-                retry_after_ms,
-            } => assert!(retry_after_ms > 1_000, "{retry_after_ms} ms of quarantine"),
-            other => panic!("a denial must stay a backoff, got {other:?}"),
-        }
-        let stats = state(net).net_stats;
-        assert_eq!((stats.trust_denied_fetches, stats.shard_redirects), (1, 0));
-        let mut honest = net.connect(0).hello(1, net);
-        assert!(honest.ask(net, baseline()).is_ok());
-    }
-
-    /// The stall rule reads the time it is given and nothing else: a
-    /// status that has waited exactly `STEER_TIMEOUT_MS` is not yet
-    /// stalled, one a millisecond older is, and an ack resets it.
-    #[test]
-    fn a_link_is_stalled_only_past_the_timeout_of_argument_time() {
-        let mut s0 = shard(0, 2);
-        assert!(!s0.link_stalled(t(1e6), 1), "nothing sent, nothing owed");
-        s0.send_statuses(t(10.0), 1, &mut Vec::new());
-        s0.send_statuses(t(10.125), 1, &mut Vec::new());
-        let bound = STEER_TIMEOUT_MS as f64 / 1e3;
-        assert!(!s0.link_stalled(t(10.0), 1));
-        assert!(!s0.link_stalled(t(10.0 + bound), 1));
-        assert!(s0.link_stalled(t(10.0 + bound + 0.001), 1));
-        let ack = Message::StatusAck {
-            shard: 1,
-            complete: false,
-        };
-        assert_eq!(s0.link_frame(t(10.3), 1, ack), Ok(()));
-        assert!(!s0.link_stalled(t(10.125 + bound), 1), "the next oldest");
-        assert!(s0.link_stalled(t(10.126 + bound), 1));
-    }
-
     /// A report naming a campaign off the roster is refused, not
     /// clamped onto the last campaign. There, replica ids are numbered
     /// afresh, so the forged frame below names the very replica beta has
     /// in flight to agent 2 for the same workunit: clamped, as it was,
     /// agent 2's ledger took the verdict of a report agent 1 sent, and a
     /// journal would have recorded it under beta. Refused, it leaves
-    /// books, boards and wal as they were, and closes with "protocol".
+    /// books and wal as they were, and closes with "protocol".
     #[test]
     fn a_forged_campaign_index_is_refused_not_clamped() {
         let wal = &mut Vec::new();
-        let mut grid = open_shard(defs_70_30(), (0, 1), ServerFaults::default(), Some(wal));
+        let mut grid = open_grid(defs_70_30(), ServerFaults::default(), Some(wal));
         let mut on_beta = Caller::default();
         let beta = Message::Hello {
             agent: 2,
@@ -1757,12 +1255,7 @@ pub(crate) mod tests {
     #[test]
     fn the_scrape_counts_every_record_of_the_one_wal() {
         let mut wal = Vec::new();
-        let mut grid = open_shard(
-            defs_70_30(),
-            (0, 1),
-            ServerFaults::default(),
-            Some(&mut wal),
-        );
+        let mut grid = open_grid(defs_70_30(), ServerFaults::default(), Some(&mut wal));
         for (agent, attached) in [(1, [true, false]), (2, [false, true]), (3, [false, true])] {
             assert!(matches!(
                 grid.fetch(t(1.0), agent, &attached).1,
@@ -1783,22 +1276,17 @@ pub(crate) mod tests {
         assert!(scrape.contains(&tile), "{scrape}");
     }
 
-    /// Totality: every frame kind, wherever it arrives, draws frames or
-    /// a close reason (the silent exception: nothing here is an honest
-    /// reply on the own link) and never a panic; and a frame refused as
-    /// `"protocol"` leaves the books, the boards and the wal as they
-    /// were.
+    /// Totality: every frame kind, before and after `Hello`, draws
+    /// frames or a close reason and never a panic; and a frame refused
+    /// as `"protocol"` leaves the books and the wal as they were.
     #[test]
     fn every_frame_kind_in_every_place_is_answered_or_refused() {
         let wal = &mut Vec::new();
-        let mut s0 = open_shard(defs_70_30(), (0, 2), ServerFaults::default(), Some(wal));
-        let mut inbound: Vec<(&str, Caller)> = vec![
+        let mut grid = open_grid(defs_70_30(), ServerFaults::default(), Some(wal));
+        let mut places: Vec<(&str, Caller)> = vec![
             ("before Hello", Caller::default()),
-            ("after Hello", hello(&mut s0, 1.0, 42)),
-            ("as a shard", Caller::default()),
+            ("after Hello", hello(&mut grid, 1.0, 42)),
         ];
-        let (mut replies, closed) = tell(&mut s0, 1.0, &mut inbound[2].1, status(1, &[], 0, false));
-        assert!(closed.is_none() && matches!(replies.pop(), Some(Message::StatusAck { .. })));
         let mut refused = 0;
         let mut samples = crate::protocol::tests::sample_messages();
         // A result naming a campaign off the roster (this one has two).
@@ -1818,183 +1306,45 @@ pub(crate) mod tests {
         });
         samples.extend(off_roster);
         for msg in samples {
-            // What an inbound connection draws, whatever it said before.
+            // What a connection draws, whatever it said before.
             let expected: Result<usize, &str> = match &msg {
                 Message::ResultReport { campaign: 2.., .. } => Err("protocol"),
-                Message::Hello { .. }
-                | Message::RequestWork
-                | Message::ResultReport { .. }
-                | Message::ShardMapRequest => Ok(1),
-                // The sample is hungry: a lease, then the ack.
-                Message::ShardStatus { .. } => Ok(2),
+                Message::Hello { .. } | Message::RequestWork | Message::ResultReport { .. } => {
+                    Ok(1)
+                }
                 Message::Bye => Err("bye"),
                 _ => Err("protocol"),
             };
-            for (place, caller) in &mut inbound {
-                let before = books(&s0);
-                let (replies, closed) = tell(&mut s0, 2.0, caller, msg.clone());
+            for (place, caller) in &mut places {
+                let before = books(&grid);
+                let (replies, closed) = tell(&mut grid, 2.0, caller, msg.clone());
                 let heard = closed.map_or(Ok(replies.len()), Err);
                 assert_eq!(heard, expected, "{place}: {msg:?}");
                 if closed == Some("protocol") {
                     assert!(replies.is_empty());
-                    assert_eq!(books(&s0), before, "{place}: {msg:?}");
+                    assert_eq!(books(&grid), before, "{place}: {msg:?}");
                     refused += 1;
                 }
             }
-            // On this shard's own link to peer 1, the samples speak for
-            // shard 0 where they speak for anyone: every one is refused.
-            let before = books(&s0);
-            let closed = s0.link_frame(t(2.0), 1, msg.clone()).err();
-            let busy = matches!(msg, Message::Busy { .. });
-            assert_eq!(closed, Some(if busy { "busy" } else { "protocol" }));
-            if !busy {
-                assert_eq!(books(&s0), before, "own link: {msg:?}");
-                refused += 1;
-            }
         }
-        assert_eq!(refused, 10 * 3 + 15);
-    }
-
-    /// A finished peer's word is kept: loop 1 hears loop 0 finish, is
-    /// killed, and its core comes back from its wal knowing it — done at
-    /// once, with core 0 never heard from again. (A board that was not
-    /// journaled left the restarted core waiting for gossip that never
-    /// came.) Core 0, for its part, may leave: core 1 acknowledged a
-    /// status that said complete.
-    #[test]
-    fn a_restarted_shard_remembers_that_its_peer_finished() {
-        let servers = vec![Server::shard(0, 2), Server::shard(1, 2).journaled()];
-        let net = &mut World::new(servers);
-        for (a, agent) in [(0, 1), (1, 2)] {
-            net.connect(a).hello(agent, net).work(net, baseline());
-        }
-        assert!(net.loops.iter().all(|l| l.core.all_complete()));
-        // Shard 0's first steering tick dials, its second tells.
-        net.steer(0);
-        net.steer(0);
-        pump_until(net, |net| net.loops[0].core.may_leave());
-        assert!(net.loops[1].core.done());
-        net.kill_and_reopen(1); // kill -9: the wal is all that is left
-        assert!(
-            net.loops[1].core.done(),
-            "the restarted core waits on a peer it heard finish"
-        );
-    }
-
-    /// The grantor's loop commits before its `LeaseGrant` leaves, so a
-    /// power cut afterwards takes only what came after the commit — here
-    /// an ask whose reply never left. The lease stays granted, no
-    /// workunit is owned by both shards, and the next grant cuts a new
-    /// id instead of reusing the held one. A cut in the middle of the
-    /// write that commits a report tears its frame: the loop dies before
-    /// the ack behind it leaves, comes back with its wal cut to the last
-    /// whole record, and the campaign still ends on the baseline.
-    #[test]
-    fn a_power_cut_after_a_grant_leaves_the_lease_where_the_lessee_holds_it() {
-        // Enough workunits that the grantor keeps some past one lease.
-        let params = CampaignParams {
-            proteins: 4,
-            ..CampaignParams::tiny()
-        };
-        let server = |shard_id| Server {
-            defs: vec![CampaignDef::default_solo(params)],
-            ..Server::shard(shard_id, 2)
-        };
-        let net = &mut World::new(vec![server(0).journaled(), server(1)]);
-        net.steer(1);
-        // Shard 1's agent takes every fresh workunit and is told to wait.
-        let mut agent1 = net.connect(1).hello(1, net);
-        let assigned = |reply| matches!(reply, Message::Assignment { .. });
-        while assigned(agent1.exchange(&Message::RequestWork, net)) {}
-        // So shard 1 is hungry: shard 0 grants, commits, and only then
-        // does its grant leave.
-        net.steer(1);
-        pump_until(net, |net| !net.state(1).leases_held_from(0).is_empty());
-        let granted = net.state(0).leases_granted_to(1);
-        let held = net.state(1).leases_held_from(0);
-        assert_eq!(held.len(), 1, "one lease granted and adopted");
-        assert_eq!(held, granted.iter().map(|g| g.0).collect::<Vec<_>>());
-        // What the grant's commit kept: all a power cut leaves of the wal.
-        assert_eq!(net.loops[0].core.uncommitted(), 0);
-        let kept = net.wal(0).len() as u64;
-        // An ask shard 0 reads and journals, and whose reply never leaves.
-        let (far, near) = End::pair();
-        let mut conn = Conn::new(near, Role::Inbound(Caller::default()));
-        let mut agent0 = Client::new(far);
-        let hello = Message::Hello {
-            agent: 2,
-            threads: 1,
-            campaigns: Vec::new(),
-        };
-        for msg in [hello, Message::RequestWork] {
-            agent0.send(&msg);
-        }
-        net.loops[0].read_and_dispatch(t(1.3), &mut conn);
-        assert!(
-            assigned(frames(&conn.write_buf).pop().unwrap()),
-            "shard 0 kept work"
-        );
-        assert!(
-            net.loops[0].core.wal_size().unwrap().1 > kept,
-            "the ask was journaled"
-        );
-
-        // Back from the cut — between two writes it takes what a kill
-        // takes, the open batch — no workunit is owned by both shards
-        // (the world checks on every restart) and the lease stays
-        // granted.
-        net.kill_and_reopen(0);
-        assert_eq!(net.wal(0).len() as u64, kept);
-        assert_eq!(net.state(0).leases_granted_to(1), granted);
-        let next = Command::Grant {
-            campaign: 0,
-            to_shard: 1,
-            max: 1,
-        };
-        match net.loops[0].core.apply(t(1.4), &next) {
-            Outcome::Granted { lease, .. } => assert!(!held.contains(&lease), "{lease} reused"),
-            other => panic!("shard 0 has backlog to lease: {other:?}"),
-        }
-
-        // The cut that tears a frame: 20 bytes of the report's, its
-        // header and no more, reach the disk.
-        let net = &mut World::new(vec![Server::shard(0, 1).journaled()]);
-        let mut agent = net.connect(0).hello(1, net);
-        let report = agent.ask(net, baseline()).expect("work on a fresh server");
-        let (whole, before) = (net.wal(0).to_vec(), net.state(0).clone());
-        net.cut_power(0, 20);
-        agent.send(&report);
-        net.pump();
-        assert_eq!(net.power_cuts, 1);
-        assert!(agent.poll().is_none(), "an ack left the dying loop");
-        assert!(agent.end.far_gone());
-        assert!(net.wal(0) == whole, "the torn frame was not cut off");
-        assert!(
-            *net.state(0) == before,
-            "the report survived its torn frame"
-        );
-        for agent in 2..=3 {
-            net.volunteer(AgentConfig::new("shard-0", agent));
-        }
-        net.finish(&mut ChaCha8Rng::seed_from_u64(0), |_, _| {});
-        net.assert_the_end();
+        assert_eq!(refused, 6 * 2);
     }
 
     /// A core is a value: cloned mid-history from a journaled world,
     /// original and copy, told the same frames and ticks at the same
-    /// times, stay `==` — books, boards, ledger and open wal batch — and
+    /// times, stay `==` — books, ledger and open wal batch — and
     /// commit the same wal bytes; one ask from another agent sets them
     /// apart. The key a search over world states deduplicates by.
     #[test]
     fn a_cloned_core_stays_equal_while_it_hears_what_its_original_does() {
-        let net = &mut World::new(vec![Server::shard(0, 2).journaled()]);
-        let mut agent = net.connect(0).hello(1, net);
-        let report = agent.ask(net, baseline()).expect("work on a fresh shard");
+        let net = &mut World::new(Server::tiny().journaled());
+        let mut agent = net.connect().hello(1, net);
+        let report = agent.ask(net, baseline()).expect("work on a fresh server");
         agent.report(&report, net);
         let _in_flight = agent.ask(net, baseline()).expect("more work");
-        let mut twin = net.loops[0].core.clone();
-        let mut disks = [net.wal(0).to_vec(), net.wal(0).to_vec()];
-        let original = &mut net.loops[0].core;
+        let mut twin = net.lp.core.clone();
+        let mut disks = [net.wal().to_vec(), net.wal().to_vec()];
+        let original = &mut net.lp.core;
         assert!(*original == twin);
 
         for (grid, disk) in [&mut *original, &mut twin].into_iter().zip(&mut disks) {
@@ -2037,32 +1387,24 @@ pub(crate) mod tests {
 
     // ---- Seeded worlds. ----
 
-    /// One seeded history, to completion; each core's wal bytes. The
-    /// seed picks how many shards (four on one seed in four, else two),
-    /// who moves when, in which order a loop serves what reached it,
-    /// which connections are cut where, and when which loop is killed
-    /// (one seed in four, and one four-shard seed in two) or loses
-    /// power during its next wal write, and how much of that write
-    /// lands (one in eight). A failing run names its seed. Also how
-    /// many volunteers' dials found their loop gone, and how many power
-    /// cuts landed.
-    fn run_seeded_grid(seed: u64) -> (Vec<Vec<u8>>, u64, u64) {
+    /// One seeded history, to completion; the wal's bytes. The seed
+    /// picks who moves when, in which order the loop serves what reached
+    /// it, which connections are cut where, and when the loop is killed
+    /// (one seed in four, and one in eight more) or loses power during
+    /// its next wal write, and how much of that write lands (one in
+    /// eight). A failing run names its seed. Also how many volunteers'
+    /// dials found the loop gone, and how many power cuts landed.
+    fn run_seeded_grid(seed: u64) -> (Vec<u8>, u64, u64) {
         let history = move || {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let shards = if seed % 4 == 1 { 4 } else { 2 };
-            let mut world = World::seeded(seed, shards);
+            let mut world = World::seeded(seed);
             let power_cut = seed % 8 == 2;
             let killed = seed.is_multiple_of(4) || seed % 8 == 5;
-            let crash_at = (killed || power_cut).then(|| {
-                (
-                    rng.gen_range(20..300u32),
-                    rng.gen_range(0..usize::from(shards)),
-                )
-            });
+            let crash_at = (killed || power_cut).then(|| rng.gen_range(20..300u32));
             let landed: u64 = if power_cut { rng.gen() } else { 0 };
             world.finish(&mut rng, |world, step| match crash_at {
-                Some((at, a)) if at == step && power_cut => world.cut_power(a, landed),
-                Some((at, a)) if at == step => world.kill_and_reopen(a),
+                Some(at) if at == step && power_cut => world.cut_power(landed),
+                Some(at) if at == step => world.kill_and_reopen(),
                 _ => {}
             });
             (world.assert_the_end(), world.gone_dials, world.power_cuts)
@@ -2080,15 +1422,13 @@ pub(crate) mod tests {
     /// After every seeded history — power cuts included, which keep of a
     /// wal what its core had committed and a seed-chosen prefix of the
     /// write they cut, mid-frame as likely as not, which recovery cuts
-    /// back to the last whole record (the world checks) — the merged
-    /// artifact is
-    /// the baseline, no workunit was ever owned by two shards, no loop
-    /// wrote ahead of its records or brushed off a connection it had
-    /// room for, the campaign finished within the step budget while its
-    /// volunteers lived, every loop left and every volunteer finished
-    /// (giving up only once the campaign was over), and each core's wal
-    /// replays to its live books — campaign state, peer board and
-    /// fair-share ledger. A loop leaves while volunteers are still out
+    /// back to the last whole record (the world checks) — the artifact
+    /// is the baseline, the loop never wrote ahead of its records or
+    /// brushed off a connection it had room for, the campaign finished
+    /// within the step budget while its volunteers lived, the loop left
+    /// and every volunteer finished (giving up only once the campaign
+    /// was over), and the wal replays to the live books — campaign
+    /// state and fair-share ledger. The loop leaves while volunteers are still out
     /// (a flaky one resting after a dropped connection, one cut off), so
     /// on some seeds a volunteer finds it gone. What the seed does not
     /// yet do — duplicate or delay frames, jump the clock — is ROADMAP
@@ -2121,290 +1461,6 @@ pub(crate) mod tests {
         }
     }
 
-    /// Eight honest volunteers at home round-robin over `servers`, run
-    /// by `seed` to the end, which is checked: each server left, and
-    /// every volunteer finished `Done`.
-    fn fleet(servers: Vec<Server>, seed: u64) -> World {
-        let shards = servers.len() as u64;
-        let mut world = World::new(servers);
-        for agent in 1..=8 {
-            world.volunteer(AgentConfig::new(format!("shard-{}", agent % shards), agent));
-        }
-        world.finish(&mut ChaCha8Rng::seed_from_u64(seed), |_, _| {});
-        world.assert_the_end();
-        for v in 0..8 {
-            assert_eq!(
-                world.outcome(v),
-                Some(crate::agent::Outcome::Done),
-                "volunteer {v}"
-            );
-        }
-        world
-    }
-
-    /// A sharded campaign merges to a solo server's artifact, byte for
-    /// byte: over two shards, four, and two under the trust policy,
-    /// which each shard keeps for the agents it served (DESIGN §6).
-    /// Work moves only by lease, and every lease granted is adopted
-    /// exactly once.
-    #[test]
-    fn sharded_fleets_merge_to_a_solo_servers_artifact() {
-        let json = |outputs: &[DockingOutput]| serde_json::to_string(outputs).unwrap();
-        let solo = json(&fleet(vec![Server::shard(0, 1)], 7).merged());
-        for (shards, trust) in [
-            (2, TrustConfig::off()),
-            (4, TrustConfig::off()),
-            (2, TrustConfig::on()),
-        ] {
-            let faults = ServerFaults {
-                trust,
-                ..ServerFaults::default()
-            };
-            let servers = (0..shards).map(|a| Server {
-                faults,
-                ..Server::shard(a, shards)
-            });
-            let world = fleet(servers.collect(), 7);
-            let label = format!("{shards} shards, trust {}", trust.enabled);
-            assert_eq!(json(&world.merged()), solo, "{label}");
-            for a in 0..shards {
-                let state = world.state(usize::from(a));
-                assert_eq!(
-                    world.loops[usize::from(a)].core.spec(),
-                    ShardSpec {
-                        shard_id: a,
-                        shards
-                    }
-                );
-                assert_eq!(state.trust_summary(world.now).is_some(), trust.enabled);
-                for b in (0..shards).filter(|&b| b != a) {
-                    let granted = state
-                        .leases_granted_to(b)
-                        .into_iter()
-                        .map(|(lease, _)| lease);
-                    let held = world.state(usize::from(b)).leases_held_from(a);
-                    assert_eq!(held, granted.collect::<Vec<_>>(), "{a} to {b}: {label}");
-                }
-            }
-            let sum = |count: fn(NetStats) -> u64| {
-                (0..shards)
-                    .map(|a| count(world.stats(usize::from(a))))
-                    .sum::<u64>()
-            };
-            assert_eq!(sum(|s| s.shard_leases_in), sum(|s| s.shard_leases_out));
-            assert!(
-                shards == 2 || sum(|s| s.shard_leases_out) > 0,
-                "four shards lease"
-            );
-            assert_eq!(
-                sum(|s| s.shard_wus_leased_in),
-                sum(|s| s.shard_wus_leased_out)
-            );
-        }
-    }
-
-    /// Every volunteer parked on shard 0: the campaign can only finish
-    /// if steering moves shard 1's work to where the demand is (leases)
-    /// or the demand to the work (redirects). A volunteer follows at
-    /// most one redirect per ask, so two drained shards pointing at
-    /// each other cannot trap it.
-    #[test]
-    fn volunteers_on_one_shard_finish_the_campaign_by_steering() {
-        let mut world = World::new(vec![Server::shard(0, 2), Server::shard(1, 2)]);
-        for agent in 1..=3 {
-            world.volunteer(AgentConfig::new("shard-0", agent));
-        }
-        world.finish(&mut ChaCha8Rng::seed_from_u64(3), |_, _| {});
-        world.assert_the_end();
-        let followed: u64 = (0..3)
-            .map(|v| {
-                assert!(world.report(v).saw_completion, "volunteer {v} saw the end");
-                world.report(v).redirects_followed
-            })
-            .sum();
-        let [s0, s1] = [0, 1].map(|a| world.stats(a));
-        let steered = s0.shard_leases_in + s1.shard_leases_out + s0.shard_redirects;
-        assert!(steered > 0, "no lease, no redirect: {s0:?} / {s1:?}");
-        // Every redirect either shard issued reached a volunteer and
-        // was followed exactly once, or declined as the second bounce
-        // of an ask that had followed one.
-        let declined: u64 = (0..3).map(|v| world.declined(v)).sum();
-        let issued = s0.shard_redirects + s1.shard_redirects;
-        assert_eq!(followed + declined, issued, "{followed} followed");
-    }
-
-    /// Shard 1, played by hand against a live shard 0, pins lease
-    /// idempotence frame by frame: a hungry status holding nothing draws
-    /// one grant; the same status again (duplicate gossip, a lost
-    /// adoption) re-sends that grant, same id and workunits, and cuts
-    /// nothing new; a status holding it draws the next grant, disjoint
-    /// from the first — until shard 0's slice is leased away.
-    #[test]
-    fn duplicate_gossip_resends_the_same_lease_never_a_new_one() {
-        let net = &mut World::new(vec![Server::shard(0, 2)]);
-        let mut peer = net.connect(0);
-        let (first, ack) = peer.gossip(net, status(1, &[], 0, true));
-        let acked = |complete| Message::StatusAck { shard: 0, complete };
-        assert_eq!(ack, acked(false));
-        assert_eq!(first.len(), 1, "a hungry status draws one grant");
-        assert!(!first[0].1.is_empty());
-        let (again, _) = peer.gossip(net, status(1, &[], 0, true));
-        assert_eq!(again, first, "duplicate gossip re-sends, never re-cuts");
-
-        let (mut held, mut leased) = (vec![first[0].0], first[0].1.clone());
-        loop {
-            let (grants, _) = peer.gossip(net, status(1, &held, 0, true));
-            if grants.is_empty() {
-                break;
-            }
-            for (lease, wus) in grants {
-                assert!(!held.contains(&lease), "every grant has a fresh lease id");
-                assert!(
-                    wus.iter().all(|wu| !leased.contains(wu)),
-                    "{wus:?} leased twice"
-                );
-                held.push(lease);
-                leased.extend(wus);
-            }
-        }
-        let slice = ownership_map(
-            &net.loops[0].core.slots()[0].campaign,
-            net.loops[0].core.spec(),
-        );
-        let slice: Vec<u32> = (0..)
-            .zip(slice)
-            .filter(|&(_, own)| own)
-            .map(|(wu, _)| wu)
-            .collect();
-        leased.sort_unstable();
-        assert_eq!(leased, slice, "the leases drained exactly shard 0's slice");
-
-        assert_eq!(peer.gossip(net, finished(&held)), (vec![], acked(true)));
-        assert!(net.loops[0].core.done(), "both slices complete");
-        let stats = net.stats(0);
-        assert_eq!(stats.shard_leases_out, held.len() as u64);
-        assert_eq!(stats.shard_wus_leased_out, leased.len() as u64);
-        assert_eq!(stats.shard_leases_in, 0);
-    }
-
-    /// Two journaled shards and three volunteers at home on shard 1, so
-    /// shard 0's work moves only by lease (or its volunteers by
-    /// redirect), run by `seed`: shard 0 is killed the first step it has
-    /// granted a lease that shard 1 has not adopted yet, and comes back
-    /// from its wal. The world, whether it reached its end, and whether
-    /// the kill came.
-    fn killed_mid_lease(seed: u64) -> (World, bool, bool) {
-        let journaled = |a| Server::shard(a, 2).journaled();
-        let mut world = World::new(vec![journaled(0), journaled(1)]);
-        for agent in 1..=3 {
-            world.volunteer(AgentConfig::new("shard-1", agent));
-        }
-        let mut killed = false;
-        let ended = world.run(&mut ChaCha8Rng::seed_from_u64(seed), |world, _| {
-            let granted = !world.state(0).leases_granted_to(1).is_empty();
-            if !killed && granted && world.state(1).leases_held_from(0).is_empty() {
-                world.kill_and_reopen(0);
-                killed = true;
-            }
-        });
-        (world, ended, killed)
-    }
-
-    /// The one seed of `0..40` on which [`killed_mid_lease`] strands
-    /// work: the known hole pinned below.
-    const STRANDED: u64 = 37;
-
-    /// Across a kill between a grant and its adoption, no workunit is
-    /// owned by both shards at any point, none is validated by both, and
-    /// the merge is the baseline. Swept over seeds `0..40`: the kill
-    /// comes only on a seed whose history starts a step with a grant in
-    /// flight, written by shard 0 and not yet read by shard 1. On most
-    /// seeds shard 1 reads every grant within the step that wrote it,
-    /// and nothing is killed; every seed must still end, bar
-    /// [`STRANDED`].
-    #[test]
-    fn a_shard_killed_mid_lease_comes_back_owning_what_it_kept() {
-        let mut kills = 0;
-        for seed in (0..40).filter(|&seed| seed != STRANDED) {
-            let (mut world, ended, killed) = killed_mid_lease(seed);
-            assert!(ended, "seed {seed} (killed: {killed})");
-            kills += u32::from(killed);
-            for wu in 0..baseline().len() {
-                let validated = |a: usize| world.state(a).outputs()[wu].is_some();
-                assert!(validated(0) != validated(1), "seed {seed}: workunit {wu}");
-            }
-            world.assert_the_end();
-        }
-        assert!(kills >= 10, "the kill landed on {kills} seeds of 39");
-    }
-
-    /// A known liveness hole, pinned by seed: steering moves only work
-    /// never issued. On seed 37 of the history above, a visitor's report
-    /// dies with the killed shard 0; told `NoWork` while that replica is
-    /// still out, the visitors fall home; the replica expires and waits
-    /// to be reissued on a shard that has no volunteers of its own and
-    /// advertises no backlog, so nobody is ever sent there and shard 0
-    /// never completes. This test fails once the hole is closed; the
-    /// sweep above then takes seed 37 back.
-    #[test]
-    fn known_hole_expired_work_on_a_shard_without_volunteers_is_stranded() {
-        let (world, ended, killed) = killed_mid_lease(STRANDED);
-        assert!(killed && !ended);
-        let stranded = world.state(0);
-        assert!(!stranded.is_campaign_complete());
-        assert_eq!(stranded.core().fresh_backlog(), 0, "nothing to lease");
-        assert_eq!(stranded.outstanding_len(), 0, "nothing in flight");
-        assert_eq!(world.board(1).backlog[0], 0, "no redirect to shard 0");
-    }
-
-    /// A known liveness hole, DESIGN §6's termination window, pinned by
-    /// script: shard 1 finishes its slice and tells shard 0, then goes
-    /// down before it hears shard 0 finish. Shard 0's dial to it fails
-    /// with its completion already on shard 0's board, so shard 0 takes
-    /// it for gone and finished, and leaves. Restarted from its wal,
-    /// shard 1 knows its own completion only, has nobody left to gossip
-    /// with, tells its volunteers the campaign is open, and never
-    /// becomes done. This test fails once the hole is closed; the fix is
-    /// for an exhaustive search to find and judge (ROADMAP item 11).
-    #[test]
-    fn known_hole_a_peer_down_before_it_hears_us_finish_never_does() {
-        let journaled = |a| Server::shard(a, 2).journaled();
-        let net = &mut World::new(vec![journaled(0), journaled(1)]);
-        // Shard 1 finishes its slice; its first steering tick dials,
-        // its second tells shard 0, which records it.
-        net.connect(1).hello(2, net).work(net, baseline());
-        net.steer(1);
-        net.steer(1);
-        pump_until(net, |net| net.board(0).complete[1]);
-        // Shard 0 finishes its own, and shard 1 goes down before shard
-        // 0's first steering tick could tell it.
-        net.connect(0).hello(1, net).work(net, baseline());
-        assert!(net.loops[0].core.done() && !net.board(1).complete[0]);
-        net.leave(1);
-        net.steer(0);
-        assert!(net.loops[0].core.may_leave(), "the failed dial settled it");
-        pump_until(net, |net| net.loops[0].conns.is_empty());
-        assert!(net.loops[0].over(t(net.now)).is_some(), "shard 0 may leave");
-        net.leave(0);
-
-        net.kill_and_reopen(1);
-        assert!(net.state(1).is_campaign_complete(), "its own slice");
-        assert!(!net.board(1).complete[0], "its wal holds no word of 0");
-        let mut volunteer = net.connect(1).hello(3, net);
-        let ask = volunteer.exchange(&Message::RequestWork, net);
-        let open = matches!(
-            ask,
-            Message::NoWork {
-                campaign_complete: false,
-                ..
-            }
-        );
-        assert!(open, "{ask:?}");
-        drop(volunteer);
-        let ended = net.run(&mut ChaCha8Rng::seed_from_u64(0), |_, _| {});
-        assert!(!ended && !net.loops[1].core.done());
-    }
-
     /// A saboteur among three honest volunteers, under the trust policy,
     /// on a journaled server killed once the saboteur is quarantined:
     /// the restarted server replays the quarantine, no corrupt result
@@ -2417,27 +1473,27 @@ pub(crate) mod tests {
         };
         let server = Server {
             faults,
-            ..Server::shard(0, 1)
+            ..Server::tiny()
         };
-        let mut world = World::new(vec![server.journaled()]);
+        let mut world = World::new(server.journaled());
         for agent in 1..=3 {
-            world.volunteer(AgentConfig::new("shard-0", agent));
+            world.volunteer(AgentConfig::new(ADDR, agent));
         }
         world.volunteer(AgentConfig {
             profile: FaultProfile::saboteur(),
-            ..AgentConfig::new("shard-0", 9)
+            ..AgentConfig::new(ADDR, 9)
         });
-        let quarantined = |world: &World| world.state(0).agent_trust(9).map(|t| t.quarantine_count);
+        let quarantined = |world: &World| world.state().agent_trust(9).map(|t| t.quarantine_count);
         let mut killed = false;
         world.finish(&mut ChaCha8Rng::seed_from_u64(9), |world, _| {
             if !killed && quarantined(world) > Some(0) {
-                world.kill_and_reopen(0);
+                world.kill_and_reopen();
                 assert!(quarantined(world) > Some(0), "the quarantine replays");
                 killed = true;
             }
         });
         assert!(killed, "the saboteur was quarantined");
-        let nine = world.state(0).agent_trust(9).unwrap();
+        let nine = world.state().agent_trust(9).unwrap();
         assert!(nine.quarantine_count >= 1, "{nine:?}");
         assert_eq!(nine.accepted, 0, "no corrupt result ever validated");
         world.assert_the_end();
@@ -2461,11 +1517,10 @@ pub(crate) mod tests {
         mut joining: Vec<AgentConfig>,
         ready: impl Fn(&World) -> bool,
     ) -> (NetStats, ServerStats) {
-        let server = Server::shard(0, 1);
-        let mut world = World::new(vec![Server {
+        let mut world = World::new(Server {
             journaled,
-            ..server
-        }]);
+            ..Server::tiny()
+        });
         world.volunteer(first);
         let volunteers = 1 + joining.len();
         world.finish(&mut ChaCha8Rng::seed_from_u64(seed), |world, _| {
@@ -2480,7 +1535,7 @@ pub(crate) mod tests {
         }
         let saw_the_end = (0..volunteers).any(|v| world.report(v).saw_completion);
         assert!(saw_the_end, "seed {seed}: no volunteer saw the end");
-        (world.stats(0), world.state(0).server_stats())
+        (world.stats(), world.state().server_stats())
     }
 
     /// A volunteer takes one assignment and vanishes with it, no report
@@ -2491,9 +1546,9 @@ pub(crate) mod tests {
         for seed in FAULT_SEEDS {
             let victim = AgentConfig {
                 die_after: Some(1),
-                ..AgentConfig::new("shard-0", 100)
+                ..AgentConfig::new(ADDR, 100)
             };
-            let honest = (1..=2).map(|agent| AgentConfig::new("shard-0", agent));
+            let honest = (1..=2).map(|agent| AgentConfig::new(ADDR, agent));
             let died = |world: &World| world.outcome(0).is_some();
             let (net, server) = faulted(seed, journaled, victim, honest.collect(), died);
             assert!(net.deadline_expiries >= 1, "seed {seed}: {net:?}");
@@ -2520,9 +1575,9 @@ pub(crate) mod tests {
             let saboteur = AgentConfig {
                 profile: FaultProfile::saboteur(),
                 seed: 5,
-                ..AgentConfig::new("shard-0", 666)
+                ..AgentConfig::new(ADDR, 666)
             };
-            let honest = (1..=3).map(|agent| AgentConfig::new("shard-0", agent));
+            let honest = (1..=3).map(|agent| AgentConfig::new(ADDR, agent));
             let reported = |world: &World| world.report(0).reported >= 1;
             let (net, server) = faulted(seed, journaled, saboteur, honest.collect(), reported);
             assert!(net.quorum_rejected >= 1, "seed {seed}: {net:?}");

@@ -7,18 +7,15 @@
 //! the brush-off at the cap, the timers and the leave rule — is
 //! `Loop`'s (`crate::event_loop`). What is here only carries: one
 //! [`crate::sys::Poller`] watches the task listener, the ops listener
-//! and every connection — volunteers, steering links to and from peer
-//! shards, ops scrapes — and each batch it finds ready is handed to the
-//! loop with the wall clock read on the core's [`SimTime`] axis
-//! (seconds since server start), and each wal batch the loop commits is
-//! written to `wal.bin` through the journal's [`WalFile`]. The only
-//! thing off the thread is the blocking `connect` of a steering link,
-//! handed to one dialer thread that sees addresses and returns sockets
-//! — never grid state; a server with no peers never starts it.
+//! and every connection — volunteers and ops scrapes — and each batch it
+//! finds ready is handed to the loop with the wall clock read on the
+//! core's [`SimTime`] axis (seconds since server start), and each wal
+//! batch the loop commits is written to `wal.bin` through the journal's
+//! [`WalFile`].
 //!
 //! Why an event loop: a thread per agent tops out around the
 //! dozens-of-volunteers scale. Here every connection is a few kilobytes
-//! of buffer state, a request takes no lock, and a stalled peer or
+//! of buffer state, a request takes no lock, and a stalled volunteer or
 //! scraper holds nothing but its own buffers. Nothing is negotiated: a
 //! frame with any version byte but the one dialect's
 //! ([`crate::protocol`]) closes its connection with reason `"protocol"`
@@ -29,17 +26,15 @@ use crate::faults::ServerFaults;
 use crate::journal::{JournalConfig, WalFile};
 use crate::protocol::CampaignParams;
 use crate::registry::{CampaignDef, MultiGrid};
-use crate::shard::{ShardSpec, STEER_TIMEOUT_MS};
+use crate::shard::ShardSpec;
 use crate::state::NetStats;
 use crate::sys::{Event as IoEvent, Poller};
 use gridsim::sched::{ServerConfig, ServerStats};
 use gridsim::SimTime;
 use maxdo::DockingOutput;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::sync::mpsc;
-use std::thread;
 use std::time::{Duration, Instant};
 
 /// Server configuration.
@@ -61,26 +56,15 @@ pub struct NetServerConfig {
     /// Bind address of the read-only HTTP observability endpoint
     /// (`/metrics`, `/`); `None` disables it. Port 0 lets the OS pick.
     pub ops_addr: Option<String>,
-    /// Sharded topology: this server's place in it plus every shard's
-    /// listen address. `None` is one shard of one with no peer
-    /// addresses ([`ShardSpec::solo`]) — the same server, fewer peers.
-    pub shard: Option<ShardTopology>,
+    /// Kept for `benchmarks/gridbench`, which names it, until its next
+    /// change drops it: one server carries the campaign, so anything but
+    /// `None` is refused at [`NetServer::bind`].
+    pub shard: Option<ShardSpec>,
     /// The campaign roster with fair-share weights. Empty hosts the
     /// single implicit campaign built from `campaign` (slot 0, name
     /// `"default"`). Non-empty replaces `campaign` entirely; slot order
     /// is the roster order assignments index.
     pub campaigns: Vec<CampaignDef>,
-}
-
-/// One shard's view of the sharded campaign topology.
-#[derive(Debug, Clone)]
-pub struct ShardTopology {
-    /// This server's shard id and the total shard count.
-    pub spec: ShardSpec,
-    /// Main listener address of every shard, indexed by shard id
-    /// (`addrs[spec.shard_id]` is this server's own advertised
-    /// address). Steering gossip and agent redirects both use it.
-    pub addrs: Vec<String>,
 }
 
 impl NetServerConfig {
@@ -111,8 +95,6 @@ pub struct NetRunReport {
     /// `campaigns[0].server_stats`; kept because the benchmark harness
     /// reads it. Anything that sums over campaigns reads `campaigns`.
     pub server_stats: ServerStats,
-    /// This server's place in the shard topology (solo when unsharded).
-    pub shard: ShardSpec,
     /// Wall-clock duration of the run, seconds.
     pub wall_seconds: f64,
     /// Connections accepted over the run.
@@ -146,13 +128,7 @@ pub struct CampaignRunReport {
     pub borrows: u64,
     /// The validated output of every workunit, in catalog order — the
     /// artifact that must match the in-process baseline byte for byte.
-    /// Filled on a solo server only; a shard fills `partial_outputs`.
     pub outputs: Vec<DockingOutput>,
-    /// The validated output per workunit, `Some` exactly where this
-    /// shard validated — the partial artifact
-    /// [`crate::shard::merge_artifacts`] combines across shards. Filled
-    /// on a shard only; a solo server fills `outputs`.
-    pub partial_outputs: Vec<Option<DockingOutput>>,
     /// Workunits in this campaign's catalog.
     pub workunits: usize,
     /// The campaign scheduler core's issue/validation statistics.
@@ -184,14 +160,12 @@ pub struct NetServer {
 }
 
 /// What the loop's bytes ride on: the listeners, the poller watching
-/// them and every connection, the dialer, and the wal file.
+/// them and every connection, and the wal file.
 struct Sockets {
     listener: TcpListener,
     /// The observability listener, when `ops_addr` is configured.
     ops_listener: Option<TcpListener>,
     poller: Poller,
-    /// Started by the first dial, so a server without peers has none.
-    dialer: Option<Dialer>,
     /// Where the core's committed batches go, when it is journaled.
     wal: Option<WalFile>,
 }
@@ -205,41 +179,30 @@ impl NetServer {
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
         // std's listen backlog is 128; a 10k-agent reconnect storm
-        // overflows that and every dropped SYN costs the dialer a 1 s
+        // overflows that and every dropped SYN costs the agent a 1 s
         // retransmit. Widen it (the kernel clamps to somaxconn).
         crate::sys::widen_listen_backlog(listener.as_raw_fd(), 4096);
-        let (spec, addrs) = match &config.shard {
-            Some(topo) => {
-                if usize::from(topo.spec.shards) != topo.addrs.len()
-                    || topo.spec.shard_id >= topo.spec.shards
-                {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        format!(
-                            "shard {}/{} with {} addresses",
-                            topo.spec.shard_id,
-                            topo.spec.shards,
-                            topo.addrs.len()
-                        ),
-                    ));
-                }
-                (topo.spec, topo.addrs.clone())
-            }
-            None => (ShardSpec::solo(), Vec::new()),
-        };
+        if let Some(spec) = config.shard {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "shard {} of {}: this server runs unsharded",
+                    spec.shard_id, spec.shards
+                ),
+            ));
+        }
         let defs = if config.campaigns.is_empty() {
             vec![CampaignDef::default_solo(config.campaign)]
         } else {
             config.campaigns.clone()
         };
-        let (mut core, clock_offset) = MultiGrid::open(
+        let (core, clock_offset) = MultiGrid::open(
             defs,
             config.scheduler,
             config.faults,
-            spec,
+            ShardSpec::solo(),
             config.journal.as_ref(),
         )?;
-        core.set_addrs(addrs);
         let wal = config.journal.as_ref().map(WalFile::append).transpose()?;
         let mut poller = Poller::new()?;
         poller.register(listener.as_raw_fd(), true, false)?;
@@ -260,7 +223,6 @@ impl NetServer {
                 listener,
                 ops_listener,
                 poller,
-                dialer: None,
                 wal,
             },
             events: Vec::new(),
@@ -299,12 +261,6 @@ impl NetServer {
         if let Some(e) = self.lp.wal_error.take() {
             return Err(e);
         }
-        if let Some(Dialer { jobs, thread, .. }) = self.io.dialer.take() {
-            drop(jobs); // the dialer's queue closes and it returns
-            thread
-                .join()
-                .map_err(|_| io::Error::other("the dialer thread panicked"))?;
-        }
         Ok(report(self.lp, wall_seconds))
     }
 
@@ -314,9 +270,8 @@ impl NetServer {
         SimTime::new(self.clock_offset + self.epoch.elapsed().as_secs_f64())
     }
 
-    /// One turn: fire the timers that are due, wait for readiness — at
-    /// most `timeout`, never past the next timer — serve the batch, and
-    /// hand over any dialed link.
+    /// One turn: fire the timer if it is due, wait for readiness — at
+    /// most `timeout`, never past the next timer — and serve the batch.
     fn turn(&mut self, timeout: Duration) -> io::Result<()> {
         let now = self.now();
         self.lp.tick(&mut self.io, now);
@@ -334,27 +289,16 @@ impl NetServer {
         let now = self.now();
         self.lp.serve(&mut self.io, now, batch)?;
         self.events = events;
-        while let Some((peer, dialed)) = self
-            .io
-            .dialer
-            .as_ref()
-            .and_then(|d| d.dialed.try_recv().ok())
-        {
-            let link = dialed.ok().map(|stream| (stream.as_raw_fd(), stream));
-            self.lp.dialed(&mut self.io, now, peer, link);
-        }
         self.lp.wal_error.take().map_or(Ok(()), Err)
     }
 }
 
 /// The finished run's report. The loop is given up whole, so each
 /// campaign's validated outputs are moved out of its slot, never
-/// copied: the report holds the one copy of the artifact, in `outputs`
-/// on a solo server and in `partial_outputs` on a shard. A solo
-/// server's campaigns must all be complete.
+/// copied: the report holds the one copy of the artifact. Every
+/// campaign must be complete.
 fn report(lp: Loop<TcpStream>, wall_seconds: f64) -> NetRunReport {
     let grid = lp.core;
-    let spec = grid.spec();
     let fair = grid.fair().clone();
     let now_s = grid.last_now();
     let share_error = grid.share_error();
@@ -369,25 +313,14 @@ fn report(lp: Loop<TcpStream>, wall_seconds: f64) -> NetRunReport {
             let wasted_ref_seconds = slot.state.wasted_ref_seconds();
             let trust = slot.state.trust_summary(now_s);
             let agent_trust = slot.state.agent_trust_table();
-            let accepted = slot.state.into_outputs();
-            let (outputs, partial_outputs) = match spec.shards {
-                1 => (
-                    accepted
-                        .into_iter()
-                        .collect::<Option<_>>()
-                        .expect("a solo server reports complete campaigns"),
-                    Vec::new(),
-                ),
-                _ => (Vec::new(), accepted),
-            };
+            let outputs = slot.state.into_outputs().into_iter().collect::<Option<_>>();
             CampaignRunReport {
                 name: slot.def.name,
                 share: fair.share(i),
                 priority: slot.def.priority,
                 delivered_ref_seconds: fair.delivered(i),
                 borrows: fair.borrows(i),
-                outputs,
-                partial_outputs,
+                outputs: outputs.expect("a finished server reports complete campaigns"),
                 workunits: slot.campaign.len(),
                 server_stats,
                 net_stats,
@@ -399,7 +332,6 @@ fn report(lp: Loop<TcpStream>, wall_seconds: f64) -> NetRunReport {
         .collect();
     NetRunReport {
         server_stats: campaigns[0].server_stats,
-        shard: spec,
         wall_seconds,
         connections: lp.connections,
         rejected_connections: lp.rejected,
@@ -459,57 +391,9 @@ impl Io<TcpStream> for Sockets {
         self.poller.reregister(fd, on, false)
     }
 
-    fn dial(&mut self, peer: u16, addr: &str) -> bool {
-        let dialer = self.dialer.get_or_insert_with(Dialer::spawn);
-        dialer.jobs.send((peer, addr.to_string())).is_ok()
-    }
-
     fn persist(&mut self, batch: &[u8]) -> io::Result<()> {
         let wal = self.wal.as_mut().expect("a journaled core's wal file");
         wal.persist(batch)
-    }
-}
-
-/// The one helper thread: it runs the blocking `connect` of a steering
-/// link so the loop never does. It is given a peer id and an address
-/// and hands back a nonblocking socket or an error — no grid state
-/// crosses over.
-struct Dialer {
-    jobs: mpsc::Sender<(u16, String)>,
-    dialed: mpsc::Receiver<(u16, io::Result<TcpStream>)>,
-    thread: thread::JoinHandle<()>,
-}
-
-impl Dialer {
-    fn spawn() -> Self {
-        let (jobs, queue) = mpsc::channel::<(u16, String)>();
-        let (answers, dialed) = mpsc::channel();
-        let thread = thread::spawn(move || {
-            for (peer, addr) in queue {
-                let timeout = Duration::from_millis(STEER_TIMEOUT_MS);
-                let stream = addr
-                    .to_socket_addrs()
-                    .and_then(|mut socks| {
-                        socks
-                            .next()
-                            .ok_or_else(|| io::Error::other("unresolvable peer"))
-                    })
-                    .and_then(|sock| TcpStream::connect_timeout(&sock, timeout))
-                    .and_then(|stream| {
-                        stream.set_nonblocking(true)?;
-                        let _ = stream.set_nodelay(true);
-                        Ok(stream)
-                    });
-                if answers.send((peer, stream)).is_err() {
-                    return; // the loop is gone
-                }
-            }
-        });
-        Self {
-            jobs,
-            dialed,
-            thread,
-        }
     }
 }
 
@@ -546,9 +430,8 @@ impl AcceptFailure {
 mod tests {
     use super::*;
     use crate::protocol::{decode_versioned, CampaignParams, Message, PROTOCOL_VERSION};
-    use crate::shard::merge_artifacts;
     use crate::state::WorkReply;
-    use crate::world::{pump_until, Client, Pump};
+    use crate::world::{pump_until, Pump};
     use std::io::{Read, Write};
 
     fn listener() -> TcpListener {
@@ -559,9 +442,8 @@ mod tests {
         listener.local_addr().unwrap().to_string()
     }
 
-    /// A server on an already bound listener whose timers never come
-    /// due by themselves: the test decides when a sweep or steering
-    /// tick happens.
+    /// A server on an already bound listener whose timer never comes
+    /// due by itself: the test decides when a sweep tick happens.
     fn open(listener: TcpListener, config: NetServerConfig) -> NetServer {
         let config = NetServerConfig {
             addr: addr_of(&listener),
@@ -578,34 +460,6 @@ mod tests {
         open(listener(), NetServerConfig::loopback(5.0))
     }
 
-    /// One shard of a topology whose task listeners are already bound.
-    fn shard_server(
-        own: TcpListener,
-        shard_id: u16,
-        addrs: &[String],
-        journal: Option<JournalConfig>,
-    ) -> NetServer {
-        let config = NetServerConfig {
-            journal,
-            shard: Some(ShardTopology {
-                spec: ShardSpec {
-                    shard_id,
-                    shards: addrs.len() as u16,
-                },
-                addrs: addrs.to_vec(),
-            }),
-            ..NetServerConfig::loopback(60.0)
-        };
-        open(own, config)
-    }
-
-    fn connect(addr: &str) -> Client<TcpStream> {
-        let stream = TcpStream::connect(addr).unwrap();
-        stream.set_nodelay(true).unwrap();
-        stream.set_nonblocking(true).unwrap();
-        Client::new(stream)
-    }
-
     /// One round over real sockets: every server takes one turn,
     /// waiting at most a millisecond for something to be ready.
     impl<const N: usize> Pump for [NetServer; N] {
@@ -614,15 +468,6 @@ mod tests {
                 server.turn(Duration::from_millis(1)).unwrap();
             }
         }
-    }
-
-    fn steer(server: &mut NetServer) {
-        let now = server.now();
-        server.lp.steer_tick(&mut server.io, now);
-    }
-
-    fn net_stats(server: &NetServer) -> NetStats {
-        server.lp.core.slots()[0].state.net_stats
     }
 
     #[test]
@@ -732,9 +577,7 @@ mod tests {
     }
 
     /// The report takes the grid's one copy of the artifact: every
-    /// validated output's rows are still where the grid kept them, and
-    /// a campaign fills `outputs` on a solo server, `partial_outputs` on
-    /// a shard, never both.
+    /// validated output's rows are still where the grid kept them.
     #[test]
     fn the_report_moves_each_output_out_of_the_grid() {
         let mut solo = solo();
@@ -749,27 +592,25 @@ mod tests {
         let held = row_addresses(&solo);
         let report = report(solo.lp, 0.0);
         let c = &report.campaigns[0];
-        assert!(c.partial_outputs.is_empty(), "solo fills outputs only");
         assert_eq!(c.outputs, baseline);
         let reported: Vec<_> = c.outputs.iter().map(|o| Some(o.rows.as_ptr())).collect();
         assert_eq!(reported, held, "moved, not copied");
-
-        let (own, peer) = (listener(), listener());
-        let addrs = [addr_of(&own), addr_of(&peer)];
-        let mut shard = shard_server(own, 0, &addrs, None);
-        drive(&mut shard, baselines);
-        let held = row_addresses(&shard);
-        assert!(held.iter().any(Option::is_some) && held.iter().any(Option::is_none));
-        let report = super::report(shard.lp, 0.0);
-        let c = &report.campaigns[0];
-        assert!(c.outputs.is_empty(), "a shard fills partial_outputs only");
-        let reported: Vec<_> = c
-            .partial_outputs
-            .iter()
-            .map(|o| o.as_ref().map(|o| o.rows.as_ptr()))
-            .collect();
-        assert_eq!(reported, held, "moved, not copied");
     }
+
+    /// One server carries the campaign: a configuration that names a
+    /// shard topology is refused before anything is bound or built.
+    #[test]
+    fn a_sharded_configuration_is_refused_at_bind() {
+        for (shard_id, shards) in [(0, 1), (1, 2)] {
+            let config = NetServerConfig {
+                shard: Some(ShardSpec { shard_id, shards }),
+                ..NetServerConfig::loopback(5.0)
+            };
+            let err = NetServer::bind(config).err().expect("refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        }
+    }
+
     /// Two campaigns under the trust policy, and only beta's volunteer
     /// is a saboteur: each campaign's row reports its own census, so
     /// beta's shows the quarantine and alpha's does not.
@@ -847,50 +688,5 @@ mod tests {
         assert_eq!(trust(1).ever_quarantined, 1, "beta: {:?}", trust(1));
         assert!(report.campaigns[1].net_stats.quorum_rejected >= u64::from(quarantine_after));
         assert_eq!(report.campaigns[0].net_stats.quorum_rejected, 0);
-    }
-
-    /// A two-shard campaign over real sockets, both links dialed by the
-    /// dialer thread: hunger, a lease cut and adopted over a link,
-    /// completion gossiped both ways, stepped from this thread. The
-    /// whole history, redirect and wal included, runs on stepped loops
-    /// in `event_loop::tests::a_two_shard_history_runs_to_done`.
-    #[test]
-    fn a_two_shard_history_runs_to_done_over_real_links() {
-        let (l0, l1) = (listener(), listener());
-        let addrs = [addr_of(&l0), addr_of(&l1)];
-        let servers = &mut [
-            shard_server(l0, 0, &addrs, None),
-            shard_server(l1, 1, &addrs, None),
-        ];
-        let baseline = servers[0].lp.core.slots()[0].campaign.baseline_outputs();
-        steer(&mut servers[0]);
-        steer(&mut servers[1]);
-        pump_until(servers, |s| s[0].lp.link_up(1) && s[1].lp.link_up(0));
-
-        // Shard 1's agent works its slice dry but for one result it sits
-        // on, so its next status is hungry and shard 0 cuts it a lease.
-        let mut agent1 = connect(&addrs[1]).hello(1, servers);
-        let sat_on = agent1
-            .ask(servers, &baseline)
-            .expect("work on a fresh shard");
-        agent1.work(servers, &baseline);
-        steer(&mut servers[1]);
-        pump_until(servers, |s| net_stats(&s[1]).shard_leases_in == 1);
-        assert_eq!(net_stats(&servers[0]).shard_leases_out, 1);
-
-        // Both slices finish; one round of gossip each way ends both.
-        connect(&addrs[0])
-            .hello(2, servers)
-            .work(servers, &baseline);
-        agent1.work(servers, &baseline);
-        agent1.report(&sat_on, servers);
-        steer(&mut servers[0]);
-        steer(&mut servers[1]);
-        pump_until(servers, |s| s[0].lp.core.done() && s[1].lp.core.done());
-        let parts: Vec<_> = servers
-            .iter()
-            .map(|s| s.lp.core.slots()[0].state.outputs().to_vec())
-            .collect();
-        assert_eq!(merge_artifacts(&parts).unwrap(), baseline);
     }
 }

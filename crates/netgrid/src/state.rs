@@ -29,7 +29,6 @@
 use crate::campaign::NetCampaign;
 use crate::faults::ServerFaults;
 use crate::protocol::{binary, Checksum64};
-use crate::shard::{self, ShardSpec};
 use crate::trust::{spot_selected, AgentTrust, TrustBand};
 use gridsim::sched::{
     ReplicaAssignment, ReplicaId, ReplicationOverride, SchedulerCore, ServerConfig, ServerStats,
@@ -157,16 +156,6 @@ pub struct NetStats {
     pub spot_checks_failed: u64,
     /// Validated workunits retracted after a failed spot check.
     pub workunits_invalidated: u64,
-    /// Work requests answered with a `Redirect` to a peer shard.
-    pub shard_redirects: u64,
-    /// Leases granted to hungry peer shards.
-    pub shard_leases_out: u64,
-    /// Leases adopted from loaded peer shards.
-    pub shard_leases_in: u64,
-    /// Workunits whose ownership left with an outbound lease.
-    pub shard_wus_leased_out: u64,
-    /// Workunits whose ownership arrived with an inbound lease.
-    pub shard_wus_leased_in: u64,
 }
 
 /// Per-agent accounting for the ops endpoint's fleet table.
@@ -245,17 +234,6 @@ pub struct GridState {
     core: SchedulerCore,
     faults: ServerFaults,
     ranges: ValueRanges,
-    /// This server's place in the shard topology ([`ShardSpec::solo`]
-    /// when unsharded). Part of the wal header's identity.
-    shard: ShardSpec,
-    /// Leases this shard granted: lease id → (lessee shard, workunits).
-    /// Ownership moves are scheduling state; this also drives re-grants
-    /// when a restarted lessee reports it never adopted one.
-    leases_granted: HashMap<u64, (u16, Vec<u32>)>,
-    /// Leases adopted from peers: lease id → workunits, advertised back
-    /// to each grantor so both books converge after a crash on either
-    /// side.
-    leases_held: HashMap<u64, Vec<u32>>,
     /// In-flight (issued, unreported, unexpired) replicas. `fetch`
     /// inserts, `report` and `sweep` remove: a replica that is in
     /// neither this map nor `lapsed` has reported (or was never issued),
@@ -291,26 +269,13 @@ pub struct GridState {
 }
 
 impl GridState {
-    /// Builds the state for one shard of a campaign
-    /// ([`ShardSpec::solo`] when unsharded) — the one way a `GridState`
-    /// comes to be; recovery makes the recorded calls on it again. The scheduler
-    /// runs over the full catalog but owns only the workunits the shard
-    /// map assigns to `shard` — keeping workunit indices, replica ids
-    /// and launch order globally consistent across the topology.
-    pub fn new(
-        campaign: &NetCampaign,
-        config: ServerConfig,
-        faults: ServerFaults,
-        shard: ShardSpec,
-    ) -> Self {
-        let owned = shard::ownership_map(campaign, shard);
+    /// Builds the state of a campaign — the one way a `GridState` comes
+    /// to be; recovery makes the recorded calls on it again.
+    pub fn new(campaign: &NetCampaign, config: ServerConfig, faults: ServerFaults) -> Self {
         Self {
-            core: SchedulerCore::with_ownership(campaign.catalog(), config, owned),
+            core: SchedulerCore::new(campaign.catalog(), config),
             faults,
             ranges: ValueRanges::default(),
-            shard,
-            leases_granted: HashMap::new(),
-            leases_held: HashMap::new(),
             in_flight: HashMap::new(),
             lapsed: HashMap::new(),
             candidates: HashMap::new(),
@@ -406,9 +371,7 @@ impl GridState {
 
     /// The validated output per workunit, in catalog order: `Some`
     /// exactly at the workunits this state validated — every one once
-    /// [`Self::is_campaign_complete`] on a solo server, this shard's
-    /// share on a sharded one ([`crate::shard::merge_artifacts`]
-    /// stitches the shards' parts into the single-server result).
+    /// [`Self::is_campaign_complete`].
     pub fn outputs(&self) -> &[Option<DockingOutput>] {
         &self.accepted
     }
@@ -419,13 +382,7 @@ impl GridState {
         self.accepted
     }
 
-    /// This server's place in the shard topology.
-    pub fn shard(&self) -> ShardSpec {
-        self.shard
-    }
-
-    /// Issued, unreported, unexpired replicas (gossiped to peers: a
-    /// shard with no backlog *and* nothing outstanding is fully drained).
+    /// Issued, unreported, unexpired replicas.
     pub fn outstanding_len(&self) -> usize {
         self.in_flight.len()
     }
@@ -440,74 +397,6 @@ impl GridState {
         let mut v: Vec<(u64, AgentLedger)> =
             self.agents.iter().map(|(&a, b)| (a, b.ledger)).collect();
         v.sort_by_key(|&(a, _)| a);
-        v
-    }
-
-    /// Counts one work request answered with a `Redirect`. Advisory:
-    /// not journaled, so it restarts from zero.
-    pub fn note_redirect(&mut self) {
-        self.net_stats.shard_redirects += 1;
-    }
-
-    /// Grants a lease of up to `max` never-issued workunits to a hungry
-    /// peer: they stop being owned here. Returns `None` when nothing is
-    /// leaseable. The lease id is derived from this shard's id and its
-    /// grant count, so a restart that makes the same grants again cuts
-    /// the same ids in the same order.
-    pub fn grant_lease(&mut self, to_shard: u16, max: usize) -> Option<(u64, Vec<u32>)> {
-        let wus = self.core.lease_candidates(max);
-        if wus.is_empty() {
-            return None;
-        }
-        let lease = shard::lease_id(self.shard.shard_id, self.leases_granted.len() as u64);
-        let moved = self.core.lease_out(&wus);
-        self.leases_granted.insert(lease, (to_shard, wus.clone()));
-        self.net_stats.shard_leases_out += 1;
-        self.net_stats.shard_wus_leased_out += moved as u64;
-        Some((lease, wus))
-    }
-
-    /// Adopts one inbound lease: the workunits become owned here and
-    /// join the fresh queue. Idempotent — a lease id already held is a
-    /// no-op returning `None`, so a re-sent `LeaseGrant` (duplicate
-    /// gossip, or a grantor re-offering after a crash) cannot
-    /// double-issue the range. Returns the workunits adopted.
-    pub fn adopt_lease(&mut self, lease: u64, wus: &[u32]) -> Option<usize> {
-        if self.leases_held.contains_key(&lease) {
-            return None;
-        }
-        let moved = self.core.lease_in(wus);
-        self.leases_held.insert(lease, wus.to_vec());
-        self.net_stats.shard_leases_in += 1;
-        self.net_stats.shard_wus_leased_in += moved as u64;
-        Some(moved)
-    }
-
-    /// Lease ids this shard adopted from `grantor` — advertised back in
-    /// every `ShardStatus` so a restarted grantor can re-send any grant
-    /// the advertisement is missing (its journal says granted, ours
-    /// never said adopted: the grant frame died with the connection).
-    pub fn leases_held_from(&self, grantor: u16) -> Vec<u64> {
-        let mut v: Vec<u64> = self
-            .leases_held
-            .keys()
-            .copied()
-            .filter(|&l| shard::lease_grantor(l) == grantor)
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Leases this shard granted to `lessee` — compared against the
-    /// lessee's advertised holdings to find grants that never landed.
-    pub fn leases_granted_to(&self, lessee: u16) -> Vec<(u64, Vec<u32>)> {
-        let mut v: Vec<(u64, Vec<u32>)> = self
-            .leases_granted
-            .iter()
-            .filter(|(_, (to, _))| *to == lessee)
-            .map(|(&l, (_, wus))| (l, wus.clone()))
-            .collect();
-        v.sort_by_key(|&(l, _)| l);
         v
     }
 
@@ -916,12 +805,7 @@ mod tests {
             deadline_seconds: 5.0,
             ..ServerConfig::default()
         };
-        let state = GridState::new(
-            &campaign,
-            config,
-            ServerFaults::default(),
-            ShardSpec::solo(),
-        );
+        let state = GridState::new(&campaign, config, ServerFaults::default());
         (campaign, state)
     }
 
@@ -1135,7 +1019,7 @@ mod tests {
             },
             ..ServerFaults::default()
         };
-        let state = GridState::new(&campaign, config, faults, ShardSpec::solo());
+        let state = GridState::new(&campaign, config, faults);
         (campaign, state)
     }
 

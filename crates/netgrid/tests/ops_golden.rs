@@ -1,5 +1,5 @@
 //! The ops endpoint, byte for byte: `/metrics` and `/` rendered from
-//! the three stepped grids of `src/ops/tests/grids.rs`, against files
+//! the two stepped grids of `src/ops/tests/grids.rs`, against files
 //! recorded in `tests/data/`.
 //!
 //! The files are the exposition operators and scrapers depend on, so a
@@ -19,10 +19,9 @@
 mod grids;
 
 use netgrid::ops::{render_dashboard, render_metrics};
-use netgrid::shard::lease_id;
 use netgrid::{
-    shard_of, CampaignDef, CampaignParams, Command, FsyncPolicy, JournalConfig, MultiGrid, Outcome,
-    ServerFaults, ShardSpec, TrustConfig, Verdict, WorkReply,
+    CampaignDef, CampaignParams, FsyncPolicy, JournalConfig, MultiGrid, ServerFaults, ShardSpec,
+    TrustConfig, Verdict, WorkReply,
 };
 use std::path::PathBuf;
 
@@ -32,7 +31,6 @@ fn stepped_grids() -> Vec<(&'static str, MultiGrid)> {
     let stepped = vec![
         ("solo", grids::solo()),
         ("contended", grids::contended(&dir)),
-        ("shard", grids::shard()),
     ];
     let _ = std::fs::remove_dir_all(&dir);
     stepped
@@ -101,13 +99,6 @@ fn the_recorded_files_show_every_family_in_use() {
         "hcmd_campaign_delivered_ref_seconds{campaign=\"beta\"}",
     ] {
         nonzero(&contended, series);
-    }
-    let shard = read("ops_shard.prom");
-    for series in [
-        "hcmd_shard_leases{direction=\"out\"}",
-        "hcmd_shard_leases{direction=\"in\"}",
-    ] {
-        nonzero(&shard, series);
     }
 }
 

@@ -1,6 +1,6 @@
-//! Property tests on the wire protocol: every one of the fifteen frame
-//! kinds — campaign indices, attachment lists, rosters, address lists
-//! and lease vectors sampled, not defaulted — round-trips through
+//! Property tests on the wire protocol: every one of the nine frame
+//! kinds — campaign indices, attachment lists and rosters sampled, not
+//! defaulted — round-trips through
 //! encode→decode byte-exactly, every truncation is reported as
 //! `Incomplete`, oversized declared lengths are rejected before any
 //! payload is read, any flipped payload byte fails the checksum, and
@@ -14,9 +14,9 @@ use netgrid::protocol::{
 use proptest::prelude::*;
 
 /// Message kinds (= wire tags) [`build_message`] can produce.
-const KINDS: usize = 15;
+const KINDS: usize = 9;
 
-/// A campaign / address string from a sampled integer: its hex digits
+/// A campaign name from a sampled integer: its hex digits
 /// cut to a sampled length, the empty string included.
 fn name_of(n: u64) -> String {
     let mut name = format!("{n:016x}");
@@ -36,8 +36,8 @@ fn params_of(a: u64, b: u32, x: f64) -> CampaignParams {
 
 /// Builds one message of each protocol kind from sampled primitives.
 /// `kind` selects the variant (its wire tag); the other arguments fill
-/// its fields — `ids` supplies every variable-length list (names and
-/// addresses via [`name_of`], lease ids, leased workunits).
+/// its fields — `ids` supplies every variable-length list (names via
+/// [`name_of`]).
 fn build_message(
     kind: usize,
     (a, b, c): (u64, u32, u16),
@@ -47,7 +47,6 @@ fn build_message(
     ids: &[u64],
 ) -> Message {
     let names = || ids.iter().map(|&n| name_of(n)).collect::<Vec<_>>();
-    let campaign = (b >> 16) as u16;
     match kind {
         0 => Message::Hello {
             agent: a,
@@ -109,37 +108,7 @@ fn build_message(
             completed_workunit: flags.1,
             campaign_complete: flags.0 != flags.1,
         },
-        8 => Message::Bye,
-        9 => Message::ShardMapRequest,
-        10 => Message::ShardMap {
-            shards: c,
-            self_shard: campaign,
-            addrs: names(),
-        },
-        11 => Message::Redirect {
-            shard: c,
-            addr: name_of(a),
-        },
-        12 => Message::ShardStatus {
-            shard: c,
-            fresh_backlog: a,
-            outstanding: u64::from(b),
-            complete: flags.0,
-            hungry: flags.1,
-            leases_held: ids.to_vec(),
-            campaign,
-        },
-        13 => Message::LeaseGrant {
-            lease: a,
-            from_shard: c,
-            wus: ids.iter().map(|&n| n as u32).collect(),
-            complete: flags.0,
-            campaign,
-        },
-        _ => Message::StatusAck {
-            shard: c,
-            complete: flags.1,
-        },
+        _ => Message::Bye,
     }
 }
 
@@ -254,19 +223,19 @@ proptest! {
     #[test]
     fn corrupt_count_prefix_never_panics_or_balloons(
         forged in 0u32..u32::MAX,
-        shards in 1u16..8,
+        campaigns in 1u16..8,
     ) {
-        let addrs: Vec<String> = (0..shards)
-            .map(|i| format!("127.0.0.1:{}", 7000 + i))
+        let campaigns: Vec<String> = (0..campaigns)
+            .map(|i| format!("campaign-{i}"))
             .collect();
-        let msg = Message::ShardMap {
-            shards,
-            self_shard: 0,
-            addrs,
+        let msg = Message::Hello {
+            agent: 9,
+            threads: 1,
+            campaigns,
         };
         let frame = encode_with(&msg, Codec);
         let mut payload = frame[HEADER_BYTES..].to_vec();
-        let off = 1 + 2 + 2; // tag + shards + self_shard
+        let off = 1 + 8 + 4; // tag + agent + threads
         let original =
             u32::from_le_bytes(payload[off..off + 4].try_into().unwrap());
         prop_assume!(forged != original);
@@ -287,10 +256,10 @@ proptest! {
     fn patched_garbage_binary_payload_rejected(
         payload in collection::vec(0u8..=255, 1..64),
     ) {
-        // Tags are 0..=14; anything higher is unconditionally garbage,
+        // Tags are 0..=8; anything higher is unconditionally garbage,
         // and a known tag with a random tail is overwhelmingly
         // malformed too — filter to the certain case.
-        prop_assume!(payload[0] > 14);
+        prop_assume!(payload[0] > 8);
         let frame = frame_payload_versioned(PROTOCOL_VERSION, &payload);
         prop_assert!(
             matches!(decode_versioned(&frame), Err(DecodeError::Payload { .. })),

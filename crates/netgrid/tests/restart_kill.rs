@@ -6,9 +6,9 @@
 //! This is the same contract `tests/netgrid_restart.rs` pins for a
 //! scripted in-process history, but here the crash is a real SIGKILL of
 //! a real daemon, with real volunteer agents riding through the restart
-//! gap on their reconnect loop. The sharded and trust-on variants run on
-//! the stepped world in `registry.rs`, killed at a chosen turn. The CI
-//! restart job runs exactly this test.
+//! gap on their reconnect loop. The trust-on variant runs on the stepped
+//! world in `registry.rs`, killed at a chosen turn. The CI restart job
+//! runs exactly this test.
 
 use gridsim::sched::ServerConfig;
 use netgrid::journal::open_wal;

@@ -3,19 +3,24 @@
 //! The literals below are a format, not a regression snapshot: they were
 //! recorded from the v4 binary codec *before* the JSON/v2/v3 dialects
 //! were removed and must never be edited. Every frame a deployed agent
-//! or server can send is built from these fifteen shapes, so as long as
+//! or server can send is built from these nine shapes, so as long as
 //! this file passes, `wire_bytes_per_wu` and the report frame size
 //! cannot move and an agent built at either commit talks to a server
 //! built at the other. Each sample carries non-default values in every
 //! field that was ever optional on an older dialect (campaign index,
-//! attachment list, roster, address list, lease vectors).
+//! attachment list, roster).
+//!
+//! Tags 9–14 were the six frames of multi-server sharding (a shard map
+//! and its request, a redirect, the steering status, a lease grant and
+//! the status ack), removed with it; their recorded frames are kept in
+//! [`RETIRED`], and each is now refused as an unknown tag.
 //!
 //! The codec value comes from [`AgentConfig::new`], exactly as a stock
 //! agent gets it, so this file names no dialect and compiles unchanged
 //! on both sides of the removal.
 
 use maxdo::{DockingOutput, DockingRow, EulerZyz, Vec3};
-use netgrid::protocol::{decode_versioned, encode_with, Message, HEADER_BYTES};
+use netgrid::protocol::{decode_versioned, encode_with, DecodeError, Message, HEADER_BYTES};
 use netgrid::{AgentConfig, CampaignParams};
 
 fn params(proteins: u32, lib_seed: u64) -> CampaignParams {
@@ -139,64 +144,26 @@ fn golden() -> Vec<(Message, &'static str)> {
             "48434d4404 01000000 d7d4256cff04e14f
              08",
         ),
-        (
-            Message::ShardMapRequest,
-            "48434d4404 01000000 36d8d6322539242e
-             09",
-        ),
-        (
-            Message::ShardMap {
-                shards: 2,
-                self_shard: 1,
-                addrs: vec!["127.0.0.1:7070".into(), "127.0.0.1:7071".into()],
-            },
-            "48434d4404 2d000000 1b1e243d290c3ed1
-             0a02000100020000000e0000003132372e302e302e313a373037300e00000031
-             32372e302e302e313a37303731",
-        ),
-        (
-            Message::Redirect {
-                shard: 1,
-                addr: "127.0.0.1:7071".into(),
-            },
-            "48434d4404 15000000 1ac65488e6ba9beb
-             0b01000e0000003132372e302e302e313a37303731",
-        ),
-        (
-            Message::ShardStatus {
-                shard: 1,
-                fresh_backlog: 5,
-                outstanding: 3,
-                complete: false,
-                hungry: true,
-                leases_held: vec![(1u64 << 48) | 2, 42],
-                campaign: 1,
-            },
-            "48434d4404 2b000000 f6d7954eaa6ebf0c
-             0c01000500000000000000030000000000000000010200000002000000000001
-             002a000000000000000100",
-        ),
-        (
-            Message::LeaseGrant {
-                lease: (1u64 << 48) | 3,
-                from_shard: 1,
-                wus: vec![11, 12, 13],
-                complete: false,
-                campaign: 1,
-            },
-            "48434d4404 1e000000 6a50ed6e07a73059
-             0d03000000000001000100030000000b0000000c0000000d000000000100",
-        ),
-        (
-            Message::StatusAck {
-                shard: 1,
-                complete: true,
-            },
-            "48434d4404 04000000 0c9ded5271da5e20
-             0e010001",
-        ),
     ]
 }
+
+/// The recorded frames of the six retired tags, 9 to 14, in tag order.
+const RETIRED: [&str; 6] = [
+    "48434d4404 01000000 36d8d6322539242e
+             09",
+    "48434d4404 2d000000 1b1e243d290c3ed1
+             0a02000100020000000e0000003132372e302e302e313a373037300e00000031
+             32372e302e302e313a37303731",
+    "48434d4404 15000000 1ac65488e6ba9beb
+             0b01000e0000003132372e302e302e313a37303731",
+    "48434d4404 2b000000 f6d7954eaa6ebf0c
+             0c01000500000000000000030000000000000000010200000002000000000001
+             002a000000000000000100",
+    "48434d4404 1e000000 6a50ed6e07a73059
+             0d03000000000001000100030000000b0000000c0000000d000000000100",
+    "48434d4404 04000000 0c9ded5271da5e20
+             0e010001",
+];
 
 /// Header fields apart, then the payload in 32-byte lines — the layout
 /// the literals above are written in (whitespace is not significant).
@@ -238,7 +205,7 @@ fn every_variant_encodes_to_its_recorded_frame() {
         tags.push(frame[HEADER_BYTES]);
     }
     assert!(moved.is_empty(), "the wire moved:\n{moved}");
-    assert_eq!(tags, (0..15).collect::<Vec<u8>>(), "one frame per tag");
+    assert_eq!(tags, (0..9).collect::<Vec<u8>>(), "one frame per tag");
 }
 
 #[test]
@@ -250,5 +217,19 @@ fn every_recorded_frame_decodes_to_its_variant() {
         assert_eq!(back, msg);
         assert_eq!(consumed, frame.len());
         assert_eq!(seen, codec);
+    }
+}
+
+/// A frame of the retired shard dialogue is well framed, and refused as
+/// a payload of an unknown tag, never read as another message.
+#[test]
+fn every_retired_frame_is_refused_as_an_unknown_tag() {
+    for (tag, recorded) in (9u8..).zip(RETIRED) {
+        let frame = from_hex(recorded);
+        assert_eq!(frame[HEADER_BYTES], tag);
+        match decode_versioned(&frame) {
+            Err(DecodeError::Payload(e)) => assert!(e.contains("unknown message tag"), "{e}"),
+            other => panic!("tag {tag} gave {other:?}"),
+        }
     }
 }

@@ -13,9 +13,8 @@ use maxdo::DockingOutput;
 use netgrid::journal::WalFile;
 use netgrid::{
     CampaignDef, CampaignParams, Command, GridState, JournalConfig, MultiGrid, Outcome,
-    ResultDisposition, ServerFaults, ShardSpec, TrustSummary, WorkReply,
+    ResultDisposition, ServerFaults, ShardSpec, TrustSummary, Unrecovered, WorkReply,
 };
-use std::borrow::Cow;
 use std::io;
 use std::ops::Deref;
 
@@ -34,17 +33,16 @@ pub enum Disk {
 }
 
 impl Journaled {
-    /// Opens the registry `roster` describes as `shard`, recovering it
-    /// from `journal` when one is given; the clock offset recovery
-    /// reached.
+    /// Opens the registry `roster` describes, recovering it from
+    /// `journal` when one is given; the clock offset recovery reached.
     pub fn open(
         roster: Vec<CampaignDef>,
         config: ServerConfig,
         faults: ServerFaults,
-        shard: ShardSpec,
         journal: Option<&JournalConfig>,
     ) -> io::Result<(Self, f64)> {
-        let (grid, resume) = MultiGrid::open(roster, config, faults, shard, journal)?;
+        let solo = ShardSpec::solo();
+        let (grid, resume) = MultiGrid::open(roster, config, faults, solo, journal)?;
         let disk = journal.map(WalFile::append).transpose()?.map(Disk::File);
         Ok((Self { grid, disk }, resume))
     }
@@ -54,10 +52,14 @@ impl Journaled {
         roster: Vec<CampaignDef>,
         config: ServerConfig,
         faults: ServerFaults,
-        shard: ShardSpec,
-        mut wal: Vec<u8>,
+        wal: Vec<u8>,
     ) -> io::Result<(Self, f64)> {
-        let (grid, resume) = MultiGrid::open_bytes(roster, config, faults, shard, &mut wal)?;
+        Self::recover(MultiGrid::fresh(roster, config, faults)?, wal)
+    }
+
+    /// [`Self::open_bytes`] on a registry built already.
+    pub fn recover(fresh: Unrecovered, mut wal: Vec<u8>) -> io::Result<(Self, f64)> {
+        let (grid, resume) = fresh.recover_bytes(&mut wal)?;
         let disk = Some(Disk::Bytes(wal));
         Ok((Self { grid, disk }, resume))
     }
@@ -124,18 +126,16 @@ impl Deref for Journaled {
 pub struct OneCampaign(pub Journaled);
 
 impl OneCampaign {
-    /// Opens the campaign `params` describes as `shard`, recovering it
-    /// from `journal` when one is given; the clock offset recovery
-    /// reached.
+    /// Opens the campaign `params` describes, recovering it from
+    /// `journal` when one is given; the clock offset recovery reached.
     pub fn open(
         params: CampaignParams,
         config: ServerConfig,
         faults: ServerFaults,
-        shard: ShardSpec,
         journal: Option<&JournalConfig>,
     ) -> io::Result<(Self, f64)> {
         let roster = vec![CampaignDef::default_solo(params)];
-        let (grid, resume) = Journaled::open(roster, config, faults, shard, journal)?;
+        let (grid, resume) = Journaled::open(roster, config, faults, journal)?;
         Ok((Self(grid), resume))
     }
 
@@ -144,11 +144,17 @@ impl OneCampaign {
         params: CampaignParams,
         config: ServerConfig,
         faults: ServerFaults,
-        shard: ShardSpec,
         wal: Vec<u8>,
     ) -> io::Result<(Self, f64)> {
         let roster = vec![CampaignDef::default_solo(params)];
-        let (grid, resume) = Journaled::open_bytes(roster, config, faults, shard, wal)?;
+        let (grid, resume) = Journaled::open_bytes(roster, config, faults, wal)?;
+        Ok((Self(grid), resume))
+    }
+
+    /// [`Self::open_bytes`] on a registry built already, by
+    /// [`MultiGrid::fresh`] from a one-campaign roster.
+    pub fn recover(fresh: Unrecovered, wal: Vec<u8>) -> io::Result<(Self, f64)> {
+        let (grid, resume) = Journaled::recover(fresh, wal)?;
         Ok((Self(grid), resume))
     }
 
@@ -168,39 +174,6 @@ impl OneCampaign {
 
     pub fn sweep(&mut self, now: SimTime) -> usize {
         self.0.sweep(now)
-    }
-
-    /// A lease of at most `max` workunits cut for `to_shard`.
-    pub fn grant_lease(
-        &mut self,
-        now: SimTime,
-        to_shard: u16,
-        max: u32,
-    ) -> Option<(u64, Vec<u32>)> {
-        let grant = Command::Grant {
-            campaign: 0,
-            to_shard,
-            max,
-        };
-        match self.0.apply(now, &grant) {
-            Outcome::Granted { lease, wus } => Some((lease, wus)),
-            _ => None,
-        }
-    }
-
-    /// A peer's lease adopted; the workunits it moved (none when the
-    /// lease is held already).
-    pub fn adopt_lease(&mut self, now: SimTime, lease: u64, wus: &[u32]) -> usize {
-        let wus = Cow::Borrowed(wus);
-        let adopt = Command::Adopt {
-            campaign: 0,
-            lease,
-            wus,
-        };
-        match self.0.apply(now, &adopt) {
-            Outcome::Adopted(moved) => moved as usize,
-            _ => 0,
-        }
     }
 
     /// The server's clock: the latest time any command was applied at.

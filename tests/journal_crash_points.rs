@@ -3,13 +3,15 @@
 //! `tests/netgrid_restart.rs` samples a few crash points of a scripted
 //! history; this file takes every one. A scripted history of 40-odd
 //! commands — fetches, reports of every verdict class that can occur
-//! without trust, an expiring sweep, a lease out and a lease in — is
-//! journaled once by a one-campaign registry, each call committing its
-//! batch to a wal held in memory, and then:
+//! without trust, and expiring sweeps — is journaled once by a
+//! one-campaign registry, each call committing its batch to a wal held
+//! in memory, and then:
 //!
 //! * the wal is cut at **every byte offset**. Recovery from the bytes
 //!   (`MultiGrid::open_bytes`, the replay `MultiGrid::open` runs on
-//!   `wal.bin`) must yield exactly the state the live server had after
+//!   `wal.bin`; each cut recovers into a clone of one registry built by
+//!   `MultiGrid::fresh`, so the catalog is built once, not once per cut)
+//!   must yield exactly the state the live server had after
 //!   the longest whole-record prefix (whole [`GridState`]s compared with
 //!   `==`, every field), leave the wal cut back to that prefix, and —
 //!   checked once per distinct prefix — still drain to the baseline
@@ -28,21 +30,12 @@ use common::OneCampaign;
 use gridsim::sched::{ReplicaAssignment, ServerConfig};
 use gridsim::SimTime;
 use maxdo::DockingOutput;
-use netgrid::shard::{lease_id, ownership_map};
 use netgrid::{
-    CampaignParams, Command, FsyncPolicy, GridState, JournalConfig, JournalRecord, NetCampaign,
-    RecordReader, ServerFaults, ShardSpec, Verdict, WorkReply,
+    CampaignDef, CampaignParams, Command, FsyncPolicy, GridState, JournalConfig, JournalRecord,
+    MultiGrid, NetCampaign, RecordReader, ServerFaults, Unrecovered, Verdict, WorkReply,
 };
 use std::fs;
 use std::io::ErrorKind;
-
-/// Shard 0 of 2: leases only exist between shards. The scripted
-/// `LeaseIn` hands this shard everything it does not own, so a drained
-/// state holds the whole campaign and compares against the solo baseline.
-const SHARD: ShardSpec = ShardSpec {
-    shard_id: 0,
-    shards: 2,
-};
 
 fn t(s: f64) -> SimTime {
     SimTime::new(s)
@@ -55,15 +48,16 @@ fn server_config() -> ServerConfig {
     }
 }
 
-/// The campaign recovered from the wal `wal` holds.
-fn open(campaign: &NetCampaign, wal: &[u8]) -> std::io::Result<(OneCampaign, f64)> {
-    OneCampaign::open_bytes(
-        campaign.params(),
-        server_config(),
-        ServerFaults::default(),
-        SHARD,
-        wal.to_vec(),
-    )
+/// The campaign's registry, built and not yet recovered.
+fn fresh(campaign: &NetCampaign) -> Unrecovered {
+    let roster = vec![CampaignDef::default_solo(campaign.params())];
+    MultiGrid::fresh(roster, server_config(), ServerFaults::default()).expect("a registry")
+}
+
+/// The campaign recovered from the wal `wal` holds, into a clone of
+/// `fresh`.
+fn open(fresh: &Unrecovered, wal: &[u8]) -> std::io::Result<(OneCampaign, f64)> {
+    OneCampaign::recover(fresh.clone(), wal.to_vec())
 }
 
 /// A journaled history: the wal it left, and the live state after each
@@ -73,8 +67,6 @@ struct History {
     /// `(wal length, live state)` after the header alone, then after
     /// each transition record.
     marks: Vec<(usize, GridState)>,
-    /// The lease the scripted `LeaseIn` adopted: id and workunits.
-    lease_in: (u64, Vec<u32>),
 }
 
 /// Drives the live state, marking the wal length and the state after
@@ -115,18 +107,14 @@ impl Recorder<'_> {
     }
 }
 
-fn scripted_history(campaign: &NetCampaign, baseline: &[DockingOutput]) -> History {
-    let (live, _) = open(campaign, &[]).expect("fresh journal opens");
+fn scripted_history(fresh: &Unrecovered, baseline: &[DockingOutput]) -> History {
+    let (live, _) = open(fresh, &[]).expect("fresh journal opens");
     let mut rec = Recorder {
         live,
         baseline,
         marks: Vec::new(),
     };
     rec.mark(); // the header
-
-    // A lease out: three never-issued workunits leave for shard 1.
-    let (_, leased) = rec.live.grant_lease(t(0.0), 1, 3).expect("leaseable work");
-    rec.mark();
 
     // One quorum pair goes through pending, a duplicate and a
     // rejection; a second workunit gets a bounds rejection and an
@@ -147,17 +135,6 @@ fn scripted_history(campaign: &NetCampaign, baseline: &[DockingOutput]) -> Histo
     out_of_bounds.rows[0].elj = f64::INFINITY;
     assert_eq!(rec.report(4.0, d, out_of_bounds), Verdict::BoundsRejected);
     assert_eq!(rec.live.sweep(t(11.0)), 1, "c expires (10 s deadline)");
-    rec.mark();
-
-    // A lease in: everything shard 1 owns, the three leased-out
-    // workunits included, arrives here.
-    let owned = ownership_map(campaign, SHARD);
-    let foreign: Vec<u32> = (0..campaign.len() as u32)
-        .filter(|&wu| !owned[wu as usize] || leased.contains(&wu))
-        .collect();
-    let lease_in = (lease_id(1, 0), foreign);
-    let moved = rec.live.adopt_lease(t(11.5), lease_in.0, &lease_in.1);
-    assert_eq!(moved, lease_in.1.len());
     rec.mark();
 
     // The three queued reissues come out first: the pair's error copy
@@ -206,17 +183,12 @@ fn scripted_history(campaign: &NetCampaign, baseline: &[DockingOutput]) -> Histo
     History {
         wal: rec.live.0.wal().to_vec(), // crash: the wal is all that survives
         marks: rec.marks,
-        lease_in,
     }
 }
 
-/// Finishes the campaign honestly from wherever recovery landed. The
-/// scripted lease-in is re-offered first (a no-op when the recovered
-/// prefix already holds it — leases are idempotent by id), so every
-/// crash point ends up owning, and validating, the whole catalog.
-fn drain(state: &mut OneCampaign, history: &History, baseline: &[DockingOutput]) {
+/// Finishes the campaign honestly from wherever recovery landed.
+fn drain(state: &mut OneCampaign, baseline: &[DockingOutput]) {
     let mut now = 100.0;
-    state.adopt_lease(t(now), history.lease_in.0, &history.lease_in.1);
     while !state.is_campaign_complete() {
         now += 20.0; // past every deadline the prefix left outstanding
         state.sweep(t(now));
@@ -232,12 +204,13 @@ fn every_wal_truncation_recovers_the_longest_whole_record_prefix() {
     let campaign = NetCampaign::build(CampaignParams::tiny());
     let baseline = campaign.baseline_outputs();
     let baseline_json = serde_json::to_string(&baseline).unwrap();
-    let history = scripted_history(&campaign, &baseline);
+    let fresh = fresh(&campaign);
+    let history = scripted_history(&fresh, &baseline);
 
     // The marks are exactly the wal's record boundaries, and the history
     // holds every record kind.
     let mut reader = RecordReader::over(&history.wal);
-    let mut kinds = [0usize; 5];
+    let mut kinds = [0usize; 3];
     for k in 0.. {
         let Some(rec) = reader.next() else { break };
         match rec.expect("the live wal scans cleanly") {
@@ -246,9 +219,6 @@ fn every_wal_truncation_recovers_the_longest_whole_record_prefix() {
                 Command::Fetch { .. } => kinds[0] += 1,
                 Command::Report { .. } => kinds[1] += 1,
                 Command::Sweep => kinds[2] += 1,
-                Command::Grant { .. } => kinds[3] += 1,
-                Command::Adopt { .. } => kinds[4] += 1,
-                Command::PeerComplete { .. } => panic!("a shard with no peer speaking"),
             },
         }
         assert_eq!(reader.offset() as usize, history.marks[k].0, "record {k}");
@@ -276,7 +246,7 @@ fn every_wal_truncation_recovers_the_longest_whole_record_prefix() {
         let (prefix_len, expected) = &history.marks[k];
 
         let (mut recovered, _) =
-            open(&campaign, &history.wal[..cut]).unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
+            open(&fresh, &history.wal[..cut]).unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
         assert!(
             *recovered == *expected,
             "cut at {cut}: state is not prefix {k}"
@@ -288,7 +258,7 @@ fn every_wal_truncation_recovers_the_longest_whole_record_prefix() {
         );
         // Once per prefix, at its first (mid-record or boundary) cut.
         if !std::mem::replace(&mut drained[k], true) {
-            drain(&mut recovered, &history, &baseline);
+            drain(&mut recovered, &baseline);
             assert!(
                 recovered.is_campaign_complete(),
                 "cut at {cut}: not complete"
@@ -306,7 +276,8 @@ fn every_wal_truncation_recovers_the_longest_whole_record_prefix() {
 fn a_damaged_report_frame_stops_the_scan_without_misdecoding() {
     let campaign = NetCampaign::build(CampaignParams::tiny());
     let baseline = campaign.baseline_outputs();
-    let history = scripted_history(&campaign, &baseline);
+    let fresh = fresh(&campaign);
+    let history = scripted_history(&fresh, &baseline);
 
     // The first Report that carries its payload: record `k`, 1-based
     // among the wal's frames with the header as frame 0.
@@ -357,7 +328,7 @@ fn a_damaged_report_frame_stops_the_scan_without_misdecoding() {
 
             // Recovery agrees with the scan: the prefix before the
             // frame, or a refusal — never a state built from the frame.
-            match open(&campaign, &damaged) {
+            match open(&fresh, &damaged) {
                 Ok((recovered, _)) => {
                     assert!(
                         !refused,
@@ -381,7 +352,7 @@ fn a_damaged_report_frame_stops_the_scan_without_misdecoding() {
 fn a_wal_file_cut_mid_frame_is_cut_back_and_appended_to() {
     let campaign = NetCampaign::build(CampaignParams::tiny());
     let baseline = campaign.baseline_outputs();
-    let history = scripted_history(&campaign, &baseline);
+    let history = scripted_history(&fresh(&campaign), &baseline);
     let (k, mid) = (history.marks.len() / 2, 7);
     let (whole, expected) = &history.marks[k];
     let dir = std::env::temp_dir().join(format!("hcmd-crashpoints-file-{}", std::process::id()));
@@ -398,7 +369,6 @@ fn a_wal_file_cut_mid_frame_is_cut_back_and_appended_to() {
         campaign.params(),
         server_config(),
         ServerFaults::default(),
-        SHARD,
         Some(&cfg),
     )
     .expect("a torn wal opens");

@@ -1,29 +1,34 @@
 //! A golden wal: the disk twin of `crates/netgrid/tests/wire_golden.rs`.
 //!
-//! `tests/data/wal_format6.bin` is a `wal.bin` a journaled, trust-on
-//! shard of one campaign wrote while a scripted history ran through its
+//! `tests/data/wal_format7.bin` is a `wal.bin` a journaled, trust-on
+//! server of one campaign wrote while a scripted history ran through its
 //! registry: a quorum pair, a retransmission, a quorum rejection, a
-//! bounds rejection, an expiry and the late report that follows it, a
-//! trusted single with its spot check (one audit expires and its
-//! straggler reports anyway, the re-served one confirms), one lease out
-//! and one lease in. The file is committed as the generator left it; the
-//! literals below are what that server held when it stopped.
+//! bounds rejection, an expiry and the late report that follows it, and
+//! a trusted single with its spot check (one audit expires and its
+//! straggler reports anyway, the re-served one confirms). The file is
+//! committed as the generator left it; the literals below are what that
+//! server held when it stopped.
 //!
 //! Recovery applies every recorded command again through the live call
 //! and refuses on the first outcome that differs from the recorded one,
-//! so opening the fixture checks each fetch, verdict, expiry and lease;
-//! the literals check what the decisions added up to. A change that
-//! needs the fixture regenerated or a literal edited has changed what a
+//! so opening the fixture checks each fetch, verdict and expiry; the
+//! literals check what the decisions added up to. A change that needs
+//! the fixture regenerated or a literal edited has changed what a
 //! journal means — bump `JOURNAL_FORMAT` and refuse the old one instead.
 //!
-//! The literals were first recorded from the same history in journal
-//! format 4, and held unedited through formats 5 and 6. The older
-//! fixtures stay byte for byte as files this build must refuse by name:
-//! `tests/data/wal_format4.bin` ("journal format 4": a wal per campaign)
-//! and `tests/data/wal_format5.bin` ("journal format 5": the header
-//! still carried the server's three backoff knobs). The format-4 wal's
-//! payloads were docked by the kernel of that day; the generator reports
-//! them again, so the format changed and the literals did not.
+//! The literals were first recorded from this history in journal format
+//! 4, on shard 0 of two with a lease out and a lease in, and held
+//! unedited through formats 5 and 6. Format 7 has no shards: the history
+//! lost its two leases and the server its half of the catalog, so the
+//! fetches draw other workunits: the accepted workunits and their
+//! payloads (today's baseline) were recorded again, the wire counters
+//! lost their five shard fields, and the issue and trust literals held.
+//! The older fixtures stay byte for byte as files this build must refuse
+//! by name: `tests/data/wal_format4.bin`
+//! ("journal format 4": a wal per campaign), `tests/data/wal_format5.bin`
+//! ("journal format 5": the header still carried the server's three
+//! backoff knobs) and `tests/data/wal_format6.bin` ("journal format 6":
+//! the header carried a shard, and leases were records).
 //!
 //! Regenerate (only with a format bump, and then keep the old file):
 //! `cargo test --test journal_golden -- --ignored --nocapture`.
@@ -33,26 +38,18 @@ mod common;
 use common::OneCampaign;
 use gridsim::sched::{ReplicaAssignment, ServerConfig};
 use gridsim::SimTime;
-use maxdo::{DockingOutput, DockingRow, EulerZyz, Vec3};
-use netgrid::shard::lease_id;
+use maxdo::DockingOutput;
 use netgrid::{
     fingerprint, CampaignParams, FsyncPolicy, GridState, JournalConfig, NetCampaign, ServerFaults,
-    ShardSpec, TrustConfig, Verdict, WorkReply,
+    TrustConfig, Verdict, WorkReply,
 };
-use std::collections::HashMap;
 use std::fs;
 use std::path::PathBuf;
 
 const SERVER_STATS: &str = "ServerStats { initial_issues: 7, quorum_issues: 5, timeout_reissues: 1, error_reissues: 2, errors_received: 2, late_results: 2, spot_check_issues: 2 }";
-const NET_STATS: &str = "NetStats { quorum_rejected: 1, bounds_rejected: 1, duplicates_dropped: 1, deadline_expiries: 2, backoffs_sent: 0, trust_denied_fetches: 0, spot_checks_passed: 1, spot_checks_failed: 0, workunits_invalidated: 0, shard_redirects: 0, shard_leases_out: 1, shard_leases_in: 1, shard_wus_leased_out: 2, shard_wus_leased_in: 2 }";
+const NET_STATS: &str = "NetStats { quorum_rejected: 1, bounds_rejected: 1, duplicates_dropped: 1, deadline_expiries: 2, backoffs_sent: 0, trust_denied_fetches: 0, spot_checks_passed: 1, spot_checks_failed: 0, workunits_invalidated: 0 }";
 const AGENT_TRUST: &str = "[(1, AgentTrust { accepted: 3, rejected: 0, consecutive_rejects: 0, quarantined_until_s: 0.0, quarantine_count: 0, spot_passed: 0, spot_failed: 0 }), (2, AgentTrust { accepted: 4, rejected: 0, consecutive_rejects: 0, quarantined_until_s: 0.0, quarantine_count: 0, spot_passed: 0, spot_failed: 0 }), (3, AgentTrust { accepted: 1, rejected: 0, consecutive_rejects: 0, quarantined_until_s: 0.0, quarantine_count: 0, spot_passed: 0, spot_failed: 0 }), (4, AgentTrust { accepted: 0, rejected: 1, consecutive_rejects: 1, quarantined_until_s: 0.0, quarantine_count: 0, spot_passed: 0, spot_failed: 0 }), (5, AgentTrust { accepted: 1, rejected: 0, consecutive_rejects: 0, quarantined_until_s: 0.0, quarantine_count: 0, spot_passed: 0, spot_failed: 0 }), (6, AgentTrust { accepted: 0, rejected: 1, consecutive_rejects: 1, quarantined_until_s: 0.0, quarantine_count: 0, spot_passed: 0, spot_failed: 0 }), (7, AgentTrust { accepted: 1, rejected: 0, consecutive_rejects: 0, quarantined_until_s: 0.0, quarantine_count: 0, spot_passed: 0, spot_failed: 0 }), (8, AgentTrust { accepted: 0, rejected: 0, consecutive_rejects: 0, quarantined_until_s: 0.0, quarantine_count: 0, spot_passed: 0, spot_failed: 0 }), (9, AgentTrust { accepted: 1, rejected: 0, consecutive_rejects: 0, quarantined_until_s: 0.0, quarantine_count: 0, spot_passed: 0, spot_failed: 0 })]";
-const ACCEPTED: &str = "[(0, 7aa81281a0c9e867), (1, 13437909ac03dcc4), (2, 4f68cd5e45e71d20), (3, 76f90194f785509b), (c, bb22a94d5a558709), (e, cb7992d5a50a9dbb)]";
-
-/// Shard 0 of 2: leases only exist between shards.
-const SHARD: ShardSpec = ShardSpec {
-    shard_id: 0,
-    shards: 2,
-};
+const ACCEPTED: &str = "[(0, 9d9f48ea7fd17663), (1, d9736c0607e16bac), (2, 7cb8cfd940f89215), (3, bac9492d1f29ac92), (4, ab7ae48f57289dab), (6, 793e52f1133684e0)]";
 
 fn t(s: f64) -> SimTime {
     SimTime::new(s)
@@ -94,47 +91,7 @@ fn scratch(tag: &str) -> JournalConfig {
 
 fn open(cfg: &JournalConfig) -> std::io::Result<(OneCampaign, f64)> {
     let params = CampaignParams::tiny();
-    OneCampaign::open(params, server_config(), faults(), SHARD, Some(cfg))
-}
-
-/// The honest payload of every workunit the format-4 golden reported,
-/// read from its wal: the first payload each workunit's reports kept
-/// (a format-4 `Report` record is tag 1, time, replica, workunit,
-/// verdict, a kept flag, then the payload in the wire's row layout).
-fn format_4_payloads() -> HashMap<u32, DockingOutput> {
-    let wal = fs::read(fixture(4)).unwrap();
-    let (mut off, mut payloads) = (0, HashMap::new());
-    while off < wal.len() {
-        let (_, rec, consumed) = netgrid::protocol::deframe(&wal[off..]).expect("a whole frame");
-        off += consumed;
-        if rec[0] != 1 || rec[22] != 1 {
-            continue;
-        }
-        let f64_at =
-            |row: &[u8], at: usize| f64::from_le_bytes(row[at..at + 8].try_into().unwrap());
-        let u32_at =
-            |row: &[u8], at: usize| u32::from_le_bytes(row[at..at + 4].try_into().unwrap());
-        let rows = rec[35..].chunks_exact(72).map(|row| DockingRow {
-            isep: u32_at(row, 0),
-            irot: u32_at(row, 4),
-            position: Vec3::new(f64_at(row, 8), f64_at(row, 16), f64_at(row, 24)),
-            orientation: EulerZyz {
-                alpha: f64_at(row, 32),
-                beta: f64_at(row, 40),
-                gamma: f64_at(row, 48),
-            },
-            elj: f64_at(row, 56),
-            eelec: f64_at(row, 64),
-        });
-        let evaluations = u64::from_le_bytes(rec[23..31].try_into().unwrap());
-        payloads
-            .entry(u32_at(rec, 17))
-            .or_insert_with(|| DockingOutput {
-                rows: rows.collect(),
-                evaluations,
-            });
-    }
-    payloads
+    OneCampaign::open(params, server_config(), faults(), Some(cfg))
 }
 
 /// What the literals pin, as text: the core's issue accounting, the wire
@@ -157,8 +114,8 @@ fn observed(state: &GridState) -> [String; 4] {
 
 struct Script {
     live: OneCampaign,
-    /// The honest payload of every workunit the history reports.
-    honest: HashMap<u32, DockingOutput>,
+    /// The honest payload of every workunit.
+    honest: Vec<DockingOutput>,
 }
 
 impl Script {
@@ -176,7 +133,7 @@ impl Script {
     }
 
     fn honest(&self, a: ReplicaAssignment) -> DockingOutput {
-        self.honest[&a.workunit].clone()
+        self.honest[a.workunit as usize].clone()
     }
 
     /// One honest probation pair between two agents.
@@ -194,10 +151,6 @@ impl Script {
 }
 
 fn scripted_history(s: &mut Script) {
-    // A lease out: two never-issued workunits leave for shard 1.
-    let (_, leased) = s.live.grant_lease(t(0.0), 1, 2).expect("leaseable work");
-    assert_eq!(leased.len(), 2);
-
     // A quorum pair with a retransmission in the middle.
     let a = s.fetch(0.0, 1);
     let b = s.fetch(0.0, 2);
@@ -256,9 +209,6 @@ fn scripted_history(s: &mut Script) {
     assert_eq!(s.report(44.0, audit, out.clone()), Verdict::SpotConfirmed);
     assert_eq!(s.report(45.0, lost_audit, out), Verdict::Late);
 
-    // A lease in: the two leased-out workunits come back.
-    assert_eq!(s.live.adopt_lease(t(46.0), lease_id(1, 0), &leased), 2);
-
     // Work left in every book when the server stops: a pending pair, and
     // one more trusted single whose audit is still queued.
     let p = s.fetch(47.0, 3);
@@ -290,19 +240,19 @@ fn drain(state: &mut OneCampaign, baseline: &[DockingOutput]) {
 }
 
 #[test]
-#[ignore = "writes tests/data/wal_format6.bin; run by hand, and only with a format bump"]
+#[ignore = "writes tests/data/wal_format7.bin; run by hand, and only with a format bump"]
 fn generate_the_fixture() {
     let cfg = scratch("generate");
     let (live, _) = open(&cfg).expect("fresh journal opens");
     let mut script = Script {
         live,
-        honest: format_4_payloads(),
+        honest: NetCampaign::build(CampaignParams::tiny()).baseline_outputs(),
     };
     scripted_history(&mut script);
     let [server_stats, net_stats, agent_trust, accepted] = observed(&script.live);
     drop(script); // the wal is all that is kept
 
-    fs::copy(cfg.dir.join("wal.bin"), fixture(6)).unwrap();
+    fs::copy(cfg.dir.join("wal.bin"), fixture(7)).unwrap();
     println!("const SERVER_STATS: &str = {server_stats:?};");
     println!("const NET_STATS: &str = {net_stats:?};");
     println!("const AGENT_TRUST: &str = {agent_trust:?};");
@@ -316,13 +266,13 @@ fn the_recorded_wal_replays_to_the_recorded_state() {
     let baseline = campaign.baseline_outputs();
     let cfg = scratch("replay");
     fs::create_dir_all(&cfg.dir).unwrap();
-    fs::copy(fixture(6), cfg.dir.join("wal.bin")).unwrap();
+    fs::copy(fixture(7), cfg.dir.join("wal.bin")).unwrap();
 
     let (mut state, resume_s) = open(&cfg).expect("every recorded decision replays");
     assert_eq!(resume_s, 50.0, "the last record's clock");
     assert_eq!(
         fs::read(cfg.dir.join("wal.bin")).unwrap(),
-        fs::read(fixture(6)).unwrap(),
+        fs::read(fixture(7)).unwrap(),
         "a whole wal is neither cut nor rewritten by recovery"
     );
     let [server_stats, net_stats, agent_trust, accepted] = observed(&state);
@@ -332,9 +282,8 @@ fn the_recorded_wal_replays_to_the_recorded_state() {
     assert_eq!(accepted, ACCEPTED);
 
     // And the recovered books are live: the campaign finishes on them.
-    // This shard owns half the catalog, so the artifact is partial. The
-    // payloads the wal holds were computed by the kernel of the day it
-    // was recorded and are pinned by `ACCEPTED`; the ones the drain
+    // The payloads the wal holds were computed by the kernel of the day
+    // it was recorded and are pinned by `ACCEPTED`; the ones the drain
     // filled come from today's baseline.
     let from_wal: Vec<bool> = state.outputs().iter().map(Option::is_some).collect();
     drain(&mut state, &baseline);

@@ -1,7 +1,7 @@
 //! The JSON bytes, pinned against the printer they were first written by.
 //!
-//! Every copy of the result artifact — `hcmd-server --out`, each shard
-//! partial, the byte form every harness compares — is `serde_json`
+//! Every copy of the result artifact — `hcmd-server --out`, a partial
+//! artifact, the byte form every harness compares — is `serde_json`
 //! text, and everywhere else two such texts are compared only with each
 //! other. Here the streaming printer is compared with a copy of the tree
 //! printer it replaced: [`old_compact`] / [`old_pretty`] walk the
@@ -277,7 +277,7 @@ fn tiny_baseline() -> Vec<DockingOutput> {
 fn the_artifact_prints_the_reference_bytes() {
     let outputs = tiny_baseline();
     same_bytes(&outputs);
-    // A shard's partial: every other slot unowned.
+    // A partial artifact: every other slot empty.
     let partial: Vec<Option<DockingOutput>> = outputs
         .iter()
         .enumerate()
@@ -288,13 +288,13 @@ fn the_artifact_prints_the_reference_bytes() {
 
 #[test]
 fn journal_records_print_the_reference_bytes() {
-    let wal = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data/wal_format6.bin");
+    let wal = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data/wal_format7.bin");
     let mut records = 0;
     for rec in RecordReader::open(&wal).unwrap() {
         same_bytes(&rec.unwrap());
         records += 1;
     }
-    assert_eq!(records, 39, "the golden wal's header and 38 commands");
+    assert_eq!(records, 37, "the golden wal's header and 36 commands");
 }
 
 #[test]

@@ -24,7 +24,7 @@ use gridsim::sched::ServerConfig;
 use gridsim::SimTime;
 use netgrid::{
     CampaignDef, CampaignParams, FaultDice, FaultProfile, FsyncPolicy, GridState, JournalConfig,
-    MultiGrid, NetCampaign, ServerFaults, ShardSpec, TrustConfig, Verdict, WorkReply,
+    MultiGrid, NetCampaign, ServerFaults, TrustConfig, Verdict, WorkReply,
 };
 use std::path::PathBuf;
 
@@ -50,7 +50,6 @@ fn open(campaign: &NetCampaign, cfg: &JournalConfig) -> (OneCampaign, f64) {
         campaign.params(),
         server_config(),
         ServerFaults::default(),
-        ShardSpec::solo(),
         Some(cfg),
     )
     .expect("journal opens")
@@ -241,7 +240,6 @@ fn an_honest_3392_workunit_campaign_journals_to_completion_and_recovers() {
             defs.clone(),
             ServerConfig::default(),
             ServerFaults::default(),
-            ShardSpec::solo(),
             Some(&cfg),
         )
         .expect("registry opens journaled")
@@ -291,7 +289,6 @@ fn journal_of_a_different_campaign_is_refused() {
         other.params(),
         server_config(),
         ServerFaults::default(),
-        ShardSpec::solo(),
         Some(&cfg),
     ) {
         Ok(_) => panic!("foreign journal must be rejected"),
@@ -383,7 +380,6 @@ fn trust_bands_and_quarantine_replay_exactly_across_a_crash() {
         campaign.params(),
         server_config(),
         trust_faults(),
-        ShardSpec::solo(),
         Some(&cfg),
     )
     .expect("journal opens");
@@ -399,7 +395,6 @@ fn trust_bands_and_quarantine_replay_exactly_across_a_crash() {
         campaign.params(),
         server_config(),
         trust_faults(),
-        ShardSpec::solo(),
         Some(&cfg),
     )
     .expect("recovery");
@@ -410,14 +405,8 @@ fn trust_bands_and_quarantine_replay_exactly_across_a_crash() {
     assert_eq!(recovered.trust_summary(), Some(live_summary));
 
     // An uninterrupted twin run of the identical script...
-    let (mut twin, _) = OneCampaign::open(
-        campaign.params(),
-        server_config(),
-        trust_faults(),
-        ShardSpec::solo(),
-        None,
-    )
-    .expect("an unjournaled twin opens");
+    let (mut twin, _) = OneCampaign::open(campaign.params(), server_config(), trust_faults(), None)
+        .expect("an unjournaled twin opens");
     let twin_crash_now = trust_script(&mut twin, &campaign);
     assert_eq!(crash_now, twin_crash_now);
 
@@ -445,7 +434,6 @@ fn trust_journal_refuses_a_different_trust_policy() {
         campaign.params(),
         server_config(),
         trust_faults(),
-        ShardSpec::solo(),
         Some(&cfg),
     )
     .expect("journal opens");
@@ -458,7 +446,6 @@ fn trust_journal_refuses_a_different_trust_policy() {
         campaign.params(),
         server_config(),
         ServerFaults::default(),
-        ShardSpec::solo(),
         Some(&cfg),
     ) {
         Ok(_) => panic!("journal under a different trust policy must be rejected"),
@@ -515,7 +502,7 @@ fn multi_campaign_registry_recovers_one_wal() {
         ..ServerFaults::default()
     };
     let open_multi = |defs: Vec<CampaignDef>| {
-        Journaled::open(defs, server_config(), faults, ShardSpec::solo(), Some(&cfg))
+        Journaled::open(defs, server_config(), faults, Some(&cfg))
             .expect("registry opens journaled")
     };
     let assigned = |reply: WorkReply| match reply {

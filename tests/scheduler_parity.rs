@@ -21,8 +21,7 @@ use gridsim::sched::{SchedulerCore, ServerConfig, ServerStats};
 use gridsim::SimTime;
 use netgrid::trust::spot_selected;
 use netgrid::{
-    CampaignParams, GridState, NetCampaign, ServerFaults, ShardSpec, TrustConfig, Verdict,
-    WorkReply,
+    CampaignParams, GridState, NetCampaign, ServerFaults, TrustConfig, Verdict, WorkReply,
 };
 
 /// The common frontend surface the script drives.
@@ -132,12 +131,7 @@ struct WireFrontend {
 impl WireFrontend {
     fn new(config: ServerConfig) -> Self {
         let campaign = NetCampaign::build(CampaignParams::tiny());
-        let state = GridState::new(
-            &campaign,
-            config,
-            ServerFaults::default(),
-            ShardSpec::solo(),
-        );
+        let state = GridState::new(&campaign, config, ServerFaults::default());
         Self {
             campaign,
             state,
@@ -315,7 +309,7 @@ fn trust_scripted_history_is_deterministic_with_bounded_replication() {
             },
             ..ServerFaults::default()
         };
-        let mut state = GridState::new(&campaign, config, faults, ShardSpec::solo());
+        let mut state = GridState::new(&campaign, config, faults);
         let mut log = Vec::new();
         // Deterministic script mixer (an LCG, not the std RNG, so the
         // history is identical on every run of this test binary).
