@@ -4,7 +4,9 @@
 //!
 //! The comparison is within one binary: the same schedule/pop cycle runs
 //! bare, and then with the instrumentation the simulator performs — the
-//! per-event sampled-emit check (stride test plus the no-sink fast path),
+//! per-event sampled-emit check (the scheduler's own
+//! [`SchedulerCore::sampled`] on a core built once with a stride of 512,
+//! plus the no-sink fast path),
 //! and the day-granularity flush of the engine's plain pop/depth fields
 //! into the global counter and gauge (the engine batches exactly this
 //! way: the hot loop itself touches no atomics). Run with the feature on
@@ -29,6 +31,7 @@
 //! budget is not enforced.
 
 use gridsim::event::{EventQueue, SimTime};
+use gridsim::sched::{SchedulerCore, ServerConfig, WorkunitCatalogEntry};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -46,6 +49,10 @@ const PAIRS_PER_BLOCK: usize = 5;
 /// The budget, in percent of the bare loop's time.
 const BUDGET_PERCENT: f64 = 2.0;
 
+/// The sampling stride: one workunit's lifecycle in this many is logged,
+/// the emit rate the budget is set for.
+const SAMPLE_STRIDE: u32 = 512;
+
 /// One schedule/pop pass over the event queue; returns a checksum so the
 /// optimizer cannot discard the work.
 fn bare_pass() -> u64 {
@@ -62,8 +69,13 @@ fn bare_pass() -> u64 {
     acc
 }
 
-/// The same pass with the instrumentation the simulator adds.
-fn instrumented_pass(events: &'static telemetry::Counter, depth: &'static telemetry::Gauge) -> u64 {
+/// The same pass with the instrumentation the simulator adds; `core`
+/// decides which events are sampled.
+fn instrumented_pass(
+    core: &SchedulerCore,
+    events: &'static telemetry::Counter,
+    depth: &'static telemetry::Gauge,
+) -> u64 {
     let mut q: EventQueue<u32> = EventQueue::new();
     let mut acc = 0u64;
     let mut flushed = 0u64;
@@ -71,9 +83,9 @@ fn instrumented_pass(events: &'static telemetry::Counter, depth: &'static teleme
         q.schedule(SimTime::new(f64::from(i)), i);
     }
     while let Some((t, e)) = q.pop() {
-        // The sampled lifecycle emit: stride check plus the no-sink
-        // fast path (one relaxed load) for the sampled events.
-        if e % 512 == 0 {
+        // The sampled lifecycle emit: the scheduler's stride check plus
+        // the no-sink fast path (one relaxed load) for the sampled events.
+        if core.sampled(e) {
             telemetry::emit(Some(t.seconds()), || telemetry::Event::WorkunitValidated {
                 workunit: u64::from(e),
             });
@@ -109,11 +121,23 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
 fn main() {
     let events = telemetry::counter("bench.event_loop.pops");
     let depth = telemetry::gauge("bench.event_loop.peak_depth");
+    // The stride is read from the environment when the core is built, as
+    // in the simulator; outside the timed passes.
+    std::env::set_var("HCMD_TELEMETRY_SAMPLE", SAMPLE_STRIDE.to_string());
+    let core = SchedulerCore::new(
+        vec![WorkunitCatalogEntry {
+            ref_seconds: 1.0,
+            position_ref_seconds: 1.0,
+            receptor: 0,
+        }],
+        ServerConfig::default(),
+    );
+    assert!(core.sampled(SAMPLE_STRIDE) && !core.sampled(SAMPLE_STRIDE / 2));
 
     // Warm both paths (heap allocations, branch predictors).
     for _ in 0..5 {
         black_box(bare_pass());
-        black_box(instrumented_pass(events, depth));
+        black_box(instrumented_pass(&core, events, depth));
     }
 
     // Per block: the fastest bare and the fastest instrumented pass.
@@ -123,9 +147,11 @@ fn main() {
         for pair in 0..PAIRS_PER_BLOCK {
             if (block + pair) % 2 == 0 {
                 bare = bare.min(time_pass(bare_pass));
-                instrumented = instrumented.min(time_pass(|| instrumented_pass(events, depth)));
+                instrumented =
+                    instrumented.min(time_pass(|| instrumented_pass(&core, events, depth)));
             } else {
-                instrumented = instrumented.min(time_pass(|| instrumented_pass(events, depth)));
+                instrumented =
+                    instrumented.min(time_pass(|| instrumented_pass(&core, events, depth)));
                 bare = bare.min(time_pass(bare_pass));
             }
         }

@@ -6,11 +6,11 @@
 //! configurations schedule months ahead. Three tiers cover that
 //! distribution with O(1) amortized insert and pop:
 //!
-//! * **near wheel** — [`NEAR_SLOTS`] buckets of one tick
+//! * **near wheel** — 4096 (`NEAR_SLOTS`) buckets of one tick
 //!   ([`TICK_SECONDS`] = 1 s) each, covering the window currently being
 //!   drained (~68 minutes);
-//! * **coarse wheel** — [`COARSE_SLOTS`] buckets, each holding one full
-//!   near window (4096 s), covering ~194 days ahead;
+//! * **coarse wheel** — 4096 (`COARSE_SLOTS`) buckets, each holding one
+//!   full near window (4096 s), covering ~194 days ahead;
 //! * **spill list** — a sorted `Vec` for anything farther out.
 //!
 //! Buckets are plain `Vec`s recycled through a free pool, so steady-state

@@ -116,8 +116,7 @@ pub struct EnergyGradient {
 /// 2-vCPU x86-64 VM): candidates per evaluation, the median docking time
 /// relative to 2.5 voxels on 32-bit candidate ids (whose runs'
 /// quartiles are 0.90 and 1.06), and the index a campaign keeps, with
-/// the candidate slot ids stored as `u32` (as built) or as `u16` (a
-/// receptor has far fewer than 65 536 beads):
+/// the candidate slot ids stored as `u32` or as `u16` (as built):
 ///
 /// | voxels/cutoff | candidates/eval | time, u32 ids | time, u16 ids | index, u32 ids | index, u16 ids |
 /// |---|---|---|---|---|---|
@@ -130,10 +129,17 @@ pub struct EnergyGradient {
 /// bead visits, the candidate tests finer voxels save do not show in
 /// docking time on that VM: every median is inside the noise. The
 /// index is what moves, and `peak_rss_mb` is the tight gate for it
-/// (gridbench's RSS rises ~1.8 bytes per index byte): 4 voxels on
-/// 16-bit ids holds 115 KB more per campaign than 2.5 on 32-bit ids,
-/// ≈ 3 % of `volunteer_kernel`'s peak, for no resolved gain.
+/// (gridbench's RSS rises ~1.8 bytes per index byte). So the index is
+/// the smallest row, 2.5 voxels on 16-bit ids: the ids are most of its
+/// bytes, and 16 bits halve them (the whole index, 480 → 269 KB on the
+/// `wire_*` library 87) at no resolved cost in time. The price is a
+/// bound on the receptor, [`MAX_RECEPTOR_BEADS`], 28 times the largest
+/// protein the campaigns dock (the phase-I catalog's has 2 315 beads).
 const VOXELS_PER_CUTOFF: f64 = 2.5;
+
+/// The most beads [`CellList::build`] indexes: a candidate slot id is a
+/// `u16`. A larger receptor is refused, not indexed some other way.
+const MAX_RECEPTOR_BEADS: usize = 1 << 16;
 
 /// How far, in voxel edges, a bead's reach is inflated beyond the cutoff
 /// when it is rasterised into voxels. The voxel a probe maps to and the
@@ -245,6 +251,9 @@ impl VoxelGrid {
 ///   any other order changes low-order bits of `elj`/`eelec`/force/
 ///   torque, which the minimiser then amplifies into different rows.
 ///   `tests/kernel_identity.rs` pins it.
+///
+/// Slot ids are 16-bit, so a receptor has at most 65 536 beads;
+/// [`CellList::build`] panics on a larger one before it allocates.
 #[derive(Debug, Clone)]
 pub struct CellList {
     /// The cutoff the runs were rasterised for; a superset for any
@@ -255,7 +264,7 @@ pub struct CellList {
     /// `candidates[run_starts[v] .. run_starts[v + 1]]`.
     run_starts: Vec<u32>,
     /// Candidate slot indices, ascending within each voxel's run.
-    candidates: Vec<u32>,
+    candidates: Vec<u16>,
     /// What the pair loop reads of each receptor bead, in slot order.
     slots: Vec<Slot>,
     /// The receptor's largest bead distance from its origin, plus the
@@ -276,9 +285,19 @@ struct Slot {
 impl CellList {
     /// Indexes `receptor`'s beads for probes with interaction cutoff
     /// `cutoff`.
+    ///
+    /// # Panics
+    ///
+    /// If `cutoff` is not positive, or `receptor` has more than 65 536
+    /// beads.
     pub fn build(receptor: &Protein, cutoff: f64) -> Self {
         assert!(cutoff > 0.0, "cutoff must be positive");
         let beads = receptor.beads();
+        assert!(
+            beads.len() <= MAX_RECEPTOR_BEADS,
+            "a receptor of {} beads is over the index's limit of 65 536 beads",
+            beads.len()
+        );
         let mut lo = beads[0].position;
         let mut hi = beads[0].position;
         for b in beads {
@@ -329,10 +348,10 @@ impl CellList {
                 .expect("candidate runs of one receptor fit 32-bit offsets");
         }
         let mut cursor = run_starts[..n_voxels].to_vec();
-        let mut candidates = vec![0u32; run_starts[n_voxels] as usize];
+        let mut candidates = vec![0u16; run_starts[n_voxels] as usize];
         for slot in 0..order.len() {
             grid.for_each_voxel_within(slot_pos(slot), reach, |v| {
-                candidates[cursor[v] as usize] = slot as u32;
+                candidates[cursor[v] as usize] = slot as u16;
                 cursor[v] += 1;
             });
         }
@@ -356,7 +375,7 @@ impl CellList {
     /// The candidate run of `p`: ascending slot indices, a superset of
     /// the slots within the cutoff of `p`.
     #[inline]
-    fn candidates(&self, p: Vec3) -> &[u32] {
+    fn candidates(&self, p: Vec3) -> &[u16] {
         match self.grid.voxel_of(p) {
             Some(v) => {
                 &self.candidates[self.run_starts[v] as usize..self.run_starts[v + 1] as usize]
@@ -371,10 +390,11 @@ impl CellList {
     }
 }
 
-/// Precomputed pair parameters for every ordered [`BeadKind`] pair:
-/// combined well depth `ε_ij = √(ε_i ε_j)`, contact distance
-/// `rmin_ij = r_i + r_j`, and the charge product — so the pair loop takes
-/// no square root of `ε_i ε_j` and reads each with one indexed load.
+/// Precomputed pair parameters for every ordered
+/// [`BeadKind`](crate::model::BeadKind) pair: combined well depth
+/// `ε_ij = √(ε_i ε_j)`, contact distance `rmin_ij = r_i + r_j`, and the
+/// charge product — so the pair loop takes no square root of `ε_i ε_j`
+/// and reads each with one indexed load.
 #[derive(Debug, Clone)]
 pub struct PairTable {
     eps: [[f64; 5]; 5],
@@ -663,6 +683,41 @@ mod tests {
         assert_eq!(cells.bead_count(), p.bead_count());
     }
 
+    /// Run-start, candidate and slot counts of one fixed receptor's
+    /// index, and the bytes each holds. A change to the voxel geometry or
+    /// to the slot id width re-records these and says why.
+    #[test]
+    fn index_size_is_pinned() {
+        let lib =
+            crate::library::ProteinLibrary::generate(crate::library::LibraryConfig::tiny(2), 17);
+        let cells = CellList::build(&lib.proteins()[0], EnergyParams::default().cutoff);
+        let counts = (
+            cells.run_starts.len(),
+            cells.candidates.len(),
+            cells.slots.len(),
+        );
+        let bytes = (
+            std::mem::size_of_val(&cells.run_starts[..]),
+            std::mem::size_of_val(&cells.candidates[..]),
+            std::mem::size_of_val(&cells.slots[..]),
+        );
+        println!("counts {counts:?}, bytes {bytes:?}");
+        assert_eq!(counts, (449, 4_526, 32));
+        assert_eq!(bytes, (1_796, 9_052, 1_024));
+    }
+
+    #[test]
+    #[should_panic(expected = "65 536 beads")]
+    fn a_receptor_over_65_536_beads_is_refused() {
+        let beads = (0..=MAX_RECEPTOR_BEADS)
+            .map(|i| Bead {
+                position: Vec3::new(i as f64, 0.0, 0.0),
+                kind: BeadKind::Apolar,
+            })
+            .collect();
+        CellList::build(&Protein::new(ProteinId(0), "big", beads), 12.0);
+    }
+
     /// The neighbour search the voxel index replaced, kept as the
     /// reference it is tested against: receptor beads counting-sorted
     /// into cells of edge = cutoff, a probe scanning the 27 cells around
@@ -914,7 +969,7 @@ mod tests {
             let (dx, dy, dz) = (p.x - b.x, p.y - b.y, p.z - b.z);
             if dx * dx + dy * dy + dz * dz < cutoff * cutoff {
                 assert!(
-                    run.binary_search(&(slot as u32)).is_ok(),
+                    run.binary_search(&(slot as u16)).is_ok(),
                     "slot {slot} within the cutoff of {p:?} missing from its run {run:?}"
                 );
             }
