@@ -145,14 +145,11 @@ fn run_campaign(
     honest_agents: usize,
     seed: u64,
 ) -> CampaignOutcome {
-    let mut config = NetServerConfig {
+    let config = NetServerConfig {
         campaign: campaign_params,
         sweep_ms: 25,
         ..NetServerConfig::loopback(deadline_seconds)
     };
-    // No `Busy` limit: the scale campaign measures the event loop
-    // itself, and the plain fleet is far below the default one.
-    config.faults.max_connections = 0;
     let server = NetServer::bind(config).expect("bind loopback");
     let addr = server.local_addr().expect("local addr").to_string();
     let server = thread::spawn(move || server.run());

@@ -227,51 +227,22 @@ pub struct SchedulerCore {
     reissue_causes: VecDeque<ReissueCause>,
     /// Workunit lifecycle events are logged for every stride-th
     /// workunit; full campaigns have ~10⁵ workunits, far too many to log
-    /// each. Override with `HCMD_TELEMETRY_SAMPLE=<stride>`.
-    sample: Stride,
+    /// each. The stride is a power of two, held as the mask of its low
+    /// bits ([`sample_mask`]), so the test that runs once per scheduler
+    /// event is one `and`. Override with `HCMD_TELEMETRY_SAMPLE=<stride>`.
+    sample_mask: u64,
     /// The next never-issued workunit in launch order — where every
     /// fresh issue comes from: workunits `0..next_fresh` have each had a
     /// replica issued.
     next_fresh: u32,
 }
 
-/// A divisor `d`, held so that "`d` divides `x`" costs a multiply, a
-/// rotate and a compare instead of a 64-bit division (Hacker's Delight
-/// §10-17): with `d = odd · 2^shift`, `x` is a multiple of `d` exactly
-/// when `x · odd⁻¹ (mod 2⁶⁴)`, rotated right by `shift`, is at most
-/// `⌊(2⁶⁴ − 1) / d⌋`. The sampling test runs once per scheduler event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Stride {
-    /// The inverse of `d`'s odd part modulo 2⁶⁴.
-    inverse: u64,
-    /// `d`'s trailing zero bits.
-    shift: u32,
-    /// `⌊(2⁶⁴ − 1) / d⌋`.
-    limit: u64,
-}
-
-impl Stride {
-    fn new(d: u64) -> Self {
-        assert!(d > 0, "a stride is positive");
-        let shift = d.trailing_zeros();
-        let odd = d >> shift;
-        // Newton's iteration: `odd` is its own inverse modulo 8, and
-        // each step doubles the correct low bits (3, 6, ..., 96).
-        let mut inverse = odd;
-        for _ in 0..5 {
-            inverse = inverse.wrapping_mul(2u64.wrapping_sub(odd.wrapping_mul(inverse)));
-        }
-        Self {
-            inverse,
-            shift,
-            limit: u64::MAX / d,
-        }
-    }
-
-    /// `x % d == 0`.
-    fn divides(self, x: u64) -> bool {
-        x.wrapping_mul(self.inverse).rotate_right(self.shift) <= self.limit
-    }
+/// The sampling mask for a positive `stride`, rounded up to a power of
+/// two (at most 2⁶³): `x` is sampled when `x & mask == 0`, so a catalog
+/// of `n` workunits logs at most `n / stride` of them, rounded up.
+fn sample_mask(stride: u64) -> u64 {
+    assert!(stride > 0, "a stride is positive");
+    stride.checked_next_power_of_two().unwrap_or(1 << 63) - 1
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -339,7 +310,7 @@ impl SchedulerCore {
             feeder_cache: VecDeque::with_capacity(feeder_capacity),
             feeder_misses: 0,
             wasted_ref_seconds: 0.0,
-            sample: Stride::new(sample_stride),
+            sample_mask: sample_mask(sample_stride),
             next_fresh: 0,
             catalog,
         }
@@ -348,7 +319,7 @@ impl SchedulerCore {
     /// Whether a workunit's lifecycle is logged to the event stream (the
     /// engine uses the same sampling for dispatch/report events).
     pub fn sampled(&self, wu: u32) -> bool {
-        self.sample.divides(u64::from(wu))
+        u64::from(wu) & self.sample_mask == 0
     }
 
     fn record_issue(&self, now: SimTime, wu: u32, cause: IssueCause) {
@@ -1564,33 +1535,29 @@ mod launch_tests {
         assert!(!s.is_campaign_complete());
     }
 
-    /// The division-free sampling test is `%` exactly, at every stride
-    /// shape (odd, a power of two, mixed, the extremes) and around each
-    /// multiple.
+    /// A stride is rounded up to the next power of two, and the mask
+    /// test is `%` by it exactly, around each multiple too.
     #[test]
-    fn the_stride_test_is_a_remainder_test() {
-        for d in [
-            1u64,
-            2,
-            3,
-            5,
-            7,
-            8,
-            12,
-            96,
-            255,
-            512,
-            1000,
-            1 << 40,
-            u64::MAX,
+    fn the_sampling_stride_rounds_up_to_a_power_of_two() {
+        for (asked, stride) in [
+            (1u64, 1u64),
+            (2, 2),
+            (3, 4),
+            (5, 8),
+            (96, 128),
+            (512, 512),
+            (513, 1024),
+            (1 << 40, 1 << 40),
+            (u64::MAX, 1 << 63),
         ] {
-            let stride = Stride::new(d);
+            let mask = sample_mask(asked);
+            assert_eq!(mask + 1, stride, "stride {asked}");
             let near = |k: u64| [k.wrapping_sub(1), k, k.wrapping_add(1)];
             let xs = (0..2_000u64)
-                .chain((1..64).flat_map(|m| near(d.wrapping_mul(m))))
+                .chain((1..64).flat_map(|m| near(stride.wrapping_mul(m))))
                 .chain([u64::MAX, u64::MAX - 1, u64::from(u32::MAX)]);
             for x in xs {
-                assert_eq!(stride.divides(x), x % d == 0, "{x} % {d}");
+                assert_eq!(x & mask == 0, x % stride == 0, "{x} % {stride}");
             }
         }
     }

@@ -195,7 +195,7 @@ const MAX_WAIT_MS: u64 = 2_000;
 
 /// The longest a backoff rests: the cap plus its jitter. A finished
 /// server owes a volunteer that left without hearing `campaign_complete`
-/// (sent off by a `NoWork` or a `Busy`, or cut off) this
+/// (sent off by a `NoWork`, or cut off) this
 /// long for its next ask ([`crate::event_loop::Loop::over`]).
 pub(crate) const MAX_REST: Duration = Duration::from_millis(MAX_WAIT_MS + MAX_WAIT_MS / 4);
 
@@ -354,9 +354,6 @@ impl Session {
                 }
                 self.deadline_seconds = deadline_seconds;
                 self.ask()
-            }
-            (Phase::Greeting | Phase::Asking, Input::Frame(Message::Busy { retry_after_ms })) => {
-                self.back_off(retry_after_ms)
             }
             // A handshake that dies says nothing about the peer's dialect
             // — there is only one — so the next session says the same
@@ -706,27 +703,6 @@ pub(crate) mod tests {
         transcript(&mut session, told_no_work(15, 20, rest(15, 20)));
     }
 
-    /// A `Busy` rests what it says however often it comes, and leaves
-    /// the run of `NoWork`s where it was: it says the server is full,
-    /// not that its queue is empty.
-    #[test]
-    fn a_busy_rest_neither_grows_nor_resets_the_no_work_streak() {
-        let mut session = Session::new(AgentConfig::new("home", 16));
-        let busy = Message::Busy { retry_after_ms: 80 };
-        transcript(&mut session, to_first_ask(16));
-        transcript(&mut session, told_no_work(16, 20, rest(16, 20)));
-        transcript(&mut session, told_no_work(16, 20, rest(16, 40)));
-        for _ in 0..3 {
-            let mut script = vec![
-                (Input::Frame(busy.clone()), Step::Bye),
-                (Input::Lost, rest(16, 80)),
-            ];
-            script.extend(ask_again(16));
-            transcript(&mut session, script);
-        }
-        transcript(&mut session, told_no_work(16, 20, rest(16, 80)));
-    }
-
     #[test]
     fn stepped_give_up_with_assignments_but_no_reports_is_ok() {
         let config = |disconnect| AgentConfig {
@@ -875,12 +851,10 @@ pub(crate) mod tests {
                 }
                 let in_place = matches!(
                     (phase, &frame),
-                    ("greeting", Message::HelloAck { .. } | Message::Busy { .. })
+                    ("greeting", Message::HelloAck { .. })
                         | (
                             "asking",
-                            Message::NoWork { .. }
-                                | Message::Busy { .. }
-                                | Message::Assignment { .. }
+                            Message::NoWork { .. } | Message::Assignment { .. }
                         )
                         | ("reporting", Message::ResultAck { .. })
                 );
@@ -917,10 +891,7 @@ pub(crate) mod tests {
                 }),
                 Step::Send(_) | Step::Ask => Input::Frame(match pick % 10 {
                     0 | 1 => hello_ack(),
-                    2 => no_work(u64::from(pick) * 7),
-                    3 => Message::Busy {
-                        retry_after_ms: u64::from(pick) * 1_000,
-                    },
+                    2 | 3 => no_work(u64::from(pick) * 7),
                     4 | 5 => assignment(f64::from(pick) - 30_000.0),
                     6 => Message::ResultAck {
                         accepted: pick.is_multiple_of(2),
@@ -951,9 +922,8 @@ pub(crate) mod tests {
                     ..AgentConfig::new("a", 5)
                 };
                 let mut session = Session::new(config);
-                // The last `NoWork` or `Busy` hint, and how many times
-                // the session may have doubled it.
-                let (mut connected, mut told) = (false, (0u64, 0u32));
+                // The last `NoWork` hint.
+                let (mut connected, mut told) = (false, 0u64);
                 let mut history: Vec<Input> = Vec::new();
                 let mut input = Input::Woke;
                 for pick in picks {
@@ -971,16 +941,16 @@ pub(crate) mod tests {
                         // Only a stall's wait keeps the connection, and
                         // only a stall's sits past the longest rest. Any
                         // other is a backoff: the one the server asked
-                        // for last (a `NoWork`'s doubled up to ten
-                        // times), or the session's own (a disconnect
-                        // fault, a failed dial or handshake), capped, plus
-                        // this agent's jitter.
+                        // for last, doubled up to ten times, or the
+                        // session's own (a disconnect fault, a failed
+                        // dial or handshake), capped, plus this agent's
+                        // jitter.
                         Step::Wait(pause) => {
                             let stall = matches!(input, Input::Computed(_));
                             prop_assert!(stall || *pause <= MAX_REST, "{pause:?}");
                             if !stall {
                                 prop_assert!(!connected, "{history:?}");
-                                let grown = (0..=told.1).map(|k| told.0.saturating_mul(1 << k));
+                                let grown = (0..=10).map(|k| told.saturating_mul(1 << k));
                                 let mut backoff = [20, 50].into_iter().chain(grown);
                                 prop_assert!(
                                     backoff.any(|ms| rest(5, ms) == step),
@@ -991,12 +961,8 @@ pub(crate) mod tests {
                         Step::Compute { .. } | Step::Finished(_) => {}
                     }
                     let Some(next) = legal_input(&step, pick) else { break };
-                    match next {
-                        Input::Frame(Message::NoWork { retry_after_ms, .. }) => {
-                            told = (retry_after_ms, 10);
-                        }
-                        Input::Frame(Message::Busy { retry_after_ms }) => told = (retry_after_ms, 0),
-                        _ => {}
+                    if let Input::Frame(Message::NoWork { retry_after_ms, .. }) = next {
+                        told = retry_after_ms;
                     }
                     connected = match next {
                         Input::Connected => true,

@@ -13,15 +13,16 @@
 //! to exercise the server's reissue and quorum machinery. There is no
 //! wire format to pick: agent and server speak the one protocol.
 //!
-//! Like a periodic BOINC client, the agent holds no connection while it
-//! waits: told `NoWork` or `Busy`, it says `Bye`, hangs up, and dials
-//! again when the wait is over — a `NoWork`'s wait doubled for each one
-//! in a row, up to 2 s. A server that finished meanwhile stays up until
-//! such a rest has run out, so the agent wakes to hear the campaign is
-//! complete. A server that is gone refuses the dial; the
-//! agent then exits once its connect attempts run out (about 3 s), with
-//! its report if it ever got work and with the connect error if it did
-//! not.
+//! The agent keeps its connection while it works: from the assignment,
+//! through the docking, to the report, and it asks again on it. Like a
+//! periodic BOINC client, it holds no connection while it waits: told
+//! `NoWork`, it says `Bye`, hangs up, and dials again when the wait is
+//! over — the wait doubled for each `NoWork` in a row, up to 2 s. A
+//! server that finished meanwhile stays up until such a rest has run
+//! out, so the agent wakes to hear the campaign is complete. A server
+//! that is gone refuses the dial; the agent then exits once its connect
+//! attempts run out (about 3 s), with its report if it ever got work and
+//! with the connect error if it did not.
 //!
 //! Against a multi-campaign server, `--campaigns a,b` volunteers only
 //! for the named campaigns and `--campaigns '*'` for all of them;

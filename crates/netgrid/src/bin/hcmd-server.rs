@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! hcmd-server [--addr 127.0.0.1:7070] [--proteins 2] [--seed 7]
-//!             [--h-seconds 40] [--deadline 30] [--max-connections 64]
+//!             [--h-seconds 40] [--deadline 30]
 //!             [--events PATH] [--journal DIR] [--fsync always|never]
 //!             [--out PATH] [--ops-addr HOST:PORT]
 //!             [--trust on|off] [--trust-spot-rate F] [--trust-spot-seed N]
@@ -13,6 +13,13 @@
 //! Binds, prints the resolved address, then runs the campaign to
 //! completion and prints the closing statistics. Pair it with one or
 //! more `hcmd-agent` processes (see README "Two terminals, one grid").
+//!
+//! A docking volunteer holds its connection from its assignment to its
+//! report, so the server turns no volunteer away: how many may be
+//! connected at once is bounded by the open-files limit alone, which it
+//! raises to the hard limit at start and prints with the address. Out
+//! of descriptors, it pauses accepting until its next sweep tick, and
+//! the backlog waits in the kernel.
 //!
 //! With `--ops-addr` the server additionally serves a read-only HTTP
 //! observability endpoint while it runs: `GET /metrics` (Prometheus
@@ -62,7 +69,7 @@ use std::path::Path;
 fn usage() -> ! {
     eprintln!(
         "usage: hcmd-server [--addr HOST:PORT] [--proteins N] [--seed N] \
-         [--h-seconds S] [--deadline S] [--max-connections N] [--events PATH] \
+         [--h-seconds S] [--deadline S] [--events PATH] \
          [--journal DIR] [--fsync always|never] \
          [--out PATH] [--ops-addr HOST:PORT] [--trust on|off] \
          [--trust-spot-rate F] [--trust-spot-seed N] [--trust-min-samples N] \
@@ -107,6 +114,9 @@ fn write_json_file<T: serde::Serialize>(path: &str, value: &T) -> io::Result<()>
 }
 
 fn main() {
+    // Every connected volunteer holds a descriptor: without this the
+    // usual soft limit of 1 024 would cap the volunteers at about that.
+    let nofile = netgrid::sys::raise_nofile_limit(u64::MAX);
     let mut config = NetServerConfig::loopback(30.0);
     config.addr = "127.0.0.1:7070".into();
     let mut events: Option<String> = None;
@@ -131,10 +141,6 @@ fn main() {
             }
             "--deadline" => {
                 config.scheduler.deadline_seconds =
-                    take(&args, &mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--max-connections" => {
-                config.faults.max_connections =
                     take(&args, &mut i).parse().unwrap_or_else(|_| usage())
             }
             "--events" => events = Some(take(&args, &mut i)),
@@ -211,7 +217,7 @@ fn main() {
         }
     };
     match server.local_addr() {
-        Ok(addr) => println!("hcmd-server: listening on {addr}"),
+        Ok(addr) => println!("hcmd-server: listening on {addr} (open-files limit {nofile})"),
         Err(e) => eprintln!("hcmd-server: local_addr: {e}"),
     }
     for spec in &campaign_specs {
@@ -229,11 +235,10 @@ fn main() {
                 report.campaigns.iter().map(f).sum()
             };
             println!(
-                "campaign complete: {} workunits in {:.1} s ({} connections, {} rejected)",
+                "campaign complete: {} workunits in {:.1} s ({} connections)",
                 total(&|c| c.workunits as u64),
                 report.wall_seconds,
-                report.connections,
-                report.rejected_connections
+                report.connections
             );
             println!(
                 "issues: {} initial, {} quorum, {} timeout reissues, {} error reissues",

@@ -14,9 +14,8 @@
 //! that ship.
 
 use crate::agent;
-use crate::faults::ServerFaults;
 use crate::ops;
-use crate::protocol::{decode_versioned, encode_with, Codec, DecodeError, Message};
+use crate::protocol::{decode_versioned, DecodeError};
 use crate::registry::{Caller, MultiGrid};
 use crate::sys::{self, Event, ReadBuf};
 use gridsim::SimTime;
@@ -34,10 +33,6 @@ const _: () = assert!(SHUTDOWN_GRACE.as_millis() > agent::MAX_REST.as_millis());
 
 /// The longest a volunteer sent off to rest waits before it asks again.
 const REST: f64 = agent::MAX_REST.as_secs_f64();
-
-/// The rest a `Busy` brush-off suggests, ms: a fixed hint, which the
-/// volunteer rests as said ([`crate::agent`]).
-const BUSY_RETRY_MS: u64 = 80;
 
 /// A connection's name, given by the driver: the fd on sockets.
 pub(crate) type Id = i32;
@@ -87,10 +82,6 @@ pub(crate) enum Role {
     /// Accepted on the task listener: a volunteer, whose dialogue is the
     /// core's to remember.
     Inbound(Caller),
-    /// Turned away at the connection limit: it gets a `Busy` frame and
-    /// a close, and was telemetered as *rejected*, so it neither holds
-    /// a limit slot nor emits a `ConnectionClosed` event.
-    Brushoff,
     /// An ops scrape: accepted at this time or, once its response is
     /// queued, last seen taking bytes at it.
     Scrape(SimTime),
@@ -157,7 +148,6 @@ pub(crate) struct Loop<S> {
     /// failed `accept`.
     pub(crate) accept_paused: [bool; 2],
     ops_listener: bool,
-    pub(crate) faults: ServerFaults,
     sweep_seconds: f64,
     next_sweep: SimTime,
     /// When the run started: wall seconds are counted from here.
@@ -168,14 +158,9 @@ pub(crate) struct Loop<S> {
     left_after: Option<f64>,
     /// Connections accepted over the run.
     pub(crate) connections: u64,
-    /// Connections turned away at the limit.
-    pub(crate) rejected: u64,
-    /// Live [`Role::Inbound`] connections, against
-    /// `faults.max_connections`.
-    pub(crate) accepted_active: usize,
     /// The final word owed to volunteers that left without it, by agent
-    /// id (`None`: any that never said `Hello`, a `Busy` brush-off among
-    /// them, or rested across a crash): until when each may be resting.
+    /// id (`None`: any that never said `Hello`, or rested across a
+    /// crash): until when each may be resting.
     pub(crate) debts: HashMap<Option<u64>, SimTime>,
     /// Why the driver could not persist a batch. From then on nothing
     /// the loop holds is written, and the driver stops it.
@@ -186,13 +171,7 @@ impl<S: Read + Write> Loop<S> {
     /// A loop over `core` started at `now`: its first sweep tick comes
     /// due one interval later. `ops_listener` says
     /// whether scrapes are served (and so lingered for at the end).
-    pub(crate) fn new(
-        core: MultiGrid,
-        faults: ServerFaults,
-        sweep_ms: u64,
-        ops_listener: bool,
-        now: SimTime,
-    ) -> Self {
+    pub(crate) fn new(core: MultiGrid, sweep_ms: u64, ops_listener: bool, now: SimTime) -> Self {
         let sweep_seconds = Duration::from_millis(sweep_ms.max(1)).as_secs_f64();
         let reopened = core.wal_size().is_some_and(|(records, _)| records > 0);
         Self {
@@ -200,15 +179,12 @@ impl<S: Read + Write> Loop<S> {
             conns: HashMap::new(),
             accept_paused: [false; 2],
             ops_listener,
-            faults,
             sweep_seconds,
             next_sweep: now.after(sweep_seconds),
             started: now,
             done_since: None,
             left_after: None,
             connections: 0,
-            rejected: 0,
-            accepted_active: 0,
             debts: HashMap::from_iter(reopened.then(|| (None, now.after(REST)))),
             wal_error: None,
         }
@@ -250,14 +226,13 @@ impl<S: Read + Write> Loop<S> {
     }
 
     /// Serves one batch of readiness at `now`: every connection first,
-    /// the listeners last. A level-triggered driver can report a
-    /// listener *ahead* of a later connection event, and one batch can
-    /// hold a holder's `Bye` (or EOF) behind the listener its successor
-    /// waits on. Accepting in batch order would count the successor
-    /// against `max_connections` while the holder still filled the
-    /// slot, and brush it off with `Busy`. Every connection is read
-    /// before any is settled, so the first write commits the whole
-    /// batch's records: one `fdatasync`.
+    /// the listeners last. Every connection is read before any is
+    /// settled, so the first write commits the whole batch's records:
+    /// one `fdatasync`. Accepting is settling too, and a scrape is
+    /// answered as it is accepted: an ops listener served in batch
+    /// order, ahead of a connection event, would write, and so commit,
+    /// before the rest of the batch was read, and the batch would cost
+    /// two `fdatasync`s.
     pub(crate) fn serve(
         &mut self,
         io: &mut impl Io<S>,
@@ -317,10 +292,9 @@ impl<S: Read + Write> Loop<S> {
     }
 
     /// Drains a listener: accept every pending connection. On the task
-    /// listener anything over the limit is brushed off with a `Busy`
-    /// frame; on the ops listener every connection is one scrape. An
-    /// exhausted `accept` pauses the listener until the next sweep tick,
-    /// and only a broken listener ends the server.
+    /// listener each is a volunteer; on the ops listener each is one
+    /// scrape. An exhausted `accept` pauses the listener until the next
+    /// sweep tick, and only a broken listener ends the server.
     fn accept_ready(&mut self, io: &mut impl Io<S>, now: SimTime, ops: bool) -> io::Result<()> {
         loop {
             let (id, stream) = match io.accept(ops)? {
@@ -332,33 +306,17 @@ impl<S: Read + Write> Loop<S> {
                     return Ok(());
                 }
             };
-            if ops {
+            let conn = if ops {
                 // A scraper sends its request with the connect, so it is
                 // usually readable already: answered here, the scrape
                 // never costs a registration.
                 let mut conn = Conn::new(stream, Role::Scrape(now));
                 self.read_and_dispatch(now, &mut conn);
-                self.settle(io, now, id, conn);
-                continue;
-            }
-            let limit = self.faults.max_connections;
-            if limit > 0 && self.accepted_active >= limit {
-                // Turned away before any frame is read: counted (and
-                // telemetered) as a rejection, never as an accepted
-                // connection.
-                self.rejected += 1;
-                let retry_after_ms = BUSY_RETRY_MS;
-                telemetry::emit(None, || Telemetry::ConnectionRejected { retry_after_ms });
-                let mut conn = Conn::new(stream, Role::Brushoff);
-                let busy = encode_with(&Message::Busy { retry_after_ms }, Codec);
-                conn.write_buf.extend_from_slice(&busy);
-                conn.closing = Some("busy");
-                self.settle(io, now, id, conn);
-                continue;
-            }
-            self.connections += 1;
-            self.accepted_active += 1;
-            let conn = Conn::new(stream, Role::Inbound(Caller::default()));
+                conn
+            } else {
+                self.connections += 1;
+                Conn::new(stream, Role::Inbound(Caller::default()))
+            };
             self.settle(io, now, id, conn);
         }
     }
@@ -396,9 +354,9 @@ impl<S: Read + Write> Loop<S> {
     }
 
     /// Commits, flushes queued replies, then either retires a connection
-    /// that is finished (a brush-off whose `Busy` frame was taken whole
-    /// is, before it was ever filed) or files it under the interest it
-    /// now wants. With the wal unwritable the replies are dropped.
+    /// that is finished (a scrape answered whole as it was accepted is,
+    /// before it was ever filed) or files it under the interest it now
+    /// wants. With the wal unwritable the replies are dropped.
     fn settle(&mut self, io: &mut impl Io<S>, now: SimTime, id: Id, mut conn: Conn<S>) {
         let unsent = !conn.flushed() && !self.commit(io);
         if unsent || self.flush(&mut conn).is_err() {
@@ -465,28 +423,25 @@ impl<S: Read + Write> Loop<S> {
             Err(_) => conn.closing = Some("io"),
         }
         let orderly_close = conn.closing.take();
-        if let Role::Scrape(since) = &mut conn.role {
-            let head = conn.read_buf.pending();
-            let eof = orderly_close.is_some();
-            if let Some(response) = ops::respond(head, eof, *since, now, &self.core) {
-                conn.write_buf = response;
-                conn.closing = Some("ops");
-                *since = now;
+        let caller = match &mut conn.role {
+            Role::Inbound(caller) => caller,
+            Role::Scrape(since) => {
+                let head = conn.read_buf.pending();
+                let eof = orderly_close.is_some();
+                if let Some(response) = ops::respond(head, eof, *since, now, &self.core) {
+                    conn.write_buf = response;
+                    conn.closing = Some("ops");
+                    *since = now;
+                }
+                return;
             }
-            return;
-        }
+        };
         while conn.closing.is_none() {
             match decode_versioned(conn.read_buf.pending()) {
                 Ok((msg, consumed, _)) => {
                     conn.read_buf.consume(consumed);
                     conn.frames += 1;
-                    let heard = match &mut conn.role {
-                        Role::Inbound(caller) => {
-                            self.core.inbound(now, caller, msg, &mut conn.write_buf)
-                        }
-                        // One is closing, the other was answered above.
-                        Role::Brushoff | Role::Scrape(_) => Err("protocol"),
-                    };
+                    let heard = self.core.inbound(now, caller, msg, &mut conn.write_buf);
                     conn.closing = heard.err();
                 }
                 Err(DecodeError::Incomplete { .. }) => break,
@@ -500,37 +455,33 @@ impl<S: Read + Write> Loop<S> {
         }
     }
 
-    /// Final close of a connection, at `now`. An inbound one releases
-    /// its limit slot and, if it said `Hello`, emits the
-    /// `ConnectionClosed` that pairs its `ConnectionOpened`. A volunteer
-    /// that said `Bye` after it was told the campaign is over has read
-    /// the final word, and pays its agent's debt. Any other that was
-    /// sent off to rest, or left without a `Bye`, may ask again within a
-    /// rest, which it is owed ([`Self::debts`]): a final word queued on a
-    /// connection that then broke may never have been read.
+    /// Final close of a connection, at `now`. An inbound one that said
+    /// `Hello` emits the `ConnectionClosed` that pairs its
+    /// `ConnectionOpened`. A volunteer that said `Bye` after it was told
+    /// the campaign is over has read the final word, and pays its
+    /// agent's debt. Any other that was sent off to rest, or left
+    /// without a `Bye`, may ask again within a rest, which it is owed
+    /// ([`Self::debts`]): a final word queued on a connection that then
+    /// broke may never have been read.
     fn retire(&mut self, now: SimTime, conn: Conn<S>) {
-        match conn.role {
-            Role::Inbound(caller) => {
-                self.accepted_active -= 1;
-                if let Some(agent) = caller.agent {
-                    let reason = conn.closing.unwrap_or("eof");
-                    telemetry::emit(None, || Telemetry::ConnectionClosed {
-                        agent,
-                        frames: conn.frames,
-                        reason: reason.into(),
-                    });
-                }
-                let bye = conn.closing == Some("bye");
-                if caller.heard && bye {
-                    if caller.agent.is_some() {
-                        self.debts.remove(&caller.agent);
-                    }
-                } else if caller.resting || !bye {
-                    self.debts.insert(caller.agent, now.after(REST));
-                }
+        let Role::Inbound(caller) = conn.role else {
+            return;
+        };
+        if let Some(agent) = caller.agent {
+            let reason = conn.closing.unwrap_or("eof");
+            telemetry::emit(None, || Telemetry::ConnectionClosed {
+                agent,
+                frames: conn.frames,
+                reason: reason.into(),
+            });
+        }
+        let bye = conn.closing == Some("bye");
+        if caller.heard && bye {
+            if caller.agent.is_some() {
+                self.debts.remove(&caller.agent);
             }
-            Role::Brushoff => _ = self.debts.insert(None, now.after(REST)),
-            Role::Scrape(_) => {}
+        } else if caller.resting || !bye {
+            self.debts.insert(caller.agent, now.after(REST));
         }
     }
 }
@@ -541,9 +492,10 @@ pub(crate) mod tests {
     //! literal: scripted histories on the one stepped world.
 
     use super::*;
-    use crate::protocol::HEADER_BYTES;
+    use crate::protocol::{encode_with, CampaignParams, Codec, Message, HEADER_BYTES};
+    use crate::registry::CampaignDef;
     use crate::sys::READ_SPACE;
-    use crate::world::{baseline, frames, t, Client, End, Pump, Server, World};
+    use crate::world::{baseline, frames, pump_until, t, Client, End, Pump, Server, World};
 
     impl<S> Loop<S> {
         /// Pushes the sweep timer out of any test's reach: the test
@@ -759,32 +711,30 @@ pub(crate) mod tests {
         assert!(lp.over(t(told + rest)).is_some());
     }
 
-    /// A `Busy` sends a volunteer off to rest just as a `NoWork` does,
-    /// so a loop that brushed one off waits that rest out too once done,
-    /// though the brushed-off volunteer never said `Hello`.
+    /// A connection that closes before it says `Hello` may be a
+    /// volunteer whose handshake broke, which rests and dials again; a
+    /// loop that is done waits that rest out too, though it never
+    /// learned who it was.
     #[test]
-    fn a_done_loop_waits_out_a_busy_rest() {
+    fn a_done_loop_waits_out_a_connection_that_closed_before_hello() {
         let mut net = solo();
-        // The last holder drew a `NoWork`; the `Busy` comes later.
         let holders = net.hold_every_replica();
-        net.lp.faults.max_connections = holders.len();
         net.now += 0.5;
-        let brushed = net.now;
-        let reply = net.connect().recv(&mut net);
-        assert!(matches!(reply, Message::Busy { .. }), "{reply:?}");
-        assert_eq!(net.lp.rejected, 1);
+        let closed = net.now;
+        drop(net.connect());
+        pump_until(&mut net, |net| net.lp.debts.contains_key(&None));
         report_and_hear_the_end(&mut net, holders);
         let lp = &mut net.lp;
         assert!(lp.core.all_complete() && lp.conns.is_empty());
         let rest = agent::MAX_REST.as_secs_f64();
-        let owed = HashMap::from([(None, t(brushed + rest))]);
-        assert_eq!(lp.debts, owed, "the brushed-off volunteer alone is owed");
+        let owed = HashMap::from([(None, t(closed + rest))]);
+        assert_eq!(lp.debts, owed, "the nameless connection alone is owed");
         assert_eq!(
-            lp.over(t(brushed + rest - 0.01)),
+            lp.over(t(closed + rest - 0.01)),
             None,
-            "left while a brushed-off volunteer rested"
+            "left while a nameless volunteer may rest"
         );
-        assert!(lp.over(t(brushed + rest)).is_some());
+        assert!(lp.over(t(closed + rest)).is_some());
     }
 
     /// A debt is paid by the final word: a volunteer sent off to rest
@@ -879,27 +829,36 @@ pub(crate) mod tests {
         assert!(net.lp.over(t(reopened + rest)).is_some());
     }
 
-    /// A batch that holds the task listener ahead of a holder's `Bye` —
-    /// what a level-triggered poller hands back when it reported the
-    /// listener before — retires the holder before it accepts: at
-    /// `max_connections = 1` the newcomer is served, not brushed off.
+    /// A docking volunteer holds its connection from its `Assignment`
+    /// to its report, so a loop serves as many at once as dial it: 200
+    /// volunteers on the 880-workunit wire catalog each say `Hello` and
+    /// ask on a connection they keep open, at the default faults, and
+    /// each is assigned work.
     #[test]
-    fn a_batch_frees_a_leaving_holders_slot_before_it_accepts() {
-        let mut net = solo();
-        net.lp.faults.max_connections = 1;
-        let mut holder = net.connect().hello(1, &mut net);
-        let holder_id = *net.lp.conns.keys().next().expect("the holder");
-        holder.send(&Message::Bye);
-        let newcomer = net.connect();
-        let mut batch = net.pipes.ready();
-        assert_eq!(batch.len(), 2, "the Bye and the newcomer are both in");
-        batch.sort_by_key(|ready| matches!(ready, Ready::Conn(_)));
-        assert!(
-            matches!(batch[..], [Ready::Listener(false), Ready::Conn(ev)] if ev.fd == holder_id)
-        );
-        net.lp.serve(&mut net.pipes, t(1.0), batch).unwrap();
-        assert_eq!((net.lp.rejected, net.lp.connections), (0, 2));
-        newcomer.hello(2, &mut net);
+    fn a_loop_serves_two_hundred_volunteers_holding_their_connections() {
+        let wire = CampaignParams {
+            proteins: 16,
+            lib_seed: 87,
+            ..CampaignParams::tiny()
+        };
+        let mut net = World::new(Server {
+            defs: vec![CampaignDef::default_solo(wire)],
+            ..Server::tiny()
+        });
+        assert_eq!(net.lp.core.slots()[0].campaign.len(), 880);
+        let mut held = Vec::new();
+        for agent in 1..=200 {
+            let mut volunteer = net.connect().hello(agent, &mut net);
+            let reply = volunteer.exchange(&Message::RequestWork, &mut net);
+            assert!(
+                matches!(reply, Message::Assignment { .. }),
+                "volunteer {agent}: {reply:?}"
+            );
+            held.push(volunteer);
+        }
+        let inbound = net.lp.conns.values();
+        let open = inbound.filter(|c| matches!(c.role, Role::Inbound(_)));
+        assert_eq!((open.count(), net.lp.connections), (200, 200));
     }
 
     /// Scrapes are connections like any other: one that stops half way

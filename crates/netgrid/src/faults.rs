@@ -20,10 +20,11 @@
 //! `(run seed, agent id)`, so a campaign's fault schedule is
 //! reproducible run to run.
 //!
-//! [`ServerFaults`] is the server's side: the connection cap behind a
-//! `Busy` and the trust policy. It sets no backoff: the server states a
-//! fixed hint, and how long a volunteer rests on it is the volunteer's
-//! own policy ([`crate::agent`]).
+//! [`ServerFaults`] is the server's side: the trust policy. It sets no
+//! backoff and no connection limit: the server states a fixed hint, how
+//! long a volunteer rests on it is the volunteer's own policy
+//! ([`crate::agent`]), and how many volunteers may be connected at once
+//! is the process's open-files limit.
 
 use maxdo::DockingOutput;
 use rand::{Rng, SeedableRng};
@@ -171,29 +172,18 @@ impl FaultDice {
     }
 }
 
-/// Server-side limits.
+/// The server's policy toward faulty volunteers; by default, trust off.
 ///
-/// Serializable because the journal header records them: a journaled
-/// campaign must resume under the same limits it ran under. How long a
-/// volunteer rests between asks is not among them: that is the
+/// Serializable because the journal header records it: a journaled
+/// campaign must resume under the same policy it ran under. How long a
+/// volunteer rests between asks is not among it: that is the
 /// volunteer's own policy ([`crate::agent`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct ServerFaults {
-    /// Connections beyond this are turned away with `Busy` (0 = off).
-    pub max_connections: usize,
     /// Trust-adaptive replication policy. In the journal header
-    /// identity alongside the connection limit: a journal written under
-    /// one trust policy refuses to replay under another.
+    /// identity: a journal written under one trust policy refuses to
+    /// replay under another.
     pub trust: crate::trust::TrustConfig,
-}
-
-impl Default for ServerFaults {
-    fn default() -> Self {
-        Self {
-            max_connections: 64,
-            trust: crate::trust::TrustConfig::off(),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -128,11 +128,13 @@
 //!     header decodes as far as its format field, and a directory that
 //!     holds a `NAME/wal.bin` is refused too, naming "journal format 4".
 //!   - journal format 5 is format 6 with three more fields in the
-//!     header's faults (the server's backoff knobs), and format 6 is
-//!     this one with a shard in the header and three more record kinds
-//!     (a lease granted, a lease adopted, a peer's completion). Each
-//!     header decodes as far as its format field and is refused naming
-//!     "journal format 5" or "journal format 6".
+//!     header's faults (the server's backoff knobs), format 6 is format
+//!     7 with a shard in the header and three more record kinds (a
+//!     lease granted, a lease adopted, a peer's completion), and format
+//!     7 is this one with the connection cap in the header's faults.
+//!     Each header decodes as far as its format field and is refused
+//!     naming "journal format 5", "journal format 6" or "journal
+//!     format 7".
 //!
 //! Prefix loss is safe by construction: a lost `Fetch` replica
 //! ages out of nothing (it was never outstanding in the recovered
@@ -180,10 +182,12 @@ const LEGACY_FRAME_KIND: u8 = 1;
 /// the three backoff knobs gone from the header's faults (a volunteer's
 /// rests are its own); format 7 is format 6 with the shard gone from the
 /// header and the lease and peer-completion records gone (one server
-/// carries the campaign). Formats 1–3 never get as far as a parsed
-/// header — [`RecordReader`] recognises their first frame (module docs,
-/// "legacy file"); formats 4–6 are refused at the header's format field.
-pub(crate) const JOURNAL_FORMAT: u32 = 7;
+/// carries the campaign); format 8 is format 7 with the connection cap
+/// gone from the header's faults (a volunteer holds its connection
+/// while it docks). Formats 1–3 never get as far as a parsed header —
+/// [`RecordReader`] recognises their first frame (module docs, "legacy
+/// file"); formats 4–7 are refused at the header's format field.
+pub(crate) const JOURNAL_FORMAT: u32 = 8;
 
 /// One journaled frame: the `Header` that opens the wal, then one per
 /// command.
@@ -353,7 +357,6 @@ fn encode_record(rec: &JournalRecord, w: &mut Writer) {
                 w.u64(feeder.cache_size as u64);
                 w.u64(feeder.refill_batch as u64);
             }
-            w.u64(faults.max_connections as u64);
             let trust = &faults.trust;
             w.flag(trust.enabled);
             w.f64(trust.trusted_threshold);
@@ -470,7 +473,6 @@ fn decode_header(r: &mut Reader) -> Result<JournalRecord, String> {
             },
         },
         faults: ServerFaults {
-            max_connections: r.u64()? as usize,
             trust: TrustConfig {
                 enabled: r.flag()?,
                 trusted_threshold: r.f64()?,
@@ -924,7 +926,6 @@ mod tests {
                         }),
                     },
                     faults: ServerFaults {
-                        max_connections: a as usize,
                         trust: TrustConfig {
                             enabled: b.is_multiple_of(5),
                             spot_check_rate: now_s,
@@ -1040,8 +1041,8 @@ mod tests {
     /// compaction just ran is a lone JSON header with the whole campaign
     /// in `snapshot.bin` beside it; a format-4 wal decodes as far as its
     /// format field, and a multi-campaign server kept one per campaign
-    /// in a subdirectory; format-5 and format-6 wals too decode as far
-    /// as their format field. Each is refused by name, by recovery and by
+    /// in a subdirectory; format-5, -6 and -7 wals too decode as far as
+    /// their format field. Each is refused by name, by recovery and by
     /// the `hcmd-journal dump` reader alike, with nothing on disk
     /// touched or created.
     #[test]
@@ -1057,6 +1058,7 @@ mod tests {
         let format_4 = include_bytes!("../../../tests/data/wal_format4.bin").to_vec();
         let format_5 = include_bytes!("../../../tests/data/wal_format5.bin").to_vec();
         let format_6 = include_bytes!("../../../tests/data/wal_format6.bin").to_vec();
+        let format_7 = include_bytes!("../../../tests/data/wal_format7.bin").to_vec();
 
         for (tag, file, old, named) in [
             (
@@ -1076,6 +1078,7 @@ mod tests {
             ("nested", "alpha/wal.bin", &format_4, "journal format 4"),
             ("format5", WAL_FILE, &format_5, "journal format 5"),
             ("format6", WAL_FILE, &format_6, "journal format 6"),
+            ("format7", WAL_FILE, &format_7, "journal format 7"),
         ] {
             let dir = scratch_dir(&format!("legacy-{tag}"));
             let path = dir.join(file);

@@ -52,7 +52,7 @@
 //!   the benchmark still calls: the solo [`ShardSpec`] and
 //!   [`merge_artifacts`];
 //! * [`faults`] — deterministic fault injection: disconnects, stalls
-//!   past the deadline, bit-flipped payloads, connection limits;
+//!   past the deadline, bit-flipped payloads; the server's trust policy;
 //! * [`journal`] — the write-ahead journal: one append-only `wal.bin`
 //!   per server, the log of the commands `MultiGrid::apply` applied,
 //!   which recovery folds the same call over, so a `kill -9`

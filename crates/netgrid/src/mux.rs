@@ -398,8 +398,8 @@ impl Driver {
     fn perform(&mut self, idx: usize, step: Step) {
         match step {
             Step::Dial => {
-                // Closed before the dial, not by it: a server at its
-                // connection limit must see the old socket go first.
+                // Closed before the dial, not by it: an agent holds at
+                // most one socket, on its side and on the server's.
                 self.disconnect(idx);
                 self.agents[idx].state = AState::WantsDial;
             }

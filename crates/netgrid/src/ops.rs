@@ -777,7 +777,7 @@ mod tests {
         assert!(text.contains("hcmd_virtual_full_time_processors 545.0565238620925"));
         assert!(text.contains("hcmd_quorum_candidate_workunits 1"));
         assert!(text.contains("hcmd_journal_wal_records 45"));
-        assert!(text.contains("hcmd_journal_wal_bytes 34778"));
+        assert!(text.contains("hcmd_journal_wal_bytes 34770"));
         assert!(text.contains("hcmd_campaign_complete 0"));
         assert!(text.contains("hcmd_wasted_ref_seconds 9532.992553710938"));
         assert!(text.contains("hcmd_trust_enabled 1"));
@@ -813,7 +813,7 @@ mod tests {
             ("7/16", "workunit progress tile"),
             ("7/8", "receptor 0 progression"),
             ("545.06", "VFTP tile"),
-            ("45 / 34778", "journal records / bytes tile"),
+            ("45 / 34770", "journal records / bytes tile"),
             ("<td>9</td>", "agent row"),
             ("2 / 10 / 0 / 1", "trust band tile"),
             ("1 / 0", "spot check tile"),

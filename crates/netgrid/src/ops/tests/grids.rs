@@ -121,7 +121,6 @@ pub fn contended(dir: &Path) -> MultiGrid {
             spot_check_rate: 1.0,
             ..TrustConfig::on()
         },
-        ..ServerFaults::default()
     };
     let journal = JournalConfig {
         fsync: FsyncPolicy::Never,

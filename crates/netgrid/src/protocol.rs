@@ -183,12 +183,6 @@ pub enum Message {
         /// How long the agent must wait before asking again, ms.
         retry_after_ms: u64,
     },
-    /// Server → agent on accept when the connection limit is reached
-    /// (server-side fault injection); also legal as a `Hello` reply.
-    Busy {
-        /// Suggested reconnect delay, ms.
-        retry_after_ms: u64,
-    },
     /// Agent → server: a computed (or corrupted...) result.
     ResultReport {
         /// The replica this result answers.
@@ -671,7 +665,8 @@ pub mod binary {
     const TAG_REQUEST_WORK: u8 = 2;
     const TAG_ASSIGNMENT: u8 = 3;
     const TAG_NO_WORK: u8 = 4;
-    const TAG_BUSY: u8 = 5;
+    // Tags 5 (`Busy`) and 9–14 (the shard dialogue) are retired:
+    // decoded as unknown, and never given to another message.
     const TAG_RESULT_REPORT: u8 = 6;
     const TAG_RESULT_ACK: u8 = 7;
     const TAG_BYE: u8 = 8;
@@ -951,10 +946,6 @@ pub mod binary {
                 w.flag(*campaign_complete);
                 w.u64(*retry_after_ms);
             }
-            Message::Busy { retry_after_ms } => {
-                w.u8(TAG_BUSY);
-                w.u64(*retry_after_ms);
-            }
             Message::ResultReport {
                 replica,
                 workunit,
@@ -1012,9 +1003,6 @@ pub mod binary {
             },
             TAG_NO_WORK => Message::NoWork {
                 campaign_complete: r.flag()?,
-                retry_after_ms: r.u64()?,
-            },
-            TAG_BUSY => Message::Busy {
                 retry_after_ms: r.u64()?,
             },
             TAG_RESULT_REPORT => {
@@ -1085,9 +1073,6 @@ pub(crate) mod tests {
             Message::NoWork {
                 campaign_complete: false,
                 retry_after_ms: 150,
-            },
-            Message::Busy {
-                retry_after_ms: 500,
             },
             Message::ResultReport {
                 replica: 7,

@@ -1009,7 +1009,6 @@ pub(crate) mod tests {
                 spot_check_rate: f64::NAN,
                 ..TrustConfig::on()
             },
-            ..ServerFaults::default()
         };
         let solo = |params| vec![CampaignDef::default_solo(params)];
         let tiny = CampaignParams::tiny();
@@ -1327,7 +1326,7 @@ pub(crate) mod tests {
                 }
             }
         }
-        assert_eq!(refused, 6 * 2);
+        assert_eq!(refused, 5 * 2);
     }
 
     /// A core is a value: cloned mid-history from a journaled world,
@@ -1423,14 +1422,14 @@ pub(crate) mod tests {
     /// wal what its core had committed and a seed-chosen prefix of the
     /// write they cut, mid-frame as likely as not, which recovery cuts
     /// back to the last whole record (the world checks) — the artifact
-    /// is the baseline, the loop never wrote ahead of its records or
-    /// brushed off a connection it had room for, the campaign finished
-    /// within the step budget while its volunteers lived, the loop left
-    /// and every volunteer finished (giving up only once the campaign
-    /// was over), and the wal replays to the live books — campaign
-    /// state and fair-share ledger. The loop leaves while volunteers are still out
-    /// (a flaky one resting after a dropped connection, one cut off), so
-    /// on some seeds a volunteer finds it gone. What the seed does not
+    /// is the baseline, the loop never wrote ahead of its records, the
+    /// campaign finished within the step budget while its volunteers
+    /// lived, the loop left and every volunteer finished (giving up only
+    /// once the campaign was over), and the wal replays to the live
+    /// books — campaign state and fair-share ledger. The loop leaves
+    /// while volunteers are still out (a flaky one resting after a
+    /// dropped connection, one cut off), so on some seeds a volunteer
+    /// finds it gone. What the seed does not
     /// yet do — duplicate or delay frames, jump the clock — is ROADMAP
     /// item 1.
     #[test]
@@ -1469,7 +1468,6 @@ pub(crate) mod tests {
     fn a_saboteurs_quarantine_survives_a_restart() {
         let faults = ServerFaults {
             trust: TrustConfig::on(),
-            ..ServerFaults::default()
         };
         let server = Server {
             faults,

@@ -4,8 +4,7 @@
 //! A small, dependency-free TCP daemon on **one thread**. Every
 //! decision is [`MultiGrid`]'s ([`crate::registry`]) and every ordering
 //! rule — connections before listeners, commit before a byte leaves,
-//! the brush-off at the cap, the timers and the leave rule — is
-//! `Loop`'s (`crate::event_loop`). What is here only carries: one
+//! the timers and the leave rule — is `Loop`'s (`crate::event_loop`). What is here only carries: one
 //! [`crate::sys::Poller`] watches the task listener, the ops listener
 //! and every connection — volunteers and ops scrapes — and each batch it
 //! finds ready is handed to the loop with the wall clock read on the
@@ -46,7 +45,7 @@ pub struct NetServerConfig {
     pub campaign: CampaignParams,
     /// Scheduling-core configuration (deadline, validation switch).
     pub scheduler: ServerConfig,
-    /// The connection limit and the trust policy.
+    /// The trust policy.
     pub faults: ServerFaults,
     /// Deadline-sweep interval, ms.
     pub sweep_ms: u64,
@@ -99,8 +98,6 @@ pub struct NetRunReport {
     pub wall_seconds: f64,
     /// Connections accepted over the run.
     pub connections: u64,
-    /// Connections turned away at the limit.
-    pub rejected_connections: u64,
     /// Per-campaign results, artifacts included, in registry slot
     /// order. A single implicit campaign still gets its one row here.
     pub campaigns: Vec<CampaignRunReport>,
@@ -218,7 +215,7 @@ impl NetServer {
         let now = SimTime::new(clock_offset);
         let ops = ops_listener.is_some();
         Ok(Self {
-            lp: Loop::new(core, config.faults, config.sweep_ms, ops, now),
+            lp: Loop::new(core, config.sweep_ms, ops, now),
             io: Sockets {
                 listener,
                 ops_listener,
@@ -334,7 +331,6 @@ fn report(lp: Loop<TcpStream>, wall_seconds: f64) -> NetRunReport {
         server_stats: campaigns[0].server_stats,
         wall_seconds,
         connections: lp.connections,
-        rejected_connections: lp.rejected,
         campaigns,
         share_error,
         cross_quarantine_denials,
@@ -429,7 +425,7 @@ impl AcceptFailure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{decode_versioned, CampaignParams, Message, PROTOCOL_VERSION};
+    use crate::protocol::CampaignParams;
     use crate::state::WorkReply;
     use crate::world::{pump_until, Pump};
     use std::io::{Read, Write};
@@ -524,25 +520,6 @@ mod tests {
             let _ = scraper.read_to_end(&mut reply);
             s[0].lp.connections == 1 && reply.starts_with(b"HTTP/1.1 200")
         });
-    }
-
-    /// The brush-off at the cap — sent before the peer has said
-    /// anything — is an ordinary frame of the one dialect, on the wire.
-    #[test]
-    fn the_cap_brush_off_busy_decodes_with_the_one_decoder() {
-        let server = &mut [solo()];
-        let mut agent = TcpStream::connect(server[0].local_addr().unwrap()).unwrap();
-        server[0].lp.faults.max_connections = 1;
-        server[0].lp.accepted_active = 1;
-        pump_until(server, |s| s[0].lp.rejected == 1);
-        assert_eq!(server[0].lp.connections, 0);
-
-        let mut wire = Vec::new();
-        agent.read_to_end(&mut wire).unwrap();
-        assert_eq!(wire[4], PROTOCOL_VERSION);
-        let (msg, consumed, _) = decode_versioned(&wire).expect("a whole Busy frame");
-        assert!(matches!(msg, Message::Busy { retry_after_ms } if retry_after_ms > 0));
-        assert_eq!(consumed, wire.len(), "one frame, then the close");
     }
 
     /// Asks and reports straight on the server's core, as agents 1 and

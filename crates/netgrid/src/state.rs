@@ -1017,7 +1017,6 @@ mod tests {
                 spot_check_rate,
                 ..crate::trust::TrustConfig::on()
             },
-            ..ServerFaults::default()
         };
         let state = GridState::new(&campaign, config, faults);
         (campaign, state)

@@ -9,13 +9,12 @@
 //! `get` — and a seed drives it to the end ([`World::run`]). Either may
 //! kill the loop or cut a connection between two turns, or cut the
 //! loop's power in the middle of a wal write, and every turn of the loop
-//! is held to the same oracles. A journaled loop's disk is a `Vec<u8>`
+//! is held to the same oracle. A journaled loop's disk is a `Vec<u8>`
 //! its driver persists batches to. Shared too: the far-end helpers
-//! ([`Client`] runs over a socket in `server.rs` as well) and the
-//! fixtures the tests open their cores from.
+//! ([`Client`]) and the fixtures the tests open their cores from.
 
 use crate::agent::{self, AgentReport, Input, Session, Step};
-use crate::event_loop::{Accept, Conn, Id, Io, Loop, Ready, Role};
+use crate::event_loop::{Accept, Id, Io, Loop, Ready};
 use crate::protocol::{self, decode_versioned, encode_with, CampaignParams, Codec, Message};
 use crate::registry::{CampaignDef, MultiGrid};
 use crate::state::{GridState, NetStats};
@@ -486,10 +485,8 @@ impl Volunteer {
 
 /// One event loop, its volunteers, the pipes between them and the
 /// clock. A dial lands in the loop's task listener, and fails once the
-/// loop has left. Every turn of the loop is held to two oracles from
-/// outside it: bytes left only with its core's records committed, and a
-/// `Busy` went out only while the inbound connections left open filled
-/// the cap.
+/// loop has left. Every turn of the loop is held to an oracle from
+/// outside it: bytes left only with its core's records committed.
 pub(crate) struct World {
     server: Server,
     pub(crate) lp: Loop<End>,
@@ -530,20 +527,11 @@ impl World {
     }
 
     /// A journaled loop and six volunteers, two of them flaky: what a
-    /// seed drives. `max_connections` is one per volunteer, so a
-    /// reconnect racing its own close can find the loop full.
+    /// seed drives.
     pub(crate) fn seeded(seed: u64) -> Self {
-        const VOLUNTEERS: u64 = 6;
-        let server = Server {
-            faults: ServerFaults {
-                max_connections: VOLUNTEERS as usize,
-                ..ServerFaults::default()
-            },
-            ..Server::tiny().journaled()
-        };
-        let mut world = Self::starting_at(0.0, server);
+        let mut world = Self::starting_at(0.0, Server::tiny().journaled());
         world.cuts = true;
-        for i in 0..VOLUNTEERS {
+        for i in 0..6 {
             let profile = match i {
                 0 | 1 => FaultProfile::flaky(),
                 _ => FaultProfile::none(),
@@ -560,7 +548,7 @@ impl World {
     /// The loop, its core opened from its disk, started at `now`.
     fn open(server: &Server, pipes: &mut Pipes, now: f64) -> Loop<End> {
         let core = server.core(&mut pipes.disk);
-        Loop::new(core, server.faults, 50, server.ops, t(now))
+        Loop::new(core, 50, server.ops, t(now))
     }
 
     /// The loop's open batch goes to its disk, as its driver commits
@@ -588,28 +576,18 @@ impl World {
         Client::new(self.pipes.connect(false))
     }
 
-    /// One turn of the loop at `now`, held to the oracles.
+    /// One turn of the loop at `now`, held to the oracle.
     pub(crate) fn turn(&mut self, f: impl FnOnce(&mut Loop<End>, &mut Pipes, SimTime)) {
-        let (sent, rejected) = (self.pipes.sent.get(), self.lp.rejected);
+        let sent = self.pipes.sent.get();
         f(&mut self.lp, &mut self.pipes, t(self.now));
-        let lp = &self.lp;
         if self.pipes.sent.get() > sent {
             assert_eq!(
-                lp.core.uncommitted(),
+                self.lp.core.uncommitted(),
                 0,
                 "the loop wrote ahead of its records"
             );
         }
-        if lp.rejected > rejected {
-            let inbound = |c: &&Conn<End>| matches!(c.role, Role::Inbound(_));
-            let open = lp.conns.values().filter(inbound).count();
-            let cap = lp.faults.max_connections;
-            assert_eq!(
-                open, cap,
-                "the loop turned away a connection it had room for"
-            );
-        }
-        if lp.wal_error.is_some() {
+        if self.lp.wal_error.is_some() {
             // The power went mid-write, and the loop with it: it comes
             // back from whatever landed, cut back to its last whole
             // record.
@@ -914,6 +892,13 @@ impl Pump for World {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event_loop::Role;
+
+    /// The volunteers' connections the loop holds open.
+    fn open(net: &World) -> usize {
+        let conns = net.lp.conns.values();
+        conns.filter(|c| matches!(c.role, Role::Inbound(_))).count()
+    }
 
     /// A volunteer that dies on purpose (`die_after`) takes its
     /// connection with it, as `run_agent` returning closes its socket:
@@ -933,7 +918,6 @@ mod tests {
             }
             net.pump();
         }
-        let open = |net: &World| net.lp.accepted_active;
         assert_eq!((net.report(0).assignments, open(&net)), (1, 1));
         net.pump();
         assert_eq!(open(&net), 0, "the dead volunteer's pipe is open");
@@ -956,7 +940,7 @@ mod tests {
         };
         net.pump();
         assert_eq!(
-            net.lp.accepted_active,
+            open(&net),
             holders.len(),
             "the resting volunteer holds a connection"
         );

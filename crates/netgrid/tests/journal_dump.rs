@@ -12,7 +12,7 @@ fn dump_prints_each_record_as_its_json_line() {
     std::fs::create_dir_all(&dir).unwrap();
     let golden = concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/../../tests/data/wal_format7.bin"
+        "/../../tests/data/wal_format8.bin"
     );
     std::fs::copy(golden, dir.join("wal.bin")).unwrap();
 

@@ -1,4 +1,4 @@
-//! Property tests on the wire protocol: every one of the nine frame
+//! Property tests on the wire protocol: every one of the eight frame
 //! kinds — campaign indices, attachment lists and rosters sampled, not
 //! defaulted — round-trips through
 //! encode→decode byte-exactly, every truncation is reported as
@@ -13,8 +13,10 @@ use netgrid::protocol::{
 };
 use proptest::prelude::*;
 
-/// Message kinds (= wire tags) [`build_message`] can produce.
-const KINDS: usize = 9;
+/// The wire tag of each message kind [`build_message`] can produce:
+/// tag 5 (`Busy`) is retired.
+const TAGS: [u8; 8] = [0, 1, 2, 3, 4, 6, 7, 8];
+const KINDS: usize = TAGS.len();
 
 /// A campaign name from a sampled integer: its hex digits
 /// cut to a sampled length, the empty string included.
@@ -35,7 +37,7 @@ fn params_of(a: u64, b: u32, x: f64) -> CampaignParams {
 }
 
 /// Builds one message of each protocol kind from sampled primitives.
-/// `kind` selects the variant (its wire tag); the other arguments fill
+/// `kind` selects the variant (wire tag `TAGS[kind]`); the other arguments fill
 /// its fields — `ids` supplies every variable-length list (names via
 /// [`name_of`]).
 fn build_message(
@@ -77,10 +79,7 @@ fn build_message(
             campaign_complete: flags.0,
             retry_after_ms: a % 10_000,
         },
-        5 => Message::Busy {
-            retry_after_ms: a % 10_000,
-        },
-        6 => Message::ResultReport {
+        5 => Message::ResultReport {
             replica: a,
             workunit: b,
             campaign: c,
@@ -103,7 +102,7 @@ fn build_message(
                 evaluations: a,
             },
         },
-        7 => Message::ResultAck {
+        6 => Message::ResultAck {
             accepted: flags.0,
             completed_workunit: flags.1,
             campaign_complete: flags.0 != flags.1,
@@ -112,12 +111,12 @@ fn build_message(
     }
 }
 
-/// `build_message` covers the protocol: kind `k` is wire tag `k`.
+/// `build_message` covers the protocol: kind `k` is wire tag `TAGS[k]`.
 #[test]
 fn every_kind_is_its_wire_tag() {
-    for kind in 0..KINDS {
+    for (kind, tag) in TAGS.into_iter().enumerate() {
         let msg = build_message(kind, (1, 2, 3), 1.0, (true, false), &[], &[5]);
-        assert_eq!(usize::from(encode_with(&msg, Codec)[HEADER_BYTES]), kind);
+        assert_eq!(encode_with(&msg, Codec)[HEADER_BYTES], tag);
     }
 }
 

@@ -77,17 +77,16 @@ fn sigkill_mid_campaign_then_restart_yields_the_baseline_artifact() {
     let journal = dir.join("journal");
     let artifact = dir.join("artifact.json");
 
-    // The first server binds a free port and names it; the second binds
-    // the same one, so the agents' reconnect loop carries them across.
+    // The first server binds a free port and names it (followed by its
+    // open-files limit); the second binds the same one, so the agents'
+    // reconnect loop carries them across.
     let mut first = spawn_server("127.0.0.1:0", &journal, None, Stdio::piped());
     let mut said = BufReader::new(first.stdout.take().expect("piped stdout")).lines();
     let addr = said
         .find_map(|line| {
-            Some(
-                line.ok()?
-                    .strip_prefix("hcmd-server: listening on ")?
-                    .to_string(),
-            )
+            let line = line.ok()?;
+            let named = line.strip_prefix("hcmd-server: listening on ")?;
+            Some(named.split(' ').next()?.to_string())
         })
         .expect("the server names its address");
 

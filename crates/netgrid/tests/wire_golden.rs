@@ -3,17 +3,19 @@
 //! The literals below are a format, not a regression snapshot: they were
 //! recorded from the v4 binary codec *before* the JSON/v2/v3 dialects
 //! were removed and must never be edited. Every frame a deployed agent
-//! or server can send is built from these nine shapes, so as long as
+//! or server can send is built from these eight shapes, so as long as
 //! this file passes, `wire_bytes_per_wu` and the report frame size
 //! cannot move and an agent built at either commit talks to a server
 //! built at the other. Each sample carries non-default values in every
 //! field that was ever optional on an older dialect (campaign index,
 //! attachment list, roster).
 //!
-//! Tags 9–14 were the six frames of multi-server sharding (a shard map
+//! Tag 5 was `Busy`, the brush-off at the server's connection cap, and
+//! tags 9–14 were the six frames of multi-server sharding (a shard map
 //! and its request, a redirect, the steering status, a lease grant and
-//! the status ack), removed with it; their recorded frames are kept in
-//! [`RETIRED`], and each is now refused as an unknown tag.
+//! the status ack); each was removed with what it served. Their
+//! recorded frames are kept in [`RETIRED`], and each is now refused as
+//! an unknown tag.
 //!
 //! The codec value comes from [`AgentConfig::new`], exactly as a stock
 //! agent gets it, so this file names no dialect and compiles unchanged
@@ -106,13 +108,6 @@ fn golden() -> Vec<(Message, &'static str)> {
              04019600000000000000",
         ),
         (
-            Message::Busy {
-                retry_after_ms: 500,
-            },
-            "48434d4404 09000000 12099aec39613145
-             05f401000000000000",
-        ),
-        (
             Message::ResultReport {
                 replica: 7,
                 workunit: 3,
@@ -147,22 +142,46 @@ fn golden() -> Vec<(Message, &'static str)> {
     ]
 }
 
-/// The recorded frames of the six retired tags, 9 to 14, in tag order.
-const RETIRED: [&str; 6] = [
-    "48434d4404 01000000 36d8d6322539242e
+/// The recorded frames of the seven retired tags, in tag order: `Busy`
+/// (5, `retry_after_ms: 500`), then the shard dialogue (9 to 14).
+const RETIRED: [(u8, &str); 7] = [
+    (
+        5,
+        "48434d4404 09000000 12099aec39613145
+             05f401000000000000",
+    ),
+    (
+        9,
+        "48434d4404 01000000 36d8d6322539242e
              09",
-    "48434d4404 2d000000 1b1e243d290c3ed1
+    ),
+    (
+        10,
+        "48434d4404 2d000000 1b1e243d290c3ed1
              0a02000100020000000e0000003132372e302e302e313a373037300e00000031
              32372e302e302e313a37303731",
-    "48434d4404 15000000 1ac65488e6ba9beb
+    ),
+    (
+        11,
+        "48434d4404 15000000 1ac65488e6ba9beb
              0b01000e0000003132372e302e302e313a37303731",
-    "48434d4404 2b000000 f6d7954eaa6ebf0c
+    ),
+    (
+        12,
+        "48434d4404 2b000000 f6d7954eaa6ebf0c
              0c01000500000000000000030000000000000000010200000002000000000001
              002a000000000000000100",
-    "48434d4404 1e000000 6a50ed6e07a73059
+    ),
+    (
+        13,
+        "48434d4404 1e000000 6a50ed6e07a73059
              0d03000000000001000100030000000b0000000c0000000d000000000100",
-    "48434d4404 04000000 0c9ded5271da5e20
+    ),
+    (
+        14,
+        "48434d4404 04000000 0c9ded5271da5e20
              0e010001",
+    ),
 ];
 
 /// Header fields apart, then the payload in 32-byte lines — the layout
@@ -205,7 +224,8 @@ fn every_variant_encodes_to_its_recorded_frame() {
         tags.push(frame[HEADER_BYTES]);
     }
     assert!(moved.is_empty(), "the wire moved:\n{moved}");
-    assert_eq!(tags, (0..9).collect::<Vec<u8>>(), "one frame per tag");
+    let live: Vec<u8> = (0..9).filter(|&tag| tag != 5).collect();
+    assert_eq!(tags, live, "one frame per tag, tag 5 retired");
 }
 
 #[test]
@@ -220,11 +240,11 @@ fn every_recorded_frame_decodes_to_its_variant() {
     }
 }
 
-/// A frame of the retired shard dialogue is well framed, and refused as
-/// a payload of an unknown tag, never read as another message.
+/// A retired frame is well framed, and refused as a payload of an
+/// unknown tag, never read as another message.
 #[test]
 fn every_retired_frame_is_refused_as_an_unknown_tag() {
-    for (tag, recorded) in (9u8..).zip(RETIRED) {
+    for (tag, recorded) in RETIRED {
         let frame = from_hex(recorded);
         assert_eq!(frame[HEADER_BYTES], tag);
         match decode_versioned(&frame) {

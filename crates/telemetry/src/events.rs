@@ -128,15 +128,6 @@ pub enum Event {
         /// Why the connection ended (`bye`, `eof`, `io`, `protocol`).
         reason: String,
     },
-    /// A connection was turned away at the server's connection limit
-    /// before any frame was read. Deliberately distinct from
-    /// [`Event::ConnectionClosed`]: a rejected connection never opened
-    /// (no `Hello`, no agent id), so pairing `ConnectionOpened` /
-    /// `ConnectionClosed` stays exact.
-    ConnectionRejected {
-        /// The backoff the server suggested in its `Busy` reply, ms.
-        retry_after_ms: u64,
-    },
     /// A (sampled) workunit result was rejected by quorum comparison:
     /// it disagreed with every stored candidate result byte-for-byte.
     QuorumRejected {
@@ -372,11 +363,6 @@ mod tests {
                     frames: 42,
                     reason: "bye".into(),
                 },
-            },
-            Record {
-                wall_ms: 499,
-                sim_s: None,
-                event: Event::ConnectionRejected { retry_after_ms: 80 },
             },
             Record {
                 wall_ms: 612,

@@ -1,6 +1,6 @@
 //! A golden wal: the disk twin of `crates/netgrid/tests/wire_golden.rs`.
 //!
-//! `tests/data/wal_format7.bin` is a `wal.bin` a journaled, trust-on
+//! `tests/data/wal_format8.bin` is a `wal.bin` a journaled, trust-on
 //! server of one campaign wrote while a scripted history ran through its
 //! registry: a quorum pair, a retransmission, a quorum rejection, a
 //! bounds rejection, an expiry and the late report that follows it, and
@@ -23,12 +23,16 @@
 //! fetches draw other workunits: the accepted workunits and their
 //! payloads (today's baseline) were recorded again, the wire counters
 //! lost their five shard fields, and the issue and trust literals held.
+//! Format 8 dropped the connection cap from the header: the same history
+//! was recorded again and every literal held.
 //! The older fixtures stay byte for byte as files this build must refuse
 //! by name: `tests/data/wal_format4.bin`
 //! ("journal format 4": a wal per campaign), `tests/data/wal_format5.bin`
 //! ("journal format 5": the header still carried the server's three
-//! backoff knobs) and `tests/data/wal_format6.bin` ("journal format 6":
-//! the header carried a shard, and leases were records).
+//! backoff knobs), `tests/data/wal_format6.bin` ("journal format 6":
+//! the header carried a shard, and leases were records) and
+//! `tests/data/wal_format7.bin` ("journal format 7": the header carried
+//! the connection cap).
 //!
 //! Regenerate (only with a format bump, and then keep the old file):
 //! `cargo test --test journal_golden -- --ignored --nocapture`.
@@ -71,7 +75,6 @@ fn faults() -> ServerFaults {
             spot_check_rate: 1.0,
             ..TrustConfig::on()
         },
-        ..ServerFaults::default()
     }
 }
 
@@ -240,7 +243,7 @@ fn drain(state: &mut OneCampaign, baseline: &[DockingOutput]) {
 }
 
 #[test]
-#[ignore = "writes tests/data/wal_format7.bin; run by hand, and only with a format bump"]
+#[ignore = "writes tests/data/wal_format8.bin; run by hand, and only with a format bump"]
 fn generate_the_fixture() {
     let cfg = scratch("generate");
     let (live, _) = open(&cfg).expect("fresh journal opens");
@@ -252,7 +255,7 @@ fn generate_the_fixture() {
     let [server_stats, net_stats, agent_trust, accepted] = observed(&script.live);
     drop(script); // the wal is all that is kept
 
-    fs::copy(cfg.dir.join("wal.bin"), fixture(7)).unwrap();
+    fs::copy(cfg.dir.join("wal.bin"), fixture(8)).unwrap();
     println!("const SERVER_STATS: &str = {server_stats:?};");
     println!("const NET_STATS: &str = {net_stats:?};");
     println!("const AGENT_TRUST: &str = {agent_trust:?};");
@@ -266,13 +269,13 @@ fn the_recorded_wal_replays_to_the_recorded_state() {
     let baseline = campaign.baseline_outputs();
     let cfg = scratch("replay");
     fs::create_dir_all(&cfg.dir).unwrap();
-    fs::copy(fixture(7), cfg.dir.join("wal.bin")).unwrap();
+    fs::copy(fixture(8), cfg.dir.join("wal.bin")).unwrap();
 
     let (mut state, resume_s) = open(&cfg).expect("every recorded decision replays");
     assert_eq!(resume_s, 50.0, "the last record's clock");
     assert_eq!(
         fs::read(cfg.dir.join("wal.bin")).unwrap(),
-        fs::read(fixture(7)).unwrap(),
+        fs::read(fixture(8)).unwrap(),
         "a whole wal is neither cut nor rewritten by recovery"
     );
     let [server_stats, net_stats, agent_trust, accepted] = observed(&state);

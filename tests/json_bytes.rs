@@ -288,7 +288,7 @@ fn the_artifact_prints_the_reference_bytes() {
 
 #[test]
 fn journal_records_print_the_reference_bytes() {
-    let wal = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data/wal_format7.bin");
+    let wal = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data/wal_format8.bin");
     let mut records = 0;
     for rec in RecordReader::open(&wal).unwrap() {
         same_bytes(&rec.unwrap());

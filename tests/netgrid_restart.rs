@@ -306,7 +306,6 @@ fn trust_faults() -> ServerFaults {
             spot_check_rate: 1.0, // every trusted single gets audited
             ..TrustConfig::on()
         },
-        ..ServerFaults::default()
     }
 }
 
@@ -499,7 +498,6 @@ fn multi_campaign_registry_recovers_one_wal() {
             quarantine_after: 1,
             ..TrustConfig::on()
         },
-        ..ServerFaults::default()
     };
     let open_multi = |defs: Vec<CampaignDef>| {
         Journaled::open(defs, server_config(), faults, Some(&cfg))

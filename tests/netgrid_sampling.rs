@@ -1,6 +1,7 @@
 //! The live grid's per-workunit events follow the event log's sampling
 //! stride, as the simulator's do (requires `--features telemetry`; the
-//! whole file compiles away without it).
+//! whole file compiles away without it). A stride is a power of two, so
+//! the one this test asks for is.
 //!
 //! A campaign's scheduler reads `HCMD_TELEMETRY_SAMPLE` when it is built
 //! and the JSONL sink is process-global, so this binary holds exactly
@@ -15,7 +16,7 @@ use telemetry::{Event, Record};
 
 #[test]
 fn dispatch_events_are_logged_for_sampled_workunits_only() {
-    std::env::set_var("HCMD_TELEMETRY_SAMPLE", "3");
+    std::env::set_var("HCMD_TELEMETRY_SAMPLE", "4");
     let (mut grid, _) = MultiGrid::open(
         vec![CampaignDef::default_solo(CampaignParams::tiny())],
         ServerConfig::default(),
@@ -25,7 +26,7 @@ fn dispatch_events_are_logged_for_sampled_workunits_only() {
     )
     .expect("grid opens");
     let workunits = grid.slots()[0].campaign.len() as u32;
-    assert!(workunits > 3, "a catalog the stride can thin");
+    assert!(workunits > 4, "a catalog the stride can thin");
 
     let log = std::env::temp_dir().join(format!("hcmd-sampling-{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&log);
@@ -54,10 +55,10 @@ fn dispatch_events_are_logged_for_sampled_workunits_only() {
             _ => None,
         })
         .collect();
-    let sampled: BTreeSet<u64> = (0..u64::from(workunits)).filter(|w| w % 3 == 0).collect();
+    let sampled: BTreeSet<u64> = (0..u64::from(workunits)).filter(|w| w % 4 == 0).collect();
     assert_eq!(
         logged, sampled,
-        "WorkunitDispatched for every third workunit only"
+        "WorkunitDispatched for every fourth workunit only"
     );
     let _ = std::fs::remove_file(&log);
 }

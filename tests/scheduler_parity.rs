@@ -307,7 +307,6 @@ fn trust_scripted_history_is_deterministic_with_bounded_replication() {
                 spot_check_rate: 0.5,
                 ..TrustConfig::on()
             },
-            ..ServerFaults::default()
         };
         let mut state = GridState::new(&campaign, config, faults);
         let mut log = Vec::new();
