@@ -15,8 +15,10 @@
 //! hint, and the session doubles a `NoWork`'s for each one in a row
 //! since its last `Assignment`; every other rest is as said.
 //!
-//! Its one driver is [`crate::mux`]: [`crate::mux::run_agent`] over one
-//! session, a fleet over thousands; a test drives one by hand. The
+//! Its one driver is the crate's `Fleet`, over sockets in
+//! [`crate::mux`] ([`crate::mux::run_agent`] for one session, a fleet
+//! for thousands) and over pipes in the stepped world; a test drives one
+//! by hand. The
 //! docking is the real maxdo kernel (`compute_workunit`); with
 //! `threads > 1` each starting position's 21 orientation couples run on
 //! the vendored rayon pool (order-preserving, so the payload is
@@ -36,7 +38,7 @@ use maxdo::{DockingCheckpoint, DockingOutput};
 use std::time::Duration;
 
 /// Agent configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AgentConfig {
     /// Server address (`host:port`).
     pub addr: String,
@@ -83,7 +85,7 @@ impl AgentConfig {
 /// What one agent did over its lifetime. A fleet returns one per
 /// volunteer, in the order of its configs; whoever reads a fleet sums
 /// what it needs.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AgentReport {
     /// Assignments received.
     pub assignments: u64,
@@ -165,6 +167,7 @@ pub(crate) enum Outcome {
 
 /// Where a [`Session`] stands: the step it last issued, and for the
 /// two that are a `Wait`, what waking does.
+#[derive(Clone, PartialEq)]
 enum Phase {
     /// Waking dials (also: nothing issued yet).
     Resting,
@@ -182,6 +185,7 @@ enum Phase {
 }
 
 /// The assignment being docked and the fault it drew.
+#[derive(Clone, PartialEq)]
 struct Job {
     replica: u64,
     workunit: u32,
@@ -206,10 +210,11 @@ fn jitter(agent: u64, ms: u64) -> u64 {
 }
 
 /// One volunteer's protocol decisions, with no socket, thread or clock:
-/// [`Self::step`] is told what happened and answers what to do next. A
-/// driver supplies the I/O — [`crate::mux`] with nonblocking sockets,
-/// the stepped world with in-memory pipes — and owns nothing of the
-/// protocol, its waits included: it sleeps each `Wait` and says `Woke`.
+/// [`Self::step`] is told what happened and answers what to do next.
+/// [`crate::fleet::Fleet`] carries the steps out, and owns nothing of
+/// the protocol, its waits included: it lets each `Wait` run out and
+/// says `Woke`.
+#[derive(Clone, PartialEq)]
 pub(crate) struct Session {
     config: AgentConfig,
     dice: FaultDice,
@@ -226,7 +231,7 @@ pub(crate) struct Session {
     streak: u32,
     phase: Phase,
     /// Every counter is kept here; `request_latencies_ms` is the
-    /// driver's to fill — it holds the clock.
+    /// fleet's to fill — it is told the time.
     pub(crate) report: AgentReport,
 }
 

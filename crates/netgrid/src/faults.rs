@@ -117,6 +117,7 @@ impl FaultProfile {
 }
 
 /// The per-agent fault stream.
+#[derive(Clone, PartialEq)]
 pub struct FaultDice {
     rng: ChaCha8Rng,
     profile: FaultProfile,

@@ -38,8 +38,12 @@
 //! * [`agent`] — the volunteer: its protocol decisions as a sans-IO
 //!   state machine, and the checkpointed multicore docking it asks for
 //!   (fetch → dock → checkpoint → report);
-//! * [`mux`] — its one driver: one thread carrying one of those state
-//!   machines (`run_agent`, docking on that thread) or thousands (a
+//! * `fleet` — its one driver with the I/O and the clock taken out:
+//!   every session of a run and how its steps are carried out (reply
+//!   deadlines, ask and dial admission, each workunit docked once),
+//!   stepped by a driver — sockets in [`mux`], pipes in the tests;
+//! * [`mux`] — the fleet's socket driver: one thread carrying one
+//!   session (`run_agent`, docking on that thread) or thousands (a
 //!   fleet, for scale benchmarking without a thread per agent) over
 //!   nonblocking sockets;
 //! * [`registry`] — one server's decisions, sans-IO and sans-clock: N
@@ -71,6 +75,7 @@ pub mod agent;
 pub mod campaign;
 mod event_loop;
 pub mod faults;
+mod fleet;
 pub mod journal;
 pub mod mux;
 pub mod ops;

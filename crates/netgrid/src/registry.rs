@@ -1392,8 +1392,9 @@ pub(crate) mod tests {
     /// (one seed in four, and one in eight more) or loses power during
     /// its next wal write, and how much of that write lands (one in
     /// eight). A failing run names its seed. Also how many volunteers'
-    /// dials found the loop gone, and how many power cuts landed.
-    fn run_seeded_grid(seed: u64) -> (Vec<u8>, u64, u64) {
+    /// dials found the loop gone, how many power cuts landed, and how
+    /// many volunteers' reply deadlines ran out.
+    fn run_seeded_grid(seed: u64) -> (Vec<u8>, u64, u64, u64) {
         let history = move || {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let mut world = World::seeded(seed);
@@ -1406,7 +1407,13 @@ pub(crate) mod tests {
                 Some(at) if at == step => world.kill_and_reopen(),
                 _ => {}
             });
-            (world.assert_the_end(), world.gone_dials, world.power_cuts)
+            let timeouts = world.fleet.timeouts;
+            (
+                world.assert_the_end(),
+                world.gone_dials,
+                world.power_cuts,
+                timeouts,
+            )
         };
         std::panic::catch_unwind(history).unwrap_or_else(|panic| {
             eprintln!("the seeded grid failed on seed {seed}");
@@ -1429,15 +1436,18 @@ pub(crate) mod tests {
     /// books — campaign state and fair-share ledger. The loop leaves
     /// while volunteers are still out (a flaky one resting after a
     /// dropped connection, one cut off), so on some seeds a volunteer
-    /// finds it gone. What the seed does not
+    /// finds it gone. No volunteer's reply deadline ever runs out: one
+    /// that did would be a connection the loop starved for
+    /// `fleet::IO_TIMEOUT`. What the seed does not
     /// yet do — duplicate or delay frames, jump the clock — is ROADMAP
     /// item 1.
     #[test]
     fn seeded_grids_finish_with_the_baseline_artifact() {
         let (mut gone, mut power_cuts) = (0, 0);
         for seed in SEEDS {
-            let (_, dials, cuts) = run_seeded_grid(seed);
+            let (_, dials, cuts, timeouts) = run_seeded_grid(seed);
             (gone, power_cuts) = (gone + dials, power_cuts + cuts);
+            assert_eq!(timeouts, 0, "seed {seed}: a reply deadline ran out");
         }
         assert!(
             gone > 0,

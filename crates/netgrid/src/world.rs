@@ -13,8 +13,9 @@
 //! its driver persists batches to. Shared too: the far-end helpers
 //! ([`Client`]) and the fixtures the tests open their cores from.
 
-use crate::agent::{self, AgentReport, Input, Session, Step};
+use crate::agent::{AgentReport, Input, Outcome};
 use crate::event_loop::{Accept, Id, Io, Loop, Ready};
+use crate::fleet::{self, Fleet, Key};
 use crate::protocol::{self, decode_versioned, encode_with, CampaignParams, Codec, Message};
 use crate::registry::{CampaignDef, MultiGrid};
 use crate::state::{GridState, NetStats};
@@ -460,38 +461,46 @@ impl Server {
     }
 }
 
-/// What a volunteer's session is owed next.
-enum Owed {
-    Input(Input),
-    /// [`Input::Woke`], once the clock reaches the time.
-    WakeAt(f64),
-    /// A frame, or the loss, of its open connection.
-    Reply,
-    Nothing,
+/// The volunteers' side of the fleet's I/O: each one's pipe, and the
+/// dials and docks the fleet asked for that no turn has carried out yet.
+#[derive(Default)]
+struct Ends {
+    pipes: Vec<Option<Client<End>>>,
+    dials: Vec<bool>,
+    /// Each dock out, with the volunteer whose `Compute` asked for it.
+    docks: Vec<(usize, Key)>,
 }
 
-struct Volunteer {
-    session: Session,
-    conn: Option<Client<End>>,
-    owed: Owed,
-    outcome: Option<agent::Outcome>,
-}
+impl fleet::Io for Ends {
+    fn dial(&mut self, v: usize, _: &str) -> Option<Input> {
+        self.dials[v] = true;
+        None
+    }
 
-impl Volunteer {
-    fn finished(&self) -> bool {
-        self.outcome.is_some()
+    fn send(&mut self, v: usize, msg: &Message) -> bool {
+        self.pipes[v].as_mut().map(|pipe| pipe.send(msg)).is_some()
+    }
+
+    fn close(&mut self, v: usize) {
+        self.pipes[v] = None;
+    }
+
+    fn dock(&mut self, v: usize, key: Key, _: &[CampaignParams]) -> Option<DockingOutput> {
+        self.docks.push((v, key));
+        None
     }
 }
 
-/// One event loop, its volunteers, the pipes between them and the
-/// clock. A dial lands in the loop's task listener, and fails once the
-/// loop has left. Every turn of the loop is held to an oracle from
+/// One event loop, its volunteers' fleet, the pipes between them and
+/// the clock. A dial lands in the loop's task listener, and fails once
+/// the loop has left. Every turn of the loop is held to an oracle from
 /// outside it: bytes left only with its core's records committed.
 pub(crate) struct World {
     server: Server,
     pub(crate) lp: Loop<End>,
     pub(crate) pipes: Pipes,
-    volunteers: Vec<Volunteer>,
+    pub(crate) fleet: Fleet,
+    ends: Ends,
     pub(crate) now: f64,
     /// Whether [`Self::run`] cuts connections now and then.
     pub(crate) cuts: bool,
@@ -517,7 +526,8 @@ impl World {
             server,
             lp,
             pipes,
-            volunteers: Vec::new(),
+            fleet: Fleet::default(),
+            ends: Ends::default(),
             now,
             cuts: false,
             left: false,
@@ -676,116 +686,63 @@ impl World {
 
     /// A volunteer joins, to start at its first turn.
     pub(crate) fn volunteer(&mut self, config: AgentConfig) {
-        self.volunteers.push(Volunteer {
-            session: Session::new(config),
-            conn: None,
-            owed: Owed::Input(Input::Woke),
-            outcome: None,
-        });
+        self.fleet.join(config, t(self.now));
+        self.ends.pipes.push(None);
+        self.ends.dials.push(false);
     }
 
     /// Volunteer `v`'s counters.
     pub(crate) fn report(&self, v: usize) -> &AgentReport {
-        &self.volunteers[v].session.report
+        self.fleet.report(v)
     }
 
     /// How volunteer `v` finished, once it has.
-    pub(crate) fn outcome(&self, v: usize) -> Option<agent::Outcome> {
-        self.volunteers[v].outcome
+    pub(crate) fn outcome(&self, v: usize) -> Option<Outcome> {
+        self.fleet.outcome(v)
     }
 
-    /// Volunteer `v` takes its turn: one input to its session, if one
-    /// is due.
+    /// Volunteer `v` takes its turn: the first of its dial, a dock it
+    /// asked for (answered from the baseline) or what reached its pipe
+    /// goes to the fleet, and then the fleet's timers run. A dial fails
+    /// if the loop left.
     fn volunteer_turn(&mut self, v: usize) {
-        let vol = &mut self.volunteers[v];
-        let input = match std::mem::replace(&mut vol.owed, Owed::Nothing) {
-            Owed::Input(input) => input,
-            Owed::WakeAt(due) if due <= self.now => Input::Woke,
-            Owed::Reply => {
-                let conn = vol
-                    .conn
-                    .as_mut()
-                    .expect("a reply is owed on an open connection");
-                match conn.poll() {
-                    Some(reply) => Input::Frame(reply),
-                    None if conn.end.far_gone() => {
-                        vol.conn = None;
-                        Input::Lost
-                    }
-                    None => {
-                        vol.owed = Owed::Reply;
-                        return;
-                    }
-                }
+        let (now, ends) = (t(self.now), &mut self.ends);
+        if std::mem::take(&mut ends.dials[v]) {
+            let dialed = if self.left {
+                self.gone_dials += 1;
+                Input::ConnectFailed
+            } else {
+                ends.pipes[v] = Some(Client::new(self.pipes.connect(false)));
+                Input::Connected
+            };
+            self.fleet.input(ends, now, v, dialed);
+        } else if let Some(i) = ends.docks.iter().position(|&(asked, _)| asked == v) {
+            let (_, key) = ends.docks.remove(i);
+            let out = baseline()[key.1 as usize].clone();
+            self.fleet.docked(ends, now, key, out);
+        } else if let Some(pipe) = &mut ends.pipes[v] {
+            match pipe.poll() {
+                Some(frame) => self.fleet.input(ends, now, v, Input::Frame(frame)),
+                None if pipe.end.far_gone() => self.fleet.input(ends, now, v, Input::Lost),
+                None => {}
             }
-            not_yet => {
-                vol.owed = not_yet;
-                return;
-            }
-        };
-        let step = vol.session.step(input);
-        self.carry_out(v, step);
+        }
+        self.fleet.tick(&mut self.ends, now);
+        if self.fleet.outcome(v) == Some(Outcome::GaveUp) {
+            // Giving up is a session's answer to a server gone before it
+            // got any work or word of the end, and only the end of the
+            // campaign may take the server away.
+            let report = self.fleet.report(v);
+            let idle = report.assignments == 0 && !report.saw_completion;
+            let over = self.lp.core.all_complete();
+            assert!(idle && over, "volunteer {v} gave up: {report:?}");
+        }
     }
 
-    /// Carries out one step of volunteer `v`'s session. A dial fails if
-    /// the loop left.
-    fn carry_out(&mut self, v: usize, step: Step) {
-        let vol = &mut self.volunteers[v];
-        let mut send = |msg: &Message| match &mut vol.conn {
-            Some(conn) => {
-                conn.send(msg);
-                Owed::Reply
-            }
-            None => Owed::Input(Input::Lost),
-        };
-        let owed = match step {
-            Step::Dial => {
-                if self.left {
-                    self.gone_dials += 1;
-                    Owed::Input(Input::ConnectFailed)
-                } else {
-                    vol.conn = Some(Client::new(self.pipes.connect(false)));
-                    Owed::Input(Input::Connected)
-                }
-            }
-            Step::Send(msg) => send(&msg),
-            Step::Ask => send(&Message::RequestWork),
-            Step::Compute { workunit, .. } => {
-                Owed::Input(Input::Computed(baseline()[workunit as usize].clone()))
-            }
-            Step::Wait(pause) => Owed::WakeAt(self.now + pause.as_secs_f64()),
-            Step::Bye => {
-                if let Some(mut conn) = vol.conn.take() {
-                    conn.send(&Message::Bye);
-                }
-                Owed::Input(Input::Lost)
-            }
-            Step::Finished(outcome) => {
-                // Giving up is a session's answer to a server gone
-                // before it got any work or word of the end, and only
-                // the end of the campaign may take the server away.
-                let report = &vol.session.report;
-                let idle = report.assignments == 0 && !report.saw_completion;
-                let over = self.lp.core.all_complete();
-                assert!(
-                    outcome == agent::Outcome::Done || (idle && over),
-                    "volunteer {v} gave up: {report:?}"
-                );
-                vol.outcome = Some(outcome);
-                // `run_agent` returns and its socket closes with it: a
-                // volunteer that dies on purpose hangs up mid-workunit.
-                vol.conn = None;
-                Owed::Nothing
-            }
-        };
-        vol.owed = owed;
-    }
-
-    /// Volunteer `v`'s connection is cut.
+    /// Volunteer `v`'s connection breaks, with whatever is in flight.
     fn cut_volunteer(&mut self, v: usize) {
-        let vol = &mut self.volunteers[v];
-        if vol.conn.take().is_some() && matches!(vol.owed, Owed::Reply) {
-            vol.owed = Owed::Input(Input::Lost);
+        if let Some(pipe) = &self.ends.pipes[v] {
+            pipe.end.cut();
         }
     }
 
@@ -807,7 +764,7 @@ impl World {
         const STEP_BUDGET: u32 = 60_000;
         let start = self.now;
         let mut steps = 0;
-        while !self.left || !self.volunteers.iter().all(Volunteer::finished) {
+        while !self.left || self.fleet.running > 0 {
             steps += 1;
             if steps == STEP_BUDGET {
                 return false;
@@ -817,7 +774,7 @@ impl World {
                 self.turn(Loop::tick);
             }
             between(self, steps);
-            let v = self.volunteers.len();
+            let v = self.ends.pipes.len();
             for _ in 0..rng.gen_range(1..=6) {
                 match rng.gen_range(0..v + 3) {
                     i if i < v => self.volunteer_turn(i),
@@ -893,6 +850,9 @@ impl Pump for World {
 mod tests {
     use super::*;
     use crate::event_loop::Role;
+    use crate::fleet::Owed;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
 
     /// The volunteers' connections the loop holds open.
     fn open(net: &World) -> usize {
@@ -932,28 +892,133 @@ mod tests {
         let holders = net.hold_every_replica();
         net.volunteer(AgentConfig::new(ADDR, 1));
         let due = loop {
-            if let Owed::WakeAt(due) = net.volunteers[0].owed {
-                break due;
-            }
             net.volunteer_turn(0);
             net.pump();
+            if let Owed::Wake(due) = *net.fleet.owed(0) {
+                break due;
+            }
         };
-        net.pump();
         assert_eq!(
             open(&net),
             holders.len(),
             "the resting volunteer holds a connection"
         );
-        net.now = due;
+        net.now = due.seconds();
         net.volunteer_turn(0);
-        let dialed = matches!(net.volunteers[0].owed, Owed::Input(Input::Connected));
-        assert!(dialed, "waking, the volunteer does not dial");
+        assert!(net.ends.dials[0], "waking, the volunteer does not dial");
         net.volunteer_turn(0);
-        let mut conn = net.volunteers[0].conn.take().expect("a fresh connection");
-        let greeted = matches!(conn.recv(&mut net), Message::HelloAck { .. });
+        let mut pipe = net.ends.pipes[0].take().expect("a fresh connection");
+        let greeted = matches!(pipe.recv(&mut net), Message::HelloAck { .. });
         assert!(
             greeted,
             "the volunteer said no Hello on its fresh connection"
         );
+    }
+
+    /// Twenty volunteers read their `HelloAck`s and ask in one round:
+    /// sixteen `RequestWork` frames reach the loop before any reply is
+    /// read, and the other four go out as the replies free slots.
+    #[test]
+    fn twenty_volunteers_asking_at_once_put_sixteen_asks_in_flight() {
+        let mut net = World::new(Server::tiny());
+        for agent in 1..=20 {
+            net.volunteer(AgentConfig::new(ADDR, agent));
+        }
+        let round = |net: &mut World| {
+            (0..20).for_each(|v| net.volunteer_turn(v));
+            (0..3).for_each(|_| net.pump());
+        };
+        // Each ask the loop read drew a workunit's first or second
+        // replica, or a rest.
+        let asks = |net: &World| {
+            let (state, issued) = (net.state(), net.state().server_stats());
+            issued.initial_issues + issued.quorum_issues + state.net_stats.backoffs_sent
+        };
+        // Every volunteer dials and says `Hello` in the first two turns.
+        (0..20).for_each(|v| net.volunteer_turn(v));
+        round(&mut net);
+        assert_eq!(asks(&net), 0);
+        round(&mut net);
+        assert_eq!(asks(&net), 16, "asks in flight before a reply");
+        round(&mut net);
+        assert_eq!(asks(&net), 20, "the parked asks never went out");
+    }
+
+    /// A frozen pipe: the loop never serves. The volunteer's `Hello`,
+    /// sent at 1 s, is a lost connection once the clock reaches 31 s
+    /// (`IO_TIMEOUT`, 30 s), and not before: the volunteer hangs up and,
+    /// after its backoff (50 ms and its jitter), dials again.
+    #[test]
+    fn a_frozen_pipe_is_a_lost_connection_after_thirty_seconds() {
+        let mut net = World::new(Server::tiny());
+        net.volunteer(AgentConfig::new(ADDR, 1));
+        net.volunteer_turn(0);
+        net.volunteer_turn(0);
+        assert_eq!(net.report(0).connections, 1);
+        let hung_up = |net: &World| net.pipes.backlog[0][0].far_gone();
+        net.now = 30.99;
+        net.volunteer_turn(0);
+        assert!(!hung_up(&net), "the connection was lost before the timeout");
+        net.now = 31.0;
+        net.volunteer_turn(0);
+        assert!(hung_up(&net), "the connection outlived the timeout");
+        net.now = 31.1;
+        net.volunteer_turn(0);
+        net.volunteer_turn(0);
+        assert_eq!(net.report(0).connections, 2, "the volunteer never redialed");
+    }
+
+    /// Two volunteers draw the same workunit while its dock is held back:
+    /// they share the one dock, each gets its own copy, and the
+    /// saboteur's corruption of its copy leaves the honest one's alone,
+    /// so with two more honest volunteers the artifact is the baseline.
+    /// The tiny campaign issues a workunit's two replicas one after the
+    /// other, so the first two asks draw the same workunit.
+    #[test]
+    fn two_volunteers_share_a_held_dock_and_each_owns_its_copy() {
+        let mut net = World::new(Server::tiny());
+        for agent in 1..=4 {
+            let profile = match agent {
+                2 => FaultProfile::saboteur(),
+                _ => FaultProfile::none(),
+            };
+            net.volunteer(AgentConfig {
+                profile,
+                ..AgentConfig::new(ADDR, agent)
+            });
+        }
+        // The first turn dials everyone, so all four ask in one round.
+        net.volunteer_turn(0);
+        let key = loop {
+            (0..4).for_each(|v| net.volunteer_turn(v));
+            net.pump();
+            if let Owed::Dock(key) = *net.fleet.owed(1) {
+                break key;
+            }
+        };
+        let docks: Vec<_> = net.ends.docks.iter().filter(|d| d.1 == key).collect();
+        let [&(asker, _)] = docks[..] else {
+            panic!("{} docks of one workunit", docks.len());
+        };
+        assert_eq!((asker, net.fleet.owed(0)), (0, &Owed::Dock(key)));
+        net.volunteer_turn(0);
+        assert_eq!(net.report(1).corrupt_faults, 1, "the saboteur's copy");
+        net.finish(&mut ChaCha8Rng::seed_from_u64(3), |_, _| {});
+        assert!(net.stats().quorum_rejected >= 1, "{:?}", net.stats());
+        net.assert_the_end();
+    }
+
+    /// A fleet of one keeps no docked output: each dock goes to the one
+    /// session that asked for it, and no further.
+    #[test]
+    fn a_fleet_of_one_keeps_no_docked_output() {
+        let mut net = World::new(Server::tiny());
+        net.volunteer(AgentConfig::new(ADDR, 1));
+        net.finish(&mut ChaCha8Rng::seed_from_u64(1), |net, _| {
+            assert_eq!(net.fleet.docked_outputs(), 0, "a docked output kept");
+        });
+        assert_eq!(net.outcome(0), Some(Outcome::Done));
+        assert!(net.report(0).accepted > 1, "{:?}", net.report(0));
+        net.assert_the_end();
     }
 }
