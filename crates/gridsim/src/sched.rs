@@ -433,43 +433,63 @@ impl SchedulerCore {
             }
         }
         // Reissues first: they hold completed predecessors' workunits back.
-        let workunit = if let Some((wu, cause)) = self.pop_reissue() {
+        if let Some((wu, cause)) = self.pop_reissue() {
             match cause {
                 ReissueCause::Quorum => self.stats.quorum_issues += 1,
                 ReissueCause::Timeout => self.stats.timeout_reissues += 1,
                 ReissueCause::Error => self.stats.error_reissues += 1,
             }
             self.record_issue(now, wu, cause.issue_cause());
-            wu
-        } else if let Some(wu) = self.pop_fresh() {
-            self.stats.initial_issues += 1;
-            self.record_issue(now, wu, IssueCause::Initial);
-            match replication {
-                // Trusted agent: one valid result completes the
-                // workunit, no sibling — spot checks (issued separately)
-                // are the safety net.
-                Some(ReplicationOverride::Single) => {
-                    self.states[wu as usize].needed_override = 1;
-                }
-                // Untrusted agent: force a byte-matching pair even if
-                // the bounds-check era would have accepted a single.
-                Some(ReplicationOverride::Quorum) => {
-                    self.states[wu as usize].needed_override = 2;
+            return Some(self.issue_replica(wu));
+        }
+        self.fetch_fresh(now, replication)
+    }
+
+    /// [`Self::fetch_work_with`] past the reissue queue (and a feeder's
+    /// cache): the next never-issued workunit, or `None` when none is
+    /// left. Queued reissues stay where they are, for the next fetch.
+    pub fn fetch_fresh(
+        &mut self,
+        now: SimTime,
+        replication: Option<ReplicationOverride>,
+    ) -> Option<ReplicaAssignment> {
+        let wu = self.pop_fresh()?;
+        self.stats.initial_issues += 1;
+        self.record_issue(now, wu, IssueCause::Initial);
+        match replication {
+            // Trusted agent: one valid result completes the workunit, no
+            // sibling — spot checks (issued separately) are the safety
+            // net.
+            Some(ReplicationOverride::Single) => {
+                self.states[wu as usize].needed_override = 1;
+            }
+            // Untrusted agent: force a byte-matching pair even if the
+            // bounds-check era would have accepted a single.
+            Some(ReplicationOverride::Quorum) => {
+                self.states[wu as usize].needed_override = 2;
+                self.push_reissue(wu, ReissueCause::Quorum);
+            }
+            // Under quorum validation each fresh workunit needs two
+            // replicas; queue the sibling copy.
+            None => {
+                if self.policy_at(now) == ValidationPolicy::QuorumCompare {
                     self.push_reissue(wu, ReissueCause::Quorum);
                 }
-                // Under quorum validation each fresh workunit needs two
-                // replicas; queue the sibling copy.
-                None => {
-                    if self.policy_at(now) == ValidationPolicy::QuorumCompare {
-                        self.push_reissue(wu, ReissueCause::Quorum);
-                    }
-                }
             }
-            wu
-        } else {
+        }
+        Some(self.issue_replica(wu))
+    }
+
+    /// The workunit of the reissue [`Self::fetch_work`] hands out next,
+    /// if that is an error reissue (a rejected result's); `None` under a
+    /// feeder, whose cache holds what is next.
+    pub fn next_error_reissue(&self) -> Option<u32> {
+        if self.config.feeder.is_some() {
             return None;
-        };
-        Some(self.issue_replica(workunit))
+        }
+        let mut queued = self.reissue.iter().zip(&self.reissue_causes);
+        let (&wu, &cause) = queued.find(|(&wu, _)| !self.states[wu as usize].complete)?;
+        (cause == ReissueCause::Error).then_some(wu)
     }
 
     /// Takes the next never-issued workunit in launch order.

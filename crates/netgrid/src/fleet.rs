@@ -8,8 +8,8 @@
 //!
 //! * a frame sent is due a reply within [`IO_TIMEOUT`], or its
 //!   connection is lost (a driver gives a dial as long);
-//! * [`CONNECT_BATCH`] dials a tick, while fewer than [`MAX_OPEN`]
-//!   connections are open or being dialed;
+//! * at most [`CONNECT_BATCH`] dials unanswered and [`MAX_OPEN`]
+//!   connections open or being dialed; other dials park in a FIFO;
 //! * at most [`MAX_INFLIGHT_ASKS`] `RequestWork` frames in flight; the
 //!   other asks park in a FIFO until replies free slots;
 //! * one dock per workunit, shared by the sessions handed it meanwhile,
@@ -29,8 +29,8 @@ use std::time::Duration;
 /// gave up. A stall's `Wait` is timed on its own, not by this.
 pub(crate) const IO_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// A fleet's dials run on a few blocking connects: this bounds how fast
-/// a ramp (or a herd waking from one backoff) floods them.
+/// A fleet's dials run on a few blocking connects: at most this many are
+/// out unanswered, and a ramp (or a herd waking at once) queues here.
 const CONNECT_BATCH: usize = 64;
 
 /// A loopback bench owns *both* ends of every socket, so the process fd
@@ -48,16 +48,17 @@ const MAX_INFLIGHT_ASKS: usize = 16;
 pub(crate) type Key = (u16, u32);
 
 /// What a fleet asks of its driver; a session is named by its index.
+/// A dial or a dock is answered later, through [`Fleet::input`] or
+/// [`Fleet::docked`], never inside the call.
 pub(crate) trait Io {
-    /// Dials `addr` for session `who`: `Connected` or `ConnectFailed`
-    /// now, or `None` and [`Fleet::input`] later.
-    fn dial(&mut self, who: usize, addr: &str) -> Option<Input>;
+    /// Dials `addr` for session `who`: `Connected` or `ConnectFailed`.
+    fn dial(&mut self, who: usize, addr: &str);
     /// Writes `msg` on `who`'s connection: `false` if it failed.
     fn send(&mut self, who: usize, msg: &Message) -> bool;
     fn close(&mut self, who: usize);
     /// Docks `key` against `roster`, the recipes `who`'s handshake
-    /// announced: the output now, or `None` and [`Fleet::docked`] later.
-    fn dock(&mut self, who: usize, key: Key, roster: &[CampaignParams]) -> Option<DockingOutput>;
+    /// announced.
+    fn dock(&mut self, who: usize, key: Key, roster: &[CampaignParams]);
 }
 
 /// What the fleet owes a session: its last step, as far as carried out.
@@ -101,6 +102,11 @@ pub(crate) struct Fleet {
     /// session moved on is skipped.
     asks: VecDeque<usize>,
     in_flight: usize,
+    /// Dials parked for admission, oldest first, the same way.
+    dials: VecDeque<usize>,
+    /// Dials out and unanswered, and connections open.
+    dialing: usize,
+    connections: usize,
     /// Sessions not yet finished.
     pub(crate) running: usize,
     docks: BTreeMap<Key, Dock>,
@@ -128,30 +134,24 @@ impl Fleet {
     }
 
     pub(crate) fn into_reports(self) -> Vec<AgentReport> {
-        self.volunteers
-            .into_iter()
-            .map(|v| v.session.report)
-            .collect()
+        let reports = self.volunteers.into_iter().map(|v| v.session.report);
+        reports.collect()
     }
 
     /// How long from `now` until the fleet has work that no input
-    /// brings: a wait or a reply deadline running out, or a dial.
+    /// brings: a wait or a reply deadline running out, not a parked dial.
     pub(crate) fn next_due(&self, now: SimTime) -> Option<Duration> {
         let due = |v: &Volunteer| match v.owed {
             Owed::Wake(until) => Some(until),
-            Owed::Dial => Some(now),
             _ => v.reply_due,
         };
         let next = self.volunteers.iter().filter_map(due).min()?;
         Some(Duration::try_from_secs_f64(next.seconds() - now.seconds()).unwrap_or_default())
     }
 
-    /// The timers at `now`: waits that ran out wake, overdue replies are
-    /// lost connections, and the dials admitted go to the driver.
+    /// The timers at `now`: waits that ran out wake, and overdue
+    /// replies are lost connections.
     pub(crate) fn tick(&mut self, io: &mut impl Io, now: SimTime) {
-        let mut budget = CONNECT_BATCH;
-        let held = |v: &&Volunteer| v.open || v.owed == Owed::Connecting;
-        let mut held = self.volunteers.iter().filter(held).count();
         for who in 0..self.volunteers.len() {
             if matches!(self.volunteers[who].owed, Owed::Wake(until) if now >= until) {
                 self.feed(io, now, who, Input::Woke);
@@ -160,13 +160,6 @@ impl Fleet {
                 self.timeouts += 1;
                 self.feed(io, now, who, Input::Lost);
             }
-            let v = &mut self.volunteers[who];
-            if v.owed == Owed::Dial && budget > 0 && held < MAX_OPEN {
-                (budget, held, v.owed) = (budget - 1, held + 1, Owed::Connecting);
-                if let Some(dialed) = io.dial(who, v.session.addr()) {
-                    self.input(io, now, who, dialed);
-                }
-            }
         }
         self.admit(io, now);
     }
@@ -174,7 +167,12 @@ impl Fleet {
     /// What happened to session `who`'s dial or connection: `Connected`,
     /// `ConnectFailed`, a `Frame` or `Lost`.
     pub(crate) fn input(&mut self, io: &mut impl Io, now: SimTime, who: usize, input: Input) {
-        self.volunteers[who].open |= matches!(input, Input::Connected);
+        let v = &mut self.volunteers[who];
+        if v.owed == Owed::Connecting {
+            self.dialing -= 1;
+            v.open = matches!(input, Input::Connected);
+            self.connections += usize::from(v.open);
+        }
         self.feed(io, now, who, input);
         self.admit(io, now);
     }
@@ -226,6 +224,7 @@ impl Fleet {
             Step::Dial => {
                 // An agent holds at most one connection, on either side.
                 self.close(io, who);
+                self.dials.push_back(who);
                 Owed::Dial
             }
             Step::Send(msg) => {
@@ -270,6 +269,7 @@ impl Fleet {
 
     fn close(&mut self, io: &mut impl Io, who: usize) {
         if std::mem::take(&mut self.volunteers[who].open) {
+            self.connections -= 1;
             io.close(who);
         }
     }
@@ -285,25 +285,33 @@ impl Fleet {
             Some(Dock::Pending(waiting)) => waiting.push(who),
             None => {
                 self.docks.insert(key, Dock::Pending(vec![who]));
-                let roster = self.volunteers[who].session.roster();
-                if let Some(out) = io.dock(who, key, roster) {
-                    self.docked(io, now, key, out);
-                }
+                io.dock(who, key, self.volunteers[who].session.roster());
             }
         }
     }
 
-    /// Sends parked asks, oldest first, while in-flight slots are free.
+    /// Sends parked asks, oldest first, while in-flight slots are free;
+    /// then parked dials, oldest first, while there is room for them.
     fn admit(&mut self, io: &mut impl Io, now: SimTime) {
         while self.in_flight < MAX_INFLIGHT_ASKS {
             let Some(who) = self.asks.pop_front() else {
-                return;
+                break;
             };
             if self.volunteers[who].owed == Owed::Admission {
                 self.in_flight += 1;
                 self.volunteers[who].owed = Owed::Asked(now);
                 // A failed write is `Lost`, which frees the slot in `feed`.
                 self.send(io, now, who, &Message::RequestWork);
+            }
+        }
+        while self.dialing < CONNECT_BATCH && self.dialing + self.connections < MAX_OPEN {
+            let Some(who) = self.dials.pop_front() else {
+                return;
+            };
+            let v = &mut self.volunteers[who];
+            if v.owed == Owed::Dial {
+                (self.dialing, v.owed) = (self.dialing + 1, Owed::Connecting);
+                io.dial(who, v.session.addr());
             }
         }
     }
@@ -341,9 +349,8 @@ mod tests {
     }
 
     impl Io for Record {
-        fn dial(&mut self, who: usize, _: &str) -> Option<Input> {
+        fn dial(&mut self, who: usize, _: &str) {
             self.dialed.push(who);
-            None
         }
 
         fn send(&mut self, who: usize, msg: &Message) -> bool {
@@ -353,9 +360,7 @@ mod tests {
 
         fn close(&mut self, _: usize) {}
 
-        fn dock(&mut self, _: usize, _: Key, _: &[CampaignParams]) -> Option<DockingOutput> {
-            None
-        }
+        fn dock(&mut self, _: usize, _: Key, _: &[CampaignParams]) {}
     }
 
     /// `n` volunteers that dialed, heard their `HelloAck`s in order and
@@ -394,6 +399,57 @@ mod tests {
         assert_eq!(askers(&io)[16..], [16, 17, 18, 19]);
     }
 
+    /// Two hundred sessions due to dial at once: a batch of dials goes
+    /// out, and each answer admits the oldest dial parked.
+    #[test]
+    fn two_hundred_dials_go_out_a_batch_at_a_time_oldest_first() {
+        let (mut fleet, mut io) = (Fleet::default(), Record::default());
+        for id in 1..=200 {
+            fleet.join(AgentConfig::new("home", id), t(0.0));
+        }
+        fleet.tick(&mut io, t(1.0));
+        assert_eq!(io.dialed, (0..CONNECT_BATCH).collect::<Vec<_>>());
+        for answered in 1..=200 {
+            let who = io.dialed[answered - 1];
+            fleet.input(&mut io, t(1.0), who, Input::Connected);
+            assert_eq!(io.dialed.len(), (answered + CONNECT_BATCH).min(200));
+        }
+        assert_eq!(io.dialed, (0..200).collect::<Vec<_>>());
+    }
+
+    /// With `MAX_OPEN` connections held, each session docking, one more
+    /// dial parks and is not due: no timer can admit it, so a driver
+    /// sleeps. The first connection to close admits it.
+    #[test]
+    fn at_max_open_a_parked_dial_is_not_due_and_a_close_admits_it() {
+        let (mut fleet, mut io) = (Fleet::default(), Record::default());
+        for id in 0..=MAX_OPEN as u64 {
+            fleet.join(AgentConfig::new("home", id + 1), t(0.0));
+        }
+        fleet.tick(&mut io, t(1.0));
+        let work = assignment(5.0);
+        let mut answered = 0;
+        while answered < io.dialed.len() {
+            let who = io.dialed[answered];
+            fleet.input(&mut io, t(1.0), who, Input::Connected);
+            fleet.input(&mut io, t(1.0), who, Input::Frame(hello_ack()));
+            answered += 1;
+        }
+        let mut assigned = 0;
+        while assigned < askers(&io).len() {
+            let who = askers(&io)[assigned];
+            fleet.input(&mut io, t(1.0), who, Input::Frame(work.clone()));
+            assigned += 1;
+        }
+        assert_eq!((answered, assigned), (MAX_OPEN, MAX_OPEN));
+        assert_eq!(fleet.owed(MAX_OPEN), &Owed::Dial);
+        assert_eq!(fleet.next_due(t(1.0)), None, "a parked dial is due");
+        fleet.input(&mut io, t(2.0), 0, Input::Lost);
+        assert_eq!(io.dialed.len(), MAX_OPEN + 1);
+        assert_eq!(io.dialed.last(), Some(&MAX_OPEN));
+        assert_eq!(fleet.owed(0), &Owed::Dial);
+    }
+
     /// A fleet is a value: a clone fed the same inputs (a reply, a lost
     /// connection, reply deadlines running out) stays `==`, and one other
     /// input makes it `!=`.
@@ -411,7 +467,7 @@ mod tests {
         inputs(&mut twin);
         assert!(fleet == twin, "the same inputs, another fleet");
         assert!(fleet.timeouts > 0, "no reply deadline ran out");
-        twin.input(&mut Record::default(), t(41.0), 0, Input::Frame(no_work(5)));
+        twin.input(&mut Record::default(), t(41.0), 3, Input::Lost);
         assert!(fleet != twin, "another input, the same fleet");
     }
 }

@@ -3,11 +3,12 @@
 //! thousands ([`run_mux_fleet`]; blocking sockets would need as many
 //! stacks). It holds the sockets, the poller, the wall clock (read for
 //! each input, so an ask's latency runs from its send to its reply's
-//! decode) and the campaigns it docks against, and chooses where a dial
-//! and a dock run: a lone agent's on the driver thread, with its own
-//! `threads`, sleeping in the poller until a socket or the fleet's next
-//! due time; a fleet's on helper pools — on the driver thread they would
-//! poison every other agent's latency sample — polled on a 5 ms tick.
+//! decode) and the campaigns it docks against. Dials and docks go to
+//! helper pools; the poller sleeps until a socket is ready, a pool's
+//! result writes its wake byte, or the fleet's next due time. A fleet's
+//! pools have threads (on the driver's, a dock would poison every other
+//! latency sample); a lone agent's have none, so it dials and docks, on
+//! its own `threads`, on the driver thread.
 
 use crate::agent::{compute_workunit, AgentConfig, AgentReport, Input, Outcome};
 use crate::campaign::NetCampaign;
@@ -17,9 +18,10 @@ use crate::sys::{self, Event as IoEvent, Poller, ReadBuf};
 use gridsim::SimTime;
 use maxdo::DockingOutput;
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -35,13 +37,9 @@ struct MuxConn {
 
 impl MuxConn {
     fn flush(&mut self) -> io::Result<bool> {
-        crate::sys::flush(&mut self.stream, &mut self.write_buf, &mut self.write_pos)
+        sys::flush(&mut self.stream, &mut self.write_buf, &mut self.write_pos)
     }
 }
-
-/// A fleet's poll-timeout ceiling: its pools answer on channels the
-/// poller cannot see.
-const TIMER_TICK: Duration = Duration::from_millis(5);
 
 /// Connector-pool width: a dropped SYN stalls a blocking `connect` for a
 /// retransmit timeout, and only the dials queued behind it on its worker.
@@ -51,50 +49,60 @@ const CONNECT_WORKERS: usize = 4;
 /// workers — dozens of runnable compute threads would out-weigh the
 /// driver and a loopback server even at the lowest priority.
 fn compute_workers() -> usize {
-    thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .saturating_sub(2)
-        .max(1)
+    let cores = thread::available_parallelism().map_or(1, |n| n.get());
+    cores.saturating_sub(2).max(1)
+}
+
+/// Jobs into a helper pool, and the results coming back, each followed
+/// by a byte on the driver's wake socket.
+struct Pool<J, R> {
+    submit: Box<dyn Fn(J)>,
+    results: mpsc::Receiver<R>,
 }
 
 /// Starts `workers` helper threads that each run `init` once and then
 /// turn jobs from the one queue into results; they end when the driver
-/// drops its end of the queue.
+/// drops the pool. With no workers, `submit` runs the job itself.
 fn pool<J: Send + 'static, R: Send + 'static>(
     workers: usize,
     init: fn(),
-    work: fn(J) -> R,
-) -> (mpsc::Sender<J>, mpsc::Receiver<R>) {
-    let (job_tx, jobs) = mpsc::channel::<J>();
-    let (done, results) = mpsc::channel();
-    let jobs = Arc::new(Mutex::new(jobs));
-    for _ in 0..workers {
-        let (jobs, done) = (Arc::clone(&jobs), done.clone());
-        thread::spawn(move || {
-            init();
-            loop {
-                let Ok(job) = jobs.lock().expect("job queue").recv() else {
-                    return;
-                };
-                // Fails only once the driver is gone; then the job queue
-                // is closed too and the next recv ends the worker.
-                let _ = done.send(work(job));
-            }
-        });
-    }
-    (job_tx, results)
+    work: impl Fn(J) -> R + Clone + Send + 'static,
+    wake: &Arc<UnixStream>,
+) -> Pool<J, R> {
+    let ((done, results), wake) = (mpsc::channel(), Arc::clone(wake));
+    let finish = move |job| {
+        // Fails only once the driver is gone, and nobody waits then.
+        let _ = done.send(work(job));
+        // A full socket already holds a wake the driver has not read.
+        let _ = (&*wake).write(&[1]);
+    };
+    let submit: Box<dyn Fn(J)> = if workers == 0 {
+        Box::new(finish)
+    } else {
+        let (jobs, queue) = mpsc::channel();
+        let queue = Arc::new(Mutex::new(queue));
+        for _ in 0..workers {
+            let (queue, finish) = (Arc::clone(&queue), finish.clone());
+            thread::spawn(move || {
+                init();
+                loop {
+                    let Ok(job) = queue.lock().expect("job queue").recv() else {
+                        return;
+                    };
+                    finish(job);
+                }
+            });
+        }
+        Box::new(move |job| drop(jobs.send(job)))
+    };
+    Pool { submit, results }
 }
 
-/// Connects to the first of `addr`'s addresses to answer within
-/// `patience`.
+/// Connects to the first of `addr`'s addresses to answer in `patience`.
 fn connect(addr: &str, patience: Duration) -> io::Result<TcpStream> {
     let mut dialed = Err(io::Error::other("the server address resolves to nothing"));
     for sock in addr.to_socket_addrs()? {
-        dialed = TcpStream::connect_timeout(&sock, patience);
-        if dialed.is_ok() {
-            break;
-        }
+        dialed = dialed.or_else(|_| TcpStream::connect_timeout(&sock, patience));
     }
     dialed
 }
@@ -125,15 +133,6 @@ pub fn run_mux_fleet(agents: Vec<AgentConfig>, timeout: Duration) -> io::Result<
     Ok(driver.fleet.into_reports())
 }
 
-/// A job queue into a helper pool, and the results coming back; a lone
-/// agent has none.
-type Pool<J, R> = Option<(mpsc::Sender<J>, mpsc::Receiver<R>)>;
-
-/// A result a pool finished, if it has one.
-fn recv<J, R>(pool: &Pool<J, R>) -> Option<R> {
-    pool.as_ref()?.1.try_recv().ok()
-}
-
 /// The fleet's [`Io`] over sockets.
 struct Sockets {
     poller: Poller,
@@ -143,20 +142,15 @@ struct Sockets {
     roster: Vec<Arc<NetCampaign>>,
     compute: Pool<(Key, Arc<NetCampaign>), (Key, DockingOutput)>,
     dial: Pool<(usize, String), (usize, io::Result<TcpStream>)>,
-    /// A lone agent's `AgentConfig::threads`; the pool docks on one.
-    threads: usize,
+    /// The pools' wake socket, as the poller watches it.
+    woken: UnixStream,
     /// The last dial that failed: a session that gives up returns it.
     dial_error: Option<io::Error>,
 }
 
 impl Io for Sockets {
-    fn dial(&mut self, who: usize, addr: &str) -> Option<Input> {
-        let Some((jobs, _)) = &self.dial else {
-            return Some(self.wire(who, connect(addr, IO_TIMEOUT)));
-        };
-        // A send fails only on teardown, when nobody is left waiting.
-        let _ = jobs.send((who, addr.to_owned()));
-        None
+    fn dial(&mut self, who: usize, addr: &str) {
+        (self.dial.submit)((who, addr.to_owned()));
     }
 
     /// Queues `msg` and writes as much as the socket takes at once.
@@ -178,17 +172,13 @@ impl Io for Sockets {
         }
     }
 
-    fn dock(&mut self, _: usize, key: Key, roster: &[CampaignParams]) -> Option<DockingOutput> {
+    fn dock(&mut self, _: usize, key: Key, roster: &[CampaignParams]) {
         if self.roster.is_empty() {
             let build = |p: &CampaignParams| Arc::new(NetCampaign::build(*p));
             self.roster = roster.iter().map(build).collect();
         }
         let campaign = Arc::clone(&self.roster[usize::from(key.0)]);
-        let Some((jobs, _)) = &self.compute else {
-            return Some(compute_workunit(&campaign, key.1, self.threads));
-        };
-        let _ = jobs.send((key, campaign));
-        None
+        (self.compute.submit)((key, campaign));
     }
 }
 
@@ -243,31 +233,35 @@ struct Driver {
 
 impl Driver {
     fn new(agents: Vec<AgentConfig>, timeout: Option<Duration>) -> io::Result<Self> {
-        let (start, pools) = (Instant::now(), agents.len() > 1);
+        let (docker, dialers, threads) = match &agents[..] {
+            [lone] => (0, 0, lone.threads),
+            _ => (compute_workers(), CONNECT_WORKERS, 1),
+        };
+        let (woken, wake) = UnixStream::pair()?;
+        woken.set_nonblocking(true)?;
+        wake.set_nonblocking(true)?;
+        let mut poller = Poller::new()?;
+        poller.register(woken.as_raw_fd(), true, false)?;
+        let wake = Arc::new(wake);
+        let dock = move |(k, c): (Key, Arc<NetCampaign>)| (k, compute_workunit(&c, k.1, threads));
+        let dial = |(who, addr): (usize, String)| (who, connect(&addr, IO_TIMEOUT));
         let io = Sockets {
-            poller: Poller::new()?,
+            poller,
             conns: agents.iter().map(|_| None).collect(),
             by_fd: HashMap::new(),
             roster: Vec::new(),
             // The docking kernel must not starve the driver (or a
             // loopback server): it runs at the lowest priority.
-            compute: pools.then(|| {
-                let dock = |(key, campaign): (Key, Arc<NetCampaign>)| {
-                    (key, compute_workunit(&campaign, key.1, 1))
-                };
-                pool(compute_workers(), sys::deprioritize_current_thread, dock)
-            }),
-            dial: pools.then(|| {
-                let dial = |(who, addr): (usize, String)| (who, connect(&addr, IO_TIMEOUT));
-                pool(CONNECT_WORKERS, || (), dial)
-            }),
-            threads: agents.first().map_or(1, |config| config.threads),
+            compute: pool(docker, sys::deprioritize_current_thread, dock, &wake),
+            dial: pool(dialers, || (), dial, &wake),
+            woken,
             dial_error: None,
         };
         let mut fleet = Fleet::default();
         for config in agents {
             fleet.join(config, SimTime::ZERO);
         }
+        let start = Instant::now();
         let deadline = timeout.map(|timeout| start + timeout);
         Ok(Self {
             fleet,
@@ -299,37 +293,34 @@ impl Driver {
             if self.fleet.running == 0 || self.deadline.is_some_and(|end| Instant::now() > end) {
                 break;
             }
-            let timeout = match self.io.dial {
-                Some(_) => Some(TIMER_TICK),
-                None => self.fleet.next_due(self.now()),
-            };
+            let end = self.deadline.map(|end| end - Instant::now().min(end));
+            let timeout = self.fleet.next_due(self.now()).into_iter().chain(end).min();
             self.io.poller.wait(timeout, &mut events)?;
             for ev in events.drain(..) {
                 if let Some(&who) = self.io.by_fd.get(&ev.fd) {
                     self.advance_io(who, ev);
+                } else {
+                    // Read before the pools drain: a result sent after
+                    // this read writes a byte for the next wait.
+                    let _ = io::copy(&mut &self.io.woken, &mut io::sink());
                 }
             }
         }
         // At the timeout, the sessions still running are cut off: every
         // socket drops at once, and the server sees the EOFs.
-        for who in 0..self.io.conns.len() {
-            self.io.close(who);
-        }
+        self.io.conns.clear();
         Ok(())
     }
 
-    /// Tells the fleet what a fleet's pools finished: dials and docks.
+    /// Tells the fleet what the pools finished: dials and docks.
     fn drain(&mut self) {
-        loop {
-            if let Some((who, dialed)) = recv(&self.io.dial) {
-                let input = self.io.wire(who, dialed);
-                self.input(who, input);
-            } else if let Some((key, out)) = recv(&self.io.compute) {
-                let now = self.now();
-                self.fleet.docked(&mut self.io, now, key, out);
-            } else {
-                return;
-            }
+        while let Ok((who, dialed)) = self.io.dial.results.try_recv() {
+            let input = self.io.wire(who, dialed);
+            self.input(who, input);
+        }
+        while let Ok((key, out)) = self.io.compute.results.try_recv() {
+            let now = self.now();
+            self.fleet.docked(&mut self.io, now, key, out);
         }
     }
 
@@ -451,6 +442,24 @@ mod tests {
             }
             heard
         })
+    }
+
+    /// A pool's result wakes a driver asleep in its poller with no
+    /// timeout: a lone agent's pool, which dials inside `submit`, and a
+    /// fleet's, which dials on a helper thread.
+    #[test]
+    fn a_pool_result_wakes_a_driver_asleep_in_its_poller() {
+        let (_listener, addr) = listen();
+        for n in [1, 2] {
+            let mut driver = Driver::new(fleet(&addr, n, 7), None).unwrap();
+            (driver.io.dial.submit)((0, addr.clone()));
+            let mut events = Vec::new();
+            driver.io.poller.wait(None, &mut events).unwrap();
+            let woken = driver.io.woken.as_raw_fd();
+            assert!(events.iter().any(|ev| ev.fd == woken && ev.readable));
+            let (who, dialed) = driver.io.dial.results.try_recv().expect("a result");
+            assert!(who == 0 && dialed.is_ok(), "{dialed:?}");
+        }
     }
 
     /// A fleet alone must carry a campaign to completion and the

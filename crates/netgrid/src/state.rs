@@ -216,6 +216,8 @@ struct AgentBook {
     /// This agent's accepted singles not yet independently confirmed —
     /// the set a failed spot check of it retracts retroactively.
     unverified: Vec<u32>,
+    /// The workunit of this agent's last report, if it was rejected.
+    rejected: Option<u32>,
 }
 
 /// The live grid's server state (scheduling + validation + payloads),
@@ -462,7 +464,21 @@ impl GridState {
     ) -> Result<(ReplicaAssignment, Option<u64>), Option<u64>> {
         let trust = self.faults.trust;
         if !trust.enabled {
-            return self.core.fetch_work(now).map(|a| (a, None)).ok_or(None);
+            // While fresh work lasts, an agent is not handed the error
+            // reissue of its own rejected report: a saboteur would
+            // re-draw and corrupt the same workunit again and again.
+            let rejected_on = |wu| {
+                self.agents
+                    .get(&agent)
+                    .is_some_and(|b| b.rejected == Some(wu))
+            };
+            let own = self.core.next_error_reissue().is_some_and(rejected_on);
+            let assignment = if own && self.core.fresh_backlog() > 0 {
+                self.core.fetch_fresh(now, None)
+            } else {
+                self.core.fetch_work(now)
+            };
+            return assignment.map(|a| (a, None)).ok_or(None);
         }
         // A newcomer has no book yet (`fetch` opens it) and no history.
         let history = self
@@ -571,7 +587,7 @@ impl GridState {
                     Some(suspect) => self.judge_spot(now, replica, workunit, output, suspect),
                     None => self.judge(now, campaign, replica, workunit, output, agent),
                 };
-                self.note_report(agent, verdict, now);
+                self.note_report(agent, workunit, verdict, now);
                 verdict
             }
             _ => {
@@ -585,9 +601,13 @@ impl GridState {
         }
     }
 
-    /// Books one report against the agent the replica was assigned to.
-    fn note_report(&mut self, agent: u64, verdict: Verdict, now: SimTime) {
-        let ledger = &mut self.agents.entry(agent).or_default().ledger;
+    /// Books one report of `workunit` against the agent the replica was
+    /// assigned to.
+    fn note_report(&mut self, agent: u64, workunit: u32, verdict: Verdict, now: SimTime) {
+        let book = self.agents.entry(agent).or_default();
+        let rejected = matches!(verdict, Verdict::QuorumRejected | Verdict::BoundsRejected);
+        book.rejected = rejected.then_some(workunit);
+        let ledger = &mut book.ledger;
         ledger.last_seen_s = ledger.last_seen_s.max(now.seconds());
         ledger.reports += 1;
         match verdict {
@@ -868,6 +888,46 @@ mod tests {
             Some(&honest),
             "the honest payload is the accepted artifact"
         );
+    }
+
+    /// Trust off: agent 2's corrupted report of wu0 is rejected, and
+    /// while fresh work lasts its next ask draws fresh work, not wu0's
+    /// error reissue, which waits at the head of the queue for agent 3.
+    /// Once the backlog is empty, a rejected agent is served as anyone.
+    #[test]
+    fn a_rejected_agent_draws_fresh_work_while_the_backlog_lasts() {
+        let (campaign, mut state) = setup();
+        let fetch = |state: &mut GridState, agent| match state.fetch(t(0.0), agent) {
+            WorkReply::Assigned(a) => Some(a),
+            WorkReply::Backoff { .. } => None,
+        };
+        let honest = |wu: u32| campaign.compute(campaign.spec(wu));
+        let corrupt = |wu: u32| {
+            let mut out = honest(wu);
+            out.rows[0].eelec += 1e-9;
+            out
+        };
+        let a = fetch(&mut state, 1).unwrap();
+        let b = fetch(&mut state, 2).unwrap();
+        assert_eq!((a.workunit, b.workunit), (0, 0));
+        state.report(t(1.0), &campaign, a.replica, 0, &honest(0));
+        let d = state.report(t(1.0), &campaign, b.replica, 0, &corrupt(0));
+        assert_eq!(d.verdict, Verdict::QuorumRejected);
+        let again = fetch(&mut state, 2).unwrap();
+        assert_eq!(again.workunit, 1, "agent 2 drew its own rejected workunit");
+        assert_eq!(fetch(&mut state, 3).unwrap().workunit, 0, "wu0's reissue");
+        // Helpers take everything else, wu1's quorum sibling among it.
+        let mut held = Vec::new();
+        while let Some(h) = fetch(&mut state, 100 + held.len() as u64) {
+            held.push(h);
+        }
+        assert_eq!(state.core.fresh_backlog(), 0);
+        let sibling = held.iter().find(|h| h.workunit == 1).unwrap();
+        state.report(t(2.0), &campaign, sibling.replica, 1, &honest(1));
+        let d = state.report(t(2.0), &campaign, again.replica, 1, &corrupt(1));
+        assert_eq!(d.verdict, Verdict::QuorumRejected);
+        let last = fetch(&mut state, 2).unwrap();
+        assert_eq!(last.workunit, 1, "no fresh work left: served as anyone");
     }
 
     #[test]

@@ -472,9 +472,8 @@ struct Ends {
 }
 
 impl fleet::Io for Ends {
-    fn dial(&mut self, v: usize, _: &str) -> Option<Input> {
+    fn dial(&mut self, v: usize, _: &str) {
         self.dials[v] = true;
-        None
     }
 
     fn send(&mut self, v: usize, msg: &Message) -> bool {
@@ -485,9 +484,8 @@ impl fleet::Io for Ends {
         self.pipes[v] = None;
     }
 
-    fn dock(&mut self, v: usize, key: Key, _: &[CampaignParams]) -> Option<DockingOutput> {
+    fn dock(&mut self, v: usize, key: Key, _: &[CampaignParams]) {
         self.docks.push((v, key));
-        None
     }
 }
 

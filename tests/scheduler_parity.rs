@@ -142,8 +142,14 @@ impl WireFrontend {
 }
 
 impl Frontend for WireFrontend {
+    /// Each fetch is a volunteer of its own, as the simulator's are
+    /// anonymous: `GridState`'s one agent-aware rule, which keeps a
+    /// rejected agent off its own error reissue while fresh work lasts,
+    /// has no simulator counterpart, and one agent asking for everything
+    /// would trip it after the bounds-invalid report.
     fn fetch(&mut self, now: f64) -> Option<usize> {
-        match self.state.fetch(SimTime::new(now), 1) {
+        let agent = self.assignments.len() as u64 + 1;
+        match self.state.fetch(SimTime::new(now), agent) {
             WorkReply::Assigned(a) => {
                 self.log.push(format!("issue wu={}", a.workunit));
                 self.assignments.push((a.replica, a.workunit));
