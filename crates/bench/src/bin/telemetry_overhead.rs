@@ -20,18 +20,10 @@
 //! neighbours' memory traffic slows a pass for milliseconds, so the two
 //! loops are timed in single-pass pairs, the side that runs first
 //! alternating. Each block of a few adjacent pairs keeps each side's
-//! fastest pass, and a placement's overhead is the median of its blocks'
-//! ratios: a clock step lands inside few blocks and moves the median
-//! little, and a slowed pass is dropped by its block's minimum, where a
-//! mean over all passes would carry both.
-//!
-//! Where the linker puts the two loops moves the reading as much as the
-//! instrumentation does (the same instructions at two addresses once read
-//! 1.71 % and 1.12 %). So each loop is compiled [`COPIES`]
-//! times, monomorphised over a copy number, each copy at its own address;
-//! the blocks take the copies in turn, and the gate reads the median over
-//! the copies of each copy's overhead (Curtsinger and Berger's
-//! Stabilizer, ASPLOS 2013: measure over layouts, not at one).
+//! fastest pass, and the overhead is the median of the blocks' ratios: a
+//! clock step lands inside few blocks and moves the median little, and a
+//! slowed pass is dropped by its block's minimum, where a mean over all
+//! passes would carry both.
 //!
 //! Without `--features telemetry` the instrumented loop compiles to the
 //! bare loop (zero-sized no-ops), so the overhead reads as noise around
@@ -51,28 +43,8 @@ const EVENTS_PER_PASS: usize = 10_000;
 const EVENTS_PER_DAY: u32 = 1_024;
 
 /// Blocks of timed pairs, and bare/instrumented pairs per block.
-const BLOCKS: usize = 2_000;
+const BLOCKS: usize = 200;
 const PAIRS_PER_BLOCK: usize = 5;
-
-/// Placements of the two loops: copies of each, taken in turn by block.
-const COPIES: usize = 8;
-
-/// A placement: one copy of each loop.
-type Passes = (
-    fn() -> u64,
-    fn(&SchedulerCore, &'static telemetry::Counter, &'static telemetry::Gauge) -> u64,
-);
-
-const PLACEMENTS: [Passes; COPIES] = [
-    (bare_pass::<0>, instrumented_pass::<0>),
-    (bare_pass::<1>, instrumented_pass::<1>),
-    (bare_pass::<2>, instrumented_pass::<2>),
-    (bare_pass::<3>, instrumented_pass::<3>),
-    (bare_pass::<4>, instrumented_pass::<4>),
-    (bare_pass::<5>, instrumented_pass::<5>),
-    (bare_pass::<6>, instrumented_pass::<6>),
-    (bare_pass::<7>, instrumented_pass::<7>),
-];
 
 /// The budget, in percent of the bare loop's time.
 const BUDGET_PERCENT: f64 = 2.0;
@@ -82,9 +54,8 @@ const BUDGET_PERCENT: f64 = 2.0;
 const SAMPLE_STRIDE: u32 = 512;
 
 /// One schedule/pop pass over the event queue; returns a checksum so the
-/// optimizer cannot discard the work. `COPY` enters the checksum, so no
-/// two copies fold into one function.
-fn bare_pass<const COPY: u64>() -> u64 {
+/// optimizer cannot discard the work.
+fn bare_pass() -> u64 {
     let mut q: EventQueue<u32> = EventQueue::new();
     let mut acc = 0u64;
     for i in 0..EVENTS_PER_PASS as u32 {
@@ -95,12 +66,12 @@ fn bare_pass<const COPY: u64>() -> u64 {
             .wrapping_add(t.seconds() as u64)
             .wrapping_add(u64::from(e));
     }
-    acc.wrapping_add(COPY)
+    acc
 }
 
 /// The same pass with the instrumentation the simulator adds; `core`
 /// decides which events are sampled.
-fn instrumented_pass<const COPY: u64>(
+fn instrumented_pass(
     core: &SchedulerCore,
     events: &'static telemetry::Counter,
     depth: &'static telemetry::Gauge,
@@ -132,7 +103,7 @@ fn instrumented_pass<const COPY: u64>(
             .wrapping_add(u64::from(e));
     }
     events.add(q.pops() - flushed);
-    acc.wrapping_add(COPY)
+    acc
 }
 
 /// Nanoseconds of one pass.
@@ -164,19 +135,14 @@ fn main() {
     assert!(core.sampled(SAMPLE_STRIDE) && !core.sampled(SAMPLE_STRIDE / 2));
 
     // Warm both paths (heap allocations, branch predictors).
-    for (bare_pass, instrumented_pass) in PLACEMENTS {
-        for _ in 0..5 {
-            black_box(bare_pass());
-            black_box(instrumented_pass(&core, events, depth));
-        }
+    for _ in 0..5 {
+        black_box(bare_pass());
+        black_box(instrumented_pass(&core, events, depth));
     }
 
-    // Per block: the fastest bare and the fastest instrumented pass of
-    // the block's placement.
+    // Per block: the fastest bare and the fastest instrumented pass.
     let mut fastest = Vec::with_capacity(BLOCKS);
-    let mut by_copy = vec![Vec::with_capacity(BLOCKS / COPIES); COPIES];
     for block in 0..BLOCKS {
-        let (bare_pass, instrumented_pass) = PLACEMENTS[block % COPIES];
         let (mut bare, mut instrumented) = (f64::MAX, f64::MAX);
         for pair in 0..PAIRS_PER_BLOCK {
             if (block + pair) % 2 == 0 {
@@ -190,28 +156,18 @@ fn main() {
             }
         }
         fastest.push((bare, instrumented));
-        by_copy[block % COPIES].push(instrumented / bare);
     }
     let mut ratios: Vec<f64> = fastest.iter().map(|(b, i)| i / b).collect();
     let mut bare: Vec<f64> = fastest.iter().map(|f| f.0).collect();
     let mut instrumented: Vec<f64> = fastest.iter().map(|f| f.1).collect();
-    for v in by_copy
-        .iter_mut()
-        .chain([&mut ratios, &mut bare, &mut instrumented])
-    {
+    for v in [&mut ratios, &mut bare, &mut instrumented] {
         v.sort_by(f64::total_cmp);
     }
-    let percent = |ratio| (ratio - 1.0) * 100.0;
-    let mut placed: Vec<f64> = by_copy.iter().map(|r| percent(quantile(r, 0.5))).collect();
-    placed.sort_by(f64::total_cmp);
-    let overhead = quantile(&placed, 0.5);
-    let (q1, q3) = (
-        percent(quantile(&ratios, 0.25)),
-        percent(quantile(&ratios, 0.75)),
-    );
+    let percent = |q| (quantile(&ratios, q) - 1.0) * 100.0;
+    let (overhead, q1, q3) = (percent(0.5), percent(0.25), percent(0.75));
     let (bare_ns, instrumented_ns) = (quantile(&bare, 0.5), quantile(&instrumented, 0.5));
     println!(
-        "telemetry {}: event loop {EVENTS_PER_PASS} events/pass, {BLOCKS} blocks of {PAIRS_PER_BLOCK} pairs over {COPIES} placements",
+        "telemetry {}: event loop {EVENTS_PER_PASS} events/pass, {BLOCKS} blocks of {PAIRS_PER_BLOCK} pairs",
         if telemetry::ENABLED {
             "ENABLED"
         } else {
@@ -220,11 +176,7 @@ fn main() {
     );
     println!("  bare loop          {bare_ns:>12.0} ns/pass (median block)");
     println!("  instrumented loop  {instrumented_ns:>12.0} ns/pass (median block)");
-    println!(
-        "  overhead           {overhead:>11.2} %  (median of the placements' medians; placements {:.2} .. {:.2} %; blocks' quartiles {q1:.2} / {q3:.2} %)",
-        placed[0],
-        placed[COPIES - 1],
-    );
+    println!("  overhead           {overhead:>11.2} %  (median of blocks; quartiles {q1:.2} / {q3:.2} %)");
     if telemetry::ENABLED && overhead >= BUDGET_PERCENT {
         eprintln!("error: overhead above the {BUDGET_PERCENT} % budget");
         std::process::exit(1);

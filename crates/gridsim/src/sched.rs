@@ -388,6 +388,26 @@ impl SchedulerCore {
         self.fetch_work_with(now, None)
     }
 
+    /// [`Self::fetch_work`] for a requester whose last result was
+    /// rejected as erroneous on workunit `rejected`, if any. While fresh
+    /// work lasts it is not handed that workunit's error reissue — a
+    /// corrupting host would re-draw and corrupt it again and again —
+    /// but the next fresh workunit, and the reissue stays at the head of
+    /// the queue for the next fetch. With no fresh work left it is
+    /// served as anyone, so a lone requester stays live. `None`
+    /// reproduces `fetch_work` exactly.
+    pub fn fetch_work_for(
+        &mut self,
+        now: SimTime,
+        rejected: Option<u32>,
+    ) -> Option<ReplicaAssignment> {
+        let own = rejected.is_some() && self.next_error_reissue() == rejected;
+        if own && self.fresh_backlog() > 0 {
+            return self.fetch_fresh(now, None);
+        }
+        self.fetch_work(now)
+    }
+
     /// [`Self::fetch_work`] with a trust-adaptive replication override.
     ///
     /// The override applies only when the fetch lands on a *fresh*
@@ -445,10 +465,10 @@ impl SchedulerCore {
         self.fetch_fresh(now, replication)
     }
 
-    /// [`Self::fetch_work_with`] past the reissue queue (and a feeder's
-    /// cache): the next never-issued workunit, or `None` when none is
-    /// left. Queued reissues stay where they are, for the next fetch.
-    pub fn fetch_fresh(
+    /// [`Self::fetch_work_with`] past the reissue queue: the next
+    /// never-issued workunit, or `None` when none is left. Queued
+    /// reissues stay where they are, for the next fetch.
+    fn fetch_fresh(
         &mut self,
         now: SimTime,
         replication: Option<ReplicationOverride>,
@@ -483,7 +503,7 @@ impl SchedulerCore {
     /// The workunit of the reissue [`Self::fetch_work`] hands out next,
     /// if that is an error reissue (a rejected result's); `None` under a
     /// feeder, whose cache holds what is next.
-    pub fn next_error_reissue(&self) -> Option<u32> {
+    fn next_error_reissue(&self) -> Option<u32> {
         if self.config.feeder.is_some() {
             return None;
         }
@@ -1553,6 +1573,22 @@ mod launch_tests {
         );
         assert_eq!(s.wu_state_counts().total, 5);
         assert!(!s.is_campaign_complete());
+    }
+
+    /// A requester rejected on wu 0 draws fresh work past wu 0's error
+    /// reissue, which keeps the head of the queue; with no fresh work
+    /// left it is served that reissue as anyone would be.
+    #[test]
+    fn a_rejected_requester_draws_fresh_work_while_the_backlog_lasts() {
+        let mut s = SchedulerCore::new(catalog(2), ServerConfig::default());
+        let a = s.fetch_work(t(0.0)).unwrap();
+        let b = s.fetch_work(t(0.0)).unwrap();
+        s.report_result(t(1.0), a.replica, false);
+        assert!(s.report_result(t(1.0), b.replica, true).erroneous);
+        assert_eq!(s.fetch_work_for(t(2.0), Some(0)).unwrap().workunit, 1);
+        assert_eq!(s.fresh_backlog(), 0);
+        assert_eq!(s.fetch_work_for(t(2.0), Some(0)).unwrap().workunit, 0);
+        assert_eq!((s.stats.initial_issues, s.stats.error_reissues), (2, 1));
     }
 
     /// A stride is rounded up to the next power of two, and the mask

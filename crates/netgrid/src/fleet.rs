@@ -134,8 +134,10 @@ impl Fleet {
     }
 
     pub(crate) fn into_reports(self) -> Vec<AgentReport> {
-        let reports = self.volunteers.into_iter().map(|v| v.session.report);
-        reports.collect()
+        self.volunteers
+            .into_iter()
+            .map(|v| v.session.report)
+            .collect()
     }
 
     /// How long from `now` until the fleet has work that no input
@@ -285,7 +287,8 @@ impl Fleet {
             Some(Dock::Pending(waiting)) => waiting.push(who),
             None => {
                 self.docks.insert(key, Dock::Pending(vec![who]));
-                io.dock(who, key, self.volunteers[who].session.roster());
+                let roster = self.volunteers[who].session.roster();
+                io.dock(who, key, roster);
             }
         }
     }

@@ -37,7 +37,7 @@ struct MuxConn {
 
 impl MuxConn {
     fn flush(&mut self) -> io::Result<bool> {
-        sys::flush(&mut self.stream, &mut self.write_buf, &mut self.write_pos)
+        crate::sys::flush(&mut self.stream, &mut self.write_buf, &mut self.write_pos)
     }
 }
 
@@ -49,8 +49,11 @@ const CONNECT_WORKERS: usize = 4;
 /// workers — dozens of runnable compute threads would out-weigh the
 /// driver and a loopback server even at the lowest priority.
 fn compute_workers() -> usize {
-    let cores = thread::available_parallelism().map_or(1, |n| n.get());
-    cores.saturating_sub(2).max(1)
+    thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        .saturating_sub(2)
+        .max(1)
 }
 
 /// Jobs into a helper pool, and the results coming back, each followed
@@ -98,11 +101,15 @@ fn pool<J: Send + 'static, R: Send + 'static>(
     Pool { submit, results }
 }
 
-/// Connects to the first of `addr`'s addresses to answer in `patience`.
+/// Connects to the first of `addr`'s addresses to answer within
+/// `patience`.
 fn connect(addr: &str, patience: Duration) -> io::Result<TcpStream> {
     let mut dialed = Err(io::Error::other("the server address resolves to nothing"));
     for sock in addr.to_socket_addrs()? {
-        dialed = dialed.or_else(|_| TcpStream::connect_timeout(&sock, patience));
+        dialed = TcpStream::connect_timeout(&sock, patience);
+        if dialed.is_ok() {
+            break;
+        }
     }
     dialed
 }
@@ -233,6 +240,7 @@ struct Driver {
 
 impl Driver {
     fn new(agents: Vec<AgentConfig>, timeout: Option<Duration>) -> io::Result<Self> {
+        let start = Instant::now();
         let (docker, dialers, threads) = match &agents[..] {
             [lone] => (0, 0, lone.threads),
             _ => (compute_workers(), CONNECT_WORKERS, 1),
@@ -261,7 +269,6 @@ impl Driver {
         for config in agents {
             fleet.join(config, SimTime::ZERO);
         }
-        let start = Instant::now();
         let deadline = timeout.map(|timeout| start + timeout);
         Ok(Self {
             fleet,
@@ -308,19 +315,24 @@ impl Driver {
         }
         // At the timeout, the sessions still running are cut off: every
         // socket drops at once, and the server sees the EOFs.
-        self.io.conns.clear();
+        for who in 0..self.io.conns.len() {
+            self.io.close(who);
+        }
         Ok(())
     }
 
     /// Tells the fleet what the pools finished: dials and docks.
     fn drain(&mut self) {
-        while let Ok((who, dialed)) = self.io.dial.results.try_recv() {
-            let input = self.io.wire(who, dialed);
-            self.input(who, input);
-        }
-        while let Ok((key, out)) = self.io.compute.results.try_recv() {
-            let now = self.now();
-            self.fleet.docked(&mut self.io, now, key, out);
+        loop {
+            if let Ok((who, dialed)) = self.io.dial.results.try_recv() {
+                let input = self.io.wire(who, dialed);
+                self.input(who, input);
+            } else if let Ok((key, out)) = self.io.compute.results.try_recv() {
+                let now = self.now();
+                self.fleet.docked(&mut self.io, now, key, out);
+            } else {
+                return;
+            }
         }
     }
 
@@ -444,9 +456,10 @@ mod tests {
         })
     }
 
-    /// A pool's result wakes a driver asleep in its poller with no
-    /// timeout: a lone agent's pool, which dials inside `submit`, and a
-    /// fleet's, which dials on a helper thread.
+    /// A pool's result wakes a driver asleep in its poller: a lone
+    /// agent's pool, which dials inside `submit`, and a fleet's, which
+    /// dials on a helper thread. The wait has no timer of the driver's;
+    /// its 10 s bound only turns a lost wake into a failure, not a hang.
     #[test]
     fn a_pool_result_wakes_a_driver_asleep_in_its_poller() {
         let (_listener, addr) = listen();
@@ -454,9 +467,11 @@ mod tests {
             let mut driver = Driver::new(fleet(&addr, n, 7), None).unwrap();
             (driver.io.dial.submit)((0, addr.clone()));
             let mut events = Vec::new();
-            driver.io.poller.wait(None, &mut events).unwrap();
+            let bound = Some(Duration::from_secs(10));
+            driver.io.poller.wait(bound, &mut events).unwrap();
             let woken = driver.io.woken.as_raw_fd();
-            assert!(events.iter().any(|ev| ev.fd == woken && ev.readable));
+            let wake = events.iter().any(|ev| ev.fd == woken && ev.readable);
+            assert!(wake, "{n} agents: no wake byte within 10 s");
             let (who, dialed) = driver.io.dial.results.try_recv().expect("a result");
             assert!(who == 0 && dialed.is_ok(), "{dialed:?}");
         }

@@ -464,20 +464,10 @@ impl GridState {
     ) -> Result<(ReplicaAssignment, Option<u64>), Option<u64>> {
         let trust = self.faults.trust;
         if !trust.enabled {
-            // While fresh work lasts, an agent is not handed the error
-            // reissue of its own rejected report: a saboteur would
-            // re-draw and corrupt the same workunit again and again.
-            let rejected_on = |wu| {
-                self.agents
-                    .get(&agent)
-                    .is_some_and(|b| b.rejected == Some(wu))
-            };
-            let own = self.core.next_error_reissue().is_some_and(rejected_on);
-            let assignment = if own && self.core.fresh_backlog() > 0 {
-                self.core.fetch_fresh(now, None)
-            } else {
-                self.core.fetch_work(now)
-            };
+            // The core keeps a rejected agent off its own error reissue
+            // while fresh work lasts.
+            let rejected = self.agents.get(&agent).and_then(|b| b.rejected);
+            let assignment = self.core.fetch_work_for(now, rejected);
             return assignment.map(|a| (a, None)).ok_or(None);
         }
         // A newcomer has no book yet (`fetch` opens it) and no history.

@@ -8,7 +8,7 @@
 //! expiry, then a drain to completion — is replayed against
 //!
 //! * the **simulator frontend**: a bare `SchedulerCore` fed boolean
-//!   error flags, exactly as `VolunteerGridSim` drives it, and
+//!   error flags, as `VolunteerGridSim` drives it, and
 //! * the **wire frontend**: `netgrid::GridState` fed real
 //!   `DockingOutput` payloads, where "erroneous" is a §5.2
 //!   bounds-check failure on real bytes,
@@ -16,6 +16,16 @@
 //! and the two decision logs (workunit issue order, completion and
 //! error outcomes, reissue bookkeeping) must be identical, down to the
 //! final `ServerStats`.
+//!
+//! One volunteer asks for everything, so the core's one rule that
+//! reads who asks runs in both: a requester whose last result was
+//! rejected is not handed that workunit's error reissue while fresh work
+//! lasts (`SchedulerCore::fetch_work_for`). The wire frontend's
+//! `GridState` remembers the rejection in the agent's book; the
+//! simulator frontend remembers it itself. `VolunteerGridSim` passes
+//! no rejection, so there it is `fetch_work`: its hosts' errors are
+//! independent draws, and passing each host's rejection moves its
+//! recorded campaign traces (`tests/event_engine_identity.rs`).
 
 use gridsim::sched::{SchedulerCore, ServerConfig, ServerStats};
 use gridsim::SimTime;
@@ -40,11 +50,14 @@ trait Frontend {
 }
 
 /// The simulator's view: boolean error flags, explicit timeout calls —
-/// the same calls `VolunteerGridSim` makes.
+/// the calls `VolunteerGridSim` makes, with the one volunteer's last
+/// rejection handed to each fetch.
 struct SimFrontend {
     core: SchedulerCore,
     /// (replica, workunit, deadline, reported)
     assignments: Vec<(gridsim::sched::ReplicaId, u32, f64, bool)>,
+    /// The workunit of the volunteer's last report, if it was rejected.
+    rejected: Option<u32>,
     log: Vec<String>,
 }
 
@@ -53,6 +66,7 @@ impl SimFrontend {
         Self {
             core: SchedulerCore::new(campaign.catalog(), config),
             assignments: Vec::new(),
+            rejected: None,
             log: Vec::new(),
         }
     }
@@ -60,7 +74,7 @@ impl SimFrontend {
 
 impl Frontend for SimFrontend {
     fn fetch(&mut self, now: f64) -> Option<usize> {
-        match self.core.fetch_work(SimTime::new(now)) {
+        match self.core.fetch_work_for(SimTime::new(now), self.rejected) {
             Some(a) => {
                 self.log.push(format!("issue wu={}", a.workunit));
                 self.assignments.push((
@@ -82,6 +96,7 @@ impl Frontend for SimFrontend {
         let (replica, wu, _, ref mut reported) = self.assignments[idx];
         *reported = true;
         let outcome = self.core.report_result(SimTime::new(now), replica, !good);
+        self.rejected = outcome.erroneous.then_some(wu);
         self.log.push(format!(
             "report wu={wu} completed={} erroneous={}",
             outcome.completed_workunit, outcome.erroneous
@@ -142,14 +157,8 @@ impl WireFrontend {
 }
 
 impl Frontend for WireFrontend {
-    /// Each fetch is a volunteer of its own, as the simulator's are
-    /// anonymous: `GridState`'s one agent-aware rule, which keeps a
-    /// rejected agent off its own error reissue while fresh work lasts,
-    /// has no simulator counterpart, and one agent asking for everything
-    /// would trip it after the bounds-invalid report.
     fn fetch(&mut self, now: f64) -> Option<usize> {
-        let agent = self.assignments.len() as u64 + 1;
-        match self.state.fetch(SimTime::new(now), agent) {
+        match self.state.fetch(SimTime::new(now), 1) {
             WorkReply::Assigned(a) => {
                 self.log.push(format!("issue wu={}", a.workunit));
                 self.assignments.push((a.replica, a.workunit));
@@ -250,6 +259,11 @@ fn simulator_and_wire_frontends_decide_identically() {
     assert_eq!(stats.errors_received, 1, "one bounds-invalid result");
     assert_eq!(stats.error_reissues, 1);
     assert_eq!(stats.timeout_reissues, 1, "one expired replica");
+    // The drain's first fetch is the requester rule at work: the
+    // volunteer just rejected on wu1 draws fresh wu2, not wu1's error
+    // reissue at the head of the queue.
+    let sweep = sim.log().iter().position(|l| l.starts_with("sweep"));
+    assert_eq!(sim.log()[sweep.unwrap() + 1], "issue wu=2");
 
     // And the wire frontend's accepted artifact is the in-process
     // baseline, byte for byte.
