@@ -8,7 +8,9 @@
 //! mid-workunit and one saboteur that corrupts every payload, so a
 //! single run exercises the §5.1 timeout-reissue path and the
 //! quorum-rejection path, and the report carries those counts next to
-//! the injected fault totals.
+//! the injected fault totals. Stdout also gives that fleet's wall clock
+//! and its ask latencies (p50, p99), the figures a change to the agent
+//! driver or the scheduler core is read by.
 //!
 //! This binary checks that the artifact survives faults and scale; it
 //! is not where performance is measured, and it compares no
@@ -286,6 +288,13 @@ fn main() {
         report.disconnect_faults,
         report.stall_faults,
         report.corrupt_faults
+    );
+    println!(
+        "campaign: fleet wall {:.2} s, ask p50 {:.3} ms p99 {:.3} ms over {} asks",
+        plain.wall_seconds,
+        quantile(&plain.latencies, 0.50).unwrap_or(0.0),
+        quantile(&plain.latencies, 0.99).unwrap_or(0.0),
+        plain.latencies.len(),
     );
     if report.scale_agents > 0 {
         println!(

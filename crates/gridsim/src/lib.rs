@@ -16,8 +16,9 @@
 //! * a BOINC-style task server: workunit queue in launch order, replica
 //!   issuing, deadlines and reissue, redundant computing with quorum
 //!   validation, and the mid-campaign switch to bounds-check validation —
-//!   implemented once as the transport-free [`sched::SchedulerCore`] and
-//!   shared with the live wire-level grid (`hcmd-netgrid`);
+//!   implemented once as the transport-free [`sched::SchedulerCore`], with
+//!   one issue path and no feeder cache, and shared with the live
+//!   wire-level grid (`hcmd-netgrid`);
 //! * the multi-project priority phases of the HCMD campaign — control,
 //!   prioritization, full power ([`project`]);
 //! * per-day CPU accounting, per-week result counting, per-receptor

@@ -31,6 +31,13 @@
 //!   validated, but later we provided a method to validate the results by
 //!   checking the values returned in the result file": quorum-compare
 //!   validation early, bounds-check validation (single replica) later.
+//!
+//! Work leaves by one path, [`SchedulerCore::fetch_work_for`]: reissues
+//! first, in the order they were queued, then the next fresh workunit.
+//! BOINC puts a feeder — a shared-memory cache refilled in batches — in
+//! front of that queue to spare its database (the paper's reference
+//! \[13\]); this core keeps its books in memory, has no database to
+//! spare, and has no feeder.
 
 use crate::event::SimTime;
 use serde::{Deserialize, Serialize};
@@ -57,32 +64,17 @@ pub struct ServerConfig {
     pub validation_switch_day: Option<usize>,
     /// Replica deadline, seconds (reissue after this).
     pub deadline_seconds: f64,
-    /// Shared-memory feeder cache (Anderson, Korpela & Walton — the
-    /// paper's reference \[13\]): the scheduler serves replicas out of a
-    /// bounded in-memory cache that a feeder process refills from the
-    /// database in batches. `None` disables the feeder (every fetch hits
-    /// the queue directly).
+    /// Always `None`: the core has no feeder cache (module docs), and
+    /// [`SchedulerCore::new`] refuses a `Some`. The field is kept only
+    /// because the benchmark harness under `benchmarks/` names it; the
+    /// benchmark change that next edits that harness deletes it.
     pub feeder: Option<FeederConfig>,
 }
 
-/// Configuration of the BOINC-style feeder cache.
+/// The type of [`ServerConfig::feeder`], which holds no settings: a name
+/// kept for the benchmark harness, as `netgrid::Codec` is.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FeederConfig {
-    /// Replicas the shared-memory segment holds.
-    pub cache_size: usize,
-    /// Replicas loaded per refill pass (the feeder wakes when the cache
-    /// runs low and loads up to this many).
-    pub refill_batch: usize,
-}
-
-impl Default for FeederConfig {
-    fn default() -> Self {
-        Self {
-            cache_size: 1000,
-            refill_batch: 100,
-        }
-    }
-}
+pub struct FeederConfig;
 
 impl Default for ServerConfig {
     fn default() -> Self {
@@ -192,17 +184,18 @@ impl ServerStats {
 /// The core is its own picture: two cores hold "the same scheduler
 /// state" exactly when they compare `==`, every field included (catalog,
 /// configuration and queues alike). Its counters — [`ServerStats`],
-/// `results_received`, `results_useful`, `feeder_misses` and the
-/// validated count — are the one home of those counts; nothing mirrors
-/// them into the telemetry registry.
+/// `results_received`, `results_useful` and the validated count — are
+/// the one home of those counts; nothing mirrors them into the
+/// telemetry registry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SchedulerCore {
     catalog: Vec<WorkunitCatalogEntry>,
     config: ServerConfig,
     states: Vec<WuState>,
     replicas: Vec<ReplicaState>,
-    /// Workunits needing another replica (errors, timeouts, quorum).
-    reissue: VecDeque<u32>,
+    /// Workunits needing another replica, each with the cause its next
+    /// issue is counted under (errors, timeouts, quorum).
+    reissue: VecDeque<(u32, ReissueCause)>,
     /// Completed workunit count.
     completed: usize,
     /// Total results received (the paper's 5,418,010 analogue).
@@ -211,20 +204,11 @@ pub struct SchedulerCore {
     pub results_useful: u64,
     /// Issue/reissue cause accounting.
     pub stats: ServerStats,
-    /// Replicas currently staged in the feeder cache (workunit ids with
-    /// their issue causes pre-resolved).
-    feeder_cache: VecDeque<(u32, Option<ReissueCause>)>,
-    /// Fetches that found the cache empty while work existed in the
-    /// database — BOINC's "no work available, try again" responses.
-    pub feeder_misses: u64,
     /// Reference CPU seconds of every received result that was *not*
     /// the effective one — quorum partners, errors, late copies, spot
     /// checks. The donated-CPU cost of redundancy (the paper's Fig. 6b
     /// waste, measured instead of modelled).
-    pub wasted_ref_seconds: f64,
-    /// Pending reissue causes aligned with the `reissue` queue semantics:
-    /// cause of the next issue of each queued workunit.
-    reissue_causes: VecDeque<ReissueCause>,
+    wasted_ref_seconds: f64,
     /// Workunit lifecycle events are logged for every stride-th
     /// workunit; full campaigns have ~10⁵ workunits, far too many to log
     /// each. The stride is a power of two, held as the mask of its low
@@ -254,7 +238,7 @@ enum ReissueCause {
 
 /// Trust-adaptive replication level for a fresh workunit issue,
 /// chosen by the caller from the fetching agent's trust band; see
-/// [`SchedulerCore::fetch_work_with`].
+/// [`SchedulerCore::fetch_work_for`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ReplicationOverride {
     /// One valid result completes the workunit (trusted agents; spot
@@ -280,6 +264,7 @@ impl SchedulerCore {
     pub fn new(catalog: Vec<WorkunitCatalogEntry>, config: ServerConfig) -> Self {
         assert!(!catalog.is_empty(), "campaign has no workunits");
         assert!(config.deadline_seconds > 0.0, "deadline must be positive");
+        assert!(config.feeder.is_none(), "the scheduler core has no feeder");
         let n = catalog.len();
         let sample_stride = std::env::var("HCMD_TELEMETRY_SAMPLE")
             .ok()
@@ -296,7 +281,6 @@ impl SchedulerCore {
             _ => 2,
         };
         let reissue_capacity = if redundancy > 1 { (n / 4).max(64) } else { 64 };
-        let feeder_capacity = config.feeder.map_or(0, |f| f.cache_size);
         Self {
             config,
             states: vec![WuState::default(); n],
@@ -306,9 +290,6 @@ impl SchedulerCore {
             results_received: 0,
             results_useful: 0,
             stats: ServerStats::default(),
-            reissue_causes: VecDeque::with_capacity(reissue_capacity),
-            feeder_cache: VecDeque::with_capacity(feeder_capacity),
-            feeder_misses: 0,
             wasted_ref_seconds: 0.0,
             sample_mask: sample_mask(sample_stride),
             next_fresh: 0,
@@ -331,23 +312,6 @@ impl SchedulerCore {
         }
     }
 
-    /// Moves up to `n` issuable replicas from the database queues into the
-    /// feeder cache (the feeder's refill pass).
-    fn feeder_refill(&mut self, now: SimTime, n: usize, cache_size: usize) {
-        while self.feeder_cache.len() < cache_size.min(self.feeder_cache.len() + n) {
-            if let Some((wu, cause)) = self.pop_reissue() {
-                self.feeder_cache.push_back((wu, Some(cause)));
-            } else if let Some(wu) = self.pop_fresh() {
-                if self.policy_at(now) == ValidationPolicy::QuorumCompare {
-                    self.push_reissue(wu, ReissueCause::Quorum);
-                }
-                self.feeder_cache.push_back((wu, None));
-            } else {
-                break;
-            }
-        }
-    }
-
     /// The validation policy in force at a time.
     pub fn policy_at(&self, now: SimTime) -> ValidationPolicy {
         match self.config.validation_switch_day {
@@ -359,11 +323,6 @@ impl SchedulerCore {
     /// Replica deadline in seconds.
     pub fn deadline_seconds(&self) -> f64 {
         self.config.deadline_seconds
-    }
-
-    /// Number of workunits in the campaign.
-    pub fn workunit_count(&self) -> usize {
-        self.catalog.len()
     }
 
     /// Number of completed (validated) workunits.
@@ -382,90 +341,56 @@ impl SchedulerCore {
     }
 
     /// Hands out the next replica, or `None` when no work is available
-    /// right now (everything issued and pending, or — with a feeder — the
-    /// cache momentarily empty).
+    /// right now (everything issued and pending): [`Self::fetch_work_for`]
+    /// for a requester with no rejection and no replication override.
     pub fn fetch_work(&mut self, now: SimTime) -> Option<ReplicaAssignment> {
-        self.fetch_work_with(now, None)
+        self.fetch_work_for(now, None, None)
     }
 
-    /// [`Self::fetch_work`] for a requester whose last result was
-    /// rejected as erroneous on workunit `rejected`, if any. While fresh
-    /// work lasts it is not handed that workunit's error reissue — a
-    /// corrupting host would re-draw and corrupt it again and again —
-    /// but the next fresh workunit, and the reissue stays at the head of
-    /// the queue for the next fetch. With no fresh work left it is
-    /// served as anyone, so a lone requester stays live. `None`
-    /// reproduces `fetch_work` exactly.
+    /// Hands out the next replica for one requester: the oldest issuable
+    /// reissue, else the next fresh workunit, else `None`.
+    ///
+    /// `rejected` is the workunit of the requester's last result if that
+    /// was rejected as erroneous. While fresh work lasts, such a
+    /// requester is not handed that workunit's error reissue when it
+    /// heads the queue — a corrupting host would re-draw and corrupt it
+    /// again and again — but the next fresh workunit, and the reissue
+    /// stays at the head for the next fetch. With no fresh work left it
+    /// is served as anyone, so a lone requester stays live.
+    ///
+    /// `replication` is a trust-adaptive override. It applies only when
+    /// the fetch lands on a fresh workunit; reissues and quorum siblings
+    /// keep whatever replication their workunit was issued under.
     pub fn fetch_work_for(
         &mut self,
         now: SimTime,
         rejected: Option<u32>,
-    ) -> Option<ReplicaAssignment> {
-        let own = rejected.is_some() && self.next_error_reissue() == rejected;
-        if own && self.fresh_backlog() > 0 {
-            return self.fetch_fresh(now, None);
-        }
-        self.fetch_work(now)
-    }
-
-    /// [`Self::fetch_work`] with a trust-adaptive replication override.
-    ///
-    /// The override applies only when the fetch lands on a *fresh*
-    /// workunit (the initial-issue branch); reissues and quorum
-    /// siblings keep whatever replication their workunit was issued
-    /// under, and the feeder path (which pre-resolves issue causes at
-    /// refill time) ignores overrides entirely. `None` reproduces
-    /// `fetch_work` exactly.
-    pub fn fetch_work_with(
-        &mut self,
-        now: SimTime,
         replication: Option<ReplicationOverride>,
     ) -> Option<ReplicaAssignment> {
-        if let Some(feeder) = self.config.feeder {
-            // Fast path: serve straight from the cache front; refill
-            // lazily when it runs dry (the real feeder runs
-            // asynchronously — serving the refill on the *next* request
-            // models the one-poll latency volunteers see).
-            loop {
-                let Some((wu, cause)) = self.feeder_cache.pop_front() else {
-                    if self.available_count(now) > 0 {
-                        self.feeder_misses += 1;
-                    }
-                    self.feeder_refill(now, feeder.refill_batch, feeder.cache_size);
-                    return None;
-                };
-                // Skip reissue copies whose workunit completed while staged.
-                if self.states[wu as usize].complete && cause.is_some() {
-                    continue;
-                }
-                match cause {
-                    Some(ReissueCause::Quorum) => self.stats.quorum_issues += 1,
-                    Some(ReissueCause::Timeout) => self.stats.timeout_reissues += 1,
-                    Some(ReissueCause::Error) => self.stats.error_reissues += 1,
-                    None => self.stats.initial_issues += 1,
-                }
-                self.record_issue(
-                    now,
-                    wu,
-                    cause.map_or(IssueCause::Initial, ReissueCause::issue_cause),
-                );
-                return Some(self.issue_replica(wu));
-            }
-        }
         // Reissues first: they hold completed predecessors' workunits back.
-        if let Some((wu, cause)) = self.pop_reissue() {
-            match cause {
-                ReissueCause::Quorum => self.stats.quorum_issues += 1,
-                ReissueCause::Timeout => self.stats.timeout_reissues += 1,
-                ReissueCause::Error => self.stats.error_reissues += 1,
-            }
-            self.record_issue(now, wu, cause.issue_cause());
-            return Some(self.issue_replica(wu));
+        let issuable = |&(wu, _): &(u32, ReissueCause)| !self.states[wu as usize].complete;
+        let Some(head) = self.reissue.iter().position(issuable) else {
+            // Whatever is queued became moot.
+            self.reissue.clear();
+            return self.fetch_fresh(now, replication);
+        };
+        let own = rejected.is_some_and(|wu| self.reissue[head] == (wu, ReissueCause::Error));
+        if own && self.fresh_backlog() > 0 {
+            return self.fetch_fresh(now, replication);
         }
-        self.fetch_fresh(now, replication)
+        // The moot reissues queued ahead of the head go with it.
+        self.reissue.drain(..head);
+        let (wu, cause) = self.reissue.pop_front().expect("an issuable reissue");
+        match cause {
+            ReissueCause::Quorum => self.stats.quorum_issues += 1,
+            ReissueCause::Timeout => self.stats.timeout_reissues += 1,
+            ReissueCause::Error => self.stats.error_reissues += 1,
+        }
+        self.record_issue(now, wu, cause.issue_cause());
+        Some(self.issue_replica(wu))
     }
 
-    /// [`Self::fetch_work_with`] past the reissue queue: the next
+    /// [`Self::fetch_work_for`] past the reissue queue: the next
     /// never-issued workunit, or `None` when none is left. Queued
     /// reissues stay where they are, for the next fetch.
     fn fetch_fresh(
@@ -487,29 +412,17 @@ impl SchedulerCore {
             // bounds-check era would have accepted a single.
             Some(ReplicationOverride::Quorum) => {
                 self.states[wu as usize].needed_override = 2;
-                self.push_reissue(wu, ReissueCause::Quorum);
+                self.reissue.push_back((wu, ReissueCause::Quorum));
             }
             // Under quorum validation each fresh workunit needs two
             // replicas; queue the sibling copy.
             None => {
                 if self.policy_at(now) == ValidationPolicy::QuorumCompare {
-                    self.push_reissue(wu, ReissueCause::Quorum);
+                    self.reissue.push_back((wu, ReissueCause::Quorum));
                 }
             }
         }
         Some(self.issue_replica(wu))
-    }
-
-    /// The workunit of the reissue [`Self::fetch_work`] hands out next,
-    /// if that is an error reissue (a rejected result's); `None` under a
-    /// feeder, whose cache holds what is next.
-    fn next_error_reissue(&self) -> Option<u32> {
-        if self.config.feeder.is_some() {
-            return None;
-        }
-        let mut queued = self.reissue.iter().zip(&self.reissue_causes);
-        let (&wu, &cause) = queued.find(|(&wu, _)| !self.states[wu as usize].complete)?;
-        (cause == ReissueCause::Error).then_some(wu)
     }
 
     /// Takes the next never-issued workunit in launch order.
@@ -542,22 +455,6 @@ impl SchedulerCore {
         }
     }
 
-    fn push_reissue(&mut self, wu: u32, cause: ReissueCause) {
-        self.reissue.push_back(wu);
-        self.reissue_causes.push_back(cause);
-    }
-
-    fn pop_reissue(&mut self) -> Option<(u32, ReissueCause)> {
-        while let Some(wu) = self.reissue.pop_front() {
-            let cause = self.reissue_causes.pop_front().expect("queues in sync");
-            if !self.states[wu as usize].complete {
-                return Some((wu, cause));
-            }
-            // A sibling/reissue became moot; drop it.
-        }
-        None
-    }
-
     /// Reports a replica's result. `erroneous` is whether the computation
     /// produced an invalid result file.
     pub fn report_result(
@@ -572,13 +469,13 @@ impl SchedulerCore {
         let wu = r.workunit;
         self.results_received += 1;
         let ref_s = f64::from(self.catalog[wu as usize].ref_seconds);
-        let needed = self.needed_at(now, wu);
+        let needed = self.replication_needed(now, wu);
         if erroneous {
             self.stats.errors_received += 1;
             self.wasted_ref_seconds += ref_s;
             // Rejected; if the workunit still needs results, reissue.
             if !self.states[wu as usize].complete {
-                self.push_reissue(wu, ReissueCause::Error);
+                self.reissue.push_back((wu, ReissueCause::Error));
                 if self.sampled(wu) {
                     telemetry::emit(Some(now.seconds()), || Event::WorkunitReissued {
                         workunit: u64::from(wu),
@@ -637,8 +534,10 @@ impl SchedulerCore {
 
     /// Valid results required to complete `wu` as judged at `now`: the
     /// issue-time trust override when one was set, the validation
-    /// policy in force otherwise.
-    fn needed_at(&self, now: SimTime, wu: u32) -> u16 {
+    /// policy in force otherwise. The wire layer consults this to know
+    /// whether a workunit validates by byte-level quorum (≥ 2) or on its
+    /// own (1).
+    pub fn replication_needed(&self, now: SimTime, wu: u32) -> u16 {
         match self.states[wu as usize].needed_override {
             0 => match self.policy_at(now) {
                 ValidationPolicy::QuorumCompare => 2,
@@ -646,13 +545,6 @@ impl SchedulerCore {
             },
             n => n,
         }
-    }
-
-    /// Valid results required to complete `wu` right now — the wire
-    /// layer consults this to know whether a workunit validates by
-    /// byte-level quorum (≥ 2) or on its own (1).
-    pub fn replication_needed(&self, now: SimTime, wu: u32) -> u16 {
-        self.needed_at(now, wu)
     }
 
     /// Issues a spot-check replica of an already-validated workunit: an
@@ -701,8 +593,8 @@ impl SchedulerCore {
         // The retracted result was counted useful when it validated;
         // it turned out to be waste.
         self.wasted_ref_seconds += f64::from(self.catalog[wu as usize].ref_seconds);
-        self.push_reissue(wu, ReissueCause::Error);
-        self.push_reissue(wu, ReissueCause::Error);
+        self.reissue.push_back((wu, ReissueCause::Error));
+        self.reissue.push_back((wu, ReissueCause::Error));
         true
     }
 
@@ -719,7 +611,7 @@ impl SchedulerCore {
     pub fn handle_timeout(&mut self, replica: ReplicaId) -> bool {
         let r = self.replicas[replica.0 as usize];
         if !r.reported && !self.states[r.workunit as usize].complete {
-            self.push_reissue(r.workunit, ReissueCause::Timeout);
+            self.reissue.push_back((r.workunit, ReissueCause::Timeout));
             if self.sampled(r.workunit) {
                 telemetry::emit(None, || Event::WorkunitReissued {
                     workunit: u64::from(r.workunit),
@@ -746,7 +638,7 @@ impl SchedulerCore {
     /// Upper bound on the number of replicas the server could issue right
     /// now (queued reissues — possibly moot — plus never-issued workunits).
     /// Used by the engine to wake idle hosts.
-    pub fn available_count(&self, _now: SimTime) -> usize {
+    pub fn available_count(&self) -> usize {
         self.reissue.len() + self.fresh_backlog()
     }
 
@@ -812,11 +704,6 @@ impl SchedulerCore {
             .filter(|(_, s)| s.complete)
             .map(|(e, _)| f64::from(e.ref_seconds))
             .sum()
-    }
-
-    /// Replicas issued and never reported (in flight or expired).
-    pub fn unreported_replica_count(&self) -> usize {
-        self.replicas.iter().filter(|r| !r.reported).count()
     }
 
     /// Depth of the reissue queue (workunits awaiting another replica).
@@ -1285,7 +1172,7 @@ mod tests {
     fn single_override_completes_on_one_result_even_in_the_quorum_era() {
         let mut s = SchedulerCore::new(catalog(1), ServerConfig::default());
         let a = s
-            .fetch_work_with(t(0.0), Some(ReplicationOverride::Single))
+            .fetch_work_for(t(0.0), None, Some(ReplicationOverride::Single))
             .unwrap();
         assert_eq!(s.replication_needed(t(0.0), a.workunit), 1);
         // No quorum sibling was queued.
@@ -1306,7 +1193,7 @@ mod tests {
         };
         let mut s = SchedulerCore::new(catalog(1), cfg);
         let a = s
-            .fetch_work_with(t(0.0), Some(ReplicationOverride::Quorum))
+            .fetch_work_for(t(0.0), None, Some(ReplicationOverride::Quorum))
             .unwrap();
         assert_eq!(s.replication_needed(t(0.0), a.workunit), 2);
         let b = s.fetch_work(t(0.0)).expect("the forced sibling");
@@ -1318,11 +1205,11 @@ mod tests {
 
     #[test]
     fn no_override_stays_bit_identical_to_the_policy_path() {
-        // fetch_work and fetch_work_with(None) are the same code path;
+        // fetch_work and fetch_work_for(.., None, None) are the same code path;
         // the day-110 switch must still govern the quorum need at
         // report time for un-overridden workunits.
         let mut s = SchedulerCore::new(catalog(1), ServerConfig::default());
-        let a = s.fetch_work_with(t(0.0), None).unwrap();
+        let a = s.fetch_work_for(t(0.0), None, None).unwrap();
         assert_eq!(s.replication_needed(t(0.0), a.workunit), 2);
         // After the switch day the same workunit needs only one.
         assert_eq!(s.replication_needed(t(111.0 * 86_400.0), a.workunit), 1);
@@ -1332,14 +1219,14 @@ mod tests {
     fn spot_check_reports_are_received_but_redundant() {
         let mut s = SchedulerCore::new(catalog(1), ServerConfig::default());
         let a = s
-            .fetch_work_with(t(0.0), Some(ReplicationOverride::Single))
+            .fetch_work_for(t(0.0), None, Some(ReplicationOverride::Single))
             .unwrap();
         s.report_result(t(1.0), a.replica, false);
         assert!(s.is_campaign_complete());
         let spot = s.issue_spot_check(a.workunit);
         assert_eq!(spot.workunit, a.workunit);
         assert_eq!(s.stats.spot_check_issues, 1);
-        assert_eq!(s.unreported_replica_count(), 1);
+        assert_eq!(s.replica_count(), 2);
         let wu = s.note_spot_report(spot.replica);
         assert_eq!(wu, a.workunit);
         assert_eq!(s.results_received, 2);
@@ -1351,7 +1238,7 @@ mod tests {
     fn invalidation_reopens_the_workunit_under_forced_quorum() {
         let mut s = SchedulerCore::new(catalog(2), ServerConfig::default());
         let a = s
-            .fetch_work_with(t(0.0), Some(ReplicationOverride::Single))
+            .fetch_work_for(t(0.0), None, Some(ReplicationOverride::Single))
             .unwrap();
         s.report_result(t(1.0), a.replica, false);
         assert_eq!(s.completed_count(), 1);
@@ -1369,86 +1256,6 @@ mod tests {
         assert!(s.report_result(t(5.0), c.replica, false).completed_workunit);
         assert_eq!(s.completed_count(), 1);
         assert_eq!(s.stats.error_reissues, 2);
-    }
-}
-
-#[cfg(test)]
-mod feeder_tests {
-    use super::*;
-
-    fn catalog(n: usize) -> Vec<WorkunitCatalogEntry> {
-        (0..n)
-            .map(|_| WorkunitCatalogEntry {
-                ref_seconds: 1000.0,
-                position_ref_seconds: 100.0,
-                receptor: 0,
-            })
-            .collect()
-    }
-
-    fn t(sec: f64) -> SimTime {
-        SimTime::new(sec)
-    }
-
-    fn feeder_config(cache: usize, batch: usize) -> ServerConfig {
-        ServerConfig {
-            validation_switch_day: Some(0),
-            feeder: Some(FeederConfig {
-                cache_size: cache,
-                refill_batch: batch,
-            }),
-            ..Default::default()
-        }
-    }
-
-    #[test]
-    fn first_fetch_misses_then_cache_serves() {
-        let mut s = SchedulerCore::new(catalog(10), feeder_config(4, 4));
-        // The cache starts cold: the first request records a miss and
-        // triggers the refill (BOINC's "no work sent, try again").
-        assert!(s.fetch_work(t(0.0)).is_none());
-        assert_eq!(s.feeder_misses, 1);
-        // Now the cache is primed.
-        let a = s.fetch_work(t(1.0)).expect("cache primed");
-        assert_eq!(a.workunit, 0);
-        assert_eq!(s.stats.initial_issues, 1);
-    }
-
-    #[test]
-    fn all_work_flows_through_the_feeder() {
-        let mut s = SchedulerCore::new(catalog(25), feeder_config(8, 8));
-        let mut served = 0;
-        let mut polls = 0;
-        while !s.is_campaign_complete() && polls < 1000 {
-            polls += 1;
-            if let Some(a) = s.fetch_work(t(polls as f64)) {
-                s.report_result(t(polls as f64 + 0.5), a.replica, false);
-                served += 1;
-            }
-        }
-        assert!(s.is_campaign_complete(), "campaign must drain via feeder");
-        assert_eq!(served, 25);
-        assert!(s.feeder_misses >= 1, "cold cache must have missed");
-    }
-
-    #[test]
-    fn cache_never_exceeds_its_size() {
-        let mut s = SchedulerCore::new(catalog(100), feeder_config(5, 50));
-        assert!(s.fetch_work(t(0.0)).is_none()); // refill pass
-        assert!(s.feeder_cache.len() <= 5, "cache {}", s.feeder_cache.len());
-    }
-
-    #[test]
-    fn empty_database_miss_is_not_counted() {
-        let mut s = SchedulerCore::new(catalog(1), feeder_config(4, 4));
-        assert!(s.fetch_work(t(0.0)).is_none()); // cold start
-        let a = s.fetch_work(t(1.0)).unwrap();
-        s.report_result(t(2.0), a.replica, false);
-        assert!(s.is_campaign_complete());
-        let misses_before = s.feeder_misses;
-        // No work exists at all now: not a feeder miss, just done.
-        assert!(s.fetch_work(t(3.0)).is_none());
-        assert_eq!(s.feeder_misses, misses_before);
     }
 }
 
@@ -1517,13 +1324,6 @@ mod launch_tests {
         SimTime::new(sec)
     }
 
-    fn bounds_cfg() -> ServerConfig {
-        ServerConfig {
-            validation_switch_day: Some(0),
-            ..Default::default()
-        }
-    }
-
     /// The launch cursor's counts, written down from a build that had
     /// one before and pinned since: quorum era, five workunits, a
     /// sibling, a rejection, an expiry and a completion.
@@ -1536,7 +1336,7 @@ mod launch_tests {
             let wu = s.wu_state_counts();
             seen.push((
                 s.fresh_backlog(),
-                s.available_count(t(0.0)),
+                s.available_count(),
                 wu.issued,
                 wu.in_flight,
                 wu.quorum_pending,
@@ -1585,10 +1385,20 @@ mod launch_tests {
         let b = s.fetch_work(t(0.0)).unwrap();
         s.report_result(t(1.0), a.replica, false);
         assert!(s.report_result(t(1.0), b.replica, true).erroneous);
-        assert_eq!(s.fetch_work_for(t(2.0), Some(0)).unwrap().workunit, 1);
+        assert_eq!(s.fetch_work_for(t(2.0), Some(0), None).unwrap().workunit, 1);
         assert_eq!(s.fresh_backlog(), 0);
-        assert_eq!(s.fetch_work_for(t(2.0), Some(0)).unwrap().workunit, 0);
+        assert_eq!(s.fetch_work_for(t(2.0), Some(0), None).unwrap().workunit, 0);
         assert_eq!((s.stats.initial_issues, s.stats.error_reissues), (2, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "has no feeder")]
+    fn a_feeder_is_refused() {
+        let cfg = ServerConfig {
+            feeder: Some(FeederConfig),
+            ..ServerConfig::default()
+        };
+        SchedulerCore::new(catalog(1), cfg);
     }
 
     /// A stride is rounded up to the next power of two, and the mask
@@ -1616,24 +1426,5 @@ mod launch_tests {
                 assert_eq!(x & mask == 0, x % stride == 0, "{x} % {stride}");
             }
         }
-    }
-
-    #[test]
-    fn the_feeder_refills_through_the_launch_cursor() {
-        let cfg = ServerConfig {
-            feeder: Some(FeederConfig {
-                cache_size: 2,
-                refill_batch: 8,
-            }),
-            ..bounds_cfg()
-        };
-        let mut s = SchedulerCore::new(catalog(8), cfg);
-        let mut issued = Vec::new();
-        for poll in 0..20 {
-            issued.extend(s.fetch_work(t(f64::from(poll))).map(|a| a.workunit));
-            assert!(s.feeder_cache.len() <= 2, "cache bound");
-        }
-        assert_eq!(issued, (0..8).collect::<Vec<u32>>(), "launch order");
-        assert_eq!(s.fresh_backlog(), 0);
     }
 }

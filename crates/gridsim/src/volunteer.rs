@@ -12,8 +12,8 @@
 //! The simulator runs on the crate's one event engine, the timing-wheel
 //! [`EventQueue`]. A trace is a pure function of the seed and the
 //! configuration: `tests/event_engine_identity.rs` holds the serialized
-//! traces of five fixed campaigns (analytic, session-level and feeder
-//! modes) to recorded digests, byte for byte.
+//! traces of four fixed campaigns (three analytic seeds and the
+//! session-level mode) to recorded digests, byte for byte.
 
 use crate::event::{EventQueue, SimTime};
 use crate::host::{Host, HostId, HostParams};
@@ -262,7 +262,7 @@ impl VolunteerGridSim {
                     self.server.handle_timeout(replica);
                 }
             }
-            self.wake_idle_hosts(now);
+            self.wake_idle_hosts();
         }
         // Final snapshot bookkeeping: any requested snapshot day past the
         // end of the simulation sees the final state.
@@ -514,11 +514,11 @@ impl VolunteerGridSim {
     /// hosts that found no work park themselves on the `idle` free-list
     /// and this pops at most `available_count` of them — O(1) when
     /// nobody is idle, O(woken) otherwise, never O(hosts).
-    fn wake_idle_hosts(&mut self, now: SimTime) {
+    fn wake_idle_hosts(&mut self) {
         if self.idle.is_empty() {
             return;
         }
-        let mut available = self.server.available_count(now);
+        let mut available = self.server.available_count();
         while available > 0 {
             let Some(h) = self.idle.pop() else { break };
             if !self.hosts[h as usize].active {

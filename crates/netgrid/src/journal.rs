@@ -154,7 +154,7 @@ use crate::protocol::{self, DecodeError, HEADER_BYTES};
 use crate::registry::{CampaignDef, Command, Outcome};
 use crate::state::{ResultDisposition, Verdict, WorkReply};
 use crate::trust::TrustConfig;
-use gridsim::sched::{FeederConfig, ReplicaAssignment, ReplicaId, ServerConfig};
+use gridsim::sched::{ReplicaAssignment, ReplicaId, ServerConfig};
 use gridsim::SimTime;
 use maxdo::DockingOutput;
 use serde::Serialize;
@@ -352,11 +352,8 @@ fn encode_record(rec: &JournalRecord, w: &mut Writer) {
                 w.u64(day as u64);
             }
             w.f64(config.deadline_seconds);
+            // The feeder flag: 0 from every core, which has no feeder.
             w.flag(config.feeder.is_some());
-            if let Some(feeder) = config.feeder {
-                w.u64(feeder.cache_size as u64);
-                w.u64(feeder.refill_batch as u64);
-            }
             let trust = &faults.trust;
             w.flag(trust.enabled);
             w.f64(trust.trusted_threshold);
@@ -465,10 +462,9 @@ fn decode_header(r: &mut Reader) -> Result<JournalRecord, String> {
             },
             deadline_seconds: r.f64()?,
             feeder: match r.flag()? {
-                true => Some(FeederConfig {
-                    cache_size: r.u64()? as usize,
-                    refill_batch: r.u64()? as usize,
-                }),
+                true => {
+                    return Err("its header names a feeder cache, which no scheduler has".into())
+                }
                 false => None,
             },
         },
@@ -920,10 +916,7 @@ mod tests {
                     config: ServerConfig {
                         validation_switch_day: b.is_multiple_of(2).then_some(a as usize),
                         deadline_seconds: f64::from_bits(!bits),
-                        feeder: (!a.is_multiple_of(3)).then_some(FeederConfig {
-                            cache_size: b as usize,
-                            refill_batch: rows.len(),
-                        }),
+                        feeder: None,
                     },
                     faults: ServerFaults {
                         trust: TrustConfig {
@@ -1009,6 +1002,59 @@ mod tests {
         let err = decode_record(FRAME_BINARY, &header).unwrap_err();
         let named = format!("journal format {}", JOURNAL_FORMAT + 1);
         assert!(err.contains(&named), "{err}");
+    }
+
+    /// A header whose feeder flag is 1 is a bad record, refused by
+    /// recovery and by the dump reader with `InvalidData` naming the
+    /// feeder, and nothing on disk is touched or created.
+    #[test]
+    fn a_header_with_a_feeder_is_refused() {
+        let JournalRecord::Header {
+            roster,
+            config,
+            faults,
+            format,
+        } = build_record(3, 1, 2, 3, &[])
+        else {
+            unreachable!("kind 3 builds a header")
+        };
+        let config = ServerConfig {
+            feeder: Some(gridsim::FeederConfig),
+            ..config
+        };
+        let fed = frame(&JournalRecord::Header {
+            roster,
+            config,
+            faults,
+            format,
+        });
+        let dir = scratch_dir("feeder");
+        let path = dir.join(WAL_FILE);
+        fs::write(&path, &fed).unwrap();
+        let roster = vec![CampaignDef::default_solo(CampaignParams::tiny())];
+        let recovery = MultiGrid::open(
+            roster,
+            ServerConfig::default(),
+            ServerFaults::default(),
+            crate::ShardSpec::solo(),
+            Some(&JournalConfig::new(&dir)),
+        )
+        .err()
+        .expect("a feeder header is refused");
+        let dump = open_wal(&dir)
+            .and_then(|records| records.collect::<io::Result<Vec<_>>>())
+            .expect_err("a feeder header does not dump");
+        for err in [recovery, dump] {
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert!(err.to_string().contains("feeder cache"), "{err}");
+        }
+        assert_eq!(fs::read(&path).unwrap(), fed, "the wal is left as it was");
+        assert_eq!(
+            fs::read_dir(&dir).unwrap().count(),
+            1,
+            "nothing was created"
+        );
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -164,12 +164,16 @@ impl CampaignDef {
 }
 
 /// [`CampaignDef::check`] for the settings every campaign shares: the
-/// replica deadline the scheduler asserts is positive, and the trust
-/// policy's rates and durations, which the wal header holds.
+/// replica deadline the scheduler asserts is positive, the feeder cache
+/// it asserts is absent, and the trust policy's rates and durations,
+/// which the wal header holds.
 fn check_policy(scheduler: &ServerConfig, faults: &ServerFaults) -> Result<(), String> {
     let deadline = scheduler.deadline_seconds;
     if deadline.is_nan() || deadline <= 0.0 {
         return Err(format!("deadline_seconds must be > 0, not {deadline}"));
+    }
+    if scheduler.feeder.is_some() {
+        return Err("feeder must be None: the scheduler core has no feeder cache".into());
     }
     let t = faults.trust;
     let trust = [
@@ -1084,6 +1088,30 @@ pub(crate) mod tests {
             assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
             assert!(err.to_string().contains("unsharded"), "{err}");
         }
+        assert!(!dir.join("wal.bin").exists(), "nothing was journaled");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A feeder cache is refused as the other settings are, before the
+    /// scheduler core that asserts it is absent is built or the journal
+    /// touched.
+    #[test]
+    fn a_feeder_is_refused_up_front() {
+        let dir = std::env::temp_dir().join(format!("hcmd-core-feeder-{}", std::process::id()));
+        let scheduler = ServerConfig {
+            feeder: Some(gridsim::FeederConfig),
+            ..ServerConfig::default()
+        };
+        let open = MultiGrid::open(
+            vec![CampaignDef::default_solo(CampaignParams::tiny())],
+            scheduler,
+            ServerFaults::default(),
+            ShardSpec::solo(),
+            Some(&JournalConfig::new(&dir)),
+        );
+        let err = open.err().expect("a feeder is refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("feeder"), "{err}");
         assert!(!dir.join("wal.bin").exists(), "nothing was journaled");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -467,7 +467,7 @@ impl GridState {
             // The core keeps a rejected agent off its own error reissue
             // while fresh work lasts.
             let rejected = self.agents.get(&agent).and_then(|b| b.rejected);
-            let assignment = self.core.fetch_work_for(now, rejected);
+            let assignment = self.core.fetch_work_for(now, rejected, None);
             return assignment.map(|a| (a, None)).ok_or(None);
         }
         // A newcomer has no book yet (`fetch` opens it) and no history.
@@ -507,7 +507,7 @@ impl GridState {
             // Gated above; unreachable in practice, safe if not.
             TrustBand::Quarantined => return Err(None),
         };
-        let assignment = self.core.fetch_work_with(now, replication);
+        let assignment = self.core.fetch_work_for(now, None, replication);
         assignment.map(|a| (a, None)).ok_or(None)
     }
 

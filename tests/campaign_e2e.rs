@@ -166,38 +166,3 @@ fn intensive_quantities_are_scale_invariant() {
     let (va, vb) = (a.mean_project_vftp(0, 182), b.mean_project_vftp(0, 182));
     assert!((va - vb).abs() / va < 0.15, "vftp {va} vs {vb}");
 }
-
-/// A campaign behind a BOINC feeder cache (§3.2 / reference [13])
-/// completes with the same useful-result count as the direct-queue
-/// server; cold-cache misses are visible but harmless.
-#[test]
-fn feeder_cache_does_not_change_campaign_outcomes() {
-    let lib = ProteinLibrary::generate(LibraryConfig::tiny(4), 11);
-    let matrix = CostMatrix::from_cost_model(&lib, &CostModel::with_kappa(0.2));
-    let pkg = CampaignPackage::new(&lib, &matrix, 2.0 * 3600.0);
-    let run = |feeder| {
-        let mut config = VolunteerGridConfig::hcmd_phase1(1, 31);
-        config.membership = MembershipModel {
-            reference_vftp: 40.0,
-            reference_day: 1,
-            growth_exponent: 0.0,
-            seasonality: SeasonalityModel::flat(),
-            mean_accounted_fraction: 0.5,
-        };
-        config.phases = ProjectPhases::new(vec![SharePhase {
-            start_day: 0,
-            share_start: 1.0,
-            share_end: 1.0,
-            days: 3 * 365,
-            name: "full",
-        }]);
-        config.membership_start_day = 0;
-        config.server.feeder = feeder;
-        VolunteerGridSim::new(&pkg, config).run()
-    };
-    let direct = run(None);
-    let fed = run(Some(gridsim::FeederConfig::default()));
-    assert!(direct.completion_day.is_some());
-    assert!(fed.completion_day.is_some());
-    assert_eq!(direct.results_useful, fed.results_useful);
-}

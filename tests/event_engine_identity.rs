@@ -9,8 +9,8 @@
 //!   be right by reading — that a fixed 400-op workload and a 256-case
 //!   proptest replay beside the wheel, pop for pop;
 //! * the **recorded traces** — the FNV-1a 64 digest and byte length of
-//!   the serialized [`gridsim::CampaignTrace`] of five fixed campaigns
-//!   (three analytic seeds, the session-level mode, the feeder cache),
+//!   the serialized [`gridsim::CampaignTrace`] of four fixed campaigns
+//!   (three analytic seeds and the session-level mode),
 //!   recorded while the `BinaryHeap` engine the wheel replaced still ran
 //!   beside it and produced the same bytes. A change to the engine or to
 //!   the simulator that claims "same traces" must reproduce them unedited;
@@ -147,7 +147,7 @@ proptest! {
 
 /// `(byte length, FNV-1a 64)` of a small fixed-population campaign's
 /// trace, serialized to JSON.
-fn trace_digest(seed: u64, detailed: bool, feeder: bool) -> (usize, u64) {
+fn trace_digest(seed: u64, detailed: bool) -> (usize, u64) {
     let lib = ProteinLibrary::generate(LibraryConfig::tiny(3), 7);
     let matrix = CostMatrix::from_cost_model(&lib, &CostModel::with_kappa(0.3));
     let pkg = CampaignPackage::new(&lib, &matrix, 4.0 * 3600.0);
@@ -169,9 +169,6 @@ fn trace_digest(seed: u64, detailed: bool, feeder: bool) -> (usize, u64) {
     config.membership_start_day = 0;
     config.snapshot_days = vec![1, 50];
     config.detailed_sessions = detailed;
-    if feeder {
-        config.server.feeder = Some(gridsim::FeederConfig::default());
-    }
     let json =
         serde_json::to_string(&VolunteerGridSim::new(&pkg, config).run()).expect("serializes");
     let fnv = json.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
@@ -188,21 +185,13 @@ fn analytic_campaign_trace_is_engine_independent() {
         (7, (2539, 0xc030_b4d9_ace6_29c4)),
         (2007, (2544, 0x6ae8_2577_8951_0efe)),
     ] {
-        assert_eq!(trace_digest(seed, false, false), recorded, "seed = {seed}");
+        assert_eq!(trace_digest(seed, false), recorded, "seed = {seed}");
     }
 }
 
 #[test]
 fn detailed_sessions_trace_is_engine_independent() {
-    assert_eq!(trace_digest(99, true, false), (2634, 0x939f_f35b_2634_02e9));
-}
-
-#[test]
-fn feeder_campaign_trace_is_engine_independent() {
-    assert_eq!(
-        trace_digest(42, false, true),
-        (13353, 0xab45_8dbe_30d5_c02e)
-    );
+    assert_eq!(trace_digest(99, true), (2634, 0x939f_f35b_2634_02e9));
 }
 
 /// One synthetic fleet event. Small and `Copy`, like the real

@@ -74,7 +74,10 @@ impl SimFrontend {
 
 impl Frontend for SimFrontend {
     fn fetch(&mut self, now: f64) -> Option<usize> {
-        match self.core.fetch_work_for(SimTime::new(now), self.rejected) {
+        match self
+            .core
+            .fetch_work_for(SimTime::new(now), self.rejected, None)
+        {
             Some(a) => {
                 self.log.push(format!("issue wu={}", a.workunit));
                 self.assignments.push((
